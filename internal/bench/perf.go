@@ -35,7 +35,12 @@ type PerfCell struct {
 	// one replica while a remote peer streams updates into it), or
 	// "contended1" (the same goroutine mix all hammering one single
 	// location — remote streamer included — so every operation contends on
-	// one cell; the row the sharded apply path's lock-free reads answer to).
+	// one cell; the row the sharded apply path's lock-free reads answer to),
+	// "fresh" (one writer, every write to a location no replica has seen, so
+	// each op pays a table insert at every replica), or "backlog" (one writer
+	// streaming deliverable updates into a replica that holds perfBacklog
+	// delivery groups parked behind a held sender: the cost of an apply when
+	// the causal view has a backlog).
 	Scenario string `json:"scenario"`
 	// Label is the consistency configuration: "pram" (PRAMOnly), "causal"
 	// (full broadcast with timestamps), or "scoped" (causal-scoped
@@ -125,8 +130,19 @@ func perfGrid() []PerfCell {
 		{Scenario: "contended", Label: "causal", Batch: 64, Writers: 4, Readers: 4},
 		{Scenario: "contended1", Label: "pram", Batch: 0, Writers: 4, Readers: 4},
 		{Scenario: "contended1", Label: "causal", Batch: 64, Writers: 4, Readers: 4},
+		{Scenario: "fresh", Label: "pram", Batch: 0, Writers: 1},
+		{Scenario: "fresh", Label: "causal", Batch: 0, Writers: 1},
+		{Scenario: "backlog", Label: "causal", Batch: 0, Writers: 1},
 	}
 }
+
+// perfBacklog is the number of delivery groups the backlog scenario parks at
+// the measured replica, and perfBacklogProcs the replica count its four roles
+// need (receiver, held sender, parked sender, live sender).
+const (
+	perfBacklog      = 1024
+	perfBacklogProcs = 4
+)
 
 // perfLocs are the writer locations: a small working set, round-robined, so
 // coalescing and shard spread both behave as in real workloads.
@@ -168,6 +184,9 @@ func RunPerf(opt PerfOptions) (PerfResult, error) {
 	o := opt.withDefaults()
 	out := PerfResult{Transport: "sim", Procs: o.Procs}
 	for _, cell := range perfGrid() {
+		if cell.Scenario == "backlog" && o.Procs < perfBacklogProcs {
+			continue
+		}
 		cell.Transport = "sim"
 		measured, err := runPerfCellSim(o, cell)
 		if err != nil {
@@ -246,6 +265,9 @@ func runPerfCellSim(o PerfOptions, cell PerfCell) (PerfCell, error) {
 			nd.Close()
 		}
 	}()
+	if cell.Scenario == "backlog" {
+		return measureBacklogCell(o, cell, nodes, f)
+	}
 	return measurePerfCell(o, cell, nodes)
 }
 
@@ -301,12 +323,21 @@ func measurePerfCell(o PerfOptions, cell PerfCell, nodes []*dsm.Node) (PerfCell,
 	}
 
 	// Precompute every location string: the harness must not charge its own
-	// fmt.Sprintf allocations to the measured path.
+	// fmt.Sprintf allocations to the measured path. The fresh scenario never
+	// reuses a name, so it needs one per write of both passes.
+	locCount := perfLocCount
+	if cell.Scenario == "fresh" {
+		locCount = o.Warmup/cell.Writers + writerOps
+	}
 	writerLocs := make([][]string, cell.Writers)
 	for w := range writerLocs {
-		writerLocs[w] = make([]string, perfLocCount)
+		writerLocs[w] = make([]string, locCount)
 		for i := range writerLocs[w] {
-			writerLocs[w][i] = perfLoc(w, i)
+			if cell.Scenario == "fresh" {
+				writerLocs[w][i] = fmt.Sprintf("w%d_fresh%d", w, i)
+			} else {
+				writerLocs[w][i] = perfLoc(w, i)
+			}
 		}
 	}
 	remoteLocs := make([]string, perfLocCount)
@@ -327,7 +358,9 @@ func measurePerfCell(o PerfOptions, cell PerfCell, nodes []*dsm.Node) (PerfCell,
 	}
 
 	var seq uint64 // monotone values so awaited convergence is unambiguous
-	runPass := func(ops int) int {
+	// base is where a pass starts in each writer's location list; only the
+	// fresh scenario's list is long enough for it to matter.
+	runPass := func(ops, base int) int {
 		var wg sync.WaitGroup
 		var stop atomic.Bool
 		var reads atomic.Int64
@@ -368,7 +401,7 @@ func measurePerfCell(o PerfOptions, cell PerfCell, nodes []*dsm.Node) (PerfCell,
 				defer wwg.Done()
 				locs := writerLocs[w]
 				for i := 0; i < ops; i++ {
-					nodes[0].Write(locs[i%perfLocCount], int64(atomic.AddUint64(&seq, 1)))
+					nodes[0].Write(locs[(base+i)%len(locs)], int64(atomic.AddUint64(&seq, 1)))
 				}
 			}(w)
 		}
@@ -385,19 +418,90 @@ func measurePerfCell(o PerfOptions, cell PerfCell, nodes []*dsm.Node) (PerfCell,
 		return total
 	}
 
-	runPass(o.Warmup / cell.Writers)
+	runPass(o.Warmup/cell.Writers, 0)
 
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
 	start := time.Now()
-	total := runPass(writerOps)
+	total := runPass(writerOps, o.Warmup/cell.Writers)
+	elapsed := time.Since(start)
+	runtime.ReadMemStats(&after)
+	return cell.measured(total, elapsed, after.Mallocs-before.Mallocs), nil
+}
+
+// measured fills in the cell's measurements.
+func (c PerfCell) measured(ops int, elapsed time.Duration, mallocs uint64) PerfCell {
+	c.Ops = ops
+	c.NsPerOp = float64(elapsed.Nanoseconds()) / float64(ops)
+	c.AllocsPerOp = float64(mallocs) / float64(ops)
+	c.OpsPerSec = float64(ops) / elapsed.Seconds()
+	return c
+}
+
+// measureBacklogCell measures an apply at a replica whose causal view has a
+// backlog. Replica 1 writes once; the write reaches replica 2 but is held
+// from replica 0. Replica 2 then writes perfBacklog updates, each of which
+// depends on the held write, so replica 0 applies them to its PRAM view and
+// parks every one. The measured traffic comes from replica 3, which is cut
+// off from both (its updates depend on nothing replica 0 lacks): each of its
+// writes applies at replica 0 at once, with the backlog looking on. The cell
+// fails unless exactly perfBacklog groups were parked during the measurement
+// and all of them drain when the held write is released.
+func measureBacklogCell(o PerfOptions, cell PerfCell, nodes []*dsm.Node, f *network.Fabric) (PerfCell, error) {
+	for _, pair := range [][2]int{{1, 0}, {1, 3}, {2, 3}} {
+		if err := f.Hold(pair[0], pair[1]); err != nil {
+			return cell, err
+		}
+	}
+	count := func(from int, c uint64) []uint64 {
+		min := make([]uint64, len(nodes))
+		min[from] = c
+		return min
+	}
+	nodes[1].Write("held", 1)
+	nodes[2].WaitReceived(count(1, 1))
+	for i := 0; i < perfBacklog; i++ {
+		nodes[2].Write(remoteLoc(i), int64(i))
+	}
+	nodes[0].WaitReceived(count(2, perfBacklog))
+	if got := nodes[0].Stats().PendingGroups; got != perfBacklog {
+		return cell, fmt.Errorf("backlog: %d groups parked, want %d", got, perfBacklog)
+	}
+
+	locs := make([]string, perfLocCount)
+	for i := range locs {
+		locs[i] = perfLoc(0, i)
+	}
+	sent := uint64(0)
+	runPass := func(ops int) {
+		for i := 0; i < ops; i++ {
+			nodes[3].Write(locs[i%perfLocCount], int64(i))
+		}
+		sent += uint64(ops)
+		for _, j := range []int{0, 1, 2} {
+			nodes[j].WaitReceived(count(3, sent))
+		}
+	}
+	runPass(o.Warmup)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	start := time.Now()
+	runPass(o.Ops)
 	elapsed := time.Since(start)
 	runtime.ReadMemStats(&after)
 
-	cell.Ops = total
-	cell.NsPerOp = float64(elapsed.Nanoseconds()) / float64(total)
-	cell.AllocsPerOp = float64(after.Mallocs-before.Mallocs) / float64(total)
-	cell.OpsPerSec = float64(total) / elapsed.Seconds()
-	return cell, nil
+	if s := nodes[0].Stats(); s.PendingGroups != perfBacklog || s.PendingGroupsMax != perfBacklog {
+		return cell, fmt.Errorf("backlog: %d groups parked after the measurement (max %d), want %d",
+			s.PendingGroups, s.PendingGroupsMax, perfBacklog)
+	}
+	if err := f.Release(1, 0); err != nil {
+		return cell, err
+	}
+	nodes[0].WaitCausalApplied(count(2, perfBacklog))
+	if got := nodes[0].Stats().PendingGroups; got != 0 {
+		return cell, fmt.Errorf("backlog: %d groups still parked after release", got)
+	}
+	return cell.measured(o.Ops, elapsed, after.Mallocs-before.Mallocs), nil
 }

@@ -36,6 +36,8 @@ func MemMetricsOf(s dsm.Stats) obs.MemMetrics {
 			"invalidation": int64(s.BlockedInvalidation),
 		},
 		MalformedUpdates: s.MalformedUpdates,
+		PendingGroups:    s.PendingGroups,
+		PendingGroupsMax: s.PendingGroupsMax,
 	}
 }
 

@@ -76,8 +76,15 @@ func TestRegistryUnifiesSubsystems(t *testing.T) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &doc); err != nil {
 		t.Fatalf("registry JSON: %v", err)
 	}
-	if _, ok := doc["proc0/mem"]; !ok {
-		t.Fatalf("served document missing proc0/mem: %s", rec.Body.String())
+	var mem map[string]json.RawMessage
+	if err := json.Unmarshal(doc["proc0/mem"], &mem); err != nil {
+		t.Fatalf("served document missing proc0/mem: %v\n%s", err, rec.Body.String())
+	}
+	// The causal-delivery backlog gauges ride in the memory section.
+	for _, key := range []string{"pendingGroups", "pendingGroupsMax"} {
+		if _, ok := mem[key]; !ok {
+			t.Fatalf("proc0/mem missing %q: %s", key, doc["proc0/mem"])
+		}
 	}
 }
 

@@ -1,6 +1,8 @@
 package dsm
 
 import (
+	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -66,6 +68,60 @@ func TestWriteSteadyStateAllocFree(t *testing.T) {
 	})
 	if allocs > 0 {
 		t.Errorf("steady-state batched PRAM Write: %.3f allocs/op, want 0", allocs)
+	}
+}
+
+// TestFreshLocationWritesAllocLinear pins the cost of a write to a location
+// the node has never seen — the insert path of the shard tables. The pin
+// counts, it does not time: N fresh PRAM writes on a single-node system may
+// cost at most 3 allocations each (the table entry plus amortised slot-array
+// doublings), and the bytes allocated must grow linearly in N. A table that
+// copies itself per insert fails both by orders of magnitude.
+func TestFreshLocationWritesAllocLinear(t *testing.T) {
+	measure := func(count int) (mallocs, bytes float64) {
+		f, err := network.New(network.Config{Nodes: 1})
+		if err != nil {
+			t.Fatalf("network.New: %v", err)
+		}
+		n, err := NewNode(Config{ID: 0, N: 1, Transport: f, PRAMOnly: true})
+		if err != nil {
+			t.Fatalf("NewNode: %v", err)
+		}
+		defer func() {
+			f.Close()
+			n.Close()
+		}()
+		names := make([]string, count)
+		for i := range names {
+			names[i] = fmt.Sprintf("L[%d][%d]", i/128, i%128)
+		}
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		for i, name := range names {
+			n.Write(name, int64(i))
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.Mallocs - before.Mallocs), float64(after.TotalAlloc - before.TotalAlloc)
+	}
+	const total = 1 << 14
+	quarterMallocs, quarterBytes := measure(total / 4)
+	mallocs, bytes := measure(total)
+	if perOp := mallocs / total; perOp > 3 {
+		t.Errorf("fresh-location PRAM write: %.2f allocs/op over %d writes, want <= 3", perOp, total)
+	}
+	if perOp := bytes / total; perOp > 256 {
+		t.Errorf("fresh-location PRAM write: %.0f bytes/op over %d writes, want <= 256", perOp, total)
+	}
+	// Four times the locations may cost four times the memory, plus slack for
+	// where the doublings fall — never the sixteen times of a per-insert copy.
+	if ratio := bytes / quarterBytes; ratio > 6 {
+		t.Errorf("allocated bytes grew %.1fx for 4x the locations (%.0f -> %.0f): not linear",
+			ratio, quarterBytes, bytes)
+	}
+	if ratio := mallocs / quarterMallocs; ratio > 6 {
+		t.Errorf("allocations grew %.1fx for 4x the locations (%.0f -> %.0f): not linear",
+			ratio, quarterMallocs, mallocs)
 	}
 }
 

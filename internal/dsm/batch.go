@@ -124,7 +124,7 @@ func (b UpdateBatch) encodedSize() int {
 // (DESIGN.md §12 pool lifecycle). A flush copies the destination's fixed
 // ring into a pooled slice; ownership then travels with the message:
 //
-//   - sim fabric: the receiver's applyBatch/drainCausalLocked returns the
+//   - sim fabric: the receiver's applyBatch/settleGroupLocked returns the
 //     slice once the batch has fully applied (by-reference delivery — the
 //     sender retains nothing after Send);
 //   - tcp: the sending transport returns it after encoding the frame
@@ -415,13 +415,15 @@ func (n *Node) lingerLoop() {
 	}
 }
 
-// deliveryGroup is one causal-delivery unit in the pending buffer: a single
-// update or a whole received batch. A batch is applied to the causal view
-// atomically once its first covered sequence number is next from its sender
-// and its latest entry's dependencies are satisfied — delivering a contiguous
-// per-sender run at the point its last element is deliverable is a legal
-// causal schedule (delivery may be delayed, never reordered), and it is what
-// lets coalesced batches keep the standard vector-clock condition.
+// deliveryGroup is one causal-delivery unit: a single update or a whole
+// received batch. A batch is applied to the causal view atomically once its
+// first covered sequence number is next from its sender and its latest
+// entry's dependencies are satisfied — delivering a contiguous per-sender run
+// at the point its last element is deliverable is a legal causal schedule
+// (delivery may be delayed, never reordered), and it is what lets coalesced
+// batches keep the standard vector-clock condition. A group that is
+// deliverable when it arrives lives only on the receive path's stack; one
+// that is not is parked in its sender's queue (Node.pending).
 type deliveryGroup struct {
 	from     int
 	firstSeq uint64
@@ -431,8 +433,9 @@ type deliveryGroup struct {
 	count uint64
 	// ts is the group's dependency clock under full broadcast: the
 	// timestamp of the latest entry, which dominates every other entry's
-	// timestamp (one sender's clocks are monotone). Nil in scoped-causal
-	// mode, where deps carries the dependencies instead.
+	// timestamp (one sender's clocks are monotone). Its dimension was
+	// checked at receive (Node.malformedLocked). Nil in scoped-causal mode,
+	// where deps carries the dependencies instead.
 	ts vclock.VC
 	// prevSeq and deps are the scoped-causal dependency metadata (deps
 	// non-nil marks the mode): the sender's per-destination chain pointer
@@ -443,14 +446,56 @@ type deliveryGroup struct {
 	// slow marks a slow-label group: timestamp-elided, deliverable on the
 	// sender's FIFO alone (no cross-sender wait), never fence-anchored.
 	slow bool
-	// one holds the update when batch is nil (the common singleton case,
-	// kept inline to avoid a per-update slice allocation).
-	one   Update
+	// batch holds a batch group's entries. When it is nil the group is a
+	// single update and the four fields after it — set only when the group
+	// is parked — are what its causal apply needs: the operation, and the
+	// cell and shard its PRAM apply already resolved.
 	batch []Update
-	// parkedAt is the UnixNano at which the tracer saw the group miss its
-	// delivery condition (0 = never parked, or tracing off); it times the
-	// dep-wait trace span and is unused otherwise.
+	op    UpdateOp
+	value int64
+	cell  *cell
+	sh    *shard
+	// arrival orders parked groups across senders (Node.arrivals at park
+	// time); zero until the group is parked.
+	arrival uint64
+	// parkedAt is the UnixNano at which the group was parked with tracing
+	// on (0 = never parked, or tracing off); it times the dep-wait trace
+	// span and is unused otherwise.
 	parkedAt int64
+}
+
+// senderQueue holds one sender's parked delivery groups in arrival order: a
+// ring that doubles when full and keeps its backing across drains, so a
+// steady backlog parks and releases without allocating.
+type senderQueue struct {
+	buf  []deliveryGroup // len is zero or a power of two
+	head int
+	size int
+	// blocked is drain-pass scratch: the queue's head was found
+	// undeliverable (or the queue is empty) in the current pass.
+	blocked bool
+}
+
+// front returns the oldest parked group; the queue must not be empty.
+func (q *senderQueue) front() *deliveryGroup { return &q.buf[q.head] }
+
+func (q *senderQueue) push(g *deliveryGroup) {
+	if q.size == len(q.buf) {
+		grown := make([]deliveryGroup, max(4, 2*len(q.buf)))
+		k := copy(grown, q.buf[q.head:])
+		copy(grown[k:], q.buf[:q.head])
+		q.buf, q.head = grown, 0
+	}
+	q.buf[(q.head+q.size)&(len(q.buf)-1)] = *g
+	q.size++
+}
+
+// pop drops the oldest parked group, clearing its slot so the ring pins no
+// released timestamps, matrices, or batch slices.
+func (q *senderQueue) pop() {
+	q.buf[q.head] = deliveryGroup{}
+	q.head = (q.head + 1) & (len(q.buf) - 1)
+	q.size--
 }
 
 // groupDeliverableLocked is the causal-broadcast condition generalized to a
@@ -465,7 +510,10 @@ type deliveryGroup struct {
 // this node's row of the shipped matrix — which by construction names only
 // updates addressed to this node — must be covered by what the causal view
 // has applied from every other sender.
-func (n *Node) groupDeliverableLocked(g deliveryGroup) bool {
+//
+// Every case leads with the sender's own order, which is what makes a
+// per-sender queue's head the only candidate in it.
+func (n *Node) groupDeliverableLocked(g *deliveryGroup) bool {
 	if g.slow {
 		// Slow memory: per-sender, per-location FIFO only. The group is
 		// deliverable as soon as it is next in the sender's stream; it never
@@ -487,10 +535,7 @@ func (n *Node) groupDeliverableLocked(g deliveryGroup) bool {
 	if n.causalApplied.get(g.from)+1 != g.firstSeq {
 		return false
 	}
-	if g.ts.Len() != len(n.causalApplied) {
-		return false
-	}
-	for k := 0; k < len(n.causalApplied); k++ {
+	for k := 0; k < n.n; k++ {
 		if k != g.from && g.ts.Get(k) > n.causalApplied.get(k) {
 			return false
 		}

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"mixedmem/internal/loctab"
 	"mixedmem/internal/network"
 	"mixedmem/internal/transport"
 	"mixedmem/internal/vclock"
@@ -239,7 +240,8 @@ func TestBatchCausalChainAcrossSenders(t *testing.T) {
 // causalSnapshotValue reads the causal view without blocking on fences or
 // invalidations — a test probe for "has this been causally applied yet".
 func (n *Node) causalSnapshotValue(loc string) int64 {
-	if c := n.shard(loc).lookup(loc); c != nil {
+	h := loctab.Hash(loc)
+	if c := n.shard(h).lookup(h, loc); c != nil {
 		return c.causal.Load()
 	}
 	return 0

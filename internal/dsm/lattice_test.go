@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"mixedmem/internal/history"
+	"mixedmem/internal/loctab"
 	"mixedmem/internal/network"
 	"mixedmem/internal/transport"
 	"mixedmem/internal/vclock"
@@ -60,7 +61,8 @@ func TestSlowWritePropagatesAndElides(t *testing.T) {
 		"label-dispatched read never observed the slow write")
 	// The slow location's cell must carry no fence anchor on any replica.
 	for i, nd := range nodes {
-		if c := nd.shard("s").lookup("s"); c != nil && c.last.Load() != 0 {
+		h := loctab.Hash("s")
+		if c := nd.shard(h).lookup(h, "s"); c != nil && c.last.Load() != 0 {
 			t.Errorf("node %d: slow location carries fence anchor %#x", i, c.last.Load())
 		}
 	}

@@ -32,17 +32,19 @@
 // The replica's state is partitioned so the hot paths never share a lock
 // (DESIGN.md §12):
 //
-//   - location values live in power-of-two-sharded copy-on-write maps of
-//     *cell; a cell holds both views' values and the PRAM last-writer as
-//     atomics. Reads are lock-free: an atomic map-pointer load, a map
-//     lookup, and an atomic value load. Shard mutexes serialize only
-//     structural inserts (copy-on-write), invalidation bookkeeping, and
-//     await registration.
+//   - location values live in power-of-two-sharded insert-only hash tables
+//     (internal/loctab) of cells; a cell holds both views' values and the
+//     PRAM last-writer as atomics. Every operation hashes its location name
+//     once: the low bits pick the shard, the rest the slot. Reads are
+//     lock-free: a table probe and an atomic value load. Shard mutexes
+//     serialize only structural inserts (one entry allocation; the table
+//     doubles in place of copying), invalidation bookkeeping, and await
+//     registration.
 //   - protocol state — the matrix/vector clocks, sent/received counters,
-//     pending causal delivery groups, and the write log — lives under the
-//     clock lock (Node.clockMu). deps/causalApplied are mutated only under
-//     it but stored as atomics so the read paths can consult them without
-//     taking it.
+//     the per-sender queues of parked causal delivery groups, and the write
+//     log — lives under the clock lock (Node.clockMu). deps/causalApplied
+//     are mutated only under it but stored as atomics so the read paths can
+//     consult them without taking it.
 //   - the outbox (all destinations) shares one lock (Node.outboxMu), so
 //     the linger flusher never contends with the clock-guarded hot paths.
 //   - the observation fence is a lock-free atomic vector raised by CAS-max.
@@ -63,6 +65,7 @@ import (
 	"time"
 
 	"mixedmem/internal/history"
+	"mixedmem/internal/loctab"
 	"mixedmem/internal/network"
 	"mixedmem/internal/obs"
 	"mixedmem/internal/transport"
@@ -254,20 +257,30 @@ type Stats struct {
 	// BlockedInvalidation is the time reads stalled on lock-protocol
 	// invalidations awaiting their update.
 	BlockedInvalidation time.Duration
-	// MalformedUpdates counts received scoped-causal updates whose
-	// dependency matrix did not match the system size — a misconfigured or
+	// MalformedUpdates counts received causal updates whose dependency
+	// metadata did not match the system size — the matrix of a scoped-causal
+	// update, the timestamp of a full-broadcast one — a misconfigured or
 	// corrupt peer. Such updates reach the PRAM view only; they are counted
 	// as causally settled so counting primitives cannot stall on them, and
 	// this counter is the diagnostic that it happened.
 	MalformedUpdates uint64
+	// PendingGroups is the number of received delivery groups currently
+	// parked behind an unmet causal dependency; PendingGroupsMax is its
+	// high-water mark over the node's life. A backlog that only grows names
+	// a sender whose updates are not arriving.
+	PendingGroups    uint64
+	PendingGroupsMax uint64
 }
 
-// Sharding constants: locations hash into a power-of-two number of shards,
-// so distinct-location operations land on distinct shard state. The PRAM
-// last-writer is packed into one atomic word as from<<seqBits | seq, which
-// caps per-sender sequence numbers at 2^48 — unreachable in practice.
+// Sharding constants: the low shardBits of a location's hash (loctab.Hash)
+// pick one of a power-of-two number of shards, so distinct-location
+// operations land on distinct shard state; the remaining bits pick the slot
+// in the shard's table. The PRAM last-writer is packed into one atomic word
+// as from<<seqBits | seq, which caps per-sender sequence numbers at 2^48 —
+// unreachable in practice.
 const (
-	shardCount = 32
+	shardBits  = 5
+	shardCount = 1 << shardBits
 	shardMask  = shardCount - 1
 	seqBits    = 48
 	seqMask    = (1 << seqBits) - 1
@@ -291,16 +304,17 @@ func packLast(from int, seq uint64) uint64 {
 	return uint64(from)<<seqBits | seq&seqMask
 }
 
-// shard is one partition of the location space. The value map is
-// copy-on-write: lookups load the pointer atomically; inserts (rare — once
-// per new location) copy the map under the shard mutex. The mutex also
-// guards the invalidation table and await registration; invalidLen mirrors
+// shard is one partition of the location space. The value table is
+// insert-only: lookups probe it with no lock; an insert — once per new
+// location — allocates the location's entry (the cell lives inside it, at an
+// address that never changes) under the shard mutex. The mutex also guards
+// the invalidation table and await registration; invalidLen mirrors
 // len(invalid) so the read fast path can skip the table without locking.
 type shard struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
 	waiters atomic.Int32
-	vals    atomic.Pointer[map[string]*cell]
+	vals    loctab.Table[cell]
 
 	invalid    map[string]invalidation
 	invalidLen atomic.Int32
@@ -310,31 +324,20 @@ type shard struct {
 	slowReads   atomic.Uint64
 }
 
-// lookup returns the location's cell, or nil if it was never written.
-func (sh *shard) lookup(loc string) *cell {
-	return (*sh.vals.Load())[loc]
+// lookup returns the location's cell, or nil if it was never written. h is
+// the location's hash, the one that selected this shard.
+func (sh *shard) lookup(h uint32, loc string) *cell {
+	return sh.vals.Get(h>>shardBits, loc)
 }
 
-// cellFor returns the location's cell, inserting one with a copy-on-write
-// map swap if needed. Safe under any lock level at or above shard.mu in the
-// documented order.
-func (sh *shard) cellFor(loc string) *cell {
-	if c := sh.lookup(loc); c != nil {
+// cellFor returns the location's cell, inserting an empty one if needed. Safe
+// under any lock level at or above shard.mu in the documented order.
+func (sh *shard) cellFor(h uint32, loc string) *cell {
+	if c := sh.lookup(h, loc); c != nil {
 		return c
 	}
 	sh.mu.Lock()
-	old := *sh.vals.Load()
-	if c := old[loc]; c != nil {
-		sh.mu.Unlock()
-		return c
-	}
-	next := make(map[string]*cell, len(old)+1)
-	for k, v := range old {
-		next[k] = v
-	}
-	c := new(cell)
-	next[loc] = c
-	sh.vals.Store(&next)
+	c, _ := sh.vals.Insert(h>>shardBits, loc, cell{})
 	sh.mu.Unlock()
 	return c
 }
@@ -350,16 +353,6 @@ func (sh *shard) wake() {
 	sh.mu.Lock()
 	sh.cond.Broadcast()
 	sh.mu.Unlock()
-}
-
-// shardIndex is FNV-1a over the location, masked to the shard count.
-func shardIndex(loc string) uint32 {
-	h := uint32(2166136261)
-	for i := 0; i < len(loc); i++ {
-		h ^= uint32(loc[i])
-		h *= 16777619
-	}
-	return h & shardMask
 }
 
 // avc is a vector clock stored as atomics: mutated only under the clock
@@ -413,7 +406,7 @@ type Node struct {
 	shards [shardCount]shard
 
 	// clockMu guards the protocol state below it: the clocks and counters,
-	// pending causal delivery groups, the write log, and the scoped-causal
+	// the parked causal delivery groups, the write log, and the scoped-causal
 	// address matrix. clockCond is broadcast on every apply and write, and
 	// waited on by the counting primitives, fence waits, and invalidation
 	// stalls.
@@ -448,9 +441,18 @@ type Node struct {
 	// count-based WaitCausalApplied, which must not compare counts against
 	// causalApplied once scoped sequence numbers have holes.
 	causalRecvd []uint64
-	// pending buffers delivery groups (single updates or whole batches)
-	// received but not yet causally applicable.
-	pending []deliveryGroup
+	// pending[j] queues, in arrival order, the delivery groups (single
+	// updates or whole batches) received from j but not yet causally
+	// applicable. Every label's delivery condition includes the sender's own
+	// order, so only a queue's head can ever be deliverable. arrivals stamps
+	// each parked group so a drain can visit heads in global arrival order.
+	// parked counts the groups across all queues and parkedMax is its
+	// high-water mark: mutated under clockMu, atomics so Stats reads them
+	// without it.
+	pending   []senderQueue
+	arrivals  uint64
+	parked    atomic.Uint64
+	parkedMax atomic.Uint64
 	// sent[j] counts updates sent to process j (cumulative), feeding the
 	// barrier message-count protocol of Section 6.
 	sent []uint64
@@ -595,6 +597,7 @@ func NewNode(cfg Config) (*Node, error) {
 		causalApplied: newAVC(cfg.N),
 		fence:         newAVC(cfg.N),
 		causalRecvd:   make([]uint64, cfg.N),
+		pending:       make([]senderQueue, cfg.N),
 		sent:          make([]uint64, cfg.N),
 		recvd:         make([]uint64, cfg.N),
 		obs:           cfg.Tracer,
@@ -603,8 +606,6 @@ func NewNode(cfg Config) (*Node, error) {
 	for i := range node.shards {
 		sh := &node.shards[i]
 		sh.cond = sync.NewCond(&sh.mu)
-		m := make(map[string]*cell)
-		sh.vals.Store(&m)
 	}
 	node.clockCond = sync.NewCond(&node.clockMu)
 	if cfg.Scope != nil {
@@ -658,7 +659,8 @@ func (n *Node) Tracer() *obs.Tracer { return n.obs }
 // Trace returns the history builder, or nil when not recording.
 func (n *Node) Trace() *history.Builder { return n.trace }
 
-func (n *Node) shard(loc string) *shard { return &n.shards[shardIndex(loc)] }
+// shard returns the shard a location hash (loctab.Hash) selects.
+func (n *Node) shard(h uint32) *shard { return &n.shards[h&shardMask] }
 
 // labelOf returns the location's configured lattice point, LabelNone when the
 // location is unlabeled (which every path treats as Causal, the default).
@@ -721,26 +723,27 @@ func (n *Node) recvLoop() {
 // applyCell applies one update operation to a view's atomic value. OpSet
 // stores; the commutative ops use atomic add / CAS so concurrent appliers
 // (a local writer and the receive loop) never lose an increment.
-func applyCell(v *atomic.Int64, u Update) {
-	switch u.Op {
+func applyCell(v *atomic.Int64, op UpdateOp, value int64) {
+	switch op {
 	case OpAdd:
-		v.Add(u.Value)
+		v.Add(value)
 	case OpAddFloat:
 		for {
 			old := v.Load()
 			sum := math.Float64frombits(uint64(old)) +
-				math.Float64frombits(uint64(u.Value))
+				math.Float64frombits(uint64(value))
 			if v.CompareAndSwap(old, int64(math.Float64bits(sum))) {
 				return
 			}
 		}
 	default:
-		v.Store(u.Value)
+		v.Store(value)
 	}
 }
 
 // applyRemote applies a received update: immediately to the PRAM view, and
-// to the causal view once its dependencies are satisfied. Under scoped
+// to the causal view once its dependencies are satisfied — in place when they
+// already are, which is the common case and touches no queue. Under scoped
 // placement a timestamp-elided update (no Deps) is addressed to a
 // PRAM-registered reader: it carries no causal obligations, so it never
 // enters the causal view and never raises the observation fence.
@@ -748,63 +751,58 @@ func (n *Node) applyRemote(u Update) {
 	if n.obs != nil {
 		n.obs.RecordLoc(obs.EvRecv, uint8(u.Label), uint16(u.From), u.Loc, u.Seq, 0, 0)
 	}
+	h := loctab.Hash(u.Loc)
+	sh := n.shard(h)
+	c := sh.cellFor(h, u.Loc)
 	n.clockMu.Lock()
-	sh := n.shard(u.Loc)
-	c := sh.cellFor(u.Loc)
 	// PRAM view: apply in receive order. The last-writer anchor (for the
 	// observation fence) is stored before the value; it is skipped in
 	// PRAMOnly mode (no causal read ever waits on the fence there) and for
-	// elided or malformed scoped updates (no fence may wait on them).
+	// elided, slow, or malformed updates (no fence may wait on them).
 	switch {
 	case n.pramOnly:
-		applyCell(&c.pram, u)
-	case n.scopedCausal:
-		switch {
-		case u.Deps == nil:
-			// Elided fast path: PRAM view only; the registration contract
-			// says no causal read of this process depends on it.
-			applyCell(&c.pram, u)
-			n.causalRecvd[u.From]++
-		case u.Deps.Len() != n.n:
-			// Malformed dependency matrix: a misconfigured or corrupt peer.
-			// The update stays out of the causal view (and raises no fence
-			// anchor), but it must not silently stall the counting
-			// primitives — count it as causally settled, like the elided
-			// path, and record the fault.
-			applyCell(&c.pram, u)
-			n.causalRecvd[u.From]++
-			n.statMalformed.Add(1)
-		default:
-			c.last.Store(packLast(u.From, u.Seq))
-			applyCell(&c.pram, u)
-			n.pending = append(n.pending, deliveryGroup{
-				from: u.From, firstSeq: u.Seq, lastSeq: u.Seq,
-				prevSeq: u.PrevSeq, deps: u.Deps, count: 1, one: u,
-			})
-			n.drainCausalLocked()
-		}
-	case u.Label == history.LabelSlow:
-		// Slow update: timestamp-elided, delivered to the causal view on the
-		// sender's own FIFO alone (groupDeliverableLocked's slow case). No
-		// fence anchor is stored — slow reads never raise the observation
-		// fence, and the label contract says no causal read depends on what
-		// a slow location's reads observed.
-		applyCell(&c.pram, u)
-		n.pending = append(n.pending, deliveryGroup{
-			from: u.From, firstSeq: u.Seq, lastSeq: u.Seq,
-			count: 1, one: u, slow: true,
-		})
-		n.drainCausalLocked()
+		applyCell(&c.pram, u.Op, u.Value)
+	case n.scopedCausal && u.Deps == nil:
+		// Elided fast path: PRAM view only; the registration contract says
+		// no causal read of this process depends on it.
+		applyCell(&c.pram, u.Op, u.Value)
+		n.causalRecvd[u.From]++
+	case n.malformedLocked(u.Label, u.TS, u.Deps):
+		// Dependency metadata of the wrong dimension: a misconfigured or
+		// corrupt peer. The update stays out of the causal view (and raises
+		// no fence anchor), but it must not silently stall the counting
+		// primitives — count it as causally settled, like the elided path,
+		// and record the fault.
+		applyCell(&c.pram, u.Op, u.Value)
+		n.causalRecvd[u.From]++
+		n.statMalformed.Add(1)
 	default:
-		// Causal view: buffer as a singleton group, then drain everything
-		// deliverable.
-		c.last.Store(packLast(u.From, u.Seq))
-		applyCell(&c.pram, u)
-		n.pending = append(n.pending, deliveryGroup{
-			from: u.From, firstSeq: u.Seq, lastSeq: u.Seq, ts: u.TS,
-			count: 1, one: u,
-		})
-		n.drainCausalLocked()
+		// Causal view: a singleton delivery group. A slow update is
+		// timestamp-elided and delivered on the sender's own FIFO alone
+		// (groupDeliverableLocked's slow case); it stores no fence anchor —
+		// slow reads never raise the observation fence, and the label
+		// contract says no causal read depends on what a slow location's
+		// reads observed.
+		g := deliveryGroup{from: u.From, firstSeq: u.Seq, lastSeq: u.Seq, count: 1}
+		switch {
+		case n.scopedCausal:
+			g.prevSeq, g.deps = u.PrevSeq, u.Deps
+		case u.Label == history.LabelSlow:
+			g.slow = true
+		default:
+			g.ts = u.TS
+		}
+		if !g.slow {
+			c.last.Store(packLast(u.From, u.Seq))
+		}
+		applyCell(&c.pram, u.Op, u.Value)
+		if n.deliverableOnArrivalLocked(&g) {
+			applyCell(&c.causal, u.Op, u.Value)
+			n.settleArrivedLocked(&g)
+		} else {
+			g.op, g.value, g.cell, g.sh = u.Op, u.Value, c, sh
+			n.parkLocked(&g)
+		}
 	}
 	if n.obs != nil {
 		n.obs.RecordLoc(obs.EvApply, uint8(u.Label), uint16(u.From), u.Loc, u.Seq, 0, 0)
@@ -816,183 +814,240 @@ func (n *Node) applyRemote(u Update) {
 	sh.wake()
 }
 
+// malformedLocked reports whether a received causal update (or a batch's
+// latest entry) carries dependency metadata of the wrong dimension: the
+// address matrix under scoped-causal placement, the vector timestamp under
+// full broadcast (slow updates carry none). Such an update can never meet a
+// delivery condition, so it is diverted at receive instead of parking
+// forever. PRAMOnly nodes and elided scoped updates never get here.
+func (n *Node) malformedLocked(label history.Label, ts vclock.VC, deps vclock.Matrix) bool {
+	if n.scopedCausal {
+		return deps.Len() != n.n
+	}
+	return label != history.LabelSlow && ts.Len() != n.n
+}
+
 // applyBatch applies a received update batch under one clock-lock hold:
 // every entry goes into the PRAM view in one critical section (receive-side
 // amortization of lock traffic), the PRAM clock advances to the latest
 // covered sequence number, and the received count advances by the batch's
 // full Count — including coalesced-away updates — so the barrier and
 // lazy-lock counting protocols account every original write. The causal view
-// receives the batch as one delivery group. Batches that never enter the
-// pending buffer return their entry slice to the batch pool here; buffered
-// groups return it when the group applies (drainCausalLocked).
+// receives the batch as one delivery group: in the same pass over the
+// entries when the group is deliverable on arrival, otherwise when a later
+// drain releases it. Batches that are not parked return their entry slice to
+// the batch pool here; parked groups return it when the group applies
+// (settleGroupLocked).
 func (n *Node) applyBatch(b UpdateBatch) {
 	if len(b.Updates) == 0 {
 		return
 	}
-	if n.obs != nil {
-		// The highest-seq entry can sit anywhere in the batch (coalescing
-		// replaces in place), so the covered range's last seq is a scan.
-		last := b.Updates[0].Seq
-		for _, u := range b.Updates {
-			if u.Seq > last {
-				last = u.Seq
-			}
+	// The entry with the highest Seq is the sender's latest covered write;
+	// its timestamp dominates the batch. It can sit anywhere (coalescing
+	// replaces in place), so finding it is a scan.
+	latest := &b.Updates[0]
+	for i := 1; i < len(b.Updates); i++ {
+		if b.Updates[i].Seq > latest.Seq {
+			latest = &b.Updates[i]
 		}
+	}
+	if n.obs != nil {
 		n.obs.Record(obs.EvRecvBatch, uint8(b.Updates[0].Label), uint16(b.From),
-			obs.NoLoc, b.FirstSeq, last, b.Count)
+			obs.NoLoc, b.FirstSeq, latest.Seq, b.Count)
 	}
 	n.clockMu.Lock()
-	// Scoped batches are kind-segregated at the sender: a batch with no
-	// dependency matrix is entirely timestamp-elided and stays out of the
-	// causal view, exactly like a singleton elided update. A batch whose
-	// matrix has the wrong dimension (misconfigured or corrupt peer) is
-	// handled like the elided case — PRAM view only, no fence anchor, but
-	// counted as causally settled so no counting primitive stalls on it —
-	// with the fault recorded in Stats.
-	elided := n.pramOnly || (n.scopedCausal && b.Deps == nil)
-	malformed := n.scopedCausal && b.Deps != nil && b.Deps.Len() != n.n
-	// Slow batches are label-homogeneous at the sender (the outbox flushes
-	// on a label-class change), timestamp-elided, and deliver to the causal
-	// view on the sender's FIFO alone; like singleton slow updates they
-	// never anchor the observation fence.
-	slow := !n.pramOnly && !n.scopedCausal && b.Updates[0].Label == history.LabelSlow
-	anchor := !elided && !malformed && !slow
-	var maxSeq uint64
-	var maxTS vclock.VC
-	for _, u := range b.Updates {
-		sh := n.shard(u.Loc)
-		c := sh.cellFor(u.Loc)
+	g := deliveryGroup{
+		from: b.From, firstSeq: b.FirstSeq, lastSeq: latest.Seq,
+		count: b.Count, batch: b.Updates,
+	}
+	// causal says the batch enters the causal view. Scoped batches are
+	// kind-segregated at the sender: a batch with no dependency matrix is
+	// entirely timestamp-elided and stays out of it, exactly like a
+	// singleton elided update. A batch whose metadata has the wrong
+	// dimension (misconfigured or corrupt peer) is handled like the elided
+	// case — PRAM view only, no fence anchor, but counted as causally
+	// settled so no counting primitive stalls on it — with the fault
+	// recorded in Stats. Slow batches are label-homogeneous at the sender
+	// (the outbox flushes on a label-class change), timestamp-elided, and
+	// deliver to the causal view on the sender's FIFO alone; like singleton
+	// slow updates they never anchor the observation fence.
+	causal := false
+	switch {
+	case n.pramOnly:
+	case n.scopedCausal && b.Deps == nil:
+		n.causalRecvd[b.From] += b.Count
+	case n.malformedLocked(b.Updates[0].Label, latest.TS, b.Deps):
+		n.causalRecvd[b.From] += b.Count
+		n.statMalformed.Add(b.Count)
+	case n.scopedCausal:
+		causal = true
+		g.prevSeq, g.deps = b.PrevSeq, b.Deps
+	case b.Updates[0].Label == history.LabelSlow:
+		causal = true
+		g.slow = true
+	default:
+		causal = true
+		g.ts = latest.TS
+	}
+	anchor := causal && !g.slow
+	inPlace := causal && n.deliverableOnArrivalLocked(&g)
+	for i := range b.Updates {
+		u := &b.Updates[i]
+		h := loctab.Hash(u.Loc)
+		sh := n.shard(h)
+		c := sh.cellFor(h, u.Loc)
 		if anchor {
 			c.last.Store(packLast(b.From, u.Seq))
 		}
-		applyCell(&c.pram, u)
+		applyCell(&c.pram, u.Op, u.Value)
+		if inPlace {
+			applyCell(&c.causal, u.Op, u.Value)
+		}
 		sh.wake()
 		if n.obs != nil {
 			n.obs.RecordLoc(obs.EvApply, uint8(u.Label), uint16(b.From), u.Loc, u.Seq, 0, 0)
 		}
-		if u.Seq > maxSeq {
-			maxSeq = u.Seq
-			maxTS = u.TS
-		}
 	}
-	n.deps.set(b.From, maxSeq)
+	n.deps.set(b.From, g.lastSeq)
 	n.recvd[b.From] += b.Count
 	switch {
-	case n.pramOnly:
-		putUpdateSlice(b.Updates)
-	case elided:
-		n.causalRecvd[b.From] += b.Count
-		putUpdateSlice(b.Updates)
-	case malformed:
-		n.causalRecvd[b.From] += b.Count
-		n.statMalformed.Add(b.Count)
-		putUpdateSlice(b.Updates)
-	case slow:
-		n.pending = append(n.pending, deliveryGroup{
-			from:     b.From,
-			firstSeq: b.FirstSeq,
-			lastSeq:  maxSeq,
-			count:    b.Count,
-			batch:    b.Updates,
-			slow:     true,
-		})
-		n.drainCausalLocked()
-	case n.scopedCausal:
-		n.pending = append(n.pending, deliveryGroup{
-			from:     b.From,
-			firstSeq: b.FirstSeq,
-			lastSeq:  maxSeq,
-			prevSeq:  b.PrevSeq,
-			deps:     b.Deps,
-			count:    b.Count,
-			batch:    b.Updates,
-		})
-		n.drainCausalLocked()
+	case inPlace:
+		n.settleArrivedLocked(&g)
+	case causal:
+		n.parkLocked(&g)
 	default:
-		n.pending = append(n.pending, deliveryGroup{
-			from:     b.From,
-			firstSeq: b.FirstSeq,
-			lastSeq:  maxSeq,
-			ts:       maxTS,
-			count:    b.Count,
-			batch:    b.Updates,
-		})
-		n.drainCausalLocked()
+		putUpdateSlice(b.Updates)
 	}
 	n.clockCond.Broadcast()
 	n.clockMu.Unlock()
 }
 
-// drainCausalLocked applies pending delivery groups to the causal view in
-// causal order until no more are deliverable. A group (single update or whole
-// batch) is applied atomically with respect to the clock: its causalApplied
-// advance happens after all its values are stored, so a lock-free causal
-// read that sees the advanced clock sees the values. Batch groups return
-// their entry slice to the batch pool once applied.
-func (n *Node) drainCausalLocked() {
-	for {
-		progressed := false
-		kept := n.pending[:0]
-		for _, g := range n.pending {
-			if n.groupDeliverableLocked(g) {
-				if g.batch == nil {
-					n.applyCausal(g.one)
-				} else {
-					for _, u := range g.batch {
-						n.applyCausal(u)
-					}
-				}
-				switch {
-				case g.slow:
-					// Slow group: the sender's FIFO position advances; the
-					// group carries no cross-sender knowledge to absorb.
-					n.causalApplied.set(g.from, g.lastSeq)
-				case g.deps != nil:
-					// Scoped-causal: advance the sender's chain to the
-					// group's last addressed sequence number and absorb the
-					// shipped dependency knowledge. The epoch bump tells the
-					// outbox that pending causal batches now predate part of
-					// the matrix.
-					n.causalApplied.set(g.from, g.lastSeq)
-					n.addr.Merge(g.deps)
-					n.addrEpoch++
-				default:
-					n.causalApplied.merge(g.ts)
-				}
-				n.causalRecvd[g.from] += g.count
-				if g.batch != nil {
-					putUpdateSlice(g.batch)
-				}
-				if n.obs != nil {
-					if g.parkedAt != 0 {
-						parked := time.Now().UnixNano() - g.parkedAt
-						n.obs.Record(obs.EvDepWaitEnd, 0, uint16(g.from), obs.NoLoc,
-							g.firstSeq, uint64(parked), 0)
-					}
-					n.obs.Record(obs.EvGroupRelease, 0, uint16(g.from), obs.NoLoc,
-						g.firstSeq, g.lastSeq, g.count)
-				}
-				progressed = true
-			} else {
-				if n.obs != nil && g.parkedAt == 0 {
-					g.parkedAt = time.Now().UnixNano()
-					n.obs.Record(obs.EvDepWaitBegin, 0, uint16(g.from), obs.NoLoc,
-						g.firstSeq, 0, 0)
-				}
-				kept = append(kept, g)
-			}
+// deliverableOnArrivalLocked reports whether a just-received group can apply
+// to the causal view without queueing: nothing from its sender is parked
+// ahead of it and its delivery condition already holds.
+func (n *Node) deliverableOnArrivalLocked(g *deliveryGroup) bool {
+	return n.pending[g.from].size == 0 && n.groupDeliverableLocked(g)
+}
+
+// settleArrivedLocked finishes a group that applied on arrival and, if
+// anything is parked, releases what the advance unblocked.
+func (n *Node) settleArrivedLocked(g *deliveryGroup) {
+	n.settleGroupLocked(g)
+	if n.parked.Load() != 0 {
+		n.drainCausalLocked()
+	}
+}
+
+// parkLocked queues a received group whose delivery condition does not hold
+// yet behind its sender's earlier parked groups. Nothing else can have become
+// deliverable — the clocks did not move — so no drain follows.
+func (n *Node) parkLocked(g *deliveryGroup) {
+	n.arrivals++
+	g.arrival = n.arrivals
+	if n.obs != nil {
+		g.parkedAt = time.Now().UnixNano()
+		n.obs.Record(obs.EvDepWaitBegin, 0, uint16(g.from), obs.NoLoc, g.firstSeq, 0, 0)
+	}
+	n.pending[g.from].push(g)
+	if p := n.parked.Add(1); p > n.parkedMax.Load() {
+		n.parkedMax.Store(p)
+	}
+}
+
+// settleGroupLocked records that a group's values are in the causal view: it
+// advances the causal clock and the settled count, returns a batch's entry
+// slice to the pool, and emits the release trace events. The clock advance
+// comes after all the group's values are stored, so a lock-free causal read
+// that sees the advanced clock sees the values.
+func (n *Node) settleGroupLocked(g *deliveryGroup) {
+	switch {
+	case g.slow:
+		// Slow group: the sender's FIFO position advances; the group carries
+		// no cross-sender knowledge to absorb.
+		n.causalApplied.set(g.from, g.lastSeq)
+	case g.deps != nil:
+		// Scoped-causal: advance the sender's chain to the group's last
+		// addressed sequence number and absorb the shipped dependency
+		// knowledge. The epoch bump tells the outbox that pending causal
+		// batches now predate part of the matrix.
+		n.causalApplied.set(g.from, g.lastSeq)
+		n.addr.Merge(g.deps)
+		n.addrEpoch++
+	default:
+		n.causalApplied.merge(g.ts)
+	}
+	n.causalRecvd[g.from] += g.count
+	if g.batch != nil {
+		putUpdateSlice(g.batch)
+	}
+	if n.obs != nil {
+		if g.parkedAt != 0 {
+			parked := time.Now().UnixNano() - g.parkedAt
+			n.obs.Record(obs.EvDepWaitEnd, 0, uint16(g.from), obs.NoLoc,
+				g.firstSeq, uint64(parked), 0)
 		}
-		n.pending = kept
-		if !progressed {
-			return
+		n.obs.Record(obs.EvGroupRelease, 0, uint16(g.from), obs.NoLoc,
+			g.firstSeq, g.lastSeq, g.count)
+	}
+}
+
+// drainCausalLocked releases parked delivery groups to the causal view in
+// causal order until none is deliverable. It looks only at queue heads — a
+// group behind its sender's head cannot be deliverable — and visits them the
+// way a scan of one arrival-ordered list would: repeated passes, each taking
+// the live heads in arrival order and dropping a sender from the pass once
+// its head is found blocked. Release order is therefore a function of the
+// arrival order alone, not of how the groups are stored. A pass that releases
+// nothing ends the drain, so a call with nothing deliverable costs one
+// condition check per sender.
+func (n *Node) drainCausalLocked() {
+	for progressed := true; progressed; {
+		progressed = false
+		for j := range n.pending {
+			n.pending[j].blocked = n.pending[j].size == 0
+		}
+		for {
+			var q *senderQueue
+			for j := range n.pending {
+				if c := &n.pending[j]; !c.blocked &&
+					(q == nil || c.front().arrival < q.front().arrival) {
+					q = c
+				}
+			}
+			if q == nil {
+				break
+			}
+			g := q.front()
+			if !n.groupDeliverableLocked(g) {
+				q.blocked = true
+				continue
+			}
+			n.applyGroupLocked(g)
+			n.settleGroupLocked(g)
+			q.pop()
+			n.parked.Add(^uint64(0))
+			q.blocked = q.size == 0
+			progressed = true
 		}
 	}
 }
 
-func (n *Node) applyCausal(u Update) {
-	sh := n.shard(u.Loc)
-	applyCell(&sh.cellFor(u.Loc).causal, u)
-	sh.wake()
+// applyGroupLocked stores a parked group's values into the causal view. A
+// singleton carries the cell its PRAM apply resolved; batch entries look
+// theirs up again (the PRAM apply inserted them, so this never inserts).
+func (n *Node) applyGroupLocked(g *deliveryGroup) {
+	if g.batch == nil {
+		applyCell(&g.cell.causal, g.op, g.value)
+		g.sh.wake()
+		return
+	}
+	for i := range g.batch {
+		u := &g.batch[i]
+		h := loctab.Hash(u.Loc)
+		sh := n.shard(h)
+		applyCell(&sh.cellFor(h, u.Loc).causal, u.Op, u.Value)
+		sh.wake()
+	}
 }
 
 // Write stores value at loc. For broadcast labels (everything but SC) it is
@@ -1039,6 +1094,9 @@ func (n *Node) broadcastUpdate(op UpdateOp, loc string, value int64) {
 	// A slow update is timestamp-elided and never fence-anchored: the label
 	// contract (Config.Labels) drops every cross-location obligation.
 	slow := label == history.LabelSlow && !n.pramOnly
+	h := loctab.Hash(loc)
+	sh := n.shard(h)
+	c := sh.cellFor(h, loc)
 	n.clockMu.Lock()
 	seq := n.deps.get(n.id) + 1
 	n.deps.set(n.id, seq)
@@ -1050,15 +1108,13 @@ func (n *Node) broadcastUpdate(op UpdateOp, loc string, value int64) {
 		Loc:   loc,
 		Value: value,
 	}
-	sh := n.shard(loc)
-	c := sh.cellFor(loc)
 	if !n.pramOnly && !slow {
 		c.last.Store(packLast(n.id, seq))
 	}
-	applyCell(&c.pram, u)
+	applyCell(&c.pram, op, value)
 	n.recvd[n.id]++
 	if !n.pramOnly {
-		applyCell(&c.causal, u)
+		applyCell(&c.causal, op, value)
 		n.causalApplied.set(n.id, seq)
 		n.causalRecvd[n.id]++
 	}
@@ -1224,7 +1280,8 @@ func (n *Node) ReadSlow(loc string) int64 {
 // anchor — a slow read creates no observation-fence entry, so it can never
 // make a later causal read wait.
 func (n *Node) readSlowValue(loc string) int64 {
-	sh := n.shard(loc)
+	h := loctab.Hash(loc)
+	sh := n.shard(h)
 	if n.track != nil {
 		n.trackAccess(loc, AccessPRAM)
 	}
@@ -1232,7 +1289,7 @@ func (n *Node) readSlowValue(loc string) int64 {
 		n.waitValid(sh, loc, false)
 	}
 	var v int64
-	if c := sh.lookup(loc); c != nil {
+	if c := sh.lookup(h, loc); c != nil {
 		v = c.pram.Load()
 	}
 	sh.slowReads.Add(1)
@@ -1253,12 +1310,13 @@ func (n *Node) ReadPRAM(loc string) int64 {
 }
 
 // readPRAMValue is ReadPRAM without trace recording, shared with thread
-// handles. The fast path is lock-free: one atomic map-pointer load, one map
-// lookup, and atomic value/last-writer loads. The value is loaded before
+// handles. The fast path is lock-free: one hash of the name, one table probe,
+// and atomic value/last-writer loads. The value is loaded before
 // the last-writer anchor (appliers store them in the opposite order), so
 // the fence entry raised always covers the observed value.
 func (n *Node) readPRAMValue(loc string) int64 {
-	sh := n.shard(loc)
+	h := loctab.Hash(loc)
+	sh := n.shard(h)
 	if n.track != nil {
 		n.trackAccess(loc, AccessPRAM)
 	}
@@ -1266,7 +1324,7 @@ func (n *Node) readPRAMValue(loc string) int64 {
 		n.waitValid(sh, loc, false)
 	}
 	var v int64
-	if c := sh.lookup(loc); c != nil {
+	if c := sh.lookup(h, loc); c != nil {
 		v = c.pram.Load()
 		if !n.pramOnly {
 			if packed := c.last.Load(); packed != 0 {
@@ -1308,7 +1366,8 @@ func (n *Node) readCausalValue(loc string) int64 {
 		// Degraded mode: only sound for PRAM-consistent programs.
 		return n.readPRAMValue(loc)
 	}
-	sh := n.shard(loc)
+	h := loctab.Hash(loc)
+	sh := n.shard(h)
 	if n.track != nil {
 		n.trackAccess(loc, AccessCausal)
 	}
@@ -1319,7 +1378,7 @@ func (n *Node) readCausalValue(loc string) int64 {
 		n.waitFence(loc)
 	}
 	var v int64
-	if c := sh.lookup(loc); c != nil {
+	if c := sh.lookup(h, loc); c != nil {
 		v = c.causal.Load()
 	}
 	sh.causalReads.Add(1)
@@ -1444,7 +1503,8 @@ func (n *Node) awaitValue(loc string, value int64, causalView bool) {
 	// to block on a peer's flag must not keep its own half of the
 	// handshake parked in the outbox.
 	n.FlushUpdates()
-	sh := n.shard(loc)
+	h := loctab.Hash(loc)
+	sh := n.shard(h)
 	start := time.Now()
 	if n.obs != nil {
 		n.obs.RecordLoc(obs.EvAwaitBegin, 0, 0, loc, 0, uint64(value), 0)
@@ -1453,7 +1513,7 @@ func (n *Node) awaitValue(loc string, value int64, causalView bool) {
 	sh.waiters.Add(1)
 	for !n.closed.Load() {
 		var v int64
-		if c := sh.lookup(loc); c != nil {
+		if c := sh.lookup(h, loc); c != nil {
 			if causalView {
 				v = c.causal.Load()
 			} else {
@@ -1470,7 +1530,7 @@ func (n *Node) awaitValue(loc string, value int64, causalView bool) {
 	if !causalView && !n.pramOnly {
 		// The matched write is a synchronization edge incident on this
 		// process; later causal reads must observe its causal context.
-		if c := sh.lookup(loc); c != nil {
+		if c := sh.lookup(h, loc); c != nil {
 			if packed := c.last.Load(); packed != 0 {
 				n.fence.raise(int(packed>>seqBits), packed&seqMask)
 			}
@@ -1486,7 +1546,7 @@ func (n *Node) awaitValue(loc string, value int64, causalView bool) {
 		// means the location was never anchored (slow/elided writes); the
 		// explainer skips those.
 		var packed uint64
-		if c := sh.lookup(loc); c != nil {
+		if c := sh.lookup(h, loc); c != nil {
 			packed = c.last.Load()
 		}
 		n.obs.RecordLoc(obs.EvAwaitEnd, uint8(n.labelOf(loc)), uint16(packed>>seqBits),
@@ -1646,7 +1706,7 @@ func (n *Node) TrimWriteLog(upTo int) {
 // critical section travels with the unlock and only reads of invalidated
 // locations block.
 func (n *Node) Invalidate(loc string, from int, seq uint64) {
-	sh := n.shard(loc)
+	sh := n.shard(loctab.Hash(loc))
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if cur, ok := sh.invalid[loc]; ok && cur.seq >= seq && cur.from == from {
@@ -1672,6 +1732,8 @@ func (n *Node) Stats() Stats {
 		BlockedSC:           time.Duration(n.statBlockedSC.Load()),
 		BlockedInvalidation: time.Duration(n.statBlockedInval.Load()),
 		MalformedUpdates:    n.statMalformed.Load(),
+		PendingGroups:       n.parked.Load(),
+		PendingGroupsMax:    n.parkedMax.Load(),
 	}
 	for i := range n.shards {
 		s.PRAMReads += n.shards[i].pramReads.Load()
@@ -1688,14 +1750,13 @@ func (n *Node) Stats() Stats {
 func (n *Node) Snapshot(causalView bool) map[string]int64 {
 	out := make(map[string]int64)
 	for i := range n.shards {
-		m := *n.shards[i].vals.Load()
-		for loc, c := range m {
+		n.shards[i].vals.Range(func(loc string, c *cell) {
 			if causalView {
 				out[loc] = c.causal.Load()
 			} else {
 				out[loc] = c.pram.Load()
 			}
-		}
+		})
 	}
 	return out
 }

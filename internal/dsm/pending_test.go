@@ -1,0 +1,489 @@
+package dsm
+
+import (
+	"fmt"
+	"math/rand"
+	"sync"
+	"testing"
+	"time"
+
+	"mixedmem/internal/history"
+	"mixedmem/internal/network"
+	"mixedmem/internal/obs"
+	"mixedmem/internal/transport"
+	"mixedmem/internal/vclock"
+)
+
+// TestBroadcastMalformedTimestampDoesNotStall is the full-broadcast twin of
+// TestScopedCausalMalformedDepsDoesNotStall: an update (or batch) whose vector
+// timestamp has the wrong dimension can never meet the delivery condition, so
+// it must be diverted at receive — PRAM view only, counted as causally
+// settled, visible in Stats — instead of parking forever with no diagnostic.
+func TestBroadcastMalformedTimestampDoesNotStall(t *testing.T) {
+	paths := []struct {
+		name string
+		msg  func() network.Message
+		last int64
+	}{
+		{"update", func() network.Message {
+			bad := Update{From: 0, Seq: 1, Op: OpSet, Loc: "a", Value: 7, TS: vclock.New(5)}
+			return network.Message{From: 0, To: 1, Kind: KindUpdate, Payload: bad, Size: bad.encodedSize()}
+		}, 7},
+		{"batch", func() network.Message {
+			bad := UpdateBatch{From: 0, FirstSeq: 1, Count: 1, Updates: []Update{
+				// The latest entry's timestamp is the batch's; it sits first.
+				{From: 0, Seq: 1, Op: OpSet, Loc: "a", Value: 9, TS: vclock.New(5)},
+			}}
+			return network.Message{From: 0, To: 1, Kind: KindUpdateBatch, Payload: bad, Size: bad.encodedSize()}
+		}, 9},
+	}
+	for _, p := range paths {
+		t.Run(p.name, func(t *testing.T) {
+			nodes, f := batchedCluster(t, 2, BatchConfig{})
+			if err := f.Send(p.msg()); err != nil {
+				t.Fatal(err)
+			}
+			done := make(chan struct{})
+			go func() {
+				nodes[1].WaitCausalApplied([]uint64{1, 0})
+				close(done)
+			}()
+			select {
+			case <-done:
+			case <-time.After(5 * time.Second):
+				t.Fatal("WaitCausalApplied hung on a malformed timestamp")
+			}
+			if got := nodes[1].ReadPRAM("a"); got != p.last {
+				t.Fatalf("PRAM a = %d, want %d", got, p.last)
+			}
+			// No fence anchor was stored, so the causal read neither stalls
+			// nor sees the value.
+			if got := nodes[1].ReadCausal("a"); got != 0 {
+				t.Fatalf("malformed update reached the causal view: a = %d", got)
+			}
+			s := nodes[1].Stats()
+			if s.MalformedUpdates != 1 || s.PendingGroups != 0 || s.PendingGroupsMax != 0 {
+				t.Fatalf("MalformedUpdates=%d PendingGroups=%d PendingGroupsMax=%d, want 1 0 0",
+					s.MalformedUpdates, s.PendingGroups, s.PendingGroupsMax)
+			}
+		})
+	}
+}
+
+// TestPendingGroupsStats pins the backlog gauge: groups parked behind a held
+// sender show up in Stats.PendingGroups, drain to zero on release, and leave
+// their count in the high-water mark.
+func TestPendingGroupsStats(t *testing.T) {
+	nodes, f := batchedCluster(t, 3, BatchConfig{})
+	const k = 10
+	if err := f.Hold(0, 2); err != nil {
+		t.Fatal(err)
+	}
+	nodes[0].Write("x", 1)
+	nodes[1].WaitReceived([]uint64{1, 0, 0})
+	for i := 1; i <= k; i++ {
+		nodes[1].Write("y", int64(i)) // each depends on node 0's held write
+	}
+	nodes[2].WaitReceived([]uint64{0, k, 0})
+	if s := nodes[2].Stats(); s.PendingGroups != k || s.PendingGroupsMax != k {
+		t.Fatalf("parked: PendingGroups=%d PendingGroupsMax=%d, want %d %d",
+			s.PendingGroups, s.PendingGroupsMax, k, k)
+	}
+	if err := f.Release(0, 2); err != nil {
+		t.Fatal(err)
+	}
+	nodes[2].WaitCausalApplied([]uint64{1, k, 0})
+	if s := nodes[2].Stats(); s.PendingGroups != 0 || s.PendingGroupsMax != k {
+		t.Fatalf("released: PendingGroups=%d PendingGroupsMax=%d, want 0 %d",
+			s.PendingGroups, s.PendingGroupsMax, k)
+	}
+	if got := nodes[2].ReadCausal("y"); got != k {
+		t.Fatalf("y = %d, want %d", got, k)
+	}
+}
+
+// refGroup is the delivery metadata of one received message, copied out at
+// capture time (the real receiver recycles batch slices once applied).
+type refGroup struct {
+	from              int
+	firstSeq, lastSeq uint64
+	count, prevSeq    uint64
+	ts                vclock.VC
+	deps              vclock.Matrix
+	slow, elided      bool
+}
+
+func (g refGroup) String() string {
+	return fmt.Sprintf("%d:[%d,%d]x%d", g.from, g.firstSeq, g.lastSeq, g.count)
+}
+
+// refReceiver is the reference causal-delivery model the per-sender queues
+// are checked against: every received group is appended to ONE flat list in
+// arrival order, and every arrival rescans the whole list, pass after pass,
+// until a pass releases nothing. It is the drain the runtime used before the
+// queues, kept here as the specification of release order.
+type refReceiver struct {
+	id, n      int
+	applied    []uint64 // causalApplied
+	settled    []uint64 // causalRecvd
+	pending    []refGroup
+	released   []refGroup
+	maxPending int
+}
+
+func (r *refReceiver) deliverable(g refGroup) bool {
+	switch {
+	case g.slow:
+		return r.applied[g.from]+1 == g.firstSeq
+	case g.deps != nil:
+		if r.applied[g.from] != g.prevSeq {
+			return false
+		}
+		need := g.deps.Row(r.id)
+		for k := 0; k < r.n && k < need.Len(); k++ {
+			if k != g.from && r.applied[k] < need.Get(k) {
+				return false
+			}
+		}
+		return true
+	}
+	if r.applied[g.from]+1 != g.firstSeq || g.ts.Len() != r.n {
+		return false
+	}
+	for k := 0; k < r.n; k++ {
+		if k != g.from && g.ts.Get(k) > r.applied[k] {
+			return false
+		}
+	}
+	return true
+}
+
+func (r *refReceiver) arrive(g refGroup) {
+	if g.elided {
+		r.settled[g.from] += g.count
+		return
+	}
+	r.pending = append(r.pending, g)
+	for progressed := true; progressed; {
+		progressed = false
+		kept := r.pending[:0]
+		for _, g := range r.pending {
+			if !r.deliverable(g) {
+				kept = append(kept, g)
+				continue
+			}
+			switch {
+			case g.slow, g.deps != nil:
+				r.applied[g.from] = g.lastSeq
+			default:
+				for k := range r.applied {
+					if x := g.ts.Get(k); x > r.applied[k] {
+						r.applied[k] = x
+					}
+				}
+			}
+			r.settled[g.from] += g.count
+			r.released = append(r.released, g)
+			progressed = true
+		}
+		r.pending = kept
+	}
+	if len(r.pending) > r.maxPending {
+		r.maxPending = len(r.pending)
+	}
+}
+
+// captureTransport diverts every message addressed to one node into
+// per-sender logs instead of delivering it, so a test can hand that node its
+// traffic in an interleaving of its own choosing.
+type captureTransport struct {
+	transport.Transport
+	to  int
+	mu  sync.Mutex
+	got [][]network.Message // indexed by sender, in send order
+}
+
+func (c *captureTransport) Send(m network.Message) error {
+	if m.To != c.to {
+		return c.Transport.Send(m)
+	}
+	c.mu.Lock()
+	c.got[m.From] = append(c.got[m.From], m)
+	c.mu.Unlock()
+	return nil
+}
+
+func (c *captureTransport) Broadcast(from int, kind string, payload any, size int) error {
+	for j := 0; j < c.Nodes(); j++ {
+		if j == from {
+			continue
+		}
+		if err := c.Send(network.Message{From: from, To: j, Kind: kind, Payload: payload, Size: size}); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// refGroupOf copies a captured message's delivery metadata, classifying it
+// the way the receive path does.
+func refGroupOf(m network.Message, scoped bool) refGroup {
+	switch p := m.Payload.(type) {
+	case Update:
+		return refGroup{
+			from: p.From, firstSeq: p.Seq, lastSeq: p.Seq, count: 1,
+			prevSeq: p.PrevSeq, ts: p.TS.Clone(), deps: p.Deps,
+			slow:   !scoped && p.Label == history.LabelSlow,
+			elided: scoped && p.Deps == nil,
+		}
+	case UpdateBatch:
+		latest := p.Updates[0]
+		for _, u := range p.Updates {
+			if u.Seq > latest.Seq {
+				latest = u
+			}
+		}
+		return refGroup{
+			from: p.From, firstSeq: p.FirstSeq, lastSeq: latest.Seq, count: p.Count,
+			prevSeq: p.PrevSeq, ts: latest.TS.Clone(), deps: p.Deps,
+			slow:   !scoped && p.Updates[0].Label == history.LabelSlow,
+			elided: scoped && p.Deps == nil,
+		}
+	}
+	panic(fmt.Sprintf("captured a %T", m.Payload))
+}
+
+// TestDrainMatchesFlatScan is the differential test for the per-sender
+// pending queues. Real sender nodes generate causally entangled traffic
+// (writes, cross-sender waits that create dependencies, batch flushes); every
+// message addressed to the receiver is captured, then fed to it directly in a
+// seeded interleaving that respects per-sender FIFO but stalls senders for
+// long stretches, so groups park. The same arrivals drive the flat-scan
+// reference. After every arrival the receiver's causalApplied and causalRecvd
+// must equal the reference's, and at the end the EvGroupRelease events of its
+// trace must list the reference's releases in the same order — in all three
+// delivery modes (broadcast timestamps, scoped deps/prevSeq chains, slow
+// FIFO-only groups mixed into timestamped traffic), unbatched and batched.
+func TestDrainMatchesFlatScan(t *testing.T) {
+	const n = 4 // three senders and the receiver
+	allNodes := []int{0, 1, 2, 3}
+	modes := []struct {
+		name   string
+		scope  *ScopeMap
+		labels map[string]history.Label
+		locs   []string
+	}{
+		{name: "broadcast", locs: []string{"a", "b", "c", "d"}},
+		{name: "scoped", locs: []string{"c0", "c1", "c2", "p0", "p1", "unlisted"},
+			scope: &ScopeMap{
+				Readers: map[string][]int{
+					"c0": allNodes, "c1": allNodes, "c2": allNodes, "p0": allNodes, "p1": allNodes,
+				},
+				CausalReaders: map[string][]int{"c0": allNodes, "c1": allNodes, "c2": allNodes},
+			}},
+		{name: "slow", locs: []string{"a", "b", "s0", "s1"},
+			labels: map[string]history.Label{"s0": history.LabelSlow, "s1": history.LabelSlow}},
+	}
+	for _, mode := range modes {
+		for _, batched := range []bool{false, true} {
+			for seed := int64(1); seed <= 6; seed++ {
+				name := fmt.Sprintf("%s/batched=%v/seed=%d", mode.name, batched, seed)
+				t.Run(name, func(t *testing.T) {
+					var batch BatchConfig
+					if batched {
+						// Flushes come from the threshold and from the
+						// schedule below, never from the clock.
+						batch = BatchConfig{Enabled: true, MaxUpdates: 6, Linger: time.Hour}
+					}
+					runDrainDifferential(t, n, mode.scope, mode.labels, mode.locs, batch, seed)
+				})
+			}
+		}
+	}
+}
+
+func runDrainDifferential(t *testing.T, n int, scope *ScopeMap, labels map[string]history.Label,
+	locs []string, batch BatchConfig, seed int64) {
+	rng := rand.New(rand.NewSource(seed))
+	recv := n - 1
+	f, err := network.New(network.Config{Nodes: n})
+	if err != nil {
+		t.Fatalf("network.New: %v", err)
+	}
+	capture := &captureTransport{Transport: f, to: recv, got: make([][]network.Message, n)}
+	tracer := obs.NewTracer(recv, 1<<16)
+	nodes := make([]*Node, n)
+	for i := range nodes {
+		cfg := Config{ID: i, N: n, Transport: capture, Scope: scope, Labels: labels, Batch: batch}
+		if i == recv {
+			cfg.Transport, cfg.Tracer = f, tracer
+		}
+		if nodes[i], err = NewNode(cfg); err != nil {
+			t.Fatalf("NewNode(%d): %v", i, err)
+		}
+	}
+	defer func() {
+		f.Close()
+		for _, nd := range nodes {
+			nd.Close()
+		}
+	}()
+	r := nodes[recv]
+
+	// The receiver speaks first, so the senders' dependency metadata carries
+	// a nonzero component for it too.
+	for i := 0; i < 3; i++ {
+		r.Write(locs[i%len(locs)], int64(100+i))
+	}
+	sentByRecv := r.SentCounts()
+	for s := 0; s < recv; s++ {
+		min := make([]uint64, n)
+		min[recv] = sentByRecv[s]
+		nodes[s].WaitCausalApplied(min)
+	}
+
+	// Generate traffic: mostly writes; now and then a sender waits until it
+	// has causally applied everything another sender addressed to it, which
+	// entangles its later writes with that sender's stream.
+	value := int64(1)
+	for step := 0; step < 400; step++ {
+		s := rng.Intn(recv)
+		switch k := rng.Intn(10); {
+		case k < 7:
+			loc := locs[rng.Intn(len(locs))]
+			if rng.Intn(5) == 0 {
+				nodes[s].Add(loc, 1)
+			} else {
+				nodes[s].Write(loc, value)
+				value++
+			}
+		case k < 9:
+			other := (s + 1 + rng.Intn(recv-1)) % recv
+			min := make([]uint64, n)
+			min[other] = nodes[other].SentCounts()[s] // flushes other's outbox
+			nodes[s].WaitCausalApplied(min)
+		default:
+			nodes[s].FlushUpdates()
+		}
+	}
+	for s := 0; s < recv; s++ {
+		nodes[s].FlushUpdates()
+	}
+
+	ref := &refReceiver{id: recv, n: n, applied: make([]uint64, n), settled: make([]uint64, n)}
+	r.clockMu.Lock()
+	for j := 0; j < n; j++ {
+		ref.applied[j] = r.causalApplied.get(j)
+		ref.settled[j] = r.causalRecvd[j]
+	}
+	r.clockMu.Unlock()
+
+	// Deliver: per-sender order is kept, the interleaving is not. Weights are
+	// redrawn every so often and include zero, so a sender's stream can stall
+	// while the streams that depend on it pile up.
+	next := make([]int, n)
+	weight := make([]int, n)
+	remaining := 0
+	for s := 0; s < recv; s++ {
+		remaining += len(capture.got[s])
+	}
+	if remaining < 100 {
+		t.Fatalf("only %d messages captured", remaining)
+	}
+	for arrival := 0; remaining > 0; arrival++ {
+		if arrival%25 == 0 {
+			for s := range weight {
+				weight[s] = []int{0, 0, 1, 8}[rng.Intn(4)]
+			}
+		}
+		total := 0
+		for s := 0; s < recv; s++ {
+			if next[s] < len(capture.got[s]) {
+				total += weight[s]
+			}
+		}
+		pick := -1
+		if total > 0 {
+			x := rng.Intn(total)
+			for s := 0; s < recv && pick < 0; s++ {
+				if next[s] < len(capture.got[s]) {
+					if x < weight[s] {
+						pick = s
+					}
+					x -= weight[s]
+				}
+			}
+		} else {
+			for s := 0; s < recv && pick < 0; s++ {
+				if next[s] < len(capture.got[s]) {
+					pick = s
+				}
+			}
+		}
+		m := capture.got[pick][next[pick]]
+		next[pick]++
+		remaining--
+
+		g := refGroupOf(m, scope != nil)
+		ref.arrive(g)
+		switch p := m.Payload.(type) {
+		case Update:
+			r.applyRemote(p)
+		case UpdateBatch:
+			r.applyBatch(p)
+		}
+		r.clockMu.Lock()
+		for j := 0; j < n; j++ {
+			if got := r.causalApplied.get(j); got != ref.applied[j] {
+				t.Errorf("arrival %d (%v): causalApplied[%d] = %d, reference %d", arrival, g, j, got, ref.applied[j])
+			}
+			if got := r.causalRecvd[j]; got != ref.settled[j] {
+				t.Errorf("arrival %d (%v): causalRecvd[%d] = %d, reference %d", arrival, g, j, got, ref.settled[j])
+			}
+		}
+		r.clockMu.Unlock()
+		if got := r.Stats().PendingGroups; got != uint64(len(ref.pending)) {
+			t.Errorf("arrival %d (%v): %d groups parked, reference %d", arrival, g, got, len(ref.pending))
+		}
+		if t.Failed() {
+			return
+		}
+	}
+
+	if len(ref.pending) != 0 {
+		t.Fatalf("reference left %d groups undelivered: %v", len(ref.pending), ref.pending)
+	}
+	if ref.maxPending < 5 {
+		t.Fatalf("schedule parked at most %d groups; the drain was barely exercised", ref.maxPending)
+	}
+	if got := r.Stats().PendingGroupsMax; got != uint64(ref.maxPending) {
+		t.Errorf("PendingGroupsMax = %d, reference %d", got, ref.maxPending)
+	}
+	snap := tracer.Snapshot()
+	if snap.Dropped != 0 {
+		t.Fatalf("trace ring dropped %d events", snap.Dropped)
+	}
+	var released []refGroup
+	waits := 0
+	for _, e := range snap.Events {
+		switch e.Type {
+		case obs.EvGroupRelease:
+			released = append(released, refGroup{from: int(e.Peer), firstSeq: e.Seq, lastSeq: e.A, count: e.B})
+		case obs.EvDepWaitBegin:
+			waits++
+		case obs.EvDepWaitEnd:
+			waits--
+		}
+	}
+	if waits != 0 {
+		t.Errorf("%d dep-wait spans left open", waits)
+	}
+	if len(released) != len(ref.released) {
+		t.Fatalf("released %d groups, reference %d", len(released), len(ref.released))
+	}
+	for i, g := range released {
+		if g.String() != ref.released[i].String() {
+			t.Fatalf("release %d is %v, reference %v", i, g, ref.released[i])
+		}
+	}
+}

@@ -14,8 +14,8 @@ import (
 // distinct locations — spread across every shard of the sharded value map —
 // while remote applies race against local writes and lock-free reads. Run
 // under the race detector this exercises the shard locking discipline
-// (clockMu -> shard.mu -> outboxMu) and the copy-on-write value maps;
-// the recorded history must satisfy Definition 4 exactly as it did with the
+// (clockMu -> shard.mu -> outboxMu) and the insert-only value tables
+// (lock-free probes racing inserts and growth); the recorded history must satisfy Definition 4 exactly as it did with the
 // single-mutex node: the sharding is a performance change, not a semantic
 // one.
 func TestShardedApplyManyGoroutines(t *testing.T) {

@@ -34,6 +34,11 @@ type MemMetrics struct {
 	BlockedNS        int64            `json:"blockedNs"`
 	BlockedByCause   map[string]int64 `json:"blockedByCauseNs"`
 	MalformedUpdates uint64           `json:"malformedUpdates"`
+	// PendingGroups is the causal-delivery backlog right now (received
+	// groups parked behind an unmet dependency); PendingGroupsMax is its
+	// high-water mark.
+	PendingGroups    uint64 `json:"pendingGroups"`
+	PendingGroupsMax uint64 `json:"pendingGroupsMax"`
 }
 
 // NetMetrics is the transport snapshot: totals, per-destination sends,

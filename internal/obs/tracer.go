@@ -4,6 +4,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"mixedmem/internal/loctab"
 )
 
 // slotWords is the per-slot layout: a begin stamp, five payload words, an
@@ -21,14 +23,6 @@ const slotWords = 8
 
 type slot struct {
 	w [slotWords]atomic.Uint64
-}
-
-// internTable is the copy-on-write location table: reads go through an
-// atomic pointer load plus a map lookup (no lock, no allocation); inserts
-// — once per distinct location name — copy the table under the mutex.
-type internTable struct {
-	idx  map[string]uint32
-	strs []string
 }
 
 // Tracer is a per-node, lock-free, fixed-capacity event ring. Record
@@ -58,8 +52,13 @@ type Tracer struct {
 	cursor atomic.Uint64
 	slots  []slot
 
-	locs   atomic.Pointer[internTable]
+	// locs interns location names to dense indices: lookups go through the
+	// insert-only table (no lock, no allocation); an insert — once per
+	// distinct name — takes locsMu, which also guards names, the index-order
+	// list Snapshot exports.
+	locs   loctab.Table[uint32]
 	locsMu sync.Mutex
+	names  []string
 }
 
 // NewTracer returns a tracer for the given node with the given ring
@@ -69,9 +68,7 @@ func NewTracer(node, capacity int) *Tracer {
 	for c < capacity {
 		c <<= 1
 	}
-	t := &Tracer{node: uint16(node), mask: uint64(c - 1), slots: make([]slot, c)}
-	t.locs.Store(&internTable{idx: map[string]uint32{}})
-	return t
+	return &Tracer{node: uint16(node), mask: uint64(c - 1), slots: make([]slot, c)}
 }
 
 // Node returns the node ID the tracer was built for.
@@ -81,39 +78,24 @@ func (t *Tracer) Node() int { return int(t.node) }
 func (t *Tracer) Capacity() int { return len(t.slots) }
 
 // Loc interns a location (or lock/barrier) name and returns its index.
-// The fast path — every name after its first use — is an atomic pointer
-// load and a map lookup: lock-free and allocation-free. On a nil tracer
-// it returns NoLoc.
+// The fast path — every name after its first use — is one hash of the name
+// and a table probe: lock-free and allocation-free. On a nil tracer it
+// returns NoLoc.
 func (t *Tracer) Loc(name string) uint32 {
 	if t == nil {
 		return NoLoc
 	}
-	if i, ok := t.locs.Load().idx[name]; ok {
-		return i
+	h := loctab.Hash(name)
+	if i := t.locs.Get(h, name); i != nil {
+		return *i
 	}
-	return t.locSlow(name)
-}
-
-func (t *Tracer) locSlow(name string) uint32 {
 	t.locsMu.Lock()
 	defer t.locsMu.Unlock()
-	old := t.locs.Load()
-	if i, ok := old.idx[name]; ok {
-		return i
+	i, inserted := t.locs.Insert(h, name, uint32(len(t.names)))
+	if inserted {
+		t.names = append(t.names, name)
 	}
-	next := &internTable{
-		idx:  make(map[string]uint32, len(old.idx)+1),
-		strs: make([]string, len(old.strs), len(old.strs)+1),
-	}
-	for k, v := range old.idx {
-		next.idx[k] = v
-	}
-	copy(next.strs, old.strs)
-	i := uint32(len(next.strs))
-	next.idx[name] = i
-	next.strs = append(next.strs, name)
-	t.locs.Store(next)
-	return i
+	return *i
 }
 
 // Record appends one event. Safe for any number of concurrent callers;
@@ -171,13 +153,15 @@ func (t *Tracer) Snapshot() *Snapshot {
 	if t == nil {
 		return nil
 	}
-	tab := t.locs.Load()
+	t.locsMu.Lock()
+	locs := append([]string(nil), t.names...)
+	t.locsMu.Unlock()
 	snap := &Snapshot{
 		Node:     int(t.node),
 		Capacity: len(t.slots),
 		Recorded: t.cursor.Load(),
 		Dropped:  t.Dropped(),
-		Locs:     append([]string(nil), tab.strs...),
+		Locs:     locs,
 	}
 	snap.Events = make([]Event, 0, len(t.slots))
 	for j := range t.slots {

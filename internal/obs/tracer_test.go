@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 )
@@ -166,32 +167,64 @@ func TestRecordAllocFree(t *testing.T) {
 	}
 }
 
-// TestInternConcurrent checks the copy-on-write intern table under
-// concurrent insert and lookup (run with -race).
+// TestInternConcurrent checks the intern table under concurrent insert and
+// lookup (run with -race): 1<<15 names, every worker interning all of them
+// from its own starting point so fresh inserts, table growth, and warm
+// lookups of the same names overlap. Every name must keep one index for
+// good, indices must be dense, and Snapshot().Locs must list the names in
+// index order — the property the trace codec and the explainer resolve
+// event locations through.
 func TestInternConcurrent(t *testing.T) {
 	tr := NewTracer(0, 64)
+	const total = 1 << 15
+	names := make([]string, total)
+	for i := range names {
+		names[i] = fmt.Sprint("A[", i/181, "][", i%181, "]")
+	}
+	const workers = 8
+	first := make([][]uint32, workers)
 	var wg sync.WaitGroup
-	names := []string{"a", "b", "c", "d", "e", "f", "g", "h"}
-	for w := 0; w < 8; w++ {
+	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func() {
+		go func(w int) {
 			defer wg.Done()
-			for i := 0; i < 2000; i++ {
-				tr.Loc(names[i%len(names)])
+			got := make([]uint32, total)
+			start := w * total / workers
+			for k := 0; k < total; k++ {
+				i := (start + k) % total
+				got[i] = tr.Loc(names[i])
 			}
-		}()
+			for k := 0; k < total; k += 7 {
+				if again := tr.Loc(names[k]); again != got[k] {
+					t.Errorf("name %q re-interned to %d, first saw %d", names[k], again, got[k])
+					return
+				}
+			}
+			first[w] = got
+		}(w)
 	}
 	wg.Wait()
-	seen := map[uint32]bool{}
-	for _, n := range names {
-		i := tr.Loc(n)
-		if seen[i] {
-			t.Fatalf("index %d assigned twice", i)
-		}
-		seen[i] = true
+	if t.Failed() {
+		return
 	}
 	s := tr.Snapshot()
-	if len(s.Locs) != len(names) {
-		t.Fatalf("intern table has %d entries, want %d", len(s.Locs), len(names))
+	if len(s.Locs) != total {
+		t.Fatalf("intern table has %d entries, want %d", len(s.Locs), total)
+	}
+	seen := make([]bool, total)
+	for i, name := range names {
+		idx := tr.Loc(name)
+		if idx >= total || seen[idx] {
+			t.Fatalf("name %q has index %d: out of range or assigned twice", name, idx)
+		}
+		seen[idx] = true
+		if s.Locs[idx] != name {
+			t.Fatalf("Snapshot().Locs[%d] = %q, want %q", idx, s.Locs[idx], name)
+		}
+		for w := range first {
+			if first[w][i] != idx {
+				t.Fatalf("worker %d saw %q at index %d, table says %d", w, name, first[w][i], idx)
+			}
+		}
 	}
 }
