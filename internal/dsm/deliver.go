@@ -1,0 +1,390 @@
+package dsm
+
+import (
+	"time"
+
+	"mixedmem/internal/history"
+	"mixedmem/internal/loctab"
+	"mixedmem/internal/obs"
+	"mixedmem/internal/vclock"
+)
+
+// This file is the delivery core: the ordering obligation every update
+// carries, the two functions that decide it (sendObligation when a copy is
+// stamped, classify when a group is received), and the one receive path that
+// honours it. Everything here runs under the clock lock.
+
+// obligation is the set of ordering constraints an update's causal-view
+// delivery must respect — the only thing the delivery code switches on.
+//
+//	obligation  stamp          sender order  cross-sender wait        causal view  fence anchor
+//	obNone      –              –             –                        no           no
+//	obFIFO      –              yes           –                        yes          no
+//	obVector    TS             yes           TS[k] <= causalApplied   yes          yes
+//	obMatrix    PrevSeq+Deps   yes (chain)   own row of Deps          yes          yes
+//
+// obNone updates are settled by their PRAM apply. A group whose metadata has
+// the wrong dimension is held to obFIFO but kept out of the causal view
+// (deliveryGroup.malformed): it occupies its place in the sender's order, so
+// the sender's later updates are not stranded behind it.
+type obligation uint8
+
+const (
+	obNone obligation = iota
+	obFIFO
+	obVector
+	obMatrix
+)
+
+// anchors reports whether updates under the obligation store the PRAM
+// last-writer anchor that raises the observation fence: only updates whose
+// cross-sender dependencies the causal view tracks can be waited on.
+func (ob obligation) anchors() bool { return ob >= obVector }
+
+// sendObligation is the send side of the table: the obligation stamped on the
+// copy of a write to a location labeled label that goes to a reader
+// registered as causal or not. Without a scope every process is a causal
+// reader of everything; the writer is always one of its own writes.
+func (n *Node) sendObligation(label history.Label, causalReader bool) obligation {
+	switch {
+	case n.pramOnly:
+		return obNone
+	case n.scopedCausal:
+		if causalReader {
+			return obMatrix
+		}
+		return obNone
+	case label == history.LabelSlow:
+		return obFIFO
+	default:
+		return obVector
+	}
+}
+
+// classify is the receive side of the table: from the node's configuration
+// and the metadata a group arrived with it fixes what the group waits for.
+// label and ts are those of the group's latest update, prevSeq and deps the
+// message's scoped-causal section.
+func (n *Node) classify(g *deliveryGroup, label history.Label, ts vclock.VC, prevSeq uint64, deps vclock.Matrix) {
+	g.prev = g.firstSeq - 1
+	switch {
+	case n.pramOnly, n.scopedCausal && deps == nil:
+		g.ob = obNone
+	case n.scopedCausal:
+		// Sequence numbers addressed here have holes; the chain pointer names
+		// the predecessor.
+		g.prev = prevSeq
+		if deps.Len() == n.n {
+			g.ob, g.need, g.deps = obMatrix, deps.Row(n.id), deps
+		} else {
+			g.ob, g.malformed = obFIFO, true
+		}
+	case label == history.LabelSlow:
+		g.ob = obFIFO
+	case ts.Len() == n.n:
+		g.ob, g.need = obVector, ts
+	default:
+		g.ob, g.malformed = obFIFO, true
+	}
+}
+
+// entry is one update of a delivery group resolved against the value store.
+type entry struct {
+	op    UpdateOp
+	label history.Label
+	seq   uint64
+	value int64
+	loc   string
+	c     *cell
+	sh    *shard
+}
+
+// resolve fills e from u, hashing the location once and inserting its cell if
+// this is the first the node hears of it.
+func (n *Node) resolve(e *entry, u *Update) {
+	h := loctab.Hash(u.Loc)
+	e.op, e.label, e.seq, e.value, e.loc = u.Op, u.Label, u.Seq, u.Value, u.Loc
+	e.sh = n.shard(h)
+	e.c = e.sh.cellFor(h, u.Loc)
+}
+
+// deliveryGroup is one causal-delivery unit: a single update or a whole
+// received batch. A batch is applied to the causal view atomically once its
+// first covered sequence number is next from its sender and its latest
+// entry's dependencies are satisfied — delivering a contiguous per-sender run
+// at the point its last element is deliverable is a legal causal schedule
+// (delivery may be delayed, never reordered), and it is what lets coalesced
+// batches keep the standard vector-clock condition. A group that is
+// deliverable when it arrives lives only on the receive path's stack; one
+// that is not is parked in its sender's queue (Node.pending).
+type deliveryGroup struct {
+	from     int
+	firstSeq uint64
+	lastSeq  uint64
+	// count is the number of covered updates, including coalesced-away
+	// ones; it feeds recvd on arrival and causalRecvd when the group settles.
+	count     uint64
+	ob        obligation
+	malformed bool
+	// prev is the sender-order condition: the group is next from its sender
+	// when causalApplied[from] equals it. firstSeq-1 under broadcast, the
+	// sender's per-destination chain pointer under a scope.
+	prev uint64
+	// need is the cross-sender condition: need[k] <= causalApplied[k] for
+	// every k but the sender. The latest entry's timestamp (which dominates
+	// the rest: one sender's clocks are monotone) for obVector, this node's
+	// row of deps for obMatrix, nil otherwise.
+	need vclock.VC
+	// deps is an obMatrix group's address-matrix snapshot, merged when the
+	// group settles. It is shared with the in-flight message and other groups
+	// — merge from it, never mutate it.
+	deps vclock.Matrix
+	// batch holds a batch group's updates; when it is nil the group is the
+	// single update one.
+	batch []Update
+	one   entry
+	// arrival orders groups across senders (Node.arrivals at receive).
+	arrival uint64
+	// parkedAt is the UnixNano at which the group was parked with tracing
+	// on (0 = never parked, or tracing off); it times the dep-wait trace
+	// span and is unused otherwise.
+	parkedAt int64
+}
+
+// applyRemote receives a single update as a delivery group of one. The
+// location is hashed and its cell resolved before the clock lock is taken.
+func (n *Node) applyRemote(u Update) {
+	if n.obs != nil {
+		n.obs.RecordLoc(obs.EvRecv, uint8(u.Label), uint16(u.From), u.Loc, u.Seq, 0, 0)
+	}
+	g := deliveryGroup{from: u.From, firstSeq: u.Seq, lastSeq: u.Seq, count: 1}
+	n.resolve(&g.one, &u)
+	n.classify(&g, u.Label, u.TS, u.PrevSeq, u.Deps)
+	n.receive(&g)
+}
+
+// applyBatch receives a batch as one delivery group. FirstSeq and Count cover
+// the coalesced-away updates too, so the counting protocols account every
+// original write.
+func (n *Node) applyBatch(b UpdateBatch) {
+	if len(b.Updates) == 0 {
+		return
+	}
+	// The entry with the highest Seq is the sender's latest covered write;
+	// its timestamp dominates the batch. It can sit anywhere (coalescing
+	// replaces in place), so finding it is a scan. Batches are homogeneous in
+	// obligation at the sender, so its label speaks for all of them.
+	latest := &b.Updates[0]
+	for i := 1; i < len(b.Updates); i++ {
+		if b.Updates[i].Seq > latest.Seq {
+			latest = &b.Updates[i]
+		}
+	}
+	if n.obs != nil {
+		n.obs.Record(obs.EvRecvBatch, uint8(b.Updates[0].Label), uint16(b.From),
+			obs.NoLoc, b.FirstSeq, latest.Seq, b.Count)
+	}
+	g := deliveryGroup{from: b.From, firstSeq: b.FirstSeq, lastSeq: latest.Seq,
+		count: b.Count, batch: b.Updates}
+	n.classify(&g, latest.Label, latest.TS, b.PrevSeq, b.Deps)
+	n.receive(&g)
+}
+
+// receive applies a received group under one clock-lock hold: to the PRAM
+// view at once, in receive order, and to the causal view when its obligation
+// is met — in the same pass when it already is and nothing from its sender is
+// parked ahead of it, which is the common case and touches no queue.
+func (n *Node) receive(g *deliveryGroup) {
+	n.clockMu.Lock()
+	n.arrivals++
+	g.arrival = n.arrivals
+	if g.malformed {
+		n.statMalformed.Add(g.count)
+	}
+	inPlace := g.ob != obNone && n.pending[g.from].size == 0 && n.deliverableLocked(g)
+	n.applyGroupLocked(g, true, inPlace)
+	n.recvd[g.from] += g.count
+	switch {
+	case g.ob == obNone:
+		n.causalRecvd[g.from] += g.count
+		putUpdateSlice(g.batch)
+	case inPlace:
+		n.settleLocked(g)
+		if n.parked.Load() != 0 {
+			n.drainLocked()
+		}
+	default:
+		// Nothing else can have become deliverable — the clocks did not
+		// move — so no drain follows.
+		n.parkLocked(g)
+	}
+	n.clockCond.Broadcast()
+	n.clockMu.Unlock()
+}
+
+// applyGroupLocked stores the group's values: into the PRAM view when the
+// group arrives (pram), into the causal view when its obligation is met
+// (causal) — both in one pass for a group deliverable on arrival.
+func (n *Node) applyGroupLocked(g *deliveryGroup, pram, causal bool) {
+	if g.batch == nil {
+		n.applyEntryLocked(g, &g.one, pram, causal)
+		return
+	}
+	var e entry
+	for i := range g.batch {
+		n.resolve(&e, &g.batch[i])
+		n.applyEntryLocked(g, &e, pram, causal)
+	}
+}
+
+func (n *Node) applyEntryLocked(g *deliveryGroup, e *entry, pram, causal bool) {
+	if pram {
+		// The anchor is stored before the value (see cell.last).
+		if g.ob.anchors() {
+			e.c.last.Store(packLast(g.from, e.seq))
+		}
+		applyCell(&e.c.pram, e.op, e.value)
+	}
+	// An OpSet this process has already overwritten stays overwritten; adds
+	// commute and are never skipped.
+	if causal && !g.malformed && !(e.op == OpSet && e.c.localSet >= g.arrival) {
+		applyCell(&e.c.causal, e.op, e.value)
+	}
+	e.sh.wake()
+	if pram && n.obs != nil {
+		n.obs.RecordLoc(obs.EvApply, uint8(e.label), uint16(g.from), e.loc, e.seq, 0, 0)
+	}
+}
+
+// deliverableLocked is the causal-broadcast condition generalized to a
+// contiguous per-sender run: the run starts right after what the causal view
+// applied from the sender, and every cross-sender dependency of its latest
+// entry is already applied. The sender's own order comes first in every
+// obligation, which is what makes a per-sender queue's head the only
+// candidate in it.
+func (n *Node) deliverableLocked(g *deliveryGroup) bool {
+	if n.causalApplied.get(g.from) != g.prev {
+		return false
+	}
+	for k := 0; k < n.n && k < g.need.Len(); k++ {
+		if k != g.from && g.need.Get(k) > n.causalApplied.get(k) {
+			return false
+		}
+	}
+	return true
+}
+
+// settleLocked records that a group has taken its place in the causal view:
+// it advances the sender's entry of the causal clock and the settled count,
+// absorbs a matrix group's dependency knowledge, returns a batch's entry
+// slice to the pool, and emits the release trace events. The clock advance
+// comes after all the group's values are stored, so a lock-free causal read
+// that sees the advanced clock sees the values.
+func (n *Node) settleLocked(g *deliveryGroup) {
+	n.causalApplied.set(g.from, g.lastSeq)
+	if g.ob == obMatrix {
+		// The epoch bump tells the outbox that pending matrix batches now
+		// predate part of the matrix.
+		n.addr.Merge(g.deps)
+		n.addrEpoch++
+	}
+	n.causalRecvd[g.from] += g.count
+	putUpdateSlice(g.batch)
+	if n.obs != nil {
+		if g.parkedAt != 0 {
+			parked := time.Now().UnixNano() - g.parkedAt
+			n.obs.Record(obs.EvDepWaitEnd, 0, uint16(g.from), obs.NoLoc,
+				g.firstSeq, uint64(parked), 0)
+		}
+		n.obs.Record(obs.EvGroupRelease, 0, uint16(g.from), obs.NoLoc,
+			g.firstSeq, g.lastSeq, g.count)
+	}
+}
+
+// parkLocked queues a received group whose obligation is not met yet behind
+// its sender's earlier parked groups.
+func (n *Node) parkLocked(g *deliveryGroup) {
+	if n.obs != nil {
+		g.parkedAt = time.Now().UnixNano()
+		n.obs.Record(obs.EvDepWaitBegin, 0, uint16(g.from), obs.NoLoc, g.firstSeq, 0, 0)
+	}
+	n.pending[g.from].push(g)
+	if p := n.parked.Add(1); p > n.parkedMax.Load() {
+		n.parkedMax.Store(p)
+	}
+}
+
+// drainLocked releases parked delivery groups to the causal view in causal
+// order until none is deliverable. It looks only at queue heads — a group
+// behind its sender's head cannot be deliverable — and visits them the way a
+// scan of one arrival-ordered list would: repeated passes, each taking the
+// live heads in arrival order and dropping a sender from the pass once its
+// head is found blocked. Release order is therefore a function of the arrival
+// order alone, not of how the groups are stored. A pass that releases nothing
+// ends the drain, so a call with nothing deliverable costs one condition
+// check per sender.
+func (n *Node) drainLocked() {
+	for progressed := true; progressed; {
+		progressed = false
+		for j := range n.pending {
+			n.pending[j].blocked = n.pending[j].size == 0
+		}
+		for {
+			var q *senderQueue
+			for j := range n.pending {
+				if c := &n.pending[j]; !c.blocked &&
+					(q == nil || c.front().arrival < q.front().arrival) {
+					q = c
+				}
+			}
+			if q == nil {
+				break
+			}
+			g := q.front()
+			if !n.deliverableLocked(g) {
+				q.blocked = true
+				continue
+			}
+			n.applyGroupLocked(g, false, true)
+			n.settleLocked(g)
+			q.pop()
+			n.parked.Add(^uint64(0))
+			q.blocked = q.size == 0
+			progressed = true
+		}
+	}
+}
+
+// senderQueue holds one sender's parked delivery groups in arrival order: a
+// ring that doubles when full and keeps its backing across drains, so a
+// steady backlog parks and releases without allocating.
+type senderQueue struct {
+	buf  []deliveryGroup // len is zero or a power of two
+	head int
+	size int
+	// blocked is drain-pass scratch: the queue's head was found
+	// undeliverable (or the queue is empty) in the current pass.
+	blocked bool
+}
+
+// front returns the oldest parked group; the queue must not be empty.
+func (q *senderQueue) front() *deliveryGroup { return &q.buf[q.head] }
+
+func (q *senderQueue) push(g *deliveryGroup) {
+	if q.size == len(q.buf) {
+		grown := make([]deliveryGroup, max(4, 2*len(q.buf)))
+		k := copy(grown, q.buf[q.head:])
+		copy(grown[k:], q.buf[:q.head])
+		q.buf, q.head = grown, 0
+	}
+	q.buf[(q.head+q.size)&(len(q.buf)-1)] = *g
+	q.size++
+}
+
+// pop drops the oldest parked group, clearing its slot so the ring pins no
+// released timestamps, matrices, or batch slices.
+func (q *senderQueue) pop() {
+	q.buf[q.head] = deliveryGroup{}
+	q.head = (q.head + 1) & (len(q.buf) - 1)
+	q.size--
+}

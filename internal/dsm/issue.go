@@ -1,0 +1,244 @@
+package dsm
+
+import (
+	"math"
+
+	"mixedmem/internal/history"
+	"mixedmem/internal/loctab"
+	"mixedmem/internal/network"
+	"mixedmem/internal/obs"
+	"mixedmem/internal/vclock"
+)
+
+// This file is the issue path: a local write is numbered, applied to the
+// writer's own replica, stamped, and handed to each destination. It runs
+// under the clock lock.
+
+// KindUpdate is the fabric message kind used for memory updates.
+const KindUpdate = "update"
+
+// UpdateOp distinguishes plain writes from commutative counter operations.
+type UpdateOp int
+
+// Update operation kinds.
+const (
+	// OpSet is an ordinary write: the location takes the given value.
+	OpSet UpdateOp = iota + 1
+	// OpAdd is a commutative increment/decrement: the value is added to
+	// the location's current contents. Adds from different processes
+	// commute, which is what lets the counter-object Cholesky variant drop
+	// its critical sections (Section 5.3).
+	OpAdd
+	// OpAddFloat adds float64 values through their bit patterns: the
+	// location's contents and the update value are interpreted with
+	// math.Float64frombits, summed, and stored back with Float64bits.
+	// Floating-point addition commutes up to rounding, which is the
+	// paper's counter-object view of the Cholesky column updates.
+	OpAddFloat
+)
+
+// Update is the payload broadcast for every write or counter operation.
+type Update struct {
+	// From is the writing process.
+	From int
+	// Seq is the per-sender update sequence number, starting at 1.
+	Seq uint64
+	// Op selects set or add semantics.
+	Op UpdateOp
+	// Label tags the update with its location's lattice point
+	// (Config.Labels). LabelSlow is semantic: it marks a timestamp-elided
+	// update whose causal-view delivery waits only on the sender's own
+	// per-location FIFO, never on cross-sender dependencies — the slow-memory
+	// contract. Every other value (including LabelNone for unlabeled
+	// locations) is informational: the receiver's handling is driven by the
+	// causal metadata the update carries.
+	Label history.Label
+	// Loc is the memory location.
+	Loc string
+	// Value is the written value or the addend.
+	Value int64
+	// TS is the writer's dependency clock after this update: TS[j] is the
+	// number of updates from process j the writer has applied, counting
+	// this one for j == From. It is set only under full broadcast; scoped
+	// causal updates carry PrevSeq and Deps instead, and timestamp-elided
+	// updates (PRAMOnly mode, or PRAM-registered readers of a scoped
+	// location) carry neither.
+	TS vclock.VC
+	// PrevSeq, on a causal-scoped update, is the sequence number of the
+	// sender's previous causal update addressed to this destination (0 for
+	// the first): the per-destination delivery chain that keeps one
+	// sender's updates ordered even though the destination's view of the
+	// sender's sequence numbers has holes.
+	PrevSeq uint64
+	// Deps, on a causal-scoped update, is the sender's address-matrix
+	// snapshot: Deps[p][k] is the latest update from process k addressed
+	// to process p that this update transitively depends on. The receiver
+	// waits on its own row and merges the whole matrix; it never mutates
+	// it (the snapshot is shared across the write's destinations).
+	Deps vclock.Matrix
+}
+
+// encodedSize models the wire size of an update for the latency model,
+// mirroring updateCodec's layout byte for byte: From, Seq, Op, the label
+// tag, the length-prefixed location, Value, the length-prefixed timestamp,
+// the u32 depsN prefix the codec always writes (even when zero), and — for
+// scoped-causal updates — the chain pointer and the sparse matrix (whose
+// size tracks the active peers, not the cluster dimension).
+func (u Update) encodedSize() int {
+	s := 4 + 8 + 1 + 1 + (4 + len(u.Loc)) + 8 + (4 + u.TS.EncodedSize()) + 4
+	if u.Deps != nil {
+		s += 8 + u.Deps.ActiveEncodedSize()
+	}
+	return s
+}
+
+// Write stores value at loc. For broadcast labels (everything but SC) it is
+// non-blocking: the response is local and the update propagates
+// asynchronously, as the paper's interface permits (Section 3). A write to an
+// SC-labeled location is a blocking round trip to the location's owner.
+func (n *Node) Write(loc string, value int64) { n.Thread(0).Write(loc, value) }
+
+// Add applies a commutative increment (negative for decrement) to a counter
+// object (Section 5.3). Counter operations are not recorded in traces: they
+// are operations of an abstract data type, not reads/writes.
+func (n *Node) Add(loc string, delta int64) { n.write(OpAdd, loc, delta) }
+
+// AddFloat applies a commutative float64 increment to a location holding a
+// Float64bits-encoded value: the counter-object view of the Cholesky column
+// updates (Section 5.3).
+func (n *Node) AddFloat(loc string, delta float64) {
+	n.write(OpAddFloat, loc, int64(math.Float64bits(delta)))
+}
+
+// write routes one write-kind operation by the location's label: an owner
+// round trip for SC, an update to the location's readers for everything else.
+func (n *Node) write(op UpdateOp, loc string, value int64) {
+	if label := n.labelOf(loc); label == history.LabelSC {
+		n.scApply(op, loc, value)
+	} else {
+		n.issue(op, label, loc, value)
+	}
+}
+
+func (n *Node) issue(op UpdateOp, label history.Label, loc string, value int64) {
+	h := loctab.Hash(loc)
+	sh := n.shard(h)
+	c := sh.cellFor(h, loc)
+	n.clockMu.Lock()
+	seq := n.recvd[n.id] + 1
+	n.recvd[n.id] = seq
+	u := Update{From: n.id, Seq: seq, Op: op, Label: label, Loc: loc, Value: value}
+	// The writer keeps the copy a causal reader would get, delivered at once.
+	own := n.sendObligation(label, true)
+	if own.anchors() {
+		c.last.Store(packLast(n.id, seq))
+	}
+	applyCell(&c.pram, op, value)
+	if own != obNone {
+		applyCell(&c.causal, op, value)
+		n.causalApplied.set(n.id, seq)
+		if op == OpSet {
+			c.localSet = n.arrivals
+		}
+	}
+	n.causalRecvd[n.id]++
+	if n.logOn {
+		n.writeLog = append(n.writeLog, WriteRecord{Loc: loc, Seq: seq})
+	}
+	if n.obs != nil {
+		n.obs.RecordLoc(obs.EvWriteIssue, uint8(label), 0, loc, seq, uint64(n.n-1), uint64(op))
+	}
+	// Send while holding the clock lock so per-sender sequence numbers hit
+	// the fabric in order even under concurrent writers; fabric sends never
+	// block.
+	n.sendLocked(&u, own)
+	n.statWrites.Add(1)
+	n.clockCond.Broadcast()
+	n.clockMu.Unlock()
+	sh.wake()
+}
+
+// sendLocked routes one write to the location's readers: every peer without a
+// scope or for a location the scope does not name, otherwise the registered
+// readers, each list under the obligation its registration calls for. The
+// stamp is taken here, under the same clock-lock hold as the write, for the
+// immediate sends and the outbox alike: a batch must ship dependencies its
+// covered writes were written under, never ones absorbed later. causal is the
+// obligation of the causal readers' copies.
+func (n *Node) sendLocked(u *Update, causal obligation) {
+	ent := n.everyone
+	if n.scopeTargets != nil {
+		if e, ok := n.scopeTargets[u.Loc]; ok {
+			ent = e
+		}
+	}
+	if n.outbox != nil {
+		n.outboxMu.Lock()
+	}
+	// The PRAM-registered readers' copies go first, unstamped.
+	if len(ent.elided) > 0 {
+		n.emitLocked(ent.elided, u, n.sendObligation(u.Label, false), nil)
+	}
+	var snap vclock.Matrix
+	if len(ent.causal) > 0 {
+		switch causal {
+		case obVector:
+			u.TS = n.recvd.Clone()
+		case obMatrix:
+			// Bump the matrix for every causal destination before the
+			// snapshot: transitive soundness needs each shipped matrix to
+			// record this update at all of its destinations, so that one that
+			// relays the value onward ships a matrix already covering it
+			// everywhere else. prevBuf keeps each destination's chain
+			// predecessor.
+			for _, j := range ent.causal {
+				n.prevBuf[j] = n.addr.Get(j, n.id)
+				n.addr.Set(j, n.id, u.Seq)
+			}
+			snap = n.addr.Clone() // shared across destinations; receivers only merge from it
+		}
+		n.emitLocked(ent.causal, u, causal, snap)
+	}
+	if n.outbox != nil {
+		n.outboxMu.Unlock()
+	}
+}
+
+// emitLocked hands each destination its copy of a write: into the
+// destination's pending batch when the outbox is on (the caller holds
+// outboxMu), otherwise straight to the transport — as one Broadcast when
+// every peer gets the same bytes, which a wire transport encodes once. snap
+// is the address-matrix snapshot of an obMatrix write; dests is not empty.
+func (n *Node) emitLocked(dests []int, u *Update, ob obligation, snap vclock.Matrix) {
+	for _, j := range dests {
+		n.sent[j]++
+	}
+	switch {
+	case n.outbox != nil:
+		for _, j := range dests {
+			n.outboxAddLocked(j, u, ob, snap)
+		}
+		return
+	case ob != obMatrix && len(dests) == n.n-1:
+		_ = n.fabric.Broadcast(n.id, KindUpdate, *u, u.encodedSize())
+	default:
+		cu := *u
+		cu.Deps = snap
+		for _, j := range dests {
+			if ob == obMatrix {
+				cu.PrevSeq = n.prevBuf[j]
+			}
+			_ = n.fabric.Send(network.Message{
+				From: n.id, To: j, Kind: KindUpdate,
+				Payload: cu, Size: cu.encodedSize(),
+			})
+		}
+	}
+	if n.obs != nil {
+		// Unbatched sends leave the node here: one flush per destination with
+		// a single-seq range, so the chain works without an outbox.
+		for _, j := range dests {
+			n.obs.Record(obs.EvFlush, uint8(u.Label), uint16(j), obs.NoLoc, u.Seq, u.Seq, 1)
+		}
+	}
+}

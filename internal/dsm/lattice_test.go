@@ -138,6 +138,17 @@ func TestSCOwnerRoundTrip(t *testing.T) {
 	if s.SCWrites == 0 || nodes[1].Stats().SCReads == 0 {
 		t.Errorf("SC stats not counted: %+v", s)
 	}
+	// A Forall strand's write takes the same dispatch as the main thread's:
+	// through the owner, from a node that is not the owner.
+	w := (SCOwner("z", 3) + 1) % 3
+	before := nodes[w].Stats().SCWrites
+	nodes[w].Thread(1).Write("z", 12)
+	if got := nodes[SCOwner("z", 3)].ReadSC("z"); got != 12 {
+		t.Errorf("SC read after a thread's write = %d, want 12", got)
+	}
+	if got := nodes[w].Stats().SCWrites; got != before+1 {
+		t.Errorf("thread's SC write counted %d times, want 1", got-before)
+	}
 }
 
 // TestSCAddCommutes: counter ops on an SC location apply at the owner.

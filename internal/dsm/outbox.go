@@ -1,10 +1,12 @@
 package dsm
 
+// This file is the outbox: per-destination pending batches, their flush
+// triggers, and the batch wire payload. Its one lock is Node.outboxMu.
+
 import (
 	"sync"
 	"time"
 
-	"mixedmem/internal/history"
 	"mixedmem/internal/network"
 	"mixedmem/internal/obs"
 	"mixedmem/internal/transport"
@@ -124,12 +126,12 @@ func (b UpdateBatch) encodedSize() int {
 // (DESIGN.md §12 pool lifecycle). A flush copies the destination's fixed
 // ring into a pooled slice; ownership then travels with the message:
 //
-//   - sim fabric: the receiver's applyBatch/settleGroupLocked returns the
-//     slice once the batch has fully applied (by-reference delivery — the
-//     sender retains nothing after Send);
+//   - sim fabric: the receive path returns the slice once the batch has
+//     settled (by-reference delivery — the sender retains nothing after
+//     Send);
 //   - tcp: the sending transport returns it after encoding the frame
 //     (transport.RecyclePayload), and the receiving codec draws its decode
-//     slice from this same pool, to be returned by its applyBatch.
+//     slice from this same pool, to be returned by its receive path.
 //
 // A put slice must not be referenced by anyone else; entries are cleared so
 // pooled slices pin no update payloads. The pool is a plain mutex-guarded
@@ -206,22 +208,18 @@ type outboxDest struct {
 	lastSeq uint64
 	count   uint64
 	bytes   int
-	// causal marks the pending batch's kind under scoped placement (batches
-	// are kind-homogeneous; outboxAdd flushes on a kind change), and
-	// prevSeq is the causal chain pointer captured when the batch started.
-	causal  bool
-	prevSeq uint64
-	// slow marks a slow-label batch (default mode): entries are
-	// timestamp-elided and the receiver delivers the whole batch on the
-	// sender's FIFO alone, so slow and stamped entries must never share a
-	// batch — outboxAdd flushes on a label-class change.
-	slow bool
-	// deps is the address-matrix snapshot of the batch's latest covered
+	// ob is the obligation every covered update was stamped with: the
+	// receiver delivers a batch as one group under one obligation, so
+	// outboxAddLocked flushes when it changes.
+	ob obligation
+	// prevSeq is an obMatrix batch's chain pointer, captured when the batch
+	// started (zero otherwise). deps is the address-matrix snapshot of its latest covered
 	// write, captured at enqueue time (shared with the write's other
 	// destinations; receivers only merge from it). depsEpoch records
-	// Node.addrEpoch at capture, so outboxAdd can detect that the node
+	// Node.addrEpoch at capture, so outboxAddLocked can detect that the node
 	// absorbed a remote matrix merge after the snapshot and split the batch
 	// instead of letting a newer snapshot cover older parked writes.
+	prevSeq   uint64
 	deps      vclock.Matrix
 	depsEpoch uint64
 }
@@ -230,82 +228,65 @@ func newOutboxDest(maxUpdates int) *outboxDest {
 	// Preallocate the backing up to a sane bound; configs with huge
 	// MaxUpdates (tests disabling threshold flushes) grow on demand, and
 	// the backing persists across flushes either way.
-	capHint := maxUpdates
-	if capHint > 256 {
-		capHint = 256
-	}
 	return &outboxDest{
-		entries: make([]Update, 0, capHint),
+		entries: make([]Update, 0, min(maxUpdates, 256)),
 		setIdx:  make(map[string]int),
 	}
 }
 
-// outboxAdd adds u to destination j's pending batch, coalescing into the
-// location's live OpSet entry when allowed, and flushes inline when a
-// threshold is crossed. The caller holds the clock lock (sequence numbers
-// must hit the outbox in assignment order) and the outbox lock — one
-// acquisition covers all destinations of a write. causal marks the entry's kind under scoped placement; a kind
-// change flushes the pending batch first, so every batch stays homogeneous.
-// Causal entries ride without per-entry dependency metadata — the
-// batch-level Deps is deps, the caller's address-matrix snapshot taken under
-// the same lock hold as this write's bumps, refreshed at every enqueue (the
-// latest covered write's dependencies dominate the rest); the caller must
-// have recorded the chain pointer in n.prevBuf[j] already. A pending causal
-// batch whose snapshot predates a remote matrix merge (addrEpoch moved) is
-// flushed before u starts a fresh batch: this write's snapshot may name a
-// just-merged update that itself waits on a write parked in the old batch,
-// and shipping them under one matrix would hand the receiver a circular
-// wait.
-func (n *Node) outboxAddLocked(j int, u Update, causal bool, deps vclock.Matrix) {
-	ob := n.outbox[j]
-	slow := !n.pramOnly && !n.scopedCausal && u.Label == history.LabelSlow
-	if ob.count > 0 {
-		switch {
-		case ob.slow != slow:
-			n.flushDestLocked(j, ob)
-		case n.scopedCausal &&
-			(ob.causal != causal || (ob.causal && ob.depsEpoch != n.addrEpoch)):
-			n.flushDestLocked(j, ob)
+// outboxAddLocked adds u, stamped under ob, to destination j's pending batch,
+// coalescing into the location's live OpSet entry when allowed, and flushes
+// inline when a threshold is crossed. The caller holds the clock lock
+// (sequence numbers must hit the outbox in assignment order) and the outbox
+// lock — one acquisition covers all destinations of a write. A change of
+// obligation flushes the pending batch first, so every batch stays
+// homogeneous. obMatrix entries ride without per-entry dependency metadata:
+// the batch-level Deps is snap, the caller's address-matrix snapshot taken
+// under the same lock hold as this write's bumps, refreshed at every enqueue
+// (the latest covered write's dependencies dominate the rest), and the chain
+// pointer is the one the caller left in n.prevBuf[j]. A pending obMatrix batch
+// whose snapshot predates a remote matrix merge (addrEpoch moved) is flushed
+// before u starts a fresh batch: this write's snapshot may name a just-merged
+// update that itself waits on a write parked in the old batch, and shipping
+// them under one matrix would hand the receiver a circular wait.
+func (n *Node) outboxAddLocked(j int, u *Update, ob obligation, snap vclock.Matrix) {
+	d := n.outbox[j]
+	if d.count > 0 && (d.ob != ob || (ob == obMatrix && d.depsEpoch != n.addrEpoch)) {
+		n.flushDestLocked(j, d)
+	}
+	if d.count == 0 {
+		d.firstSeq, d.ob, d.prevSeq = u.Seq, ob, 0
+		if ob == obMatrix {
+			d.prevSeq = n.prevBuf[j]
 		}
 	}
-	if ob.count == 0 {
-		ob.firstSeq = u.Seq
-		ob.causal = causal
-		ob.slow = slow
-		if causal && n.scopedCausal {
-			ob.prevSeq = n.prevBuf[j]
-		}
-	}
-	if causal && n.scopedCausal {
-		ob.deps = deps
-		ob.depsEpoch = n.addrEpoch
-	}
-	ob.count++
-	ob.lastSeq = u.Seq
+	d.deps, d.depsEpoch = snap, n.addrEpoch
+	d.count++
+	d.lastSeq = u.Seq
 	coalesced := false
 	if u.Op == OpSet && !n.batch.NoCoalesce {
-		if i, ok := ob.setIdx[u.Loc]; ok {
-			ob.bytes += u.encodedSize() - ob.entries[i].encodedSize()
-			ob.entries[i] = u
+		if i, ok := d.setIdx[u.Loc]; ok {
+			d.bytes += u.encodedSize() - d.entries[i].encodedSize()
+			d.entries[i] = *u
 			coalesced = true
 		} else {
-			ob.setIdx[u.Loc] = len(ob.entries)
+			d.setIdx[u.Loc] = len(d.entries)
 		}
 	} else {
 		// An add (or coalescing off) bars later sets from jumping over it:
 		// the location's next OpSet must append after this entry.
-		delete(ob.setIdx, u.Loc)
+		delete(d.setIdx, u.Loc)
 	}
 	if !coalesced {
-		ob.entries = append(ob.entries, u)
-		ob.bytes += u.encodedSize()
+		d.entries = append(d.entries, *u)
+		d.bytes += u.encodedSize()
 	}
 	if n.obs != nil {
 		n.obs.RecordLoc(obs.EvEnqueue, uint8(u.Label), uint16(j), u.Loc, u.Seq,
-			uint64(len(ob.entries)), 0)
+			uint64(len(d.entries)), 0)
 	}
-	if len(ob.entries) >= n.batch.MaxUpdates || ob.bytes >= n.batch.MaxBytes {
-		n.flushDestLocked(j, ob)
+	if len(d.entries) >= n.batch.MaxUpdates || d.bytes >= n.batch.MaxBytes {
+		n.flushDestLocked(j, d)
 	}
 }
 
@@ -314,37 +295,26 @@ func (n *Node) outboxAddLocked(j int, u Update, causal bool, deps vclock.Matrix)
 // KindUpdate frame — the receive path and wire format are then identical to
 // unbatched operation. Multi-entry batches copy the ring's live prefix into
 // a pooled slice (see updateSlicePool for who returns it); the ring backing
-// itself is reused forever.
-func (n *Node) flushDestLocked(j int, ob *outboxDest) {
-	if ob.count == 0 {
+// itself is reused forever. An obMatrix batch ships its enqueue-time
+// snapshot, never the current matrix: that may have absorbed merges since
+// which could close a dependency cycle through this very batch (see
+// outboxAddLocked).
+func (n *Node) flushDestLocked(j int, d *outboxDest) {
+	if d.count == 0 {
 		return
 	}
-	scopedCausal := n.scopedCausal && ob.causal
-	if ob.count == 1 && len(ob.entries) == 1 {
-		u := ob.entries[0]
-		if scopedCausal {
-			// Ship the enqueue-time snapshot, never the current matrix: it
-			// may have absorbed merges since that could close a dependency
-			// cycle through this very write (see outboxAdd).
-			u.PrevSeq = ob.prevSeq
-			u.Deps = ob.deps
-		}
+	if d.count == 1 && len(d.entries) == 1 {
+		u := d.entries[0]
+		u.PrevSeq, u.Deps = d.prevSeq, d.deps
 		_ = n.fabric.Send(network.Message{
 			From: n.id, To: j, Kind: KindUpdate,
 			Payload: u, Size: u.encodedSize(),
 		})
 	} else {
-		out := getUpdateSlice(len(ob.entries))
-		out = append(out, ob.entries...)
 		b := UpdateBatch{
-			From:     n.id,
-			FirstSeq: ob.firstSeq,
-			Count:    ob.count,
-			Updates:  out,
-		}
-		if scopedCausal {
-			b.PrevSeq = ob.prevSeq
-			b.Deps = ob.deps
+			From: n.id, FirstSeq: d.firstSeq, Count: d.count,
+			PrevSeq: d.prevSeq, Deps: d.deps,
+			Updates: append(getUpdateSlice(len(d.entries)), d.entries...),
 		}
 		_ = n.fabric.Send(network.Message{
 			From: n.id, To: j, Kind: KindUpdateBatch,
@@ -352,30 +322,13 @@ func (n *Node) flushDestLocked(j int, ob *outboxDest) {
 		})
 	}
 	if n.obs != nil {
-		n.obs.Record(obs.EvFlush, 0, uint16(j), obs.NoLoc, ob.firstSeq, ob.lastSeq, ob.count)
+		n.obs.Record(obs.EvFlush, 0, uint16(j), obs.NoLoc, d.firstSeq, d.lastSeq, d.count)
 	}
-	ob.entries = ob.entries[:0]
-	clear(ob.setIdx)
-	ob.count = 0
-	ob.bytes = 0
-	ob.deps = nil
-}
-
-// flushAllLocked flushes every destination's pending batch; the caller holds
-// the clock lock (lock order: clockMu -> outboxMu). No-op when batching
-// is disabled.
-func (n *Node) flushAllLocked() {
-	if n.outbox == nil {
-		return
-	}
-	n.outboxMu.Lock()
-	for j, ob := range n.outbox {
-		if j == n.id || ob == nil {
-			continue
-		}
-		n.flushDestLocked(j, ob)
-	}
-	n.outboxMu.Unlock()
+	d.entries = d.entries[:0]
+	clear(d.setIdx)
+	d.count = 0
+	d.bytes = 0
+	d.deps = nil
 }
 
 // FlushUpdates sends every pending outbox batch immediately. It is the
@@ -383,18 +336,18 @@ func (n *Node) flushAllLocked() {
 // release, the barrier client before reporting its sent counts, and awaits
 // call it on registration, so no update a peer must observe to make progress
 // is ever parked in the outbox past a synchronization point. It is a no-op
-// when batching is disabled. It takes only the outbox lock, so the linger
-// flusher never contends with the clock-guarded hot paths.
+// when batching is disabled. It takes only the outbox lock (callers may hold
+// the clock lock: clockMu -> outboxMu), so the linger flusher never contends
+// with the clock-guarded hot paths.
 func (n *Node) FlushUpdates() {
-	if !n.batch.Enabled {
+	if n.outbox == nil {
 		return
 	}
 	n.outboxMu.Lock()
-	for j, ob := range n.outbox {
-		if j == n.id || ob == nil {
-			continue
+	for j, d := range n.outbox {
+		if d != nil {
+			n.flushDestLocked(j, d)
 		}
-		n.flushDestLocked(j, ob)
 	}
 	n.outboxMu.Unlock()
 }
@@ -413,132 +366,4 @@ func (n *Node) lingerLoop() {
 			n.FlushUpdates()
 		}
 	}
-}
-
-// deliveryGroup is one causal-delivery unit: a single update or a whole
-// received batch. A batch is applied to the causal view atomically once its
-// first covered sequence number is next from its sender and its latest
-// entry's dependencies are satisfied — delivering a contiguous per-sender run
-// at the point its last element is deliverable is a legal causal schedule
-// (delivery may be delayed, never reordered), and it is what lets coalesced
-// batches keep the standard vector-clock condition. A group that is
-// deliverable when it arrives lives only on the receive path's stack; one
-// that is not is parked in its sender's queue (Node.pending).
-type deliveryGroup struct {
-	from     int
-	firstSeq uint64
-	lastSeq  uint64
-	// count is the number of covered updates, including coalesced-away
-	// ones; it feeds causalRecvd when the group applies.
-	count uint64
-	// ts is the group's dependency clock under full broadcast: the
-	// timestamp of the latest entry, which dominates every other entry's
-	// timestamp (one sender's clocks are monotone). Its dimension was
-	// checked at receive (Node.malformedLocked). Nil in scoped-causal mode,
-	// where deps carries the dependencies instead.
-	ts vclock.VC
-	// prevSeq and deps are the scoped-causal dependency metadata (deps
-	// non-nil marks the mode): the sender's per-destination chain pointer
-	// and address-matrix snapshot. deps is shared with the in-flight
-	// message and other groups — merge from it, never mutate it.
-	prevSeq uint64
-	deps    vclock.Matrix
-	// slow marks a slow-label group: timestamp-elided, deliverable on the
-	// sender's FIFO alone (no cross-sender wait), never fence-anchored.
-	slow bool
-	// batch holds a batch group's entries. When it is nil the group is a
-	// single update and the four fields after it — set only when the group
-	// is parked — are what its causal apply needs: the operation, and the
-	// cell and shard its PRAM apply already resolved.
-	batch []Update
-	op    UpdateOp
-	value int64
-	cell  *cell
-	sh    *shard
-	// arrival orders parked groups across senders (Node.arrivals at park
-	// time); zero until the group is parked.
-	arrival uint64
-	// parkedAt is the UnixNano at which the group was parked with tracing
-	// on (0 = never parked, or tracing off); it times the dep-wait trace
-	// span and is unused otherwise.
-	parkedAt int64
-}
-
-// senderQueue holds one sender's parked delivery groups in arrival order: a
-// ring that doubles when full and keeps its backing across drains, so a
-// steady backlog parks and releases without allocating.
-type senderQueue struct {
-	buf  []deliveryGroup // len is zero or a power of two
-	head int
-	size int
-	// blocked is drain-pass scratch: the queue's head was found
-	// undeliverable (or the queue is empty) in the current pass.
-	blocked bool
-}
-
-// front returns the oldest parked group; the queue must not be empty.
-func (q *senderQueue) front() *deliveryGroup { return &q.buf[q.head] }
-
-func (q *senderQueue) push(g *deliveryGroup) {
-	if q.size == len(q.buf) {
-		grown := make([]deliveryGroup, max(4, 2*len(q.buf)))
-		k := copy(grown, q.buf[q.head:])
-		copy(grown[k:], q.buf[:q.head])
-		q.buf, q.head = grown, 0
-	}
-	q.buf[(q.head+q.size)&(len(q.buf)-1)] = *g
-	q.size++
-}
-
-// pop drops the oldest parked group, clearing its slot so the ring pins no
-// released timestamps, matrices, or batch slices.
-func (q *senderQueue) pop() {
-	q.buf[q.head] = deliveryGroup{}
-	q.head = (q.head + 1) & (len(q.buf) - 1)
-	q.size--
-}
-
-// groupDeliverableLocked is the causal-broadcast condition generalized to a
-// contiguous per-sender run: the run starts right after what we applied from
-// the sender, and every cross-sender dependency of its latest entry is
-// already applied.
-//
-// Scoped-causal groups (deps != nil) use the address-matrix discipline
-// instead: the group must be next in the sender's per-destination chain
-// (causalApplied holds last-applied sequence numbers, not counts, in this
-// mode; the transport's FIFO channels make the chain equality exact), and
-// this node's row of the shipped matrix — which by construction names only
-// updates addressed to this node — must be covered by what the causal view
-// has applied from every other sender.
-//
-// Every case leads with the sender's own order, which is what makes a
-// per-sender queue's head the only candidate in it.
-func (n *Node) groupDeliverableLocked(g *deliveryGroup) bool {
-	if g.slow {
-		// Slow memory: per-sender, per-location FIFO only. The group is
-		// deliverable as soon as it is next in the sender's stream; it never
-		// waits on other senders (it carries no timestamp to wait with).
-		return n.causalApplied.get(g.from)+1 == g.firstSeq
-	}
-	if g.deps != nil {
-		if n.causalApplied.get(g.from) != g.prevSeq {
-			return false
-		}
-		need := g.deps.Row(n.id)
-		for k := 0; k < n.n && k < need.Len(); k++ {
-			if k != g.from && n.causalApplied.get(k) < need.Get(k) {
-				return false
-			}
-		}
-		return true
-	}
-	if n.causalApplied.get(g.from)+1 != g.firstSeq {
-		return false
-	}
-	for k := 0; k < n.n; k++ {
-		if k != g.from && g.ts.Get(k) > n.causalApplied.get(k) {
-			return false
-		}
-	}
-	return true
 }

@@ -16,57 +16,144 @@ import (
 
 // TestBroadcastMalformedTimestampDoesNotStall is the full-broadcast twin of
 // TestScopedCausalMalformedDepsDoesNotStall: an update (or batch) whose vector
-// timestamp has the wrong dimension can never meet the delivery condition, so
-// it must be diverted at receive — PRAM view only, counted as causally
+// timestamp has the wrong dimension can never meet the vector condition, so
+// it is held to the sender's order alone — PRAM view only, counted as causally
 // settled, visible in Stats — instead of parking forever with no diagnostic.
+// It still takes its place in the sender's order: the well-formed update that
+// follows it must reach the causal view. The scoped case checks the same for
+// a dependency matrix of the wrong dimension on the per-destination chain.
 func TestBroadcastMalformedTimestampDoesNotStall(t *testing.T) {
+	msg := func(payload any) network.Message {
+		switch p := payload.(type) {
+		case Update:
+			return network.Message{From: 0, To: 1, Kind: KindUpdate, Payload: p, Size: p.encodedSize()}
+		case UpdateBatch:
+			return network.Message{From: 0, To: 1, Kind: KindUpdateBatch, Payload: p, Size: p.encodedSize()}
+		}
+		panic("unreachable")
+	}
+	scope := &ScopeMap{
+		Readers:       map[string][]int{"a": {0, 1}, "b": {0, 1}},
+		CausalReaders: map[string][]int{"a": {0, 1}, "b": {0, 1}},
+	}
 	paths := []struct {
-		name string
-		msg  func() network.Message
-		last int64
+		name      string
+		scope     *ScopeMap
+		bad, good any
+		last      int64
 	}{
-		{"update", func() network.Message {
-			bad := Update{From: 0, Seq: 1, Op: OpSet, Loc: "a", Value: 7, TS: vclock.New(5)}
-			return network.Message{From: 0, To: 1, Kind: KindUpdate, Payload: bad, Size: bad.encodedSize()}
-		}, 7},
-		{"batch", func() network.Message {
-			bad := UpdateBatch{From: 0, FirstSeq: 1, Count: 1, Updates: []Update{
+		{"update", nil,
+			Update{From: 0, Seq: 1, Op: OpSet, Loc: "a", Value: 7, TS: vclock.New(5)},
+			Update{From: 0, Seq: 2, Op: OpSet, Loc: "b", Value: 1, TS: vclock.VC{2, 0}}, 7},
+		{"batch", nil,
+			UpdateBatch{From: 0, FirstSeq: 1, Count: 1, Updates: []Update{
 				// The latest entry's timestamp is the batch's; it sits first.
 				{From: 0, Seq: 1, Op: OpSet, Loc: "a", Value: 9, TS: vclock.New(5)},
-			}}
-			return network.Message{From: 0, To: 1, Kind: KindUpdateBatch, Payload: bad, Size: bad.encodedSize()}
-		}, 9},
+			}},
+			UpdateBatch{From: 0, FirstSeq: 2, Count: 1, Updates: []Update{
+				{From: 0, Seq: 2, Op: OpSet, Loc: "b", Value: 1, TS: vclock.VC{2, 0}},
+			}}, 9},
+		{"scoped-matrix", scope,
+			// Seq 1 went elsewhere: the chain, not the sequence number, orders
+			// this destination's stream.
+			Update{From: 0, Seq: 2, Op: OpSet, Loc: "a", Value: 5, Deps: vclock.NewMatrix(5)},
+			Update{From: 0, Seq: 4, PrevSeq: 2, Op: OpSet, Loc: "b", Value: 1, Deps: vclock.NewMatrix(2)}, 5},
 	}
 	for _, p := range paths {
 		t.Run(p.name, func(t *testing.T) {
-			nodes, f := batchedCluster(t, 2, BatchConfig{})
-			if err := f.Send(p.msg()); err != nil {
+			f, err := network.New(network.Config{Nodes: 2})
+			if err != nil {
+				t.Fatalf("network.New: %v", err)
+			}
+			r, err := NewNode(Config{ID: 1, N: 2, Transport: f, Scope: p.scope})
+			if err != nil {
+				t.Fatalf("NewNode: %v", err)
+			}
+			defer func() {
+				f.Close()
+				r.Close()
+			}()
+			wait := func(min uint64, what string) {
+				t.Helper()
+				done := make(chan struct{})
+				go func() {
+					r.WaitCausalApplied([]uint64{min, 0})
+					close(done)
+				}()
+				select {
+				case <-done:
+				case <-time.After(5 * time.Second):
+					t.Fatalf("WaitCausalApplied hung on %s", what)
+				}
+			}
+			if err := f.Send(msg(p.bad)); err != nil {
 				t.Fatal(err)
 			}
-			done := make(chan struct{})
-			go func() {
-				nodes[1].WaitCausalApplied([]uint64{1, 0})
-				close(done)
-			}()
-			select {
-			case <-done:
-			case <-time.After(5 * time.Second):
-				t.Fatal("WaitCausalApplied hung on a malformed timestamp")
-			}
-			if got := nodes[1].ReadPRAM("a"); got != p.last {
+			wait(1, "a malformed update")
+			if got := r.ReadPRAM("a"); got != p.last {
 				t.Fatalf("PRAM a = %d, want %d", got, p.last)
 			}
 			// No fence anchor was stored, so the causal read neither stalls
 			// nor sees the value.
-			if got := nodes[1].ReadCausal("a"); got != 0 {
+			if got := r.ReadCausal("a"); got != 0 {
 				t.Fatalf("malformed update reached the causal view: a = %d", got)
 			}
-			s := nodes[1].Stats()
+			if err := f.Send(msg(p.good)); err != nil {
+				t.Fatal(err)
+			}
+			wait(2, "the well-formed successor of a malformed update")
+			if got := r.ReadCausal("b"); got != 1 {
+				t.Fatalf("causal b = %d, want 1: the successor never reached the causal view", got)
+			}
+			s := r.Stats()
 			if s.MalformedUpdates != 1 || s.PendingGroups != 0 || s.PendingGroupsMax != 0 {
 				t.Fatalf("MalformedUpdates=%d PendingGroups=%d PendingGroupsMax=%d, want 1 0 0",
 					s.MalformedUpdates, s.PendingGroups, s.PendingGroupsMax)
 			}
 		})
+	}
+}
+
+// TestParkedSetDoesNotClobberLaterLocalWrite: an OpSet that is in the PRAM
+// view but still parked for the causal view precedes, by the writer's own
+// dependency clock, every write this process issues afterwards. When its
+// dependencies arrive it must not overwrite such a later local write of the
+// same location in the causal view.
+func TestParkedSetDoesNotClobberLaterLocalWrite(t *testing.T) {
+	nodes, f := batchedCluster(t, 3, BatchConfig{})
+	if err := f.Hold(0, 2); err != nil {
+		t.Fatal(err)
+	}
+	nodes[0].Write("a", 1)
+	eventually(t, func() bool { return nodes[1].ReadCausal("a") == 1 }, "node 1 never saw a")
+	nodes[1].Write("x", 1) // depends on a=1, which node 2 has not received
+	nodes[1].Add("k", 3)   // a parked add still applies exactly once
+	nodes[2].WaitReceived([]uint64{0, 2, 0})
+	if got := nodes[2].ReadPRAM("x"); got != 1 {
+		t.Fatalf("PRAM x = %d, want 1", got)
+	}
+	if s := nodes[2].Stats(); s.PendingGroups != 2 {
+		t.Fatalf("PendingGroups = %d, want x=1 and k+=3 parked behind the held a=1", s.PendingGroups)
+	}
+	nodes[2].Write("x", 2) // stamped after x=1: every other replica orders it last
+	nodes[2].Add("k", 4)
+	if err := f.Release(0, 2); err != nil {
+		t.Fatal(err)
+	}
+	nodes[2].WaitCausalApplied([]uint64{1, 2, 0})
+	if got := nodes[2].ReadCausal("x"); got != 2 {
+		t.Errorf("causal x = %d, want 2: the released x=1 clobbered the later local write", got)
+	}
+	if got := nodes[2].ReadPRAM("x"); got != 2 {
+		t.Errorf("PRAM x = %d, want 2", got)
+	}
+	if got := nodes[2].ReadCausal("k"); got != 7 {
+		t.Errorf("causal k = %d, want 7", got)
+	}
+	// The replicas agree: node 0 applies x=1 before x=2 by timestamp.
+	nodes[0].WaitCausalApplied([]uint64{0, 2, 2})
+	if got := nodes[0].ReadCausal("x"); got != 2 {
+		t.Errorf("node 0 causal x = %d, want 2", got)
 	}
 }
 

@@ -87,31 +87,14 @@ func scOwner(loc string, n int) int {
 // trip (or a locked local lookup when this node is the owner). The returned
 // value is the one the owner's serialization holds at the moment the request
 // is served.
-func (n *Node) ReadSC(loc string) int64 {
-	v := n.scRoundTrip(0, loc, 0)
-	n.statSCReads.Add(1)
-	if n.trace != nil {
-		n.trace.AppendOp(history.Op{
-			Proc: n.id, Kind: history.Read, Loc: loc, Value: v, Label: history.LabelSC,
-		})
-	}
-	return v
-}
+func (n *Node) ReadSC(loc string) int64 { return n.Thread(0).ReadSC(loc) }
 
 // WriteSC writes an SC-labeled location through its owner, returning only
 // once the owner has applied and acknowledged the write — the blocking store
 // of the central-server protocol.
-func (n *Node) WriteSC(loc string, value int64) {
-	n.scApply(OpSet, loc, value)
-	if n.trace != nil {
-		n.trace.AppendOp(history.Op{
-			Proc: n.id, Kind: history.Write, Loc: loc, Value: value,
-		})
-	}
-}
+func (n *Node) WriteSC(loc string, value int64) { n.Thread(0).WriteSC(loc, value) }
 
-// scApply performs a write-kind round trip without trace recording (Write,
-// Add, AddFloat, and WriteSC record their own trace ops).
+// scApply performs a write-kind round trip without trace recording.
 func (n *Node) scApply(op UpdateOp, loc string, value int64) {
 	n.scRoundTrip(op, loc, value)
 	n.statSCWrites.Add(1)
@@ -161,10 +144,9 @@ func (n *Node) scRoundTrip(op UpdateOp, loc string, value int64) int64 {
 	}
 }
 
-// scBlocked accounts one SC round trip's blocked interval to the aggregate
-// and per-cause counters and records the reply event.
+// scBlocked accounts one SC round trip's blocked interval and records the
+// reply event.
 func (n *Node) scBlocked(owner int, loc string, reqID uint64, d time.Duration) {
-	n.statBlocked.Add(int64(d))
 	n.statBlockedSC.Add(int64(d))
 	if n.obs != nil {
 		n.obs.RecordLoc(obs.EvSCReply, uint8(history.LabelSC), uint16(owner), loc, reqID, uint64(d), 0)

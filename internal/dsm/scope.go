@@ -72,19 +72,17 @@ func (s *ScopeMap) Validate(n int, pramOnly bool) error {
 	return nil
 }
 
-// scopeEntry is a location's compiled destination lists for one node: the
-// causal-registered readers (who get dependency-stamped updates) and the
-// PRAM-registered readers (who get the timestamp-elided fast path). Both
-// exclude the node itself and are deduplicated and sorted.
+// scopeEntry is a location's reader lists as one node sees them: the
+// causal-registered readers and the PRAM-registered ones (elided). Both
+// exclude the node itself and are deduplicated and sorted. What each list's
+// copies are stamped with is Node.sendObligation's decision.
 type scopeEntry struct {
 	causal []int
 	elided []int
 }
 
-// compile turns the validated map into per-location destination lists for
-// node id of n, plus the fallback entry used for unregistered locations
-// (full broadcast: causal to everyone unless the node is PRAMOnly).
-func (s *ScopeMap) compile(id, n int, pramOnly bool) (map[string]scopeEntry, scopeEntry) {
+// compile turns the validated map into per-location reader lists for node id.
+func (s *ScopeMap) compile(id int) map[string]scopeEntry {
 	targets := make(map[string]scopeEntry, len(s.Readers))
 	for loc, readers := range s.Readers {
 		inCausal := make(map[int]bool)
@@ -98,7 +96,7 @@ func (s *ScopeMap) compile(id, n int, pramOnly bool) (map[string]scopeEntry, sco
 				continue
 			}
 			seen[p] = true
-			if inCausal[p] && !pramOnly {
+			if inCausal[p] {
 				ent.causal = append(ent.causal, p)
 			} else {
 				ent.elided = append(ent.elided, p)
@@ -108,19 +106,7 @@ func (s *ScopeMap) compile(id, n int, pramOnly bool) (map[string]scopeEntry, sco
 		sort.Ints(ent.elided)
 		targets[loc] = ent
 	}
-	var all scopeEntry
-	everyone := make([]int, 0, n-1)
-	for j := 0; j < n; j++ {
-		if j != id {
-			everyone = append(everyone, j)
-		}
-	}
-	if pramOnly {
-		all.elided = everyone
-	} else {
-		all.causal = everyone
-	}
-	return targets, all
+	return targets
 }
 
 // AccessKind records how a node read a location, for scope learning.

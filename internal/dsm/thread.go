@@ -6,9 +6,8 @@ import "mixedmem/internal/history"
 // multithreaded process. The paper models local computations as partial
 // orders (Section 3): operations of different threads of one process are
 // unordered by program order unless fork/join edges relate them. Operations
-// through a handle are recorded with the handle's thread ID; the runtime
-// semantics are identical to the node's own methods (one replica per
-// process, shared by its threads).
+// through a handle are recorded with the handle's thread ID; the node's own
+// methods are Thread(0)'s (one replica per process, shared by its threads).
 //
 // Synchronization operations (locks, barriers) stay on the main thread:
 // well-formedness requires each barrier to be totally ordered with all
@@ -32,28 +31,40 @@ func (h ThreadHandle) ThreadID() int { return h.t }
 
 // Write stores value at loc, recorded on this thread.
 func (h ThreadHandle) Write(loc string, value int64) {
-	h.n.broadcastUpdate(OpSet, loc, value)
-	h.record(history.Op{Kind: history.Write, Loc: loc, Value: value})
+	h.n.write(OpSet, loc, value)
+	h.record(history.Write, loc, value, history.LabelNone)
+}
+
+// WriteSC writes loc through its SC owner whatever its label, recorded on
+// this thread.
+func (h ThreadHandle) WriteSC(loc string, value int64) {
+	h.n.scApply(OpSet, loc, value)
+	h.record(history.Write, loc, value, history.LabelNone)
 }
 
 // ReadPRAM performs a PRAM read, recorded on this thread.
 func (h ThreadHandle) ReadPRAM(loc string) int64 {
-	v := h.n.readPRAMValue(loc)
-	h.record(history.Op{Kind: history.Read, Loc: loc, Value: v, Label: history.LabelPRAM})
+	v := h.n.readLocal(loc, true)
+	h.record(history.Read, loc, v, history.LabelPRAM)
 	return v
 }
 
-// ReadCausal performs a causal read, recorded on this thread.
+// ReadCausal performs a causal read, recorded on this thread. A PRAMOnly node
+// keeps no causal view: the read is served, and recorded, as the PRAM read it
+// degrades to — sound only for PRAM-consistent programs.
 func (h ThreadHandle) ReadCausal(loc string) int64 {
+	if h.n.pramOnly {
+		return h.ReadPRAM(loc)
+	}
 	v := h.n.readCausalValue(loc)
-	h.record(history.Op{Kind: history.Read, Loc: loc, Value: v, Label: history.LabelCausal})
+	h.record(history.Read, loc, v, history.LabelCausal)
 	return v
 }
 
 // ReadSlow performs a slow read, recorded on this thread.
 func (h ThreadHandle) ReadSlow(loc string) int64 {
-	v := h.n.readSlowValue(loc)
-	h.record(history.Op{Kind: history.Read, Loc: loc, Value: v, Label: history.LabelSlow})
+	v := h.n.readLocal(loc, false)
+	h.record(history.Read, loc, v, history.LabelSlow)
 	return v
 }
 
@@ -62,20 +73,20 @@ func (h ThreadHandle) ReadSlow(loc string) int64 {
 func (h ThreadHandle) ReadSC(loc string) int64 {
 	v := h.n.scRoundTrip(0, loc, 0)
 	h.n.statSCReads.Add(1)
-	h.record(history.Op{Kind: history.Read, Loc: loc, Value: v, Label: history.LabelSC})
+	h.record(history.Read, loc, v, history.LabelSC)
 	return v
 }
 
 // AwaitPRAM blocks until loc holds value in the PRAM view.
 func (h ThreadHandle) AwaitPRAM(loc string, value int64) {
 	h.n.awaitValue(loc, value, false)
-	h.record(history.Op{Kind: history.Await, Loc: loc, Value: value})
+	h.record(history.Await, loc, value, history.LabelNone)
 }
 
 // AwaitCausal blocks until loc holds value in the causal view.
 func (h ThreadHandle) AwaitCausal(loc string, value int64) {
 	h.n.awaitValue(loc, value, true)
-	h.record(history.Op{Kind: history.Await, Loc: loc, Value: value})
+	h.record(history.Await, loc, value, history.LabelNone)
 }
 
 // Add applies a commutative increment (not recorded; counter objects are
@@ -85,11 +96,21 @@ func (h ThreadHandle) Add(loc string, delta int64) { h.n.Add(loc, delta) }
 // AddFloat applies a commutative float64 increment.
 func (h ThreadHandle) AddFloat(loc string, delta float64) { h.n.AddFloat(loc, delta) }
 
-func (h ThreadHandle) record(op history.Op) {
-	if h.n.trace == nil {
-		return
+// record appends the operation to the history being recorded, if any. It
+// inlines, so an unrecorded operation — every one outside the checker's tests —
+// pays a nil check and no call.
+func (h ThreadHandle) record(kind history.OpKind, loc string, value int64, label history.Label) {
+	if h.n.trace != nil {
+		h.appendOp(kind, loc, value, label)
 	}
-	op.Proc = h.n.id
-	op.Thread = h.t
-	h.n.trace.AppendOp(op)
+}
+
+// appendOp is kept out of line so that record stays within the inlining
+// budget.
+//
+//go:noinline
+func (h ThreadHandle) appendOp(kind history.OpKind, loc string, value int64, label history.Label) {
+	h.n.trace.AppendOp(history.Op{
+		Proc: h.n.id, Thread: h.t, Kind: kind, Loc: loc, Value: value, Label: label,
+	})
 }
