@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"net"
 	"runtime"
 	"strings"
 	"sync"
@@ -40,11 +41,14 @@ type PerfCell struct {
 	// each op pays a table insert at every replica), or "backlog" (one writer
 	// streaming deliverable updates into a replica that holds perfBacklog
 	// delivery groups parked behind a held sender: the cost of an apply when
-	// the causal view has a backlog).
+	// the causal view has a backlog), or "stream" (tcp only, no replicas: one
+	// transport streams update frames to another and the cell ends when Flush
+	// returns — the channel's own cost per message, acks included).
 	Scenario string `json:"scenario"`
 	// Label is the consistency configuration: "pram" (PRAMOnly), "causal"
 	// (full broadcast with timestamps), or "scoped" (causal-scoped
-	// point-to-point placement).
+	// point-to-point placement). The stream scenario, which has no memory
+	// above the transport, names its message kind here: "update".
 	Label string `json:"label"`
 	// Batch is the outbox MaxUpdates threshold; 0 means the outbox is off.
 	Batch int `json:"batch"`
@@ -60,6 +64,11 @@ type PerfCell struct {
 	NsPerOp     float64 `json:"ns_per_op"`
 	AllocsPerOp float64 `json:"allocs_per_op"`
 	OpsPerSec   float64 `json:"ops_per_sec"`
+	// BytesPerOp is heap bytes allocated per operation and AcksPerOp the ack
+	// frames the receiver wrote per message. Only the stream scenario
+	// reports them.
+	BytesPerOp float64 `json:"bytes_per_op,omitempty"`
+	AcksPerOp  float64 `json:"acks_per_op,omitempty"`
 }
 
 // Key identifies the cell's grid point independent of measurements; benchdiff
@@ -70,8 +79,12 @@ func (c PerfCell) Key() string {
 }
 
 func (c PerfCell) String() string {
-	return fmt.Sprintf("%-28s ops=%-7d %9.0f ns/op %7.2f allocs/op %12.0f ops/s",
+	s := fmt.Sprintf("%-28s ops=%-7d %9.0f ns/op %7.2f allocs/op %12.0f ops/s",
 		c.Key(), c.Ops, c.NsPerOp, c.AllocsPerOp, c.OpsPerSec)
+	if c.Scenario == "stream" {
+		s += fmt.Sprintf(" %6.1f B/op %6.3f acks/op", c.BytesPerOp, c.AcksPerOp)
+	}
+	return s
 }
 
 // PerfResult is the full grid on one substrate.
@@ -219,7 +232,124 @@ func RunPerfTCP(opt PerfOptions) (PerfResult, error) {
 		}
 		out.Cells = append(out.Cells, measured)
 	}
+	stream, err := measureTCPStream(o.Ops*perfStreamFactor, o.Warmup*perfStreamFactor, 0)
+	if err != nil {
+		return out, fmt.Errorf("perf %s: %w", stream.Key(), err)
+	}
+	out.Cells = append(out.Cells, stream)
 	return out, nil
+}
+
+// perfStreamFactor scales the stream cell's message count over the write
+// cells' op count: a streamed message costs about a microsecond where an
+// unbatched tcp write costs several, and the cell should run as long.
+const perfStreamFactor = 16
+
+// ackCountingListener counts the writes the accepting side makes on its
+// connections. An inbound tcp channel carries msg frames one way and nothing
+// but acks the other, one Write each, so that is the number of acks —
+// counted by the cell rather than by a transport counter nothing else needs.
+type ackCountingListener struct {
+	net.Listener
+	acks *atomic.Uint64
+}
+
+func (l ackCountingListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return ackCountingConn{c, l.acks}, nil
+}
+
+type ackCountingConn struct {
+	net.Conn
+	acks *atomic.Uint64
+}
+
+func (c ackCountingConn) Write(b []byte) (int, error) {
+	c.acks.Add(1)
+	return c.Conn.Write(b)
+}
+
+// measureTCPStream measures the tcp channel alone: node 0 sends msgs update
+// messages to node 1, which only receives, and the clock stops when Flush
+// reports every one acked. window is how many messages go out between
+// Flushes; 0 streams them all (the cell), 1 is a ping-pong that waits for
+// each ack (what the cell's acks/op is judged against).
+func measureTCPStream(msgs, warmup, window int) (PerfCell, error) {
+	cell := PerfCell{Transport: "tcp", Scenario: "stream", Label: "update", Writers: 1}
+	if window == 0 {
+		window = msgs + warmup
+	}
+	var acks atomic.Uint64
+	trs, err := tcp.NewLoopback(2, func(c *tcp.Config) {
+		if c.ID == 1 {
+			c.Listener = ackCountingListener{c.Listener, &acks}
+		}
+	})
+	if err != nil {
+		return cell, err
+	}
+	received := make(chan int)
+	go func() {
+		n := 0
+		for {
+			if _, ok := trs[1].Recv(1); !ok {
+				received <- n
+				return
+			}
+			n++
+		}
+	}()
+
+	locs := make([]string, perfLocCount)
+	for i := range locs {
+		locs[i] = perfLoc(0, i)
+	}
+	sent := 0
+	pass := func(n int) error {
+		for i := 0; i < n; i++ {
+			sent++
+			u := dsm.Update{From: 0, Seq: uint64(sent), Loc: locs[sent%perfLocCount], Value: int64(sent)}
+			if err := trs[0].Send(transport.Message{From: 0, To: 1, Kind: dsm.KindUpdate, Payload: u, Size: 32}); err != nil {
+				return err
+			}
+			if (i+1)%window == 0 || i == n-1 {
+				if !trs[0].Flush(30 * time.Second) {
+					return fmt.Errorf("stream: %d of %d messages sent, not acked within 30s", i+1, n)
+				}
+			}
+		}
+		return nil
+	}
+	err = pass(warmup)
+	var before, after runtime.MemStats
+	var elapsed time.Duration
+	var acked uint64
+	if err == nil {
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		acked = acks.Load()
+		start := time.Now()
+		err = pass(msgs)
+		elapsed = time.Since(start)
+		runtime.ReadMemStats(&after)
+		acked = acks.Load() - acked
+	}
+	for _, tr := range trs {
+		tr.Close()
+	}
+	if got := <-received; err == nil && got != sent {
+		err = fmt.Errorf("stream: receiver got %d of %d messages", got, sent)
+	}
+	if err != nil {
+		return cell, err
+	}
+	cell = cell.measured(msgs, elapsed, after.Mallocs-before.Mallocs)
+	cell.BytesPerOp = float64(after.TotalAlloc-before.TotalAlloc) / float64(msgs)
+	cell.AcksPerOp = float64(acked) / float64(msgs)
+	return cell, nil
 }
 
 // buildPerfNode constructs one replica for a cell.

@@ -47,3 +47,31 @@ func TestPerfGridFreshAndBacklogCells(t *testing.T) {
 		}
 	}
 }
+
+// TestTCPStreamCellAckShape pins the shape the tcp/stream cell exists to
+// show: acknowledgements are paid per burst, not per message. Streaming, one
+// ack covers every frame the receiver found in a read, so acks/op is far
+// below one; a sender that waits for each ack before sending the next frame
+// still gets exactly one per frame, as promptly as ever.
+func TestTCPStreamCellAckShape(t *testing.T) {
+	stream, err := measureTCPStream(20000, 2000, 0)
+	if err != nil {
+		t.Fatalf("stream: %v", err)
+	}
+	if stream.Key() != "tcp/stream/update/b0/w1/r0" || stream.Ops != 20000 {
+		t.Fatalf("stream cell: %+v", stream)
+	}
+	if stream.AcksPerOp <= 0 || stream.AcksPerOp >= 0.25 {
+		t.Errorf("streaming: %.3f acks/op, want well under one per message (< 0.25)", stream.AcksPerOp)
+	}
+	if stream.BytesPerOp <= 0 || stream.AllocsPerOp <= 0 || stream.NsPerOp <= 0 {
+		t.Errorf("stream cell left a measurement empty: %+v", stream)
+	}
+	pingPong, err := measureTCPStream(300, 30, 1)
+	if err != nil {
+		t.Fatalf("ping-pong: %v", err)
+	}
+	if pingPong.AcksPerOp != 1 {
+		t.Errorf("ping-pong: %.3f acks/op, want exactly 1", pingPong.AcksPerOp)
+	}
+}

@@ -62,6 +62,7 @@ func NetMetricsOf(tr transport.Transport) obs.NetMetrics {
 		m.Replayed = d.Replayed
 		m.Duplicates = d.Duplicates
 		m.DecodeErrors = d.DecodeErrors
+		m.Gaps = d.Gaps
 	}
 	return m
 }

@@ -98,10 +98,6 @@ const (
 	// EvReconnect: a TCP peer link (re)established and replayed its
 	// unacked tail. Peer, A = frames replayed.
 	EvReconnect
-	// EvFramePark: a TCP frame was parked during reconnect because its
-	// sequence range was still in flight. Peer, Seq = frame seq,
-	// A = held frames after parking.
-	EvFramePark
 
 	evTypeCount // sentinel; keep last
 )
@@ -130,7 +126,6 @@ var evNames = [evTypeCount]string{
 	EvBarrierEnter: "barrier-enter",
 	EvBarrierExit:  "barrier-exit",
 	EvReconnect:    "reconnect",
-	EvFramePark:    "frame-park",
 }
 
 // String names the event type the way the exporters do.

@@ -56,6 +56,7 @@ type NetMetrics struct {
 	Replayed     uint64 `json:"replayed,omitempty"`
 	Duplicates   uint64 `json:"duplicates,omitempty"`
 	DecodeErrors uint64 `json:"decodeErrors,omitempty"`
+	Gaps         uint64 `json:"gaps,omitempty"`
 }
 
 // SyncMetrics is the synchronization-client snapshot.

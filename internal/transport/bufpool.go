@@ -3,14 +3,15 @@ package transport
 import "sync"
 
 // Encode-buffer pool shared by wire transports and payload codecs
-// (DESIGN.md §12). Hot paths that need a scratch []byte — frame encoding,
-// control messages, acks — draw from here instead of allocating per message.
+// (DESIGN.md §12). Hot paths that need a scratch []byte — payload encoding,
+// control messages, a connection's read buffer — draw from here instead of
+// allocating per message.
 //
 // Lifecycle contract: a buffer obtained with GetBuf is exclusively owned
 // until PutBuf; it must not be retained (directly or via sub-slices that
 // escape) after PutBuf returns it. Callers that hand encoded bytes onward
-// must either copy them out first (the tcp frame writer copies the payload
-// into the frame) or transfer ownership and never return the buffer.
+// must either copy them out first (the tcp sender copies the payload into
+// its replay log) or transfer ownership and never return the buffer.
 //
 // The pool is a mutex-guarded freelist rather than a sync.Pool: Put on a
 // sync.Pool boxes the slice header, which itself allocates, and these
@@ -21,8 +22,8 @@ var bufPool struct {
 }
 
 // bufPoolMax bounds the freelist length; excess buffers are dropped to the
-// garbage collector. 64 in-flight scratch buffers is far beyond what the
-// per-peer writer goroutines and codecs hold at once.
+// garbage collector. 64 in-flight scratch buffers is far beyond what
+// concurrent senders, connection readers and codecs hold at once.
 const bufPoolMax = 64
 
 // GetBuf returns an empty byte slice with at least 512 bytes of capacity.

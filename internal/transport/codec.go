@@ -20,9 +20,16 @@ type PayloadCodec interface {
 	Decode(data []byte) (any, error)
 }
 
+// registered is one registry entry. It repeats its map key so a receiver
+// holding the kind as wire bytes can get the string without allocating one.
+type registered struct {
+	kind  string
+	codec PayloadCodec
+}
+
 var (
 	codecMu sync.RWMutex
-	codecs  = make(map[string]PayloadCodec)
+	codecs  = make(map[string]registered)
 )
 
 // ErrNoCodec is returned when a non-nil payload has no registered codec for
@@ -34,7 +41,7 @@ var ErrNoCodec = errors.New("transport: no payload codec registered")
 func RegisterPayload(kind string, c PayloadCodec) {
 	codecMu.Lock()
 	defer codecMu.Unlock()
-	codecs[kind] = c
+	codecs[kind] = registered{kind: kind, codec: c}
 }
 
 // EncodePayload serializes payload for the given kind. A nil payload
@@ -45,7 +52,7 @@ func EncodePayload(dst []byte, kind string, payload any) ([]byte, error) {
 		return dst, nil
 	}
 	codecMu.RLock()
-	c := codecs[kind]
+	c := codecs[kind].codec
 	codecMu.RUnlock()
 	if c == nil {
 		return dst, fmt.Errorf("%w: kind %q", ErrNoCodec, kind)
@@ -60,12 +67,35 @@ func DecodePayload(kind string, data []byte) (any, error) {
 		return nil, nil
 	}
 	codecMu.RLock()
-	c := codecs[kind]
+	c := codecs[kind].codec
 	codecMu.RUnlock()
 	if c == nil {
 		return nil, fmt.Errorf("%w: kind %q", ErrNoCodec, kind)
 	}
 	return c.Decode(data)
+}
+
+// DecodeKindPayload is DecodePayload for a receiver that holds the kind as
+// wire bytes: it returns the kind as a string together with the payload. A
+// registered kind comes back as the registry's own key (indexing the map by
+// string(kind) does not allocate); only a kind without a codec — legal for
+// nil-payload signals — is copied.
+func DecodeKindPayload(kind, data []byte) (string, any, error) {
+	codecMu.RLock()
+	r := codecs[string(kind)]
+	codecMu.RUnlock()
+	if r.codec == nil {
+		k := string(kind)
+		if len(data) == 0 {
+			return k, nil, nil
+		}
+		return k, nil, fmt.Errorf("%w: kind %q", ErrNoCodec, k)
+	}
+	if len(data) == 0 {
+		return r.kind, nil, nil
+	}
+	payload, err := r.codec.Decode(data)
+	return r.kind, payload, err
 }
 
 // Wire-format helpers shared by the payload codecs and the TCP framing. All
@@ -160,16 +190,20 @@ func (d *Decoder) Byte() byte {
 }
 
 // String reads a uint32-prefixed string.
-func (d *Decoder) String() string {
+func (d *Decoder) String() string { return string(d.Bytes()) }
+
+// Bytes reads a uint32-prefixed string without copying it: the result
+// aliases the decoder's input.
+func (d *Decoder) Bytes() []byte {
 	n := int(d.Uint32())
 	if d.err != nil || n > d.Remaining() {
 		if d.err == nil {
 			d.err = fmt.Errorf("%w: string of %d bytes with %d remaining",
 				ErrTruncated, n, d.Remaining())
 		}
-		return ""
+		return nil
 	}
-	return string(d.take(n))
+	return d.take(n)
 }
 
 // Uint64s reads a uint32-prefixed slice of big-endian uint64s. A zero count

@@ -1,6 +1,8 @@
 package tcp_test
 
 import (
+	"net"
+	"runtime"
 	"strconv"
 	"sync"
 	"testing"
@@ -11,10 +13,73 @@ import (
 	"mixedmem/internal/transport/tcp"
 )
 
-// TestBatchedReplayOverTCP proves the tentpole claim end to end: with the
-// update outbox enabled, connections killed mid-stream must stay invisible —
-// the sequence/ack layer replays unacked batch frames, the receiver's dedup
-// drops the duplicates, and delivery stays exactly-once and FIFO.
+// gatedListener is a listener that can be made to sit on the connections it
+// accepts. The kernel still completes the handshake and buffers what the
+// dialer writes, so while the gate is shut a sender's frames are on the wire
+// but the receiver, not having been handed the connection, cannot ack one of
+// them.
+type gatedListener struct {
+	net.Listener
+	mu     sync.Mutex
+	gate   chan struct{} // closed = open
+	closed chan struct{}
+	once   sync.Once
+}
+
+func newGatedListener(ln net.Listener) *gatedListener {
+	g := &gatedListener{Listener: ln, gate: make(chan struct{}), closed: make(chan struct{})}
+	close(g.gate)
+	return g
+}
+
+func (g *gatedListener) shut() {
+	g.mu.Lock()
+	g.gate = make(chan struct{})
+	g.mu.Unlock()
+}
+
+func (g *gatedListener) open() {
+	g.mu.Lock()
+	close(g.gate)
+	g.mu.Unlock()
+}
+
+func (g *gatedListener) Accept() (net.Conn, error) {
+	conn, err := g.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	g.mu.Lock()
+	gate := g.gate
+	g.mu.Unlock()
+	select {
+	case <-gate:
+		return conn, nil
+	case <-g.closed:
+		conn.Close()
+		return nil, net.ErrClosed
+	}
+}
+
+func (g *gatedListener) Close() error {
+	g.once.Do(func() { close(g.closed) })
+	return g.Listener.Close()
+}
+
+// TestBatchedReplayOverTCP proves the outbox's claim end to end: with update
+// batching enabled, connections killed mid-stream must stay invisible — the
+// sequence/ack layer replays unacked batch frames, the receiver's dedup drops
+// the duplicates, and delivery stays exactly-once and FIFO.
+//
+// The kills are placed, not raced. At fixed rounds the writer waits for the
+// channel to drain, shuts the receiver's accept gate and drops the
+// connection. The redialed connection is established by the kernel but never
+// handed to the receiver, so the rounds written next reach the wire (Pending
+// falls to zero) with no possibility of an ack. A second drop strands exactly
+// those frames: they must be replayed on the third connection, and when the
+// gate opens the receiver serves the stranded connection's buffered frames
+// and the replay side by side — the two-readers-one-sender case the receive
+// lock exists for.
 //
 // Exactly-once is checked semantically: every round bumps a counter with Add
 // (commutative increments do not coalesce, so each one rides the wire); a
@@ -29,7 +94,13 @@ func TestBatchedReplayOverTCP(t *testing.T) {
 		writesPerRnd = 8
 		outboxWidth  = 8
 	)
-	trs, err := tcp.NewLoopback(2, nil)
+	var gate *gatedListener
+	trs, err := tcp.NewLoopback(2, func(c *tcp.Config) {
+		if c.ID == 1 {
+			gate = newGatedListener(c.Listener)
+			c.Listener = gate
+		}
+	})
 	if err != nil {
 		t.Fatalf("NewLoopback: %v", err)
 	}
@@ -54,43 +125,53 @@ func TestBatchedReplayOverTCP(t *testing.T) {
 	})
 	writer, reader := peers[0].Proc(), peers[1].Proc()
 
-	// Chaos: alternate killing the live connection in each direction while
-	// the stream is in flight.
-	stop := make(chan struct{})
-	var chaos sync.WaitGroup
-	chaos.Add(1)
-	go func() {
-		defer chaos.Done()
-		for i := 0; ; i++ {
-			select {
-			case <-stop:
-				return
-			case <-time.After(time.Millisecond):
-			}
-			trs[i%2].DropConn((i + 1) % 2)
+	writeRound := func(r int) {
+		for i := 0; i < writesPerRnd; i++ {
+			writer.Write("d"+strconv.Itoa(i), int64(r*100+i))
+			writer.Add("sum", 1)
 		}
-	}()
-
+		writer.Write("round", int64(r))
+	}
+	onTheWire := func() {
+		writer.FlushUpdates()
+		for trs[0].Pending(0, 1) > 0 {
+			runtime.Gosched()
+		}
+	}
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
 		for r := 1; r <= rounds; r++ {
-			for i := 0; i < writesPerRnd; i++ {
-				writer.Write("d"+strconv.Itoa(i), int64(r*100+i))
-				writer.Add("sum", 1)
+			writeRound(r)
+			if r%15 != 0 {
+				continue
 			}
-			writer.Write("round", int64(r))
-			// Pace the stream so drops land between flushes as well as
-			// mid-batch.
-			time.Sleep(500 * time.Microsecond)
+			// Drained means the current connection is installed and idle, so
+			// the drop below closes it and a redial must follow.
+			writer.FlushUpdates()
+			if !trs[0].Flush(10 * time.Second) {
+				t.Errorf("round %d: channel did not drain", r)
+				return
+			}
+			gate.shut()
+			dials := trs[0].Diag().Dials
+			trs[0].DropConn(1)
+			for trs[0].Diag().Dials == dials {
+				runtime.Gosched()
+			}
+			for k := 0; k < 3; k++ {
+				r++
+				writeRound(r)
+			}
+			onTheWire() // on a connection nobody has accepted
+			trs[0].DropConn(1)
+			gate.open()
 		}
 		writer.FlushUpdates()
 	}()
 
 	reader.Await("round", rounds)
 	<-done
-	close(stop)
-	chaos.Wait()
 
 	if got := reader.ReadCausal("sum"); got != rounds*writesPerRnd {
 		t.Fatalf("sum = %d, want %d — batched adds lost or double-applied across reconnects",
@@ -101,16 +182,12 @@ func TestBatchedReplayOverTCP(t *testing.T) {
 			t.Fatalf("d%d = %d, want %d — final round not fully applied", i, got, rounds*100+i)
 		}
 	}
-	// The stream really used batch frames, and the chaos really forced
-	// replay.
+	// The stream really used batch frames, and every placed kill stranded
+	// frames that had to be replayed.
 	if n := trs[0].Stats().PerKind[dsm.KindUpdateBatch]; n == 0 {
 		t.Fatal("writer sent no update-batch frames; outbox was not exercised")
 	}
-	var replayed uint64
-	for _, tr := range trs {
-		replayed += tr.Diag().Replayed
-	}
-	if replayed == 0 {
-		t.Fatal("no frames replayed; chaos did not interrupt the stream")
+	if d := trs[0].Diag(); d.Replayed < 3 {
+		t.Fatalf("diag %+v: the three placed kills stranded frames, yet fewer than three were replayed", d)
 	}
 }

@@ -1,0 +1,433 @@
+package tcp
+
+import (
+	"bufio"
+	"bytes"
+	"encoding/binary"
+	"fmt"
+	"net"
+	"runtime"
+	"testing"
+	"time"
+
+	"mixedmem/internal/transport"
+)
+
+// blobCodec is a test payload codec for byte strings of any length, to size
+// frames against chunk boundaries.
+type blobCodec struct{}
+
+func (blobCodec) Encode(dst []byte, payload any) ([]byte, error) {
+	b, ok := payload.([]byte)
+	if !ok {
+		return nil, fmt.Errorf("tcp test codec: want []byte, got %T", payload)
+	}
+	return append(dst, b...), nil
+}
+
+func (blobCodec) Decode(data []byte) (any, error) { return append([]byte(nil), data...), nil }
+
+func init() { transport.RegisterPayload("tcpblob", blobCodec{}) }
+
+// blob is a "tcpblob" message whose frame is exactly frameLen bytes long.
+func blob(frameLen int, fill byte) (transport.Message, []byte) {
+	payload := bytes.Repeat([]byte{fill}, frameLen-msgFrameSize("tcpblob", nil))
+	return transport.Message{From: 0, To: 1, Kind: "tcpblob", Size: len(payload)}, payload
+}
+
+// logSeqs walks every chunk's length prefixes and returns the sequence
+// numbers found, checking each chunk's first/n against its bytes.
+func logSeqs(t *testing.T, p *peer) []uint64 {
+	t.Helper()
+	var seqs []uint64
+	for i, c := range p.log {
+		n := 0
+		for off := 0; off < len(c.b); n++ {
+			seq := binary.BigEndian.Uint64(c.b[off+5:])
+			if seq != c.first+uint64(n) {
+				t.Fatalf("chunk %d frame %d carries seq %d, chunk says first=%d", i, n, seq, c.first)
+			}
+			seqs = append(seqs, seq)
+			off += 4 + int(binary.BigEndian.Uint32(c.b[off:]))
+		}
+		if n != c.n {
+			t.Fatalf("chunk %d holds %d frames, says %d", i, n, c.n)
+		}
+	}
+	return seqs
+}
+
+// firstUnwritten is the sequence number at the writer's position.
+func firstUnwritten(p *peer) uint64 {
+	return binary.BigEndian.Uint64(p.log[p.wi].b[p.woff+5:])
+}
+
+func TestLogChunkBoundaries(t *testing.T) {
+	p := newTestPeer()
+	small, smallPayload := blob(100, 'a')
+	p.push(small, smallPayload)
+	// A frame that exactly fills the chunk stays in it...
+	m, payload := blob(chunkSize-100, 'b')
+	p.push(m, payload)
+	if len(p.log) != 1 || len(p.log[0].b) != chunkSize || cap(p.log[0].b) != chunkSize {
+		t.Fatalf("exact fill: %d chunks, first %d/%d bytes", len(p.log), len(p.log[0].b), cap(p.log[0].b))
+	}
+	// ...the next frame starts a new one...
+	p.push(small, smallPayload)
+	// ...and a frame larger than a chunk gets one of exactly its own size,
+	// without disturbing what was there.
+	m, payload = blob(chunkSize+1, 'c')
+	p.push(m, payload)
+	p.push(small, smallPayload)
+	if len(p.log) != 4 {
+		t.Fatalf("log has %d chunks, want 4 (full, small, oversized, small)", len(p.log))
+	}
+	if got := cap(p.log[2].b); got != chunkSize+1 || p.log[2].n != 1 {
+		t.Fatalf("oversized frame's chunk: cap %d, %d frames", got, p.log[2].n)
+	}
+	if got := logSeqs(t, p); len(got) != 5 || got[4] != 5 {
+		t.Fatalf("log carries %v, want 1..5", got)
+	}
+
+	// The writer takes it all as one slice per chunk.
+	p.wbatch = p.takeUnwritten(p.wbatch[:0])
+	if len(p.wbatch) != 4 || p.sent != 5 {
+		t.Fatalf("took %d slices up to %d, want 4 up to 5", len(p.wbatch), p.sent)
+	}
+
+	// Acking into the middle of the first chunk drops nothing; acking its
+	// last frame drops it; a reconnect then starts at the exact boundary.
+	p.advanceAck(1)
+	if len(p.log) != 4 {
+		t.Fatalf("ack 1 left %d chunks, want 4", len(p.log))
+	}
+	p.advanceAck(2)
+	if len(p.log) != 3 || p.log[0].first != 3 {
+		t.Fatalf("ack 2 left %d chunks starting at %d, want 3 starting at 3", len(p.log), p.log[0].first)
+	}
+	p.seek()
+	if p.sent != 2 || firstUnwritten(p) != 3 {
+		t.Fatalf("rewind: sent=%d, position at seq %d; want 2 and 3", p.sent, firstUnwritten(p))
+	}
+	p.advanceAck(5)
+	if len(p.log) != 1 || p.base != 5 || p.sent != 5 {
+		t.Fatalf("ack 5: %d chunks, base %d, sent %d", len(p.log), p.base, p.sent)
+	}
+}
+
+// TestAckPastWriterSkipsAhead: an ack may cover frames the current connection
+// has not carried — after a reconnect the writer is rewound to the first frame
+// the sender saw no ack for, while the receiver may hold more than that and
+// says so in its next ack. The writer normally takes the whole log before any
+// ack can come back, so this is the sender not trusting the wire: whatever an
+// ack covers is never written again, and the position lands on a frame
+// boundary mid-chunk.
+func TestAckPastWriterSkipsAhead(t *testing.T) {
+	p := newTestPeer()
+	m, payload := blob(100, 'x')
+	for i := 0; i < 10; i++ {
+		p.push(m, payload)
+	}
+	p.wbatch = p.takeUnwritten(p.wbatch[:0])
+	p.advanceAck(3)
+	p.seek() // reconnect
+	if p.sent != 3 || firstUnwritten(p) != 4 {
+		t.Fatalf("rewind: sent=%d, position at seq %d", p.sent, firstUnwritten(p))
+	}
+	p.advanceAck(7)
+	if p.sent != 7 || firstUnwritten(p) != 8 {
+		t.Fatalf("ack past the writer: sent=%d, position at seq %d; want 7 and 8", p.sent, firstUnwritten(p))
+	}
+	p.wbatch = p.takeUnwritten(p.wbatch[:0])
+	if len(p.wbatch) != 1 || len(p.wbatch[0]) != 300 {
+		t.Fatalf("replay after the ack: %d slices, %d bytes; want frames 8..10 only", len(p.wbatch), len(p.wbatch[0]))
+	}
+	// An ack for more than was ever sent is clamped, a stale one ignored.
+	p.advanceAck(99)
+	if p.base != 10 || p.sent != 10 {
+		t.Fatalf("oversized ack: base=%d sent=%d, want 10 10", p.base, p.sent)
+	}
+	p.advanceAck(4)
+	if p.base != 10 {
+		t.Fatalf("stale ack moved base back to %d", p.base)
+	}
+}
+
+// TestTailRestartsOnlyWhenWriterIdle: once everything is acked push reuses
+// the tail chunk from its start — unless the writer goroutine is inside a
+// write, whose bytes must not change under the kernel.
+func TestTailRestartsOnlyWhenWriterIdle(t *testing.T) {
+	p := newTestPeer()
+	m, payload := blob(100, 'x')
+	p.push(m, payload)
+	p.wbatch = p.takeUnwritten(p.wbatch[:0])
+	inFlight := p.wbatch[0]
+	want := append([]byte(nil), inFlight...)
+
+	p.writing = true // the writer is in the socket write; the ack beats its return
+	p.advanceAck(1)
+	m2, payload2 := blob(100, 'y')
+	p.push(m2, payload2)
+	if !bytes.Equal(inFlight, want) {
+		t.Fatal("push overwrote bytes the writer was handing to the kernel")
+	}
+	if c := p.log[0]; len(p.log) != 1 || c.first != 1 || c.n != 2 {
+		t.Fatalf("tail after push during a write: first=%d n=%d in %d chunks; want the frame appended behind", c.first, c.n, len(p.log))
+	}
+	p.wbatch = p.takeUnwritten(p.wbatch[:0])
+	if len(p.wbatch) != 1 || p.wbatch[0][len(p.wbatch[0])-1] != 'y' || len(p.wbatch[0]) != 100 {
+		t.Fatalf("writer's next take is not exactly the second frame")
+	}
+
+	p.writing = false
+	p.advanceAck(2)
+	p.push(m, payload)
+	if c := p.log[0]; c.first != 3 || c.n != 1 || len(c.b) != 100 {
+		t.Fatalf("tail with the writer idle: first=%d n=%d len=%d; want restarted at seq 3", c.first, c.n, len(c.b))
+	}
+	if p.wi != 0 || p.woff != 0 || firstUnwritten(p) != 3 {
+		t.Fatalf("writer position after restart: chunk %d byte %d", p.wi, p.woff)
+	}
+
+	// A full tail that cannot be restarted gets a successor; the old tail,
+	// fully acked, is walked over by a rewind and dropped by the next ack.
+	p.wbatch = p.takeUnwritten(p.wbatch[:0])
+	p.advanceAck(3)
+	p.writing = true
+	big, bigPayload := blob(chunkSize-50, 'z')
+	p.push(big, bigPayload)
+	if len(p.log) != 2 {
+		t.Fatalf("%d chunks, want the acked tail and its successor", len(p.log))
+	}
+	p.writing = false
+	p.seek()
+	if p.sent != 3 {
+		t.Fatalf("rewind over an acked chunk: sent=%d", p.sent)
+	}
+	if got := p.takeUnwritten(nil); len(got) != 1 || len(got[0]) != chunkSize-50 {
+		t.Fatalf("rewind over an acked chunk took %d slices", len(got))
+	}
+	p.advanceAck(4)
+	if len(p.log) != 1 || p.log[0].first != 4 {
+		t.Fatalf("after the ack: %d chunks, first=%d", len(p.log), p.log[0].first)
+	}
+}
+
+// rawReceiver is a hand-driven receiving end: a listener standing in for
+// node 1, so tests decide which frames get acked and when.
+type rawReceiver struct {
+	t  *testing.T
+	ln net.Listener
+}
+
+// newRawReceiverT starts node 0 of a two-node deployment whose node 1 is the
+// returned raw listener.
+func newRawReceiverT(t *testing.T) (*Transport, *rawReceiver) {
+	t.Helper()
+	ln0, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln1, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := New(Config{
+		ID: 0, Peers: []string{ln0.Addr().String(), ln1.Addr().String()}, Listener: ln0,
+		BackoffBase: time.Millisecond, BackoffMax: 10 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		tr.Close()
+		ln1.Close()
+	})
+	return tr, &rawReceiver{t: t, ln: ln1}
+}
+
+type rawConn struct {
+	t    *testing.T
+	conn net.Conn
+	br   *bufio.Reader
+	body []byte
+}
+
+// accept takes the sender's next connection and checks its hello.
+func (r *rawReceiver) accept() *rawConn {
+	r.t.Helper()
+	conn, err := r.ln.Accept()
+	if err != nil {
+		r.t.Fatalf("accept: %v", err)
+	}
+	r.t.Cleanup(func() { conn.Close() })
+	conn.SetDeadline(time.Now().Add(30 * time.Second))
+	c := &rawConn{t: r.t, conn: conn, br: bufio.NewReader(conn)}
+	body, err := readFrame(c.br, nil)
+	if err != nil || len(body) != 9 || body[0] != frameHello {
+		r.t.Fatalf("hello: % x, %v", body, err)
+	}
+	return c
+}
+
+// next reads one msg frame.
+func (c *rawConn) next() (transport.Message, uint64) {
+	c.t.Helper()
+	var err error
+	c.body, err = readFrame(c.br, c.body)
+	if err != nil {
+		c.t.Fatalf("reading frame: %v", err)
+	}
+	m, seq, err := decodeMsgFrame(c.body)
+	if err != nil {
+		c.t.Fatalf("decoding frame: %v", err)
+	}
+	return m, seq
+}
+
+func (c *rawConn) ack(cum uint64) {
+	c.t.Helper()
+	if _, err := c.conn.Write(appendAckFrame(nil, cum)); err != nil {
+		c.t.Fatalf("writing ack: %v", err)
+	}
+}
+
+// awaitPeer polls the peer's state, under its lock, until cond holds.
+func awaitPeer(t *testing.T, p *peer, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); ; runtime.Gosched() {
+		p.mu.Lock()
+		ok := cond()
+		p.mu.Unlock()
+		if ok {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("peer never reached the awaited state")
+		}
+	}
+}
+
+// TestReplayStartsAtFirstUnackedFrame drives a real sender against a raw
+// receiver: frames of awkward sizes (one filling its chunk exactly, one larger
+// than a chunk), an ack that lands in the middle of a chunk, then a dropped
+// connection. The replay on the new connection must begin with exactly the
+// first unacked frame, byte-exact, and Diag.Replayed counts frames.
+func TestReplayStartsAtFirstUnackedFrame(t *testing.T) {
+	tr, recv := newRawReceiverT(t)
+	p := tr.peers[1]
+	sizes := []int{100, 200, chunkSize - 300, 150, chunkSize + 1, 120, 130}
+	for i, size := range sizes {
+		m, payload := blob(size, byte('a'+i))
+		m.Payload = payload
+		if err := tr.Send(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check := func(c *rawConn, from int) {
+		t.Helper()
+		for i := from; i < len(sizes); i++ {
+			m, seq := c.next()
+			got := m.Payload.([]byte)
+			if seq != uint64(i+1) || len(got) != sizes[i]-msgFrameSize("tcpblob", nil) || got[0] != byte('a'+i) || got[len(got)-1] != byte('a'+i) {
+				t.Fatalf("frame %d on the wire: seq %d, %d payload bytes of %q", i+1, seq, len(got), got[0])
+			}
+		}
+	}
+
+	c1 := recv.accept()
+	check(c1, 0)
+	if got := tr.Pending(0, 1); got != 0 {
+		t.Fatalf("Pending = %d with everything on the wire", got)
+	}
+	if tr.Flush(20 * time.Millisecond) {
+		t.Fatal("Flush reported drained with nothing acked")
+	}
+	c1.ack(2) // mid-chunk: frames 1..3 share the first chunk
+	awaitPeer(t, p, func() bool { return p.base == 2 })
+
+	tr.DropConn(1)
+	c2 := recv.accept()
+	check(c2, 2)
+	if d := tr.Diag(); d.Replayed != uint64(len(sizes)-2) || d.Dials != 2 {
+		t.Fatalf("diag %+v, want %d frames replayed over 2 dials", d, len(sizes)-2)
+	}
+	if tr.Flush(20 * time.Millisecond) {
+		t.Fatal("Flush reported drained with the replay unacked")
+	}
+	c2.ack(uint64(len(sizes)))
+	if !tr.Flush(10 * time.Second) {
+		t.Fatal("Flush timed out after the final ack")
+	}
+
+	// Fully acked with the writer idle: the next send reuses the tail.
+	awaitPeer(t, p, func() bool { return !p.writing })
+	tail := p.log[len(p.log)-1]
+	m, payload := blob(100, 'q')
+	m.Payload = payload
+	if err := tr.Send(m); err != nil {
+		t.Fatal(err)
+	}
+	if _, seq := c2.next(); seq != uint64(len(sizes)+1) {
+		t.Fatalf("send after drain carried seq %d", seq)
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if len(p.log) != 1 || p.log[0] != tail || tail.first != uint64(len(sizes)+1) {
+		t.Fatalf("after drain: %d chunks, tail reused=%v first=%d", len(p.log), p.log[0] == tail, tail.first)
+	}
+}
+
+// TestPendingCountsFramesNotYetOnAConnection: with the peer unreachable
+// every send is pending; once a connection carries them none is, though
+// Flush still waits for the ack.
+func TestPendingCountsFramesNotYetOnAConnection(t *testing.T) {
+	// Reserve node 1's address, then close it so dials are refused.
+	tmp, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := tmp.Addr().String()
+	tmp.Close()
+	ln0, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := New(Config{
+		ID: 0, Peers: []string{ln0.Addr().String(), addr}, Listener: ln0,
+		BackoffBase: time.Millisecond, BackoffMax: 5 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	for i := 0; i < 7; i++ {
+		if err := tr.Send(transport.Message{From: 0, To: 1, Kind: "tcptest", Payload: uint64(i), Size: 8}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := tr.Pending(0, 1); got != 7 {
+		t.Fatalf("Pending = %d with no connection, want 7", got)
+	}
+	if tr.Flush(10 * time.Millisecond) {
+		t.Fatal("Flush reported drained with the peer down")
+	}
+	ln1, err := net.Listen("tcp", addr)
+	if err != nil {
+		t.Skipf("could not rebind %s: %v", addr, err)
+	}
+	defer ln1.Close()
+	c := (&rawReceiver{t: t, ln: ln1}).accept()
+	for want := uint64(1); want <= 7; want++ {
+		if _, seq := c.next(); seq != want {
+			t.Fatalf("seq %d, want %d", seq, want)
+		}
+	}
+	if got := tr.Pending(0, 1); got != 0 {
+		t.Fatalf("Pending = %d after the frames crossed, want 0", got)
+	}
+	c.ack(7)
+	if !tr.Flush(10 * time.Second) {
+		t.Fatal("Flush timed out after the ack")
+	}
+}

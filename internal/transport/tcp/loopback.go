@@ -10,7 +10,10 @@ import (
 // kernel-assigned ports: it binds all n listeners first, collects their
 // addresses, and only then starts the transports, so there is no port-guess
 // race. Benches, tests, and the E8 real-network rerun use it; production
-// deployments use New with explicit peer addresses.
+// deployments use New with explicit peer addresses. configure, when non-nil,
+// sees each node's Config with its wiring filled in; it may adjust the
+// tunables and wrap the Listener (to count or hold back connections), but the
+// node's ID and the peer list are the helper's.
 //
 // On error every listener and transport already created is closed. On
 // success the caller owns the transports and must Close each.
@@ -34,16 +37,17 @@ func NewLoopback(n int, configure func(*Config)) ([]*Transport, error) {
 	transports := make([]*Transport, n)
 	for i := range transports {
 		cfg := Config{
+			ID: i, Peers: peers, Listener: listeners[i],
 			BackoffBase: 5 * time.Millisecond,
 			BackoffMax:  250 * time.Millisecond,
 		}
 		if configure != nil {
 			configure(&cfg)
+			cfg.ID, cfg.Peers = i, peers
+			if cfg.Listener == nil {
+				cfg.Listener = listeners[i]
+			}
 		}
-		// The wiring fields are owned by the helper.
-		cfg.ID = i
-		cfg.Peers = peers
-		cfg.Listener = listeners[i]
 		tr, err := New(cfg)
 		if err != nil {
 			for _, t := range transports[:i] {

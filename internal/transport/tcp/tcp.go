@@ -14,12 +14,31 @@
 // top of TCP: every message on a channel carries a per-channel sequence
 // number, the sender keeps each message buffered until the receiver's
 // cumulative ack covers it, and after a reconnect the sender replays the
-// unacked suffix. The receiver delivers in sequence order and drops
-// duplicates, so the channel stays FIFO and exactly-once no matter how many
-// times the underlying socket is torn down and re-established. A connection
-// supervisor per peer redials with exponential backoff and jitter; sends
-// never block (they append to the unbounded per-peer buffer, as the
-// non-blocking writes of Section 3 require).
+// unacked suffix. The receiver delivers exactly the next sequence number,
+// drops duplicates, and hangs up on a gap (counted in Diag.Gaps) so that the
+// sender replays rather than a message going missing; the channel stays FIFO
+// and exactly-once no matter how many times the underlying socket is torn
+// down and re-established. A connection supervisor per peer redials with
+// exponential backoff and jitter; sends never block (they append to the
+// unbounded per-peer replay log, as the non-blocking writes of Section 3
+// require).
+//
+// Both directions pay per burst, not per message. The receiver sends its
+// cumulative ack immediately before any read of the socket that may block,
+// and at no other time: frames that arrived together and are served from the
+// connection's 4 KiB read buffer share one ack, while a frame that arrived
+// alone is acked before the receiver waits for the next, so coalescing never
+// delays an ack behind an idle socket. The sender's replay log is a list of
+// fixed-capacity chunks (64 KiB, or one frame's size if larger) into which
+// Send encodes frames back to back; the writer goroutine hands the unwritten
+// byte range — normally one slice — to the kernel in one write, and an ack
+// drops the log's references to the chunks it fully covers. Chunks are not
+// pooled: a chunk the writer is still handing to the kernel stays alive
+// through the writer's own reference and the garbage collector reclaims it
+// afterwards, so an ack racing an in-flight write needs no protocol at all.
+// The one chunk that is reused is the tail: when everything is acked and the
+// writer is idle, the next Send restarts it in place, so a quiet channel
+// (request, ack, request, ack) allocates nothing.
 //
 // Wire format (all integers big-endian, encoding/binary): every frame is a
 // uint32 body length followed by the body; the body's first byte is the
@@ -91,9 +110,9 @@ type Config struct {
 	// decode errors). Silent by default.
 	Logf func(format string, args ...any)
 	// Tracer, when non-nil, records transport resilience events —
-	// reconnects with their replay counts, in-flight frames parked by a
-	// racing ack — into the node's trace ring (internal/obs). Nil, the
-	// default, compiles each site down to a nil check.
+	// reconnects with their replay counts — into the node's trace ring
+	// (internal/obs). Nil, the default, compiles the site down to a nil
+	// check.
 	Tracer *obs.Tracer
 }
 
@@ -129,6 +148,11 @@ type Diag struct {
 	Duplicates uint64
 	// DecodeErrors counts inbound frames dropped as undecodable.
 	DecodeErrors uint64
+	// Gaps counts inbound connections closed because a frame skipped a
+	// sequence number. The sender then replays from the cumulative ack, so a
+	// gap costs a reconnect, never a message; any non-zero count is a sender
+	// bug.
+	Gaps uint64
 }
 
 // Transport is a TCP-backed transport.Transport serving one local node.
@@ -156,6 +180,7 @@ type Transport struct {
 	replayed     atomic.Uint64
 	duplicates   atomic.Uint64
 	decodeErrors atomic.Uint64
+	gaps         atomic.Uint64
 
 	connMu sync.Mutex
 	conns  map[net.Conn]struct{}
@@ -166,50 +191,6 @@ type Transport struct {
 }
 
 var _ transport.Transport = (*Transport)(nil)
-
-// peer is the outbound channel state for one remote node.
-type peer struct {
-	to   int
-	addr string
-
-	mu   sync.Mutex
-	cond *sync.Cond
-	// buf holds encoded msg frames not yet acked; buf[i] carries sequence
-	// base+i+1. next indexes the first frame not yet written to the
-	// current connection; a reconnect resets it to 0, replaying the
-	// unacked suffix. Frames are pooled buffers (transport.GetBuf); they
-	// return to the pool when acked, via the in-flight protocol below.
-	buf    [][]byte
-	base   uint64
-	next   int
-	conn   net.Conn
-	closed bool
-	// tracer is the transport's Config.Tracer (nil = off), cached here so
-	// ack handling can record frame-park events without a back-pointer.
-	tracer *obs.Tracer
-	// inflightHi is the absolute sequence of the last frame the writer
-	// goroutine is currently handing to the kernel (0 when idle). An ack can
-	// cover an in-flight frame — after a reconnect the receiver re-acks
-	// replayed duplicates while the writer is still streaming them — so
-	// advanceAck parks such frames on held instead of returning them to the
-	// pool; the writer drains held once the write call is over.
-	inflightHi uint64
-	held       [][]byte
-	// wbatch is the writer goroutine's reusable frame-slice scratch. runPeer
-	// guarantees a single writer, so only that goroutine touches it.
-	wbatch [][]byte
-}
-
-// releaseHeld returns parked frames to the buffer pool and clears the
-// in-flight window. Caller holds p.mu.
-func (p *peer) releaseHeld() {
-	for i, f := range p.held {
-		transport.PutBuf(f)
-		p.held[i] = nil
-	}
-	p.held = p.held[:0]
-	p.inflightHi = 0
-}
 
 // ErrInvalidNode is returned for out-of-range node IDs.
 var ErrInvalidNode = errors.New("tcp: invalid node id")
@@ -253,7 +234,7 @@ func New(cfg Config) (*Transport, error) {
 		if j == cfg.ID {
 			continue
 		}
-		p := &peer{to: j, addr: cfg.Peers[j], tracer: cfg.Tracer}
+		p := &peer{to: j, addr: cfg.Peers[j]}
 		p.cond = sync.NewCond(&p.mu)
 		t.peers[j] = p
 		t.wg.Add(1)
@@ -271,7 +252,7 @@ func (t *Transport) Addr() net.Addr { return t.ln.Addr() }
 func (t *Transport) Nodes() int { return t.n }
 
 // Send enqueues m for FIFO delivery to m.To. It never blocks: remote sends
-// append to the peer's unbounded replay buffer, local sends go straight to
+// append to the peer's unbounded replay log, local sends go straight to
 // the inbox. The error is non-nil only for invalid node IDs or payloads the
 // codec registry cannot encode.
 func (t *Transport) Send(m transport.Message) error {
@@ -293,7 +274,7 @@ func (t *Transport) Send(m transport.Message) error {
 	}
 	t.account(m)
 	t.peers[m.To].push(m, payload)
-	transport.PutBuf(payload) // push copied it into the frame
+	transport.PutBuf(payload) // push copied it into the replay log
 	// The payload object's pooled internals (for example a batch's entry
 	// slice) are fully captured in the encoding; hand them back.
 	transport.RecyclePayload(m.Kind, m.Payload)
@@ -343,7 +324,7 @@ func (t *Transport) Pending(from, to int) int {
 	p := t.peers[to]
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return len(p.buf) - p.next
+	return int(p.last - p.sent)
 }
 
 // kindCounter accumulates per-kind message and byte totals, mirroring the
@@ -398,6 +379,7 @@ func (t *Transport) Diag() Diag {
 		Replayed:     t.replayed.Load(),
 		Duplicates:   t.duplicates.Load(),
 		DecodeErrors: t.decodeErrors.Load(),
+		Gaps:         t.gaps.Load(),
 	}
 }
 
@@ -414,14 +396,14 @@ func (t *Transport) Flush(timeout time.Duration) bool {
 			continue
 		}
 		p.mu.Lock()
-		for len(p.buf) > 0 && !p.closed && time.Now().Before(deadline) {
+		for p.base < p.last && !p.closed && time.Now().Before(deadline) {
 			// Poll: acks broadcast the cond, but a dead peer never will,
 			// so bound each wait.
 			w := time.AfterFunc(10*time.Millisecond, p.cond.Broadcast)
 			p.cond.Wait()
 			w.Stop()
 		}
-		if len(p.buf) > 0 {
+		if p.base < p.last {
 			drained = false
 		}
 		p.mu.Unlock()
@@ -475,61 +457,6 @@ func (t *Transport) Close() {
 	})
 }
 
-// push encodes m into a pooled frame buffer, assigns the channel's next
-// sequence number, and appends it to the replay buffer. The frame is encoded
-// outside p.mu — only the append needs the lock — and returns to the pool
-// when its ack arrives.
-func (p *peer) push(m transport.Message, payload []byte) {
-	frame := appendMsgFrame(transport.GetBuf(), 0, m, payload)
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		transport.PutBuf(frame)
-		return
-	}
-	seq := p.base + uint64(len(p.buf)) + 1
-	patchMsgFrameSeq(frame, seq)
-	p.buf = append(p.buf, frame)
-	p.cond.Signal()
-	p.mu.Unlock()
-}
-
-// advanceAck trims the replay buffer through the cumulative ack, returning
-// acked frames to the buffer pool — except frames the writer goroutine is
-// concurrently handing to the kernel, which are parked on held until the
-// write call is over.
-func (p *peer) advanceAck(cum uint64) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if cum <= p.base {
-		return
-	}
-	defer p.cond.Broadcast() // wake Flush waiters
-	drop := int(cum - p.base)
-	if drop > len(p.buf) {
-		drop = len(p.buf)
-	}
-	for i := 0; i < drop; i++ {
-		f := p.buf[i]
-		p.buf[i] = nil
-		if seq := p.base + uint64(i) + 1; p.inflightHi != 0 && seq <= p.inflightHi {
-			p.held = append(p.held, f)
-			if p.tracer != nil {
-				p.tracer.Record(obs.EvFramePark, 0, uint16(p.to), obs.NoLoc,
-					seq, uint64(len(p.held)), 0)
-			}
-		} else {
-			transport.PutBuf(f)
-		}
-	}
-	p.buf = p.buf[drop:]
-	p.base += uint64(drop)
-	p.next -= drop
-	if p.next < 0 {
-		p.next = 0
-	}
-}
-
 // runPeer is the connection supervisor for one outbound channel: dial with
 // exponential backoff and jitter, replay the unacked suffix, stream frames,
 // and start over whenever the connection dies.
@@ -577,16 +504,15 @@ func (t *Transport) runPeer(p *peer) {
 			return
 		}
 		p.conn = conn
-		if p.next > 0 {
-			t.replayed.Add(uint64(p.next))
-		}
+		// Frames the dead connection carried but the receiver never acked go
+		// out again on the fresh one.
+		replay := p.sent - p.base
+		p.seek()
+		t.replayed.Add(replay)
 		if t.cfg.Tracer != nil {
-			// A counts the frames that will be re-sent as duplicates (same
-			// semantics as the Replayed diag counter).
 			t.cfg.Tracer.Record(obs.EvReconnect, 0, uint16(p.to), obs.NoLoc,
-				t.dials.Load(), uint64(p.next), 0)
+				t.dials.Load(), replay, 0)
 		}
-		p.next = 0 // replay everything unacked on the fresh connection
 		p.cond.Broadcast()
 		p.mu.Unlock()
 
@@ -608,44 +534,39 @@ func (t *Transport) runPeer(p *peer) {
 }
 
 func (t *Transport) writeHello(conn net.Conn) error {
-	frame := transport.GetBuf()
-	frame = transport.AppendUint32(frame, 9)
-	frame = append(frame, frameHello)
-	frame = transport.AppendUint32(frame, helloMagic)
-	frame = transport.AppendUint32(frame, uint32(t.id))
+	frame := appendHelloFrame(transport.GetBuf(), t.id)
 	conn.SetWriteDeadline(time.Now().Add(t.cfg.WriteTimeout))
 	_, err := conn.Write(frame)
 	transport.PutBuf(frame)
 	return err
 }
 
-// writeFrames streams the replay buffer to the connection until it fails,
-// is replaced, or the transport closes. Each round snapshots the unwritten
-// suffix into the writer's reusable scratch and hands it to the kernel as
-// one vectored write (net.Buffers → writev), so a flushed outbox batch goes
-// out in a single syscall with no intermediate copy.
+// writeFrames streams the replay log to the connection until it fails, is
+// replaced, or the transport closes. Each round takes the whole unwritten
+// byte range of the log — one slice of the tail chunk, or a few when a
+// backlog spans chunks — and hands it to the kernel as one (vectored) write,
+// so a burst of sends costs one syscall and no copy.
 func (t *Transport) writeFrames(p *peer, conn net.Conn) error {
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	for {
-		p.mu.Lock()
-		p.releaseHeld() // frames acked while the previous write was in flight
-		for p.next >= len(p.buf) && p.conn == conn && !p.closed {
+		for p.sent == p.last && p.conn == conn && !p.closed {
 			p.cond.Wait()
 		}
 		if p.closed || p.conn != conn {
-			p.mu.Unlock()
 			return errConnGone
 		}
-		p.wbatch = append(p.wbatch[:0], p.buf[p.next:]...)
-		p.inflightHi = p.base + uint64(len(p.buf))
-		p.next = len(p.buf)
+		p.wbatch = p.takeUnwritten(p.wbatch[:0])
+		p.writing = true
 		p.mu.Unlock()
 
 		conn.SetWriteDeadline(time.Now().Add(t.cfg.WriteTimeout))
 		bufs := net.Buffers(p.wbatch)
-		if _, err := bufs.WriteTo(conn); err != nil {
-			p.mu.Lock()
-			p.releaseHeld()
-			p.mu.Unlock()
+		_, err := bufs.WriteTo(conn)
+
+		p.mu.Lock()
+		p.writing = false
+		if err != nil {
 			return err
 		}
 	}
@@ -700,9 +621,33 @@ func (t *Transport) acceptLoop() {
 	}
 }
 
+// ackReader is the io.Reader serveConn's bufio.Reader fills itself from. It
+// sends the connection's pending cumulative ack immediately before every read
+// of the socket, the only point where the receiver may block: frames that
+// arrived together and were served from bufio's buffer share one ack, and a
+// frame that arrived alone is acked before the receiver waits for the next.
+type ackReader struct {
+	conn    net.Conn
+	timeout time.Duration
+	cum     uint64   // cumulative sequence to acknowledge
+	pending bool     // cum has not been sent on this connection yet
+	frame   [13]byte // the ack frame's bytes, so sending one allocates nothing
+}
+
+func (r *ackReader) Read(b []byte) (int, error) {
+	if r.pending {
+		r.conn.SetWriteDeadline(time.Now().Add(r.timeout))
+		if _, err := r.conn.Write(appendAckFrame(r.frame[:0], r.cum)); err != nil {
+			return 0, err
+		}
+		r.pending = false
+	}
+	return r.conn.Read(b)
+}
+
 // serveConn receives one peer's channel: validate the hello, then deliver
 // msg frames in sequence order, dropping duplicates from replays and acking
-// cumulatively on the same socket.
+// cumulatively on the same socket (see ackReader for when).
 func (t *Transport) serveConn(conn net.Conn) {
 	defer t.wg.Done()
 	defer func() {
@@ -711,7 +656,10 @@ func (t *Transport) serveConn(conn net.Conn) {
 		delete(t.conns, conn)
 		t.connMu.Unlock()
 	}()
-	br := bufio.NewReader(conn)
+	acks := &ackReader{conn: conn, timeout: t.cfg.WriteTimeout}
+	// The default 4 KiB buffer bounds how many frames one ack can cover, and
+	// with it how long the sender holds them.
+	br := bufio.NewReader(acks)
 	// body is the connection's reusable frame buffer: readFrame fills it in
 	// place (growing as needed) and every decode copies what it keeps, so one
 	// buffer serves every frame of the connection.
@@ -726,8 +674,6 @@ func (t *Transport) serveConn(conn net.Conn) {
 	if from < 0 || from >= t.n || from == t.id {
 		return
 	}
-	ack := transport.GetBuf()
-	defer func() { transport.PutBuf(ack) }()
 	for {
 		body, err = readFrame(br, body)
 		if err != nil {
@@ -742,27 +688,52 @@ func (t *Transport) serveConn(conn net.Conn) {
 			t.cfg.Logf("tcp: node %d from %d: %v", t.id, from, err)
 			continue
 		}
+		// The sequence test and the inbox push are one critical section: a
+		// replaced connection's reader can still be draining its buffer while
+		// the new connection's reader runs, and whichever claims a sequence
+		// number must deliver it before the other claims the next. Lock order
+		// rmu -> inbox.mu; nothing takes them the other way.
 		t.rmu.Lock()
-		dup := seq <= t.lastSeq[from]
-		if !dup {
+		next := t.lastSeq[from] + 1
+		if seq == next {
 			t.lastSeq[from] = seq
-		}
-		cum := t.lastSeq[from]
-		t.rmu.Unlock()
-		if dup {
-			t.duplicates.Add(1)
-		} else {
 			t.inbox.push(m)
 		}
-		ack = ack[:0]
-		ack = transport.AppendUint32(ack, 9)
-		ack = append(ack, frameAck)
-		ack = transport.AppendUint64(ack, cum)
-		conn.SetWriteDeadline(time.Now().Add(t.cfg.WriteTimeout))
-		if _, err := conn.Write(ack); err != nil {
+		acks.cum = t.lastSeq[from]
+		t.rmu.Unlock()
+		switch {
+		case seq < next:
+			t.duplicates.Add(1)
+		case seq > next:
+			// Delivering it would lose next..seq-1 silently. Hang up instead:
+			// the sender redials and replays from the cumulative ack.
+			t.gaps.Add(1)
+			t.cfg.Logf("tcp: node %d from %d: sequence gap, got %d want %d; closing the connection",
+				t.id, from, seq, next)
 			return
 		}
+		acks.pending = true
 	}
+}
+
+// appendHelloFrame encodes the dialer's first frame.
+func appendHelloFrame(dst []byte, sender int) []byte {
+	dst = transport.AppendUint32(dst, 9)
+	dst = append(dst, frameHello)
+	dst = transport.AppendUint32(dst, helloMagic)
+	return transport.AppendUint32(dst, uint32(sender))
+}
+
+// appendAckFrame encodes a cumulative ack.
+func appendAckFrame(dst []byte, cum uint64) []byte {
+	dst = transport.AppendUint32(dst, 9)
+	dst = append(dst, frameAck)
+	return transport.AppendUint64(dst, cum)
+}
+
+// msgFrameSize is the exact length of the frame appendMsgFrame produces.
+func msgFrameSize(kind string, payload []byte) int {
+	return 4 + 1 + 8 + 4 + 4 + 4 + len(kind) + 4 + 4 + len(payload)
 }
 
 // appendMsgFrame encodes one message as a framed msg record.
@@ -781,24 +752,17 @@ func appendMsgFrame(dst []byte, seq uint64, m transport.Message, payload []byte)
 	return dst
 }
 
-// patchMsgFrameSeq overwrites the sequence number of a frame produced by
-// appendMsgFrame with an empty dst: the sequence sits right after the 4-byte
-// length prefix and 1-byte frame type. push encodes outside the peer lock
-// with a placeholder sequence and patches the real one once it holds the
-// lock and knows the frame's position.
-func patchMsgFrameSeq(frame []byte, seq uint64) {
-	binary.BigEndian.PutUint64(frame[5:], seq)
-}
-
-// decodeMsgFrame parses a msg frame body back into a Message.
+// decodeMsgFrame parses a msg frame body back into a Message. The kind is
+// resolved through the codec registry, so a registered kind costs no string
+// allocation; only kinds without a codec (nil-payload signals) are copied.
 func decodeMsgFrame(body []byte) (transport.Message, uint64, error) {
 	d := transport.NewDecoder(body[1:])
 	seq := d.Uint64()
 	m := transport.Message{
 		From: int(d.Uint32()),
 		To:   int(d.Uint32()),
-		Kind: d.String(),
 	}
+	kind := d.Bytes()
 	m.Size = int(d.Uint32())
 	plen := int(d.Uint32())
 	if err := d.Err(); err != nil {
@@ -807,14 +771,9 @@ func decodeMsgFrame(body []byte) (transport.Message, uint64, error) {
 	if plen != d.Remaining() {
 		return m, seq, fmt.Errorf("tcp: payload length %d with %d bytes remaining", plen, d.Remaining())
 	}
-	if plen > 0 {
-		payload, err := transport.DecodePayload(m.Kind, body[len(body)-plen:])
-		if err != nil {
-			return m, seq, err
-		}
-		m.Payload = payload
-	}
-	return m, seq, nil
+	var err error
+	m.Kind, m.Payload, err = transport.DecodeKindPayload(kind, body[len(body)-plen:])
+	return m, seq, err
 }
 
 // readFrame reads one length-prefixed frame body into buf, growing it only
