@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"strconv"
+	"sync"
 
 	"mixedmem/internal/core"
 )
@@ -23,6 +24,47 @@ type SparseSPD struct {
 	// Count[k] is the number of columns j < k that update column k
 	// (Fill[k][j] != 0) — the dependency counts of Figure 5.
 	Count []int
+
+	// names is the table of the factorization's shared-variable names (see
+	// varNames).
+	namesOnce sync.Once
+	names     spdNames
+}
+
+// spdNames holds the names of the shared variables of one matrix's
+// factorization, so the inner loops index a table instead of formatting a
+// name per access.
+type spdNames struct {
+	// l is the lower triangle, row by row: entry i*(i+1)/2+j is lVar(i, j)
+	// where L[i][j] is structurally nonzero and empty elsewhere.
+	l []string
+	// count[k] is countVar(k) and lock[k] is colLock(k).
+	count, lock []string
+}
+
+// entry returns lVar(i, j) for a structural nonzero, i >= j.
+func (t *spdNames) entry(i, j int) string { return t.l[i*(i+1)/2+j] }
+
+// varNames returns the matrix's name table, built on first use and shared by
+// the processes of a run. It is kept per matrix rather than memoised for the
+// package: a run's names die with its matrix.
+func (m *SparseSPD) varNames() *spdNames {
+	m.namesOnce.Do(func() {
+		t := &m.names
+		t.l = make([]string, m.N*(m.N+1)/2)
+		t.count = make([]string, m.N)
+		t.lock = make([]string, m.N)
+		for i := 0; i < m.N; i++ {
+			for j := 0; j <= i; j++ {
+				if m.Fill[i][j] {
+					t.l[i*(i+1)/2+j] = lVar(i, j)
+				}
+			}
+			t.count[i] = countVar(i)
+			t.lock[i] = colLock(i)
+		}
+	})
+	return &m.names
 }
 
 // GenSparseSPD generates an n-by-n sparse SPD matrix by drawing a sparse
@@ -144,6 +186,8 @@ func (m *SparseSPD) FactorError(a, b [][]float64) float64 {
 	return worst
 }
 
+// The naming scheme of the factorization's shared variables. The programs
+// below index SparseSPD.varNames, which is built from these.
 func lVar(i, j int) string      { return "L" + strconv.Itoa(i) + "_" + strconv.Itoa(j) }
 func countVar(k int) string     { return "count" + strconv.Itoa(k) }
 func colLock(k int) string      { return "l" + strconv.Itoa(k) }
@@ -168,11 +212,12 @@ type CholeskyResult struct {
 func CholeskyLocks(p core.Process, m *SparseSPD, _ SolveOptions) CholeskyResult {
 	initColumns(p, m)
 	n := m.N
+	nm := m.varNames()
 	for j := 0; j < n; j++ {
 		if colOwner(j, p.N()) != p.ID() {
 			continue
 		}
-		p.Await(countVar(j), 0)
+		p.Await(nm.count[j], 0)
 		// Finalize column j: sqrt the diagonal, scale the subdiagonal.
 		col := readColumnCausal(p, m, j)
 		col[j] = math.Sqrt(col[j])
@@ -183,7 +228,7 @@ func CholeskyLocks(p core.Process, m *SparseSPD, _ SolveOptions) CholeskyResult 
 		}
 		for i := j; i < n; i++ {
 			if m.Fill[i][j] {
-				core.WriteFloat(p, lVar(i, j), col[i])
+				core.WriteFloat(p, nm.entry(i, j), col[i])
 			}
 		}
 		// Update dependent columns inside critical sections (Figure 5,
@@ -192,17 +237,17 @@ func CholeskyLocks(p core.Process, m *SparseSPD, _ SolveOptions) CholeskyResult 
 			if !m.Fill[k][j] {
 				continue
 			}
-			p.WLock(colLock(k))
+			p.WLock(nm.lock[k])
 			for i := k; i < n; i++ {
 				if !m.Fill[i][j] {
 					continue
 				}
-				cur := core.ReadCausalFloat(p, lVar(i, k))
-				core.WriteFloat(p, lVar(i, k), cur-col[i]*col[k])
+				cur := core.ReadCausalFloat(p, nm.entry(i, k))
+				core.WriteFloat(p, nm.entry(i, k), cur-col[i]*col[k])
 			}
-			cnt := p.ReadCausal(countVar(k))
-			p.Write(countVar(k), cnt-1)
-			p.WUnlock(colLock(k))
+			cnt := p.ReadCausal(nm.count[k])
+			p.Write(nm.count[k], cnt-1)
+			p.WUnlock(nm.lock[k])
 		}
 	}
 	return gatherFactor(p, m)
@@ -220,11 +265,12 @@ func CholeskyLocks(p core.Process, m *SparseSPD, _ SolveOptions) CholeskyResult 
 func CholeskyCounters(p core.Process, m *SparseSPD, _ SolveOptions) CholeskyResult {
 	initColumns(p, m)
 	n := m.N
+	nm := m.varNames()
 	for j := 0; j < n; j++ {
 		if colOwner(j, p.N()) != p.ID() {
 			continue
 		}
-		p.Await(countVar(j), 0)
+		p.Await(nm.count[j], 0)
 		col := readColumnCausal(p, m, j)
 		col[j] = math.Sqrt(col[j])
 		for i := j + 1; i < n; i++ {
@@ -234,7 +280,7 @@ func CholeskyCounters(p core.Process, m *SparseSPD, _ SolveOptions) CholeskyResu
 		}
 		for i := j; i < n; i++ {
 			if m.Fill[i][j] {
-				core.WriteFloat(p, lVar(i, j), col[i])
+				core.WriteFloat(p, nm.entry(i, j), col[i])
 			}
 		}
 		for k := j + 1; k < n; k++ {
@@ -243,10 +289,10 @@ func CholeskyCounters(p core.Process, m *SparseSPD, _ SolveOptions) CholeskyResu
 			}
 			for i := k; i < n; i++ {
 				if m.Fill[i][j] {
-					p.AddFloat(lVar(i, k), -col[i]*col[k])
+					p.AddFloat(nm.entry(i, k), -col[i]*col[k])
 				}
 			}
-			p.Add(countVar(k), -1)
+			p.Add(nm.count[k], -1)
 		}
 	}
 	return gatherFactor(p, m)
@@ -256,6 +302,7 @@ func CholeskyCounters(p core.Process, m *SparseSPD, _ SolveOptions) CholeskyResu
 // the columns this process owns, then crosses a barrier so every process
 // starts factorization with the inputs causally in place.
 func initColumns(p core.Process, m *SparseSPD) {
+	nm := m.varNames()
 	for j := 0; j < m.N; j++ {
 		if colOwner(j, p.N()) != p.ID() {
 			continue
@@ -266,20 +313,21 @@ func initColumns(p core.Process, m *SparseSPD) {
 				if j < len(m.A[i]) && j <= i {
 					v = m.A[i][j]
 				}
-				core.WriteFloat(p, lVar(i, j), v)
+				core.WriteFloat(p, nm.entry(i, j), v)
 			}
 		}
-		p.Write(countVar(j), int64(m.Count[j]))
+		p.Write(nm.count[j], int64(m.Count[j]))
 	}
 	p.Barrier()
 }
 
 // readColumnCausal reads the current (fully updated) entries of column j.
 func readColumnCausal(p core.Process, m *SparseSPD, j int) []float64 {
+	nm := m.varNames()
 	col := make([]float64, m.N)
 	for i := j; i < m.N; i++ {
 		if m.Fill[i][j] {
-			col[i] = core.ReadCausalFloat(p, lVar(i, j))
+			col[i] = core.ReadCausalFloat(p, nm.entry(i, j))
 		}
 	}
 	return col
@@ -289,12 +337,13 @@ func readColumnCausal(p core.Process, m *SparseSPD, j int) []float64 {
 // back from shared memory.
 func gatherFactor(p core.Process, m *SparseSPD) CholeskyResult {
 	p.Barrier()
+	nm := m.varNames()
 	l := make([][]float64, m.N)
 	for i := 0; i < m.N; i++ {
 		l[i] = make([]float64, i+1)
 		for j := 0; j <= i; j++ {
 			if m.Fill[i][j] {
-				l[i][j] = core.ReadCausalFloat(p, lVar(i, j))
+				l[i][j] = core.ReadCausalFloat(p, nm.entry(i, j))
 			}
 		}
 	}

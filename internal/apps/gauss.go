@@ -35,23 +35,24 @@ func SolveAsyncPRAM(p core.Process, ls *LinearSystem, rounds int) SolveResult {
 	hi := lo + size
 
 	x := make([]float64, ls.N)
+	xs := ls.xNames()
 	for r := 0; r < rounds; r++ {
 		// Read the whole estimate with PRAM reads — no synchronization at
 		// all, so values may be arbitrarily stale or mutually inconsistent.
 		for j := 0; j < ls.N; j++ {
-			x[j] = core.ReadPRAMFloat(p, xVar(j))
+			x[j] = core.ReadPRAMFloat(p, xs[j])
 		}
 		for i := lo; i < hi; i++ {
 			// Gauss–Seidel flavor: use own freshly computed values within
 			// the sweep.
 			x[i] = ls.jacobiRow(i, x)
-			core.WriteFloat(p, xVar(i), x[i])
+			core.WriteFloat(p, xs[i], x[i])
 		}
 		time.Sleep(computeTimePerSweep)
 	}
 	p.Barrier()
 	for j := 0; j < ls.N; j++ {
-		x[j] = core.ReadPRAMFloat(p, xVar(j))
+		x[j] = core.ReadPRAMFloat(p, xs[j])
 	}
 	return SolveResult{X: x, Iters: rounds, Converged: true}
 }
@@ -94,19 +95,20 @@ func SolveAsyncSlow(p core.Process, ls *LinearSystem, rounds int) SolveResult {
 	hi := lo + size
 
 	x := make([]float64, ls.N)
+	xs := ls.xNames()
 	for r := 0; r < rounds; r++ {
 		for j := 0; j < ls.N; j++ {
-			x[j] = core.ReadSlowFloat(p, xVar(j))
+			x[j] = core.ReadSlowFloat(p, xs[j])
 		}
 		for i := lo; i < hi; i++ {
 			x[i] = ls.jacobiRow(i, x)
-			core.WriteFloat(p, xVar(i), x[i])
+			core.WriteFloat(p, xs[i], x[i])
 		}
 		time.Sleep(computeTimePerSweep)
 	}
 	p.Barrier()
 	for j := 0; j < ls.N; j++ {
-		x[j] = core.ReadSlowFloat(p, xVar(j))
+		x[j] = core.ReadSlowFloat(p, xs[j])
 	}
 	return SolveResult{X: x, Iters: rounds, Converged: true}
 }

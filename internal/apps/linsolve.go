@@ -64,10 +64,11 @@ func SolveBarrier(p core.Process, ls *LinearSystem, opts SolveOptions) SolveResu
 	}
 	temp := make([]float64, ls.N)
 	x := make([]float64, ls.N)
+	xs := ls.xNames()
 
 	readX := func() {
 		for j := 0; j < ls.N; j++ {
-			x[j] = core.ReadPRAMFloat(p, xVar(j))
+			x[j] = core.ReadPRAMFloat(p, xs[j])
 		}
 	}
 
@@ -93,7 +94,7 @@ func SolveBarrier(p core.Process, ls *LinearSystem, opts SolveOptions) SolveResu
 		d := p.ReadPRAM("done")
 		if d == 0 && !coordinator {
 			for i := lo; i < hi; i++ {
-				core.WriteFloat(p, xVar(i), temp[i])
+				core.WriteFloat(p, xs[i], temp[i])
 			}
 		}
 		p.Barrier()
@@ -146,9 +147,10 @@ func SolveHandshake(p core.Process, ls *LinearSystem, opts SolveOptions) SolveRe
 	}
 
 	x := make([]float64, ls.N)
+	xs := ls.xNames()
 	readX := func() {
 		for j := 0; j < ls.N; j++ {
-			x[j] = readFloat(xVar(j))
+			x[j] = readFloat(xs[j])
 		}
 	}
 
@@ -203,7 +205,7 @@ func SolveHandshake(p core.Process, ls *LinearSystem, opts SolveOptions) SolveRe
 			p.Write(computedVar(me), phase)
 			await(computedVar(me), -phase)
 			for i := lo; i < hi; i++ {
-				core.WriteFloat(p, xVar(i), temp[i])
+				core.WriteFloat(p, xs[i], temp[i])
 			}
 			p.Write(updatedVar(me), phase)
 			await(updatedVar(me), -phase)

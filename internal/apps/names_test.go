@@ -1,0 +1,131 @@
+package apps
+
+import (
+	"runtime"
+	"testing"
+
+	"mixedmem/internal/core"
+)
+
+// TestNameTablesMatchNamingScheme: xVar, lVar, countVar and colLock define
+// the shared-variable names; the tables the programs index are built from
+// them and must agree entry for entry — names off the structural nonzeros
+// stay empty, so a program that strays from the fill pattern cannot hit a
+// real variable by accident.
+func TestNameTablesMatchNamingScheme(t *testing.T) {
+	ls := GenDiagDominant(37, 1)
+	xs := ls.xNames()
+	if len(xs) != ls.N {
+		t.Fatalf("%d estimate names for %d unknowns", len(xs), ls.N)
+	}
+	for i, name := range xs {
+		if name != xVar(i) {
+			t.Fatalf("xNames[%d] = %q, want %q", i, name, xVar(i))
+		}
+	}
+	if &ls.xNames()[0] != &xs[0] {
+		t.Fatal("xNames rebuilt its table on the second call")
+	}
+
+	for name, m := range map[string]*SparseSPD{
+		"random": GenSparseSPD(23, 0.2, 5),
+		"grid":   GenGridSPD(4),
+	} {
+		nm := m.varNames()
+		filled := 0
+		for i := 0; i < m.N; i++ {
+			for j := 0; j <= i; j++ {
+				want := ""
+				if m.Fill[i][j] {
+					want = lVar(i, j)
+					filled++
+				}
+				if got := nm.entry(i, j); got != want {
+					t.Fatalf("%s: entry(%d, %d) = %q, want %q", name, i, j, got, want)
+				}
+			}
+			if nm.count[i] != countVar(i) || nm.lock[i] != colLock(i) {
+				t.Fatalf("%s: column %d named %q / %q, want %q / %q",
+					name, i, nm.count[i], nm.lock[i], countVar(i), colLock(i))
+			}
+		}
+		if filled == 0 || filled == m.N*(m.N+1)/2 {
+			t.Fatalf("%s: %d structural nonzeros; the matrix does not exercise both cases", name, filled)
+		}
+		if m.varNames() != nm {
+			t.Fatalf("%s: varNames rebuilt its table on the second call", name)
+		}
+	}
+}
+
+// mallocsDuring counts the process-wide heap allocations made while every
+// process of a fresh system runs body.
+func mallocsDuring(t *testing.T, cfg core.Config, body func(p *core.Proc)) uint64 {
+	t.Helper()
+	sys, err := core.NewSystem(cfg)
+	if err != nil {
+		t.Fatalf("NewSystem: %v", err)
+	}
+	defer sys.Close()
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	sys.Run(body)
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
+}
+
+// TestSolversDoNotAllocatePerAccess bounds, by counting, what the two
+// benchmark programs allocate per unit of work on the simulated fabric. An
+// iteration of the barrier solver makes N reads per process and N writes, a
+// Cholesky column dozens of reads and writes inside critical sections; with
+// names taken from the tables and sent updates from the slabs none of those
+// accesses allocates, and what is left is the synchronization traffic — a
+// constant per barrier or lock round. A name formatted per access, or an
+// update boxed per write, multiplies the count by the access count and lands
+// far outside these bounds.
+func TestSolversDoNotAllocatePerAccess(t *testing.T) {
+	const procs = 3
+
+	const unknowns, iters = 48, 200
+	ls := GenDiagDominant(unknowns, 3)
+	ls.xNames() // the one-time table is not an iteration's cost
+	mallocs := mallocsDuring(t, core.Config{Procs: procs, PRAMOnly: true}, func(p *core.Proc) {
+		// An unreachable tolerance keeps every run at exactly iters iterations.
+		if res := SolveBarrier(p, ls, SolveOptions{Tol: 1e-300, MaxIters: iters}); res.Iters != iters {
+			t.Errorf("proc %d ran %d iterations, want %d", p.ID(), res.Iters, iters)
+		}
+	})
+	// An iteration makes procs*unknowns reads and unknowns writes: 192
+	// accesses. Two barrier rounds cost about 40 allocations.
+	perIter := float64(mallocs) / iters
+	t.Logf("barrier Jacobi: %.1f allocs/iteration (%d accesses each)", perIter, (procs+1)*unknowns)
+	if perIter > 80 {
+		t.Errorf("barrier Jacobi allocates %.1f objects per iteration, want <= 80: something allocates per access", perIter)
+	}
+
+	m := GenGridSPD(6)
+	m.varNames()
+	writes := 0
+	for j := 0; j < m.N; j++ {
+		for k := j + 1; k < m.N; k++ {
+			if !m.Fill[k][j] {
+				continue
+			}
+			for i := k; i < m.N; i++ {
+				if m.Fill[i][j] {
+					writes++
+				}
+			}
+		}
+	}
+	mallocs = mallocsDuring(t, core.Config{Procs: procs}, func(p *core.Proc) {
+		CholeskyLocks(p, m, SolveOptions{})
+	})
+	perCol := float64(mallocs) / float64(m.N)
+	t.Logf("Cholesky with locks: %.1f allocs/column (%.1f critical-section writes each)",
+		perCol, float64(writes)/float64(m.N))
+	if perCol > 150 {
+		t.Errorf("Cholesky with locks allocates %.1f objects per column, want <= 150: something allocates per access", perCol)
+	}
+}

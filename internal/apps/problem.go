@@ -25,6 +25,7 @@ import (
 	"math"
 	"math/rand"
 	"strconv"
+	"sync"
 )
 
 // LinearSystem is a dense system A x = b.
@@ -32,6 +33,24 @@ type LinearSystem struct {
 	N int
 	A [][]float64
 	B []float64
+
+	// xs is the table of the estimate variables' names (see xNames).
+	xsOnce sync.Once
+	xs     []string
+}
+
+// xNames returns the names of the shared estimate variables: element i is
+// xVar(i). The solvers touch every one of them on every sweep, so the names
+// are built once per system — on first use, shared by the processes of a run —
+// and the sweeps index the table instead of formatting a name per access.
+func (ls *LinearSystem) xNames() []string {
+	ls.xsOnce.Do(func() {
+		ls.xs = make([]string, ls.N)
+		for i := range ls.xs {
+			ls.xs[i] = xVar(i)
+		}
+	})
+	return ls.xs
 }
 
 // GenDiagDominant generates a strictly diagonally dominant n-by-n system,
@@ -151,7 +170,9 @@ func (ls *LinearSystem) SolveJacobiSequential(tol float64, maxIters int) ([]floa
 	return x, maxIters
 }
 
-// xVar names the shared variable holding estimate i.
+// xVar names the shared variable holding estimate i. It defines the naming
+// scheme; programs that touch the estimates in a loop index
+// LinearSystem.xNames instead of calling it per access.
 func xVar(i int) string { return "x" + strconv.Itoa(i) }
 
 // MaxAbsDiff returns the infinity-norm distance between two vectors.

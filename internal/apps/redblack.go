@@ -60,16 +60,17 @@ func SolveRedBlack(p core.Process, ls *LinearSystem, opts SolveOptions) SolveRes
 	opts.fill()
 	procs := p.N()
 	ownsRow := func(i int) bool { return i%procs == p.ID() }
+	xs := ls.xNames()
 
 	// neighborUpdate recomputes unknown i from its (opposite-color)
 	// neighbors read out of shared memory.
 	neighborUpdate := func(i int) float64 {
 		sum := ls.B[i]
 		if i > 0 {
-			sum -= ls.A[i][i-1] * core.ReadPRAMFloat(p, xVar(i-1))
+			sum -= ls.A[i][i-1] * core.ReadPRAMFloat(p, xs[i-1])
 		}
 		if i < ls.N-1 {
-			sum -= ls.A[i][i+1] * core.ReadPRAMFloat(p, xVar(i+1))
+			sum -= ls.A[i][i+1] * core.ReadPRAMFloat(p, xs[i+1])
 		}
 		return sum / ls.A[i][i]
 	}
@@ -77,7 +78,7 @@ func SolveRedBlack(p core.Process, ls *LinearSystem, opts SolveOptions) SolveRes
 	x := make([]float64, ls.N)
 	readX := func() {
 		for j := 0; j < ls.N; j++ {
-			x[j] = core.ReadPRAMFloat(p, xVar(j))
+			x[j] = core.ReadPRAMFloat(p, xs[j])
 		}
 	}
 
@@ -88,14 +89,14 @@ func SolveRedBlack(p core.Process, ls *LinearSystem, opts SolveOptions) SolveRes
 		// Red phase: even unknowns from black neighbors.
 		for i := 0; i < ls.N; i += 2 {
 			if ownsRow(i) {
-				core.WriteFloat(p, xVar(i), neighborUpdate(i))
+				core.WriteFloat(p, xs[i], neighborUpdate(i))
 			}
 		}
 		p.Barrier()
 		// Black phase: odd unknowns from fresh red neighbors.
 		for i := 1; i < ls.N; i += 2 {
 			if ownsRow(i) {
-				core.WriteFloat(p, xVar(i), neighborUpdate(i))
+				core.WriteFloat(p, xs[i], neighborUpdate(i))
 			}
 		}
 		p.Barrier()

@@ -41,9 +41,11 @@ type PerfCell struct {
 	// each op pays a table insert at every replica), or "backlog" (one writer
 	// streaming deliverable updates into a replica that holds perfBacklog
 	// delivery groups parked behind a held sender: the cost of an apply when
-	// the causal view has a backlog), or "stream" (tcp only, no replicas: one
-	// transport streams update frames to another and the cell ends when Flush
-	// returns — the channel's own cost per message, acks included).
+	// the causal view has a backlog), or "stream" (no replicas: node 0 of a
+	// two-node transport streams update messages to node 1, which only
+	// receives — the channel's own cost per message; on tcp the cell ends when
+	// Flush returns, acks included, on sim when the receiver has taken the
+	// last one).
 	Scenario string `json:"scenario"`
 	// Label is the consistency configuration: "pram" (PRAMOnly), "causal"
 	// (full broadcast with timestamps), or "scoped" (causal-scoped
@@ -65,7 +67,7 @@ type PerfCell struct {
 	AllocsPerOp float64 `json:"allocs_per_op"`
 	OpsPerSec   float64 `json:"ops_per_sec"`
 	// BytesPerOp is heap bytes allocated per operation and AcksPerOp the ack
-	// frames the receiver wrote per message. Only the stream scenario
+	// frames the receiver wrote per message. Only the tcp stream cell
 	// reports them.
 	BytesPerOp float64 `json:"bytes_per_op,omitempty"`
 	AcksPerOp  float64 `json:"acks_per_op,omitempty"`
@@ -81,7 +83,7 @@ func (c PerfCell) Key() string {
 func (c PerfCell) String() string {
 	s := fmt.Sprintf("%-28s ops=%-7d %9.0f ns/op %7.2f allocs/op %12.0f ops/s",
 		c.Key(), c.Ops, c.NsPerOp, c.AllocsPerOp, c.OpsPerSec)
-	if c.Scenario == "stream" {
+	if c.Scenario == "stream" && c.Transport == "tcp" {
 		s += fmt.Sprintf(" %6.1f B/op %6.3f acks/op", c.BytesPerOp, c.AcksPerOp)
 	}
 	return s
@@ -146,6 +148,7 @@ func perfGrid() []PerfCell {
 		{Scenario: "fresh", Label: "pram", Batch: 0, Writers: 1},
 		{Scenario: "fresh", Label: "causal", Batch: 0, Writers: 1},
 		{Scenario: "backlog", Label: "causal", Batch: 0, Writers: 1},
+		{Scenario: "stream", Label: "update", Batch: 0, Writers: 1},
 	}
 }
 
@@ -222,27 +225,28 @@ func RunPerfTCP(opt PerfOptions) (PerfResult, error) {
 	}
 	out := PerfResult{Transport: "tcp", Procs: o.Procs}
 	for _, cell := range perfGrid() {
-		if cell.Scenario != "write" || cell.Label == "scoped" {
+		cell.Transport = "tcp"
+		var measured PerfCell
+		var err error
+		switch {
+		case cell.Scenario == "stream":
+			measured, err = measureTCPStream(o.Ops*perfStreamFactor, o.Warmup*perfStreamFactor, 0)
+		case cell.Scenario == "write" && cell.Label != "scoped":
+			measured, err = runPerfCellTCP(o, cell)
+		default:
 			continue
 		}
-		cell.Transport = "tcp"
-		measured, err := runPerfCellTCP(o, cell)
 		if err != nil {
 			return out, fmt.Errorf("perf %s: %w", cell.Key(), err)
 		}
 		out.Cells = append(out.Cells, measured)
 	}
-	stream, err := measureTCPStream(o.Ops*perfStreamFactor, o.Warmup*perfStreamFactor, 0)
-	if err != nil {
-		return out, fmt.Errorf("perf %s: %w", stream.Key(), err)
-	}
-	out.Cells = append(out.Cells, stream)
 	return out, nil
 }
 
-// perfStreamFactor scales the stream cell's message count over the write
-// cells' op count: a streamed message costs about a microsecond where an
-// unbatched tcp write costs several, and the cell should run as long.
+// perfStreamFactor scales the stream cells' message count over the write
+// cells' op count: a streamed message costs a microsecond or less where an
+// unbatched write costs several times that, and the cell should run as long.
 const perfStreamFactor = 16
 
 // ackCountingListener counts the writes the accepting side makes on its
@@ -311,7 +315,7 @@ func measureTCPStream(msgs, warmup, window int) (PerfCell, error) {
 	pass := func(n int) error {
 		for i := 0; i < n; i++ {
 			sent++
-			u := dsm.Update{From: 0, Seq: uint64(sent), Loc: locs[sent%perfLocCount], Value: int64(sent)}
+			u := &dsm.Update{From: 0, Seq: uint64(sent), Loc: locs[sent%perfLocCount], Value: int64(sent)}
 			if err := trs[0].Send(transport.Message{From: 0, To: 1, Kind: dsm.KindUpdate, Payload: u, Size: 32}); err != nil {
 				return err
 			}
@@ -352,6 +356,66 @@ func measureTCPStream(msgs, warmup, window int) (PerfCell, error) {
 	return cell, nil
 }
 
+// measureSimStream is the stream cell on the simulated fabric: node 0 sends
+// msgs update messages to node 1, which only receives, and the clock stops
+// when the receiver has taken the last one. The sender does not wait for the
+// receiver in between, so the inbox sees bursts. The fabric passes payloads by
+// reference and nothing here reads them, so the messages share a handful of
+// preallocated updates and the allocations counted are the fabric's own.
+func measureSimStream(msgs, warmup int) (PerfCell, error) {
+	cell := PerfCell{Transport: "sim", Scenario: "stream", Label: "update", Writers: 1}
+	f, err := network.New(network.Config{Nodes: 2})
+	if err != nil {
+		return cell, err
+	}
+	defer f.Close()
+	drained := make(chan struct{})
+	go func() {
+		for n := 1; ; n++ {
+			if _, ok := f.Recv(1); !ok {
+				return
+			}
+			if n == warmup || n == warmup+msgs {
+				drained <- struct{}{}
+			}
+		}
+	}()
+
+	updates := make([]dsm.Update, perfLocCount)
+	for i := range updates {
+		updates[i] = dsm.Update{From: 0, Loc: perfLoc(0, i)}
+	}
+	sent := 0
+	pass := func(n int) error {
+		if n == 0 {
+			return nil
+		}
+		for i := 0; i < n; i++ {
+			sent++
+			m := network.Message{From: 0, To: 1, Kind: dsm.KindUpdate, Payload: &updates[sent%perfLocCount], Size: 32}
+			if err := f.Send(m); err != nil {
+				return err
+			}
+		}
+		<-drained
+		return nil
+	}
+	if err := pass(warmup); err != nil {
+		return cell, err
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	start := time.Now()
+	err = pass(msgs)
+	elapsed := time.Since(start)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		return cell, err
+	}
+	return cell.measured(msgs, elapsed, after.Mallocs-before.Mallocs), nil
+}
+
 // buildPerfNode constructs one replica for a cell.
 func buildPerfNode(id int, o PerfOptions, cell PerfCell, tr transport.Transport) (*dsm.Node, error) {
 	cfg := dsm.Config{ID: id, N: o.Procs, Transport: tr}
@@ -372,6 +436,9 @@ func buildPerfNode(id int, o PerfOptions, cell PerfCell, tr transport.Transport)
 
 // runPerfCellSim measures one cell on a shared zero-latency fabric.
 func runPerfCellSim(o PerfOptions, cell PerfCell) (PerfCell, error) {
+	if cell.Scenario == "stream" {
+		return measureSimStream(o.Ops*perfStreamFactor, o.Warmup*perfStreamFactor)
+	}
 	f, err := network.New(network.Config{Nodes: o.Procs})
 	if err != nil {
 		return cell, err

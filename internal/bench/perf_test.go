@@ -25,8 +25,8 @@ func TestPerfGridFreshAndBacklogCells(t *testing.T) {
 		if !ok || c.Ops != 512 {
 			t.Fatalf("cell %s missing or short: %+v", key, c)
 		}
-		// Four replicas insert per write, plus the message boxing, the causal
-		// timestamp, and amortised doublings: comfortably under ten.
+		// Four replicas insert per write, plus amortised doublings:
+		// comfortably under ten.
 		if c.AllocsPerOp > 10 {
 			t.Errorf("%s: %.1f allocs/op; a fresh location must cost an entry per replica, not a table copy",
 				key, c.AllocsPerOp)
@@ -73,5 +73,34 @@ func TestTCPStreamCellAckShape(t *testing.T) {
 	}
 	if pingPong.AcksPerOp != 1 {
 		t.Errorf("ping-pong: %.3f acks/op, want exactly 1", pingPong.AcksPerOp)
+	}
+}
+
+// TestSimUnbatchedWriteAndStreamAllocShape pins the shape the sim/stream cell
+// and the unbatched write cells exist to show: a message on the simulated
+// fabric, and the write that sends it, allocate nothing per operation. Sent
+// updates and their timestamps come from slabs of 64 and the fabric's buffers
+// are reused, so what is left is a few hundredths of an allocation per op; a
+// payload boxed per message or a clock cloned per write reads 1.0 or more.
+func TestSimUnbatchedWriteAndStreamAllocShape(t *testing.T) {
+	o := PerfOptions{Ops: 4096, Warmup: 512}.withDefaults()
+	for _, label := range []string{"pram", "causal"} {
+		cell, err := runPerfCellSim(o, PerfCell{Transport: "sim", Scenario: "write", Label: label, Writers: 1})
+		if err != nil {
+			t.Fatalf("write/%s: %v", label, err)
+		}
+		if cell.Ops != o.Ops || cell.AllocsPerOp >= 0.1 {
+			t.Errorf("%s: ops=%d, %.3f allocs/op, want %d ops under 0.1 allocs/op", cell.Key(), cell.Ops, cell.AllocsPerOp, o.Ops)
+		}
+	}
+	stream, err := measureSimStream(o.Ops*perfStreamFactor, o.Warmup*perfStreamFactor)
+	if err != nil {
+		t.Fatalf("stream: %v", err)
+	}
+	if stream.Key() != "sim/stream/update/b0/w1/r0" || stream.Ops != o.Ops*perfStreamFactor {
+		t.Fatalf("stream cell: %+v", stream)
+	}
+	if stream.NsPerOp <= 0 || stream.AllocsPerOp >= 0.1 {
+		t.Errorf("streaming: %.0f ns/msg, %.3f allocs/msg, want under 0.1 allocs/msg", stream.NsPerOp, stream.AllocsPerOp)
 	}
 }

@@ -412,7 +412,7 @@ func TestScopedCausalMalformedDepsDoesNotStall(t *testing.T) {
 		}
 	}()
 
-	bad := Update{From: 0, Seq: 1, Op: OpSet, Loc: "a", Value: 7,
+	bad := &Update{From: 0, Seq: 1, Op: OpSet, Loc: "a", Value: 7,
 		Deps: vclock.NewMatrix(5)} // wrong dimension for a 2-node system
 	if err := f.Send(network.Message{
 		From: 0, To: 1, Kind: KindUpdate, Payload: bad, Size: bad.encodedSize(),
@@ -471,7 +471,8 @@ func TestEncodedSizeMatchesCodec(t *testing.T) {
 		{From: 1, Seq: 3, Op: OpSet, Loc: "x[2]", Value: -9, TS: ts},
 		{From: 1, Seq: 3, Op: OpAdd, Loc: "", Value: 1, PrevSeq: 2, Deps: deps},
 	}
-	for i, u := range updates {
+	for i := range updates {
+		u := &updates[i]
 		enc, err := transport.EncodePayload(nil, KindUpdate, u)
 		if err != nil {
 			t.Fatalf("update %d: encode: %v", i, err)
@@ -629,9 +630,10 @@ func TestBatchCodecMalformed(t *testing.T) {
 
 // TestScopedWriteAllocs pins the allocation cost of the scoped-write fast
 // path: destination lists are compiled once at construction, so a write must
-// not allocate per-write routing state. The bound leaves room for the
-// unavoidable per-op allocations (payload boxing, fabric queue node,
-// write-log growth) that a per-write map or slice would push well past.
+// not allocate per-write routing state. The three destinations share one
+// update from the node's slab, so the floor is zero; the bound leaves room
+// for amortized growth (fabric buffers, receivers running ahead of the
+// measurement) that a per-write map or slice would push well past.
 func TestScopedWriteAllocs(t *testing.T) {
 	f, err := network.New(network.Config{Nodes: 4})
 	if err != nil {
@@ -656,12 +658,10 @@ func TestScopedWriteAllocs(t *testing.T) {
 		v++
 		nodes[0].Write("hot", v)
 	})
-	// Three sends, each boxing the payload into a Message and pushing a
-	// queue element, plus amortized write-log growth. A per-write routing
-	// allocation would push past this — keep the bound tight enough to
-	// catch its return.
-	if allocs > 8 {
-		t.Fatalf("scoped write allocates %.1f objects/op, want <= 8", allocs)
+	// A per-write routing allocation would push past this — keep the bound
+	// tight enough to catch its return.
+	if allocs > 2 {
+		t.Fatalf("scoped write allocates %.1f objects/op, want <= 2", allocs)
 	}
 }
 

@@ -96,7 +96,7 @@ func init() {
 }
 
 func (updateCodec) Encode(dst []byte, payload any) ([]byte, error) {
-	u, ok := payload.(Update)
+	u, ok := payload.(*Update)
 	if !ok {
 		return dst, fmt.Errorf("dsm: update codec: payload is %T", payload)
 	}
@@ -113,7 +113,7 @@ func (updateCodec) Encode(dst []byte, payload any) ([]byte, error) {
 
 func (updateCodec) Decode(data []byte) (any, error) {
 	d := transport.NewDecoder(data)
-	u := Update{
+	u := &Update{
 		From:  int(d.Uint32()),
 		Seq:   d.Uint64(),
 		Op:    UpdateOp(d.Byte()),

@@ -9,7 +9,7 @@ import (
 
 func roundTripUpdate(t *testing.T, u Update) Update {
 	t.Helper()
-	enc, err := transport.EncodePayload(nil, KindUpdate, u)
+	enc, err := transport.EncodePayload(nil, KindUpdate, &u)
 	if err != nil {
 		t.Fatalf("encode: %v", err)
 	}
@@ -17,11 +17,11 @@ func roundTripUpdate(t *testing.T, u Update) Update {
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
-	got, ok := dec.(Update)
+	got, ok := dec.(*Update)
 	if !ok {
-		t.Fatalf("decoded %T, want Update", dec)
+		t.Fatalf("decoded %T, want *Update", dec)
 	}
-	return got
+	return *got
 }
 
 func TestUpdateCodecRoundTrip(t *testing.T) {
@@ -98,6 +98,10 @@ func TestUpdateCodecRejectsWrongType(t *testing.T) {
 	if _, err := transport.EncodePayload(nil, KindUpdate, "not an update"); err == nil {
 		t.Fatal("encoding a non-Update payload succeeded")
 	}
+	// One payload type for the kind: the value form is not it.
+	if _, err := transport.EncodePayload(nil, KindUpdate, Update{Loc: "x"}); err == nil {
+		t.Fatal("encoding an Update value (not *Update) succeeded")
+	}
 	if _, err := transport.DecodePayload(KindUpdate, []byte{1, 2}); err == nil {
 		t.Fatal("decoding a truncated update succeeded")
 	}
@@ -112,7 +116,7 @@ func TestUpdateCodecWireSizeIgnoresIdlePeers(t *testing.T) {
 		deps.Set(0, 1, 4)
 		deps.Set(1, 2, 9)
 		u := Update{From: 1, Seq: 9, Op: OpSet, Loc: "s", Value: 3, PrevSeq: 5, Deps: deps}
-		enc, err := transport.EncodePayload(nil, KindUpdate, u)
+		enc, err := transport.EncodePayload(nil, KindUpdate, &u)
 		if err != nil {
 			t.Fatalf("encode (n=%d): %v", n, err)
 		}
@@ -138,7 +142,7 @@ func TestDecodeDepsRejectsMalformedIndices(t *testing.T) {
 	base := Update{From: 0, Seq: 1, Op: OpSet, Loc: "s", Value: 1, PrevSeq: 0,
 		Deps: vclock.NewMatrix(3)}
 	base.Deps.Set(0, 2, 1)
-	enc, err := transport.EncodePayload(nil, KindUpdate, base)
+	enc, err := transport.EncodePayload(nil, KindUpdate, &base)
 	if err != nil {
 		t.Fatal(err)
 	}

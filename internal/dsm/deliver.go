@@ -95,6 +95,7 @@ type entry struct {
 	seq   uint64
 	value int64
 	loc   string
+	hash  uint32 // loctab.Hash(loc)
 	c     *cell
 	sh    *shard
 }
@@ -103,7 +104,7 @@ type entry struct {
 // this is the first the node hears of it.
 func (n *Node) resolve(e *entry, u *Update) {
 	h := loctab.Hash(u.Loc)
-	e.op, e.label, e.seq, e.value, e.loc = u.Op, u.Label, u.Seq, u.Value, u.Loc
+	e.op, e.label, e.seq, e.value, e.loc, e.hash = u.Op, u.Label, u.Seq, u.Value, u.Loc, h
 	e.sh = n.shard(h)
 	e.c = e.sh.cellFor(h, u.Loc)
 }
@@ -152,13 +153,14 @@ type deliveryGroup struct {
 }
 
 // applyRemote receives a single update as a delivery group of one. The
-// location is hashed and its cell resolved before the clock lock is taken.
-func (n *Node) applyRemote(u Update) {
-	if n.obs != nil {
-		n.obs.RecordLoc(obs.EvRecv, uint8(u.Label), uint16(u.From), u.Loc, u.Seq, 0, 0)
-	}
+// location is hashed and its cell resolved before the clock lock is taken. u
+// is shared with the sender's other destinations and is only read.
+func (n *Node) applyRemote(u *Update) {
 	g := deliveryGroup{from: u.From, firstSeq: u.Seq, lastSeq: u.Seq, count: 1}
-	n.resolve(&g.one, &u)
+	n.resolve(&g.one, u)
+	if n.obs != nil {
+		n.obs.RecordLocHash(obs.EvRecv, uint8(u.Label), uint16(u.From), g.one.hash, u.Loc, u.Seq, 0, 0)
+	}
 	n.classify(&g, u.Label, u.TS, u.PrevSeq, u.Deps)
 	n.receive(&g)
 }
@@ -252,7 +254,7 @@ func (n *Node) applyEntryLocked(g *deliveryGroup, e *entry, pram, causal bool) {
 	}
 	e.sh.wake()
 	if pram && n.obs != nil {
-		n.obs.RecordLoc(obs.EvApply, uint8(e.label), uint16(g.from), e.loc, e.seq, 0, 0)
+		n.obs.RecordLocHash(obs.EvApply, uint8(e.label), uint16(g.from), e.hash, e.loc, e.seq, 0, 0)
 	}
 }
 

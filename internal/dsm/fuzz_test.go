@@ -86,8 +86,8 @@ func FuzzUpdateCodecRoundTrip(f *testing.F) {
 		// one with a vector timestamp.
 		Update{From: 2, Seq: 9, Op: OpSet, Loc: "slowcell", Value: 3, Label: history.LabelSlow},
 		Update{From: 0, Seq: 2, Op: OpSet, Loc: "c", Value: 8, Label: history.LabelCausal, TS: vclock.VC{2, 0, 0}})
-	for _, u := range seeds {
-		enc, err := transport.EncodePayload(nil, KindUpdate, u)
+	for i := range seeds {
+		enc, err := transport.EncodePayload(nil, KindUpdate, &seeds[i])
 		if err != nil {
 			f.Fatalf("seed encode: %v", err)
 		}
@@ -100,9 +100,9 @@ func FuzzUpdateCodecRoundTrip(f *testing.F) {
 		if err != nil || dec == nil {
 			return
 		}
-		u, ok := dec.(Update)
+		u, ok := dec.(*Update)
 		if !ok {
-			t.Fatalf("decoded %T, want Update", dec)
+			t.Fatalf("decoded %T, want *Update", dec)
 		}
 		enc, err := transport.EncodePayload(nil, KindUpdate, u)
 		if err != nil {

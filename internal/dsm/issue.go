@@ -37,7 +37,12 @@ const (
 	OpAddFloat
 )
 
-// Update is the payload broadcast for every write or counter operation.
+// Update is the payload broadcast for every write or counter operation. A
+// KindUpdate message carries a *Update, on every transport and from every
+// sender. Once handed to a transport the update, its TS and its Deps are
+// immutable: the simulated fabric delivers the same pointer to every
+// destination, and a receiver may keep referring to the metadata of a parked
+// group for as long as it stays parked.
 type Update struct {
 	// From is the writing process.
 	From int
@@ -84,7 +89,7 @@ type Update struct {
 // the u32 depsN prefix the codec always writes (even when zero), and — for
 // scoped-causal updates — the chain pointer and the sparse matrix (whose
 // size tracks the active peers, not the cluster dimension).
-func (u Update) encodedSize() int {
+func (u *Update) encodedSize() int {
 	s := 4 + 8 + 1 + 1 + (4 + len(u.Loc)) + 8 + (4 + u.TS.EncodedSize()) + 4
 	if u.Deps != nil {
 		s += 8 + u.Deps.ActiveEncodedSize()
@@ -146,7 +151,7 @@ func (n *Node) issue(op UpdateOp, label history.Label, loc string, value int64) 
 		n.writeLog = append(n.writeLog, WriteRecord{Loc: loc, Seq: seq})
 	}
 	if n.obs != nil {
-		n.obs.RecordLoc(obs.EvWriteIssue, uint8(label), 0, loc, seq, uint64(n.n-1), uint64(op))
+		n.obs.RecordLocHash(obs.EvWriteIssue, uint8(label), 0, h, loc, seq, uint64(n.n-1), uint64(op))
 	}
 	// Send while holding the clock lock so per-sender sequence numbers hit
 	// the fabric in order even under concurrent writers; fabric sends never
@@ -183,7 +188,7 @@ func (n *Node) sendLocked(u *Update, causal obligation) {
 	if len(ent.causal) > 0 {
 		switch causal {
 		case obVector:
-			u.TS = n.recvd.Clone()
+			u.TS = n.stampLocked()
 		case obMatrix:
 			// Bump the matrix for every causal destination before the
 			// snapshot: transitive soundness needs each shipped matrix to
@@ -204,6 +209,38 @@ func (n *Node) sendLocked(u *Update, causal obligation) {
 	}
 }
 
+// slabSize is how many sent updates (and obVector timestamps) share one
+// allocation. The collector frees a slab with the last message, parked group
+// or outbox entry that points into it, so a slab outlives its writes by at
+// most what the slowest receiver has not applied yet.
+const slabSize = 64
+
+// stampLocked returns the obVector stamp of the write being issued: a copy of
+// the dependency clock in the next n words of the timestamp slab. The capacity
+// is cut to the length so no append can run into the neighbouring stamp; the
+// words are never written again (see Update).
+func (n *Node) stampLocked() vclock.VC {
+	if len(n.tsSlab) < n.n {
+		n.tsSlab = make([]uint64, slabSize*n.n)
+	}
+	ts := vclock.VC(n.tsSlab[:n.n:n.n])
+	n.tsSlab = n.tsSlab[n.n:]
+	copy(ts, n.recvd)
+	return ts
+}
+
+// sentLocked returns the copy of u that goes to the transport: the next
+// element of the update slab, never written again once filled (see Update).
+func (n *Node) sentLocked(u *Update) *Update {
+	if len(n.updSlab) == 0 {
+		n.updSlab = make([]Update, slabSize)
+	}
+	su := &n.updSlab[0]
+	n.updSlab = n.updSlab[1:]
+	*su = *u
+	return su
+}
+
 // emitLocked hands each destination its copy of a write: into the
 // destination's pending batch when the outbox is on (the caller holds
 // outboxMu), otherwise straight to the transport — as one Broadcast when
@@ -220,17 +257,24 @@ func (n *Node) emitLocked(dests []int, u *Update, ob obligation, snap vclock.Mat
 		}
 		return
 	case ob != obMatrix && len(dests) == n.n-1:
-		_ = n.fabric.Broadcast(n.id, KindUpdate, *u, u.encodedSize())
+		_ = n.fabric.Broadcast(n.id, KindUpdate, n.sentLocked(u), u.encodedSize())
 	default:
+		// The destinations of an obMatrix write differ in their chain
+		// pointer, so each gets its own copy; any other subset shares one.
 		cu := *u
 		cu.Deps = snap
+		size := cu.encodedSize()
+		var su *Update
 		for _, j := range dests {
 			if ob == obMatrix {
 				cu.PrevSeq = n.prevBuf[j]
 			}
+			if su == nil || ob == obMatrix {
+				su = n.sentLocked(&cu)
+			}
 			_ = n.fabric.Send(network.Message{
 				From: n.id, To: j, Kind: KindUpdate,
-				Payload: cu, Size: cu.encodedSize(),
+				Payload: su, Size: size,
 			})
 		}
 	}

@@ -166,7 +166,7 @@ func TestSCAddCommutes(t *testing.T) {
 // wire frames, and that encodedSize stays byte-exact with the codec.
 func TestUpdateCodecCarriesLabel(t *testing.T) {
 	u := Update{From: 1, Seq: 4, Op: OpSet, Label: history.LabelSlow, Loc: "s", Value: 8}
-	enc, err := transport.EncodePayload(nil, KindUpdate, u)
+	enc, err := transport.EncodePayload(nil, KindUpdate, &u)
 	if err != nil {
 		t.Fatalf("encode: %v", err)
 	}
@@ -177,7 +177,7 @@ func TestUpdateCodecCarriesLabel(t *testing.T) {
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
-	if got := dec.(Update); got.Label != history.LabelSlow {
+	if got := dec.(*Update); got.Label != history.LabelSlow {
 		t.Errorf("decoded label = %v, want Slow", got.Label)
 	}
 

@@ -317,6 +317,11 @@ type Node struct {
 	// write can bump the whole matrix before snapshotting it without
 	// allocating. Guarded by clockMu.
 	prevBuf []uint64
+	// updSlab and tsSlab are the unused tails of the slabs sent updates and
+	// their obVector timestamps are carved from (issue.go), slabSize at a
+	// time, so an unbatched write allocates nothing. Guarded by clockMu.
+	updSlab []Update
+	tsSlab  []uint64
 
 	// labels is the per-location lattice configuration (Config.Labels);
 	// immutable after NewNode, nil when every location defaults to Causal.
@@ -476,7 +481,7 @@ func (n *Node) recvLoop() {
 		}
 		switch m.Kind {
 		case KindUpdate:
-			if u, ok := m.Payload.(Update); ok {
+			if u, ok := m.Payload.(*Update); ok {
 				n.applyRemote(u)
 			}
 		case KindUpdateBatch:

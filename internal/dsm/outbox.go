@@ -116,8 +116,8 @@ func (b UpdateBatch) encodedSize() int {
 	if b.Deps != nil {
 		s += 8 + b.Deps.ActiveEncodedSize() // PrevSeq + sparse matrix
 	}
-	for _, u := range b.Updates {
-		s += u.encodedSize() - 8 // From and the depsN prefix live in the header
+	for i := range b.Updates {
+		s += b.Updates[i].encodedSize() - 8 // From and the depsN prefix live in the header
 	}
 	return s
 }
@@ -298,13 +298,16 @@ func (n *Node) outboxAddLocked(j int, u *Update, ob obligation, snap vclock.Matr
 // itself is reused forever. An obMatrix batch ships its enqueue-time
 // snapshot, never the current matrix: that may have absorbed merges since
 // which could close a dependency cycle through this very batch (see
-// outboxAddLocked).
+// outboxAddLocked). The single-update frame allocates its own *Update rather
+// than taking one from the node's slab: the slab is guarded by the clock lock,
+// and a flush — the linger flusher's in particular — holds only outboxMu.
 func (n *Node) flushDestLocked(j int, d *outboxDest) {
 	if d.count == 0 {
 		return
 	}
 	if d.count == 1 && len(d.entries) == 1 {
-		u := d.entries[0]
+		u := new(Update)
+		*u = d.entries[0]
 		u.PrevSeq, u.Deps = d.prevSeq, d.deps
 		_ = n.fabric.Send(network.Message{
 			From: n.id, To: j, Kind: KindUpdate,

@@ -25,7 +25,7 @@ import (
 func TestBroadcastMalformedTimestampDoesNotStall(t *testing.T) {
 	msg := func(payload any) network.Message {
 		switch p := payload.(type) {
-		case Update:
+		case *Update:
 			return network.Message{From: 0, To: 1, Kind: KindUpdate, Payload: p, Size: p.encodedSize()}
 		case UpdateBatch:
 			return network.Message{From: 0, To: 1, Kind: KindUpdateBatch, Payload: p, Size: p.encodedSize()}
@@ -43,8 +43,8 @@ func TestBroadcastMalformedTimestampDoesNotStall(t *testing.T) {
 		last      int64
 	}{
 		{"update", nil,
-			Update{From: 0, Seq: 1, Op: OpSet, Loc: "a", Value: 7, TS: vclock.New(5)},
-			Update{From: 0, Seq: 2, Op: OpSet, Loc: "b", Value: 1, TS: vclock.VC{2, 0}}, 7},
+			&Update{From: 0, Seq: 1, Op: OpSet, Loc: "a", Value: 7, TS: vclock.New(5)},
+			&Update{From: 0, Seq: 2, Op: OpSet, Loc: "b", Value: 1, TS: vclock.VC{2, 0}}, 7},
 		{"batch", nil,
 			UpdateBatch{From: 0, FirstSeq: 1, Count: 1, Updates: []Update{
 				// The latest entry's timestamp is the batch's; it sits first.
@@ -56,8 +56,8 @@ func TestBroadcastMalformedTimestampDoesNotStall(t *testing.T) {
 		{"scoped-matrix", scope,
 			// Seq 1 went elsewhere: the chain, not the sequence number, orders
 			// this destination's stream.
-			Update{From: 0, Seq: 2, Op: OpSet, Loc: "a", Value: 5, Deps: vclock.NewMatrix(5)},
-			Update{From: 0, Seq: 4, PrevSeq: 2, Op: OpSet, Loc: "b", Value: 1, Deps: vclock.NewMatrix(2)}, 5},
+			&Update{From: 0, Seq: 2, Op: OpSet, Loc: "a", Value: 5, Deps: vclock.NewMatrix(5)},
+			&Update{From: 0, Seq: 4, PrevSeq: 2, Op: OpSet, Loc: "b", Value: 1, Deps: vclock.NewMatrix(2)}, 5},
 	}
 	for _, p := range paths {
 		t.Run(p.name, func(t *testing.T) {
@@ -316,7 +316,7 @@ func (c *captureTransport) Broadcast(from int, kind string, payload any, size in
 // the way the receive path does.
 func refGroupOf(m network.Message, scoped bool) refGroup {
 	switch p := m.Payload.(type) {
-	case Update:
+	case *Update:
 		return refGroup{
 			from: p.From, firstSeq: p.Seq, lastSeq: p.Seq, count: 1,
 			prevSeq: p.PrevSeq, ts: p.TS.Clone(), deps: p.Deps,
@@ -514,7 +514,7 @@ func runDrainDifferential(t *testing.T, n int, scope *ScopeMap, labels map[strin
 		g := refGroupOf(m, scope != nil)
 		ref.arrive(g)
 		switch p := m.Payload.(type) {
-		case Update:
+		case *Update:
 			r.applyRemote(p)
 		case UpdateBatch:
 			r.applyBatch(p)

@@ -10,7 +10,7 @@ import (
 // TestFaultInjectionConcurrentSafety hammers every fault-injection control
 // concurrently with live traffic. Run under -race this pins down the locking
 // of Hold/Release/Isolate/Rejoin/SetDelayFactor against Send/Broadcast/Recv
-// and the lock-free kind accounting.
+// and the per-channel kind accounting.
 func TestFaultInjectionConcurrentSafety(t *testing.T) {
 	const n = 4
 	f := newTestFabric(t, n)
@@ -164,8 +164,10 @@ func TestOperationsAfterClose(t *testing.T) {
 	}
 }
 
-// BenchmarkFabricAccountParallel stresses the accounting hot path from many
-// senders at once — the case the lock-free kind counters exist for.
+// BenchmarkFabricAccountParallel stresses the send path from many senders at
+// once, rotating kinds on every channel: accounting is part of the one lock
+// hold a send takes on its pair, so senders to different pairs share nothing
+// and the kind table's last-hit slot misses on every message.
 func BenchmarkFabricAccountParallel(b *testing.B) {
 	f, err := New(Config{Nodes: 8})
 	if err != nil {

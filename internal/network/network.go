@@ -16,10 +16,17 @@
 //     handshake equation solver of Figure 3);
 //   - message and byte accounting per node and per message kind.
 //
-// The fabric is in-process: "sending" enqueues onto the pair's queue and a
+// The fabric is in-process: "sending" enqueues onto the pair's channel and a
 // delivery goroutine moves messages into the destination node's inbox after
 // the modeled latency. This preserves exactly the ordering guarantees of the
 // paper's model while keeping experiments deterministic and laptop-scale.
+//
+// A message crosses two structures (DESIGN.md §7). The pair channel (pair.go)
+// is where a send is ordered and accounted: one hold of the pair's lock per
+// message, which covers the idle-channel bypass into the inbox when the
+// latency model is zero. The inbox (inbox.go) is a burst queue: the node's one
+// receiver takes everything delivered since it last looked in a single lock
+// hold and hands it out from a private buffer.
 package network
 
 import (
@@ -79,9 +86,6 @@ type Config struct {
 	Latency LatencyModel
 	// Seed seeds the jitter source. Ignored when Latency.Jitter is zero.
 	Seed int64
-	// InboxKinds, when non-nil, restricts accounting detail to the listed
-	// kinds; all kinds are always counted in the totals.
-	InboxKinds []string
 }
 
 // Stats is a snapshot of fabric accounting.
@@ -147,24 +151,15 @@ type Fabric struct {
 	n       int
 	latency LatencyModel
 
-	// pairs[i*n+j] is the channel from node i to node j.
-	pairs []*queue
+	// pairs[i*n+j] is the channel from node i to node j. Each channel counts
+	// what was sent on it; Stats sums them.
+	pairs []*pair
 	// delayFactor[i*n+j] scales the latency model on the i->j channel in
 	// 1/1000ths (1000 = nominal). Heterogeneous link speeds let
 	// experiments model congested or remote paths.
 	delayFactor []atomic.Int64
 	// inboxes[j] receives delivered messages for node j.
-	inboxes []*queue
-
-	msgsSent  atomic.Uint64
-	bytesSent atomic.Uint64
-	nodeSent  []atomic.Uint64
-
-	// kinds maps Kind label -> *kindCounter. A lock-free map keeps the
-	// accounting off the send hot path: after the first message of a kind
-	// the counter bump is a Load plus two atomic Adds, with no mutex shared
-	// across senders.
-	kinds sync.Map
+	inboxes []*inbox
 
 	rngMu sync.Mutex
 	rng   *rand.Rand
@@ -186,10 +181,9 @@ func New(cfg Config) (*Fabric, error) {
 	f := &Fabric{
 		n:           cfg.Nodes,
 		latency:     cfg.Latency,
-		pairs:       make([]*queue, cfg.Nodes*cfg.Nodes),
+		pairs:       make([]*pair, cfg.Nodes*cfg.Nodes),
 		delayFactor: make([]atomic.Int64, cfg.Nodes*cfg.Nodes),
-		inboxes:     make([]*queue, cfg.Nodes),
-		nodeSent:    make([]atomic.Uint64, cfg.Nodes),
+		inboxes:     make([]*inbox, cfg.Nodes),
 		done:        make(chan struct{}),
 	}
 	for i := range f.delayFactor {
@@ -199,11 +193,11 @@ func New(cfg Config) (*Fabric, error) {
 		f.rng = rand.New(rand.NewSource(cfg.Seed))
 	}
 	for j := range f.inboxes {
-		f.inboxes[j] = newQueue()
+		f.inboxes[j] = newInbox()
 	}
 	for i := 0; i < cfg.Nodes; i++ {
 		for j := 0; j < cfg.Nodes; j++ {
-			q := newQueue()
+			q := newPair()
 			f.pairs[i*cfg.Nodes+j] = q
 			f.wg.Add(1)
 			go f.pump(q, f.inboxes[j], &f.delayFactor[i*cfg.Nodes+j])
@@ -215,7 +209,7 @@ func New(cfg Config) (*Fabric, error) {
 // pump moves messages from one pair channel into the destination inbox,
 // sleeping the modeled latency per message. Sequential processing preserves
 // per-pair FIFO order.
-func (f *Fabric) pump(src, dst *queue, factor *atomic.Int64) {
+func (f *Fabric) pump(src *pair, dst *inbox, factor *atomic.Int64) {
 	defer f.wg.Done()
 	for {
 		m, ok := src.popInflight()
@@ -254,16 +248,15 @@ func (f *Fabric) Send(m Message) error {
 	if m.From < 0 || m.From >= f.n || m.To < 0 || m.To >= f.n {
 		return fmt.Errorf("network: send %d->%d: %w", m.From, m.To, ErrInvalidNode)
 	}
-	f.account(m)
 	f.deliver(m.From, m.To, m)
 	return nil
 }
 
-// deliver routes m onto the (from, to) channel. With a zero latency model it
-// first tries the idle-channel bypass, which hands the message straight to
-// the destination inbox without waking the pair's pump goroutine; otherwise
-// (or when the channel is busy, held, or modeled with latency) it enqueues
-// for the pump as usual.
+// deliver routes m onto the (from, to) channel, which accounts it. With a zero
+// latency model it first tries the idle-channel bypass, which hands the
+// message straight to the destination inbox without waking the pair's pump
+// goroutine; otherwise (or when the channel is busy, held, or modeled with
+// latency) it enqueues for the pump as usual.
 func (f *Fabric) deliver(from, to int, m Message) {
 	q := f.pairs[from*f.n+to]
 	if f.latency.zero() && q.tryBypass(m, f.inboxes[to]) {
@@ -282,34 +275,14 @@ func (f *Fabric) Broadcast(from int, kind string, payload any, size int) error {
 		if to == from {
 			continue
 		}
-		m := Message{From: from, To: to, Kind: kind, Payload: payload, Size: size}
-		f.account(m)
-		f.deliver(from, to, m)
+		f.deliver(from, to, Message{From: from, To: to, Kind: kind, Payload: payload, Size: size})
 	}
 	return nil
 }
 
-// kindCounter accumulates per-kind message and byte totals.
-type kindCounter struct {
-	msgs  atomic.Uint64
-	bytes atomic.Uint64
-}
-
-func (f *Fabric) account(m Message) {
-	f.msgsSent.Add(1)
-	f.bytesSent.Add(uint64(m.Size))
-	f.nodeSent[m.From].Add(1)
-	c, ok := f.kinds.Load(m.Kind)
-	if !ok {
-		c, _ = f.kinds.LoadOrStore(m.Kind, new(kindCounter))
-	}
-	kc := c.(*kindCounter)
-	kc.msgs.Add(1)
-	kc.bytes.Add(uint64(m.Size))
-}
-
 // Recv blocks until a message for node is delivered. The second result is
-// false after the fabric is closed and the inbox drained.
+// false after the fabric is closed and the inbox drained. At most one
+// goroutine may be receiving for a given node at a time (see inbox).
 func (f *Fabric) Recv(node int) (Message, bool) {
 	if node < 0 || node >= f.n {
 		return Message{}, false
@@ -393,24 +366,25 @@ func (f *Fabric) SetDelayFactor(from, to int, factor float64) error {
 	return nil
 }
 
-// Stats returns a snapshot of the accounting counters.
+// Stats returns a snapshot of the accounting counters: the sum of what every
+// channel counted.
 func (f *Fabric) Stats() Stats {
 	s := Stats{
-		MessagesSent: f.msgsSent.Load(),
-		BytesSent:    f.bytesSent.Load(),
 		PerNodeSent:  make([]uint64, f.n),
 		PerKind:      make(map[string]uint64),
 		PerKindBytes: make(map[string]uint64),
 	}
-	for i := range s.PerNodeSent {
-		s.PerNodeSent[i] = f.nodeSent[i].Load()
+	for i, p := range f.pairs {
+		p.mu.Lock()
+		for _, c := range p.kinds {
+			s.MessagesSent += c.msgs
+			s.BytesSent += c.bytes
+			s.PerNodeSent[i/f.n] += c.msgs
+			s.PerKind[c.kind] += c.msgs
+			s.PerKindBytes[c.kind] += c.bytes
+		}
+		p.mu.Unlock()
 	}
-	f.kinds.Range(func(k, v any) bool {
-		kc := v.(*kindCounter)
-		s.PerKind[k.(string)] = kc.msgs.Load()
-		s.PerKindBytes[k.(string)] = kc.bytes.Load()
-		return true
-	})
 	return s
 }
 

@@ -85,7 +85,11 @@ func (t *Tracer) Loc(name string) uint32 {
 	if t == nil {
 		return NoLoc
 	}
-	h := loctab.Hash(name)
+	return t.locHash(loctab.Hash(name), name)
+}
+
+// locHash is Loc with the name's loctab.Hash already computed.
+func (t *Tracer) locHash(h uint32, name string) uint32 {
 	if i := t.locs.Get(h, name); i != nil {
 		return *i
 	}
@@ -123,7 +127,17 @@ func (t *Tracer) RecordLoc(typ EventType, label uint8, peer uint16, loc string, 
 	if t == nil {
 		return
 	}
-	t.Record(typ, label, peer, t.Loc(loc), seq, a, b)
+	t.RecordLocHash(typ, label, peer, loctab.Hash(loc), loc, seq, a, b)
+}
+
+// RecordLocHash is RecordLoc for call sites that already hold the name's
+// loctab.Hash — the dsm write and receive paths hash each location once for
+// their own tables — so the name is not hashed a second time.
+func (t *Tracer) RecordLocHash(typ EventType, label uint8, peer uint16, h uint32, loc string, seq, a, b uint64) {
+	if t == nil {
+		return
+	}
+	t.Record(typ, label, peer, t.locHash(h, loc), seq, a, b)
 }
 
 // Recorded returns the total number of events recorded so far.

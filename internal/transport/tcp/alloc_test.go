@@ -91,10 +91,10 @@ func TestStreamingAllocatesOneChunkPerChunkSize(t *testing.T) {
 
 // TestDecodeMsgFrameAllocs pins the receive side of one update frame. The
 // frame's kind resolves to the codec registry's own key, so what is left is
-// the Update's location string and boxing the Update into Message.Payload
+// the Update's location string and the *Update that Message.Payload carries
 // (three with the kind string, before).
 func TestDecodeMsgFrameAllocs(t *testing.T) {
-	u := dsm.Update{From: 0, Seq: 7, Loc: "session/17", Value: 3}
+	u := &dsm.Update{From: 0, Seq: 7, Loc: "session/17", Value: 3}
 	payload, err := transport.EncodePayload(nil, dsm.KindUpdate, u)
 	if err != nil {
 		t.Fatal(err)

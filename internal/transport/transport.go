@@ -51,7 +51,13 @@ type Transport interface {
 	// Recv blocks until a message for node is delivered. The second result
 	// is false once the transport is closed and drained. Distributed
 	// backends serve only their local node; Recv for a remote node returns
-	// false immediately.
+	// false immediately. Recv is single-consumer per node: at most one
+	// goroutine may be inside Recv(node) for a given node at a time, and
+	// successive receivers for a node must be ordered by their own
+	// synchronization. A backend may hand messages out of a buffer only the
+	// receiver touches (the simulated fabric's inbox does). Every runtime
+	// receiver — the dsm node's receive loop, the seqmem server and client
+	// loops — is one goroutine per node already.
 	Recv(node int) (Message, bool)
 	// Pending reports the number of undelivered messages queued from -> to,
 	// as far as this transport instance can see. It is a test aid.
