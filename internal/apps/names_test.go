@@ -129,3 +129,76 @@ func TestSolversDoNotAllocatePerAccess(t *testing.T) {
 		t.Errorf("Cholesky with locks allocates %.1f objects per column, want <= 150: something allocates per access", perCol)
 	}
 }
+
+// TestSessionNameTablesMatchNamingScheme: sessionLoc and aggHitsLoc define the
+// session front-end's location names; the table the strands index must agree
+// with them over the whole index range, for every process's shard. The names
+// are on the wire, so the pins that follow are the other half: the workload
+// fingerprint and the simulated fabric's message and byte counts for the unit
+// tests' configuration read exactly what they read when every request
+// formatted its own names.
+func TestSessionNameTablesMatchNamingScheme(t *testing.T) {
+	c := sessionTestConfig(SessionBroadcast).WithDefaults()
+	c.Procs, c.Sessions, c.SessionKeys, c.AggGroups = 5, 7, 13, 11
+	nm := c.names()
+	if len(nm.shard) != c.Procs || len(nm.hits) != c.AggGroups {
+		t.Fatalf("table has %d shards and %d hit counters, want %d and %d", len(nm.shard), len(nm.hits), c.Procs, c.AggGroups)
+	}
+	for p, shard := range nm.shard {
+		if len(shard) != c.Sessions*c.SessionKeys {
+			t.Fatalf("shard %d has %d names, want %d", p, len(shard), c.Sessions*c.SessionKeys)
+		}
+		for key, name := range shard {
+			// What the worker computed per request before the table.
+			if want := sessionLoc(p*c.Sessions+key/c.SessionKeys, key%c.SessionKeys); name != want {
+				t.Fatalf("shard[%d][%d] = %q, want %q", p, key, name, want)
+			}
+		}
+	}
+	for g, name := range nm.hits {
+		if name != aggHitsLoc(g) {
+			t.Fatalf("hits[%d] = %q, want %q", g, name, aggHitsLoc(g))
+		}
+	}
+
+	const fingerprint = 13835541821224367435
+	for _, tc := range []struct {
+		mode        SessionMode
+		msgs, bytes uint64 // bytes 0: dependency matrices make them schedule-dependent
+	}{
+		{SessionBroadcast, 886, 59612},
+		{SessionCausalScoped, 566, 0},
+		{SessionHybrid, 566, 0},
+	} {
+		cfg := sessionTestConfig(tc.mode)
+		if got := cfg.WorkloadFingerprint(); got != fingerprint {
+			t.Fatalf("%v: workload fingerprint %d, want %d", tc.mode, got, uint64(fingerprint))
+		}
+		sys, _ := runSessionSystem(t, cfg, false, true)
+		st := sys.NetStats()
+		sys.Close()
+		if st.MessagesSent != tc.msgs || (tc.bytes != 0 && st.BytesSent != tc.bytes) {
+			t.Errorf("%v: %d messages, %d bytes on the fabric; want %d and %d", tc.mode, st.MessagesSent, st.BytesSent, tc.msgs, tc.bytes)
+		}
+	}
+}
+
+// TestSessionRequestsFormatNoName bounds, by counting, what a steady-state
+// request of the session front-end allocates on the simulated fabric: with
+// the names taken from the table and sent updates from the slabs, a request —
+// a read, or a write and its share of counter bumps — allocates nothing of its
+// own, and what is left is per run (the table, the strands, the histograms).
+// A name formatted per request costs at least one allocation each.
+func TestSessionRequestsFormatNoName(t *testing.T) {
+	cfg := sessionTestConfig(SessionBroadcast)
+	cfg.Ops, cfg.Warmup, cfg.VisEvery = 4000, 0, -1 // vis names are one-shot by design
+	requests := float64(cfg.Procs * cfg.Workers * cfg.Ops)
+	mallocs := mallocsDuring(t, core.Config{Procs: cfg.Procs}, func(p *core.Proc) {
+		ServeSessions(p, cfg)
+	})
+	perReq := float64(mallocs) / requests
+	t.Logf("session front-end: %.3f allocs/request over %.0f requests", perReq, requests)
+	if perReq > 0.25 {
+		t.Errorf("session front-end allocates %.2f objects per request, want <= 0.25: something allocates per request", perReq)
+	}
+}

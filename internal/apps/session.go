@@ -178,9 +178,43 @@ func (c SessionConfig) WithDefaults() SessionConfig {
 }
 
 // Location layout. Session keys are owned by one process; vis locations are
-// one-shot (written once); aggregates are counter objects.
+// one-shot (written once); aggregates are counter objects. sessionLoc and
+// aggHitsLoc define the names; the request path indexes sessionNames, which is
+// built from them.
 func sessionLoc(sid, key int) string {
 	return "sess/" + strconv.Itoa(sid) + "/k" + strconv.Itoa(key)
+}
+
+// sessionNames is the table of a configuration's reusable location names,
+// built once per run so that a request formats none: shard[p][k] is the
+// session location request key k denotes on process p's shard (Sessions *
+// SessionKeys entries each) and hits[g] hit counter g's (AggGroups entries).
+// The one-shot vis locations are formatted as they are raised.
+type sessionNames struct {
+	shard [][]string
+	hits  []string
+}
+
+// names builds the configuration's name table. c has its defaults filled in.
+func (c SessionConfig) names() *sessionNames {
+	nm := &sessionNames{shard: make([][]string, c.Procs), hits: c.hitNames()}
+	for p := range nm.shard {
+		shard := make([]string, c.Sessions*c.SessionKeys)
+		for k := range shard {
+			shard[k] = sessionLoc(p*c.Sessions+k/c.SessionKeys, k%c.SessionKeys)
+		}
+		nm.shard[p] = shard
+	}
+	return nm
+}
+
+// hitNames builds the hit counters' half of the table.
+func (c SessionConfig) hitNames() []string {
+	hits := make([]string, c.AggGroups)
+	for g := range hits {
+		hits[g] = aggHitsLoc(g)
+	}
+	return hits
 }
 
 // VisLocPrefix is the namespace of the write-visibility probe locations:
@@ -348,15 +382,14 @@ func SessionScope(c SessionConfig) *dsm.ScopeMap {
 		Readers:       make(map[string][]int),
 		CausalReaders: make(map[string][]int),
 	}
+	nm := c.names()
 	for p := 0; p < c.Procs; p++ {
 		for s := 0; s < c.Sessions; s++ {
-			sid := p*c.Sessions + s
 			readers := []int{p}
 			if c.Procs > 1 {
 				readers = append(readers, c.follower(p, s))
 			}
-			for k := 0; k < c.SessionKeys; k++ {
-				loc := sessionLoc(sid, k)
+			for _, loc := range nm.shard[p][s*c.SessionKeys : (s+1)*c.SessionKeys] {
 				scope.Readers[loc] = readers
 				scope.CausalReaders[loc] = readers
 			}
@@ -376,8 +409,8 @@ func SessionScope(c SessionConfig) *dsm.ScopeMap {
 		for i := range all {
 			all[i] = i
 		}
-		for g := 0; g < c.AggGroups; g++ {
-			scope.Readers[aggHitsLoc(g)] = all
+		for _, loc := range nm.hits {
+			scope.Readers[loc] = all
 		}
 		scope.Readers[aggActiveLoc] = all
 	}
@@ -427,16 +460,17 @@ func ServeSessions(p core.Process, cfg SessionConfig) *SessionProcResult {
 	for i := range recs {
 		recs[i] = strandRec{read: hist.New(), write: hist.New(), vis: hist.New()}
 	}
+	nm := c.names()
 
 	p.Forall(nWorkers+nProbers, func(i int, t core.ThreadOps) {
 		if i < nWorkers {
-			runSessionWorker(t, c, me, i, &recs[i])
+			runSessionWorker(t, c, nm, me, i, &recs[i])
 		} else {
 			// Prober j chases worker j%Workers of the (j/Workers+1)-th
 			// process after this one.
 			j := i - nWorkers
 			watched := (me + 1 + j/c.Workers) % c.Procs
-			runVisProber(t, c, me, watched, j%c.Workers, &recs[i])
+			runVisProber(t, c, nm, me, watched, j%c.Workers, &recs[i])
 		}
 	})
 
@@ -459,7 +493,7 @@ func ServeSessions(p core.Process, cfg SessionConfig) *SessionProcResult {
 
 // runSessionWorker drives strand (me, w)'s request trace against the
 // process's session shard.
-func runSessionWorker(t core.ThreadOps, c SessionConfig, me, w int, rec *strandRec) {
+func runSessionWorker(t core.ThreadOps, c SessionConfig, nm *sessionNames, me, w int, rec *strandRec) {
 	g := loadgen.New(c.genConfig(me, w))
 	strand := int64(me*c.Workers + w)
 
@@ -476,8 +510,7 @@ func runSessionWorker(t core.ThreadOps, c SessionConfig, me, w int, rec *strandR
 			}
 		}
 		measured := i >= c.Warmup
-		sid := me*c.Sessions + req.Key/c.SessionKeys
-		loc := sessionLoc(sid, req.Key%c.SessionKeys)
+		loc := nm.shard[me][req.Key]
 
 		switch req.Op {
 		case loadgen.OpRead:
@@ -509,11 +542,11 @@ func runSessionWorker(t core.ThreadOps, c SessionConfig, me, w int, rec *strandR
 		}
 
 		if c.AggEvery > 0 && i%c.AggEvery == 0 {
-			t.Add(aggHitsLoc(c.aggGroup(me, req.Key)), 1)
+			t.Add(nm.hits[c.aggGroup(me, req.Key)], 1)
 			rec.adds++
 		}
 		if c.AggReadEvery > 0 && i%c.AggReadEvery == 0 {
-			group := aggHitsLoc(i / c.AggReadEvery % c.AggGroups)
+			group := nm.hits[i/c.AggReadEvery%c.AggGroups]
 			start := time.Now()
 			if c.Mode == SessionHybrid {
 				t.ReadPRAM(group)
@@ -538,7 +571,7 @@ func runSessionWorker(t core.ThreadOps, c SessionConfig, me, w int, rec *strandR
 // the causal-scope payoff the session design exists for: the flag's causal
 // dependencies guarantee the session state the flagged write was built on
 // is visible here.
-func runVisProber(t core.ThreadOps, c SessionConfig, me, watched, w int, rec *strandRec) {
+func runVisProber(t core.ThreadOps, c SessionConfig, nm *sessionNames, me, watched, w int, rec *strandRec) {
 	for k, probe := range c.FlagPlan(watched, w) {
 		if probe.Follower != me {
 			continue
@@ -548,9 +581,8 @@ func runVisProber(t core.ThreadOps, c SessionConfig, me, watched, w int, rec *st
 		rec.vis.Record(time.Now().UnixNano() - sent)
 		rec.reads++
 
-		sid := watched*c.Sessions + probe.Session
 		start := time.Now()
-		t.ReadCausal(sessionLoc(sid, probe.Key))
+		t.ReadCausal(nm.shard[watched][probe.Session*c.SessionKeys+probe.Key])
 		rec.read.RecordDuration(time.Since(start))
 		rec.reads++
 	}
@@ -565,8 +597,8 @@ func VerifySessionCounters(p core.Process, cfg SessionConfig) error {
 	c := cfg.WithDefaults()
 	c.Procs = p.N()
 	want := c.ExpectedHits()
-	for g := range want {
-		if got := p.ReadPRAM(aggHitsLoc(g)); got != want[g] {
+	for g, loc := range c.hitNames() {
+		if got := p.ReadPRAM(loc); got != want[g] {
 			return fmt.Errorf("proc %d: hit counter %d = %d, want %d", p.ID(), g, got, want[g])
 		}
 	}

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"net"
 	"runtime"
 	"strings"
 	"sync"
@@ -45,12 +44,14 @@ type PerfCell struct {
 	// two-node transport streams update messages to node 1, which only
 	// receives — the channel's own cost per message; on tcp the cell ends when
 	// Flush returns, acks included, on sim when the receiver has taken the
-	// last one).
+	// last one), or "echo" (tcp only, no replicas: node 0 sends one update
+	// message and waits for node 1's reply before the next, no Flush — what a
+	// lone message costs per hop, acknowledgements included if any are sent).
 	Scenario string `json:"scenario"`
 	// Label is the consistency configuration: "pram" (PRAMOnly), "causal"
 	// (full broadcast with timestamps), or "scoped" (causal-scoped
-	// point-to-point placement). The stream scenario, which has no memory
-	// above the transport, names its message kind here: "update".
+	// point-to-point placement). The stream and echo scenarios, which have no
+	// memory above the transport, name their message kind here: "update".
 	Label string `json:"label"`
 	// Batch is the outbox MaxUpdates threshold; 0 means the outbox is off.
 	Batch int `json:"batch"`
@@ -67,8 +68,8 @@ type PerfCell struct {
 	AllocsPerOp float64 `json:"allocs_per_op"`
 	OpsPerSec   float64 `json:"ops_per_sec"`
 	// BytesPerOp is heap bytes allocated per operation and AcksPerOp the ack
-	// frames the receiver wrote per message. Only the tcp stream cell
-	// reports them.
+	// frames the receivers wrote per message (tcp.Diag.AcksSent). Only the tcp
+	// stream and echo cells report them.
 	BytesPerOp float64 `json:"bytes_per_op,omitempty"`
 	AcksPerOp  float64 `json:"acks_per_op,omitempty"`
 }
@@ -83,7 +84,7 @@ func (c PerfCell) Key() string {
 func (c PerfCell) String() string {
 	s := fmt.Sprintf("%-28s ops=%-7d %9.0f ns/op %7.2f allocs/op %12.0f ops/s",
 		c.Key(), c.Ops, c.NsPerOp, c.AllocsPerOp, c.OpsPerSec)
-	if c.Scenario == "stream" && c.Transport == "tcp" {
+	if (c.Scenario == "stream" || c.Scenario == "echo") && c.Transport == "tcp" {
 		s += fmt.Sprintf(" %6.1f B/op %6.3f acks/op", c.BytesPerOp, c.AcksPerOp)
 	}
 	return s
@@ -149,6 +150,7 @@ func perfGrid() []PerfCell {
 		{Scenario: "fresh", Label: "causal", Batch: 0, Writers: 1},
 		{Scenario: "backlog", Label: "causal", Batch: 0, Writers: 1},
 		{Scenario: "stream", Label: "update", Batch: 0, Writers: 1},
+		{Scenario: "echo", Label: "update", Batch: 0, Writers: 1},
 	}
 }
 
@@ -200,7 +202,7 @@ func RunPerf(opt PerfOptions) (PerfResult, error) {
 	o := opt.withDefaults()
 	out := PerfResult{Transport: "sim", Procs: o.Procs}
 	for _, cell := range perfGrid() {
-		if cell.Scenario == "backlog" && o.Procs < perfBacklogProcs {
+		if cell.Scenario == "backlog" && o.Procs < perfBacklogProcs || cell.Scenario == "echo" {
 			continue
 		}
 		cell.Transport = "sim"
@@ -231,6 +233,8 @@ func RunPerfTCP(opt PerfOptions) (PerfResult, error) {
 		switch {
 		case cell.Scenario == "stream":
 			measured, err = measureTCPStream(o.Ops*perfStreamFactor, o.Warmup*perfStreamFactor, 0)
+		case cell.Scenario == "echo":
+			measured, err = measureTCPEcho(o.Ops, o.Warmup)
 		case cell.Scenario == "write" && cell.Label != "scoped":
 			measured, err = runPerfCellTCP(o, cell)
 		default:
@@ -249,33 +253,6 @@ func RunPerfTCP(opt PerfOptions) (PerfResult, error) {
 // unbatched write costs several times that, and the cell should run as long.
 const perfStreamFactor = 16
 
-// ackCountingListener counts the writes the accepting side makes on its
-// connections. An inbound tcp channel carries msg frames one way and nothing
-// but acks the other, one Write each, so that is the number of acks —
-// counted by the cell rather than by a transport counter nothing else needs.
-type ackCountingListener struct {
-	net.Listener
-	acks *atomic.Uint64
-}
-
-func (l ackCountingListener) Accept() (net.Conn, error) {
-	c, err := l.Listener.Accept()
-	if err != nil {
-		return nil, err
-	}
-	return ackCountingConn{c, l.acks}, nil
-}
-
-type ackCountingConn struct {
-	net.Conn
-	acks *atomic.Uint64
-}
-
-func (c ackCountingConn) Write(b []byte) (int, error) {
-	c.acks.Add(1)
-	return c.Conn.Write(b)
-}
-
 // measureTCPStream measures the tcp channel alone: node 0 sends msgs update
 // messages to node 1, which only receives, and the clock stops when Flush
 // reports every one acked. window is how many messages go out between
@@ -286,12 +263,7 @@ func measureTCPStream(msgs, warmup, window int) (PerfCell, error) {
 	if window == 0 {
 		window = msgs + warmup
 	}
-	var acks atomic.Uint64
-	trs, err := tcp.NewLoopback(2, func(c *tcp.Config) {
-		if c.ID == 1 {
-			c.Listener = ackCountingListener{c.Listener, &acks}
-		}
-	})
+	trs, err := tcp.NewLoopback(2, nil)
 	if err != nil {
 		return cell, err
 	}
@@ -334,12 +306,12 @@ func measureTCPStream(msgs, warmup, window int) (PerfCell, error) {
 	if err == nil {
 		runtime.GC()
 		runtime.ReadMemStats(&before)
-		acked = acks.Load()
+		acked = trs[1].Diag().AcksSent
 		start := time.Now()
 		err = pass(msgs)
 		elapsed = time.Since(start)
 		runtime.ReadMemStats(&after)
-		acked = acks.Load() - acked
+		acked = trs[1].Diag().AcksSent - acked
 	}
 	for _, tr := range trs {
 		tr.Close()
@@ -353,6 +325,82 @@ func measureTCPStream(msgs, warmup, window int) (PerfCell, error) {
 	cell = cell.measured(msgs, elapsed, after.Mallocs-before.Mallocs)
 	cell.BytesPerOp = float64(after.TotalAlloc-before.TotalAlloc) / float64(msgs)
 	cell.AcksPerOp = float64(acked) / float64(msgs)
+	return cell, nil
+}
+
+// measureTCPEcho measures a lone message's cost over tcp: node 0 sends one
+// update message to node 1 and waits for node 1's reply — the same message
+// sent back — before it sends the next. Nothing calls Flush, so the only acks
+// are the ones the receivers send of their own accord. One op is one round
+// trip, two hops; acks/op counts both receivers' acks.
+func measureTCPEcho(rounds, warmup int) (PerfCell, error) {
+	cell := PerfCell{Transport: "tcp", Scenario: "echo", Label: "update", Writers: 1}
+	trs, err := tcp.NewLoopback(2, nil)
+	if err != nil {
+		return cell, err
+	}
+	defer func() {
+		for _, tr := range trs {
+			tr.Close()
+		}
+	}()
+	echoErr := make(chan error, 1)
+	go func() {
+		for {
+			m, ok := trs[1].Recv(1)
+			if !ok {
+				echoErr <- nil
+				return
+			}
+			m.From, m.To = 1, 0
+			if err := trs[1].Send(m); err != nil {
+				echoErr <- err
+				return
+			}
+		}
+	}()
+
+	locs := make([]string, perfLocCount)
+	for i := range locs {
+		locs[i] = perfLoc(0, i)
+	}
+	sent := 0
+	pass := func(n int) error {
+		for i := 0; i < n; i++ {
+			sent++
+			u := &dsm.Update{From: 0, Seq: uint64(sent), Loc: locs[sent%perfLocCount], Value: int64(sent)}
+			if err := trs[0].Send(transport.Message{From: 0, To: 1, Kind: dsm.KindUpdate, Payload: u, Size: 32}); err != nil {
+				return err
+			}
+			m, ok := trs[0].Recv(0)
+			if !ok {
+				return fmt.Errorf("echo: transport closed in round %d: %v", sent, <-echoErr)
+			}
+			if got, ok := m.Payload.(*dsm.Update); !ok || got.Seq != uint64(sent) {
+				return fmt.Errorf("echo: round %d answered with %+v", sent, m.Payload)
+			}
+		}
+		return nil
+	}
+	acksSent := func() uint64 { return trs[0].Diag().AcksSent + trs[1].Diag().AcksSent }
+	if err := pass(warmup); err != nil {
+		return cell, err
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	acked := acksSent()
+	start := time.Now()
+	err = pass(rounds)
+	elapsed := time.Since(start)
+	runtime.ReadMemStats(&after)
+	acked = acksSent() - acked
+	if err != nil {
+		return cell, err
+	}
+	cell = cell.measured(rounds, elapsed, after.Mallocs-before.Mallocs)
+	cell.BytesPerOp = float64(after.TotalAlloc-before.TotalAlloc) / float64(rounds)
+	cell.AcksPerOp = float64(acked) / float64(rounds)
 	return cell, nil
 }
 

@@ -17,8 +17,9 @@ func TestPerfGridFreshAndBacklogCells(t *testing.T) {
 	for _, c := range r.Cells {
 		seen[c.Key()] = c
 	}
-	if len(seen) != len(perfGrid()) {
-		t.Fatalf("grid ran %d cells, want %d", len(seen), len(perfGrid()))
+	// Every grid cell but echo, which is a socket round trip and tcp-only.
+	if want := len(perfGrid()) - 1; len(seen) != want {
+		t.Fatalf("grid ran %d cells, want %d", len(seen), want)
 	}
 	for _, key := range []string{"sim/fresh/pram/b0/w1/r0", "sim/fresh/causal/b0/w1/r0"} {
 		c, ok := seen[key]
@@ -48,11 +49,12 @@ func TestPerfGridFreshAndBacklogCells(t *testing.T) {
 	}
 }
 
-// TestTCPStreamCellAckShape pins the shape the tcp/stream cell exists to
-// show: acknowledgements are paid per burst, not per message. Streaming, one
-// ack covers every frame the receiver found in a read, so acks/op is far
-// below one; a sender that waits for each ack before sending the next frame
-// still gets exactly one per frame, as promptly as ever.
+// TestTCPStreamCellAckShape pins the shape the tcp/stream and tcp/echo cells
+// exist to show: acknowledgements are sent on demand. Streaming, the receiver
+// acks once per ackEvery bytes, so acks/op is far below one; a sender that
+// flushes after each message asks for, and gets, exactly one per message; and
+// a lone message answered by a lone reply, with nobody flushing, draws no ack
+// at all — 300 round trips stay well below the byte threshold.
 func TestTCPStreamCellAckShape(t *testing.T) {
 	stream, err := measureTCPStream(20000, 2000, 0)
 	if err != nil {
@@ -73,6 +75,16 @@ func TestTCPStreamCellAckShape(t *testing.T) {
 	}
 	if pingPong.AcksPerOp != 1 {
 		t.Errorf("ping-pong: %.3f acks/op, want exactly 1", pingPong.AcksPerOp)
+	}
+	echo, err := measureTCPEcho(300, 30)
+	if err != nil {
+		t.Fatalf("echo: %v", err)
+	}
+	if echo.Key() != "tcp/echo/update/b0/w1/r0" || echo.Ops != 300 || echo.NsPerOp <= 0 {
+		t.Fatalf("echo cell: %+v", echo)
+	}
+	if echo.AcksPerOp != 0 {
+		t.Errorf("echo: %.3f acks/op over 300 round trips, want none", echo.AcksPerOp)
 	}
 }
 

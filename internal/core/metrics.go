@@ -43,7 +43,7 @@ func MemMetricsOf(s dsm.Stats) obs.MemMetrics {
 
 // NetMetricsOf snapshots a transport's accounting into the registry shape.
 // When the backend is the TCP transport, its link diagnostics (dials,
-// replays, dedup drops) ride along; the simulated fabric reports zeros
+// replays, dedup drops, acks sent, replay-log bytes held) ride along; the simulated fabric reports zeros
 // there. The returned value owns its containers (transport Stats are
 // copy-on-read).
 func NetMetricsOf(tr transport.Transport) obs.NetMetrics {
@@ -63,6 +63,8 @@ func NetMetricsOf(tr transport.Transport) obs.NetMetrics {
 		m.Duplicates = d.Duplicates
 		m.DecodeErrors = d.DecodeErrors
 		m.Gaps = d.Gaps
+		m.AcksSent = d.AcksSent
+		m.LogBytes = d.LogBytes
 	}
 	return m
 }

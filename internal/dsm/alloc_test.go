@@ -2,12 +2,14 @@ package dsm
 
 import (
 	"fmt"
+	"reflect"
 	"runtime"
 	"testing"
 	"time"
 
 	"mixedmem/internal/network"
 	"mixedmem/internal/transport"
+	"mixedmem/internal/vclock"
 )
 
 // Allocation pins for the write hot path. These use testing.AllocsPerRun,
@@ -31,10 +33,16 @@ import (
 //     flush, which cannot use the clock-guarded slab); entry slices cycle
 //     through the update-slice pool.
 //   - batch encode into a reused buffer: 0 allocs.
-//   - batch decode: the decoder state, one boxing of the returned
+//   - stateless batch decode: the decoder state, one boxing of the returned
 //     UpdateBatch, and one string copy per entry location (the decoder
 //     must copy out of the wire buffer, which the transport reuses); the
 //     entry slice comes from the update-slice pool and is free once warm.
+//   - decode through a connection's decoder (what the tcp receive loop
+//     uses): nothing per update, and for a batch the decoder state and the
+//     boxing only — locations come from the connection's string cache.
+//   - scoped-causal sends: the address-matrix snapshot (Matrix.Clone, two
+//     allocations) per write, plus the boxing per flush. Sizing and encoding
+//     the sparse matrix allocate nothing.
 
 // allocCluster builds a quiet two-node cluster for allocation measurements.
 func allocCluster(t *testing.T, pramOnly bool, batch BatchConfig) []*Node {
@@ -256,5 +264,164 @@ func TestPooledEncodeBufferAllocFree(t *testing.T) {
 	})
 	if allocs > 0 {
 		t.Errorf("EncodePayload into pooled buffer: %.3f allocs/op, want 0", allocs)
+	}
+}
+
+// scopedAllocPair builds a quiet two-node cluster in which node 0's location
+// "s" is a causal scope read by node 1: the placement whose writes carry a
+// chain pointer and a dependency matrix.
+func scopedAllocPair(t *testing.T, batch BatchConfig) []*Node {
+	t.Helper()
+	f, err := network.New(network.Config{Nodes: 2})
+	if err != nil {
+		t.Fatalf("network.New: %v", err)
+	}
+	scope := &ScopeMap{
+		Readers:       map[string][]int{"s": {1}},
+		CausalReaders: map[string][]int{"s": {1}},
+	}
+	nodes := make([]*Node, 2)
+	for i := range nodes {
+		nodes[i], err = NewNode(Config{ID: i, N: 2, Transport: f, Scope: scope, Batch: batch})
+		if err != nil {
+			t.Fatalf("NewNode(%d): %v", i, err)
+		}
+	}
+	t.Cleanup(func() {
+		f.Close()
+		for _, nd := range nodes {
+			nd.Close()
+		}
+	})
+	return nodes
+}
+
+// TestScopedSendAllocFloor pins the two scoped-causal send paths. What is left
+// is the address-matrix snapshot every scoped write takes under the clock lock
+// (Matrix.Clone: the row headers and the backing, two allocations) and, for a
+// flush, the boxing of the UpdateBatch. Sizing the message (Matrix.
+// ActiveEncodedSize) counts the active indices without listing them; it used
+// to allocate the list.
+func TestScopedSendAllocFloor(t *testing.T) {
+	t.Run("singleton", func(t *testing.T) {
+		nodes := scopedAllocPair(t, BatchConfig{})
+		n := nodes[0]
+		n.Write("s", 1)
+		min := []uint64{1, 0}
+		nodes[1].WaitReceived(min)
+		var v int64 = 1
+		allocs := testing.AllocsPerRun(300, func() {
+			v++
+			n.Write("s", v)
+			min[0]++
+			nodes[1].WaitReceived(min)
+		})
+		if allocs > 2 {
+			t.Errorf("scoped singleton send: %.2f allocs/op, want <= 2 (the matrix snapshot)", allocs)
+		}
+	})
+	t.Run("batch flush", func(t *testing.T) {
+		nodes := scopedAllocPair(t, BatchConfig{Enabled: true, MaxUpdates: 1 << 20, Linger: time.Hour})
+		n := nodes[0]
+		n.Write("s", 1)
+		n.FlushUpdates()
+		min := []uint64{1, 0}
+		nodes[1].WaitReceived(min)
+		var v int64 = 1
+		allocs := testing.AllocsPerRun(300, func() {
+			v++
+			n.Write("s", v)
+			n.FlushUpdates()
+			min[0]++
+			nodes[1].WaitReceived(min)
+		})
+		if allocs > 3.5 {
+			t.Errorf("scoped one-write flush: %.2f allocs/op, want <= 3.5 (the matrix snapshot and the payload boxing)", allocs)
+		}
+	})
+}
+
+// TestScopedEncodeAllocFree: encoding scoped-causal metadata into a reused
+// buffer allocates nothing — the matrix's active set is found once per encode,
+// into a stack buffer.
+func TestScopedEncodeAllocFree(t *testing.T) {
+	deps := vclock.NewMatrix(6)
+	deps.Set(1, 4, 9)
+	deps.Set(4, 1, 3)
+	var update any = &Update{From: 1, Seq: 9, Op: OpSet, Loc: "s", Value: 7, PrevSeq: 8, Deps: deps}
+	var batch any = UpdateBatch{From: 1, FirstSeq: 8, Count: 2, PrevSeq: 7, Deps: deps, Updates: []Update{
+		{From: 1, Seq: 8, Op: OpSet, Loc: "s", Value: 1},
+		{From: 1, Seq: 9, Op: OpAdd, Loc: "t", Value: 2},
+	}}
+	buf := make([]byte, 0, 1024)
+	for _, tc := range []struct {
+		kind    string
+		payload any
+		size    int
+	}{
+		{KindUpdate, update, update.(*Update).encodedSize()},
+		{KindUpdateBatch, batch, batch.(UpdateBatch).encodedSize()},
+	} {
+		allocs := testing.AllocsPerRun(500, func() {
+			var err error
+			if buf, err = transport.EncodePayload(buf[:0], tc.kind, tc.payload); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 0 || len(buf) != tc.size {
+			t.Errorf("%s with a dependency matrix: %.1f allocs/op, %d bytes (encodedSize says %d); want 0 and equal",
+				tc.kind, allocs, len(buf), tc.size)
+		}
+	}
+	if allocs := testing.AllocsPerRun(500, func() { _ = update.(*Update).encodedSize() }); allocs > 0 {
+		t.Errorf("sizing a scoped update: %.1f allocs/op, want 0", allocs)
+	}
+}
+
+// TestConnDecodeAllocFloor pins what a connection's decoder allocates per
+// payload once it has seen the locations: nothing for an update (the *Update
+// and its timestamp come from slabs, one allocation per slabSize, the
+// location from the cache), and for a batch the transport.Decoder cursor and
+// the boxing of the UpdateBatch — not a string per entry.
+func TestConnDecodeAllocFloor(t *testing.T) {
+	u := &Update{From: 1, Seq: 3, Op: OpSet, Loc: "alpha", Value: 10, TS: vclock.VC{3, 1, 4}}
+	wire, err := updateCodec{}.Encode(nil, u)
+	if err != nil {
+		t.Fatal(err)
+	}
+	decode := updateCodec{}.NewConnDecoder()
+	var got any
+	// Whole slabs, so the average is the slab cost and not where a run ends.
+	allocs := testing.AllocsPerRun(10*slabSize, func() {
+		if got, err = decode(wire); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if !reflect.DeepEqual(got, u) {
+		t.Fatalf("decoded %+v, want %+v", got, u)
+	}
+	if allocs > 0.05 {
+		t.Errorf("connection update decode: %.3f allocs/op, want ~2/%d", allocs, slabSize)
+	}
+
+	b := UpdateBatch{From: 1, FirstSeq: 1, Count: 4, Updates: []Update{
+		{From: 1, Seq: 1, Op: OpSet, Loc: "alpha", Value: 10},
+		{From: 1, Seq: 2, Op: OpSet, Loc: "beta", Value: 20},
+		{From: 1, Seq: 3, Op: OpAdd, Loc: "gamma", Value: 30},
+		{From: 1, Seq: 4, Op: OpSet, Loc: "delta", Value: 40},
+	}}
+	if wire, err = (batchCodec{}).Encode(nil, b); err != nil {
+		t.Fatal(err)
+	}
+	decode = batchCodec{}.NewConnDecoder()
+	allocs = testing.AllocsPerRun(500, func() {
+		got, err := decode(wire)
+		if err != nil {
+			t.Fatal(err)
+		}
+		putUpdateSlice(got.(UpdateBatch).Updates)
+	})
+	if allocs > 2 {
+		t.Errorf("connection 4-entry batch decode: %.2f allocs/op, want <= 2 (decoder cursor + result boxing)", allocs)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"mixedmem/internal/history"
+	"mixedmem/internal/loctab"
 	"mixedmem/internal/transport"
 	"mixedmem/internal/vclock"
 )
@@ -47,8 +48,10 @@ func appendDeps(dst []byte, prevSeq uint64, deps vclock.Matrix) []byte {
 
 // decodeDeps parses the trailing depsN | [PrevSeq | sparse matrix] section
 // shared by both codecs. It returns zeroes when the section is absent
-// (depsN == 0).
-func decodeDeps(d *transport.Decoder, what string) (uint64, vclock.Matrix, error) {
+// (depsN == 0). The matrix is always a fresh allocation: a receiver keeps a
+// parked group's matrix for as long as the group stays parked, and merges from
+// it afterwards.
+func (c *connDecoder) decodeDeps(d *transport.Decoder, what string) (uint64, vclock.Matrix, error) {
 	depsN := int(d.Uint32())
 	if d.Err() != nil || depsN == 0 {
 		return 0, nil, nil
@@ -63,7 +66,7 @@ func decodeDeps(d *transport.Decoder, what string) (uint64, vclock.Matrix, error
 		return 0, nil, fmt.Errorf("dsm: %s codec: %d active dependency indices in %d bytes: %w",
 			what, nAct, d.Remaining(), transport.ErrTruncated)
 	}
-	ids := make([]int, 0, nAct)
+	ids := c.idScratch(nAct)
 	prev := -1
 	for i := 0; i < nAct && d.Err() == nil; i++ {
 		id := int(d.Uint32())
@@ -90,6 +93,117 @@ func decodeDeps(d *transport.Decoder, what string) (uint64, vclock.Matrix, error
 	return prevSeq, m, nil
 }
 
+// connDecoder is what one inbound connection keeps between the payloads it
+// decodes, for one of the two update kinds (transport.ConnCodec): the slabs
+// decoded updates and their timestamps are carved from, and a cache of the
+// location strings it has built. It belongs to the goroutine serving the
+// connection — no lock, no pool — and everything it hands out is immutable
+// once returned, exactly like the sender's slabs (see Update).
+//
+// The nil *connDecoder is the stateless decoder behind PayloadCodec.Decode:
+// every value is its own allocation. The two share one parse body per codec,
+// so they cannot disagree on what a payload means.
+//
+// What a connection retains is bounded. The string cache is a fixed array; a
+// slab is referenced by the decoder only until it is used up, and after that
+// by the updates and timestamps carved from it, so the collector frees it with
+// the last of those — an update in the inbox, a parked group's timestamp — and
+// one long-parked group pins at most its own slab.
+type connDecoder struct {
+	upd  []Update // the unused rest of the update slab
+	ts   []uint64 // the unused rest of the timestamp slab
+	ids  []int    // decodeDeps's active-index scratch
+	locs [locCacheSize]string
+}
+
+const (
+	// locCacheSize is the number of slots of a connection's location-string
+	// cache, a power of two. The cache is direct-mapped: a location whose slot
+	// holds another name replaces it, so a sender whose working set exceeds
+	// the cache, or collides in it, costs a string per miss as every location
+	// did before — never more memory.
+	locCacheSize = 1024
+	// maxCachedLoc is the longest location name the cache keeps, which bounds
+	// its footprint at locCacheSize*maxCachedLoc bytes whatever a peer sends.
+	maxCachedLoc = 128
+)
+
+// loc returns b as a string: the cached one when the connection has decoded
+// this location before and its slot still holds it.
+func (c *connDecoder) loc(b []byte) string {
+	if c == nil || len(b) > maxCachedLoc {
+		return string(b)
+	}
+	// The high half is folded in: a byte-wise hash mixes its low bits poorly.
+	h := loctab.HashBytes(b)
+	slot := &c.locs[(h^h>>16)&(locCacheSize-1)]
+	if *slot != string(b) { // the comparison does not allocate
+		*slot = string(b)
+	}
+	return *slot
+}
+
+// update returns the *Update a decoded update is stored in: the next element
+// of the slab.
+func (c *connDecoder) update() *Update {
+	if c == nil {
+		return new(Update)
+	}
+	if len(c.upd) == 0 {
+		c.upd = make([]Update, slabSize)
+	}
+	u := &c.upd[0]
+	c.upd = c.upd[1:]
+	return u
+}
+
+// timestamp reads an n-component timestamp (n > 0, and d holds at least 8n
+// bytes) into the next n words of the slab, with the capacity cut to the
+// length as stampLocked does. A timestamp wider than any real system's gets an
+// allocation of its own, so a hostile length cannot inflate the slab.
+func (c *connDecoder) timestamp(d *transport.Decoder, n int) vclock.VC {
+	var ts vclock.VC
+	switch {
+	case c == nil || n > maxDepsN:
+		ts = vclock.New(n)
+	default:
+		if len(c.ts) < n {
+			c.ts = make([]uint64, slabSize*n)
+		}
+		ts, c.ts = c.ts[:n:n], c.ts[n:]
+	}
+	for i := range ts {
+		ts[i] = d.Uint64()
+	}
+	return ts
+}
+
+// tsMark and tsRollback bracket a decode so that one that fails gives back the
+// timestamp words it took: a stream of undecodable payloads consumes nothing.
+func (c *connDecoder) tsMark() []uint64 {
+	if c == nil {
+		return nil
+	}
+	return c.ts
+}
+
+func (c *connDecoder) tsRollback(mark []uint64) {
+	if c != nil {
+		c.ts = mark
+	}
+}
+
+// idScratch returns an empty slice with room for n active indices.
+func (c *connDecoder) idScratch(n int) []int {
+	if c == nil {
+		return make([]int, 0, n)
+	}
+	if cap(c.ids) < n {
+		c.ids = make([]int, 0, n)
+	}
+	return c.ids[:0]
+}
+
 func init() {
 	transport.RegisterPayload(KindUpdate, updateCodec{})
 	transport.RegisterPayload(KindUpdateBatch, batchCodec{})
@@ -112,36 +226,56 @@ func (updateCodec) Encode(dst []byte, payload any) ([]byte, error) {
 }
 
 func (updateCodec) Decode(data []byte) (any, error) {
+	return (*connDecoder)(nil).decodeUpdate(data)
+}
+
+func (updateCodec) NewConnDecoder() func([]byte) (any, error) {
+	return new(connDecoder).decodeUpdate
+}
+
+// decodeUpdate is updateCodec's one parse body. The update is parsed into a
+// local and copied into its slab slot only once the whole payload has decoded,
+// so a failed decode consumes no slot.
+func (c *connDecoder) decodeUpdate(data []byte) (any, error) {
+	mark := c.tsMark()
+	u, err := c.parseUpdate(data)
+	if err != nil {
+		c.tsRollback(mark)
+		return nil, err
+	}
+	out := c.update()
+	*out = u
+	return out, nil
+}
+
+func (c *connDecoder) parseUpdate(data []byte) (Update, error) {
 	d := transport.NewDecoder(data)
-	u := &Update{
+	u := Update{
 		From:  int(d.Uint32()),
 		Seq:   d.Uint64(),
 		Op:    UpdateOp(d.Byte()),
 		Label: history.Label(d.Byte()),
-		Loc:   d.String(),
 	}
+	loc := d.Bytes()
 	u.Value = int64(d.Uint64())
 	if n := int(d.Uint32()); n > 0 && d.Err() == nil {
 		if n > d.Remaining()/8 {
-			return nil, fmt.Errorf("dsm: update codec: timestamp length %d in %d bytes: %w",
+			return u, fmt.Errorf("dsm: update codec: timestamp length %d in %d bytes: %w",
 				n, d.Remaining(), transport.ErrTruncated)
 		}
-		ts := vclock.New(n)
-		for i := range ts {
-			ts[i] = d.Uint64()
-		}
-		u.TS = ts
+		u.TS = c.timestamp(d, n)
 	}
 	if d.Err() == nil {
-		prevSeq, deps, err := decodeDeps(d, "update")
+		prevSeq, deps, err := c.decodeDeps(d, "update")
 		if err != nil {
-			return nil, err
+			return u, err
 		}
 		u.PrevSeq, u.Deps = prevSeq, deps
 	}
 	if err := d.Err(); err != nil {
-		return nil, fmt.Errorf("dsm: update codec: %w", err)
+		return u, fmt.Errorf("dsm: update codec: %w", err)
 	}
+	u.Loc = c.loc(loc)
 	return u, nil
 }
 
@@ -187,6 +321,28 @@ func (batchCodec) Encode(dst []byte, payload any) ([]byte, error) {
 const minBatchEntry = 8 + 1 + 1 + 4 + 8 + 4
 
 func (batchCodec) Decode(data []byte) (any, error) {
+	return (*connDecoder)(nil).decodeBatch(data)
+}
+
+func (batchCodec) NewConnDecoder() func([]byte) (any, error) {
+	return new(connDecoder).decodeBatch
+}
+
+// decodeBatch is batchCodec's one parse body. The entry slice comes from the
+// batch pool on either path; a failed decode returns it, and the timestamp
+// words its entries took.
+func (c *connDecoder) decodeBatch(data []byte) (any, error) {
+	mark := c.tsMark()
+	b, err := c.parseBatch(data)
+	if err != nil {
+		c.tsRollback(mark)
+		putUpdateSlice(b.Updates)
+		return nil, err
+	}
+	return b, nil
+}
+
+func (c *connDecoder) parseBatch(data []byte) (UpdateBatch, error) {
 	d := transport.NewDecoder(data)
 	b := UpdateBatch{
 		From:     int(d.Uint32()),
@@ -194,15 +350,15 @@ func (batchCodec) Decode(data []byte) (any, error) {
 		Count:    d.Uint64(),
 	}
 	if d.Err() == nil {
-		prevSeq, deps, err := decodeDeps(d, "batch")
+		prevSeq, deps, err := c.decodeDeps(d, "batch")
 		if err != nil {
-			return nil, err
+			return b, err
 		}
 		b.PrevSeq, b.Deps = prevSeq, deps
 	}
 	nEntries := int(d.Uint32())
 	if d.Err() == nil && nEntries > d.Remaining()/minBatchEntry {
-		return nil, fmt.Errorf("dsm: batch codec: %d entries in %d bytes: %w",
+		return b, fmt.Errorf("dsm: batch codec: %d entries in %d bytes: %w",
 			nEntries, d.Remaining(), transport.ErrTruncated)
 	}
 	if nEntries > 0 && d.Err() == nil {
@@ -217,26 +373,25 @@ func (batchCodec) Decode(data []byte) (any, error) {
 			Seq:   d.Uint64(),
 			Op:    UpdateOp(d.Byte()),
 			Label: history.Label(d.Byte()),
-			Loc:   d.String(),
 		}
+		loc := d.Bytes()
 		u.Value = int64(d.Uint64())
 		tsLen := int(d.Uint32())
 		if d.Err() == nil && tsLen > d.Remaining()/8 {
-			return nil, fmt.Errorf("dsm: batch codec: timestamp length %d in %d bytes: %w",
+			return b, fmt.Errorf("dsm: batch codec: timestamp length %d in %d bytes: %w",
 				tsLen, d.Remaining(), transport.ErrTruncated)
 		}
-		if tsLen > 0 && d.Err() == nil {
-			ts := vclock.New(tsLen)
-			for k := range ts {
-				ts[k] = d.Uint64()
-			}
-			u.TS = ts
+		if d.Err() != nil {
+			break
 		}
+		if tsLen > 0 {
+			u.TS = c.timestamp(d, tsLen)
+		}
+		u.Loc = c.loc(loc)
 		b.Updates = append(b.Updates, u)
 	}
 	if err := d.Err(); err != nil {
-		putUpdateSlice(b.Updates)
-		return nil, fmt.Errorf("dsm: batch codec: %w", err)
+		return b, fmt.Errorf("dsm: batch codec: %w", err)
 	}
 	return b, nil
 }

@@ -2,7 +2,9 @@ package dsm
 
 import (
 	"testing"
+	"unsafe"
 
+	"mixedmem/internal/loctab"
 	"mixedmem/internal/transport"
 	"mixedmem/internal/vclock"
 )
@@ -163,5 +165,136 @@ func TestDecodeDepsRejectsMalformedIndices(t *testing.T) {
 	}
 	if err := corrupt(func(b []byte) { b[idsOff-1] = 200 }); err == nil {
 		t.Error("nAct larger than depsN decoded successfully")
+	}
+}
+
+// locSlot is the string-cache slot loc would use: the test's own statement of
+// connDecoder.loc's hash.
+func locSlot(loc string) uint32 {
+	h := loctab.Hash(loc)
+	return (h ^ h>>16) & (locCacheSize - 1)
+}
+
+// TestConnDecoderStringCacheCollision drives two different locations into the
+// same slot of a connection's string cache. The cache is direct-mapped, so
+// they evict each other; what must hold is that each update still decodes to
+// its own location, that a hit returns the very string built before (no copy),
+// and that strings handed out earlier are untouched by the eviction.
+func TestConnDecoderStringCacheCollision(t *testing.T) {
+	a := "sess/0/k0"
+	var b string
+	for i := 0; b == ""; i++ {
+		if cand := "sess/" + string(rune('a'+i%26)) + "/k" + string(rune('0'+i/26%10)) + string(rune('0'+i/260)); locSlot(cand) == locSlot(a) && cand != a {
+			b = cand
+		}
+		if i > 100*locCacheSize {
+			t.Fatal("no colliding location found")
+		}
+	}
+	wire := func(loc string) []byte {
+		enc, err := updateCodec{}.Encode(nil, &Update{From: 1, Seq: 1, Op: OpSet, Loc: loc, Value: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return enc
+	}
+	wa, wb := wire(a), wire(b)
+	c := new(connDecoder)
+	decodeLoc := func(w []byte) string {
+		t.Helper()
+		got, err := c.decodeUpdate(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return got.(*Update).Loc
+	}
+	sameString := func(x, y string) bool { return unsafe.StringData(x) == unsafe.StringData(y) }
+
+	a1 := decodeLoc(wa)
+	a2 := decodeLoc(wa)
+	if a1 != a || !sameString(a1, a2) {
+		t.Fatalf("repeat decode of %q: %q then %q, shared=%v; want one cached string", a, a1, a2, sameString(a1, a2))
+	}
+	b1 := decodeLoc(wb) // evicts a
+	if b1 != b || c.locs[locSlot(a)] != b {
+		t.Fatalf("colliding location decoded as %q, slot holds %q; want %q", b1, c.locs[locSlot(a)], b)
+	}
+	a3 := decodeLoc(wa) // evicts b, rebuilds a
+	if a3 != a || a1 != a || b1 != b {
+		t.Fatalf("after mutual eviction: a=%q (earlier %q), b=%q", a3, a1, b1)
+	}
+	if sameString(a3, a1) {
+		t.Fatal("an evicted location came back as the old string: the slot was not replaced")
+	}
+	// A name too long to cache is copied every time and occupies no slot.
+	long := string(make([]byte, maxCachedLoc+1))
+	wl := wire(long)
+	before := c.locs
+	if l1, l2 := decodeLoc(wl), decodeLoc(wl); l1 != long || sameString(l1, l2) || c.locs != before {
+		t.Fatal("a location longer than maxCachedLoc went through the cache")
+	}
+}
+
+// TestConnDecoderSlabs: decoded updates and their timestamps are carved from
+// slabs — slabSize of them per allocation, each timestamp's capacity cut to
+// its length — and stay as decoded while the connection decodes on; a payload
+// that fails to decode, wherever it fails, takes nothing from either slab; and
+// a timestamp of a different width, or wider than any real system's, does not
+// disturb its neighbours.
+func TestConnDecoderSlabs(t *testing.T) {
+	c := new(connDecoder)
+	wire := func(u *Update) []byte {
+		enc, err := updateCodec{}.Encode(nil, u)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return enc
+	}
+	var got []*Update
+	for i := 0; i < 3*slabSize+5; i++ { // ends inside a slab
+		dec, err := c.decodeUpdate(wire(&Update{From: 1, Seq: uint64(i + 1), Op: OpSet, Loc: "x",
+			Value: int64(i), TS: vclock.VC{uint64(i), uint64(2 * i), 7}}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, dec.(*Update))
+	}
+	for i, u := range got {
+		if u.Seq != uint64(i+1) || u.Value != int64(i) || len(u.TS) != 3 || cap(u.TS) != 3 ||
+			u.TS[0] != uint64(i) || u.TS[1] != uint64(2*i) || u.TS[2] != 7 {
+			t.Fatalf("update %d reads %+v after %d later decodes", i, *u, len(got)-i-1)
+		}
+	}
+	if uintptr(unsafe.Pointer(&got[1].TS[0]))-uintptr(unsafe.Pointer(&got[0].TS[0])) != 3*8 {
+		t.Fatal("consecutive timestamps are not neighbours in one slab")
+	}
+	if uintptr(unsafe.Pointer(got[1]))-uintptr(unsafe.Pointer(got[0])) != unsafe.Sizeof(Update{}) {
+		t.Fatal("consecutive updates are not neighbours in one slab")
+	}
+
+	// Failures at every truncation point of a payload with a timestamp and a
+	// dependency matrix: nothing consumed.
+	deps := vclock.NewMatrix(3)
+	deps.Set(0, 1, 2)
+	full := wire(&Update{From: 1, Seq: 9, Op: OpSet, Loc: "x", Value: 1, TS: vclock.VC{1, 2, 3}, PrevSeq: 8, Deps: deps})
+	upd, ts := len(c.upd), len(c.ts)
+	for cut := 1; cut < len(full); cut++ {
+		if _, err := c.decodeUpdate(full[:cut]); err == nil {
+			t.Fatalf("payload cut to %d of %d bytes decoded", cut, len(full))
+		}
+		if len(c.upd) != upd || len(c.ts) != ts {
+			t.Fatalf("cut at %d: slabs moved, updates %d -> %d, timestamp words %d -> %d", cut, upd, len(c.upd), ts, len(c.ts))
+		}
+	}
+	if _, err := c.decodeUpdate(full); err != nil || len(c.upd) != upd-1 || len(c.ts) != ts-3 {
+		t.Fatalf("the whole payload: err %v, updates %d -> %d, timestamp words %d -> %d", err, upd, len(c.upd), ts, len(c.ts))
+	}
+
+	// An oversized timestamp gets its own allocation; the slab is not resized
+	// for it.
+	ts = len(c.ts)
+	wide, err := c.decodeUpdate(wire(&Update{From: 1, Seq: 10, Op: OpSet, Loc: "x", TS: make(vclock.VC, maxDepsN+1)}))
+	if err != nil || len(wide.(*Update).TS) != maxDepsN+1 || len(c.ts) != ts {
+		t.Fatalf("oversized timestamp: err %v, slab words %d -> %d", err, ts, len(c.ts))
 	}
 }

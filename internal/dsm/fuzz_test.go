@@ -9,10 +9,38 @@ import (
 	"mixedmem/internal/vclock"
 )
 
+// decodeBoth decodes data twice — statelessly through the registry, and with
+// conn, a connection decoder that has already decoded every earlier input of
+// the run — and fails unless the two agree: deep-equal values, the same error.
+// A decode that fails must leave the connection's slabs where they were. It
+// returns the stateless result.
+func decodeBoth(t *testing.T, kind string, conn *connDecoder, decode func([]byte) (any, error), data []byte) (any, error) {
+	t.Helper()
+	want, wantErr := transport.DecodePayload(kind, data)
+	if len(data) == 0 {
+		return want, wantErr // a wire transport never hands a codec an empty payload
+	}
+	upd, ts := len(conn.upd), len(conn.ts)
+	got, err := decode(data)
+	if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
+		t.Fatalf("connection decoder: error %v, stateless decode: %v", err, wantErr)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("connection decoder disagrees with the stateless decode:\n%+v\n%+v", got, want)
+	}
+	if err != nil && (len(conn.upd) != upd || len(conn.ts) != ts) {
+		t.Fatalf("a failed decode consumed slab: updates %d -> %d, timestamp words %d -> %d",
+			upd, len(conn.upd), ts, len(conn.ts))
+	}
+	return want, wantErr
+}
+
 // FuzzBatchCodecRoundTrip drives the KindUpdateBatch wire codec with
 // arbitrary bytes: decoding must never panic, and any batch that decodes must
 // re-encode and re-decode to the same value (the decoder is the wire contract
-// both the sim and TCP transports rely on).
+// both the sim and TCP transports rely on). It is differential: one
+// long-lived connection decoder is fed every input in sequence and must agree
+// with the stateless decode on each (decodeBoth).
 func FuzzBatchCodecRoundTrip(f *testing.F) {
 	seedBatches := []UpdateBatch{
 		{From: 0, FirstSeq: 1, Count: 1, Updates: []Update{
@@ -46,8 +74,9 @@ func FuzzBatchCodecRoundTrip(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0})
 
+	conn := new(connDecoder)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		dec, err := transport.DecodePayload(KindUpdateBatch, data)
+		dec, err := decodeBoth(t, KindUpdateBatch, conn, conn.decodeBatch, data)
 		if err != nil || dec == nil {
 			return // rejected cleanly (or empty input): that is the contract
 		}
@@ -72,7 +101,8 @@ func FuzzBatchCodecRoundTrip(f *testing.F) {
 }
 
 // FuzzUpdateCodecRoundTrip is the singleton-update analogue: the KindUpdate
-// decoder must never panic and must round-trip every accepted input.
+// decoder must never panic and must round-trip every accepted input, and a
+// long-lived connection decoder must agree with the stateless one throughout.
 func FuzzUpdateCodecRoundTrip(f *testing.F) {
 	seeds := []Update{
 		{From: 0, Seq: 1, Op: OpSet, Loc: "y", Value: 9},
@@ -95,8 +125,9 @@ func FuzzUpdateCodecRoundTrip(f *testing.F) {
 	}
 	f.Add([]byte{})
 
+	conn := new(connDecoder)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		dec, err := transport.DecodePayload(KindUpdate, data)
+		dec, err := decodeBoth(t, KindUpdate, conn, conn.decodeUpdate, data)
 		if err != nil || dec == nil {
 			return
 		}

@@ -52,6 +52,17 @@ func Hash(name string) uint32 {
 	return h
 }
 
+// HashBytes is Hash for a name still held as bytes (a decoder looking at a
+// wire buffer): the same value Hash gives the string.
+func HashBytes(name []byte) uint32 {
+	h := uint32(2166136261)
+	for _, b := range name {
+		h ^= uint32(b)
+		h *= 16777619
+	}
+	return h
+}
+
 type entry[V any] struct {
 	key  string
 	hash uint32

@@ -148,3 +148,12 @@ func TestGetAllocFree(t *testing.T) {
 		t.Fatalf("Get allocates %.1f/op, want 0", n)
 	}
 }
+
+// TestHashBytesMatchesHash: a name hashes the same as bytes and as a string.
+func TestHashBytesMatchesHash(t *testing.T) {
+	for _, name := range []string{"", "x", "sess/12/k3", "L[17][4]", "vis/2/0/f311"} {
+		if got, want := HashBytes([]byte(name)), Hash(name); got != want {
+			t.Errorf("HashBytes(%q) = %#x, Hash gives %#x", name, got, want)
+		}
+	}
+}

@@ -26,7 +26,8 @@
 // message, which covers the idle-channel bypass into the inbox when the
 // latency model is zero. The inbox (inbox.go) is a burst queue: the node's one
 // receiver takes everything delivered since it last looked in a single lock
-// hold and hands it out from a private buffer.
+// hold and hands it out from a private buffer. Inbox is exported because the
+// tcp transport delivers into the same structure.
 package network
 
 import (
@@ -159,7 +160,7 @@ type Fabric struct {
 	// experiments model congested or remote paths.
 	delayFactor []atomic.Int64
 	// inboxes[j] receives delivered messages for node j.
-	inboxes []*inbox
+	inboxes []*Inbox
 
 	rngMu sync.Mutex
 	rng   *rand.Rand
@@ -183,7 +184,7 @@ func New(cfg Config) (*Fabric, error) {
 		latency:     cfg.Latency,
 		pairs:       make([]*pair, cfg.Nodes*cfg.Nodes),
 		delayFactor: make([]atomic.Int64, cfg.Nodes*cfg.Nodes),
-		inboxes:     make([]*inbox, cfg.Nodes),
+		inboxes:     make([]*Inbox, cfg.Nodes),
 		done:        make(chan struct{}),
 	}
 	for i := range f.delayFactor {
@@ -193,7 +194,7 @@ func New(cfg Config) (*Fabric, error) {
 		f.rng = rand.New(rand.NewSource(cfg.Seed))
 	}
 	for j := range f.inboxes {
-		f.inboxes[j] = newInbox()
+		f.inboxes[j] = NewInbox()
 	}
 	for i := 0; i < cfg.Nodes; i++ {
 		for j := 0; j < cfg.Nodes; j++ {
@@ -209,7 +210,7 @@ func New(cfg Config) (*Fabric, error) {
 // pump moves messages from one pair channel into the destination inbox,
 // sleeping the modeled latency per message. Sequential processing preserves
 // per-pair FIFO order.
-func (f *Fabric) pump(src *pair, dst *inbox, factor *atomic.Int64) {
+func (f *Fabric) pump(src *pair, dst *Inbox, factor *atomic.Int64) {
 	defer f.wg.Done()
 	for {
 		m, ok := src.popInflight()
@@ -234,7 +235,7 @@ func (f *Fabric) pump(src *pair, dst *inbox, factor *atomic.Int64) {
 				}
 			}
 		}
-		dst.push(m)
+		dst.Push(m)
 		src.delivered()
 	}
 }
@@ -282,12 +283,12 @@ func (f *Fabric) Broadcast(from int, kind string, payload any, size int) error {
 
 // Recv blocks until a message for node is delivered. The second result is
 // false after the fabric is closed and the inbox drained. At most one
-// goroutine may be receiving for a given node at a time (see inbox).
+// goroutine may be receiving for a given node at a time (see Inbox).
 func (f *Fabric) Recv(node int) (Message, bool) {
 	if node < 0 || node >= f.n {
 		return Message{}, false
 	}
-	return f.inboxes[node].pop()
+	return f.inboxes[node].Pop()
 }
 
 // Pending reports the number of undelivered messages queued on the channel
@@ -397,8 +398,8 @@ func (f *Fabric) Close() {
 			q.close()
 		}
 		f.wg.Wait()
-		for _, q := range f.inboxes {
-			q.close()
+		for _, in := range f.inboxes {
+			in.Close()
 		}
 	})
 }

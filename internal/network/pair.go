@@ -120,14 +120,14 @@ func (p *pair) delivered() {
 // which dominates the zero-latency fabrics the perf harness measures. When it
 // reports false — the channel is busy, held or closed — the message is neither
 // accounted nor delivered: the caller pushes it.
-func (p *pair) tryBypass(m Message, in *inbox) bool {
+func (p *pair) tryBypass(m Message, in *Inbox) bool {
 	p.mu.Lock()
 	if p.closed || p.held || p.inflight || len(p.items) != p.head {
 		p.mu.Unlock()
 		return false
 	}
 	p.countLocked(m.Kind, m.Size)
-	in.push(m)
+	in.Push(m)
 	p.mu.Unlock()
 	return true
 }

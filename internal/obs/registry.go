@@ -57,6 +57,11 @@ type NetMetrics struct {
 	Duplicates   uint64 `json:"duplicates,omitempty"`
 	DecodeErrors uint64 `json:"decodeErrors,omitempty"`
 	Gaps         uint64 `json:"gaps,omitempty"`
+	// AcksSent counts the cumulative acks the node wrote as a receiver;
+	// LogBytes is a gauge, the unacknowledged frame bytes its replay logs
+	// hold right now.
+	AcksSent uint64 `json:"acksSent,omitempty"`
+	LogBytes uint64 `json:"logBytes,omitempty"`
 }
 
 // SyncMetrics is the synchronization-client snapshot.

@@ -75,27 +75,96 @@ func DecodePayload(kind string, data []byte) (any, error) {
 	return c.Decode(data)
 }
 
+// ConnCodec is a PayloadCodec whose decoding is worth keeping state for across
+// the payloads of one connection: slabs to carve decoded values from, a cache
+// of strings it has already built. A wire transport's receive loop serves a
+// connection from one goroutine, so such state needs no lock and no pool.
+type ConnCodec interface {
+	PayloadCodec
+	// NewConnDecoder returns a decode function that owns fresh state. It is
+	// called from one goroutine at a time and must return values deep-equal to
+	// Decode's on every input, errors included.
+	NewConnDecoder() func(data []byte) (any, error)
+}
+
+// ConnDecoder is the decode state of one inbound connection of a wire
+// transport: the kinds the connection has carried, each resolved against the
+// codec registry once, with the ConnCodec decoders those kinds asked for. It
+// belongs to the goroutine serving the connection, and it keeps the codec it
+// resolved for a kind even if the kind is registered again later (codecs are
+// registered from init). The nil *ConnDecoder is the stateless decoder: it
+// consults the registry on every call, keeps nothing, and returns what
+// DecodePayload returns.
+type ConnDecoder struct {
+	// kinds is scanned from the last hit: a connection carries a handful of
+	// kinds in long runs of one.
+	kinds []connKind
+	hit   int
+}
+
+// connKind is one kind a connection has carried. codec is nil for a kind
+// without one, which is legal for nil-payload signals; decode is the
+// connection's own decoder for a ConnCodec kind.
+type connKind struct {
+	kind   string
+	codec  PayloadCodec
+	decode func(data []byte) (any, error)
+}
+
+// maxConnKinds bounds ConnDecoder.kinds, and with it what a peer that invents
+// kind names can make the connection keep; kinds beyond it are resolved per
+// payload. The runtime defines about a dozen.
+const maxConnKinds = 16
+
+// resolve finds kind in the connection's list, or in the registry.
+func (c *ConnDecoder) resolve(kind []byte) connKind {
+	if c != nil {
+		for n := len(c.kinds); n > 0; n-- {
+			if c.hit == len(c.kinds) {
+				c.hit = 0
+			}
+			if k := c.kinds[c.hit]; k.kind == string(kind) {
+				return k
+			}
+			c.hit++
+		}
+	}
+	codecMu.RLock()
+	r := codecs[string(kind)] // indexing by string(kind) does not allocate
+	codecMu.RUnlock()
+	k := connKind{kind: r.kind, codec: r.codec}
+	if r.codec == nil {
+		k.kind = string(kind)
+	}
+	if c != nil && len(c.kinds) < maxConnKinds {
+		if cc, ok := r.codec.(ConnCodec); ok {
+			k.decode = cc.NewConnDecoder()
+		}
+		c.hit = len(c.kinds)
+		c.kinds = append(c.kinds, k)
+	}
+	return k
+}
+
 // DecodeKindPayload is DecodePayload for a receiver that holds the kind as
 // wire bytes: it returns the kind as a string together with the payload. A
-// registered kind comes back as the registry's own key (indexing the map by
-// string(kind) does not allocate); only a kind without a codec — legal for
-// nil-payload signals — is copied.
-func DecodeKindPayload(kind, data []byte) (string, any, error) {
-	codecMu.RLock()
-	r := codecs[string(kind)]
-	codecMu.RUnlock()
-	if r.codec == nil {
-		k := string(kind)
-		if len(data) == 0 {
-			return k, nil, nil
-		}
-		return k, nil, fmt.Errorf("%w: kind %q", ErrNoCodec, k)
+// registered kind comes back as the registry's own key and a kind the
+// connection has carried before as the string built then; only a kind seen
+// for the first time without a codec is copied.
+func (c *ConnDecoder) DecodeKindPayload(kind, data []byte) (string, any, error) {
+	k := c.resolve(kind)
+	var payload any
+	var err error
+	switch {
+	case len(data) == 0:
+	case k.codec == nil:
+		err = fmt.Errorf("%w: kind %q", ErrNoCodec, k.kind)
+	case k.decode != nil:
+		payload, err = k.decode(data)
+	default:
+		payload, err = k.codec.Decode(data)
 	}
-	if len(data) == 0 {
-		return r.kind, nil, nil
-	}
-	payload, err := r.codec.Decode(data)
-	return r.kind, payload, err
+	return k.kind, payload, err
 }
 
 // Wire-format helpers shared by the payload codecs and the TCP framing. All

@@ -118,3 +118,91 @@ func TestDecoderStickyTruncationError(t *testing.T) {
 		t.Fatalf("oversized slice: %v, err %v", vs, d.Err())
 	}
 }
+
+// countingCodec is an echoCodec that also implements ConnCodec: every
+// connection decoder it hands out counts its own decodes.
+type countingCodec struct {
+	echoCodec
+	made *int
+}
+
+func (c countingCodec) NewConnDecoder() func([]byte) (any, error) {
+	*c.made++
+	n := 0
+	return func(data []byte) (any, error) {
+		n++
+		v, err := c.echoCodec.Decode(data)
+		if err != nil {
+			return nil, err
+		}
+		return v.(string) + "#" + string(rune('0'+n)), nil
+	}
+}
+
+// TestConnDecoder: a connection's decoder resolves each kind once — a
+// ConnCodec kind to a decoder of its own that keeps state across payloads, a
+// plain kind to the registry's codec, an unregistered kind to a string built
+// once — and the nil decoder is DecodePayload with the kind thrown in.
+func TestConnDecoder(t *testing.T) {
+	made := 0
+	RegisterPayload("conn-counting", countingCodec{made: &made})
+	RegisterPayload("conn-plain", echoCodec{})
+	enc := AppendString(nil, "v")
+
+	var c ConnDecoder
+	for i, want := range []string{"v#1", "v#2", "v#3"} {
+		kind, got, err := c.DecodeKindPayload([]byte("conn-counting"), enc)
+		if err != nil || kind != "conn-counting" || got != want {
+			t.Fatalf("payload %d: kind %q, %v, %v; want %q from the connection's own decoder", i, kind, got, err, want)
+		}
+		// Another kind in between does not unseat it.
+		if kind, got, err := c.DecodeKindPayload([]byte("conn-plain"), enc); err != nil || kind != "conn-plain" || got != "v" {
+			t.Fatalf("plain kind: %q, %v, %v", kind, got, err)
+		}
+	}
+	if made != 1 {
+		t.Fatalf("connection asked for %d decoders of one kind, want 1", made)
+	}
+	var other ConnDecoder
+	if _, got, _ := other.DecodeKindPayload([]byte("conn-counting"), enc); got != "v#1" || made != 2 {
+		t.Fatalf("a second connection decoded %v with %d decoders made; want state of its own", got, made)
+	}
+
+	// Stateless: the codec's plain Decode, every time, and nothing made.
+	var none *ConnDecoder
+	for i := 0; i < 2; i++ {
+		kind, got, err := none.DecodeKindPayload([]byte("conn-counting"), enc)
+		want, wantErr := DecodePayload("conn-counting", enc)
+		if kind != "conn-counting" || got != want || err != wantErr || made != 2 {
+			t.Fatalf("nil decoder: %q, %v, %v; DecodePayload: %v, %v", kind, got, err, want, wantErr)
+		}
+	}
+
+	// Kinds without a codec: legal with an empty payload, ErrNoCodec with
+	// one, on either decoder; the connection builds the string once.
+	for _, d := range []*ConnDecoder{none, &c} {
+		if kind, got, err := d.DecodeKindPayload([]byte("conn-signal"), nil); kind != "conn-signal" || got != nil || err != nil {
+			t.Fatalf("signal: %q, %v, %v", kind, got, err)
+		}
+		if _, _, err := d.DecodeKindPayload([]byte("conn-signal"), []byte{1}); !errors.Is(err, ErrNoCodec) {
+			t.Fatalf("payload without a codec: err = %v, want ErrNoCodec", err)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _, _, _ = c.DecodeKindPayload([]byte("conn-signal"), nil) }); allocs > 0 {
+		t.Errorf("a signal kind the connection has seen: %.1f allocs, want 0", allocs)
+	}
+
+	// A peer that invents kinds fills the list and no more.
+	for i := 0; i < 4*maxConnKinds; i++ {
+		name := "conn-invented-" + string(rune('a'+i))
+		if kind, _, err := c.DecodeKindPayload([]byte(name), nil); kind != name || err != nil {
+			t.Fatalf("invented kind %q decoded as %q, %v", name, kind, err)
+		}
+	}
+	if len(c.kinds) != maxConnKinds {
+		t.Fatalf("connection remembers %d kinds, want the bound %d", len(c.kinds), maxConnKinds)
+	}
+	if _, got, err := c.DecodeKindPayload([]byte("conn-counting"), enc); err != nil || got != "v#4" {
+		t.Fatalf("after the flood: %v, %v; want the connection's decoder still in place", got, err)
+	}
+}

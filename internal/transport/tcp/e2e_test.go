@@ -7,6 +7,7 @@ import (
 
 	"mixedmem/internal/apps"
 	"mixedmem/internal/core"
+	"mixedmem/internal/obs"
 	"mixedmem/internal/transport/tcp"
 )
 
@@ -50,7 +51,7 @@ func TestSolveBarrierOverTCP(t *testing.T) {
 	if err != nil {
 		t.Fatalf("SolveDirect: %v", err)
 	}
-	peers, _ := newPeersT(t, 3)
+	peers, trs := newPeersT(t, 3)
 	results := make([]apps.SolveResult, len(peers))
 	var wg sync.WaitGroup
 	for i, p := range peers {
@@ -70,10 +71,24 @@ func TestSolveBarrierOverTCP(t *testing.T) {
 		}
 	}
 	// The answer really crossed the kernel's network stack: every process
-	// sent wire messages.
+	// sent wire messages. And the channel's own counters reach the metrics
+	// registry: after a flush every process has been asked for an ack and
+	// holds nothing.
 	for i, p := range peers {
 		if s := p.NetStats(); s.MessagesSent == 0 {
 			t.Fatalf("proc %d sent no messages over TCP", i)
+		}
+	}
+	for _, tr := range trs {
+		if !tr.Flush(10 * time.Second) {
+			t.Fatal("Flush timed out")
+		}
+	}
+	for i, p := range peers {
+		net := p.Registry().Snapshot()["net"].(obs.NetMetrics)
+		if net.AcksSent == 0 || net.AcksSent != trs[i].Diag().AcksSent || net.LogBytes != 0 {
+			t.Fatalf("proc %d: registry reports %d acks sent and %d log bytes held; transport says %+v",
+				i, net.AcksSent, net.LogBytes, trs[i].Diag())
 		}
 	}
 }

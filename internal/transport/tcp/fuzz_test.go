@@ -36,9 +36,16 @@ func FuzzFrameDecode(f *testing.F) {
 	f.Add(append(append([]byte{}, msg...), 0, 0, 0, 99, frameMsg, 1, 2))
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff})
+	// An ackreq between two msg frames, and a type-4 frame whose body is too
+	// long to be one: the receiver skips it and serves what follows.
+	f.Add(append(append(append([]byte{}, msg...), ackreqFrame...), msg...))
+	f.Add(append([]byte{0, 0, 0, 3, frameAckReq, 1, 2}, msg...))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		br := bufio.NewReader(bytes.NewReader(data))
+		// One decode state for the stream, as serveConn keeps one for its
+		// connection.
+		var dec transport.ConnDecoder
 		var body []byte
 		for {
 			var err error
@@ -51,8 +58,8 @@ func FuzzFrameDecode(f *testing.F) {
 			}
 			switch body[0] {
 			case frameMsg:
-				_, _, _ = decodeMsgFrame(body)
-			case frameHello, frameAck:
+				_, _, _ = decodeMsgFrame(&dec, body)
+			case frameHello, frameAck, frameAckReq:
 				// Fixed-size records; the readers bound-check lengths before
 				// trusting them, nothing further to decode here.
 			}

@@ -153,63 +153,42 @@ func TestAckPastWriterSkipsAhead(t *testing.T) {
 	}
 }
 
-// TestTailRestartsOnlyWhenWriterIdle: once everything is acked push reuses
-// the tail chunk from its start — unless the writer goroutine is inside a
-// write, whose bytes must not change under the kernel.
-func TestTailRestartsOnlyWhenWriterIdle(t *testing.T) {
+// TestFullyAckedTailGetsSuccessor: a tail chunk that is full and fully acked
+// stays in the log until the next ack — its end and its successor's start are
+// one position, for the ack cursor and for a rewind alike — and the unacked
+// byte count follows every step.
+func TestFullyAckedTailGetsSuccessor(t *testing.T) {
 	p := newTestPeer()
 	m, payload := blob(100, 'x')
 	p.push(m, payload)
-	p.wbatch = p.takeUnwritten(p.wbatch[:0])
-	inFlight := p.wbatch[0]
-	want := append([]byte(nil), inFlight...)
-
-	p.writing = true // the writer is in the socket write; the ack beats its return
-	p.advanceAck(1)
-	m2, payload2 := blob(100, 'y')
-	p.push(m2, payload2)
-	if !bytes.Equal(inFlight, want) {
-		t.Fatal("push overwrote bytes the writer was handing to the kernel")
-	}
-	if c := p.log[0]; len(p.log) != 1 || c.first != 1 || c.n != 2 {
-		t.Fatalf("tail after push during a write: first=%d n=%d in %d chunks; want the frame appended behind", c.first, c.n, len(p.log))
-	}
-	p.wbatch = p.takeUnwritten(p.wbatch[:0])
-	if len(p.wbatch) != 1 || p.wbatch[0][len(p.wbatch[0])-1] != 'y' || len(p.wbatch[0]) != 100 {
-		t.Fatalf("writer's next take is not exactly the second frame")
-	}
-
-	p.writing = false
-	p.advanceAck(2)
-	p.push(m, payload)
-	if c := p.log[0]; c.first != 3 || c.n != 1 || len(c.b) != 100 {
-		t.Fatalf("tail with the writer idle: first=%d n=%d len=%d; want restarted at seq 3", c.first, c.n, len(c.b))
-	}
-	if p.wi != 0 || p.woff != 0 || firstUnwritten(p) != 3 {
-		t.Fatalf("writer position after restart: chunk %d byte %d", p.wi, p.woff)
-	}
-
-	// A full tail that cannot be restarted gets a successor; the old tail,
-	// fully acked, is walked over by a rewind and dropped by the next ack.
-	p.wbatch = p.takeUnwritten(p.wbatch[:0])
-	p.advanceAck(3)
-	p.writing = true
-	big, bigPayload := blob(chunkSize-50, 'z')
+	big, bigPayload := blob(chunkSize-100, 'y')
 	p.push(big, bigPayload)
-	if len(p.log) != 2 {
-		t.Fatalf("%d chunks, want the acked tail and its successor", len(p.log))
+	p.wbatch = p.takeUnwritten(p.wbatch[:0])
+	if p.unacked != chunkSize {
+		t.Fatalf("unacked = %d with a full chunk pushed, want %d", p.unacked, chunkSize)
 	}
-	p.writing = false
+	p.advanceAck(1)
+	if p.unacked != chunkSize-100 || p.aoff != 100 {
+		t.Fatalf("ack 1: unacked=%d aoff=%d, want %d and 100", p.unacked, p.aoff, chunkSize-100)
+	}
+	p.advanceAck(2)
+	if len(p.log) != 1 || p.unacked != 0 || p.aoff != chunkSize {
+		t.Fatalf("ack 2: %d chunks, unacked=%d aoff=%d; want the drained tail kept", len(p.log), p.unacked, p.aoff)
+	}
+	p.push(m, payload)
+	if len(p.log) != 2 || p.unacked != 100 {
+		t.Fatalf("push behind a full acked tail: %d chunks, unacked=%d", len(p.log), p.unacked)
+	}
 	p.seek()
-	if p.sent != 3 {
+	if p.sent != 2 {
 		t.Fatalf("rewind over an acked chunk: sent=%d", p.sent)
 	}
-	if got := p.takeUnwritten(nil); len(got) != 1 || len(got[0]) != chunkSize-50 {
+	if got := p.takeUnwritten(nil); len(got) != 1 || len(got[0]) != 100 {
 		t.Fatalf("rewind over an acked chunk took %d slices", len(got))
 	}
-	p.advanceAck(4)
-	if len(p.log) != 1 || p.log[0].first != 4 {
-		t.Fatalf("after the ack: %d chunks, first=%d", len(p.log), p.log[0].first)
+	p.advanceAck(3)
+	if len(p.log) != 1 || p.log[0].first != 3 || p.unacked != 0 || p.aoff != 100 {
+		t.Fatalf("after the ack: %d chunks, first=%d, unacked=%d, aoff=%d", len(p.log), p.log[0].first, p.unacked, p.aoff)
 	}
 }
 
@@ -270,19 +249,45 @@ func (r *rawReceiver) accept() *rawConn {
 	return c
 }
 
-// next reads one msg frame.
-func (c *rawConn) next() (transport.Message, uint64) {
+// frame reads one frame: a msg frame decoded, or an ackreq (asked is true).
+func (c *rawConn) frame() (m transport.Message, seq uint64, asked bool) {
 	c.t.Helper()
 	var err error
 	c.body, err = readFrame(c.br, c.body)
 	if err != nil {
 		c.t.Fatalf("reading frame: %v", err)
 	}
-	m, seq, err := decodeMsgFrame(c.body)
-	if err != nil {
+	if len(c.body) == 1 && c.body[0] == frameAckReq {
+		return m, 0, true
+	}
+	if m, seq, err = decodeMsgFrame(nil, c.body); err != nil {
 		c.t.Fatalf("decoding frame: %v", err)
 	}
-	return m, seq
+	return m, seq, false
+}
+
+// next reads one msg frame, skipping the ackreq frames a flushing sender puts
+// between them.
+func (c *rawConn) next() (transport.Message, uint64) {
+	c.t.Helper()
+	for {
+		if m, seq, asked := c.frame(); !asked {
+			return m, seq
+		}
+	}
+}
+
+// nextAckReq reads frames up to and including the next ackreq and returns the
+// sequence of the last msg frame that came before it (0 if none did).
+func (c *rawConn) nextAckReq() (lastSeq uint64) {
+	c.t.Helper()
+	for {
+		_, seq, asked := c.frame()
+		if asked {
+			return lastSeq
+		}
+		lastSeq = seq
+	}
 }
 
 func (c *rawConn) ack(cum uint64) {
@@ -343,8 +348,18 @@ func TestReplayStartsAtFirstUnackedFrame(t *testing.T) {
 	if tr.Flush(20 * time.Millisecond) {
 		t.Fatal("Flush reported drained with nothing acked")
 	}
+	total := 0
+	for _, size := range sizes {
+		total += size
+	}
+	if d := tr.Diag(); d.LogBytes != uint64(total) {
+		t.Fatalf("LogBytes = %d with nothing acked, want the %d bytes sent", d.LogBytes, total)
+	}
 	c1.ack(2) // mid-chunk: frames 1..3 share the first chunk
 	awaitPeer(t, p, func() bool { return p.base == 2 })
+	if d := tr.Diag(); d.LogBytes != uint64(total-sizes[0]-sizes[1]) {
+		t.Fatalf("LogBytes = %d after the ack of two frames, want %d", d.LogBytes, total-sizes[0]-sizes[1])
+	}
 
 	tr.DropConn(1)
 	c2 := recv.accept()
@@ -360,21 +375,8 @@ func TestReplayStartsAtFirstUnackedFrame(t *testing.T) {
 		t.Fatal("Flush timed out after the final ack")
 	}
 
-	// Fully acked with the writer idle: the next send reuses the tail.
-	awaitPeer(t, p, func() bool { return !p.writing })
-	tail := p.log[len(p.log)-1]
-	m, payload := blob(100, 'q')
-	m.Payload = payload
-	if err := tr.Send(m); err != nil {
-		t.Fatal(err)
-	}
-	if _, seq := c2.next(); seq != uint64(len(sizes)+1) {
-		t.Fatalf("send after drain carried seq %d", seq)
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if len(p.log) != 1 || p.log[0] != tail || tail.first != uint64(len(sizes)+1) {
-		t.Fatalf("after drain: %d chunks, tail reused=%v first=%d", len(p.log), p.log[0] == tail, tail.first)
+	if d := tr.Diag(); d.LogBytes != 0 {
+		t.Fatalf("LogBytes = %d with everything acked", d.LogBytes)
 	}
 }
 
@@ -430,4 +432,150 @@ func TestPendingCountsFramesNotYetOnAConnection(t *testing.T) {
 	if !tr.Flush(10 * time.Second) {
 		t.Fatal("Flush timed out after the ack")
 	}
+}
+
+// TestFlushAsksForAck: the receiver acknowledges unasked only every ackEvery
+// bytes, so Flush on a channel holding one small unacked frame must ask — an
+// ackreq, behind the last data frame in the same stream — and must ask again on
+// a new connection when the one that carried the request dies unanswered.
+func TestFlushAsksForAck(t *testing.T) {
+	tr, recv := newRawReceiverT(t)
+	if err := tr.Send(transport.Message{From: 0, To: 1, Kind: "tcptest", Payload: uint64(7), Size: 8}); err != nil {
+		t.Fatal(err)
+	}
+	flushed := make(chan bool, 1)
+	go func() { flushed <- tr.Flush(30 * time.Second) }()
+
+	c1 := recv.accept()
+	if last := c1.nextAckReq(); last != 1 {
+		t.Fatalf("first connection: ackreq behind frame %d, want behind frame 1", last)
+	}
+	// The request is never answered: the connection dies instead.
+	tr.DropConn(1)
+	c2 := recv.accept()
+	if last := c2.nextAckReq(); last != 1 {
+		t.Fatalf("after the reconnect: ackreq behind frame %d, want behind the replayed frame 1", last)
+	}
+	select {
+	case <-flushed:
+		t.Fatal("Flush returned with nothing acked")
+	default:
+	}
+	c2.ack(1)
+	if !<-flushed {
+		t.Fatal("Flush reported not drained after the ack it asked for")
+	}
+	if d := tr.Diag(); d.LogBytes != 0 || d.Replayed != 1 {
+		t.Fatalf("diag %+v, want nothing held and the one frame replayed", d)
+	}
+}
+
+// TestFlushDoesNotWaitForTheThreshold is the same property against a real
+// receiver: one frame, far below ackEvery, and Flush returns drained — and
+// does so again when the connection is dropped between the send and the
+// flush, whether or not the frame had been delivered by then.
+func TestFlushDoesNotWaitForTheThreshold(t *testing.T) {
+	trs := newLoopbackT(t, 2)
+	send := func(v uint64) {
+		t.Helper()
+		if err := trs[0].Send(transport.Message{From: 0, To: 1, Kind: "tcptest", Payload: v, Size: 8}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	send(1)
+	if !trs[0].Flush(30 * time.Second) {
+		t.Fatal("Flush of one small frame timed out: it waited for the byte threshold")
+	}
+	send(2)
+	trs[0].DropConn(1)
+	if !trs[0].Flush(30 * time.Second) {
+		t.Fatal("Flush after a dropped connection timed out")
+	}
+	for want := uint64(1); want <= 2; want++ {
+		if got := recvT(t, trs[1], 1).Payload.(uint64); got != want {
+			t.Fatalf("delivered %d, want %d", got, want)
+		}
+	}
+	if d := trs[0].Diag(); d.LogBytes != 0 {
+		t.Fatalf("LogBytes = %d after a successful Flush", d.LogBytes)
+	}
+	if d := trs[1].Diag(); d.AcksSent == 0 || d.AcksSent > 4 {
+		t.Fatalf("receiver sent %d acks for two flushes", d.AcksSent)
+	}
+}
+
+// TestReplayAfterKillWithLazyAcks bounds what acknowledging on demand costs a
+// reconnect. A stream several times ackEvery long is delivered in full, so the
+// sender is left holding only frames the receiver has but never acknowledged:
+// at most ackEvery bytes and what one read buffer served (LogBytes). The
+// connection is then killed. The replay is exactly those frames, every one a
+// duplicate the sequence dedup drops, and the stream that follows arrives
+// exactly once, in order.
+func TestReplayAfterKillWithLazyAcks(t *testing.T) {
+	trs := newLoopbackT(t, 2)
+	const total, half = 6000, 4000
+	frame := msgFrameSize("tcptest", make([]byte, 8))
+	if half*frame < 4*ackEvery {
+		t.Fatalf("%d frames of %d bytes do not span several acks", half, frame)
+	}
+	send := func(lo, hi uint64) {
+		t.Helper()
+		for v := lo; v < hi; v++ {
+			if err := trs[0].Send(transport.Message{From: 0, To: 1, Kind: "tcptest", Payload: v, Size: 8}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	recv := func(lo, hi uint64) {
+		t.Helper()
+		want := lo
+		recvNT(t, trs[1], 1, int(hi-lo), func(m transport.Message) {
+			if got := m.Payload.(uint64); got != want {
+				t.Errorf("delivered %d, want %d (lost, duplicated, or reordered)", got, want)
+			}
+			want++
+		})
+		if t.Failed() {
+			t.FailNow()
+		}
+	}
+	send(0, half)
+	recv(0, half)
+	// Everything is delivered; acks already written may still be on their way.
+	heldMax := uint64(ackEvery + 4096 + frame)
+	for deadline := time.Now().Add(10 * time.Second); trs[0].Diag().LogBytes > heldMax; runtime.Gosched() {
+		if time.Now().After(deadline) {
+			t.Fatalf("sender holds %d bytes of delivered frames, want <= %d", trs[0].Diag().LogBytes, heldMax)
+		}
+	}
+	held := trs[0].Diag().LogBytes
+	if trs[1].Diag().AcksSent == 0 {
+		t.Fatal("no ack sent for a stream several times ackEvery long")
+	}
+
+	trs[0].DropConn(1)
+	send(half, total)
+	recv(half, total)
+	if !trs[0].Flush(30 * time.Second) {
+		t.Fatal("Flush timed out after the reconnect")
+	}
+	if err := trs[1].Send(transport.Message{From: 1, To: 1, Kind: "marker"}); err != nil {
+		t.Fatal(err)
+	}
+	if m := recvT(t, trs[1], 1); m.Kind != "marker" {
+		t.Fatalf("extra delivery after the stream: %+v", m)
+	}
+	sd, rd := trs[0].Diag(), trs[1].Diag()
+	if sd.Dials != 2 || sd.LogBytes != 0 {
+		t.Fatalf("sender diag %+v, want 2 dials and nothing held after Flush", sd)
+	}
+	// Only frames held at the kill are duplicates — an ack still on its way
+	// when held was read can only have made them fewer — while frames sent
+	// after the drop may have been queued before the redial and ride the same
+	// replay.
+	if rd.Duplicates > held/uint64(frame) || sd.Replayed < rd.Duplicates || rd.Gaps != 0 {
+		t.Fatalf("receiver dropped %d duplicates, sender replayed %d, held %d bytes (%d frames) at the kill, %d gaps",
+			rd.Duplicates, sd.Replayed, held, held/uint64(frame), rd.Gaps)
+	}
+	t.Logf("held at the kill: %d bytes = %d frames; duplicates %d; replayed %d", held, held/uint64(frame), rd.Duplicates, sd.Replayed)
 }

@@ -2,6 +2,7 @@ package tcp
 
 import (
 	"encoding/binary"
+	"io"
 	"net"
 	"sync"
 
@@ -28,33 +29,50 @@ type peer struct {
 	to   int
 	addr string
 
-	mu   sync.Mutex
-	cond *sync.Cond
+	mu sync.Mutex
+	// cond wakes the writer goroutine (frames to write, an ack to ask for, the
+	// connection replaced, the transport closed); acked wakes Flush callers
+	// (base moved, the transport closed). They are separate so that neither
+	// kind of waiter can swallow a Signal meant for the other.
+	cond  *sync.Cond
+	acked *sync.Cond
 	// log is the replay buffer: every frame the receiver has not acked, in
 	// sequence order, packed into chunks (oldest first). The last chunk is
-	// the tail push appends to; it stays in the log even when fully acked so
-	// push can restart it in place instead of allocating a fresh one. Chunks
-	// are not pooled: advanceAck just drops its reference to a fully acked
-	// chunk and the garbage collector reclaims it once the writer's slices of
-	// it are gone too, so an ack racing an in-flight write needs no protocol.
+	// the tail push appends to; it stays in the log even when fully acked.
+	// Chunks are not pooled: advanceAck just drops its reference to a fully
+	// acked chunk and the garbage collector reclaims it once the writer's
+	// slices of it are gone too, so an ack racing an in-flight write needs no
+	// protocol.
 	log []*chunk
 	// base is the receiver's cumulative ack, sent the highest sequence handed
 	// to the kernel on the current connection, last the highest sequence
 	// assigned: base <= sent <= last.
 	base, sent, last uint64
+	// aoff locates frame base+1, the first the receiver has not acked: byte
+	// aoff of log[0]. unacked is the size of the frames from there on, base+1
+	// .. last.
+	aoff, unacked int
 	// wi and woff locate frame sent+1, the writer's position: byte woff of
 	// log[wi]. The end of one chunk and the start of the next are the same
-	// position.
+	// position, for both cursors.
 	wi, woff int
-	// writing is true while the writer goroutine is inside a socket write of
-	// bytes it took from the log. push may restart the tail chunk in place —
-	// overwrite its bytes — only when this is false.
-	writing bool
-	conn    net.Conn
-	closed  bool
-	// wbatch is the writer goroutine's reusable slice-of-slices scratch.
-	// runPeer guarantees a single writer, so only that goroutine touches it.
+	// ackreq tells the writer goroutine to send an ackreq frame behind
+	// whatever it writes next (Flush).
+	ackreq bool
+	conn   net.Conn
+	closed bool
+	// wbatch is the writer goroutine's reusable slice-of-slices scratch and
+	// wbufs the net.Buffers header its write consumes (see writeBatch).
+	// runPeer guarantees a single writer, so only that goroutine touches them.
 	wbatch [][]byte
+	wbufs  net.Buffers
+}
+
+func newPeer(to int, addr string) *peer {
+	p := &peer{to: to, addr: addr}
+	p.cond = sync.NewCond(&p.mu)
+	p.acked = sync.NewCond(&p.mu)
+	return p
 }
 
 // push appends m as a msg frame carrying the channel's next sequence number
@@ -70,59 +88,22 @@ func (p *peer) push(m transport.Message, payload []byte) {
 	if n := len(p.log); n > 0 {
 		tail = p.log[n-1]
 	}
-	switch {
-	case tail != nil && p.base == p.last && !p.writing && size <= cap(tail.b):
-		// Everything is acked and nobody is reading the tail's bytes:
-		// restart it in place. (Allocating a fresh chunk whenever the log
-		// drains instead costs a zeroed 64 KiB per quiet round trip.)
-		tail.b, tail.first, tail.n = tail.b[:0], p.last+1, 0
-		p.wi, p.woff = len(p.log)-1, 0
-	case tail == nil || len(tail.b)+size > cap(tail.b):
-		c := chunkSize
-		if size > c {
-			c = size
-		}
-		tail = &chunk{b: make([]byte, 0, c), first: p.last + 1}
+	if tail == nil || len(tail.b)+size > cap(tail.b) {
+		tail = &chunk{b: make([]byte, 0, max(chunkSize, size)), first: p.last + 1}
 		p.log = append(p.log, tail)
 	}
 	p.last++
 	tail.b = appendMsgFrame(tail.b, p.last, m, payload)
 	tail.n++
+	p.unacked += size
 	p.cond.Signal()
 }
 
-// trim drops the log's references to fully acked chunks other than the
-// tail. Caller holds p.mu.
-func (p *peer) trim() {
-	k := 0
-	for k < len(p.log)-1 && p.log[k].first+uint64(p.log[k].n) <= p.base+1 {
-		p.log[k] = nil
-		k++
-	}
-	p.log = p.log[k:]
-	if p.wi -= k; p.wi < 0 {
-		// The writer stood at the end of a dropped chunk: the start of the
-		// next one.
-		p.wi, p.woff = 0, 0
-	}
-}
-
-// seek moves the writer's position back (after a reconnect) or forward (an
-// ack for frames this connection has not carried) to the first unacked
-// frame, found by walking the length prefixes of the first chunk. Caller
-// holds p.mu. Every ack trims the log, so the first chunk either holds frame
-// base+1 or is a fully acked tail — possibly one push could not restart and
-// put a successor behind — and then the walk stops at its end, which is the
-// start of the next chunk.
+// seek moves the writer's position to the first unacked frame: back after a
+// reconnect, forward when an ack covers frames this connection has not
+// carried. Caller holds p.mu.
 func (p *peer) seek() {
-	p.sent, p.wi, p.woff = p.base, 0, 0
-	if len(p.log) == 0 {
-		return
-	}
-	c := p.log[0]
-	for seq := c.first; seq <= p.base && p.woff < len(c.b); seq++ {
-		p.woff += 4 + int(binary.BigEndian.Uint32(c.b[p.woff:]))
-	}
+	p.sent, p.wi, p.woff = p.base, 0, p.aoff
 }
 
 // takeUnwritten appends to dst the log's bytes from the writer's position to
@@ -144,8 +125,21 @@ func (p *peer) takeUnwritten(dst [][]byte) [][]byte {
 	return dst
 }
 
+// writeBatch hands wbatch to w as one vectored write. WriteTo consumes the
+// header it is called on — wbufs, which lives in the peer so that taking its
+// address allocates nothing — and wbatch keeps the backing array's full
+// capacity for the next round. Only the writer goroutine calls it, without
+// p.mu.
+func (p *peer) writeBatch(w io.Writer) error {
+	p.wbufs = net.Buffers(p.wbatch)
+	_, err := p.wbufs.WriteTo(w)
+	return err
+}
+
 // advanceAck moves base to the cumulative ack and lets go of the chunks it
-// covers.
+// covers. A chunk the ack covers to its end is passed in one step and the one
+// the ack lands in is walked by its frames' length prefixes, so an ack costs
+// at most one chunk's worth of frames however much it covers.
 func (p *peer) advanceAck(cum uint64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -155,12 +149,32 @@ func (p *peer) advanceAck(cum uint64) {
 	if cum <= p.base {
 		return
 	}
-	p.base = cum
-	p.trim()
+	for p.base < cum {
+		c := p.log[0]
+		if end := c.first + uint64(c.n) - 1; end <= cum {
+			p.unacked -= len(c.b) - p.aoff
+			p.aoff = len(c.b)
+			p.base = max(p.base, end)
+			if len(p.log) > 1 {
+				// Not the tail: drop it. Its end is the next chunk's start.
+				p.log[0] = nil
+				p.log = p.log[1:]
+				p.aoff = 0
+				if p.wi--; p.wi < 0 {
+					p.wi, p.woff = 0, 0
+				}
+			}
+			continue
+		}
+		n := 4 + int(binary.BigEndian.Uint32(c.b[p.aoff:]))
+		p.aoff += n
+		p.unacked -= n
+		p.base++
+	}
 	if p.sent < p.base {
 		// The receiver holds frames this connection has not carried (it got
 		// them before a reconnect): skip what no longer needs replaying.
 		p.seek()
 	}
-	p.cond.Broadcast() // wake Flush waiters
+	p.acked.Broadcast()
 }

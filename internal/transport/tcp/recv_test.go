@@ -55,6 +55,18 @@ func (s *rawSender) write(b []byte) {
 	}
 }
 
+// blobFrames encodes the sequences lo..hi as "tcpblob" messages whose frames
+// are exactly frameLen bytes long.
+func (s *rawSender) blobFrames(lo, hi uint64, frameLen int) []byte {
+	var out []byte
+	for seq := lo; seq <= hi; seq++ {
+		m, payload := blob(frameLen, byte(seq))
+		m.From, m.To = s.from, s.to
+		out = appendMsgFrame(out, seq, m, payload)
+	}
+	return out
+}
+
 // readAck reads one ack frame; ok is false once the receiver hung up (EOF,
 // or a reset if it closed with frames of ours unread).
 func (s *rawSender) readAck() (cum uint64, ok bool) {
@@ -70,52 +82,116 @@ func (s *rawSender) readAck() (cum uint64, ok bool) {
 	return transport.NewDecoder(body[1:]).Uint64(), true
 }
 
-// TestBurstSharesOneAckPerRead pins the ack cadence. A sender that writes a
-// thousand frames at once reads back far fewer than a thousand acks — one per
-// read of the socket, and the receiver reads 4 KiB at a time — the last of
-// them cumulative for the whole burst; a sender that waits for each ack gets
-// exactly one per frame.
-func TestBurstSharesOneAckPerRead(t *testing.T) {
-	trs := newLoopbackT(t, 2)
-	go func() {
-		for {
-			if _, ok := trs[1].Recv(1); !ok {
-				return
-			}
-		}
-	}()
-	s := dialRaw(t, trs[1], 0)
+// wantAck reads the next ack on the connection, which must be for cum. Acks
+// arrive in the order they were written, so this also says that no other ack
+// was written since the last one read.
+func (s *rawSender) wantAck(cum uint64, why string) {
+	s.t.Helper()
+	if got, ok := s.readAck(); !ok || got != cum {
+		s.t.Fatalf("%s: next ack on the connection is %d (ok=%v), want %d", why, got, ok, cum)
+	}
+}
 
-	// One at a time: the i-th ack read is for exactly frame i, so none was
-	// withheld and none sent twice.
+// TestAcksOnDemand pins when the receiver acknowledges. The sender's end is a
+// raw connection, so the acks it reads are exactly the acks written, in order:
+// lone frames below ackEvery bytes draw none; crossing ackEvery draws exactly
+// one, cumulative; an ackreq draws one, with or without anything new to
+// report; a dropped duplicate draws one; and a burst far larger than a read
+// draws one per ackEvery bytes, not one per read.
+func TestAcksOnDemand(t *testing.T) {
+	trs := newLoopbackT(t, 2)
+	s := dialRaw(t, trs[1], 0)
+	// delivered waits until the receiver has handed over everything up to
+	// seq, and with that has been through every read before it.
+	next := uint64(1)
+	delivered := func(seq uint64) {
+		t.Helper()
+		recvNT(t, trs[1], 1, int(seq+1-next), func(transport.Message) {})
+		next = seq + 1
+	}
+	var acks uint64
+
+	// Lone frames, each delivered before the next is written, well below the
+	// threshold: the first ack on the connection is the one asked for.
 	const lone = 50
 	for seq := uint64(1); seq <= lone; seq++ {
 		s.write(s.frames(seq, seq))
-		if cum, ok := s.readAck(); !ok || cum != seq {
-			t.Fatalf("lone frame %d: ack %d (ok=%v), want its own", seq, cum, ok)
-		}
+		delivered(seq)
+	}
+	s.write(ackreqFrame)
+	s.wantAck(lone, "ackreq after 50 unacknowledged lone frames")
+	s.write(ackreqFrame)
+	s.wantAck(lone, "ackreq with nothing new")
+	acks += 2
+
+	// One frame at a time again, 1 KiB each: the frame that takes the
+	// unacknowledged bytes to ackEvery draws an ack for everything so far, and
+	// the frames before and after it draw none.
+	const frameLen = 1024
+	crossing := uint64(lone + ackEvery/frameLen)
+	for seq := uint64(lone + 1); seq <= crossing+1; seq++ {
+		s.write(s.blobFrames(seq, seq, frameLen))
+		delivered(seq)
+	}
+	s.wantAck(crossing, "crossing ackEvery")
+	s.write(ackreqFrame)
+	s.wantAck(crossing+1, "ackreq after the crossing")
+	acks += 2
+
+	// A duplicate means the sender is behind: it is told where the receiver
+	// is, at once.
+	s.write(s.frames(3, 3))
+	s.wantAck(crossing+1, "duplicate")
+	acks++
+	if d := trs[1].Diag(); d.Duplicates != 1 || d.AcksSent != acks {
+		t.Fatalf("diag %+v, want 1 duplicate and %d acks sent", d, acks)
 	}
 
-	const burst = 1000
-	stream := s.frames(lone+1, lone+burst)
+	// A burst: many reads, few acks.
+	const burst = 3000
+	last := crossing + 1 + burst
+	stream := append(s.frames(crossing+2, last), ackreqFrame...)
 	s.write(stream)
-	acks := 0
+	burstAcks := 0
 	for {
 		cum, ok := s.readAck()
 		if !ok {
-			t.Fatalf("connection closed after %d acks", acks)
+			t.Fatalf("connection closed after %d acks", burstAcks)
 		}
-		acks++
-		if cum == lone+burst {
+		burstAcks++
+		if cum == last {
 			break
 		}
 	}
-	// One ack per read, a read per 4 KiB when the bytes are all there; leave
-	// room for reads the kernel cut short.
-	if limit := 4 * (len(stream)/4096 + 1); acks > limit {
-		t.Errorf("%d frames (%d bytes) in one write drew %d acks, want <= %d", burst, len(stream), acks, limit)
+	if limit := len(stream)/ackEvery + 1; burstAcks > limit || len(stream) < 3*ackEvery {
+		t.Errorf("%d frames (%d bytes) in one write drew %d acks, want <= %d (one per %d bytes and the one asked for)",
+			burst, len(stream), burstAcks, limit, ackEvery)
 	}
-	t.Logf("%d frames, %d bytes: %d acks", burst, len(stream), acks)
+	delivered(last)
+	if d := trs[1].Diag(); d.AcksSent != acks+uint64(burstAcks) || d.Gaps != 0 || d.DecodeErrors != 0 {
+		t.Fatalf("diag %+v, want %d acks sent, no gaps, no decode errors", d, acks+uint64(burstAcks))
+	}
+}
+
+// TestMalformedAckReqIsIgnored: a type-4 frame whose body is not exactly the
+// type byte is skipped like any unknown frame — it draws no ack and does not
+// cost the connection.
+func TestMalformedAckReqIsIgnored(t *testing.T) {
+	trs := newLoopbackT(t, 2)
+	s := dialRaw(t, trs[1], 0)
+	s.write(s.frames(1, 1))
+	s.write([]byte{0, 0, 0, 2, frameAckReq, 0}) // one byte too many
+	s.write(s.frames(2, 2))
+	for want := uint64(1); want <= 2; want++ {
+		if got := recvT(t, trs[1], 1).Payload.(uint64); got != want {
+			t.Fatalf("delivered %d, want %d", got, want)
+		}
+	}
+	s.write(ackreqFrame)
+	s.wantAck(2, "well-formed ackreq after the malformed one")
+	if d := trs[1].Diag(); d.AcksSent != 1 || d.DecodeErrors != 0 {
+		t.Fatalf("diag %+v, want exactly the one ack and no decode error", d)
+	}
 }
 
 // TestTwoConnectionsDeliverInOrder is the regression test for a FIFO
@@ -235,5 +311,40 @@ func TestSequenceGapClosesConnection(t *testing.T) {
 		if got := recvT(t, trs[1], 1).Payload.(uint64); got != want {
 			t.Fatalf("delivered %d, want %d", got, want)
 		}
+	}
+}
+
+// TestCloseAcksWhatWasDelivered: a receiver that closes tells each sender, as
+// its last word on the connection, what it delivered — there is nobody left to
+// answer an ackreq, and a sender flushing after its peer has gone (the last
+// processes of a fleet to exit) would otherwise wait out its timeout. Seen
+// from a raw connection it is one cumulative ack and then the hang-up; seen
+// from a transport, Flush drains against a closed peer.
+func TestCloseAcksWhatWasDelivered(t *testing.T) {
+	trs := newLoopbackT(t, 2)
+	s := dialRaw(t, trs[1], 0)
+	s.write(s.frames(1, 3))
+	for i := 0; i < 3; i++ {
+		recvT(t, trs[1], 1)
+	}
+	trs[1].Close()
+	s.wantAck(3, "the closing receiver's last word")
+	if cum, ok := s.readAck(); ok {
+		t.Fatalf("ack %d after the last word; want the connection closed", cum)
+	}
+
+	trs = newLoopbackT(t, 2)
+	for i := uint64(1); i <= 3; i++ {
+		if err := trs[0].Send(transport.Message{From: 0, To: 1, Kind: "tcptest", Payload: i, Size: 8}); err != nil {
+			t.Fatal(err)
+		}
+		recvT(t, trs[1], 1)
+	}
+	trs[1].Close()
+	if !trs[0].Flush(30 * time.Second) {
+		t.Fatal("Flush timed out: the closed receiver never acknowledged what it had delivered")
+	}
+	if d := trs[1].Diag(); d.AcksSent != 1 {
+		t.Fatalf("closed receiver sent %d acks, want the one", d.AcksSent)
 	}
 }

@@ -23,22 +23,43 @@
 // unbounded per-peer replay log, as the non-blocking writes of Section 3
 // require).
 //
-// Both directions pay per burst, not per message. The receiver sends its
-// cumulative ack immediately before any read of the socket that may block,
-// and at no other time: frames that arrived together and are served from the
-// connection's 4 KiB read buffer share one ack, while a frame that arrived
-// alone is acked before the receiver waits for the next, so coalescing never
-// delays an ack behind an idle socket. The sender's replay log is a list of
-// fixed-capacity chunks (64 KiB, or one frame's size if larger) into which
-// Send encodes frames back to back; the writer goroutine hands the unwritten
-// byte range — normally one slice — to the kernel in one write, and an ack
-// drops the log's references to the chunks it fully covers. Chunks are not
-// pooled: a chunk the writer is still handing to the kernel stays alive
-// through the writer's own reference and the garbage collector reclaims it
-// afterwards, so an ack racing an in-flight write needs no protocol at all.
-// The one chunk that is reused is the tail: when everything is acked and the
-// writer is idle, the next Send restarts it in place, so a quiet channel
-// (request, ack, request, ack) allocates nothing.
+// Acknowledgements are sent on demand. The receiver writes its cumulative ack
+// only immediately before a read of the socket — the one point where it may
+// block, so frames served from the connection's 4 KiB read buffer share an ack
+// — and only when one of three things holds: (a) at least ackEvery
+// (chunkSize/2) bytes of frames it delivered on the connection are
+// unacknowledged; (b) the sender asked, with an ackreq frame, which Flush has
+// the writer goroutine append behind the unwritten frames and asks again on
+// every poll, so a request lost with its connection is repeated on the next;
+// (c) it just dropped a duplicate, which means the sender's idea of what was
+// delivered is behind. Nothing else draws an ack while the channel is up: a
+// lone frame on a quiet channel costs the sender one write and the receiver
+// one read, and nobody a write and a read for an ack nothing waits for. The
+// price is bounded. A sender holds at most ackEvery bytes of frames the
+// receiver already delivered, plus what is in flight, per channel
+// (Diag.LogBytes); a reconnect replays at most that much into the receiver's
+// sequence dedup; and Flush, which asks, never waits for the byte threshold.
+// One ack is sent unasked at the very end: a transport that closes
+// acknowledges what each inbound connection delivered as its last word on it,
+// since nobody will be there to answer a later ackreq (see Close).
+//
+// The sender's replay log is a list of fixed-capacity chunks (64 KiB, or one
+// frame's size if larger) into which Send encodes frames back to back; the
+// writer goroutine hands the unwritten byte range — normally one slice — to
+// the kernel in one write, and an ack drops the log's references to the
+// chunks it fully covers. Chunks are not pooled: a chunk the writer is still
+// handing to the kernel stays alive through the writer's own reference and
+// the garbage collector reclaims it afterwards, so an ack racing an in-flight
+// write needs no protocol at all. A channel therefore allocates one chunk per
+// 64 KiB of frames it carries, acknowledged or not.
+//
+// The receiving side of a connection is one goroutine that owns everything it
+// needs to turn bytes into messages: the frame buffer, the acknowledgement
+// state, and a transport.ConnDecoder through which the payload codecs keep
+// per-connection decode state (internal/dsm carves received updates and their
+// timestamps from slabs and caches location strings there). Decoded messages
+// go to the node's network.Inbox, the burst queue the simulated fabric
+// delivers into as well.
 //
 // Wire format (all integers big-endian, encoding/binary): every frame is a
 // uint32 body length followed by the body; the body's first byte is the
@@ -48,6 +69,12 @@
 //	msg    2 | u64 seq | u32 from | u32 to | str kind | u32 size
 //	         | u32 payloadLen | payload            (payload via codec registry)
 //	ack    3 | u64 cumSeq                          (acceptor -> dialer)
+//	ackreq 4                                       (dialer asks for an ack)
+//
+// A receiver skips frame types it does not know and an ackreq whose body is
+// not exactly the type byte. Every node of a deployment runs the same build:
+// a sender that never asks would wait in Flush for acks this receiver sends
+// only every ackEvery bytes.
 //
 // Strings are uint32-length-prefixed. Payload encodings are the per-kind
 // codecs registered in transport's registry by internal/dsm and
@@ -66,16 +93,21 @@ import (
 	"sync/atomic"
 	"time"
 
+	"mixedmem/internal/network"
 	"mixedmem/internal/obs"
 	"mixedmem/internal/transport"
 )
 
 // Frame types.
 const (
-	frameHello = 1
-	frameMsg   = 2
-	frameAck   = 3
+	frameHello  = 1
+	frameMsg    = 2
+	frameAck    = 3
+	frameAckReq = 4
 )
+
+// ackreqFrame is the whole ackreq frame: a one-byte body, the type.
+var ackreqFrame = []byte{0, 0, 0, 1, frameAckReq}
 
 // helloMagic guards against a stranger dialing the port.
 const helloMagic = 0x4d58444d // "MXDM"
@@ -153,6 +185,14 @@ type Diag struct {
 	// gap costs a reconnect, never a message; any non-zero count is a sender
 	// bug.
 	Gaps uint64
+	// AcksSent counts the cumulative acks this node, as a receiver, wrote to
+	// its inbound connections.
+	AcksSent uint64
+	// LogBytes is the size right now of the frames this node, as a sender,
+	// holds in its replay logs because no ack has covered them: what a
+	// reconnect of every channel would replay, and the memory that sending
+	// acks on demand trades for the saved round trips.
+	LogBytes uint64
 }
 
 // Transport is a TCP-backed transport.Transport serving one local node.
@@ -162,7 +202,7 @@ type Transport struct {
 	cfg Config
 	ln  net.Listener
 
-	inbox *queue
+	inbox *network.Inbox
 	peers []*peer // indexed by node ID; peers[id] is nil
 
 	// lastSeq[j] is the highest sequence delivered from sender j; it
@@ -181,6 +221,7 @@ type Transport struct {
 	duplicates   atomic.Uint64
 	decodeErrors atomic.Uint64
 	gaps         atomic.Uint64
+	acksSent     atomic.Uint64
 
 	connMu sync.Mutex
 	conns  map[net.Conn]struct{}
@@ -223,7 +264,7 @@ func New(cfg Config) (*Transport, error) {
 		n:        n,
 		cfg:      cfg,
 		ln:       ln,
-		inbox:    newQueue(),
+		inbox:    network.NewInbox(),
 		peers:    make([]*peer, n),
 		lastSeq:  make([]uint64, n),
 		nodeSent: make([]atomic.Uint64, n),
@@ -234,8 +275,7 @@ func New(cfg Config) (*Transport, error) {
 		if j == cfg.ID {
 			continue
 		}
-		p := &peer{to: j, addr: cfg.Peers[j]}
-		p.cond = sync.NewCond(&p.mu)
+		p := newPeer(j, cfg.Peers[j])
 		t.peers[j] = p
 		t.wg.Add(1)
 		go t.runPeer(p)
@@ -264,7 +304,7 @@ func (t *Transport) Send(m transport.Message) error {
 	}
 	if m.To == t.id {
 		t.account(m)
-		t.inbox.push(m)
+		t.inbox.Push(m)
 		return nil
 	}
 	payload, err := transport.EncodePayload(transport.GetBuf(), m.Kind, m.Payload)
@@ -311,7 +351,7 @@ func (t *Transport) Recv(node int) (transport.Message, bool) {
 	if node != t.id {
 		return transport.Message{}, false
 	}
-	return t.inbox.pop()
+	return t.inbox.Pop()
 }
 
 // Pending reports the number of messages queued locally for the channel
@@ -373,14 +413,23 @@ func (t *Transport) Stats() transport.Stats {
 
 // Diag returns a snapshot of the supervisor and decode counters.
 func (t *Transport) Diag() Diag {
-	return Diag{
+	d := Diag{
 		Dials:        t.dials.Load(),
 		DialFailures: t.dialFailures.Load(),
 		Replayed:     t.replayed.Load(),
 		Duplicates:   t.duplicates.Load(),
 		DecodeErrors: t.decodeErrors.Load(),
 		Gaps:         t.gaps.Load(),
+		AcksSent:     t.acksSent.Load(),
 	}
+	for _, p := range t.peers {
+		if p != nil {
+			p.mu.Lock()
+			d.LogBytes += uint64(p.unacked)
+			p.mu.Unlock()
+		}
+	}
+	return d
 }
 
 // Flush blocks until every peer has acknowledged every message sent so far
@@ -388,6 +437,9 @@ func (t *Transport) Diag() Diag {
 // channels drained. Distributed deployments call it before Close so the
 // tail of the conversation (final barrier releases, lock handoffs) reaches
 // peers that still need it; Close itself drops unacked messages.
+//
+// A receiver acknowledges unasked only every ackEvery bytes, so Flush asks:
+// the writer goroutine sends an ackreq behind whatever it has not written yet.
 func (t *Transport) Flush(timeout time.Duration) bool {
 	deadline := time.Now().Add(timeout)
 	drained := true
@@ -397,10 +449,13 @@ func (t *Transport) Flush(timeout time.Duration) bool {
 		}
 		p.mu.Lock()
 		for p.base < p.last && !p.closed && time.Now().Before(deadline) {
-			// Poll: acks broadcast the cond, but a dead peer never will,
-			// so bound each wait.
-			w := time.AfterFunc(10*time.Millisecond, p.cond.Broadcast)
-			p.cond.Wait()
+			// Ask on every poll, not once: a request written to a connection
+			// that then died is repeated on the next one. And poll, because an
+			// ack wakes the wait but a dead peer never sends one.
+			p.ackreq = true
+			p.cond.Signal()
+			w := time.AfterFunc(10*time.Millisecond, p.acked.Broadcast)
+			p.acked.Wait()
 			w.Stop()
 		}
 		if p.base < p.last {
@@ -429,8 +484,10 @@ func (t *Transport) DropConn(to int) {
 // Close shuts the transport down: stops the supervisors, closes every
 // connection and the listener, and unblocks receivers. Messages not yet
 // acked by their destination are dropped, like the fabric's undelivered
-// queue contents at Close. Close is idempotent and waits for all internal
-// goroutines to exit.
+// queue contents at Close. Every inbound connection gets a last ack for what
+// it delivered, so a peer that flushes after this node has gone is not left
+// waiting for an answer to a request nobody can receive. Close is idempotent
+// and waits for all internal goroutines to exit.
 func (t *Transport) Close() {
 	t.closeOnce.Do(func() {
 		close(t.done)
@@ -444,16 +501,20 @@ func (t *Transport) Close() {
 			if p.conn != nil {
 				p.conn.Close()
 			}
-			p.cond.Broadcast()
+			p.cond.Signal()
+			p.acked.Broadcast()
 			p.mu.Unlock()
 		}
+		// Inbound connections are not closed from here: their readers are
+		// kicked out of the read they are blocked in and close the
+		// connections themselves, after a last ack (serveConn).
 		t.connMu.Lock()
 		for c := range t.conns {
-			c.Close()
+			c.SetReadDeadline(time.Unix(1, 0))
 		}
 		t.connMu.Unlock()
 		t.wg.Wait()
-		t.inbox.close()
+		t.inbox.Close()
 	})
 }
 
@@ -513,7 +574,6 @@ func (t *Transport) runPeer(p *peer) {
 			t.cfg.Tracer.Record(obs.EvReconnect, 0, uint16(p.to), obs.NoLoc,
 				t.dials.Load(), replay, 0)
 		}
-		p.cond.Broadcast()
 		p.mu.Unlock()
 
 		ackDone := make(chan struct{})
@@ -525,7 +585,6 @@ func (t *Transport) runPeer(p *peer) {
 		if p.conn == conn {
 			p.conn = nil
 		}
-		p.cond.Broadcast()
 		p.mu.Unlock()
 		if err != nil && !errors.Is(err, errConnGone) {
 			t.cfg.Logf("tcp: node %d channel to %d: %v", t.id, p.to, err)
@@ -544,28 +603,36 @@ func (t *Transport) writeHello(conn net.Conn) error {
 // writeFrames streams the replay log to the connection until it fails, is
 // replaced, or the transport closes. Each round takes the whole unwritten
 // byte range of the log — one slice of the tail chunk, or a few when a
-// backlog spans chunks — and hands it to the kernel as one (vectored) write,
-// so a burst of sends costs one syscall and no copy.
+// backlog spans chunks — with an ackreq behind it if Flush asked for one, and
+// hands it to the kernel as one (vectored) write, so a burst of sends costs
+// one syscall and no copy.
 func (t *Transport) writeFrames(p *peer, conn net.Conn) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for {
-		for p.sent == p.last && p.conn == conn && !p.closed {
+		for p.sent == p.last && !p.ackreq && p.conn == conn && !p.closed {
 			p.cond.Wait()
 		}
 		if p.closed || p.conn != conn {
 			return errConnGone
 		}
-		p.wbatch = p.takeUnwritten(p.wbatch[:0])
-		p.writing = true
+		p.wbatch = p.wbatch[:0]
+		if p.sent < p.last {
+			p.wbatch = p.takeUnwritten(p.wbatch)
+		}
+		if p.ackreq && p.base < p.last {
+			p.wbatch = append(p.wbatch, ackreqFrame)
+		}
+		p.ackreq = false
+		if len(p.wbatch) == 0 {
+			continue // asked for an ack of nothing: the ack came first
+		}
 		p.mu.Unlock()
 
 		conn.SetWriteDeadline(time.Now().Add(t.cfg.WriteTimeout))
-		bufs := net.Buffers(p.wbatch)
-		_, err := bufs.WriteTo(conn)
+		err := p.writeBatch(conn)
 
 		p.mu.Lock()
-		p.writing = false
 		if err != nil {
 			return err
 		}
@@ -588,7 +655,7 @@ func (t *Transport) readAcks(p *peer, conn net.Conn, done chan struct{}) {
 			if p.conn == conn {
 				p.conn = nil
 			}
-			p.cond.Broadcast()
+			p.cond.Signal() // the writer, if it is waiting for frames
 			p.mu.Unlock()
 			return
 		}
@@ -621,28 +688,47 @@ func (t *Transport) acceptLoop() {
 	}
 }
 
+// ackEvery is how many bytes of delivered frames a receiver lets go
+// unacknowledged on a connection before it acks without being asked: half a
+// chunk, so a streaming sender's log stays within a chunk or two.
+const ackEvery = chunkSize / 2
+
 // ackReader is the io.Reader serveConn's bufio.Reader fills itself from. It
-// sends the connection's pending cumulative ack immediately before every read
-// of the socket, the only point where the receiver may block: frames that
-// arrived together and were served from bufio's buffer share one ack, and a
-// frame that arrived alone is acked before the receiver waits for the next.
+// sends the connection's cumulative ack, when one is due, immediately before a
+// read of the socket — the only point where the receiver may block — so frames
+// that arrived together and were served from bufio's buffer share it.
 type ackReader struct {
 	conn    net.Conn
 	timeout time.Duration
-	cum     uint64   // cumulative sequence to acknowledge
-	pending bool     // cum has not been sent on this connection yet
-	frame   [13]byte // the ack frame's bytes, so sending one allocates nothing
+	sent    *atomic.Uint64 // Diag.AcksSent
+	// cum is the cumulative sequence to acknowledge and unacked the bytes of
+	// frames delivered on this connection since its last ack.
+	cum     uint64
+	unacked int
+	// due says the next read sends an ack first: unacked reached ackEvery, the
+	// sender asked, or a duplicate was dropped.
+	due   bool
+	frame [13]byte // the ack frame's bytes, so sending one allocates nothing
 }
 
 func (r *ackReader) Read(b []byte) (int, error) {
-	if r.pending {
-		r.conn.SetWriteDeadline(time.Now().Add(r.timeout))
-		if _, err := r.conn.Write(appendAckFrame(r.frame[:0], r.cum)); err != nil {
+	if r.due {
+		if err := r.ack(); err != nil {
 			return 0, err
 		}
-		r.pending = false
 	}
 	return r.conn.Read(b)
+}
+
+// ack writes the cumulative ack.
+func (r *ackReader) ack() error {
+	// Counted before it is written: whoever has read this ack off the wire
+	// finds it in the count.
+	r.sent.Add(1)
+	r.conn.SetWriteDeadline(time.Now().Add(r.timeout))
+	_, err := r.conn.Write(appendAckFrame(r.frame[:0], r.cum))
+	r.due, r.unacked = false, 0
+	return err
 }
 
 // serveConn receives one peer's channel: validate the hello, then deliver
@@ -650,21 +736,33 @@ func (r *ackReader) Read(b []byte) (int, error) {
 // cumulatively on the same socket (see ackReader for when).
 func (t *Transport) serveConn(conn net.Conn) {
 	defer t.wg.Done()
+	acks := &ackReader{conn: conn, timeout: t.cfg.WriteTimeout, sent: &t.acksSent}
 	defer func() {
+		select {
+		case <-t.done:
+			// The transport is closing (Close ended the read). Acknowledge
+			// what this connection delivered: the sender can ask no more, and
+			// its Flush would otherwise wait out its timeout.
+			if acks.due || acks.unacked > 0 {
+				_ = acks.ack() // the connection is closed next either way
+			}
+		default:
+		}
 		conn.Close()
 		t.connMu.Lock()
 		delete(t.conns, conn)
 		t.connMu.Unlock()
 	}()
-	acks := &ackReader{conn: conn, timeout: t.cfg.WriteTimeout}
-	// The default 4 KiB buffer bounds how many frames one ack can cover, and
-	// with it how long the sender holds them.
+	// The default 4 KiB buffer bounds how many frames are served between two
+	// looks at whether an ack is due.
 	br := bufio.NewReader(acks)
 	// body is the connection's reusable frame buffer: readFrame fills it in
 	// place (growing as needed) and every decode copies what it keeps, so one
-	// buffer serves every frame of the connection.
+	// buffer serves every frame of the connection. dec is the payload codecs'
+	// state for the connection.
 	body := transport.GetBuf()
 	defer func() { transport.PutBuf(body) }()
+	var dec transport.ConnDecoder
 	body, err := readFrame(br, body)
 	if err != nil || len(body) != 9 || body[0] != frameHello ||
 		binary.BigEndian.Uint32(body[1:]) != helloMagic {
@@ -679,10 +777,20 @@ func (t *Transport) serveConn(conn net.Conn) {
 		if err != nil {
 			return
 		}
+		if len(body) == 1 && body[0] == frameAckReq {
+			// The connection may have delivered nothing yet (a reconnect
+			// whose replay is still to come): the position is the sender's,
+			// not the connection's.
+			t.rmu.Lock()
+			acks.cum = t.lastSeq[from]
+			t.rmu.Unlock()
+			acks.due = true
+			continue
+		}
 		if len(body) == 0 || body[0] != frameMsg {
 			continue
 		}
-		m, seq, err := decodeMsgFrame(body)
+		m, seq, err := decodeMsgFrame(&dec, body)
 		if err != nil {
 			t.decodeErrors.Add(1)
 			t.cfg.Logf("tcp: node %d from %d: %v", t.id, from, err)
@@ -692,18 +800,20 @@ func (t *Transport) serveConn(conn net.Conn) {
 		// replaced connection's reader can still be draining its buffer while
 		// the new connection's reader runs, and whichever claims a sequence
 		// number must deliver it before the other claims the next. Lock order
-		// rmu -> inbox.mu; nothing takes them the other way.
+		// rmu -> the inbox's lock; nothing takes them the other way.
 		t.rmu.Lock()
 		next := t.lastSeq[from] + 1
 		if seq == next {
 			t.lastSeq[from] = seq
-			t.inbox.push(m)
+			t.inbox.Push(m)
 		}
 		acks.cum = t.lastSeq[from]
 		t.rmu.Unlock()
 		switch {
 		case seq < next:
+			// The sender replayed what was delivered: it is behind, tell it.
 			t.duplicates.Add(1)
+			acks.due = true
 		case seq > next:
 			// Delivering it would lose next..seq-1 silently. Hang up instead:
 			// the sender redials and replays from the cumulative ack.
@@ -711,8 +821,11 @@ func (t *Transport) serveConn(conn net.Conn) {
 			t.cfg.Logf("tcp: node %d from %d: sequence gap, got %d want %d; closing the connection",
 				t.id, from, seq, next)
 			return
+		default:
+			if acks.unacked += 4 + len(body); acks.unacked >= ackEvery {
+				acks.due = true
+			}
 		}
-		acks.pending = true
 	}
 }
 
@@ -752,10 +865,11 @@ func appendMsgFrame(dst []byte, seq uint64, m transport.Message, payload []byte)
 	return dst
 }
 
-// decodeMsgFrame parses a msg frame body back into a Message. The kind is
-// resolved through the codec registry, so a registered kind costs no string
-// allocation; only kinds without a codec (nil-payload signals) are copied.
-func decodeMsgFrame(body []byte) (transport.Message, uint64, error) {
+// decodeMsgFrame parses a msg frame body back into a Message. Kind and
+// payload are resolved through dec, the connection's decode state (nil decodes
+// statelessly): a kind the connection has carried costs no string, and what a
+// payload costs is its codec's business.
+func decodeMsgFrame(dec *transport.ConnDecoder, body []byte) (transport.Message, uint64, error) {
 	d := transport.NewDecoder(body[1:])
 	seq := d.Uint64()
 	m := transport.Message{
@@ -772,7 +886,7 @@ func decodeMsgFrame(body []byte) (transport.Message, uint64, error) {
 		return m, seq, fmt.Errorf("tcp: payload length %d with %d bytes remaining", plen, d.Remaining())
 	}
 	var err error
-	m.Kind, m.Payload, err = transport.DecodeKindPayload(kind, body[len(body)-plen:])
+	m.Kind, m.Payload, err = dec.DecodeKindPayload(kind, body[len(body)-plen:])
 	return m, seq, err
 }
 
@@ -782,11 +896,17 @@ func decodeMsgFrame(body []byte) (transport.Message, uint64, error) {
 // reading allocates nothing; every decode must copy what it keeps out of the
 // returned slice before the next call.
 func readFrame(br *bufio.Reader, buf []byte) ([]byte, error) {
-	var lenBuf [4]byte
-	if _, err := io.ReadFull(br, lenBuf[:]); err != nil {
+	// Peek, not ReadFull into a local array: the array would escape through
+	// the io.Reader interface and cost an allocation per frame.
+	prefix, err := br.Peek(4)
+	if err != nil {
+		if err == io.EOF && len(prefix) > 0 {
+			err = io.ErrUnexpectedEOF
+		}
 		return buf, err
 	}
-	n := binary.BigEndian.Uint32(lenBuf[:])
+	n := binary.BigEndian.Uint32(prefix)
+	br.Discard(4) // cannot fail: Peek just returned the four bytes
 	if n > maxFrame {
 		return buf, fmt.Errorf("tcp: frame of %d bytes exceeds limit", n)
 	}

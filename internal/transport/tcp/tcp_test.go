@@ -67,6 +67,33 @@ func recvT(t *testing.T, tr *Transport, node int) transport.Message {
 	}
 }
 
+// recvNT receives n messages under one deadline — for streams too long to
+// spawn a recvT goroutine per message — handing each to check, which runs on
+// the receiving goroutine and so reports with t.Errorf.
+func recvNT(t *testing.T, tr *Transport, node, n int, check func(transport.Message)) {
+	t.Helper()
+	done := make(chan bool, 1)
+	go func() {
+		for i := 0; i < n; i++ {
+			m, ok := tr.Recv(node)
+			if !ok {
+				done <- false
+				return
+			}
+			check(m)
+		}
+		done <- true
+	}()
+	select {
+	case ok := <-done:
+		if !ok {
+			t.Fatalf("Recv(%d) returned closed", node)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatalf("Recv(%d): %d messages not received within 30s", node, n)
+	}
+}
+
 func TestFIFOExactlyOnceDelivery(t *testing.T) {
 	trs := newLoopbackT(t, 3)
 	const per = 200

@@ -55,7 +55,8 @@ type Transport interface {
 	// goroutine may be inside Recv(node) for a given node at a time, and
 	// successive receivers for a node must be ordered by their own
 	// synchronization. A backend may hand messages out of a buffer only the
-	// receiver touches (the simulated fabric's inbox does). Every runtime
+	// receiver touches (network.Inbox, which both backends deliver into,
+	// does). Every runtime
 	// receiver — the dsm node's receive loop, the seqmem server and client
 	// loops — is one goroutine per node already.
 	Recv(node int) (Message, bool)

@@ -82,24 +82,44 @@ func (m Matrix) EncodedSize() int { return 8 * len(m) * len(m) }
 // records. In a long-running system most peers are idle with respect to any
 // one scope, so the active set is how the wire encoding avoids shipping
 // (and the receiver avoids re-learning) quadratically many zeroes.
-func (m Matrix) Active() []int {
-	var out []int
+func (m Matrix) Active() []int { return m.appendActive(nil) }
+
+// appendActive appends the active indices (see Active) to dst. The encode
+// path passes a stack buffer, so finding the active set allocates nothing for
+// the small sets scoped placements produce.
+func (m Matrix) appendActive(dst []int) []int {
 	for i := range m {
-		for k := range m {
-			if m[i][k] != 0 || m[k][i] != 0 {
-				out = append(out, i)
-				break
-			}
+		if m.active(i) {
+			dst = append(dst, i)
 		}
 	}
-	return out
+	return dst
+}
+
+// active reports whether row i or column i holds a nonzero entry.
+func (m Matrix) active(i int) bool {
+	for k := range m {
+		if m[i][k] != 0 || m[k][i] != 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // ActiveEncodedSize returns the number of bytes EncodeActive produces for m.
 func (m Matrix) ActiveEncodedSize() int {
-	n := len(m.Active())
+	n := 0
+	for i := range m {
+		if m.active(i) {
+			n++
+		}
+	}
 	return 4 + 4*n + 8*n*n
 }
+
+// activeOnStack is how many active indices EncodeActive finds without
+// allocating.
+const activeOnStack = 16
 
 // EncodeActive appends the sparse encoding of m — the active index list
 // followed by the row-major submatrix over those indices — to dst:
@@ -110,7 +130,8 @@ func (m Matrix) ActiveEncodedSize() int {
 // the encoding is lossless; its size depends only on how many processes
 // participate, not on the matrix dimension.
 func (m Matrix) EncodeActive(dst []byte) []byte {
-	ids := m.Active()
+	var buf [activeOnStack]int
+	ids := m.appendActive(buf[:0])
 	dst = binary.BigEndian.AppendUint32(dst, uint32(len(ids)))
 	for _, id := range ids {
 		dst = binary.BigEndian.AppendUint32(dst, uint32(id))
