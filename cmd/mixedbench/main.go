@@ -14,6 +14,10 @@
 //	mixedbench -exp s1                  # serving tail-latency sweep (also tcp)
 //	mixedbench -exp s1 -trace s1.mxtr   # + per-node event traces, for mixedtrace
 //
+// -transport is resolved once into a bench.Substrate that the tcp-capable
+// experiments (marked in the experiment table) receive as data; each has one
+// runner for both substrates.
+//
 // Output is one section per experiment with the measured rows and the
 // paper's corresponding claim, so EXPERIMENTS.md can be checked against a
 // fresh run. With -json each measured row becomes one line of the form
@@ -52,10 +56,13 @@ type config struct {
 	seed      int64
 	jsonOut   bool
 	transport string
-	batch     int
-	trace     string
-	traceCap  int
-	latency   network.LatencyModel
+	// sub is -transport resolved, once: what the tcp-capable experiments'
+	// deployments run on.
+	sub      bench.Substrate
+	batch    int
+	trace    string
+	traceCap int
+	latency  network.LatencyModel
 
 	out io.Writer
 	// cur is the id of the experiment currently running, set by the
@@ -100,6 +107,47 @@ func (c *config) claim(lines ...string) {
 	}
 }
 
+type experiment struct {
+	id, title string
+	run       func(*config) error
+	// tcp marks experiments whose runner takes the substrate as data, and so
+	// run over real sockets with -transport tcp. The rest are sim-only: they
+	// need transport.Faults or a modeled latency, which only the fabric has.
+	tcp bool
+}
+
+var experiments = []experiment{
+	{"e1", "Figure 1: lock and barrier synchronization orders", runE1, false},
+	{"e2", "Figure 2 vs Figure 3: barrier solver vs handshake solver", runE2, false},
+	{"e3", "Section 5.1: PRAM reads are insufficient for handshaking", runE3, false},
+	{"e4", "Figure 4: electromagnetic field computation (PRAM + barriers)", runE4, false},
+	{"e5", "Figure 5 / Section 7: Cholesky with locks vs counter objects", runE5, false},
+	{"e6", "Section 6: eager vs lazy vs demand-driven propagation", runE6, false},
+	{"e7", "Section 7: asynchronous Gauss-Seidel converges under PRAM", runE7, false},
+	{"e8", "Sections 1/3.2: access-latency spectrum (PRAM/causal vs SC)", runE8, true},
+	{"e8s", "Label lattice: cost-of-consistency curve (slow/PRAM/causal/SC)", runE8S, true},
+	{"e9", "Theorem 1 corollaries: random programs are SC", runE9, false},
+	{"e10", "Section 2: producer/consumer via awaits vs lock polling", runE10, false},
+	{"a1", "Ablation: timestamp elision for PRAM-consistent programs (Section 6)", runA1, false},
+	{"a2", "Ablation: where each propagation mode pays (asymmetric links)", runA2, false},
+	{"a3", "Ablation: access-pattern placement vs broadcast (Section 6)", runA3, true},
+	{"s1", "Serving: session/KV tail latency per label configuration under load", runS1, true},
+	{"perf", "Perf trajectory: hot-path ns/op, allocs/op, and contended throughput", runPerf, true},
+}
+
+// tcpCapable lists the ids of the experiments that run with -transport tcp,
+// joined by sep; the flag's help text and the guard's error are built from it
+// so neither can drift from the table.
+func tcpCapable(sep string) string {
+	var ids []string
+	for _, e := range experiments {
+		if e.tcp {
+			ids = append(ids, e.id)
+		}
+	}
+	return strings.Join(ids, sep)
+}
+
 func run(args []string) error { return runTo(args, os.Stdout) }
 
 func runTo(args []string, out io.Writer) error {
@@ -112,7 +160,7 @@ func runTo(args []string, out io.Writer) error {
 	fs.Int64Var(&cfg.seed, "seed", 1, "workload seed")
 	fs.BoolVar(&cfg.jsonOut, "json", false, "emit one JSON line per measured row")
 	fs.StringVar(&cfg.transport, "transport", "sim",
-		"message transport: sim (simulated fabric) or tcp (real kernel sockets; e8 and a3 only)")
+		"message transport: sim (simulated fabric) or tcp (real kernel sockets; "+tcpCapable(", ")+" only)")
 	fs.IntVar(&cfg.batch, "batch", 32,
 		"update-outbox batch size for e6's batched rows (MaxUpdates threshold)")
 	fs.StringVar(&cfg.trace, "trace", "",
@@ -136,47 +184,19 @@ func runTo(args []string, out io.Writer) error {
 		cfg.latency = network.LatencyModel{}
 	}
 
-	type experiment struct {
-		id, title string
-		run       func(*config) error
-		// tcp marks experiments with a real-socket runner, selectable with
-		// -transport tcp.
-		tcp bool
-	}
-	experiments := []experiment{
-		{"e1", "Figure 1: lock and barrier synchronization orders", runE1, false},
-		{"e2", "Figure 2 vs Figure 3: barrier solver vs handshake solver", runE2, false},
-		{"e3", "Section 5.1: PRAM reads are insufficient for handshaking", runE3, false},
-		{"e4", "Figure 4: electromagnetic field computation (PRAM + barriers)", runE4, false},
-		{"e5", "Figure 5 / Section 7: Cholesky with locks vs counter objects", runE5, false},
-		{"e6", "Section 6: eager vs lazy vs demand-driven propagation", runE6, false},
-		{"e7", "Section 7: asynchronous Gauss-Seidel converges under PRAM", runE7, false},
-		{"e8", "Sections 1/3.2: access-latency spectrum (PRAM/causal vs SC)", runE8, true},
-		{"e8s", "Label lattice: cost-of-consistency curve (slow/PRAM/causal/SC)", runE8S, true},
-		{"e9", "Theorem 1 corollaries: random programs are SC", runE9, false},
-		{"e10", "Section 2: producer/consumer via awaits vs lock polling", runE10, false},
-		{"a1", "Ablation: timestamp elision for PRAM-consistent programs (Section 6)", runA1, false},
-		{"a2", "Ablation: where each propagation mode pays (asymmetric links)", runA2, false},
-		{"a3", "Ablation: access-pattern placement vs broadcast (Section 6)", runA3, true},
-		{"s1", "Serving: session/KV tail latency per label configuration under load", runS1, true},
-		{"perf", "Perf trajectory: hot-path ns/op, allocs/op, and contended throughput", runPerf, true},
-	}
-
 	want := strings.ToLower(cfg.exp)
 	switch cfg.transport {
 	case "sim":
+		cfg.sub = bench.Substrate{Latency: cfg.latency}
 	case "tcp":
+		cfg.sub = bench.Substrate{TCP: true}
 		capable := false
-		var ids []string
 		for _, e := range experiments {
-			if e.tcp {
-				ids = append(ids, e.id)
-				capable = capable || want == e.id
-			}
+			capable = capable || e.tcp && want == e.id
 		}
 		if !capable {
 			return fmt.Errorf("-transport tcp needs one tcp-capable experiment: run with -exp %s",
-				strings.Join(ids, ", -exp "))
+				tcpCapable(", -exp "))
 		}
 	default:
 		return fmt.Errorf("unknown transport %q (want sim or tcp)", cfg.transport)
@@ -266,13 +286,7 @@ func runA3(cfg *config) error {
 	if cfg.quick {
 		size, steps = 32, 8
 	}
-	var r bench.PlacementAblation
-	var err error
-	if cfg.transport == "tcp" {
-		r, err = bench.RunPlacementAblationTCP(size, steps, cfg.procs, cfg.seed)
-	} else {
-		r, err = bench.RunPlacementAblation(size, steps, cfg.procs, cfg.latency, cfg.seed)
-	}
+	r, err := bench.RunPlacementAblation(size, steps, cfg.procs, cfg.sub, cfg.seed)
 	if err != nil {
 		return err
 	}
@@ -286,9 +300,9 @@ func runA3(cfg *config) error {
 
 func runS1(cfg *config) error {
 	opt := bench.ServingOptions{
-		Procs:   cfg.procs,
-		Seed:    cfg.seed,
-		Latency: cfg.latency,
+		Procs:     cfg.procs,
+		Seed:      cfg.seed,
+		Substrate: cfg.sub,
 	}
 	if cfg.trace != "" {
 		opt.TraceCapacity = cfg.traceCap
@@ -299,15 +313,9 @@ func runS1(cfg *config) error {
 		opt.Rates = []float64{1000, 4000, 0} // still three load points
 		// A small nonzero model: -quick zeroes cfg.latency, but the serving
 		// sweep is about queueing, which a zero model would erase entirely.
-		opt.Latency = network.LatencyModel{Fixed: 25 * time.Microsecond}
+		opt.Substrate.Latency = network.LatencyModel{Fixed: 25 * time.Microsecond}
 	}
-	var r bench.ServingResult
-	var err error
-	if cfg.transport == "tcp" {
-		r, err = bench.RunServingTCP(opt)
-	} else {
-		r, err = bench.RunServing(opt)
-	}
+	r, err := bench.RunServing(opt)
 	if err != nil {
 		return err
 	}
@@ -335,13 +343,7 @@ func runPerf(cfg *config) error {
 	if cfg.quick {
 		opt.Ops = 4000
 	}
-	var r bench.PerfResult
-	var err error
-	if cfg.transport == "tcp" {
-		r, err = bench.RunPerfTCP(opt)
-	} else {
-		r, err = bench.RunPerf(opt)
-	}
+	r, err := bench.RunPerf(cfg.sub, opt)
 	if err != nil {
 		return err
 	}
@@ -535,32 +537,20 @@ func runE7(cfg *config) error {
 }
 
 func runE8(cfg *config) error {
-	ops := 50
-	if cfg.transport == "tcp" {
-		r, err := bench.RunLatencyMicroTCP(ops)
-		if err != nil {
-			return err
-		}
-		if err := cfg.emit(r); err != nil {
-			return err
-		}
-		cfg.claim("claim (Sections 1, 3.2): weak reads/writes stay local even when the update",
-			"broadcasts cross the kernel's TCP stack (SC columns are sim-only, reported 0)")
-		return nil
+	sub := cfg.sub
+	if sub.Latency.Fixed == 0 {
+		sub.Latency = bench.DefaultLatency // the simulated spectrum needs a nonzero round trip
 	}
-	lat := cfg.latency
-	if lat.Fixed == 0 {
-		lat = bench.DefaultLatency // the spectrum needs a nonzero round trip
-	}
-	r, err := bench.RunLatencyMicro(ops, lat)
+	r, err := bench.RunLatencyMicro(50, sub)
 	if err != nil {
 		return err
 	}
 	if err := cfg.emit(r); err != nil {
 		return err
 	}
-	cfg.claim("claim (Sections 1, 3.2): weak reads/writes are local; sequential consistency pays",
-		"a round trip per operation")
+	cfg.claim("claim (Sections 1, 3.2): weak reads/writes are local — also when the update",
+		"broadcasts behind them cross the kernel's TCP stack — while sequential consistency",
+		"pays a round trip per operation (the SC baseline is sim-only: its columns read 0 on tcp)")
 	return nil
 }
 
@@ -569,19 +559,15 @@ func runE8S(cfg *config) error {
 	if cfg.quick {
 		ops = 100
 	}
-	if cfg.transport == "tcp" {
-		r, err := bench.RunLatencySpectrumTCP(2, ops)
-		if err != nil {
-			return err
-		}
-		if err := cfg.emit(r); err != nil {
-			return err
-		}
-		cfg.claim("claim (lattice): cost is monotone in label strength over real sockets —",
-			"weak accesses stay local while the SC point pays a kernel round trip per access")
-		return nil
+	procs := cfg.procs
+	if cfg.sub.TCP {
+		// Over sockets the curve runs on the smallest fleet that has a remote
+		// SC owner: a further peer adds broadcast fan-out to the weak points
+		// and 2(n-1) more connections, and nothing to the round trip the
+		// lattice top is defined by.
+		procs = 2
 	}
-	r, err := bench.RunLatencySpectrum(cfg.procs, ops, cfg.latency)
+	r, err := bench.RunLatencySpectrum(procs, ops, cfg.sub)
 	if err != nil {
 		return err
 	}
@@ -589,7 +575,8 @@ func runE8S(cfg *config) error {
 		return err
 	}
 	cfg.claim("claim (lattice): cost is monotone in label strength — the weak labels share the",
-		"broadcast path (slow sheds timestamp bytes), and SC pays a round trip per access")
+		"broadcast path (slow sheds timestamp bytes) and stay local on either substrate, and SC",
+		"pays a round trip per access: a modeled one on sim, a kernel one over real sockets")
 	return nil
 }
 

@@ -179,8 +179,13 @@ func TestTCPRegistryListsCapableExperiments(t *testing.T) {
 	if err == nil {
 		t.Fatal("tcp with a sim-only experiment must error")
 	}
-	for _, id := range []string{"e8", "a3", "s1"} {
-		if !strings.Contains(err.Error(), id) {
+	// The guard's list and the flag's help text both come from the experiment
+	// table, so every tcp-capable experiment appears in both.
+	if got, want := tcpCapable(", "), "e8, e8s, a3, s1, perf"; got != want {
+		t.Fatalf("tcp-capable experiments = %q, want %q", got, want)
+	}
+	for _, id := range strings.Split(tcpCapable(" "), " ") {
+		if !strings.Contains(err.Error(), "-exp "+id) {
 			t.Fatalf("tcp guard %q does not list capable experiment %s", err, id)
 		}
 	}

@@ -23,7 +23,7 @@ func writeTestTrace(t *testing.T) string {
 		Ops: 30, Warmup: 6,
 		Rates:         []float64{0},
 		Modes:         []apps.SessionMode{apps.SessionCausalScoped},
-		Latency:       network.LatencyModel{Fixed: 20 * 1000}, // 20µs
+		Substrate:     bench.Substrate{Latency: network.LatencyModel{Fixed: 20 * 1000}}, // 20µs
 		Seed:          5,
 		TraceCapacity: 1 << 14,
 	})

@@ -32,9 +32,9 @@ type Package struct {
 
 // Program is the set of packages one Load (or LoadDir) type-checked from
 // source together — the patterns' packages plus every module dependency
-// pulled in by imports. All of them share one FileSet, so positions resolve
-// across package boundaries, and interprocedural passes can see callee
-// bodies in any of them.
+// pulled in by imports. All of them share one FileSet (the process-wide one,
+// see sharedFset), so positions resolve across package boundaries, and
+// interprocedural passes can see callee bodies in any of them.
 type Program struct {
 	fset *token.FileSet
 	pkgs map[string]*Package
@@ -230,17 +230,41 @@ type loader struct {
 	prog   *Program
 }
 
+// sharedFset and sharedStd are process-wide: every loader parses into the one
+// FileSet and resolves standard-library imports through the one source
+// importer, so fmt, sync, net and their dependencies are type-checked from
+// source once per process instead of once per Load (which was nearly all of
+// the analyzer tests' wall time). Only the standard library is shared. Module
+// packages, the Program and its Fact cache stay per loader, so one Load never
+// sees another's packages or facts.
+var (
+	sharedFset = token.NewFileSet()
+	sharedStd  = &lockedImporter{imp: importer.ForCompiler(sharedFset, "source", nil)}
+)
+
+// lockedImporter serializes a types.Importer that is not safe for concurrent
+// use (the source importer memoizes in an unguarded map).
+type lockedImporter struct {
+	mu  sync.Mutex
+	imp types.Importer
+}
+
+func (l *lockedImporter) Import(path string) (*types.Package, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.imp.Import(path)
+}
+
 func newLoader(root, module string) *loader {
-	fset := token.NewFileSet()
 	pkgs := make(map[string]*Package)
 	return &loader{
 		root:   root,
 		module: module,
-		fset:   fset,
-		std:    importer.ForCompiler(fset, "source", nil),
+		fset:   sharedFset,
+		std:    sharedStd,
 		pkgs:   pkgs,
 		loads:  make(map[string]bool),
-		prog:   &Program{fset: fset, pkgs: pkgs, facts: make(map[string]any)},
+		prog:   &Program{fset: sharedFset, pkgs: pkgs, facts: make(map[string]any)},
 	}
 }
 

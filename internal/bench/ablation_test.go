@@ -63,41 +63,33 @@ func TestRunPropagationCostSweep(t *testing.T) {
 	}
 }
 
-func TestRunPlacementAblation(t *testing.T) {
-	r, err := RunPlacementAblation(32, 8, 4, network.LatencyModel{}, 1)
+// checkPlacementAblation runs A3 on one substrate and asserts its shape.
+func checkPlacementAblation(t *testing.T, sub Substrate) {
+	t.Helper()
+	r, err := RunPlacementAblation(32, 8, 4, sub, 1)
 	if err != nil {
-		t.Fatalf("RunPlacementAblation: %v", err)
+		t.Fatalf("RunPlacementAblation(%v): %v", sub, err)
 	}
 	if !r.ResultsMatch {
-		t.Fatal("scoped run diverged from the sequential reference")
+		t.Fatalf("%v: scoped run diverged from the sequential reference", sub)
 	}
 	// With 4 processes each boundary update goes to 1 reader instead of 3
 	// peers: roughly a 3x message reduction.
-	if r.ScopedMsgs*2 >= r.BroadcastMsgs {
-		t.Fatalf("placement did not cut update messages: %+v", r)
+	if r.ScopedMsgs == 0 || r.ScopedMsgs*2 >= r.BroadcastMsgs {
+		t.Fatalf("%v: placement did not cut update messages: %+v", sub, r)
 	}
 	// The causal-scoped row pays dependency matrices per message but sends to
 	// the same single reader, so the count reduction must hold there too.
 	if r.CausalScopedMsgs == 0 || r.CausalScopedMsgs*2 >= r.BroadcastMsgs {
-		t.Fatalf("causal-scoped placement did not cut update messages: %+v", r)
+		t.Fatalf("%v: causal-scoped placement did not cut update messages: %+v", sub, r)
 	}
 }
+
+func TestRunPlacementAblation(t *testing.T) { checkPlacementAblation(t, Substrate{}) }
 
 func TestRunPlacementAblationTCP(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loopback TCP ablation in -short mode")
 	}
-	r, err := RunPlacementAblationTCP(32, 8, 4, 1)
-	if err != nil {
-		t.Fatalf("RunPlacementAblationTCP: %v", err)
-	}
-	if !r.ResultsMatch {
-		t.Fatal("TCP scoped run diverged from the sequential reference")
-	}
-	if r.ScopedMsgs == 0 || r.ScopedMsgs*2 >= r.BroadcastMsgs {
-		t.Fatalf("TCP placement did not cut update messages: %+v", r)
-	}
-	if r.CausalScopedMsgs == 0 || r.CausalScopedMsgs*2 >= r.BroadcastMsgs {
-		t.Fatalf("TCP causal-scoped placement did not cut update messages: %+v", r)
-	}
+	checkPlacementAblation(t, Substrate{TCP: true})
 }

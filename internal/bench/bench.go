@@ -6,7 +6,10 @@
 // Runners take a network latency model so the relative costs the paper
 // discusses (synchronization rounds, message counts, blocking time) are
 // visible; tests use the zero model for speed and benchmarks use
-// DefaultLatency.
+// DefaultLatency. The runners that also make sense over real sockets (E8,
+// E8S, A3, S1, PERF) take a Substrate instead — the latency model or tcp, as
+// data — and have one body for both; the rest need transport.Faults or a
+// modeled latency and stay on the simulated fabric.
 package bench
 
 import (

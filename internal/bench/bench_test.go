@@ -215,7 +215,7 @@ func TestRunGaussSeidelErrorShrinksWithRounds(t *testing.T) {
 
 func TestRunLatencyMicro(t *testing.T) {
 	lat := network.LatencyModel{Fixed: 300 * 1000} // 300µs in ns
-	r, err := RunLatencyMicro(20, lat)
+	r, err := RunLatencyMicro(20, Substrate{Latency: lat})
 	if err != nil {
 		t.Fatalf("RunLatencyMicro: %v", err)
 	}

@@ -195,18 +195,42 @@ func perfScope(writers int) *dsm.ScopeMap {
 	return s
 }
 
-// RunPerf runs the grid on the simulated fabric with a zero latency model:
-// the fabric then measures pure implementation cost (queues, locks, clocks,
-// outbox), which is the quantity the optimization passes move.
-func RunPerf(opt PerfOptions) (PerfResult, error) {
+// RunPerf runs the grid on one substrate. On the simulated fabric the latency
+// model is always zero: the fabric then measures pure implementation cost
+// (queues, locks, clocks, outbox), which is the quantity the optimization
+// passes move. Over tcp it runs the socket-path subset — the cells that
+// exercise the frame writer, the pooled codec buffers and the read loop — at
+// a quarter of the default op count, since kernel round trips dominate there.
+func RunPerf(sub Substrate, opt PerfOptions) (PerfResult, error) {
 	o := opt.withDefaults()
-	out := PerfResult{Transport: "sim", Procs: o.Procs}
+	if sub.TCP && opt.Ops == 0 {
+		o.Ops = o.Ops / 4
+		o.Warmup = o.Ops / 10
+	}
+	sub.Latency = network.LatencyModel{}
+	out := PerfResult{Transport: sub.String(), Procs: o.Procs}
 	for _, cell := range perfGrid() {
-		if cell.Scenario == "backlog" && o.Procs < perfBacklogProcs || cell.Scenario == "echo" {
+		if !cell.runsOn(sub, o.Procs) {
 			continue
 		}
-		cell.Transport = "sim"
-		measured, err := runPerfCellSim(o, cell)
+		cell.Transport = out.Transport
+		var measured PerfCell
+		var err error
+		switch cell.Scenario {
+		// The stream and echo cells are single-backend on purpose: each
+		// measures one backend's own mechanism (the tcp channel's frames and
+		// acks, the fabric's pair queues and inbox) and has no twin.
+		case "stream":
+			if sub.TCP {
+				measured, err = measureTCPStream(o.Ops*perfStreamFactor, o.Warmup*perfStreamFactor, 0)
+			} else {
+				measured, err = measureSimStream(o.Ops*perfStreamFactor, o.Warmup*perfStreamFactor)
+			}
+		case "echo":
+			measured, err = measureTCPEcho(o.Ops, o.Warmup)
+		default:
+			measured, err = runPerfCell(sub, o, cell)
+		}
 		if err != nil {
 			return out, fmt.Errorf("perf %s: %w", cell.Key(), err)
 		}
@@ -215,37 +239,25 @@ func RunPerf(opt PerfOptions) (PerfResult, error) {
 	return out, nil
 }
 
-// RunPerfTCP runs a socket-path subset of the grid over loopback TCP: the
-// cells that exercise the frame writer, the pooled codec buffers, and the
-// read loop. The contended scenario is sim-only (its point is lock
-// contention inside one replica, which sockets only blur).
-func RunPerfTCP(opt PerfOptions) (PerfResult, error) {
-	o := opt.withDefaults()
-	if opt.Ops == 0 {
-		o.Ops = o.Ops / 4
-		o.Warmup = o.Ops / 10
+// runsOn says whether the cell is part of the substrate's grid. The write
+// cells run on both (scoped only on sim, where its row has always been);
+// echo measures the tcp ack protocol; contended, contended1 and fresh are
+// about lock contention and table inserts inside one replica, which sockets
+// only blur; backlog needs transport.Faults to park its groups, which only
+// the fabric has, and four replicas.
+func (c PerfCell) runsOn(sub Substrate, procs int) bool {
+	switch c.Scenario {
+	case "write":
+		return !sub.TCP || c.Label != "scoped"
+	case "stream":
+		return true
+	case "echo":
+		return sub.TCP
+	case "backlog":
+		return !sub.TCP && procs >= perfBacklogProcs
+	default:
+		return !sub.TCP
 	}
-	out := PerfResult{Transport: "tcp", Procs: o.Procs}
-	for _, cell := range perfGrid() {
-		cell.Transport = "tcp"
-		var measured PerfCell
-		var err error
-		switch {
-		case cell.Scenario == "stream":
-			measured, err = measureTCPStream(o.Ops*perfStreamFactor, o.Warmup*perfStreamFactor, 0)
-		case cell.Scenario == "echo":
-			measured, err = measureTCPEcho(o.Ops, o.Warmup)
-		case cell.Scenario == "write" && cell.Label != "scoped":
-			measured, err = runPerfCellTCP(o, cell)
-		default:
-			continue
-		}
-		if err != nil {
-			return out, fmt.Errorf("perf %s: %w", cell.Key(), err)
-		}
-		out.Cells = append(out.Cells, measured)
-	}
-	return out, nil
 }
 
 // perfStreamFactor scales the stream cells' message count over the write
@@ -482,67 +494,31 @@ func buildPerfNode(id int, o PerfOptions, cell PerfCell, tr transport.Transport)
 	return dsm.NewNode(cfg)
 }
 
-// runPerfCellSim measures one cell on a shared zero-latency fabric.
-func runPerfCellSim(o PerfOptions, cell PerfCell) (PerfCell, error) {
-	if cell.Scenario == "stream" {
-		return measureSimStream(o.Ops*perfStreamFactor, o.Warmup*perfStreamFactor)
-	}
-	f, err := network.New(network.Config{Nodes: o.Procs})
+// runPerfCell measures one replica-backed cell: o.Procs replicas over one
+// transport of the substrate, all in this process so drain waits stay
+// observable.
+func runPerfCell(sub Substrate, o PerfOptions, cell PerfCell) (PerfCell, error) {
+	tr, err := sub.transport(o.Procs, 0)
 	if err != nil {
 		return cell, err
 	}
-	nodes := make([]*dsm.Node, o.Procs)
-	for i := range nodes {
-		nodes[i], err = buildPerfNode(i, o, cell, f)
-		if err != nil {
-			f.Close()
-			for _, nd := range nodes {
-				if nd != nil {
-					nd.Close()
-				}
-			}
-			return cell, err
-		}
-	}
+	nodes := make([]*dsm.Node, 0, o.Procs)
 	defer func() {
-		f.Close()
+		tr.Close()
 		for _, nd := range nodes {
 			nd.Close()
 		}
 	}()
-	if cell.Scenario == "backlog" {
-		return measureBacklogCell(o, cell, nodes, f)
-	}
-	return measurePerfCell(o, cell, nodes)
-}
-
-// runPerfCellTCP measures one cell over loopback TCP, one transport (and
-// replica) per node, all in this process so drain waits stay observable.
-func runPerfCellTCP(o PerfOptions, cell PerfCell) (PerfCell, error) {
-	trs, err := tcp.NewLoopback(o.Procs, nil)
-	if err != nil {
-		return cell, err
-	}
-	nodes := make([]*dsm.Node, o.Procs)
-	cleanup := func() {
-		for _, tr := range trs {
-			tr.Flush(2 * time.Second)
-		}
-		for i, nd := range nodes {
-			trs[i].Close()
-			if nd != nil {
-				nd.Close()
-			}
-		}
-	}
-	for i := range nodes {
-		nodes[i], err = buildPerfNode(i, o, cell, trs[i])
+	for i := 0; i < o.Procs; i++ {
+		nd, err := buildPerfNode(i, o, cell, tr)
 		if err != nil {
-			cleanup()
 			return cell, err
 		}
+		nodes = append(nodes, nd)
 	}
-	defer cleanup()
+	if cell.Scenario == "backlog" {
+		return measureBacklogCell(o, cell, nodes, tr.(transport.Faults))
+	}
 	return measurePerfCell(o, cell, nodes)
 }
 
@@ -693,7 +669,7 @@ func (c PerfCell) measured(ops int, elapsed time.Duration, mallocs uint64) PerfC
 // writes applies at replica 0 at once, with the backlog looking on. The cell
 // fails unless exactly perfBacklog groups were parked during the measurement
 // and all of them drain when the held write is released.
-func measureBacklogCell(o PerfOptions, cell PerfCell, nodes []*dsm.Node, f *network.Fabric) (PerfCell, error) {
+func measureBacklogCell(o PerfOptions, cell PerfCell, nodes []*dsm.Node, f transport.Faults) (PerfCell, error) {
 	for _, pair := range [][2]int{{1, 0}, {1, 3}, {2, 3}} {
 		if err := f.Hold(pair[0], pair[1]); err != nil {
 			return cell, err

@@ -9,7 +9,7 @@ import "testing"
 // assertion; the fresh cells must show the insert path's allocation shape
 // (about one table entry per replica per write, never a table copy).
 func TestPerfGridFreshAndBacklogCells(t *testing.T) {
-	r, err := RunPerf(PerfOptions{Ops: 512, Warmup: 64})
+	r, err := RunPerf(Substrate{}, PerfOptions{Ops: 512, Warmup: 64})
 	if err != nil {
 		t.Fatalf("RunPerf: %v", err)
 	}
@@ -38,7 +38,7 @@ func TestPerfGridFreshAndBacklogCells(t *testing.T) {
 	}
 
 	// The backlog scenario needs four replicas; a smaller system skips it.
-	small, err := RunPerf(PerfOptions{Procs: 3, Ops: 64, Warmup: 8})
+	small, err := RunPerf(Substrate{}, PerfOptions{Procs: 3, Ops: 64, Warmup: 8})
 	if err != nil {
 		t.Fatalf("RunPerf(procs=3): %v", err)
 	}
@@ -97,7 +97,7 @@ func TestTCPStreamCellAckShape(t *testing.T) {
 func TestSimUnbatchedWriteAndStreamAllocShape(t *testing.T) {
 	o := PerfOptions{Ops: 4096, Warmup: 512}.withDefaults()
 	for _, label := range []string{"pram", "causal"} {
-		cell, err := runPerfCellSim(o, PerfCell{Transport: "sim", Scenario: "write", Label: label, Writers: 1})
+		cell, err := runPerfCell(Substrate{}, o, PerfCell{Transport: "sim", Scenario: "write", Label: label, Writers: 1})
 		if err != nil {
 			t.Fatalf("write/%s: %v", label, err)
 		}

@@ -89,8 +89,10 @@ type ServingOptions struct {
 	Rates []float64
 	// Modes is the label-configuration sweep.
 	Modes []apps.SessionMode
-	// Latency is the simulated fabric's model (ignored by the TCP runner).
-	Latency network.LatencyModel
+	// Substrate is what every cell's fleet runs on. On the simulated fabric
+	// a zero latency model is replaced by DefaultLatency: the sweep is about
+	// queueing, which immediate delivery would erase.
+	Substrate Substrate
 	// Seed fixes the workload.
 	Seed int64
 	// TraceCapacity, when positive, runs every cell with per-node event
@@ -120,8 +122,8 @@ func (o ServingOptions) withDefaults() ServingOptions {
 	if len(o.Modes) == 0 {
 		o.Modes = []apps.SessionMode{apps.SessionBroadcast, apps.SessionCausalScoped, apps.SessionHybrid}
 	}
-	if o.Latency == (network.LatencyModel{}) {
-		o.Latency = DefaultLatency
+	if o.Substrate.Latency == (network.LatencyModel{}) {
+		o.Substrate.Latency = DefaultLatency
 	}
 	return o
 }
@@ -169,23 +171,25 @@ func mergeServingCell(cfg apps.SessionConfig, results []*apps.SessionProcResult)
 	}
 }
 
-// RunServing is S1 on the simulated fabric: for every offered-load point
-// and every label configuration, run the session front-end on a fresh
-// system, verify the replay-predicted aggregate counters on every process,
-// and report the fleet-merged latency summaries.
+// RunServing is S1: for every offered-load point and every label
+// configuration, run the session front-end on a fresh system over
+// opt.Substrate, verify the replay-predicted aggregate counters on every
+// process, and report the fleet-merged latency summaries. Over tcp the
+// visibility latencies include real kernel queueing and the update counts are
+// actual frames; the seeded workload — and thus every cell's fingerprint — is
+// the same on either substrate.
 func RunServing(opt ServingOptions) (ServingResult, error) {
 	o := opt.withDefaults()
 	out := ServingResult{
-		Transport: "sim",
+		Transport: o.Substrate.String(),
 		Procs:     o.Procs, Workers: o.Workers, Ops: o.Ops, Warmup: o.Warmup,
 		Seed: o.Seed,
 	}
 	for _, rate := range o.Rates {
 		for _, mode := range o.Modes {
 			cfg := o.sessionConfig(mode, rate)
-			sys, err := core.NewSystem(core.Config{
+			sys, err := o.Substrate.NewSystem(core.Config{
 				Procs:         o.Procs,
-				Latency:       o.Latency,
 				Seed:          o.Seed,
 				Placement:     apps.SessionScope(cfg),
 				TraceCapacity: o.TraceCapacity,
@@ -203,7 +207,7 @@ func RunServing(opt ServingOptions) (ServingResult, error) {
 			elapsed := time.Since(start)
 			msgs := sys.NetStats().PerKind[dsmUpdateKind]
 			if o.TraceCapacity > 0 {
-				tag := servingTag("sim", cfg)
+				tag := servingTag(out.Transport, cfg)
 				for i := 0; i < o.Procs; i++ {
 					s := sys.Proc(i).Tracer().Snapshot()
 					s.Tag = tag

@@ -18,10 +18,10 @@ func servingTestOptions() ServingOptions {
 	return ServingOptions{
 		Procs: 4, Workers: 2,
 		Ops: 100, Warmup: 16,
-		Rates:   []float64{2000, 0},
-		Modes:   []apps.SessionMode{apps.SessionBroadcast, apps.SessionCausalScoped},
-		Latency: network.LatencyModel{Fixed: time.Millisecond},
-		Seed:    17,
+		Rates:     []float64{2000, 0},
+		Modes:     []apps.SessionMode{apps.SessionBroadcast, apps.SessionCausalScoped},
+		Substrate: Substrate{Latency: network.LatencyModel{Fixed: time.Millisecond}},
+		Seed:      17,
 	}
 }
 
@@ -85,10 +85,10 @@ func fastServingOptions() ServingOptions {
 	return ServingOptions{
 		Procs: 3, Workers: 2,
 		Ops: 40, Warmup: 8,
-		Rates:   []float64{0},
-		Modes:   []apps.SessionMode{apps.SessionHybrid},
-		Latency: network.LatencyModel{Fixed: 10 * time.Microsecond},
-		Seed:    23,
+		Rates:     []float64{0},
+		Modes:     []apps.SessionMode{apps.SessionHybrid},
+		Substrate: Substrate{Latency: network.LatencyModel{Fixed: 10 * time.Microsecond}},
+		Seed:      23,
 	}
 }
 
@@ -126,9 +126,14 @@ func TestServingTCPMatchesSimWorkload(t *testing.T) {
 	if err != nil {
 		t.Fatalf("RunServing: %v", err)
 	}
-	tcp, err := RunServingTCP(fastServingOptions())
+	opt := fastServingOptions()
+	opt.Substrate = Substrate{TCP: true}
+	tcp, err := RunServing(opt)
 	if err != nil {
-		t.Fatalf("RunServingTCP: %v", err)
+		t.Fatalf("RunServing over tcp: %v", err)
+	}
+	if sim.Transport != "sim" || tcp.Transport != "tcp" {
+		t.Fatalf("results name their substrates %q and %q, want sim and tcp", sim.Transport, tcp.Transport)
 	}
 	if len(sim.Cells) != len(tcp.Cells) {
 		t.Fatalf("cell count mismatch: sim %d, tcp %d", len(sim.Cells), len(tcp.Cells))

@@ -17,7 +17,7 @@ func tracedServingOptions() ServingOptions {
 		Ops: 40, Warmup: 8,
 		Rates:         []float64{0},
 		Modes:         []apps.SessionMode{apps.SessionHybrid},
-		Latency:       network.LatencyModel{Fixed: 10 * time.Microsecond},
+		Substrate:     Substrate{Latency: network.LatencyModel{Fixed: 10 * time.Microsecond}},
 		Seed:          23,
 		TraceCapacity: 1 << 15,
 	}
@@ -84,9 +84,11 @@ func TestServingTraceAttributionTCP(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loopback TCP serving in -short mode")
 	}
-	res, err := RunServingTCP(tracedServingOptions())
+	opt := tracedServingOptions()
+	opt.Substrate = Substrate{TCP: true}
+	res, err := RunServing(opt)
 	if err != nil {
-		t.Fatalf("RunServingTCP: %v", err)
+		t.Fatalf("RunServing over tcp: %v", err)
 	}
 	checkAttribution(t, res.Traces)
 }

@@ -8,8 +8,6 @@ import (
 	"mixedmem/internal/core"
 	"mixedmem/internal/dsm"
 	"mixedmem/internal/history"
-	"mixedmem/internal/network"
-	"mixedmem/internal/transport/tcp"
 )
 
 // SpectrumPoint is one lattice point of experiment E8S: the measured cost of
@@ -54,32 +52,31 @@ func spectrumLoc(procs int) string {
 	}
 }
 
-// RunLatencySpectrum measures experiment E8S on the simulated fabric: one
-// system per lattice label, all running the same single-writer workload on
-// the same contended cell, differing only in the cell's label (which selects
-// the write path) and the read label. The curve is the paper's bargain made
-// quantitative: messages and latency are flat across the weak labels — slow
-// merely sheds the timestamp bytes — and jump at SC, where every access
-// becomes a blocking round trip to the owner.
-func RunLatencySpectrum(procs, ops int, latency network.LatencyModel) (SpectrumResult, error) {
+// RunLatencySpectrum measures experiment E8S: one system per lattice label,
+// all running the same single-writer workload on the same contended cell,
+// differing only in the cell's label (which selects the write path) and the
+// read label. The curve is the paper's bargain made quantitative: messages
+// and latency are flat across the weak labels — slow merely sheds the
+// timestamp bytes — and jump at SC, where every access becomes a blocking
+// round trip to the owner. Over tcp the weak points stay local (their
+// broadcasts cross the kernel asynchronously) and — unlike E8's sim-only SC
+// baseline — the SC point's round trip crosses a real socket pair.
+func RunLatencySpectrum(procs, ops int, sub Substrate) (SpectrumResult, error) {
 	out := SpectrumResult{Procs: procs, Ops: ops}
 	loc := spectrumLoc(procs)
 	for i, label := range history.LatticeLabels() {
-		sys, err := core.NewSystem(core.Config{
-			Procs:   procs,
-			Latency: latency,
-			Labels:  map[string]history.Label{loc: label},
+		sys, err := sub.NewSystem(core.Config{
+			Procs:  procs,
+			Labels: map[string]history.Label{loc: label},
 		})
 		if err != nil {
 			return out, fmt.Errorf("spectrum %v: %w", label, err)
 		}
-		before := sys.Fabric().Stats()
-		pt, err := spectrumPoint(sys.Proc(0), label, loc, ops)
-		if err != nil {
-			sys.Close()
-			return out, err
-		}
-		after := sys.Fabric().Stats()
+		// Sends are accounted when issued, so the counters are totals the
+		// moment the measured loops return, delivered or not.
+		before := sys.NetStats()
+		pt := spectrumPoint(sys.Proc(0), label, loc, ops)
+		after := sys.NetStats()
 		total := float64(2 * ops)
 		pt.MsgsPerOp = float64(after.MessagesSent-before.MessagesSent) / total
 		pt.BytesPerOp = float64(after.BytesSent-before.BytesSent) / total
@@ -89,26 +86,9 @@ func RunLatencySpectrum(procs, ops int, latency network.LatencyModel) (SpectrumR
 	return out, nil
 }
 
-// RunLatencySpectrumTCP is RunLatencySpectrum over loopback TCP peers: the
-// weak points stay local (their broadcasts cross the kernel asynchronously),
-// and — unlike E8's sim-only SC baseline — the SC point's round trip crosses
-// a real socket pair, so the lattice top's cost is a kernel round trip.
-func RunLatencySpectrumTCP(procs, ops int) (SpectrumResult, error) {
-	out := SpectrumResult{Procs: procs, Ops: ops}
-	loc := spectrumLoc(procs)
-	for i, label := range history.LatticeLabels() {
-		pt, err := spectrumPointTCP(procs, ops, label, loc)
-		if err != nil {
-			return out, fmt.Errorf("spectrum tcp %v: %w", label, err)
-		}
-		out.Points[i] = pt
-	}
-	return out, nil
-}
-
 // spectrumPoint runs the measured loops for one lattice point: ops writes
 // then ops reads of the cell, both from process 0.
-func spectrumPoint(p *core.Proc, label history.Label, loc string, ops int) (SpectrumPoint, error) {
+func spectrumPoint(p *core.Proc, label history.Label, loc string, ops int) SpectrumPoint {
 	pt := SpectrumPoint{Label: label}
 	start := time.Now()
 	for i := 0; i < ops; i++ {
@@ -120,49 +100,5 @@ func spectrumPoint(p *core.Proc, label history.Label, loc string, ops int) (Spec
 		p.Read(loc, label)
 	}
 	pt.Read = time.Since(start) / time.Duration(ops)
-	return pt, nil
-}
-
-func spectrumPointTCP(procs, ops int, label history.Label, loc string) (SpectrumPoint, error) {
-	var pt SpectrumPoint
-	trs, err := tcp.NewLoopback(procs, nil)
-	if err != nil {
-		return pt, fmt.Errorf("loopback: %w", err)
-	}
-	peers := make([]*core.Peer, procs)
-	defer func() {
-		for _, p := range peers {
-			if p != nil {
-				p.Close()
-			}
-		}
-	}()
-	for i := range peers {
-		peers[i], err = core.NewPeer(core.PeerConfig{
-			ID: i, Transport: trs[i],
-			Labels: map[string]history.Label{loc: label},
-		})
-		if err != nil {
-			return pt, fmt.Errorf("peer %d: %w", i, err)
-		}
-	}
-	pt, err = spectrumPoint(peers[0].Proc(), label, loc, ops)
-	if err != nil {
-		return pt, err
-	}
-	// Drain in-flight broadcasts before reading traffic counters, so the
-	// per-op figures are totals rather than a race with delivery.
-	var msgs, bytes uint64
-	for _, tr := range trs {
-		tr.Flush(2 * time.Second)
-	}
-	for _, tr := range trs {
-		s := tr.Stats()
-		msgs += s.MessagesSent
-		bytes += s.BytesSent
-	}
-	total := float64(2 * ops)
-	pt.MsgsPerOp = float64(msgs) / total
-	pt.BytesPerOp = float64(bytes) / total
-	return pt, nil
+	return pt
 }

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"mixedmem/internal/history"
-	"mixedmem/internal/network"
 )
 
 // TestSpectrumMonotoneCostCurve pins experiment E8S's acceptance shape: the
@@ -14,7 +13,7 @@ import (
 // so only the structural separation — the SC round trip dominating every
 // local weak operation — is asserted.
 func TestSpectrumMonotoneCostCurve(t *testing.T) {
-	r, err := RunLatencySpectrum(3, 400, network.LatencyModel{})
+	r, err := RunLatencySpectrum(3, 400, Substrate{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +60,7 @@ func TestSpectrumTCPSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loopback TCP spectrum in -short mode")
 	}
-	r, err := RunLatencySpectrumTCP(2, 60)
+	r, err := RunLatencySpectrum(2, 60, Substrate{TCP: true})
 	if err != nil {
 		t.Fatal(err)
 	}

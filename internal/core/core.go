@@ -3,12 +3,16 @@
 // writes, read/write locks, barriers, await statements, and commutative
 // counter objects.
 //
-// A System bundles the substrates — the simulated message-passing fabric
-// (internal/network), one replicated-memory node per process (internal/dsm),
-// and the lock/barrier managers (internal/syncmgr) — behind one handle per
-// process (Proc). Programs are written against the Process interface, so the
-// same program also runs on the sequentially consistent baseline
-// (internal/seqmem) for the paper's comparisons.
+// A System bundles the substrates — a message transport (the simulated
+// fabric of internal/network by default; any transport.Transport that serves
+// every node, such as the loopback tcp.Fleet, through Config.Transport), one
+// replicated-memory node per process (internal/dsm), and the lock/barrier
+// managers (internal/syncmgr) — behind one handle per process (Proc). A Peer
+// is one such process alone, for deployments with one OS process per node
+// (cmd/mixednode); both are wired by the same function. Programs are written
+// against the Process interface, so the same program also runs on the
+// sequentially consistent baseline (internal/seqmem) for the paper's
+// comparisons.
 //
 // A minimal program:
 //
@@ -117,9 +121,9 @@ type Config struct {
 	Procs int
 	// Transport, when non-nil, is the message substrate to run on; it must
 	// connect exactly Procs nodes and serve Recv for all of them (the
-	// simulated fabric does; per-process wire transports like tcp serve
-	// only their local node and belong with NewPeer instead). When nil, a
-	// simulated fabric with the configured Latency/Seed is created and
+	// simulated fabric and the loopback tcp.Fleet do; a single
+	// *tcp.Transport serves one node and is what NewPeer takes). When nil,
+	// a simulated fabric with the configured Latency/Seed is created and
 	// owned by the system. A caller-supplied transport is still closed by
 	// System.Close.
 	Transport transport.Transport
@@ -194,18 +198,11 @@ type Proc struct {
 
 var _ Process = (*Proc)(nil)
 
-// NewSystem builds the fabric, nodes, managers, and clients, and starts all
+// NewSystem builds the fabric and every process over it, and starts all
 // receive loops. Callers must Close the system.
 func NewSystem(cfg Config) (*System, error) {
 	if cfg.Procs <= 0 {
 		return nil, fmt.Errorf("core: %d procs", cfg.Procs)
-	}
-	if cfg.ManagerProc < 0 || cfg.ManagerProc >= cfg.Procs {
-		return nil, fmt.Errorf("core: manager proc %d out of range", cfg.ManagerProc)
-	}
-	mode := cfg.Propagation
-	if mode == 0 {
-		mode = syncmgr.Lazy
 	}
 	fabric := cfg.Transport
 	if fabric == nil {
@@ -222,53 +219,55 @@ func NewSystem(cfg Config) (*System, error) {
 		return nil, fmt.Errorf("core: transport connects %d nodes, config wants %d procs",
 			fabric.Nodes(), cfg.Procs)
 	}
-	var trace *history.Builder
+	sys := &System{fabric: fabric}
 	if cfg.Record {
-		trace = history.NewBuilder(cfg.Procs)
+		sys.trace = history.NewBuilder(cfg.Procs)
 	}
-	sys := &System{fabric: fabric, trace: trace}
-
-	dispatchers := make([]*syncmgr.Dispatcher, cfg.Procs)
-	nodes := make([]*dsm.Node, cfg.Procs)
 	for i := 0; i < cfg.Procs; i++ {
-		d := syncmgr.NewDispatcher()
-		dispatchers[i] = d
-		var tracer *obs.Tracer
-		if cfg.TraceCapacity > 0 {
-			tracer = obs.NewTracer(i, cfg.TraceCapacity)
-		}
-		node, err := dsm.NewNode(dsm.Config{
-			ID: i, N: cfg.Procs, Transport: fabric, Trace: trace,
-			Handler: d.Handle, PRAMOnly: cfg.PRAMOnly, Scope: cfg.Placement,
+		p, err := newProc(dsm.Config{
+			ID: i, N: cfg.Procs, Transport: fabric, Trace: sys.trace,
+			PRAMOnly: cfg.PRAMOnly, Scope: cfg.Placement,
 			TrackAccess: cfg.TrackAccess, Batch: cfg.Batch, Labels: cfg.Labels,
-			Tracer: tracer,
-		})
+		}, cfg.ManagerProc, cfg.Propagation, cfg.TraceCapacity)
 		if err != nil {
-			fabric.Close()
-			for _, nd := range nodes {
-				if nd != nil {
-					nd.Close()
-				}
-			}
-			return nil, fmt.Errorf("core: node %d: %w", i, err)
+			sys.Close()
+			return nil, err
 		}
-		nodes[i] = node
-	}
-	lockMgr := syncmgr.NewManager(cfg.ManagerProc, fabric, mode)
-	lockMgr.Bind(dispatchers[cfg.ManagerProc])
-	barMgr := syncmgr.NewBarrierManager(cfg.ManagerProc, fabric, cfg.Procs)
-	barMgr.Bind(dispatchers[cfg.ManagerProc])
-
-	for i := 0; i < cfg.Procs; i++ {
-		lc := syncmgr.NewClient(nodes[i], cfg.ManagerProc, mode)
-		lc.Bind(dispatchers[i])
-		bc := syncmgr.NewBarrierClient(nodes[i], cfg.ManagerProc)
-		bc.Bind(dispatchers[i])
-		sys.procs = append(sys.procs, &Proc{
-			node: nodes[i], locks: lc, barrier: bc, n: cfg.Procs,
-		})
+		sys.procs = append(sys.procs, p)
 	}
 	return sys, nil
+}
+
+// newProc wires one process over dc.Transport: a dispatcher, the replicated-
+// memory node (with an event tracer when traceCap is positive), the lock and
+// barrier clients, and — on the manager process — the managers. NewSystem
+// calls it once per process and NewPeer once; the callers fill in the
+// memory-layer half of dc, newProc the Handler and Tracer.
+func newProc(dc dsm.Config, manager int, mode syncmgr.PropagationMode, traceCap int) (*Proc, error) {
+	if manager < 0 || manager >= dc.N {
+		return nil, fmt.Errorf("core: manager proc %d out of range", manager)
+	}
+	if mode == 0 {
+		mode = syncmgr.Lazy
+	}
+	d := syncmgr.NewDispatcher()
+	dc.Handler = d.Handle
+	if traceCap > 0 {
+		dc.Tracer = obs.NewTracer(dc.ID, traceCap)
+	}
+	node, err := dsm.NewNode(dc)
+	if err != nil {
+		return nil, fmt.Errorf("core: node %d: %w", dc.ID, err)
+	}
+	if dc.ID == manager {
+		syncmgr.NewManager(manager, dc.Transport, mode).Bind(d)
+		syncmgr.NewBarrierManager(manager, dc.Transport, dc.N).Bind(d)
+	}
+	lc := syncmgr.NewClient(node, manager, mode)
+	lc.Bind(d)
+	bc := syncmgr.NewBarrierClient(node, manager)
+	bc.Bind(d)
+	return &Proc{node: node, locks: lc, barrier: bc, n: dc.N}, nil
 }
 
 // Proc returns the handle for process i.

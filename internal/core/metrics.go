@@ -42,8 +42,9 @@ func MemMetricsOf(s dsm.Stats) obs.MemMetrics {
 }
 
 // NetMetricsOf snapshots a transport's accounting into the registry shape.
-// When the backend is the TCP transport, its link diagnostics (dials,
-// replays, dedup drops, acks sent, replay-log bytes held) ride along; the simulated fabric reports zeros
+// When the backend is a TCP transport — one node's, or a loopback fleet's
+// sum — its link diagnostics (dials, replays, dedup drops, acks sent,
+// replay-log bytes held) ride along; the simulated fabric reports zeros
 // there. The returned value owns its containers (transport Stats are
 // copy-on-read).
 func NetMetricsOf(tr transport.Transport) obs.NetMetrics {
@@ -82,14 +83,14 @@ func SyncMetricsOf(ls syncmgr.ClientStats, bs syncmgr.BarrierStats) obs.SyncMetr
 }
 
 // registerProcSections adds one process's sections — "mem", "sync",
-// "trace" — to a registry. Sections are closures over the live process, so
-// every snapshot observes current counters.
-func registerProcSections(r *obs.Registry, p *Proc) {
-	r.Register("mem", func() any { return MemMetricsOf(p.MemStats()) })
-	r.Register("sync", func() any {
+// "trace", each under prefix — to a registry. Sections are closures over the
+// live process, so every snapshot observes current counters.
+func registerProcSections(r *obs.Registry, prefix string, p *Proc) {
+	r.Register(prefix+"mem", func() any { return MemMetricsOf(p.MemStats()) })
+	r.Register(prefix+"sync", func() any {
 		return SyncMetricsOf(p.LockStats(), p.BarrierStats())
 	})
-	r.Register("trace", func() any { return obs.TraceMetricsOf(p.Tracer()) })
+	r.Register(prefix+"trace", func() any { return obs.TraceMetricsOf(p.Tracer()) })
 }
 
 // Registry builds one process's unified metrics registry: memory-layer
@@ -97,29 +98,21 @@ func registerProcSections(r *obs.Registry, p *Proc) {
 // counters, and the tracer's own ring state.
 func (p *Proc) Registry() *obs.Registry {
 	r := obs.NewRegistry()
-	registerProcSections(r, p)
+	registerProcSections(r, "", p)
 	return r
 }
 
 // Registry builds the system-wide registry for an in-process deployment:
-// the shared fabric's accounting under "net" plus every process's sections
-// under "proc<i>/". One JSON document covers the whole fleet, which is what
-// the simulated-deployment benchmarks want.
+// the transport's accounting under "net" (with the summed link diagnostics
+// when it is a tcp fleet) plus every process's sections under "proc<i>/".
+// One JSON document covers the whole fleet, which is what the
+// single-OS-process benchmarks want.
 func (s *System) Registry() *obs.Registry {
 	r := obs.NewRegistry()
 	fabric := s.fabric
 	r.Register("net", func() any { return NetMetricsOf(fabric) })
 	for i, p := range s.procs {
-		p := p
-		r.Register(fmt.Sprintf("proc%d/mem", i), func() any {
-			return MemMetricsOf(p.MemStats())
-		})
-		r.Register(fmt.Sprintf("proc%d/sync", i), func() any {
-			return SyncMetricsOf(p.LockStats(), p.BarrierStats())
-		})
-		r.Register(fmt.Sprintf("proc%d/trace", i), func() any {
-			return obs.TraceMetricsOf(p.Tracer())
-		})
+		registerProcSections(r, fmt.Sprintf("proc%d/", i), p)
 	}
 	return r
 }

@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"mixedmem/internal/obs"
+	"mixedmem/internal/syncmgr"
+	"mixedmem/internal/transport/tcp"
 )
 
 // TestRegistryUnifiesSubsystems runs a small traced workload and checks the
@@ -101,5 +103,25 @@ func TestTracerDisabledByDefault(t *testing.T) {
 	}
 	if tm := obs.TraceMetricsOf(sys.Proc(0).Tracer()); tm.Enabled {
 		t.Fatalf("trace metrics enabled without tracer: %+v", tm)
+	}
+}
+
+// TestSystemRegistryServesFleetDiag: a System over the loopback tcp fleet
+// serves the fleet's link diagnostics — summed over its nodes — under "net",
+// next to the message accounting every substrate reports.
+func TestSystemRegistryServesFleetDiag(t *testing.T) {
+	fleet, err := tcp.NewFleet(2)
+	if err != nil {
+		t.Fatalf("NewFleet: %v", err)
+	}
+	sys, err := NewSystem(Config{Procs: 2, Transport: fleet})
+	if err != nil {
+		t.Fatalf("NewSystem: %v", err)
+	}
+	defer sys.Close()
+	sys.Run(func(p *Proc) { p.Barrier() }) // traffic both ways: both channels are dialed
+	net := sys.Registry().Snapshot()["net"].(obs.NetMetrics)
+	if net.Dials < 2 || net.MessagesSent == 0 || net.PerKind[syncmgr.KindBarRelease] == 0 {
+		t.Fatalf("registry net section over a tcp fleet: %+v", net)
 	}
 }

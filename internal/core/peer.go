@@ -12,9 +12,11 @@ import (
 
 // PeerConfig configures one process of a distributed deployment: a single
 // mixed-consistency node running over a wire transport (one OS process per
-// node, the paper's actual Maya-on-workstations setting). The peer whose ID
-// equals ManagerProc additionally hosts the lock and barrier managers, just
-// as NewSystem places them on one of the in-process nodes.
+// node, the paper's actual Maya-on-workstations setting; cmd/mixednode). The
+// peer whose ID equals ManagerProc additionally hosts the lock and barrier
+// managers, just as NewSystem places them on one of the in-process nodes. A
+// deployment whose processes all live in this OS process — over sockets or
+// not — is a System instead.
 type PeerConfig struct {
 	// ID is this process's identity, 0..N-1, where N is the transport's
 	// node count. Required.
@@ -39,9 +41,6 @@ type PeerConfig struct {
 	// Labels assigns lattice points to individual locations, as in
 	// Config.Labels. All peers of a deployment must agree on the map.
 	Labels map[string]history.Label
-	// Trace, when non-nil, records this peer's memory operations into the
-	// given history builder (one process's slice of a recorded history).
-	Trace *history.Builder
 	// Batch configures the per-destination update outbox, as in
 	// Config.Batch. All peers of a deployment should agree on whether
 	// batching is enabled only as a matter of symmetry — the receive path
@@ -61,9 +60,9 @@ type Peer struct {
 	tr   transport.Transport
 }
 
-// NewPeer builds the node, clients, and (on the manager process) the
-// managers for one process of a distributed deployment, and starts the
-// receive loop. Callers must Close the peer.
+// NewPeer builds one process of a distributed deployment — wired exactly as
+// NewSystem wires each of its processes — and starts the receive loop.
+// Callers must Close the peer.
 func NewPeer(cfg PeerConfig) (*Peer, error) {
 	if cfg.Transport == nil {
 		return nil, fmt.Errorf("core: peer: nil transport")
@@ -72,40 +71,15 @@ func NewPeer(cfg PeerConfig) (*Peer, error) {
 	if cfg.ID < 0 || cfg.ID >= n {
 		return nil, fmt.Errorf("core: peer id %d out of range for %d nodes", cfg.ID, n)
 	}
-	if cfg.ManagerProc < 0 || cfg.ManagerProc >= n {
-		return nil, fmt.Errorf("core: manager proc %d out of range", cfg.ManagerProc)
-	}
-	mode := cfg.Propagation
-	if mode == 0 {
-		mode = syncmgr.Lazy
-	}
-	d := syncmgr.NewDispatcher()
-	var tracer *obs.Tracer
-	if cfg.TraceCapacity > 0 {
-		tracer = obs.NewTracer(cfg.ID, cfg.TraceCapacity)
-	}
-	node, err := dsm.NewNode(dsm.Config{
+	proc, err := newProc(dsm.Config{
 		ID: cfg.ID, N: n, Transport: cfg.Transport,
-		Handler: d.Handle, PRAMOnly: cfg.PRAMOnly,
-		Scope: cfg.Scope, TrackAccess: cfg.TrackAccess,
-		Trace: cfg.Trace, Batch: cfg.Batch, Labels: cfg.Labels,
-		Tracer: tracer,
-	})
+		PRAMOnly: cfg.PRAMOnly, Scope: cfg.Scope,
+		TrackAccess: cfg.TrackAccess, Batch: cfg.Batch, Labels: cfg.Labels,
+	}, cfg.ManagerProc, cfg.Propagation, cfg.TraceCapacity)
 	if err != nil {
-		return nil, fmt.Errorf("core: peer node: %w", err)
+		return nil, err
 	}
-	if cfg.ID == cfg.ManagerProc {
-		syncmgr.NewManager(cfg.ManagerProc, cfg.Transport, mode).Bind(d)
-		syncmgr.NewBarrierManager(cfg.ManagerProc, cfg.Transport, n).Bind(d)
-	}
-	lc := syncmgr.NewClient(node, cfg.ManagerProc, mode)
-	lc.Bind(d)
-	bc := syncmgr.NewBarrierClient(node, cfg.ManagerProc)
-	bc.Bind(d)
-	return &Peer{
-		proc: &Proc{node: node, locks: lc, barrier: bc, n: n},
-		tr:   cfg.Transport,
-	}, nil
+	return &Peer{proc: proc, tr: cfg.Transport}, nil
 }
 
 // Proc returns the process handle. It implements the same Process interface
@@ -126,7 +100,7 @@ func (p *Peer) Tracer() *obs.Tracer { return p.proc.Tracer() }
 // transport is the tcp backend. `mixednode -obs` serves it as JSON.
 func (p *Peer) Registry() *obs.Registry {
 	r := obs.NewRegistry()
-	registerProcSections(r, p.proc)
+	registerProcSections(r, "", p.proc)
 	tr := p.tr
 	r.Register("net", func() any { return NetMetricsOf(tr) })
 	return r

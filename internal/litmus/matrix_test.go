@@ -4,10 +4,10 @@ import (
 	"testing"
 	"time"
 
+	"mixedmem/internal/bench"
 	"mixedmem/internal/check"
 	"mixedmem/internal/core"
 	"mixedmem/internal/history"
-	"mixedmem/internal/transport/tcp"
 )
 
 // These tests pin the *runtime* verdict matrix: for each litmus shape the
@@ -45,6 +45,47 @@ func mixedOK(t *testing.T, h *history.History, what string) *history.Analysis {
 		t.Fatalf("%s: runtime outcome flagged as inconsistent: %v", what, v)
 	}
 	return a
+}
+
+// substrates is the table the substrate-independent litmus programs run over:
+// the program bodies are written once, against a core.System, and the row
+// supplies the transport under it.
+var (
+	simSubstrate = bench.Substrate{}
+	tcpSubstrate = bench.Substrate{TCP: true}
+	substrates   = []bench.Substrate{simSubstrate, tcpSubstrate}
+)
+
+// newSystem builds cfg's system on the substrate. The caller closes it.
+func newSystem(t *testing.T, sub bench.Substrate, cfg core.Config) *core.System {
+	t.Helper()
+	sys, err := sub.NewSystem(cfg)
+	if err != nil {
+		t.Fatalf("%v: NewSystem: %v", sub, err)
+	}
+	return sys
+}
+
+// runSBSC runs store buffering once with both locations at the SC lattice
+// point and returns the two reads, plus the recorded history when record is
+// set. Every access is a blocking owner round trip, so the weak outcome
+// (both reads 0) is impossible on any schedule a substrate can produce.
+func runSBSC(t *testing.T, sub bench.Substrate, record bool) (r0, r1 int64, h *history.History) {
+	t.Helper()
+	sys := newSystem(t, sub, core.Config{
+		Procs: 2, Record: record, Labels: labelsFor(history.LabelSC, "x", "y"),
+	})
+	defer sys.Close()
+	sys.Run(func(p *core.Proc) {
+		if p.ID() == 0 {
+			p.Write("x", 1)
+			r0 = p.ReadSC("y")
+		} else {
+			p.Write("y", 1)
+			r1 = p.ReadSC("x")
+		}
+	})
+	return r0, r1, sys.History()
 }
 
 // TestRuntimeSBMatrixSim forces the store-buffering weak outcome at every
@@ -88,32 +129,15 @@ func TestRuntimeSBMatrixSim(t *testing.T) {
 		sys.Close()
 	}
 
-	// SC lattice point: every access is a blocking owner round trip, so the
-	// weak outcome is impossible on any schedule the fabric can produce.
+	// SC lattice point: the weak outcome must never appear.
 	for trial := 0; trial < 20; trial++ {
-		sys, err := core.NewSystem(core.Config{
-			Procs: 2, Record: trial == 0, Labels: labelsFor(history.LabelSC, "x", "y"),
-		})
-		if err != nil {
-			t.Fatalf("SC: NewSystem: %v", err)
-		}
-		var r0, r1 int64
-		sys.Run(func(p *core.Proc) {
-			if p.ID() == 0 {
-				p.Write("x", 1)
-				r0 = p.ReadSC("y")
-			} else {
-				p.Write("y", 1)
-				r1 = p.ReadSC("x")
-			}
-		})
+		r0, r1, h := runSBSC(t, simSubstrate, trial == 0)
 		if r0 == 0 && r1 == 0 {
 			t.Fatalf("trial %d: SC-labeled locations exhibited store buffering", trial)
 		}
 		if trial == 0 {
-			mixedOK(t, sys.History(), "SB/SC")
+			mixedOK(t, h, "SB/SC")
 		}
-		sys.Close()
 	}
 }
 
@@ -301,16 +325,13 @@ type labeledOutcome struct {
 	fresh bool
 }
 
-// runMPBarrierSim runs barrier-fenced MP at one lattice point on the
-// simulated fabric and returns the outcome plus the recorded history.
-func runMPBarrierSim(t *testing.T, l history.Label) (labeledOutcome, *history.History) {
+// runMPBarrier runs barrier-fenced MP at one lattice point on one substrate
+// and returns the outcome plus the recorded history.
+func runMPBarrier(t *testing.T, sub bench.Substrate, l history.Label) (labeledOutcome, *history.History) {
 	t.Helper()
-	sys, err := core.NewSystem(core.Config{
+	sys := newSystem(t, sub, core.Config{
 		Procs: 2, Record: true, Labels: labelsFor(l, "data"),
 	})
-	if err != nil {
-		t.Fatalf("%v: NewSystem: %v", l, err)
-	}
 	defer sys.Close()
 	var got int64
 	sys.Run(func(p *core.Proc) {
@@ -325,50 +346,6 @@ func runMPBarrierSim(t *testing.T, l history.Label) (labeledOutcome, *history.Hi
 	return labeledOutcome{label: l, fresh: got == 42}, sys.History()
 }
 
-// runMPBarrierTCP runs the same program on loopback TCP peers.
-func runMPBarrierTCP(t *testing.T, l history.Label) (labeledOutcome, *history.History) {
-	t.Helper()
-	trs, err := tcp.NewLoopback(2, nil)
-	if err != nil {
-		t.Fatalf("tcp loopback: %v", err)
-	}
-	trace := history.NewBuilder(2)
-	labels := labelsFor(l, "data")
-	peers := make([]*core.Peer, 2)
-	for i := range peers {
-		peers[i], err = core.NewPeer(core.PeerConfig{
-			ID: i, Transport: trs[i], Trace: trace, Labels: labels,
-		})
-		if err != nil {
-			t.Fatalf("peer %d: %v", i, err)
-		}
-	}
-	var got int64
-	done := make(chan struct{})
-	for _, peer := range peers {
-		go func(p *core.Proc) {
-			defer func() { done <- struct{}{} }()
-			if p.ID() == 0 {
-				p.Write("data", 42)
-			}
-			p.Barrier()
-			if p.ID() == 1 {
-				got = p.Read("data", l)
-			}
-		}(peer.Proc())
-	}
-	for range peers {
-		<-done
-	}
-	for _, tr := range trs {
-		tr.Flush(2 * time.Second)
-	}
-	for _, peer := range peers {
-		peer.Close()
-	}
-	return labeledOutcome{label: l, fresh: got == 42}, trace.History()
-}
-
 // TestRuntimeMatrixSimTCPAgree runs barrier-fenced message passing at all
 // four lattice points on both substrates: every point must deliver the
 // pre-barrier write (the barrier fences the whole lattice), the recorded
@@ -378,16 +355,15 @@ func TestRuntimeMatrixSimTCPAgree(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loopback TCP matrix in -short mode")
 	}
-	var simOut, tcpOut []labeledOutcome
-	for _, l := range history.LatticeLabels() {
-		out, h := runMPBarrierSim(t, l)
-		mixedOK(t, h, "sim MP-barrier/"+l.String())
-		simOut = append(simOut, out)
-
-		out, h = runMPBarrierTCP(t, l)
-		mixedOK(t, h, "tcp MP-barrier/"+l.String())
-		tcpOut = append(tcpOut, out)
+	outcomes := make(map[string][]labeledOutcome)
+	for _, sub := range substrates {
+		for _, l := range history.LatticeLabels() {
+			out, h := runMPBarrier(t, sub, l)
+			mixedOK(t, h, sub.String()+" MP-barrier/"+l.String())
+			outcomes[sub.String()] = append(outcomes[sub.String()], out)
+		}
 	}
+	simOut, tcpOut := outcomes["sim"], outcomes["tcp"]
 	for i := range simOut {
 		if !simOut[i].fresh {
 			t.Errorf("sim: %v reader missed the pre-barrier write", simOut[i].label)
@@ -407,41 +383,7 @@ func TestRuntimeSBSCNeverWeakTCP(t *testing.T) {
 		t.Skip("loopback TCP SC trials in -short mode")
 	}
 	for trial := 0; trial < 3; trial++ {
-		trs, err := tcp.NewLoopback(2, nil)
-		if err != nil {
-			t.Fatalf("tcp loopback: %v", err)
-		}
-		labels := labelsFor(history.LabelSC, "x", "y")
-		peers := make([]*core.Peer, 2)
-		for i := range peers {
-			peers[i], err = core.NewPeer(core.PeerConfig{
-				ID: i, Transport: trs[i], Labels: labels,
-			})
-			if err != nil {
-				t.Fatalf("peer %d: %v", i, err)
-			}
-		}
-		var r0, r1 int64
-		done := make(chan struct{})
-		for _, peer := range peers {
-			go func(p *core.Proc) {
-				defer func() { done <- struct{}{} }()
-				if p.ID() == 0 {
-					p.Write("x", 1)
-					r0 = p.ReadSC("y")
-				} else {
-					p.Write("y", 1)
-					r1 = p.ReadSC("x")
-				}
-			}(peer.Proc())
-		}
-		for range peers {
-			<-done
-		}
-		for _, peer := range peers {
-			peer.Close()
-		}
-		if r0 == 0 && r1 == 0 {
+		if r0, r1, _ := runSBSC(t, tcpSubstrate, false); r0 == 0 && r1 == 0 {
 			t.Fatalf("trial %d: SC over TCP exhibited store buffering", trial)
 		}
 	}

@@ -2,13 +2,12 @@ package litmus
 
 import (
 	"testing"
-	"time"
 
+	"mixedmem/internal/bench"
 	"mixedmem/internal/check"
 	"mixedmem/internal/core"
 	"mixedmem/internal/dsm"
 	"mixedmem/internal/history"
-	"mixedmem/internal/transport/tcp"
 )
 
 // These tests re-run the litmus shapes (SB, MP, a three-process causal
@@ -109,154 +108,41 @@ func TestScopedLitmusSBWeakOutcomeUnchanged(t *testing.T) {
 	}
 }
 
-// TestScopedLitmusMPVerdictUnchanged runs message passing with causal reads
-// under broadcast and under scope: the consumer must read the data after the
-// flag in both, and both histories must be mixed-consistent.
-func TestScopedLitmusMPVerdictUnchanged(t *testing.T) {
-	run := func(scoped, batched bool) int64 {
-		cfg := core.Config{Procs: 2, Record: true}
-		if scoped {
-			cfg.Placement = mpScope()
-		}
-		if batched {
-			cfg.Batch = dsm.BatchConfig{Enabled: true, MaxUpdates: 8}
-		}
-		sys, err := core.NewSystem(cfg)
-		if err != nil {
-			t.Fatalf("NewSystem(scoped=%v): %v", scoped, err)
-		}
-		defer sys.Close()
-		var got int64
-		sys.Run(func(p *core.Proc) {
-			if p.ID() == 0 {
-				p.Write("data", 41)
-				p.Write("data", 42)
-				p.Write("flag", 1)
-			} else {
-				p.Await("flag", 1)
-				got = p.ReadCausal("data")
-			}
-		})
-		if violations, _ := analyzeMixed(t, sys); violations != 0 {
-			t.Fatalf("MP(scoped=%v, batched=%v) flagged as inconsistent", scoped, batched)
-		}
-		return got
-	}
-	for _, scoped := range []bool{false, true} {
-		for _, batched := range []bool{false, true} {
-			if got := run(scoped, batched); got != 42 {
-				t.Fatalf("MP(scoped=%v, batched=%v) read data=%d, want 42", scoped, batched, got)
-			}
-		}
-	}
-}
-
-// TestScopedLitmusCausalChainVerdictUnchanged runs the three-process causal
-// chain: 0 writes a, 1 observes a and writes b, 2 observes b and must see a.
-// Under scope, process 2 learns about a's copy only transitively through 1's
-// dependency matrix.
-func TestScopedLitmusCausalChainVerdictUnchanged(t *testing.T) {
-	run := func(scoped bool) int64 {
-		cfg := core.Config{Procs: 3, Record: true}
-		if scoped {
-			cfg.Placement = chainScope()
-		}
-		sys, err := core.NewSystem(cfg)
-		if err != nil {
-			t.Fatalf("NewSystem(scoped=%v): %v", scoped, err)
-		}
-		defer sys.Close()
-		var got int64
-		sys.Run(func(p *core.Proc) {
-			switch p.ID() {
-			case 0:
-				p.Write("a", 1)
-			case 1:
-				p.Await("a", 1)
-				p.Write("b", 1)
-			case 2:
-				p.Await("b", 1)
-				got = p.ReadCausal("a")
-			}
-		})
-		if violations, _ := analyzeMixed(t, sys); violations != 0 {
-			t.Fatalf("chain(scoped=%v) flagged as inconsistent", scoped)
-		}
-		return got
-	}
-	for _, scoped := range []bool{false, true} {
-		if got := run(scoped); got != 1 {
-			t.Fatalf("chain(scoped=%v) read a=%d, want 1 (causal chain broken)", scoped, got)
-		}
-	}
-}
-
-// runScopedTCP runs a program on loopback TCP peers with a shared recorded
-// history and returns it, closing everything down before analysis.
-func runScopedTCP(t *testing.T, procs int, scope *dsm.ScopeMap, body func(p *core.Proc)) *history.History {
+// runScopedMP runs message passing with causal reads on one substrate — the
+// consumer awaits the flag, then reads the data — fails on any
+// mixed-consistency violation, and returns what the consumer read. A nil
+// scope broadcasts.
+func runScopedMP(t *testing.T, sub bench.Substrate, scope *dsm.ScopeMap, batch dsm.BatchConfig) int64 {
 	t.Helper()
-	trs, err := tcp.NewLoopback(procs, nil)
-	if err != nil {
-		t.Fatalf("tcp loopback: %v", err)
-	}
-	trace := history.NewBuilder(procs)
-	peers := make([]*core.Peer, procs)
-	for i := range peers {
-		peers[i], err = core.NewPeer(core.PeerConfig{
-			ID: i, Transport: trs[i], Scope: scope, Trace: trace,
-		})
-		if err != nil {
-			t.Fatalf("peer %d: %v", i, err)
-		}
-	}
-	done := make(chan struct{})
-	for _, peer := range peers {
-		go func(p *core.Proc) {
-			body(p)
-			done <- struct{}{}
-		}(peer.Proc())
-	}
-	for range peers {
-		<-done
-	}
-	for _, tr := range trs {
-		tr.Flush(2 * time.Second)
-	}
-	for _, peer := range peers {
-		peer.Close()
-	}
-	return trace.History()
-}
-
-// TestScopedLitmusTCP reruns MP and the causal chain over real TCP sockets
-// with causal-scoped placement: same programs, same verdicts.
-func TestScopedLitmusTCP(t *testing.T) {
-	if testing.Short() {
-		t.Skip("loopback TCP litmus in -short mode")
-	}
-	var mpGot int64
-	h := runScopedTCP(t, 2, mpScope(), func(p *core.Proc) {
+	sys := newSystem(t, sub, core.Config{Procs: 2, Record: true, Placement: scope, Batch: batch})
+	defer sys.Close()
+	var got int64
+	sys.Run(func(p *core.Proc) {
 		if p.ID() == 0 {
+			p.Write("data", 41)
 			p.Write("data", 42)
 			p.Write("flag", 1)
 		} else {
 			p.Await("flag", 1)
-			mpGot = p.ReadCausal("data")
+			got = p.ReadCausal("data")
 		}
 	})
-	a, err := h.Analyze()
-	if err != nil {
-		t.Fatalf("MP analyze: %v", err)
+	if violations, _ := analyzeMixed(t, sys); violations != 0 {
+		t.Fatalf("%v MP(scoped=%v, batch=%+v) flagged as inconsistent", sub, scope != nil, batch)
 	}
-	if v := check.Mixed(a); len(v) != 0 {
-		t.Fatalf("scoped MP over TCP flagged as inconsistent: %v", v)
-	}
-	if mpGot != 42 {
-		t.Fatalf("scoped MP over TCP read data=%d, want 42", mpGot)
-	}
+	return got
+}
 
-	var chainGot int64
-	h = runScopedTCP(t, 3, chainScope(), func(p *core.Proc) {
+// runScopedChain runs the three-process causal chain on one substrate: 0
+// writes a, 1 observes a and writes b, 2 observes b and must see a. Under
+// scope, process 2 learns about a's copy only transitively through 1's
+// dependency matrix. It returns what process 2 read.
+func runScopedChain(t *testing.T, sub bench.Substrate, scope *dsm.ScopeMap) int64 {
+	t.Helper()
+	sys := newSystem(t, sub, core.Config{Procs: 3, Record: true, Placement: scope})
+	defer sys.Close()
+	var got int64
+	sys.Run(func(p *core.Proc) {
 		switch p.ID() {
 		case 0:
 			p.Write("a", 1)
@@ -265,17 +151,48 @@ func TestScopedLitmusTCP(t *testing.T) {
 			p.Write("b", 1)
 		case 2:
 			p.Await("b", 1)
-			chainGot = p.ReadCausal("a")
+			got = p.ReadCausal("a")
 		}
 	})
-	a, err = h.Analyze()
-	if err != nil {
-		t.Fatalf("chain analyze: %v", err)
+	if violations, _ := analyzeMixed(t, sys); violations != 0 {
+		t.Fatalf("%v chain(scoped=%v) flagged as inconsistent", sub, scope != nil)
 	}
-	if v := check.Mixed(a); len(v) != 0 {
-		t.Fatalf("scoped chain over TCP flagged as inconsistent: %v", v)
+	return got
+}
+
+// TestScopedLitmusMPVerdictUnchanged runs message passing under broadcast and
+// under scope, batched and not: the consumer must read the data after the
+// flag in all four, and every history must be mixed-consistent.
+func TestScopedLitmusMPVerdictUnchanged(t *testing.T) {
+	for _, scope := range []*dsm.ScopeMap{nil, mpScope()} {
+		for _, batch := range []dsm.BatchConfig{{}, {Enabled: true, MaxUpdates: 8}} {
+			if got := runScopedMP(t, simSubstrate, scope, batch); got != 42 {
+				t.Fatalf("MP(scoped=%v, batch=%+v) read data=%d, want 42", scope != nil, batch, got)
+			}
+		}
 	}
-	if chainGot != 1 {
-		t.Fatalf("scoped chain over TCP read a=%d, want 1", chainGot)
+}
+
+// TestScopedLitmusCausalChainVerdictUnchanged runs the causal chain under
+// broadcast and under scope: process 2 must see a either way.
+func TestScopedLitmusCausalChainVerdictUnchanged(t *testing.T) {
+	for _, scope := range []*dsm.ScopeMap{nil, chainScope()} {
+		if got := runScopedChain(t, simSubstrate, scope); got != 1 {
+			t.Fatalf("chain(scoped=%v) read a=%d, want 1 (causal chain broken)", scope != nil, got)
+		}
+	}
+}
+
+// TestScopedLitmusTCP reruns MP and the causal chain over real TCP sockets
+// with causal-scoped placement: same programs, same verdicts.
+func TestScopedLitmusTCP(t *testing.T) {
+	if testing.Short() {
+		t.Skip("loopback TCP litmus in -short mode")
+	}
+	if got := runScopedMP(t, tcpSubstrate, mpScope(), dsm.BatchConfig{}); got != 42 {
+		t.Fatalf("scoped MP over TCP read data=%d, want 42", got)
+	}
+	if got := runScopedChain(t, tcpSubstrate, chainScope()); got != 1 {
+		t.Fatalf("scoped chain over TCP read a=%d, want 1", got)
 	}
 }

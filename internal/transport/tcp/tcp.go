@@ -1,5 +1,7 @@
 // Package tcp implements the transport.Transport interface over real TCP
-// connections, one mixed-consistency node per OS process.
+// connections, one mixed-consistency node per OS process. (A Fleet is n such
+// nodes on loopback inside one OS process, behind one Transport that serves
+// them all; it adds routing and nothing to the channel described here.)
 //
 // The paper's runtime assumes exactly one thing of its network: reliable
 // FIFO channels between every ordered pair of processes (Section 6). A TCP
