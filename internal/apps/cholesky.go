@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"strconv"
+	"strings"
 	"sync"
 
 	"mixedmem/internal/core"
@@ -47,21 +48,49 @@ func (t *spdNames) entry(i, j int) string { return t.l[i*(i+1)/2+j] }
 
 // varNames returns the matrix's name table, built on first use and shared by
 // the processes of a run. It is kept per matrix rather than memoised for the
-// package: a run's names die with its matrix.
+// package: a run's names die with its matrix. Every name is a slice of one
+// string, so the table costs a handful of allocations however many names it
+// holds.
 func (m *SparseSPD) varNames() *spdNames {
 	m.namesOnce.Do(func() {
 		t := &m.names
 		t.l = make([]string, m.N*(m.N+1)/2)
-		t.count = make([]string, m.N)
-		t.lock = make([]string, m.N)
+		perColumn := make([]string, 2*m.N)
+		t.count, t.lock = perColumn[:m.N:m.N], perColumn[m.N:]
+		nonzeros := 0
+		for _, row := range m.Fill {
+			for _, filled := range row {
+				if filled {
+					nonzeros++
+				}
+			}
+		}
+		// An upper bound on the bytes of all names, so the builder's buffer
+		// is allocated once; a name cut from it stays valid either way.
+		digits := len(strconv.Itoa(m.N))
+		var b strings.Builder
+		b.Grow(nonzeros*(len("L_")+2*digits) + m.N*(len("count")+len("l")+2*digits))
+		var num [20]byte
+		// name appends prefix+i, then sep+j when sep is not empty, and
+		// returns what it appended.
+		name := func(prefix string, i int, sep string, j int) string {
+			from := b.Len()
+			b.WriteString(prefix)
+			b.Write(strconv.AppendInt(num[:0], int64(i), 10))
+			if sep != "" {
+				b.WriteString(sep)
+				b.Write(strconv.AppendInt(num[:0], int64(j), 10))
+			}
+			return b.String()[from:]
+		}
 		for i := 0; i < m.N; i++ {
 			for j := 0; j <= i; j++ {
 				if m.Fill[i][j] {
-					t.l[i*(i+1)/2+j] = lVar(i, j)
+					t.l[i*(i+1)/2+j] = name("L", i, "_", j)
 				}
 			}
-			t.count[i] = countVar(i)
-			t.lock[i] = colLock(i)
+			t.count[i] = name("count", i, "", 0)
+			t.lock[i] = name("l", i, "", 0)
 		}
 	})
 	return &m.names
@@ -339,8 +368,9 @@ func gatherFactor(p core.Process, m *SparseSPD) CholeskyResult {
 	p.Barrier()
 	nm := m.varNames()
 	l := make([][]float64, m.N)
+	rows := make([]float64, m.N*(m.N+1)/2)
 	for i := 0; i < m.N; i++ {
-		l[i] = make([]float64, i+1)
+		l[i], rows = rows[:i+1:i+1], rows[i+1:]
 		for j := 0; j <= i; j++ {
 			if m.Fill[i][j] {
 				l[i][j] = core.ReadCausalFloat(p, nm.entry(i, j))

@@ -55,6 +55,16 @@ func TestNameTablesMatchNamingScheme(t *testing.T) {
 		if m.varNames() != nm {
 			t.Fatalf("%s: varNames rebuilt its table on the second call", name)
 		}
+		// The names are slices of one string, so a table of hundreds costs a
+		// handful of allocations: the three slices, the string, and what the
+		// builder's closure keeps on the heap.
+		allocs := testing.AllocsPerRun(10, func() {
+			fresh := SparseSPD{N: m.N, Fill: m.Fill}
+			fresh.varNames()
+		})
+		if allocs > 8 {
+			t.Errorf("%s: building the table of %d names made %.0f allocations, want <= 8", name, filled+2*m.N, allocs)
+		}
 	}
 }
 

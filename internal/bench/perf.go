@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"mixedmem/internal/core"
 	"mixedmem/internal/dsm"
 	"mixedmem/internal/network"
 	"mixedmem/internal/transport"
@@ -46,12 +47,18 @@ type PerfCell struct {
 	// Flush returns, acks included, on sim when the receiver has taken the
 	// last one), or "echo" (tcp only, no replicas: node 0 sends one update
 	// message and waits for node 1's reply before the next, no Flush — what a
-	// lone message costs per hop, acknowledgements included if any are sent).
+	// lone message costs per hop, acknowledgements included if any are sent),
+	// or "lock" / "barrier" (a perfSyncProcs-process core.System rather than
+	// bare replicas: one synchronisation round per op — an uncontended
+	// WLock+WUnlock of one name from a non-manager process, or a global
+	// barrier all processes reach in lockstep).
 	Scenario string `json:"scenario"`
 	// Label is the consistency configuration: "pram" (PRAMOnly), "causal"
 	// (full broadcast with timestamps), or "scoped" (causal-scoped
 	// point-to-point placement). The stream and echo scenarios, which have no
-	// memory above the transport, name their message kind here: "update".
+	// memory above the transport, name their message kind here: "update"; the
+	// lock scenario names its propagation mode ("lazy") and the barrier
+	// scenario its participants ("global").
 	Label string `json:"label"`
 	// Batch is the outbox MaxUpdates threshold; 0 means the outbox is off.
 	Batch int `json:"batch"`
@@ -68,8 +75,8 @@ type PerfCell struct {
 	AllocsPerOp float64 `json:"allocs_per_op"`
 	OpsPerSec   float64 `json:"ops_per_sec"`
 	// BytesPerOp is heap bytes allocated per operation and AcksPerOp the ack
-	// frames the receivers wrote per message (tcp.Diag.AcksSent). Only the tcp
-	// stream and echo cells report them.
+	// frames the receivers wrote per message (tcp.Diag.AcksSent). The tcp
+	// stream and echo cells report both, the lock and barrier cells the bytes.
 	BytesPerOp float64 `json:"bytes_per_op,omitempty"`
 	AcksPerOp  float64 `json:"acks_per_op,omitempty"`
 }
@@ -84,8 +91,11 @@ func (c PerfCell) Key() string {
 func (c PerfCell) String() string {
 	s := fmt.Sprintf("%-28s ops=%-7d %9.0f ns/op %7.2f allocs/op %12.0f ops/s",
 		c.Key(), c.Ops, c.NsPerOp, c.AllocsPerOp, c.OpsPerSec)
-	if (c.Scenario == "stream" || c.Scenario == "echo") && c.Transport == "tcp" {
+	switch {
+	case (c.Scenario == "stream" || c.Scenario == "echo") && c.Transport == "tcp":
 		s += fmt.Sprintf(" %6.1f B/op %6.3f acks/op", c.BytesPerOp, c.AcksPerOp)
+	case c.Scenario == "lock" || c.Scenario == "barrier":
+		s += fmt.Sprintf(" %6.1f B/op", c.BytesPerOp)
 	}
 	return s
 }
@@ -151,8 +161,15 @@ func perfGrid() []PerfCell {
 		{Scenario: "backlog", Label: "causal", Batch: 0, Writers: 1},
 		{Scenario: "stream", Label: "update", Batch: 0, Writers: 1},
 		{Scenario: "echo", Label: "update", Batch: 0, Writers: 1},
+		{Scenario: "lock", Label: "lazy", Batch: 0, Writers: 1},
+		{Scenario: "barrier", Label: "global", Batch: 0, Writers: perfSyncProcs},
 	}
 }
+
+// perfSyncProcs is the process count of the lock and barrier scenarios: a
+// manager and two others, whatever PerfOptions.Procs says, so the cells read
+// the same on every grid.
+const perfSyncProcs = 3
 
 // perfBacklog is the number of delivery groups the backlog scenario parks at
 // the measured replica, and perfBacklogProcs the replica count its four roles
@@ -228,6 +245,8 @@ func RunPerf(sub Substrate, opt PerfOptions) (PerfResult, error) {
 			}
 		case "echo":
 			measured, err = measureTCPEcho(o.Ops, o.Warmup)
+		case "lock", "barrier":
+			measured, err = measureSyncCell(sub, o, cell)
 		default:
 			measured, err = runPerfCell(sub, o, cell)
 		}
@@ -240,16 +259,17 @@ func RunPerf(sub Substrate, opt PerfOptions) (PerfResult, error) {
 }
 
 // runsOn says whether the cell is part of the substrate's grid. The write
-// cells run on both (scoped only on sim, where its row has always been);
-// echo measures the tcp ack protocol; contended, contended1 and fresh are
-// about lock contention and table inserts inside one replica, which sockets
-// only blur; backlog needs transport.Faults to park its groups, which only
-// the fabric has, and four replicas.
+// cells run on both (scoped only on sim, where its row has always been), and
+// so do the stream, lock and barrier cells; echo measures the tcp ack
+// protocol; contended, contended1 and fresh are about lock contention and
+// table inserts inside one replica, which sockets only blur; backlog needs
+// transport.Faults to park its groups, which only the fabric has, and four
+// replicas.
 func (c PerfCell) runsOn(sub Substrate, procs int) bool {
 	switch c.Scenario {
 	case "write":
 		return !sub.TCP || c.Label != "scoped"
-	case "stream":
+	case "stream", "lock", "barrier":
 		return true
 	case "echo":
 		return sub.TCP
@@ -476,6 +496,47 @@ func measureSimStream(msgs, warmup int) (PerfCell, error) {
 	return cell.measured(msgs, elapsed, after.Mallocs-before.Mallocs), nil
 }
 
+// measureSyncCell measures the syncmgr boundary: one synchronisation round per
+// op on a system of perfSyncProcs processes over the substrate, with the
+// managers on process 0 and lazy propagation (the defaults). The lock
+// scenario cycles one lock from process 1 with nobody else asking — request,
+// grant, release, and the count vectors that ride on them; the barrier
+// scenario walks every process through the same rounds. No process writes, so
+// the round's own cost is all there is.
+func measureSyncCell(sub Substrate, o PerfOptions, cell PerfCell) (PerfCell, error) {
+	sys, err := sub.NewSystem(core.Config{Procs: perfSyncProcs})
+	if err != nil {
+		return cell, err
+	}
+	defer sys.Close()
+	pass := func(rounds int) {
+		if cell.Scenario == "lock" {
+			p := sys.Proc(1)
+			for i := 0; i < rounds; i++ {
+				p.WLock("l")
+				p.WUnlock("l")
+			}
+			return
+		}
+		sys.Run(func(p *core.Proc) {
+			for i := 0; i < rounds; i++ {
+				p.Barrier()
+			}
+		})
+	}
+	pass(o.Warmup)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	start := time.Now()
+	pass(o.Ops)
+	elapsed := time.Since(start)
+	runtime.ReadMemStats(&after)
+	cell = cell.measured(o.Ops, elapsed, after.Mallocs-before.Mallocs)
+	cell.BytesPerOp = float64(after.TotalAlloc-before.TotalAlloc) / float64(o.Ops)
+	return cell, nil
+}
+
 // buildPerfNode constructs one replica for a cell.
 func buildPerfNode(id int, o PerfOptions, cell PerfCell, tr transport.Transport) (*dsm.Node, error) {
 	cfg := dsm.Config{ID: id, N: o.Procs, Transport: tr}
@@ -630,9 +691,9 @@ func measurePerfCell(o PerfOptions, cell PerfCell, nodes []*dsm.Node) (PerfCell,
 		nodes[0].FlushUpdates()
 		stop.Store(true)
 		wg.Wait()
-		sent := map[int]uint64{0: nodes[0].ReceivedCounts()[0]}
+		sent := map[int]uint64{0: nodes[0].ReceivedCounts(nil)[0]}
 		if remoteOps > 0 {
-			sent[1] = nodes[1].ReceivedCounts()[1]
+			sent[1] = nodes[1].ReceivedCounts(nil)[1]
 		}
 		drain(sent)
 		total = ops*cell.Writers + remoteOps + int(reads.Load())

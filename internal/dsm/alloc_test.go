@@ -173,7 +173,7 @@ func TestOutboxFlushAllocFloor(t *testing.T) {
 	// about the steady-state cycle, not a transient pool miss while a
 	// batch is in flight.
 	min := make([]uint64, 2)
-	min[0] = n.SentCounts()[1]
+	min[0] = n.SentCounts(nil)[1]
 	nodes[1].WaitReceived(min)
 	var v int64
 	allocs := testing.AllocsPerRun(200, func() {

@@ -74,8 +74,9 @@ func applyCell(v *atomic.Int64, op UpdateOp, value int64) {
 
 // shard is one partition of the location space. The value table is
 // insert-only: lookups probe it with no lock; an insert — once per new
-// location — allocates the location's entry (the cell lives inside it, at an
-// address that never changes) under the shard mutex. The mutex also guards
+// location — takes the location's entry from the table's current chunk (the
+// cell lives inside it, at an address that never changes) under the shard
+// mutex. The mutex also guards
 // the invalidation table and await registration; invalidLen mirrors
 // len(invalid) so the read fast path can skip the table without locking.
 type shard struct {

@@ -12,24 +12,26 @@ import (
 // table of lock-based propagation. The vectors and the log live under the
 // clock lock; invalidations under their shard's.
 
-// SentCounts returns a copy of the cumulative per-destination update counts,
-// the vector each process reports to the barrier manager (Section 6). With
-// the outbox enabled it first flushes every pending batch: the counts are a
-// promise that peers can wait for that many updates, so nothing counted may
-// remain parked locally.
-func (n *Node) SentCounts() []uint64 {
+// SentCounts appends to dst a snapshot of the cumulative per-destination
+// update counts, the vector each process reports to the barrier manager
+// (Section 6), and returns the extended slice; a dst with room for N words
+// makes it allocation-free. With the outbox enabled it first flushes every
+// pending batch: the counts are a promise that peers can wait for that many
+// updates, so nothing counted may remain parked locally.
+func (n *Node) SentCounts(dst []uint64) []uint64 {
 	n.clockMu.Lock()
 	defer n.clockMu.Unlock()
 	n.FlushUpdates()
-	return append([]uint64(nil), n.sent...)
+	return append(dst, n.sent...)
 }
 
-// ReceivedCounts returns, per sender, the cumulative number of updates
-// applied to the PRAM view (own writes for the node's own component).
-func (n *Node) ReceivedCounts() []uint64 {
+// ReceivedCounts appends to dst, per sender, the cumulative number of updates
+// applied to the PRAM view (own writes for the node's own component), and
+// returns the extended slice.
+func (n *Node) ReceivedCounts(dst []uint64) []uint64 {
 	n.clockMu.Lock()
 	defer n.clockMu.Unlock()
-	return n.recvd.Clone()
+	return append(dst, n.recvd...)
 }
 
 // WaitReceived blocks until at least min[j] updates from each process j have

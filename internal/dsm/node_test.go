@@ -316,13 +316,13 @@ func TestSentReceivedCounts(t *testing.T) {
 	nodes := cluster(t, 3, nil)
 	nodes[0].Write("a", 1)
 	nodes[0].Write("b", 2)
-	sent := nodes[0].SentCounts()
+	sent := nodes[0].SentCounts(nil)
 	if sent[1] != 2 || sent[2] != 2 || sent[0] != 0 {
 		t.Errorf("sent = %v, want [0 2 2]", sent)
 	}
-	eventually(t, func() bool { return nodes[1].ReceivedCounts()[0] == 2 },
+	eventually(t, func() bool { return nodes[1].ReceivedCounts(nil)[0] == 2 },
 		"receive counts never advanced")
-	rc := nodes[0].ReceivedCounts()
+	rc := nodes[0].ReceivedCounts(nil)
 	if rc[0] != 2 {
 		t.Errorf("own component = %d, want 2", rc[0])
 	}
@@ -609,13 +609,13 @@ func TestScopedMulticastDelivery(t *testing.T) {
 		t.Fatalf("scoped update leaked to node 2: %d", got)
 	}
 	// Sent counts are per destination.
-	sent := nodes[0].SentCounts()
+	sent := nodes[0].SentCounts(nil)
 	if sent[1] != 2 || sent[2] != 1 {
 		t.Fatalf("sent = %v, want [0 2 1]", sent)
 	}
 	// Received counts track deliveries, not sequence numbers: node 2 got
 	// one update from node 0 even though its sequence number was 2.
-	eventually(t, func() bool { return nodes[2].ReceivedCounts()[0] == 1 },
+	eventually(t, func() bool { return nodes[2].ReceivedCounts(nil)[0] == 1 },
 		"recvd count wrong under scope")
 }
 

@@ -422,7 +422,7 @@ func runDrainDifferential(t *testing.T, n int, scope *ScopeMap, labels map[strin
 	for i := 0; i < 3; i++ {
 		r.Write(locs[i%len(locs)], int64(100+i))
 	}
-	sentByRecv := r.SentCounts()
+	sentByRecv := r.SentCounts(nil)
 	for s := 0; s < recv; s++ {
 		min := make([]uint64, n)
 		min[recv] = sentByRecv[s]
@@ -447,7 +447,7 @@ func runDrainDifferential(t *testing.T, n int, scope *ScopeMap, labels map[strin
 		case k < 9:
 			other := (s + 1 + rng.Intn(recv-1)) % recv
 			min := make([]uint64, n)
-			min[other] = nodes[other].SentCounts()[s] // flushes other's outbox
+			min[other] = nodes[other].SentCounts(nil)[s] // flushes other's outbox
 			nodes[s].WaitCausalApplied(min)
 		default:
 			nodes[s].FlushUpdates()

@@ -96,7 +96,7 @@ func TestShardedApplyManyGoroutines(t *testing.T) {
 				min := make([]uint64, procs)
 				for _, src := range nodes {
 					if src.ID() != nd.ID() {
-						min[src.ID()] = src.SentCounts()[nd.ID()]
+						min[src.ID()] = src.SentCounts(nil)[nd.ID()]
 					}
 				}
 				nd.WaitReceived(min)

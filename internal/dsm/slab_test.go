@@ -84,7 +84,7 @@ func TestSentUpdatesAreImmutable(t *testing.T) {
 						nodes[s].Write(loc, value)
 					}
 				}
-				sent0, sent1 := nodes[0].SentCounts(), nodes[1].SentCounts()
+				sent0, sent1 := nodes[0].SentCounts(nil), nodes[1].SentCounts(nil)
 				nodes[0].WaitReceived([]uint64{0, sent1[0], 0})
 				nodes[1].WaitReceived([]uint64{sent0[1], 0, 0})
 			}

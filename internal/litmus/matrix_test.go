@@ -8,6 +8,7 @@ import (
 	"mixedmem/internal/check"
 	"mixedmem/internal/core"
 	"mixedmem/internal/history"
+	"mixedmem/internal/syncmgr"
 )
 
 // These tests pin the *runtime* verdict matrix: for each litmus shape the
@@ -371,6 +372,44 @@ func TestRuntimeMatrixSimTCPAgree(t *testing.T) {
 		if simOut[i] != tcpOut[i] {
 			t.Errorf("substrates disagree at %v: sim=%+v tcp=%+v",
 				simOut[i].label, simOut[i], tcpOut[i])
+		}
+	}
+}
+
+// TestRuntimeLockChainSimTCPAgree runs the Lock-chain shape on both substrates
+// under each propagation mode: three processes take turns incrementing one
+// location under a write lock, and a subset barrier of two follows. Every
+// increment must see its predecessor's — no lost update — whatever carries
+// the request, grant and release: pointers on the fabric, the wire codecs'
+// decoded copies over sockets (a demand-driven grant ships a write-set, a
+// lazy one a count vector, a group arrival its member list).
+func TestRuntimeLockChainSimTCPAgree(t *testing.T) {
+	if testing.Short() {
+		t.Skip("loopback TCP lock chain in -short mode")
+	}
+	const procs, rounds = 3, 10
+	for _, sub := range substrates {
+		for _, mode := range []syncmgr.PropagationMode{syncmgr.Eager, syncmgr.Lazy, syncmgr.DemandDriven} {
+			sys := newSystem(t, sub, core.Config{Procs: procs, Propagation: mode})
+			finals := make([]int64, procs)
+			sys.Run(func(p *core.Proc) {
+				for i := 0; i < rounds; i++ {
+					p.WLock("l")
+					p.Write("x", p.ReadCausal("x")+1)
+					p.WUnlock("l")
+				}
+				if p.ID() > 0 {
+					p.BarrierGroup("tail", []int{1, 2})
+				}
+				p.Barrier()
+				finals[p.ID()] = p.ReadCausal("x")
+			})
+			sys.Close()
+			for id, got := range finals {
+				if got != procs*rounds {
+					t.Errorf("%v/%v: process %d reads x = %d after %d locked increments", sub, mode, id, got, procs*rounds)
+				}
+			}
 		}
 	}
 }

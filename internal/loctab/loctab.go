@@ -7,20 +7,26 @@
 // and the same requirement: lookups run on hot paths that hold no lock and
 // must not allocate. The table meets it with three invariants:
 //
-//   - Publication. An entry is a heap object whose key, hash, and value are
-//     written before its pointer is stored (atomically) into a slot. A slot
-//     goes from nil to one entry exactly once and never changes again, so a
+//   - Publication. An entry is an element of a chunk — an entry array
+//     allocated at growth, one element per insert that growth admits — whose
+//     key, hash, and value are written before its pointer is stored
+//     (atomically) into a slot. An element is used for one entry and a slot
+//     goes from nil to one entry exactly once; neither changes again, so a
 //     reader that loads a non-nil slot sees a fully built entry, and a probe
 //     sequence that once found a key finds it forever.
 //   - Growth. When the load factor is reached the inserter builds a slot
 //     array of twice the size, re-places the same entry pointers, and
-//     publishes the new array with one atomic store. The old array is never
-//     written again; a reader still probing it finds every entry it held at
-//     the swap and misses only keys inserted later, which is a lookup that
-//     linearizes before the insert.
-//   - Stability. Values live inside entries, entries are never copied, so a
-//     *V returned by Get or Insert stays valid (and identical) across any
-//     number of growths.
+//     publishes the new array with one atomic store, then allocates the
+//     chunk the next inserts fill. The old array is never written again; a
+//     reader still probing it finds every entry it held at the swap and
+//     misses only keys inserted later, which is a lookup that linearizes
+//     before the insert. A table therefore costs three allocations per
+//     doubling (the slot array, its published header, the chunk) and none
+//     per key.
+//   - Stability. Values live inside entries, entries are never copied — an
+//     old chunk stays where it is, referenced from the slots — so a *V
+//     returned by Get or Insert stays valid (and identical) across any number
+//     of growths.
 //
 // Insert is not synchronized: the owner calls it under the mutex that already
 // serializes its structural changes (a dsm shard's mutex, the tracer's intern
@@ -73,9 +79,10 @@ type entry[V any] struct {
 // table ready for use.
 type Table[V any] struct {
 	slots atomic.Pointer[[]atomic.Pointer[entry[V]]]
-	// count is the number of entries; only Insert (under the owner's mutex)
-	// touches it.
+	// count is the number of entries and free the unused rest of the current
+	// chunk; only Insert (under the owner's mutex) touches them.
 	count int
+	free  []entry[V]
 }
 
 // Get returns the value stored under key, or nil if the key was never
@@ -116,13 +123,17 @@ func (t *Table[V]) Insert(hash uint32, key string, init V) (v *V, inserted bool)
 	if (t.count+1)*loadDen > len(slots)*loadNum {
 		slots = t.grow(slots)
 	}
-	e := &entry[V]{key: key, hash: hash, val: init}
+	e := &t.free[0]
+	t.free = t.free[1:]
+	*e = entry[V]{key: key, hash: hash, val: init}
 	place(slots, e)
 	t.count++
 	return &e.val, true
 }
 
-// grow publishes a slot array of twice the size holding the same entries.
+// grow publishes a slot array of twice the size holding the same entries, and
+// allocates the chunk for the inserts the new array admits before it is full
+// in turn — which is when the previous chunk runs out, so free is empty here.
 func (t *Table[V]) grow(old []atomic.Pointer[entry[V]]) []atomic.Pointer[entry[V]] {
 	size := initialSlots
 	if len(old) > 0 {
@@ -135,6 +146,7 @@ func (t *Table[V]) grow(old []atomic.Pointer[entry[V]]) []atomic.Pointer[entry[V
 		}
 	}
 	t.slots.Store(&next)
+	t.free = make([]entry[V], size*loadNum/loadDen-t.count)
 	return next
 }
 

@@ -2,6 +2,7 @@ package loctab
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -154,6 +155,49 @@ func TestHashBytesMatchesHash(t *testing.T) {
 	for _, name := range []string{"", "x", "sess/12/k3", "L[17][4]", "vis/2/0/f311"} {
 		if got, want := HashBytes([]byte(name)), Hash(name); got != want {
 			t.Errorf("HashBytes(%q) = %#x, Hash gives %#x", name, got, want)
+		}
+	}
+}
+
+// TestInsertAllocatesPerDoublingNotPerKey: entries come out of a chunk
+// allocated at growth, so 4096 inserts cost three allocations per doubling —
+// the slot array, its published header, the chunk — and none per key. The
+// values are watched across every growth: a *V handed out before one is the
+// same pointer, with the same value, after all of them.
+func TestInsertAllocatesPerDoublingNotPerKey(t *testing.T) {
+	const n = 4096
+	keys := make([]string, n)
+	hashes := make([]uint32, n)
+	for i := range keys {
+		keys[i] = fmt.Sprint("loc/", i)
+		hashes[i] = Hash(keys[i])
+	}
+	ptrs := make([]*int, n)
+	var tab Table[int]
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := range keys {
+		ptrs[i], _ = tab.Insert(hashes[i], keys[i], i)
+	}
+	runtime.ReadMemStats(&after)
+
+	slots := len(*tab.slots.Load())
+	doublings := 0
+	for s := initialSlots; s <= slots; s *= 2 {
+		doublings++
+	}
+	if slots != 2*n || doublings != 11 {
+		t.Fatalf("%d inserts left %d slots after %d doublings, want %d after 11", n, slots, doublings, 2*n)
+	}
+	if got := after.Mallocs - before.Mallocs; got > uint64(3*doublings) {
+		t.Errorf("%d inserts made %d allocations, want at most %d (three per doubling)", n, got, 3*doublings)
+	}
+	if len(tab.free) != 0 {
+		t.Errorf("a table at its load factor has %d unused chunk entries, want none", len(tab.free))
+	}
+	for i := range keys {
+		if got := tab.Get(hashes[i], keys[i]); got != ptrs[i] || *got != i {
+			t.Fatalf("key %d: Get returned %p (%d), want the pointer Insert returned, %p (%d)", i, got, *got, ptrs[i], i)
 		}
 	}
 }

@@ -13,7 +13,9 @@ import (
 
 // barArrive is the payload a process sends to the barrier manager on
 // reaching barrier k: its cumulative per-destination update counts, the
-// vector of Section 6's barrier implementation.
+// vector of Section 6's barrier implementation. Like the lock payloads it
+// travels as a pointer into its sender's slab and is never written again
+// once sent; so does barRelease.
 type barArrive struct {
 	Client int
 	K      int
@@ -45,12 +47,25 @@ type BarrierManager struct {
 	members int
 
 	mu      sync.Mutex
-	pending map[barKey]map[int][]uint64 // (group, k) -> client -> sent vector
+	pending map[barKey]*barRound
+	// idle holds finished rounds for reuse; rels and vecs are the slabs sent
+	// releases and their Expected vectors are taken from.
+	idle []*barRound
+	rels slab[barRelease]
+	vecs vecSlab
 }
 
 type barKey struct {
 	group string
 	k     int
+}
+
+// barRound is one barrier in progress: sent[i] is the vector client i arrived
+// with (nil until it does), arrived how many have. A finished round goes back
+// on the idle list with every slot nil again.
+type barRound struct {
+	sent    [][]uint64
+	arrived int
 }
 
 // NewBarrierManager creates a barrier manager hosted on node self. members
@@ -62,7 +77,7 @@ func NewBarrierManager(self int, tr transport.Transport, members int) *BarrierMa
 		n:       tr.Nodes(),
 		fabric:  tr,
 		members: members,
-		pending: make(map[barKey]map[int][]uint64),
+		pending: make(map[barKey]*barRound),
 	}
 }
 
@@ -71,10 +86,17 @@ func (m *BarrierManager) Bind(d *Dispatcher) {
 	d.Register(KindBarArrive, m.onArrive)
 }
 
+// noCounts stands in for the nil vector of an arrival that reported no
+// counts, so a nil slot of barRound.sent always means "not arrived".
+var noCounts = []uint64{}
+
+// onArrive records one arrival and, when it completes its round, releases
+// every participant. It sends under the manager lock, as the lock manager
+// does and for the same reason.
 func (m *BarrierManager) onArrive(msg network.Message) {
-	arr, ok := msg.Payload.(barArrive)
-	if !ok {
-		return
+	arr, ok := msg.Payload.(*barArrive)
+	if !ok || arr.Client < 0 || arr.Client >= m.n {
+		return // Client indexes the round, and it comes off the wire
 	}
 	need := m.members
 	if arr.Group != "" {
@@ -82,32 +104,48 @@ func (m *BarrierManager) onArrive(msg network.Message) {
 	}
 	key := barKey{arr.Group, arr.K}
 	m.mu.Lock()
-	if m.pending[key] == nil {
-		m.pending[key] = make(map[int][]uint64)
+	defer m.mu.Unlock()
+	r := m.pending[key]
+	if r == nil {
+		if n := len(m.idle); n > 0 {
+			r, m.idle = m.idle[n-1], m.idle[:n-1]
+		} else {
+			r = &barRound{sent: make([][]uint64, m.n)}
+		}
+		m.pending[key] = r
 	}
-	m.pending[key][arr.Client] = arr.Sent
-	if len(m.pending[key]) < need {
-		m.mu.Unlock()
+	if r.sent[arr.Client] == nil {
+		r.arrived++
+	}
+	r.sent[arr.Client] = arr.Sent
+	if arr.Sent == nil {
+		r.sent[arr.Client] = noCounts
+	}
+	if r.arrived < need {
 		return
 	}
-	vectors := m.pending[key]
 	delete(m.pending, key)
-	m.mu.Unlock()
 
-	// Transpose: client i must wait for vectors[j][i] updates from each j.
-	for client := range vectors {
-		expected := make([]uint64, m.n)
-		for j, vec := range vectors {
+	// Transpose: client i must wait for sent[j][i] updates from each j.
+	for client, own := range r.sent {
+		if own == nil {
+			continue
+		}
+		rel := m.rels.next()
+		*rel = barRelease{K: arr.K, Group: arr.Group, Expected: m.vecs.next(m.n)}
+		for j, vec := range r.sent {
 			if client < len(vec) {
-				expected[j] = vec[client]
+				rel.Expected[j] = vec[client]
 			}
 		}
-		rel := barRelease{K: arr.K, Group: arr.Group, Expected: expected}
 		_ = m.fabric.Send(network.Message{
 			From: m.self, To: client, Kind: KindBarRelease,
-			Payload: rel, Size: 8 + 8*len(expected),
+			Payload: rel, Size: 8 + 8*len(rel.Expected),
 		})
 	}
+	clear(r.sent)
+	r.arrived = 0
+	m.idle = append(m.idle, r)
 }
 
 // BarrierStats counts a barrier client's activity.
@@ -126,8 +164,13 @@ type BarrierClient struct {
 	mu       sync.Mutex
 	nextK    int
 	groupK   map[string]int
-	releases map[barKey]chan barRelease
-	stats    BarrierStats
+	releases map[barKey]chan *barRelease
+	// parked recycles the channels in releases; arrs and vecs are the slabs
+	// sent arrivals and their Sent vectors are taken from.
+	parked waiters[*barRelease]
+	arrs   slab[barArrive]
+	vecs   vecSlab
+	stats  BarrierStats
 }
 
 // NewBarrierClient creates the client side for node, pointing at the
@@ -138,7 +181,7 @@ func NewBarrierClient(node *dsm.Node, manager int) *BarrierClient {
 		manager:  manager,
 		nextK:    1,
 		groupK:   make(map[string]int),
-		releases: make(map[barKey]chan barRelease),
+		releases: make(map[barKey]chan *barRelease),
 	}
 }
 
@@ -148,7 +191,7 @@ func (c *BarrierClient) Bind(d *Dispatcher) {
 }
 
 func (c *BarrierClient) onRelease(msg network.Message) {
-	rel, ok := msg.Payload.(barRelease)
+	rel, ok := msg.Payload.(*barRelease)
 	if !ok {
 		return
 	}
@@ -197,10 +240,16 @@ func (c *BarrierClient) BarrierGroup(name string, members []int) {
 }
 
 func (c *BarrierClient) barrier(group string, k int, members []int) {
-	key := barKey{group, k}
-	ch := make(chan barRelease, 1)
+	n := c.node.N()
 	c.mu.Lock()
-	c.releases[key] = ch
+	ch := c.parked.get()
+	c.releases[barKey{group, k}] = ch
+	arr := c.arrs.next()
+	sent := c.vecs.next(n)[:0]
+	var masked []uint64
+	if group != "" {
+		masked = c.vecs.next(n)
+	}
 	c.mu.Unlock()
 
 	start := time.Now()
@@ -211,10 +260,9 @@ func (c *BarrierClient) barrier(group string, k int, members []int) {
 	// node's update outbox and snapshots the counts under one lock, so every
 	// update the reported vector promises is on the wire before the manager
 	// can release anyone against it.
-	sent := c.node.SentCounts()
+	sent = c.node.SentCounts(sent)
 	if group != "" {
 		// Subset barrier: only member counts participate.
-		masked := make([]uint64, len(sent))
 		for _, mbr := range members {
 			if mbr >= 0 && mbr < len(sent) {
 				masked[mbr] = sent[mbr]
@@ -222,13 +270,14 @@ func (c *BarrierClient) barrier(group string, k int, members []int) {
 		}
 		sent = masked
 	}
+	*arr = barArrive{
+		Client: c.node.ID(), K: k, Sent: sent,
+		Group: group, Members: members,
+	}
 	_ = c.node.Transport().Send(network.Message{
 		From: c.node.ID(), To: c.manager, Kind: KindBarArrive,
-		Payload: barArrive{
-			Client: c.node.ID(), K: k, Sent: sent,
-			Group: group, Members: members,
-		},
-		Size: 16 + 8*len(sent) + len(group) + 4*len(members),
+		Payload: arr,
+		Size:    16 + 8*len(sent) + len(group) + 4*len(members),
 	})
 	rel := <-ch
 	// All prior-phase updates must be applied before this phase's reads:
@@ -242,6 +291,7 @@ func (c *BarrierClient) barrier(group string, k int, members []int) {
 	c.mu.Lock()
 	c.stats.Barriers++
 	c.stats.Wait += wait
+	c.parked.put(ch)
 	c.mu.Unlock()
 	if tr := c.node.Tracer(); tr != nil {
 		tr.RecordLoc(obs.EvBarrierExit, 0, 0, group, uint64(k), uint64(wait), 0)

@@ -10,7 +10,8 @@ import (
 // transports (internal/transport/tcp) can carry lock and barrier traffic
 // between OS processes. Flush probes and acknowledgements carry nil
 // payloads and need no codec. All layouts are big-endian with uint32 count
-// prefixes (the transport package's wire helpers).
+// prefixes (the transport package's wire helpers). Every codec encodes from
+// and decodes into the pointer form the handlers assert on.
 
 func init() {
 	transport.RegisterPayload(KindLockReq, lockReqCodec{})
@@ -32,9 +33,17 @@ func appendWriteSet(dst []byte, ws map[string]writeStamp) []byte {
 	return dst
 }
 
+// minWriteSetEntry is the encoded size of a write-set entry with an empty
+// location name and minMember that of a barrier member: what Decoder.Count
+// bounds their counts with before anything is sized by them.
+const (
+	minWriteSetEntry = 4 + 4 + 8
+	minMember        = 4
+)
+
 func decodeWriteSet(d *transport.Decoder) map[string]writeStamp {
-	n := int(d.Uint32())
-	if n == 0 || d.Err() != nil {
+	n := d.Count(minWriteSetEntry)
+	if n == 0 {
 		return nil
 	}
 	ws := make(map[string]writeStamp, n)
@@ -49,7 +58,7 @@ func decodeWriteSet(d *transport.Decoder) map[string]writeStamp {
 type lockReqCodec struct{}
 
 func (lockReqCodec) Encode(dst []byte, payload any) ([]byte, error) {
-	r, ok := payload.(lockRequest)
+	r, ok := payload.(*lockRequest)
 	if !ok {
 		return dst, fmt.Errorf("syncmgr: lock-req codec: payload is %T", payload)
 	}
@@ -62,7 +71,7 @@ func (lockReqCodec) Encode(dst []byte, payload any) ([]byte, error) {
 
 func (lockReqCodec) Decode(data []byte) (any, error) {
 	d := transport.NewDecoder(data)
-	r := lockRequest{
+	r := &lockRequest{
 		Lock:   d.String(),
 		Mode:   LockMode(d.Byte()),
 		Client: int(d.Uint32()),
@@ -75,7 +84,7 @@ func (lockReqCodec) Decode(data []byte) (any, error) {
 type lockGrantCodec struct{}
 
 func (lockGrantCodec) Encode(dst []byte, payload any) ([]byte, error) {
-	g, ok := payload.(lockGrant)
+	g, ok := payload.(*lockGrant)
 	if !ok {
 		return dst, fmt.Errorf("syncmgr: lock-grant codec: payload is %T", payload)
 	}
@@ -89,7 +98,7 @@ func (lockGrantCodec) Encode(dst []byte, payload any) ([]byte, error) {
 
 func (lockGrantCodec) Decode(data []byte) (any, error) {
 	d := transport.NewDecoder(data)
-	g := lockGrant{
+	g := &lockGrant{
 		Lock:  d.String(),
 		ReqID: d.Uint64(),
 		Epoch: int(d.Uint64()),
@@ -103,7 +112,7 @@ func (lockGrantCodec) Decode(data []byte) (any, error) {
 type lockRelCodec struct{}
 
 func (lockRelCodec) Encode(dst []byte, payload any) ([]byte, error) {
-	r, ok := payload.(lockRelease)
+	r, ok := payload.(*lockRelease)
 	if !ok {
 		return dst, fmt.Errorf("syncmgr: lock-rel codec: payload is %T", payload)
 	}
@@ -117,7 +126,7 @@ func (lockRelCodec) Encode(dst []byte, payload any) ([]byte, error) {
 
 func (lockRelCodec) Decode(data []byte) (any, error) {
 	d := transport.NewDecoder(data)
-	r := lockRelease{
+	r := &lockRelease{
 		Lock:   d.String(),
 		Mode:   LockMode(d.Byte()),
 		Client: int(d.Uint32()),
@@ -132,7 +141,7 @@ func (lockRelCodec) Decode(data []byte) (any, error) {
 type barArriveCodec struct{}
 
 func (barArriveCodec) Encode(dst []byte, payload any) ([]byte, error) {
-	a, ok := payload.(barArrive)
+	a, ok := payload.(*barArrive)
 	if !ok {
 		return dst, fmt.Errorf("syncmgr: bar-arrive codec: payload is %T", payload)
 	}
@@ -149,13 +158,13 @@ func (barArriveCodec) Encode(dst []byte, payload any) ([]byte, error) {
 
 func (barArriveCodec) Decode(data []byte) (any, error) {
 	d := transport.NewDecoder(data)
-	a := barArrive{
+	a := &barArrive{
 		Client: int(d.Uint32()),
 		K:      int(d.Uint64()),
 		Sent:   d.Uint64s(),
 		Group:  d.String(),
 	}
-	if n := int(d.Uint32()); n > 0 && d.Err() == nil {
+	if n := d.Count(minMember); n > 0 {
 		a.Members = make([]int, n)
 		for i := range a.Members {
 			a.Members[i] = int(d.Uint32())
@@ -168,7 +177,7 @@ func (barArriveCodec) Decode(data []byte) (any, error) {
 type barReleaseCodec struct{}
 
 func (barReleaseCodec) Encode(dst []byte, payload any) ([]byte, error) {
-	r, ok := payload.(barRelease)
+	r, ok := payload.(*barRelease)
 	if !ok {
 		return dst, fmt.Errorf("syncmgr: bar-release codec: payload is %T", payload)
 	}
@@ -180,7 +189,7 @@ func (barReleaseCodec) Encode(dst []byte, payload any) ([]byte, error) {
 
 func (barReleaseCodec) Decode(data []byte) (any, error) {
 	d := transport.NewDecoder(data)
-	r := barRelease{
+	r := &barRelease{
 		K:        int(d.Uint64()),
 		Expected: d.Uint64s(),
 		Group:    d.String(),

@@ -20,6 +20,11 @@ const (
 	WriteMode
 )
 
+// The three lock payloads travel as pointers: *lockRequest, *lockGrant and
+// *lockRelease, taken from the sender's slab (slab.go), filled, sent, and
+// never written again — the ownership rule of dsm's *Update. A receiver may
+// read one for as long as it likes and must not write through it.
+
 // lockRequest is the payload of a KindLockReq message.
 type lockRequest struct {
 	Lock   string
@@ -64,7 +69,7 @@ type lockRelease struct {
 
 // grantSize and friends model wire sizes for the latency model and the
 // message accounting, so the three modes show their real relative costs.
-func (g lockGrant) size() int {
+func (g *lockGrant) size() int {
 	s := 24 + len(g.Lock) + 8*len(g.RelVC)
 	for loc := range g.WriteSet {
 		s += len(loc) + 12
@@ -72,7 +77,7 @@ func (g lockGrant) size() int {
 	return s
 }
 
-func (r lockRelease) size() int {
+func (r *lockRelease) size() int {
 	s := 16 + len(r.Lock) + 8*len(r.Counts)
 	for loc := range r.WriteSet {
 		s += len(loc) + 12
@@ -91,6 +96,10 @@ type Manager struct {
 
 	mu    sync.Mutex
 	locks map[string]*lockState
+	// grants and vecs are the slabs sent grants and their release vectors
+	// are taken from.
+	grants slab[lockGrant]
+	vecs   vecSlab
 }
 
 type lockState struct {
@@ -102,12 +111,15 @@ type lockState struct {
 	started bool
 	// writer holds the current write holder, or -1.
 	writer int
-	// readers holds the current read holders.
+	// readers holds the current read holders; made by the first read grant.
 	readers map[int]bool
-	queue   []lockRequest
+	// queue holds the waiting requests in arrival order. Admitted requests
+	// are removed by sliding the rest down, so the array is reused.
+	queue []lockRequest
 	// relVC accumulates unlockers' received counts (lazy mode).
 	relVC []uint64
-	// writeSet accumulates critical-section write-sets (demand mode).
+	// writeSet accumulates critical-section write-sets (demand mode); made by
+	// the first release that carries one.
 	writeSet map[string]writeStamp
 }
 
@@ -130,36 +142,38 @@ func (m *Manager) Bind(d *Dispatcher) {
 func (m *Manager) state(name string) *lockState {
 	st, ok := m.locks[name]
 	if !ok {
-		st = &lockState{
-			writer:   -1,
-			readers:  make(map[int]bool),
-			relVC:    make([]uint64, m.fabric.Nodes()),
-			writeSet: make(map[string]writeStamp),
+		st = &lockState{writer: -1}
+		if m.mode == Lazy {
+			st.relVC = make([]uint64, m.fabric.Nodes())
 		}
 		m.locks[name] = st
 	}
 	return st
 }
 
+// The handlers send their grants under the manager lock: Send never blocks
+// (the transport contract), and holding the lock is what lets a grant be built
+// straight into the slab with no per-call list of what to send.
+
 func (m *Manager) onRequest(msg network.Message) {
-	req, ok := msg.Payload.(lockRequest)
+	req, ok := msg.Payload.(*lockRequest)
 	if !ok {
 		return
 	}
 	m.mu.Lock()
+	defer m.mu.Unlock()
 	st := m.state(req.Lock)
-	st.queue = append(st.queue, req)
-	grants := m.admitLocked(st)
-	m.mu.Unlock()
-	m.sendGrants(grants)
+	st.queue = append(st.queue, *req)
+	m.admitLocked(st)
 }
 
 func (m *Manager) onRelease(msg network.Message) {
-	rel, ok := msg.Payload.(lockRelease)
+	rel, ok := msg.Payload.(*lockRelease)
 	if !ok {
 		return
 	}
 	m.mu.Lock()
+	defer m.mu.Unlock()
 	st := m.state(rel.Lock)
 	switch rel.Mode {
 	case WriteMode:
@@ -176,55 +190,55 @@ func (m *Manager) onRelease(msg network.Message) {
 			}
 		}
 	}
-	if m.mode == DemandDriven {
+	if m.mode == DemandDriven && len(rel.WriteSet) > 0 {
+		if st.writeSet == nil {
+			st.writeSet = make(map[string]writeStamp, len(rel.WriteSet))
+		}
 		for loc, stamp := range rel.WriteSet {
 			if cur, ok := st.writeSet[loc]; !ok || stamp.Seq > cur.Seq || stamp.From != cur.From {
 				st.writeSet[loc] = stamp
 			}
 		}
 	}
-	grants := m.admitLocked(st)
-	m.mu.Unlock()
-	m.sendGrants(grants)
-}
-
-type pendingGrant struct {
-	to    int
-	grant lockGrant
+	m.admitLocked(st)
 }
 
 // admitLocked grants queued requests FIFO: a write needs the lock free; a
 // read needs no writer and is granted together with consecutive reads, which
 // share one epoch (Section 3.1.1's read epochs).
-func (m *Manager) admitLocked(st *lockState) []pendingGrant {
-	var out []pendingGrant
-	for len(st.queue) > 0 {
-		head := st.queue[0]
+func (m *Manager) admitLocked(st *lockState) {
+	admitted := 0
+scan:
+	for admitted < len(st.queue) {
+		head := &st.queue[admitted]
 		switch head.Mode {
 		case WriteMode:
 			if st.writer >= 0 || len(st.readers) > 0 {
-				return out
+				break scan
 			}
 			st.writer = head.Client
 			st.epoch = m.nextEpochLocked(st, false)
-			out = append(out, m.buildGrantLocked(st, head))
-			st.queue = st.queue[1:]
-			return out
+			m.grantLocked(st, head)
+			admitted++
+			break scan
 		case ReadMode:
 			if st.writer >= 0 {
-				return out
+				break scan
 			}
 			if !st.epochIsRead || !st.started {
 				st.epoch = m.nextEpochLocked(st, true)
 			}
+			if st.readers == nil {
+				st.readers = make(map[int]bool)
+			}
 			st.readers[head.Client] = true
-			out = append(out, m.buildGrantLocked(st, head))
-			st.queue = st.queue[1:]
+			m.grantLocked(st, head)
+			admitted++
 		default:
-			st.queue = st.queue[1:]
+			admitted++
 		}
 	}
-	return out
+	st.queue = st.queue[:copy(st.queue, st.queue[admitted:])]
 }
 
 func (m *Manager) nextEpochLocked(st *lockState, read bool) int {
@@ -236,11 +250,13 @@ func (m *Manager) nextEpochLocked(st *lockState, read bool) int {
 	return st.epoch
 }
 
-func (m *Manager) buildGrantLocked(st *lockState, req lockRequest) pendingGrant {
-	g := lockGrant{Lock: req.Lock, ReqID: req.ReqID, Epoch: st.epoch}
+// grantLocked builds req's grant in the slab and sends it.
+func (m *Manager) grantLocked(st *lockState, req *lockRequest) {
+	g := m.grants.next()
+	*g = lockGrant{Lock: req.Lock, ReqID: req.ReqID, Epoch: st.epoch}
 	switch m.mode {
 	case Lazy:
-		g.RelVC = make([]uint64, len(st.relVC))
+		g.RelVC = m.vecs.next(len(st.relVC))
 		copy(g.RelVC, st.relVC)
 	case DemandDriven:
 		g.WriteSet = make(map[string]writeStamp, len(st.writeSet))
@@ -248,16 +264,10 @@ func (m *Manager) buildGrantLocked(st *lockState, req lockRequest) pendingGrant 
 			g.WriteSet[loc] = stamp
 		}
 	}
-	return pendingGrant{to: req.Client, grant: g}
-}
-
-func (m *Manager) sendGrants(grants []pendingGrant) {
-	for _, pg := range grants {
-		_ = m.fabric.Send(network.Message{
-			From: m.self, To: pg.to, Kind: KindLockGrant,
-			Payload: pg.grant, Size: pg.grant.size(),
-		})
-	}
+	_ = m.fabric.Send(network.Message{
+		From: m.self, To: req.Client, Kind: KindLockGrant,
+		Payload: g, Size: g.size(),
+	})
 }
 
 // ClientStats counts a lock client's activity.
@@ -279,11 +289,19 @@ type Client struct {
 
 	mu      sync.Mutex
 	nextReq uint64
-	grants  map[uint64]chan lockGrant
+	grants  map[uint64]chan *lockGrant
+	// parked recycles the channels in grants; reqs, rels and vecs are the
+	// slabs sent requests, releases and their count vectors are taken from.
+	parked waiters[*lockGrant]
+	reqs   slab[lockRequest]
+	rels   slab[lockRelease]
+	vecs   vecSlab
 	// flushWait collects flush acknowledgements for eager unlocks.
 	flushAcks chan struct{}
 	// marks tracks the write-log position at each write-lock acquire, per
-	// lock, to delimit the critical section's write-set.
+	// lock, to delimit the critical section's write-set (demand-driven mode
+	// only: no other mode reads the node's write log, so no other mode turns
+	// it on).
 	marks  map[string]int
 	epochs map[string]int
 	stats  ClientStats
@@ -300,7 +318,7 @@ func NewClient(node *dsm.Node, manager int, mode PropagationMode) *Client {
 		node:      node,
 		manager:   manager,
 		mode:      mode,
-		grants:    make(map[uint64]chan lockGrant),
+		grants:    make(map[uint64]chan *lockGrant),
 		flushAcks: make(chan struct{}, ackBuf),
 		marks:     make(map[string]int),
 		epochs:    make(map[string]int),
@@ -315,7 +333,7 @@ func (c *Client) Bind(d *Dispatcher) {
 }
 
 func (c *Client) onGrant(msg network.Message) {
-	g, ok := msg.Payload.(lockGrant)
+	g, ok := msg.Payload.(*lockGrant)
 	if !ok {
 		return
 	}
@@ -347,11 +365,12 @@ func (c *Client) onFlushAck(network.Message) {
 
 // acquire sends a request and blocks until the grant arrives, then applies
 // the mode's visibility work.
-func (c *Client) acquire(name string, mode LockMode) lockGrant {
+func (c *Client) acquire(name string, mode LockMode) *lockGrant {
 	c.mu.Lock()
 	c.nextReq++
-	req := lockRequest{Lock: name, Mode: mode, Client: c.node.ID(), ReqID: c.nextReq}
-	ch := make(chan lockGrant, 1)
+	req := c.reqs.next()
+	*req = lockRequest{Lock: name, Mode: mode, Client: c.node.ID(), ReqID: c.nextReq}
+	ch := c.parked.get()
 	c.grants[req.ReqID] = ch
 	c.mu.Unlock()
 
@@ -381,6 +400,7 @@ func (c *Client) acquire(name string, mode LockMode) lockGrant {
 	c.stats.Acquires++
 	c.stats.AcquireWait += wait
 	c.epochs[name] = g.Epoch
+	c.parked.put(ch)
 	c.mu.Unlock()
 	if tr := c.node.Tracer(); tr != nil {
 		var wmode uint64
@@ -401,7 +421,13 @@ func (c *Client) release(name string, mode LockMode, writeSet map[string]writeSt
 	// write-set stamps both promise the next holder it can wait for updates
 	// that must therefore already be on the wire.
 	c.node.FlushUpdates()
-	rel := lockRelease{Lock: name, Mode: mode, Client: c.node.ID()}
+	c.mu.Lock()
+	rel := c.rels.next()
+	*rel = lockRelease{Lock: name, Mode: mode, Client: c.node.ID()}
+	if c.mode == Lazy {
+		rel.Counts = c.vecs.next(c.node.N())[:0] // filled in below
+	}
+	c.mu.Unlock()
 	switch c.mode {
 	case Eager:
 		// Broadcast a flush probe and wait for all acknowledgements before
@@ -417,7 +443,7 @@ func (c *Client) release(name string, mode LockMode, writeSet map[string]writeSt
 		c.stats.ReleaseWait += time.Since(start)
 		c.mu.Unlock()
 	case Lazy:
-		rel.Counts = c.node.ReceivedCounts()
+		rel.Counts = c.node.ReceivedCounts(rel.Counts)
 	case DemandDriven:
 		rel.WriteSet = writeSet
 	}
@@ -438,9 +464,13 @@ func (c *Client) release(name string, mode LockMode, writeSet map[string]writeSt
 // the propagation mode's visibility condition holds.
 func (c *Client) WLock(name string) {
 	g := c.acquire(name, WriteMode)
-	c.mu.Lock()
-	c.marks[name] = c.node.WriteMark()
-	c.mu.Unlock()
+	if c.mode == DemandDriven {
+		// The mark is taken under c.mu so that closeWriteSet, trimming on
+		// another thread, either sees it or trims below it.
+		c.mu.Lock()
+		c.marks[name] = c.node.WriteMark()
+		c.mu.Unlock()
+	}
 	if tr := c.node.Trace(); tr != nil {
 		tr.AppendOp(history.Op{
 			Proc: c.node.ID(), Kind: history.WLock, Lock: name, LockEpoch: g.Epoch,
@@ -450,12 +480,26 @@ func (c *Client) WLock(name string) {
 
 // WUnlock releases the write lock on name.
 func (c *Client) WUnlock(name string) {
+	var ws map[string]writeStamp
+	if c.mode == DemandDriven {
+		ws = c.closeWriteSet(name)
+	}
+	if tr := c.node.Trace(); tr != nil {
+		tr.AppendOp(history.Op{
+			Proc: c.node.ID(), Kind: history.WUnlock, Lock: name, LockEpoch: c.epoch(name),
+		})
+	}
+	c.release(name, WriteMode, ws)
+}
+
+// closeWriteSet returns the write-set of the critical section on name that is
+// ending — the node's own writes since WLock's mark — and trims the node's
+// write log below the oldest mark any still-held lock needs, bounding its
+// memory.
+func (c *Client) closeWriteSet(name string) map[string]writeStamp {
 	c.mu.Lock()
 	mark := c.marks[name]
-	epoch := c.epochs[name]
 	delete(c.marks, name)
-	// Trim the node's write log below the oldest mark any still-held lock
-	// needs, bounding its memory.
 	oldest := c.node.WriteMark()
 	for _, m := range c.marks {
 		if m < oldest {
@@ -463,21 +507,13 @@ func (c *Client) WUnlock(name string) {
 		}
 	}
 	c.mu.Unlock()
-	var ws map[string]writeStamp
-	if c.mode == DemandDriven {
-		records := c.node.WritesSince(mark)
-		ws = make(map[string]writeStamp, len(records))
-		for _, rec := range records {
-			ws[rec.Loc] = writeStamp{From: c.node.ID(), Seq: rec.Seq}
-		}
+	records := c.node.WritesSince(mark)
+	ws := make(map[string]writeStamp, len(records))
+	for _, rec := range records {
+		ws[rec.Loc] = writeStamp{From: c.node.ID(), Seq: rec.Seq}
 	}
 	c.node.TrimWriteLog(oldest)
-	if tr := c.node.Trace(); tr != nil {
-		tr.AppendOp(history.Op{
-			Proc: c.node.ID(), Kind: history.WUnlock, Lock: name, LockEpoch: epoch,
-		})
-	}
-	c.release(name, WriteMode, ws)
+	return ws
 }
 
 // RLock acquires a read lock on name.
@@ -492,15 +528,20 @@ func (c *Client) RLock(name string) {
 
 // RUnlock releases a read lock on name.
 func (c *Client) RUnlock(name string) {
-	c.mu.Lock()
-	epoch := c.epochs[name]
-	c.mu.Unlock()
 	if tr := c.node.Trace(); tr != nil {
 		tr.AppendOp(history.Op{
-			Proc: c.node.ID(), Kind: history.RUnlock, Lock: name, LockEpoch: epoch,
+			Proc: c.node.ID(), Kind: history.RUnlock, Lock: name, LockEpoch: c.epoch(name),
 		})
 	}
 	c.release(name, ReadMode, nil)
+}
+
+// epoch returns the epoch of the caller's current hold on name, for the
+// recorded history.
+func (c *Client) epoch(name string) int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.epochs[name]
 }
 
 // Stats returns a snapshot of the client's counters.

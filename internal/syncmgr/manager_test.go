@@ -15,7 +15,7 @@ type managerHarness struct {
 	t      *testing.T
 	fabric *network.Fabric
 	mgr    *Manager
-	grants []chan lockGrant
+	grants []chan *lockGrant
 }
 
 func newManagerHarness(t *testing.T, nodes int, mode PropagationMode) *managerHarness {
@@ -27,18 +27,18 @@ func newManagerHarness(t *testing.T, nodes int, mode PropagationMode) *managerHa
 	t.Cleanup(f.Close)
 	h := &managerHarness{
 		t: t, fabric: f, mgr: NewManager(0, f, mode),
-		grants: make([]chan lockGrant, nodes),
+		grants: make([]chan *lockGrant, nodes),
 	}
 	for c := 1; c < nodes; c++ {
 		c := c
-		h.grants[c] = make(chan lockGrant, 16)
+		h.grants[c] = make(chan *lockGrant, 16)
 		go func() {
 			for {
 				m, ok := f.Recv(c)
 				if !ok {
 					return
 				}
-				if g, ok := m.Payload.(lockGrant); ok {
+				if g, ok := m.Payload.(*lockGrant); ok {
 					h.grants[c] <- g
 				}
 			}
@@ -50,25 +50,25 @@ func newManagerHarness(t *testing.T, nodes int, mode PropagationMode) *managerHa
 func (h *managerHarness) request(client int, lock string, mode LockMode, reqID uint64) {
 	h.mgr.onRequest(network.Message{
 		From: client, To: 0, Kind: KindLockReq,
-		Payload: lockRequest{Lock: lock, Mode: mode, Client: client, ReqID: reqID},
+		Payload: &lockRequest{Lock: lock, Mode: mode, Client: client, ReqID: reqID},
 	})
 }
 
 func (h *managerHarness) release(client int, lock string, mode LockMode) {
 	h.mgr.onRelease(network.Message{
 		From: client, To: 0, Kind: KindLockRel,
-		Payload: lockRelease{Lock: lock, Mode: mode, Client: client},
+		Payload: &lockRelease{Lock: lock, Mode: mode, Client: client},
 	})
 }
 
 // grant returns the next grant delivered to client, or times out.
-func (h *managerHarness) grant(client int) (lockGrant, bool) {
+func (h *managerHarness) grant(client int) (*lockGrant, bool) {
 	h.t.Helper()
 	select {
 	case g := <-h.grants[client]:
 		return g, true
 	case <-time.After(time.Second):
-		return lockGrant{}, false
+		return nil, false
 	}
 }
 
@@ -209,7 +209,7 @@ func TestManagerLazyAccumulatesReleaseVector(t *testing.T) {
 	}
 	h.mgr.onRelease(network.Message{
 		From: 1, To: 0, Kind: KindLockRel,
-		Payload: lockRelease{Lock: "l", Mode: WriteMode, Client: 1, Counts: []uint64{0, 5, 2}},
+		Payload: &lockRelease{Lock: "l", Mode: WriteMode, Client: 1, Counts: []uint64{0, 5, 2}},
 	})
 	h.request(2, "l", WriteMode, 2)
 	g, ok := h.grant(2)
@@ -222,7 +222,7 @@ func TestManagerLazyAccumulatesReleaseVector(t *testing.T) {
 	// A second unlock with smaller counts must not regress the vector.
 	h.mgr.onRelease(network.Message{
 		From: 2, To: 0, Kind: KindLockRel,
-		Payload: lockRelease{Lock: "l", Mode: WriteMode, Client: 2, Counts: []uint64{0, 3, 7}},
+		Payload: &lockRelease{Lock: "l", Mode: WriteMode, Client: 2, Counts: []uint64{0, 3, 7}},
 	})
 	h.request(1, "l", WriteMode, 3)
 	g, ok = h.grant(1)
@@ -242,7 +242,7 @@ func TestManagerDemandAccumulatesWriteSet(t *testing.T) {
 	}
 	h.mgr.onRelease(network.Message{
 		From: 1, To: 0, Kind: KindLockRel,
-		Payload: lockRelease{
+		Payload: &lockRelease{
 			Lock: "l", Mode: WriteMode, Client: 1,
 			WriteSet: map[string]writeStamp{"x": {From: 1, Seq: 4}},
 		},

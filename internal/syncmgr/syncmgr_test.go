@@ -15,10 +15,13 @@ import (
 // testCluster bundles nodes with their lock/barrier clients; the managers
 // are hosted on node 0.
 type testCluster struct {
-	fabric   *network.Fabric
-	nodes    []*dsm.Node
-	locks    []*Client
-	barriers []*BarrierClient
+	fabric      *network.Fabric
+	nodes       []*dsm.Node
+	dispatchers []*Dispatcher
+	mgr         *Manager
+	bmgr        *BarrierManager
+	locks       []*Client
+	barriers    []*BarrierClient
 }
 
 func newTestCluster(t *testing.T, n int, mode PropagationMode, trace *history.Builder) *testCluster {
@@ -27,8 +30,8 @@ func newTestCluster(t *testing.T, n int, mode PropagationMode, trace *history.Bu
 	if err != nil {
 		t.Fatalf("network.New: %v", err)
 	}
-	tc := &testCluster{fabric: f}
 	dispatchers := make([]*Dispatcher, n)
+	tc := &testCluster{fabric: f, dispatchers: dispatchers}
 	for i := 0; i < n; i++ {
 		d := NewDispatcher()
 		dispatchers[i] = d
@@ -40,10 +43,10 @@ func newTestCluster(t *testing.T, n int, mode PropagationMode, trace *history.Bu
 		}
 		tc.nodes = append(tc.nodes, node)
 	}
-	mgr := NewManager(0, f, mode)
-	mgr.Bind(dispatchers[0])
-	bmgr := NewBarrierManager(0, f, n)
-	bmgr.Bind(dispatchers[0])
+	tc.mgr = NewManager(0, f, mode)
+	tc.mgr.Bind(dispatchers[0])
+	tc.bmgr = NewBarrierManager(0, f, n)
+	tc.bmgr.Bind(dispatchers[0])
 	for i := 0; i < n; i++ {
 		lc := NewClient(tc.nodes[i], 0, mode)
 		lc.Bind(dispatchers[i])
@@ -447,4 +450,28 @@ func TestWriteLogBoundedAcrossCriticalSections(t *testing.T) {
 		t.Fatalf("late = %d, want 99", got)
 	}
 	tc.locks[1].WUnlock("l")
+}
+
+// TestWriteLogIsDemandDrivenOnly: the node's write log exists to delimit
+// demand-driven write-sets. A critical section under Eager or Lazy must not
+// turn it on — once on, it records every later write of the node for nobody.
+func TestWriteLogIsDemandDrivenOnly(t *testing.T) {
+	for _, mode := range []PropagationMode{Eager, Lazy} {
+		t.Run(mode.String(), func(t *testing.T) {
+			tc := newTestCluster(t, 2, mode, nil)
+			tc.locks[0].WLock("l")
+			tc.nodes[0].Write("inside", 1)
+			tc.locks[0].WUnlock("l")
+			tc.nodes[0].Write("after", 2)
+			if got := tc.nodes[0].WritesSince(0); len(got) != 0 {
+				t.Fatalf("write log holds %v after a %s critical section, want nothing", got, mode)
+			}
+			// The section's write still reaches the next holder.
+			tc.locks[1].WLock("l")
+			if got := tc.nodes[1].ReadCausal("inside"); got != 1 {
+				t.Fatalf("inside = %d at the next holder, want 1", got)
+			}
+			tc.locks[1].WUnlock("l")
+		})
+	}
 }

@@ -275,16 +275,28 @@ func (d *Decoder) Bytes() []byte {
 	return d.take(n)
 }
 
+// Count reads a uint32 element count and checks it against the bytes that are
+// left, each element taking at least elemMin of them: a count the payload
+// cannot hold sets ErrTruncated and reads as zero, so nothing is ever sized
+// by a number that only the wire vouches for.
+func (d *Decoder) Count(elemMin int) int {
+	n := int(d.Uint32())
+	if d.err != nil {
+		return 0
+	}
+	if n > d.Remaining()/elemMin {
+		d.err = fmt.Errorf("%w: %d elements of at least %d bytes with %d bytes remaining",
+			ErrTruncated, n, elemMin, d.Remaining())
+		return 0
+	}
+	return n
+}
+
 // Uint64s reads a uint32-prefixed slice of big-endian uint64s. A zero count
 // decodes to nil.
 func (d *Decoder) Uint64s() []uint64 {
-	n := int(d.Uint32())
-	if n == 0 || d.err != nil {
-		return nil
-	}
-	if n*8 > d.Remaining() {
-		d.err = fmt.Errorf("%w: %d uint64s with %d bytes remaining",
-			ErrTruncated, n, d.Remaining())
+	n := d.Count(8)
+	if n == 0 {
 		return nil
 	}
 	out := make([]uint64, n)

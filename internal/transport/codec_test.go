@@ -117,6 +117,16 @@ func TestDecoderStickyTruncationError(t *testing.T) {
 	if vs := d.Uint64s(); vs != nil || !errors.Is(d.Err(), ErrTruncated) {
 		t.Fatalf("oversized slice: %v, err %v", vs, d.Err())
 	}
+	// Count is the bound the slice readers share: a count is good exactly
+	// when the bytes behind it could hold that many minimal elements.
+	fits := append(AppendUint32(nil, 2), make([]byte, 8)...)
+	if n := NewDecoder(fits).Count(4); n != 2 {
+		t.Fatalf("Count(4) of 2 with 8 bytes behind it = %d", n)
+	}
+	d = NewDecoder(fits)
+	if n := d.Count(5); n != 0 || !errors.Is(d.Err(), ErrTruncated) {
+		t.Fatalf("Count(5) of 2 with 8 bytes behind it = %d, err %v", n, d.Err())
+	}
 }
 
 // countingCodec is an echoCodec that also implements ConnCodec: every
