@@ -1,6 +1,7 @@
 package apps
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 
@@ -168,6 +169,15 @@ func TestSessionNameTablesMatchNamingScheme(t *testing.T) {
 	for g, name := range nm.hits {
 		if name != aggHitsLoc(g) {
 			t.Fatalf("hits[%d] = %q, want %q", g, name, aggHitsLoc(g))
+		}
+	}
+	for _, k := range []int{0, 9, 123, 1 << 40} {
+		tloc, floc := visLocs(4, 12, k)
+		if want := fmt.Sprintf("vis/4/12/t%d", k); tloc != want || !IsVisTimeLoc(tloc) || IsVisFlagLoc(tloc) {
+			t.Fatalf("timestamp name of flag %d is %q, want %q", k, tloc, want)
+		}
+		if want := fmt.Sprintf("vis/4/12/f%d", k); floc != want || !IsVisFlagLoc(floc) || IsVisTimeLoc(floc) {
+			t.Fatalf("flag name of flag %d is %q, want %q", k, floc, want)
 		}
 	}
 

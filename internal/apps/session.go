@@ -244,12 +244,21 @@ func IsVisTimeLoc(loc string) bool {
 	return i >= 0 && i+1 < len(loc) && loc[i+1] == 't'
 }
 
-func visTimeLoc(proc, worker, flag int) string {
-	return "vis/" + strconv.Itoa(proc) + "/" + strconv.Itoa(worker) + "/t" + strconv.Itoa(flag)
-}
-
-func visFlagLoc(proc, worker, flag int) string {
-	return "vis/" + strconv.Itoa(proc) + "/" + strconv.Itoa(worker) + "/f" + strconv.Itoa(flag)
+// visLocs names flag k of strand (proc, worker)'s timestamp and flag
+// locations, formatting the shared digits once: one allocation per name.
+func visLocs(proc, worker, k int) (tloc, floc string) {
+	var buf [64]byte
+	b := append(buf[:0], VisLocPrefix...)
+	b = strconv.AppendInt(b, int64(proc), 10)
+	b = append(b, '/')
+	b = strconv.AppendInt(b, int64(worker), 10)
+	b = append(b, '/')
+	kind := len(b)
+	b = append(b, 't')
+	b = strconv.AppendInt(b, int64(k), 10)
+	tloc = string(b)
+	b[kind] = 'f'
+	return tloc, string(b)
 }
 
 func aggHitsLoc(group int) string { return "agg/hits/" + strconv.Itoa(group) }
@@ -297,32 +306,41 @@ type visProbe struct {
 	Follower int
 }
 
-// FlagPlan replays strand (proc, worker)'s trace and returns, in flag
-// order, the visibility flags it will raise — the probers' worklist and the
-// scope builder's registration bound. Flag k of the strand marks a write to
-// session plan[k].Session and is probed by plan[k].Follower.
-func (c SessionConfig) FlagPlan(proc, worker int) []visProbe {
+// walkFlagPlan replays strand (proc, worker)'s trace and hands visit, in flag
+// order, each visibility flag the strand will raise: flag k marks a write to
+// session probe.Session and is probed by probe.Follower. The replay skips the
+// warmup without drawing it and samples a key only for a flagged write.
+func (c SessionConfig) walkFlagPlan(proc, worker int, visit func(k int, probe visProbe)) {
 	if !c.visEnabled() {
-		return nil
+		return
 	}
 	g := loadgen.New(c.genConfig(proc, worker))
-	var plan []visProbe
+	g.Skip(c.Warmup)
 	writes := 0
-	for i := 0; i < c.Warmup+c.Ops; i++ {
-		req := g.Next()
-		if req.Op != loadgen.OpWrite || i < c.Warmup {
+	for i := max(c.Warmup, 0); i < c.Warmup+c.Ops; i++ {
+		req, u := g.NextDeferred()
+		if req.Op != loadgen.OpWrite {
 			continue
 		}
 		if writes%c.VisEvery == 0 {
-			s := req.Key / c.SessionKeys
-			plan = append(plan, visProbe{
+			key := g.Key(u)
+			s := key / c.SessionKeys
+			visit(writes/c.VisEvery, visProbe{
 				Session:  s,
-				Key:      req.Key % c.SessionKeys,
+				Key:      key % c.SessionKeys,
 				Follower: c.follower(proc, s),
 			})
 		}
 		writes++
 	}
+}
+
+// FlagPlan returns, in flag order, the visibility flags strand (proc,
+// worker) will raise — the probers' worklist and the scope builder's
+// registration bound, as a slice.
+func (c SessionConfig) FlagPlan(proc, worker int) []visProbe {
+	var plan []visProbe
+	c.walkFlagPlan(proc, worker, func(_ int, probe visProbe) { plan = append(plan, probe) })
 	return plan
 }
 
@@ -334,21 +352,22 @@ func (c SessionConfig) FlagCount(proc, worker int) int {
 // ExpectedHits replays every strand's trace and returns the final value
 // each global hit counter must converge to — computable on any process,
 // which is how a distributed run verifies its counters without a central
-// referee.
+// referee. Only every AggEvery-th request bumps a counter, so the replay
+// draws only those and skips the rest.
 func (c SessionConfig) ExpectedHits() []int64 {
 	c = c.WithDefaults()
 	hits := make([]int64, c.AggGroups)
 	if c.AggEvery <= 0 {
 		return hits
 	}
+	n := c.Warmup + c.Ops
 	for p := 0; p < c.Procs; p++ {
 		for w := 0; w < c.Workers; w++ {
 			g := loadgen.New(c.genConfig(p, w))
-			for i := 0; i < c.Warmup+c.Ops; i++ {
-				req := g.Next()
-				if i%c.AggEvery == 0 {
-					hits[c.aggGroup(p, req.Key)]++
-				}
+			for i := 0; i < n; i += c.AggEvery {
+				_, u := g.NextDeferred()
+				hits[c.aggGroup(p, g.Key(u))]++
+				g.Skip(min(c.AggEvery, n-i) - 1)
 			}
 		}
 	}
@@ -378,9 +397,21 @@ func SessionScope(c SessionConfig) *dsm.ScopeMap {
 	if c.Mode == SessionBroadcast {
 		return nil
 	}
+	// Size the maps for the sessions plus the flags a strand raises on
+	// average (two locations each); the aggregates fit in the slack.
+	size := c.Procs * c.Sessions * c.SessionKeys
+	if c.visEnabled() {
+		size += 2 * c.Procs * c.Workers * int(float64(c.Ops)*(1-c.ReadFraction)/float64(c.VisEvery)+1)
+	}
 	scope := &dsm.ScopeMap{
-		Readers:       make(map[string][]int),
-		CausalReaders: make(map[string][]int),
+		Readers:       make(map[string][]int, size),
+		CausalReaders: make(map[string][]int, size),
+	}
+	// probers[f] is the reader list of every vis location follower f probes;
+	// the lists are read-only, so one serves them all.
+	probers := make([][]int, c.Procs)
+	for f := range probers {
+		probers[f] = []int{f}
 	}
 	nm := c.names()
 	for p := 0; p < c.Procs; p++ {
@@ -395,13 +426,14 @@ func SessionScope(c SessionConfig) *dsm.ScopeMap {
 			}
 		}
 		for w := 0; w < c.Workers; w++ {
-			for f, probe := range c.FlagPlan(p, w) {
-				prober := []int{probe.Follower}
-				scope.Readers[visTimeLoc(p, w, f)] = prober
-				scope.CausalReaders[visTimeLoc(p, w, f)] = prober
-				scope.Readers[visFlagLoc(p, w, f)] = prober
-				scope.CausalReaders[visFlagLoc(p, w, f)] = prober
-			}
+			c.walkFlagPlan(p, w, func(f int, probe visProbe) {
+				prober := probers[probe.Follower]
+				tloc, floc := visLocs(p, w, f)
+				scope.Readers[tloc] = prober
+				scope.CausalReaders[tloc] = prober
+				scope.Readers[floc] = prober
+				scope.CausalReaders[floc] = prober
+			})
 		}
 	}
 	if c.Mode == SessionHybrid {
@@ -532,8 +564,9 @@ func runSessionWorker(t core.ThreadOps, c SessionConfig, nm *sessionNames, me, w
 			rec.writes++
 			if measured && c.visEnabled() {
 				if writes%c.VisEvery == 0 {
-					t.Write(visTimeLoc(me, w, rec.flags), time.Now().UnixNano())
-					t.Write(visFlagLoc(me, w, rec.flags), int64(rec.flags+1))
+					tloc, floc := visLocs(me, w, rec.flags)
+					t.Write(tloc, time.Now().UnixNano())
+					t.Write(floc, int64(rec.flags+1))
 					rec.flags++
 					rec.writes += 2
 				}
@@ -572,12 +605,13 @@ func runSessionWorker(t core.ThreadOps, c SessionConfig, nm *sessionNames, me, w
 // dependencies guarantee the session state the flagged write was built on
 // is visible here.
 func runVisProber(t core.ThreadOps, c SessionConfig, nm *sessionNames, me, watched, w int, rec *strandRec) {
-	for k, probe := range c.FlagPlan(watched, w) {
+	c.walkFlagPlan(watched, w, func(k int, probe visProbe) {
 		if probe.Follower != me {
-			continue
+			return
 		}
-		t.Await(visFlagLoc(watched, w, k), int64(k+1))
-		sent := t.ReadCausal(visTimeLoc(watched, w, k))
+		tloc, floc := visLocs(watched, w, k)
+		t.Await(floc, int64(k+1))
+		sent := t.ReadCausal(tloc)
 		rec.vis.Record(time.Now().UnixNano() - sent)
 		rec.reads++
 
@@ -585,7 +619,7 @@ func runVisProber(t core.ThreadOps, c SessionConfig, nm *sessionNames, me, watch
 		t.ReadCausal(nm.shard[watched][probe.Session*c.SessionKeys+probe.Key])
 		rec.read.RecordDuration(time.Since(start))
 		rec.reads++
-	}
+	})
 }
 
 // VerifySessionCounters checks, after ServeSessions has returned on every

@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"mixedmem/internal/apps"
 	"mixedmem/internal/core"
 	"mixedmem/internal/dsm"
 	"mixedmem/internal/network"
@@ -51,14 +52,19 @@ type PerfCell struct {
 	// or "lock" / "barrier" (a perfSyncProcs-process core.System rather than
 	// bare replicas: one synchronisation round per op — an uncontended
 	// WLock+WUnlock of one name from a non-manager process, or a global
-	// barrier all processes reach in lockstep).
+	// barrier all processes reach in lockstep), or "replay" (no memory and no
+	// substrate, listed under sim: the trace replays one process of the
+	// session front-end makes per run beside its own workers — a flag plan per
+	// strand its probers watch and the counter verification's ExpectedHits —
+	// at the bench/e2e session configuration; one op is one replayed request).
 	Scenario string `json:"scenario"`
 	// Label is the consistency configuration: "pram" (PRAMOnly), "causal"
 	// (full broadcast with timestamps), or "scoped" (causal-scoped
 	// point-to-point placement). The stream and echo scenarios, which have no
 	// memory above the transport, name their message kind here: "update"; the
-	// lock scenario names its propagation mode ("lazy") and the barrier
-	// scenario its participants ("global").
+	// lock scenario names its propagation mode ("lazy"), the barrier scenario
+	// its participants ("global") and the replay scenario its workload
+	// ("session").
 	Label string `json:"label"`
 	// Batch is the outbox MaxUpdates threshold; 0 means the outbox is off.
 	Batch int `json:"batch"`
@@ -163,6 +169,7 @@ func perfGrid() []PerfCell {
 		{Scenario: "echo", Label: "update", Batch: 0, Writers: 1},
 		{Scenario: "lock", Label: "lazy", Batch: 0, Writers: 1},
 		{Scenario: "barrier", Label: "global", Batch: 0, Writers: perfSyncProcs},
+		{Scenario: "replay", Label: "session", Batch: 0, Writers: 1},
 	}
 }
 
@@ -247,6 +254,8 @@ func RunPerf(sub Substrate, opt PerfOptions) (PerfResult, error) {
 			measured, err = measureTCPEcho(o.Ops, o.Warmup)
 		case "lock", "barrier":
 			measured, err = measureSyncCell(sub, o, cell)
+		case "replay":
+			measured, err = measureSessionReplay(cell)
 		default:
 			measured, err = runPerfCell(sub, o, cell)
 		}
@@ -262,9 +271,9 @@ func RunPerf(sub Substrate, opt PerfOptions) (PerfResult, error) {
 // cells run on both (scoped only on sim, where its row has always been), and
 // so do the stream, lock and barrier cells; echo measures the tcp ack
 // protocol; contended, contended1 and fresh are about lock contention and
-// table inserts inside one replica, which sockets only blur; backlog needs
-// transport.Faults to park its groups, which only the fabric has, and four
-// replicas.
+// table inserts inside one replica, which sockets only blur; replay uses no
+// substrate at all, so it runs once; backlog needs transport.Faults to park
+// its groups, which only the fabric has, and four replicas.
 func (c PerfCell) runsOn(sub Substrate, procs int) bool {
 	switch c.Scenario {
 	case "write":
@@ -535,6 +544,63 @@ func measureSyncCell(sub Substrate, o PerfOptions, cell PerfCell) (PerfCell, err
 	cell = cell.measured(o.Ops, elapsed, after.Mallocs-before.Mallocs)
 	cell.BytesPerOp = float64(after.TotalAlloc-before.TotalAlloc) / float64(o.Ops)
 	return cell, nil
+}
+
+// perfReplayConfig is the bench/e2e session workloads' saturated epoch: three
+// processes of one worker strand, 33 000 requests per strand.
+var perfReplayConfig = apps.SessionConfig{
+	Procs: 3, Workers: 1, Sessions: 16, SessionKeys: 16,
+	AggEvery: 8, AggReadEvery: 16, VisEvery: 16,
+	Seed: 1, Mode: apps.SessionHybrid, Ops: 30000, Warmup: 3000,
+}
+
+// perfReplayPasses is how many times the replay cell repeats one process's
+// replays inside its measurement (about a millisecond each).
+const perfReplayPasses = 16
+
+// measureSessionReplay measures the replay cell: process 0's probers' flag
+// plans — one per strand of every other process — and its ExpectedHits, the
+// whole fleet's trace once more. The cell checks what it replayed: every
+// strand raises flags, and the hit counts add up to one bump per AggEvery
+// requests of every strand.
+func measureSessionReplay(cell PerfCell) (PerfCell, error) {
+	c := perfReplayConfig.WithDefaults()
+	perStrand := c.Warmup + c.Ops
+	wantHits := int64(c.Procs * c.Workers * ((perStrand + c.AggEvery - 1) / c.AggEvery))
+	pass := func() error {
+		for p := 1; p < c.Procs; p++ {
+			for w := 0; w < c.Workers; w++ {
+				if len(c.FlagPlan(p, w)) == 0 {
+					return fmt.Errorf("replay: strand (%d,%d) plans no flags", p, w)
+				}
+			}
+		}
+		total := int64(0)
+		for _, h := range c.ExpectedHits() {
+			total += h
+		}
+		if total != wantHits {
+			return fmt.Errorf("replay: %d counter bumps, want %d", total, wantHits)
+		}
+		return nil
+	}
+	if err := pass(); err != nil {
+		return cell, err
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	start := time.Now()
+	for i := 0; i < perfReplayPasses; i++ {
+		if err := pass(); err != nil {
+			return cell, err
+		}
+	}
+	elapsed := time.Since(start)
+	runtime.ReadMemStats(&after)
+	// (Procs-1)*Workers flag plans and Procs*Workers strands of ExpectedHits.
+	replayed := perfReplayPasses * (2*c.Procs - 1) * c.Workers * perStrand
+	return cell.measured(replayed, elapsed, after.Mallocs-before.Mallocs), nil
 }
 
 // buildPerfNode constructs one replica for a cell.

@@ -38,6 +38,11 @@ func TestPerfGridFreshAndBacklogCells(t *testing.T) {
 	if c, ok := seen["sim/backlog/causal/b0/w1/r0"]; !ok || c.Ops != 512 {
 		t.Fatalf("backlog cell missing or short: %+v", c)
 	}
+	// The replay cell validates itself too, and its size is the session
+	// configuration's, whatever the grid's op count: five strands a pass.
+	if c, ok := seen["sim/replay/session/b0/w1/r0"]; !ok || c.Ops != perfReplayPasses*5*33000 || c.NsPerOp <= 0 {
+		t.Fatalf("replay cell missing or mis-sized: %+v", c)
+	}
 
 	// The backlog scenario needs four replicas; a smaller system skips it.
 	small, err := RunPerf(Substrate{}, PerfOptions{Procs: 3, Ops: 64, Warmup: 8})

@@ -409,7 +409,7 @@ func NewNode(cfg Config) (*Node, error) {
 		}
 	}
 	if cfg.Scope != nil {
-		node.scopeTargets = cfg.Scope.compile(cfg.ID)
+		node.scopeTargets = cfg.Scope.compile(cfg.ID, cfg.N)
 	}
 	if node.scopedCausal {
 		node.addr = vclock.NewMatrix(cfg.N)

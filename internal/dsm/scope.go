@@ -49,6 +49,10 @@ func (s *ScopeMap) Validate(n int, pramOnly bool) error {
 			}
 		}
 	}
+	// registeredAt[p] == k says p is a reader of the k-th location checked;
+	// the readers are in range by now.
+	registeredAt := make([]int, n)
+	k := 0
 	for loc, causal := range s.CausalReaders {
 		if len(causal) == 0 {
 			continue
@@ -56,15 +60,15 @@ func (s *ScopeMap) Validate(n int, pramOnly bool) error {
 		if pramOnly {
 			return fmt.Errorf("dsm: scope: causal readers registered for %q but the node is PRAMOnly (no causal view to deliver to)", loc)
 		}
-		registered := make(map[int]bool, len(s.Readers[loc]))
+		k++
 		for _, p := range s.Readers[loc] {
-			registered[p] = true
+			registeredAt[p] = k
 		}
 		for _, p := range causal {
 			if p < 0 || p >= n {
 				return fmt.Errorf("dsm: scope: causal reader %d of %q out of range [0,%d)", p, loc, n)
 			}
-			if !registered[p] {
+			if registeredAt[p] != k {
 				return fmt.Errorf("dsm: scope: causal reader %d of %q is not in the location's reader scope", p, loc)
 			}
 		}
@@ -81,30 +85,46 @@ type scopeEntry struct {
 	elided []int
 }
 
-// compile turns the validated map into per-location reader lists for node id.
-func (s *ScopeMap) compile(id int) map[string]scopeEntry {
+// compile turns the map, validated for n processes, into per-location reader
+// lists for node id. It is config-time code, but a placement can register
+// thousands of locations, so it allocates per call, not per location: one
+// scratch of marks and one array every entry's lists are cut from (read-only,
+// each capped at its length).
+func (s *ScopeMap) compile(id, n int) map[string]scopeEntry {
 	targets := make(map[string]scopeEntry, len(s.Readers))
-	for loc, readers := range s.Readers {
-		inCausal := make(map[int]bool)
-		for _, p := range s.CausalReaders[loc] {
-			inCausal[p] = true
-		}
-		var ent scopeEntry
-		seen := make(map[int]bool, len(readers))
+	total := 0
+	for _, readers := range s.Readers {
+		total += len(readers)
+	}
+	lists := make([]int, 0, total)
+	// For the k-th location compiled, causalAt[p] == k says p is one of its
+	// causal readers and listedAt[p] == k that p is already in its lists.
+	causalAt, listedAt := make([]int, n), make([]int, n)
+	// cut appends the location's readers whose causal registration is causal,
+	// deduplicated and sorted, and returns them (nil if there are none).
+	cut := func(readers []int, k int, causal bool) []int {
+		start := len(lists)
 		for _, p := range readers {
-			if p == id || seen[p] {
+			if p == id || listedAt[p] == k || (causalAt[p] == k) != causal {
 				continue
 			}
-			seen[p] = true
-			if inCausal[p] {
-				ent.causal = append(ent.causal, p)
-			} else {
-				ent.elided = append(ent.elided, p)
-			}
+			listedAt[p] = k
+			lists = append(lists, p)
 		}
-		sort.Ints(ent.causal)
-		sort.Ints(ent.elided)
-		targets[loc] = ent
+		if len(lists) == start {
+			return nil
+		}
+		out := lists[start:len(lists):len(lists)]
+		sort.Ints(out)
+		return out
+	}
+	k := 0
+	for loc, readers := range s.Readers {
+		k++
+		for _, p := range s.CausalReaders[loc] {
+			causalAt[p] = k
+		}
+		targets[loc] = scopeEntry{causal: cut(readers, k, true), elided: cut(readers, k, false)}
 	}
 	return targets
 }

@@ -1,6 +1,10 @@
 package dsm
 
 import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 	"time"
 
@@ -237,5 +241,69 @@ func TestTrackAccessLearnsKinds(t *testing.T) {
 	}
 	if len(nodes[0].Accessed()) != 0 {
 		t.Fatalf("writer recorded accesses: %v", nodes[0].Accessed())
+	}
+}
+
+// refCompile is ScopeMap.compile as it was, two maps per location: the
+// reference the scratch-reusing version must agree with entry for entry.
+func refCompile(s *ScopeMap, id int) map[string]scopeEntry {
+	targets := make(map[string]scopeEntry, len(s.Readers))
+	for loc, readers := range s.Readers {
+		inCausal := make(map[int]bool)
+		for _, p := range s.CausalReaders[loc] {
+			inCausal[p] = true
+		}
+		var ent scopeEntry
+		seen := make(map[int]bool, len(readers))
+		for _, p := range readers {
+			if p == id || seen[p] {
+				continue
+			}
+			seen[p] = true
+			if inCausal[p] {
+				ent.causal = append(ent.causal, p)
+			} else {
+				ent.elided = append(ent.elided, p)
+			}
+		}
+		sort.Ints(ent.causal)
+		sort.Ints(ent.elided)
+		targets[loc] = ent
+	}
+	return targets
+}
+
+// TestCompileMatchesReference: compile's output does not depend on how it
+// deduplicates — on random valid maps (duplicate readers, the node itself
+// among them, causal subsets with duplicates, empty lists) every node's
+// compiled lists equal the reference's, nil where the reference's are nil.
+func TestCompileMatchesReference(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + r.Intn(6)
+		s := &ScopeMap{Readers: map[string][]int{}, CausalReaders: map[string][]int{}}
+		for l := r.Intn(40); l >= 0; l-- {
+			loc := fmt.Sprintf("l%d", l)
+			readers := make([]int, r.Intn(2*n+1))
+			for i := range readers {
+				readers[i] = r.Intn(n)
+			}
+			s.Readers[loc] = readers
+			if len(readers) > 0 && r.Intn(3) > 0 {
+				causal := make([]int, r.Intn(len(readers)+1))
+				for i := range causal {
+					causal[i] = readers[r.Intn(len(readers))]
+				}
+				s.CausalReaders[loc] = causal
+			}
+		}
+		if err := s.Validate(n, false); err != nil {
+			t.Fatalf("trial %d: generated an invalid map: %v", trial, err)
+		}
+		for id := 0; id < n; id++ {
+			if got, want := s.compile(id, n), refCompile(s, id); !reflect.DeepEqual(got, want) {
+				t.Fatalf("trial %d, node %d of %d: compile = %v, reference = %v", trial, id, n, got, want)
+			}
+		}
 	}
 }

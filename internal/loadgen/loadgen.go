@@ -87,10 +87,19 @@ func New(cfg Config) *Gen {
 
 // Next returns the stream's next request.
 func (g *Gen) Next() Request {
-	req := Request{
-		Op:  OpWrite,
-		Key: g.zipf.Sample(g.rng.float64()),
-	}
+	req, u := g.NextDeferred()
+	req.Key = g.Key(u)
+	return req
+}
+
+// NextDeferred returns the stream's next request with its key left unsampled:
+// req.Key is zero and Key(u) is the key Next would have returned. A replay
+// that needs the key of only some requests pays the sampler for those alone.
+// This is the one definition of the draw order: the key's uniform, the
+// read/write coin, and (open loop) the inter-arrival.
+func (g *Gen) NextDeferred() (req Request, u float64) {
+	u = g.rng.float64()
+	req.Op = OpWrite
 	if g.rng.float64() < g.cfg.ReadFraction {
 		req.Op = OpRead
 	}
@@ -100,7 +109,31 @@ func (g *Gen) Next() Request {
 		g.clock += time.Duration(dt * float64(time.Second))
 		req.Arrival = g.clock
 	}
-	return req
+	return req, u
+}
+
+// Key maps a uniform returned by NextDeferred to its key.
+func (g *Gen) Key(u float64) int { return g.zipf.Sample(u) }
+
+// closedLoopDraws is how many uniforms NextDeferred consumes per request in
+// closed-loop mode: the key's and the coin's.
+const closedLoopDraws = 2
+
+// Skip advances the stream past its next n requests (none if n <= 0),
+// consuming exactly the draws n calls of Next would. In closed-loop mode that
+// is O(1): splitmix64's state is a counter, so the draws are skipped, not
+// made. In open-loop mode every skipped arrival still advances the clock.
+func (g *Gen) Skip(n int) {
+	if n <= 0 {
+		return
+	}
+	if g.cfg.Rate <= 0 {
+		g.rng.skip(uint64(n) * closedLoopDraws)
+		return
+	}
+	for ; n > 0; n-- {
+		g.NextDeferred()
+	}
 }
 
 // Fingerprint hashes the first n requests of a fresh stream for cfg
@@ -130,10 +163,22 @@ func Fingerprint(cfg Config, n int) uint64 {
 
 // Zipf samples indexes in [0, n) with probability proportional to
 // 1/(i+1)^s via the inverted CDF: exact for any s >= 0 and any n, with no
-// rejection loop and no shared state. Construction is O(n) and sampling is
-// O(log n), which fits the serving key-space sizes (thousands of keys).
+// rejection loop and no shared state.
+//
+// Sampling is Chen and Asau's indexed search. The unit interval is cut into m
+// buckets, m the smallest power of two >= 4n, and guide[j] is the first CDF
+// index whose value is >= j/m — sort.SearchFloat64s(cdf, j/m). A sample u
+// starts at guide[floor(u*m)] and scans forward past CDF values below u.
+// Because m is a power of two, u*m and j/m are exact in floating point, so
+// j/m <= u for j = floor(u*m) and the bucket never starts past the answer:
+// the result is the binary search's for every u, the same key for the same
+// draw. Construction is O(n + m). A scan only passes CDF values inside u's
+// bucket, and a uniform u lands in each bucket with probability 1/m, so a
+// sample scans n/m <= 1/4 steps on average.
 type Zipf struct {
-	cdf []float64
+	cdf   []float64
+	guide []int
+	m     float64 // len(guide), a power of two
 }
 
 // NewZipf builds the sampler. n must be >= 1; s < 0 is treated as 0
@@ -155,12 +200,34 @@ func NewZipf(n int, s float64) *Zipf {
 		cdf[i] /= sum
 	}
 	cdf[n-1] = 1 // exact top end despite rounding
-	return &Zipf{cdf: cdf}
+	m := 1
+	for m < 4*n {
+		m <<= 1
+	}
+	// One merge pass: the buckets' lower bounds j/m rise with j, so each
+	// search starts where the last one ended.
+	guide := make([]int, m)
+	i := 0
+	for j := range guide {
+		for cdf[i] < float64(j)/float64(m) {
+			i++
+		}
+		guide[j] = i
+	}
+	return &Zipf{cdf: cdf, guide: guide, m: float64(m)}
 }
 
-// Sample maps a uniform u in [0, 1) to a key index.
+// Sample maps a uniform u in [0, 1) to a key index. It returns
+// sort.SearchFloat64s(cdf, u) for every u, in or out of range.
 func (z *Zipf) Sample(u float64) int {
-	return sort.SearchFloat64s(z.cdf, u)
+	if !(u >= 0 && u < 1) {
+		return sort.SearchFloat64s(z.cdf, u) // u outside [0, 1), or NaN
+	}
+	i := z.guide[int(u*z.m)]
+	for z.cdf[i] < u {
+		i++
+	}
+	return i
 }
 
 // rng is splitmix64: tiny, fast, and self-contained, so every strand owns
@@ -171,13 +238,20 @@ type rng struct {
 
 func newRNG(seed uint64) rng { return rng{s: seed} }
 
+// gamma is splitmix64's state increment: the k-th draw is a pure function of
+// seed + k*gamma.
+const gamma = 0x9e3779b97f4a7c15
+
 func (r *rng) next() uint64 {
-	r.s += 0x9e3779b97f4a7c15
+	r.s += gamma
 	z := r.s
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	return z ^ (z >> 31)
 }
+
+// skip discards the next k draws.
+func (r *rng) skip(k uint64) { r.s += k * gamma }
 
 // float64 returns a uniform sample in [0, 1) with 53 significant bits.
 func (r *rng) float64() float64 {

@@ -314,6 +314,67 @@ func TestSequenceGapClosesConnection(t *testing.T) {
 	}
 }
 
+// TestUndecodableFrameConsumesItsSequence: a frame whose header parses but
+// whose message does not decode is dropped, and takes its sequence number with
+// it, so the frame after it is the next one, not a gap. It used to be dropped
+// without its number: the next frame then read as a gap, the connection was
+// closed, and the sender replayed the undecodable frame forever. A msg frame
+// too short to carry a sequence number cannot be placed at all, and closes
+// the connection.
+func TestUndecodableFrameConsumesItsSequence(t *testing.T) {
+	var logMu sync.Mutex
+	var logged []string
+	trs, err := NewLoopback(2, func(c *Config) {
+		c.Logf = func(format string, args ...any) {
+			logMu.Lock()
+			logged = append(logged, fmt.Sprintf(format, args...))
+			logMu.Unlock()
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		for _, tr := range trs {
+			tr.Close()
+		}
+	})
+
+	s := dialRaw(t, trs[1], 0)
+	// Seq 1 is a tcptest message with three payload bytes where the codec
+	// wants eight; seq 2 is well formed.
+	garbage := appendMsgFrame(nil, 1, transport.Message{From: 0, To: 1, Kind: "tcptest", Size: 8}, []byte{1, 2, 3})
+	s.write(append(garbage, s.frames(2, 2)...))
+	if got := recvT(t, trs[1], 1).Payload.(uint64); got != 2 {
+		t.Fatalf("delivered %d, want 2", got)
+	}
+	// The same connection is still up, and it acknowledges both frames.
+	s.write(ackreqFrame)
+	s.wantAck(2, "ackreq after the undecodable frame and the next")
+	if d := trs[1].Diag(); d.DecodeErrors != 1 || d.Gaps != 0 || d.Duplicates != 0 {
+		t.Fatalf("diag %+v, want 1 decode error, no gaps, no duplicates", d)
+	}
+	logMu.Lock()
+	found := false
+	for _, l := range logged {
+		found = found || strings.Contains(l, "undecodable frame 1")
+	}
+	logMu.Unlock()
+	if !found {
+		t.Errorf("decode error not logged; log: %q", logged)
+	}
+
+	// A msg frame with two bytes where the sequence number's eight belong.
+	s = dialRaw(t, trs[1], 0)
+	s.write([]byte{0, 0, 0, 3, frameMsg, 1, 2})
+	if cum, ok := s.readAck(); ok {
+		t.Fatalf("ack %d after a frame without a sequence number; want the connection closed", cum)
+	}
+	if d := trs[1].Diag(); d.DecodeErrors != 2 || d.Gaps != 0 {
+		t.Fatalf("diag %+v, want 2 decode errors and no gaps", d)
+	}
+}
+
 // TestCloseAcksWhatWasDelivered: a receiver that closes tells each sender, as
 // its last word on the connection, what it delivered — there is nobody left to
 // answer an ackreq, and a sender flushing after its peer has gone (the last

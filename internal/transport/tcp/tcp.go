@@ -18,7 +18,9 @@
 // cumulative ack covers it, and after a reconnect the sender replays the
 // unacked suffix. The receiver delivers exactly the next sequence number,
 // drops duplicates, and hangs up on a gap (counted in Diag.Gaps) so that the
-// sender replays rather than a message going missing; the channel stays FIFO
+// sender replays rather than a message going missing; a next frame that fails
+// to decode is dropped but consumes its number (Diag.DecodeErrors), since
+// replaying it would fail again. The channel stays FIFO
 // and exactly-once no matter how many times the underlying socket is torn
 // down and re-established. A connection supervisor per peer redials with
 // exponential backoff and jitter; sends never block (they append to the
@@ -180,7 +182,9 @@ type Diag struct {
 	Replayed uint64
 	// Duplicates counts received messages dropped by sequence dedup.
 	Duplicates uint64
-	// DecodeErrors counts inbound frames dropped as undecodable.
+	// DecodeErrors counts inbound msg frames dropped as undecodable. Such a
+	// frame still consumes its sequence number, so the channel goes on past
+	// it; one too short to carry a sequence number closes its connection.
 	DecodeErrors uint64
 	// Gaps counts inbound connections closed because a frame skipped a
 	// sequence number. The sender then replays from the cumulative ack, so a
@@ -792,12 +796,20 @@ func (t *Transport) serveConn(conn net.Conn) {
 		if len(body) == 0 || body[0] != frameMsg {
 			continue
 		}
-		m, seq, err := decodeMsgFrame(&dec, body)
-		if err != nil {
+		if len(body) < 1+8 {
+			// Not even a sequence number: there is no telling which frame of
+			// the channel this was, so the channel cannot go on.
 			t.decodeErrors.Add(1)
-			t.cfg.Logf("tcp: node %d from %d: %v", t.id, from, err)
-			continue
+			t.cfg.Logf("tcp: node %d from %d: msg frame of %d bytes carries no sequence number; closing the connection",
+				t.id, from, len(body))
+			return
 		}
+		// A frame whose header parses but whose message does not still holds
+		// its place in the sequence: it is a duplicate, a gap, or the next
+		// frame — consumed and acknowledged, never delivered — exactly as if
+		// it had decoded. Dropping it without its number would make the next
+		// frame a gap and the sender replay this one forever.
+		m, seq, decodeErr := decodeMsgFrame(&dec, body)
 		// The sequence test and the inbox push are one critical section: a
 		// replaced connection's reader can still be draining its buffer while
 		// the new connection's reader runs, and whichever claims a sequence
@@ -807,7 +819,9 @@ func (t *Transport) serveConn(conn net.Conn) {
 		next := t.lastSeq[from] + 1
 		if seq == next {
 			t.lastSeq[from] = seq
-			t.inbox.Push(m)
+			if decodeErr == nil {
+				t.inbox.Push(m)
+			}
 		}
 		acks.cum = t.lastSeq[from]
 		t.rmu.Unlock()
@@ -824,6 +838,10 @@ func (t *Transport) serveConn(conn net.Conn) {
 				t.id, from, seq, next)
 			return
 		default:
+			if decodeErr != nil {
+				t.decodeErrors.Add(1)
+				t.cfg.Logf("tcp: node %d from %d: dropped undecodable frame %d: %v", t.id, from, seq, decodeErr)
+			}
 			if acks.unacked += 4 + len(body); acks.unacked >= ackEvery {
 				acks.due = true
 			}
