@@ -8,15 +8,16 @@ package mixedmem_test
 // same experiments under a realistic latency model.
 
 import (
+	"fmt"
 	"testing"
 
 	"mixedmem/internal/apps"
 	"mixedmem/internal/bench"
 	"mixedmem/internal/check"
 	"mixedmem/internal/core"
+	"mixedmem/internal/dsm"
 	"mixedmem/internal/history"
 	"mixedmem/internal/network"
-	"mixedmem/internal/seqmem"
 	"mixedmem/internal/syncmgr"
 )
 
@@ -194,7 +195,7 @@ func BenchmarkGaussSeidelPRAM(b *testing.B) {
 	}
 }
 
-// --- E8: access-latency spectrum -----------------------------------------------
+// --- E8S: access latency, weak labels vs SC ------------------------------------
 
 func BenchmarkMemoryLatencyMixedWrite(b *testing.B) {
 	sys, err := core.NewSystem(core.Config{Procs: 2, Latency: zeroLatency})
@@ -237,30 +238,40 @@ func BenchmarkMemoryLatencyCausalRead(b *testing.B) {
 	}
 }
 
-func BenchmarkMemoryLatencySCWrite(b *testing.B) {
-	sys, err := seqmem.NewSystem(seqmem.Config{Procs: 2, Latency: zeroLatency})
+// scSystem starts a 2-process system with one SC-labelled location whose
+// dsm.SCOwner is process 1, so process 0's accesses pay the owner round trip
+// rather than the self-owner fast path.
+func scSystem(b *testing.B) (*core.Proc, string) {
+	b.Helper()
+	loc := "w"
+	for i := 0; dsm.SCOwner(loc, 2) != 1; i++ {
+		loc = fmt.Sprintf("w%d", i)
+	}
+	sys, err := core.NewSystem(core.Config{
+		Procs: 2, Latency: zeroLatency,
+		Labels: map[string]history.Label{loc: history.LabelSC},
+	})
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer sys.Close()
-	p := sys.Proc(0)
+	b.Cleanup(sys.Close)
+	return sys.Proc(0), loc
+}
+
+func BenchmarkMemoryLatencySCWrite(b *testing.B) {
+	p, loc := scSystem(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p.Write("w", int64(i+1))
+		p.Write(loc, int64(i+1))
 	}
 }
 
 func BenchmarkMemoryLatencySCRead(b *testing.B) {
-	sys, err := seqmem.NewSystem(seqmem.Config{Procs: 2, Latency: zeroLatency})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer sys.Close()
-	p := sys.Proc(0)
-	p.Write("w", 1)
+	p, loc := scSystem(b)
+	p.Write(loc, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p.ReadPRAM("w")
+		p.ReadSC(loc)
 	}
 }
 

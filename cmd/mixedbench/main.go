@@ -1,5 +1,6 @@
-// Command mixedbench regenerates every experiment of EXPERIMENTS.md (E1–E9):
-// the paper's Figures 1–5 and the qualitative claims of Sections 5–7.
+// Command mixedbench regenerates every experiment of EXPERIMENTS.md: the
+// paper's Figures 1–5 and the qualitative claims of Sections 1–7, the
+// ablations, the serving sweep, and the perf grid.
 //
 // Usage:
 //
@@ -8,8 +9,8 @@
 //	mixedbench -quick          # smaller problem sizes, zero network latency
 //	mixedbench -procs 8        # override the process count
 //	mixedbench -json           # one JSON line per measured row
-//	mixedbench -exp e8 -transport tcp   # latency spectrum over real TCP
-//	mixedbench -exp e8s                 # per-label cost curve (also tcp)
+//	mixedbench -exp e8s                 # per-label access-latency curve
+//	mixedbench -exp e8s -transport tcp  # the same curve over real TCP
 //	mixedbench -exp a3 -transport tcp   # placement ablation over real TCP
 //	mixedbench -exp s1                  # serving tail-latency sweep (also tcp)
 //	mixedbench -exp s1 -trace s1.mxtr   # + per-node event traces, for mixedtrace
@@ -124,8 +125,7 @@ var experiments = []experiment{
 	{"e5", "Figure 5 / Section 7: Cholesky with locks vs counter objects", runE5, false},
 	{"e6", "Section 6: eager vs lazy vs demand-driven propagation", runE6, false},
 	{"e7", "Section 7: asynchronous Gauss-Seidel converges under PRAM", runE7, false},
-	{"e8", "Sections 1/3.2: access-latency spectrum (PRAM/causal vs SC)", runE8, true},
-	{"e8s", "Label lattice: cost-of-consistency curve (slow/PRAM/causal/SC)", runE8S, true},
+	{"e8s", "Sections 1/3.2: cost-of-consistency curve over the label lattice (slow/PRAM/causal/SC)", runE8S, true},
 	{"e9", "Theorem 1 corollaries: random programs are SC", runE9, false},
 	{"e10", "Section 2: producer/consumer via awaits vs lock polling", runE10, false},
 	{"a1", "Ablation: timestamp elision for PRAM-consistent programs (Section 6)", runA1, false},
@@ -135,13 +135,13 @@ var experiments = []experiment{
 	{"perf", "Perf trajectory: hot-path ns/op, allocs/op, and contended throughput", runPerf, true},
 }
 
-// tcpCapable lists the ids of the experiments that run with -transport tcp,
-// joined by sep; the flag's help text and the guard's error are built from it
-// so neither can drift from the table.
-func tcpCapable(sep string) string {
+// experimentIDs lists the ids of the experiments — only those that run with
+// -transport tcp when tcpOnly is set — joined by sep. The flags' help texts
+// and the guards' errors are built from it so none can drift from the table.
+func experimentIDs(sep string, tcpOnly bool) string {
 	var ids []string
 	for _, e := range experiments {
-		if e.tcp {
+		if e.tcp || !tcpOnly {
 			ids = append(ids, e.id)
 		}
 	}
@@ -153,14 +153,14 @@ func run(args []string) error { return runTo(args, os.Stdout) }
 func runTo(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("mixedbench", flag.ContinueOnError)
 	cfg := config{out: out}
-	fs.StringVar(&cfg.exp, "exp", "all", "experiment to run: e1..e10, a1..a3, s1, or all")
+	fs.StringVar(&cfg.exp, "exp", "all", "experiment to run: "+experimentIDs(", ", false)+", or all")
 	fs.BoolVar(&cfg.quick, "quick", false, "small sizes and zero latency")
 	fs.BoolVar(&cfg.sweep, "sweep", false, "sweep process counts (2, 4, 8) in e2 and e5")
 	fs.IntVar(&cfg.procs, "procs", 4, "number of processes")
 	fs.Int64Var(&cfg.seed, "seed", 1, "workload seed")
 	fs.BoolVar(&cfg.jsonOut, "json", false, "emit one JSON line per measured row")
 	fs.StringVar(&cfg.transport, "transport", "sim",
-		"message transport: sim (simulated fabric) or tcp (real kernel sockets; "+tcpCapable(", ")+" only)")
+		"message transport: sim (simulated fabric) or tcp (real kernel sockets; "+experimentIDs(", ", true)+" only)")
 	fs.IntVar(&cfg.batch, "batch", 32,
 		"update-outbox batch size for e6's batched rows (MaxUpdates threshold)")
 	fs.StringVar(&cfg.trace, "trace", "",
@@ -196,7 +196,7 @@ func runTo(args []string, out io.Writer) error {
 		}
 		if !capable {
 			return fmt.Errorf("-transport tcp needs one tcp-capable experiment: run with -exp %s",
-				tcpCapable(", -exp "))
+				experimentIDs(", -exp ", true))
 		}
 	default:
 		return fmt.Errorf("unknown transport %q (want sim or tcp)", cfg.transport)
@@ -219,7 +219,7 @@ func runTo(args []string, out io.Writer) error {
 		}
 	}
 	if !matched {
-		return fmt.Errorf("unknown experiment %q (want e1..e10, a1..a3, s1, or all)", cfg.exp)
+		return fmt.Errorf("unknown experiment %q (want %s, or all)", cfg.exp, experimentIDs(", ", false))
 	}
 	return nil
 }
@@ -536,47 +536,22 @@ func runE7(cfg *config) error {
 	return nil
 }
 
-func runE8(cfg *config) error {
-	sub := cfg.sub
-	if sub.Latency.Fixed == 0 {
-		sub.Latency = bench.DefaultLatency // the simulated spectrum needs a nonzero round trip
-	}
-	r, err := bench.RunLatencyMicro(50, sub)
-	if err != nil {
-		return err
-	}
-	if err := cfg.emit(r); err != nil {
-		return err
-	}
-	cfg.claim("claim (Sections 1, 3.2): weak reads/writes are local — also when the update",
-		"broadcasts behind them cross the kernel's TCP stack — while sequential consistency",
-		"pays a round trip per operation (the SC baseline is sim-only: its columns read 0 on tcp)")
-	return nil
-}
-
 func runE8S(cfg *config) error {
 	ops := 300
 	if cfg.quick {
 		ops = 100
 	}
-	procs := cfg.procs
-	if cfg.sub.TCP {
-		// Over sockets the curve runs on the smallest fleet that has a remote
-		// SC owner: a further peer adds broadcast fan-out to the weak points
-		// and 2(n-1) more connections, and nothing to the round trip the
-		// lattice top is defined by.
-		procs = 2
-	}
-	r, err := bench.RunLatencySpectrum(procs, ops, cfg.sub)
+	r, err := bench.RunLatencySpectrum(cfg.procs, ops, cfg.sub)
 	if err != nil {
 		return err
 	}
 	if err := cfg.emit(r); err != nil {
 		return err
 	}
-	cfg.claim("claim (lattice): cost is monotone in label strength — the weak labels share the",
-		"broadcast path (slow sheds timestamp bytes) and stay local on either substrate, and SC",
-		"pays a round trip per access: a modeled one on sim, a kernel one over real sockets")
+	cfg.claim("claim (Sections 1, 3.2): weak reads/writes are local while sequential consistency",
+		"pays a round trip per operation; cost is monotone in label strength — the weak labels",
+		"share the broadcast path (slow sheds timestamp bytes) and stay local on either substrate,",
+		"and SC pays a modeled round trip on sim, a kernel one over real sockets")
 	return nil
 }
 

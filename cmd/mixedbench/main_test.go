@@ -28,6 +28,10 @@ func TestRunUnknownExperiment(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "unknown experiment") {
 		t.Fatalf("err = %v, want unknown experiment", err)
 	}
+	// The list of valid ids comes from the experiment table.
+	if want := experimentIDs(", ", false) + ", or all"; !strings.Contains(err.Error(), want) {
+		t.Fatalf("err = %v, want the table's ids %q", err, want)
+	}
 }
 
 func TestRunBadFlag(t *testing.T) {
@@ -76,31 +80,40 @@ func TestRunTransportValidation(t *testing.T) {
 		t.Fatal("bogus transport accepted")
 	}
 	err := run([]string{"-transport", "tcp", "-exp", "e2"})
-	if err == nil || !strings.Contains(err.Error(), "e8") {
-		t.Fatalf("err = %v, want e8-only guard", err)
+	if err == nil || !strings.Contains(err.Error(), "-exp e8s") {
+		t.Fatalf("err = %v, want tcp-capable guard", err)
 	}
 }
 
-func TestRunE8OverTCP(t *testing.T) {
+func TestRunE8SOverTCP(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration test")
 	}
 	var buf bytes.Buffer
-	if err := runTo([]string{"-exp", "e8", "-transport", "tcp", "-json"}, &buf); err != nil {
+	if err := runTo([]string{"-exp", "e8s", "-quick", "-transport", "tcp", "-json"}, &buf); err != nil {
 		t.Fatalf("runTo: %v", err)
 	}
 	var rec struct {
 		Transport string `json:"transport"`
 		Data      struct {
-			Write    int64 `json:"Write"`
-			PRAMRead int64 `json:"PRAMRead"`
+			Procs  int
+			Points []struct {
+				Write, Read int64
+				MsgsPerOp   float64
+			}
 		} `json:"data"`
 	}
 	if err := json.Unmarshal([]byte(strings.TrimSpace(buf.String())), &rec); err != nil {
 		t.Fatalf("parse: %v (output %q)", err, buf.String())
 	}
-	if rec.Transport != "tcp" || rec.Data.Write <= 0 || rec.Data.PRAMRead <= 0 {
+	// The tcp curve runs at the -procs default, like the sim one.
+	if rec.Transport != "tcp" || rec.Data.Procs != 4 || len(rec.Data.Points) != 4 {
 		t.Fatalf("suspicious tcp spectrum: %+v", rec)
+	}
+	for i, pt := range rec.Data.Points {
+		if pt.Write <= 0 || pt.Read <= 0 || pt.MsgsPerOp <= 0 {
+			t.Fatalf("point %d has an empty column: %+v", i, pt)
+		}
 	}
 }
 
@@ -181,10 +194,10 @@ func TestTCPRegistryListsCapableExperiments(t *testing.T) {
 	}
 	// The guard's list and the flag's help text both come from the experiment
 	// table, so every tcp-capable experiment appears in both.
-	if got, want := tcpCapable(", "), "e8, e8s, a3, s1, perf"; got != want {
+	if got, want := experimentIDs(", ", true), "e8s, a3, s1, perf"; got != want {
 		t.Fatalf("tcp-capable experiments = %q, want %q", got, want)
 	}
-	for _, id := range strings.Split(tcpCapable(" "), " ") {
+	for _, id := range strings.Split(experimentIDs(" ", true), " ") {
 		if !strings.Contains(err.Error(), "-exp "+id) {
 			t.Fatalf("tcp guard %q does not list capable experiment %s", err, id)
 		}

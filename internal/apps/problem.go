@@ -11,9 +11,9 @@
 //     some relaxation algorithms converge even under plain PRAM.
 //
 // Every application is written against core.Process, so it runs unchanged on
-// the mixed-consistency system and on the sequentially consistent baseline,
-// and every application ships with a sequential reference implementation the
-// parallel results are validated against.
+// either substrate and under any decorator that wraps a process, and every
+// application ships with a sequential reference implementation the parallel
+// results are validated against.
 //
 // Workload generators are deterministic in their seeds: the paper's original
 // inputs (1994 scientific datasets) are replaced by synthetic systems with

@@ -1,13 +1,13 @@
 // Package bench implements the experiment harness: one runner per
-// EXPERIMENTS.md entry (E1–E9), each reproducing a figure or claim of the
-// paper and returning a structured result that cmd/mixedbench prints and
-// bench_test.go asserts on.
+// EXPERIMENTS.md entry (E1–E7, E8S, E9, E10, A1–A3, S1, PERF), each
+// reproducing a figure or claim of the paper and returning a structured
+// result that cmd/mixedbench prints and bench_test.go asserts on.
 //
 // Runners take a network latency model so the relative costs the paper
 // discusses (synchronization rounds, message counts, blocking time) are
 // visible; tests use the zero model for speed and benchmarks use
-// DefaultLatency. The runners that also make sense over real sockets (E8,
-// E8S, A3, S1, PERF) take a Substrate instead — the latency model or tcp, as
+// DefaultLatency. The runners that also make sense over real sockets (E8S,
+// A3, S1, PERF) take a Substrate instead — the latency model or tcp, as
 // data — and have one body for both; the rest need transport.Faults or a
 // modeled latency and stay on the simulated fabric.
 package bench

@@ -213,19 +213,6 @@ func TestRunGaussSeidelErrorShrinksWithRounds(t *testing.T) {
 	}
 }
 
-func TestRunLatencyMicro(t *testing.T) {
-	lat := network.LatencyModel{Fixed: 300 * 1000} // 300µs in ns
-	r, err := RunLatencyMicro(20, Substrate{Latency: lat})
-	if err != nil {
-		t.Fatalf("RunLatencyMicro: %v", err)
-	}
-	// The paper's motivation: weak operations are local, SC operations pay
-	// a round trip. Require at least an order of magnitude separation.
-	if r.SCRead < 10*r.PRAMRead || r.SCWrite < 10*r.Write {
-		t.Fatalf("no latency separation: %+v", r)
-	}
-}
-
 func TestRunCorollaries(t *testing.T) {
 	if testing.Short() {
 		t.Skip("property test")

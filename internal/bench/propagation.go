@@ -9,7 +9,6 @@ import (
 	"mixedmem/internal/core"
 	"mixedmem/internal/dsm"
 	"mixedmem/internal/network"
-	"mixedmem/internal/seqmem"
 	"mixedmem/internal/syncmgr"
 )
 
@@ -231,74 +230,4 @@ func RunGaussSeidelSlow(n, procs, rounds int, seed int64) (GaussSeidelResult, er
 		Error: apps.MaxAbsDiff(final, direct),
 		Time:  elapsed,
 	}, nil
-}
-
-// LatencyResult is experiment E8: mean per-operation latency on each memory.
-type LatencyResult struct {
-	// Write, PRAMRead, CausalRead are mixed-consistency op latencies.
-	Write, PRAMRead, CausalRead time.Duration
-	// SCWrite, SCRead are central-server sequentially consistent
-	// latencies on a fabric with the same latency model.
-	SCWrite, SCRead time.Duration
-}
-
-// String renders the latency spectrum.
-func (r LatencyResult) String() string {
-	return fmt.Sprintf("mixed: write=%v pram-read=%v causal-read=%v | SC: write=%v read=%v",
-		r.Write, r.PRAMRead, r.CausalRead, r.SCWrite, r.SCRead)
-}
-
-// RunLatencyMicro measures mean operation latencies on the mixed memory and
-// the sequentially consistent baseline under the same latency model: the
-// paper's core motivation that weak consistency buys low access latency.
-// Weak writes and reads are local operations, so over tcp their latency must
-// stay flat even though the broadcast behind them crosses real sockets.
-func RunLatencyMicro(ops int, sub Substrate) (LatencyResult, error) {
-	var out LatencyResult
-	{
-		sys, err := sub.NewSystem(core.Config{Procs: 2})
-		if err != nil {
-			return out, fmt.Errorf("latency micro: %w", err)
-		}
-		p := sys.Proc(0)
-		start := time.Now()
-		for i := 0; i < ops; i++ {
-			p.Write("w", int64(i+1))
-		}
-		out.Write = time.Since(start) / time.Duration(ops)
-		start = time.Now()
-		for i := 0; i < ops; i++ {
-			p.ReadPRAM("w") //mixedvet:ignore — latency micro: mixed-label reads of one location are the measurement
-		}
-		out.PRAMRead = time.Since(start) / time.Duration(ops)
-		start = time.Now()
-		for i := 0; i < ops; i++ {
-			p.ReadCausal("w") //mixedvet:ignore
-		}
-		out.CausalRead = time.Since(start) / time.Duration(ops)
-		sys.Close()
-	}
-	// Single-backend on purpose: the central-server SC baseline is
-	// simulation-only (its round trip is the modeled latency, which a kernel
-	// loopback does not reproduce), so over tcp the SC columns stay 0 and only
-	// the mixed side of the spectrum is reported.
-	if !sub.TCP {
-		sys, err := seqmem.NewSystem(seqmem.Config{Procs: 2, Latency: sub.Latency})
-		if err != nil {
-			return out, fmt.Errorf("latency micro: %w", err)
-		}
-		p := sys.Proc(0)
-		start := time.Now()
-		for i := 0; i < ops; i++ {
-			p.Write("w", int64(i+1))
-		}
-		out.SCWrite = time.Since(start) / time.Duration(ops)
-		start = time.Now()
-		for i := 0; i < ops; i++ {
-			p.ReadPRAM("w")
-		}
-		out.SCRead = time.Since(start) / time.Duration(ops)
-		sys.Close()
-	}
-	return out, nil
 }

@@ -23,7 +23,9 @@ type SpectrumPoint struct {
 }
 
 // SpectrumResult is experiment E8S: the cost-of-consistency curve, one point
-// per lattice label in lattice order Slow < PRAM < Causal < SC.
+// per lattice label in lattice order Slow < PRAM < Causal < SC. It is the
+// access-latency experiment of the paper's motivation (Sections 1, 3.2): the
+// weak points are local operations, the SC point a round trip.
 type SpectrumResult struct {
 	Procs, Ops int
 	Points     [4]SpectrumPoint
@@ -59,8 +61,9 @@ func spectrumLoc(procs int) string {
 // and latency are flat across the weak labels — slow merely sheds the
 // timestamp bytes — and jump at SC, where every access becomes a blocking
 // round trip to the owner. Over tcp the weak points stay local (their
-// broadcasts cross the kernel asynchronously) and — unlike E8's sim-only SC
-// baseline — the SC point's round trip crosses a real socket pair.
+// broadcasts cross the kernel asynchronously) and the SC point's round trip
+// crosses a real socket pair; the message and byte counts are the same on
+// either substrate.
 func RunLatencySpectrum(procs, ops int, sub Substrate) (SpectrumResult, error) {
 	out := SpectrumResult{Procs: procs, Ops: ops}
 	loc := spectrumLoc(procs)

@@ -2,9 +2,15 @@ package bench
 
 import (
 	"testing"
+	"time"
 
 	"mixedmem/internal/history"
+	"mixedmem/internal/network"
 )
+
+// spectrumProcs is the process count both spectrum tests run at, so the tcp
+// run's message and byte counts can be compared with the sim run's.
+const spectrumProcs = 3
 
 // TestSpectrumMonotoneCostCurve pins experiment E8S's acceptance shape: the
 // cost of consistency is monotone in label strength. Message counts are
@@ -13,7 +19,7 @@ import (
 // so only the structural separation — the SC round trip dominating every
 // local weak operation — is asserted.
 func TestSpectrumMonotoneCostCurve(t *testing.T) {
-	r, err := RunLatencySpectrum(3, 400, Substrate{})
+	r, err := RunLatencySpectrum(spectrumProcs, 400, Substrate{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,22 +59,48 @@ func TestSpectrumMonotoneCostCurve(t *testing.T) {
 	}
 }
 
-// TestSpectrumTCPSmoke reruns the curve over loopback TCP: verdict-level
-// agreement with the sim — flat weak message counts, the SC jump, and the
-// kernel round trip dominating local weak accesses.
+// TestRunLatencyMicro runs E8S on a 300 µs modeled fabric and asserts the
+// paper's motivation (Sections 1, 3.2): weak operations are local while SC
+// pays a round trip, so the SC write and read cost at least an order of
+// magnitude more than every weak write and read.
+func TestRunLatencyMicro(t *testing.T) {
+	lat := network.LatencyModel{Fixed: 300 * time.Microsecond}
+	r, err := RunLatencySpectrum(spectrumProcs, 20, Substrate{Latency: lat})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := r.Points[3]
+	for _, weak := range r.Points[:3] {
+		if sc.Write < 10*weak.Write {
+			t.Errorf("SC write %v is not 10× the %v write %v", sc.Write, weak.Label, weak.Write)
+		}
+		if sc.Read < 10*weak.Read {
+			t.Errorf("SC read %v is not 10× the %v read %v", sc.Read, weak.Label, weak.Read)
+		}
+	}
+}
+
+// TestSpectrumTCPSmoke reruns the curve over loopback TCP at the sim test's
+// process count: every label's message and byte counts equal the sim run's,
+// and the kernel round trip dominates local weak writes.
 func TestSpectrumTCPSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loopback TCP spectrum in -short mode")
 	}
-	r, err := RunLatencySpectrum(2, 60, Substrate{TCP: true})
+	const ops = 60
+	simRun, err := RunLatencySpectrum(spectrumProcs, ops, Substrate{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 1; i < len(r.Points); i++ {
-		if r.Points[i].MsgsPerOp < r.Points[i-1].MsgsPerOp {
-			t.Errorf("tcp msgs/op not monotone: %v=%.2f < %v=%.2f",
-				r.Points[i].Label, r.Points[i].MsgsPerOp,
-				r.Points[i-1].Label, r.Points[i-1].MsgsPerOp)
+	r, err := RunLatencySpectrum(spectrumProcs, ops, Substrate{TCP: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, pt := range r.Points {
+		want := simRun.Points[i]
+		if pt.MsgsPerOp != want.MsgsPerOp || pt.BytesPerOp != want.BytesPerOp {
+			t.Errorf("%v: tcp msgs/op=%.2f bytes/op=%.1f, sim %.2f/%.1f",
+				pt.Label, pt.MsgsPerOp, pt.BytesPerOp, want.MsgsPerOp, want.BytesPerOp)
 		}
 	}
 	sc := r.Points[3]

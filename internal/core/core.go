@@ -10,9 +10,10 @@
 // managers (internal/syncmgr) — behind one handle per process (Proc). A Peer
 // is one such process alone, for deployments with one OS process per node
 // (cmd/mixednode); both are wired by the same function. Programs are written
-// against the Process interface, so the same program also runs on the
-// sequentially consistent baseline (internal/seqmem) for the paper's
-// comparisons.
+// against the Process interface, so the same program runs on either, and on
+// any decorator that wraps one. Sequential consistency is not a second memory
+// but the top point of the label lattice: a location labeled SC in
+// Config.Labels is served by its owner's round trip (dsm/sc.go).
 //
 // A minimal program:
 //
@@ -42,9 +43,9 @@ import (
 	"mixedmem/internal/transport"
 )
 
-// Process is the programming interface of the mixed consistency model. Both
-// the mixed-consistency Proc and the sequentially consistent baseline
-// implement it, so applications and benchmarks can swap memories.
+// Process is the programming interface of the mixed consistency model. Proc
+// implements it; applications are written against it, so a harness can wrap a
+// Proc (to time or count operations) and run them unchanged.
 type Process interface {
 	// ID returns the process identity, 0..N-1.
 	ID() int
@@ -63,8 +64,7 @@ type Process interface {
 	ReadSlow(loc string) int64
 	// ReadSC performs an SC-labeled read of loc — the strongest point of
 	// the lattice, a blocking round trip to the location's owner. Only
-	// valid for locations labeled SC in Config.Labels (the sequentially
-	// consistent baseline serves it for every location).
+	// valid for locations labeled SC in Config.Labels.
 	ReadSC(loc string) int64
 	// Await blocks until loc holds value (Section 3.1.3), gated on the
 	// causal view: when it returns, every update the matched write

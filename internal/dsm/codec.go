@@ -258,11 +258,7 @@ func (c *connDecoder) parseUpdate(data []byte) (Update, error) {
 	}
 	loc := d.Bytes()
 	u.Value = int64(d.Uint64())
-	if n := int(d.Uint32()); n > 0 && d.Err() == nil {
-		if n > d.Remaining()/8 {
-			return u, fmt.Errorf("dsm: update codec: timestamp length %d in %d bytes: %w",
-				n, d.Remaining(), transport.ErrTruncated)
-		}
+	if n := d.Count(8); n > 0 {
 		u.TS = c.timestamp(d, n)
 	}
 	if d.Err() == nil {
@@ -356,12 +352,8 @@ func (c *connDecoder) parseBatch(data []byte) (UpdateBatch, error) {
 		}
 		b.PrevSeq, b.Deps = prevSeq, deps
 	}
-	nEntries := int(d.Uint32())
-	if d.Err() == nil && nEntries > d.Remaining()/minBatchEntry {
-		return b, fmt.Errorf("dsm: batch codec: %d entries in %d bytes: %w",
-			nEntries, d.Remaining(), transport.ErrTruncated)
-	}
-	if nEntries > 0 && d.Err() == nil {
+	nEntries := d.Count(minBatchEntry)
+	if nEntries > 0 {
 		// Draw the entry slice from the batch pool: the receiving node's
 		// apply path returns it once the batch has fully applied (see
 		// updateSlicePool).
@@ -376,11 +368,7 @@ func (c *connDecoder) parseBatch(data []byte) (UpdateBatch, error) {
 		}
 		loc := d.Bytes()
 		u.Value = int64(d.Uint64())
-		tsLen := int(d.Uint32())
-		if d.Err() == nil && tsLen > d.Remaining()/8 {
-			return b, fmt.Errorf("dsm: batch codec: timestamp length %d in %d bytes: %w",
-				tsLen, d.Remaining(), transport.ErrTruncated)
-		}
+		tsLen := d.Count(8)
 		if d.Err() != nil {
 			break
 		}

@@ -15,7 +15,7 @@ import (
 
 // KindUpdateBatch is the fabric message kind that carries many updates from
 // one sender in a single frame. Batching amortizes the per-message cost the
-// E6/E8 experiments measure — fabric queue operations, TCP frames, receive
+// E6/E8S experiments measure — fabric queue operations, TCP frames, receive
 // dispatches, and node-lock acquisitions — without changing what any read can
 // observe: mixed consistency (Definition 4) constrains order and visibility
 // at reads, not message granularity.

@@ -20,10 +20,12 @@ import (
 // serializes through the same lock), and each access completes before its
 // issuer continues, so every execution is equivalent to the interleaving the
 // owner observed: the accesses are linearizable, hence sequentially
-// consistent. This is the same protocol internal/seqmem runs for a whole
-// memory, reduced to the locations that need it, which is exactly the
-// mixed-consistency bargain: pay the round trip only where the program's
-// structure cannot justify a weaker label.
+// consistent. It is the repository's one realization of sequential
+// consistency: a memory whose every location is labeled SC is the classic
+// central-server SC memory, and labeling only the locations that need it is
+// exactly the mixed-consistency bargain — pay the round trip only where the
+// program's structure cannot justify a weaker label. Experiment E8S measures
+// that round trip against the weak labels' local accesses.
 
 // Message kinds of the SC owner protocol. They are protocol traffic, not
 // updates: they never count toward the barrier protocol's sent/received

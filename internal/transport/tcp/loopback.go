@@ -9,11 +9,11 @@ import (
 // NewLoopback builds a fully-wired n-node TCP deployment on 127.0.0.1 with
 // kernel-assigned ports: it binds all n listeners first, collects their
 // addresses, and only then starts the transports, so there is no port-guess
-// race. Benches, tests, and the E8 real-network rerun use it; production
-// deployments use New with explicit peer addresses. configure, when non-nil,
-// sees each node's Config with its wiring filled in; it may adjust the
-// tunables and wrap the Listener (to count or hold back connections), but the
-// node's ID and the peer list are the helper's.
+// race. Benches, tests, and tcp.Fleet use it; production deployments use New
+// with explicit peer addresses. configure, when non-nil, sees each node's
+// Config with its wiring filled in; it may adjust the tunables and wrap the
+// Listener (to count or hold back connections), but the node's ID and the
+// peer list are the helper's.
 //
 // On error every listener and transport already created is closed. On
 // success the caller owns the transports and must Close each.

@@ -56,9 +56,8 @@ type Transport interface {
 	// successive receivers for a node must be ordered by their own
 	// synchronization. A backend may hand messages out of a buffer only the
 	// receiver touches (network.Inbox, which both backends deliver into,
-	// does). Every runtime
-	// receiver — the dsm node's receive loop, the seqmem server and client
-	// loops — is one goroutine per node already.
+	// does). The runtime's one receiver per node, the dsm node's receive
+	// loop, is one goroutine already.
 	Recv(node int) (Message, bool)
 	// Pending reports the number of undelivered messages queued from -> to,
 	// as far as this transport instance can see. It is a test aid.
