@@ -1,6 +1,7 @@
 package apps
 
 import (
+	"math"
 	"testing"
 
 	"mixedmem/internal/core"
@@ -66,7 +67,7 @@ func TestCholeskySequentialFactorizes(t *testing.T) {
 			for k := 0; k <= j; k++ {
 				sum += l[i][k] * l[j][k]
 			}
-			if d := abs(sum - m.A[i][j]); d > 1e-9 {
+			if d := math.Abs(sum - m.A[i][j]); d > 1e-9 {
 				t.Fatalf("LLᵀ differs from A at (%d,%d) by %v", i, j, d)
 			}
 		}
@@ -225,7 +226,7 @@ func TestGridSPDCholeskyFactorizes(t *testing.T) {
 			for k := 0; k <= j; k++ {
 				sum += l[i][k] * l[j][k]
 			}
-			if d := abs(sum - m.A[i][j]); d > 1e-9 {
+			if d := math.Abs(sum - m.A[i][j]); d > 1e-9 {
 				t.Fatalf("LLᵀ != A at (%d,%d): %v", i, j, d)
 			}
 		}

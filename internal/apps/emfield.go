@@ -101,14 +101,7 @@ func SolveEMField(p core.Process, prob *EMProblem, opts SolveOptions) EMResult {
 		read = core.ReadCausalFloat
 	}
 	n := p.N()
-	per := prob.Size / n
-	extra := prob.Size % n
-	lo := p.ID()*per + min(p.ID(), extra)
-	size := per
-	if p.ID() < extra {
-		size++
-	}
-	hi := lo + size
+	lo, hi := blockRange(prob.Size, n, p.ID())
 
 	// Local field blocks with one ghost cell on each side.
 	e := make([]float64, prob.Size)
@@ -183,16 +176,9 @@ func EMFieldScope(size, procs int, causal bool) *dsm.ScopeMap {
 		if cell >= size {
 			return procs - 1
 		}
-		per := size / procs
-		extra := size % procs
 		// Invert the block partition of SolveEMField.
 		for p := 0; p < procs; p++ {
-			lo := p*per + min(p, extra)
-			sz := per
-			if p < extra {
-				sz++
-			}
-			if cell >= lo && cell < lo+sz {
+			if lo, hi := blockRange(size, procs, p); cell >= lo && cell < hi {
 				return p
 			}
 		}

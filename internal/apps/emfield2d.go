@@ -111,14 +111,7 @@ type EM2DResult struct {
 func SolveEM2DField(p core.Process, prob *EM2DProblem, _ SolveOptions) EM2DResult {
 	n := prob.N
 	procs := p.N()
-	per := n / procs
-	extra := n % procs
-	rlo := p.ID()*per + min(p.ID(), extra)
-	rows := per
-	if p.ID() < extra {
-		rows++
-	}
-	rhi := rlo + rows
+	rlo, rhi := blockRange(n, procs, p.ID())
 
 	ez := make([]float64, n*n)
 	hx := make([]float64, n*n)

@@ -24,15 +24,7 @@ import (
 // SolveAsyncPRAM.
 func SolveAsyncPRAM(p core.Process, ls *LinearSystem, rounds int) SolveResult {
 	const computeTimePerSweep = 50 * time.Microsecond
-	n := p.N()
-	per := ls.N / n
-	extra := ls.N % n
-	lo := p.ID()*per + min(p.ID(), extra)
-	size := per
-	if p.ID() < extra {
-		size++
-	}
-	hi := lo + size
+	lo, hi := blockRange(ls.N, p.N(), p.ID())
 
 	x := make([]float64, ls.N)
 	xs := ls.xNames()
@@ -84,15 +76,7 @@ func SlowEstimateLabels(n int) map[string]history.Label {
 // SlowEstimateLabels(ls.N).
 func SolveAsyncSlow(p core.Process, ls *LinearSystem, rounds int) SolveResult {
 	const computeTimePerSweep = 50 * time.Microsecond
-	n := p.N()
-	per := ls.N / n
-	extra := ls.N % n
-	lo := p.ID()*per + min(p.ID(), extra)
-	size := per
-	if p.ID() < extra {
-		size++
-	}
-	hi := lo + size
+	lo, hi := blockRange(ls.N, p.N(), p.ID())
 
 	x := make([]float64, ls.N)
 	xs := ls.xNames()

@@ -80,7 +80,7 @@ func SolveBarrier(p core.Process, ls *LinearSystem, opts SolveOptions) SolveResu
 		// convergence and writes done; workers compute local temporaries.
 		readX()
 		if coordinator {
-			if ls.Residual(x) < opts.Tol {
+			if ls.residualBelow(x, opts.Tol) {
 				p.Write("done", 1)
 			}
 		} else {
@@ -180,7 +180,7 @@ func SolveHandshake(p core.Process, ls *LinearSystem, opts SolveOptions) SolveRe
 			}
 			awaitAll(updatedVar, phase)
 			readX()
-			if ls.Residual(x) < opts.Tol {
+			if ls.residualBelow(x, opts.Tol) {
 				p.Write("done", 1)
 				converged = true
 			}

@@ -1,6 +1,7 @@
 package apps
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -28,20 +29,13 @@ func TestGenDiagDominantIsDominant(t *testing.T) {
 				if ls.A[i][j] < -1 || ls.A[i][j] > 1 {
 					t.Fatalf("off-diagonal out of range: %v", ls.A[i][j])
 				}
-				off += abs(ls.A[i][j])
+				off += math.Abs(ls.A[i][j])
 			}
 		}
 		if ls.A[i][i] <= off {
 			t.Fatalf("row %d not strictly dominant: %v <= %v", i, ls.A[i][i], off)
 		}
 	}
-}
-
-func abs(v float64) float64 {
-	if v < 0 {
-		return -v
-	}
-	return v
 }
 
 func TestGenDiagDominantDeterministic(t *testing.T) {

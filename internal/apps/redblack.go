@@ -1,6 +1,7 @@
 package apps
 
 import (
+	"math"
 	"math/rand"
 
 	"mixedmem/internal/core"
@@ -24,24 +25,17 @@ func GenTridiagDominant(n int, seed int64) *LinearSystem {
 		if i > 0 {
 			v := r.Float64()*2 - 1
 			ls.A[i][i-1] = v
-			off += abs64(v)
+			off += math.Abs(v)
 		}
 		if i < n-1 {
 			v := r.Float64()*2 - 1
 			ls.A[i][i+1] = v
-			off += abs64(v)
+			off += math.Abs(v)
 		}
 		ls.A[i][i] = off + 1 + r.Float64()
 		ls.B[i] = r.Float64()*10 - 5
 	}
 	return ls
-}
-
-func abs64(v float64) float64 {
-	if v < 0 {
-		return -v
-	}
-	return v
 }
 
 // SolveRedBlack is a second phase-structured relaxation in the Figure 2
@@ -104,7 +98,7 @@ func SolveRedBlack(p core.Process, ls *LinearSystem, opts SolveOptions) SolveRes
 		// publishes the verdict; everyone reads it next phase.
 		if p.ID() == 0 {
 			readX()
-			if ls.Residual(x) < opts.Tol {
+			if ls.residualBelow(x, opts.Tol) {
 				p.Write("rbdone", int64(iter))
 			}
 		}

@@ -1,6 +1,7 @@
 package apps
 
 import (
+	"math"
 	"testing"
 
 	"mixedmem/internal/core"
@@ -18,10 +19,10 @@ func TestGenTridiagDominantShape(t *testing.T) {
 		}
 		var off float64
 		if i > 0 {
-			off += abs64(ls.A[i][i-1])
+			off += math.Abs(ls.A[i][i-1])
 		}
 		if i < ls.N-1 {
-			off += abs64(ls.A[i][i+1])
+			off += math.Abs(ls.A[i][i+1])
 		}
 		if ls.A[i][i] <= off {
 			t.Fatalf("row %d not strictly dominant", i)

@@ -56,15 +56,18 @@ type PerfCell struct {
 	// substrate, listed under sim: the trace replays one process of the
 	// session front-end makes per run beside its own workers — a flag plan per
 	// strand its probers watch and the counter verification's ExpectedHits —
-	// at the bench/e2e session configuration; one op is one replayed request).
+	// at the bench/e2e session configuration; one op is one replayed request),
+	// or "sweep" (no memory and no substrate either, listed under sim: the
+	// Jacobi solvers' arithmetic on the bench/e2e Jacobi problem, one op is one
+	// sequential iteration — every row update and one failing convergence test).
 	Scenario string `json:"scenario"`
 	// Label is the consistency configuration: "pram" (PRAMOnly), "causal"
 	// (full broadcast with timestamps), or "scoped" (causal-scoped
 	// point-to-point placement). The stream and echo scenarios, which have no
 	// memory above the transport, name their message kind here: "update"; the
 	// lock scenario names its propagation mode ("lazy"), the barrier scenario
-	// its participants ("global") and the replay scenario its workload
-	// ("session").
+	// its participants ("global"), the replay scenario its workload
+	// ("session") and the sweep scenario its solver ("jacobi").
 	Label string `json:"label"`
 	// Batch is the outbox MaxUpdates threshold; 0 means the outbox is off.
 	Batch int `json:"batch"`
@@ -170,6 +173,7 @@ func perfGrid() []PerfCell {
 		{Scenario: "lock", Label: "lazy", Batch: 0, Writers: 1},
 		{Scenario: "barrier", Label: "global", Batch: 0, Writers: perfSyncProcs},
 		{Scenario: "replay", Label: "session", Batch: 0, Writers: 1},
+		{Scenario: "sweep", Label: "jacobi", Batch: 0, Writers: 1},
 	}
 }
 
@@ -256,6 +260,8 @@ func RunPerf(sub Substrate, opt PerfOptions) (PerfResult, error) {
 			measured, err = measureSyncCell(sub, o, cell)
 		case "replay":
 			measured, err = measureSessionReplay(cell)
+		case "sweep":
+			measured, err = measureJacobiSweep(cell)
 		default:
 			measured, err = runPerfCell(sub, o, cell)
 		}
@@ -271,8 +277,8 @@ func RunPerf(sub Substrate, opt PerfOptions) (PerfResult, error) {
 // cells run on both (scoped only on sim, where its row has always been), and
 // so do the stream, lock and barrier cells; echo measures the tcp ack
 // protocol; contended, contended1 and fresh are about lock contention and
-// table inserts inside one replica, which sockets only blur; replay uses no
-// substrate at all, so it runs once; backlog needs transport.Faults to park
+// table inserts inside one replica, which sockets only blur; replay and sweep
+// use no substrate at all, so they run once; backlog needs transport.Faults to park
 // its groups, which only the fabric has, and four replicas.
 func (c PerfCell) runsOn(sub Substrate, procs int) bool {
 	switch c.Scenario {
@@ -601,6 +607,45 @@ func measureSessionReplay(cell PerfCell) (PerfCell, error) {
 	// (Procs-1)*Workers flag plans and Procs*Workers strands of ExpectedHits.
 	replayed := perfReplayPasses * (2*c.Procs - 1) * c.Workers * perStrand
 	return cell.measured(replayed, elapsed, after.Mallocs-before.Mallocs), nil
+}
+
+// The sweep cell's problem is bench/e2e's Jacobi epoch: perfSweepN unknowns,
+// perfSweepIters iterations from a zero estimate. The measurement repeats the
+// solve perfSweepPasses times.
+const (
+	perfSweepN      = 128
+	perfSweepIters  = 2000
+	perfSweepPasses = 4
+)
+
+// measureJacobiSweep measures the sweep cell: GenDiagDominant(perfSweepN, 1)
+// solved by SolveJacobiSequential with a tolerance no estimate meets, so each
+// iteration is perfSweepN row updates and a convergence test that fails — the
+// arithmetic a bench/e2e Jacobi iteration does between its memory operations.
+// The cell checks that every solve ran all perfSweepIters iterations.
+func measureJacobiSweep(cell PerfCell) (PerfCell, error) {
+	ls := apps.GenDiagDominant(perfSweepN, 1)
+	pass := func() error {
+		if _, iters := ls.SolveJacobiSequential(1e-300, perfSweepIters); iters != perfSweepIters {
+			return fmt.Errorf("sweep: the solve stopped after %d iterations, want %d", iters, perfSweepIters)
+		}
+		return nil
+	}
+	if err := pass(); err != nil {
+		return cell, err
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	start := time.Now()
+	for i := 0; i < perfSweepPasses; i++ {
+		if err := pass(); err != nil {
+			return cell, err
+		}
+	}
+	elapsed := time.Since(start)
+	runtime.ReadMemStats(&after)
+	return cell.measured(perfSweepPasses*perfSweepIters, elapsed, after.Mallocs-before.Mallocs), nil
 }
 
 // buildPerfNode constructs one replica for a cell.

@@ -44,6 +44,11 @@ func TestPerfGridFreshAndBacklogCells(t *testing.T) {
 		t.Fatalf("replay cell missing or mis-sized: %+v", c)
 	}
 
+	// So does the sweep cell, one op per iteration of every solve.
+	if c, ok := seen["sim/sweep/jacobi/b0/w1/r0"]; !ok || c.Ops != perfSweepPasses*perfSweepIters || c.NsPerOp <= 0 {
+		t.Fatalf("sweep cell missing or mis-sized: %+v", c)
+	}
+
 	// The backlog scenario needs four replicas; a smaller system skips it.
 	small, err := RunPerf(Substrate{}, PerfOptions{Procs: 3, Ops: 64, Warmup: 8})
 	if err != nil {
@@ -53,6 +58,24 @@ func TestPerfGridFreshAndBacklogCells(t *testing.T) {
 		if c.Scenario == "backlog" {
 			t.Fatalf("backlog cell ran on %d replicas", small.Procs)
 		}
+	}
+}
+
+// TestJacobiSweepCellShape pins what the sweep cell measures: one op per
+// iteration of every measured solve, all of them run (the cell itself fails a
+// solve that stops early), and no allocation inside an iteration — a solve
+// allocates its two vectors, about 0.001 per op; a kernel or convergence test
+// that allocated would read 1 or more.
+func TestJacobiSweepCellShape(t *testing.T) {
+	cell, err := measureJacobiSweep(PerfCell{Transport: "sim", Scenario: "sweep", Label: "jacobi", Writers: 1})
+	if err != nil {
+		t.Fatalf("sweep: %v", err)
+	}
+	if cell.Key() != "sim/sweep/jacobi/b0/w1/r0" || cell.Ops != perfSweepPasses*perfSweepIters || cell.NsPerOp <= 0 {
+		t.Fatalf("sweep cell: %+v", cell)
+	}
+	if cell.AllocsPerOp >= 0.01 {
+		t.Errorf("sweep: %.4f allocs per iteration, want under 0.01", cell.AllocsPerOp)
 	}
 }
 
