@@ -46,13 +46,17 @@ type PerfCell struct {
 	// two-node transport streams update messages to node 1, which only
 	// receives — the channel's own cost per message; on tcp the cell ends when
 	// Flush returns, acks included, on sim when the receiver has taken the
-	// last one), or "echo" (tcp only, no replicas: node 0 sends one update
-	// message and waits for node 1's reply before the next, no Flush — what a
-	// lone message costs per hop, acknowledgements included if any are sent),
-	// or "lock" / "barrier" (a perfSyncProcs-process core.System rather than
-	// bare replicas: one synchronisation round per op — an uncontended
-	// WLock+WUnlock of one name from a non-manager process, or a global
-	// barrier all processes reach in lockstep), or "replay" (no memory and no
+	// last one), or "burst" (sim only, no replicas: a fresh two-node fabric
+	// per repetition, whose node 0 sends perfBurstMsgs update messages before
+	// node 1 receives any, then node 1 drains them — what a backlog costs the
+	// inbox, with heap bytes per message), or "echo" (tcp only, no replicas:
+	// node 0 sends one update message and waits for node 1's reply before the
+	// next, no Flush — what a lone message costs per hop, acknowledgements
+	// included if any are sent), or "lock" / "barrier" (a
+	// perfSyncProcs-process core.System rather than bare replicas: one
+	// synchronisation round per op — an uncontended WLock+WUnlock of one name
+	// from a non-manager process, or a global barrier all processes reach in
+	// lockstep), or "replay" (no memory and no
 	// substrate, listed under sim: the trace replays one process of the
 	// session front-end makes per run beside its own workers — a flag plan per
 	// strand its probers watch and the counter verification's ExpectedHits —
@@ -63,11 +67,11 @@ type PerfCell struct {
 	Scenario string `json:"scenario"`
 	// Label is the consistency configuration: "pram" (PRAMOnly), "causal"
 	// (full broadcast with timestamps), or "scoped" (causal-scoped
-	// point-to-point placement). The stream and echo scenarios, which have no
-	// memory above the transport, name their message kind here: "update"; the
-	// lock scenario names its propagation mode ("lazy"), the barrier scenario
-	// its participants ("global"), the replay scenario its workload
-	// ("session") and the sweep scenario its solver ("jacobi").
+	// point-to-point placement). The stream, burst and echo scenarios, which
+	// have no memory above the transport, name their message kind here:
+	// "update"; the lock scenario names its propagation mode ("lazy"), the
+	// barrier scenario its participants ("global"), the replay scenario its
+	// workload ("session") and the sweep scenario its solver ("jacobi").
 	Label string `json:"label"`
 	// Batch is the outbox MaxUpdates threshold; 0 means the outbox is off.
 	Batch int `json:"batch"`
@@ -85,7 +89,8 @@ type PerfCell struct {
 	OpsPerSec   float64 `json:"ops_per_sec"`
 	// BytesPerOp is heap bytes allocated per operation and AcksPerOp the ack
 	// frames the receivers wrote per message (tcp.Diag.AcksSent). The tcp
-	// stream and echo cells report both, the lock and barrier cells the bytes.
+	// stream and echo cells report both, the burst, lock and barrier cells
+	// the bytes.
 	BytesPerOp float64 `json:"bytes_per_op,omitempty"`
 	AcksPerOp  float64 `json:"acks_per_op,omitempty"`
 }
@@ -103,7 +108,7 @@ func (c PerfCell) String() string {
 	switch {
 	case (c.Scenario == "stream" || c.Scenario == "echo") && c.Transport == "tcp":
 		s += fmt.Sprintf(" %6.1f B/op %6.3f acks/op", c.BytesPerOp, c.AcksPerOp)
-	case c.Scenario == "lock" || c.Scenario == "barrier":
+	case c.Scenario == "burst" || c.Scenario == "lock" || c.Scenario == "barrier":
 		s += fmt.Sprintf(" %6.1f B/op", c.BytesPerOp)
 	}
 	return s
@@ -174,6 +179,7 @@ func perfGrid() []PerfCell {
 		{Scenario: "barrier", Label: "global", Batch: 0, Writers: perfSyncProcs},
 		{Scenario: "replay", Label: "session", Batch: 0, Writers: 1},
 		{Scenario: "sweep", Label: "jacobi", Batch: 0, Writers: 1},
+		{Scenario: "burst", Label: "update", Batch: 0, Writers: 1},
 	}
 }
 
@@ -254,6 +260,8 @@ func RunPerf(sub Substrate, opt PerfOptions) (PerfResult, error) {
 			} else {
 				measured, err = measureSimStream(o.Ops*perfStreamFactor, o.Warmup*perfStreamFactor)
 			}
+		case "burst":
+			measured, err = measureSimBurst(cell)
 		case "echo":
 			measured, err = measureTCPEcho(o.Ops, o.Warmup)
 		case "lock", "barrier":
@@ -277,8 +285,9 @@ func RunPerf(sub Substrate, opt PerfOptions) (PerfResult, error) {
 // cells run on both (scoped only on sim, where its row has always been), and
 // so do the stream, lock and barrier cells; echo measures the tcp ack
 // protocol; contended, contended1 and fresh are about lock contention and
-// table inserts inside one replica, which sockets only blur; replay and sweep
-// use no substrate at all, so they run once; backlog needs transport.Faults to park
+// table inserts inside one replica, which sockets only blur; burst measures
+// the inbox both substrates share, behind the fabric; replay and sweep use no
+// substrate at all, so they run once; backlog needs transport.Faults to park
 // its groups, which only the fabric has, and four replicas.
 func (c PerfCell) runsOn(sub Substrate, procs int) bool {
 	switch c.Scenario {
@@ -509,6 +518,67 @@ func measureSimStream(msgs, warmup int) (PerfCell, error) {
 		return cell, err
 	}
 	return cell.measured(msgs, elapsed, after.Mallocs-before.Mallocs), nil
+}
+
+// perfBurstMsgs is the burst cell's backlog, and perfBurstReps how many fresh
+// fabrics its measurement builds, one backlog each.
+const (
+	perfBurstMsgs = 32768
+	perfBurstReps = 8
+)
+
+// measureSimBurst is the burst cell: each repetition builds a fresh two-node
+// fabric, queues perfBurstMsgs update messages from node 0 — all delivered
+// into node 1's inbox, since nobody receives yet and the latency model is
+// zero — and then receives them all on node 1, which checks their order. One
+// op is one message. The messages share a handful of preallocated updates,
+// as in the stream cell, so the bytes counted are the fabric's own.
+func measureSimBurst(cell PerfCell) (PerfCell, error) {
+	updates := make([]dsm.Update, perfLocCount)
+	for i := range updates {
+		updates[i] = dsm.Update{From: 0, Loc: perfLoc(0, i)}
+	}
+	pass := func() error {
+		f, err := network.New(network.Config{Nodes: 2})
+		if err != nil {
+			return err
+		}
+		defer f.Close()
+		for i := 0; i < perfBurstMsgs; i++ {
+			m := network.Message{From: 0, To: 1, Kind: dsm.KindUpdate, Payload: &updates[i%perfLocCount], Size: 32}
+			if err := f.Send(m); err != nil {
+				return err
+			}
+		}
+		for i := 0; i < perfBurstMsgs; i++ {
+			m, ok := f.Recv(1)
+			if !ok {
+				return fmt.Errorf("burst: fabric closed after %d of %d messages", i, perfBurstMsgs)
+			}
+			if m.Payload != &updates[i%perfLocCount] {
+				return fmt.Errorf("burst: message %d arrived out of order", i)
+			}
+		}
+		return nil
+	}
+	if err := pass(); err != nil {
+		return cell, err
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	start := time.Now()
+	for i := 0; i < perfBurstReps; i++ {
+		if err := pass(); err != nil {
+			return cell, err
+		}
+	}
+	elapsed := time.Since(start)
+	runtime.ReadMemStats(&after)
+	msgs := perfBurstReps * perfBurstMsgs
+	cell = cell.measured(msgs, elapsed, after.Mallocs-before.Mallocs)
+	cell.BytesPerOp = float64(after.TotalAlloc-before.TotalAlloc) / float64(msgs)
+	return cell, nil
 }
 
 // measureSyncCell measures the syncmgr boundary: one synchronisation round per

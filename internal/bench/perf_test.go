@@ -147,6 +147,26 @@ func TestSimUnbatchedWriteAndStreamAllocShape(t *testing.T) {
 	}
 }
 
+// TestSimBurstCellShape pins what the burst cell exists to show: a fresh
+// fabric's backlog of perfBurstMsgs messages costs the inbox next to nothing
+// in heap, because its chunks come from the pool the last fabric's went to.
+// The fabric itself is some tens of kilobytes per repetition, about a byte per
+// message (under the race detector, which drops a share of what is put in a
+// sync.Pool, about 16); chunks allocated per fabric read 56 bytes per message,
+// and an inbox that grows by append about 300.
+func TestSimBurstCellShape(t *testing.T) {
+	cell, err := measureSimBurst(PerfCell{Transport: "sim", Scenario: "burst", Label: "update", Writers: 1})
+	if err != nil {
+		t.Fatalf("burst: %v", err)
+	}
+	if cell.Key() != "sim/burst/update/b0/w1/r0" || cell.Ops != perfBurstReps*perfBurstMsgs || cell.NsPerOp <= 0 {
+		t.Fatalf("burst cell: %+v", cell)
+	}
+	if cell.BytesPerOp >= 28 {
+		t.Errorf("burst: %.1f heap bytes per message, want under 28", cell.BytesPerOp)
+	}
+}
+
 // TestSyncCellsAllocShape pins the shape the lock and barrier cells exist to
 // show: a synchronisation round allocates nothing of its own on the simulated
 // fabric. Payloads and count vectors come from slabs of 64 and waiter

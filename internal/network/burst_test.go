@@ -69,8 +69,8 @@ func TestInboxFIFOAcrossBursts(t *testing.T) {
 		in := f.inboxes[0]
 		next := make([]int, senders+1)
 		for got := 0; got < senders*rounds*perRound; got++ {
-			if in.next == len(in.drained) {
-				// The burst is used up: the next Recv swaps buffers.
+			if in.exhausted() {
+				// The burst is used up: the next Recv takes the queue.
 				swaps++
 				time.Sleep(20 * time.Microsecond)
 			}
@@ -133,8 +133,8 @@ func TestInboxDrainsAfterClose(t *testing.T) {
 
 // TestConsumedBurstPinsNoPayload: once the receiver has used up a burst and
 // gone back to waiting, nothing in the fabric refers to the payloads it handed
-// out — neither of the inbox's two buffers, nor the pair channel they were
-// pumped through.
+// out — neither the inbox's chunks, cleared as each was used up, nor the pair
+// channel they were pumped through.
 func TestConsumedBurstPinsNoPayload(t *testing.T) {
 	type blob struct{ pad [64]byte }
 	f := newTestFabric(t, 3)

@@ -13,6 +13,13 @@ import (
 // section), and the node's self-sends, which push under nothing. These tests
 // drive an Inbox on its own, in that shape.
 
+// exhausted reports whether the consumer has handed out everything it took,
+// so that its next Pop takes the lock for what was queued since. Only the
+// consumer may call it.
+func (b *Inbox) exhausted() bool {
+	return b.out == nil || b.next == b.out.n && b.out.next == nil
+}
+
 // consumeWithin runs consume — the inbox's one consumer — on its own
 // goroutine and fails the test if it has not returned within d, so a lost
 // wake-up is a failure and not a hang.
@@ -76,6 +83,131 @@ func TestInboxConnectionProducers(t *testing.T) {
 			t.Errorf("extra delivery: %+v", m)
 		}
 	})
+}
+
+// TestInboxFIFOAcrossChunks: bursts of one message short of a chunk, exactly a
+// chunk and one message into the next (and the same around two chunks), each
+// pushed by several producers into an inbox the consumer has run dry. Settled,
+// the consumer waits for the whole burst before it pops: the burst starts a
+// fresh chunk, so it meets the chunk boundary exactly as its length says.
+// Racing, the consumer starts as the producers do and takes the queue while
+// they still push. Either way every message arrives, each producer's in
+// its own order, and the consumer is left with nothing.
+func TestInboxFIFOAcrossChunks(t *testing.T) {
+	const producers = 3
+	l := int(inboxChunkLen)
+	sizes := []int{l - 1, l, l + 1, 2*l - 1, 2 * l, 2*l + 1, l - 1}
+	for _, racing := range []bool{false, true} {
+		in := NewInbox()
+		next := make([]int, producers)
+		pushed := make([]int, producers)
+		for _, size := range sizes {
+			var wg sync.WaitGroup
+			for p := 0; p < producers; p++ {
+				share := size / producers
+				if p < size%producers {
+					share++
+				}
+				wg.Add(1)
+				go func(p, from, n int) {
+					defer wg.Done()
+					for i := from; i < from+n; i++ {
+						in.Push(Message{From: p, Kind: "seq", Payload: i})
+					}
+				}(p, pushed[p], share)
+				pushed[p] += share
+			}
+			if !racing {
+				wg.Wait()
+			}
+			consumeWithin(t, 30*time.Second, func() {
+				for got := 0; got < size; got++ {
+					m, ok := in.Pop()
+					if !ok {
+						t.Errorf("inbox reported closed after %d of %d messages", got, size)
+						return
+					}
+					if seq := m.Payload.(int); seq != next[m.From] {
+						t.Errorf("burst of %d: producer %d: message %d arrived after %d", size, m.From, seq, next[m.From]-1)
+						return
+					}
+					next[m.From]++
+				}
+			})
+			wg.Wait()
+			if t.Failed() {
+				return
+			}
+			if !in.exhausted() {
+				t.Fatalf("burst of %d (racing=%v): the consumer holds messages nobody pushed", size, racing)
+			}
+		}
+		in.Close()
+		if m, ok := in.Pop(); ok {
+			t.Fatalf("extra delivery: %+v", m)
+		}
+	}
+}
+
+// TestInboxPushPopAllocFree: a warm inbox queues and hands out a burst of up
+// to a chunk — one message, as a receiver that keeps up sees them, or a full
+// chunk — without allocating: the consumer gives the used-up chunk back, and
+// the producers fill it again. (Longer bursts borrow chunks from a sync.Pool,
+// which the garbage collector, and the race detector, may empty.)
+func TestInboxPushPopAllocFree(t *testing.T) {
+	payload := new(int)
+	for _, burst := range []int{1, int(inboxChunkLen)} {
+		in := NewInbox()
+		cycle := func() {
+			for i := 0; i < burst; i++ {
+				in.Push(Message{Kind: "k", Payload: payload})
+			}
+			for i := 0; i < burst; i++ {
+				if _, ok := in.Pop(); !ok {
+					t.Fatal("inbox reported closed")
+				}
+			}
+		}
+		for i := 0; i < 3; i++ {
+			cycle()
+		}
+		if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+			t.Errorf("warm inbox, burst of %d: %.2f allocs, want 0", burst, allocs)
+		}
+	}
+}
+
+// TestDrainedBacklogKeepsBoundedChunks: once a backlog of many chunks has
+// been drained, the inbox keeps inboxFreeMax of them for its producers — not
+// the backlog's peak; the rest are the pool's, which the garbage collector may
+// empty.
+func TestDrainedBacklogKeepsBoundedChunks(t *testing.T) {
+	in := NewInbox()
+	backlog := 64 * int(inboxChunkLen)
+	for i := 0; i < backlog; i++ {
+		in.Push(Message{Kind: "k"})
+	}
+	for i := 0; i < backlog; i++ {
+		if _, ok := in.Pop(); !ok {
+			t.Fatal("inbox reported closed")
+		}
+	}
+	in.Push(Message{Kind: "k"}) // the next Pop recycles the last used-up chunk
+	if _, ok := in.Pop(); !ok {
+		t.Fatal("inbox reported closed")
+	}
+	in.mu.Lock()
+	kept := 0
+	for c := in.free; c != nil; c = c.next {
+		if c.n != 0 {
+			t.Errorf("a free chunk still counts %d messages", c.n)
+		}
+		kept++
+	}
+	in.mu.Unlock()
+	if kept != inboxFreeMax {
+		t.Errorf("after a backlog of %d chunks the inbox keeps %d, want %d", backlog/int(inboxChunkLen), kept, inboxFreeMax)
+	}
 }
 
 // TestInboxCloseMidBurst: Close lands while every producer is still pushing.

@@ -21,13 +21,14 @@
 // the modeled latency. This preserves exactly the ordering guarantees of the
 // paper's model while keeping experiments deterministic and laptop-scale.
 //
-// A message crosses two structures (DESIGN.md §7). The pair channel (pair.go)
-// is where a send is ordered and accounted: one hold of the pair's lock per
-// message, which covers the idle-channel bypass into the inbox when the
-// latency model is zero. The inbox (inbox.go) is a burst queue: the node's one
-// receiver takes everything delivered since it last looked in a single lock
-// hold and hands it out from a private buffer. Inbox is exported because the
-// tcp transport delivers into the same structure.
+// A message crosses two structures (DESIGN.md §7) under one lock, the
+// destination inbox's. The pair channel (pair.go) is where a send is ordered
+// and accounted, and its state is guarded by that lock: one hold per message,
+// which covers the idle-channel bypass into the inbox when the latency model
+// is zero. The inbox (inbox.go) is a burst queue of fixed chunks: the node's
+// one receiver takes everything delivered since it last looked in a single
+// lock hold and hands it out with no lock. Inbox is exported because the tcp
+// transport delivers into the same structure.
 package network
 
 import (
@@ -198,10 +199,10 @@ func New(cfg Config) (*Fabric, error) {
 	}
 	for i := 0; i < cfg.Nodes; i++ {
 		for j := 0; j < cfg.Nodes; j++ {
-			q := newPair()
+			q := newPair(f.inboxes[j])
 			f.pairs[i*cfg.Nodes+j] = q
 			f.wg.Add(1)
-			go f.pump(q, f.inboxes[j], &f.delayFactor[i*cfg.Nodes+j])
+			go f.pump(q, &f.delayFactor[i*cfg.Nodes+j])
 		}
 	}
 	return f, nil
@@ -209,34 +210,51 @@ func New(cfg Config) (*Fabric, error) {
 
 // pump moves messages from one pair channel into the destination inbox,
 // sleeping the modeled latency per message. Sequential processing preserves
-// per-pair FIFO order.
-func (f *Fabric) pump(src *pair, dst *Inbox, factor *atomic.Int64) {
+// per-pair FIFO order. It runs holding the inbox's lock, which the waits on
+// the channel and the modeled latency release: with a zero model a message
+// goes from the queue into the inbox within one hold.
+func (f *Fabric) pump(src *pair, factor *atomic.Int64) {
 	defer f.wg.Done()
+	src.in.mu.Lock()
+	defer src.in.mu.Unlock()
 	for {
-		m, ok := src.popInflight()
+		m, ok := src.popLocked()
 		if !ok {
 			return
 		}
 		if !f.latency.zero() {
-			var d time.Duration
-			if f.rng != nil {
-				f.rngMu.Lock()
-				d = f.latency.delay(m.Size, f.rng)
-				f.rngMu.Unlock()
-			} else {
-				d = f.latency.delay(m.Size, nil)
-			}
-			d = time.Duration(int64(d) * factor.Load() / 1000)
-			if d > 0 {
-				select {
-				case <-time.After(d):
-				case <-f.done:
-					return
-				}
+			src.in.mu.Unlock()
+			ok := f.sleep(m.Size, factor)
+			src.in.mu.Lock()
+			if !ok {
+				return
 			}
 		}
-		dst.Push(m)
-		src.delivered()
+		src.in.pushLocked(m)
+	}
+}
+
+// sleep waits out the modeled latency of a message of the given size on a
+// channel with the given delay factor. It reports false if the fabric closed
+// first.
+func (f *Fabric) sleep(size int, factor *atomic.Int64) bool {
+	var d time.Duration
+	if f.rng != nil {
+		f.rngMu.Lock()
+		d = f.latency.delay(size, f.rng)
+		f.rngMu.Unlock()
+	} else {
+		d = f.latency.delay(size, nil)
+	}
+	d = time.Duration(int64(d) * factor.Load() / 1000)
+	if d <= 0 {
+		return true
+	}
+	select {
+	case <-time.After(d):
+		return true
+	case <-f.done:
+		return false
 	}
 }
 
@@ -253,17 +271,16 @@ func (f *Fabric) Send(m Message) error {
 	return nil
 }
 
-// deliver routes m onto the (from, to) channel, which accounts it. With a zero
-// latency model it first tries the idle-channel bypass, which hands the
-// message straight to the destination inbox without waking the pair's pump
-// goroutine; otherwise (or when the channel is busy, held, or modeled with
-// latency) it enqueues for the pump as usual.
+// deliver routes m onto the (from, to) channel, which accounts it, in one hold
+// of the destination inbox's lock. With a zero latency model an idle channel
+// hands the message straight to the inbox without waking the pair's pump
+// goroutine; otherwise (or when the channel is busy or held) it enqueues for
+// the pump.
 func (f *Fabric) deliver(from, to int, m Message) {
 	q := f.pairs[from*f.n+to]
-	if f.latency.zero() && q.tryBypass(m, f.inboxes[to]) {
-		return
-	}
-	q.push(m)
+	q.in.mu.Lock()
+	q.sendLocked(m, f.latency.zero())
+	q.in.mu.Unlock()
 }
 
 // Broadcast sends m to every node except the sender. The per-destination
@@ -368,23 +385,19 @@ func (f *Fabric) SetDelayFactor(from, to int, factor float64) error {
 }
 
 // Stats returns a snapshot of the accounting counters: the sum of what every
-// channel counted.
+// channel counted, read one destination — one lock hold — at a time.
 func (f *Fabric) Stats() Stats {
 	s := Stats{
 		PerNodeSent:  make([]uint64, f.n),
 		PerKind:      make(map[string]uint64),
 		PerKindBytes: make(map[string]uint64),
 	}
-	for i, p := range f.pairs {
-		p.mu.Lock()
-		for _, c := range p.kinds {
-			s.MessagesSent += c.msgs
-			s.BytesSent += c.bytes
-			s.PerNodeSent[i/f.n] += c.msgs
-			s.PerKind[c.kind] += c.msgs
-			s.PerKindBytes[c.kind] += c.bytes
+	for to, in := range f.inboxes {
+		in.mu.Lock()
+		for from := 0; from < f.n; from++ {
+			f.pairs[from*f.n+to].kinds.AddTo(&s, from)
 		}
-		p.mu.Unlock()
+		in.mu.Unlock()
 	}
 	return s
 }

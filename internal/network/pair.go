@@ -7,8 +7,13 @@ import "sync"
 // adversarial schedules from, and the accounting of everything sent on it.
 // Senders never block — the mixed-consistency memory model requires
 // non-blocking writes (Section 3 of the paper), so the buffering is unbounded.
+//
+// A pair has no lock of its own: all of its state is guarded by the
+// destination inbox's lock, the one lock a send takes whichever way the
+// message goes.
 type pair struct {
-	mu   sync.Mutex
+	in *Inbox
+	// cond, on in.mu, wakes the pump.
 	cond *sync.Cond
 	// items[head:] are the queued messages. Pops advance head instead of
 	// shifting, so pop stays O(1) even when a producer floods the channel;
@@ -19,69 +24,42 @@ type pair struct {
 	// held pauses delivery without affecting enqueues; used by the test
 	// fabric to build adversarial delivery schedules.
 	held bool
-	// inflight is true while the pump holds a popped message it has not yet
-	// pushed to the destination inbox. The sender-side bypass (tryBypass)
-	// must not overtake such a message, or per-channel FIFO would break.
-	inflight bool
-	// kinds is the channel's accounting: one counter per message kind sent on
-	// it, bumped under mu — the lock every send already takes — and summed
-	// across channels by Fabric.Stats. A channel carries a handful of kinds in
-	// long runs of one, so the table is a slice scanned from the last hit.
-	kinds []kindCount
-	hit   int
+	// kinds is the channel's accounting, summed across channels by
+	// Fabric.Stats.
+	kinds KindCounts
 }
 
-// kindCount accumulates one kind's message and byte totals on one channel.
-type kindCount struct {
-	kind        string
-	msgs, bytes uint64
+func newPair(in *Inbox) *pair {
+	return &pair{in: in, cond: sync.NewCond(&in.mu)}
 }
 
-func newPair() *pair {
-	p := &pair{}
-	p.cond = sync.NewCond(&p.mu)
-	return p
-}
-
-// countLocked accounts one message. Senders pass their kind constants, so the
-// common comparison is between two headers of the same string data and ends
-// at the pointer check.
-func (p *pair) countLocked(kind string, size int) {
-	if p.hit == len(p.kinds) || p.kinds[p.hit].kind != kind {
-		p.hit = 0
-		for p.hit < len(p.kinds) && p.kinds[p.hit].kind != kind {
-			p.hit++
-		}
-		if p.hit == len(p.kinds) {
-			p.kinds = append(p.kinds, kindCount{kind: kind})
-		}
+// sendLocked accounts m and delivers it: straight into the inbox when bypass
+// is allowed (the latency model is zero) and the channel is idle — nothing
+// queued, delivery not held — and onto the queue for the pump otherwise. A
+// closed channel accounts the message but drops it; the fabric is shutting
+// down and nobody will receive it. The caller holds p.in.mu.
+//
+// The bypass exists because a pump handoff costs a goroutine wakeup per
+// message, which dominates the zero-latency fabrics the perf harness
+// measures. It keeps per-channel FIFO because, with a zero model, the pump
+// moves a message from the queue into the inbox within one hold of the lock:
+// a message is never on its way while the queue is empty.
+func (p *pair) sendLocked(m Message, bypass bool) {
+	p.kinds.Count(m.Kind, m.Size)
+	switch {
+	case p.closed:
+	case bypass && !p.held && len(p.items) == p.head:
+		p.in.pushLocked(m)
+	default:
+		p.items = append(p.items, m)
+		p.cond.Signal()
 	}
-	c := &p.kinds[p.hit]
-	c.msgs++
-	c.bytes += uint64(size)
 }
 
-// push accounts and appends m. A closed channel still accounts the message
-// but drops it; the fabric is shutting down and nobody will receive it.
-func (p *pair) push(m Message) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.countLocked(m.Kind, m.Size)
-	if p.closed {
-		return
-	}
-	p.items = append(p.items, m)
-	p.cond.Signal()
-}
-
-// popInflight is the pump's receive: it removes and returns the oldest
-// message, blocking while the channel is empty or held, and marks the message
-// as in flight, disabling the sender-side bypass until the pump acknowledges
-// inbox delivery via delivered. The second result is false once the channel
-// is closed and drained.
-func (p *pair) popInflight() (Message, bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
+// popLocked is the pump's receive: it removes and returns the oldest message,
+// waiting while the channel is empty or held. The second result is false once
+// the channel is closed and drained. The caller holds p.in.mu.
+func (p *pair) popLocked() (Message, bool) {
 	for (len(p.items) == p.head || p.held) && !p.closed {
 		p.cond.Wait()
 	}
@@ -99,50 +77,20 @@ func (p *pair) popInflight() (Message, bool) {
 		p.items = p.items[:n]
 		p.head = 0
 	}
-	p.inflight = true
 	return m, true
-}
-
-// delivered clears the in-flight mark set by popInflight.
-func (p *pair) delivered() {
-	p.mu.Lock()
-	p.inflight = false
-	p.mu.Unlock()
-}
-
-// tryBypass accounts m and delivers it straight into in when the channel is
-// completely idle: nothing queued, nothing in the pump's hands, delivery not
-// held. The caller has already established that the latency model is zero.
-// Holding p.mu across the inbox push serializes bypassing senders with each
-// other and with the pump, so per-channel FIFO order is exactly the order in
-// which senders won p.mu — the same guarantee the queue itself provides. The
-// bypass exists because a pump handoff costs a goroutine wakeup per message,
-// which dominates the zero-latency fabrics the perf harness measures. When it
-// reports false — the channel is busy, held or closed — the message is neither
-// accounted nor delivered: the caller pushes it.
-func (p *pair) tryBypass(m Message, in *Inbox) bool {
-	p.mu.Lock()
-	if p.closed || p.held || p.inflight || len(p.items) != p.head {
-		p.mu.Unlock()
-		return false
-	}
-	p.countLocked(m.Kind, m.Size)
-	in.Push(m)
-	p.mu.Unlock()
-	return true
 }
 
 // hold pauses delivery: the pump blocks even when messages are queued.
 func (p *pair) hold() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
+	p.in.mu.Lock()
+	defer p.in.mu.Unlock()
 	p.held = true
 }
 
 // release resumes delivery.
 func (p *pair) release() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
+	p.in.mu.Lock()
+	defer p.in.mu.Unlock()
 	p.held = false
 	p.cond.Broadcast()
 }
@@ -150,15 +98,61 @@ func (p *pair) release() {
 // close wakes the pump. Messages already pushed remain poppable unless the
 // channel is held.
 func (p *pair) close() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
+	p.in.mu.Lock()
+	defer p.in.mu.Unlock()
 	p.closed = true
 	p.cond.Broadcast()
 }
 
 // len reports the number of queued messages.
 func (p *pair) len() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
+	p.in.mu.Lock()
+	defer p.in.mu.Unlock()
 	return len(p.items) - p.head
+}
+
+// KindCounts is one channel's accounting: a message and a byte total per kind
+// sent on it. Both substrates keep one per channel, bumped under the lock the
+// channel's sends already take, and sum them into Stats. A channel carries a
+// handful of kinds in long runs of one, so the table is a slice scanned from
+// the last hit; senders pass their kind constants, so the common comparison is
+// between two headers of the same string data and ends at the pointer check.
+// The zero value is an empty table.
+type KindCounts struct {
+	kinds []kindCount
+	hit   int
+}
+
+// kindCount accumulates one kind's message and byte totals on one channel.
+type kindCount struct {
+	kind        string
+	msgs, bytes uint64
+}
+
+// Count accounts one message of the given kind and modeled size.
+func (k *KindCounts) Count(kind string, size int) {
+	if k.hit == len(k.kinds) || k.kinds[k.hit].kind != kind {
+		k.hit = 0
+		for k.hit < len(k.kinds) && k.kinds[k.hit].kind != kind {
+			k.hit++
+		}
+		if k.hit == len(k.kinds) {
+			k.kinds = append(k.kinds, kindCount{kind: kind})
+		}
+	}
+	c := &k.kinds[k.hit]
+	c.msgs++
+	c.bytes += uint64(size)
+}
+
+// AddTo adds the table to s as messages sent by node from. s's maps and
+// PerNodeSent must be allocated.
+func (k *KindCounts) AddTo(s *Stats, from int) {
+	for _, c := range k.kinds {
+		s.MessagesSent += c.msgs
+		s.BytesSent += c.bytes
+		s.PerNodeSent[from] += c.msgs
+		s.PerKind[c.kind] += c.msgs
+		s.PerKindBytes[c.kind] += c.bytes
+	}
 }

@@ -37,25 +37,36 @@ func TestAppendMsgFrameAllocFree(t *testing.T) {
 func newTestPeer() *peer { return newPeer(1, "") }
 
 // TestPushAckCycleAllocFree pins the cycle the sender runs per message —
-// push a frame, write it, have it acked — at nothing but the log's chunks: one
-// per chunkSize bytes of frames pushed, acked or not, and nothing per message.
+// push a frame, have the writer take it (recycling what acks retired since its
+// last round), have it acked — at nothing at all once warm: not per message,
+// and not per chunk across five chunks of frames, since every chunk the log
+// needs is one an ack retired and the writer freed.
 func TestPushAckCycleAllocFree(t *testing.T) {
 	m := transport.Message{From: 0, To: 1, Kind: "dsm.update", Size: 32}
 	payload := make([]byte, 32)
 	perChunk := chunkSize / msgFrameSize(m.Kind, payload)
 	p := newTestPeer()
-	p.push(m, payload) // allocates the first chunk
-	p.advanceAck(1)
-	const cycles = 2000
-	allocs := cycles * testing.AllocsPerRun(cycles, func() {
+	cycle := func() {
 		p.push(m, payload)
+		p.mu.Lock()
+		p.recycle()
 		p.wbatch = p.takeUnwritten(p.wbatch[:0])
+		p.mu.Unlock()
 		p.advanceAck(p.last)
+	}
+	for i := 0; i < 2*perChunk; i++ {
+		cycle()
+	}
+	cycles := 5 * perChunk
+	// One run of all the cycles, so the count is exact, not a per-run average
+	// rounded down.
+	allocs := testing.AllocsPerRun(1, func() {
+		for i := 0; i < cycles; i++ {
+			cycle()
+		}
 	})
-	// A chunk is its struct, its bytes, and now and then a new backing array
-	// for the log slice, whose front advanceAck walks off.
-	if limit := float64(3 * (cycles/perChunk + 1)); allocs > limit {
-		t.Errorf("%d push/write/ack cycles (%d frames to a chunk): %.0f allocs, want <= %.0f", cycles, perChunk, allocs, limit)
+	if allocs != 0 {
+		t.Errorf("%d push/write/ack cycles (%d frames to a chunk): %.0f allocs, want 0", cycles, perChunk, allocs)
 	}
 	if len(p.log) != 1 || p.unacked != 0 || p.aoff != len(p.log[0].b) {
 		t.Errorf("log after %d drained cycles: %d chunks, %d bytes unacked, ack cursor at %d of %d",
@@ -63,9 +74,10 @@ func TestPushAckCycleAllocFree(t *testing.T) {
 	}
 }
 
-// TestStreamingAllocatesOneChunkPerChunkSize is the same pin with acks
-// lagging (nothing ever drains): a stream allocates one chunk per chunkSize
-// bytes of frames and nothing else.
+// TestStreamingAllocatesOneChunkPerChunkSize is the bound when acks lag
+// (nothing ever drains) and the writer never gets between two writes to free
+// what they retire: a stream then allocates one chunk per chunkSize bytes of
+// frames and nothing else.
 func TestStreamingAllocatesOneChunkPerChunkSize(t *testing.T) {
 	m := transport.Message{From: 0, To: 1, Kind: "dsm.update", Size: 32}
 	payload := make([]byte, 32)
@@ -80,9 +92,8 @@ func TestStreamingAllocatesOneChunkPerChunkSize(t *testing.T) {
 		p.wbatch = p.takeUnwritten(p.wbatch[:0])
 		p.advanceAck(p.last - 1)
 	})
-	// A chunk is its struct, its bytes, and a slot in the log, whose backing
-	// array trim walks off the front of.
-	if allocs > 3 {
+	// A chunk is its struct and its bytes; the log reuses its backing array.
+	if allocs > 2 {
 		t.Errorf("%d frames (one chunk's worth): %.2f allocs, want <= 3", perChunk, allocs)
 	}
 	if len(p.log) > 2 {

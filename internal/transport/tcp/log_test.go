@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -189,6 +190,77 @@ func TestFullyAckedTailGetsSuccessor(t *testing.T) {
 	p.advanceAck(3)
 	if len(p.log) != 1 || p.log[0].first != 3 || p.unacked != 0 || p.aoff != 100 {
 		t.Fatalf("after the ack: %d chunks, first=%d, unacked=%d, aoff=%d", len(p.log), p.log[0].first, p.unacked, p.aoff)
+	}
+}
+
+// TestReplayChunkReusedOnlyAfterWrite: an ack may cover a chunk the writer is
+// still handing to the kernel — the receiver got those frames on an earlier
+// connection — and the chunk must not be filled again until that write has
+// returned. The writer streams into a synchronous pipe, so it is blocked
+// mid-write on the first chunk while the test reads half of it, acks all of
+// it, and pushes two chunks' worth of frames, enough to overwrite a reused
+// chunk end to end. Every frame must then arrive intact; and once the write
+// has returned, the writer has handed the retired chunk on for reuse.
+func TestReplayChunkReusedOnlyAfterWrite(t *testing.T) {
+	const frame = 1024
+	perChunk := chunkSize / frame
+	p := newTestPeer()
+	push := func(n int) {
+		for i := 0; i < n; i++ {
+			// Every byte of a frame's payload is its sequence number's low byte.
+			m, payload := blob(frame, byte(p.last+1))
+			p.push(m, payload)
+		}
+	}
+	near, far := net.Pipe()
+	p.conn = near
+	// A full chunk and one frame of the next, all taken by the writer's
+	// first round.
+	push(perChunk + 1)
+	first := p.log[0]
+	tr := &Transport{cfg: Config{WriteTimeout: 30 * time.Second}}
+	wrote := make(chan error, 1)
+	go func() { wrote <- tr.writeFrames(p, near) }()
+	t.Cleanup(func() {
+		p.mu.Lock()
+		p.closed = true
+		p.cond.Signal()
+		p.mu.Unlock()
+		far.Close()
+		<-wrote
+	})
+
+	far.SetDeadline(time.Now().Add(30 * time.Second))
+	c := &rawConn{t: t, conn: far, br: bufio.NewReader(far)}
+	read := func(from, to int) {
+		t.Helper()
+		for want := from; want <= to; want++ {
+			m, seq := c.next()
+			got := m.Payload.([]byte)
+			if seq != uint64(want) || !bytes.Equal(got, bytes.Repeat([]byte{byte(want)}, len(got))) {
+				t.Fatalf("frame %d arrived as seq %d with payload % x...", want, seq, got[:8])
+			}
+		}
+	}
+
+	read(1, perChunk/2) // the writer is now blocked inside the first chunk
+	p.advanceAck(uint64(perChunk))
+	push(2*perChunk - 1) // fills the tail and one more chunk
+	p.mu.Lock()
+	refilled := slices.Contains(p.log, first)
+	p.mu.Unlock()
+	if refilled {
+		t.Error("the log refills a chunk the writer has not finished writing")
+	}
+	read(perChunk/2+1, 3*perChunk)
+
+	// The second write has returned, so the writer went around between the
+	// two and handed the chunk on.
+	p.mu.Lock()
+	retired := len(p.retired)
+	p.mu.Unlock()
+	if retired != 0 {
+		t.Errorf("%d retired chunks still held back after the write that held them returned", retired)
 	}
 }
 

@@ -6,12 +6,21 @@ import (
 	"net"
 	"sync"
 
+	"mixedmem/internal/network"
 	"mixedmem/internal/transport"
 )
 
 // chunkSize is the capacity of one chunk of a peer's replay log. A frame
-// larger than this gets a chunk of exactly its own size.
+// larger than this gets a one-off chunk of exactly its own size.
 const chunkSize = 64 << 10
+
+// maxFreeChunks bounds the full-size chunks a peer keeps for its own log
+// (256 KiB); more go to chunkPool.
+const maxFreeChunks = 4
+
+// chunkPool holds full-size chunks beyond what the peers keep, for any
+// channel — a fresh one too — until the garbage collector empties it.
+var chunkPool sync.Pool
 
 // chunk is one segment of a peer's replay log: n whole msg frames back to
 // back in b, carrying the sequences first .. first+n-1. b is allocated at
@@ -36,14 +45,19 @@ type peer struct {
 	// kind of waiter can swallow a Signal meant for the other.
 	cond  *sync.Cond
 	acked *sync.Cond
+	// kinds is the channel's accounting, bumped in push's hold and summed by
+	// Transport.Stats.
+	kinds network.KindCounts
 	// log is the replay buffer: every frame the receiver has not acked, in
 	// sequence order, packed into chunks (oldest first). The last chunk is
 	// the tail push appends to; it stays in the log even when fully acked.
-	// Chunks are not pooled: advanceAck just drops its reference to a fully
-	// acked chunk and the garbage collector reclaims it once the writer's
-	// slices of it are gone too, so an ack racing an in-flight write needs no
-	// protocol.
 	log []*chunk
+	// retired holds the full-size chunks acks have taken off the front of
+	// the log, and free the ones push may fill again. Only the writer
+	// goroutine moves a chunk on from retired (recycle), between two writes:
+	// an ack may cover a chunk the writer is still handing to the kernel, and
+	// the bytes must not change under it.
+	retired, free []*chunk
 	// base is the receiver's cumulative ack, sent the highest sequence handed
 	// to the kernel on the current connection, last the highest sequence
 	// assigned: base <= sent <= last.
@@ -75,12 +89,14 @@ func newPeer(to int, addr string) *peer {
 	return p
 }
 
-// push appends m as a msg frame carrying the channel's next sequence number
-// to the tail of the replay log.
+// push accounts m and appends it as a msg frame carrying the channel's next
+// sequence number to the tail of the replay log. A closed channel accounts
+// the message but drops it.
 func (p *peer) push(m transport.Message, payload []byte) {
 	size := msgFrameSize(m.Kind, payload)
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	p.kinds.Count(m.Kind, m.Size)
 	if p.closed {
 		return
 	}
@@ -89,7 +105,7 @@ func (p *peer) push(m transport.Message, payload []byte) {
 		tail = p.log[n-1]
 	}
 	if tail == nil || len(tail.b)+size > cap(tail.b) {
-		tail = &chunk{b: make([]byte, 0, max(chunkSize, size)), first: p.last + 1}
+		tail = p.newChunk(size)
 		p.log = append(p.log, tail)
 	}
 	p.last++
@@ -97,6 +113,43 @@ func (p *peer) push(m transport.Message, payload []byte) {
 	tail.n++
 	p.unacked += size
 	p.cond.Signal()
+}
+
+// newChunk returns an empty chunk for frames from p.last+1 on, with room for
+// at least size bytes: a free or pooled one if it fits, a new one otherwise.
+// Caller holds p.mu.
+func (p *peer) newChunk(size int) *chunk {
+	if size <= chunkSize {
+		var c *chunk
+		if n := len(p.free); n > 0 {
+			c = p.free[n-1]
+			p.free[n-1] = nil
+			p.free = p.free[:n-1]
+		} else {
+			c, _ = chunkPool.Get().(*chunk)
+		}
+		if c != nil {
+			c.b, c.first, c.n = c.b[:0], p.last+1, 0
+			return c
+		}
+	}
+	return &chunk{b: make([]byte, 0, max(chunkSize, size)), first: p.last + 1}
+}
+
+// recycle moves the retired chunks to the free list, and those it has no
+// room for to the pool. Only the writer goroutine calls it, holding p.mu,
+// between two writes — the one point where it holds no slice of any chunk —
+// so an ack that races an in-flight write needs no flag.
+func (p *peer) recycle() {
+	for _, c := range p.retired {
+		if len(p.free) < maxFreeChunks {
+			p.free = append(p.free, c)
+		} else {
+			chunkPool.Put(c)
+		}
+	}
+	clear(p.retired)
+	p.retired = p.retired[:0]
 }
 
 // seek moves the writer's position to the first unacked frame: back after a
@@ -136,7 +189,7 @@ func (p *peer) writeBatch(w io.Writer) error {
 	return err
 }
 
-// advanceAck moves base to the cumulative ack and lets go of the chunks it
+// advanceAck moves base to the cumulative ack and retires the chunks it
 // covers. A chunk the ack covers to its end is passed in one step and the one
 // the ack lands in is walked by its frames' length prefixes, so an ack costs
 // at most one chunk's worth of frames however much it covers.
@@ -149,20 +202,21 @@ func (p *peer) advanceAck(cum uint64) {
 	if cum <= p.base {
 		return
 	}
+	done := 0 // chunks the ack covers to their end, the tail excepted
 	for p.base < cum {
-		c := p.log[0]
+		c := p.log[done]
 		if end := c.first + uint64(c.n) - 1; end <= cum {
 			p.unacked -= len(c.b) - p.aoff
 			p.aoff = len(c.b)
 			p.base = max(p.base, end)
-			if len(p.log) > 1 {
-				// Not the tail: drop it. Its end is the next chunk's start.
-				p.log[0] = nil
-				p.log = p.log[1:]
-				p.aoff = 0
-				if p.wi--; p.wi < 0 {
-					p.wi, p.woff = 0, 0
+			if done < len(p.log)-1 {
+				// Not the tail: retire it. Its end is the next chunk's start.
+				// A one-off chunk is left to the garbage collector.
+				if cap(c.b) == chunkSize {
+					p.retired = append(p.retired, c)
 				}
+				done++
+				p.aoff = 0
 			}
 			continue
 		}
@@ -170,6 +224,14 @@ func (p *peer) advanceAck(cum uint64) {
 		p.aoff += n
 		p.unacked -= n
 		p.base++
+	}
+	if done > 0 {
+		n := copy(p.log, p.log[done:])
+		clear(p.log[n:])
+		p.log = p.log[:n]
+		if p.wi -= done; p.wi < 0 {
+			p.wi, p.woff = 0, 0
+		}
 	}
 	if p.sent < p.base {
 		// The receiver holds frames this connection has not carried (it got

@@ -7,6 +7,167 @@ import (
 	"mixedmem/internal/transport"
 )
 
+// ledger is one node's own account of what it sent, by kind: the reference
+// its Stats is checked against.
+type ledger struct {
+	msgs, bytes map[string]uint64
+}
+
+func newLedger() *ledger {
+	return &ledger{msgs: map[string]uint64{}, bytes: map[string]uint64{}}
+}
+
+// send and broadcast record a message only if the transport accepted it.
+func (l *ledger) send(tr *Transport, m transport.Message) {
+	if tr.Send(m) == nil {
+		l.msgs[m.Kind]++
+		l.bytes[m.Kind] += uint64(m.Size)
+	}
+}
+
+func (l *ledger) broadcast(tr *Transport, from int, kind string, payload any, size int) {
+	if tr.Broadcast(from, kind, payload, size) == nil {
+		copies := uint64(tr.Nodes() - 1)
+		l.msgs[kind] += copies
+		l.bytes[kind] += copies * uint64(size)
+	}
+}
+
+// check compares node id's Stats snapshot against the ledger, field by field.
+func (l *ledger) check(t *testing.T, what string, id int, s transport.Stats) {
+	t.Helper()
+	var msgs, bytes uint64
+	for k, v := range l.msgs {
+		msgs += v
+		bytes += l.bytes[k]
+		if s.PerKind[k] != v || s.PerKindBytes[k] != l.bytes[k] {
+			t.Errorf("%s, node %d: kind %q: stats %d msgs / %d bytes, ledger %d / %d",
+				what, id, k, s.PerKind[k], s.PerKindBytes[k], v, l.bytes[k])
+		}
+	}
+	if len(s.PerKind) != len(l.msgs) || len(s.PerKindBytes) != len(l.msgs) {
+		t.Errorf("%s, node %d: stats name %d kinds (%d with bytes), ledger %d: %v",
+			what, id, len(s.PerKind), len(s.PerKindBytes), len(l.msgs), s.PerKind)
+	}
+	if s.MessagesSent != msgs || s.BytesSent != bytes {
+		t.Errorf("%s, node %d: totals %d msgs / %d bytes, ledger %d / %d", what, id, s.MessagesSent, s.BytesSent, msgs, bytes)
+	}
+	for i, v := range s.PerNodeSent {
+		want := uint64(0) // a node sends only as itself
+		if i == id {
+			want = msgs
+		}
+		if v != want {
+			t.Errorf("%s, node %d: PerNodeSent[%d] = %d, want %d", what, id, i, v, want)
+		}
+	}
+}
+
+// TestStatsMatchesSenderLedger is the differential test for accounting that
+// lives in the channels: every node's sender keeps its own per-kind ledger,
+// and the node's Stats must equal it whichever way a message went — to a peer,
+// to itself, in a broadcast, or accepted after Close and dropped — while
+// rejected sends (a node ID out of range or not the sender's, a payload no
+// codec encodes) count nowhere. Snapshots taken concurrently with the traffic
+// must be internally consistent and never run backwards.
+func TestStatsMatchesSenderLedger(t *testing.T) {
+	const n, rounds = 3, 600
+	trs := newLoopbackT(t, n)
+	var recvWG sync.WaitGroup
+	for id, tr := range trs {
+		recvWG.Add(1)
+		go func(id int, tr *Transport) {
+			defer recvWG.Done()
+			for {
+				if _, ok := tr.Recv(id); !ok {
+					return
+				}
+			}
+		}(id, tr)
+	}
+
+	stop := make(chan struct{})
+	snapDone := make(chan struct{})
+	go func() {
+		defer close(snapDone)
+		last := make([]uint64, n)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			for id, tr := range trs {
+				s := tr.Stats()
+				var byKind, byNode uint64
+				for _, v := range s.PerKind {
+					byKind += v
+				}
+				for _, v := range s.PerNodeSent {
+					byNode += v
+				}
+				if byKind != s.MessagesSent || byNode != s.MessagesSent || s.PerNodeSent[id] != s.MessagesSent || s.MessagesSent < last[id] {
+					t.Errorf("node %d: inconsistent snapshot: %d msgs, %d by kind, %d by node (%d its own), previous %d",
+						id, s.MessagesSent, byKind, byNode, s.PerNodeSent[id], last[id])
+					return
+				}
+				last[id] = s.MessagesSent
+			}
+		}
+	}()
+
+	kinds := []string{"tcptest", "lock-req", "bar-arrive"}
+	ledgers := make([]*ledger, n)
+	for id := range ledgers {
+		ledgers[id] = newLedger()
+	}
+	traffic := func() {
+		var wg sync.WaitGroup
+		for id, tr := range trs {
+			wg.Add(1)
+			go func(id int, tr *Transport, l *ledger) {
+				defer wg.Done()
+				for i := 0; i < rounds; i++ {
+					kind := kinds[i%3]
+					var payload any
+					if kind == "tcptest" {
+						payload = uint64(i)
+					}
+					// Every destination in turn, this node included.
+					l.send(tr, transport.Message{From: id, To: i % n, Kind: kind, Payload: payload, Size: i % 200})
+					if i%4 == 0 {
+						l.broadcast(tr, id, kinds[1+(i/4)%2], nil, 16)
+					}
+				}
+				// Rejected sends: never counted.
+				l.send(tr, transport.Message{From: id, To: n, Kind: "bad-to", Size: 8})
+				l.send(tr, transport.Message{From: (id + 1) % n, To: id, Kind: "bad-from", Size: 8})
+				l.send(tr, transport.Message{From: id, To: (id + 1) % n, Kind: "no-codec", Payload: "boom", Size: 8})
+				l.broadcast(tr, (id+1)%n, "bad-bcast", nil, 8)
+				l.broadcast(tr, id, "no-codec", "boom", 8)
+			}(id, tr, ledgers[id])
+		}
+		wg.Wait()
+	}
+	checkAll := func(what string) {
+		t.Helper()
+		for id, tr := range trs {
+			ledgers[id].check(t, what, id, tr.Stats())
+		}
+	}
+
+	traffic()
+	checkAll("open")
+	for _, tr := range trs {
+		tr.Close()
+	}
+	recvWG.Wait()
+	traffic()
+	close(stop)
+	<-snapDone
+	checkAll("after Close")
+}
+
 // TestStatsSnapshotConcurrentWithTraffic is the wire transport's half of
 // the Stats copy-on-read race proof (run with -race): Stats and Diag
 // snapshots taken while senders stream frames are freely mutable and never

@@ -50,12 +50,19 @@
 // The sender's replay log is a list of fixed-capacity chunks (64 KiB, or one
 // frame's size if larger) into which Send encodes frames back to back; the
 // writer goroutine hands the unwritten byte range — normally one slice — to
-// the kernel in one write, and an ack drops the log's references to the
-// chunks it fully covers. Chunks are not pooled: a chunk the writer is still
-// handing to the kernel stays alive through the writer's own reference and
-// the garbage collector reclaims it afterwards, so an ack racing an in-flight
-// write needs no protocol at all. A channel therefore allocates one chunk per
-// 64 KiB of frames it carries, acknowledged or not.
+// the kernel in one write, and an ack retires the chunks it fully covers.
+// Retired chunks are filled again, but only after the writer has moved them
+// to the channel's free list (or, past maxFreeChunks, to a pool), which it
+// does between two writes: an ack may cover a chunk the writer is still
+// handing to the kernel (the receiver got those frames on an earlier
+// connection), and that chunk's bytes must not change until the write
+// returns. That one rule is the whole protocol between acks and the writer. A
+// one-off chunk is never reused; a streaming channel allocates no chunk once
+// warm.
+//
+// Accounting lives in the channel, as on the simulated fabric: each peer keeps
+// a per-kind table (network.KindCounts) bumped inside the hold push takes
+// anyway, self-sends one of their own under a small lock, and Stats sums them.
 //
 // The receiving side of a connection is one goroutine that owns everything it
 // needs to turn bytes into messages: the frame buffer, the acknowledgement
@@ -216,10 +223,10 @@ type Transport struct {
 	rmu     sync.Mutex
 	lastSeq []uint64
 
-	msgsSent  atomic.Uint64
-	bytesSent atomic.Uint64
-	nodeSent  []atomic.Uint64
-	kinds     sync.Map // string -> *kindCounter
+	// self accounts the self-sends, under selfMu; every remote channel
+	// accounts its own sends (peer.kinds).
+	selfMu sync.Mutex
+	self   network.KindCounts
 
 	dials        atomic.Uint64
 	dialFailures atomic.Uint64
@@ -266,16 +273,15 @@ func New(cfg Config) (*Transport, error) {
 		}
 	}
 	t := &Transport{
-		id:       cfg.ID,
-		n:        n,
-		cfg:      cfg,
-		ln:       ln,
-		inbox:    network.NewInbox(),
-		peers:    make([]*peer, n),
-		lastSeq:  make([]uint64, n),
-		nodeSent: make([]atomic.Uint64, n),
-		conns:    make(map[net.Conn]struct{}),
-		done:     make(chan struct{}),
+		id:      cfg.ID,
+		n:       n,
+		cfg:     cfg,
+		ln:      ln,
+		inbox:   network.NewInbox(),
+		peers:   make([]*peer, n),
+		lastSeq: make([]uint64, n),
+		conns:   make(map[net.Conn]struct{}),
+		done:    make(chan struct{}),
 	}
 	for j := 0; j < n; j++ {
 		if j == cfg.ID {
@@ -309,7 +315,9 @@ func (t *Transport) Send(m transport.Message) error {
 		return fmt.Errorf("tcp: send %d->%d: %w", m.From, m.To, ErrInvalidNode)
 	}
 	if m.To == t.id {
-		t.account(m)
+		t.selfMu.Lock()
+		t.self.Count(m.Kind, m.Size)
+		t.selfMu.Unlock()
 		t.inbox.Push(m)
 		return nil
 	}
@@ -318,7 +326,6 @@ func (t *Transport) Send(m transport.Message) error {
 		transport.PutBuf(payload)
 		return fmt.Errorf("tcp: send %d->%d kind %q: %w", m.From, m.To, m.Kind, err)
 	}
-	t.account(m)
 	t.peers[m.To].push(m, payload)
 	transport.PutBuf(payload) // push copied it into the replay log
 	// The payload object's pooled internals (for example a batch's entry
@@ -341,9 +348,7 @@ func (t *Transport) Broadcast(from int, kind string, payload any, size int) erro
 		if to == from {
 			continue
 		}
-		m := transport.Message{From: from, To: to, Kind: kind, Payload: payload, Size: size}
-		t.account(m)
-		t.peers[to].push(m, enc)
+		t.peers[to].push(transport.Message{From: from, To: to, Kind: kind, Payload: payload, Size: size}, enc)
 	}
 	transport.PutBuf(enc)
 	transport.RecyclePayload(kind, payload)
@@ -373,47 +378,26 @@ func (t *Transport) Pending(from, to int) int {
 	return int(p.last - p.sent)
 }
 
-// kindCounter accumulates per-kind message and byte totals, mirroring the
-// simulated fabric's accounting so experiments read the same shape from
-// either backend.
-type kindCounter struct {
-	msgs  atomic.Uint64
-	bytes atomic.Uint64
-}
-
-func (t *Transport) account(m transport.Message) {
-	t.msgsSent.Add(1)
-	t.bytesSent.Add(uint64(m.Size))
-	t.nodeSent[m.From].Add(1)
-	c, ok := t.kinds.Load(m.Kind)
-	if !ok {
-		c, _ = t.kinds.LoadOrStore(m.Kind, new(kindCounter))
-	}
-	kc := c.(*kindCounter)
-	kc.msgs.Add(1)
-	kc.bytes.Add(uint64(m.Size))
-}
-
-// Stats returns a snapshot of the accounting counters. On a distributed
-// transport only the local node's sends are visible; per-experiment totals
-// are the sum over all processes' snapshots.
+// Stats returns a snapshot of the accounting counters: the sum of every
+// channel's table, the self-sends' included, the same shape the simulated
+// fabric reports. On a distributed transport only the local node's sends are
+// visible; per-experiment totals are the sum over all processes' snapshots.
 func (t *Transport) Stats() transport.Stats {
 	s := transport.Stats{
-		MessagesSent: t.msgsSent.Load(),
-		BytesSent:    t.bytesSent.Load(),
 		PerNodeSent:  make([]uint64, t.n),
 		PerKind:      make(map[string]uint64),
 		PerKindBytes: make(map[string]uint64),
 	}
-	for i := range s.PerNodeSent {
-		s.PerNodeSent[i] = t.nodeSent[i].Load()
+	t.selfMu.Lock()
+	t.self.AddTo(&s, t.id)
+	t.selfMu.Unlock()
+	for _, p := range t.peers {
+		if p != nil {
+			p.mu.Lock()
+			p.kinds.AddTo(&s, t.id)
+			p.mu.Unlock()
+		}
 	}
-	t.kinds.Range(func(k, v any) bool {
-		kc := v.(*kindCounter)
-		s.PerKind[k.(string)] = kc.msgs.Load()
-		s.PerKindBytes[k.(string)] = kc.bytes.Load()
-		return true
-	})
 	return s
 }
 
@@ -622,6 +606,9 @@ func (t *Transport) writeFrames(p *peer, conn net.Conn) error {
 		if p.closed || p.conn != conn {
 			return errConnGone
 		}
+		// The last write has returned and the next has not taken its slices:
+		// chunks acked since may be filled again.
+		p.recycle()
 		p.wbatch = p.wbatch[:0]
 		if p.sent < p.last {
 			p.wbatch = p.takeUnwritten(p.wbatch)
