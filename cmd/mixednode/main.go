@@ -18,6 +18,7 @@
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -25,6 +26,7 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"os"
+	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -208,159 +210,151 @@ func run(args []string, out io.Writer) error {
 	return nil
 }
 
-// metricKinds is the closed set of protocol frame kinds the node publishes
-// when -metrics is set. New kinds still count in the per-node total row even
-// before they are added here.
-var metricKinds = []string{
-	dsm.KindUpdate,
-	dsm.KindUpdateBatch,
-	syncmgr.KindLockReq,
-	syncmgr.KindLockGrant,
-	syncmgr.KindLockRel,
-	syncmgr.KindFlush,
-	syncmgr.KindFlushAck,
-	syncmgr.KindBarArrive,
-	syncmgr.KindBarRelease,
+// nodeMetrics is one node's part of the -metrics exchange: its transport
+// and memory counters, as their subsystems declare them, and its latency
+// histograms in hist's binary form.
+type nodeMetrics struct {
+	Net   transport.Stats
+	Mem   dsm.Stats
+	Hists map[string][]byte
 }
 
-// metricHistNames is the fixed, ordered set of latency histograms a node may
-// publish in the -metrics exchange; nodes that ran an app without latency
-// measurements publish them empty.
-var metricHistNames = []string{"read", "write", "vis"}
+// fleetMetrics is every node's nodeMetrics merged: message and byte totals
+// per kind, the malformed-update count, and per name the histogram of every
+// node's samples pooled.
+type fleetMetrics struct {
+	Msgs, Bytes uint64
+	PerKind     map[string]uint64
+	KindBytes   map[string]uint64
+	Malformed   uint64
+	Hists       map[string]*hist.Histogram
+}
 
-// printFleetMetrics merges per-node transport stats, memory-protocol
-// counters, and latency histograms through the memory itself: each node
-// writes its snapshot (taken before this exchange, so the exchange's own
-// traffic is excluded) under metrics/<id>/..., a barrier guarantees every
-// pre-arrival update is applied everywhere before release, and then each
-// node reads all nodes' rows and prints the fleet-wide sums. Histograms ride
-// along as packed bucket cells, so the merged percentiles printed here are
-// exactly the percentiles of the pooled per-node samples. Every node must
-// run with -metrics or the extra barrier deadlocks the fleet.
+// exchangeMetrics publishes this node's counters and histograms through the
+// memory itself and merges every node's. The snapshots are taken before the
+// call, so the exchange's own traffic is excluded. A nil histogram publishes
+// an empty one. Because bucket counts are exact, each merged histogram's
+// percentiles are exactly the percentiles of the pooled per-node samples.
+func exchangeMetrics(p core.Process, s transport.Stats, mem dsm.Stats, hists map[string]*hist.Histogram) (fleetMetrics, error) {
+	mine := nodeMetrics{Net: s, Mem: mem, Hists: make(map[string][]byte, len(hists))}
+	for name, h := range hists {
+		if h == nil {
+			h = hist.New()
+		}
+		mine.Hists[name] = h.AppendBinary(nil)
+	}
+	blob, err := json.Marshal(mine)
+	if err != nil {
+		return fleetMetrics{}, err
+	}
+	blobs, err := exchange(p, "metrics", blob)
+	if err != nil {
+		return fleetMetrics{}, err
+	}
+	fleet := fleetMetrics{PerKind: map[string]uint64{}, KindBytes: map[string]uint64{}, Hists: map[string]*hist.Histogram{}}
+	for id, b := range blobs {
+		var m nodeMetrics
+		if err := json.Unmarshal(b, &m); err != nil {
+			return fleetMetrics{}, fmt.Errorf("metrics from node %d: %w", id, err)
+		}
+		fleet.Msgs += m.Net.MessagesSent
+		fleet.Bytes += m.Net.BytesSent
+		for k, v := range m.Net.PerKind {
+			fleet.PerKind[k] += v
+			fleet.KindBytes[k] += m.Net.PerKindBytes[k]
+		}
+		fleet.Malformed += m.Mem.MalformedUpdates
+		for name, data := range m.Hists {
+			h := hist.New()
+			if err := h.UnmarshalBinary(data); err != nil {
+				return fleetMetrics{}, fmt.Errorf("fleet %s histogram from node %d: %w", name, id, err)
+			}
+			if fleet.Hists[name] == nil {
+				fleet.Hists[name] = hist.New()
+			}
+			fleet.Hists[name].Merge(h)
+		}
+	}
+	return fleet, nil
+}
+
+// printFleetMetrics exchanges the node's metrics and prints the fleet-wide
+// rows: totals, every kind that was sent and every histogram that has
+// samples, each in sorted order, so every node prints the same rows. Every
+// node must run with -metrics or the exchange's barrier deadlocks the fleet.
 func printFleetMetrics(out io.Writer, p core.Process, s transport.Stats, mem dsm.Stats, hists map[string]*hist.Histogram) error {
-	me := strconv.Itoa(p.ID())
-	p.Write("metrics/"+me+"/msgs/total", int64(s.MessagesSent))
-	p.Write("metrics/"+me+"/bytes/total", int64(s.BytesSent))
-	for _, k := range metricKinds {
-		p.Write("metrics/"+me+"/msgs/"+k, int64(s.PerKind[k]))
-		p.Write("metrics/"+me+"/bytes/"+k, int64(s.PerKindBytes[k]))
+	fleet, err := exchangeMetrics(p, s, mem, hists)
+	if err != nil {
+		return err
 	}
-	p.Write("metrics/"+me+"/mem/malformed", int64(mem.MalformedUpdates))
-	for _, name := range metricHistNames {
-		publishFleetHist(p, name, hists[name])
+	fmt.Fprintf(out, "node %d: fleet totals: %d msgs / %d bytes\n", p.ID(), fleet.Msgs, fleet.Bytes)
+	for _, k := range sortedKeys(fleet.PerKind) {
+		fmt.Fprintf(out, "node %d: fleet %-12s %6d msgs / %8d bytes\n", p.ID(), k, fleet.PerKind[k], fleet.KindBytes[k])
 	}
-	p.Barrier()
-
-	var totalMsgs, totalBytes, malformed int64
-	kindMsgs := make([]int64, len(metricKinds))
-	kindBytes := make([]int64, len(metricKinds))
-	for id := 0; id < p.N(); id++ {
-		node := strconv.Itoa(id)
-		totalMsgs += p.ReadPRAM("metrics/" + node + "/msgs/total")
-		totalBytes += p.ReadPRAM("metrics/" + node + "/bytes/total")
-		malformed += p.ReadPRAM("metrics/" + node + "/mem/malformed")
-		for i, k := range metricKinds {
-			kindMsgs[i] += p.ReadPRAM("metrics/" + node + "/msgs/" + k)
-			kindBytes[i] += p.ReadPRAM("metrics/" + node + "/bytes/" + k)
+	fmt.Fprintf(out, "node %d: fleet malformed-updates: %d\n", p.ID(), fleet.Malformed)
+	for _, name := range sortedKeys(fleet.Hists) {
+		if h := fleet.Hists[name]; h.Count() > 0 {
+			fmt.Fprintf(out, "node %d: fleet %-5s latency: %s\n", p.ID(), name, h.Summary())
 		}
-	}
-	fmt.Fprintf(out, "node %d: fleet totals: %d msgs / %d bytes\n", p.ID(), totalMsgs, totalBytes)
-	for i, k := range metricKinds {
-		if kindMsgs[i] == 0 {
-			continue
-		}
-		fmt.Fprintf(out, "node %d: fleet %-12s %6d msgs / %8d bytes\n", p.ID(), k, kindMsgs[i], kindBytes[i])
-	}
-	fmt.Fprintf(out, "node %d: fleet malformed-updates: %d\n", p.ID(), malformed)
-	for _, name := range metricHistNames {
-		merged, err := readFleetHist(p, name)
-		if err != nil {
-			return err
-		}
-		if merged.Count() == 0 {
-			continue
-		}
-		fmt.Fprintf(out, "node %d: fleet %-5s latency: %s\n", p.ID(), name, merged.Summary())
 	}
 	return nil
 }
 
-// publishFleetHist writes one latency histogram into this node's metrics
-// rows as packed bucket cells under metrics/<id>/hist/<name>/. A nil
-// histogram publishes a zero cell count. The caller must follow with the
-// barrier before any node reads the rows back.
-func publishFleetHist(p core.Process, name string, h *hist.Histogram) {
-	prefix := "metrics/" + strconv.Itoa(p.ID()) + "/hist/" + name + "/"
-	if h == nil {
-		p.Write(prefix+"n", 0)
-		return
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
 	}
-	cells := h.Cells()
-	p.Write(prefix+"n", int64(len(cells)))
-	for i, c := range cells {
-		p.Write(prefix+strconv.Itoa(i), c)
-	}
+	sort.Strings(keys)
+	return keys
 }
 
-// readFleetHist reads every node's published cells for one histogram name
-// and returns the fleet-wide merge. Because the bucket cells are exact, the
-// merged histogram's quantiles equal the quantiles of all nodes' samples
-// pooled together.
-func readFleetHist(p core.Process, name string) (*hist.Histogram, error) {
-	merged := hist.New()
-	for id := 0; id < p.N(); id++ {
-		prefix := "metrics/" + strconv.Itoa(id) + "/hist/" + name + "/"
-		n := p.ReadPRAM(prefix + "n")
-		if n == 0 {
-			continue
-		}
-		cells := make([]int64, n)
-		for i := range cells {
-			cells[i] = p.ReadPRAM(prefix + strconv.Itoa(i))
-		}
-		if err := merged.AddCells(cells); err != nil {
-			return nil, fmt.Errorf("fleet %s histogram from node %d: %w", name, id, err)
-		}
-	}
-	return merged, nil
-}
-
-// drainFleetTrace merges every node's tracer ring through the memory
-// itself — the trace analogue of printFleetMetrics: each node snapshots
-// its ring before calling this, packs the encoded snapshot into int64
-// cells, and writes them under obs/<id>/...; a barrier guarantees every
-// cell is applied everywhere before release; then each node reads all
-// nodes' cells back and decodes the fleet's snapshots. The drain's own
-// writes postdate the snapshots, so the exchange never traces itself.
-// Every node must run with -trace-out or the extra barrier deadlocks the
-// fleet. A busy ring encodes to tens of thousands of cells, so run the
-// fleet with -batch to coalesce the drain's writes into wide frames.
-func drainFleetTrace(p core.Process, snap *obs.Snapshot) ([]*obs.Snapshot, error) {
-	me := strconv.Itoa(p.ID())
-	cells := obs.BytesToCells(obs.AppendSnapshot(nil, snap))
-	p.Write("obs/"+me+"/n", int64(len(cells)))
+// exchange gives every node every node's blob, in node order, through the
+// memory itself: each node packs its blob into int64 cells
+// (obs.BytesToCells) and writes them under <prefix>/<id>/..., a barrier
+// guarantees every cell is applied everywhere before release, and then each
+// node reads all nodes' cells back. Every node must call it with the same
+// prefix or the barrier deadlocks the fleet.
+func exchange(p core.Process, prefix string, blob []byte) ([][]byte, error) {
+	me := prefix + "/" + strconv.Itoa(p.ID()) + "/"
+	cells := obs.BytesToCells(blob)
+	p.Write(me+"n", int64(len(cells)))
 	for i, c := range cells {
-		p.Write("obs/"+me+"/"+strconv.Itoa(i), c)
+		p.Write(me+strconv.Itoa(i), c)
 	}
 	p.Barrier()
 
-	var snaps []*obs.Snapshot
-	for id := 0; id < p.N(); id++ {
-		prefix := "obs/" + strconv.Itoa(id) + "/"
-		n := p.ReadPRAM(prefix + "n")
-		cells := make([]int64, n)
+	blobs := make([][]byte, p.N())
+	for id := range blobs {
+		node := prefix + "/" + strconv.Itoa(id) + "/"
+		cells := make([]int64, p.ReadPRAM(node+"n"))
 		for i := range cells {
-			cells[i] = p.ReadPRAM(prefix + strconv.Itoa(i))
+			cells[i] = p.ReadPRAM(node + strconv.Itoa(i))
 		}
-		data, err := obs.CellsToBytes(cells)
+		b, err := obs.CellsToBytes(cells)
 		if err != nil {
-			return nil, fmt.Errorf("trace cells from node %d: %w", id, err)
+			return nil, fmt.Errorf("%s cells from node %d: %w", prefix, id, err)
 		}
-		s, _, err := obs.DecodeSnapshot(data)
-		if err != nil {
+		blobs[id] = b
+	}
+	return blobs, nil
+}
+
+// drainFleetTrace merges every node's tracer ring through one exchange: each
+// node snapshots its ring before calling this, so the drain's own writes
+// never trace themselves. Every node must run with -trace-out. A busy ring
+// encodes to tens of thousands of cells, so run the fleet with -batch to
+// coalesce the drain's writes into wide frames.
+func drainFleetTrace(p core.Process, snap *obs.Snapshot) ([]*obs.Snapshot, error) {
+	blobs, err := exchange(p, "obs", obs.AppendSnapshot(nil, snap))
+	if err != nil {
+		return nil, err
+	}
+	snaps := make([]*obs.Snapshot, len(blobs))
+	for id, b := range blobs {
+		if snaps[id], _, err = obs.DecodeSnapshot(b); err != nil {
 			return nil, fmt.Errorf("trace snapshot from node %d: %w", id, err)
 		}
-		snaps = append(snaps, s)
 	}
 	return snaps, nil
 }

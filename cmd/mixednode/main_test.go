@@ -15,9 +15,11 @@ import (
 
 	"mixedmem/internal/apps"
 	"mixedmem/internal/core"
+	"mixedmem/internal/dsm"
 	"mixedmem/internal/hist"
 	"mixedmem/internal/network"
 	"mixedmem/internal/obs"
+	"mixedmem/internal/transport"
 )
 
 // freeAddrs reserves n distinct loopback ports and releases them for the
@@ -161,7 +163,7 @@ func TestMixednodeMetricsMergedSnapshot(t *testing.T) {
 // node must verify the replay-predicted aggregate counters, and the merged
 // fleet snapshot — now including the latency histograms and the
 // malformed-update counter — must be identical on every node, because each
-// node reconstructs it from the same exact bucket cells.
+// node reconstructs it from the same exact bucket counts.
 func TestMixednodeSessionThreeProcesses(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration test")
@@ -226,11 +228,10 @@ func TestFleetHistMergeEqualsPooled(t *testing.T) {
 			h.Record(v)
 		}
 		raw[p.ID()], perProc[p.ID()] = vals, h
-		publishFleetHist(p, "read", h)
-		publishFleetHist(p, "vis", nil) // a node that measured nothing
-		p.Barrier()
-		merged[p.ID()], mergeErrs[p.ID()] = readFleetHist(p, "read")
-		empty[p.ID()], _ = readFleetHist(p, "vis")
+		// "vis" is a histogram this node measured nothing for.
+		fleet, err := exchangeMetrics(p, transport.Stats{}, dsm.Stats{}, map[string]*hist.Histogram{"read": h, "vis": nil})
+		merged[p.ID()], mergeErrs[p.ID()] = fleet.Hists["read"], err
+		empty[p.ID()] = fleet.Hists["vis"]
 	})
 	pooled := hist.New()
 	var all []int64
@@ -241,7 +242,7 @@ func TestFleetHistMergeEqualsPooled(t *testing.T) {
 	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
 	for id := 0; id < procs; id++ {
 		if mergeErrs[id] != nil {
-			t.Fatalf("node %d: readFleetHist: %v", id, mergeErrs[id])
+			t.Fatalf("node %d: exchangeMetrics: %v", id, mergeErrs[id])
 		}
 		if empty[id] == nil || empty[id].Count() != 0 {
 			t.Fatalf("node %d: unpublished histogram merged non-empty", id)

@@ -87,10 +87,9 @@ type PerfCell struct {
 	NsPerOp     float64 `json:"ns_per_op"`
 	AllocsPerOp float64 `json:"allocs_per_op"`
 	OpsPerSec   float64 `json:"ops_per_sec"`
-	// BytesPerOp is heap bytes allocated per operation and AcksPerOp the ack
-	// frames the receivers wrote per message (tcp.Diag.AcksSent). The tcp
-	// stream and echo cells report both, the burst, lock and barrier cells
-	// the bytes.
+	// BytesPerOp is heap bytes allocated per operation, which every cell
+	// reports, and AcksPerOp the ack frames the receivers wrote per message
+	// (tcp.Diag.AcksSent), which the tcp stream and echo cells report.
 	BytesPerOp float64 `json:"bytes_per_op,omitempty"`
 	AcksPerOp  float64 `json:"acks_per_op,omitempty"`
 }
@@ -202,6 +201,16 @@ const perfLocCount = 8
 
 func perfLoc(writer, i int) string {
 	return fmt.Sprintf("w%d_%d", writer, i%perfLocCount)
+}
+
+// perfLocs is one writer's whole location set, precomputed so the harness
+// never charges its own fmt.Sprintf to the measured path.
+func perfLocs(writer int) []string {
+	locs := make([]string, perfLocCount)
+	for i := range locs {
+		locs[i] = perfLoc(writer, i)
+	}
+	return locs
 }
 
 // remoteLoc is the location set the remote streamer writes in the contended
@@ -335,10 +344,7 @@ func measureTCPStream(msgs, warmup, window int) (PerfCell, error) {
 		}
 	}()
 
-	locs := make([]string, perfLocCount)
-	for i := range locs {
-		locs[i] = perfLoc(0, i)
-	}
+	locs := perfLocs(0)
 	sent := 0
 	pass := func(n int) error {
 		for i := 0; i < n; i++ {
@@ -356,18 +362,10 @@ func measureTCPStream(msgs, warmup, window int) (PerfCell, error) {
 		return nil
 	}
 	err = pass(warmup)
-	var before, after runtime.MemStats
-	var elapsed time.Duration
-	var acked uint64
 	if err == nil {
-		runtime.GC()
-		runtime.ReadMemStats(&before)
-		acked = trs[1].Diag().AcksSent
-		start := time.Now()
-		err = pass(msgs)
-		elapsed = time.Since(start)
-		runtime.ReadMemStats(&after)
-		acked = trs[1].Diag().AcksSent - acked
+		acked := trs[1].Diag().AcksSent
+		cell, err = measure(cell, func() (int, error) { return msgs, pass(msgs) })
+		cell.AcksPerOp = float64(trs[1].Diag().AcksSent-acked) / float64(msgs)
 	}
 	for _, tr := range trs {
 		tr.Close()
@@ -375,13 +373,7 @@ func measureTCPStream(msgs, warmup, window int) (PerfCell, error) {
 	if got := <-received; err == nil && got != sent {
 		err = fmt.Errorf("stream: receiver got %d of %d messages", got, sent)
 	}
-	if err != nil {
-		return cell, err
-	}
-	cell = cell.measured(msgs, elapsed, after.Mallocs-before.Mallocs)
-	cell.BytesPerOp = float64(after.TotalAlloc-before.TotalAlloc) / float64(msgs)
-	cell.AcksPerOp = float64(acked) / float64(msgs)
-	return cell, nil
+	return cell, err
 }
 
 // measureTCPEcho measures a lone message's cost over tcp: node 0 sends one
@@ -416,10 +408,7 @@ func measureTCPEcho(rounds, warmup int) (PerfCell, error) {
 		}
 	}()
 
-	locs := make([]string, perfLocCount)
-	for i := range locs {
-		locs[i] = perfLoc(0, i)
-	}
+	locs := perfLocs(0)
 	sent := 0
 	pass := func(n int) error {
 		for i := 0; i < n; i++ {
@@ -442,22 +431,10 @@ func measureTCPEcho(rounds, warmup int) (PerfCell, error) {
 	if err := pass(warmup); err != nil {
 		return cell, err
 	}
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
 	acked := acksSent()
-	start := time.Now()
-	err = pass(rounds)
-	elapsed := time.Since(start)
-	runtime.ReadMemStats(&after)
-	acked = acksSent() - acked
-	if err != nil {
-		return cell, err
-	}
-	cell = cell.measured(rounds, elapsed, after.Mallocs-before.Mallocs)
-	cell.BytesPerOp = float64(after.TotalAlloc-before.TotalAlloc) / float64(rounds)
-	cell.AcksPerOp = float64(acked) / float64(rounds)
-	return cell, nil
+	cell, err = measure(cell, func() (int, error) { return rounds, pass(rounds) })
+	cell.AcksPerOp = float64(acksSent()-acked) / float64(rounds)
+	return cell, err
 }
 
 // measureSimStream is the stream cell on the simulated fabric: node 0 sends
@@ -485,10 +462,7 @@ func measureSimStream(msgs, warmup int) (PerfCell, error) {
 		}
 	}()
 
-	updates := make([]dsm.Update, perfLocCount)
-	for i := range updates {
-		updates[i] = dsm.Update{From: 0, Loc: perfLoc(0, i)}
-	}
+	updates := perfUpdates()
 	sent := 0
 	pass := func(n int) error {
 		if n == 0 {
@@ -507,17 +481,7 @@ func measureSimStream(msgs, warmup int) (PerfCell, error) {
 	if err := pass(warmup); err != nil {
 		return cell, err
 	}
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	start := time.Now()
-	err = pass(msgs)
-	elapsed := time.Since(start)
-	runtime.ReadMemStats(&after)
-	if err != nil {
-		return cell, err
-	}
-	return cell.measured(msgs, elapsed, after.Mallocs-before.Mallocs), nil
+	return measure(cell, func() (int, error) { return msgs, pass(msgs) })
 }
 
 // perfBurstMsgs is the burst cell's backlog, and perfBurstReps how many fresh
@@ -534,10 +498,7 @@ const (
 // op is one message. The messages share a handful of preallocated updates,
 // as in the stream cell, so the bytes counted are the fabric's own.
 func measureSimBurst(cell PerfCell) (PerfCell, error) {
-	updates := make([]dsm.Update, perfLocCount)
-	for i := range updates {
-		updates[i] = dsm.Update{From: 0, Loc: perfLoc(0, i)}
-	}
+	updates := perfUpdates()
 	pass := func() error {
 		f, err := network.New(network.Config{Nodes: 2})
 		if err != nil {
@@ -564,21 +525,7 @@ func measureSimBurst(cell PerfCell) (PerfCell, error) {
 	if err := pass(); err != nil {
 		return cell, err
 	}
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	start := time.Now()
-	for i := 0; i < perfBurstReps; i++ {
-		if err := pass(); err != nil {
-			return cell, err
-		}
-	}
-	elapsed := time.Since(start)
-	runtime.ReadMemStats(&after)
-	msgs := perfBurstReps * perfBurstMsgs
-	cell = cell.measured(msgs, elapsed, after.Mallocs-before.Mallocs)
-	cell.BytesPerOp = float64(after.TotalAlloc-before.TotalAlloc) / float64(msgs)
-	return cell, nil
+	return measure(cell, repeat(perfBurstReps, perfBurstMsgs, pass))
 }
 
 // measureSyncCell measures the syncmgr boundary: one synchronisation round per
@@ -610,16 +557,7 @@ func measureSyncCell(sub Substrate, o PerfOptions, cell PerfCell) (PerfCell, err
 		})
 	}
 	pass(o.Warmup)
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	start := time.Now()
-	pass(o.Ops)
-	elapsed := time.Since(start)
-	runtime.ReadMemStats(&after)
-	cell = cell.measured(o.Ops, elapsed, after.Mallocs-before.Mallocs)
-	cell.BytesPerOp = float64(after.TotalAlloc-before.TotalAlloc) / float64(o.Ops)
-	return cell, nil
+	return measure(cell, func() (int, error) { pass(o.Ops); return o.Ops, nil })
 }
 
 // perfReplayConfig is the bench/e2e session workloads' saturated epoch: three
@@ -663,20 +601,8 @@ func measureSessionReplay(cell PerfCell) (PerfCell, error) {
 	if err := pass(); err != nil {
 		return cell, err
 	}
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	start := time.Now()
-	for i := 0; i < perfReplayPasses; i++ {
-		if err := pass(); err != nil {
-			return cell, err
-		}
-	}
-	elapsed := time.Since(start)
-	runtime.ReadMemStats(&after)
 	// (Procs-1)*Workers flag plans and Procs*Workers strands of ExpectedHits.
-	replayed := perfReplayPasses * (2*c.Procs - 1) * c.Workers * perStrand
-	return cell.measured(replayed, elapsed, after.Mallocs-before.Mallocs), nil
+	return measure(cell, repeat(perfReplayPasses, (2*c.Procs-1)*c.Workers*perStrand, pass))
 }
 
 // The sweep cell's problem is bench/e2e's Jacobi epoch: perfSweepN unknowns,
@@ -704,18 +630,7 @@ func measureJacobiSweep(cell PerfCell) (PerfCell, error) {
 	if err := pass(); err != nil {
 		return cell, err
 	}
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	start := time.Now()
-	for i := 0; i < perfSweepPasses; i++ {
-		if err := pass(); err != nil {
-			return cell, err
-		}
-	}
-	elapsed := time.Since(start)
-	runtime.ReadMemStats(&after)
-	return cell.measured(perfSweepPasses*perfSweepIters, elapsed, after.Mallocs-before.Mallocs), nil
+	return measure(cell, repeat(perfSweepPasses, perfSweepIters, pass))
 }
 
 // buildPerfNode constructs one replica for a cell.
@@ -764,9 +679,8 @@ func runPerfCell(sub Substrate, o PerfOptions, cell PerfCell) (PerfCell, error) 
 	return measurePerfCell(o, cell, nodes)
 }
 
-// measurePerfCell runs the scenario: a warmup pass, then a measured pass
-// bracketed by ReadMemStats, timing from first write to full drain at every
-// receiving replica.
+// measurePerfCell runs the scenario: a warmup pass, then a measured pass,
+// timing from first write to full drain at every receiving replica.
 func measurePerfCell(o PerfOptions, cell PerfCell, nodes []*dsm.Node) (PerfCell, error) {
 	writerOps := o.Ops / cell.Writers
 	drain := func(sentPerWriterNode map[int]uint64) {
@@ -788,19 +702,15 @@ func measurePerfCell(o PerfOptions, cell PerfCell, nodes []*dsm.Node) (PerfCell,
 	// Precompute every location string: the harness must not charge its own
 	// fmt.Sprintf allocations to the measured path. The fresh scenario never
 	// reuses a name, so it needs one per write of both passes.
-	locCount := perfLocCount
-	if cell.Scenario == "fresh" {
-		locCount = o.Warmup/cell.Writers + writerOps
-	}
 	writerLocs := make([][]string, cell.Writers)
 	for w := range writerLocs {
-		writerLocs[w] = make([]string, locCount)
+		if cell.Scenario != "fresh" {
+			writerLocs[w] = perfLocs(w)
+			continue
+		}
+		writerLocs[w] = make([]string, o.Warmup/cell.Writers+writerOps)
 		for i := range writerLocs[w] {
-			if cell.Scenario == "fresh" {
-				writerLocs[w][i] = fmt.Sprintf("w%d_fresh%d", w, i)
-			} else {
-				writerLocs[w][i] = perfLoc(w, i)
-			}
+			writerLocs[w][i] = fmt.Sprintf("w%d_fresh%d", w, i)
 		}
 	}
 	remoteLocs := make([]string, perfLocCount)
@@ -882,24 +792,51 @@ func measurePerfCell(o PerfOptions, cell PerfCell, nodes []*dsm.Node) (PerfCell,
 	}
 
 	runPass(o.Warmup/cell.Writers, 0)
+	return measure(cell, func() (int, error) { return runPass(writerOps, o.Warmup/cell.Writers), nil })
+}
 
+// measure brackets one measured pass — a GC, then the clock and the heap
+// counters around pass — and fills in the cell's measurements over the
+// operations pass reports having run. Callers warm up before it.
+func measure(cell PerfCell, pass func() (ops int, err error)) (PerfCell, error) {
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
 	start := time.Now()
-	total := runPass(writerOps, o.Warmup/cell.Writers)
+	ops, err := pass()
 	elapsed := time.Since(start)
 	runtime.ReadMemStats(&after)
-	return cell.measured(total, elapsed, after.Mallocs-before.Mallocs), nil
+	if err != nil {
+		return cell, err
+	}
+	cell.Ops = ops
+	cell.NsPerOp = float64(elapsed.Nanoseconds()) / float64(ops)
+	cell.AllocsPerOp = float64(after.Mallocs-before.Mallocs) / float64(ops)
+	cell.BytesPerOp = float64(after.TotalAlloc-before.TotalAlloc) / float64(ops)
+	cell.OpsPerSec = float64(ops) / elapsed.Seconds()
+	return cell, nil
 }
 
-// measured fills in the cell's measurements.
-func (c PerfCell) measured(ops int, elapsed time.Duration, mallocs uint64) PerfCell {
-	c.Ops = ops
-	c.NsPerOp = float64(elapsed.Nanoseconds()) / float64(ops)
-	c.AllocsPerOp = float64(mallocs) / float64(ops)
-	c.OpsPerSec = float64(ops) / elapsed.Seconds()
-	return c
+// repeat is a measured pass of n runs of pass, each of ops operations.
+func repeat(n, ops int, pass func() error) func() (int, error) {
+	return func() (int, error) {
+		for i := 0; i < n; i++ {
+			if err := pass(); err != nil {
+				return 0, err
+			}
+		}
+		return n * ops, nil
+	}
+}
+
+// perfUpdates is one preallocated update per location of writer 0, for the
+// cells that send update messages nothing reads.
+func perfUpdates() []dsm.Update {
+	updates := make([]dsm.Update, perfLocCount)
+	for i, loc := range perfLocs(0) {
+		updates[i] = dsm.Update{From: 0, Loc: loc}
+	}
+	return updates
 }
 
 // measureBacklogCell measures an apply at a replica whose causal view has a
@@ -932,10 +869,7 @@ func measureBacklogCell(o PerfOptions, cell PerfCell, nodes []*dsm.Node, f trans
 		return cell, fmt.Errorf("backlog: %d groups parked, want %d", got, perfBacklog)
 	}
 
-	locs := make([]string, perfLocCount)
-	for i := range locs {
-		locs[i] = perfLoc(0, i)
-	}
+	locs := perfLocs(0)
 	sent := uint64(0)
 	runPass := func(ops int) {
 		for i := 0; i < ops; i++ {
@@ -947,13 +881,7 @@ func measureBacklogCell(o PerfOptions, cell PerfCell, nodes []*dsm.Node, f trans
 		}
 	}
 	runPass(o.Warmup)
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	start := time.Now()
-	runPass(o.Ops)
-	elapsed := time.Since(start)
-	runtime.ReadMemStats(&after)
+	cell, _ = measure(cell, func() (int, error) { runPass(o.Ops); return o.Ops, nil }) // the pass cannot fail
 
 	if s := nodes[0].Stats(); s.PendingGroups != perfBacklog || s.PendingGroupsMax != perfBacklog {
 		return cell, fmt.Errorf("backlog: %d groups parked after the measurement (max %d), want %d",
@@ -966,5 +894,5 @@ func measureBacklogCell(o PerfOptions, cell PerfCell, nodes []*dsm.Node, f trans
 	if got := nodes[0].Stats().PendingGroups; got != 0 {
 		return cell, fmt.Errorf("backlog: %d groups still parked after release", got)
 	}
-	return cell.measured(o.Ops, elapsed, after.Mallocs-before.Mallocs), nil
+	return cell, nil
 }

@@ -7,6 +7,7 @@ import (
 
 	"mixedmem/internal/obs"
 	"mixedmem/internal/syncmgr"
+	"mixedmem/internal/transport"
 	"mixedmem/internal/transport/tcp"
 )
 
@@ -41,13 +42,10 @@ func TestRegistryUnifiesSubsystems(t *testing.T) {
 		if p.Tracer().Recorded() == 0 {
 			t.Fatalf("proc %d: tracer recorded nothing", i)
 		}
-		m := MemMetricsOf(p.MemStats())
-		var sum int64
-		for _, v := range m.BlockedByCause {
-			sum += v
-		}
-		if sum != m.BlockedNS {
-			t.Fatalf("proc %d: cause split %d != blocked %d", i, sum, m.BlockedNS)
+		m := p.MemStats()
+		c := m.BlockedByCause
+		if sum := c.BlockedAwait + c.BlockedCausalWait + c.BlockedInvalidation + c.BlockedSC; sum != m.Blocked {
+			t.Fatalf("proc %d: cause split %d != blocked %d", i, sum, m.Blocked)
 		}
 		tm := obs.TraceMetricsOf(p.Tracer())
 		if !tm.Enabled || tm.Recorded == 0 {
@@ -62,26 +60,24 @@ func TestRegistryUnifiesSubsystems(t *testing.T) {
 			t.Fatalf("registry missing section %q (have %v)", want, r.SectionNames())
 		}
 	}
-	net := snap["net"].(obs.NetMetrics)
+
+	// The registry serves the snapshot as one JSON document, whose sections
+	// decode back into the subsystems' own structs.
+	doc := servedDoc(t, r)
+	var net transport.Stats
+	decodeSection(t, doc, "net", &net)
 	if net.MessagesSent == 0 {
 		t.Fatalf("no transport accounting: %+v", net)
 	}
-	sy := snap["proc1/sync"].(obs.SyncMetrics)
-	if sy.LockAcquires == 0 || sy.Barriers == 0 {
-		t.Fatalf("sync counters missing: %+v", sy)
-	}
-
-	// The registry serves the same snapshot as one JSON document.
-	rec := httptest.NewRecorder()
-	r.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
-	var doc map[string]json.RawMessage
-	if err := json.Unmarshal(rec.Body.Bytes(), &doc); err != nil {
-		t.Fatalf("registry JSON: %v", err)
+	var locks syncmgr.ClientStats
+	var bars syncmgr.BarrierStats
+	decodeSection(t, doc, "proc1/sync", &locks)
+	decodeSection(t, doc, "proc1/sync", &bars)
+	if locks.Acquires == 0 || bars.Barriers == 0 {
+		t.Fatalf("sync counters missing: %+v %+v", locks, bars)
 	}
 	var mem map[string]json.RawMessage
-	if err := json.Unmarshal(doc["proc0/mem"], &mem); err != nil {
-		t.Fatalf("served document missing proc0/mem: %v\n%s", err, rec.Body.String())
-	}
+	decodeSection(t, doc, "proc0/mem", &mem)
 	// The causal-delivery backlog gauges ride in the memory section.
 	for _, key := range []string{"pendingGroups", "pendingGroupsMax"} {
 		if _, ok := mem[key]; !ok {
@@ -120,8 +116,32 @@ func TestSystemRegistryServesFleetDiag(t *testing.T) {
 	}
 	defer sys.Close()
 	sys.Run(func(p *Proc) { p.Barrier() }) // traffic both ways: both channels are dialed
-	net := sys.Registry().Snapshot()["net"].(obs.NetMetrics)
-	if net.Dials < 2 || net.MessagesSent == 0 || net.PerKind[syncmgr.KindBarRelease] == 0 {
-		t.Fatalf("registry net section over a tcp fleet: %+v", net)
+	doc := servedDoc(t, sys.Registry())
+	var net transport.Stats
+	var diag tcp.Diag
+	decodeSection(t, doc, "net", &net)
+	decodeSection(t, doc, "net", &diag)
+	if diag.Dials < 2 || net.MessagesSent == 0 || net.PerKind[syncmgr.KindBarRelease] == 0 {
+		t.Fatalf("registry net section over a tcp fleet: %+v %+v", net, diag)
+	}
+}
+
+// servedDoc serves r as /metrics and splits the document into its sections.
+func servedDoc(t *testing.T, r *obs.Registry) map[string]json.RawMessage {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	r.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	var doc map[string]json.RawMessage
+	if err := json.Unmarshal(rec.Body.Bytes(), &doc); err != nil {
+		t.Fatalf("registry JSON: %v", err)
+	}
+	return doc
+}
+
+// decodeSection decodes one served section into v.
+func decodeSection(t *testing.T, doc map[string]json.RawMessage, name string, v any) {
+	t.Helper()
+	if err := json.Unmarshal(doc[name], v); err != nil {
+		t.Fatalf("section %q: %v\n%s", name, err, doc[name])
 	}
 }

@@ -94,15 +94,14 @@ func (p *Peer) NetStats() transport.Stats { return p.tr.Stats() }
 // PeerConfig.TraceCapacity.
 func (p *Peer) Tracer() *obs.Tracer { return p.proc.Tracer() }
 
-// Registry builds the peer's unified metrics registry: the same sections as
-// Proc-level registries (mem, sync, trace) plus this peer's transport
-// accounting under "net" — including TCP link diagnostics when the
-// transport is the tcp backend. `mixednode -obs` serves it as JSON.
+// Registry builds the peer's unified metrics registry: its process's
+// sections (mem, sync, trace) plus this peer's transport accounting under
+// "net" — including TCP link diagnostics when the transport is the tcp
+// backend. `mixednode -obs` serves it as JSON.
 func (p *Peer) Registry() *obs.Registry {
 	r := obs.NewRegistry()
 	registerProcSections(r, "", p.proc)
-	tr := p.tr
-	r.Register("net", func() any { return NetMetricsOf(tr) })
+	registerNet(r, p.tr)
 	return r
 }
 

@@ -247,30 +247,6 @@ func (n *Node) causalSnapshotValue(loc string) int64 {
 	return 0
 }
 
-func TestBatchNoCoalesceKeepsEveryEntry(t *testing.T) {
-	nodes, f := batchedCluster(t, 2, BatchConfig{
-		Enabled: true, MaxUpdates: 1 << 20, MaxBytes: 1 << 30, Linger: time.Hour,
-		NoCoalesce: true,
-	})
-	for i := 1; i <= 5; i++ {
-		nodes[0].Write("x", int64(i))
-	}
-	nodes[0].FlushUpdates()
-	nodes[1].WaitReceived([]uint64{5, 0})
-	if got := nodes[1].ReadPRAM("x"); got != 5 {
-		t.Fatalf("x = %d, want 5", got)
-	}
-	s := f.Stats()
-	// One frame still, but it carries all five entries: bytes reflect that.
-	if s.PerKind[KindUpdateBatch] != 1 {
-		t.Fatalf("batch frames = %d, want 1", s.PerKind[KindUpdateBatch])
-	}
-	one := Update{From: 0, Seq: 1, Op: OpSet, Loc: "x", Value: 1, TS: vclock.New(2)}
-	if s.BytesSent < uint64(4*one.encodedSize()) {
-		t.Fatalf("bytes = %d, too small for 5 uncoalesced entries", s.BytesSent)
-	}
-}
-
 func TestBatchScopedPlacement(t *testing.T) {
 	// Batching composes with scoped placement: per-destination outboxes see
 	// different update streams with per-sender sequence holes.

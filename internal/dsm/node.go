@@ -160,29 +160,21 @@ type Config struct {
 	Tracer *obs.Tracer
 }
 
-// Stats counts a node's memory activity.
+// Stats counts a node's memory activity. It is also the "mem" section of
+// the metrics registry: the JSON tags are the served keys.
 type Stats struct {
-	Writes      uint64
-	PRAMReads   uint64
-	CausalReads uint64
-	SlowReads   uint64
-	SCReads     uint64
-	SCWrites    uint64
-	Awaits      uint64
+	Writes      uint64 `json:"writes"`
+	PRAMReads   uint64 `json:"pramReads"`
+	CausalReads uint64 `json:"causalReads"`
+	SlowReads   uint64 `json:"slowReads"`
+	SCReads     uint64 `json:"scReads"`
+	SCWrites    uint64 `json:"scWrites"`
+	Awaits      uint64 `json:"awaits"`
 	// Blocked is the total time spent waiting in Await, WaitReceived,
 	// WaitCausalApplied, SC round trips, and invalidation stalls: the sum of
-	// the four causes below, which partition it.
-	Blocked time.Duration
-	// BlockedAwait is the Await/AwaitAtLeast portion of Blocked.
-	BlockedAwait time.Duration
-	// BlockedCausalWait covers the causal-machinery waits: observation-fence
-	// raises on causal reads, WaitReceived, and WaitCausalApplied.
-	BlockedCausalWait time.Duration
-	// BlockedSC is the time spent inside SC owner round trips.
-	BlockedSC time.Duration
-	// BlockedInvalidation is the time reads stalled on lock-protocol
-	// invalidations awaiting their update.
-	BlockedInvalidation time.Duration
+	// the four causes of BlockedByCause, which partition it.
+	Blocked        time.Duration `json:"blockedNs"`
+	BlockedByCause `json:"blockedByCauseNs"`
 	// MalformedUpdates counts received causal updates whose dependency
 	// metadata did not match the system size — the matrix of a scoped-causal
 	// update, the timestamp of a full-broadcast one — a misconfigured or
@@ -190,13 +182,27 @@ type Stats struct {
 	// place in the sender's order and count as causally settled there, so
 	// neither the counting primitives nor the sender's later updates stall
 	// on them, and this counter is the diagnostic that it happened.
-	MalformedUpdates uint64
+	MalformedUpdates uint64 `json:"malformedUpdates"`
 	// PendingGroups is the number of received delivery groups currently
 	// parked behind an unmet causal dependency; PendingGroupsMax is its
 	// high-water mark over the node's life. A backlog that only grows names
 	// a sender whose updates are not arriving.
-	PendingGroups    uint64
-	PendingGroupsMax uint64
+	PendingGroups    uint64 `json:"pendingGroups"`
+	PendingGroupsMax uint64 `json:"pendingGroupsMax"`
+}
+
+// BlockedByCause splits Stats.Blocked by wait cause.
+type BlockedByCause struct {
+	// BlockedAwait is the Await/AwaitAtLeast portion of Blocked.
+	BlockedAwait time.Duration `json:"await"`
+	// BlockedCausalWait covers the causal-machinery waits: observation-fence
+	// raises on causal reads, WaitReceived, and WaitCausalApplied.
+	BlockedCausalWait time.Duration `json:"causal-wait"`
+	// BlockedInvalidation is the time reads stalled on lock-protocol
+	// invalidations awaiting their update.
+	BlockedInvalidation time.Duration `json:"invalidation"`
+	// BlockedSC is the time spent inside SC owner round trips.
+	BlockedSC time.Duration `json:"sc"`
 }
 
 // Node is one process's replica of the shared memory.
@@ -507,17 +513,19 @@ func (n *Node) recvLoop() {
 // Stats returns a snapshot of the node's counters.
 func (n *Node) Stats() Stats {
 	s := Stats{
-		Writes:              n.statWrites.Load(),
-		SCReads:             n.statSCReads.Load(),
-		SCWrites:            n.statSCWrites.Load(),
-		Awaits:              n.statAwaits.Load(),
-		BlockedAwait:        time.Duration(n.statBlockedAwait.Load()),
-		BlockedCausalWait:   time.Duration(n.statBlockedCausal.Load()),
-		BlockedSC:           time.Duration(n.statBlockedSC.Load()),
-		BlockedInvalidation: time.Duration(n.statBlockedInval.Load()),
-		MalformedUpdates:    n.statMalformed.Load(),
-		PendingGroups:       n.parked.Load(),
-		PendingGroupsMax:    n.parkedMax.Load(),
+		Writes:   n.statWrites.Load(),
+		SCReads:  n.statSCReads.Load(),
+		SCWrites: n.statSCWrites.Load(),
+		Awaits:   n.statAwaits.Load(),
+		BlockedByCause: BlockedByCause{
+			BlockedAwait:        time.Duration(n.statBlockedAwait.Load()),
+			BlockedCausalWait:   time.Duration(n.statBlockedCausal.Load()),
+			BlockedInvalidation: time.Duration(n.statBlockedInval.Load()),
+			BlockedSC:           time.Duration(n.statBlockedSC.Load()),
+		},
+		MalformedUpdates: n.statMalformed.Load(),
+		PendingGroups:    n.parked.Load(),
+		PendingGroupsMax: n.parkedMax.Load(),
 	}
 	s.Blocked = s.BlockedAwait + s.BlockedCausalWait + s.BlockedSC + s.BlockedInvalidation
 	for i := range n.shards {

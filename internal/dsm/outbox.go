@@ -41,13 +41,6 @@ type BatchConfig struct {
 	// flusher guarantees progress for programs that poll with plain reads
 	// instead of awaits.
 	Linger time.Duration
-	// NoCoalesce disables last-writer-wins coalescing of same-location
-	// OpSet entries within a batch. Coalescing is on by default: a
-	// superseded plain write is dropped from the batch (its sequence number
-	// is still accounted through the batch's Count), so readers skip values
-	// the sender overwrote before the flush — a skip the condition-variable
-	// wakeup race already permits in unbatched executions.
-	NoCoalesce bool
 }
 
 // WithDefaults returns the config with unset thresholds filled in, exactly
@@ -263,8 +256,13 @@ func (n *Node) outboxAddLocked(j int, u *Update, ob obligation, snap vclock.Matr
 	d.deps, d.depsEpoch = snap, n.addrEpoch
 	d.count++
 	d.lastSeq = u.Seq
+	// Last-writer-wins coalescing: a superseded plain write is dropped from
+	// the batch (its sequence number is still accounted through the batch's
+	// Count), so readers skip values the sender overwrote before the flush —
+	// a skip the condition-variable wakeup race already permits in unbatched
+	// executions.
 	coalesced := false
-	if u.Op == OpSet && !n.batch.NoCoalesce {
+	if u.Op == OpSet {
 		if i, ok := d.setIdx[u.Loc]; ok {
 			d.bytes += u.encodedSize() - d.entries[i].encodedSize()
 			d.entries[i] = *u
@@ -273,8 +271,8 @@ func (n *Node) outboxAddLocked(j int, u *Update, ob obligation, snap vclock.Matr
 			d.setIdx[u.Loc] = len(d.entries)
 		}
 	} else {
-		// An add (or coalescing off) bars later sets from jumping over it:
-		// the location's next OpSet must append after this entry.
+		// An add bars later sets from jumping over it: the location's next
+		// OpSet must append after this entry.
 		delete(d.setIdx, u.Loc)
 	}
 	if !coalesced {

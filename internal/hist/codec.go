@@ -3,7 +3,6 @@ package hist
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 )
 
 // The wire layout is sparse: a fixed header (sample count, sum, min, max)
@@ -13,13 +12,7 @@ import (
 
 // MarshalBinary encodes the histogram in the sparse wire form.
 func (h *Histogram) MarshalBinary() ([]byte, error) {
-	nz := 0
-	for _, c := range h.counts {
-		if c != 0 {
-			nz++
-		}
-	}
-	return h.AppendBinary(make([]byte, 0, 8*4+4+nz*12)), nil
+	return h.AppendBinary(nil), nil
 }
 
 // AppendBinary appends the sparse wire form to dst and returns the extended
@@ -49,7 +42,10 @@ func (h *Histogram) AppendBinary(dst []byte) []byte {
 }
 
 // UnmarshalBinary decodes a histogram previously encoded with
-// MarshalBinary, replacing h's contents.
+// MarshalBinary, replacing h's contents. The blob may come from a peer, so
+// it must be the canonical form: bucket indexes strictly ascending, every
+// count positive, and the counts summing to the header's sample count —
+// anything else is an error, and on error h's contents are unspecified.
 func (h *Histogram) UnmarshalBinary(data []byte) error {
 	if len(data) < 8*4+4 {
 		return fmt.Errorf("hist: truncated header (%d bytes)", len(data))
@@ -57,9 +53,7 @@ func (h *Histogram) UnmarshalBinary(data []byte) error {
 	if h.counts == nil {
 		h.counts = make([]int64, numBuckets)
 	} else {
-		for i := range h.counts {
-			h.counts[i] = 0
-		}
+		clear(h.counts)
 	}
 	h.total = int64(binary.BigEndian.Uint64(data[0:]))
 	h.sum = int64(binary.BigEndian.Uint64(data[8:]))
@@ -70,87 +64,21 @@ func (h *Histogram) UnmarshalBinary(data []byte) error {
 	if len(data) != nz*12 {
 		return fmt.Errorf("hist: %d pairs but %d trailing bytes", nz, len(data))
 	}
+	prev, sum := -1, int64(0)
 	for p := 0; p < nz; p++ {
 		i := int(binary.BigEndian.Uint32(data[p*12:]))
 		c := int64(binary.BigEndian.Uint64(data[p*12+4:]))
-		if i < 0 || i >= numBuckets {
-			return fmt.Errorf("hist: bucket index %d out of range", i)
+		if i <= prev || i >= numBuckets {
+			return fmt.Errorf("hist: bucket index %d after %d: out of order or range", i, prev)
 		}
-		if c < 0 {
-			return fmt.Errorf("hist: negative count %d for bucket %d", c, i)
+		if c <= 0 || c > h.total-sum {
+			return fmt.Errorf("hist: bucket %d count %d overruns the sample count %d", i, c, h.total)
 		}
 		h.counts[i] = c
+		prev, sum = i, sum+c
 	}
-	return nil
-}
-
-// DSM cell packing: the fleet-metrics exchange stores shared memory cells
-// of int64, so a histogram travels as a short vector of packed cells, one
-// per nonzero bucket: the bucket index in the top 16 bits and the count in
-// the low 47 (counts beyond 2^47-1 spill across repeated cells with the
-// same index; decoders add). Three extra header cells carry sum, min, and
-// max, which do not reconstruct from bucket counts.
-
-const (
-	cellCountBits = 47
-	cellCountMax  = (int64(1) << cellCountBits) - 1
-)
-
-// Cells encodes the histogram as packed int64 cells for exchange through
-// shared-memory locations: cells[0..2] are sum, min (MaxInt64 when empty),
-// and max, followed by one packed (index, count) cell per nonzero bucket.
-func (h *Histogram) Cells() []int64 {
-	return h.AppendCells(make([]int64, 0, 3+16))
-}
-
-// AppendCells appends the packed-cell encoding to dst and returns the
-// extended slice — the alloc-free variant for callers that reuse a scratch
-// slice across snapshots (the fleet-metrics publisher re-encodes every
-// interval).
-func (h *Histogram) AppendCells(dst []int64) []int64 {
-	cells := append(dst, h.sum, h.min, h.max)
-	for i, c := range h.counts {
-		for c > 0 {
-			chunk := c
-			if chunk > cellCountMax {
-				chunk = cellCountMax
-			}
-			cells = append(cells, int64(i)<<cellCountBits|chunk)
-			c -= chunk
-		}
-	}
-	return cells
-}
-
-// AddCells merges cells produced by Cells into h: bucket counts (and the
-// derived total) accumulate, so adding every node's cells into one
-// histogram yields the exact pooled-sample histogram.
-func (h *Histogram) AddCells(cells []int64) error {
-	if len(cells) < 3 {
-		return fmt.Errorf("hist: %d cells, want at least the 3-cell header", len(cells))
-	}
-	sum, mn, mx := cells[0], cells[1], cells[2]
-	var added int64
-	for _, cell := range cells[3:] {
-		i := int(cell >> cellCountBits)
-		c := cell & cellCountMax
-		if i < 0 || i >= numBuckets {
-			return fmt.Errorf("hist: packed bucket index %d out of range", i)
-		}
-		h.counts[i] += c
-		added += c
-	}
-	h.total += added
-	h.sum += sum
-	if added > 0 {
-		if mn < h.min {
-			h.min = mn
-		}
-		if mx > h.max {
-			h.max = mx
-		}
-	} else if mn != math.MaxInt64 && mn < h.min {
-		h.min = mn
+	if sum != h.total {
+		return fmt.Errorf("hist: bucket counts sum to %d, header says %d", sum, h.total)
 	}
 	return nil
 }

@@ -7,8 +7,8 @@
 // hours. Bucket counts are plain integers, so histograms merge exactly:
 // the merge of two histograms reports the same percentiles as one
 // histogram fed the pooled samples, which is what lets a fleet of nodes
-// exchange per-node histograms through the DSM (cells.go) and all agree
-// on the fleet-wide tail.
+// exchange per-node histograms in their binary form (codec.go) and all
+// agree on the fleet-wide tail.
 //
 // Record is allocation-free after New, so per-strand histograms can sit
 // on serving hot paths.

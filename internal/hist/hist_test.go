@@ -1,6 +1,8 @@
 package hist
 
 import (
+	"bytes"
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"sort"
@@ -174,35 +176,74 @@ func TestCodecRoundTrip(t *testing.T) {
 	}
 }
 
-func TestCellsRoundTripAndAccumulate(t *testing.T) {
-	a, b := randomHist(11, 700), randomHist(12, 300)
+// wireBlob hand-encodes the sparse wire form: the header, then the given
+// (bucket index, count) pairs in the order given.
+func wireBlob(total int64, pairs ...[2]int64) []byte {
+	b := binary.BigEndian.AppendUint64(nil, uint64(total))
+	b = binary.BigEndian.AppendUint64(b, 0)             // sum
+	b = binary.BigEndian.AppendUint64(b, 0)             // min
+	b = binary.BigEndian.AppendUint64(b, math.MaxInt64) // max
+	b = binary.BigEndian.AppendUint32(b, uint32(len(pairs)))
+	for _, p := range pairs {
+		b = binary.BigEndian.AppendUint32(b, uint32(p[0]))
+		b = binary.BigEndian.AppendUint64(b, uint64(p[1]))
+	}
+	return b
+}
 
-	merged := New()
-	if err := merged.AddCells(a.Cells()); err != nil {
-		t.Fatalf("AddCells(a): %v", err)
+// TestUnmarshalRejectsNonCanonical pins that a blob whose buckets do not
+// account for exactly its sample count is refused. A repeated bucket index
+// would otherwise overwrite the earlier pair, leaving fewer bucket samples
+// than the header counts, and Quantile would walk past every bucket and
+// report the top one.
+func TestUnmarshalRejectsNonCanonical(t *testing.T) {
+	for name, blob := range map[string][]byte{
+		"repeated index":  wireBlob(2, [2]int64{5, 1}, [2]int64{5, 1}),
+		"descending":      wireBlob(2, [2]int64{6, 1}, [2]int64{5, 1}),
+		"short of total":  wireBlob(3, [2]int64{5, 1}),
+		"over total":      wireBlob(1, [2]int64{5, 2}),
+		"zero count":      wireBlob(1, [2]int64{4, 0}, [2]int64{5, 1}),
+		"negative total":  wireBlob(-1),
+		"overflowing sum": wireBlob(math.MaxInt64, [2]int64{1, math.MaxInt64}, [2]int64{2, 1}),
+	} {
+		if err := New().UnmarshalBinary(blob); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
 	}
-	if err := merged.AddCells(b.Cells()); err != nil {
-		t.Fatalf("AddCells(b): %v", err)
+	h := New()
+	if err := h.UnmarshalBinary(wireBlob(2, [2]int64{5, 1}, [2]int64{7, 1})); err != nil {
+		t.Fatalf("canonical blob rejected: %v", err)
 	}
+	if h.Count() != 2 || h.Quantile(1) != 7 {
+		t.Fatalf("decoded count %d, q1 %d; want 2 and 7", h.Count(), h.Quantile(1))
+	}
+}
 
-	want := New()
-	want.Merge(a)
-	want.Merge(b)
-	if !histsEqual(merged, want) {
-		t.Fatal("cell-merged histogram differs from direct merge")
+// FuzzHistUnmarshal feeds the binary decoder arbitrary bytes, as a fleet
+// peer could: decoding must never panic, an accepted blob must re-encode
+// byte for byte, and its sample count must be the sum of its buckets.
+func FuzzHistUnmarshal(f *testing.F) {
+	for _, h := range []*Histogram{New(), randomHist(7, 200)} {
+		f.Add(h.AppendBinary(nil))
 	}
-
-	empty := New()
-	viaCells := New()
-	if err := viaCells.AddCells(empty.Cells()); err != nil {
-		t.Fatalf("AddCells(empty): %v", err)
-	}
-	if viaCells.Count() != 0 || viaCells.Min() != 0 || viaCells.Max() != 0 {
-		t.Fatal("empty histogram's cells perturbed the receiver")
-	}
-	if err := New().AddCells(nil); err == nil {
-		t.Fatal("missing header cells did not error")
-	}
+	f.Add(wireBlob(2, [2]int64{5, 1}, [2]int64{5, 1}))
+	f.Add([]byte{1, 2, 3})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		h := New()
+		if err := h.UnmarshalBinary(data); err != nil {
+			return
+		}
+		if enc := h.AppendBinary(nil); !bytes.Equal(enc, data) {
+			t.Fatalf("accepted blob re-encodes differently:\n%x\n%x", data, enc)
+		}
+		var sum int64
+		for _, c := range h.counts {
+			sum += c
+		}
+		if sum != h.Count() {
+			t.Fatalf("Count %d, buckets sum to %d", h.Count(), sum)
+		}
+	})
 }
 
 func TestQuantileEmptyAndClamped(t *testing.T) {

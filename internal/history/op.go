@@ -119,9 +119,6 @@ func (l Label) Rank() int {
 	}
 }
 
-// Stronger reports whether l sits strictly above other on the lattice.
-func (l Label) Stronger(other Label) bool { return l.Rank() > other.Rank() }
-
 // LatticeLabels lists the four lattice points from weakest to strongest —
 // the order every spectrum sweep and verdict table iterates in.
 func LatticeLabels() [4]Label {

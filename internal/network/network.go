@@ -96,19 +96,30 @@ type Config struct {
 // Stats) builds the slice and maps fresh on each call, so a snapshot is
 // never aliased by live counters — callers may hold, mutate, or hand it to
 // another goroutine freely while traffic continues. Clone extends the same
-// guarantee to copies of a snapshot.
+// guarantee to copies of a snapshot. The JSON tags are the keys of the
+// metrics registry's "net" section.
 type Stats struct {
 	// MessagesSent and BytesSent are totals across all nodes.
-	MessagesSent uint64
-	BytesSent    uint64
+	MessagesSent uint64 `json:"messagesSent"`
+	BytesSent    uint64 `json:"bytesSent"`
 	// PerNodeSent counts messages sent by each node.
-	PerNodeSent []uint64
+	PerNodeSent []uint64 `json:"perNodeSent,omitempty"`
 	// PerKind counts messages sent per Kind label.
-	PerKind map[string]uint64
+	PerKind map[string]uint64 `json:"perKind,omitempty"`
 	// PerKindBytes counts modeled wire bytes sent per Kind label. Batching
 	// experiments read it to separate frame-count savings from payload
 	// growth: a batch frame is one message but carries many updates' bytes.
-	PerKindBytes map[string]uint64
+	PerKindBytes map[string]uint64 `json:"perKindBytes,omitempty"`
+}
+
+// NewStats returns an empty snapshot of an n-node deployment, its slice and
+// maps allocated for KindCounts.AddTo.
+func NewStats(n int) Stats {
+	return Stats{
+		PerNodeSent:  make([]uint64, n),
+		PerKind:      make(map[string]uint64),
+		PerKindBytes: make(map[string]uint64),
+	}
 }
 
 // Clone returns a deep copy: the slice and both maps are duplicated, so
@@ -387,11 +398,7 @@ func (f *Fabric) SetDelayFactor(from, to int, factor float64) error {
 // Stats returns a snapshot of the accounting counters: the sum of what every
 // channel counted, read one destination — one lock hold — at a time.
 func (f *Fabric) Stats() Stats {
-	s := Stats{
-		PerNodeSent:  make([]uint64, f.n),
-		PerKind:      make(map[string]uint64),
-		PerKindBytes: make(map[string]uint64),
-	}
+	s := NewStats(f.n)
 	for to, in := range f.inboxes {
 		in.mu.Lock()
 		for from := 0; from < f.n; from++ {

@@ -213,10 +213,9 @@ func (d *decoder) str() string {
 
 // BytesToCells packs an encoded byte stream into int64 memory cells for
 // shipping through the DSM itself: cell 0 is the byte length, each
-// following cell holds eight little-endian payload bytes. This is the
-// trace analogue of the histogram bucket-cell codec — the fleet drain
-// writes these cells under obs/<node>/... and the collector reassembles
-// them after a barrier.
+// following cell holds eight little-endian payload bytes. mixednode's
+// fleet exchange writes these cells under <prefix>/<node>/... and every
+// node reassembles every node's blob after a barrier.
 func BytesToCells(data []byte) []int64 {
 	cells := make([]int64, 1+(len(data)+7)/8)
 	cells[0] = int64(len(data))

@@ -148,12 +148,13 @@ func (m *BarrierManager) onArrive(msg network.Message) {
 	m.idle = append(m.idle, r)
 }
 
-// BarrierStats counts a barrier client's activity.
+// BarrierStats counts a barrier client's activity. The JSON tags are its keys
+// in the metrics registry's "sync" section.
 type BarrierStats struct {
-	Barriers uint64
+	Barriers uint64 `json:"barriers"`
 	// Wait is the total time blocked at barriers: waiting for the release
 	// message plus waiting for the counted updates to arrive.
-	Wait time.Duration
+	Wait time.Duration `json:"barrierWaitNs"`
 }
 
 // BarrierClient is the per-process side of the barrier protocol.

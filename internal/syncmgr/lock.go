@@ -270,14 +270,15 @@ func (m *Manager) grantLocked(st *lockState, req *lockRequest) {
 	})
 }
 
-// ClientStats counts a lock client's activity.
+// ClientStats counts a lock client's activity. The JSON tags are its keys in
+// the metrics registry's "sync" section.
 type ClientStats struct {
-	Acquires uint64
+	Acquires uint64 `json:"lockAcquires"`
 	// AcquireWait is total time blocked waiting for grants plus, in lazy
 	// mode, waiting for the release vector's updates.
-	AcquireWait time.Duration
+	AcquireWait time.Duration `json:"lockAcquireNs"`
 	// ReleaseWait is total time blocked in eager flush rounds.
-	ReleaseWait time.Duration
+	ReleaseWait time.Duration `json:"lockReleaseNs"`
 }
 
 // Client is the per-process side of the lock protocol. One Client serves all

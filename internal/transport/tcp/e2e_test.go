@@ -1,13 +1,14 @@
 package tcp_test
 
 import (
+	"encoding/json"
+	"net/http/httptest"
 	"sync"
 	"testing"
 	"time"
 
 	"mixedmem/internal/apps"
 	"mixedmem/internal/core"
-	"mixedmem/internal/obs"
 	"mixedmem/internal/transport/tcp"
 )
 
@@ -85,8 +86,13 @@ func TestSolveBarrierOverTCP(t *testing.T) {
 		}
 	}
 	for i, p := range peers {
-		net := p.Registry().Snapshot()["net"].(obs.NetMetrics)
-		if net.AcksSent == 0 || net.AcksSent != trs[i].Diag().AcksSent || net.LogBytes != 0 {
+		rec := httptest.NewRecorder()
+		p.Registry().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+		var doc struct{ Net tcp.Diag }
+		if err := json.Unmarshal(rec.Body.Bytes(), &doc); err != nil {
+			t.Fatalf("proc %d: registry JSON: %v", i, err)
+		}
+		if net := doc.Net; net.AcksSent == 0 || net.AcksSent != trs[i].Diag().AcksSent || net.LogBytes != 0 {
 			t.Fatalf("proc %d: registry reports %d acks sent and %d log bytes held; transport says %+v",
 				i, net.AcksSent, net.LogBytes, trs[i].Diag())
 		}

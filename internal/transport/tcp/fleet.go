@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"mixedmem/internal/network"
 	"mixedmem/internal/transport"
 )
 
@@ -73,43 +74,20 @@ func (f *Fleet) Pending(from, to int) int {
 // Stats returns the field-wise sum of the nodes' accounting: every message
 // is counted once, by the transport that sent it.
 func (f *Fleet) Stats() transport.Stats {
-	total := transport.Stats{
-		PerNodeSent:  make([]uint64, len(f.nodes)),
-		PerKind:      make(map[string]uint64),
-		PerKindBytes: make(map[string]uint64),
-	}
+	s := network.NewStats(len(f.nodes))
 	for _, t := range f.nodes {
-		s := t.Stats()
-		total.MessagesSent += s.MessagesSent
-		total.BytesSent += s.BytesSent
-		for i, v := range s.PerNodeSent {
-			total.PerNodeSent[i] += v
-		}
-		for k, v := range s.PerKind {
-			total.PerKind[k] += v
-		}
-		for k, v := range s.PerKindBytes {
-			total.PerKindBytes[k] += v
-		}
+		t.addTo(&s, nil)
 	}
-	return total
+	return s
 }
 
 // Diag returns the sum of the nodes' link diagnostics.
 func (f *Fleet) Diag() Diag {
-	var total Diag
+	var d Diag
 	for _, t := range f.nodes {
-		d := t.Diag()
-		total.Dials += d.Dials
-		total.DialFailures += d.DialFailures
-		total.Replayed += d.Replayed
-		total.Duplicates += d.Duplicates
-		total.DecodeErrors += d.DecodeErrors
-		total.Gaps += d.Gaps
-		total.AcksSent += d.AcksSent
-		total.LogBytes += d.LogBytes
+		t.addTo(nil, &d)
 	}
-	return total
+	return d
 }
 
 // Close lets every node's outbound channels drain (bounded by fleetFlush, so

@@ -178,34 +178,35 @@ func (c *Config) fill() {
 }
 
 // Diag counts supervisor and decode events, for tests and operational
-// visibility.
+// visibility. The JSON tags are its keys in the metrics registry's "net"
+// section, where a zero count is left out.
 type Diag struct {
 	// Dials counts successful outbound connections (first connects and
 	// reconnects).
-	Dials uint64
+	Dials uint64 `json:"dials,omitempty"`
 	// DialFailures counts failed connection attempts.
-	DialFailures uint64
+	DialFailures uint64 `json:"dialFailures,omitempty"`
 	// Replayed counts messages retransmitted after a reconnect.
-	Replayed uint64
+	Replayed uint64 `json:"replayed,omitempty"`
 	// Duplicates counts received messages dropped by sequence dedup.
-	Duplicates uint64
+	Duplicates uint64 `json:"duplicates,omitempty"`
 	// DecodeErrors counts inbound msg frames dropped as undecodable. Such a
 	// frame still consumes its sequence number, so the channel goes on past
 	// it; one too short to carry a sequence number closes its connection.
-	DecodeErrors uint64
+	DecodeErrors uint64 `json:"decodeErrors,omitempty"`
 	// Gaps counts inbound connections closed because a frame skipped a
 	// sequence number. The sender then replays from the cumulative ack, so a
 	// gap costs a reconnect, never a message; any non-zero count is a sender
 	// bug.
-	Gaps uint64
+	Gaps uint64 `json:"gaps,omitempty"`
 	// AcksSent counts the cumulative acks this node, as a receiver, wrote to
 	// its inbound connections.
-	AcksSent uint64
+	AcksSent uint64 `json:"acksSent,omitempty"`
 	// LogBytes is the size right now of the frames this node, as a sender,
 	// holds in its replay logs because no ack has covered them: what a
 	// reconnect of every channel would replay, and the memory that sending
 	// acks on demand trades for the saved round trips.
-	LogBytes uint64
+	LogBytes uint64 `json:"logBytes,omitempty"`
 }
 
 // Transport is a TCP-backed transport.Transport serving one local node.
@@ -383,43 +384,48 @@ func (t *Transport) Pending(from, to int) int {
 // fabric reports. On a distributed transport only the local node's sends are
 // visible; per-experiment totals are the sum over all processes' snapshots.
 func (t *Transport) Stats() transport.Stats {
-	s := transport.Stats{
-		PerNodeSent:  make([]uint64, t.n),
-		PerKind:      make(map[string]uint64),
-		PerKindBytes: make(map[string]uint64),
-	}
-	t.selfMu.Lock()
-	t.self.AddTo(&s, t.id)
-	t.selfMu.Unlock()
-	for _, p := range t.peers {
-		if p != nil {
-			p.mu.Lock()
-			p.kinds.AddTo(&s, t.id)
-			p.mu.Unlock()
-		}
-	}
+	s := network.NewStats(t.n)
+	t.addTo(&s, nil)
 	return s
 }
 
 // Diag returns a snapshot of the supervisor and decode counters.
 func (t *Transport) Diag() Diag {
-	d := Diag{
-		Dials:        t.dials.Load(),
-		DialFailures: t.dialFailures.Load(),
-		Replayed:     t.replayed.Load(),
-		Duplicates:   t.duplicates.Load(),
-		DecodeErrors: t.decodeErrors.Load(),
-		Gaps:         t.gaps.Load(),
-		AcksSent:     t.acksSent.Load(),
+	var d Diag
+	t.addTo(nil, &d)
+	return d
+}
+
+// addTo adds this node's message accounting to s and its link diagnostics
+// to d; either may be nil. A Fleet's snapshots are the sums of its nodes'.
+func (t *Transport) addTo(s *transport.Stats, d *Diag) {
+	if s != nil {
+		t.selfMu.Lock()
+		t.self.AddTo(s, t.id)
+		t.selfMu.Unlock()
+	}
+	if d != nil {
+		d.Dials += t.dials.Load()
+		d.DialFailures += t.dialFailures.Load()
+		d.Replayed += t.replayed.Load()
+		d.Duplicates += t.duplicates.Load()
+		d.DecodeErrors += t.decodeErrors.Load()
+		d.Gaps += t.gaps.Load()
+		d.AcksSent += t.acksSent.Load()
 	}
 	for _, p := range t.peers {
-		if p != nil {
-			p.mu.Lock()
-			d.LogBytes += uint64(p.unacked)
-			p.mu.Unlock()
+		if p == nil {
+			continue
 		}
+		p.mu.Lock()
+		if s != nil {
+			p.kinds.AddTo(s, t.id)
+		}
+		if d != nil {
+			d.LogBytes += uint64(p.unacked)
+		}
+		p.mu.Unlock()
 	}
-	return d
 }
 
 // Flush blocks until every peer has acknowledged every message sent so far
