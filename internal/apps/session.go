@@ -532,6 +532,10 @@ func runSessionWorker(t core.ThreadOps, c SessionConfig, nm *sessionNames, me, w
 	t.Add(aggActiveLoc, 1)
 	rec.adds++
 
+	// Operations are timed as differences of offsets from base: time.Since
+	// reads only the monotonic clock, time.Now the wall clock as well. The
+	// visibility stamp below is the exception, since another process reads
+	// it.
 	base := time.Now()
 	writes := 0
 	for i := 0; i < c.Warmup+c.Ops; i++ {
@@ -546,20 +550,20 @@ func runSessionWorker(t core.ThreadOps, c SessionConfig, nm *sessionNames, me, w
 
 		switch req.Op {
 		case loadgen.OpRead:
-			start := time.Now()
+			start := time.Since(base)
 			t.ReadCausal(loc)
 			if measured {
-				rec.read.RecordDuration(time.Since(start))
+				rec.read.RecordDuration(time.Since(base) - start)
 			}
 			rec.reads++
 		case loadgen.OpWrite:
 			// Distinct per location across the owner's strands: the strand
 			// id in the high bits, the request index in the low.
 			v := (strand+1)<<32 | int64(i+1)
-			start := time.Now()
+			start := time.Since(base)
 			t.Write(loc, v)
 			if measured {
-				rec.write.RecordDuration(time.Since(start))
+				rec.write.RecordDuration(time.Since(base) - start)
 			}
 			rec.writes++
 			if measured && c.visEnabled() {
@@ -580,14 +584,14 @@ func runSessionWorker(t core.ThreadOps, c SessionConfig, nm *sessionNames, me, w
 		}
 		if c.AggReadEvery > 0 && i%c.AggReadEvery == 0 {
 			group := nm.hits[i/c.AggReadEvery%c.AggGroups]
-			start := time.Now()
+			start := time.Since(base)
 			if c.Mode == SessionHybrid {
 				t.ReadPRAM(group)
 			} else {
 				t.ReadCausal(group)
 			}
 			if measured {
-				rec.read.RecordDuration(time.Since(start))
+				rec.read.RecordDuration(time.Since(base) - start)
 			}
 			rec.reads++
 		}
@@ -605,6 +609,7 @@ func runSessionWorker(t core.ThreadOps, c SessionConfig, nm *sessionNames, me, w
 // dependencies guarantee the session state the flagged write was built on
 // is visible here.
 func runVisProber(t core.ThreadOps, c SessionConfig, nm *sessionNames, me, watched, w int, rec *strandRec) {
+	base := time.Now()
 	c.walkFlagPlan(watched, w, func(k int, probe visProbe) {
 		if probe.Follower != me {
 			return
@@ -615,9 +620,9 @@ func runVisProber(t core.ThreadOps, c SessionConfig, nm *sessionNames, me, watch
 		rec.vis.Record(time.Now().UnixNano() - sent)
 		rec.reads++
 
-		start := time.Now()
+		start := time.Since(base)
 		t.ReadCausal(nm.shard[watched][probe.Session*c.SessionKeys+probe.Key])
-		rec.read.RecordDuration(time.Since(start))
+		rec.read.RecordDuration(time.Since(base) - start)
 		rec.reads++
 	})
 }

@@ -1,7 +1,6 @@
 package tcp
 
 import (
-	"bufio"
 	"bytes"
 	"io"
 	"reflect"
@@ -154,24 +153,36 @@ func TestDecodeMsgFrameAllocs(t *testing.T) {
 	}
 }
 
-// TestReadFrameAllocFree: reading a frame that fits the connection's buffer
-// allocates nothing — the length prefix is peeked, not read into an array
-// that escapes.
+// TestReadFrameAllocFree pins the receive buffer's parser at zero
+// allocations in the steady state: frames are parsed in place, and the frame a
+// read cuts in two moves to the front of the buffer for the next read, which
+// neither grows it nor copies anything out.
 func TestReadFrameAllocFree(t *testing.T) {
-	stream := appendMsgFrame(nil, 1, transport.Message{From: 0, To: 1, Kind: "tcptest", Size: 8}, make([]byte, 8))
-	src := bytes.NewReader(stream)
-	br := bufio.NewReader(src)
-	body := make([]byte, 0, 512)
+	frame := appendMsgFrame(nil, 1, transport.Message{From: 0, To: 1, Kind: "tcptest", Size: 8}, make([]byte, 8))
+	stream := bytes.Repeat(frame, 3)
+	cut := len(frame) + len(frame)/2 // the second frame straddles the two reads
+	b := newFrameBuf()
 	allocs := testing.AllocsPerRun(500, func() {
-		src.Reset(stream)
-		br.Reset(src)
-		var err error
-		if body, err = readFrame(br, body); err != nil || len(body) != len(stream)-4 {
-			t.Fatalf("readFrame: %d bytes, %v", len(body), err)
+		frames := 0
+		for _, read := range [][]byte{stream[:cut], stream[cut:]} {
+			b.w += copy(b.space(), read)
+			for {
+				body, ok, err := b.next()
+				if err != nil || ok && len(body) != len(frame)-4 {
+					t.Fatalf("frame %d: %d bytes, %v", frames, len(body), err)
+				}
+				if !ok {
+					break
+				}
+				frames++
+			}
+		}
+		if frames != 3 || b.r != b.w || len(b.buf) != readBufSize {
+			t.Fatalf("parsed %d frames, %d bytes left over, buffer of %d", frames, b.w-b.r, len(b.buf))
 		}
 	})
 	if allocs > 0 {
-		t.Errorf("readFrame: %.1f allocs per frame, want 0", allocs)
+		t.Errorf("parsing frames split across reads: %.1f allocs per round, want 0", allocs)
 	}
 }
 

@@ -1,12 +1,10 @@
 package tcp
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"fmt"
 	"net"
-	"runtime"
 	"slices"
 	"testing"
 	"time"
@@ -231,7 +229,7 @@ func TestReplayChunkReusedOnlyAfterWrite(t *testing.T) {
 	})
 
 	far.SetDeadline(time.Now().Add(30 * time.Second))
-	c := &rawConn{t: t, conn: far, br: bufio.NewReader(far)}
+	c := &rawConn{t: t, conn: far, fb: newFrameBuf()}
 	read := func(from, to int) {
 		t.Helper()
 		for want := from; want <= to; want++ {
@@ -300,8 +298,7 @@ func newRawReceiverT(t *testing.T) (*Transport, *rawReceiver) {
 type rawConn struct {
 	t    *testing.T
 	conn net.Conn
-	br   *bufio.Reader
-	body []byte
+	fb   frameBuf
 }
 
 // accept takes the sender's next connection and checks its hello.
@@ -313,8 +310,8 @@ func (r *rawReceiver) accept() *rawConn {
 	}
 	r.t.Cleanup(func() { conn.Close() })
 	conn.SetDeadline(time.Now().Add(30 * time.Second))
-	c := &rawConn{t: r.t, conn: conn, br: bufio.NewReader(conn)}
-	body, err := readFrame(c.br, nil)
+	c := &rawConn{t: r.t, conn: conn, fb: newFrameBuf()}
+	body, err := c.fb.readFrom(conn)
 	if err != nil || len(body) != 9 || body[0] != frameHello {
 		r.t.Fatalf("hello: % x, %v", body, err)
 	}
@@ -324,15 +321,14 @@ func (r *rawReceiver) accept() *rawConn {
 // frame reads one frame: a msg frame decoded, or an ackreq (asked is true).
 func (c *rawConn) frame() (m transport.Message, seq uint64, asked bool) {
 	c.t.Helper()
-	var err error
-	c.body, err = readFrame(c.br, c.body)
+	body, err := c.fb.readFrom(c.conn)
 	if err != nil {
 		c.t.Fatalf("reading frame: %v", err)
 	}
-	if len(c.body) == 1 && c.body[0] == frameAckReq {
+	if len(body) == 1 && body[0] == frameAckReq {
 		return m, 0, true
 	}
-	if m, seq, err = decodeMsgFrame(nil, c.body); err != nil {
+	if m, seq, err = decodeMsgFrame(nil, body); err != nil {
 		c.t.Fatalf("decoding frame: %v", err)
 	}
 	return m, seq, false
@@ -372,16 +368,12 @@ func (c *rawConn) ack(cum uint64) {
 // awaitPeer polls the peer's state, under its lock, until cond holds.
 func awaitPeer(t *testing.T, p *peer, cond func() bool) {
 	t.Helper()
-	for deadline := time.Now().Add(10 * time.Second); ; runtime.Gosched() {
+	if !eventually(func() bool {
 		p.mu.Lock()
-		ok := cond()
-		p.mu.Unlock()
-		if ok {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("peer never reached the awaited state")
-		}
+		defer p.mu.Unlock()
+		return cond()
+	}) {
+		t.Fatal("peer never reached the awaited state")
 	}
 }
 
@@ -614,11 +606,9 @@ func TestReplayAfterKillWithLazyAcks(t *testing.T) {
 	send(0, half)
 	recv(0, half)
 	// Everything is delivered; acks already written may still be on their way.
-	heldMax := uint64(ackEvery + 4096 + frame)
-	for deadline := time.Now().Add(10 * time.Second); trs[0].Diag().LogBytes > heldMax; runtime.Gosched() {
-		if time.Now().After(deadline) {
-			t.Fatalf("sender holds %d bytes of delivered frames, want <= %d", trs[0].Diag().LogBytes, heldMax)
-		}
+	heldMax := uint64(ackEvery + readBufSize + frame)
+	if !eventually(func() bool { return trs[0].Diag().LogBytes <= heldMax }) {
+		t.Fatalf("sender holds %d bytes of delivered frames, want <= %d", trs[0].Diag().LogBytes, heldMax)
 	}
 	held := trs[0].Diag().LogBytes
 	if trs[1].Diag().AcksSent == 0 {

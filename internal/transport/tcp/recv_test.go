@@ -1,9 +1,14 @@
 package tcp
 
 import (
-	"bufio"
+	"bytes"
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"io"
 	"net"
+	"os"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -18,9 +23,24 @@ import (
 type rawSender struct {
 	t    *testing.T
 	conn net.Conn
-	acks *bufio.Reader
+	acks frameBuf
 	from int
 	to   int
+}
+
+// readFrom returns the next frame's body, reading r with plain Read calls as
+// far as it takes: the test ends' reader, parsing as the transport's does.
+func (b *frameBuf) readFrom(r io.Reader) ([]byte, error) {
+	for {
+		if body, ok, err := b.next(); ok || err != nil {
+			return body, err
+		}
+		n, err := r.Read(b.space())
+		b.w += n
+		if err != nil {
+			return nil, err
+		}
+	}
 }
 
 func dialRaw(t *testing.T, tr *Transport, from int) *rawSender {
@@ -34,7 +54,7 @@ func dialRaw(t *testing.T, tr *Transport, from int) *rawSender {
 	if _, err := conn.Write(appendHelloFrame(nil, from)); err != nil {
 		t.Fatalf("hello: %v", err)
 	}
-	return &rawSender{t: t, conn: conn, acks: bufio.NewReader(conn), from: from, to: tr.id}
+	return &rawSender{t: t, conn: conn, acks: newFrameBuf(), from: from, to: tr.id}
 }
 
 // frames encodes the sequences lo..hi as "tcptest" messages whose payload is
@@ -71,7 +91,7 @@ func (s *rawSender) blobFrames(lo, hi uint64, frameLen int) []byte {
 // or a reset if it closed with frames of ours unread).
 func (s *rawSender) readAck() (cum uint64, ok bool) {
 	s.t.Helper()
-	body, err := readFrame(s.acks, nil)
+	body, err := s.acks.readFrom(s.conn)
 	if err != nil {
 		return 0, false
 	}
@@ -407,5 +427,219 @@ func TestCloseAcksWhatWasDelivered(t *testing.T) {
 	}
 	if d := trs[1].Diag(); d.AcksSent != 1 {
 		t.Fatalf("closed receiver sent %d acks, want the one", d.AcksSent)
+	}
+}
+
+// readCalls is the number of read system calls the process has made so far
+// (/proc/self/io's syscr, bumped by every read(2) of every thread).
+func readCalls() (int, error) {
+	b, err := os.ReadFile("/proc/self/io")
+	if err != nil {
+		return 0, err
+	}
+	for _, line := range strings.Split(string(b), "\n") {
+		if v, ok := strings.CutPrefix(line, "syscr: "); ok {
+			return strconv.Atoi(v)
+		}
+	}
+	return 0, errors.New("no syscr line in /proc/self/io")
+}
+
+// TestLoneFrameCostsOneRead pins what a lone frame costs its receiver: one read
+// system call. Frames go one at a time over real loopback, each sent only once
+// the one before it has been delivered, and the process's read calls are
+// counted around them. A receiver that reads until the socket says it is empty
+// pays two per frame; nothing else in the process reads while the frames
+// flow — no acks are due, and the sender's ack reader waits on the poller.
+func TestLoneFrameCostsOneRead(t *testing.T) {
+	if _, err := readCalls(); err != nil {
+		t.Skipf("read calls cannot be counted here: %v", err)
+	}
+	trs := newLoopbackT(t, 2)
+	send := func(v uint64) {
+		t.Helper()
+		if err := trs[0].Send(transport.Message{From: 0, To: 1, Kind: "tcptest", Payload: v, Size: 8}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The connection is up and has carried a frame before the count starts.
+	send(0)
+	recvT(t, trs[1], 1)
+	// Recv blocks below, with no timer per frame; closing the receiver is what
+	// ends a stalled run.
+	watchdog := time.AfterFunc(30*time.Second, trs[1].Close)
+	defer watchdog.Stop()
+
+	const frames = 200
+	before, err := readCalls()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for v := uint64(1); v <= frames; v++ {
+		send(v)
+		if m, ok := trs[1].Recv(1); !ok || m.Payload.(uint64) != v {
+			t.Fatalf("frame %d: delivered %+v (ok=%v)", v, m.Payload, ok)
+		}
+	}
+	after, err := readCalls()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Slack: reading /proc/self/io takes reads of its own, and each inbound
+	// connection's reader probes its socket every probeEvery.
+	const slack = 20
+	if reads := after - before; reads > frames+slack {
+		t.Errorf("%d lone frames cost %d read calls, want <= %d (one each, plus %d)", frames, reads, frames+slack, slack)
+	} else {
+		t.Logf("%d lone frames cost %d read calls", frames, reads)
+	}
+	if d := trs[1].Diag(); d.AcksSent != 0 {
+		t.Errorf("receiver sent %d acks for %d bytes of lone frames", d.AcksSent, frames*msgFrameSize("tcptest", make([]byte, 8)))
+	}
+}
+
+// TestFrameSplitAcrossReads sends frames that do not line up with the
+// receiver's reads: one written a byte at a time, a burst whose last frame
+// crosses the end of the read buffer, and a frame three times the buffer's
+// size. Through a transport, every frame is delivered exactly once and in
+// order; through readFrames itself, every frame is handed over whole, the
+// oversized one from a buffer of its own size, and the buffer is back to its
+// normal size for the frame after it.
+func TestFrameSplitAcrossReads(t *testing.T) {
+	trs := newLoopbackT(t, 2)
+	s := dialRaw(t, trs[1], 0)
+	lone := s.frames(1, 1)
+	burst := s.frames(2, 87)
+	big := s.blobFrames(88, 88, 3*readBufSize)
+	after := s.frames(89, 89)
+	if last := len(burst) - len(s.frames(87, 87)); len(burst) <= readBufSize || last >= readBufSize {
+		t.Fatalf("burst of %d bytes whose last frame starts at %d does not straddle a %d-byte buffer", len(burst), last, readBufSize)
+	}
+	check := func(m transport.Message, want uint64) {
+		t.Helper()
+		switch p := m.Payload.(type) {
+		case uint64:
+			if p != want {
+				t.Errorf("delivered %d, want %d", p, want)
+			}
+		case []byte:
+			if len(p) != len(big)-msgFrameSize("tcpblob", nil) || !bytes.Equal(p, bytes.Repeat([]byte{byte(want)}, len(p))) {
+				t.Errorf("frame %d: %d payload bytes, not the oversized frame's", want, len(p))
+			}
+		}
+	}
+	for i := range lone {
+		s.write(lone[i : i+1])
+	}
+	check(recvT(t, trs[1], 1), 1)
+	s.write(burst)
+	next := uint64(2)
+	recvNT(t, trs[1], 1, 86, func(m transport.Message) {
+		check(m, next)
+		next++
+	})
+	s.write(big)
+	check(recvT(t, trs[1], 1), 88)
+	s.write(after)
+	check(recvT(t, trs[1], 1), 89)
+	// Anything delivered twice would now sit in the inbox ahead of this marker.
+	if err := trs[1].Send(transport.Message{From: 1, To: 1, Kind: "marker"}); err != nil {
+		t.Fatal(err)
+	}
+	if m := recvT(t, trs[1], 1); m.Kind != "marker" {
+		t.Fatalf("extra delivery after the stream: %+v", m)
+	}
+	if d := trs[1].Diag(); d.Duplicates != 0 || d.Gaps != 0 || d.DecodeErrors != 0 {
+		t.Fatalf("diag %+v, want no duplicates, gaps or decode errors", d)
+	}
+
+	// The same writes, read by readFrames on a plain connection.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	w, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	r, err := ln.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	r.SetReadDeadline(time.Now().Add(30 * time.Second))
+	type handed struct {
+		body []byte
+		buf  int // the buffer's size while the frame was handed over
+	}
+	got := make(chan handed, 89)
+	done := make(chan error, 1)
+	go func() {
+		b := newFrameBuf()
+		done <- readFrames(r, &b, func(body []byte) bool {
+			got <- handed{bytes.Clone(body), len(b.buf)}
+			return true
+		}, nil)
+	}()
+	defer func() {
+		w.Close()
+		if err := <-done; !errors.Is(err, io.EOF) {
+			t.Errorf("readFrames ended with %v, want end of stream", err)
+		}
+	}()
+	var want [][]byte
+	for _, stream := range [][]byte{lone, burst, big, after} {
+		for len(stream) > 0 {
+			n := 4 + int(binary.BigEndian.Uint32(stream))
+			want = append(want, stream[4:n])
+			stream = stream[n:]
+		}
+	}
+	for i := range lone {
+		if _, err := w.Write(lone[i : i+1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, piece := range [][]byte{burst, big, after} {
+		if _, err := w.Write(piece); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, body := range want {
+		h := <-got
+		if !bytes.Equal(h.body, body) {
+			t.Fatalf("frame %d of %d handed over as %d bytes, want %d", i+1, len(want), len(h.body), len(body))
+		}
+		wantBuf := readBufSize
+		if len(body) == len(big)-4 {
+			wantBuf = len(big)
+		}
+		if h.buf != wantBuf {
+			t.Errorf("frame %d (%d bytes) handed over from a buffer of %d bytes, want %d", i+1, len(body), h.buf, wantBuf)
+		}
+	}
+}
+
+// TestReceiverNoticesSenderGone: a sender that writes its last frame and hangs
+// up before the receiver has read it leaves the end of the stream queued behind
+// the frame, and the read that returns the frame does not report it; nor,
+// since the poller may fold the two into one wake-up, need anything else. The
+// receiver must notice within a probe period or so all the same, and close its
+// end of the connection.
+func TestReceiverNoticesSenderGone(t *testing.T) {
+	trs := newLoopbackT(t, 2)
+	for seq := uint64(1); seq <= 5; seq++ {
+		s := dialRaw(t, trs[1], 0)
+		s.write(s.frames(seq, seq))
+		s.conn.(*net.TCPConn).CloseWrite()
+		if got := recvT(t, trs[1], 1).Payload.(uint64); got != seq {
+			t.Fatalf("delivered %d, want %d", got, seq)
+		}
+		s.conn.SetReadDeadline(time.Now().Add(40 * probeEvery))
+		if body, err := s.acks.readFrom(s.conn); !errors.Is(err, io.EOF) {
+			t.Fatalf("connection %d: read % x, %v; want the receiver to hang up", seq, body, err)
+		}
 	}
 }

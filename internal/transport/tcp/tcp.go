@@ -28,9 +28,9 @@
 // require).
 //
 // Acknowledgements are sent on demand. The receiver writes its cumulative ack
-// only immediately before a read of the socket — the one point where it may
-// block, so frames served from the connection's 4 KiB read buffer share an ack
-// — and only when one of three things holds: (a) at least ackEvery
+// only once it has handled every frame one read returned, before it reads
+// again or waits for the socket — so the frames of one read share an ack — and
+// only when one of three things holds: (a) at least ackEvery
 // (chunkSize/2) bytes of frames it delivered on the connection are
 // unacknowledged; (b) the sender asked, with an ackreq frame, which Flush has
 // the writer goroutine append behind the unwritten frames and asks again on
@@ -40,9 +40,10 @@
 // lone frame on a quiet channel costs the sender one write and the receiver
 // one read, and nobody a write and a read for an ack nothing waits for. The
 // price is bounded. A sender holds at most ackEvery bytes of frames the
-// receiver already delivered, plus what is in flight, per channel
-// (Diag.LogBytes); a reconnect replays at most that much into the receiver's
-// sequence dedup; and Flush, which asks, never waits for the byte threshold.
+// receiver already delivered, plus one read's worth and what is in flight, per
+// channel (Diag.LogBytes); a reconnect replays at most that much into the
+// receiver's sequence dedup; and Flush, which asks, never waits for the byte
+// threshold.
 // One ack is sent unasked at the very end: a transport that closes
 // acknowledges what each inbound connection delivered as its last word on it,
 // since nobody will be there to answer a later ackreq (see Close).
@@ -65,12 +66,23 @@
 // anyway, self-sends one of their own under a small lock, and Stats sums them.
 //
 // The receiving side of a connection is one goroutine that owns everything it
-// needs to turn bytes into messages: the frame buffer, the acknowledgement
+// needs to turn bytes into messages: the read buffer, the acknowledgement
 // state, and a transport.ConnDecoder through which the payload codecs keep
 // per-connection decode state (internal/dsm carves received updates and their
 // timestamps from slabs and caches location strings there). Decoded messages
 // go to the node's network.Inbox, the burst queue the simulated fabric
 // delivers into as well.
+//
+// Both ends read their socket the same way (readFrames): one read system call
+// fills the connection's 4 KiB buffer (readBufSize) as far as the socket
+// allows, every complete frame in it is handled in place, and a read that did
+// not fill the buffer is followed by a wait for the poller, not by the read
+// that would find the socket empty. A frame larger than the buffer is read
+// into a one-off buffer of its own size. Since a peer's FIN or reset can hide
+// behind the last bytes such a read returned, an inbound connection's reader
+// also reads every probeEvery (50 ms) whatever the poller says. Writes re-arm
+// the connection's write deadline only when less than half of WriteTimeout is
+// left (writeDeadline).
 //
 // Wire format (all integers big-endian, encoding/binary): every frame is a
 // uint32 body length followed by the body; the body's first byte is the
@@ -93,13 +105,12 @@
 package tcp
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"math/rand"
 	"net"
+	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -135,11 +146,14 @@ type Config struct {
 	Peers []string
 	// Listener, when non-nil, is used instead of listening on Peers[ID] —
 	// for tests and port-0 deployments that bind first and exchange
-	// addresses afterwards.
+	// addresses afterwards. The connections it accepts must expose their
+	// file descriptor (syscall.Conn), as *net.TCPConn does.
 	Listener net.Listener
 	// DialTimeout bounds one connection attempt (default 2s).
 	DialTimeout time.Duration
-	// WriteTimeout bounds one frame write; a stalled peer counts as a
+	// WriteTimeout bounds one write: a write not done between WriteTimeout/2
+	// and WriteTimeout after it started (the deadline is re-armed only once
+	// less than half of it is left) fails, so a stalled peer counts as a
 	// failed connection and triggers a redial (default 10s).
 	WriteTimeout time.Duration
 	// BackoffBase and BackoffMax shape the dial supervisor's exponential
@@ -471,10 +485,13 @@ func (t *Transport) DropConn(to int) {
 	}
 	p := t.peers[to]
 	p.mu.Lock()
-	if p.conn != nil {
-		p.conn.Close()
-	}
+	conn := p.conn
 	p.mu.Unlock()
+	if conn != nil {
+		// Not under p.mu: Close waits for the connection's ack reader to
+		// leave its read, which may be waiting for p.mu to apply an ack.
+		conn.Close()
+	}
 }
 
 // Close shuts the transport down: stops the supervisors, closes every
@@ -494,12 +511,13 @@ func (t *Transport) Close() {
 			}
 			p.mu.Lock()
 			p.closed = true
-			if p.conn != nil {
-				p.conn.Close()
-			}
+			conn := p.conn
 			p.cond.Signal()
 			p.acked.Broadcast()
 			p.mu.Unlock()
+			if conn != nil {
+				conn.Close() // not under p.mu: see DropConn
+			}
 		}
 		// Inbound connections are not closed from here: their readers are
 		// kicked out of the read they are blocked in and close the
@@ -603,6 +621,7 @@ func (t *Transport) writeHello(conn net.Conn) error {
 // hands it to the kernel as one (vectored) write, so a burst of sends costs
 // one syscall and no copy.
 func (t *Transport) writeFrames(p *peer, conn net.Conn) error {
+	deadline := writeDeadline{timeout: t.cfg.WriteTimeout}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for {
@@ -628,7 +647,7 @@ func (t *Transport) writeFrames(p *peer, conn net.Conn) error {
 		}
 		p.mu.Unlock()
 
-		conn.SetWriteDeadline(time.Now().Add(t.cfg.WriteTimeout))
+		deadline.arm(conn)
 		err := p.writeBatch(conn)
 
 		p.mu.Lock()
@@ -638,30 +657,24 @@ func (t *Transport) writeFrames(p *peer, conn net.Conn) error {
 	}
 }
 
-// readAcks consumes cumulative acks on an outbound connection. On any read
-// error it tears the connection down so the writer redials.
+// readAcks consumes cumulative acks on an outbound connection. When the
+// connection fails it tears it down so the writer redials.
 func (t *Transport) readAcks(p *peer, conn net.Conn, done chan struct{}) {
 	defer close(done)
-	br := bufio.NewReader(conn)
-	body := transport.GetBuf()
-	defer func() { transport.PutBuf(body) }()
-	for {
-		var err error
-		body, err = readFrame(br, body)
-		if err != nil {
-			conn.Close()
-			p.mu.Lock()
-			if p.conn == conn {
-				p.conn = nil
-			}
-			p.cond.Signal() // the writer, if it is waiting for frames
-			p.mu.Unlock()
-			return
-		}
+	b := newFrameBuf()
+	readFrames(conn, &b, func(body []byte) bool {
 		if len(body) == 9 && body[0] == frameAck {
 			p.advanceAck(binary.BigEndian.Uint64(body[1:]))
 		}
+		return true
+	}, nil)
+	conn.Close()
+	p.mu.Lock()
+	if p.conn == conn {
+		p.conn = nil
 	}
+	p.cond.Signal() // the writer, if it is waiting for frames
+	p.mu.Unlock()
 }
 
 // acceptLoop serves inbound connections until the listener closes.
@@ -692,58 +705,60 @@ func (t *Transport) acceptLoop() {
 // chunk, so a streaming sender's log stays within a chunk or two.
 const ackEvery = chunkSize / 2
 
-// ackReader is the io.Reader serveConn's bufio.Reader fills itself from. It
-// sends the connection's cumulative ack, when one is due, immediately before a
-// read of the socket — the only point where the receiver may block — so frames
-// that arrived together and were served from bufio's buffer share it.
-type ackReader struct {
-	conn    net.Conn
-	timeout time.Duration
-	sent    *atomic.Uint64 // Diag.AcksSent
+// inConn is the receiving state of one inbound connection, owned by its
+// serveConn goroutine: the sender, once the hello has named it, the payload
+// codecs' decode state, and the acknowledgement state. It sends the
+// connection's cumulative ack, when one is due, once every frame of a read is
+// handled and before the next read or the wait for the socket — the only point
+// where the receiver may block — so the frames of one read share it.
+type inConn struct {
+	t    *Transport
+	conn net.Conn
+	// from is the sender, -1 until the hello.
+	from int
+	dec  transport.ConnDecoder
 	// cum is the cumulative sequence to acknowledge and unacked the bytes of
 	// frames delivered on this connection since its last ack.
 	cum     uint64
 	unacked int
-	// due says the next read sends an ack first: unacked reached ackEvery, the
-	// sender asked, or a duplicate was dropped.
-	due   bool
-	frame [13]byte // the ack frame's bytes, so sending one allocates nothing
+	// due says an ack goes out before the next read: unacked reached
+	// ackEvery, the sender asked, or a duplicate was dropped.
+	due      bool
+	deadline writeDeadline
+	ackFrame [13]byte // the ack frame's bytes, so sending one allocates nothing
 }
 
-func (r *ackReader) Read(b []byte) (int, error) {
-	if r.due {
-		if err := r.ack(); err != nil {
-			return 0, err
-		}
-	}
-	return r.conn.Read(b)
+// ackIfDue writes the cumulative ack if one is due, and reports whether the
+// connection goes on: not once an ack write has failed.
+func (c *inConn) ackIfDue() bool {
+	return !c.due || c.ack() == nil
 }
 
 // ack writes the cumulative ack.
-func (r *ackReader) ack() error {
+func (c *inConn) ack() error {
 	// Counted before it is written: whoever has read this ack off the wire
 	// finds it in the count.
-	r.sent.Add(1)
-	r.conn.SetWriteDeadline(time.Now().Add(r.timeout))
-	_, err := r.conn.Write(appendAckFrame(r.frame[:0], r.cum))
-	r.due, r.unacked = false, 0
+	c.t.acksSent.Add(1)
+	c.deadline.arm(c.conn)
+	_, err := c.conn.Write(appendAckFrame(c.ackFrame[:0], c.cum))
+	c.due, c.unacked = false, 0
 	return err
 }
 
 // serveConn receives one peer's channel: validate the hello, then deliver
 // msg frames in sequence order, dropping duplicates from replays and acking
-// cumulatively on the same socket (see ackReader for when).
+// cumulatively on the same socket (see inConn for when).
 func (t *Transport) serveConn(conn net.Conn) {
 	defer t.wg.Done()
-	acks := &ackReader{conn: conn, timeout: t.cfg.WriteTimeout, sent: &t.acksSent}
+	c := &inConn{t: t, conn: conn, from: -1, deadline: writeDeadline{timeout: t.cfg.WriteTimeout}}
 	defer func() {
 		select {
 		case <-t.done:
 			// The transport is closing (Close ended the read). Acknowledge
 			// what this connection delivered: the sender can ask no more, and
 			// its Flush would otherwise wait out its timeout.
-			if acks.due || acks.unacked > 0 {
-				_ = acks.ack() // the connection is closed next either way
+			if c.due || c.unacked > 0 {
+				_ = c.ack() // the connection is closed next either way
 			}
 		default:
 		}
@@ -752,94 +767,115 @@ func (t *Transport) serveConn(conn net.Conn) {
 		delete(t.conns, conn)
 		t.connMu.Unlock()
 	}()
-	// The default 4 KiB buffer bounds how many frames are served between two
-	// looks at whether an ack is due.
-	br := bufio.NewReader(acks)
-	// body is the connection's reusable frame buffer: readFrame fills it in
-	// place (growing as needed) and every decode copies what it keeps, so one
-	// buffer serves every frame of the connection. dec is the payload codecs'
-	// state for the connection.
-	body := transport.GetBuf()
-	defer func() { transport.PutBuf(body) }()
-	var dec transport.ConnDecoder
-	body, err := readFrame(br, body)
-	if err != nil || len(body) != 9 || body[0] != frameHello ||
-		binary.BigEndian.Uint32(body[1:]) != helloMagic {
-		return
-	}
-	from := int(binary.BigEndian.Uint32(body[5:]))
-	if from < 0 || from >= t.n || from == t.id {
-		return
-	}
-	for {
-		body, err = readFrame(br, body)
-		if err != nil {
+	b := newFrameBuf()
+	for t.armProbe(conn) {
+		err := readFrames(conn, &b, c.frame, c.ackIfDue)
+		if !errors.Is(err, os.ErrDeadlineExceeded) {
 			return
 		}
-		if len(body) == 1 && body[0] == frameAckReq {
-			// The connection may have delivered nothing yet (a reconnect
-			// whose replay is still to come): the position is the sender's,
-			// not the connection's.
-			t.rmu.Lock()
-			acks.cum = t.lastSeq[from]
-			t.rmu.Unlock()
-			acks.due = true
-			continue
+	}
+}
+
+// probeEvery bounds how long an inbound connection's reader waits for the
+// poller before it reads the socket anyway. readFrames reads once per wake-up,
+// and the end of a stream can hide behind the last bytes it read (see there);
+// with nothing else left to wake the reader, a sender that has gone would
+// leave it parked until Close. The outbound side needs no probe: the writer's
+// next write to a connection the receiver closed fails, or draws the reset
+// that wakes readAcks.
+const probeEvery = 50 * time.Millisecond
+
+// armProbe sets conn's read deadline probeEvery ahead, or reports false when
+// the transport is closing: the deadline Close set to kick the reader out must
+// stand. It holds connMu, as Close does to set that deadline, so neither can
+// overwrite the other.
+func (t *Transport) armProbe(conn net.Conn) bool {
+	t.connMu.Lock()
+	defer t.connMu.Unlock()
+	select {
+	case <-t.done:
+		return false
+	default:
+	}
+	conn.SetReadDeadline(time.Now().Add(probeEvery))
+	return true
+}
+
+// frame handles one frame of the connection and reports whether the
+// connection goes on. Every decode copies what it keeps out of body.
+func (c *inConn) frame(body []byte) bool {
+	t, from := c.t, c.from
+	if from < 0 {
+		if len(body) != 9 || body[0] != frameHello || binary.BigEndian.Uint32(body[1:]) != helloMagic {
+			return false
 		}
-		if len(body) == 0 || body[0] != frameMsg {
-			continue
-		}
-		if len(body) < 1+8 {
-			// Not even a sequence number: there is no telling which frame of
-			// the channel this was, so the channel cannot go on.
-			t.decodeErrors.Add(1)
-			t.cfg.Logf("tcp: node %d from %d: msg frame of %d bytes carries no sequence number; closing the connection",
-				t.id, from, len(body))
-			return
-		}
-		// A frame whose header parses but whose message does not still holds
-		// its place in the sequence: it is a duplicate, a gap, or the next
-		// frame — consumed and acknowledged, never delivered — exactly as if
-		// it had decoded. Dropping it without its number would make the next
-		// frame a gap and the sender replay this one forever.
-		m, seq, decodeErr := decodeMsgFrame(&dec, body)
-		// The sequence test and the inbox push are one critical section: a
-		// replaced connection's reader can still be draining its buffer while
-		// the new connection's reader runs, and whichever claims a sequence
-		// number must deliver it before the other claims the next. Lock order
-		// rmu -> the inbox's lock; nothing takes them the other way.
+		c.from = int(binary.BigEndian.Uint32(body[5:]))
+		return c.from >= 0 && c.from < t.n && c.from != t.id
+	}
+	if len(body) == 1 && body[0] == frameAckReq {
+		// The connection may have delivered nothing yet (a reconnect whose
+		// replay is still to come): the position is the sender's, not the
+		// connection's.
 		t.rmu.Lock()
-		next := t.lastSeq[from] + 1
-		if seq == next {
-			t.lastSeq[from] = seq
-			if decodeErr == nil {
-				t.inbox.Push(m)
-			}
-		}
-		acks.cum = t.lastSeq[from]
+		c.cum = t.lastSeq[from]
 		t.rmu.Unlock()
-		switch {
-		case seq < next:
-			// The sender replayed what was delivered: it is behind, tell it.
-			t.duplicates.Add(1)
-			acks.due = true
-		case seq > next:
-			// Delivering it would lose next..seq-1 silently. Hang up instead:
-			// the sender redials and replays from the cumulative ack.
-			t.gaps.Add(1)
-			t.cfg.Logf("tcp: node %d from %d: sequence gap, got %d want %d; closing the connection",
-				t.id, from, seq, next)
-			return
-		default:
-			if decodeErr != nil {
-				t.decodeErrors.Add(1)
-				t.cfg.Logf("tcp: node %d from %d: dropped undecodable frame %d: %v", t.id, from, seq, decodeErr)
-			}
-			if acks.unacked += 4 + len(body); acks.unacked >= ackEvery {
-				acks.due = true
-			}
+		c.due = true
+		return true
+	}
+	if len(body) == 0 || body[0] != frameMsg {
+		return true
+	}
+	if len(body) < 1+8 {
+		// Not even a sequence number: there is no telling which frame of the
+		// channel this was, so the channel cannot go on.
+		t.decodeErrors.Add(1)
+		t.cfg.Logf("tcp: node %d from %d: msg frame of %d bytes carries no sequence number; closing the connection",
+			t.id, from, len(body))
+		return false
+	}
+	// A frame whose header parses but whose message does not still holds its
+	// place in the sequence: it is a duplicate, a gap, or the next frame —
+	// consumed and acknowledged, never delivered — exactly as if it had
+	// decoded. Dropping it without its number would make the next frame a gap
+	// and the sender replay this one forever.
+	m, seq, decodeErr := decodeMsgFrame(&c.dec, body)
+	// The sequence test and the inbox push are one critical section: a
+	// replaced connection's reader can still be handling its last read while
+	// the new connection's reader runs, and whichever claims a sequence number
+	// must deliver it before the other claims the next. Lock order rmu -> the
+	// inbox's lock; nothing takes them the other way.
+	t.rmu.Lock()
+	next := t.lastSeq[from] + 1
+	if seq == next {
+		t.lastSeq[from] = seq
+		if decodeErr == nil {
+			t.inbox.Push(m)
 		}
 	}
+	c.cum = t.lastSeq[from]
+	t.rmu.Unlock()
+	switch {
+	case seq < next:
+		// The sender replayed what was delivered: it is behind, tell it.
+		t.duplicates.Add(1)
+		c.due = true
+	case seq > next:
+		// Delivering it would lose next..seq-1 silently. Hang up instead: the
+		// sender redials and replays from the cumulative ack.
+		t.gaps.Add(1)
+		t.cfg.Logf("tcp: node %d from %d: sequence gap, got %d want %d; closing the connection",
+			t.id, from, seq, next)
+		return false
+	default:
+		if decodeErr != nil {
+			t.decodeErrors.Add(1)
+			t.cfg.Logf("tcp: node %d from %d: dropped undecodable frame %d: %v", t.id, from, seq, decodeErr)
+		}
+		if c.unacked += 4 + len(body); c.unacked >= ackEvery {
+			c.due = true
+		}
+	}
+	return true
 }
 
 // appendHelloFrame encodes the dialer's first frame.
@@ -901,34 +937,4 @@ func decodeMsgFrame(dec *transport.ConnDecoder, body []byte) (transport.Message,
 	var err error
 	m.Kind, m.Payload, err = dec.DecodeKindPayload(kind, body[len(body)-plen:])
 	return m, seq, err
-}
-
-// readFrame reads one length-prefixed frame body into buf, growing it only
-// when a frame exceeds its capacity. The caller owns exactly one buffer per
-// connection and passes the previous return value back in, so steady-state
-// reading allocates nothing; every decode must copy what it keeps out of the
-// returned slice before the next call.
-func readFrame(br *bufio.Reader, buf []byte) ([]byte, error) {
-	// Peek, not ReadFull into a local array: the array would escape through
-	// the io.Reader interface and cost an allocation per frame.
-	prefix, err := br.Peek(4)
-	if err != nil {
-		if err == io.EOF && len(prefix) > 0 {
-			err = io.ErrUnexpectedEOF
-		}
-		return buf, err
-	}
-	n := binary.BigEndian.Uint32(prefix)
-	br.Discard(4) // cannot fail: Peek just returned the four bytes
-	if n > maxFrame {
-		return buf, fmt.Errorf("tcp: frame of %d bytes exceeds limit", n)
-	}
-	if uint32(cap(buf)) < n {
-		buf = make([]byte, n)
-	}
-	buf = buf[:n]
-	if _, err := io.ReadFull(br, buf); err != nil {
-		return buf, err
-	}
-	return buf, nil
 }

@@ -3,6 +3,7 @@ package tcp
 import (
 	"fmt"
 	"net"
+	"runtime"
 	"testing"
 	"time"
 
@@ -232,8 +233,25 @@ func TestFlushDrainsUnackedMessages(t *testing.T) {
 	}
 }
 
+// eventually polls cond, yielding the processor between looks, until it holds
+// (true) or ten seconds have passed (false).
+func eventually(cond func() bool) bool {
+	for deadline := time.Now().Add(10 * time.Second); !cond(); runtime.Gosched() {
+		if time.Now().After(deadline) {
+			return false
+		}
+	}
+	return true
+}
+
 func TestKillAndReconnectReplaysWithoutLossOrReorder(t *testing.T) {
 	trs := newLoopbackT(t, 2)
+	p := trs[0].peers[1]
+	connected := func() bool {
+		p.mu.Lock()
+		defer p.mu.Unlock()
+		return p.conn != nil
+	}
 	const total = 400
 	done := make(chan struct{})
 	go func() {
@@ -244,10 +262,18 @@ func TestKillAndReconnectReplaysWithoutLossOrReorder(t *testing.T) {
 				return
 			}
 			if i%100 == 50 {
-				// Kill the connection mid-stream; the supervisor must
-				// redial and replay the unacked suffix.
+				// Kill the connection mid-stream, once there is one; the
+				// supervisor must redial and replay the unacked suffix.
+				if !eventually(connected) {
+					t.Errorf("no connection to kill at send #%d", i)
+					return
+				}
+				dials := trs[0].Diag().Dials
 				trs[0].DropConn(1)
-				time.Sleep(2 * time.Millisecond)
+				if !eventually(func() bool { return trs[0].Diag().Dials > dials }) {
+					t.Errorf("no redial after the kill at send #%d: %+v", i, trs[0].Diag())
+					return
+				}
 			}
 		}
 	}()
@@ -289,12 +315,8 @@ func TestSupervisorBacksOffUntilPeerAppears(t *testing.T) {
 	defer t0.Close()
 
 	// The supervisor must be retrying with backoff while node 1 is down.
-	deadline := time.Now().Add(5 * time.Second)
-	for t0.Diag().DialFailures < 2 {
-		if time.Now().After(deadline) {
-			t.Fatalf("no dial retries observed: %+v", t0.Diag())
-		}
-		time.Sleep(time.Millisecond)
+	if !eventually(func() bool { return t0.Diag().DialFailures >= 2 }) {
+		t.Fatalf("no dial retries observed: %+v", t0.Diag())
 	}
 	if err := t0.Send(transport.Message{From: 0, To: 1, Kind: "tcptest", Payload: uint64(7), Size: 8}); err != nil {
 		t.Fatalf("send while peer down: %v", err)
@@ -324,6 +346,9 @@ func TestSupervisorBacksOffUntilPeerAppears(t *testing.T) {
 	}
 }
 
+// TestCloseIsIdempotentAndUnblocksReceivers: Recv returns false once the
+// transport is closed, whether it was already waiting when Close came (or was
+// about to be: the goroutine may not have got there yet) or is called after.
 func TestCloseIsIdempotentAndUnblocksReceivers(t *testing.T) {
 	trs, err := NewLoopback(2, nil)
 	if err != nil {
@@ -334,7 +359,6 @@ func TestCloseIsIdempotentAndUnblocksReceivers(t *testing.T) {
 		_, ok := trs[0].Recv(0)
 		unblocked <- ok
 	}()
-	time.Sleep(10 * time.Millisecond)
 	trs[0].Close()
 	trs[0].Close() // idempotent
 	select {
@@ -344,6 +368,9 @@ func TestCloseIsIdempotentAndUnblocksReceivers(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("Close did not unblock Recv")
+	}
+	if _, ok := trs[0].Recv(0); ok {
+		t.Fatal("Recv after Close returned a message")
 	}
 	// Operations on a closed transport must not panic or block.
 	if err := trs[0].Send(transport.Message{From: 0, To: 1, Kind: "tcptest", Payload: uint64(1), Size: 8}); err != nil {
