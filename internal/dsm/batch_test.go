@@ -219,9 +219,8 @@ func TestBatchCausalChainAcrossSenders(t *testing.T) {
 	nodes[1].Write("z", 3) // causally after node 0's batch
 	nodes[1].FlushUpdates()
 	// Node 2 has z pending but must not causally apply it before x,y.
-	eventually(t, func() bool { return f.Pending(1, 2) == 0 },
-		"node 1's batch never reached node 2")
-	time.Sleep(10 * time.Millisecond)
+	eventually(t, func() bool { return nodes[2].Stats().PendingGroups == 1 },
+		"node 1's batch never parked at node 2")
 	if got := nodes[2].causalSnapshotValue("z"); got != 0 {
 		t.Fatalf("z causally applied before its dependencies: %d", got)
 	}

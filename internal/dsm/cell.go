@@ -38,13 +38,6 @@ type cell struct {
 	// and readers load the value before last, so the fence entry a read
 	// raises always covers the value it observed.
 	last atomic.Uint64
-	// localSet is Node.arrivals at this process's latest OpSet of the
-	// location: every delivery group stamped at or below it was in the PRAM
-	// view before that write (whose broadcast timestamp therefore counts it
-	// as a predecessor), so when such a group reaches the causal view late
-	// its OpSet of this location is already overwritten and is skipped.
-	// Guarded by the clock lock.
-	localSet uint64
 }
 
 func packLast(from int, seq uint64) uint64 {

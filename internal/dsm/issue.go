@@ -133,20 +133,21 @@ func (n *Node) issue(op UpdateOp, label history.Label, loc string, value int64) 
 	seq := n.recvd[n.id] + 1
 	n.recvd[n.id] = seq
 	u := Update{From: n.id, Seq: seq, Op: op, Label: label, Loc: loc, Value: value}
-	// The writer keeps the copy a causal reader would get, delivered at once.
-	own := n.sendObligation(label, true)
-	if own.anchors() {
-		c.last.Store(packLast(n.id, seq))
-	}
-	applyCell(&c.pram, op, value)
-	if own != obNone {
-		applyCell(&c.causal, op, value)
-		n.causalApplied.set(n.id, seq)
-		if op == OpSet {
-			c.localSet = n.arrivals
+	// The writer keeps the copy a causal reader would get, as a delivery group.
+	var g deliveryGroup // filled in place: a composite literal is built aside and copied
+	g.from, g.firstSeq, g.lastSeq, g.count, g.prev = n.id, seq, seq, 1, seq-1
+	g.ob = n.sendObligation(label, true)
+	g.one.op, g.one.label, g.one.seq, g.one.value = op, label, seq, value
+	g.one.loc, g.one.hash, g.one.c, g.one.sh = loc, h, c, sh
+	if g.ob != obNone && !n.fenceCovered() {
+		// The write waits for all its process observed, the next causal read for it.
+		g.need = n.stampLocked()
+		for j := range g.need {
+			g.need[j] = n.fence.get(j)
 		}
+		n.fence.raise(n.id, seq)
+		n.absorbObservedLocked(g.need)
 	}
-	n.causalRecvd[n.id]++
 	if n.logOn {
 		n.writeLog = append(n.writeLog, WriteRecord{Loc: loc, Seq: seq})
 	}
@@ -156,11 +157,26 @@ func (n *Node) issue(op UpdateOp, label history.Label, loc string, value int64) 
 	// Send while holding the clock lock so per-sender sequence numbers hit
 	// the fabric in order even under concurrent writers; fabric sends never
 	// block.
-	n.sendLocked(&u, own)
+	n.sendLocked(&u, g.ob)
+	n.receiveLocked(&g)
 	n.statWrites.Add(1)
 	n.clockCond.Broadcast()
 	n.clockMu.Unlock()
-	sh.wake()
+}
+
+// absorbObservedLocked merges into addr, before they settle, the matrices of
+// the parked obMatrix groups the fence covers, moving the epoch once if any.
+func (n *Node) absorbObservedLocked(fence vclock.VC) {
+	epoch := n.addrEpoch
+	for j := range n.pending {
+		q := &n.pending[j]
+		for i := 0; i < q.size && q.at(i).firstSeq <= fence.Get(j); i++ {
+			if g := q.at(i); g.deps != nil {
+				n.addr.Merge(g.deps)
+				n.addrEpoch = epoch + 1
+			}
+		}
+	}
 }
 
 // sendLocked routes one write to the location's readers: every peer without a
@@ -189,6 +205,7 @@ func (n *Node) sendLocked(u *Update, causal obligation) {
 		switch causal {
 		case obVector:
 			u.TS = n.stampLocked()
+			copy(u.TS, n.recvd)
 		case obMatrix:
 			// Bump the matrix for every causal destination before the
 			// snapshot: transitive soundness needs each shipped matrix to
@@ -215,17 +232,16 @@ func (n *Node) sendLocked(u *Update, causal obligation) {
 // most what the slowest receiver has not applied yet.
 const slabSize = 64
 
-// stampLocked returns the obVector stamp of the write being issued: a copy of
-// the dependency clock in the next n words of the timestamp slab. The capacity
-// is cut to the length so no append can run into the neighbouring stamp; the
-// words are never written again (see Update).
+// stampLocked returns the next n words of the timestamp slab, for an obVector
+// stamp or a parked own write's fence. The capacity is cut to the length so no
+// append can run into the neighbouring stamp; once filled, the words are never
+// written again (see Update).
 func (n *Node) stampLocked() vclock.VC {
 	if len(n.tsSlab) < n.n {
 		n.tsSlab = make([]uint64, slabSize*n.n)
 	}
 	ts := vclock.VC(n.tsSlab[:n.n:n.n])
 	n.tsSlab = n.tsSlab[n.n:]
-	copy(ts, n.recvd)
 	return ts
 }
 

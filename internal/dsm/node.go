@@ -183,7 +183,7 @@ type Stats struct {
 	// neither the counting primitives nor the sender's later updates stall
 	// on them, and this counter is the diagnostic that it happened.
 	MalformedUpdates uint64 `json:"malformedUpdates"`
-	// PendingGroups is the number of received delivery groups currently
+	// PendingGroups is the number of delivery groups, own writes included,
 	// parked behind an unmet causal dependency; PendingGroupsMax is its
 	// high-water mark over the node's life. A backlog that only grows names
 	// a sender whose updates are not arriving.
@@ -234,13 +234,13 @@ type Node struct {
 	// has holes and only the counts mean anything. The count-based waits
 	// (barriers, lazy locks) use it either way.
 	recvd vclock.VC
-	// causalApplied[j] is the sequence number of the last update from j that
-	// took its place in the causal view (own writes at once). Mutated under
+	// causalApplied[j] is the sequence number of the last update from j, own
+	// writes included, that took its place in the causal view. Mutated under
 	// clockMu, loadable lock-free.
 	causalApplied avc
-	// causalRecvd[j] counts updates from j whose obligation is met: at their
-	// PRAM apply for obNone, when their group settles otherwise, own writes
-	// at once. It feeds the count-based WaitCausalApplied, which cannot
+	// causalRecvd[j] counts updates from j (own writes too) whose obligation
+	// is met: at their PRAM apply for obNone, when their group settles
+	// otherwise. It feeds the count-based WaitCausalApplied, which cannot
 	// compare counts against causalApplied once sequence numbers have holes.
 	causalRecvd []uint64
 	// fence[j] is the observation fence: the per-sender sequence numbers
@@ -249,13 +249,13 @@ type Node struct {
 	// Definition 2 every later causal read of this process must reflect
 	// the observed update's causal context; ReadCausal therefore waits
 	// until the causal view has applied at least fence[j] updates from
-	// every j. Raised lock-free by CAS-max.
+	// every j, and so must own writes (issue). Raised lock-free by CAS-max.
 	fence avc
 	// pending[j] queues, in arrival order, the delivery groups (single
-	// updates or whole batches) received from j whose obligation is not met
-	// yet. Every obligation includes the sender's own order, so only a
-	// queue's head can ever be deliverable. arrivals stamps each received
-	// group so a drain can visit heads in global arrival order. parked counts
+	// updates or whole batches) from j, own writes if j is id, whose
+	// obligation is not met yet. Every obligation includes the sender's own
+	// order, so only a queue's head can ever be deliverable. arrivals stamps
+	// each group so a drain can visit heads in global arrival order. parked counts
 	// the groups across all queues and parkedMax is its high-water mark:
 	// mutated under clockMu, atomics so Stats reads them without it.
 	pending   []senderQueue
@@ -308,10 +308,10 @@ type Node struct {
 	// addr is the address matrix (scopedCausal only): addr[p][k] is the
 	// latest update from sender k addressed to process p that this node
 	// transitively knows of. Own writes bump addr[dest][id] at send time;
-	// settling an obMatrix group merges the sender's shipped snapshot. Row p
-	// is the wait condition shipped to destination p. Guarded by clockMu.
+	// settling or observing a parked obMatrix group merges its snapshot. Row
+	// p is the wait condition shipped to destination p. Guarded by clockMu.
 	addr vclock.Matrix
-	// addrEpoch counts remote matrix merges absorbed into addr. The outbox
+	// addrEpoch counts the rounds of remote matrix merges into addr. The outbox
 	// compares it against each pending obMatrix batch's snapshot epoch: a
 	// batch whose Deps predate a merge must flush before covering another
 	// write, or the newer snapshot could name an update that itself waits

@@ -1,12 +1,14 @@
 package dsm
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 	"time"
 
 	"mixedmem/internal/check"
 	"mixedmem/internal/history"
+	"mixedmem/internal/loctab"
 	"mixedmem/internal/network"
 )
 
@@ -33,17 +35,23 @@ func cluster(t *testing.T, n int, trace *history.Builder) []*Node {
 	return nodes
 }
 
-// eventually polls cond until it holds or the deadline passes.
+// eventually polls cond, yielding the processor between tries, until it holds
+// or the deadline passes.
 func eventually(t *testing.T, cond func() bool, msg string) {
 	t.Helper()
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
-		if cond() {
-			return
+	for deadline := time.Now().Add(2 * time.Second); !cond(); runtime.Gosched() {
+		if time.Now().After(deadline) {
+			t.Fatal(msg)
 		}
-		time.Sleep(time.Millisecond)
 	}
-	t.Fatal(msg)
+}
+
+// awaitRegistered waits until an await on loc has registered with the
+// location's shard, so a write issued next is one the await blocks for.
+func awaitRegistered(t *testing.T, n *Node, loc string) {
+	t.Helper()
+	sh := n.shard(loctab.Hash(loc))
+	eventually(t, func() bool { return sh.waiters.Load() > 0 }, "the await on "+loc+" never registered")
 }
 
 func TestNewNodeValidation(t *testing.T) {

@@ -70,7 +70,7 @@ func TestBlockedCausePartition(t *testing.T) {
 		n1.AwaitCausal("flag", 1)
 		close(done)
 	}()
-	time.Sleep(5 * time.Millisecond)
+	awaitRegistered(t, n1, "flag")
 	n0.Write("data", 7)
 	n0.Write("flag", 1)
 	<-done
@@ -81,13 +81,12 @@ func TestBlockedCausePartition(t *testing.T) {
 	n1.AwaitPRAM("flag", 1) // raises the observation fence
 	n1.ReadCausal("data")   // fence may already be covered; cheap either way
 
-	// Invalidation stall: invalidate, then satisfy it.
+	// Invalidation stall: invalidate, satisfy it, and read until it is.
 	n1.Invalidate("inv", 0, 3)
-	go n1.ReadCausal("inv")
-	time.Sleep(2 * time.Millisecond)
 	n0.Write("inv", 1)
 	n0.Write("inv", 2)
 	n0.Write("inv", 3)
+	n1.ReadCausal("inv")
 
 	// SC round trip from the non-owner.
 	n1.WriteSC(scLoc, 5)
@@ -131,7 +130,7 @@ func TestTracerEndToEndExplain(t *testing.T) {
 			nodes[1].AwaitCausal("vis/flag", 1)
 			close(done)
 		}()
-		time.Sleep(2 * time.Millisecond)
+		awaitRegistered(t, nodes[1], "vis/flag")
 		nodes[0].Write("vis/data", 42)
 		nodes[0].Write("vis/flag", 1)
 		nodes[0].FlushUpdates()
@@ -176,7 +175,7 @@ func TestTracerEventCoverage(t *testing.T) {
 		nodes[1].AwaitCausal("flag", 1)
 		close(done)
 	}()
-	time.Sleep(2 * time.Millisecond)
+	awaitRegistered(t, nodes[1], "flag")
 	for i := int64(1); i <= 6; i++ {
 		nodes[0].Write("data", i)
 	}
