@@ -180,6 +180,11 @@ func TestSessionNameTablesMatchNamingScheme(t *testing.T) {
 			t.Fatalf("flag name of flag %d is %q, want %q", k, floc, want)
 		}
 	}
+	// A probe's two names are the halves of one string: one allocation.
+	k := 0
+	if allocs := testing.AllocsPerRun(100, func() { k++; _, _ = visLocs(4, 12, k) }); allocs != 1 {
+		t.Errorf("visLocs: %.1f allocs per probe, want 1", allocs)
+	}
 
 	const fingerprint = 13835541821224367435
 	for _, tc := range []struct {

@@ -245,9 +245,10 @@ func IsVisTimeLoc(loc string) bool {
 }
 
 // visLocs names flag k of strand (proc, worker)'s timestamp and flag
-// locations, formatting the shared digits once: one allocation per name.
+// locations, formatting the shared digits once: both names are the two halves
+// of one string, one allocation.
 func visLocs(proc, worker, k int) (tloc, floc string) {
-	var buf [64]byte
+	var buf [160]byte
 	b := append(buf[:0], VisLocPrefix...)
 	b = strconv.AppendInt(b, int64(proc), 10)
 	b = append(b, '/')
@@ -256,9 +257,11 @@ func visLocs(proc, worker, k int) (tloc, floc string) {
 	kind := len(b)
 	b = append(b, 't')
 	b = strconv.AppendInt(b, int64(k), 10)
-	tloc = string(b)
-	b[kind] = 'f'
-	return tloc, string(b)
+	half := len(b)
+	b = append(b, b...)
+	b[half+kind] = 'f'
+	both := string(b)
+	return both[:half], both[half:]
 }
 
 func aggHitsLoc(group int) string { return "agg/hits/" + strconv.Itoa(group) }

@@ -291,8 +291,9 @@ func RunPerf(sub Substrate, opt PerfOptions) (PerfResult, error) {
 }
 
 // runsOn says whether the cell is part of the substrate's grid. The write
-// cells run on both (scoped only on sim, where its row has always been), and
-// so do the stream, lock and barrier cells; echo measures the tcp ack
+// cells run on both — on tcp the scoped one also crosses the batch codec's
+// dependency matrices and the tcp recycler — and so do the stream, lock and
+// barrier cells; echo measures the tcp ack
 // protocol; contended, contended1 and fresh are about lock contention and
 // table inserts inside one replica, which sockets only blur; burst measures
 // the inbox both substrates share, behind the fabric; replay and sweep use no
@@ -300,9 +301,7 @@ func RunPerf(sub Substrate, opt PerfOptions) (PerfResult, error) {
 // its groups, which only the fabric has, and four replicas.
 func (c PerfCell) runsOn(sub Substrate, procs int) bool {
 	switch c.Scenario {
-	case "write":
-		return !sub.TCP || c.Label != "scoped"
-	case "stream", "lock", "barrier":
+	case "write", "stream", "lock", "barrier":
 		return true
 	case "echo":
 		return sub.TCP

@@ -394,7 +394,7 @@ func TestScopedCausalMalformedDepsDoesNotStall(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	badBatch := UpdateBatch{
+	badBatch := &UpdateBatch{
 		From: 0, FirstSeq: 2, Count: 2, PrevSeq: 1, Deps: vclock.NewMatrix(5),
 		Updates: []Update{
 			{From: 0, Seq: 2, Op: OpSet, Loc: "a", Value: 8},
@@ -456,7 +456,7 @@ func TestEncodedSizeMatchesCodec(t *testing.T) {
 			t.Fatalf("update %d: encodedSize = %d, codec writes %d bytes", i, got, want)
 		}
 	}
-	batches := []UpdateBatch{
+	batches := []*UpdateBatch{
 		{From: 1, FirstSeq: 3, Count: 2, Updates: updates[:2]},
 		{From: 1, FirstSeq: 3, Count: 2, PrevSeq: 2, Deps: deps,
 			Updates: []Update{{From: 1, Seq: 3, Op: OpSet, Loc: "y", Value: 1}}},
@@ -486,7 +486,7 @@ func TestBatchCodecRoundTrip(t *testing.T) {
 	ts1[0], ts1[2] = 4, 17
 	ts2 := vclock.New(3)
 	ts2[0], ts2[2] = 6, 17
-	b := UpdateBatch{
+	b := &UpdateBatch{
 		From: 2, FirstSeq: 4, Count: 3,
 		Updates: []Update{
 			{From: 2, Seq: 4, Op: OpSet, Loc: "x[3]", Value: -12345, TS: ts1},
@@ -501,9 +501,9 @@ func TestBatchCodecRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
-	got, ok := dec.(UpdateBatch)
+	got, ok := dec.(*UpdateBatch)
 	if !ok {
-		t.Fatalf("decoded %T, want UpdateBatch", dec)
+		t.Fatalf("decoded %T, want *UpdateBatch", dec)
 	}
 	if got.From != 2 || got.FirstSeq != 4 || got.Count != 3 || len(got.Updates) != 2 {
 		t.Fatalf("header changed: %+v", got)
@@ -521,7 +521,7 @@ func TestBatchCodecRoundTrip(t *testing.T) {
 }
 
 func TestBatchCodecEmptyAndNilTimestamps(t *testing.T) {
-	b := UpdateBatch{From: 0, FirstSeq: 1, Count: 2, Updates: []Update{
+	b := &UpdateBatch{From: 0, FirstSeq: 1, Count: 2, Updates: []Update{
 		{From: 0, Seq: 2, Op: OpSet, Loc: "y", Value: 9},
 	}}
 	enc, err := transport.EncodePayload(nil, KindUpdateBatch, b)
@@ -532,7 +532,7 @@ func TestBatchCodecEmptyAndNilTimestamps(t *testing.T) {
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
-	got := dec.(UpdateBatch)
+	got := dec.(*UpdateBatch)
 	if got.Updates[0].TS != nil {
 		t.Fatalf("nil timestamp round-tripped to %v", got.Updates[0].TS)
 	}
@@ -541,6 +541,10 @@ func TestBatchCodecEmptyAndNilTimestamps(t *testing.T) {
 func TestBatchCodecMalformed(t *testing.T) {
 	if _, err := transport.EncodePayload(nil, KindUpdateBatch, "nope"); err == nil {
 		t.Fatal("encoding a non-batch payload succeeded")
+	}
+	// One payload type for the kind: the value form is not it.
+	if _, err := transport.EncodePayload(nil, KindUpdateBatch, UpdateBatch{}); err == nil {
+		t.Fatal("encoding an UpdateBatch value (not *UpdateBatch) succeeded")
 	}
 	// Truncated header.
 	if _, err := transport.DecodePayload(KindUpdateBatch, []byte{1, 2, 3}); err == nil {

@@ -35,6 +35,12 @@ type updateCodec struct{}
 // remaining-bytes checks cannot bound the full dimension).
 const maxDepsN = 1024
 
+// maxSlabDepsN is the widest dependency matrix a connection carves from its
+// matrix slabs. A wider one, up to maxDepsN, is its own allocation, so the
+// slabs a hostile depsN can make a connection hold stay within
+// slabSize*maxSlabDepsN² words (512 KiB) and as many row headers.
+const maxSlabDepsN = 32
+
 // appendDeps writes the depsN | [PrevSeq | sparse matrix] section shared by
 // both codecs.
 func appendDeps(dst []byte, prevSeq uint64, deps vclock.Matrix) []byte {
@@ -48,7 +54,7 @@ func appendDeps(dst []byte, prevSeq uint64, deps vclock.Matrix) []byte {
 
 // decodeDeps parses the trailing depsN | [PrevSeq | sparse matrix] section
 // shared by both codecs. It returns zeroes when the section is absent
-// (depsN == 0). The matrix is always a fresh allocation: a receiver keeps a
+// (depsN == 0). The matrix is never written once returned: a receiver keeps a
 // parked group's matrix for as long as the group stays parked, and merges from
 // it afterwards.
 func (c *connDecoder) decodeDeps(d *transport.Decoder, what string) (uint64, vclock.Matrix, error) {
@@ -81,7 +87,7 @@ func (c *connDecoder) decodeDeps(d *transport.Decoder, what string) (uint64, vcl
 		return 0, nil, fmt.Errorf("dsm: %s codec: %dx%d dependency submatrix in %d bytes: %w",
 			what, nAct, nAct, d.Remaining(), transport.ErrTruncated)
 	}
-	m := vclock.NewMatrix(depsN)
+	m := c.matrix(depsN)
 	for _, p := range ids {
 		for _, k := range ids {
 			m.Set(p, k, d.Uint64())
@@ -95,10 +101,11 @@ func (c *connDecoder) decodeDeps(d *transport.Decoder, what string) (uint64, vcl
 
 // connDecoder is what one inbound connection keeps between the payloads it
 // decodes, for one of the two update kinds (transport.ConnCodec): the slabs
-// decoded updates and their timestamps are carved from, and a cache of the
-// location strings it has built. It belongs to the goroutine serving the
-// connection — no lock, no pool — and everything it hands out is immutable
-// once returned, exactly like the sender's slabs (see Update).
+// decoded updates, batches, timestamps and dependency matrices are carved
+// from, and a cache of the location strings it has built. It belongs to the
+// goroutine serving the connection — no lock, no pool — and everything it
+// hands out is immutable once returned, exactly like the sender's slabs (see
+// Update).
 //
 // The nil *connDecoder is the stateless decoder behind PayloadCodec.Decode:
 // every value is its own allocation. The two share one parse body per codec,
@@ -106,14 +113,16 @@ func (c *connDecoder) decodeDeps(d *transport.Decoder, what string) (uint64, vcl
 //
 // What a connection retains is bounded. The string cache is a fixed array; a
 // slab is referenced by the decoder only until it is used up, and after that
-// by the updates and timestamps carved from it, so the collector frees it with
-// the last of those — an update in the inbox, a parked group's timestamp — and
-// one long-parked group pins at most its own slab.
+// by the values carved from it, so the collector frees it with the last of
+// those — an update in the inbox, a parked group's timestamp or matrix — and
+// one long-parked group pins at most its own slabs.
 type connDecoder struct {
-	upd  []Update // the unused rest of the update slab
-	ts   []uint64 // the unused rest of the timestamp slab
-	ids  []int    // decodeDeps's active-index scratch
-	locs [locCacheSize]string
+	upd   []Update      // the unused rest of the update slab
+	batch []UpdateBatch // the unused rest of the batch slab
+	ts    []uint64      // the unused rest of the timestamp slab
+	mx    matrixSlab    // the unused rest of the matrix slabs
+	ids   []int         // decodeDeps's active-index scratch
+	locs  [locCacheSize]string
 }
 
 const (
@@ -149,12 +158,26 @@ func (c *connDecoder) update() *Update {
 	if c == nil {
 		return new(Update)
 	}
-	if len(c.upd) == 0 {
-		c.upd = make([]Update, slabSize)
+	return carve(&c.upd)
+}
+
+// updateBatch returns the *UpdateBatch a decoded batch is stored in: the next
+// element of the slab.
+func (c *connDecoder) updateBatch() *UpdateBatch {
+	if c == nil {
+		return new(UpdateBatch)
 	}
-	u := &c.upd[0]
-	c.upd = c.upd[1:]
-	return u
+	return carve(&c.batch)
+}
+
+// matrix returns a zeroed n-by-n dependency matrix: the next one of the
+// matrix slabs, or its own allocation when stateless or wider than
+// maxSlabDepsN.
+func (c *connDecoder) matrix(n int) vclock.Matrix {
+	if c == nil || n > maxSlabDepsN {
+		return vclock.NewMatrix(n)
+	}
+	return c.mx.carve(n)
 }
 
 // timestamp reads an n-component timestamp (n > 0, and d holds at least 8n
@@ -178,18 +201,26 @@ func (c *connDecoder) timestamp(d *transport.Decoder, n int) vclock.VC {
 	return ts
 }
 
-// tsMark and tsRollback bracket a decode so that one that fails gives back the
-// timestamp words it took: a stream of undecodable payloads consumes nothing.
-func (c *connDecoder) tsMark() []uint64 {
-	if c == nil {
-		return nil
-	}
-	return c.ts
+// slabMark is where a decode found the slabs a parse carves from.
+type slabMark struct {
+	ts []uint64
+	mx matrixSlab
 }
 
-func (c *connDecoder) tsRollback(mark []uint64) {
+// mark and rollback bracket a decode so that one that fails gives back the
+// timestamp words and matrices it took: a stream of undecodable payloads
+// consumes nothing. Updates and batches are carved only once a parse has
+// succeeded.
+func (c *connDecoder) mark() slabMark {
+	if c == nil {
+		return slabMark{}
+	}
+	return slabMark{c.ts, c.mx}
+}
+
+func (c *connDecoder) rollback(m slabMark) {
 	if c != nil {
-		c.ts = mark
+		c.ts, c.mx = m.ts, m.mx
 	}
 }
 
@@ -237,10 +268,10 @@ func (updateCodec) NewConnDecoder() func([]byte) (any, error) {
 // local and copied into its slab slot only once the whole payload has decoded,
 // so a failed decode consumes no slot.
 func (c *connDecoder) decodeUpdate(data []byte) (any, error) {
-	mark := c.tsMark()
+	mark := c.mark()
 	u, err := c.parseUpdate(data)
 	if err != nil {
-		c.tsRollback(mark)
+		c.rollback(mark)
 		return nil, err
 	}
 	out := c.update()
@@ -291,7 +322,7 @@ func (c *connDecoder) parseUpdate(data []byte) (Update, error) {
 type batchCodec struct{}
 
 func (batchCodec) Encode(dst []byte, payload any) ([]byte, error) {
-	b, ok := payload.(UpdateBatch)
+	b, ok := payload.(*UpdateBatch)
 	if !ok {
 		return dst, fmt.Errorf("dsm: batch codec: payload is %T", payload)
 	}
@@ -326,16 +357,19 @@ func (batchCodec) NewConnDecoder() func([]byte) (any, error) {
 
 // decodeBatch is batchCodec's one parse body. The entry slice comes from the
 // batch pool on either path; a failed decode returns it, and the timestamp
-// words its entries took.
+// words and matrix its parse took. Like an update, the batch is copied into
+// its slab slot only once the whole payload has decoded.
 func (c *connDecoder) decodeBatch(data []byte) (any, error) {
-	mark := c.tsMark()
+	mark := c.mark()
 	b, err := c.parseBatch(data)
 	if err != nil {
-		c.tsRollback(mark)
+		c.rollback(mark)
 		putUpdateSlice(b.Updates)
 		return nil, err
 	}
-	return b, nil
+	out := c.updateBatch()
+	*out = b
+	return out, nil
 }
 
 func (c *connDecoder) parseBatch(data []byte) (UpdateBatch, error) {

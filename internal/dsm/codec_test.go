@@ -1,6 +1,7 @@
 package dsm
 
 import (
+	"reflect"
 	"testing"
 	"unsafe"
 
@@ -72,7 +73,7 @@ func TestUpdateCodecScopedCausalRoundTrip(t *testing.T) {
 func TestBatchCodecScopedCausalRoundTrip(t *testing.T) {
 	deps := vclock.NewMatrix(2)
 	deps.Set(1, 0, 7)
-	b := UpdateBatch{
+	b := &UpdateBatch{
 		From: 0, FirstSeq: 3, Count: 5, PrevSeq: 2, Deps: deps,
 		Updates: []Update{
 			{From: 0, Seq: 3, Op: OpSet, Loc: "a", Value: 1},
@@ -87,7 +88,7 @@ func TestBatchCodecScopedCausalRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
-	got := dec.(UpdateBatch)
+	got := dec.(*UpdateBatch)
 	if got.PrevSeq != 2 || got.Deps.Len() != 2 || got.Deps.Get(1, 0) != 7 {
 		t.Fatalf("scoped batch metadata changed: %+v", got)
 	}
@@ -235,12 +236,12 @@ func TestConnDecoderStringCacheCollision(t *testing.T) {
 	}
 }
 
-// TestConnDecoderSlabs: decoded updates and their timestamps are carved from
-// slabs — slabSize of them per allocation, each timestamp's capacity cut to
-// its length — and stay as decoded while the connection decodes on; a payload
-// that fails to decode, wherever it fails, takes nothing from either slab; and
-// a timestamp of a different width, or wider than any real system's, does not
-// disturb its neighbours.
+// TestConnDecoderSlabs: decoded updates, their timestamps and their dependency
+// matrices are carved from slabs — slabSize of them per allocation, each
+// timestamp's and row's capacity cut to its length — and stay as decoded while
+// the connection decodes on; a payload that fails to decode, wherever it
+// fails, takes nothing from any slab; and a timestamp or matrix of a different
+// width, or wider than the slabs take, does not disturb its neighbours.
 func TestConnDecoderSlabs(t *testing.T) {
 	c := new(connDecoder)
 	wire := func(u *Update) []byte {
@@ -296,5 +297,69 @@ func TestConnDecoderSlabs(t *testing.T) {
 	wide, err := c.decodeUpdate(wire(&Update{From: 1, Seq: 10, Op: OpSet, Loc: "x", TS: make(vclock.VC, maxDepsN+1)}))
 	if err != nil || len(wide.(*Update).TS) != maxDepsN+1 || len(c.ts) != ts {
 		t.Fatalf("oversized timestamp: err %v, slab words %d -> %d", err, ts, len(c.ts))
+	}
+
+	// Dependency matrices come from the matrix slabs, zeroed when carved. A
+	// batch whose entries fail to decode after its matrix was filled gives the
+	// matrix back, and the one carved from the same words next reads only its
+	// own entries.
+	matrix := func(n int, set ...[3]int) vclock.Matrix {
+		m := vclock.NewMatrix(n)
+		for _, e := range set {
+			m.Set(e[0], e[1], uint64(e[2]))
+		}
+		return m
+	}
+	scoped := func(deps vclock.Matrix) []byte {
+		return wire(&Update{From: 1, Seq: 11, Op: OpSet, Loc: "x", PrevSeq: 9, Deps: deps})
+	}
+	scopedBatch := func(deps vclock.Matrix) []byte {
+		enc, err := batchCodec{}.Encode(nil, &UpdateBatch{From: 1, FirstSeq: 11, Count: 1, PrevSeq: 9, Deps: deps,
+			Updates: []Update{{From: 1, Seq: 11, Op: OpSet, Loc: "x", Value: 1}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return enc
+	}
+	// lastCarved reports whether m is the matrix most recently carved from the
+	// word slab: its last word sits right before the slab's unused rest.
+	lastCarved := func(m vclock.Matrix) bool {
+		n := len(m)
+		return len(c.mx.words) > 0 && unsafe.Add(unsafe.Pointer(&m[n-1][n-1]), 8) == unsafe.Pointer(&c.mx.words[0])
+	}
+	dense := matrix(3, [3]int{0, 0, 9}, [3]int{0, 1, 9}, [3]int{1, 2, 9}, [3]int{2, 0, 9}, [3]int{2, 2, 9})
+	bad := scopedBatch(dense)
+	rows, words := len(c.mx.rows), len(c.mx.words)
+	if _, err := c.decodeBatch(bad[:len(bad)-1]); err == nil || len(c.mx.rows) != rows || len(c.mx.words) != words {
+		t.Fatalf("batch cut in its entry: err %v, rows %d -> %d, words %d -> %d", err, rows, len(c.mx.rows), words, len(c.mx.words))
+	}
+	sparse := matrix(3, [3]int{0, 1, 4})
+	dec, err := c.decodeBatch(scopedBatch(sparse))
+	if err != nil || !reflect.DeepEqual(dec.(*UpdateBatch).Deps, sparse) || !lastCarved(dec.(*UpdateBatch).Deps) {
+		t.Fatalf("matrix carved after a failed decode: err %v, %v, want %v from the slab", err, dec.(*UpdateBatch).Deps, sparse)
+	}
+	putUpdateSlice(dec.(*UpdateBatch).Updates)
+	if dec, err = c.decodeUpdate(scoped(dense)); err != nil || !reflect.DeepEqual(dec.(*Update).Deps, dense) {
+		t.Fatalf("dense matrix: err %v, %v", err, dec.(*Update).Deps)
+	}
+	if m := dec.(*Update).Deps; cap(m) != 3 || cap(m[0]) != 3 || !lastCarved(m) {
+		t.Fatal("a carved matrix's rows or row headers can grow into its neighbours")
+	}
+	// The widest matrix the slabs take comes from them; a wider one, up to
+	// maxDepsN, gets its own allocation and leaves the slabs as they were.
+	edge := matrix(maxSlabDepsN, [3]int{0, maxSlabDepsN - 1, 1})
+	if dec, err = c.decodeUpdate(scoped(edge)); err != nil || !reflect.DeepEqual(dec.(*Update).Deps, edge) ||
+		!lastCarved(dec.(*Update).Deps) {
+		t.Fatalf("%d-wide matrix: err %v, not the last one carved from the slab", maxSlabDepsN, err)
+	}
+	rows, words = len(c.mx.rows), len(c.mx.words)
+	huge := matrix(maxDepsN, [3]int{0, maxDepsN - 1, 1}, [3]int{maxDepsN - 1, 0, 2})
+	dec, err = c.decodeUpdate(scoped(huge))
+	if err != nil || !reflect.DeepEqual(dec.(*Update).Deps, huge) {
+		t.Fatalf("%d-wide matrix: err %v", maxDepsN, err)
+	}
+	if len(c.mx.rows) != rows || len(c.mx.words) != words {
+		t.Fatalf("%d-wide matrix came from the slabs: rows %d -> %d, words %d -> %d",
+			maxDepsN, rows, len(c.mx.rows), words, len(c.mx.words))
 	}
 }

@@ -169,8 +169,8 @@ func (n *Node) applyRemote(u *Update) {
 
 // applyBatch receives a batch as one delivery group. FirstSeq and Count cover
 // the coalesced-away updates too, so the counting protocols account every
-// original write.
-func (n *Node) applyBatch(b UpdateBatch) {
+// original write. b is the sender's or the decoder's and is only read.
+func (n *Node) applyBatch(b *UpdateBatch) {
 	if len(b.Updates) == 0 {
 		return
 	}

@@ -12,15 +12,18 @@ import (
 // decodeBoth decodes data twice — statelessly through the registry, and with
 // conn, a connection decoder that has already decoded every earlier input of
 // the run — and fails unless the two agree: deep-equal values, the same error.
-// A decode that fails must leave the connection's slabs where they were. It
-// returns the stateless result.
+// A decode that fails must leave every one of the connection's slabs where it
+// was. It returns the stateless result.
 func decodeBoth(t *testing.T, kind string, conn *connDecoder, decode func([]byte) (any, error), data []byte) (any, error) {
 	t.Helper()
 	want, wantErr := transport.DecodePayload(kind, data)
 	if len(data) == 0 {
 		return want, wantErr // a wire transport never hands a codec an empty payload
 	}
-	upd, ts := len(conn.upd), len(conn.ts)
+	slabs := func() [5]int {
+		return [5]int{len(conn.upd), len(conn.batch), len(conn.ts), len(conn.mx.rows), len(conn.mx.words)}
+	}
+	before := slabs()
 	got, err := decode(data)
 	if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
 		t.Fatalf("connection decoder: error %v, stateless decode: %v", err, wantErr)
@@ -28,9 +31,9 @@ func decodeBoth(t *testing.T, kind string, conn *connDecoder, decode func([]byte
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("connection decoder disagrees with the stateless decode:\n%+v\n%+v", got, want)
 	}
-	if err != nil && (len(conn.upd) != upd || len(conn.ts) != ts) {
-		t.Fatalf("a failed decode consumed slab: updates %d -> %d, timestamp words %d -> %d",
-			upd, len(conn.upd), ts, len(conn.ts))
+	if after := slabs(); err != nil && after != before {
+		t.Fatalf("a failed decode consumed slab (updates, batches, timestamp words, matrix rows, matrix words): %v -> %v",
+			before, after)
 	}
 	return want, wantErr
 }
@@ -42,7 +45,7 @@ func decodeBoth(t *testing.T, kind string, conn *connDecoder, decode func([]byte
 // long-lived connection decoder is fed every input in sequence and must agree
 // with the stateless decode on each (decodeBoth).
 func FuzzBatchCodecRoundTrip(f *testing.F) {
-	seedBatches := []UpdateBatch{
+	seedBatches := []*UpdateBatch{
 		{From: 0, FirstSeq: 1, Count: 1, Updates: []Update{
 			{From: 0, Seq: 1, Op: OpSet, Loc: "x", Value: 7},
 		}},
@@ -51,7 +54,7 @@ func FuzzBatchCodecRoundTrip(f *testing.F) {
 			{From: 2, Seq: 6, Op: OpAdd, Loc: "b", Value: 2, TS: vclock.VC{6, 0, 9}},
 		}},
 	}
-	scoped := UpdateBatch{From: 1, FirstSeq: 2, Count: 2, PrevSeq: 1,
+	scoped := &UpdateBatch{From: 1, FirstSeq: 2, Count: 2, PrevSeq: 1,
 		Deps: vclock.NewMatrix(2),
 		Updates: []Update{
 			{From: 1, Seq: 2, Op: OpSet, Loc: "s", Value: 5},
@@ -60,7 +63,7 @@ func FuzzBatchCodecRoundTrip(f *testing.F) {
 	scoped.Deps.Set(0, 1, 3)
 	seedBatches = append(seedBatches, scoped,
 		// A slow-labeled batch: label-homogeneous, timestamp-elided frames.
-		UpdateBatch{From: 2, FirstSeq: 7, Count: 2, Updates: []Update{
+		&UpdateBatch{From: 2, FirstSeq: 7, Count: 2, Updates: []Update{
 			{From: 2, Seq: 7, Op: OpSet, Loc: "cell", Value: 1, Label: history.LabelSlow},
 			{From: 2, Seq: 8, Op: OpSet, Loc: "cell", Value: 2, Label: history.LabelSlow},
 		}})
@@ -73,6 +76,13 @@ func FuzzBatchCodecRoundTrip(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0})
+	// A scoped batch cut inside its last entry, after the matrix was carved:
+	// the connection decoder must give the matrix back.
+	cut, err := transport.EncodePayload(nil, KindUpdateBatch, scoped)
+	if err != nil {
+		f.Fatalf("seed encode: %v", err)
+	}
+	f.Add(cut[:len(cut)-1])
 
 	conn := new(connDecoder)
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -80,9 +90,9 @@ func FuzzBatchCodecRoundTrip(f *testing.F) {
 		if err != nil || dec == nil {
 			return // rejected cleanly (or empty input): that is the contract
 		}
-		b, ok := dec.(UpdateBatch)
+		b, ok := dec.(*UpdateBatch)
 		if !ok {
-			t.Fatalf("decoded %T, want UpdateBatch", dec)
+			t.Fatalf("decoded %T, want *UpdateBatch", dec)
 		}
 		enc, err := transport.EncodePayload(nil, KindUpdateBatch, b)
 		if err != nil {
@@ -124,6 +134,17 @@ func FuzzUpdateCodecRoundTrip(f *testing.F) {
 		f.Add(enc)
 	}
 	f.Add([]byte{})
+	// A scoped update, whose matrix the connection decoder carves, followed by
+	// its copy cut inside the matrix, which must take nothing.
+	scoped3 := Update{From: 2, Seq: 7, Op: OpSet, Loc: "s", Value: 4, PrevSeq: 3, Deps: vclock.NewMatrix(3)}
+	scoped3.Deps.Set(0, 2, 7)
+	scoped3.Deps.Set(1, 0, 2)
+	enc, err := transport.EncodePayload(nil, KindUpdate, &scoped3)
+	if err != nil {
+		f.Fatalf("seed encode: %v", err)
+	}
+	f.Add(enc)
+	f.Add(enc[:len(enc)-1])
 
 	conn := new(connDecoder)
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -217,7 +217,7 @@ func (n *Node) sendLocked(u *Update, causal obligation) {
 				n.prevBuf[j] = n.addr.Get(j, n.id)
 				n.addr.Set(j, n.id, u.Seq)
 			}
-			snap = n.addr.Clone() // shared across destinations; receivers only merge from it
+			snap = n.snapshotLocked() // shared across destinations; receivers only merge from it
 		}
 		n.emitLocked(ent.causal, u, causal, snap)
 	}
@@ -226,11 +226,45 @@ func (n *Node) sendLocked(u *Update, causal obligation) {
 	}
 }
 
-// slabSize is how many sent updates (and obVector timestamps) share one
-// allocation. The collector frees a slab with the last message, parked group
-// or outbox entry that points into it, so a slab outlives its writes by at
-// most what the slowest receiver has not applied yet.
+// slabSize is how many sent updates (and obVector timestamps, matrix
+// snapshots, batches) share one allocation. The collector frees a slab with
+// the last message, parked group or outbox entry that points into it, so a
+// slab outlives its writes by at most what the slowest receiver has not
+// applied yet.
 const slabSize = 64
+
+// carve returns the next element of *slab, which it refills with slabSize
+// zeroed elements once used up.
+func carve[T any](slab *[]T) *T {
+	if len(*slab) == 0 {
+		*slab = make([]T, slabSize)
+	}
+	p := &(*slab)[0]
+	*slab = (*slab)[1:]
+	return p
+}
+
+// matrixSlab is the pair of slabs n-by-n matrices are carved from: one of row
+// headers, one of words, slabSize matrices each.
+type matrixSlab struct {
+	rows  []vclock.VC
+	words []uint64
+}
+
+// carve returns the next zeroed n-by-n matrix of the slabs (n > 0), each
+// row's capacity cut to its length as stampLocked does.
+func (s *matrixSlab) carve(n int) vclock.Matrix {
+	if len(s.rows) < n || len(s.words) < n*n {
+		s.rows, s.words = make([]vclock.VC, slabSize*n), make([]uint64, slabSize*n*n)
+	}
+	m, w := vclock.Matrix(s.rows[:n:n]), s.words[:n*n:n*n]
+	s.rows, s.words = s.rows[n:], s.words[n*n:]
+	clear(w)
+	for i := range m {
+		m[i] = w[i*n : (i+1)*n : (i+1)*n]
+	}
+	return m
+}
 
 // stampLocked returns the next n words of the timestamp slab, for an obVector
 // stamp or a parked own write's fence. The capacity is cut to the length so no
@@ -245,14 +279,20 @@ func (n *Node) stampLocked() vclock.VC {
 	return ts
 }
 
+// snapshotLocked returns a copy of the address matrix for an obMatrix write,
+// carved from the node's matrix slabs and, like a stamp, never written again.
+func (n *Node) snapshotLocked() vclock.Matrix {
+	m := n.mxSlab.carve(n.n)
+	for i, row := range n.addr {
+		copy(m[i], row)
+	}
+	return m
+}
+
 // sentLocked returns the copy of u that goes to the transport: the next
 // element of the update slab, never written again once filled (see Update).
 func (n *Node) sentLocked(u *Update) *Update {
-	if len(n.updSlab) == 0 {
-		n.updSlab = make([]Update, slabSize)
-	}
-	su := &n.updSlab[0]
-	n.updSlab = n.updSlab[1:]
+	su := carve(&n.updSlab)
 	*su = *u
 	return su
 }

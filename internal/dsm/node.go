@@ -323,11 +323,13 @@ type Node struct {
 	// write can bump the whole matrix before snapshotting it without
 	// allocating. Guarded by clockMu.
 	prevBuf []uint64
-	// updSlab and tsSlab are the unused tails of the slabs sent updates and
-	// their obVector timestamps are carved from (issue.go), slabSize at a
-	// time, so an unbatched write allocates nothing. Guarded by clockMu.
+	// updSlab, tsSlab and mxSlab are the unused tails of the slabs sent
+	// updates, their obVector timestamps and their obMatrix snapshots are
+	// carved from (issue.go), slabSize at a time, so a write allocates
+	// nothing. Guarded by clockMu.
 	updSlab []Update
 	tsSlab  []uint64
+	mxSlab  matrixSlab
 
 	// labels is the per-location lattice configuration (Config.Labels);
 	// immutable after NewNode, nil when every location defaults to Causal.
@@ -348,14 +350,17 @@ type Node struct {
 	track   map[string]AccessKind
 
 	// batch/outbox implement the per-destination update outbox (nil when
-	// batching is off); outboxMu guards every destination's pending batch;
-	// flushQuit stops the linger flusher.
-	batch     BatchConfig
-	outboxMu  sync.Mutex
-	outbox    []*outboxDest
-	flushQuit chan struct{}
-	closed    atomic.Bool
-	done      chan struct{}
+	// batching is off); outboxMu guards every destination's pending batch and
+	// the slabs flushes carve their payloads from (outbox.go); flushQuit stops
+	// the linger flusher.
+	batch      BatchConfig
+	outboxMu   sync.Mutex
+	outbox     []*outboxDest
+	flushUpd   []Update
+	flushBatch []UpdateBatch
+	flushQuit  chan struct{}
+	closed     atomic.Bool
+	done       chan struct{}
 }
 
 // NewNode creates the replica and starts its receive loop. Close the node
@@ -491,7 +496,7 @@ func (n *Node) recvLoop() {
 				n.applyRemote(u)
 			}
 		case KindUpdateBatch:
-			if b, ok := m.Payload.(UpdateBatch); ok {
+			if b, ok := m.Payload.(*UpdateBatch); ok {
 				n.applyBatch(b)
 			}
 		case KindSCRequest:

@@ -58,9 +58,12 @@ func (c BatchConfig) WithDefaults() BatchConfig {
 	return c
 }
 
-// UpdateBatch is the payload of a KindUpdateBatch message: a contiguous run
-// of one sender's updates for one destination, possibly with superseded
-// same-location OpSet entries coalesced away.
+// UpdateBatch is the payload of a KindUpdateBatch message, which carries a
+// *UpdateBatch on every transport: a contiguous run of one sender's updates
+// for one destination, possibly with superseded same-location OpSet entries
+// coalesced away. Like an Update, the batch and its Deps are never written
+// once sent; its entry slice is handed off to whoever recycles it (see
+// updateSlicePool).
 //
 // FirstSeq and Count describe the covered run of per-destination enqueued
 // updates, including coalesced-away ones, so the receiver's counting
@@ -104,7 +107,7 @@ type UpdateBatch struct {
 // mirroring batchCodec's layout. The per-entry sender ID and dependency
 // section are hoisted into the header, which is the (small) wire win of
 // batching on top of the per-frame overhead it removes.
-func (b UpdateBatch) encodedSize() int {
+func (b *UpdateBatch) encodedSize() int {
 	s := 28 // From + FirstSeq + Count + depsN prefix + nEntries
 	if b.Deps != nil {
 		s += 8 + b.Deps.ActiveEncodedSize() // PrevSeq + sparse matrix
@@ -171,7 +174,7 @@ func init() {
 	// the sim fabric delivers by reference and the receiver recycles
 	// instead (see updateSlicePool).
 	transport.RegisterRecycler(KindUpdateBatch, func(payload any) {
-		if b, ok := payload.(UpdateBatch); ok {
+		if b, ok := payload.(*UpdateBatch); ok {
 			putUpdateSlice(b.Updates)
 		}
 	})
@@ -296,15 +299,16 @@ func (n *Node) outboxAddLocked(j int, u *Update, ob obligation, snap vclock.Matr
 // itself is reused forever. An obMatrix batch ships its enqueue-time
 // snapshot, never the current matrix: that may have absorbed merges since
 // which could close a dependency cycle through this very batch (see
-// outboxAddLocked). The single-update frame allocates its own *Update rather
-// than taking one from the node's slab: the slab is guarded by the clock lock,
-// and a flush — the linger flusher's in particular — holds only outboxMu.
+// outboxAddLocked). The payload — the single-update frame's *Update or the
+// *UpdateBatch — is the next element of the outbox's own slab, not the
+// node's: those are guarded by the clock lock, and a flush — the linger
+// flusher's in particular — holds only outboxMu.
 func (n *Node) flushDestLocked(j int, d *outboxDest) {
 	if d.count == 0 {
 		return
 	}
 	if d.count == 1 && len(d.entries) == 1 {
-		u := new(Update)
+		u := carve(&n.flushUpd)
 		*u = d.entries[0]
 		u.PrevSeq, u.Deps = d.prevSeq, d.deps
 		_ = n.fabric.Send(network.Message{
@@ -312,7 +316,8 @@ func (n *Node) flushDestLocked(j int, d *outboxDest) {
 			Payload: u, Size: u.encodedSize(),
 		})
 	} else {
-		b := UpdateBatch{
+		b := carve(&n.flushBatch)
+		*b = UpdateBatch{
 			From: n.id, FirstSeq: d.firstSeq, Count: d.count,
 			PrevSeq: d.prevSeq, Deps: d.deps,
 			Updates: append(getUpdateSlice(len(d.entries)), d.entries...),

@@ -27,7 +27,7 @@ func TestBroadcastMalformedTimestampDoesNotStall(t *testing.T) {
 		switch p := payload.(type) {
 		case *Update:
 			return network.Message{From: 0, To: 1, Kind: KindUpdate, Payload: p, Size: p.encodedSize()}
-		case UpdateBatch:
+		case *UpdateBatch:
 			return network.Message{From: 0, To: 1, Kind: KindUpdateBatch, Payload: p, Size: p.encodedSize()}
 		}
 		panic("unreachable")
@@ -46,11 +46,11 @@ func TestBroadcastMalformedTimestampDoesNotStall(t *testing.T) {
 			&Update{From: 0, Seq: 1, Op: OpSet, Loc: "a", Value: 7, TS: vclock.New(5)},
 			&Update{From: 0, Seq: 2, Op: OpSet, Loc: "b", Value: 1, TS: vclock.VC{2, 0}}, 7},
 		{"batch", nil,
-			UpdateBatch{From: 0, FirstSeq: 1, Count: 1, Updates: []Update{
+			&UpdateBatch{From: 0, FirstSeq: 1, Count: 1, Updates: []Update{
 				// The latest entry's timestamp is the batch's; it sits first.
 				{From: 0, Seq: 1, Op: OpSet, Loc: "a", Value: 9, TS: vclock.New(5)},
 			}},
-			UpdateBatch{From: 0, FirstSeq: 2, Count: 1, Updates: []Update{
+			&UpdateBatch{From: 0, FirstSeq: 2, Count: 1, Updates: []Update{
 				{From: 0, Seq: 2, Op: OpSet, Loc: "b", Value: 1, TS: vclock.VC{2, 0}},
 			}}, 9},
 		{"scoped-matrix", scope,
@@ -445,7 +445,7 @@ func refGroupOf(m network.Message, scoped bool) refGroup {
 			slow:   !scoped && p.Label == history.LabelSlow,
 			elided: scoped && p.Deps == nil,
 		}
-	case UpdateBatch:
+	case *UpdateBatch:
 		latest := p.Updates[0]
 		for _, u := range p.Updates {
 			if u.Seq > latest.Seq {
@@ -660,7 +660,7 @@ func runDrainDifferential(t *testing.T, n int, scope *ScopeMap, labels map[strin
 			switch p := m.Payload.(type) {
 			case *Update:
 				r.applyRemote(p)
-			case UpdateBatch:
+			case *UpdateBatch:
 				r.applyBatch(p)
 			}
 		}

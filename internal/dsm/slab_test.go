@@ -1,7 +1,6 @@
 package dsm
 
 import (
-	"fmt"
 	"reflect"
 	"testing"
 	"time"
@@ -27,29 +26,42 @@ func frozenPayload(t *testing.T, payload any) any {
 	case *Update:
 		u := freeze(*p)
 		return &u
-	case UpdateBatch:
-		p.Deps = p.Deps.Clone()
-		entries := make([]Update, len(p.Updates))
+	case *UpdateBatch:
+		b := *p
+		b.Deps = p.Deps.Clone()
+		b.Updates = make([]Update, len(p.Updates))
 		for i, u := range p.Updates {
-			entries[i] = freeze(u)
+			b.Updates[i] = freeze(u)
 		}
-		p.Updates = entries
-		return p
+		return &b
 	}
 	t.Fatalf("captured a %T", payload)
 	return nil
 }
 
 // TestSentUpdatesAreImmutable captures what a sender emits — single updates
-// from the slab when unbatched, coalesced batches whose entries alias the
-// timestamp slab when batched — freezes a copy, lets the sender write on with
-// its clock moving (a peer's writes keep arriving), and compares.
+// from the slab when unbatched, coalesced batches from the outbox's slab
+// whose entries alias the timestamp slab when batched, and under a scope each
+// with an address-matrix snapshot from the matrix slabs — freezes a copy, lets
+// the sender write on with its clock moving (a peer's writes keep arriving,
+// and under a scope each one settled merges into the sender's matrix), and
+// compares.
 func TestSentUpdatesAreImmutable(t *testing.T) {
-	for _, batch := range []BatchConfig{
-		{},
-		{Enabled: true, MaxUpdates: 4, Linger: time.Hour},
+	scope := &ScopeMap{
+		Readers:       map[string][]int{"a": {0, 1, 2}, "b": {0, 1, 2}},
+		CausalReaders: map[string][]int{"a": {0, 1, 2}, "b": {0, 1, 2}},
+	}
+	for _, tc := range []struct {
+		name  string
+		scope *ScopeMap
+		batch BatchConfig
+	}{
+		{"batched=false", nil, BatchConfig{}},
+		{"batched=true", nil, BatchConfig{Enabled: true, MaxUpdates: 4, Linger: time.Hour}},
+		{"scoped,batched=false", scope, BatchConfig{}},
+		{"scoped,batched=true", scope, BatchConfig{Enabled: true, MaxUpdates: 4, Linger: time.Hour}},
 	} {
-		t.Run(fmt.Sprintf("batched=%v", batch.Enabled), func(t *testing.T) {
+		t.Run(tc.name, func(t *testing.T) {
 			const n = 3
 			f, err := network.New(network.Config{Nodes: n})
 			if err != nil {
@@ -58,7 +70,7 @@ func TestSentUpdatesAreImmutable(t *testing.T) {
 			capture := &captureTransport{Transport: f, to: 2, got: make([][]network.Message, n)}
 			nodes := make([]*Node, n)
 			for i := range nodes {
-				cfg := Config{ID: i, N: n, Transport: capture, Batch: batch}
+				cfg := Config{ID: i, N: n, Transport: capture, Scope: tc.scope, Batch: tc.batch}
 				if i == 2 {
 					cfg.Transport = f
 				}
@@ -103,16 +115,17 @@ func TestSentUpdatesAreImmutable(t *testing.T) {
 				frozen[i] = frozenPayload(t, m.Payload)
 				switch p := m.Payload.(type) {
 				case *Update:
-					stamped += p.TS.Len()
-				case UpdateBatch:
-					stamped += p.Updates[len(p.Updates)-1].TS.Len()
+					stamped += p.TS.Len() + p.Deps.Len()
+				case *UpdateBatch:
+					stamped += p.Updates[len(p.Updates)-1].TS.Len() + p.Deps.Len()
 				}
 			}
 			if stamped == 0 {
-				t.Fatal("no captured message carries a timestamp")
+				t.Fatal("no captured message carries a timestamp or a matrix")
 			}
 
-			// Three writes a round: well past two slabs of updates and stamps.
+			// Three writes a round: well past two slabs of updates, stamps,
+			// snapshots and batches.
 			for i := 0; i < slabSize; i++ {
 				round()
 			}
@@ -156,6 +169,78 @@ func TestParkedGroupKeepsItsStamp(t *testing.T) {
 		if want := (vclock.VC{1, uint64(i + 1), 0}); !reflect.DeepEqual(g.need, want) {
 			r.clockMu.Unlock()
 			t.Fatalf("parked group %d waits on %v, want %v", i, g.need, want)
+		}
+	}
+	r.clockMu.Unlock()
+	if err := f.Release(0, 2); err != nil {
+		t.Fatal(err)
+	}
+	r.WaitCausalApplied([]uint64{1, 1 + later, 0})
+	if got := r.ReadCausal("x"); got != 1+later {
+		t.Fatalf("causal x = %d after the backlog drained, want %d", got, 1+later)
+	}
+	if s := r.Stats(); s.PendingGroups != 0 {
+		t.Fatalf("%d groups still parked", s.PendingGroups)
+	}
+}
+
+// TestParkedScopedGroupKeepsItsMatrix is the obMatrix twin: a group parked at
+// a receiver waits on its row of the sender's address-matrix snapshot and
+// merges the whole snapshot when it settles, both carved from the sender's
+// matrix slabs. The sender writing two more slabs' worth must leave every
+// parked group's need and deps as they were, and the backlog must drain in
+// order on release.
+func TestParkedScopedGroupKeepsItsMatrix(t *testing.T) {
+	const n = 3
+	f, err := network.New(network.Config{Nodes: n})
+	if err != nil {
+		t.Fatalf("network.New: %v", err)
+	}
+	scope := &ScopeMap{
+		Readers:       map[string][]int{"a": {1, 2}, "x": {2}},
+		CausalReaders: map[string][]int{"a": {1, 2}, "x": {2}},
+	}
+	nodes := make([]*Node, n)
+	for i := range nodes {
+		if nodes[i], err = NewNode(Config{ID: i, N: n, Transport: f, Scope: scope}); err != nil {
+			t.Fatalf("NewNode(%d): %v", i, err)
+		}
+	}
+	defer func() {
+		f.Close()
+		for _, nd := range nodes {
+			nd.Close()
+		}
+	}()
+	if err := f.Hold(0, 2); err != nil {
+		t.Fatal(err)
+	}
+	nodes[0].Write("a", 1)
+	nodes[1].WaitCausalApplied([]uint64{1, 0, 0}) // merges a=1's matrix
+	const later = 2*slabSize + 7
+	for i := 1; i <= 1+later; i++ {
+		nodes[1].Write("x", int64(i)) // every one depends on the held a=1
+	}
+	r := nodes[2]
+	r.WaitReceived([]uint64{0, 1 + later, 0})
+	r.clockMu.Lock()
+	q := &r.pending[1]
+	if q.size != 1+later {
+		r.clockMu.Unlock()
+		t.Fatalf("%d groups parked, want %d", q.size, 1+later)
+	}
+	for i := 0; i < q.size; i++ {
+		g := q.at(i)
+		// a=1 went to 1 and 2; x i+1 to 2, chained after x i.
+		want := vclock.NewMatrix(n)
+		want.Set(1, 0, 1)
+		want.Set(2, 0, 1)
+		want.Set(2, 1, uint64(i+1))
+		if g.ob != obMatrix || g.prev != uint64(i) || !reflect.DeepEqual(g.need, want.Row(2)) ||
+			!reflect.DeepEqual(g.deps, want) {
+			r.clockMu.Unlock()
+			t.Fatalf("parked group %d: ob %d, prev %d, need %v, deps %v; want prev %d, deps %v",
+				i, g.ob, g.prev, g.need, g.deps, i, want)
 		}
 	}
 	r.clockMu.Unlock()
