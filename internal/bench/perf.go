@@ -66,8 +66,10 @@ type PerfCell struct {
 	// sequential iteration — every row update and one failing convergence test).
 	Scenario string `json:"scenario"`
 	// Label is the consistency configuration: "pram" (PRAMOnly), "causal"
-	// (full broadcast with timestamps), or "scoped" (causal-scoped
-	// point-to-point placement). The stream, burst and echo scenarios, which
+	// (full broadcast with timestamps), "scoped" (causal-scoped
+	// point-to-point placement), or "hybrid" (the same placement with every
+	// other location's copies elided, so the writes alternate obMatrix and
+	// obNone through one destination's outbox batch). The stream, burst and echo scenarios, which
 	// have no memory above the transport, name their message kind here:
 	// "update"; the lock scenario names its propagation mode ("lazy"), the
 	// barrier scenario its participants ("global"), the replay scenario its
@@ -165,6 +167,7 @@ func perfGrid() []PerfCell {
 		{Scenario: "write", Label: "causal", Batch: 0, Writers: 1},
 		{Scenario: "write", Label: "causal", Batch: 64, Writers: 1},
 		{Scenario: "write", Label: "scoped", Batch: 64, Writers: 1},
+		{Scenario: "write", Label: "hybrid", Batch: 32, Writers: 1},
 		{Scenario: "contended", Label: "pram", Batch: 0, Writers: 4, Readers: 4},
 		{Scenario: "contended", Label: "causal", Batch: 64, Writers: 4, Readers: 4},
 		{Scenario: "contended1", Label: "pram", Batch: 0, Writers: 4, Readers: 4},
@@ -222,8 +225,9 @@ func remoteLoc(i int) string {
 // perfScope builds the scoped-label placement: every writer location of node
 // 0 is registered to the single causal reader 1, the point-to-point
 // placement whose metadata (chain pointers + dependency matrices) exercises
-// the scoped-causal fast path.
-func perfScope(writers int) *dsm.ScopeMap {
+// the scoped-causal fast path. With hybrid, reader 1 reads every odd-numbered
+// location with PRAM reads only, so those copies are elided.
+func perfScope(writers int, hybrid bool) *dsm.ScopeMap {
 	s := &dsm.ScopeMap{
 		Readers:       map[string][]int{},
 		CausalReaders: map[string][]int{},
@@ -232,7 +236,9 @@ func perfScope(writers int) *dsm.ScopeMap {
 		for i := 0; i < perfLocCount; i++ {
 			loc := perfLoc(w, i)
 			s.Readers[loc] = []int{1}
-			s.CausalReaders[loc] = []int{1}
+			if !hybrid || i%2 == 0 {
+				s.CausalReaders[loc] = []int{1}
+			}
 		}
 	}
 	return s
@@ -291,8 +297,8 @@ func RunPerf(sub Substrate, opt PerfOptions) (PerfResult, error) {
 }
 
 // runsOn says whether the cell is part of the substrate's grid. The write
-// cells run on both — on tcp the scoped one also crosses the batch codec's
-// dependency matrices and the tcp recycler — and so do the stream, lock and
+// cells run on both — on tcp the scoped and hybrid ones also cross the batch
+// codec's dependency matrices and the tcp recycler — and so do the stream, lock and
 // barrier cells; echo measures the tcp ack
 // protocol; contended, contended1 and fresh are about lock contention and
 // table inserts inside one replica, which sockets only blur; burst measures
@@ -639,8 +645,8 @@ func buildPerfNode(id int, o PerfOptions, cell PerfCell, tr transport.Transport)
 	case "pram":
 		cfg.PRAMOnly = true
 	case "causal":
-	case "scoped":
-		cfg.Scope = perfScope(cell.Writers)
+	case "scoped", "hybrid":
+		cfg.Scope = perfScope(cell.Writers, cell.Label == "hybrid")
 	default:
 		return nil, fmt.Errorf("unknown label %q", cell.Label)
 	}
@@ -684,14 +690,14 @@ func measurePerfCell(o PerfOptions, cell PerfCell, nodes []*dsm.Node) (PerfCell,
 	writerOps := o.Ops / cell.Writers
 	drain := func(sentPerWriterNode map[int]uint64) {
 		// Every replica that receives the traffic must have applied it:
-		// under broadcast labels that is every peer; under the scoped label
-		// only replica 1 is registered.
+		// under broadcast labels that is every peer; under the scoped and
+		// hybrid labels only replica 1 is registered.
 		min := make([]uint64, len(nodes))
 		for from, count := range sentPerWriterNode {
 			min[from] = count
 		}
 		for j, nd := range nodes {
-			if cell.Label == "scoped" && j != 1 {
+			if (cell.Label == "scoped" || cell.Label == "hybrid") && j != 1 {
 				continue
 			}
 			nd.WaitReceived(min)

@@ -17,9 +17,10 @@ import (
 
 // scopedConformanceScope is the placement used by the scoped conformance
 // fuzzer: one fully-causal location, one with a mix of causal and elided
-// readers, one PRAM-elided everywhere. Writes to v1 exercise the kind-split
-// batching path (causal copy to one reader, elided copy to another), and v2
-// exercises the pure fast path under the same adversary schedule.
+// readers, one PRAM-elided everywhere. Writes to v1 exercise mixed batches
+// (a causal copy to one reader, an elided copy to another, each riding in its
+// destination's batch beside the other locations' copies), and v2 exercises
+// the pure fast path under the same adversary schedule.
 func scopedConformanceScope() *dsm.ScopeMap {
 	return &dsm.ScopeMap{
 		Readers: map[string][]int{
@@ -66,7 +67,8 @@ func TestRuntimeScopedMixedConsistent(t *testing.T) {
 
 // TestRuntimeScopedMixedConsistentBatched re-runs the scoped fuzzer with a
 // narrow outbox window, so causal and elided copies to the same destination
-// force mid-stream kind-split flushes while the adversary holds channels.
+// share batches — causal groups with elided holes — while the adversary holds
+// channels.
 func TestRuntimeScopedMixedConsistentBatched(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fuzzing test")

@@ -460,6 +460,13 @@ func TestEncodedSizeMatchesCodec(t *testing.T) {
 		{From: 1, FirstSeq: 3, Count: 2, Updates: updates[:2]},
 		{From: 1, FirstSeq: 3, Count: 2, PrevSeq: 2, Deps: deps,
 			Updates: []Update{{From: 1, Seq: 3, Op: OpSet, Loc: "y", Value: 1}}},
+		// Mixed obligations: the elided flag rides in the Op byte, so it
+		// costs nothing.
+		{From: 1, FirstSeq: 3, Count: 4, PrevSeq: 2, Deps: deps, Updates: []Update{
+			{From: 1, Seq: 3, Op: OpSet, Loc: "c", Value: 1},
+			{From: 1, Seq: 4, Op: OpAdd, Loc: "p", Value: 2, elided: true},
+			{From: 1, Seq: 6, Op: OpAddFloat, Loc: "c2", Value: 3},
+		}},
 	}
 	for i, b := range batches {
 		enc, err := transport.EncodePayload(nil, KindUpdateBatch, b)
@@ -490,6 +497,7 @@ func TestBatchCodecRoundTrip(t *testing.T) {
 		From: 2, FirstSeq: 4, Count: 3,
 		Updates: []Update{
 			{From: 2, Seq: 4, Op: OpSet, Loc: "x[3]", Value: -12345, TS: ts1},
+			{From: 2, Seq: 5, Op: OpAddFloat, Loc: "p", Value: 1, elided: true},
 			{From: 2, Seq: 6, Op: OpAdd, Loc: "", Value: 7, TS: ts2},
 		},
 	}
@@ -505,18 +513,18 @@ func TestBatchCodecRoundTrip(t *testing.T) {
 	if !ok {
 		t.Fatalf("decoded %T, want *UpdateBatch", dec)
 	}
-	if got.From != 2 || got.FirstSeq != 4 || got.Count != 3 || len(got.Updates) != 2 {
+	if got.From != 2 || got.FirstSeq != 4 || got.Count != 3 || len(got.Updates) != 3 {
 		t.Fatalf("header changed: %+v", got)
 	}
 	for i, u := range got.Updates {
 		want := b.Updates[i]
 		if u.From != want.From || u.Seq != want.Seq || u.Op != want.Op ||
-			u.Loc != want.Loc || u.Value != want.Value {
+			u.Loc != want.Loc || u.Value != want.Value || u.elided != want.elided {
 			t.Fatalf("entry %d changed: %+v -> %+v", i, want, u)
 		}
 	}
-	if got.Updates[1].TS.Len() != 3 || got.Updates[1].TS[0] != 6 {
-		t.Fatalf("entry timestamp changed: %v", got.Updates[1].TS)
+	if got.Updates[2].TS.Len() != 3 || got.Updates[2].TS[0] != 6 {
+		t.Fatalf("entry timestamp changed: %v", got.Updates[2].TS)
 	}
 }
 
@@ -590,6 +598,23 @@ func TestBatchCodecMalformed(t *testing.T) {
 	badTS = transport.AppendUint32(badTS, 0x7FFFFFFF) // tsLen
 	if _, err := transport.DecodePayload(KindUpdateBatch, badTS); err == nil {
 		t.Fatal("decoding a batch with absurd timestamp length succeeded")
+	}
+	// An Op byte with a bit that is neither the elided flag nor an op's.
+	for _, op := range []byte{0x40 | byte(OpSet), 0x04 | byte(OpAdd), 0x80 | 0x20} {
+		var unknown []byte
+		unknown = transport.AppendUint32(unknown, 0) // From
+		unknown = transport.AppendUint64(unknown, 1) // FirstSeq
+		unknown = transport.AppendUint64(unknown, 1) // Count
+		unknown = transport.AppendUint32(unknown, 0) // depsN
+		unknown = transport.AppendUint32(unknown, 1) // nEntries
+		unknown = transport.AppendUint64(unknown, 1) // Seq
+		unknown = append(unknown, op, 0)             // Op, Label
+		unknown = transport.AppendString(unknown, "x")
+		unknown = transport.AppendUint64(unknown, 5) // Value
+		unknown = transport.AppendUint32(unknown, 0) // tsLen
+		if _, err := transport.DecodePayload(KindUpdateBatch, unknown); err == nil {
+			t.Fatalf("decoding an entry whose op byte is %#02x succeeded", op)
+		}
 	}
 	// An entry truncated mid-way.
 	var cut []byte

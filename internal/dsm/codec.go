@@ -312,14 +312,24 @@ func (c *connDecoder) parseUpdate(data []byte) (Update, error) {
 //
 //	u32 From | u64 FirstSeq | u64 Count |
 //	u32 depsN | [ u64 PrevSeq | u32 nAct | nAct*u32 ids | nAct*nAct*u64 sub ] |
-//	u32 nEntries | nEntries * ( u64 Seq | u8 Op | u8 Label | str Loc | u64 Value | u32 tsLen | tsLen*u64 TS )
+//	u32 nEntries | nEntries * ( u64 Seq | u8 elided<<7|Op | u8 Label | str Loc | u64 Value | u32 tsLen | tsLen*u64 TS )
 //
-// A scoped causal batch hoists its dependency metadata into the header
-// (depsN > 0), encoded sparsely over the matrix's active indices exactly as
-// in updateCodec; its entries carry no per-entry timestamps. Decode bounds
-// nEntries, tsLen, nAct, and depsN, so a malformed length prefix fails with
-// ErrTruncated instead of attempting a huge allocation.
+// A scoped batch with obMatrix entries hoists their dependency metadata into
+// the header (depsN > 0), encoded sparsely over the matrix's active indices
+// exactly as in updateCodec; its entries carry no per-entry timestamps. Each
+// entry's obligation class rides in the high bit of its Op byte (set: an
+// obNone copy, Update.elided), so mixing costs no byte; a bit that is neither
+// that one nor an op's fails the decode. Decode bounds nEntries, tsLen, nAct,
+// and depsN, so a malformed length prefix fails with ErrTruncated instead of
+// attempting a huge allocation.
 type batchCodec struct{}
+
+// entryElided is the batch entry's Op-byte bit that marks an elided copy, and
+// entryOpBits the bits its operation may use (OpSet through OpAddFloat).
+const (
+	entryElided = 0x80
+	entryOpBits = 0x03
+)
 
 func (batchCodec) Encode(dst []byte, payload any) ([]byte, error) {
 	b, ok := payload.(*UpdateBatch)
@@ -333,7 +343,11 @@ func (batchCodec) Encode(dst []byte, payload any) ([]byte, error) {
 	dst = transport.AppendUint32(dst, uint32(len(b.Updates)))
 	for _, u := range b.Updates {
 		dst = transport.AppendUint64(dst, u.Seq)
-		dst = append(dst, byte(u.Op))
+		op := byte(u.Op)
+		if u.elided {
+			op |= entryElided
+		}
+		dst = append(dst, op)
 		dst = append(dst, byte(u.Label))
 		dst = transport.AppendString(dst, u.Loc)
 		dst = transport.AppendUint64(dst, uint64(u.Value))
@@ -394,12 +408,13 @@ func (c *connDecoder) parseBatch(data []byte) (UpdateBatch, error) {
 		b.Updates = getUpdateSlice(nEntries)
 	}
 	for i := 0; i < nEntries && d.Err() == nil; i++ {
-		u := Update{
-			From:  b.From,
-			Seq:   d.Uint64(),
-			Op:    UpdateOp(d.Byte()),
-			Label: history.Label(d.Byte()),
+		u := Update{From: b.From, Seq: d.Uint64()}
+		op := d.Byte()
+		if op&^(entryElided|entryOpBits) != 0 {
+			return b, fmt.Errorf("dsm: batch codec: entry %d: unknown bits in op byte %#02x", i, op)
 		}
+		u.Op, u.elided = UpdateOp(op&entryOpBits), op&entryElided != 0
+		u.Label = history.Label(d.Byte())
 		loc := d.Bytes()
 		u.Value = int64(d.Uint64())
 		tsLen := d.Count(8)

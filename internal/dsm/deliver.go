@@ -25,7 +25,8 @@ import (
 //	own write   –              yes           fence at issue           as copies    as copies
 //
 // An own write (issue) waits, under its copies' obligation, for what its
-// process observed. obNone updates are settled by their PRAM apply. A group
+// process observed. obNone updates are settled by their PRAM apply, obNone
+// entries of a batch included: the batch's other entries form its group. A group
 // whose metadata has the wrong dimension is held to obFIFO but kept out of the
 // causal view (deliveryGroup.malformed): it occupies its place in the sender's
 // order, so the sender's later updates are not stranded behind it.
@@ -65,7 +66,8 @@ func (n *Node) sendObligation(label history.Label, causalReader bool) obligation
 
 // classify is the receive side of the table: from the node's configuration
 // and the metadata a group arrived with it fixes what the group waits for.
-// label and ts are those of the group's latest update, prevSeq and deps the
+// label and ts are those of the group's latest update that carries a
+// timestamp (LabelSlow and no timestamp if none does), prevSeq and deps the
 // message's scoped-causal section.
 func (n *Node) classify(g *deliveryGroup, label history.Label, ts vclock.VC, prevSeq uint64, deps vclock.Matrix) {
 	g.prev = g.firstSeq - 1
@@ -98,8 +100,11 @@ type entry struct {
 	value int64
 	loc   string
 	hash  uint32 // loctab.Hash(loc)
-	c     *cell
-	sh    *shard
+	// elided marks an obNone entry of a batch whose other entries form a
+	// causal group: it takes part in the PRAM apply only.
+	elided bool
+	c      *cell
+	sh     *shard
 }
 
 // resolve fills e from u, hashing the location once and inserting its cell if
@@ -107,26 +112,40 @@ type entry struct {
 func (n *Node) resolve(e *entry, u *Update) {
 	h := loctab.Hash(u.Loc)
 	e.op, e.label, e.seq, e.value, e.loc, e.hash = u.Op, u.Label, u.Seq, u.Value, u.Loc, h
+	e.elided = n.elided(u)
 	e.sh = n.shard(h)
 	e.c = e.sh.cellFor(h, u.Loc)
 }
 
+// elided reports whether a received batch entry is obNone while its batch may
+// carry causal entries. Only a scope elides some copies of a sender's stream
+// and not others; elsewhere the flag is ignored (every entry of a broadcast
+// batch takes its place in the sender's contiguous order).
+func (n *Node) elided(u *Update) bool { return u.elided && n.scopedCausal }
+
 // deliveryGroup is one causal-delivery unit: a single update or a whole
-// received batch. A batch is applied to the causal view atomically once its
-// first covered sequence number is next from its sender and its latest
-// entry's dependencies are satisfied — delivering a contiguous per-sender run
-// at the point its last element is deliverable is a legal causal schedule
-// (delivery may be delayed, never reordered), and it is what lets coalesced
-// batches keep the standard vector-clock condition. A group that is
-// deliverable when it arrives lives only on the receive path's stack; one
-// that is not is parked in its sender's queue (Node.pending).
+// received batch. A batch is applied to the causal view atomically once it is
+// next from its sender and its latest entry's dependencies are satisfied —
+// delivering a contiguous per-sender run at the point its last element is
+// deliverable is a legal causal schedule (delivery may be delayed, never
+// reordered), and it is what lets coalesced batches keep the standard
+// vector-clock condition. Under a scope the run may have holes: the batch's
+// elided entries are settled by their PRAM apply and never enter the causal
+// view, and the group is the rest (DESIGN.md §8). A group that is deliverable
+// when it arrives lives only on the receive path's stack; one that is not is
+// parked in its sender's queue (Node.pending).
 type deliveryGroup struct {
 	from     int
 	firstSeq uint64
-	lastSeq  uint64
+	// lastSeq is the sequence number of the group's latest causal entry, the
+	// one the sender's next chain pointer names.
+	lastSeq uint64
 	// count is the number of covered updates, including coalesced-away
-	// ones; it feeds recvd on arrival and causalRecvd when the group settles.
+	// ones; it feeds recvd on arrival. holes of them are a batch's obNone
+	// entries, settled — added to causalRecvd — on arrival; the other
+	// count-holes are added when the group settles.
 	count     uint64
+	holes     uint64
 	ob        obligation
 	malformed bool
 	// prev is the sender-order condition: the group is next from its sender
@@ -134,9 +153,10 @@ type deliveryGroup struct {
 	// an own write, the sender's per-destination chain pointer under a scope.
 	prev uint64
 	// need is the cross-sender condition: need[k] <= causalApplied[k] for
-	// every k but the sender. The latest entry's timestamp (which dominates
-	// the rest: one sender's clocks are monotone) for obVector, this node's
-	// row of deps for obMatrix, the fence for an own write, or nil.
+	// every k but the sender. The timestamp of the latest entry that carries
+	// one (it dominates the rest: one sender's clocks are monotone) for
+	// obVector, this node's row of deps for obMatrix, the fence for an own
+	// write, or nil.
 	need vclock.VC
 	// deps is a received obMatrix group's address-matrix snapshot, merged when
 	// it settles. It is shared with the in-flight message and other groups —
@@ -174,23 +194,43 @@ func (n *Node) applyBatch(b *UpdateBatch) {
 	if len(b.Updates) == 0 {
 		return
 	}
-	// The entry with the highest Seq is the sender's latest covered write;
-	// its timestamp dominates the batch. It can sit anywhere (coalescing
-	// replaces in place), so finding it is a scan. Batches are homogeneous in
-	// obligation at the sender, so its label speaks for all of them.
-	latest := &b.Updates[0]
-	for i := 1; i < len(b.Updates); i++ {
-		if b.Updates[i].Seq > latest.Seq {
-			latest = &b.Updates[i]
+	// Entries can sit anywhere (coalescing replaces in place), so finding
+	// the latest of each kind is a scan: the latest entry overall, the latest
+	// causal one — the group's last, which the sender's next chain pointer
+	// names — and the latest that carries a timestamp, which dominates the
+	// group's dependencies. A LabelSlow entry carries none.
+	g := deliveryGroup{from: b.From, firstSeq: b.FirstSeq, count: b.Count, batch: b.Updates}
+	var latest, causal, stamped *Update
+	for i := range b.Updates {
+		u := &b.Updates[i]
+		if latest == nil || u.Seq > latest.Seq {
+			latest = u
+		}
+		if n.elided(u) {
+			g.holes++
+			continue
+		}
+		if causal == nil || u.Seq > causal.Seq {
+			causal = u
+		}
+		if u.Label != history.LabelSlow && (stamped == nil || u.Seq > stamped.Seq) {
+			stamped = u
 		}
 	}
 	if n.obs != nil {
 		n.obs.Record(obs.EvRecvBatch, uint8(b.Updates[0].Label), uint16(b.From),
 			obs.NoLoc, b.FirstSeq, latest.Seq, b.Count)
 	}
-	g := deliveryGroup{from: b.From, firstSeq: b.FirstSeq, lastSeq: latest.Seq,
-		count: b.Count, batch: b.Updates}
-	n.classify(&g, latest.Label, latest.TS, b.PrevSeq, b.Deps)
+	switch {
+	case causal == nil:
+		g.lastSeq, g.ob = latest.Seq, obNone
+	case stamped == nil:
+		g.lastSeq = causal.Seq
+		n.classify(&g, history.LabelSlow, nil, b.PrevSeq, b.Deps)
+	default:
+		g.lastSeq = causal.Seq
+		n.classify(&g, stamped.Label, stamped.TS, b.PrevSeq, b.Deps)
+	}
 	n.receive(&g)
 }
 
@@ -198,7 +238,7 @@ func (n *Node) applyBatch(b *UpdateBatch) {
 func (n *Node) receive(g *deliveryGroup) {
 	n.clockMu.Lock()
 	if g.malformed {
-		n.statMalformed.Add(g.count)
+		n.statMalformed.Add(g.count - g.holes)
 	}
 	n.recvd[g.from] += g.count
 	n.receiveLocked(g)
@@ -209,25 +249,28 @@ func (n *Node) receive(g *deliveryGroup) {
 // receiveLocked is the one way into both views, own writes (issue) included: to
 // the PRAM view at once, to the causal view when the obligation is met — in the
 // same pass if it already is and nothing of its sender's is parked ahead, the
-// common case, which touches no queue.
+// common case, which touches no queue. What the PRAM apply settles — an obNone
+// group, a batch's obNone entries — is counted settled here.
 func (n *Node) receiveLocked(g *deliveryGroup) {
 	n.arrivals++
 	g.arrival = n.arrivals
 	inPlace := g.ob != obNone && n.pending[g.from].size == 0 && n.deliverableLocked(g)
 	n.applyGroupLocked(g, true, inPlace)
-	switch {
-	case g.ob == obNone:
+	if g.ob == obNone {
 		n.causalRecvd[g.from] += g.count
 		putUpdateSlice(g.batch)
-	case inPlace:
-		n.settleLocked(g)
-		if n.parked.Load() != 0 {
-			n.drainLocked()
-		}
-	default:
+		return
+	}
+	n.causalRecvd[g.from] += g.holes
+	if !inPlace {
 		// Nothing else can have become deliverable — the clocks did not
 		// move — so no drain follows.
 		n.parkLocked(g)
+		return
+	}
+	n.settleLocked(g)
+	if n.parked.Load() != 0 {
+		n.drainLocked()
 	}
 }
 
@@ -249,12 +292,12 @@ func (n *Node) applyGroupLocked(g *deliveryGroup, pram, causal bool) {
 func (n *Node) applyEntryLocked(g *deliveryGroup, e *entry, pram, causal bool) {
 	if pram {
 		// The anchor is stored before the value (see cell.last).
-		if g.ob.anchors() {
+		if g.ob.anchors() && !e.elided {
 			e.c.last.Store(packLast(g.from, e.seq))
 		}
 		applyCell(&e.c.pram, e.op, e.value)
 	}
-	if causal && !g.malformed {
+	if causal && !g.malformed && !e.elided {
 		applyCell(&e.c.causal, e.op, e.value)
 	}
 	e.sh.wake()
@@ -296,7 +339,7 @@ func (n *Node) settleLocked(g *deliveryGroup) {
 		n.addr.Merge(g.deps)
 		n.addrEpoch++
 	}
-	n.causalRecvd[g.from] += g.count
+	n.causalRecvd[g.from] += g.count - g.holes
 	putUpdateSlice(g.batch)
 	if n.obs != nil {
 		if g.parkedAt != 0 {

@@ -62,7 +62,7 @@ func FuzzBatchCodecRoundTrip(f *testing.F) {
 		}}
 	scoped.Deps.Set(0, 1, 3)
 	seedBatches = append(seedBatches, scoped,
-		// A slow-labeled batch: label-homogeneous, timestamp-elided frames.
+		// An all-Slow batch: timestamp-elided entries only.
 		&UpdateBatch{From: 2, FirstSeq: 7, Count: 2, Updates: []Update{
 			{From: 2, Seq: 7, Op: OpSet, Loc: "cell", Value: 1, Label: history.LabelSlow},
 			{From: 2, Seq: 8, Op: OpSet, Loc: "cell", Value: 2, Label: history.LabelSlow},
@@ -83,6 +83,23 @@ func FuzzBatchCodecRoundTrip(f *testing.F) {
 		f.Fatalf("seed encode: %v", err)
 	}
 	f.Add(cut[:len(cut)-1])
+	// A batch mixing obligations — elided entries around causal ones under
+	// one matrix — whole, and cut inside its last entry.
+	mixed := &UpdateBatch{From: 1, FirstSeq: 2, Count: 5, PrevSeq: 1,
+		Deps: vclock.NewMatrix(3),
+		Updates: []Update{
+			{From: 1, Seq: 2, Op: OpAdd, Loc: "ctr", Value: 1, elided: true},
+			{From: 1, Seq: 4, Op: OpSet, Loc: "s", Value: 5},
+			{From: 1, Seq: 5, Op: OpAdd, Loc: "ctr", Value: 1, elided: true},
+			{From: 1, Seq: 6, Op: OpSet, Loc: "t", Value: 6},
+		}}
+	mixed.Deps.Set(2, 1, 6)
+	whole, err := transport.EncodePayload(nil, KindUpdateBatch, mixed)
+	if err != nil {
+		f.Fatalf("seed encode: %v", err)
+	}
+	f.Add(whole)
+	f.Add(whole[:len(whole)-3])
 
 	conn := new(connDecoder)
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -81,6 +81,12 @@ type Update struct {
 	// waits on its own row and merges the whole matrix; it never mutates
 	// it (the snapshot is shared across the write's destinations).
 	Deps vclock.Matrix
+	// elided marks a batch entry whose copy was stamped under obNone — under a
+	// scope, the copy to a PRAM-registered reader — so the receiver keeps it
+	// out of the causal group the batch's other entries form. The batch codec
+	// carries it as the high bit of the entry's Op byte; a single-update frame
+	// never sets it, since its Deps say the same.
+	elided bool
 }
 
 // encodedSize models the wire size of an update for the latency model,

@@ -97,8 +97,8 @@ func TestSlowKeepsPerSenderFIFOWithCausalTraffic(t *testing.T) {
 }
 
 // TestSlowBatchDelivery exercises the batched path: slow and causal writes
-// interleaved through the outbox must flush into label-homogeneous batches
-// and still apply in per-sender order.
+// interleaved through the outbox ride in one batch, a group under the causal
+// write's timestamp, and still apply in per-sender order.
 func TestSlowBatchDelivery(t *testing.T) {
 	labels := map[string]history.Label{"s": history.LabelSlow}
 	nodes := labeledCluster(t, 2, labels, BatchConfig{Enabled: true, MaxUpdates: 1 << 20, Linger: time.Hour})
@@ -110,6 +110,10 @@ func TestSlowBatchDelivery(t *testing.T) {
 		nodes[0].Write("s", i)
 	}
 	nodes[0].FlushUpdates()
+	// The sets to s coalesce into one entry: one frame of two entries.
+	if got, want := nodes[0].Stats().Flushes.Sync, (FlushCount{Frames: 1, Entries: 2}); got != want {
+		t.Fatalf("flushed %+v, want %+v", got, want)
+	}
 	eventually(t, func() bool { return nodes[1].ReadSlow("s") == 6 },
 		"slow batch never applied")
 	eventually(t, func() bool { return nodes[1].ReadCausal("c") == 10 },

@@ -189,6 +189,29 @@ type Stats struct {
 	// a sender whose updates are not arriving.
 	PendingGroups    uint64 `json:"pendingGroups"`
 	PendingGroupsMax uint64 `json:"pendingGroupsMax"`
+	// Flushes counts the outbox's flushed frames, and the entries they
+	// carried, by what closed the batch; all zero with batching off.
+	Flushes FlushesByCause `json:"flushes"`
+}
+
+// FlushesByCause splits Stats.Flushes by what closed each batch.
+type FlushesByCause struct {
+	// Threshold: the batch reached BatchConfig.MaxUpdates or MaxBytes.
+	Threshold FlushCount `json:"threshold"`
+	// Sync: a synchronization boundary (FlushUpdates) or Close.
+	Sync FlushCount `json:"sync"`
+	// Linger: the linger flusher.
+	Linger FlushCount `json:"linger"`
+	// Epoch: a scoped-causal write found the batch's dependency matrix
+	// older than a remote matrix the node merged since.
+	Epoch FlushCount `json:"epoch"`
+}
+
+// FlushCount is a number of flushed frames and of the entries they carried
+// (coalesced-away updates are not entries).
+type FlushCount struct {
+	Frames  uint64 `json:"frames"`
+	Entries uint64 `json:"entries"`
 }
 
 // BlockedByCause splits Stats.Blocked by wait cause.
@@ -351,13 +374,15 @@ type Node struct {
 
 	// batch/outbox implement the per-destination update outbox (nil when
 	// batching is off); outboxMu guards every destination's pending batch and
-	// the slabs flushes carve their payloads from (outbox.go); flushQuit stops
-	// the linger flusher.
+	// the slabs flushes carve their payloads from (outbox.go); flushes counts
+	// the flushed frames by cause (Stats.Flushes); flushQuit stops the linger
+	// flusher.
 	batch      BatchConfig
 	outboxMu   sync.Mutex
 	outbox     []*outboxDest
 	flushUpd   []Update
 	flushBatch []UpdateBatch
+	flushes    [numFlushCauses]flushCount
 	flushQuit  chan struct{}
 	closed     atomic.Bool
 	done       chan struct{}
@@ -531,6 +556,12 @@ func (n *Node) Stats() Stats {
 		MalformedUpdates: n.statMalformed.Load(),
 		PendingGroups:    n.parked.Load(),
 		PendingGroupsMax: n.parkedMax.Load(),
+		Flushes: FlushesByCause{
+			Threshold: n.flushes[flushThreshold].load(),
+			Sync:      n.flushes[flushSync].load(),
+			Linger:    n.flushes[flushLinger].load(),
+			Epoch:     n.flushes[flushEpoch].load(),
+		},
 	}
 	s.Blocked = s.BlockedAwait + s.BlockedCausalWait + s.BlockedSC + s.BlockedInvalidation
 	for i := range n.shards {

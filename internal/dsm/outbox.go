@@ -5,6 +5,7 @@ package dsm
 
 import (
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"mixedmem/internal/network"
@@ -75,30 +76,32 @@ func (c BatchConfig) WithDefaults() BatchConfig {
 // always the sender's latest covered write (the latest write is never
 // coalesced away), which is what the receiver's PRAM clock advances to.
 //
-// A batch is kind-homogeneous: either every covered update is causal
-// (dependency-stamped) or every one is timestamp-elided. A causal batch
-// hoists its dependency metadata to the batch level — PrevSeq chains it after
-// the sender's previous causal update addressed to this destination, and Deps
-// is the address-matrix snapshot captured when the batch's latest covered
-// write was enqueued, under the same lock hold as that write's matrix bumps.
-// One matrix covers the whole run because a sender's matrix is monotone: the
-// latest write's dependencies dominate every earlier covered entry's. The
-// snapshot is never taken at flush time — between enqueue and flush the
-// sender can absorb matrices from applied remote updates, and a flush-time
-// snapshot could name an update Y that itself (transitively) waits on a write
-// parked in this very batch, leaving the receiver's causal view in a
-// permanent circular wait (batch waits on Y, Y waits on the batch). An
-// elided batch leaves both zero.
+// Entries may mix obligations: each carries its own (the elided flag, on the
+// wire a bit of its Op byte), and the receiver PRAM-applies the whole batch,
+// settles the obNone entries there, and delivers the rest to the causal view
+// as one group. Under a scope the obMatrix entries hoist their dependency
+// metadata to the batch level — PrevSeq chains the batch after the sender's
+// previous obMatrix update addressed to this destination, and Deps is the
+// address-matrix snapshot captured when the batch's latest obMatrix entry
+// was enqueued, under the same lock hold as that write's matrix bumps. One
+// matrix covers them all because a sender's matrix is monotone: the latest
+// write's dependencies dominate every earlier entry's. The snapshot is never
+// taken at flush time — between enqueue and flush the sender can absorb
+// matrices from applied remote updates, and a flush-time snapshot could name
+// an update Y that itself (transitively) waits on a write parked in this very
+// batch, leaving the receiver's causal view in a permanent circular wait
+// (batch waits on Y, Y waits on the batch). A batch with no obMatrix entry
+// leaves both zero.
 type UpdateBatch struct {
 	From     int
 	FirstSeq uint64
 	Count    uint64
 	// PrevSeq is the sender's per-destination causal chain pointer (scoped
-	// causal batches only): the Seq of the previous causal update the sender
-	// addressed to this destination, 0 for the first.
+	// batches with an obMatrix entry only): the Seq of the previous obMatrix
+	// update the sender addressed to this destination, 0 for the first.
 	PrevSeq uint64
-	// Deps is the sender's address matrix snapshot (scoped causal batches
-	// only); see Update.Deps for the sharing contract.
+	// Deps is the sender's address matrix snapshot (scoped batches with an
+	// obMatrix entry only); see Update.Deps for the sharing contract.
 	Deps    vclock.Matrix
 	Updates []Update
 }
@@ -204,20 +207,36 @@ type outboxDest struct {
 	lastSeq uint64
 	count   uint64
 	bytes   int
-	// ob is the obligation every covered update was stamped with: the
-	// receiver delivers a batch as one group under one obligation, so
-	// outboxAddLocked flushes when it changes.
-	ob obligation
-	// prevSeq is an obMatrix batch's chain pointer, captured when the batch
-	// started (zero otherwise). deps is the address-matrix snapshot of its latest covered
-	// write, captured at enqueue time (shared with the write's other
-	// destinations; receivers only merge from it). depsEpoch records
-	// Node.addrEpoch at capture, so outboxAddLocked can detect that the node
-	// absorbed a remote matrix merge after the snapshot and split the batch
-	// instead of letting a newer snapshot cover older parked writes.
+	// deps is the address-matrix snapshot of the batch's latest obMatrix
+	// entry, captured at enqueue time (shared with the write's other
+	// destinations; receivers only merge from it), and nil while the batch
+	// holds none. prevSeq is the chain pointer, captured when the first
+	// obMatrix entry joined. depsEpoch records Node.addrEpoch at capture, so
+	// outboxAddLocked can detect that the node absorbed a remote matrix merge
+	// after the snapshot and split the batch instead of letting a newer
+	// snapshot cover older parked writes.
 	prevSeq   uint64
 	deps      vclock.Matrix
 	depsEpoch uint64
+}
+
+// flushCause is what closed a pending batch, the index of Node.flushes.
+type flushCause int
+
+const (
+	flushThreshold flushCause = iota // MaxUpdates or MaxBytes reached
+	flushSync                        // FlushUpdates: a synchronization boundary
+	flushLinger                      // the linger flusher
+	flushEpoch                       // an obMatrix entry after a remote matrix merge
+	numFlushCauses
+)
+
+// flushCount counts the frames flushed for one cause and the entries they
+// carried.
+type flushCount struct{ frames, entries atomic.Uint64 }
+
+func (c *flushCount) load() FlushCount {
+	return FlushCount{Frames: c.frames.Load(), Entries: c.entries.Load()}
 }
 
 func newOutboxDest(maxUpdates int) *outboxDest {
@@ -234,44 +253,47 @@ func newOutboxDest(maxUpdates int) *outboxDest {
 // coalescing into the location's live OpSet entry when allowed, and flushes
 // inline when a threshold is crossed. The caller holds the clock lock
 // (sequence numbers must hit the outbox in assignment order) and the outbox
-// lock — one acquisition covers all destinations of a write. A change of
-// obligation flushes the pending batch first, so every batch stays
-// homogeneous. obMatrix entries ride without per-entry dependency metadata:
-// the batch-level Deps is snap, the caller's address-matrix snapshot taken
-// under the same lock hold as this write's bumps, refreshed at every enqueue
-// (the latest covered write's dependencies dominate the rest), and the chain
-// pointer is the one the caller left in n.prevBuf[j]. A pending obMatrix batch
-// whose snapshot predates a remote matrix merge (addrEpoch moved) is flushed
-// before u starts a fresh batch: this write's snapshot may name a just-merged
-// update that itself waits on a write parked in the old batch, and shipping
-// them under one matrix would hand the receiver a circular wait.
+// lock — one acquisition covers all destinations of a write. The entry keeps
+// its obligation, so a batch mixes them freely. obMatrix entries ride without
+// per-entry dependency metadata: the batch-level Deps is snap, the caller's
+// address-matrix snapshot taken under the same lock hold as this write's
+// bumps, refreshed by every obMatrix enqueue (the latest such write's
+// dependencies dominate the rest), and the chain pointer is the one the
+// caller left in n.prevBuf[j] for the batch's first obMatrix entry. A pending
+// batch whose snapshot predates a remote matrix merge (addrEpoch moved) is
+// flushed before another obMatrix entry joins: this write's snapshot may name
+// a just-merged update that itself waits on a write parked in the old batch,
+// and shipping them under one matrix would hand the receiver a circular wait.
+// Other entries carry no matrix, so they never split a batch.
 func (n *Node) outboxAddLocked(j int, u *Update, ob obligation, snap vclock.Matrix) {
 	d := n.outbox[j]
-	if d.count > 0 && (d.ob != ob || (ob == obMatrix && d.depsEpoch != n.addrEpoch)) {
-		n.flushDestLocked(j, d)
-	}
-	if d.count == 0 {
-		d.firstSeq, d.ob, d.prevSeq = u.Seq, ob, 0
-		if ob == obMatrix {
+	if ob == obMatrix {
+		if d.deps != nil && d.depsEpoch != n.addrEpoch {
+			n.flushCauseLocked(flushEpoch, j, d)
+		}
+		if d.deps == nil {
 			d.prevSeq = n.prevBuf[j]
 		}
+		d.deps, d.depsEpoch = snap, n.addrEpoch
 	}
-	d.deps, d.depsEpoch = snap, n.addrEpoch
+	if d.count == 0 {
+		d.firstSeq = u.Seq
+	}
 	d.count++
 	d.lastSeq = u.Seq
 	// Last-writer-wins coalescing: a superseded plain write is dropped from
 	// the batch (its sequence number is still accounted through the batch's
 	// Count), so readers skip values the sender overwrote before the flush —
 	// a skip the condition-variable wakeup race already permits in unbatched
-	// executions.
-	coalesced := false
+	// executions. A location's copies to one destination are all stamped
+	// alike, so an entry only ever replaces one of its own obligation.
+	i, coalesced := len(d.entries), false
 	if u.Op == OpSet {
-		if i, ok := d.setIdx[u.Loc]; ok {
-			d.bytes += u.encodedSize() - d.entries[i].encodedSize()
-			d.entries[i] = *u
-			coalesced = true
+		if k, ok := d.setIdx[u.Loc]; ok {
+			i, coalesced = k, true
+			d.bytes -= d.entries[i].encodedSize()
 		} else {
-			d.setIdx[u.Loc] = len(d.entries)
+			d.setIdx[u.Loc] = i
 		}
 	} else {
 		// An add bars later sets from jumping over it: the location's next
@@ -279,28 +301,43 @@ func (n *Node) outboxAddLocked(j int, u *Update, ob obligation, snap vclock.Matr
 		delete(d.setIdx, u.Loc)
 	}
 	if !coalesced {
-		d.entries = append(d.entries, *u)
-		d.bytes += u.encodedSize()
+		d.entries = append(d.entries, Update{})
 	}
+	d.entries[i] = *u
+	d.entries[i].elided = ob == obNone
+	d.bytes += u.encodedSize()
 	if n.obs != nil {
 		n.obs.RecordLoc(obs.EvEnqueue, uint8(u.Label), uint16(j), u.Loc, u.Seq,
 			uint64(len(d.entries)), 0)
 	}
 	if len(d.entries) >= n.batch.MaxUpdates || d.bytes >= n.batch.MaxBytes {
-		n.flushDestLocked(j, d)
+		n.flushCauseLocked(flushThreshold, j, d)
 	}
+}
+
+// flushCauseLocked flushes destination j's pending batch, if any, counting it
+// under cause; the caller holds outboxMu.
+func (n *Node) flushCauseLocked(cause flushCause, j int, d *outboxDest) {
+	if d.count == 0 {
+		return
+	}
+	c := &n.flushes[cause]
+	c.frames.Add(1)
+	c.entries.Add(uint64(len(d.entries)))
+	n.flushDestLocked(j, d)
 }
 
 // flushDestLocked sends destination j's pending batch, if any; the caller
 // holds outboxMu. A batch that covers a single update goes out as a plain
 // KindUpdate frame — the receive path and wire format are then identical to
-// unbatched operation. Multi-entry batches copy the ring's live prefix into
+// unbatched operation (an obNone entry's frame has no Deps, which is how the
+// receiver knows it). Multi-entry batches copy the ring's live prefix into
 // a pooled slice (see updateSlicePool for who returns it); the ring backing
-// itself is reused forever. An obMatrix batch ships its enqueue-time
-// snapshot, never the current matrix: that may have absorbed merges since
-// which could close a dependency cycle through this very batch (see
-// outboxAddLocked). The payload — the single-update frame's *Update or the
-// *UpdateBatch — is the next element of the outbox's own slab, not the
+// itself is reused forever. A batch with obMatrix entries ships its
+// enqueue-time snapshot, never the current matrix: that may have absorbed
+// merges since which could close a dependency cycle through this very batch
+// (see outboxAddLocked). The payload — the single-update frame's *Update or
+// the *UpdateBatch — is the next element of the outbox's own slab, not the
 // node's: those are guarded by the clock lock, and a flush — the linger
 // flusher's in particular — holds only outboxMu.
 func (n *Node) flushDestLocked(j int, d *outboxDest) {
@@ -310,7 +347,7 @@ func (n *Node) flushDestLocked(j int, d *outboxDest) {
 	if d.count == 1 && len(d.entries) == 1 {
 		u := carve(&n.flushUpd)
 		*u = d.entries[0]
-		u.PrevSeq, u.Deps = d.prevSeq, d.deps
+		u.PrevSeq, u.Deps, u.elided = d.prevSeq, d.deps, false
 		_ = n.fabric.Send(network.Message{
 			From: n.id, To: j, Kind: KindUpdate,
 			Payload: u, Size: u.encodedSize(),
@@ -334,7 +371,7 @@ func (n *Node) flushDestLocked(j int, d *outboxDest) {
 	clear(d.setIdx)
 	d.count = 0
 	d.bytes = 0
-	d.deps = nil
+	d.deps, d.prevSeq = nil, 0
 }
 
 // FlushUpdates sends every pending outbox batch immediately. It is the
@@ -345,14 +382,16 @@ func (n *Node) flushDestLocked(j int, d *outboxDest) {
 // when batching is disabled. It takes only the outbox lock (callers may hold
 // the clock lock: clockMu -> outboxMu), so the linger flusher never contends
 // with the clock-guarded hot paths.
-func (n *Node) FlushUpdates() {
+func (n *Node) FlushUpdates() { n.flushAll(flushSync) }
+
+func (n *Node) flushAll(cause flushCause) {
 	if n.outbox == nil {
 		return
 	}
 	n.outboxMu.Lock()
 	for j, d := range n.outbox {
 		if d != nil {
-			n.flushDestLocked(j, d)
+			n.flushCauseLocked(cause, j, d)
 		}
 	}
 	n.outboxMu.Unlock()
@@ -369,7 +408,7 @@ func (n *Node) lingerLoop() {
 		case <-n.flushQuit:
 			return
 		case <-t.C:
-			n.FlushUpdates()
+			n.flushAll(flushLinger)
 		}
 	}
 }

@@ -312,11 +312,13 @@ func TestPendingGroupsStats(t *testing.T) {
 // refGroup is the delivery metadata of one received message, copied out at
 // capture time (the real receiver recycles batch slices once applied), or of
 // one of the receiver's own writes (self), which waits for need: its
-// observation fence when it was issued.
+// observation fence when it was issued. A scoped batch's elided entries are
+// holes in its group: settled on arrival, holes of the count.
 type refGroup struct {
 	from              int
 	firstSeq, lastSeq uint64
 	count, prevSeq    uint64
+	holes             uint64
 	ts, need          vclock.VC
 	deps              vclock.Matrix
 	slow, elided      bool
@@ -369,6 +371,7 @@ func (r *refReceiver) arrive(g refGroup) {
 		r.settled[g.from] += g.count
 		return
 	}
+	r.settled[g.from] += g.holes
 	if g.self && !r.deliverable(g) {
 		r.selfParked++
 	}
@@ -390,8 +393,10 @@ func (r *refReceiver) arrive(g refGroup) {
 						r.applied[k] = x
 					}
 				}
+				// The run may end in Slow entries, past its timestamp.
+				r.applied[g.from] = g.lastSeq
 			}
-			r.settled[g.from] += g.count
+			r.settled[g.from] += g.count - g.holes
 			r.released = append(r.released, g)
 			progressed = true
 		}
@@ -435,7 +440,11 @@ func (c *captureTransport) Broadcast(from int, kind string, payload any, size in
 }
 
 // refGroupOf copies a captured message's delivery metadata, classifying it
-// the way the receive path does.
+// the way the receive path does. A batch's group is its causal entries — under
+// a scope, those not elided — ending at the latest of them and waiting for the
+// timestamp of the latest that carries one; only when every entry is Slow is
+// the group Slow, and only when every one is elided (or the batch carries no
+// matrix) is it elided whole.
 func refGroupOf(m network.Message, scoped bool) refGroup {
 	switch p := m.Payload.(type) {
 	case *Update:
@@ -446,20 +455,53 @@ func refGroupOf(m network.Message, scoped bool) refGroup {
 			elided: scoped && p.Deps == nil,
 		}
 	case *UpdateBatch:
-		latest := p.Updates[0]
-		for _, u := range p.Updates {
-			if u.Seq > latest.Seq {
-				latest = u
+		g := refGroup{from: p.From, firstSeq: p.FirstSeq, count: p.Count, prevSeq: p.PrevSeq, deps: p.Deps}
+		var last, stamped *Update
+		for i := range p.Updates {
+			u := &p.Updates[i]
+			if scoped && u.elided {
+				g.holes++
+				continue
+			}
+			if last == nil || u.Seq > last.Seq {
+				last = u
+			}
+			if u.Label != history.LabelSlow && (stamped == nil || u.Seq > stamped.Seq) {
+				stamped = u
 			}
 		}
-		return refGroup{
-			from: p.From, firstSeq: p.FirstSeq, lastSeq: latest.Seq, count: p.Count,
-			prevSeq: p.PrevSeq, ts: latest.TS.Clone(), deps: p.Deps,
-			slow:   !scoped && p.Updates[0].Label == history.LabelSlow,
-			elided: scoped && p.Deps == nil,
+		switch {
+		case last == nil || scoped && p.Deps == nil:
+			g.elided = true
+		case scoped:
+			g.lastSeq = last.Seq
+		default:
+			g.lastSeq, g.slow = last.Seq, stamped == nil
+			if stamped != nil {
+				g.ts = stamped.TS.Clone()
+			}
 		}
+		return g
 	}
 	panic(fmt.Sprintf("captured a %T", m.Payload))
+}
+
+// mixedBatch reports whether b's entries were stamped under more than one
+// obligation: elided and causal copies under a scope, Slow and timestamped
+// writes under broadcast.
+func mixedBatch(b *UpdateBatch, scoped bool) bool {
+	class := func(u *Update) bool {
+		if scoped {
+			return u.elided
+		}
+		return u.Label == history.LabelSlow
+	}
+	for i := range b.Updates {
+		if class(&b.Updates[i]) != class(&b.Updates[0]) {
+			return true
+		}
+	}
+	return false
 }
 
 // TestDrainMatchesFlatScan is the differential test for the per-sender
@@ -475,7 +517,9 @@ func refGroupOf(m network.Message, scoped bool) refGroup {
 // reference's, and at the end the EvGroupRelease events of its trace must list
 // the reference's releases in the same order — in all three delivery modes
 // (broadcast timestamps, scoped deps/prevSeq chains, slow FIFO-only groups
-// mixed into timestamped traffic), unbatched and batched.
+// mixed into timestamped traffic), unbatched and batched. Batched, the scoped
+// and slow modes' batches mix obligations, so their groups have elided holes
+// or Slow entries past their timestamp.
 func TestDrainMatchesFlatScan(t *testing.T) {
 	const n = 4 // three senders and the receiver
 	allNodes := []int{0, 1, 2, 3}
@@ -606,6 +650,7 @@ func runDrainDifferential(t *testing.T, n int, scope *ScopeMap, labels map[strin
 	// while the streams that depend on it pile up.
 	next := make([]int, n)
 	weight := make([]int, n)
+	mixed := 0 // batches whose entries mix obligations
 	remaining := 0
 	for s := 0; s < recv; s++ {
 		remaining += len(capture.got[s])
@@ -656,6 +701,9 @@ func runDrainDifferential(t *testing.T, n int, scope *ScopeMap, labels map[strin
 			remaining--
 
 			g = refGroupOf(m, scope != nil)
+			if b, ok := m.Payload.(*UpdateBatch); ok && mixedBatch(b, scope != nil) {
+				mixed++
+			}
 			ref.arrive(g)
 			switch p := m.Payload.(type) {
 			case *Update:
@@ -690,6 +738,9 @@ func runDrainDifferential(t *testing.T, n int, scope *ScopeMap, labels map[strin
 	}
 	if ref.selfParked < 5 {
 		t.Fatalf("%d own writes of the receiver parked; its queue was barely exercised", ref.selfParked)
+	}
+	if batch.Enabled && (scope != nil || labels != nil) && mixed < 5 {
+		t.Fatalf("%d batches mixed obligations; groups with holes were barely exercised", mixed)
 	}
 	if got := r.Stats().PendingGroupsMax; got != uint64(ref.maxPending) {
 		t.Errorf("PendingGroupsMax = %d, reference %d", got, ref.maxPending)

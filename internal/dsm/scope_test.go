@@ -146,7 +146,8 @@ func TestScopedMixedElidedAndCausal(t *testing.T) {
 
 // TestScopedCausalBatched runs the transitive scenario with the outbox on:
 // causal batches must carry batch-level dependency metadata and apply
-// atomically, and kind changes must split batches so each stays homogeneous.
+// atomically, and an elided write between causal ones rides in the same batch
+// as a hole in its causal group.
 func TestScopedCausalBatched(t *testing.T) {
 	scope := &ScopeMap{
 		Readers:       map[string][]int{"x": {1, 2}, "y": {2}, "p": {2}},
@@ -161,7 +162,7 @@ func TestScopedCausalBatched(t *testing.T) {
 	}
 	nodes[0].Write("x", 1)
 	nodes[0].Write("x", 2)
-	nodes[0].Write("p", 7) // elided kind: forces a homogeneous-batch split
+	nodes[0].Write("p", 7) // elided at node 2: a hole in the batch's causal group
 	nodes[0].Write("x", 3)
 	nodes[0].FlushUpdates()
 	nodes[1].AwaitCausal("x", 3)
