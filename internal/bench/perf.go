@@ -224,7 +224,7 @@ func remoteLoc(i int) string {
 
 // perfScope builds the scoped-label placement: every writer location of node
 // 0 is registered to the single causal reader 1, the point-to-point
-// placement whose metadata (chain pointers + dependency matrices) exercises
+// placement whose metadata (dependency matrices) exercises
 // the scoped-causal fast path. With hybrid, reader 1 reads every odd-numbered
 // location with PRAM reads only, so those copies are elided.
 func perfScope(writers int, hybrid bool) *dsm.ScopeMap {

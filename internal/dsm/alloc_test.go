@@ -271,7 +271,7 @@ func TestPooledEncodeBufferAllocFree(t *testing.T) {
 
 // scopedAllocPair builds a quiet two-node cluster in which node 0's location
 // "s" is a causal scope read by node 1: the placement whose writes carry a
-// chain pointer and a dependency matrix.
+// dependency matrix.
 func scopedAllocPair(t *testing.T, batch BatchConfig) []*Node {
 	t.Helper()
 	f, err := network.New(network.Config{Nodes: 2})
@@ -406,8 +406,8 @@ func TestScopedEncodeAllocFree(t *testing.T) {
 	deps := vclock.NewMatrix(6)
 	deps.Set(1, 4, 9)
 	deps.Set(4, 1, 3)
-	var update any = &Update{From: 1, Seq: 9, Op: OpSet, Loc: "s", Value: 7, PrevSeq: 8, Deps: deps}
-	var batch any = &UpdateBatch{From: 1, FirstSeq: 8, Count: 2, PrevSeq: 7, Deps: deps, Updates: []Update{
+	var update any = &Update{From: 1, Seq: 9, Op: OpSet, Loc: "s", Value: 7, Deps: deps}
+	var batch any = &UpdateBatch{From: 1, FirstSeq: 8, Count: 2, Deps: deps, Updates: []Update{
 		{From: 1, Seq: 8, Op: OpSet, Loc: "s", Value: 1},
 		{From: 1, Seq: 9, Op: OpAdd, Loc: "t", Value: 2},
 	}}
@@ -457,7 +457,7 @@ func TestConnDecodeAllocFloor(t *testing.T) {
 		payload any
 	}{
 		{"update", KindUpdate, &Update{From: 1, Seq: 3, Op: OpSet, Loc: "alpha", Value: 10, TS: vclock.VC{3, 1, 4}}},
-		{"scoped update", KindUpdate, &Update{From: 1, Seq: 3, Op: OpSet, Loc: "alpha", Value: 10, PrevSeq: 2, Deps: deps}},
+		{"scoped update", KindUpdate, &Update{From: 1, Seq: 3, Op: OpSet, Loc: "alpha", Value: 10, Deps: deps}},
 		{"4-entry batch", KindUpdateBatch, &UpdateBatch{From: 1, FirstSeq: 1, Count: 4, Updates: entries}},
 		{"4-entry scoped batch", KindUpdateBatch, &UpdateBatch{From: 1, FirstSeq: 1, Count: 4, Deps: deps, Updates: entries}},
 	} {

@@ -395,7 +395,7 @@ func TestScopedCausalMalformedDepsDoesNotStall(t *testing.T) {
 		t.Fatal(err)
 	}
 	badBatch := &UpdateBatch{
-		From: 0, FirstSeq: 2, Count: 2, PrevSeq: 1, Deps: vclock.NewMatrix(5),
+		From: 0, FirstSeq: 2, Count: 2, Deps: vclock.NewMatrix(5),
 		Updates: []Update{
 			{From: 0, Seq: 2, Op: OpSet, Loc: "a", Value: 8},
 			{From: 0, Seq: 3, Op: OpSet, Loc: "a", Value: 9},
@@ -444,7 +444,7 @@ func TestEncodedSizeMatchesCodec(t *testing.T) {
 	updates := []Update{
 		{From: 1, Seq: 3, Op: OpSet, Loc: "x[2]", Value: -9},
 		{From: 1, Seq: 3, Op: OpSet, Loc: "x[2]", Value: -9, TS: ts},
-		{From: 1, Seq: 3, Op: OpAdd, Loc: "", Value: 1, PrevSeq: 2, Deps: deps},
+		{From: 1, Seq: 3, Op: OpAdd, Loc: "", Value: 1, Deps: deps},
 	}
 	for i := range updates {
 		u := &updates[i]
@@ -458,11 +458,11 @@ func TestEncodedSizeMatchesCodec(t *testing.T) {
 	}
 	batches := []*UpdateBatch{
 		{From: 1, FirstSeq: 3, Count: 2, Updates: updates[:2]},
-		{From: 1, FirstSeq: 3, Count: 2, PrevSeq: 2, Deps: deps,
+		{From: 1, FirstSeq: 3, Count: 2, Deps: deps,
 			Updates: []Update{{From: 1, Seq: 3, Op: OpSet, Loc: "y", Value: 1}}},
 		// Mixed obligations: the elided flag rides in the Op byte, so it
 		// costs nothing.
-		{From: 1, FirstSeq: 3, Count: 4, PrevSeq: 2, Deps: deps, Updates: []Update{
+		{From: 1, FirstSeq: 3, Count: 4, Deps: deps, Updates: []Update{
 			{From: 1, Seq: 3, Op: OpSet, Loc: "c", Value: 1},
 			{From: 1, Seq: 4, Op: OpAdd, Loc: "p", Value: 2, elided: true},
 			{From: 1, Seq: 6, Op: OpAddFloat, Loc: "c2", Value: 3},

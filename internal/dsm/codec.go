@@ -14,19 +14,20 @@ import (
 // processes. Layout, all big-endian:
 //
 //	u32 From | u64 Seq | u8 Op | u8 Label | str Loc | u64 Value | u32 tsLen | tsLen*u64 TS |
-//	u32 depsN | [ u64 PrevSeq | u32 nAct | nAct*u32 ids | nAct*nAct*u64 sub ]
+//	u32 depsN | [ u32 nAct | nAct*u32 ids | nAct*nAct*u64 sub ]
 //
 // Label is the location's lattice point (history.Label); LabelSlow marks a
 // timestamp-elided update delivered on the sender's FIFO alone (see
 // Update.Label). A PRAMOnly or timestamp-elided update has tsLen 0 and
 // decodes with a nil timestamp, exactly like the in-process value it
-// mirrors. depsN is 0 unless
-// the update carries scoped-causal metadata, in which case the chain pointer
-// and the dependency matrix follow. The matrix ships sparsely: only the
-// submatrix over its active indices (rows or columns with a nonzero entry)
-// is encoded, so an update's wire size grows with the processes that
-// actually exchanged scoped updates, not with the cluster size — the wire
-// form of garbage-collecting the columns idle peers would otherwise occupy.
+// mirrors. depsN is 0 unless the update carries scoped-causal metadata, in
+// which case the dependency matrix follows; nothing on the wire orders an
+// update after its sender's earlier ones, since the channel is FIFO. The
+// matrix ships sparsely: only the submatrix over its active indices (rows or
+// columns with a nonzero entry) is encoded, so an update's wire size grows
+// with the processes that actually exchanged scoped updates, not with the
+// cluster size — the wire form of garbage-collecting the columns idle peers
+// would otherwise occupy.
 type updateCodec struct{}
 
 // maxDepsN bounds the decoded dependency-matrix dimension. Real systems are
@@ -41,35 +42,32 @@ const maxDepsN = 1024
 // slabSize*maxSlabDepsN² words (512 KiB) and as many row headers.
 const maxSlabDepsN = 32
 
-// appendDeps writes the depsN | [PrevSeq | sparse matrix] section shared by
-// both codecs.
-func appendDeps(dst []byte, prevSeq uint64, deps vclock.Matrix) []byte {
+// appendDeps writes the depsN | [sparse matrix] section shared by both
+// codecs.
+func appendDeps(dst []byte, deps vclock.Matrix) []byte {
 	dst = transport.AppendUint32(dst, uint32(deps.Len()))
 	if deps != nil {
-		dst = transport.AppendUint64(dst, prevSeq)
 		dst = deps.EncodeActive(dst)
 	}
 	return dst
 }
 
-// decodeDeps parses the trailing depsN | [PrevSeq | sparse matrix] section
-// shared by both codecs. It returns zeroes when the section is absent
-// (depsN == 0). The matrix is never written once returned: a receiver keeps a
-// parked group's matrix for as long as the group stays parked, and merges from
-// it afterwards.
-func (c *connDecoder) decodeDeps(d *transport.Decoder, what string) (uint64, vclock.Matrix, error) {
+// decodeDeps parses the trailing depsN | [sparse matrix] section shared by
+// both codecs. It returns nil when the section is absent (depsN == 0). The
+// matrix is never written once returned: a receiver keeps a parked group's
+// matrix for as long as the group stays parked, and merges from it afterwards.
+func (c *connDecoder) decodeDeps(d *transport.Decoder, what string) (vclock.Matrix, error) {
 	depsN := int(d.Uint32())
 	if d.Err() != nil || depsN == 0 {
-		return 0, nil, nil
+		return nil, nil
 	}
 	if depsN > maxDepsN {
-		return 0, nil, fmt.Errorf("dsm: %s codec: %dx%d dependency matrix exceeds the %d dimension bound: %w",
+		return nil, fmt.Errorf("dsm: %s codec: %dx%d dependency matrix exceeds the %d dimension bound: %w",
 			what, depsN, depsN, maxDepsN, transport.ErrTruncated)
 	}
-	prevSeq := d.Uint64()
 	nAct := int(d.Uint32())
 	if d.Err() == nil && (nAct > depsN || nAct > d.Remaining()/4) {
-		return 0, nil, fmt.Errorf("dsm: %s codec: %d active dependency indices in %d bytes: %w",
+		return nil, fmt.Errorf("dsm: %s codec: %d active dependency indices in %d bytes: %w",
 			what, nAct, d.Remaining(), transport.ErrTruncated)
 	}
 	ids := c.idScratch(nAct)
@@ -77,14 +75,14 @@ func (c *connDecoder) decodeDeps(d *transport.Decoder, what string) (uint64, vcl
 	for i := 0; i < nAct && d.Err() == nil; i++ {
 		id := int(d.Uint32())
 		if id <= prev || id >= depsN {
-			return 0, nil, fmt.Errorf("dsm: %s codec: active dependency index %d not ascending within [0,%d): %w",
+			return nil, fmt.Errorf("dsm: %s codec: active dependency index %d not ascending within [0,%d): %w",
 				what, id, depsN, transport.ErrTruncated)
 		}
 		ids = append(ids, id)
 		prev = id
 	}
 	if d.Err() == nil && nAct > 0 && nAct > d.Remaining()/8/nAct {
-		return 0, nil, fmt.Errorf("dsm: %s codec: %dx%d dependency submatrix in %d bytes: %w",
+		return nil, fmt.Errorf("dsm: %s codec: %dx%d dependency submatrix in %d bytes: %w",
 			what, nAct, nAct, d.Remaining(), transport.ErrTruncated)
 	}
 	m := c.matrix(depsN)
@@ -94,9 +92,9 @@ func (c *connDecoder) decodeDeps(d *transport.Decoder, what string) (uint64, vcl
 		}
 	}
 	if d.Err() != nil {
-		return 0, nil, fmt.Errorf("dsm: %s codec: dependency matrix: %w", what, d.Err())
+		return nil, fmt.Errorf("dsm: %s codec: dependency matrix: %w", what, d.Err())
 	}
-	return prevSeq, m, nil
+	return m, nil
 }
 
 // connDecoder is what one inbound connection keeps between the payloads it
@@ -253,7 +251,7 @@ func (updateCodec) Encode(dst []byte, payload any) ([]byte, error) {
 	dst = transport.AppendUint64(dst, uint64(u.Value))
 	dst = transport.AppendUint32(dst, uint32(u.TS.Len()))
 	dst = u.TS.Encode(dst)
-	return appendDeps(dst, u.PrevSeq, u.Deps), nil
+	return appendDeps(dst, u.Deps), nil
 }
 
 func (updateCodec) Decode(data []byte) (any, error) {
@@ -293,11 +291,11 @@ func (c *connDecoder) parseUpdate(data []byte) (Update, error) {
 		u.TS = c.timestamp(d, n)
 	}
 	if d.Err() == nil {
-		prevSeq, deps, err := c.decodeDeps(d, "update")
+		deps, err := c.decodeDeps(d, "update")
 		if err != nil {
 			return u, err
 		}
-		u.PrevSeq, u.Deps = prevSeq, deps
+		u.Deps = deps
 	}
 	if err := d.Err(); err != nil {
 		return u, fmt.Errorf("dsm: update codec: %w", err)
@@ -311,7 +309,7 @@ func (c *connDecoder) parseUpdate(data []byte) (Update, error) {
 // entry of a batch comes from the same process:
 //
 //	u32 From | u64 FirstSeq | u64 Count |
-//	u32 depsN | [ u64 PrevSeq | u32 nAct | nAct*u32 ids | nAct*nAct*u64 sub ] |
+//	u32 depsN | [ u32 nAct | nAct*u32 ids | nAct*nAct*u64 sub ] |
 //	u32 nEntries | nEntries * ( u64 Seq | u8 elided<<7|Op | u8 Label | str Loc | u64 Value | u32 tsLen | tsLen*u64 TS )
 //
 // A scoped batch with obMatrix entries hoists their dependency metadata into
@@ -339,7 +337,7 @@ func (batchCodec) Encode(dst []byte, payload any) ([]byte, error) {
 	dst = transport.AppendUint32(dst, uint32(b.From))
 	dst = transport.AppendUint64(dst, b.FirstSeq)
 	dst = transport.AppendUint64(dst, b.Count)
-	dst = appendDeps(dst, b.PrevSeq, b.Deps)
+	dst = appendDeps(dst, b.Deps)
 	dst = transport.AppendUint32(dst, uint32(len(b.Updates)))
 	for _, u := range b.Updates {
 		dst = transport.AppendUint64(dst, u.Seq)
@@ -394,11 +392,11 @@ func (c *connDecoder) parseBatch(data []byte) (UpdateBatch, error) {
 		Count:    d.Uint64(),
 	}
 	if d.Err() == nil {
-		prevSeq, deps, err := c.decodeDeps(d, "batch")
+		deps, err := c.decodeDeps(d, "batch")
 		if err != nil {
 			return b, err
 		}
-		b.PrevSeq, b.Deps = prevSeq, deps
+		b.Deps = deps
 	}
 	nEntries := d.Count(minBatchEntry)
 	if nEntries > 0 {

@@ -56,10 +56,10 @@ func TestUpdateCodecScopedCausalRoundTrip(t *testing.T) {
 	deps := vclock.NewMatrix(3)
 	deps.Set(0, 1, 4)
 	deps.Set(2, 0, 9)
-	u := Update{From: 1, Seq: 9, Op: OpSet, Loc: "s", Value: 3, PrevSeq: 5, Deps: deps}
+	u := Update{From: 1, Seq: 9, Op: OpSet, Loc: "s", Value: 3, Deps: deps}
 	got := roundTripUpdate(t, u)
-	if got.PrevSeq != 5 || got.Deps.Len() != 3 {
-		t.Fatalf("scoped metadata changed: prev=%d deps=%v", got.PrevSeq, got.Deps)
+	if got.Seq != 9 || got.Deps.Len() != 3 {
+		t.Fatalf("scoped metadata changed: seq=%d deps=%v", got.Seq, got.Deps)
 	}
 	for p := 0; p < 3; p++ {
 		for k := 0; k < 3; k++ {
@@ -74,7 +74,7 @@ func TestBatchCodecScopedCausalRoundTrip(t *testing.T) {
 	deps := vclock.NewMatrix(2)
 	deps.Set(1, 0, 7)
 	b := &UpdateBatch{
-		From: 0, FirstSeq: 3, Count: 5, PrevSeq: 2, Deps: deps,
+		From: 0, FirstSeq: 3, Count: 5, Deps: deps,
 		Updates: []Update{
 			{From: 0, Seq: 3, Op: OpSet, Loc: "a", Value: 1},
 			{From: 0, Seq: 7, Op: OpAdd, Loc: "b", Value: 2},
@@ -89,7 +89,7 @@ func TestBatchCodecScopedCausalRoundTrip(t *testing.T) {
 		t.Fatalf("decode: %v", err)
 	}
 	got := dec.(*UpdateBatch)
-	if got.PrevSeq != 2 || got.Deps.Len() != 2 || got.Deps.Get(1, 0) != 7 {
+	if got.FirstSeq != 3 || got.Count != 5 || got.Deps.Len() != 2 || got.Deps.Get(1, 0) != 7 {
 		t.Fatalf("scoped batch metadata changed: %+v", got)
 	}
 	if len(got.Updates) != 2 || got.Updates[1].Seq != 7 || got.Updates[1].TS != nil {
@@ -118,7 +118,7 @@ func TestUpdateCodecWireSizeIgnoresIdlePeers(t *testing.T) {
 		deps := vclock.NewMatrix(n)
 		deps.Set(0, 1, 4)
 		deps.Set(1, 2, 9)
-		u := Update{From: 1, Seq: 9, Op: OpSet, Loc: "s", Value: 3, PrevSeq: 5, Deps: deps}
+		u := Update{From: 1, Seq: 9, Op: OpSet, Loc: "s", Value: 3, Deps: deps}
 		enc, err := transport.EncodePayload(nil, KindUpdate, &u)
 		if err != nil {
 			t.Fatalf("encode (n=%d): %v", n, err)
@@ -142,14 +142,13 @@ func TestUpdateCodecWireSizeIgnoresIdlePeers(t *testing.T) {
 // validation: out-of-range, unsorted, or over-counted index lists fail
 // cleanly instead of corrupting the matrix.
 func TestDecodeDepsRejectsMalformedIndices(t *testing.T) {
-	base := Update{From: 0, Seq: 1, Op: OpSet, Loc: "s", Value: 1, PrevSeq: 0,
-		Deps: vclock.NewMatrix(3)}
+	base := Update{From: 0, Seq: 1, Op: OpSet, Loc: "s", Value: 1, Deps: vclock.NewMatrix(3)}
 	base.Deps.Set(0, 2, 1)
 	enc, err := transport.EncodePayload(nil, KindUpdate, &base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The deps section trails the payload: depsN(4) | PrevSeq(8) | nAct(4) | ids | sub.
+	// The deps section trails the payload: depsN(4) | nAct(4) | ids | sub.
 	sub := 2 * 2 * 8
 	idsOff := len(enc) - sub - 2*4
 	corrupt := func(mutate func([]byte)) error {
@@ -277,7 +276,7 @@ func TestConnDecoderSlabs(t *testing.T) {
 	// dependency matrix: nothing consumed.
 	deps := vclock.NewMatrix(3)
 	deps.Set(0, 1, 2)
-	full := wire(&Update{From: 1, Seq: 9, Op: OpSet, Loc: "x", Value: 1, TS: vclock.VC{1, 2, 3}, PrevSeq: 8, Deps: deps})
+	full := wire(&Update{From: 1, Seq: 9, Op: OpSet, Loc: "x", Value: 1, TS: vclock.VC{1, 2, 3}, Deps: deps})
 	upd, ts := len(c.upd), len(c.ts)
 	for cut := 1; cut < len(full); cut++ {
 		if _, err := c.decodeUpdate(full[:cut]); err == nil {
@@ -311,10 +310,10 @@ func TestConnDecoderSlabs(t *testing.T) {
 		return m
 	}
 	scoped := func(deps vclock.Matrix) []byte {
-		return wire(&Update{From: 1, Seq: 11, Op: OpSet, Loc: "x", PrevSeq: 9, Deps: deps})
+		return wire(&Update{From: 1, Seq: 11, Op: OpSet, Loc: "x", Deps: deps})
 	}
 	scopedBatch := func(deps vclock.Matrix) []byte {
-		enc, err := batchCodec{}.Encode(nil, &UpdateBatch{From: 1, FirstSeq: 11, Count: 1, PrevSeq: 9, Deps: deps,
+		enc, err := batchCodec{}.Encode(nil, &UpdateBatch{From: 1, FirstSeq: 11, Count: 1, Deps: deps,
 			Updates: []Update{{From: 1, Seq: 11, Op: OpSet, Loc: "x", Value: 1}}})
 		if err != nil {
 			t.Fatal(err)

@@ -17,19 +17,23 @@ import (
 // obligation is the set of ordering constraints an update's causal-view
 // delivery must respect — the only thing the delivery code switches on.
 //
-//	obligation  stamp          sender order  cross-sender wait        causal view  fence anchor
-//	obNone      –              –             –                        no           no
-//	obFIFO      –              yes           –                        yes          no
-//	obVector    TS             yes           TS[k] <= causalApplied   yes          yes
-//	obMatrix    PrevSeq+Deps   yes (chain)   own row of Deps          yes          yes
-//	own write   –              yes           fence at issue           as copies    as copies
+//	obligation  stamp  sender order  cross-sender wait        causal view  fence anchor
+//	obNone      –      –             –                        no           no
+//	obFIFO      –      yes           –                        yes          no
+//	obVector    TS     yes           TS[k] <= causalApplied   yes          yes
+//	obMatrix    Deps   yes           own row of Deps          yes          yes
+//	own write   –      yes           fence at issue           as copies    as copies
 //
-// An own write (issue) waits, under its copies' obligation, for what its
-// process observed. obNone updates are settled by their PRAM apply, obNone
-// entries of a batch included: the batch's other entries form its group. A group
-// whose metadata has the wrong dimension is held to obFIFO but kept out of the
-// causal view (deliveryGroup.malformed): it occupies its place in the sender's
-// order, so the sender's later updates are not stranded behind it.
+// Sender order needs no metadata: the transport's channels are FIFO per
+// ordered pair, and a group that is not delivered at once parks behind its
+// sender's earlier parked groups, of which only the head is ever tried
+// (receiveLocked, drainLocked). An own write (issue) waits, under its copies'
+// obligation, for what its process observed. obNone updates are settled by
+// their PRAM apply, obNone entries of a batch included: the batch's other
+// entries form its group. A group whose metadata has the wrong dimension is
+// held to obFIFO but kept out of the causal view (deliveryGroup.malformed): it
+// occupies its place in the sender's order, so the sender's later updates are
+// not stranded behind it.
 type obligation uint8
 
 const (
@@ -67,17 +71,13 @@ func (n *Node) sendObligation(label history.Label, causalReader bool) obligation
 // classify is the receive side of the table: from the node's configuration
 // and the metadata a group arrived with it fixes what the group waits for.
 // label and ts are those of the group's latest update that carries a
-// timestamp (LabelSlow and no timestamp if none does), prevSeq and deps the
-// message's scoped-causal section.
-func (n *Node) classify(g *deliveryGroup, label history.Label, ts vclock.VC, prevSeq uint64, deps vclock.Matrix) {
-	g.prev = g.firstSeq - 1
+// timestamp (LabelSlow and no timestamp if none does), deps the message's
+// scoped-causal matrix.
+func (n *Node) classify(g *deliveryGroup, label history.Label, ts vclock.VC, deps vclock.Matrix) {
 	switch {
 	case n.pramOnly, n.scopedCausal && deps == nil:
 		g.ob = obNone
 	case n.scopedCausal:
-		// Sequence numbers addressed here have holes; the chain pointer names
-		// the predecessor.
-		g.prev = prevSeq
 		if deps.Len() == n.n {
 			g.ob, g.need, g.deps = obMatrix, deps.Row(n.id), deps
 		} else {
@@ -124,21 +124,21 @@ func (n *Node) resolve(e *entry, u *Update) {
 func (n *Node) elided(u *Update) bool { return u.elided && n.scopedCausal }
 
 // deliveryGroup is one causal-delivery unit: a single update or a whole
-// received batch. A batch is applied to the causal view atomically once it is
-// next from its sender and its latest entry's dependencies are satisfied —
-// delivering a contiguous per-sender run at the point its last element is
-// deliverable is a legal causal schedule (delivery may be delayed, never
-// reordered), and it is what lets coalesced batches keep the standard
-// vector-clock condition. Under a scope the run may have holes: the batch's
-// elided entries are settled by their PRAM apply and never enter the causal
-// view, and the group is the rest (DESIGN.md §8). A group that is deliverable
-// when it arrives lives only on the receive path's stack; one that is not is
-// parked in its sender's queue (Node.pending).
+// received batch. A batch is applied to the causal view atomically once
+// nothing of its sender's is parked ahead of it and its latest entry's
+// dependencies are satisfied — delivering a contiguous per-sender run at the
+// point its last element is deliverable is a legal causal schedule (delivery
+// may be delayed, never reordered), and it is what lets coalesced batches keep
+// the standard vector-clock condition. Under a scope the run may have holes:
+// the batch's elided entries are settled by their PRAM apply and never enter
+// the causal view, and the group is the rest (DESIGN.md §8). A group that is
+// deliverable when it arrives lives only on the receive path's stack; one that
+// is not is parked in its sender's queue (Node.pending).
 type deliveryGroup struct {
 	from     int
 	firstSeq uint64
-	// lastSeq is the sequence number of the group's latest causal entry, the
-	// one the sender's next chain pointer names.
+	// lastSeq is the sequence number of the group's latest entry, elided or
+	// not: the sender's causal clock entry once the group settles.
 	lastSeq uint64
 	// count is the number of covered updates, including coalesced-away
 	// ones; it feeds recvd on arrival. holes of them are a batch's obNone
@@ -148,10 +148,6 @@ type deliveryGroup struct {
 	holes     uint64
 	ob        obligation
 	malformed bool
-	// prev is the sender-order condition: the group is next from its sender
-	// when causalApplied[from] equals it. firstSeq-1 under broadcast and for
-	// an own write, the sender's per-destination chain pointer under a scope.
-	prev uint64
 	// need is the cross-sender condition: need[k] <= causalApplied[k] for
 	// every k but the sender. The timestamp of the latest entry that carries
 	// one (it dominates the rest: one sender's clocks are monotone) for
@@ -183,7 +179,7 @@ func (n *Node) applyRemote(u *Update) {
 	if n.obs != nil {
 		n.obs.RecordLocHash(obs.EvRecv, uint8(u.Label), uint16(u.From), g.one.hash, u.Loc, u.Seq, 0, 0)
 	}
-	n.classify(&g, u.Label, u.TS, u.PrevSeq, u.Deps)
+	n.classify(&g, u.Label, u.TS, u.Deps)
 	n.receive(&g)
 }
 
@@ -195,12 +191,11 @@ func (n *Node) applyBatch(b *UpdateBatch) {
 		return
 	}
 	// Entries can sit anywhere (coalescing replaces in place), so finding
-	// the latest of each kind is a scan: the latest entry overall, the latest
-	// causal one — the group's last, which the sender's next chain pointer
-	// names — and the latest that carries a timestamp, which dominates the
-	// group's dependencies. A LabelSlow entry carries none.
+	// the latest of each kind is a scan: the latest entry overall, where the
+	// group settles, and the latest causal one that carries a timestamp, which
+	// dominates the group's dependencies. A LabelSlow entry carries none.
 	g := deliveryGroup{from: b.From, firstSeq: b.FirstSeq, count: b.Count, batch: b.Updates}
-	var latest, causal, stamped *Update
+	var latest, stamped *Update
 	for i := range b.Updates {
 		u := &b.Updates[i]
 		if latest == nil || u.Seq > latest.Seq {
@@ -208,28 +203,22 @@ func (n *Node) applyBatch(b *UpdateBatch) {
 		}
 		if n.elided(u) {
 			g.holes++
-			continue
-		}
-		if causal == nil || u.Seq > causal.Seq {
-			causal = u
-		}
-		if u.Label != history.LabelSlow && (stamped == nil || u.Seq > stamped.Seq) {
+		} else if u.Label != history.LabelSlow && (stamped == nil || u.Seq > stamped.Seq) {
 			stamped = u
 		}
 	}
+	g.lastSeq = latest.Seq
 	if n.obs != nil {
 		n.obs.Record(obs.EvRecvBatch, uint8(b.Updates[0].Label), uint16(b.From),
 			obs.NoLoc, b.FirstSeq, latest.Seq, b.Count)
 	}
 	switch {
-	case causal == nil:
-		g.lastSeq, g.ob = latest.Seq, obNone
+	case g.holes == uint64(len(b.Updates)):
+		g.ob = obNone
 	case stamped == nil:
-		g.lastSeq = causal.Seq
-		n.classify(&g, history.LabelSlow, nil, b.PrevSeq, b.Deps)
+		n.classify(&g, history.LabelSlow, nil, b.Deps)
 	default:
-		g.lastSeq = causal.Seq
-		n.classify(&g, stamped.Label, stamped.TS, b.PrevSeq, b.Deps)
+		n.classify(&g, stamped.Label, stamped.TS, b.Deps)
 	}
 	n.receive(&g)
 }
@@ -307,16 +296,13 @@ func (n *Node) applyEntryLocked(g *deliveryGroup, e *entry, pram, causal bool) {
 	}
 }
 
-// deliverableLocked is the causal-broadcast condition generalized to a
-// contiguous per-sender run: the run starts right after what the causal view
-// applied from the sender, and every cross-sender dependency of its latest
-// entry is already applied. The sender's own order comes first in every
-// obligation, which is what makes a per-sender queue's head the only
-// candidate in it.
+// deliverableLocked is the cross-sender half of the causal-broadcast
+// condition, generalized to a contiguous per-sender run: every cross-sender
+// dependency of the run's latest entry is already applied. The sender half is
+// not checked here because it cannot fail: the caller only asks about a group
+// nothing of its sender's is parked ahead of, and the channel delivered the
+// sender's earlier groups first.
 func (n *Node) deliverableLocked(g *deliveryGroup) bool {
-	if n.causalApplied.get(g.from) != g.prev {
-		return false
-	}
 	for k := 0; k < n.n && k < g.need.Len(); k++ {
 		if k != g.from && g.need.Get(k) > n.causalApplied.get(k) {
 			return false
@@ -367,13 +353,13 @@ func (n *Node) parkLocked(g *deliveryGroup) {
 
 // drainLocked releases parked delivery groups to the causal view in causal
 // order until none is deliverable. It looks only at queue heads — a group
-// behind its sender's head cannot be deliverable — and visits them the way a
-// scan of one arrival-ordered list would: repeated passes, each taking the
-// live heads in arrival order and dropping a sender from the pass once its
-// head is found blocked. Release order is therefore a function of the arrival
-// order alone, not of how the groups are stored. A pass that releases nothing
-// ends the drain, so a call with nothing deliverable costs one condition
-// check per sender.
+// behind its sender's head waits for it, which is all that keeps a sender's
+// groups in order — and visits them the way a scan of one arrival-ordered list
+// would: repeated passes, each taking the live heads in arrival order and
+// dropping a sender from the pass once its head is found blocked. Release
+// order is therefore a function of the arrival order alone, not of how the
+// groups are stored. A pass that releases nothing ends the drain, so a call
+// with nothing deliverable costs one condition check per sender.
 func (n *Node) drainLocked() {
 	for progressed := true; progressed; {
 		progressed = false

@@ -6,8 +6,79 @@ import (
 
 	"mixedmem/internal/history"
 	"mixedmem/internal/network"
+	"mixedmem/internal/obs"
 	"mixedmem/internal/vclock"
 )
+
+// TestLaterGroupWaitsForParkedHead pins the one sender-order mechanism: no
+// update carries a predecessor, so only the per-sender queue keeps a sender's
+// groups in channel order. Under a scope, node 1's first obMatrix update to
+// node 2 depends on node 0's write, whose channel to node 2 is held, and
+// parks. Node 1's second update arrives with every dependency already met;
+// it must park behind the first rather than apply in place, and once node 0's
+// write is released all three must enter the causal view in order.
+func TestLaterGroupWaitsForParkedHead(t *testing.T) {
+	const n = 3
+	f, err := network.New(network.Config{Nodes: n})
+	if err != nil {
+		t.Fatalf("network.New: %v", err)
+	}
+	tracer := obs.NewTracer(2, 1<<10)
+	scope := &ScopeMap{
+		Readers:       map[string][]int{"a": {1, 2}, "x": {2}},
+		CausalReaders: map[string][]int{"a": {1, 2}, "x": {2}},
+	}
+	r, err := NewNode(Config{ID: 2, N: n, Transport: f, Scope: scope, Tracer: tracer})
+	if err != nil {
+		t.Fatalf("NewNode: %v", err)
+	}
+	defer func() {
+		f.Close()
+		r.Close()
+	}()
+	// deps builds a matrix whose row 2 — node 2's wait condition — is row.
+	deps := func(row ...uint64) vclock.Matrix {
+		m := vclock.NewMatrix(n)
+		copy(m[2], row)
+		return m
+	}
+	send := func(u *Update) {
+		t.Helper()
+		if err := f.Send(network.Message{From: u.From, To: 2, Kind: KindUpdate, Payload: u, Size: u.encodedSize()}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := f.Hold(0, 2); err != nil {
+		t.Fatal(err)
+	}
+	send(&Update{From: 0, Seq: 1, Op: OpSet, Loc: "a", Value: 1, Deps: deps(1)})
+	send(&Update{From: 1, Seq: 1, Op: OpSet, Loc: "x", Value: 1, Deps: deps(1, 1)})
+	send(&Update{From: 1, Seq: 2, Op: OpSet, Loc: "x", Value: 2, Deps: deps(0, 2)})
+	r.WaitReceived([]uint64{0, 2, 0})
+
+	if s := r.Stats(); s.PendingGroups != 2 {
+		t.Fatalf("PendingGroups = %d, want 2: node 1's covered second update applied past its parked first", s.PendingGroups)
+	}
+	if got := r.causalSnapshotValue("x"); got != 0 {
+		t.Fatalf("causal x = %d before node 0's held write", got)
+	}
+	if err := f.Release(0, 2); err != nil {
+		t.Fatal(err)
+	}
+	within(t, "release of node 1's parked updates", func() { r.WaitCausalApplied([]uint64{1, 2, 0}) })
+	if got := r.ReadCausal("x"); got != 2 {
+		t.Fatalf("causal x = %d, want 2: node 1's updates entered the causal view out of order", got)
+	}
+	var released []string
+	for _, e := range tracer.Snapshot().Events {
+		if e.Type == obs.EvGroupRelease {
+			released = append(released, fmt.Sprintf("%d:%d", e.Peer, e.Seq))
+		}
+	}
+	if got, want := fmt.Sprint(released), "[0:1 1:1 1:2]"; got != want {
+		t.Fatalf("groups released as %s, want %s", got, want)
+	}
+}
 
 // TestObligationTable pins the one decision the delivery core switches on, on
 // both sides: what a copy of a write is stamped with (node configuration ×
@@ -99,19 +170,9 @@ func TestObligationTable(t *testing.T) {
 				ts, deps = vclock.New(m.dim), vclock.NewMatrix(m.dim)
 			}
 			g := deliveryGroup{from: 0, firstSeq: 5, lastSeq: 5, count: 1}
-			nd.classify(&g, r.label, ts, 3, deps)
+			nd.classify(&g, r.label, ts, deps)
 			if got := (recv{g.ob, g.malformed}); got != m.want {
 				t.Errorf("%s, %s metadata: received under %+v, want %+v", name, m.name, got, m.want)
-			}
-			// The sender-order predecessor: the chain pointer wherever the
-			// destination's stream has holes, the previous sequence number
-			// elsewhere.
-			wantPrev := uint64(4)
-			if r.config == "scoped-causal" && g.ob != obNone {
-				wantPrev = 3
-			}
-			if g.ob != obNone && g.prev != wantPrev {
-				t.Errorf("%s, %s metadata: prev = %d, want %d", name, m.name, g.prev, wantPrev)
 			}
 			if (g.need != nil) != (g.ob >= obVector) || (g.deps != nil) != (g.ob == obMatrix) {
 				t.Errorf("%s, %s metadata: obligation %d carries need=%v deps=%v", name, m.name, g.ob, g.need, g.deps)

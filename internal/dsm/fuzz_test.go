@@ -54,8 +54,7 @@ func FuzzBatchCodecRoundTrip(f *testing.F) {
 			{From: 2, Seq: 6, Op: OpAdd, Loc: "b", Value: 2, TS: vclock.VC{6, 0, 9}},
 		}},
 	}
-	scoped := &UpdateBatch{From: 1, FirstSeq: 2, Count: 2, PrevSeq: 1,
-		Deps: vclock.NewMatrix(2),
+	scoped := &UpdateBatch{From: 1, FirstSeq: 2, Count: 2, Deps: vclock.NewMatrix(2),
 		Updates: []Update{
 			{From: 1, Seq: 2, Op: OpSet, Loc: "s", Value: 5},
 			{From: 1, Seq: 3, Op: OpAddFloat, Loc: "t", Value: 1},
@@ -85,8 +84,7 @@ func FuzzBatchCodecRoundTrip(f *testing.F) {
 	f.Add(cut[:len(cut)-1])
 	// A batch mixing obligations — elided entries around causal ones under
 	// one matrix — whole, and cut inside its last entry.
-	mixed := &UpdateBatch{From: 1, FirstSeq: 2, Count: 5, PrevSeq: 1,
-		Deps: vclock.NewMatrix(3),
+	mixed := &UpdateBatch{From: 1, FirstSeq: 2, Count: 5, Deps: vclock.NewMatrix(3),
 		Updates: []Update{
 			{From: 1, Seq: 2, Op: OpAdd, Loc: "ctr", Value: 1, elided: true},
 			{From: 1, Seq: 4, Op: OpSet, Loc: "s", Value: 5},
@@ -135,8 +133,7 @@ func FuzzUpdateCodecRoundTrip(f *testing.F) {
 		{From: 0, Seq: 1, Op: OpSet, Loc: "y", Value: 9},
 		{From: 1, Seq: 3, Op: OpAdd, Loc: "ctr", Value: -4, TS: vclock.VC{1, 3}},
 	}
-	scoped := Update{From: 1, Seq: 5, Op: OpSet, Loc: "s", Value: 2, PrevSeq: 4,
-		Deps: vclock.NewMatrix(2)}
+	scoped := Update{From: 1, Seq: 5, Op: OpSet, Loc: "s", Value: 2, Deps: vclock.NewMatrix(2)}
 	scoped.Deps.Set(1, 1, 5)
 	seeds = append(seeds, scoped,
 		// Label-tagged frames: a timestamp-elided slow update and a causal
@@ -153,7 +150,7 @@ func FuzzUpdateCodecRoundTrip(f *testing.F) {
 	f.Add([]byte{})
 	// A scoped update, whose matrix the connection decoder carves, followed by
 	// its copy cut inside the matrix, which must take nothing.
-	scoped3 := Update{From: 2, Seq: 7, Op: OpSet, Loc: "s", Value: 4, PrevSeq: 3, Deps: vclock.NewMatrix(3)}
+	scoped3 := Update{From: 2, Seq: 7, Op: OpSet, Loc: "s", Value: 4, Deps: vclock.NewMatrix(3)}
 	scoped3.Deps.Set(0, 2, 7)
 	scoped3.Deps.Set(1, 0, 2)
 	enc, err := transport.EncodePayload(nil, KindUpdate, &scoped3)

@@ -65,21 +65,18 @@ type Update struct {
 	// TS is the writer's dependency clock after this update: TS[j] is the
 	// number of updates from process j the writer has applied, counting
 	// this one for j == From. It is set only under full broadcast; scoped
-	// causal updates carry PrevSeq and Deps instead, and timestamp-elided
-	// updates (PRAMOnly mode, or PRAM-registered readers of a scoped
-	// location) carry neither.
+	// causal updates carry Deps instead, and timestamp-elided updates
+	// (PRAMOnly mode, or PRAM-registered readers of a scoped location) carry
+	// neither.
 	TS vclock.VC
-	// PrevSeq, on a causal-scoped update, is the sequence number of the
-	// sender's previous causal update addressed to this destination (0 for
-	// the first): the per-destination delivery chain that keeps one
-	// sender's updates ordered even though the destination's view of the
-	// sender's sequence numbers has holes.
-	PrevSeq uint64
 	// Deps, on a causal-scoped update, is the sender's address-matrix
 	// snapshot: Deps[p][k] is the latest update from process k addressed
 	// to process p that this update transitively depends on. The receiver
 	// waits on its own row and merges the whole matrix; it never mutates
-	// it (the snapshot is shared across the write's destinations).
+	// it (the snapshot, like the whole update, is shared across the write's
+	// destinations). Nothing orders one sender's updates but the channel:
+	// the destination's view of the sender's sequence numbers has holes, and
+	// FIFO delivery plus the receiver's per-sender queue keep them in order.
 	Deps vclock.Matrix
 	// elided marks a batch entry whose copy was stamped under obNone — under a
 	// scope, the copy to a PRAM-registered reader — so the receiver keeps it
@@ -93,12 +90,12 @@ type Update struct {
 // mirroring updateCodec's layout byte for byte: From, Seq, Op, the label
 // tag, the length-prefixed location, Value, the length-prefixed timestamp,
 // the u32 depsN prefix the codec always writes (even when zero), and — for
-// scoped-causal updates — the chain pointer and the sparse matrix (whose
-// size tracks the active peers, not the cluster dimension).
+// scoped-causal updates — the sparse matrix (whose size tracks the active
+// peers, not the cluster dimension).
 func (u *Update) encodedSize() int {
 	s := 4 + 8 + 1 + 1 + (4 + len(u.Loc)) + 8 + (4 + u.TS.EncodedSize()) + 4
 	if u.Deps != nil {
-		s += 8 + u.Deps.ActiveEncodedSize()
+		s += u.Deps.ActiveEncodedSize()
 	}
 	return s
 }
@@ -141,7 +138,7 @@ func (n *Node) issue(op UpdateOp, label history.Label, loc string, value int64) 
 	u := Update{From: n.id, Seq: seq, Op: op, Label: label, Loc: loc, Value: value}
 	// The writer keeps the copy a causal reader would get, as a delivery group.
 	var g deliveryGroup // filled in place: a composite literal is built aside and copied
-	g.from, g.firstSeq, g.lastSeq, g.count, g.prev = n.id, seq, seq, 1, seq-1
+	g.from, g.firstSeq, g.lastSeq, g.count = n.id, seq, seq, 1
 	g.ob = n.sendObligation(label, true)
 	g.one.op, g.one.label, g.one.seq, g.one.value = op, label, seq, value
 	g.one.loc, g.one.hash, g.one.c, g.one.sh = loc, h, c, sh
@@ -217,10 +214,8 @@ func (n *Node) sendLocked(u *Update, causal obligation) {
 			// snapshot: transitive soundness needs each shipped matrix to
 			// record this update at all of its destinations, so that one that
 			// relays the value onward ships a matrix already covering it
-			// everywhere else. prevBuf keeps each destination's chain
-			// predecessor.
+			// everywhere else.
 			for _, j := range ent.causal {
-				n.prevBuf[j] = n.addr.Get(j, n.id)
 				n.addr.Set(j, n.id, u.Seq)
 			}
 			snap = n.snapshotLocked() // shared across destinations; receivers only merge from it
@@ -305,35 +300,27 @@ func (n *Node) sentLocked(u *Update) *Update {
 
 // emitLocked hands each destination its copy of a write: into the
 // destination's pending batch when the outbox is on (the caller holds
-// outboxMu), otherwise straight to the transport — as one Broadcast when
-// every peer gets the same bytes, which a wire transport encodes once. snap
-// is the address-matrix snapshot of an obMatrix write; dests is not empty.
+// outboxMu), otherwise straight to the transport as one shared update — in
+// one Broadcast when it goes to every peer, which a wire transport encodes
+// once. snap is the address-matrix snapshot of an obMatrix write; dests is
+// not empty.
 func (n *Node) emitLocked(dests []int, u *Update, ob obligation, snap vclock.Matrix) {
 	for _, j := range dests {
 		n.sent[j]++
 	}
-	switch {
-	case n.outbox != nil:
+	if n.outbox != nil {
 		for _, j := range dests {
 			n.outboxAddLocked(j, u, ob, snap)
 		}
 		return
-	case ob != obMatrix && len(dests) == n.n-1:
-		_ = n.fabric.Broadcast(n.id, KindUpdate, n.sentLocked(u), u.encodedSize())
-	default:
-		// The destinations of an obMatrix write differ in their chain
-		// pointer, so each gets its own copy; any other subset shares one.
-		cu := *u
-		cu.Deps = snap
-		size := cu.encodedSize()
-		var su *Update
+	}
+	su := n.sentLocked(u)
+	su.Deps = snap
+	if len(dests) == n.n-1 {
+		_ = n.fabric.Broadcast(n.id, KindUpdate, su, su.encodedSize())
+	} else {
+		size := su.encodedSize()
 		for _, j := range dests {
-			if ob == obMatrix {
-				cu.PrevSeq = n.prevBuf[j]
-			}
-			if su == nil || ob == obMatrix {
-				su = n.sentLocked(&cu)
-			}
 			_ = n.fabric.Send(network.Message{
 				From: n.id, To: j, Kind: KindUpdate,
 				Payload: su, Size: size,

@@ -108,10 +108,9 @@ func TestMixedBatchElidedVisibleWhileCausalParked(t *testing.T) {
 
 // TestMixedBatchEndingElidedDoesNotStall: node 0's first batch to node 1 is
 // [c causal, p elided] and ends in the elided entry; the second, [q elided,
-// e causal], starts with one, and chains to the first's last causal entry.
-// Settling the first group at its latest entry overall, or taking the second's
-// chain pointer when its elided entry opened it rather than when e joined,
-// would leave the second waiting for a predecessor that never comes.
+// e causal], starts with one. Each group settles at its latest entry, elided
+// or not, and the second must follow the first into the causal view without
+// waiting for anything the elided entries did or did not name.
 func TestMixedBatchEndingElidedDoesNotStall(t *testing.T) {
 	scope := &ScopeMap{
 		Readers:       map[string][]int{"c": {1}, "e": {1}, "p": {1}, "q": {1}},

@@ -277,10 +277,12 @@ type Node struct {
 	// pending[j] queues, in arrival order, the delivery groups (single
 	// updates or whole batches) from j, own writes if j is id, whose
 	// obligation is not met yet. Every obligation includes the sender's own
-	// order, so only a queue's head can ever be deliverable. arrivals stamps
-	// each group so a drain can visit heads in global arrival order. parked counts
-	// the groups across all queues and parkedMax is its high-water mark:
-	// mutated under clockMu, atomics so Stats reads them without it.
+	// order, so only a queue's head is ever tried: the channels are FIFO, and
+	// the queue is all that keeps a sender's groups in that order. arrivals
+	// stamps each group so a drain can visit heads in global arrival order.
+	// parked counts the groups across all queues and parkedMax is its
+	// high-water mark: mutated under clockMu, atomics so Stats reads them
+	// without it.
 	pending   []senderQueue
 	arrivals  uint64
 	parked    atomic.Uint64
@@ -341,11 +343,6 @@ type Node struct {
 	// on a write parked in the batch (see outboxAddLocked). Guarded by
 	// clockMu.
 	addrEpoch uint64
-	// prevBuf is a per-write scratch buffer holding each causal
-	// destination's chain predecessor (addr[j][id] before the bump), so a
-	// write can bump the whole matrix before snapshotting it without
-	// allocating. Guarded by clockMu.
-	prevBuf []uint64
 	// updSlab, tsSlab and mxSlab are the unused tails of the slabs sent
 	// updates, their obVector timestamps and their obMatrix snapshots are
 	// carved from (issue.go), slabSize at a time, so a write allocates
@@ -449,7 +446,6 @@ func NewNode(cfg Config) (*Node, error) {
 	}
 	if node.scopedCausal {
 		node.addr = vclock.NewMatrix(cfg.N)
-		node.prevBuf = make([]uint64, cfg.N)
 	}
 	if len(cfg.Labels) > 0 {
 		node.labels = make(map[string]history.Label, len(cfg.Labels))

@@ -80,26 +80,22 @@ func (c BatchConfig) WithDefaults() BatchConfig {
 // wire a bit of its Op byte), and the receiver PRAM-applies the whole batch,
 // settles the obNone entries there, and delivers the rest to the causal view
 // as one group. Under a scope the obMatrix entries hoist their dependency
-// metadata to the batch level — PrevSeq chains the batch after the sender's
-// previous obMatrix update addressed to this destination, and Deps is the
-// address-matrix snapshot captured when the batch's latest obMatrix entry
-// was enqueued, under the same lock hold as that write's matrix bumps. One
-// matrix covers them all because a sender's matrix is monotone: the latest
-// write's dependencies dominate every earlier entry's. The snapshot is never
-// taken at flush time — between enqueue and flush the sender can absorb
-// matrices from applied remote updates, and a flush-time snapshot could name
-// an update Y that itself (transitively) waits on a write parked in this very
-// batch, leaving the receiver's causal view in a permanent circular wait
-// (batch waits on Y, Y waits on the batch). A batch with no obMatrix entry
-// leaves both zero.
+// matrix to the batch level: Deps is the address-matrix snapshot captured
+// when the batch's latest obMatrix entry was enqueued, under the same lock
+// hold as that write's matrix bumps. One matrix covers them all because a
+// sender's matrix is monotone: the latest write's dependencies dominate every
+// earlier entry's. The snapshot is never taken at flush time — between enqueue
+// and flush the sender can absorb matrices from applied remote updates, and a
+// flush-time snapshot could name an update Y that itself (transitively) waits
+// on a write parked in this very batch, leaving the receiver's causal view in
+// a permanent circular wait (batch waits on Y, Y waits on the batch). A batch
+// with no obMatrix entry leaves Deps nil. Like an update, a batch carries
+// nothing that orders it after the sender's earlier ones: the FIFO channel
+// does.
 type UpdateBatch struct {
 	From     int
 	FirstSeq uint64
 	Count    uint64
-	// PrevSeq is the sender's per-destination causal chain pointer (scoped
-	// batches with an obMatrix entry only): the Seq of the previous obMatrix
-	// update the sender addressed to this destination, 0 for the first.
-	PrevSeq uint64
 	// Deps is the sender's address matrix snapshot (scoped batches with an
 	// obMatrix entry only); see Update.Deps for the sharing contract.
 	Deps    vclock.Matrix
@@ -113,7 +109,7 @@ type UpdateBatch struct {
 func (b *UpdateBatch) encodedSize() int {
 	s := 28 // From + FirstSeq + Count + depsN prefix + nEntries
 	if b.Deps != nil {
-		s += 8 + b.Deps.ActiveEncodedSize() // PrevSeq + sparse matrix
+		s += b.Deps.ActiveEncodedSize() // the sparse matrix
 	}
 	for i := range b.Updates {
 		s += b.Updates[i].encodedSize() - 8 // From and the depsN prefix live in the header
@@ -210,12 +206,10 @@ type outboxDest struct {
 	// deps is the address-matrix snapshot of the batch's latest obMatrix
 	// entry, captured at enqueue time (shared with the write's other
 	// destinations; receivers only merge from it), and nil while the batch
-	// holds none. prevSeq is the chain pointer, captured when the first
-	// obMatrix entry joined. depsEpoch records Node.addrEpoch at capture, so
+	// holds none. depsEpoch records Node.addrEpoch at capture, so
 	// outboxAddLocked can detect that the node absorbed a remote matrix merge
 	// after the snapshot and split the batch instead of letting a newer
 	// snapshot cover older parked writes.
-	prevSeq   uint64
 	deps      vclock.Matrix
 	depsEpoch uint64
 }
@@ -258,21 +252,17 @@ func newOutboxDest(maxUpdates int) *outboxDest {
 // per-entry dependency metadata: the batch-level Deps is snap, the caller's
 // address-matrix snapshot taken under the same lock hold as this write's
 // bumps, refreshed by every obMatrix enqueue (the latest such write's
-// dependencies dominate the rest), and the chain pointer is the one the
-// caller left in n.prevBuf[j] for the batch's first obMatrix entry. A pending
-// batch whose snapshot predates a remote matrix merge (addrEpoch moved) is
-// flushed before another obMatrix entry joins: this write's snapshot may name
-// a just-merged update that itself waits on a write parked in the old batch,
-// and shipping them under one matrix would hand the receiver a circular wait.
-// Other entries carry no matrix, so they never split a batch.
+// dependencies dominate the rest). A pending batch whose snapshot predates a
+// remote matrix merge (addrEpoch moved) is flushed before another obMatrix
+// entry joins: this write's snapshot may name a just-merged update that itself
+// waits on a write parked in the old batch, and shipping them under one matrix
+// would hand the receiver a circular wait. Other entries carry no matrix, so
+// they never split a batch.
 func (n *Node) outboxAddLocked(j int, u *Update, ob obligation, snap vclock.Matrix) {
 	d := n.outbox[j]
 	if ob == obMatrix {
 		if d.deps != nil && d.depsEpoch != n.addrEpoch {
 			n.flushCauseLocked(flushEpoch, j, d)
-		}
-		if d.deps == nil {
-			d.prevSeq = n.prevBuf[j]
 		}
 		d.deps, d.depsEpoch = snap, n.addrEpoch
 	}
@@ -347,7 +337,7 @@ func (n *Node) flushDestLocked(j int, d *outboxDest) {
 	if d.count == 1 && len(d.entries) == 1 {
 		u := carve(&n.flushUpd)
 		*u = d.entries[0]
-		u.PrevSeq, u.Deps, u.elided = d.prevSeq, d.deps, false
+		u.Deps, u.elided = d.deps, false
 		_ = n.fabric.Send(network.Message{
 			From: n.id, To: j, Kind: KindUpdate,
 			Payload: u, Size: u.encodedSize(),
@@ -355,8 +345,7 @@ func (n *Node) flushDestLocked(j int, d *outboxDest) {
 	} else {
 		b := carve(&n.flushBatch)
 		*b = UpdateBatch{
-			From: n.id, FirstSeq: d.firstSeq, Count: d.count,
-			PrevSeq: d.prevSeq, Deps: d.deps,
+			From: n.id, FirstSeq: d.firstSeq, Count: d.count, Deps: d.deps,
 			Updates: append(getUpdateSlice(len(d.entries)), d.entries...),
 		}
 		_ = n.fabric.Send(network.Message{
@@ -371,7 +360,7 @@ func (n *Node) flushDestLocked(j int, d *outboxDest) {
 	clear(d.setIdx)
 	d.count = 0
 	d.bytes = 0
-	d.deps, d.prevSeq = nil, 0
+	d.deps = nil
 }
 
 // FlushUpdates sends every pending outbox batch immediately. It is the

@@ -21,7 +21,7 @@ import (
 // settled, visible in Stats — instead of parking forever with no diagnostic.
 // It still takes its place in the sender's order: the well-formed update that
 // follows it must reach the causal view. The scoped case checks the same for
-// a dependency matrix of the wrong dimension on the per-destination chain.
+// a dependency matrix of the wrong dimension in a stream with holes.
 func TestBroadcastMalformedTimestampDoesNotStall(t *testing.T) {
 	msg := func(payload any) network.Message {
 		switch p := payload.(type) {
@@ -54,10 +54,10 @@ func TestBroadcastMalformedTimestampDoesNotStall(t *testing.T) {
 				{From: 0, Seq: 2, Op: OpSet, Loc: "b", Value: 1, TS: vclock.VC{2, 0}},
 			}}, 9},
 		{"scoped-matrix", scope,
-			// Seq 1 went elsewhere: the chain, not the sequence number, orders
-			// this destination's stream.
+			// Seqs 1 and 3 went elsewhere: the channel, not the sequence
+			// number, orders this destination's stream.
 			&Update{From: 0, Seq: 2, Op: OpSet, Loc: "a", Value: 5, Deps: vclock.NewMatrix(5)},
-			&Update{From: 0, Seq: 4, PrevSeq: 2, Op: OpSet, Loc: "b", Value: 1, Deps: vclock.NewMatrix(2)}, 5},
+			&Update{From: 0, Seq: 4, Op: OpSet, Loc: "b", Value: 1, Deps: vclock.NewMatrix(2)}, 5},
 	}
 	for _, p := range paths {
 		t.Run(p.name, func(t *testing.T) {
@@ -317,8 +317,7 @@ func TestPendingGroupsStats(t *testing.T) {
 type refGroup struct {
 	from              int
 	firstSeq, lastSeq uint64
-	count, prevSeq    uint64
-	holes             uint64
+	count, holes      uint64
 	ts, need          vclock.VC
 	deps              vclock.Matrix
 	slow, elided      bool
@@ -332,8 +331,10 @@ func (g refGroup) String() string {
 // refReceiver is the reference causal-delivery model the per-sender queues
 // are checked against: every received group is appended to ONE flat list in
 // arrival order, and every arrival rescans the whole list, pass after pass,
-// until a pass releases nothing. It is the drain the runtime used before the
-// queues, kept here as the specification of release order.
+// until a pass releases nothing. Within a pass a sender's groups after its
+// first unreleased one stay put: sender order is the channel's arrival order,
+// kept by holding the rest behind that one. It is the drain the runtime used
+// before the queues, kept here as the specification of release order.
 type refReceiver struct {
 	id, n      int
 	applied    []uint64 // causalApplied
@@ -354,16 +355,28 @@ func (r *refReceiver) covers(from int, need vclock.VC) bool {
 	return true
 }
 
+// holds reports whether a group of sender from is unreleased.
+func (r *refReceiver) holds(from int) bool {
+	for _, g := range r.pending {
+		if g.from == from {
+			return true
+		}
+	}
+	return false
+}
+
+// deliverable reports whether g's cross-sender dependencies are applied; the
+// caller holds it behind any earlier unreleased group of its sender.
 func (r *refReceiver) deliverable(g refGroup) bool {
 	switch {
 	case g.slow:
-		return r.applied[g.from]+1 == g.firstSeq
+		return true
 	case g.self:
-		return r.applied[g.from]+1 == g.firstSeq && r.covers(g.from, g.need)
+		return r.covers(g.from, g.need)
 	case g.deps != nil:
-		return r.applied[g.from] == g.prevSeq && r.covers(g.from, g.deps.Row(r.id))
+		return r.covers(g.from, g.deps.Row(r.id))
 	}
-	return r.applied[g.from]+1 == g.firstSeq && g.ts.Len() == r.n && r.covers(g.from, g.ts)
+	return g.ts.Len() == r.n && r.covers(g.from, g.ts)
 }
 
 func (r *refReceiver) arrive(g refGroup) {
@@ -372,30 +385,23 @@ func (r *refReceiver) arrive(g refGroup) {
 		return
 	}
 	r.settled[g.from] += g.holes
-	if g.self && !r.deliverable(g) {
+	if g.self && (r.holds(g.from) || !r.deliverable(g)) {
 		r.selfParked++
 	}
 	r.pending = append(r.pending, g)
 	for progressed := true; progressed; {
 		progressed = false
 		kept := r.pending[:0]
+		held := make([]bool, r.n) // the sender has an unreleased group ahead
 		for _, g := range r.pending {
-			if !r.deliverable(g) {
+			if held[g.from] || !r.deliverable(g) {
+				held[g.from] = true
 				kept = append(kept, g)
 				continue
 			}
-			switch {
-			case g.slow, g.self, g.deps != nil:
-				r.applied[g.from] = g.lastSeq
-			default:
-				for k := range r.applied {
-					if x := g.ts.Get(k); x > r.applied[k] {
-						r.applied[k] = x
-					}
-				}
-				// The run may end in Slow entries, past its timestamp.
-				r.applied[g.from] = g.lastSeq
-			}
+			// The run may end in Slow or elided entries, past its timestamp
+			// or matrix: it settles at its latest entry all the same.
+			r.applied[g.from] = g.lastSeq
 			r.settled[g.from] += g.count - g.holes
 			r.released = append(r.released, g)
 			progressed = true
@@ -441,42 +447,36 @@ func (c *captureTransport) Broadcast(from int, kind string, payload any, size in
 
 // refGroupOf copies a captured message's delivery metadata, classifying it
 // the way the receive path does. A batch's group is its causal entries — under
-// a scope, those not elided — ending at the latest of them and waiting for the
-// timestamp of the latest that carries one; only when every entry is Slow is
-// the group Slow, and only when every one is elided (or the batch carries no
-// matrix) is it elided whole.
+// a scope, those not elided — waiting for the timestamp of the latest that
+// carries one, and it settles at the batch's latest entry, elided or not; only
+// when every entry is Slow is the group Slow, and only when every one is
+// elided (or the batch carries no matrix) is it elided whole.
 func refGroupOf(m network.Message, scoped bool) refGroup {
 	switch p := m.Payload.(type) {
 	case *Update:
 		return refGroup{
 			from: p.From, firstSeq: p.Seq, lastSeq: p.Seq, count: 1,
-			prevSeq: p.PrevSeq, ts: p.TS.Clone(), deps: p.Deps,
+			ts: p.TS.Clone(), deps: p.Deps,
 			slow:   !scoped && p.Label == history.LabelSlow,
 			elided: scoped && p.Deps == nil,
 		}
 	case *UpdateBatch:
-		g := refGroup{from: p.From, firstSeq: p.FirstSeq, count: p.Count, prevSeq: p.PrevSeq, deps: p.Deps}
-		var last, stamped *Update
+		g := refGroup{from: p.From, firstSeq: p.FirstSeq, count: p.Count, deps: p.Deps}
+		var stamped *Update
 		for i := range p.Updates {
 			u := &p.Updates[i]
+			g.lastSeq = max(g.lastSeq, u.Seq)
 			if scoped && u.elided {
 				g.holes++
-				continue
-			}
-			if last == nil || u.Seq > last.Seq {
-				last = u
-			}
-			if u.Label != history.LabelSlow && (stamped == nil || u.Seq > stamped.Seq) {
+			} else if u.Label != history.LabelSlow && (stamped == nil || u.Seq > stamped.Seq) {
 				stamped = u
 			}
 		}
 		switch {
-		case last == nil || scoped && p.Deps == nil:
+		case g.holes == uint64(len(p.Updates)) || scoped && p.Deps == nil:
 			g.elided = true
-		case scoped:
-			g.lastSeq = last.Seq
-		default:
-			g.lastSeq, g.slow = last.Seq, stamped == nil
+		case !scoped:
+			g.slow = stamped == nil
 			if stamped != nil {
 				g.ts = stamped.TS.Clone()
 			}
@@ -516,7 +516,7 @@ func mixedBatch(b *UpdateBatch, scoped bool) bool {
 // arrival the receiver's causalApplied and causalRecvd must equal the
 // reference's, and at the end the EvGroupRelease events of its trace must list
 // the reference's releases in the same order — in all three delivery modes
-// (broadcast timestamps, scoped deps/prevSeq chains, slow FIFO-only groups
+// (broadcast timestamps, scoped dependency matrices, slow FIFO-only groups
 // mixed into timestamped traffic), unbatched and batched. Batched, the scoped
 // and slow modes' batches mix obligations, so their groups have elided holes
 // or Slow entries past their timestamp.

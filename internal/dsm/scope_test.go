@@ -113,8 +113,7 @@ func TestScopedCausalSequenceHoles(t *testing.T) {
 
 // TestScopedMixedElidedAndCausal mixes both registration kinds at one
 // destination: node 1 is a causal reader of c and a plain (PRAM) reader of
-// p. Elided updates must not disturb the causal chain that threads through
-// them.
+// p. Elided updates must not disturb the causal stream they sit between.
 func TestScopedMixedElidedAndCausal(t *testing.T) {
 	scope := &ScopeMap{
 		Readers:       map[string][]int{"c": {1}, "p": {1}},
@@ -125,7 +124,7 @@ func TestScopedMixedElidedAndCausal(t *testing.T) {
 
 	nodes[0].Write("c", 1) // causal, seq 1
 	nodes[0].Write("p", 2) // elided, seq 2
-	nodes[0].Write("c", 3) // causal, seq 3: chain must skip the elided seq 2
+	nodes[0].Write("c", 3) // causal, seq 3: must not wait for the elided seq 2
 	nodes[1].AwaitCausal("c", 3)
 	if got := nodes[1].ReadPRAM("p"); got != 2 {
 		t.Fatalf("p = %d, want 2", got)

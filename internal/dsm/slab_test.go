@@ -2,10 +2,13 @@ package dsm
 
 import (
 	"reflect"
+	"slices"
+	"sync"
 	"testing"
 	"time"
 
 	"mixedmem/internal/network"
+	"mixedmem/internal/transport"
 	"mixedmem/internal/vclock"
 )
 
@@ -138,6 +141,110 @@ func TestSentUpdatesAreImmutable(t *testing.T) {
 	}
 }
 
+// payloadLog records every update payload a node hands its transport, by
+// destination, and how many Broadcast calls carried them; it delivers
+// everything.
+type payloadLog struct {
+	transport.Transport
+	mu         sync.Mutex
+	to         map[int][]any
+	broadcasts int
+}
+
+func (l *payloadLog) Send(m network.Message) error {
+	l.mu.Lock()
+	l.to[m.To] = append(l.to[m.To], m.Payload)
+	l.mu.Unlock()
+	return l.Transport.Send(m)
+}
+
+func (l *payloadLog) Broadcast(from int, kind string, payload any, size int) error {
+	l.mu.Lock()
+	l.broadcasts++
+	for j := 0; j < l.Nodes(); j++ {
+		if j != from {
+			l.to[j] = append(l.to[j], payload)
+		}
+	}
+	l.mu.Unlock()
+	return l.Transport.Broadcast(from, kind, payload, size)
+}
+
+// TestScopedCopiesShareOnePayload: an unbatched scoped-causal write carries
+// nothing that differs per destination, so all its copies are one *Update —
+// handed to a single Broadcast when every peer is a causal reader (a location
+// the scope does not name), and to one Send per reader for a registered
+// subset.
+func TestScopedCopiesShareOnePayload(t *testing.T) {
+	const n = 4
+	f, err := network.New(network.Config{Nodes: n})
+	if err != nil {
+		t.Fatalf("network.New: %v", err)
+	}
+	log := &payloadLog{Transport: f, to: make(map[int][]any)}
+	scope := &ScopeMap{
+		Readers:       map[string][]int{"sub": {0, 1, 2}},
+		CausalReaders: map[string][]int{"sub": {0, 1, 2}},
+	}
+	nodes := make([]*Node, n)
+	for i := range nodes {
+		cfg := Config{ID: i, N: n, Transport: f, Scope: scope}
+		if i == 0 {
+			cfg.Transport = log
+		}
+		if nodes[i], err = NewNode(cfg); err != nil {
+			t.Fatalf("NewNode(%d): %v", i, err)
+		}
+	}
+	defer func() {
+		f.Close()
+		for _, nd := range nodes {
+			nd.Close()
+		}
+	}()
+	for _, tc := range []struct {
+		loc        string
+		readers    []int
+		broadcasts int
+	}{
+		{"unlisted", []int{1, 2, 3}, 1},
+		{"sub", []int{1, 2}, 0},
+	} {
+		log.mu.Lock()
+		clear(log.to)
+		log.broadcasts = 0
+		log.mu.Unlock()
+		nodes[0].Write(tc.loc, 1)
+		log.mu.Lock()
+		var shared *Update
+		for j := 1; j < n; j++ {
+			got := log.to[j]
+			want := 0
+			if slices.Contains(tc.readers, j) {
+				want = 1
+			}
+			if len(got) != want {
+				t.Errorf("%s: node %d got %d copies, want %d", tc.loc, j, len(got), want)
+				continue
+			}
+			if want == 0 {
+				continue
+			}
+			u := got[0].(*Update)
+			if shared == nil {
+				shared = u
+			}
+			if u != shared || u.Deps == nil {
+				t.Errorf("%s: node %d's copy is %p (deps %v), want the shared %p with a matrix", tc.loc, j, u, u.Deps, shared)
+			}
+		}
+		if log.broadcasts != tc.broadcasts {
+			t.Errorf("%s: %d Broadcast calls, want %d", tc.loc, log.broadcasts, tc.broadcasts)
+		}
+		log.mu.Unlock()
+	}
+}
+
 // TestParkedGroupKeepsItsStamp: a group parked at a receiver waits on the
 // sender's own timestamp words (the fabric passes them by reference). The
 // sender writing two more slabs' worth must leave them as they were, and the
@@ -231,16 +338,16 @@ func TestParkedScopedGroupKeepsItsMatrix(t *testing.T) {
 	}
 	for i := 0; i < q.size; i++ {
 		g := q.at(i)
-		// a=1 went to 1 and 2; x i+1 to 2, chained after x i.
+		// a=1 went to 1 and 2; x i+1 to 2, after x i.
 		want := vclock.NewMatrix(n)
 		want.Set(1, 0, 1)
 		want.Set(2, 0, 1)
 		want.Set(2, 1, uint64(i+1))
-		if g.ob != obMatrix || g.prev != uint64(i) || !reflect.DeepEqual(g.need, want.Row(2)) ||
+		if g.ob != obMatrix || g.firstSeq != uint64(i+1) || !reflect.DeepEqual(g.need, want.Row(2)) ||
 			!reflect.DeepEqual(g.deps, want) {
 			r.clockMu.Unlock()
-			t.Fatalf("parked group %d: ob %d, prev %d, need %v, deps %v; want prev %d, deps %v",
-				i, g.ob, g.prev, g.need, g.deps, i, want)
+			t.Fatalf("parked group %d: ob %d, seq %d, need %v, deps %v; want seq %d, deps %v",
+				i, g.ob, g.firstSeq, g.need, g.deps, i+1, want)
 		}
 	}
 	r.clockMu.Unlock()

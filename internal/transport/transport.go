@@ -86,8 +86,3 @@ var (
 	_ Transport = (*network.Fabric)(nil)
 	_ Faults    = (*network.Fabric)(nil)
 )
-
-// Sim wraps the simulated in-process fabric as a Transport. The fabric
-// already provides the full method set; Sim exists so call sites read as an
-// explicit backend choice.
-func Sim(f *network.Fabric) Transport { return f }

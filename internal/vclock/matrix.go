@@ -1,9 +1,6 @@
 package vclock
 
-import (
-	"encoding/binary"
-	"fmt"
-)
+import "encoding/binary"
 
 // Matrix is an n-by-n matrix clock, the dependency summary causal delivery
 // needs under partial replication. Row p is a vector clock about process p:
@@ -74,19 +71,13 @@ func (m Matrix) Merge(other Matrix) {
 	}
 }
 
-// EncodedSize returns the number of bytes Encode produces for m.
-func (m Matrix) EncodedSize() int { return 8 * len(m) * len(m) }
-
-// Active returns, in ascending order, the indices whose row or column holds
-// a nonzero entry: the processes that participate in the dependencies m
-// records. In a long-running system most peers are idle with respect to any
-// one scope, so the active set is how the wire encoding avoids shipping
-// (and the receiver avoids re-learning) quadratically many zeroes.
-func (m Matrix) Active() []int { return m.appendActive(nil) }
-
-// appendActive appends the active indices (see Active) to dst. The encode
-// path passes a stack buffer, so finding the active set allocates nothing for
-// the small sets scoped placements produce.
+// appendActive appends to dst, in ascending order, the indices whose row or
+// column holds a nonzero entry: the processes that participate in the
+// dependencies m records. In a long-running system most peers are idle with
+// respect to any one scope, so the active set is how the wire encoding avoids
+// shipping (and the receiver avoids re-learning) quadratically many zeroes.
+// The encode path passes a stack buffer, so finding the active set allocates
+// nothing for the small sets scoped placements produce.
 func (m Matrix) appendActive(dst []int) []int {
 	for i := range m {
 		if m.active(i) {
@@ -142,32 +133,4 @@ func (m Matrix) EncodeActive(dst []byte) []byte {
 		}
 	}
 	return dst
-}
-
-// Encode appends a fixed-width big-endian row-major encoding of m to dst and
-// returns the extended slice.
-func (m Matrix) Encode(dst []byte) []byte {
-	for _, row := range m {
-		dst = row.Encode(dst)
-	}
-	return dst
-}
-
-// DecodeMatrix parses an n-by-n matrix from src. It returns the matrix and
-// the number of bytes consumed.
-func DecodeMatrix(src []byte, n int) (Matrix, int, error) {
-	need := 8 * n * n
-	if n < 0 || len(src) < need {
-		return nil, 0, fmt.Errorf("vclock: decode %dx%d matrix from %d bytes: %w",
-			n, n, len(src), ErrSizeMismatch)
-	}
-	m := NewMatrix(n)
-	off := 0
-	for i := range m {
-		for k := range m[i] {
-			m[i][k] = binary.BigEndian.Uint64(src[off:])
-			off += 8
-		}
-	}
-	return m, need, nil
 }

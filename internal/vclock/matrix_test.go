@@ -44,44 +44,17 @@ func TestMatrixMerge(t *testing.T) {
 	a.Merge(nil)
 }
 
-func TestMatrixEncodeDecodeRoundTrip(t *testing.T) {
-	m := NewMatrix(3)
-	for p := 0; p < 3; p++ {
-		for k := 0; k < 3; k++ {
-			m.Set(p, k, uint64(10*p+k))
-		}
-	}
-	enc := m.Encode(nil)
-	if len(enc) != m.EncodedSize() {
-		t.Fatalf("encoded %d bytes, want %d", len(enc), m.EncodedSize())
-	}
-	got, used, err := DecodeMatrix(enc, 3)
-	if err != nil || used != len(enc) {
-		t.Fatalf("decode: %v (used %d)", err, used)
-	}
-	for p := 0; p < 3; p++ {
-		for k := 0; k < 3; k++ {
-			if got.Get(p, k) != m.Get(p, k) {
-				t.Fatalf("entry [%d][%d] = %d, want %d", p, k, got.Get(p, k), m.Get(p, k))
-			}
-		}
-	}
-	if _, _, err := DecodeMatrix(enc[:10], 3); err == nil {
-		t.Fatal("short decode succeeded")
-	}
-}
-
 func TestMatrixActive(t *testing.T) {
 	m := NewMatrix(6)
 	m.Set(1, 4, 7) // row 1 and column 4 become active
-	got := m.Active()
+	got := m.appendActive(nil)
 	if len(got) != 2 || got[0] != 1 || got[1] != 4 {
-		t.Fatalf("Active = %v, want [1 4]", got)
+		t.Fatalf("active = %v, want [1 4]", got)
 	}
-	if a := NewMatrix(6).Active(); len(a) != 0 {
+	if a := NewMatrix(6).appendActive(nil); len(a) != 0 {
 		t.Fatalf("zero matrix has active indices %v", a)
 	}
-	if a := Matrix(nil).Active(); len(a) != 0 {
+	if a := Matrix(nil).appendActive(nil); len(a) != 0 {
 		t.Fatalf("nil matrix has active indices %v", a)
 	}
 }

@@ -14,8 +14,6 @@ package vclock
 
 import (
 	"encoding/binary"
-	"errors"
-	"fmt"
 	"strconv"
 	"strings"
 )
@@ -51,10 +49,6 @@ func (o Ordering) String() string {
 	}
 }
 
-// ErrSizeMismatch is returned by Decode when the encoded clock does not have
-// the expected number of components.
-var ErrSizeMismatch = errors.New("vclock: size mismatch")
-
 // VC is a vector clock with one component per process. The zero-length VC is
 // valid and compares Equal to any other zero-length VC.
 type VC []uint64
@@ -75,13 +69,6 @@ func (v VC) Clone() VC {
 	out := make(VC, len(v))
 	copy(out, v)
 	return out
-}
-
-// Tick increments the component belonging to process p and returns the new
-// value of that component.
-func (v VC) Tick(p int) uint64 {
-	v[p]++
-	return v[p]
 }
 
 // Get returns component p.
@@ -184,36 +171,4 @@ func (v VC) Encode(dst []byte) []byte {
 		dst = binary.BigEndian.AppendUint64(dst, c)
 	}
 	return dst
-}
-
-// Decode parses a clock with n components from src. It returns the clock and
-// the number of bytes consumed.
-func Decode(src []byte, n int) (VC, int, error) {
-	need := 8 * n
-	if len(src) < need {
-		return nil, 0, fmt.Errorf("vclock: decode %d components from %d bytes: %w", n, len(src), ErrSizeMismatch)
-	}
-	out := make(VC, n)
-	for i := range out {
-		out[i] = binary.BigEndian.Uint64(src[8*i:])
-	}
-	return out, need, nil
-}
-
-// Max returns a new clock that is the componentwise maximum of a and b.
-// The clocks must have the same length.
-func Max(a, b VC) VC {
-	out := a.Clone()
-	out.Merge(b)
-	return out
-}
-
-// Sum returns the total number of events recorded in the clock. It is useful
-// as a cheap monotone progress measure in tests.
-func (v VC) Sum() uint64 {
-	var total uint64
-	for _, c := range v {
-		total += c
-	}
-	return total
 }
