@@ -354,7 +354,7 @@ func measureTCPStream(msgs, warmup, window int) (PerfCell, error) {
 	pass := func(n int) error {
 		for i := 0; i < n; i++ {
 			sent++
-			u := &dsm.Update{From: 0, Seq: uint64(sent), Loc: locs[sent%perfLocCount], Value: int64(sent)}
+			u := &dsm.Update{From: 0, Seq: uint64(sent), Op: dsm.OpSet, Loc: locs[sent%perfLocCount], Value: int64(sent)}
 			if err := trs[0].Send(transport.Message{From: 0, To: 1, Kind: dsm.KindUpdate, Payload: u, Size: 32}); err != nil {
 				return err
 			}
@@ -418,7 +418,7 @@ func measureTCPEcho(rounds, warmup int) (PerfCell, error) {
 	pass := func(n int) error {
 		for i := 0; i < n; i++ {
 			sent++
-			u := &dsm.Update{From: 0, Seq: uint64(sent), Loc: locs[sent%perfLocCount], Value: int64(sent)}
+			u := &dsm.Update{From: 0, Seq: uint64(sent), Op: dsm.OpSet, Loc: locs[sent%perfLocCount], Value: int64(sent)}
 			if err := trs[0].Send(transport.Message{From: 0, To: 1, Kind: dsm.KindUpdate, Payload: u, Size: 32}); err != nil {
 				return err
 			}
@@ -839,7 +839,7 @@ func repeat(n, ops int, pass func() error) func() (int, error) {
 func perfUpdates() []dsm.Update {
 	updates := make([]dsm.Update, perfLocCount)
 	for i, loc := range perfLocs(0) {
-		updates[i] = dsm.Update{From: 0, Loc: loc}
+		updates[i] = dsm.Update{From: 0, Op: dsm.OpSet, Loc: loc}
 	}
 	return updates
 }

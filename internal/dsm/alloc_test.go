@@ -456,7 +456,7 @@ func TestConnDecodeAllocFloor(t *testing.T) {
 		kind    string
 		payload any
 	}{
-		{"update", KindUpdate, &Update{From: 1, Seq: 3, Op: OpSet, Loc: "alpha", Value: 10, TS: vclock.VC{3, 1, 4}}},
+		{"update", KindUpdate, &Update{From: 1, Seq: 3, Op: OpSet, Loc: "alpha", Value: 10, TS: vclock.VC{1, 3, 4}}},
 		{"scoped update", KindUpdate, &Update{From: 1, Seq: 3, Op: OpSet, Loc: "alpha", Value: 10, Deps: deps}},
 		{"4-entry batch", KindUpdateBatch, &UpdateBatch{From: 1, FirstSeq: 1, Count: 4, Updates: entries}},
 		{"4-entry scoped batch", KindUpdateBatch, &UpdateBatch{From: 1, FirstSeq: 1, Count: 4, Deps: deps, Updates: entries}},
@@ -493,5 +493,29 @@ func TestConnDecodeAllocFloor(t *testing.T) {
 		if perDecode := allocs / slabSize; perDecode > 0.05 {
 			t.Errorf("connection %s decode: %.3f allocs/op, want <= 0.05 (slabs only)", tc.name, perDecode)
 		}
+	}
+}
+
+// TestUpdateSlicePoolDoesNotClog: a pool full of slices too small for the
+// batches that come next — one-entry batches a peer sent, say — takes the
+// first larger slice put back in place of its smallest, so a steady stream of
+// larger batches allocates an entry slice once, not once per batch.
+func TestUpdateSlicePoolDoesNotClog(t *testing.T) {
+	p := &updateSlicePool
+	p.mu.Lock()
+	saved := p.free
+	p.free = nil
+	p.mu.Unlock()
+	t.Cleanup(func() {
+		p.mu.Lock()
+		p.free = saved
+		p.mu.Unlock()
+	})
+	for i := 0; i < maxPooledSlices; i++ {
+		putUpdateSlice(make([]Update, 1))
+	}
+	putUpdateSlice(getUpdateSlice(32)) // the one miss
+	if allocs := testing.AllocsPerRun(100, func() { putUpdateSlice(getUpdateSlice(32)) }); allocs != 0 {
+		t.Errorf("32-entry slices through a pool full of 1-entry ones: %.1f allocs per get/put, want 0", allocs)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"mixedmem/internal/history"
 	"mixedmem/internal/loctab"
 	"mixedmem/internal/network"
 	"mixedmem/internal/transport"
@@ -440,7 +441,7 @@ func TestEncodedSizeMatchesCodec(t *testing.T) {
 	deps := vclock.NewMatrix(3)
 	deps.Set(1, 0, 4)
 	ts := vclock.New(3)
-	ts[0], ts[2] = 2, 5
+	ts[0], ts[1], ts[2] = 2, 3, 5
 	updates := []Update{
 		{From: 1, Seq: 3, Op: OpSet, Loc: "x[2]", Value: -9},
 		{From: 1, Seq: 3, Op: OpSet, Loc: "x[2]", Value: -9, TS: ts},
@@ -460,7 +461,7 @@ func TestEncodedSizeMatchesCodec(t *testing.T) {
 		{From: 1, FirstSeq: 3, Count: 2, Updates: updates[:2]},
 		{From: 1, FirstSeq: 3, Count: 2, Deps: deps,
 			Updates: []Update{{From: 1, Seq: 3, Op: OpSet, Loc: "y", Value: 1}}},
-		// Mixed obligations: the elided flag rides in the Op byte, so it
+		// Mixed obligations: the elided flag rides in the flags byte, so it
 		// costs nothing.
 		{From: 1, FirstSeq: 3, Count: 4, Deps: deps, Updates: []Update{
 			{From: 1, Seq: 3, Op: OpSet, Loc: "c", Value: 1},
@@ -479,6 +480,62 @@ func TestEncodedSizeMatchesCodec(t *testing.T) {
 	}
 }
 
+// TestEncodedSizeIsScheduleIndependent pins the rule that keeps the byte
+// counts a property of the program: clock and matrix entries are fixed-width,
+// so two updates, or two batches, that differ only in the values of their
+// timestamps or dependency matrices — which depend on the interleaving that
+// produced them — have the same size, on the wire and in encodedSize. The
+// matrices share their active indices; which processes took part is the
+// program's business.
+func TestEncodedSizeIsScheduleIndependent(t *testing.T) {
+	stamps := func(from int, seq, v uint64) (vclock.VC, vclock.Matrix) {
+		ts := vclock.VC{v, v * 3, v * 7, v + 1}
+		ts[from] = seq
+		deps := vclock.NewMatrix(4)
+		deps.Set(0, 2, v+1)
+		deps.Set(2, 3, v<<20+1)
+		deps.Set(3, 0, 1)
+		return ts, deps
+	}
+	size := func(what string, p any) int {
+		t.Helper()
+		kind := KindUpdate
+		want := 0
+		switch p := p.(type) {
+		case *Update:
+			want = p.encodedSize()
+		case *UpdateBatch:
+			kind, want = KindUpdateBatch, p.encodedSize()
+		}
+		enc, err := transport.EncodePayload(nil, kind, p)
+		if err != nil || len(enc) != want {
+			t.Fatalf("%s: %d bytes on the wire (%v), encodedSize says %d", what, len(enc), err, want)
+		}
+		return want
+	}
+	var sizes [2][4]int
+	for i, v := range []uint64{0, 1<<63 + 12345} {
+		ts, deps := stamps(1, 9, v)
+		bts, _ := stamps(1, 11, v^5)
+		sizes[i] = [4]int{
+			size("vector update", &Update{From: 1, Seq: 9, Op: OpSet, Loc: "x", Value: 1, TS: ts}),
+			size("matrix update", &Update{From: 1, Seq: 9, Op: OpSet, Loc: "x", Value: 1, Deps: deps}),
+			size("vector batch", &UpdateBatch{From: 1, FirstSeq: 9, Count: 3, Updates: []Update{
+				{From: 1, Seq: 9, Op: OpSet, Loc: "x", TS: ts},
+				{From: 1, Seq: 11, Op: OpAdd, Loc: "y", TS: bts},
+			}}),
+			size("matrix batch", &UpdateBatch{From: 1, FirstSeq: 9, Count: 3, Deps: deps, Updates: []Update{
+				{From: 1, Seq: 9, Op: OpSet, Loc: "x"},
+				{From: 1, Seq: 11, Op: OpAdd, Loc: "y", elided: true},
+			}}),
+		}
+	}
+	if sizes[0] != sizes[1] {
+		t.Fatalf("sizes (vector update, matrix update, vector batch, matrix batch) moved with the metadata's values: %v vs %v",
+			sizes[0], sizes[1])
+	}
+}
+
 func TestBatchConfigValidation(t *testing.T) {
 	c := BatchConfig{Enabled: true}.WithDefaults()
 	if c.MaxUpdates <= 0 || c.MaxBytes <= 0 || c.Linger <= 0 {
@@ -490,9 +547,9 @@ func TestBatchConfigValidation(t *testing.T) {
 
 func TestBatchCodecRoundTrip(t *testing.T) {
 	ts1 := vclock.New(3)
-	ts1[0], ts1[2] = 4, 17
+	ts1[0], ts1[2] = 17, 4
 	ts2 := vclock.New(3)
-	ts2[0], ts2[2] = 6, 17
+	ts2[0], ts2[2] = 17, 6
 	b := &UpdateBatch{
 		From: 2, FirstSeq: 4, Count: 3,
 		Updates: []Update{
@@ -523,7 +580,7 @@ func TestBatchCodecRoundTrip(t *testing.T) {
 			t.Fatalf("entry %d changed: %+v -> %+v", i, want, u)
 		}
 	}
-	if got.Updates[2].TS.Len() != 3 || got.Updates[2].TS[0] != 6 {
+	if got.Updates[2].TS.Len() != 3 || got.Updates[2].TS[0] != 17 || got.Updates[2].TS[2] != 6 {
 		t.Fatalf("entry timestamp changed: %v", got.Updates[2].TS)
 	}
 }
@@ -546,6 +603,27 @@ func TestBatchCodecEmptyAndNilTimestamps(t *testing.T) {
 	}
 }
 
+// rawBatch is a hand-built batch payload: the header — From 0, firstSeq,
+// count, no dependency matrix, nEntries — then the given entry bytes.
+func rawBatch(firstSeq, count, nEntries uint64, entries ...byte) []byte {
+	b := transport.AppendUvarint(nil, 0)
+	b = transport.AppendUvarint(b, firstSeq)
+	b = transport.AppendUvarint(b, count)
+	b = transport.AppendUvarint(b, 0) // depsN
+	b = transport.AppendUvarint(b, nEntries)
+	return append(b, entries...)
+}
+
+// rawEntry is a hand-built batch entry for location "x" holding 5: seq distance
+// off, flags byte flags, and the timestamp section ts.
+func rawEntry(off uint64, flags byte, ts ...byte) []byte {
+	e := transport.AppendUvarint(nil, off)
+	e = append(e, flags)
+	e = transport.AppendUvarintString(e, "x")
+	e = transport.AppendUint64(e, 5)
+	return append(e, ts...)
+}
+
 func TestBatchCodecMalformed(t *testing.T) {
 	if _, err := transport.EncodePayload(nil, KindUpdateBatch, "nope"); err == nil {
 		t.Fatal("encoding a non-batch payload succeeded")
@@ -554,79 +632,58 @@ func TestBatchCodecMalformed(t *testing.T) {
 	if _, err := transport.EncodePayload(nil, KindUpdateBatch, UpdateBatch{}); err == nil {
 		t.Fatal("encoding an UpdateBatch value (not *UpdateBatch) succeeded")
 	}
-	// Truncated header.
-	if _, err := transport.DecodePayload(KindUpdateBatch, []byte{1, 2, 3}); err == nil {
-		t.Fatal("decoding a truncated batch header succeeded")
+	setX := byte(OpSet)
+	valid := rawBatch(1, 1, 1, rawEntry(0, setX, 0)...)
+	if _, err := transport.DecodePayload(KindUpdateBatch, valid); err != nil {
+		t.Fatalf("the hand-built batch the cases below corrupt does not decode: %v", err)
 	}
-	// A huge claimed entry count must fail fast, not allocate.
-	var huge []byte
-	huge = transport.AppendUint32(huge, 0)          // From
-	huge = transport.AppendUint64(huge, 1)          // FirstSeq
-	huge = transport.AppendUint64(huge, 1<<40)      // Count
-	huge = transport.AppendUint32(huge, 0)          // depsN
-	huge = transport.AppendUint32(huge, 0xFFFFFFFF) // nEntries
-	if _, err := transport.DecodePayload(KindUpdateBatch, huge); err == nil {
-		t.Fatal("decoding a batch with absurd entry count succeeded")
-	}
-	// A huge claimed dependency-matrix dimension must fail fast too: the
-	// quadratic allocation it implies is exactly what the bound prevents.
-	var badDeps []byte
-	badDeps = transport.AppendUint32(badDeps, 0)          // From
-	badDeps = transport.AppendUint64(badDeps, 1)          // FirstSeq
-	badDeps = transport.AppendUint64(badDeps, 1)          // Count
-	badDeps = transport.AppendUint32(badDeps, 0xFFFFFFF0) // depsN
-	if _, err := transport.DecodePayload(KindUpdateBatch, badDeps); err == nil {
-		t.Fatal("decoding a batch with absurd dependency dimension succeeded")
-	}
+	// A huge claimed dependency-matrix dimension must fail fast: the quadratic
+	// allocation it implies is exactly what the bound prevents.
+	badDeps := transport.AppendUvarint([]byte{0, 1, 1}, 0xFFFFFFF0)
 	// A plausible dimension with no matrix bytes behind it.
-	badDeps = badDeps[:len(badDeps)-4]
-	badDeps = transport.AppendUint32(badDeps, 3) // depsN, but no matrix follows
-	if _, err := transport.DecodePayload(KindUpdateBatch, badDeps); err == nil {
-		t.Fatal("decoding a truncated dependency matrix succeeded")
-	}
-	// A huge claimed timestamp length inside an entry must fail fast too.
-	var badTS []byte
-	badTS = transport.AppendUint32(badTS, 0) // From
-	badTS = transport.AppendUint64(badTS, 1) // FirstSeq
-	badTS = transport.AppendUint64(badTS, 1) // Count
-	badTS = transport.AppendUint32(badTS, 0) // depsN
-	badTS = transport.AppendUint32(badTS, 1) // nEntries
-	badTS = transport.AppendUint64(badTS, 1) // Seq
-	badTS = append(badTS, byte(OpSet))       // Op
-	badTS = transport.AppendString(badTS, "x")
-	badTS = transport.AppendUint64(badTS, 5)          // Value
-	badTS = transport.AppendUint32(badTS, 0x7FFFFFFF) // tsLen
-	if _, err := transport.DecodePayload(KindUpdateBatch, badTS); err == nil {
-		t.Fatal("decoding a batch with absurd timestamp length succeeded")
-	}
-	// An Op byte with a bit that is neither the elided flag nor an op's.
-	for _, op := range []byte{0x40 | byte(OpSet), 0x04 | byte(OpAdd), 0x80 | 0x20} {
-		var unknown []byte
-		unknown = transport.AppendUint32(unknown, 0) // From
-		unknown = transport.AppendUint64(unknown, 1) // FirstSeq
-		unknown = transport.AppendUint64(unknown, 1) // Count
-		unknown = transport.AppendUint32(unknown, 0) // depsN
-		unknown = transport.AppendUint32(unknown, 1) // nEntries
-		unknown = transport.AppendUint64(unknown, 1) // Seq
-		unknown = append(unknown, op, 0)             // Op, Label
-		unknown = transport.AppendString(unknown, "x")
-		unknown = transport.AppendUint64(unknown, 5) // Value
-		unknown = transport.AppendUint32(unknown, 0) // tsLen
-		if _, err := transport.DecodePayload(KindUpdateBatch, unknown); err == nil {
-			t.Fatalf("decoding an entry whose op byte is %#02x succeeded", op)
+	noMatrix := []byte{0, 1, 1, 3}
+	for _, tc := range []struct {
+		name string
+		data []byte
+	}{
+		{"truncated header", []byte{1, 2}},
+		{"absurd entry count", rawBatch(1, 1<<40, 0xFFFFFFFF)},
+		{"more entries than the updates it covers", rawBatch(1, 1, 2, append(rawEntry(0, setX, 0), rawEntry(0, setX, 0)...)...)},
+		{"absurd dependency dimension", badDeps},
+		{"truncated dependency matrix", noMatrix},
+		{"absurd timestamp length", rawBatch(1, 1, 1, rawEntry(0, setX, transport.AppendUvarint(nil, 0x7FFFFFFF)...)...)},
+		{"entry seq past the 64-bit range", rawBatch(1<<64-1, 2, 1, rawEntry(1, setX, 0)...)},
+		{"no operation", rawBatch(1, 1, 1, rawEntry(0, 0, 0)...)},
+		{"elided bit without an operation", rawBatch(1, 1, 1, rawEntry(0, 0x80, 0)...)},
+		{"label above SC", rawBatch(1, 1, 1, rawEntry(0, byte(history.LabelSC+1)<<2|setX, 0)...)},
+		{"label bits all set", rawBatch(1, 1, 1, rawEntry(0, 0x7c|setX, 0)...)},
+		{"non-minimal seq distance", rawBatch(1, 1, 1, append([]byte{0x80, 0x00}, rawEntry(0, setX, 0)[1:]...)...)},
+		{"non-minimal entry count", append(rawBatch(1, 1, 1)[:4], append([]byte{0x81, 0x00}, rawEntry(0, setX, 0)...)...)},
+		{"entry cut mid-way", valid[:len(valid)-2]},
+	} {
+		if _, err := transport.DecodePayload(KindUpdateBatch, tc.data); err == nil {
+			t.Errorf("%s: % x decoded", tc.name, tc.data)
 		}
 	}
-	// An entry truncated mid-way.
-	var cut []byte
-	cut = transport.AppendUint32(cut, 0)
-	cut = transport.AppendUint64(cut, 1)
-	cut = transport.AppendUint64(cut, 1)
-	cut = transport.AppendUint32(cut, 0)
-	cut = transport.AppendUint32(cut, 1)
-	cut = transport.AppendUint64(cut, 1)
-	cut = append(cut, byte(OpSet))
-	if _, err := transport.DecodePayload(KindUpdateBatch, cut); err == nil {
-		t.Fatal("decoding a mid-entry truncation succeeded")
+	// A timestamp whose sender is beyond its dimension: From 2, two components.
+	from2 := append(transport.AppendUvarint(nil, 2), rawBatch(1, 1, 1, rawEntry(0, setX, append([]byte{2}, transport.AppendUint64(nil, 0)...)...)...)[1:]...)
+	if _, err := transport.DecodePayload(KindUpdateBatch, from2); err == nil {
+		t.Errorf("a 2-component timestamp from sender 2 decoded")
+	}
+
+	// What the wire cannot carry, Encode refuses.
+	for _, b := range []*UpdateBatch{
+		{From: 1, FirstSeq: 4, Count: 1, Updates: []Update{{From: 1, Seq: 3, Op: OpSet, Loc: "x"}}},
+		{From: 1, FirstSeq: 4, Count: 1, Updates: []Update{{From: 1, Seq: 4, Op: OpSet, Loc: "x", TS: vclock.VC{4, 3}}}},
+		{From: 1, FirstSeq: 4, Count: 1, Updates: []Update{{From: 1, Seq: 4, Op: 0, Loc: "x"}}},
+		{From: 1, FirstSeq: 4, Count: 1, Updates: []Update{{From: 1, Seq: 4, Op: OpSet, Label: history.LabelSC + 1, Loc: "x"}}},
+		{From: 1, FirstSeq: 4, Count: 1, Updates: []Update{
+			{From: 1, Seq: 4, Op: OpSet, Loc: "x"}, {From: 1, Seq: 4, Op: OpSet, Loc: "y"}}},
+		{From: -1, FirstSeq: 4, Count: 1, Updates: []Update{{From: -1, Seq: 4, Op: OpSet, Loc: "x"}}},
+	} {
+		if _, err := transport.EncodePayload(nil, KindUpdateBatch, b); err == nil {
+			t.Errorf("encoded %+v", *b)
+		}
 	}
 }
 

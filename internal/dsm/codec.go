@@ -2,6 +2,7 @@ package dsm
 
 import (
 	"fmt"
+	"math"
 
 	"mixedmem/internal/history"
 	"mixedmem/internal/loctab"
@@ -11,23 +12,33 @@ import (
 
 // updateCodec is the wire codec for KindUpdate payloads, registered so wire
 // transports (internal/transport/tcp) can carry memory updates between OS
-// processes. Layout, all big-endian:
+// processes. Layout (u64 big-endian, uvarint encoding/binary's minimal
+// unsigned varint):
 //
-//	u32 From | u64 Seq | u8 Op | u8 Label | str Loc | u64 Value | u32 tsLen | tsLen*u64 TS |
-//	u32 depsN | [ u32 nAct | nAct*u32 ids | nAct*nAct*u64 sub ]
+//	uvarint From | uvarint Seq | u8 flags | uvarint len | Loc | u64 Value |
+//	uvarint tsLen | (tsLen-1)*u64 TS | uvarint depsN | [ uvarint nAct | nAct*uvarint ids | nAct*nAct*u64 sub ]
 //
-// Label is the location's lattice point (history.Label); LabelSlow marks a
-// timestamp-elided update delivered on the sender's FIFO alone (see
-// Update.Label). A PRAMOnly or timestamp-elided update has tsLen 0 and
-// decodes with a nil timestamp, exactly like the in-process value it
-// mirrors. depsN is 0 unless the update carries scoped-causal metadata, in
-// which case the dependency matrix follows; nothing on the wire orders an
-// update after its sender's earlier ones, since the channel is FIFO. The
-// matrix ships sparsely: only the submatrix over its active indices (rows or
-// columns with a nonzero entry) is encoded, so an update's wire size grows
-// with the processes that actually exchanged scoped updates, not with the
-// cluster size — the wire form of garbage-collecting the columns idle peers
-// would otherwise occupy.
+// flags is elided<<7 | Label<<2 | Op: Op is OpSet through OpAddFloat, Label
+// the location's lattice point (history.Label, at most LabelSC; LabelSlow marks
+// a timestamp-elided update delivered on the sender's FIFO alone, see
+// Update.Label), and the elided bit is a batch entry's alone (batchCodec); any
+// other value fails the decode. A PRAMOnly or timestamp-elided update has
+// tsLen 0 and decodes with a nil timestamp, exactly like the in-process value
+// it mirrors. A timestamp's sender component is not sent: it is the update's
+// Seq (issue stamps TS from the clock its own write has just advanced), so the
+// decoder restores it, and Encode refuses an update that breaks the rule.
+// depsN is 0 unless the update carries scoped-causal metadata, in which case
+// the dependency matrix follows; nothing on the wire orders an update after its
+// sender's earlier ones, since the channel is FIFO. The matrix ships sparsely:
+// only the submatrix over its active indices (rows or columns with a nonzero
+// entry) is encoded, so an update's wire size grows with the processes that
+// actually exchanged scoped updates, not with the cluster size — the wire form
+// of garbage-collecting the columns idle peers would otherwise occupy.
+//
+// Varints carry only what the program fixes — sender ids, sequence numbers,
+// lengths, counts, active indices — and clock and matrix entries stay
+// fixed-width, so an update's size does not depend on the interleaving that
+// produced its metadata (DESIGN.md §7).
 type updateCodec struct{}
 
 // maxDepsN bounds the decoded dependency-matrix dimension. Real systems are
@@ -42,48 +53,60 @@ const maxDepsN = 1024
 // slabSize*maxSlabDepsN² words (512 KiB) and as many row headers.
 const maxSlabDepsN = 32
 
-// appendDeps writes the depsN | [sparse matrix] section shared by both
+// appendDeps writes the uvarint depsN | [sparse matrix] section shared by both
 // codecs.
 func appendDeps(dst []byte, deps vclock.Matrix) []byte {
-	dst = transport.AppendUint32(dst, uint32(deps.Len()))
-	if deps != nil {
+	dst = transport.AppendUvarint(dst, uint64(deps.Len()))
+	if deps.Len() > 0 {
 		dst = deps.EncodeActive(dst)
 	}
 	return dst
+}
+
+// depsSize is the length of the section appendDeps writes.
+func depsSize(deps vclock.Matrix) int {
+	if deps.Len() == 0 {
+		return 1
+	}
+	return transport.UvarintLen(uint64(deps.Len())) + deps.ActiveEncodedSize()
 }
 
 // decodeDeps parses the trailing depsN | [sparse matrix] section shared by
 // both codecs. It returns nil when the section is absent (depsN == 0). The
 // matrix is never written once returned: a receiver keeps a parked group's
 // matrix for as long as the group stays parked, and merges from it afterwards.
-func (c *connDecoder) decodeDeps(d *transport.Decoder, what string) (vclock.Matrix, error) {
-	depsN := int(d.Uint32())
-	if d.Err() != nil || depsN == 0 {
+func (c *connDecoder) decodeDeps(d *transport.Decoder) (vclock.Matrix, error) {
+	n := d.Uvarint()
+	if d.Err() != nil || n == 0 {
 		return nil, nil
 	}
-	if depsN > maxDepsN {
-		return nil, fmt.Errorf("dsm: %s codec: %dx%d dependency matrix exceeds the %d dimension bound: %w",
-			what, depsN, depsN, maxDepsN, transport.ErrTruncated)
+	if n > maxDepsN {
+		return nil, fmt.Errorf("%dx%d dependency matrix exceeds the %d dimension bound: %w",
+			n, n, maxDepsN, transport.ErrTruncated)
 	}
-	nAct := int(d.Uint32())
-	if d.Err() == nil && (nAct > depsN || nAct > d.Remaining()/4) {
-		return nil, fmt.Errorf("dsm: %s codec: %d active dependency indices in %d bytes: %w",
-			what, nAct, d.Remaining(), transport.ErrTruncated)
+	depsN := int(n)
+	nAct := d.UvarintCount(1)
+	if d.Err() == nil && nAct > depsN {
+		return nil, fmt.Errorf("%d active dependency indices in a %d-wide matrix: %w",
+			nAct, depsN, transport.ErrTruncated)
 	}
 	ids := c.idScratch(nAct)
 	prev := -1
 	for i := 0; i < nAct && d.Err() == nil; i++ {
-		id := int(d.Uint32())
-		if id <= prev || id >= depsN {
-			return nil, fmt.Errorf("dsm: %s codec: active dependency index %d not ascending within [0,%d): %w",
-				what, id, depsN, transport.ErrTruncated)
+		id := d.Uvarint()
+		if d.Err() == nil && (id >= uint64(depsN) || int(id) <= prev) {
+			return nil, fmt.Errorf("active dependency index %d not ascending within [0,%d): %w",
+				id, depsN, transport.ErrTruncated)
 		}
-		ids = append(ids, id)
-		prev = id
+		ids = append(ids, int(id))
+		prev = int(id)
 	}
 	if d.Err() == nil && nAct > 0 && nAct > d.Remaining()/8/nAct {
-		return nil, fmt.Errorf("dsm: %s codec: %dx%d dependency submatrix in %d bytes: %w",
-			what, nAct, nAct, d.Remaining(), transport.ErrTruncated)
+		return nil, fmt.Errorf("%dx%d dependency submatrix in %d bytes: %w",
+			nAct, nAct, d.Remaining(), transport.ErrTruncated)
+	}
+	if d.Err() != nil {
+		return nil, fmt.Errorf("dependency matrix: %w", d.Err())
 	}
 	m := c.matrix(depsN)
 	for _, p := range ids {
@@ -91,10 +114,150 @@ func (c *connDecoder) decodeDeps(d *transport.Decoder, what string) (vclock.Matr
 			m.Set(p, k, d.Uint64())
 		}
 	}
-	if d.Err() != nil {
-		return nil, fmt.Errorf("dsm: %s codec: dependency matrix: %w", what, d.Err())
+	// An index is listed only if its row or column holds a nonzero entry,
+	// which is how EncodeActive chose it: otherwise the payload would not be
+	// the one encoding of its matrix.
+	for _, p := range ids {
+		active := false
+		for _, k := range ids {
+			active = active || m[p][k] != 0 || m[k][p] != 0
+		}
+		if !active {
+			return nil, fmt.Errorf("dependency index %d listed with an all-zero row and column: %w",
+				p, transport.ErrTruncated)
+		}
 	}
 	return m, nil
+}
+
+// Flags-byte fields: the operation in the low bits, the label above it, and
+// the batch entry's elided bit (Update.elided) on top.
+const (
+	flagOpBits    = 0x03
+	flagLabelOff  = 2
+	flagLabelBits = 0x1f
+	flagElided    = 0x80
+)
+
+// appendFlags writes u's flags byte, carrying the elided bit only when elided
+// says so (a batch entry); it fails for an op or label the byte cannot carry.
+func appendFlags(dst []byte, u *Update, elided bool) ([]byte, error) {
+	if u.Op < OpSet || u.Op > OpAddFloat || u.Label < history.LabelNone || u.Label > history.LabelSC {
+		return dst, fmt.Errorf("op %d with label %d has no wire form", u.Op, u.Label)
+	}
+	b := byte(u.Label)<<flagLabelOff | byte(u.Op)
+	if elided && u.elided {
+		b |= flagElided
+	}
+	return append(dst, b), nil
+}
+
+// parseFlags reads a flags byte into u; the elided bit is legal only where
+// elided allows it.
+func parseFlags(d *transport.Decoder, u *Update, elided bool) error {
+	b := d.Byte()
+	if d.Err() != nil {
+		return nil // the caller reports the truncation
+	}
+	op, label := UpdateOp(b&flagOpBits), history.Label(b>>flagLabelOff&flagLabelBits)
+	if op == 0 || label > history.LabelSC || (!elided && b&flagElided != 0) {
+		return fmt.Errorf("flags byte %#02x names no operation, label and obligation", b)
+	}
+	u.Op, u.Label, u.elided = op, label, b&flagElided != 0
+	return nil
+}
+
+// appendTS writes the uvarint tsLen | (tsLen-1)*u64 section: every component
+// of ts but the sender's, which is seq.
+func appendTS(dst []byte, ts vclock.VC, from int, seq uint64) ([]byte, error) {
+	dst = transport.AppendUvarint(dst, uint64(len(ts)))
+	if len(ts) == 0 {
+		return dst, nil
+	}
+	if from >= len(ts) || ts[from] != seq {
+		return dst, fmt.Errorf("timestamp %v of sender %d does not end at seq %d", ts, from, seq)
+	}
+	for k, v := range ts {
+		if k != from {
+			dst = transport.AppendUint64(dst, v)
+		}
+	}
+	return dst, nil
+}
+
+// tsSize is the length of the section appendTS writes.
+func tsSize(ts vclock.VC) int {
+	if len(ts) == 0 {
+		return 1
+	}
+	return transport.UvarintLen(uint64(len(ts))) + 8*(len(ts)-1)
+}
+
+// entrySize is the length of what an update and a batch entry share: a
+// sequence-number field holding seqField, then flags, location, value and
+// timestamp.
+func (u *Update) entrySize(seqField uint64) int {
+	return transport.UvarintLen(seqField) + 1 + transport.UvarintLen(uint64(len(u.Loc))) + len(u.Loc) + 8 + tsSize(u.TS)
+}
+
+// appendEntry writes what an update and a batch entry share: seqField, then
+// flags, location, value and timestamp.
+func appendEntry(dst []byte, u *Update, from int, seqField uint64, elided bool) ([]byte, error) {
+	dst = transport.AppendUvarint(dst, seqField)
+	dst, err := appendFlags(dst, u, elided)
+	if err != nil {
+		return dst, err
+	}
+	dst = transport.AppendUvarintString(dst, u.Loc)
+	dst = transport.AppendUint64(dst, uint64(u.Value))
+	return appendTS(dst, u.TS, from, u.Seq)
+}
+
+// parseEntry reads the flags, location, value and timestamp of u, whose From
+// and Seq are set; elided says whether the flags may carry the elided bit.
+func (c *connDecoder) parseEntry(d *transport.Decoder, u *Update, elided bool) error {
+	if err := parseFlags(d, u, elided); err != nil {
+		return err
+	}
+	loc := d.UvarintBytes()
+	u.Value = int64(d.Uint64())
+	n := d.Uvarint()
+	if d.Err() != nil {
+		return nil
+	}
+	if n > 0 {
+		if n-1 > uint64(d.Remaining()/8) {
+			return fmt.Errorf("%w: %d-component timestamp in %d bytes", transport.ErrTruncated, n, d.Remaining())
+		}
+		if uint64(u.From) >= n {
+			return fmt.Errorf("%d-component timestamp from sender %d", n, u.From)
+		}
+		u.TS = c.timestamp(d, int(n), u.From, u.Seq)
+	}
+	u.Loc = c.loc(loc)
+	return nil
+}
+
+// end returns d's error, or one for bytes left over: a payload is decoded
+// whole, so that the only input that decodes to a value is its encoding.
+func end(d *transport.Decoder) error {
+	if err := d.Err(); err != nil || d.Remaining() == 0 {
+		return err
+	}
+	return fmt.Errorf("%d bytes after the payload", d.Remaining())
+}
+
+// maxFrom bounds a decoded sender id, so it converts to an int that no
+// arithmetic on it overflows.
+const maxFrom = 1<<31 - 1
+
+// parseFrom reads a sender id.
+func parseFrom(d *transport.Decoder) (int, error) {
+	from := d.Uvarint()
+	if from > maxFrom {
+		return 0, fmt.Errorf("sender id %d out of range", from)
+	}
+	return int(from), nil
 }
 
 // connDecoder is what one inbound connection keeps between the payloads it
@@ -178,11 +341,13 @@ func (c *connDecoder) matrix(n int) vclock.Matrix {
 	return c.mx.carve(n)
 }
 
-// timestamp reads an n-component timestamp (n > 0, and d holds at least 8n
-// bytes) into the next n words of the slab, with the capacity cut to the
-// length as stampLocked does. A timestamp wider than any real system's gets an
-// allocation of its own, so a hostile length cannot inflate the slab.
-func (c *connDecoder) timestamp(d *transport.Decoder, n int) vclock.VC {
+// timestamp reads an n-component timestamp of an update from sender from (n >
+// from, and d holds at least 8(n-1) bytes) into the next n words of the slab,
+// with the capacity cut to the length as stampLocked does; the sender's
+// component, which the wire leaves out, is seq. A timestamp wider than any
+// real system's gets an allocation of its own, so a hostile length cannot
+// inflate the slab.
+func (c *connDecoder) timestamp(d *transport.Decoder, n, from int, seq uint64) vclock.VC {
 	var ts vclock.VC
 	switch {
 	case c == nil || n > maxDepsN:
@@ -194,7 +359,11 @@ func (c *connDecoder) timestamp(d *transport.Decoder, n int) vclock.VC {
 		ts, c.ts = c.ts[:n:n], c.ts[n:]
 	}
 	for i := range ts {
-		ts[i] = d.Uint64()
+		if i == from {
+			ts[i] = seq
+		} else {
+			ts[i] = d.Uint64()
+		}
 	}
 	return ts
 }
@@ -243,14 +412,14 @@ func (updateCodec) Encode(dst []byte, payload any) ([]byte, error) {
 	if !ok {
 		return dst, fmt.Errorf("dsm: update codec: payload is %T", payload)
 	}
-	dst = transport.AppendUint32(dst, uint32(u.From))
-	dst = transport.AppendUint64(dst, u.Seq)
-	dst = append(dst, byte(u.Op))
-	dst = append(dst, byte(u.Label))
-	dst = transport.AppendString(dst, u.Loc)
-	dst = transport.AppendUint64(dst, uint64(u.Value))
-	dst = transport.AppendUint32(dst, uint32(u.TS.Len()))
-	dst = u.TS.Encode(dst)
+	if u.From < 0 || u.From > maxFrom {
+		return dst, fmt.Errorf("dsm: update codec: sender id %d out of range", u.From)
+	}
+	dst = transport.AppendUvarint(dst, uint64(u.From))
+	dst, err := appendEntry(dst, u, u.From, u.Seq, false)
+	if err != nil {
+		return dst, fmt.Errorf("dsm: update codec: %w", err)
+	}
 	return appendDeps(dst, u.Deps), nil
 }
 
@@ -279,85 +448,75 @@ func (c *connDecoder) decodeUpdate(data []byte) (any, error) {
 
 func (c *connDecoder) parseUpdate(data []byte) (Update, error) {
 	d := transport.NewDecoder(data)
-	u := Update{
-		From:  int(d.Uint32()),
-		Seq:   d.Uint64(),
-		Op:    UpdateOp(d.Byte()),
-		Label: history.Label(d.Byte()),
+	var u Update
+	var err error
+	if u.From, err = parseFrom(d); err == nil {
+		u.Seq = d.Uvarint()
+		err = c.parseEntry(d, &u, false)
 	}
-	loc := d.Bytes()
-	u.Value = int64(d.Uint64())
-	if n := d.Count(8); n > 0 {
-		u.TS = c.timestamp(d, n)
+	if err == nil && d.Err() == nil {
+		u.Deps, err = c.decodeDeps(d)
 	}
-	if d.Err() == nil {
-		deps, err := c.decodeDeps(d, "update")
-		if err != nil {
-			return u, err
-		}
-		u.Deps = deps
+	if err == nil {
+		err = end(d)
 	}
-	if err := d.Err(); err != nil {
+	if err != nil {
 		return u, fmt.Errorf("dsm: update codec: %w", err)
 	}
-	u.Loc = c.loc(loc)
 	return u, nil
 }
 
-// batchCodec is the wire codec for KindUpdateBatch payloads. Layout, all
-// big-endian — the per-entry sender ID is hoisted into the header since every
-// entry of a batch comes from the same process:
+// batchCodec is the wire codec for KindUpdateBatch payloads. Layout, in
+// updateCodec's notation — the sender ID is hoisted into the header since every
+// entry of a batch comes from the same process, and each entry's Seq rides as
+// its distance from FirstSeq:
 //
-//	u32 From | u64 FirstSeq | u64 Count |
-//	u32 depsN | [ u32 nAct | nAct*u32 ids | nAct*nAct*u64 sub ] |
-//	u32 nEntries | nEntries * ( u64 Seq | u8 elided<<7|Op | u8 Label | str Loc | u64 Value | u32 tsLen | tsLen*u64 TS )
+//	uvarint From | uvarint FirstSeq | uvarint Count |
+//	uvarint depsN | [ uvarint nAct | nAct*uvarint ids | nAct*nAct*u64 sub ] |
+//	uvarint nEntries | nEntries * ( uvarint Seq-FirstSeq | u8 flags | uvarint len | Loc | u64 Value |
+//	                                uvarint tsLen | (tsLen-1)*u64 TS )
 //
 // A scoped batch with obMatrix entries hoists their dependency metadata into
 // the header (depsN > 0), encoded sparsely over the matrix's active indices
 // exactly as in updateCodec; its entries carry no per-entry timestamps. Each
-// entry's obligation class rides in the high bit of its Op byte (set: an
-// obNone copy, Update.elided), so mixing costs no byte; a bit that is neither
-// that one nor an op's fails the decode. Decode bounds nEntries, tsLen, nAct,
-// and depsN, so a malformed length prefix fails with ErrTruncated instead of
+// entry's obligation class rides in the elided bit of its flags byte (set: an
+// obNone copy, Update.elided), so mixing costs no byte. An entry's timestamp
+// leaves out the sender's component as an update's does. Decode bounds
+// nEntries (at most Count, the updates the batch covers), every length and
+// depsN, so a malformed length prefix fails with ErrTruncated instead of
 // attempting a huge allocation.
 type batchCodec struct{}
-
-// entryElided is the batch entry's Op-byte bit that marks an elided copy, and
-// entryOpBits the bits its operation may use (OpSet through OpAddFloat).
-const (
-	entryElided = 0x80
-	entryOpBits = 0x03
-)
 
 func (batchCodec) Encode(dst []byte, payload any) ([]byte, error) {
 	b, ok := payload.(*UpdateBatch)
 	if !ok {
 		return dst, fmt.Errorf("dsm: batch codec: payload is %T", payload)
 	}
-	dst = transport.AppendUint32(dst, uint32(b.From))
-	dst = transport.AppendUint64(dst, b.FirstSeq)
-	dst = transport.AppendUint64(dst, b.Count)
+	if b.From < 0 || b.From > maxFrom || uint64(len(b.Updates)) > b.Count {
+		return dst, fmt.Errorf("dsm: batch codec: sender %d with %d entries covering %d updates",
+			b.From, len(b.Updates), b.Count)
+	}
+	dst = transport.AppendUvarint(dst, uint64(b.From))
+	dst = transport.AppendUvarint(dst, b.FirstSeq)
+	dst = transport.AppendUvarint(dst, b.Count)
 	dst = appendDeps(dst, b.Deps)
-	dst = transport.AppendUint32(dst, uint32(len(b.Updates)))
-	for _, u := range b.Updates {
-		dst = transport.AppendUint64(dst, u.Seq)
-		op := byte(u.Op)
-		if u.elided {
-			op |= entryElided
+	dst = transport.AppendUvarint(dst, uint64(len(b.Updates)))
+	for i := range b.Updates {
+		u := &b.Updates[i]
+		if u.Seq < b.FirstSeq {
+			return dst, fmt.Errorf("dsm: batch codec: entry %d: seq %d before the batch's first, %d", i, u.Seq, b.FirstSeq)
 		}
-		dst = append(dst, op)
-		dst = append(dst, byte(u.Label))
-		dst = transport.AppendString(dst, u.Loc)
-		dst = transport.AppendUint64(dst, uint64(u.Value))
-		dst = transport.AppendUint32(dst, uint32(u.TS.Len()))
-		dst = u.TS.Encode(dst)
+		var err error
+		if dst, err = appendEntry(dst, u, b.From, u.Seq-b.FirstSeq, true); err != nil {
+			return dst, fmt.Errorf("dsm: batch codec: entry %d: %w", i, err)
+		}
 	}
 	return dst, nil
 }
 
-// minBatchEntry is the smallest possible encoded entry: seq + op + label +
-// empty location + value + zero-length timestamp.
-const minBatchEntry = 8 + 1 + 1 + 4 + 8 + 4
+// minBatchEntry is the smallest possible encoded entry: seq distance, flags,
+// empty location, value and zero-length timestamp.
+const minBatchEntry = 1 + 1 + 1 + 8 + 1
 
 func (batchCodec) Decode(data []byte) (any, error) {
 	return (*connDecoder)(nil).decodeBatch(data)
@@ -386,19 +545,21 @@ func (c *connDecoder) decodeBatch(data []byte) (any, error) {
 
 func (c *connDecoder) parseBatch(data []byte) (UpdateBatch, error) {
 	d := transport.NewDecoder(data)
-	b := UpdateBatch{
-		From:     int(d.Uint32()),
-		FirstSeq: d.Uint64(),
-		Count:    d.Uint64(),
+	var b UpdateBatch
+	from, err := parseFrom(d)
+	if err != nil {
+		return b, fmt.Errorf("dsm: batch codec: %w", err)
 	}
+	b.From, b.FirstSeq, b.Count = from, d.Uvarint(), d.Uvarint()
 	if d.Err() == nil {
-		deps, err := c.decodeDeps(d, "batch")
-		if err != nil {
-			return b, err
+		if b.Deps, err = c.decodeDeps(d); err != nil {
+			return b, fmt.Errorf("dsm: batch codec: %w", err)
 		}
-		b.Deps = deps
 	}
-	nEntries := d.Count(minBatchEntry)
+	nEntries := d.UvarintCount(minBatchEntry)
+	if uint64(nEntries) > b.Count {
+		return b, fmt.Errorf("dsm: batch codec: %d entries in a batch covering %d updates", nEntries, b.Count)
+	}
 	if nEntries > 0 {
 		// Draw the entry slice from the batch pool: the receiving node's
 		// apply path returns it once the batch has fully applied (see
@@ -406,26 +567,20 @@ func (c *connDecoder) parseBatch(data []byte) (UpdateBatch, error) {
 		b.Updates = getUpdateSlice(nEntries)
 	}
 	for i := 0; i < nEntries && d.Err() == nil; i++ {
-		u := Update{From: b.From, Seq: d.Uint64()}
-		op := d.Byte()
-		if op&^(entryElided|entryOpBits) != 0 {
-			return b, fmt.Errorf("dsm: batch codec: entry %d: unknown bits in op byte %#02x", i, op)
+		off := d.Uvarint()
+		if off > math.MaxUint64-b.FirstSeq {
+			return b, fmt.Errorf("dsm: batch codec: entry %d: seq %d+%d outside the %d updates the batch covers",
+				i, b.FirstSeq, off, b.Count)
 		}
-		u.Op, u.elided = UpdateOp(op&entryOpBits), op&entryElided != 0
-		u.Label = history.Label(d.Byte())
-		loc := d.Bytes()
-		u.Value = int64(d.Uint64())
-		tsLen := d.Count(8)
-		if d.Err() != nil {
-			break
+		u := Update{From: b.From, Seq: b.FirstSeq + off}
+		if err := c.parseEntry(d, &u, true); err != nil {
+			return b, fmt.Errorf("dsm: batch codec: entry %d: %w", i, err)
 		}
-		if tsLen > 0 {
-			u.TS = c.timestamp(d, tsLen)
+		if d.Err() == nil {
+			b.Updates = append(b.Updates, u)
 		}
-		u.Loc = c.loc(loc)
-		b.Updates = append(b.Updates, u)
 	}
-	if err := d.Err(); err != nil {
+	if err := end(d); err != nil {
 		return b, fmt.Errorf("dsm: batch codec: %w", err)
 	}
 	return b, nil

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"mixedmem/internal/history"
 	"mixedmem/internal/loctab"
 	"mixedmem/internal/transport"
 	"mixedmem/internal/vclock"
@@ -30,7 +31,7 @@ func roundTripUpdate(t *testing.T, u Update) Update {
 func TestUpdateCodecRoundTrip(t *testing.T) {
 	ts := vclock.New(3)
 	ts[0], ts[1], ts[2] = 4, 0, 17
-	u := Update{From: 2, Seq: 99, Op: OpSet, Loc: "x[3]", Value: -12345, TS: ts}
+	u := Update{From: 2, Seq: 17, Op: OpSet, Loc: "x[3]", Value: -12345, TS: ts}
 	got := roundTripUpdate(t, u)
 	if got.From != u.From || got.Seq != u.Seq || got.Op != u.Op ||
 		got.Loc != u.Loc || got.Value != u.Value {
@@ -112,7 +113,8 @@ func TestUpdateCodecRejectsWrongType(t *testing.T) {
 
 // TestUpdateCodecWireSizeIgnoresIdlePeers pins the point of the sparse deps
 // encoding: a scoped-causal update whose dependencies involve three peers
-// costs the same bytes in a 4-process cluster and a 256-process one.
+// costs the same bytes in a 4-process cluster and a 127-process one, and in a
+// 256-process one only the byte the dimension's varint grows by.
 func TestUpdateCodecWireSizeIgnoresIdlePeers(t *testing.T) {
 	encodedLen := func(n int) int {
 		deps := vclock.NewMatrix(n)
@@ -132,9 +134,9 @@ func TestUpdateCodecWireSizeIgnoresIdlePeers(t *testing.T) {
 		}
 		return len(enc)
 	}
-	small, big := encodedLen(4), encodedLen(256)
-	if small != big {
-		t.Fatalf("wire size grew from %d to %d bytes with 252 idle peers", small, big)
+	small, mid, big := encodedLen(4), encodedLen(127), encodedLen(256)
+	if small != mid || big != small+1 {
+		t.Fatalf("wire size grew from %d to %d bytes with 123 idle peers, to %d with 252", small, mid, big)
 	}
 }
 
@@ -148,22 +150,23 @@ func TestDecodeDepsRejectsMalformedIndices(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The deps section trails the payload: depsN(4) | nAct(4) | ids | sub.
+	// The deps section trails the payload: depsN | nAct | ids | sub, every
+	// varint here one byte.
 	sub := 2 * 2 * 8
-	idsOff := len(enc) - sub - 2*4
+	idsOff := len(enc) - sub - 2
 	corrupt := func(mutate func([]byte)) error {
 		bad := append([]byte(nil), enc...)
 		mutate(bad)
 		_, err := transport.DecodePayload(KindUpdate, bad)
 		return err
 	}
-	if err := corrupt(func(b []byte) { b[idsOff+3] = 7 }); err == nil {
+	if err := corrupt(func(b []byte) { b[idsOff+1] = 7 }); err == nil {
 		t.Error("index beyond depsN decoded successfully")
 	}
-	if err := corrupt(func(b []byte) { b[idsOff+3], b[idsOff+7] = 2, 0 }); err == nil {
+	if err := corrupt(func(b []byte) { b[idsOff], b[idsOff+1] = 2, 0 }); err == nil {
 		t.Error("descending index list decoded successfully")
 	}
-	if err := corrupt(func(b []byte) { b[idsOff-1] = 200 }); err == nil {
+	if err := corrupt(func(b []byte) { b[idsOff-1] = 4 }); err == nil {
 		t.Error("nAct larger than depsN decoded successfully")
 	}
 }
@@ -253,7 +256,7 @@ func TestConnDecoderSlabs(t *testing.T) {
 	var got []*Update
 	for i := 0; i < 3*slabSize+5; i++ { // ends inside a slab
 		dec, err := c.decodeUpdate(wire(&Update{From: 1, Seq: uint64(i + 1), Op: OpSet, Loc: "x",
-			Value: int64(i), TS: vclock.VC{uint64(i), uint64(2 * i), 7}}))
+			Value: int64(i), TS: vclock.VC{uint64(i), uint64(i + 1), 7}}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -261,7 +264,7 @@ func TestConnDecoderSlabs(t *testing.T) {
 	}
 	for i, u := range got {
 		if u.Seq != uint64(i+1) || u.Value != int64(i) || len(u.TS) != 3 || cap(u.TS) != 3 ||
-			u.TS[0] != uint64(i) || u.TS[1] != uint64(2*i) || u.TS[2] != 7 {
+			u.TS[0] != uint64(i) || u.TS[1] != uint64(i+1) || u.TS[2] != 7 {
 			t.Fatalf("update %d reads %+v after %d later decodes", i, *u, len(got)-i-1)
 		}
 	}
@@ -276,7 +279,7 @@ func TestConnDecoderSlabs(t *testing.T) {
 	// dependency matrix: nothing consumed.
 	deps := vclock.NewMatrix(3)
 	deps.Set(0, 1, 2)
-	full := wire(&Update{From: 1, Seq: 9, Op: OpSet, Loc: "x", Value: 1, TS: vclock.VC{1, 2, 3}, Deps: deps})
+	full := wire(&Update{From: 1, Seq: 9, Op: OpSet, Loc: "x", Value: 1, TS: vclock.VC{1, 9, 3}, Deps: deps})
 	upd, ts := len(c.upd), len(c.ts)
 	for cut := 1; cut < len(full); cut++ {
 		if _, err := c.decodeUpdate(full[:cut]); err == nil {
@@ -293,7 +296,9 @@ func TestConnDecoderSlabs(t *testing.T) {
 	// An oversized timestamp gets its own allocation; the slab is not resized
 	// for it.
 	ts = len(c.ts)
-	wide, err := c.decodeUpdate(wire(&Update{From: 1, Seq: 10, Op: OpSet, Loc: "x", TS: make(vclock.VC, maxDepsN+1)}))
+	wideTS := make(vclock.VC, maxDepsN+1)
+	wideTS[1] = 10
+	wide, err := c.decodeUpdate(wire(&Update{From: 1, Seq: 10, Op: OpSet, Loc: "x", TS: wideTS}))
 	if err != nil || len(wide.(*Update).TS) != maxDepsN+1 || len(c.ts) != ts {
 		t.Fatalf("oversized timestamp: err %v, slab words %d -> %d", err, ts, len(c.ts))
 	}
@@ -360,5 +365,56 @@ func TestConnDecoderSlabs(t *testing.T) {
 	if len(c.mx.rows) != rows || len(c.mx.words) != words {
 		t.Fatalf("%d-wide matrix came from the slabs: rows %d -> %d, words %d -> %d",
 			maxDepsN, rows, len(c.mx.rows), words, len(c.mx.words))
+	}
+}
+
+// TestUpdateCodecRejectsMalformed: a single-update payload decodes only if
+// every field is one the runtime could have sent — a known operation, a label
+// no stronger than SC, no batch-entry elided bit, a timestamp that has a
+// component for its sender, minimal varints — and Encode refuses an update
+// whose timestamp's sender component is not its Seq, the component the wire
+// leaves out.
+func TestUpdateCodecRejectsMalformed(t *testing.T) {
+	// From 1, Seq 5, flags, "x", Value 5, then the timestamp section and an
+	// empty dependency section.
+	raw := func(flags byte, ts ...byte) []byte {
+		b := []byte{1, 5, flags}
+		b = transport.AppendUvarintString(b, "x")
+		b = transport.AppendUint64(b, 5)
+		return append(append(b, ts...), 0)
+	}
+	set := byte(OpSet)
+	if got, err := transport.DecodePayload(KindUpdate, raw(set, 2, 0, 0, 0, 0, 0, 0, 0, 9)); err != nil ||
+		!reflect.DeepEqual(got.(*Update).TS, vclock.VC{9, 5}) {
+		t.Fatalf("the hand-built update the cases below corrupt: %+v, %v", got, err)
+	}
+	for _, tc := range []struct {
+		name string
+		data []byte
+	}{
+		{"no operation", raw(0, 0)},
+		{"label above SC", raw(byte(history.LabelSC+1)<<2|set, 0)},
+		{"elided bit on a single update", raw(0x80|set, 0)},
+		{"timestamp with no component for its sender", raw(set, 1)},
+		{"timestamp cut short", raw(set, 3, 0, 0, 0, 0, 0, 0, 0, 9)[:22]},
+		{"non-minimal sender", append([]byte{0x81, 0x00}, raw(set, 0)[1:]...)},
+		{"non-minimal seq", append([]byte{1, 0x85, 0x00}, raw(set, 0)[2:]...)},
+		{"non-minimal timestamp length", raw(set, 0x80, 0x00)},
+		{"sender beyond 31 bits", append(transport.AppendUvarint(nil, 1<<31), raw(set, 0)[1:]...)},
+	} {
+		if _, err := transport.DecodePayload(KindUpdate, tc.data); err == nil {
+			t.Errorf("%s: % x decoded", tc.name, tc.data)
+		}
+	}
+	for _, u := range []*Update{
+		{From: 1, Seq: 5, Op: OpSet, Loc: "x", TS: vclock.VC{9, 4}},
+		{From: 2, Seq: 5, Op: OpSet, Loc: "x", TS: vclock.VC{9, 5}},
+		{From: 1, Seq: 5, Op: OpAddFloat + 1, Loc: "x"},
+		{From: 1, Seq: 5, Op: OpSet, Label: history.LabelSC + 1, Loc: "x"},
+		{From: -1, Seq: 5, Op: OpSet, Loc: "x"},
+	} {
+		if _, err := transport.EncodePayload(nil, KindUpdate, u); err == nil {
+			t.Errorf("encoded %+v", *u)
+		}
 	}
 }

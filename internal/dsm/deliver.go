@@ -220,6 +220,16 @@ func (n *Node) applyBatch(b *UpdateBatch) {
 	default:
 		n.classify(&g, stamped.Label, stamped.TS, b.Deps)
 	}
+	if n.scopeTargets == nil && latest.Seq-b.FirstSeq >= b.Count {
+		// Without a scope every write reaches every peer, so a batch's entries
+		// lie in the run [FirstSeq, FirstSeq+Count) it counts (under one, the
+		// run has holes and only Count means anything). A batch that breaks
+		// this is malformed, and settles at the end of its run, not past it.
+		g.lastSeq, g.malformed = b.FirstSeq+b.Count-1, true
+		if g.ob != obNone {
+			g.ob, g.need, g.deps = obFIFO, nil, nil
+		}
+	}
 	n.receive(&g)
 }
 

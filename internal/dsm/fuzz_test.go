@@ -1,6 +1,7 @@
 package dsm
 
 import (
+	"bytes"
 	"reflect"
 	"testing"
 
@@ -38,20 +39,122 @@ func decodeBoth(t *testing.T, kind string, conn *connDecoder, decode func([]byte
 	return want, wantErr
 }
 
+// nonMinimal returns enc with its first varint, a one-byte one, stretched to
+// two bytes: the same value, not in its one accepted encoding.
+func nonMinimal(enc []byte) []byte {
+	return append([]byte{enc[0] | 0x80, 0}, enc[1:]...)
+}
+
+// roundTrip fails unless data, which decoded to dec, is exactly what encoding
+// dec writes: a decoder that accepts only canonical input maps no two inputs
+// to one value, so decode∘encode is the identity on everything it accepts.
+func roundTrip(t *testing.T, kind string, dec any, data []byte) {
+	t.Helper()
+	enc, err := transport.EncodePayload(nil, kind, dec)
+	if err != nil {
+		t.Fatalf("re-encoding a decoded %s failed: %v", kind, err)
+	}
+	if !bytes.Equal(enc, data) {
+		t.Fatalf("%s decoded from % x re-encodes as % x", kind, data, enc)
+	}
+}
+
+// v1Updates and v1Batches are the payloads the fuzzers' checked-in corpora
+// held in the first wire format (fixed-width integers, full timestamps,
+// trailing bytes ignored): the structured seeds and what fuzzing had found.
+// Every one must fail to decode today, so that a peer still speaking the old
+// format is refused rather than misread.
+var (
+	v1Updates = []string{
+		"0000", // seed1
+		"0000000000000\x00\x00\x00\x01000000000\x00\x00\x00\x00\x00\x00\x00\x0100000000", // seed2
+		"0000000000000\x00\x00\x00\x0300000000000\x00\x00\x00\x0100000000",               // seed3
+		"00000000000000000", // seed4
+		"0000000000",        // seed5
+		"0000000000000\x00\x00\x00\x01000000000\x00000", // seed6
+		"\x00\x00\x00\x02\x00\x00\x00\x00\x00\x00\x00\t\x01\x03\x00\x00\x00\bslowcell\x00\x00\x00\x00\x00\x00\x00\x03\x00\x00\x00\x00\x00\x00\x00\x00",                                                                                            // seed7_slow
+		"\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x02\x01\x02\x00\x00\x00\x01c\x00\x00\x00\x00\x00\x00\x00\b\x00\x00\x00\x03\x00\x00\x00\x00\x00\x00\x00\x02\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00", // seed8_causal
+	}
+	v1Batches = []string{
+		"0000", // seed1
+		"00000000000000000000\x00\x00\x00\x00\x00000",    // seed2
+		"00000000000000000000\x00\x00\x00\x020000000000", // seed3
+		"000000000000000000000000",                       // seed4
+		"00000000000000000000\x00\x00\x00\x0100000000",   // seed5
+		"00000000000000000000",                           // seed6
+		"\x00\x00\x00\x02\x00\x00\x00\x00\x00\x00\x00\a\x00\x00\x00\x00\x00\x00\x00\x02\x00\x00\x00\x00\x00\x00\x00\x02\x00\x00\x00\x00\x00\x00\x00\a\x01\x03\x00\x00\x00\x04cell\x00\x00\x00\x00\x00\x00\x00\x01\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\b\x01\x03\x00\x00\x00\x04cell\x00\x00\x00\x00\x00\x00\x00\x02\x00\x00\x00\x00", // seed7_slow
+		"\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00", // the all-zero header seed
+	}
+)
+
+// TestV1PayloadsRejected: the payloads of the first wire format — every entry
+// the fuzzers' corpora held — and each v2 seed with a non-minimal first varint
+// fail to decode, statelessly and through a connection's decoder.
+func TestV1PayloadsRejected(t *testing.T) {
+	for _, tc := range []struct {
+		kind   string
+		decode func([]byte) (any, error)
+		v1     []string
+		seeds  [][]byte
+	}{
+		{KindUpdate, new(connDecoder).decodeUpdate, v1Updates, updateSeeds(t)},
+		{KindUpdateBatch, new(connDecoder).decodeBatch, v1Batches, batchSeeds(t)},
+	} {
+		inputs := tc.v1
+		for _, seed := range tc.seeds {
+			inputs = append(inputs, string(nonMinimal(seed)))
+		}
+		for _, in := range inputs {
+			if v, err := transport.DecodePayload(tc.kind, []byte(in)); err == nil {
+				t.Errorf("%s: % x decoded to %+v", tc.kind, in, v)
+			}
+			if _, err := tc.decode([]byte(in)); err == nil {
+				t.Errorf("%s: % x decoded through a connection", tc.kind, in)
+			}
+		}
+	}
+}
+
 // FuzzBatchCodecRoundTrip drives the KindUpdateBatch wire codec with
 // arbitrary bytes: decoding must never panic, and any batch that decodes must
-// re-encode and re-decode to the same value (the decoder is the wire contract
-// both the sim and TCP transports rely on). It is differential: one
+// re-encode to exactly the bytes it came from (the decoder is the wire
+// contract both the sim and TCP transports rely on). It is differential: one
 // long-lived connection decoder is fed every input in sequence and must agree
 // with the stateless decode on each (decodeBoth).
 func FuzzBatchCodecRoundTrip(f *testing.F) {
+	for _, seed := range batchSeeds(f) {
+		f.Add(seed)
+		f.Add(nonMinimal(seed))
+	}
+	for _, v1 := range v1Batches {
+		f.Add([]byte(v1))
+	}
+	f.Add([]byte{})
+
+	conn := new(connDecoder)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dec, err := decodeBoth(t, KindUpdateBatch, conn, conn.decodeBatch, data)
+		if err != nil || dec == nil {
+			return // rejected cleanly (or empty input): that is the contract
+		}
+		if _, ok := dec.(*UpdateBatch); !ok {
+			t.Fatalf("decoded %T, want *UpdateBatch", dec)
+		}
+		roundTrip(t, KindUpdateBatch, dec, data)
+	})
+}
+
+// batchSeeds are the batch fuzzer's structured seeds, encoded: the shapes the
+// runtime sends, and two cut inside their last entry after the matrix was
+// carved, which the connection decoder must give back.
+func batchSeeds(tb testing.TB) [][]byte {
 	seedBatches := []*UpdateBatch{
 		{From: 0, FirstSeq: 1, Count: 1, Updates: []Update{
 			{From: 0, Seq: 1, Op: OpSet, Loc: "x", Value: 7},
 		}},
 		{From: 2, FirstSeq: 4, Count: 3, Updates: []Update{
-			{From: 2, Seq: 4, Op: OpSet, Loc: "a", Value: -1, TS: vclock.VC{4, 0, 9}},
-			{From: 2, Seq: 6, Op: OpAdd, Loc: "b", Value: 2, TS: vclock.VC{6, 0, 9}},
+			{From: 2, Seq: 4, Op: OpSet, Loc: "a", Value: -1, TS: vclock.VC{9, 0, 4}},
+			{From: 2, Seq: 6, Op: OpAdd, Loc: "b", Value: 2, TS: vclock.VC{9, 0, 6}},
 		}},
 	}
 	scoped := &UpdateBatch{From: 1, FirstSeq: 2, Count: 2, Deps: vclock.NewMatrix(2),
@@ -66,22 +169,21 @@ func FuzzBatchCodecRoundTrip(f *testing.F) {
 			{From: 2, Seq: 7, Op: OpSet, Loc: "cell", Value: 1, Label: history.LabelSlow},
 			{From: 2, Seq: 8, Op: OpSet, Loc: "cell", Value: 2, Label: history.LabelSlow},
 		}})
+	var seeds [][]byte
 	for _, b := range seedBatches {
 		enc, err := transport.EncodePayload(nil, KindUpdateBatch, b)
 		if err != nil {
-			f.Fatalf("seed encode: %v", err)
+			tb.Fatalf("seed encode: %v", err)
 		}
-		f.Add(enc)
+		seeds = append(seeds, enc)
 	}
-	f.Add([]byte{})
-	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0})
 	// A scoped batch cut inside its last entry, after the matrix was carved:
 	// the connection decoder must give the matrix back.
 	cut, err := transport.EncodePayload(nil, KindUpdateBatch, scoped)
 	if err != nil {
-		f.Fatalf("seed encode: %v", err)
+		tb.Fatalf("seed encode: %v", err)
 	}
-	f.Add(cut[:len(cut)-1])
+	seeds = append(seeds, cut[:len(cut)-1])
 	// A batch mixing obligations — elided entries around causal ones under
 	// one matrix — whole, and cut inside its last entry.
 	mixed := &UpdateBatch{From: 1, FirstSeq: 2, Count: 5, Deps: vclock.NewMatrix(3),
@@ -94,41 +196,42 @@ func FuzzBatchCodecRoundTrip(f *testing.F) {
 	mixed.Deps.Set(2, 1, 6)
 	whole, err := transport.EncodePayload(nil, KindUpdateBatch, mixed)
 	if err != nil {
-		f.Fatalf("seed encode: %v", err)
+		tb.Fatalf("seed encode: %v", err)
 	}
-	f.Add(whole)
-	f.Add(whole[:len(whole)-3])
-
-	conn := new(connDecoder)
-	f.Fuzz(func(t *testing.T, data []byte) {
-		dec, err := decodeBoth(t, KindUpdateBatch, conn, conn.decodeBatch, data)
-		if err != nil || dec == nil {
-			return // rejected cleanly (or empty input): that is the contract
-		}
-		b, ok := dec.(*UpdateBatch)
-		if !ok {
-			t.Fatalf("decoded %T, want *UpdateBatch", dec)
-		}
-		enc, err := transport.EncodePayload(nil, KindUpdateBatch, b)
-		if err != nil {
-			t.Fatalf("re-encoding a decoded batch failed: %v", err)
-		}
-		dec2, err := transport.DecodePayload(KindUpdateBatch, enc)
-		if err != nil {
-			t.Fatalf("re-decoding a re-encoded batch failed: %v", err)
-		}
-		// Decode ignores trailing garbage, so compare value-to-value rather
-		// than bytes-to-bytes.
-		if !reflect.DeepEqual(dec, dec2) {
-			t.Fatalf("round trip changed the batch:\n%+v\n%+v", dec, dec2)
-		}
-	})
+	return append(seeds, whole, whole[:len(whole)-3])
 }
 
 // FuzzUpdateCodecRoundTrip is the singleton-update analogue: the KindUpdate
 // decoder must never panic and must round-trip every accepted input, and a
 // long-lived connection decoder must agree with the stateless one throughout.
 func FuzzUpdateCodecRoundTrip(f *testing.F) {
+	for _, seed := range updateSeeds(f) {
+		f.Add(seed)
+		f.Add(nonMinimal(seed))
+	}
+	for _, v1 := range v1Updates {
+		f.Add([]byte(v1))
+	}
+	f.Add([]byte{})
+
+	conn := new(connDecoder)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dec, err := decodeBoth(t, KindUpdate, conn, conn.decodeUpdate, data)
+		if err != nil || dec == nil {
+			return
+		}
+		if _, ok := dec.(*Update); !ok {
+			t.Fatalf("decoded %T, want *Update", dec)
+		}
+		roundTrip(t, KindUpdate, dec, data)
+	})
+}
+
+// updateSeeds are the update fuzzer's structured seeds, encoded: the shapes
+// the runtime sends, and a scoped update — whose matrix the connection
+// decoder carves — followed by its copy cut inside the matrix, which must take
+// nothing.
+func updateSeeds(tb testing.TB) [][]byte {
 	seeds := []Update{
 		{From: 0, Seq: 1, Op: OpSet, Loc: "y", Value: 9},
 		{From: 1, Seq: 3, Op: OpAdd, Loc: "ctr", Value: -4, TS: vclock.VC{1, 3}},
@@ -140,48 +243,20 @@ func FuzzUpdateCodecRoundTrip(f *testing.F) {
 		// one with a vector timestamp.
 		Update{From: 2, Seq: 9, Op: OpSet, Loc: "slowcell", Value: 3, Label: history.LabelSlow},
 		Update{From: 0, Seq: 2, Op: OpSet, Loc: "c", Value: 8, Label: history.LabelCausal, TS: vclock.VC{2, 0, 0}})
-	for i := range seeds {
-		enc, err := transport.EncodePayload(nil, KindUpdate, &seeds[i])
-		if err != nil {
-			f.Fatalf("seed encode: %v", err)
-		}
-		f.Add(enc)
-	}
-	f.Add([]byte{})
-	// A scoped update, whose matrix the connection decoder carves, followed by
-	// its copy cut inside the matrix, which must take nothing.
 	scoped3 := Update{From: 2, Seq: 7, Op: OpSet, Loc: "s", Value: 4, Deps: vclock.NewMatrix(3)}
 	scoped3.Deps.Set(0, 2, 7)
 	scoped3.Deps.Set(1, 0, 2)
-	enc, err := transport.EncodePayload(nil, KindUpdate, &scoped3)
-	if err != nil {
-		f.Fatalf("seed encode: %v", err)
+	seeds = append(seeds, scoped3)
+	var out [][]byte
+	for i := range seeds {
+		enc, err := transport.EncodePayload(nil, KindUpdate, &seeds[i])
+		if err != nil {
+			tb.Fatalf("seed encode: %v", err)
+		}
+		out = append(out, enc)
 	}
-	f.Add(enc)
-	f.Add(enc[:len(enc)-1])
-
-	conn := new(connDecoder)
-	f.Fuzz(func(t *testing.T, data []byte) {
-		dec, err := decodeBoth(t, KindUpdate, conn, conn.decodeUpdate, data)
-		if err != nil || dec == nil {
-			return
-		}
-		u, ok := dec.(*Update)
-		if !ok {
-			t.Fatalf("decoded %T, want *Update", dec)
-		}
-		enc, err := transport.EncodePayload(nil, KindUpdate, u)
-		if err != nil {
-			t.Fatalf("re-encoding a decoded update failed: %v", err)
-		}
-		dec2, err := transport.DecodePayload(KindUpdate, enc)
-		if err != nil {
-			t.Fatalf("re-decoding a re-encoded update failed: %v", err)
-		}
-		if !reflect.DeepEqual(dec, dec2) {
-			t.Fatalf("round trip changed the update:\n%+v\n%+v", dec, dec2)
-		}
-	})
+	last := out[len(out)-1]
+	return append(out, last[:len(last)-1])
 }
 
 // FuzzSCRequestCodecRoundTrip drives the sc-req wire codec — the SC lattice

@@ -7,6 +7,7 @@ import (
 	"mixedmem/internal/loctab"
 	"mixedmem/internal/network"
 	"mixedmem/internal/obs"
+	"mixedmem/internal/transport"
 	"mixedmem/internal/vclock"
 )
 
@@ -81,23 +82,24 @@ type Update struct {
 	// elided marks a batch entry whose copy was stamped under obNone — under a
 	// scope, the copy to a PRAM-registered reader — so the receiver keeps it
 	// out of the causal group the batch's other entries form. The batch codec
-	// carries it as the high bit of the entry's Op byte; a single-update frame
-	// never sets it, since its Deps say the same.
+	// carries it as the high bit of the entry's flags byte; a single-update
+	// frame never sets it, since its Deps say the same, and its decoder refuses
+	// the bit.
 	elided bool
 }
 
-// encodedSize models the wire size of an update for the latency model,
-// mirroring updateCodec's layout byte for byte: From, Seq, Op, the label
-// tag, the length-prefixed location, Value, the length-prefixed timestamp,
-// the u32 depsN prefix the codec always writes (even when zero), and — for
-// scoped-causal updates — the sparse matrix (whose size tracks the active
-// peers, not the cluster dimension).
+// encodedSize is the wire size of an update, byte for byte what updateCodec
+// writes: the sender, the entry (sequence number, flags, location, value,
+// timestamp less its sender component) and the dependency section, whose
+// sparse matrix tracks the active peers, not the cluster dimension. It is the
+// Size every transport counts, and it depends on no clock or matrix entry's
+// value, only on how many there are.
 func (u *Update) encodedSize() int {
-	s := 4 + 8 + 1 + 1 + (4 + len(u.Loc)) + 8 + (4 + u.TS.EncodedSize()) + 4
-	if u.Deps != nil {
-		s += u.Deps.ActiveEncodedSize()
+	s := transport.UvarintLen(uint64(u.From)) + u.entrySize(u.Seq)
+	if u.Deps == nil {
+		return s + 1 // depsN = 0
 	}
-	return s
+	return s + depsSize(u.Deps)
 }
 
 // Write stores value at loc. For broadcast labels (everything but SC) it is
@@ -309,8 +311,9 @@ func (n *Node) emitLocked(dests []int, u *Update, ob obligation, snap vclock.Mat
 		n.sent[j]++
 	}
 	if n.outbox != nil {
+		size := u.encodedSize() // the copies differ only in where they go
 		for _, j := range dests {
-			n.outboxAddLocked(j, u, ob, snap)
+			n.outboxAddLocked(j, u, ob, snap, size)
 		}
 		return
 	}

@@ -77,7 +77,7 @@ func (c BatchConfig) WithDefaults() BatchConfig {
 // coalesced away), which is what the receiver's PRAM clock advances to.
 //
 // Entries may mix obligations: each carries its own (the elided flag, on the
-// wire a bit of its Op byte), and the receiver PRAM-applies the whole batch,
+// wire a bit of its flags byte), and the receiver PRAM-applies the whole batch,
 // settles the obNone entries there, and delivers the rest to the causal view
 // as one group. Under a scope the obMatrix entries hoist their dependency
 // matrix to the batch level: Deps is the address-matrix snapshot captured
@@ -102,17 +102,16 @@ type UpdateBatch struct {
 	Updates []Update
 }
 
-// encodedSize models the wire size of the batch: header plus entries,
-// mirroring batchCodec's layout. The per-entry sender ID and dependency
+// encodedSize is the wire size of the batch, byte for byte what batchCodec
+// writes: the header, the dependency section and the entries, each with its
+// sequence number as the distance from FirstSeq. The sender ID and dependency
 // section are hoisted into the header, which is the (small) wire win of
 // batching on top of the per-frame overhead it removes.
 func (b *UpdateBatch) encodedSize() int {
-	s := 28 // From + FirstSeq + Count + depsN prefix + nEntries
-	if b.Deps != nil {
-		s += b.Deps.ActiveEncodedSize() // the sparse matrix
-	}
+	s := transport.UvarintLen(uint64(b.From)) + transport.UvarintLen(b.FirstSeq) + transport.UvarintLen(b.Count) +
+		depsSize(b.Deps) + transport.UvarintLen(uint64(len(b.Updates)))
 	for i := range b.Updates {
-		s += b.Updates[i].encodedSize() - 8 // From and the depsN prefix live in the header
+		s += b.Updates[i].entrySize(b.Updates[i].Seq - b.FirstSeq)
 	}
 	return s
 }
@@ -131,11 +130,17 @@ func (b *UpdateBatch) encodedSize() int {
 // A put slice must not be referenced by anyone else; entries are cleared so
 // pooled slices pin no update payloads. The pool is a plain mutex-guarded
 // freelist rather than a sync.Pool so get/put are themselves alloc-free
-// (sync.Pool's pointer boxing costs an allocation per put).
+// (sync.Pool's pointer boxing costs an allocation per put). It holds at most
+// maxPooledSlices; a put to a full pool displaces the smallest slice if the
+// new one is larger, so slices too small for the batches that miss — a peer's
+// one-entry batches, say — cannot fill it for good.
 var updateSlicePool struct {
 	mu   sync.Mutex
 	free [][]Update
 }
+
+// maxPooledSlices bounds the slices updateSlicePool keeps.
+const maxPooledSlices = 64
 
 func getUpdateSlice(capHint int) []Update {
 	p := &updateSlicePool
@@ -162,8 +167,18 @@ func putUpdateSlice(s []Update) {
 	clear(s)
 	p := &updateSlicePool
 	p.mu.Lock()
-	if len(p.free) < 64 {
+	if len(p.free) < maxPooledSlices {
 		p.free = append(p.free, s[:0])
+	} else {
+		smallest := 0
+		for i, f := range p.free {
+			if cap(f) < cap(p.free[smallest]) {
+				smallest = i
+			}
+		}
+		if cap(s) > cap(p.free[smallest]) {
+			p.free[smallest] = s[:0]
+		}
 	}
 	p.mu.Unlock()
 }
@@ -243,9 +258,10 @@ func newOutboxDest(maxUpdates int) *outboxDest {
 	}
 }
 
-// outboxAddLocked adds u, stamped under ob, to destination j's pending batch,
-// coalescing into the location's live OpSet entry when allowed, and flushes
-// inline when a threshold is crossed. The caller holds the clock lock
+// outboxAddLocked adds u, stamped under ob and size bytes on its own (its
+// encodedSize), to destination j's pending batch, coalescing into the
+// location's live OpSet entry when allowed, and flushes inline when a
+// threshold is crossed. The caller holds the clock lock
 // (sequence numbers must hit the outbox in assignment order) and the outbox
 // lock — one acquisition covers all destinations of a write. The entry keeps
 // its obligation, so a batch mixes them freely. obMatrix entries ride without
@@ -258,7 +274,7 @@ func newOutboxDest(maxUpdates int) *outboxDest {
 // waits on a write parked in the old batch, and shipping them under one matrix
 // would hand the receiver a circular wait. Other entries carry no matrix, so
 // they never split a batch.
-func (n *Node) outboxAddLocked(j int, u *Update, ob obligation, snap vclock.Matrix) {
+func (n *Node) outboxAddLocked(j int, u *Update, ob obligation, snap vclock.Matrix, size int) {
 	d := n.outbox[j]
 	if ob == obMatrix {
 		if d.deps != nil && d.depsEpoch != n.addrEpoch {
@@ -295,7 +311,7 @@ func (n *Node) outboxAddLocked(j int, u *Update, ob obligation, snap vclock.Matr
 	}
 	d.entries[i] = *u
 	d.entries[i].elided = ob == obNone
-	d.bytes += u.encodedSize()
+	d.bytes += size
 	if n.obs != nil {
 		n.obs.RecordLoc(obs.EvEnqueue, uint8(u.Label), uint16(j), u.Loc, u.Seq,
 			uint64(len(d.entries)), 0)

@@ -21,7 +21,9 @@ import (
 // settled, visible in Stats — instead of parking forever with no diagnostic.
 // It still takes its place in the sender's order: the well-formed update that
 // follows it must reach the causal view. The scoped case checks the same for
-// a dependency matrix of the wrong dimension in a stream with holes.
+// a dependency matrix of the wrong dimension in a stream with holes, and the
+// batch path one whose entry lies past the run it counts, which must not move
+// the sender's causal clock past that run.
 func TestBroadcastMalformedTimestampDoesNotStall(t *testing.T) {
 	msg := func(payload any) network.Message {
 		switch p := payload.(type) {
@@ -41,23 +43,31 @@ func TestBroadcastMalformedTimestampDoesNotStall(t *testing.T) {
 		scope     *ScopeMap
 		bad, good any
 		last      int64
+		clock     uint64 // the sender's causal clock entry at the end
 	}{
 		{"update", nil,
-			&Update{From: 0, Seq: 1, Op: OpSet, Loc: "a", Value: 7, TS: vclock.New(5)},
-			&Update{From: 0, Seq: 2, Op: OpSet, Loc: "b", Value: 1, TS: vclock.VC{2, 0}}, 7},
+			&Update{From: 0, Seq: 1, Op: OpSet, Loc: "a", Value: 7, TS: vclock.VC{1, 0, 0, 0, 0}},
+			&Update{From: 0, Seq: 2, Op: OpSet, Loc: "b", Value: 1, TS: vclock.VC{2, 0}}, 7, 2},
 		{"batch", nil,
 			&UpdateBatch{From: 0, FirstSeq: 1, Count: 1, Updates: []Update{
 				// The latest entry's timestamp is the batch's; it sits first.
-				{From: 0, Seq: 1, Op: OpSet, Loc: "a", Value: 9, TS: vclock.New(5)},
+				{From: 0, Seq: 1, Op: OpSet, Loc: "a", Value: 9, TS: vclock.VC{1, 0, 0, 0, 0}},
 			}},
 			&UpdateBatch{From: 0, FirstSeq: 2, Count: 1, Updates: []Update{
 				{From: 0, Seq: 2, Op: OpSet, Loc: "b", Value: 1, TS: vclock.VC{2, 0}},
-			}}, 9},
+			}}, 9, 2},
+		{"batch-outside-its-run", nil,
+			&UpdateBatch{From: 0, FirstSeq: 1, Count: 1, Updates: []Update{
+				{From: 0, Seq: 9, Op: OpSet, Loc: "a", Value: 6, TS: vclock.VC{9, 0}},
+			}},
+			&UpdateBatch{From: 0, FirstSeq: 2, Count: 1, Updates: []Update{
+				{From: 0, Seq: 2, Op: OpSet, Loc: "b", Value: 1, TS: vclock.VC{2, 0}},
+			}}, 6, 2},
 		{"scoped-matrix", scope,
 			// Seqs 1 and 3 went elsewhere: the channel, not the sequence
 			// number, orders this destination's stream.
 			&Update{From: 0, Seq: 2, Op: OpSet, Loc: "a", Value: 5, Deps: vclock.NewMatrix(5)},
-			&Update{From: 0, Seq: 4, Op: OpSet, Loc: "b", Value: 1, Deps: vclock.NewMatrix(2)}, 5},
+			&Update{From: 0, Seq: 4, Op: OpSet, Loc: "b", Value: 1, Deps: vclock.NewMatrix(2)}, 5, 4},
 	}
 	for _, p := range paths {
 		t.Run(p.name, func(t *testing.T) {
@@ -104,6 +114,9 @@ func TestBroadcastMalformedTimestampDoesNotStall(t *testing.T) {
 			wait(2, "the well-formed successor of a malformed update")
 			if got := r.ReadCausal("b"); got != 1 {
 				t.Fatalf("causal b = %d, want 1: the successor never reached the causal view", got)
+			}
+			if got := r.causalApplied.get(0); got != p.clock {
+				t.Fatalf("sender's causal clock entry = %d, want %d", got, p.clock)
 			}
 			s := r.Stats()
 			if s.MalformedUpdates != 1 || s.PendingGroups != 0 || s.PendingGroupsMax != 0 {

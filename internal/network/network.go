@@ -51,7 +51,8 @@ type Message struct {
 	// Payload carries the protocol-specific body.
 	Payload any
 	// Size is the modeled wire size in bytes, used by the latency model
-	// and the byte accounting. Senders that do not care pass 0.
+	// and the byte accounting. Senders that do not care pass 0. A message a
+	// wire transport received carries its payload's length instead.
 	Size int
 }
 

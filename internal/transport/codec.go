@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 	"sync"
 )
 
@@ -167,9 +168,27 @@ func (c *ConnDecoder) DecodeKindPayload(kind, data []byte) (string, any, error) 
 	return k.kind, payload, err
 }
 
-// Wire-format helpers shared by the payload codecs and the TCP framing. All
-// integers are big-endian and fixed-width (encoding/binary); strings and
-// slices carry a uint32 count prefix.
+// Wire-format helpers shared by the payload codecs and the TCP framing. Fixed
+// integers are big-endian (encoding/binary); the plain strings and slices
+// carry a uint32 count prefix. A codec may instead write an integer, or the
+// length of a string, as an unsigned varint (encoding/binary's LEB128 form),
+// which the Decoder accepts only in its one minimal encoding.
+
+// AppendUvarint appends v as an unsigned varint.
+func AppendUvarint(dst []byte, v uint64) []byte {
+	return binary.AppendUvarint(dst, v)
+}
+
+// UvarintLen returns the number of bytes AppendUvarint writes for v.
+func UvarintLen(v uint64) int {
+	return (bits.Len64(v|1) + 6) / 7
+}
+
+// AppendUvarintString appends a varint length prefix and the bytes of s.
+func AppendUvarintString(dst []byte, s string) []byte {
+	dst = AppendUvarint(dst, uint64(len(s)))
+	return append(dst, s...)
+}
 
 // AppendUint64 appends v big-endian.
 func AppendUint64(dst []byte, v uint64) []byte {
@@ -290,6 +309,49 @@ func (d *Decoder) Count(elemMin int) int {
 		return 0
 	}
 	return n
+}
+
+// Uvarint reads one unsigned varint. Only the minimal encoding of a value
+// decodes: one longer than 64 bits or with a redundant final zero byte sets
+// ErrTruncated, so every accepted input is the encoding of what it decodes to.
+func (d *Decoder) Uvarint() uint64 {
+	if d.err != nil {
+		return 0
+	}
+	v, n := binary.Uvarint(d.data[d.off:])
+	switch {
+	case n == 0:
+		d.err = fmt.Errorf("%w: varint cut short at offset %d of %d", ErrTruncated, d.off, len(d.data))
+	case n < 0:
+		d.err = fmt.Errorf("%w: varint longer than 64 bits at offset %d", ErrTruncated, d.off)
+	case n > 1 && d.data[d.off+n-1] == 0:
+		d.err = fmt.Errorf("%w: non-minimal %d-byte varint at offset %d", ErrTruncated, n, d.off)
+	}
+	if d.err != nil {
+		return 0
+	}
+	d.off += n
+	return v
+}
+
+// UvarintCount is Count for a varint element count.
+func (d *Decoder) UvarintCount(elemMin int) int {
+	v := d.Uvarint()
+	if d.err != nil {
+		return 0
+	}
+	if v > uint64(d.Remaining()/elemMin) {
+		d.err = fmt.Errorf("%w: %d elements of at least %d bytes with %d bytes remaining",
+			ErrTruncated, v, elemMin, d.Remaining())
+		return 0
+	}
+	return int(v)
+}
+
+// UvarintBytes reads a varint-prefixed string without copying it: the result
+// aliases the decoder's input.
+func (d *Decoder) UvarintBytes() []byte {
+	return d.take(d.UvarintCount(1))
 }
 
 // Uint64s reads a uint32-prefixed slice of big-endian uint64s. A zero count

@@ -216,3 +216,59 @@ func TestConnDecoder(t *testing.T) {
 		t.Fatalf("after the flood: %v, %v; want the connection's decoder still in place", got, err)
 	}
 }
+
+// TestUvarintCanonical: Uvarint decodes exactly the minimal encodings
+// AppendUvarint writes. An overlong (past 64 bits), non-minimal (a redundant
+// final zero byte) or cut-short varint sets ErrTruncated and reads as zero, so
+// decode∘encode is the identity on every input the decoder accepts.
+func TestUvarintCanonical(t *testing.T) {
+	for _, v := range []uint64{0, 1, 127, 128, 300, 1<<14 - 1, 1 << 14, 1<<63 - 1, 1 << 63, 1<<64 - 1} {
+		b := AppendUvarint(nil, v)
+		if len(b) != UvarintLen(v) {
+			t.Errorf("%d: %d bytes, UvarintLen says %d", v, len(b), UvarintLen(v))
+		}
+		d := NewDecoder(b)
+		if got := d.Uvarint(); got != v || d.Err() != nil || d.Remaining() != 0 {
+			t.Errorf("%d: decoded %d, err %v, %d bytes left", v, got, d.Err(), d.Remaining())
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		data []byte
+	}{
+		{"empty", nil},
+		{"cut short", []byte{0x80}},
+		{"cut short after two bytes", []byte{0xff, 0xff}},
+		{"zero in two bytes", []byte{0x80, 0x00}},
+		{"one in three bytes", []byte{0x81, 0x80, 0x00}},
+		{"2^63 spilling into an eleventh byte", append(AppendUvarint(nil, 1<<63)[:9:9], 0x81, 0x00)},
+		{"65 bits", []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02}},
+		{"eleven bytes", []byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01}},
+	} {
+		d := NewDecoder(tc.data)
+		if got := d.Uvarint(); got != 0 || !errors.Is(d.Err(), ErrTruncated) {
+			t.Errorf("%s (% x): decoded %d, err %v; want 0 and ErrTruncated", tc.name, tc.data, got, d.Err())
+		}
+		d = NewDecoder(tc.data)
+		if n := d.UvarintCount(1); n != 0 || !errors.Is(d.Err(), ErrTruncated) {
+			t.Errorf("%s (% x): count %d, err %v; want 0 and ErrTruncated", tc.name, tc.data, n, d.Err())
+		}
+	}
+	// UvarintCount bounds a count by the bytes behind it, as Count does.
+	fits := append(AppendUvarint(nil, 2), make([]byte, 8)...)
+	if n := NewDecoder(fits).UvarintCount(4); n != 2 {
+		t.Fatalf("UvarintCount(4) of 2 with 8 bytes behind it = %d", n)
+	}
+	d := NewDecoder(fits)
+	if n := d.UvarintCount(5); n != 0 || !errors.Is(d.Err(), ErrTruncated) {
+		t.Fatalf("UvarintCount(5) of 2 with 8 bytes behind it = %d, err %v", n, d.Err())
+	}
+	d = NewDecoder(AppendUvarintString(AppendUvarint(nil, 1<<64-1), "loc"))
+	if d.UvarintBytes(); !errors.Is(d.Err(), ErrTruncated) {
+		t.Fatalf("a 2^64-1 byte string decoded: err %v", d.Err())
+	}
+	d = NewDecoder(AppendUvarintString(nil, "loc[3]"))
+	if s := d.UvarintBytes(); string(s) != "loc[3]" || d.Err() != nil || d.Remaining() != 0 {
+		t.Fatalf("UvarintBytes = %q, err %v, %d left", s, d.Err(), d.Remaining())
+	}
+}

@@ -19,14 +19,16 @@ func TestAppendMsgFrameAllocFree(t *testing.T) {
 	payload := make([]byte, 64)
 	buf := make([]byte, 0, 256)
 	allocs := testing.AllocsPerRun(500, func() {
-		buf = appendMsgFrame(buf[:0], 42, m, payload)
+		buf = appendMsgFrame(buf[:0], 42, m.Kind, payload)
 	})
 	if allocs > 0 {
 		t.Errorf("appendMsgFrame into a buffer with room: %.3f allocs/op, want 0", allocs)
 	}
 	for _, payload := range [][]byte{nil, payload} {
-		if got, want := len(appendMsgFrame(nil, 1, m, payload)), msgFrameSize(m.Kind, payload); got != want {
-			t.Errorf("frame of %d payload bytes is %d long, msgFrameSize says %d", len(payload), got, want)
+		for _, seq := range []uint64{1, 127, 128, 1 << 14, 1<<64 - 1} {
+			if got, want := len(appendMsgFrame(nil, seq, m.Kind, payload)), msgFrameSize(seq, m.Kind, payload); got != want {
+				t.Errorf("frame %d of %d payload bytes is %d long, msgFrameSize says %d", seq, len(payload), got, want)
+			}
 		}
 	}
 }
@@ -43,7 +45,7 @@ func newTestPeer() *peer { return newPeer(1, "") }
 func TestPushAckCycleAllocFree(t *testing.T) {
 	m := transport.Message{From: 0, To: 1, Kind: "dsm.update", Size: 32}
 	payload := make([]byte, 32)
-	perChunk := chunkSize / msgFrameSize(m.Kind, payload)
+	perChunk := chunkSize / msgFrameSize(1, m.Kind, payload)
 	p := newTestPeer()
 	cycle := func() {
 		p.push(m, payload)
@@ -80,7 +82,9 @@ func TestPushAckCycleAllocFree(t *testing.T) {
 func TestStreamingAllocatesOneChunkPerChunkSize(t *testing.T) {
 	m := transport.Message{From: 0, To: 1, Kind: "dsm.update", Size: 32}
 	payload := make([]byte, 32)
-	perChunk := chunkSize / msgFrameSize(m.Kind, payload)
+	// The stream stays below sequence 1<<21, so no frame is longer than this
+	// estimate and a chunk takes at least perChunk of them.
+	perChunk := chunkSize / msgFrameSize(1<<21-1, m.Kind, payload)
 	p := newTestPeer()
 	p.push(m, payload)
 	allocs := testing.AllocsPerRun(20, func() {
@@ -107,12 +111,12 @@ func TestStreamingAllocatesOneChunkPerChunkSize(t *testing.T) {
 // the location string from its cache. Decoded statelessly, the update and its
 // location are an allocation each.
 func TestDecodeMsgFrameAllocs(t *testing.T) {
-	u := &dsm.Update{From: 0, Seq: 7, Loc: "session/17", Value: 3}
+	u := &dsm.Update{From: 0, Seq: 7, Op: dsm.OpSet, Loc: "session/17", Value: 3}
 	payload, err := transport.EncodePayload(nil, dsm.KindUpdate, u)
 	if err != nil {
 		t.Fatal(err)
 	}
-	frame := appendMsgFrame(nil, 1, transport.Message{From: 0, To: 1, Kind: dsm.KindUpdate, Size: 8}, payload)
+	frame := appendMsgFrame(nil, 1, dsm.KindUpdate, payload)
 	body := frame[4:]
 	for _, tc := range []struct {
 		name string
@@ -140,7 +144,7 @@ func TestDecodeMsgFrameAllocs(t *testing.T) {
 
 	// A kind nobody registered still decodes (signals carry no payload). It
 	// pays for the string once per connection, and every time without one.
-	frame = appendMsgFrame(nil, 2, transport.Message{From: 0, To: 1, Kind: "some-signal"}, nil)
+	frame = appendMsgFrame(nil, 2, "some-signal", nil)
 	dec := new(transport.ConnDecoder)
 	for _, d := range []*transport.ConnDecoder{nil, dec} {
 		m, _, err := decodeMsgFrame(d, frame[4:])
@@ -158,7 +162,7 @@ func TestDecodeMsgFrameAllocs(t *testing.T) {
 // read cuts in two moves to the front of the buffer for the next read, which
 // neither grows it nor copies anything out.
 func TestReadFrameAllocFree(t *testing.T) {
-	frame := appendMsgFrame(nil, 1, transport.Message{From: 0, To: 1, Kind: "tcptest", Size: 8}, make([]byte, 8))
+	frame := appendMsgFrame(nil, 1, "tcptest", make([]byte, 8))
 	stream := bytes.Repeat(frame, 3)
 	cut := len(frame) + len(frame)/2 // the second frame straddles the two reads
 	b := newFrameBuf()

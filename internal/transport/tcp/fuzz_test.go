@@ -2,6 +2,7 @@ package tcp
 
 import (
 	"bytes"
+	"fmt"
 	"hash/fnv"
 	"reflect"
 	"testing"
@@ -12,6 +13,17 @@ import (
 	// payload exercise the full decode path, exactly as a live peer would.
 	_ "mixedmem/internal/dsm"
 )
+
+// decodeMsgFrame is the receive path's parse of a msg frame body on a
+// connection from node 0 to node 1: its sequence number, then the message.
+func decodeMsgFrame(dec *transport.ConnDecoder, body []byte) (transport.Message, uint64, error) {
+	seq, rest, ok := msgSeq(body)
+	if !ok {
+		return transport.Message{}, 0, fmt.Errorf("msg frame % x carries no sequence number", body)
+	}
+	m, err := decodeMsg(dec, 0, 1, rest)
+	return m, seq, err
+}
 
 // parseReads runs stream through a connection's receive buffer as a sequence
 // of reads, each returning read(left) bytes (at least one, at most what is
@@ -38,22 +50,76 @@ func parseReads(stream []byte, read func(left int) int) (bodies [][]byte, err er
 	return bodies, nil
 }
 
+// v1Frames are streams in the first frame format — a hello with the magic
+// "MXDM", msg frames with a u64 seq, from, to, a u32-prefixed kind, size and
+// payload length — the two the fuzzer's seeds were built from and every entry
+// its checked-in corpus held. None may deliver a message today: a hello is
+// refused, and a msg frame either fails to decode or names sequence number 0,
+// which no channel ever delivers.
+var v1Frames = []string{
+	"\x00\x00\x00\x09\x01MXDM\x00\x00\x00\x05", // hello from node 5
+	"\x00\x00\x00\x21\x02\x00\x00\x00\x00\x00\x00\x00\x01\x00\x00\x00\x00\x00\x00\x00\x01" +
+		"\x00\x00\x00\x04noop\x00\x00\x00\x04\x00\x00\x00\x00", // msg 1, 0 -> 1, kind "noop", no payload
+	"\x00\x00\x00 \x020000000000000000\x00\x00\x010000000000000",        // seed1
+	"\x00\x00\x00\x040000\x00\x00\x00\x040000",                          // seed2
+	"\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x01000",           // seed3
+	"\x00\x00\x00 \x02000000000000000000000000000000000000",             // seed4
+	"\x00\x00\x00\x0200\x00\x00\x00\x00\x000000",                        // seed5
+	"\x00\x00\x00!\x020000000000000000\x00\x00\x00\x040000000000000000", // seed6
+}
+
+// delivers reports whether a stream's frames, served in order by one
+// connection, would hand a message to the inbox: a hello naming a sender must
+// come first, and a msg frame after it must decode with a sequence number.
+func delivers(bodies [][]byte) bool {
+	if len(bodies) == 0 {
+		return false
+	}
+	if _, ok := parseHello(bodies[0]); !ok {
+		return false
+	}
+	for _, body := range bodies[1:] {
+		if len(body) > 0 && body[0] == frameMsg {
+			if _, seq, err := decodeMsgFrame(nil, body); err == nil && seq > 0 {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// TestV1FramesRejected: no stream of the first frame format delivers a
+// message, whether it opens with its own hello or a current one.
+func TestV1FramesRejected(t *testing.T) {
+	hello := appendHelloFrame(nil, 0)
+	for _, v1 := range v1Frames {
+		for _, stream := range []string{v1, string(hello) + v1} {
+			bodies, _ := parseReads([]byte(stream), func(left int) int { return left })
+			if delivers(bodies) {
+				t.Errorf("% x delivers a message", stream)
+			}
+		}
+	}
+	// The current format does deliver, so the check has teeth.
+	if bodies, _ := parseReads(appendMsgFrame(hello, 1, "noop", nil), func(left int) int { return left }); !delivers(bodies) {
+		t.Fatal("a current hello and msg frame deliver nothing")
+	}
+}
+
 // FuzzFrameDecode feeds arbitrary bytes through the receive path — frame
 // splitting plus message decoding — as a connection's reads would hand them
 // over: in one read, one byte per read, and in reads that end at points the
 // input itself chooses (its hash seeds them). The parser must reject malformed
 // input with an error, never panic, and find the same frames and the same
-// error however the stream is split; this is the surface a hostile or corrupt
-// peer controls.
+// error however the stream is split; and a msg frame that decodes must be
+// exactly the frame its sequence number, kind and payload encode to. This is
+// the surface a hostile or corrupt peer controls.
 func FuzzFrameDecode(f *testing.F) {
 	// A well-formed hello frame.
-	var hello []byte
-	hello = transport.AppendUint32(hello, 5)
-	hello = append(hello, frameHello)
-	hello = transport.AppendUint32(hello, helloMagic)
+	hello := appendHelloFrame(nil, 5)
 	f.Add(hello)
 	// A well-formed msg frame with an unregistered kind and empty payload.
-	msg := appendMsgFrame(nil, 1, transport.Message{From: 0, To: 1, Kind: "noop", Size: 4}, nil)
+	msg := appendMsgFrame(nil, 1, "noop", nil)
 	f.Add(msg)
 	// An ack frame.
 	var ack []byte
@@ -70,8 +136,14 @@ func FuzzFrameDecode(f *testing.F) {
 	f.Add(append(append(append([]byte{}, msg...), ackreqFrame...), msg...))
 	f.Add(append([]byte{0, 0, 0, 3, frameAckReq, 1, 2}, msg...))
 	// A frame larger than the read buffer, between two that fit.
-	big := appendMsgFrame(nil, 2, transport.Message{From: 0, To: 1, Kind: "noop"}, make([]byte, 2*readBufSize))
+	big := appendMsgFrame(nil, 2, "noop", make([]byte, 2*readBufSize))
 	f.Add(append(append(append([]byte{}, msg...), big...), msg...))
+	// Non-minimal varints: the sequence number, then the kind's length.
+	f.Add([]byte{0, 0, 0, 8, frameMsg, 0x81, 0x00, 4, 'n', 'o', 'o', 'p'})
+	f.Add([]byte{0, 0, 0, 8, frameMsg, 1, 0x84, 0x00, 'n', 'o', 'o', 'p'})
+	for _, v1 := range v1Frames {
+		f.Add([]byte(v1))
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		want, wantErr := parseReads(data, func(left int) int { return left })
@@ -99,10 +171,19 @@ func FuzzFrameDecode(f *testing.F) {
 		var dec transport.ConnDecoder
 		for _, body := range want {
 			if len(body) > 0 && body[0] == frameMsg {
-				_, _, _ = decodeMsgFrame(&dec, body)
+				m, seq, err := decodeMsgFrame(&dec, body)
+				if err != nil {
+					continue
+				}
+				frame := appendMsgFrame(nil, seq, m.Kind, body[len(body)-m.Size:])
+				if !bytes.Equal(frame[4:], body) {
+					t.Fatalf("msg frame % x decodes to seq %d, kind %q and %d payload bytes, which encode as % x",
+						body, seq, m.Kind, m.Size, frame[4:])
+				}
 			}
 			// Hello, ack and ackreq are fixed-size records; the readers
 			// bound-check lengths before trusting them.
+			_, _ = parseHello(body)
 		}
 	})
 }

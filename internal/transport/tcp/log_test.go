@@ -28,9 +28,11 @@ func (blobCodec) Decode(data []byte) (any, error) { return append([]byte(nil), d
 
 func init() { transport.RegisterPayload("tcpblob", blobCodec{}) }
 
-// blob is a "tcpblob" message whose frame is exactly frameLen bytes long.
+// blob is a "tcpblob" message whose frame is exactly frameLen bytes long when
+// its sequence number is below 128 (a one-byte varint); one byte longer up to
+// 1<<14.
 func blob(frameLen int, fill byte) (transport.Message, []byte) {
-	payload := bytes.Repeat([]byte{fill}, frameLen-msgFrameSize("tcpblob", nil))
+	payload := bytes.Repeat([]byte{fill}, frameLen-msgFrameSize(1, "tcpblob", nil))
 	return transport.Message{From: 0, To: 1, Kind: "tcpblob", Size: len(payload)}, payload
 }
 
@@ -42,7 +44,7 @@ func logSeqs(t *testing.T, p *peer) []uint64 {
 	for i, c := range p.log {
 		n := 0
 		for off := 0; off < len(c.b); n++ {
-			seq := binary.BigEndian.Uint64(c.b[off+5:])
+			seq, _ := binary.Uvarint(c.b[off+5:])
 			if seq != c.first+uint64(n) {
 				t.Fatalf("chunk %d frame %d carries seq %d, chunk says first=%d", i, n, seq, c.first)
 			}
@@ -58,7 +60,8 @@ func logSeqs(t *testing.T, p *peer) []uint64 {
 
 // firstUnwritten is the sequence number at the writer's position.
 func firstUnwritten(p *peer) uint64 {
-	return binary.BigEndian.Uint64(p.log[p.wi].b[p.woff+5:])
+	seq, _ := binary.Uvarint(p.log[p.wi].b[p.woff+5:])
+	return seq
 }
 
 func TestLogChunkBoundaries(t *testing.T) {
@@ -398,7 +401,7 @@ func TestReplayStartsAtFirstUnackedFrame(t *testing.T) {
 		for i := from; i < len(sizes); i++ {
 			m, seq := c.next()
 			got := m.Payload.([]byte)
-			if seq != uint64(i+1) || len(got) != sizes[i]-msgFrameSize("tcpblob", nil) || got[0] != byte('a'+i) || got[len(got)-1] != byte('a'+i) {
+			if seq != uint64(i+1) || len(got) != sizes[i]-msgFrameSize(1, "tcpblob", nil) || got[0] != byte('a'+i) || got[len(got)-1] != byte('a'+i) {
 				t.Fatalf("frame %d on the wire: seq %d, %d payload bytes of %q", i+1, seq, len(got), got[0])
 			}
 		}
@@ -577,8 +580,10 @@ func TestFlushDoesNotWaitForTheThreshold(t *testing.T) {
 // exactly once, in order.
 func TestReplayAfterKillWithLazyAcks(t *testing.T) {
 	trs := newLoopbackT(t, 2)
-	const total, half = 6000, 4000
-	frame := msgFrameSize("tcptest", make([]byte, 8))
+	const total, half = 12000, 8000
+	// The frames held at the kill are among the last of the first half, whose
+	// sequence numbers are all two-byte varints.
+	frame := msgFrameSize(half, "tcptest", make([]byte, 8))
 	if half*frame < 4*ackEvery {
 		t.Fatalf("%d frames of %d bytes do not span several acks", half, frame)
 	}

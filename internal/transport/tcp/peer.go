@@ -93,13 +93,13 @@ func newPeer(to int, addr string) *peer {
 // sequence number to the tail of the replay log. A closed channel accounts
 // the message but drops it.
 func (p *peer) push(m transport.Message, payload []byte) {
-	size := msgFrameSize(m.Kind, payload)
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.kinds.Count(m.Kind, m.Size)
 	if p.closed {
 		return
 	}
+	size := msgFrameSize(p.last+1, m.Kind, payload)
 	var tail *chunk
 	if n := len(p.log); n > 0 {
 		tail = p.log[n-1]
@@ -109,7 +109,7 @@ func (p *peer) push(m transport.Message, payload []byte) {
 		p.log = append(p.log, tail)
 	}
 	p.last++
-	tail.b = appendMsgFrame(tail.b, p.last, m, payload)
+	tail.b = appendMsgFrame(tail.b, p.last, m.Kind, payload)
 	tail.n++
 	p.unacked += size
 	p.cond.Signal()

@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"mixedmem/internal/dsm"
 	"mixedmem/internal/transport"
 )
 
@@ -24,8 +25,6 @@ type rawSender struct {
 	t    *testing.T
 	conn net.Conn
 	acks frameBuf
-	from int
-	to   int
 }
 
 // readFrom returns the next frame's body, reading r with plain Read calls as
@@ -54,7 +53,7 @@ func dialRaw(t *testing.T, tr *Transport, from int) *rawSender {
 	if _, err := conn.Write(appendHelloFrame(nil, from)); err != nil {
 		t.Fatalf("hello: %v", err)
 	}
-	return &rawSender{t: t, conn: conn, acks: newFrameBuf(), from: from, to: tr.id}
+	return &rawSender{t: t, conn: conn, acks: newFrameBuf()}
 }
 
 // frames encodes the sequences lo..hi as "tcptest" messages whose payload is
@@ -63,7 +62,7 @@ func (s *rawSender) frames(lo, hi uint64) []byte {
 	var out, payload []byte
 	for seq := lo; seq <= hi; seq++ {
 		payload = transport.AppendUint64(payload[:0], seq)
-		out = appendMsgFrame(out, seq, transport.Message{From: s.from, To: s.to, Kind: "tcptest", Size: 8}, payload)
+		out = appendMsgFrame(out, seq, "tcptest", payload)
 	}
 	return out
 }
@@ -81,8 +80,7 @@ func (s *rawSender) blobFrames(lo, hi uint64, frameLen int) []byte {
 	var out []byte
 	for seq := lo; seq <= hi; seq++ {
 		m, payload := blob(frameLen, byte(seq))
-		m.From, m.To = s.from, s.to
-		out = appendMsgFrame(out, seq, m, payload)
+		out = appendMsgFrame(out, seq, m.Kind, payload)
 	}
 	return out
 }
@@ -168,7 +166,7 @@ func TestAcksOnDemand(t *testing.T) {
 	}
 
 	// A burst: many reads, few acks.
-	const burst = 3000
+	const burst = 5000
 	last := crossing + 1 + burst
 	stream := append(s.frames(crossing+2, last), ackreqFrame...)
 	s.write(stream)
@@ -363,7 +361,7 @@ func TestUndecodableFrameConsumesItsSequence(t *testing.T) {
 	s := dialRaw(t, trs[1], 0)
 	// Seq 1 is a tcptest message with three payload bytes where the codec
 	// wants eight; seq 2 is well formed.
-	garbage := appendMsgFrame(nil, 1, transport.Message{From: 0, To: 1, Kind: "tcptest", Size: 8}, []byte{1, 2, 3})
+	garbage := appendMsgFrame(nil, 1, "tcptest", []byte{1, 2, 3})
 	s.write(append(garbage, s.frames(2, 2)...))
 	if got := recvT(t, trs[1], 1).Payload.(uint64); got != 2 {
 		t.Fatalf("delivered %d, want 2", got)
@@ -384,9 +382,9 @@ func TestUndecodableFrameConsumesItsSequence(t *testing.T) {
 		t.Errorf("decode error not logged; log: %q", logged)
 	}
 
-	// A msg frame with two bytes where the sequence number's eight belong.
+	// A msg frame whose sequence number's varint never ends.
 	s = dialRaw(t, trs[1], 0)
-	s.write([]byte{0, 0, 0, 3, frameMsg, 1, 2})
+	s.write([]byte{0, 0, 0, 3, frameMsg, 0x81, 0x82})
 	if cum, ok := s.readAck(); ok {
 		t.Fatalf("ack %d after a frame without a sequence number; want the connection closed", cum)
 	}
@@ -494,7 +492,7 @@ func TestLoneFrameCostsOneRead(t *testing.T) {
 		t.Logf("%d lone frames cost %d read calls", frames, reads)
 	}
 	if d := trs[1].Diag(); d.AcksSent != 0 {
-		t.Errorf("receiver sent %d acks for %d bytes of lone frames", d.AcksSent, frames*msgFrameSize("tcptest", make([]byte, 8)))
+		t.Errorf("receiver sent %d acks for %d bytes of lone frames", d.AcksSent, frames*msgFrameSize(frames, "tcptest", make([]byte, 8)))
 	}
 }
 
@@ -509,12 +507,16 @@ func TestFrameSplitAcrossReads(t *testing.T) {
 	trs := newLoopbackT(t, 2)
 	s := dialRaw(t, trs[1], 0)
 	lone := s.frames(1, 1)
-	burst := s.frames(2, 87)
-	big := s.blobFrames(88, 88, 3*readBufSize)
-	after := s.frames(89, 89)
-	if last := len(burst) - len(s.frames(87, 87)); len(burst) <= readBufSize || last >= readBufSize {
-		t.Fatalf("burst of %d bytes whose last frame starts at %d does not straddle a %d-byte buffer", len(burst), last, readBufSize)
+	// The burst is frames 2..hi, just enough of them to overrun the buffer, so
+	// its last frame straddles the buffer's end.
+	var burst []byte
+	hi := uint64(1)
+	for len(burst) <= readBufSize {
+		hi++
+		burst = append(burst, s.frames(hi, hi)...)
 	}
+	big := s.blobFrames(hi+1, hi+1, 3*readBufSize)
+	after := s.frames(hi+2, hi+2)
 	check := func(m transport.Message, want uint64) {
 		t.Helper()
 		switch p := m.Payload.(type) {
@@ -523,7 +525,7 @@ func TestFrameSplitAcrossReads(t *testing.T) {
 				t.Errorf("delivered %d, want %d", p, want)
 			}
 		case []byte:
-			if len(p) != len(big)-msgFrameSize("tcpblob", nil) || !bytes.Equal(p, bytes.Repeat([]byte{byte(want)}, len(p))) {
+			if len(p) != len(big)-msgFrameSize(hi+1, "tcpblob", nil) || !bytes.Equal(p, bytes.Repeat([]byte{byte(want)}, len(p))) {
 				t.Errorf("frame %d: %d payload bytes, not the oversized frame's", want, len(p))
 			}
 		}
@@ -534,14 +536,14 @@ func TestFrameSplitAcrossReads(t *testing.T) {
 	check(recvT(t, trs[1], 1), 1)
 	s.write(burst)
 	next := uint64(2)
-	recvNT(t, trs[1], 1, 86, func(m transport.Message) {
+	recvNT(t, trs[1], 1, int(hi-1), func(m transport.Message) {
 		check(m, next)
 		next++
 	})
 	s.write(big)
-	check(recvT(t, trs[1], 1), 88)
+	check(recvT(t, trs[1], 1), hi+1)
 	s.write(after)
-	check(recvT(t, trs[1], 1), 89)
+	check(recvT(t, trs[1], 1), hi+2)
 	// Anything delivered twice would now sit in the inbox ahead of this marker.
 	if err := trs[1].Send(transport.Message{From: 1, To: 1, Kind: "marker"}); err != nil {
 		t.Fatal(err)
@@ -574,7 +576,7 @@ func TestFrameSplitAcrossReads(t *testing.T) {
 		body []byte
 		buf  int // the buffer's size while the frame was handed over
 	}
-	got := make(chan handed, 89)
+	got := make(chan handed, hi+2)
 	done := make(chan error, 1)
 	go func() {
 		b := newFrameBuf()
@@ -640,6 +642,59 @@ func TestReceiverNoticesSenderGone(t *testing.T) {
 		s.conn.SetReadDeadline(time.Now().Add(40 * probeEvery))
 		if body, err := s.acks.readFrom(s.conn); !errors.Is(err, io.EOF) {
 			t.Fatalf("connection %d: read % x, %v; want the receiver to hang up", seq, body, err)
+		}
+	}
+}
+
+// TestV1HelloRefused: a peer speaking the first frame format is refused at its
+// hello, whose magic names that format, and nothing it sends after is
+// delivered.
+func TestV1HelloRefused(t *testing.T) {
+	trs := newLoopbackT(t, 2)
+	conn, err := net.Dial("tcp", trs[1].Addr().String())
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(30 * time.Second))
+	v1Hello := []byte("\x00\x00\x00\x09\x01MXDM\x00\x00\x00\x00")
+	if _, err := conn.Write(append(v1Hello, appendMsgFrame(nil, 1, "tcptest", transport.AppendUint64(nil, 7))...)); err != nil {
+		t.Fatalf("write: %v", err)
+	}
+	b := newFrameBuf()
+	if body, err := b.readFrom(conn); err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("read % x, %v; want the receiver to hang up on a v1 hello", body, err)
+	}
+	// Anything delivered would sit in the inbox ahead of this marker.
+	if err := trs[1].Send(transport.Message{From: 1, To: 1, Kind: "marker"}); err != nil {
+		t.Fatal(err)
+	}
+	if m := recvT(t, trs[1], 1); m.Kind != "marker" {
+		t.Fatalf("a v1 peer's frame was delivered: %+v", m)
+	}
+}
+
+// TestLoneUpdateFrameSize pins what a msg frame adds to an update's payload:
+// the length prefix, the type, the channel's sequence number and the kind,
+// at most 16 bytes for the first 1<<28 frames of a channel, where the first
+// format spent 39. It is measured on the frame a real Send leaves in the
+// replay log, which nothing acks here.
+func TestLoneUpdateFrameSize(t *testing.T) {
+	tr, _ := newRawReceiverT(t)
+	u := &dsm.Update{From: 0, Seq: 1, Op: dsm.OpSet, Loc: "k", Value: 1}
+	payload, err := transport.EncodePayload(nil, dsm.KindUpdate, u)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.Send(transport.Message{From: 0, To: 1, Kind: dsm.KindUpdate, Payload: u, Size: len(payload)}); err != nil {
+		t.Fatal(err)
+	}
+	if header := int(tr.Diag().LogBytes) - len(payload); header > 16 {
+		t.Errorf("a lone update's frame adds %d bytes to its %d-byte payload, want <= 16", header, len(payload))
+	}
+	for _, seq := range []uint64{1, 1 << 7, 1 << 14, 1 << 21, 1<<28 - 1} {
+		if header := msgFrameSize(seq, dsm.KindUpdate, payload) - len(payload); header > 16 {
+			t.Errorf("frame %d of a channel adds %d bytes to an update, want <= 16", seq, header)
 		}
 	}
 }

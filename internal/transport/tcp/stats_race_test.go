@@ -3,7 +3,9 @@ package tcp
 import (
 	"sync"
 	"testing"
+	"time"
 
+	"mixedmem/internal/dsm"
 	"mixedmem/internal/transport"
 )
 
@@ -225,5 +227,122 @@ func TestStatsSnapshotConcurrentWithTraffic(t *testing.T) {
 	}
 	if s.MessagesSent == 0 || s.PerKind["tcptest"] == 0 {
 		t.Fatalf("no traffic accounted: %+v", s)
+	}
+}
+
+// tap is a node's transport that keeps its own account of what it received,
+// by kind: the messages and the bytes of their payloads, which is what a
+// received message's Size is.
+type tap struct {
+	*Transport
+	mu          sync.Mutex
+	msgs, bytes map[string]uint64
+}
+
+func (t *tap) Recv(node int) (transport.Message, bool) {
+	m, ok := t.Transport.Recv(node)
+	if ok {
+		t.mu.Lock()
+		t.msgs[m.Kind]++
+		t.bytes[m.Kind] += uint64(m.Size)
+		t.mu.Unlock()
+	}
+	return m, ok
+}
+
+// TestCountedBytesAreShippedBytes: for memory updates, the bytes a sender's
+// Stats count — the Size the runtime gives each message, its encodedSize —
+// are the payload bytes its channels carry, summed over the receivers, kind by
+// kind. So wire_bytes_per_op measured over tcp is the wire's own count. Node 0
+// batches and node 1 does not, so both update kinds flow, each under a vector
+// timestamp and, with a scope, under dependency matrices with elided copies
+// mixed in.
+func TestCountedBytesAreShippedBytes(t *testing.T) {
+	const n, writes = 3, 200
+	locs := []string{"a", "b", "c", "d", "e"}
+	scope := &dsm.ScopeMap{Readers: map[string][]int{}, CausalReaders: map[string][]int{}}
+	for i, loc := range locs {
+		scope.Readers[loc] = []int{0, 1, 2}
+		scope.CausalReaders[loc] = []int{i % n}
+	}
+	for _, tc := range []struct {
+		name  string
+		scope *dsm.ScopeMap
+	}{{"broadcast", nil}, {"scoped", scope}} {
+		t.Run(tc.name, func(t *testing.T) {
+			trs := newLoopbackT(t, n)
+			taps := make([]*tap, n)
+			nodes := make([]*dsm.Node, n)
+			for i := range nodes {
+				taps[i] = &tap{Transport: trs[i], msgs: map[string]uint64{}, bytes: map[string]uint64{}}
+				var err error
+				nodes[i], err = dsm.NewNode(dsm.Config{ID: i, N: n, Transport: taps[i], Scope: tc.scope,
+					Batch: dsm.BatchConfig{Enabled: i == 0, MaxUpdates: 4, Linger: time.Hour}})
+				if err != nil {
+					t.Fatalf("NewNode(%d): %v", i, err)
+				}
+			}
+			t.Cleanup(func() {
+				for _, tr := range trs {
+					tr.Close()
+				}
+				for _, nd := range nodes {
+					nd.Close()
+				}
+			})
+			var wg sync.WaitGroup
+			for i, nd := range nodes[:2] {
+				wg.Add(1)
+				go func(i int, nd *dsm.Node) {
+					defer wg.Done()
+					for k := 0; k < writes; k++ {
+						if k%3 == 0 {
+							nd.Add(locs[k%len(locs)], 1)
+						} else {
+							nd.Write(locs[(k+i)%len(locs)], int64(k))
+						}
+					}
+					nd.FlushUpdates()
+				}(i, nd)
+			}
+			wg.Wait()
+			kinds := []string{dsm.KindUpdate, dsm.KindUpdateBatch}
+			sent := func(kind string) (msgs, bytes uint64) {
+				for _, tr := range trs {
+					s := tr.Stats()
+					msgs += s.PerKind[kind]
+					bytes += s.PerKindBytes[kind]
+				}
+				return msgs, bytes
+			}
+			received := func(kind string) (msgs, bytes uint64) {
+				for _, tp := range taps {
+					tp.mu.Lock()
+					msgs += tp.msgs[kind]
+					bytes += tp.bytes[kind]
+					tp.mu.Unlock()
+				}
+				return msgs, bytes
+			}
+			if !eventually(func() bool {
+				for _, kind := range kinds {
+					s, _ := sent(kind)
+					if r, _ := received(kind); r != s {
+						return false
+					}
+				}
+				return true
+			}) {
+				t.Fatal("the receivers never got every message sent")
+			}
+			for _, kind := range kinds {
+				sm, sb := sent(kind)
+				rm, rb := received(kind)
+				if sm == 0 || sb != rb {
+					t.Errorf("%s: %d msgs / %d bytes counted by the senders, %d / %d payload bytes received",
+						kind, sm, sb, rm, rb)
+				}
+			}
+		})
 	}
 }

@@ -84,24 +84,29 @@
 // the connection's write deadline only when less than half of WriteTimeout is
 // left (writeDeadline).
 //
-// Wire format (all integers big-endian, encoding/binary): every frame is a
-// uint32 body length followed by the body; the body's first byte is the
-// frame type.
+// Wire format (fixed integers big-endian, encoding/binary; uvarint is its
+// minimal unsigned varint): every frame is a uint32 body length followed by
+// the body; the body's first byte is the frame type.
 //
-//	hello  1 | u32 magic "MXDM" | u32 senderID     (dialer's first frame)
-//	msg    2 | u64 seq | u32 from | u32 to | str kind | u32 size
-//	         | u32 payloadLen | payload            (payload via codec registry)
+//	hello  1 | u32 magic "MXD2" | u32 senderID     (dialer's first frame)
+//	msg    2 | uvarint seq | uvarint kindLen | kind | payload
 //	ack    3 | u64 cumSeq                          (acceptor -> dialer)
 //	ackreq 4                                       (dialer asks for an ack)
+//
+// A msg frame carries nothing the receiver already knows: the sender is the
+// connection's (its hello named it), the destination is the receiver, and the
+// payload runs to the end of the body the length prefix delimits. A received
+// message's Size is its payload's length, which for the runtime's updates is
+// the Size their sender counted (see dsm's encodedSize). The hello magic names
+// the format: a peer speaking another is refused at its first frame.
 //
 // A receiver skips frame types it does not know and an ackreq whose body is
 // not exactly the type byte. Every node of a deployment runs the same build:
 // a sender that never asks would wait in Flush for acks this receiver sends
 // only every ackEvery bytes.
 //
-// Strings are uint32-length-prefixed. Payload encodings are the per-kind
-// codecs registered in transport's registry by internal/dsm and
-// internal/syncmgr.
+// Payload encodings are the per-kind codecs registered in transport's registry
+// by internal/dsm and internal/syncmgr.
 package tcp
 
 import (
@@ -131,8 +136,9 @@ const (
 // ackreqFrame is the whole ackreq frame: a one-byte body, the type.
 var ackreqFrame = []byte{0, 0, 0, 1, frameAckReq}
 
-// helloMagic guards against a stranger dialing the port.
-const helloMagic = 0x4d58444d // "MXDM"
+// helloMagic guards against a stranger dialing the port, and against a peer
+// that speaks another version of the frame format.
+const helloMagic = 0x4d584432 // "MXD2"
 
 // maxFrame bounds a frame body; larger frames indicate a corrupt stream.
 const maxFrame = 1 << 26
@@ -806,11 +812,9 @@ func (t *Transport) armProbe(conn net.Conn) bool {
 func (c *inConn) frame(body []byte) bool {
 	t, from := c.t, c.from
 	if from < 0 {
-		if len(body) != 9 || body[0] != frameHello || binary.BigEndian.Uint32(body[1:]) != helloMagic {
-			return false
-		}
-		c.from = int(binary.BigEndian.Uint32(body[5:]))
-		return c.from >= 0 && c.from < t.n && c.from != t.id
+		var ok bool
+		c.from, ok = parseHello(body)
+		return ok && c.from < t.n && c.from != t.id
 	}
 	if len(body) == 1 && body[0] == frameAckReq {
 		// The connection may have delivered nothing yet (a reconnect whose
@@ -825,7 +829,8 @@ func (c *inConn) frame(body []byte) bool {
 	if len(body) == 0 || body[0] != frameMsg {
 		return true
 	}
-	if len(body) < 1+8 {
+	seq, rest, ok := msgSeq(body)
+	if !ok {
 		// Not even a sequence number: there is no telling which frame of the
 		// channel this was, so the channel cannot go on.
 		t.decodeErrors.Add(1)
@@ -838,7 +843,7 @@ func (c *inConn) frame(body []byte) bool {
 	// consumed and acknowledged, never delivered — exactly as if it had
 	// decoded. Dropping it without its number would make the next frame a gap
 	// and the sender replay this one forever.
-	m, seq, decodeErr := decodeMsgFrame(&c.dec, body)
+	m, decodeErr := decodeMsg(&c.dec, from, t.id, rest)
 	// The sequence test and the inbox push are one critical section: a
 	// replaced connection's reader can still be handling its last read while
 	// the new connection's reader runs, and whichever claims a sequence number
@@ -886,6 +891,16 @@ func appendHelloFrame(dst []byte, sender int) []byte {
 	return transport.AppendUint32(dst, uint32(sender))
 }
 
+// parseHello reads the sender a hello frame body names; ok is false for any
+// other body, a hello with another version's magic included.
+func parseHello(body []byte) (sender int, ok bool) {
+	if len(body) != 9 || body[0] != frameHello || binary.BigEndian.Uint32(body[1:]) != helloMagic {
+		return -1, false
+	}
+	sender = int(binary.BigEndian.Uint32(body[5:]))
+	return sender, sender >= 0
+}
+
 // appendAckFrame encodes a cumulative ack.
 func appendAckFrame(dst []byte, cum uint64) []byte {
 	dst = transport.AppendUint32(dst, 9)
@@ -894,47 +909,42 @@ func appendAckFrame(dst []byte, cum uint64) []byte {
 }
 
 // msgFrameSize is the exact length of the frame appendMsgFrame produces.
-func msgFrameSize(kind string, payload []byte) int {
-	return 4 + 1 + 8 + 4 + 4 + 4 + len(kind) + 4 + 4 + len(payload)
+func msgFrameSize(seq uint64, kind string, payload []byte) int {
+	return 4 + 1 + transport.UvarintLen(seq) + transport.UvarintLen(uint64(len(kind))) + len(kind) + len(payload)
 }
 
 // appendMsgFrame encodes one message as a framed msg record.
-func appendMsgFrame(dst []byte, seq uint64, m transport.Message, payload []byte) []byte {
+func appendMsgFrame(dst []byte, seq uint64, kind string, payload []byte) []byte {
 	start := len(dst)
 	dst = append(dst, 0, 0, 0, 0) // length, patched below
 	dst = append(dst, frameMsg)
-	dst = transport.AppendUint64(dst, seq)
-	dst = transport.AppendUint32(dst, uint32(m.From))
-	dst = transport.AppendUint32(dst, uint32(m.To))
-	dst = transport.AppendString(dst, m.Kind)
-	dst = transport.AppendUint32(dst, uint32(m.Size))
-	dst = transport.AppendUint32(dst, uint32(len(payload)))
+	dst = transport.AppendUvarint(dst, seq)
+	dst = transport.AppendUvarintString(dst, kind)
 	dst = append(dst, payload...)
 	binary.BigEndian.PutUint32(dst[start:], uint32(len(dst)-start-4))
 	return dst
 }
 
-// decodeMsgFrame parses a msg frame body back into a Message. Kind and
+// msgSeq splits a msg frame body into its sequence number and the rest; ok is
+// false when the body does not start with one.
+func msgSeq(body []byte) (seq uint64, rest []byte, ok bool) {
+	d := transport.NewDecoder(body[1:])
+	seq = d.Uvarint()
+	return seq, body[len(body)-d.Remaining():], d.Err() == nil
+}
+
+// decodeMsg parses what follows a msg frame's sequence number. Kind and
 // payload are resolved through dec, the connection's decode state (nil decodes
 // statelessly): a kind the connection has carried costs no string, and what a
 // payload costs is its codec's business.
-func decodeMsgFrame(dec *transport.ConnDecoder, body []byte) (transport.Message, uint64, error) {
-	d := transport.NewDecoder(body[1:])
-	seq := d.Uint64()
-	m := transport.Message{
-		From: int(d.Uint32()),
-		To:   int(d.Uint32()),
-	}
-	kind := d.Bytes()
-	m.Size = int(d.Uint32())
-	plen := int(d.Uint32())
+func decodeMsg(dec *transport.ConnDecoder, from, to int, rest []byte) (transport.Message, error) {
+	d := transport.NewDecoder(rest)
+	kind := d.UvarintBytes()
+	m := transport.Message{From: from, To: to, Size: d.Remaining()}
 	if err := d.Err(); err != nil {
-		return m, seq, err
-	}
-	if plen != d.Remaining() {
-		return m, seq, fmt.Errorf("tcp: payload length %d with %d bytes remaining", plen, d.Remaining())
+		return m, err
 	}
 	var err error
-	m.Kind, m.Payload, err = dec.DecodeKindPayload(kind, body[len(body)-plen:])
-	return m, seq, err
+	m.Kind, m.Payload, err = dec.DecodeKindPayload(kind, rest[len(rest)-d.Remaining():])
+	return m, err
 }

@@ -1,6 +1,9 @@
 package vclock
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+	"math/bits"
+)
 
 // Matrix is an n-by-n matrix clock, the dependency summary causal delivery
 // needs under partial replication. Row p is a vector clock about process p:
@@ -99,14 +102,18 @@ func (m Matrix) active(i int) bool {
 
 // ActiveEncodedSize returns the number of bytes EncodeActive produces for m.
 func (m Matrix) ActiveEncodedSize() int {
-	n := 0
+	n, ids := 0, 0
 	for i := range m {
 		if m.active(i) {
 			n++
+			ids += uvarintLen(uint64(i))
 		}
 	}
-	return 4 + 4*n + 8*n*n
+	return uvarintLen(uint64(n)) + ids + 8*n*n
 }
+
+// uvarintLen is the length of v as an unsigned varint.
+func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
 
 // activeOnStack is how many active indices EncodeActive finds without
 // allocating.
@@ -115,17 +122,19 @@ const activeOnStack = 16
 // EncodeActive appends the sparse encoding of m — the active index list
 // followed by the row-major submatrix over those indices — to dst:
 //
-//	u32 nAct | nAct*u32 ids | nAct*nAct*u64 sub
+//	uvarint nAct | nAct*uvarint ids | nAct*nAct*u64 sub
 //
 // Entries outside the active rows and columns are zero by construction, so
 // the encoding is lossless; its size depends only on how many processes
-// participate, not on the matrix dimension.
+// participate, not on the matrix dimension. The entries are fixed-width
+// whatever their values, so two matrices over the same active indices encode
+// to the same length.
 func (m Matrix) EncodeActive(dst []byte) []byte {
 	var buf [activeOnStack]int
 	ids := m.appendActive(buf[:0])
-	dst = binary.BigEndian.AppendUint32(dst, uint32(len(ids)))
+	dst = binary.AppendUvarint(dst, uint64(len(ids)))
 	for _, id := range ids {
-		dst = binary.BigEndian.AppendUint32(dst, uint32(id))
+		dst = binary.AppendUvarint(dst, uint64(id))
 	}
 	for _, i := range ids {
 		for _, k := range ids {

@@ -81,8 +81,8 @@ func TestMatrixEncodeActiveSizeIgnoresIdlePeers(t *testing.T) {
 				n, len(enc), sizes[0], len(first))
 		}
 	}
-	// 3 active indices: u32 count + 3 ids + 3x3 submatrix.
-	if want := 4 + 3*4 + 9*8; len(first) != want {
+	// 3 active indices: a one-byte varint count + 3 one-byte ids + 3x3 submatrix.
+	if want := 1 + 3*1 + 9*8; len(first) != want {
 		t.Fatalf("sparse encoding is %d bytes, want %d", len(first), want)
 	}
 }

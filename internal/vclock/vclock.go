@@ -13,7 +13,6 @@
 package vclock
 
 import (
-	"encoding/binary"
 	"strconv"
 	"strings"
 )
@@ -159,16 +158,4 @@ func (v VC) String() string {
 	}
 	b.WriteByte(']')
 	return b.String()
-}
-
-// EncodedSize returns the number of bytes Encode produces for v.
-func (v VC) EncodedSize() int { return 8 * len(v) }
-
-// Encode appends a fixed-width big-endian encoding of v to dst and returns
-// the extended slice.
-func (v VC) Encode(dst []byte) []byte {
-	for _, c := range v {
-		dst = binary.BigEndian.AppendUint64(dst, c)
-	}
-	return dst
 }

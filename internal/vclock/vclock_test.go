@@ -1,7 +1,6 @@
 package vclock
 
 import (
-	"encoding/binary"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -123,27 +122,6 @@ func TestDeliverableAfter(t *testing.T) {
 	}
 }
 
-// decode reads the big-endian words Encode writes; the wire codecs built on
-// Encode do their own decoding.
-func decode(src []byte) VC {
-	out := New(len(src) / 8)
-	for i := range out {
-		out[i] = binary.BigEndian.Uint64(src[8*i:])
-	}
-	return out
-}
-
-func TestEncodeDecodeRoundTrip(t *testing.T) {
-	v := VC{1, 0, 42, 1 << 40}
-	buf := v.Encode(nil)
-	if len(buf) != v.EncodedSize() {
-		t.Fatalf("encoded size = %d, want %d", len(buf), v.EncodedSize())
-	}
-	if got := decode(buf); got.Compare(v) != Equal {
-		t.Errorf("round trip = %v, want %v", got, v)
-	}
-}
-
 func TestOrderingString(t *testing.T) {
 	for o, want := range map[Ordering]string{
 		Equal: "equal", Before: "before", After: "after", Concurrent: "concurrent",
@@ -219,19 +197,6 @@ func TestQuickCompareTransitive(t *testing.T) {
 	}
 }
 
-func TestQuickEncodeRoundTrip(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		n := 1 + r.Intn(8)
-		v := randomVC(r, n)
-		enc := v.Encode(nil)
-		return len(enc) == 8*n && decode(enc).Compare(v) == Equal
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func BenchmarkCompare(b *testing.B) {
 	x := VC{1, 2, 3, 4, 5, 6, 7, 8}
 	y := VC{1, 2, 3, 4, 5, 6, 7, 9}
@@ -256,14 +221,5 @@ func BenchmarkDeliverableAfter(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		DeliverableAfter(state, ts, 0)
-	}
-}
-
-func BenchmarkEncode(b *testing.B) {
-	v := VC{1, 2, 3, 4, 5, 6, 7, 8}
-	buf := make([]byte, 0, v.EncodedSize())
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		buf = v.Encode(buf[:0])
 	}
 }
