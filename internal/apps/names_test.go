@@ -191,7 +191,7 @@ func TestSessionNameTablesMatchNamingScheme(t *testing.T) {
 		mode        SessionMode
 		msgs, bytes uint64 // bytes 0: dependency matrices make them schedule-dependent
 	}{
-		{SessionBroadcast, 886, 35090},
+		{SessionBroadcast, 886, 35039},
 		{SessionCausalScoped, 566, 0},
 		{SessionHybrid, 566, 0},
 	} {

@@ -172,10 +172,12 @@ func TestSimBurstCellShape(t *testing.T) {
 // fabric. Payloads and count vectors come from slabs of 64 and waiter
 // channels, manager queues and barrier rounds are reused, so what is left is
 // a fraction of an allocation per round; a payload boxed per message reads
-// three or more. Over tcp the cells must run and name themselves — every
-// message there is decoded into fresh memory, which is the codec's cost.
+// three or more. Over tcp every message is also decoded, into a connection's
+// slabs, so a round costs at most twice what it costs on sim (five or eight
+// allocations per round when every message was decoded into fresh memory).
 func TestSyncCellsAllocShape(t *testing.T) {
 	o := PerfOptions{Ops: 2048, Warmup: 256}.withDefaults()
+	sim := map[string]float64{}
 	for _, tc := range []struct {
 		cell   PerfCell
 		key    string
@@ -195,6 +197,7 @@ func TestSyncCellsAllocShape(t *testing.T) {
 		if cell.AllocsPerOp >= tc.allocs {
 			t.Errorf("%s: %.3f allocs/op, want under %.2f", tc.key, cell.AllocsPerOp, tc.allocs)
 		}
+		sim[tc.cell.Scenario] = cell.AllocsPerOp
 	}
 	if testing.Short() {
 		return
@@ -209,6 +212,16 @@ func TestSyncCellsAllocShape(t *testing.T) {
 			found++
 			if c.Ops != 64 || c.NsPerOp <= 0 {
 				t.Errorf("%s: cell %+v", k, c)
+			}
+			// Measured again over as many rounds as on sim: a slab's one
+			// allocation is a large share of 64.
+			c.Transport = "tcp"
+			full, err := measureSyncCell(Substrate{TCP: true}, o, c)
+			if err != nil {
+				t.Fatalf("%s: %v", k, err)
+			}
+			if s := sim[c.Scenario]; full.AllocsPerOp > 2*s {
+				t.Errorf("%s: %.3f allocs/op, want at most twice sim's %.3f", k, full.AllocsPerOp, s)
 			}
 		}
 	}

@@ -17,9 +17,8 @@ import (
 // travels as a pointer into its sender's slab and is never written again
 // once sent; so does barRelease.
 type barArrive struct {
-	Client int
-	K      int
-	Sent   []uint64
+	K    int
+	Sent []uint64
 	// Group names the barrier object; "" is the global barrier over all
 	// processes. Members lists the participating processes for subset
 	// barriers (ignored for the global barrier).
@@ -52,7 +51,7 @@ type BarrierManager struct {
 	// releases and their Expected vectors are taken from.
 	idle []*barRound
 	rels slab[barRelease]
-	vecs vecSlab
+	vecs vecSlab[uint64]
 }
 
 type barKey struct {
@@ -95,8 +94,8 @@ var noCounts = []uint64{}
 // does and for the same reason.
 func (m *BarrierManager) onArrive(msg network.Message) {
 	arr, ok := msg.Payload.(*barArrive)
-	if !ok || arr.Client < 0 || arr.Client >= m.n {
-		return // Client indexes the round, and it comes off the wire
+	if !ok {
+		return
 	}
 	need := m.members
 	if arr.Group != "" {
@@ -114,12 +113,12 @@ func (m *BarrierManager) onArrive(msg network.Message) {
 		}
 		m.pending[key] = r
 	}
-	if r.sent[arr.Client] == nil {
+	if r.sent[msg.From] == nil {
 		r.arrived++
 	}
-	r.sent[arr.Client] = arr.Sent
+	r.sent[msg.From] = arr.Sent
 	if arr.Sent == nil {
-		r.sent[arr.Client] = noCounts
+		r.sent[msg.From] = noCounts
 	}
 	if r.arrived < need {
 		return
@@ -140,7 +139,7 @@ func (m *BarrierManager) onArrive(msg network.Message) {
 		}
 		_ = m.fabric.Send(network.Message{
 			From: m.self, To: client, Kind: KindBarRelease,
-			Payload: rel, Size: 8 + 8*len(rel.Expected),
+			Payload: rel, Size: rel.size(),
 		})
 	}
 	clear(r.sent)
@@ -170,7 +169,7 @@ type BarrierClient struct {
 	// sent arrivals and their Sent vectors are taken from.
 	parked waiters[*barRelease]
 	arrs   slab[barArrive]
-	vecs   vecSlab
+	vecs   vecSlab[uint64]
 	stats  BarrierStats
 }
 
@@ -271,14 +270,10 @@ func (c *BarrierClient) barrier(group string, k int, members []int) {
 		}
 		sent = masked
 	}
-	*arr = barArrive{
-		Client: c.node.ID(), K: k, Sent: sent,
-		Group: group, Members: members,
-	}
+	*arr = barArrive{K: k, Sent: sent, Group: group, Members: members}
 	_ = c.node.Transport().Send(network.Message{
 		From: c.node.ID(), To: c.manager, Kind: KindBarArrive,
-		Payload: arr,
-		Size:    16 + 8*len(sent) + len(group) + 4*len(members),
+		Payload: arr, Size: arr.size(),
 	})
 	rel := <-ch
 	// All prior-phase updates must be applied before this phase's reads:

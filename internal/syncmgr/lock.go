@@ -1,6 +1,8 @@
 package syncmgr
 
 import (
+	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -27,62 +29,45 @@ const (
 
 // lockRequest is the payload of a KindLockReq message.
 type lockRequest struct {
-	Lock   string
-	Mode   LockMode
-	Client int
-	ReqID  uint64
+	Lock  string
+	Mode  LockMode
+	ReqID uint64
 }
 
-// lockGrant is the payload of a KindLockGrant message. Depending on the
-// propagation mode it carries the release vector (lazy) or the accumulated
-// write-set (demand-driven) the acquirer must honor before reading.
+// lockGrant is the payload of a KindLockGrant message, sent in answer to the
+// request its ReqID names. Depending on the propagation mode it carries the
+// release vector (lazy) or the accumulated write-set (demand-driven) the
+// acquirer must honor before reading.
 type lockGrant struct {
-	Lock  string
 	ReqID uint64
 	Epoch int
 	// RelVC, in lazy mode, is the elementwise maximum of the received
 	// counts reported by previous unlockers: the acquirer waits until it
 	// has received at least this many updates from each process.
 	RelVC []uint64
-	// WriteSet, in demand-driven mode, maps locations written in previous
-	// critical sections to the update the acquirer must see before reading
-	// them.
-	WriteSet map[string]writeStamp
+	// WriteSet, in demand-driven mode, names for each location written in
+	// previous critical sections the update the acquirer must see before
+	// reading it.
+	WriteSet []writeStamp
 }
 
+// writeStamp names the update (From, Seq) that last wrote Loc. A write-set is
+// a slice of them sorted by location, with no location twice.
 type writeStamp struct {
+	Loc  string
 	From int
 	Seq  uint64
 }
 
 // lockRelease is the payload of a KindLockRel message.
 type lockRelease struct {
-	Lock   string
-	Mode   LockMode
-	Client int
+	Lock string
+	Mode LockMode
 	// Counts is the unlocker's received-counts vector (lazy mode).
 	Counts []uint64
 	// WriteSet lists locations written in the critical section
 	// (demand-driven mode, write unlocks only).
-	WriteSet map[string]writeStamp
-}
-
-// grantSize and friends model wire sizes for the latency model and the
-// message accounting, so the three modes show their real relative costs.
-func (g *lockGrant) size() int {
-	s := 24 + len(g.Lock) + 8*len(g.RelVC)
-	for loc := range g.WriteSet {
-		s += len(loc) + 12
-	}
-	return s
-}
-
-func (r *lockRelease) size() int {
-	s := 16 + len(r.Lock) + 8*len(r.Counts)
-	for loc := range r.WriteSet {
-		s += len(loc) + 12
-	}
-	return s
+	WriteSet []writeStamp
 }
 
 // Manager is the lock-manager state machine of Section 6. It runs on the
@@ -99,7 +84,7 @@ type Manager struct {
 	// grants and vecs are the slabs sent grants and their release vectors
 	// are taken from.
 	grants slab[lockGrant]
-	vecs   vecSlab
+	vecs   vecSlab[uint64]
 }
 
 type lockState struct {
@@ -115,12 +100,20 @@ type lockState struct {
 	readers map[int]bool
 	// queue holds the waiting requests in arrival order. Admitted requests
 	// are removed by sliding the rest down, so the array is reused.
-	queue []lockRequest
+	queue []waiting
 	// relVC accumulates unlockers' received counts (lazy mode).
 	relVC []uint64
-	// writeSet accumulates critical-section write-sets (demand mode); made by
-	// the first release that carries one.
-	writeSet map[string]writeStamp
+	// writeSet accumulates critical-section write-sets (demand mode). Each
+	// release that carries one replaces it with a merged copy, so grants
+	// share it as it stands and it is never written once sent.
+	writeSet []writeStamp
+}
+
+// waiting is a queued request and the process that sent it.
+type waiting struct {
+	client int
+	mode   LockMode
+	reqID  uint64
 }
 
 // NewManager creates a lock manager hosted on node self.
@@ -163,7 +156,7 @@ func (m *Manager) onRequest(msg network.Message) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	st := m.state(req.Lock)
-	st.queue = append(st.queue, *req)
+	st.queue = append(st.queue, waiting{client: msg.From, mode: req.Mode, reqID: req.ReqID})
 	m.admitLocked(st)
 }
 
@@ -177,11 +170,11 @@ func (m *Manager) onRelease(msg network.Message) {
 	st := m.state(rel.Lock)
 	switch rel.Mode {
 	case WriteMode:
-		if st.writer == rel.Client {
+		if st.writer == msg.From {
 			st.writer = -1
 		}
 	case ReadMode:
-		delete(st.readers, rel.Client)
+		delete(st.readers, msg.From)
 	}
 	if m.mode == Lazy {
 		for j, c := range rel.Counts {
@@ -191,16 +184,30 @@ func (m *Manager) onRelease(msg network.Message) {
 		}
 	}
 	if m.mode == DemandDriven && len(rel.WriteSet) > 0 {
-		if st.writeSet == nil {
-			st.writeSet = make(map[string]writeStamp, len(rel.WriteSet))
-		}
-		for loc, stamp := range rel.WriteSet {
-			if cur, ok := st.writeSet[loc]; !ok || stamp.Seq > cur.Seq || stamp.From != cur.From {
-				st.writeSet[loc] = stamp
-			}
-		}
+		st.writeSet = mergeWriteSets(st.writeSet, rel.WriteSet)
 	}
 	m.admitLocked(st)
+}
+
+// mergeWriteSets returns the union of two write-sets in a new slice, sorted
+// like both. Where both name a location, add's stamp wins unless it is an
+// older write of the same process.
+func mergeWriteSets(acc, add []writeStamp) []writeStamp {
+	out := make([]writeStamp, 0, len(acc)+len(add))
+	for len(acc) > 0 && len(add) > 0 {
+		switch a, b := acc[0], add[0]; {
+		case a.Loc < b.Loc:
+			out, acc = append(out, a), acc[1:]
+		case a.Loc > b.Loc:
+			out, add = append(out, b), add[1:]
+		default:
+			if b.Seq > a.Seq || b.From != a.From {
+				a = b
+			}
+			out, acc, add = append(out, a), acc[1:], add[1:]
+		}
+	}
+	return append(append(out, acc...), add...)
 }
 
 // admitLocked grants queued requests FIFO: a write needs the lock free; a
@@ -211,12 +218,12 @@ func (m *Manager) admitLocked(st *lockState) {
 scan:
 	for admitted < len(st.queue) {
 		head := &st.queue[admitted]
-		switch head.Mode {
+		switch head.mode {
 		case WriteMode:
 			if st.writer >= 0 || len(st.readers) > 0 {
 				break scan
 			}
-			st.writer = head.Client
+			st.writer = head.client
 			st.epoch = m.nextEpochLocked(st, false)
 			m.grantLocked(st, head)
 			admitted++
@@ -231,7 +238,7 @@ scan:
 			if st.readers == nil {
 				st.readers = make(map[int]bool)
 			}
-			st.readers[head.Client] = true
+			st.readers[head.client] = true
 			m.grantLocked(st, head)
 			admitted++
 		default:
@@ -251,21 +258,18 @@ func (m *Manager) nextEpochLocked(st *lockState, read bool) int {
 }
 
 // grantLocked builds req's grant in the slab and sends it.
-func (m *Manager) grantLocked(st *lockState, req *lockRequest) {
+func (m *Manager) grantLocked(st *lockState, req *waiting) {
 	g := m.grants.next()
-	*g = lockGrant{Lock: req.Lock, ReqID: req.ReqID, Epoch: st.epoch}
+	*g = lockGrant{ReqID: req.reqID, Epoch: st.epoch}
 	switch m.mode {
 	case Lazy:
 		g.RelVC = m.vecs.next(len(st.relVC))
 		copy(g.RelVC, st.relVC)
 	case DemandDriven:
-		g.WriteSet = make(map[string]writeStamp, len(st.writeSet))
-		for loc, stamp := range st.writeSet {
-			g.WriteSet[loc] = stamp
-		}
+		g.WriteSet = st.writeSet
 	}
 	_ = m.fabric.Send(network.Message{
-		From: m.self, To: req.Client, Kind: KindLockGrant,
+		From: m.self, To: req.client, Kind: KindLockGrant,
 		Payload: g, Size: g.size(),
 	})
 }
@@ -296,7 +300,7 @@ type Client struct {
 	parked waiters[*lockGrant]
 	reqs   slab[lockRequest]
 	rels   slab[lockRelease]
-	vecs   vecSlab
+	vecs   vecSlab[uint64]
 	// flushWait collects flush acknowledgements for eager unlocks.
 	flushAcks chan struct{}
 	// marks tracks the write-log position at each write-lock acquire, per
@@ -353,7 +357,7 @@ func (c *Client) onGrant(msg network.Message) {
 // implementation).
 func (c *Client) onFlush(msg network.Message) {
 	_ = c.node.Transport().Send(network.Message{
-		From: c.node.ID(), To: msg.From, Kind: KindFlushAck, Size: 8,
+		From: c.node.ID(), To: msg.From, Kind: KindFlushAck,
 	})
 }
 
@@ -370,7 +374,7 @@ func (c *Client) acquire(name string, mode LockMode) *lockGrant {
 	c.mu.Lock()
 	c.nextReq++
 	req := c.reqs.next()
-	*req = lockRequest{Lock: name, Mode: mode, Client: c.node.ID(), ReqID: c.nextReq}
+	*req = lockRequest{Lock: name, Mode: mode, ReqID: c.nextReq}
 	ch := c.parked.get()
 	c.grants[req.ReqID] = ch
 	c.mu.Unlock()
@@ -378,7 +382,7 @@ func (c *Client) acquire(name string, mode LockMode) *lockGrant {
 	start := time.Now()
 	_ = c.node.Transport().Send(network.Message{
 		From: c.node.ID(), To: c.manager, Kind: KindLockReq,
-		Payload: req, Size: 24 + len(name),
+		Payload: req, Size: req.size(),
 	})
 	g := <-ch
 	switch c.mode {
@@ -392,8 +396,8 @@ func (c *Client) acquire(name string, mode LockMode) *lockGrant {
 	case DemandDriven:
 		// Invalidate locally; reads of these locations will block until
 		// the stamped updates arrive.
-		for loc, stamp := range g.WriteSet {
-			c.node.Invalidate(loc, stamp.From, stamp.Seq)
+		for _, stamp := range g.WriteSet {
+			c.node.Invalidate(stamp.Loc, stamp.From, stamp.Seq)
 		}
 	}
 	wait := time.Since(start)
@@ -415,7 +419,7 @@ func (c *Client) acquire(name string, mode LockMode) *lockGrant {
 }
 
 // release performs the mode's unlock work and notifies the manager.
-func (c *Client) release(name string, mode LockMode, writeSet map[string]writeStamp) {
+func (c *Client) release(name string, mode LockMode, writeSet []writeStamp) {
 	// Lock release is a synchronization boundary: flush the update outbox
 	// first, whatever the mode. Eager's flush probe certifies receipt only of
 	// updates that FIFO-precede it; Lazy's received counts and DemandDriven's
@@ -424,7 +428,7 @@ func (c *Client) release(name string, mode LockMode, writeSet map[string]writeSt
 	c.node.FlushUpdates()
 	c.mu.Lock()
 	rel := c.rels.next()
-	*rel = lockRelease{Lock: name, Mode: mode, Client: c.node.ID()}
+	*rel = lockRelease{Lock: name, Mode: mode}
 	if c.mode == Lazy {
 		rel.Counts = c.vecs.next(c.node.N())[:0] // filled in below
 	}
@@ -436,7 +440,7 @@ func (c *Client) release(name string, mode LockMode, writeSet map[string]writeSt
 		// updates.
 		start := time.Now()
 		n := c.node.N()
-		_ = c.node.Transport().Broadcast(c.node.ID(), KindFlush, nil, 8)
+		_ = c.node.Transport().Broadcast(c.node.ID(), KindFlush, nil, 0)
 		for i := 0; i < n-1; i++ {
 			<-c.flushAcks
 		}
@@ -481,7 +485,7 @@ func (c *Client) WLock(name string) {
 
 // WUnlock releases the write lock on name.
 func (c *Client) WUnlock(name string) {
-	var ws map[string]writeStamp
+	var ws []writeStamp
 	if c.mode == DemandDriven {
 		ws = c.closeWriteSet(name)
 	}
@@ -494,10 +498,10 @@ func (c *Client) WUnlock(name string) {
 }
 
 // closeWriteSet returns the write-set of the critical section on name that is
-// ending — the node's own writes since WLock's mark — and trims the node's
-// write log below the oldest mark any still-held lock needs, bounding its
-// memory.
-func (c *Client) closeWriteSet(name string) map[string]writeStamp {
+// ending — the last of the node's own writes to each location since WLock's
+// mark, sorted by location — and trims the node's write log below the oldest
+// mark any still-held lock needs, bounding its memory.
+func (c *Client) closeWriteSet(name string) []writeStamp {
 	c.mu.Lock()
 	mark := c.marks[name]
 	delete(c.marks, name)
@@ -509,9 +513,22 @@ func (c *Client) closeWriteSet(name string) map[string]writeStamp {
 	}
 	c.mu.Unlock()
 	records := c.node.WritesSince(mark)
-	ws := make(map[string]writeStamp, len(records))
-	for _, rec := range records {
-		ws[rec.Loc] = writeStamp{From: c.node.ID(), Seq: rec.Seq}
+	var ws []writeStamp
+	if len(records) > 0 {
+		ws = make([]writeStamp, len(records))
+		for i, rec := range records {
+			ws[i] = writeStamp{Loc: rec.Loc, From: c.node.ID(), Seq: rec.Seq}
+		}
+		// The records are in write order, so a stable sort leaves each
+		// location's last write at the end of its run.
+		slices.SortStableFunc(ws, func(a, b writeStamp) int { return strings.Compare(a.Loc, b.Loc) })
+		last := ws[:0]
+		for i, w := range ws {
+			if i+1 == len(ws) || ws[i+1].Loc != w.Loc {
+				last = append(last, w)
+			}
+		}
+		ws = last
 	}
 	c.node.TrimWriteLog(oldest)
 	return ws

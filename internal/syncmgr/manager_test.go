@@ -1,6 +1,7 @@
 package syncmgr
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -50,14 +51,14 @@ func newManagerHarness(t *testing.T, nodes int, mode PropagationMode) *managerHa
 func (h *managerHarness) request(client int, lock string, mode LockMode, reqID uint64) {
 	h.mgr.onRequest(network.Message{
 		From: client, To: 0, Kind: KindLockReq,
-		Payload: &lockRequest{Lock: lock, Mode: mode, Client: client, ReqID: reqID},
+		Payload: &lockRequest{Lock: lock, Mode: mode, ReqID: reqID},
 	})
 }
 
 func (h *managerHarness) release(client int, lock string, mode LockMode) {
 	h.mgr.onRelease(network.Message{
 		From: client, To: 0, Kind: KindLockRel,
-		Payload: &lockRelease{Lock: lock, Mode: mode, Client: client},
+		Payload: &lockRelease{Lock: lock, Mode: mode},
 	})
 }
 
@@ -89,7 +90,7 @@ func TestManagerGrantsFreeWriteLock(t *testing.T) {
 	if !ok {
 		t.Fatal("no grant")
 	}
-	if g.Lock != "l" || g.ReqID != 1 || g.Epoch != 0 {
+	if g.ReqID != 1 || g.Epoch != 0 {
 		t.Fatalf("grant = %+v", g)
 	}
 }
@@ -209,7 +210,7 @@ func TestManagerLazyAccumulatesReleaseVector(t *testing.T) {
 	}
 	h.mgr.onRelease(network.Message{
 		From: 1, To: 0, Kind: KindLockRel,
-		Payload: &lockRelease{Lock: "l", Mode: WriteMode, Client: 1, Counts: []uint64{0, 5, 2}},
+		Payload: &lockRelease{Lock: "l", Mode: WriteMode, Counts: []uint64{0, 5, 2}},
 	})
 	h.request(2, "l", WriteMode, 2)
 	g, ok := h.grant(2)
@@ -222,7 +223,7 @@ func TestManagerLazyAccumulatesReleaseVector(t *testing.T) {
 	// A second unlock with smaller counts must not regress the vector.
 	h.mgr.onRelease(network.Message{
 		From: 2, To: 0, Kind: KindLockRel,
-		Payload: &lockRelease{Lock: "l", Mode: WriteMode, Client: 2, Counts: []uint64{0, 3, 7}},
+		Payload: &lockRelease{Lock: "l", Mode: WriteMode, Counts: []uint64{0, 3, 7}},
 	})
 	h.request(1, "l", WriteMode, 3)
 	g, ok = h.grant(1)
@@ -243,8 +244,8 @@ func TestManagerDemandAccumulatesWriteSet(t *testing.T) {
 	h.mgr.onRelease(network.Message{
 		From: 1, To: 0, Kind: KindLockRel,
 		Payload: &lockRelease{
-			Lock: "l", Mode: WriteMode, Client: 1,
-			WriteSet: map[string]writeStamp{"x": {From: 1, Seq: 4}},
+			Lock: "l", Mode: WriteMode,
+			WriteSet: []writeStamp{{Loc: "x", From: 1, Seq: 4}},
 		},
 	})
 	h.request(2, "l", WriteMode, 2)
@@ -252,8 +253,29 @@ func TestManagerDemandAccumulatesWriteSet(t *testing.T) {
 	if !ok {
 		t.Fatal("no grant")
 	}
-	if got := g.WriteSet["x"]; got.From != 1 || got.Seq != 4 {
+	if len(g.WriteSet) != 1 || g.WriteSet[0] != (writeStamp{Loc: "x", From: 1, Seq: 4}) {
 		t.Fatalf("WriteSet = %+v", g.WriteSet)
+	}
+	// The next release merges into a new sorted set: its own stamps win, and
+	// the grant already sent keeps what it was sent with.
+	h.mgr.onRelease(network.Message{
+		From: 2, To: 0, Kind: KindLockRel,
+		Payload: &lockRelease{
+			Lock: "l", Mode: WriteMode,
+			WriteSet: []writeStamp{{Loc: "a", From: 2, Seq: 1}, {Loc: "x", From: 2, Seq: 2}, {Loc: "z", From: 2, Seq: 3}},
+		},
+	})
+	h.request(1, "l", WriteMode, 3)
+	g2, ok := h.grant(1)
+	if !ok {
+		t.Fatal("no grant")
+	}
+	want := []writeStamp{{Loc: "a", From: 2, Seq: 1}, {Loc: "x", From: 2, Seq: 2}, {Loc: "z", From: 2, Seq: 3}}
+	if !reflect.DeepEqual(g2.WriteSet, want) {
+		t.Fatalf("merged WriteSet = %+v, want %+v", g2.WriteSet, want)
+	}
+	if len(g.WriteSet) != 1 || g.WriteSet[0] != (writeStamp{Loc: "x", From: 1, Seq: 4}) {
+		t.Fatalf("the first grant's WriteSet changed to %+v", g.WriteSet)
 	}
 }
 

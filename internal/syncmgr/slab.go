@@ -22,15 +22,15 @@ func (s *slab[T]) next() *T {
 	return p
 }
 
-// vecSlab carves n-word count vectors from slabSize×n-word arrays. The
-// capacity is cut to the length so no append can run into the neighbouring
-// vector. A vector comes out zeroed, because its words were never handed out
-// before.
-type vecSlab struct{ free []uint64 }
+// vecSlab carves n-element runs — count vectors, member lists, write-sets —
+// from slabSize×n-element arrays. The capacity is cut to the length so no
+// append can run into the neighbouring run. A run comes out zeroed, because
+// its elements were never handed out before.
+type vecSlab[T any] struct{ free []T }
 
-func (s *vecSlab) next(n int) []uint64 {
+func (s *vecSlab[T]) next(n int) []T {
 	if len(s.free) < n {
-		s.free = make([]uint64, slabSize*n)
+		s.free = make([]T, slabSize*n)
 	}
 	v := s.free[:n:n]
 	s.free = s.free[n:]

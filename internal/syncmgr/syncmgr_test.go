@@ -1,6 +1,7 @@
 package syncmgr
 
 import (
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -473,5 +474,26 @@ func TestWriteLogIsDemandDrivenOnly(t *testing.T) {
 			}
 			tc.locks[1].WUnlock("l")
 		})
+	}
+}
+
+// TestCloseWriteSetKeepsLastWriteSorted: a critical section's write-set names
+// each location it wrote once, with the stamp of its last write there, sorted
+// by location — the order the codec requires, built with no sort at encode
+// time.
+func TestCloseWriteSetKeepsLastWriteSorted(t *testing.T) {
+	tc := newTestCluster(t, 2, DemandDriven, nil)
+	c, nd := tc.locks[1], tc.nodes[1]
+	c.WLock("l")
+	for _, loc := range []string{"m", "b", "m", "z", "b", "a"} {
+		nd.Write(loc, 1)
+	}
+	ws := c.closeWriteSet("l")
+	want := []writeStamp{{Loc: "a", From: 1, Seq: 6}, {Loc: "b", From: 1, Seq: 5}, {Loc: "m", From: 1, Seq: 3}, {Loc: "z", From: 1, Seq: 4}}
+	if !reflect.DeepEqual(ws, want) {
+		t.Fatalf("write-set %+v, want %+v", ws, want)
+	}
+	if ws := c.closeWriteSet("l"); ws != nil {
+		t.Fatalf("a section with no writes closed with write-set %+v, want nil", ws)
 	}
 }

@@ -169,10 +169,10 @@ func (c *ConnDecoder) DecodeKindPayload(kind, data []byte) (string, any, error) 
 }
 
 // Wire-format helpers shared by the payload codecs and the TCP framing. Fixed
-// integers are big-endian (encoding/binary); the plain strings and slices
-// carry a uint32 count prefix. A codec may instead write an integer, or the
-// length of a string, as an unsigned varint (encoding/binary's LEB128 form),
-// which the Decoder accepts only in its one minimal encoding.
+// integers are big-endian (encoding/binary); the plain strings carry a uint32
+// length prefix. A codec may instead write an integer, or the length of a
+// string, as an unsigned varint (encoding/binary's LEB128 form), which the
+// Decoder accepts only in its one minimal encoding.
 
 // AppendUvarint appends v as an unsigned varint.
 func AppendUvarint(dst []byte, v uint64) []byte {
@@ -204,15 +204,6 @@ func AppendUint32(dst []byte, v uint32) []byte {
 func AppendString(dst []byte, s string) []byte {
 	dst = AppendUint32(dst, uint32(len(s)))
 	return append(dst, s...)
-}
-
-// AppendUint64s appends a uint32 count prefix and the values big-endian.
-func AppendUint64s(dst []byte, vs []uint64) []byte {
-	dst = AppendUint32(dst, uint32(len(vs)))
-	for _, v := range vs {
-		dst = AppendUint64(dst, v)
-	}
-	return dst
 }
 
 // ErrTruncated is recorded by a Decoder that runs out of bytes.
@@ -294,23 +285,6 @@ func (d *Decoder) Bytes() []byte {
 	return d.take(n)
 }
 
-// Count reads a uint32 element count and checks it against the bytes that are
-// left, each element taking at least elemMin of them: a count the payload
-// cannot hold sets ErrTruncated and reads as zero, so nothing is ever sized
-// by a number that only the wire vouches for.
-func (d *Decoder) Count(elemMin int) int {
-	n := int(d.Uint32())
-	if d.err != nil {
-		return 0
-	}
-	if n > d.Remaining()/elemMin {
-		d.err = fmt.Errorf("%w: %d elements of at least %d bytes with %d bytes remaining",
-			ErrTruncated, n, elemMin, d.Remaining())
-		return 0
-	}
-	return n
-}
-
 // Uvarint reads one unsigned varint. Only the minimal encoding of a value
 // decodes: one longer than 64 bits or with a redundant final zero byte sets
 // ErrTruncated, so every accepted input is the encoding of what it decodes to.
@@ -334,7 +308,10 @@ func (d *Decoder) Uvarint() uint64 {
 	return v
 }
 
-// UvarintCount is Count for a varint element count.
+// UvarintCount reads a varint element count and checks it against the bytes
+// that are left, each element taking at least elemMin of them: a count the
+// payload cannot hold sets ErrTruncated and reads as zero, so nothing is ever
+// sized by a number that only the wire vouches for.
 func (d *Decoder) UvarintCount(elemMin int) int {
 	v := d.Uvarint()
 	if d.err != nil {
@@ -352,18 +329,4 @@ func (d *Decoder) UvarintCount(elemMin int) int {
 // aliases the decoder's input.
 func (d *Decoder) UvarintBytes() []byte {
 	return d.take(d.UvarintCount(1))
-}
-
-// Uint64s reads a uint32-prefixed slice of big-endian uint64s. A zero count
-// decodes to nil.
-func (d *Decoder) Uint64s() []uint64 {
-	n := d.Count(8)
-	if n == 0 {
-		return nil
-	}
-	out := make([]uint64, n)
-	for i := range out {
-		out[i] = d.Uint64()
-	}
-	return out
 }

@@ -58,8 +58,6 @@ func TestWireHelpersRoundTrip(t *testing.T) {
 	b = AppendUint32(b, 77)
 	b = AppendString(b, "loc[3]")
 	b = AppendString(b, "") // empty string is legal
-	b = AppendUint64s(b, []uint64{5, 0, 9})
-	b = AppendUint64s(b, nil)
 	b = append(b, 0xAB)
 
 	d := NewDecoder(b)
@@ -74,13 +72,6 @@ func TestWireHelpersRoundTrip(t *testing.T) {
 	}
 	if s := d.String(); s != "" {
 		t.Fatalf("empty String = %q", s)
-	}
-	vs := d.Uint64s()
-	if len(vs) != 3 || vs[0] != 5 || vs[1] != 0 || vs[2] != 9 {
-		t.Fatalf("Uint64s = %v", vs)
-	}
-	if vs := d.Uint64s(); vs != nil {
-		t.Fatalf("nil Uint64s decoded to %v", vs)
 	}
 	if v := d.Byte(); v != 0xAB {
 		t.Fatalf("Byte = %x", v)
@@ -112,20 +103,6 @@ func TestDecoderStickyTruncationError(t *testing.T) {
 	d = NewDecoder(huge)
 	if s := d.String(); s != "" || !errors.Is(d.Err(), ErrTruncated) {
 		t.Fatalf("oversized string: %q, err %v", s, d.Err())
-	}
-	d = NewDecoder(huge)
-	if vs := d.Uint64s(); vs != nil || !errors.Is(d.Err(), ErrTruncated) {
-		t.Fatalf("oversized slice: %v, err %v", vs, d.Err())
-	}
-	// Count is the bound the slice readers share: a count is good exactly
-	// when the bytes behind it could hold that many minimal elements.
-	fits := append(AppendUint32(nil, 2), make([]byte, 8)...)
-	if n := NewDecoder(fits).Count(4); n != 2 {
-		t.Fatalf("Count(4) of 2 with 8 bytes behind it = %d", n)
-	}
-	d = NewDecoder(fits)
-	if n := d.Count(5); n != 0 || !errors.Is(d.Err(), ErrTruncated) {
-		t.Fatalf("Count(5) of 2 with 8 bytes behind it = %d, err %v", n, d.Err())
 	}
 }
 
@@ -254,7 +231,8 @@ func TestUvarintCanonical(t *testing.T) {
 			t.Errorf("%s (% x): count %d, err %v; want 0 and ErrTruncated", tc.name, tc.data, n, d.Err())
 		}
 	}
-	// UvarintCount bounds a count by the bytes behind it, as Count does.
+	// UvarintCount bounds a count by the bytes behind it: a count is good
+	// exactly when those bytes could hold that many minimal elements.
 	fits := append(AppendUvarint(nil, 2), make([]byte, 8)...)
 	if n := NewDecoder(fits).UvarintCount(4); n != 2 {
 		t.Fatalf("UvarintCount(4) of 2 with 8 bytes behind it = %d", n)

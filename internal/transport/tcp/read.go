@@ -72,82 +72,114 @@ func (b *frameBuf) space() []byte {
 }
 
 // readFrames reads conn until it fails and hands each frame body to frame, in
-// order; a body is valid only until frame returns. It makes one read system
-// call per readiness edge: the frames one read returns are all handled, then
-// idle runs (when non-nil; serveConn writes a due ack there), and then a read
-// that filled the free space is followed by another at once, while one that
-// did not has drained the socket, so readFrames waits for the poller without
-// the read that would find the socket empty. Bytes arriving meanwhile are a new
-// edge, which the wait sees. The end of the stream may not be: TCP reports a
-// FIN or a reset only to the read after the bytes that preceded it, and the
-// poller may fold its wake-up into theirs, so a reader that must notice a peer
-// that has gone bounds its wait with a read deadline (serveConn's probe).
+// order; a body is valid only until frame returns. See frameReader.run.
+func readFrames(conn net.Conn, b *frameBuf, frame func(body []byte) bool, idle func() bool) error {
+	r, err := newFrameReader(conn, b, frame, idle)
+	if err != nil {
+		return err
+	}
+	return r.run()
+}
+
+// frameReader is what readFrames keeps while it reads one connection. A reader
+// that goes back to reading after its read deadline passed keeps it too
+// (serveConn's probe), so the wake-up allocates nothing of its own.
+type frameReader struct {
+	rc    syscall.RawConn
+	b     *frameBuf
+	frame func(body []byte) bool
+	idle  func() bool
+	// read is r.readFD, made once; stopped and err are what it reports.
+	read    func(fd uintptr) bool
+	stopped bool
+	err     error
+}
+
+func newFrameReader(conn net.Conn, b *frameBuf, frame func(body []byte) bool, idle func() bool) (*frameReader, error) {
+	sc, ok := conn.(syscall.Conn)
+	if !ok {
+		return nil, fmt.Errorf("tcp: %T does not expose its file descriptor", conn)
+	}
+	rc, err := sc.SyscallConn()
+	if err != nil {
+		return nil, err
+	}
+	r := &frameReader{rc: rc, b: b, frame: frame, idle: idle}
+	r.read = r.readFD
+	return r, nil
+}
+
+// run reads until the connection fails, handing each frame body to frame. It
+// makes one read system call per readiness edge: the frames one read returns
+// are all handled, then idle runs (when non-nil; serveConn writes a due ack
+// there), and then a read that filled the free space is followed by another at
+// once, while one that did not has drained the socket, so run waits for the
+// poller without the read that would find the socket empty. Bytes arriving
+// meanwhile are a new edge, which the wait sees. The end of the stream may not
+// be: TCP reports a FIN or a reset only to the read after the bytes that
+// preceded it, and the poller may fold its wake-up into theirs, so a reader
+// that must notice a peer that has gone bounds its wait with a read deadline
+// (serveConn's probe).
 //
 // It returns nil once frame or idle returns false, and otherwise the error
 // that ended it: a failed read, end of stream, a corrupt length prefix, or the
 // read deadline passing (os.ErrDeadlineExceeded), checked before every read
-// and every wait. b keeps a frame a deadline cut short for the next call.
-func readFrames(conn net.Conn, b *frameBuf, frame func(body []byte) bool, idle func() bool) error {
-	sc, ok := conn.(syscall.Conn)
-	if !ok {
-		return fmt.Errorf("tcp: %T does not expose its file descriptor", conn)
-	}
-	rc, err := sc.SyscallConn()
-	if err != nil {
-		return err
-	}
-	var stopped bool
-	var ferr error
-	// read runs inside rc.Read: it returns false to wait for the next
-	// readiness edge, true to return from rc.Read.
-	read := func(fd uintptr) bool {
-		space := b.space()
-		n, err := syscall.Read(int(fd), space)
-		for err == syscall.EINTR {
-			n, err = syscall.Read(int(fd), space)
-		}
-		switch {
-		case err == syscall.EAGAIN:
-			return false // an edge whose bytes an earlier read already took
-		case err != nil:
-			ferr = os.NewSyscallError("read", err)
-			return true
-		case n == 0:
-			ferr = io.EOF
-			if b.w > b.r {
-				ferr = io.ErrUnexpectedEOF
-			}
-			return true
-		}
-		b.w += n
-		for {
-			body, ok, err := b.next()
-			if err != nil {
-				ferr = err
-				return true
-			}
-			if !ok {
-				break
-			}
-			if !frame(body) {
-				stopped = true
-				return true
-			}
-		}
-		if idle != nil && !idle() {
-			stopped = true
-			return true
-		}
-		// Returning true reads again through rc.Read, which checks the
-		// deadline first.
-		return n == len(space)
-	}
-	for !stopped && ferr == nil {
-		if err := rc.Read(read); err != nil {
+// and every wait. The buffer keeps a frame a deadline cut short for the next
+// call.
+func (r *frameReader) run() error {
+	r.stopped, r.err = false, nil
+	for !r.stopped && r.err == nil {
+		if err := r.rc.Read(r.read); err != nil {
 			return err
 		}
 	}
-	return ferr
+	return r.err
+}
+
+// readFD runs inside rc.Read: it returns false to wait for the next readiness
+// edge, true to return from rc.Read.
+func (r *frameReader) readFD(fd uintptr) bool {
+	b := r.b
+	space := b.space()
+	n, err := syscall.Read(int(fd), space)
+	for err == syscall.EINTR {
+		n, err = syscall.Read(int(fd), space)
+	}
+	switch {
+	case err == syscall.EAGAIN:
+		return false // an edge whose bytes an earlier read already took
+	case err != nil:
+		r.err = os.NewSyscallError("read", err)
+		return true
+	case n == 0:
+		r.err = io.EOF
+		if b.w > b.r {
+			r.err = io.ErrUnexpectedEOF
+		}
+		return true
+	}
+	b.w += n
+	for {
+		body, ok, err := b.next()
+		if err != nil {
+			r.err = err
+			return true
+		}
+		if !ok {
+			break
+		}
+		if !r.frame(body) {
+			r.stopped = true
+			return true
+		}
+	}
+	if r.idle != nil && !r.idle() {
+		r.stopped = true
+		return true
+	}
+	// Returning true reads again through rc.Read, which checks the deadline
+	// first.
+	return n == len(space)
 }
 
 // writeDeadline is a connection's write deadline, re-armed only when less than

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"mixedmem/internal/dsm"
+	"mixedmem/internal/syncmgr"
 	"mixedmem/internal/transport"
 )
 
@@ -250,63 +251,136 @@ func (t *tap) Recv(node int) (transport.Message, bool) {
 	return m, ok
 }
 
-// TestCountedBytesAreShippedBytes: for memory updates, the bytes a sender's
-// Stats count — the Size the runtime gives each message, its encodedSize —
-// are the payload bytes its channels carry, summed over the receivers, kind by
-// kind. So wire_bytes_per_op measured over tcp is the wire's own count. Node 0
-// batches and node 1 does not, so both update kinds flow, each under a vector
-// timestamp and, with a scope, under dependency matrices with elided copies
-// mixed in.
+// TestCountedBytesAreShippedBytes: the bytes a sender's Stats count — the Size
+// the runtime gives each message, its payload's size — are the payload bytes
+// its channels carry, summed over the receivers, kind by kind. So
+// wire_bytes_per_op measured over tcp is the wire's own count. The update rows
+// have node 0 batch and node 1 not, so both update kinds flow, each under a
+// vector timestamp and, with a scope, under dependency matrices with elided
+// copies mixed in. The synchronisation rows run the lock and barrier protocols
+// with their managers on node 0: lazy and demand-driven lock cycles (the
+// latter with write-sets), read locks under eager propagation (whose flush
+// probes and acknowledgements carry nothing, and count nothing), and global
+// and subset barriers.
 func TestCountedBytesAreShippedBytes(t *testing.T) {
-	const n, writes = 3, 200
+	const n, writes, rounds = 3, 200, 40
 	locs := []string{"a", "b", "c", "d", "e"}
 	scope := &dsm.ScopeMap{Readers: map[string][]int{}, CausalReaders: map[string][]int{}}
 	for i, loc := range locs {
 		scope.Readers[loc] = []int{0, 1, 2}
 		scope.CausalReaders[loc] = []int{i % n}
 	}
+	type proc struct {
+		id    int
+		node  *dsm.Node
+		locks *syncmgr.Client
+		bars  *syncmgr.BarrierClient
+	}
+	updates := func(p proc) {
+		if p.id == 2 {
+			return
+		}
+		for k := 0; k < writes; k++ {
+			if k%3 == 0 {
+				p.node.Add(locs[k%len(locs)], 1)
+			} else {
+				p.node.Write(locs[(k+p.id)%len(locs)], int64(k))
+			}
+		}
+	}
+	lockCycles := func(p proc) {
+		for k := 0; k < rounds; k++ {
+			lock := []string{"l", "lock[12]"}[k%2]
+			p.locks.WLock(lock)
+			p.node.Write(locs[(k+p.id)%len(locs)], int64(k))
+			p.node.Write(locs[(k+2*p.id)%len(locs)], int64(k))
+			p.locks.WUnlock(lock)
+		}
+	}
+	readLocks := func(p proc) {
+		for k := 0; k < rounds; k++ {
+			if k%4 == p.id {
+				p.locks.WLock("l")
+				p.node.Write(locs[k%len(locs)], int64(k))
+				p.locks.WUnlock("l")
+				continue
+			}
+			p.locks.RLock("l")
+			p.node.ReadCausal(locs[k%len(locs)])
+			p.locks.RUnlock("l")
+		}
+	}
+	barriers := func(p proc) {
+		for k := 0; k < rounds; k++ {
+			p.node.Write(locs[(k+p.id)%len(locs)], int64(k))
+			p.bars.Barrier()
+		}
+	}
+	subsetBarriers := func(p proc) {
+		if p.id == 0 {
+			return
+		}
+		for k := 0; k < rounds; k++ {
+			p.node.Write(locs[(k+p.id)%len(locs)], int64(k))
+			p.bars.BarrierGroup("pair", []int{1, 2})
+		}
+	}
+	lockKinds := []string{syncmgr.KindLockReq, syncmgr.KindLockGrant, syncmgr.KindLockRel}
+	barKinds := []string{syncmgr.KindBarArrive, syncmgr.KindBarRelease}
 	for _, tc := range []struct {
 		name  string
 		scope *dsm.ScopeMap
-	}{{"broadcast", nil}, {"scoped", scope}} {
+		mode  syncmgr.PropagationMode
+		run   func(proc)
+		kinds []string // the kinds the row must carry
+	}{
+		{"broadcast", nil, syncmgr.Lazy, updates, []string{dsm.KindUpdate, dsm.KindUpdateBatch}},
+		{"scoped", scope, syncmgr.Lazy, updates, []string{dsm.KindUpdate, dsm.KindUpdateBatch}},
+		{"lazy locks", nil, syncmgr.Lazy, lockCycles, lockKinds},
+		{"demand-driven locks", nil, syncmgr.DemandDriven, lockCycles, lockKinds},
+		{"read locks", nil, syncmgr.Eager, readLocks, append(lockKinds, syncmgr.KindFlush, syncmgr.KindFlushAck)},
+		{"global barriers", nil, syncmgr.Lazy, barriers, barKinds},
+		{"subset barriers", nil, syncmgr.Lazy, subsetBarriers, barKinds},
+	} {
 		t.Run(tc.name, func(t *testing.T) {
 			trs := newLoopbackT(t, n)
 			taps := make([]*tap, n)
-			nodes := make([]*dsm.Node, n)
-			for i := range nodes {
+			procs := make([]proc, n)
+			dispatchers := make([]*syncmgr.Dispatcher, n)
+			for i := range procs {
 				taps[i] = &tap{Transport: trs[i], msgs: map[string]uint64{}, bytes: map[string]uint64{}}
-				var err error
-				nodes[i], err = dsm.NewNode(dsm.Config{ID: i, N: n, Transport: taps[i], Scope: tc.scope,
-					Batch: dsm.BatchConfig{Enabled: i == 0, MaxUpdates: 4, Linger: time.Hour}})
+				dispatchers[i] = syncmgr.NewDispatcher()
+				nd, err := dsm.NewNode(dsm.Config{ID: i, N: n, Transport: taps[i], Scope: tc.scope,
+					Handler: dispatchers[i].Handle,
+					Batch:   dsm.BatchConfig{Enabled: i == 0, MaxUpdates: 4, Linger: time.Hour}})
 				if err != nil {
 					t.Fatalf("NewNode(%d): %v", i, err)
 				}
+				procs[i] = proc{id: i, node: nd,
+					locks: syncmgr.NewClient(nd, 0, tc.mode), bars: syncmgr.NewBarrierClient(nd, 0)}
+				procs[i].locks.Bind(dispatchers[i])
+				procs[i].bars.Bind(dispatchers[i])
 			}
+			syncmgr.NewManager(0, taps[0], tc.mode).Bind(dispatchers[0])
+			syncmgr.NewBarrierManager(0, taps[0], n).Bind(dispatchers[0])
 			t.Cleanup(func() {
 				for _, tr := range trs {
 					tr.Close()
 				}
-				for _, nd := range nodes {
-					nd.Close()
+				for _, p := range procs {
+					p.node.Close()
 				}
 			})
 			var wg sync.WaitGroup
-			for i, nd := range nodes[:2] {
+			for _, p := range procs {
 				wg.Add(1)
-				go func(i int, nd *dsm.Node) {
+				go func(p proc) {
 					defer wg.Done()
-					for k := 0; k < writes; k++ {
-						if k%3 == 0 {
-							nd.Add(locs[k%len(locs)], 1)
-						} else {
-							nd.Write(locs[(k+i)%len(locs)], int64(k))
-						}
-					}
-					nd.FlushUpdates()
-				}(i, nd)
+					tc.run(p)
+					p.node.FlushUpdates()
+				}(p)
 			}
 			wg.Wait()
-			kinds := []string{dsm.KindUpdate, dsm.KindUpdateBatch}
 			sent := func(kind string) (msgs, bytes uint64) {
 				for _, tr := range trs {
 					s := tr.Stats()
@@ -324,8 +398,14 @@ func TestCountedBytesAreShippedBytes(t *testing.T) {
 				}
 				return msgs, bytes
 			}
+			kinds := map[string]bool{}
+			for _, tr := range trs {
+				for kind := range tr.Stats().PerKind {
+					kinds[kind] = true
+				}
+			}
 			if !eventually(func() bool {
-				for _, kind := range kinds {
+				for kind := range kinds {
 					s, _ := sent(kind)
 					if r, _ := received(kind); r != s {
 						return false
@@ -335,10 +415,15 @@ func TestCountedBytesAreShippedBytes(t *testing.T) {
 			}) {
 				t.Fatal("the receivers never got every message sent")
 			}
-			for _, kind := range kinds {
+			for _, kind := range tc.kinds {
+				if sm, _ := sent(kind); sm == 0 {
+					t.Errorf("%s: no message sent", kind)
+				}
+			}
+			for kind := range kinds {
 				sm, sb := sent(kind)
 				rm, rb := received(kind)
-				if sm == 0 || sb != rb {
+				if sb != rb {
 					t.Errorf("%s: %d msgs / %d bytes counted by the senders, %d / %d payload bytes received",
 						kind, sm, sb, rm, rb)
 				}

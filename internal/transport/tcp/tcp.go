@@ -774,9 +774,12 @@ func (t *Transport) serveConn(conn net.Conn) {
 		t.connMu.Unlock()
 	}()
 	b := newFrameBuf()
+	r, err := newFrameReader(conn, &b, c.frame, c.ackIfDue)
+	if err != nil {
+		return
+	}
 	for t.armProbe(conn) {
-		err := readFrames(conn, &b, c.frame, c.ackIfDue)
-		if !errors.Is(err, os.ErrDeadlineExceeded) {
+		if err := r.run(); !errors.Is(err, os.ErrDeadlineExceeded) {
 			return
 		}
 	}
