@@ -191,9 +191,9 @@ func TestSessionNameTablesMatchNamingScheme(t *testing.T) {
 		mode        SessionMode
 		msgs, bytes uint64 // bytes 0: dependency matrices make them schedule-dependent
 	}{
-		{SessionBroadcast, 886, 35039},
-		{SessionCausalScoped, 566, 0},
-		{SessionHybrid, 566, 0},
+		{SessionBroadcast, 884, 34984},
+		{SessionCausalScoped, 564, 0},
+		{SessionHybrid, 564, 0},
 	} {
 		cfg := sessionTestConfig(tc.mode)
 		if got := cfg.WorkloadFingerprint(); got != fingerprint {

@@ -90,10 +90,13 @@ type PerfCell struct {
 	AllocsPerOp float64 `json:"allocs_per_op"`
 	OpsPerSec   float64 `json:"ops_per_sec"`
 	// BytesPerOp is heap bytes allocated per operation, which every cell
-	// reports, and AcksPerOp the ack frames the receivers wrote per message
-	// (tcp.Diag.AcksSent), which the tcp stream and echo cells report.
+	// reports, AcksPerOp the ack frames the receivers wrote per message
+	// (tcp.Diag.AcksSent), which the tcp stream and echo cells report, and
+	// MsgsPerOp the messages the transport sent per operation
+	// (Stats.MessagesSent), which the lock and barrier cells report.
 	BytesPerOp float64 `json:"bytes_per_op,omitempty"`
 	AcksPerOp  float64 `json:"acks_per_op,omitempty"`
+	MsgsPerOp  float64 `json:"msgs_per_op,omitempty"`
 }
 
 // Key identifies the cell's grid point independent of measurements; benchdiff
@@ -109,8 +112,10 @@ func (c PerfCell) String() string {
 	switch {
 	case (c.Scenario == "stream" || c.Scenario == "echo") && c.Transport == "tcp":
 		s += fmt.Sprintf(" %6.1f B/op %6.3f acks/op", c.BytesPerOp, c.AcksPerOp)
-	case c.Scenario == "burst" || c.Scenario == "lock" || c.Scenario == "barrier":
+	case c.Scenario == "burst":
 		s += fmt.Sprintf(" %6.1f B/op", c.BytesPerOp)
+	case c.Scenario == "lock" || c.Scenario == "barrier":
+		s += fmt.Sprintf(" %6.1f B/op %6.2f msgs/op", c.BytesPerOp, c.MsgsPerOp)
 	}
 	return s
 }
@@ -539,7 +544,8 @@ func measureSimBurst(cell PerfCell) (PerfCell, error) {
 // scenario cycles one lock from process 1 with nobody else asking — request,
 // grant, release, and the count vectors that ride on them; the barrier
 // scenario walks every process through the same rounds. No process writes, so
-// the round's own cost is all there is.
+// the round's own cost is all there is, messages included: the cell reports
+// the transport's sends per round.
 func measureSyncCell(sub Substrate, o PerfOptions, cell PerfCell) (PerfCell, error) {
 	sys, err := sub.NewSystem(core.Config{Procs: perfSyncProcs})
 	if err != nil {
@@ -562,7 +568,10 @@ func measureSyncCell(sub Substrate, o PerfOptions, cell PerfCell) (PerfCell, err
 		})
 	}
 	pass(o.Warmup)
-	return measure(cell, func() (int, error) { pass(o.Ops); return o.Ops, nil })
+	sent := sys.NetStats().MessagesSent
+	cell, err = measure(cell, func() (int, error) { pass(o.Ops); return o.Ops, nil })
+	cell.MsgsPerOp = float64(sys.NetStats().MessagesSent-sent) / float64(o.Ops)
+	return cell, err
 }
 
 // perfReplayConfig is the bench/e2e session workloads' saturated epoch: three

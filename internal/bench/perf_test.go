@@ -175,16 +175,21 @@ func TestSimBurstCellShape(t *testing.T) {
 // three or more. Over tcp every message is also decoded, into a connection's
 // slabs, so a round costs at most twice what it costs on sim (five or eight
 // allocations per round when every message was decoded into fresh memory).
+// On both substrates a round sends exactly the messages that cross between
+// processes: a lock cycle from process 1 its request, grant and release; a
+// barrier the two other processes' arrivals and releases, since the manager's
+// own process is served in place (six when it messaged itself).
 func TestSyncCellsAllocShape(t *testing.T) {
 	o := PerfOptions{Ops: 2048, Warmup: 256}.withDefaults()
-	sim := map[string]float64{}
+	sim, simMsgs := map[string]float64{}, map[string]float64{}
 	for _, tc := range []struct {
 		cell   PerfCell
 		key    string
 		allocs float64
+		msgs   float64
 	}{
-		{PerfCell{Scenario: "lock", Label: "lazy", Writers: 1}, "sim/lock/lazy/b0/w1/r0", 0.25},
-		{PerfCell{Scenario: "barrier", Label: "global", Writers: perfSyncProcs}, "sim/barrier/global/b0/w3/r0", 0.5},
+		{PerfCell{Scenario: "lock", Label: "lazy", Writers: 1}, "sim/lock/lazy/b0/w1/r0", 0.25, 3},
+		{PerfCell{Scenario: "barrier", Label: "global", Writers: perfSyncProcs}, "sim/barrier/global/b0/w3/r0", 0.5, 4},
 	} {
 		tc.cell.Transport = "sim"
 		cell, err := measureSyncCell(Substrate{}, o, tc.cell)
@@ -197,7 +202,11 @@ func TestSyncCellsAllocShape(t *testing.T) {
 		if cell.AllocsPerOp >= tc.allocs {
 			t.Errorf("%s: %.3f allocs/op, want under %.2f", tc.key, cell.AllocsPerOp, tc.allocs)
 		}
+		if cell.MsgsPerOp != tc.msgs {
+			t.Errorf("%s: %.3f msgs/op, want %.0f", tc.key, cell.MsgsPerOp, tc.msgs)
+		}
 		sim[tc.cell.Scenario] = cell.AllocsPerOp
+		simMsgs[tc.cell.Scenario] = cell.MsgsPerOp
 	}
 	if testing.Short() {
 		return
@@ -222,6 +231,9 @@ func TestSyncCellsAllocShape(t *testing.T) {
 			}
 			if s := sim[c.Scenario]; full.AllocsPerOp > 2*s {
 				t.Errorf("%s: %.3f allocs/op, want at most twice sim's %.3f", k, full.AllocsPerOp, s)
+			}
+			if m := simMsgs[c.Scenario]; full.MsgsPerOp != m {
+				t.Errorf("%s: %.3f msgs/op, want sim's %.0f", k, full.MsgsPerOp, m)
 			}
 		}
 	}

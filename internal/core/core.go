@@ -250,7 +250,7 @@ func newProc(dc dsm.Config, manager int, mode syncmgr.PropagationMode, traceCap 
 	if mode == 0 {
 		mode = syncmgr.Lazy
 	}
-	d := syncmgr.NewDispatcher()
+	d := syncmgr.NewDispatcher(dc.ID, dc.Transport)
 	dc.Handler = d.Handle
 	if traceCap > 0 {
 		dc.Tracer = obs.NewTracer(dc.ID, traceCap)
@@ -260,13 +260,11 @@ func newProc(dc dsm.Config, manager int, mode syncmgr.PropagationMode, traceCap 
 		return nil, fmt.Errorf("core: node %d: %w", dc.ID, err)
 	}
 	if dc.ID == manager {
-		syncmgr.NewManager(manager, dc.Transport, mode).Bind(d)
-		syncmgr.NewBarrierManager(manager, dc.Transport, dc.N).Bind(d)
+		syncmgr.NewManager(d, mode)
+		syncmgr.NewBarrierManager(d, dc.N)
 	}
-	lc := syncmgr.NewClient(node, manager, mode)
-	lc.Bind(d)
-	bc := syncmgr.NewBarrierClient(node, manager)
-	bc.Bind(d)
+	lc := syncmgr.NewClient(node, d, manager, mode)
+	bc := syncmgr.NewBarrierClient(node, d, manager)
 	return &Proc{node: node, locks: lc, barrier: bc, n: dc.N}, nil
 }
 

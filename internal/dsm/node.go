@@ -80,7 +80,11 @@ import (
 
 // Handler receives non-update messages delivered to a node. Handlers run on
 // the node's receive loop and must not block; hand work that can wait to a
-// channel or goroutine.
+// channel or goroutine. A component that serves its own node without the
+// transport (syncmgr's dispatcher, for a message the node addresses to
+// itself) also calls the handler in place, on the sending goroutine, so a
+// handler must not expect to be entered from the receive loop alone, and must
+// not be entered with a lock held that it takes itself.
 type Handler func(network.Message)
 
 // Config configures a Node.

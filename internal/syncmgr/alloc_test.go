@@ -1,6 +1,7 @@
 package syncmgr
 
 import (
+	"fmt"
 	"reflect"
 	"sync"
 	"testing"
@@ -20,8 +21,11 @@ import (
 //   - a global Barrier round of three processes: 0. Arrivals, releases and
 //     their vectors are slab elements, the round is recycled.
 //
-// What may still allocate: the first use of a lock name (its lockState, the
-// client's epoch entry), a read epoch's first reader, and DemandDriven's
+//   - the first WLock+WUnlock of a lock name: 0. Its lockState is a slab
+//     element, its release vector a slab vector, its queue starts inside the
+//     state; the two map entries it adds grow their maps only now and then.
+//
+// What may still allocate: a read epoch's first reader, and DemandDriven's
 // write-set maps.
 
 func TestLockCycleAllocFree(t *testing.T) {
@@ -38,6 +42,38 @@ func TestLockCycleAllocFree(t *testing.T) {
 	}
 	if got := tc.nodes[1].WritesSince(0); len(got) != 0 {
 		t.Errorf("Lazy lock cycles turned the write log on: %d records", len(got))
+	}
+}
+
+// TestFreshLockAcquireAllocFree: the first WLock+WUnlock of a lock name the
+// manager has never seen costs no allocation of its own either — the lock's
+// state comes from a slab, its release vector from the manager's vector slab,
+// and its queue starts in an array inside the state. What is left are the two
+// maps the name enters (the manager's and the client's epochs), whose growth
+// is amortized over the names.
+func TestFreshLockAcquireAllocFree(t *testing.T) {
+	tc := newTestCluster(t, 3, Lazy, nil)
+	lc := tc.locks[1]
+	const runs = 10 * slabSize
+	names := make([]string, runs+2) // one cycle here, one AllocsPerRun warm-up, runs measured
+	for i := range names {
+		names[i] = fmt.Sprintf("fresh%d", i)
+	}
+	i := 0
+	cycle := func() {
+		lc.WLock(names[i])
+		lc.WUnlock(names[i])
+		i++
+	}
+	cycle()
+	if allocs := testing.AllocsPerRun(runs, cycle); allocs != 0 {
+		t.Errorf("first Lazy WLock+WUnlock of a fresh name: %.0f allocs, want 0", allocs)
+	}
+	tc.mgr.mu.Lock()
+	known := len(tc.mgr.locks)
+	tc.mgr.mu.Unlock()
+	if known != len(names) {
+		t.Errorf("manager knows %d locks, want %d fresh names", known, len(names))
 	}
 }
 
@@ -77,8 +113,13 @@ func TestBarrierRoundAllocFree(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("global barrier round: %.0f allocs per round, want 0", allocs)
 	}
-	if n := len(tc.bmgr.idle); n != 1 {
-		t.Errorf("%d idle rounds after lockstep barriers, want the one round recycled every time", n)
+	// Under the manager's mutex: the last round's releases may have reached
+	// everyone — process 0's in place — before the manager recycled it.
+	tc.bmgr.mu.Lock()
+	idle := len(tc.bmgr.idle)
+	tc.bmgr.mu.Unlock()
+	if idle != 1 {
+		t.Errorf("%d idle rounds after lockstep barriers, want the one round recycled every time", idle)
 	}
 }
 
@@ -129,11 +170,13 @@ func TestManagerQueueCompactsInPlace(t *testing.T) {
 }
 
 // barrierHarness drives a BarrierManager with crafted arrivals and collects
-// the releases it sends to every client.
+// the releases it sends to every client: client 0's, which the manager hands
+// to its own node's dispatcher in place, in own; the others' off the fabric.
 type barrierHarness struct {
 	t      *testing.T
 	mgr    *BarrierManager
 	fabric *network.Fabric
+	own    chan *barRelease
 }
 
 func newBarrierHarness(t *testing.T, nodes int) *barrierHarness {
@@ -143,7 +186,11 @@ func newBarrierHarness(t *testing.T, nodes int) *barrierHarness {
 		t.Fatalf("network.New: %v", err)
 	}
 	t.Cleanup(f.Close)
-	return &barrierHarness{t: t, mgr: NewBarrierManager(0, f, nodes), fabric: f}
+	h := &barrierHarness{t: t, fabric: f, own: make(chan *barRelease, 16)}
+	d := NewDispatcher(0, f)
+	h.mgr = NewBarrierManager(d, nodes)
+	d.Register(KindBarRelease, func(m network.Message) { h.own <- m.Payload.(*barRelease) })
+	return h
 }
 
 func (h *barrierHarness) arrive(client, k int, sent ...uint64) {
@@ -156,6 +203,14 @@ func (h *barrierHarness) arrive(client, k int, sent ...uint64) {
 // release returns the release the manager sent to client.
 func (h *barrierHarness) release(client int) *barRelease {
 	h.t.Helper()
+	if client == 0 {
+		select {
+		case rel := <-h.own:
+			return rel
+		default:
+			h.t.Fatal("client 0 was not released")
+		}
+	}
 	m, ok := h.fabric.Recv(client)
 	if !ok {
 		h.t.Fatalf("fabric closed before client %d was released", client)
@@ -183,7 +238,10 @@ func TestBarRoundRecycledClean(t *testing.T) {
 	if round.arrived != 2 {
 		t.Fatalf("arrived = %d after clients 0 (twice) and 1, want 2", round.arrived)
 	}
-	for client := 0; client < 3; client++ {
+	if len(h.own) != 0 {
+		t.Fatal("client 0 released before everyone arrived")
+	}
+	for client := 1; client < 3; client++ {
 		if h.fabric.Pending(0, client) != 0 {
 			t.Fatalf("client %d released before everyone arrived", client)
 		}

@@ -8,7 +8,6 @@ import (
 	"mixedmem/internal/history"
 	"mixedmem/internal/network"
 	"mixedmem/internal/obs"
-	"mixedmem/internal/transport"
 )
 
 // barArrive is the payload a process sends to the barrier manager on
@@ -40,9 +39,8 @@ type barRelease struct {
 // have arrived the manager transposes the vectors and releases every process
 // with the counts it must wait for.
 type BarrierManager struct {
-	self    int
+	d       *Dispatcher
 	n       int
-	fabric  transport.Transport
 	members int
 
 	mu      sync.Mutex
@@ -67,22 +65,19 @@ type barRound struct {
 	arrived int
 }
 
-// NewBarrierManager creates a barrier manager hosted on node self. members
-// is the number of processes participating in each barrier (the paper notes
-// barriers can also be defined for subsets; participants must agree).
-func NewBarrierManager(self int, tr transport.Transport, members int) *BarrierManager {
-	return &BarrierManager{
-		self:    self,
-		n:       tr.Nodes(),
-		fabric:  tr,
+// NewBarrierManager creates a barrier manager hosted on d's node and
+// registers its handler there. members is the number of processes
+// participating in each barrier (the paper notes barriers can also be defined
+// for subsets; participants must agree).
+func NewBarrierManager(d *Dispatcher, members int) *BarrierManager {
+	m := &BarrierManager{
+		d:       d,
+		n:       d.tr.Nodes(),
 		members: members,
 		pending: make(map[barKey]*barRound),
 	}
-}
-
-// Bind registers the manager's handler on a dispatcher.
-func (m *BarrierManager) Bind(d *Dispatcher) {
 	d.Register(KindBarArrive, m.onArrive)
+	return m
 }
 
 // noCounts stands in for the nil vector of an arrival that reported no
@@ -91,7 +86,8 @@ var noCounts = []uint64{}
 
 // onArrive records one arrival and, when it completes its round, releases
 // every participant. It sends under the manager lock, as the lock manager
-// does and for the same reason.
+// does and for the same reason; a release to the manager's own node only
+// fills its client's one-slot waiter.
 func (m *BarrierManager) onArrive(msg network.Message) {
 	arr, ok := msg.Payload.(*barArrive)
 	if !ok {
@@ -137,8 +133,8 @@ func (m *BarrierManager) onArrive(msg network.Message) {
 				rel.Expected[j] = vec[client]
 			}
 		}
-		_ = m.fabric.Send(network.Message{
-			From: m.self, To: client, Kind: KindBarRelease,
+		m.d.send(network.Message{
+			From: m.d.self, To: client, Kind: KindBarRelease,
 			Payload: rel, Size: rel.size(),
 		})
 	}
@@ -159,6 +155,7 @@ type BarrierStats struct {
 // BarrierClient is the per-process side of the barrier protocol.
 type BarrierClient struct {
 	node    *dsm.Node
+	d       *Dispatcher
 	manager int
 
 	mu       sync.Mutex
@@ -174,20 +171,18 @@ type BarrierClient struct {
 }
 
 // NewBarrierClient creates the client side for node, pointing at the
-// manager process.
-func NewBarrierClient(node *dsm.Node, manager int) *BarrierClient {
-	return &BarrierClient{
+// manager process, and registers its handler on d, the node's dispatcher.
+func NewBarrierClient(node *dsm.Node, d *Dispatcher, manager int) *BarrierClient {
+	c := &BarrierClient{
 		node:     node,
+		d:        d,
 		manager:  manager,
 		nextK:    1,
 		groupK:   make(map[string]int),
 		releases: make(map[barKey]chan *barRelease),
 	}
-}
-
-// Bind registers the client's handler on a dispatcher.
-func (c *BarrierClient) Bind(d *Dispatcher) {
 	d.Register(KindBarRelease, c.onRelease)
+	return c
 }
 
 func (c *BarrierClient) onRelease(msg network.Message) {
@@ -271,8 +266,8 @@ func (c *BarrierClient) barrier(group string, k int, members []int) {
 		sent = masked
 	}
 	*arr = barArrive{K: k, Sent: sent, Group: group, Members: members}
-	_ = c.node.Transport().Send(network.Message{
-		From: c.node.ID(), To: c.manager, Kind: KindBarArrive,
+	c.d.send(network.Message{
+		From: c.d.self, To: c.manager, Kind: KindBarArrive,
 		Payload: arr, Size: arr.size(),
 	})
 	rel := <-ch

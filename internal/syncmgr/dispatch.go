@@ -8,12 +8,21 @@
 // message-driven state machines running on a node's receive loop; all their
 // actions are non-blocking sends, so a manager can share a node with a
 // worker process.
+//
+// Every component sends through its node's Dispatcher, and a message a node
+// addresses to itself never reaches the transport: the dispatcher hands it to
+// the registered handler in place, on the sender's goroutine. A handler may
+// therefore run on the receive loop or on any goroutine of its own node that
+// sends, so it must not block, and no component may send while holding its
+// own client mutex — handlers send under the manager mutex and then take a
+// client's, so the lock order is manager before client.
 package syncmgr
 
 import (
 	"sync"
 
 	"mixedmem/internal/network"
+	"mixedmem/internal/transport"
 )
 
 // Message kinds used by the synchronization protocols.
@@ -61,15 +70,20 @@ func (m PropagationMode) String() string {
 }
 
 // Dispatcher routes protocol messages delivered to one node to the lock and
-// barrier components registered on it. It implements the dsm.Handler shape.
+// barrier components registered on it, and is the one path those components
+// send by. It implements the dsm.Handler shape.
 type Dispatcher struct {
+	self int
+	tr   transport.Transport
+
 	mu     sync.RWMutex
 	routes map[string]func(network.Message)
 }
 
-// NewDispatcher returns an empty dispatcher.
-func NewDispatcher() *Dispatcher {
-	return &Dispatcher{routes: make(map[string]func(network.Message))}
+// NewDispatcher returns an empty dispatcher for node self, which sends over
+// tr.
+func NewDispatcher(self int, tr transport.Transport) *Dispatcher {
+	return &Dispatcher{self: self, tr: tr, routes: make(map[string]func(network.Message))}
 }
 
 // Register installs fn as the handler for messages of the given kind.
@@ -88,4 +102,17 @@ func (d *Dispatcher) Handle(m network.Message) {
 	if fn != nil {
 		fn(m)
 	}
+}
+
+// send delivers one protocol message from this node. A message to the node
+// itself is handled in place — a process needs no channel to reach a manager
+// it hosts (Section 6) — and every other one goes to the transport. In place
+// is safe because every handler only updates state under its own mutex and
+// then sends or fills a one-slot waiter channel nobody else fills.
+func (d *Dispatcher) send(m network.Message) {
+	if m.To == d.self {
+		d.Handle(m)
+		return
+	}
+	_ = d.tr.Send(m)
 }

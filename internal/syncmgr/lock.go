@@ -10,7 +10,6 @@ import (
 	"mixedmem/internal/history"
 	"mixedmem/internal/network"
 	"mixedmem/internal/obs"
-	"mixedmem/internal/transport"
 )
 
 // LockMode distinguishes read and write lock requests.
@@ -75,14 +74,15 @@ type lockRelease struct {
 // work happens in those handlers and consists only of state updates and
 // non-blocking sends.
 type Manager struct {
-	self   int
-	fabric transport.Transport
-	mode   PropagationMode
+	d    *Dispatcher
+	mode PropagationMode
 
 	mu    sync.Mutex
 	locks map[string]*lockState
-	// grants and vecs are the slabs sent grants and their release vectors
-	// are taken from.
+	// states is the slab new locks' states are taken from; grants and vecs
+	// are the slabs sent grants, their release vectors and the locks' own
+	// accumulated release vectors are taken from.
+	states slab[lockState]
 	grants slab[lockGrant]
 	vecs   vecSlab[uint64]
 }
@@ -99,8 +99,10 @@ type lockState struct {
 	// readers holds the current read holders; made by the first read grant.
 	readers map[int]bool
 	// queue holds the waiting requests in arrival order. Admitted requests
-	// are removed by sliding the rest down, so the array is reused.
-	queue []waiting
+	// are removed by sliding the rest down, so the array is reused; it
+	// starts in queue0, which holds an uncontended lock's one request.
+	queue  []waiting
+	queue0 [2]waiting
 	// relVC accumulates unlockers' received counts (lazy mode).
 	relVC []uint64
 	// writeSet accumulates critical-section write-sets (demand mode). Each
@@ -116,37 +118,33 @@ type waiting struct {
 	reqID  uint64
 }
 
-// NewManager creates a lock manager hosted on node self.
-func NewManager(self int, tr transport.Transport, mode PropagationMode) *Manager {
-	return &Manager{
-		self:   self,
-		fabric: tr,
-		mode:   mode,
-		locks:  make(map[string]*lockState),
-	}
-}
-
-// Bind registers the manager's handlers on a dispatcher.
-func (m *Manager) Bind(d *Dispatcher) {
+// NewManager creates a lock manager hosted on d's node and registers its
+// handlers there.
+func NewManager(d *Dispatcher, mode PropagationMode) *Manager {
+	m := &Manager{d: d, mode: mode, locks: make(map[string]*lockState)}
 	d.Register(KindLockReq, m.onRequest)
 	d.Register(KindLockRel, m.onRelease)
+	return m
 }
 
 func (m *Manager) state(name string) *lockState {
 	st, ok := m.locks[name]
 	if !ok {
-		st = &lockState{writer: -1}
+		st = m.states.next()
+		st.writer = -1
+		st.queue = st.queue0[:0]
 		if m.mode == Lazy {
-			st.relVC = make([]uint64, m.fabric.Nodes())
+			st.relVC = m.vecs.next(m.d.tr.Nodes())
 		}
 		m.locks[name] = st
 	}
 	return st
 }
 
-// The handlers send their grants under the manager lock: Send never blocks
-// (the transport contract), and holding the lock is what lets a grant be built
-// straight into the slab with no per-call list of what to send.
+// The handlers send their grants under the manager lock: a send never blocks
+// (the transport contract, and a grant to the manager's own node only fills
+// its client's one-slot waiter), and holding the lock is what lets a grant be
+// built straight into the slab with no per-call list of what to send.
 
 func (m *Manager) onRequest(msg network.Message) {
 	req, ok := msg.Payload.(*lockRequest)
@@ -268,8 +266,8 @@ func (m *Manager) grantLocked(st *lockState, req *waiting) {
 	case DemandDriven:
 		g.WriteSet = st.writeSet
 	}
-	_ = m.fabric.Send(network.Message{
-		From: m.self, To: req.client, Kind: KindLockGrant,
+	m.d.send(network.Message{
+		From: m.d.self, To: req.client, Kind: KindLockGrant,
 		Payload: g, Size: g.size(),
 	})
 }
@@ -289,6 +287,7 @@ type ClientStats struct {
 // locks managed by the manager it points at.
 type Client struct {
 	node    *dsm.Node
+	d       *Dispatcher
 	manager int
 	mode    PropagationMode
 
@@ -313,14 +312,15 @@ type Client struct {
 }
 
 // NewClient creates the client side for node, pointing at the manager
-// process. Bind its handlers on the node's dispatcher.
-func NewClient(node *dsm.Node, manager int, mode PropagationMode) *Client {
+// process, and registers its handlers on d, the node's dispatcher.
+func NewClient(node *dsm.Node, d *Dispatcher, manager int, mode PropagationMode) *Client {
 	ackBuf := node.N()
 	if ackBuf < 16 {
 		ackBuf = 16
 	}
-	return &Client{
+	c := &Client{
 		node:      node,
+		d:         d,
 		manager:   manager,
 		mode:      mode,
 		grants:    make(map[uint64]chan *lockGrant),
@@ -328,13 +328,10 @@ func NewClient(node *dsm.Node, manager int, mode PropagationMode) *Client {
 		marks:     make(map[string]int),
 		epochs:    make(map[string]int),
 	}
-}
-
-// Bind registers the client's handlers on a dispatcher.
-func (c *Client) Bind(d *Dispatcher) {
 	d.Register(KindLockGrant, c.onGrant)
 	d.Register(KindFlush, c.onFlush)
 	d.Register(KindFlushAck, c.onFlushAck)
+	return c
 }
 
 func (c *Client) onGrant(msg network.Message) {
@@ -356,9 +353,7 @@ func (c *Client) onGrant(msg network.Message) {
 // applied here, so the acknowledgement certifies receipt (Section 6's eager
 // implementation).
 func (c *Client) onFlush(msg network.Message) {
-	_ = c.node.Transport().Send(network.Message{
-		From: c.node.ID(), To: msg.From, Kind: KindFlushAck,
-	})
+	c.d.send(network.Message{From: c.d.self, To: msg.From, Kind: KindFlushAck})
 }
 
 func (c *Client) onFlushAck(network.Message) {
@@ -380,8 +375,8 @@ func (c *Client) acquire(name string, mode LockMode) *lockGrant {
 	c.mu.Unlock()
 
 	start := time.Now()
-	_ = c.node.Transport().Send(network.Message{
-		From: c.node.ID(), To: c.manager, Kind: KindLockReq,
+	c.d.send(network.Message{
+		From: c.d.self, To: c.manager, Kind: KindLockReq,
 		Payload: req, Size: req.size(),
 	})
 	g := <-ch
@@ -440,7 +435,7 @@ func (c *Client) release(name string, mode LockMode, writeSet []writeStamp) {
 		// updates.
 		start := time.Now()
 		n := c.node.N()
-		_ = c.node.Transport().Broadcast(c.node.ID(), KindFlush, nil, 0)
+		_ = c.d.tr.Broadcast(c.d.self, KindFlush, nil, 0)
 		for i := 0; i < n-1; i++ {
 			<-c.flushAcks
 		}
@@ -452,8 +447,8 @@ func (c *Client) release(name string, mode LockMode, writeSet []writeStamp) {
 	case DemandDriven:
 		rel.WriteSet = writeSet
 	}
-	_ = c.node.Transport().Send(network.Message{
-		From: c.node.ID(), To: c.manager, Kind: KindLockRel,
+	c.d.send(network.Message{
+		From: c.d.self, To: c.manager, Kind: KindLockRel,
 		Payload: rel, Size: rel.size(),
 	})
 	if tr := c.node.Tracer(); tr != nil {

@@ -27,7 +27,7 @@ func newManagerHarness(t *testing.T, nodes int, mode PropagationMode) *managerHa
 	}
 	t.Cleanup(f.Close)
 	h := &managerHarness{
-		t: t, fabric: f, mgr: NewManager(0, f, mode),
+		t: t, fabric: f, mgr: NewManager(NewDispatcher(0, f), mode),
 		grants: make([]chan *lockGrant, nodes),
 	}
 	for c := 1; c < nodes; c++ {

@@ -34,7 +34,7 @@ func newTestCluster(t *testing.T, n int, mode PropagationMode, trace *history.Bu
 	dispatchers := make([]*Dispatcher, n)
 	tc := &testCluster{fabric: f, dispatchers: dispatchers}
 	for i := 0; i < n; i++ {
-		d := NewDispatcher()
+		d := NewDispatcher(i, f)
 		dispatchers[i] = d
 		node, err := dsm.NewNode(dsm.Config{
 			ID: i, N: n, Transport: f, Trace: trace, Handler: d.Handle,
@@ -44,17 +44,11 @@ func newTestCluster(t *testing.T, n int, mode PropagationMode, trace *history.Bu
 		}
 		tc.nodes = append(tc.nodes, node)
 	}
-	tc.mgr = NewManager(0, f, mode)
-	tc.mgr.Bind(dispatchers[0])
-	tc.bmgr = NewBarrierManager(0, f, n)
-	tc.bmgr.Bind(dispatchers[0])
+	tc.mgr = NewManager(dispatchers[0], mode)
+	tc.bmgr = NewBarrierManager(dispatchers[0], n)
 	for i := 0; i < n; i++ {
-		lc := NewClient(tc.nodes[i], 0, mode)
-		lc.Bind(dispatchers[i])
-		tc.locks = append(tc.locks, lc)
-		bc := NewBarrierClient(tc.nodes[i], 0)
-		bc.Bind(dispatchers[i])
-		tc.barriers = append(tc.barriers, bc)
+		tc.locks = append(tc.locks, NewClient(tc.nodes[i], dispatchers[i], 0, mode))
+		tc.barriers = append(tc.barriers, NewBarrierClient(tc.nodes[i], dispatchers[i], 0))
 	}
 	t.Cleanup(func() {
 		f.Close()
@@ -129,6 +123,52 @@ func TestLockProtectedCounterNoLostUpdates(t *testing.T) {
 			if got != 3*perProc {
 				t.Fatalf("final counter = %d, want %d", got, 3*perProc)
 			}
+		})
+	}
+}
+
+// TestManagerLocalContention: the managers' own process, whose requests,
+// releases and arrivals are served in place on its own goroutine, contends
+// for one lock with two remote processes and meets them at barriers, in every
+// mode. The write lock stays exclusive, no increment made under it is lost,
+// every process sees the others' pre-barrier writes after each barrier, and
+// the final barrier leaves every process reading the whole count.
+func TestManagerLocalContention(t *testing.T) {
+	for _, mode := range []PropagationMode{Eager, Lazy, DemandDriven} {
+		t.Run(mode.String(), func(t *testing.T) {
+			const rounds = 12
+			tc := newTestCluster(t, 3, mode, nil)
+			phase := []string{"phase0", "phase1", "phase2"}
+			var inCS atomic.Int32
+			var wg sync.WaitGroup
+			for p := range tc.nodes {
+				wg.Add(1)
+				go func(p int) {
+					defer wg.Done()
+					nd, lc, bc := tc.nodes[p], tc.locks[p], tc.barriers[p]
+					for k := 1; k <= rounds; k++ {
+						lc.WLock("l")
+						if held := inCS.Add(1); held != 1 {
+							t.Errorf("proc %d holds the write lock with %d holders", p, held)
+						}
+						nd.Write("ctr", nd.ReadCausal("ctr")+1)
+						inCS.Add(-1)
+						lc.WUnlock("l")
+						nd.Write(phase[p], int64(k))
+						bc.Barrier()
+						for q, loc := range phase {
+							if got := nd.ReadPRAM(loc); got < int64(k) {
+								t.Errorf("proc %d after barrier %d reads proc %d's phase as %d", p, k, q, got)
+							}
+						}
+					}
+					bc.Barrier()
+					if got := nd.ReadCausal("ctr"); got != 3*rounds {
+						t.Errorf("proc %d reads the counter as %d after the last barrier, want %d", p, got, 3*rounds)
+					}
+				}(p)
+			}
+			wg.Wait()
 		})
 	}
 }
@@ -405,7 +445,7 @@ func TestClientStats(t *testing.T) {
 }
 
 func TestDispatcherRouting(t *testing.T) {
-	d := NewDispatcher()
+	d := NewDispatcher(0, nil)
 	var got atomic.Int32
 	d.Register("a", func(network.Message) { got.Store(1) })
 	d.Register("b", func(network.Message) { got.Store(2) })

@@ -349,7 +349,7 @@ func TestCountedBytesAreShippedBytes(t *testing.T) {
 			dispatchers := make([]*syncmgr.Dispatcher, n)
 			for i := range procs {
 				taps[i] = &tap{Transport: trs[i], msgs: map[string]uint64{}, bytes: map[string]uint64{}}
-				dispatchers[i] = syncmgr.NewDispatcher()
+				dispatchers[i] = syncmgr.NewDispatcher(i, taps[i])
 				nd, err := dsm.NewNode(dsm.Config{ID: i, N: n, Transport: taps[i], Scope: tc.scope,
 					Handler: dispatchers[i].Handle,
 					Batch:   dsm.BatchConfig{Enabled: i == 0, MaxUpdates: 4, Linger: time.Hour}})
@@ -357,12 +357,11 @@ func TestCountedBytesAreShippedBytes(t *testing.T) {
 					t.Fatalf("NewNode(%d): %v", i, err)
 				}
 				procs[i] = proc{id: i, node: nd,
-					locks: syncmgr.NewClient(nd, 0, tc.mode), bars: syncmgr.NewBarrierClient(nd, 0)}
-				procs[i].locks.Bind(dispatchers[i])
-				procs[i].bars.Bind(dispatchers[i])
+					locks: syncmgr.NewClient(nd, dispatchers[i], 0, tc.mode),
+					bars:  syncmgr.NewBarrierClient(nd, dispatchers[i], 0)}
 			}
-			syncmgr.NewManager(0, taps[0], tc.mode).Bind(dispatchers[0])
-			syncmgr.NewBarrierManager(0, taps[0], n).Bind(dispatchers[0])
+			syncmgr.NewManager(dispatchers[0], tc.mode)
+			syncmgr.NewBarrierManager(dispatchers[0], n)
 			t.Cleanup(func() {
 				for _, tr := range trs {
 					tr.Close()
