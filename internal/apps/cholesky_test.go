@@ -2,6 +2,7 @@ package apps
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"mixedmem/internal/core"
@@ -275,5 +276,46 @@ func TestGridSPDFillIn(t *testing.T) {
 	}
 	if fill <= orig {
 		t.Fatalf("no fill-in: orig=%d fill=%d", orig, fill)
+	}
+}
+
+// TestCholeskyLocksAllocsPerColumn counts the allocations of one Figure 5
+// factorization — CholeskyLocks on the 8×8 grid Laplacian, 64 columns, on a
+// fresh 3-process sim system — around the run alone, not the system's
+// construction or Close. Every location the factorization writes is new to
+// every replica, so the count is dominated by what a location, a sent update
+// and a lock round cost the runtime.
+//
+// Twenty runs read 5.50–5.95 allocations per column (5.61–5.91 under -race);
+// the bound leaves about a fifth over the highest. A location table per
+// shard instead of per node reads about 21; a sent update whose timestamp is
+// carved from a slab of its own reads 6.4–6.9, inside the bound, and is
+// TestWriteCausalUnbatchedAllocFloor's to catch (internal/dsm).
+func TestCholeskyLocksAllocsPerColumn(t *testing.T) {
+	const maxPerColumn = 7.0
+	m := GenGridSPD(8)
+	ref, err := m.CholeskySequential()
+	if err != nil {
+		t.Fatalf("CholeskySequential: %v", err)
+	}
+	sys, err := core.NewSystem(core.Config{Procs: 3})
+	if err != nil {
+		t.Fatalf("NewSystem: %v", err)
+	}
+	t.Cleanup(sys.Close)
+	results := make([]CholeskyResult, 3)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	sys.Run(func(p *core.Proc) {
+		results[p.ID()] = CholeskyLocks(p, m, SolveOptions{})
+	})
+	runtime.ReadMemStats(&after)
+	for id, res := range results {
+		if d := m.FactorError(res.L, ref); d > 1e-9 {
+			t.Fatalf("proc %d factor differs from sequential by %v", id, d)
+		}
+	}
+	if perColumn := float64(after.Mallocs-before.Mallocs) / float64(m.N); perColumn > maxPerColumn {
+		t.Errorf("CholeskyLocks on a %d-column grid: %.2f allocs per column, want <= %.1f", m.N, perColumn, maxPerColumn)
 	}
 }

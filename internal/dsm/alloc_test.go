@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"mixedmem/internal/loctab"
 	"mixedmem/internal/network"
 	"mixedmem/internal/transport"
 	"mixedmem/internal/transport/tcp"
@@ -27,8 +28,8 @@ import (
 //     timestamp slab, one allocation per slabSize writes.
 //   - unbatched Write, PRAM or causal: 0 allocs per write. The sent update
 //     is a pointer into the node's update slab, so nothing is boxed into
-//     network.Message.Payload (slab_test.go pins both slabs per slabSize
-//     writes).
+//     network.Message.Payload, and a causal write's timestamp rides inside
+//     its element: one allocation per slabSize writes.
 //   - outbox flush: 0 allocs per destination message. The *UpdateBatch, or
 //     the *Update of a single-entry flush, comes from the outbox's own slabs
 //     (the node's are clock-guarded; a flush holds only outboxMu), and entry
@@ -39,9 +40,9 @@ import (
 //     transport reuses); the cursor stays on the stack, and the entry slice
 //     comes from the update-slice pool and is free once warm.
 //   - decode through a connection's decoder (what the tcp receive loop
-//     uses): nothing per update or batch, scoped or not — updates, batches,
-//     timestamps and matrices come from the connection's slabs, locations
-//     from its string cache.
+//     uses): nothing per update or batch, scoped or not — updates (each with
+//     its timestamp), batches, batch entries' timestamps and matrices come
+//     from the connection's slabs, locations from its string cache.
 //   - scoped-causal sends: nothing per write or flush. The address-matrix
 //     snapshot comes from the node's matrix slabs; sizing and encoding the
 //     sparse matrix allocate nothing. Over tcp, sender to receiver, a batched
@@ -89,11 +90,13 @@ func TestWriteSteadyStateAllocFree(t *testing.T) {
 }
 
 // TestFreshLocationWritesAllocLinear pins the cost of a write to a location
-// the node has never seen — the insert path of the shard tables. The pin
-// counts, it does not time: N fresh PRAM writes on a single-node system may
-// cost at most 3 allocations each (the table entry plus amortised slot-array
-// doublings), and the bytes allocated must grow linearly in N. A table that
-// copies itself per insert fails both by orders of magnitude.
+// the node has never seen — the insert path of the node's one location table.
+// The pin counts, it does not time: N fresh PRAM writes on a single-node
+// system cost what the table's doublings cost, three allocations each
+// (loctab.Doublings), and nothing per write; the bytes allocated must grow
+// linearly in N. A table per shard pays its own doublings, about twenty times
+// as many allocations at N = 16384, and a table that copies itself per insert
+// fails the byte bounds by orders of magnitude.
 func TestFreshLocationWritesAllocLinear(t *testing.T) {
 	measure := func(count int) (mallocs, bytes float64) {
 		f, err := network.New(network.Config{Nodes: 1})
@@ -121,11 +124,23 @@ func TestFreshLocationWritesAllocLinear(t *testing.T) {
 		runtime.ReadMemStats(&after)
 		return float64(after.Mallocs - before.Mallocs), float64(after.TotalAlloc - before.TotalAlloc)
 	}
+	// The counters are process-wide: another goroutine — an earlier test's
+	// nodes winding down — can allocate during a measurement, which only ever
+	// adds to it. Each figure is the least of three measurements.
+	least := func(count int) (mallocs, bytes float64) {
+		mallocs, bytes = measure(count)
+		for i := 1; i < 3; i++ {
+			m, b := measure(count)
+			mallocs, bytes = min(mallocs, m), min(bytes, b)
+		}
+		return mallocs, bytes
+	}
 	const total = 1 << 14
-	quarterMallocs, quarterBytes := measure(total / 4)
-	mallocs, bytes := measure(total)
-	if perOp := mallocs / total; perOp > 3 {
-		t.Errorf("fresh-location PRAM write: %.2f allocs/op over %d writes, want <= 3", perOp, total)
+	quarterMallocs, quarterBytes := least(total / 4)
+	mallocs, bytes := least(total)
+	if limit := 3 * loctab.Doublings(total); mallocs > float64(limit) {
+		t.Errorf("%d fresh-location PRAM writes: %.0f allocs, want <= %d (three per doubling of one table)",
+			total, mallocs, limit)
 	}
 	if perOp := bytes / total; perOp > 256 {
 		t.Errorf("fresh-location PRAM write: %.0f bytes/op over %d writes, want <= 256", perOp, total)
@@ -160,6 +175,32 @@ func TestWriteCausalSteadyStateAllocFloor(t *testing.T) {
 	})
 	if allocs > 0 {
 		t.Errorf("steady-state batched causal Write: %.3f allocs/op, want 0 (the TS snapshot comes from the slab)", allocs)
+	}
+}
+
+// TestWriteCausalUnbatchedAllocFloor pins an unbatched full-broadcast causal
+// write at one slab element: the sent update carries its timestamp inside its
+// element of the update slab, so k slabs' worth of writes to two peers,
+// applied and settled at both, cost k allocations. Carving the update and its
+// stamp from two slabs costs 2k.
+func TestWriteCausalUnbatchedAllocFloor(t *testing.T) {
+	nodes, _ := batchedCluster(t, 3, BatchConfig{})
+	n := nodes[0]
+	min := make([]uint64, 3)
+	var v int64
+	writeSlab := func() {
+		for i := 0; i < slabSize; i++ {
+			v++
+			n.Write("steady", v)
+		}
+		min[0] += slabSize
+		nodes[1].WaitCausalApplied(min)
+		nodes[2].WaitCausalApplied(min)
+	}
+	writeSlab() // warm the cells and the fabric's buffers
+	const k = 50
+	if allocs := testing.AllocsPerRun(k, writeSlab); allocs > 1 {
+		t.Errorf("%d slabs of unbatched causal writes: %.0f allocs, want %d (one per slab)", k, allocs*k, k)
 	}
 }
 
@@ -440,7 +481,9 @@ func TestScopedEncodeAllocFree(t *testing.T) {
 // payload once it has seen the locations: nothing, scoped or not. The *Update
 // or *UpdateBatch, the timestamps and the dependency matrix come from slabs,
 // one allocation each per slabSize, the locations from the cache; the entry
-// slice of a batch from the update-slice pool.
+// slice of a batch from the update-slice pool. A timestamped update carries
+// its stamp inside its own slab element, so slabSize of them cost one
+// allocation.
 func TestConnDecodeAllocFloor(t *testing.T) {
 	deps := vclock.NewMatrix(3)
 	deps.Set(0, 1, 2)
@@ -455,11 +498,12 @@ func TestConnDecodeAllocFloor(t *testing.T) {
 		name    string
 		kind    string
 		payload any
+		limit   float64 // allocations per decode
 	}{
-		{"update", KindUpdate, &Update{From: 1, Seq: 3, Op: OpSet, Loc: "alpha", Value: 10, TS: vclock.VC{1, 3, 4}}},
-		{"scoped update", KindUpdate, &Update{From: 1, Seq: 3, Op: OpSet, Loc: "alpha", Value: 10, Deps: deps}},
-		{"4-entry batch", KindUpdateBatch, &UpdateBatch{From: 1, FirstSeq: 1, Count: 4, Updates: entries}},
-		{"4-entry scoped batch", KindUpdateBatch, &UpdateBatch{From: 1, FirstSeq: 1, Count: 4, Deps: deps, Updates: entries}},
+		{"update", KindUpdate, &Update{From: 1, Seq: 3, Op: OpSet, Loc: "alpha", Value: 10, TS: vclock.VC{1, 3, 4}}, 1.0 / slabSize},
+		{"scoped update", KindUpdate, &Update{From: 1, Seq: 3, Op: OpSet, Loc: "alpha", Value: 10, Deps: deps}, 0.05},
+		{"4-entry batch", KindUpdateBatch, &UpdateBatch{From: 1, FirstSeq: 1, Count: 4, Updates: entries}, 0.05},
+		{"4-entry scoped batch", KindUpdateBatch, &UpdateBatch{From: 1, FirstSeq: 1, Count: 4, Deps: deps, Updates: entries}, 0.05},
 	} {
 		wire, err := transport.EncodePayload(nil, tc.kind, tc.payload)
 		if err != nil {
@@ -490,8 +534,8 @@ func TestConnDecodeAllocFloor(t *testing.T) {
 			}
 		})
 		// One allocation per slab of each kind the payload takes from.
-		if perDecode := allocs / slabSize; perDecode > 0.05 {
-			t.Errorf("connection %s decode: %.3f allocs/op, want <= 0.05 (slabs only)", tc.name, perDecode)
+		if perDecode := allocs / slabSize; perDecode > tc.limit {
+			t.Errorf("connection %s decode: %.3f allocs/op, want <= %.3f (slabs only)", tc.name, perDecode, tc.limit)
 		}
 	}
 }

@@ -241,7 +241,7 @@ func TestBatchCausalChainAcrossSenders(t *testing.T) {
 // invalidations — a test probe for "has this been causally applied yet".
 func (n *Node) causalSnapshotValue(loc string) int64 {
 	h := loctab.Hash(loc)
-	if c := n.shard(h).lookup(h, loc); c != nil {
+	if c := n.lookup(h, loc); c != nil {
 		return c.causal.Load()
 	}
 	return 0

@@ -4,23 +4,21 @@ import (
 	"math"
 	"sync"
 	"sync/atomic"
-
-	"mixedmem/internal/loctab"
 )
 
-// This file is the value store: cells, the shards that hold them, and the
-// atomic vectors the read paths consult without a lock. Its one lock is
+// This file is the value store: cells, the node's table that holds them, the
+// shards that hold what reads and awaits wait on, and the atomic vectors the
+// read paths consult without a lock. Its locks are cellMu, a leaf, and
 // shard.mu.
 
-// Sharding constants: the low shardBits of a location's hash (loctab.Hash)
-// pick one of a power-of-two number of shards, so distinct-location
-// operations land on distinct shard state; the remaining bits pick the slot
-// in the shard's table. The PRAM last-writer is packed into one atomic word
-// as from<<seqBits | seq, which caps per-sender sequence numbers at 2^48 —
-// unreachable in practice.
+// Sharding constants: the low bits of a location's hash (loctab.Hash) pick
+// one of a power-of-two number of shards, so reads, awaits and invalidations
+// of distinct locations land on distinct shard state. The cells themselves
+// live in one table per node, keyed by the whole hash. The PRAM last-writer
+// is packed into one atomic word as from<<seqBits | seq, which caps
+// per-sender sequence numbers at 2^48 — unreachable in practice.
 const (
-	shardBits  = 5
-	shardCount = 1 << shardBits
+	shardCount = 32
 	shardMask  = shardCount - 1
 	seqBits    = 48
 	seqMask    = (1 << seqBits) - 1
@@ -65,18 +63,13 @@ func applyCell(v *atomic.Int64, op UpdateOp, value int64) {
 	}
 }
 
-// shard is one partition of the location space. The value table is
-// insert-only: lookups probe it with no lock; an insert — once per new
-// location — takes the location's entry from the table's current chunk (the
-// cell lives inside it, at an address that never changes) under the shard
-// mutex. The mutex also guards
-// the invalidation table and await registration; invalidLen mirrors
-// len(invalid) so the read fast path can skip the table without locking.
+// shard is one partition of the location space. Its mutex guards the
+// invalidation table and await registration; invalidLen mirrors len(invalid)
+// so the read fast path can skip the table without locking.
 type shard struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
 	waiters atomic.Int32
-	vals    loctab.Table[cell]
 
 	invalid    map[string]invalidation
 	invalidLen atomic.Int32
@@ -90,20 +83,20 @@ type shard struct {
 func (n *Node) shard(h uint32) *shard { return &n.shards[h&shardMask] }
 
 // lookup returns the location's cell, or nil if it was never written. h is
-// the location's hash, the one that selected this shard.
-func (sh *shard) lookup(h uint32, loc string) *cell {
-	return sh.vals.Get(h>>shardBits, loc)
-}
+// loctab.Hash(loc). It takes no lock: the table is insert-only, and a cell
+// lives inside its table entry at an address that never changes.
+func (n *Node) lookup(h uint32, loc string) *cell { return n.cells.Get(h, loc) }
 
-// cellFor returns the location's cell, inserting an empty one if needed. Safe
-// under any lock level at or above shard.mu in the documented order.
-func (sh *shard) cellFor(h uint32, loc string) *cell {
-	if c := sh.lookup(h, loc); c != nil {
+// cellFor returns the location's cell, inserting an empty one if needed — once
+// per location, under cellMu. cellMu is a leaf: cellFor is safe under any
+// lock, and nothing is taken under it.
+func (n *Node) cellFor(h uint32, loc string) *cell {
+	if c := n.lookup(h, loc); c != nil {
 		return c
 	}
-	sh.mu.Lock()
-	c, _ := sh.vals.Insert(h>>shardBits, loc, cell{})
-	sh.mu.Unlock()
+	n.cellMu.Lock()
+	c, _ := n.cells.Insert(h, loc, cell{})
+	n.cellMu.Unlock()
 	return c
 }
 

@@ -262,8 +262,9 @@ func parseFrom(d *transport.Decoder) (int, error) {
 
 // connDecoder is what one inbound connection keeps between the payloads it
 // decodes, for one of the two update kinds (transport.ConnCodec): the slabs
-// decoded updates, batches, timestamps and dependency matrices are carved
-// from, and a cache of the location strings it has built. It belongs to the
+// decoded updates (each with room for its timestamp, as a sent one has),
+// batches, batch entries' timestamps and dependency matrices are carved from,
+// and a cache of the location strings it has built. It belongs to the
 // goroutine serving the connection — no lock, no pool — and everything it
 // hands out is immutable once returned, exactly like the sender's slabs (see
 // Update).
@@ -278,11 +279,15 @@ func parseFrom(d *transport.Decoder) (int, error) {
 // those — an update in the inbox, a parked group's timestamp or matrix — and
 // one long-parked group pins at most its own slabs.
 type connDecoder struct {
-	upd   []Update      // the unused rest of the update slab
-	batch []UpdateBatch // the unused rest of the batch slab
-	ts    []uint64      // the unused rest of the timestamp slab
-	mx    matrixSlab    // the unused rest of the matrix slabs
-	ids   []int         // decodeDeps's active-index scratch
+	upd   []stampedUpdate // the unused rest of the update slab
+	batch []UpdateBatch   // the unused rest of the batch slab
+	ts    []uint64        // the unused rest of the timestamp slab
+	mx    matrixSlab      // the unused rest of the matrix slabs
+	ids   []int           // decodeDeps's active-index scratch
+	// spare is where the update being decoded parses a timestamp that fits
+	// its element (stamp, until the element is carved), nil while a batch is.
+	spare []uint64
+	stamp [tsInline]uint64
 	locs  [locCacheSize]string
 }
 
@@ -313,15 +318,6 @@ func (c *connDecoder) loc(b []byte) string {
 	return *slot
 }
 
-// update returns the *Update a decoded update is stored in: the next element
-// of the slab.
-func (c *connDecoder) update() *Update {
-	if c == nil {
-		return new(Update)
-	}
-	return carve(&c.upd)
-}
-
 // updateBatch returns the *UpdateBatch a decoded batch is stored in: the next
 // element of the slab.
 func (c *connDecoder) updateBatch() *UpdateBatch {
@@ -342,16 +338,18 @@ func (c *connDecoder) matrix(n int) vclock.Matrix {
 }
 
 // timestamp reads an n-component timestamp of an update from sender from (n >
-// from, and d holds at least 8(n-1) bytes) into the next n words of the slab,
-// with the capacity cut to the length as stampLocked does; the sender's
-// component, which the wire leaves out, is seq. A timestamp wider than any
-// real system's gets an allocation of its own, so a hostile length cannot
-// inflate the slab.
+// from, and d holds at least 8(n-1) bytes) into spare when it fits, otherwise
+// into the next n words of the slab, with the capacity cut to the length as
+// stampLocked does; the sender's component, which the wire
+// leaves out, is seq. A timestamp wider than any real system's gets an
+// allocation of its own, so a hostile length cannot inflate the slab.
 func (c *connDecoder) timestamp(d *transport.Decoder, n, from int, seq uint64) vclock.VC {
 	var ts vclock.VC
 	switch {
 	case c == nil || n > maxDepsN:
 		ts = vclock.New(n)
+	case n <= len(c.spare):
+		ts, c.spare = c.spare[:n:n], nil
 	default:
 		if len(c.ts) < n {
 			c.ts = make([]uint64, slabSize*n)
@@ -432,18 +430,33 @@ func (updateCodec) NewConnDecoder() func([]byte) (any, error) {
 }
 
 // decodeUpdate is updateCodec's one parse body. The update is parsed into a
-// local and copied into its slab slot only once the whole payload has decoded,
-// so a failed decode consumes no slot.
+// local, a timestamp that fits its element into the decoder's stamp, and both
+// are copied into the slab's next element only once the whole payload has
+// decoded, so a failed decode consumes no element.
 func (c *connDecoder) decodeUpdate(data []byte) (any, error) {
+	if c == nil {
+		u, err := c.parseUpdate(data)
+		if err != nil {
+			return nil, err
+		}
+		return &u, nil
+	}
 	mark := c.mark()
+	c.spare = c.stamp[:]
 	u, err := c.parseUpdate(data)
+	inline := c.spare == nil
+	c.spare = nil
 	if err != nil {
 		c.rollback(mark)
 		return nil, err
 	}
-	out := c.update()
-	*out = u
-	return out, nil
+	e := carve(&c.upd)
+	e.Update = u
+	if inline {
+		e.TS = e.words[:len(u.TS):len(u.TS)]
+		copy(e.TS, u.TS)
+	}
+	return &e.Update, nil
 }
 
 func (c *connDecoder) parseUpdate(data []byte) (Update, error) {

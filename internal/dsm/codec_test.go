@@ -239,11 +239,13 @@ func TestConnDecoderStringCacheCollision(t *testing.T) {
 }
 
 // TestConnDecoderSlabs: decoded updates, their timestamps and their dependency
-// matrices are carved from slabs — slabSize of them per allocation, each
-// timestamp's and row's capacity cut to its length — and stay as decoded while
-// the connection decodes on; a payload that fails to decode, wherever it
-// fails, takes nothing from any slab; and a timestamp or matrix of a different
-// width, or wider than the slabs take, does not disturb its neighbours.
+// matrices are carved from slabs — slabSize of them per allocation, a
+// timestamp of up to tsInline components inside its update's element, a wider
+// one from the timestamp slab, each timestamp's and row's capacity cut to its
+// length — and stay as decoded while the connection decodes on; a payload that
+// fails to decode, wherever it fails, takes nothing from any slab; and a
+// timestamp or matrix of a different width, or wider than the slabs take, does
+// not disturb its neighbours.
 func TestConnDecoderSlabs(t *testing.T) {
 	c := new(connDecoder)
 	wire := func(u *Update) []byte {
@@ -268,34 +270,51 @@ func TestConnDecoderSlabs(t *testing.T) {
 			t.Fatalf("update %d reads %+v after %d later decodes", i, *u, len(got)-i-1)
 		}
 	}
-	if uintptr(unsafe.Pointer(&got[1].TS[0]))-uintptr(unsafe.Pointer(&got[0].TS[0])) != 3*8 {
-		t.Fatal("consecutive timestamps are not neighbours in one slab")
-	}
-	if uintptr(unsafe.Pointer(got[1]))-uintptr(unsafe.Pointer(got[0])) != unsafe.Sizeof(Update{}) {
+	if uintptr(unsafe.Pointer(got[1]))-uintptr(unsafe.Pointer(got[0])) != unsafe.Sizeof(stampedUpdate{}) {
 		t.Fatal("consecutive updates are not neighbours in one slab")
+	}
+	for i, u := range got {
+		if &u.TS[0] != &(*stampedUpdate)(unsafe.Pointer(u)).words[0] {
+			t.Fatalf("update %d's timestamp is not inside its slab element", i)
+		}
+	}
+	if len(c.ts) != 0 {
+		t.Fatalf("inline timestamps took %d words of the timestamp slab", len(c.ts))
 	}
 
 	// Failures at every truncation point of a payload with a timestamp and a
-	// dependency matrix: nothing consumed.
+	// dependency matrix: nothing consumed. The timestamp rides in the update's
+	// element when it fits, and takes its words from the timestamp slab when
+	// it is one component wider.
 	deps := vclock.NewMatrix(3)
 	deps.Set(0, 1, 2)
-	full := wire(&Update{From: 1, Seq: 9, Op: OpSet, Loc: "x", Value: 1, TS: vclock.VC{1, 9, 3}, Deps: deps})
-	upd, ts := len(c.upd), len(c.ts)
-	for cut := 1; cut < len(full); cut++ {
-		if _, err := c.decodeUpdate(full[:cut]); err == nil {
-			t.Fatalf("payload cut to %d of %d bytes decoded", cut, len(full))
+	for _, width := range []int{3, tsInline + 1} {
+		stamp := make(vclock.VC, width)
+		stamp[0], stamp[1], stamp[2] = 1, 9, 3
+		full := wire(&Update{From: 1, Seq: 9, Op: OpSet, Loc: "x", Value: 1, TS: stamp, Deps: deps})
+		upd, ts := len(c.upd), len(c.ts)
+		for cut := 1; cut < len(full); cut++ {
+			if _, err := c.decodeUpdate(full[:cut]); err == nil {
+				t.Fatalf("payload cut to %d of %d bytes decoded", cut, len(full))
+			}
+			if len(c.upd) != upd || len(c.ts) != ts {
+				t.Fatalf("cut at %d: slabs moved, updates %d -> %d, timestamp words %d -> %d", cut, upd, len(c.upd), ts, len(c.ts))
+			}
 		}
-		if len(c.upd) != upd || len(c.ts) != ts {
-			t.Fatalf("cut at %d: slabs moved, updates %d -> %d, timestamp words %d -> %d", cut, upd, len(c.upd), ts, len(c.ts))
+		wantTS := ts
+		if width > tsInline {
+			wantTS = slabSize*width - width // the first wide stamp allocates the slab
 		}
-	}
-	if _, err := c.decodeUpdate(full); err != nil || len(c.upd) != upd-1 || len(c.ts) != ts-3 {
-		t.Fatalf("the whole payload: err %v, updates %d -> %d, timestamp words %d -> %d", err, upd, len(c.upd), ts, len(c.ts))
+		dec, err := c.decodeUpdate(full)
+		if err != nil || len(c.upd) != upd-1 || len(c.ts) != wantTS || !reflect.DeepEqual(dec.(*Update).TS, stamp) {
+			t.Fatalf("the whole %d-wide payload: err %v, updates %d -> %d, timestamp words %d -> %d (want %d)",
+				width, err, upd, len(c.upd), ts, len(c.ts), wantTS)
+		}
 	}
 
 	// An oversized timestamp gets its own allocation; the slab is not resized
 	// for it.
-	ts = len(c.ts)
+	ts := len(c.ts)
 	wideTS := make(vclock.VC, maxDepsN+1)
 	wideTS[1] = 10
 	wide, err := c.decodeUpdate(wire(&Update{From: 1, Seq: 10, Op: OpSet, Loc: "x", TS: wideTS}))

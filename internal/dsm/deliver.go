@@ -114,7 +114,7 @@ func (n *Node) resolve(e *entry, u *Update) {
 	e.op, e.label, e.seq, e.value, e.loc, e.hash = u.Op, u.Label, u.Seq, u.Value, u.Loc, h
 	e.elided = n.elided(u)
 	e.sh = n.shard(h)
-	e.c = e.sh.cellFor(h, u.Loc)
+	e.c = n.cellFor(h, u.Loc)
 }
 
 // elided reports whether a received batch entry is obNone while its batch may

@@ -133,7 +133,7 @@ func (n *Node) write(op UpdateOp, loc string, value int64) {
 func (n *Node) issue(op UpdateOp, label history.Label, loc string, value int64) {
 	h := loctab.Hash(loc)
 	sh := n.shard(h)
-	c := sh.cellFor(h, loc)
+	c := n.cellFor(h, loc)
 	n.clockMu.Lock()
 	seq := n.recvd[n.id] + 1
 	n.recvd[n.id] = seq
@@ -187,7 +187,7 @@ func (n *Node) absorbObservedLocked(fence vclock.VC) {
 // sendLocked routes one write to the location's readers: every peer without a
 // scope or for a location the scope does not name, otherwise the registered
 // readers, each list under the obligation its registration calls for. The
-// stamp is taken here, under the same clock-lock hold as the write, for the
+// stamp is taken under the same clock-lock hold as the write, for the
 // immediate sends and the outbox alike: a batch must ship dependencies its
 // covered writes were written under, never ones absorbed later. causal is the
 // obligation of the causal readers' copies.
@@ -207,11 +207,7 @@ func (n *Node) sendLocked(u *Update, causal obligation) {
 	}
 	var snap vclock.Matrix
 	if len(ent.causal) > 0 {
-		switch causal {
-		case obVector:
-			u.TS = n.stampLocked()
-			copy(u.TS, n.recvd)
-		case obMatrix:
+		if causal == obMatrix {
 			// Bump the matrix for every causal destination before the
 			// snapshot: transitive soundness needs each shipped matrix to
 			// record this update at all of its destinations, so that one that
@@ -229,8 +225,8 @@ func (n *Node) sendLocked(u *Update, causal obligation) {
 	}
 }
 
-// slabSize is how many sent updates (and obVector timestamps, matrix
-// snapshots, batches) share one allocation. The collector frees a slab with
+// slabSize is how many sent updates (and timestamps, matrix snapshots,
+// batches) share one allocation. The collector frees a slab with
 // the last message, parked group or outbox entry that points into it, so a
 // slab outlives its writes by at most what the slowest receiver has not
 // applied yet.
@@ -269,10 +265,11 @@ func (s *matrixSlab) carve(n int) vclock.Matrix {
 	return m
 }
 
-// stampLocked returns the next n words of the timestamp slab, for an obVector
-// stamp or a parked own write's fence. The capacity is cut to the length so no
-// append can run into the neighbouring stamp; once filled, the words are never
-// written again (see Update).
+// stampLocked returns the next n words of the timestamp slab, for a batched
+// obVector stamp, an unbatched one wider than tsInline, or a parked own
+// write's fence. The capacity is cut to the length so no append can run into
+// the neighbouring stamp; once filled, the words are never written again (see
+// Update).
 func (n *Node) stampLocked() vclock.VC {
 	if len(n.tsSlab) < n.n {
 		n.tsSlab = make([]uint64, slabSize*n.n)
@@ -292,32 +289,57 @@ func (n *Node) snapshotLocked() vclock.Matrix {
 	return m
 }
 
+// tsInline is the widest timestamp a sent or decoded update carries inside its
+// own slab element; a wider system's stamps come from a timestamp slab.
+const tsInline = 8
+
+// stampedUpdate is the slab element an unbatched sent update, or a decoded
+// one, is carved from, with room for its obVector timestamp: an update and its
+// stamp cost one element.
+type stampedUpdate struct {
+	Update
+	words [tsInline]uint64
+}
+
 // sentLocked returns the copy of u that goes to the transport: the next
-// element of the update slab, never written again once filled (see Update).
-func (n *Node) sentLocked(u *Update) *Update {
-	su := carve(&n.updSlab)
-	*su = *u
-	return su
+// element of the update slab, stamped with the dependency clock when stamp is
+// set, and never written again once filled (see Update).
+func (n *Node) sentLocked(u *Update, stamp bool) *Update {
+	e := carve(&n.updSlab)
+	e.Update = *u
+	if stamp {
+		if n.n <= tsInline {
+			e.TS = e.words[:n.n:n.n]
+		} else {
+			e.TS = n.stampLocked()
+		}
+		copy(e.TS, n.recvd)
+	}
+	return &e.Update
 }
 
 // emitLocked hands each destination its copy of a write: into the
 // destination's pending batch when the outbox is on (the caller holds
 // outboxMu), otherwise straight to the transport as one shared update — in
 // one Broadcast when it goes to every peer, which a wire transport encodes
-// once. snap is the address-matrix snapshot of an obMatrix write; dests is
-// not empty.
+// once. An obVector copy is stamped here; snap is the address-matrix snapshot
+// of an obMatrix write; dests is not empty.
 func (n *Node) emitLocked(dests []int, u *Update, ob obligation, snap vclock.Matrix) {
 	for _, j := range dests {
 		n.sent[j]++
 	}
 	if n.outbox != nil {
+		if ob == obVector {
+			u.TS = n.stampLocked()
+			copy(u.TS, n.recvd)
+		}
 		size := u.encodedSize() // the copies differ only in where they go
 		for _, j := range dests {
 			n.outboxAddLocked(j, u, ob, snap, size)
 		}
 		return
 	}
-	su := n.sentLocked(u)
+	su := n.sentLocked(u, ob == obVector)
 	su.Deps = snap
 	if len(dests) == n.n-1 {
 		_ = n.fabric.Broadcast(n.id, KindUpdate, su, su.encodedSize())

@@ -62,7 +62,7 @@ func TestSlowWritePropagatesAndElides(t *testing.T) {
 	// The slow location's cell must carry no fence anchor on any replica.
 	for i, nd := range nodes {
 		h := loctab.Hash("s")
-		if c := nd.shard(h).lookup(h, "s"); c != nil && c.last.Load() != 0 {
+		if c := nd.lookup(h, "s"); c != nil && c.last.Load() != 0 {
 			t.Errorf("node %d: slow location carries fence anchor %#x", i, c.last.Load())
 		}
 	}

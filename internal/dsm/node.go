@@ -36,7 +36,7 @@
 // (DESIGN.md §8):
 //
 //	node.go     Config, lifecycle, the receive loop, Stats        –
-//	cell.go     location values: shards of insert-only tables     shard.mu
+//	cell.go     location values: one insert-only table, shards    cellMu, shard.mu
 //	issue.go    number, apply locally, stamp, emit per reader     clockMu
 //	outbox.go   per-destination pending batches and their flush   outboxMu
 //	deliver.go  obligations; PRAM apply, causal park/release      clockMu
@@ -47,10 +47,12 @@
 //	scope.go    reader registration                               –
 //	codec.go    wire formats                                      –
 //
-// Reads are lock-free: a table probe (internal/loctab; one hash of the name
-// picks shard and slot) and an atomic load from the location's cell, which
-// holds both views' values and the PRAM last-writer. Shard mutexes serialize
-// only structural inserts, invalidation bookkeeping and await registration.
+// Reads are lock-free: a probe of the node's location table (internal/loctab;
+// one hash of the name keys the table and picks the shard) and an atomic load
+// from the location's cell, which holds both views' values and the PRAM
+// last-writer. The table's mutex, cellMu, serializes only the insert of a new
+// location; shard mutexes only invalidation bookkeeping and await
+// registration.
 // Protocol state — the count vectors, the causal clock, the address matrix,
 // the per-sender queues of parked delivery groups, the write log — lives
 // under the clock lock; causalApplied is mutated only under it but stored as
@@ -59,10 +61,11 @@
 // paths. The observation fence is an atomic vector raised by CAS-max.
 //
 // Lock order: clockMu -> shard.mu -> outboxMu (each level optional, never
-// taken in reverse). Fence soundness across the lock-free read path relies on
-// store order: appliers store a cell's last-writer before its value, and
-// readers load the value before the last-writer, so any value a read
-// observes is covered by the fence entry the read raises.
+// taken in reverse), with cellMu a leaf that any of them may hold. Fence
+// soundness across the lock-free read path relies on store order: appliers
+// store a cell's last-writer before its value, and readers load the value
+// before the last-writer, so any value a read observes is covered by the
+// fence entry the read raises.
 package dsm
 
 import (
@@ -72,6 +75,7 @@ import (
 	"time"
 
 	"mixedmem/internal/history"
+	"mixedmem/internal/loctab"
 	"mixedmem/internal/network"
 	"mixedmem/internal/obs"
 	"mixedmem/internal/transport"
@@ -240,7 +244,12 @@ type Node struct {
 	trace  *history.Builder
 	handle Handler
 
-	// shards partition the location space (cell.go).
+	// cells holds every location's cell, keyed by its whole hash; cellMu
+	// serializes the inserts, the one per new location (cell.go).
+	cellMu sync.Mutex
+	cells  loctab.Table[cell]
+	// shards partition the location space for reads, awaits and
+	// invalidations (cell.go).
 	shards [shardCount]shard
 
 	// clockMu guards the protocol state below it: the clocks and counters,
@@ -347,11 +356,11 @@ type Node struct {
 	// on a write parked in the batch (see outboxAddLocked). Guarded by
 	// clockMu.
 	addrEpoch uint64
-	// updSlab, tsSlab and mxSlab are the unused tails of the slabs sent
-	// updates, their obVector timestamps and their obMatrix snapshots are
-	// carved from (issue.go), slabSize at a time, so a write allocates
-	// nothing. Guarded by clockMu.
-	updSlab []Update
+	// updSlab, tsSlab and mxSlab are the unused tails of the slabs unbatched
+	// sent updates (each with room for its obVector timestamp), the other
+	// timestamps and obMatrix snapshots are carved from (issue.go), slabSize
+	// at a time, so a write allocates nothing. Guarded by clockMu.
+	updSlab []stampedUpdate
 	tsSlab  []uint64
 	mxSlab  matrixSlab
 
@@ -578,15 +587,13 @@ func (n *Node) Stats() Stats {
 // selected view never received reads as zero, matching the map semantics.
 func (n *Node) Snapshot(causalView bool) map[string]int64 {
 	out := make(map[string]int64)
-	for i := range n.shards {
-		n.shards[i].vals.Range(func(loc string, c *cell) {
-			if causalView {
-				out[loc] = c.causal.Load()
-			} else {
-				out[loc] = c.pram.Load()
-			}
-		})
-	}
+	n.cells.Range(func(loc string, c *cell) {
+		if causalView {
+			out[loc] = c.causal.Load()
+		} else {
+			out[loc] = c.pram.Load()
+		}
+	})
 	return out
 }
 

@@ -85,7 +85,7 @@ func (n *Node) readLocal(loc string, anchor bool) int64 {
 		n.waitValid(sh, loc, false)
 	}
 	var v int64
-	if c := sh.lookup(h, loc); c != nil {
+	if c := n.lookup(h, loc); c != nil {
 		v = c.pram.Load()
 		if anchor {
 			n.raiseFence(c)
@@ -125,7 +125,7 @@ func (n *Node) readCausalValue(loc string) int64 {
 		n.waitFence(loc)
 	}
 	var v int64
-	if c := sh.lookup(h, loc); c != nil {
+	if c := n.lookup(h, loc); c != nil {
 		v = c.causal.Load()
 	}
 	sh.causalReads.Add(1)
@@ -229,7 +229,7 @@ func (n *Node) awaitValue(loc string, value int64, causalView bool) {
 	sh.waiters.Add(1)
 	for !n.closed.Load() {
 		var v int64
-		if c = sh.lookup(h, loc); c != nil {
+		if c = n.lookup(h, loc); c != nil {
 			if causalView {
 				v = c.causal.Load()
 			} else {

@@ -11,11 +11,13 @@ import (
 )
 
 // TestShardedApplyManyGoroutines drives many goroutines per node at
-// distinct locations — spread across every shard of the sharded value map —
-// while remote applies race against local writes and lock-free reads. Run
-// under the race detector this exercises the shard locking discipline
-// (clockMu -> shard.mu -> outboxMu) and the insert-only value tables
-// (lock-free probes racing inserts and growth); the recorded history must satisfy Definition 4 exactly as it did with the
+// distinct locations — spread across every shard — while remote applies race
+// against local writes and lock-free reads. Run under the race detector this
+// exercises the locking discipline (clockMu -> shard.mu -> outboxMu, with the
+// location table's cellMu a leaf under any of them) and the node's
+// insert-only location table (lock-free probes racing inserts and growth, the
+// writers' and the receive loop's inserts serialized by one mutex); the
+// recorded history must satisfy Definition 4 exactly as it did with the
 // single-mutex node: the sharding is a performance change, not a semantic
 // one.
 func TestShardedApplyManyGoroutines(t *testing.T) {

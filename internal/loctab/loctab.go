@@ -1,6 +1,7 @@
 // Package loctab is the location table shared by the memory runtime's value
-// shards (internal/dsm) and the tracer's name interning (internal/obs): an
-// insert-only, open-addressed hash table keyed by location name.
+// store (internal/dsm, one table per node) and the tracer's name interning
+// (internal/obs): an insert-only, open-addressed hash table keyed by location
+// name.
 //
 // Both owners have the same access pattern — every read, write, apply, and
 // trace record looks a name up; a name is inserted once and never removed —
@@ -28,8 +29,8 @@
 //     returned by Get or Insert stays valid (and identical) across any number
 //     of growths.
 //
-// Insert is not synchronized: the owner calls it under the mutex that already
-// serializes its structural changes (a dsm shard's mutex, the tracer's intern
+// Insert is not synchronized: the owner calls it under the mutex that
+// serializes its inserts (a dsm node's table mutex, the tracer's intern
 // mutex). Get and Range need no lock.
 package loctab
 
@@ -37,8 +38,8 @@ import "sync/atomic"
 
 const (
 	// initialSlots is the slot count allocated by the first insert (a power
-	// of two; the zero Table holds no array at all, so an owner with many
-	// tables pays nothing for the empty ones).
+	// of two; the zero Table holds no array at all, so an empty table costs
+	// nothing).
 	initialSlots = 8
 	// The table doubles when an insert would take it past loadNum/loadDen
 	// full. Linear probing at half load keeps expected probe lengths under
@@ -47,8 +48,9 @@ const (
 )
 
 // Hash is 32-bit FNV-1a over the name. Owners hash a name once per operation
-// and derive everything from it: dsm takes the low bits for the shard and
-// hands the rest to the table, obs hands over the whole word.
+// and derive everything from it: both hand the whole word to their table, and
+// dsm also takes its low bits for the shard that reads and awaits of the name
+// use.
 func Hash(name string) uint32 {
 	h := uint32(2166136261)
 	for i := 0; i < len(name); i++ {
@@ -159,6 +161,16 @@ func place[V any](slots []atomic.Pointer[entry[V]], e *entry[V]) {
 		i = (i + 1) & mask
 	}
 	slots[i].Store(e)
+}
+
+// Doublings is the number of times a table grows while keys entries are
+// inserted into it — three allocations each, all that the inserts cost.
+func Doublings(keys int) int {
+	d := 0
+	for size := 0; keys*loadDen > size*loadNum; d++ {
+		size = max(initialSlots, 2*size)
+	}
+	return d
 }
 
 // Range calls fn for every entry present when Range loaded the slot array, in

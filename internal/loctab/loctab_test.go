@@ -186,8 +186,9 @@ func TestInsertAllocatesPerDoublingNotPerKey(t *testing.T) {
 	for s := initialSlots; s <= slots; s *= 2 {
 		doublings++
 	}
-	if slots != 2*n || doublings != 11 {
-		t.Fatalf("%d inserts left %d slots after %d doublings, want %d after 11", n, slots, doublings, 2*n)
+	if slots != 2*n || doublings != 11 || Doublings(n) != doublings {
+		t.Fatalf("%d inserts left %d slots after %d doublings (Doublings says %d), want %d after 11",
+			n, slots, doublings, Doublings(n), 2*n)
 	}
 	if got := after.Mallocs - before.Mallocs; got > uint64(3*doublings) {
 		t.Errorf("%d inserts made %d allocations, want at most %d (three per doubling)", n, got, 3*doublings)
