@@ -191,7 +191,7 @@ func TestSessionNameTablesMatchNamingScheme(t *testing.T) {
 		mode        SessionMode
 		msgs, bytes uint64 // bytes 0: dependency matrices make them schedule-dependent
 	}{
-		{SessionBroadcast, 884, 34984},
+		{SessionBroadcast, 884, 29594},
 		{SessionCausalScoped, 564, 0},
 		{SessionHybrid, 564, 0},
 	} {

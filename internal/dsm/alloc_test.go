@@ -36,13 +36,14 @@ import (
 //     slices cycle through the update-slice pool.
 //   - batch encode into a reused buffer: 0 allocs.
 //   - stateless batch decode: the *UpdateBatch and one string copy per entry
-//     location (the decoder must copy out of the wire buffer, which the
-//     transport reuses); the cursor stays on the stack, and the entry slice
-//     comes from the update-slice pool and is free once warm.
+//     that defines its location (the decoder must copy out of the wire
+//     buffer, which the transport reuses); the cursor stays on the stack, and
+//     the entry slice comes from the update-slice pool and is free once warm.
 //   - decode through a connection's decoder (what the tcp receive loop
-//     uses): nothing per update or batch, scoped or not — updates (each with
-//     its timestamp), batches, batch entries' timestamps and matrices come
-//     from the connection's slabs, locations from its string cache.
+//     uses): nothing per update or batch that refers to its locations by
+//     ordinal, scoped or not — updates (each with its timestamp), batches,
+//     batch entries' timestamps and matrices come from the connection's
+//     slabs; a definition's name is a string, once per sender and location.
 //   - scoped-causal sends: nothing per write or flush. The address-matrix
 //     snapshot comes from the node's matrix slabs; sizing and encoding the
 //     sparse matrix allocate nothing. Over tcp, sender to receiver, a batched
@@ -240,10 +241,10 @@ func TestOutboxFlushAllocFloor(t *testing.T) {
 
 func TestBatchEncodeAllocFree(t *testing.T) {
 	b := &UpdateBatch{From: 1, FirstSeq: 1, Count: 4, Updates: []Update{
-		{From: 1, Seq: 1, Op: OpSet, Loc: "alpha", Value: 10},
-		{From: 1, Seq: 2, Op: OpSet, Loc: "beta", Value: 20},
-		{From: 1, Seq: 3, Op: OpAdd, Loc: "gamma", Value: 30},
-		{From: 1, Seq: 4, Op: OpSet, Loc: "delta", Value: 40},
+		{From: 1, Seq: 1, Op: OpSet, Loc: "alpha", Ordinal: 0, Defines: true, Value: 10},
+		{From: 1, Seq: 2, Op: OpSet, Loc: "beta", Ordinal: 1, Defines: true, Value: 20},
+		{From: 1, Seq: 3, Op: OpAdd, Loc: "gamma", Ordinal: 2, Defines: true, Value: 30},
+		{From: 1, Seq: 4, Op: OpSet, Loc: "delta", Ordinal: 3, Defines: true, Value: 40},
 	}}
 	var payload any = b // box once, outside the measured region
 	buf := make([]byte, 0, 1024)
@@ -261,10 +262,10 @@ func TestBatchEncodeAllocFree(t *testing.T) {
 
 func TestBatchDecodeAllocFloor(t *testing.T) {
 	b := &UpdateBatch{From: 1, FirstSeq: 1, Count: 4, Updates: []Update{
-		{From: 1, Seq: 1, Op: OpSet, Loc: "alpha", Value: 10},
-		{From: 1, Seq: 2, Op: OpSet, Loc: "beta", Value: 20},
-		{From: 1, Seq: 3, Op: OpAdd, Loc: "gamma", Value: 30},
-		{From: 1, Seq: 4, Op: OpSet, Loc: "delta", Value: 40},
+		{From: 1, Seq: 1, Op: OpSet, Loc: "alpha", Ordinal: 0, Defines: true, Value: 10},
+		{From: 1, Seq: 2, Op: OpSet, Loc: "beta", Ordinal: 1, Defines: true, Value: 20},
+		{From: 1, Seq: 3, Op: OpAdd, Loc: "gamma", Ordinal: 2, Defines: true, Value: 30},
+		{From: 1, Seq: 4, Op: OpSet, Loc: "delta", Ordinal: 3, Defines: true, Value: 40},
 	}}
 	wire, err := batchCodec{}.Encode(nil, b)
 	if err != nil {
@@ -284,8 +285,8 @@ func TestBatchDecodeAllocFloor(t *testing.T) {
 		putUpdateSlice(got.(*UpdateBatch).Updates)
 	})
 	// Floor: the returned *UpdateBatch and 4 location string copies (one per
-	// entry; the decoder must copy out of the wire buffer, which the caller
-	// reuses). The cursor stays on the stack.
+	// entry, each of which defines its location; the decoder must copy out of
+	// the wire buffer, which the caller reuses). The cursor stays on the stack.
 	const floor = 5.0
 	if allocs > floor {
 		t.Errorf("4-entry batch decode: %.3f allocs/op, want <= %.1f (the batch + one Loc copy per entry)", allocs, floor)
@@ -478,21 +479,22 @@ func TestScopedEncodeAllocFree(t *testing.T) {
 }
 
 // TestConnDecodeAllocFloor pins what a connection's decoder allocates per
-// payload once it has seen the locations: nothing, scoped or not. The *Update
-// or *UpdateBatch, the timestamps and the dependency matrix come from slabs,
-// one allocation each per slabSize, the locations from the cache; the entry
-// slice of a batch from the update-slice pool. A timestamped update carries
-// its stamp inside its own slab element, so slabSize of them cost one
-// allocation.
+// payload that refers to its locations by ordinal: nothing, scoped or not. The
+// *Update or *UpdateBatch, the timestamps and the dependency matrix come from
+// slabs, one allocation each per slabSize; the entry slice of a batch from the
+// update-slice pool. A timestamped update carries its stamp inside its own
+// slab element, so slabSize of them cost one allocation. A definition costs
+// its name's string on top, which a receiver pays once per sender and
+// location.
 func TestConnDecodeAllocFloor(t *testing.T) {
 	deps := vclock.NewMatrix(3)
 	deps.Set(0, 1, 2)
 	deps.Set(2, 1, 3)
 	entries := []Update{
-		{From: 1, Seq: 1, Op: OpSet, Loc: "alpha", Value: 10},
-		{From: 1, Seq: 2, Op: OpSet, Loc: "beta", Value: 20},
-		{From: 1, Seq: 3, Op: OpAdd, Loc: "gamma", Value: 30},
-		{From: 1, Seq: 4, Op: OpSet, Loc: "delta", Value: 40},
+		{From: 1, Seq: 1, Op: OpSet, Ordinal: 0, Value: 10},
+		{From: 1, Seq: 2, Op: OpSet, Ordinal: 1, Value: 20},
+		{From: 1, Seq: 3, Op: OpAdd, Ordinal: 2, Value: 30},
+		{From: 1, Seq: 4, Op: OpSet, Ordinal: 3, Value: 40},
 	}
 	for _, tc := range []struct {
 		name    string
@@ -500,8 +502,9 @@ func TestConnDecodeAllocFloor(t *testing.T) {
 		payload any
 		limit   float64 // allocations per decode
 	}{
-		{"update", KindUpdate, &Update{From: 1, Seq: 3, Op: OpSet, Loc: "alpha", Value: 10, TS: vclock.VC{1, 3, 4}}, 1.0 / slabSize},
-		{"scoped update", KindUpdate, &Update{From: 1, Seq: 3, Op: OpSet, Loc: "alpha", Value: 10, Deps: deps}, 0.05},
+		{"update", KindUpdate, &Update{From: 1, Seq: 3, Op: OpSet, Ordinal: 2, Value: 10, TS: vclock.VC{1, 3, 4}}, 1.0 / slabSize},
+		{"defining update", KindUpdate, &Update{From: 1, Seq: 3, Op: OpSet, Loc: "alpha", Ordinal: 2, Defines: true, Value: 10, TS: vclock.VC{1, 3, 4}}, 1 + 1.0/slabSize},
+		{"scoped update", KindUpdate, &Update{From: 1, Seq: 3, Op: OpSet, Ordinal: 2, Value: 10, Deps: deps}, 0.05},
 		{"4-entry batch", KindUpdateBatch, &UpdateBatch{From: 1, FirstSeq: 1, Count: 4, Updates: entries}, 0.05},
 		{"4-entry scoped batch", KindUpdateBatch, &UpdateBatch{From: 1, FirstSeq: 1, Count: 4, Deps: deps, Updates: entries}, 0.05},
 	} {
@@ -524,7 +527,7 @@ func TestConnDecodeAllocFloor(t *testing.T) {
 			}
 			return got
 		}
-		// The first decode warms the location cache and the pool.
+		// The first decode warms the pool.
 		if got := decodeOne(); tc.kind == KindUpdate && !reflect.DeepEqual(got, tc.payload) {
 			t.Fatalf("%s: decoded %+v, want %+v", tc.name, got, tc.payload)
 		}

@@ -1,6 +1,7 @@
 package dsm
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -388,7 +389,7 @@ func TestScopedCausalMalformedDepsDoesNotStall(t *testing.T) {
 		}
 	}()
 
-	bad := &Update{From: 0, Seq: 1, Op: OpSet, Loc: "a", Value: 7,
+	bad := &Update{From: 0, Seq: 1, Op: OpSet, Loc: "a", Defines: true, Value: 7,
 		Deps: vclock.NewMatrix(5)} // wrong dimension for a 2-node system
 	if err := f.Send(network.Message{
 		From: 0, To: 1, Kind: KindUpdate, Payload: bad, Size: bad.encodedSize(),
@@ -486,7 +487,9 @@ func TestEncodedSizeMatchesCodec(t *testing.T) {
 // timestamps or dependency matrices — which depend on the interleaving that
 // produced them — have the same size, on the wire and in encodedSize. The
 // matrices share their active indices; which processes took part is the
-// program's business.
+// program's business. So is the location field: a location's ordinal is its
+// rank in its writer's first-write order and only the first write names it, so
+// one program run under two schedules ships the same bytes, batched or not.
 func TestEncodedSizeIsScheduleIndependent(t *testing.T) {
 	stamps := func(from int, seq, v uint64) (vclock.VC, vclock.Matrix) {
 		ts := vclock.VC{v, v * 3, v * 7, v + 1}
@@ -534,6 +537,59 @@ func TestEncodedSizeIsScheduleIndependent(t *testing.T) {
 		t.Fatalf("sizes (vector update, matrix update, vector batch, matrix batch) moved with the metadata's values: %v vs %v",
 			sizes[0], sizes[1])
 	}
+
+	// One program, two schedules: three processes write their locations in
+	// their own orders — sequentially, one process after the other, then round
+	// robin.
+	const n, rounds = 3, 4
+	program := func(p, step int) string { return fmt.Sprintf("p%d/%d", p, (step*(p+2))%7) }
+	shipped := func(batch BatchConfig, roundRobin bool) uint64 {
+		f, err := network.New(network.Config{Nodes: n})
+		if err != nil {
+			t.Fatal(err)
+		}
+		nodes := make([]*Node, n)
+		for i := range nodes {
+			if nodes[i], err = NewNode(Config{ID: i, N: n, Transport: f, Batch: batch}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		defer func() {
+			f.Close()
+			for _, nd := range nodes {
+				nd.Close()
+			}
+		}()
+		step := func(p, s int) {
+			nodes[p].Write(program(p, s), int64(s))
+			if s%5 == 4 {
+				nodes[p].FlushUpdates()
+			}
+		}
+		const steps = 7 * rounds
+		if roundRobin {
+			for s := 0; s < steps; s++ {
+				for p := range nodes {
+					step(p, s)
+				}
+			}
+		} else {
+			for p := range nodes {
+				for s := 0; s < steps; s++ {
+					step(p, s)
+				}
+			}
+		}
+		for _, nd := range nodes {
+			nd.FlushUpdates()
+		}
+		return f.Stats().BytesSent
+	}
+	for _, batch := range []BatchConfig{{}, manualBatch} {
+		if seq, rr := shipped(batch, false), shipped(batch, true); seq != rr {
+			t.Errorf("batching %v: %d bytes shipped run process by process, %d round robin", batch.Enabled, seq, rr)
+		}
+	}
 }
 
 func TestBatchConfigValidation(t *testing.T) {
@@ -553,9 +609,9 @@ func TestBatchCodecRoundTrip(t *testing.T) {
 	b := &UpdateBatch{
 		From: 2, FirstSeq: 4, Count: 3,
 		Updates: []Update{
-			{From: 2, Seq: 4, Op: OpSet, Loc: "x[3]", Value: -12345, TS: ts1},
-			{From: 2, Seq: 5, Op: OpAddFloat, Loc: "p", Value: 1, elided: true},
-			{From: 2, Seq: 6, Op: OpAdd, Loc: "", Value: 7, TS: ts2},
+			{From: 2, Seq: 4, Op: OpSet, Loc: "x[3]", Ordinal: 3, Defines: true, Value: -12345, TS: ts1},
+			{From: 2, Seq: 5, Op: OpAddFloat, Loc: "p", Ordinal: 4, Defines: true, Value: 1, elided: true},
+			{From: 2, Seq: 6, Op: OpAdd, Ordinal: 3, Value: 7, TS: ts2},
 		},
 	}
 	enc, err := transport.EncodePayload(nil, KindUpdateBatch, b)
@@ -576,7 +632,8 @@ func TestBatchCodecRoundTrip(t *testing.T) {
 	for i, u := range got.Updates {
 		want := b.Updates[i]
 		if u.From != want.From || u.Seq != want.Seq || u.Op != want.Op ||
-			u.Loc != want.Loc || u.Value != want.Value || u.elided != want.elided {
+			u.Loc != want.Loc || u.Ordinal != want.Ordinal || u.Defines != want.Defines ||
+			u.Value != want.Value || u.elided != want.elided {
 			t.Fatalf("entry %d changed: %+v -> %+v", i, want, u)
 		}
 	}
@@ -614,11 +671,11 @@ func rawBatch(firstSeq, count, nEntries uint64, entries ...byte) []byte {
 	return append(b, entries...)
 }
 
-// rawEntry is a hand-built batch entry for location "x" holding 5: seq distance
-// off, flags byte flags, and the timestamp section ts.
+// rawEntry is a hand-built batch entry defining location "x" as ordinal 0 and
+// holding 5: seq distance off, flags byte flags, and the timestamp section ts.
 func rawEntry(off uint64, flags byte, ts ...byte) []byte {
 	e := transport.AppendUvarint(nil, off)
-	e = append(e, flags)
+	e = append(e, flags, 1)
 	e = transport.AppendUvarintString(e, "x")
 	e = transport.AppendUint64(e, 5)
 	return append(e, ts...)
@@ -660,6 +717,8 @@ func TestBatchCodecMalformed(t *testing.T) {
 		{"non-minimal seq distance", rawBatch(1, 1, 1, append([]byte{0x80, 0x00}, rawEntry(0, setX, 0)[1:]...)...)},
 		{"non-minimal entry count", append(rawBatch(1, 1, 1)[:4], append([]byte{0x81, 0x00}, rawEntry(0, setX, 0)...)...)},
 		{"entry cut mid-way", valid[:len(valid)-2]},
+		{"non-minimal location field", rawBatch(1, 1, 1, append([]byte{0, setX, 0x81, 0x00}, rawEntry(0, setX, 0)[3:]...)...)},
+		{"ordinal beyond 32 bits", rawBatch(1, 1, 1, append(transport.AppendUvarint([]byte{0, setX}, 1<<33), rawEntry(0, setX, 0)[5:]...)...)},
 	} {
 		if _, err := transport.DecodePayload(KindUpdateBatch, tc.data); err == nil {
 			t.Errorf("%s: % x decoded", tc.name, tc.data)

@@ -4,6 +4,8 @@ import (
 	"math"
 	"sync"
 	"sync/atomic"
+
+	"mixedmem/internal/loctab"
 )
 
 // This file is the value store: cells, the node's table that holds them, the
@@ -36,6 +38,10 @@ type cell struct {
 	// and readers load the value before last, so the fence entry a read
 	// raises always covers the value it observed.
 	last atomic.Uint64
+	// ord is one more than the ordinal this node gave the location when it
+	// first wrote it — its rank among the locations the node has written —
+	// and zero while the node has not (issue). Guarded by clockMu.
+	ord uint32
 }
 
 func packLast(from int, seq uint64) uint64 {
@@ -87,17 +93,18 @@ func (n *Node) shard(h uint32) *shard { return &n.shards[h&shardMask] }
 // lives inside its table entry at an address that never changes.
 func (n *Node) lookup(h uint32, loc string) *cell { return n.cells.Get(h, loc) }
 
-// cellFor returns the location's cell, inserting an empty one if needed — once
-// per location, under cellMu. cellMu is a leaf: cellFor is safe under any
-// lock, and nothing is taken under it.
-func (n *Node) cellFor(h uint32, loc string) *cell {
-	if c := n.lookup(h, loc); c != nil {
-		return c
+// locFor returns the location's table entry — its name, hash and cell —
+// inserting one with an empty cell if needed: once per location, under cellMu.
+// cellMu is a leaf: locFor is safe under any lock, and nothing is taken under
+// it.
+func (n *Node) locFor(h uint32, loc string) *loctab.Entry[cell] {
+	if e := n.cells.Find(h, loc); e != nil {
+		return e
 	}
 	n.cellMu.Lock()
-	c, _ := n.cells.Insert(h, loc, cell{})
+	e, _ := n.cells.InsertEntry(h, loc, cell{})
 	n.cellMu.Unlock()
-	return c
+	return e
 }
 
 // wake broadcasts the shard condition if any await is registered. Appliers

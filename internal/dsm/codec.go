@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"mixedmem/internal/history"
-	"mixedmem/internal/loctab"
 	"mixedmem/internal/transport"
 	"mixedmem/internal/vclock"
 )
@@ -15,9 +14,15 @@ import (
 // processes. Layout (u64 big-endian, uvarint encoding/binary's minimal
 // unsigned varint):
 //
-//	uvarint From | uvarint Seq | u8 flags | uvarint len | Loc | u64 Value |
-//	uvarint tsLen | (tsLen-1)*u64 TS | uvarint depsN | [ uvarint nAct | nAct*uvarint ids | nAct*nAct*u64 sub ]
+//	uvarint From | uvarint Seq | u8 flags | uvarint Ordinal<<1|Defines | [ uvarint len | Loc ] |
+//	u64 Value | uvarint tsLen | (tsLen-1)*u64 TS |
+//	uvarint depsN | [ uvarint nAct | nAct*uvarint ids | nAct*nAct*u64 sub ]
 //
+// The location ships as its ordinal (Update.Ordinal) with the defines bit
+// below it, and its name follows only when the bit is set: the sender's first
+// update of a location names it, every later one refers to it, and the
+// receiver's reference table (deliver.go) resolves the ordinal. A decoded
+// reference has an empty Loc, and re-encodes to the same bytes.
 // flags is elided<<7 | Label<<2 | Op: Op is OpSet through OpAddFloat, Label
 // the location's lattice point (history.Label, at most LabelSC; LabelSlow marks
 // a timestamp-elided update delivered on the sender's FIFO alone, see
@@ -36,7 +41,7 @@ import (
 // of garbage-collecting the columns idle peers would otherwise occupy.
 //
 // Varints carry only what the program fixes — sender ids, sequence numbers,
-// lengths, counts, active indices — and clock and matrix entries stay
+// ordinals, lengths, counts, active indices — and clock and matrix entries stay
 // fixed-width, so an update's size does not depend on the interleaving that
 // produced its metadata (DESIGN.md §7).
 type updateCodec struct{}
@@ -197,7 +202,21 @@ func tsSize(ts vclock.VC) int {
 // sequence-number field holding seqField, then flags, location, value and
 // timestamp.
 func (u *Update) entrySize(seqField uint64) int {
-	return transport.UvarintLen(seqField) + 1 + transport.UvarintLen(uint64(len(u.Loc))) + len(u.Loc) + 8 + tsSize(u.TS)
+	s := transport.UvarintLen(seqField) + 1 + transport.UvarintLen(u.locField()) + 8 + tsSize(u.TS)
+	if u.Defines {
+		s += transport.UvarintLen(uint64(len(u.Loc))) + len(u.Loc)
+	}
+	return s
+}
+
+// locField is the location field's varint: the ordinal, and the defines bit
+// below it.
+func (u *Update) locField() uint64 {
+	f := uint64(u.Ordinal) << 1
+	if u.Defines {
+		f |= 1
+	}
+	return f
 }
 
 // appendEntry writes what an update and a batch entry share: seqField, then
@@ -208,18 +227,31 @@ func appendEntry(dst []byte, u *Update, from int, seqField uint64, elided bool) 
 	if err != nil {
 		return dst, err
 	}
-	dst = transport.AppendUvarintString(dst, u.Loc)
+	dst = transport.AppendUvarint(dst, u.locField())
+	if u.Defines {
+		dst = transport.AppendUvarintString(dst, u.Loc)
+	}
 	dst = transport.AppendUint64(dst, uint64(u.Value))
 	return appendTS(dst, u.TS, from, u.Seq)
 }
 
 // parseEntry reads the flags, location, value and timestamp of u, whose From
-// and Seq are set; elided says whether the flags may carry the elided bit.
+// and Seq are set; elided says whether the flags may carry the elided bit. A
+// definition's name is a string of its own: a receiver decodes it once per
+// sender and location.
 func (c *connDecoder) parseEntry(d *transport.Decoder, u *Update, elided bool) error {
 	if err := parseFlags(d, u, elided); err != nil {
 		return err
 	}
-	loc := d.UvarintBytes()
+	f := d.Uvarint()
+	if f>>1 > math.MaxUint32 {
+		return fmt.Errorf("location ordinal %d out of range", f>>1)
+	}
+	u.Ordinal, u.Defines = uint32(f>>1), f&1 != 0
+	var loc []byte
+	if u.Defines {
+		loc = d.UvarintBytes()
+	}
 	u.Value = int64(d.Uint64())
 	n := d.Uvarint()
 	if d.Err() != nil {
@@ -234,7 +266,9 @@ func (c *connDecoder) parseEntry(d *transport.Decoder, u *Update, elided bool) e
 		}
 		u.TS = c.timestamp(d, int(n), u.From, u.Seq)
 	}
-	u.Loc = c.loc(loc)
+	if u.Defines {
+		u.Loc = string(loc)
+	}
 	return nil
 }
 
@@ -263,8 +297,11 @@ func parseFrom(d *transport.Decoder) (int, error) {
 // connDecoder is what one inbound connection keeps between the payloads it
 // decodes, for one of the two update kinds (transport.ConnCodec): the slabs
 // decoded updates (each with room for its timestamp, as a sent one has),
-// batches, batch entries' timestamps and dependency matrices are carved from,
-// and a cache of the location strings it has built. It belongs to the
+// batches, batch entries' timestamps and dependency matrices are carved from.
+// It knows no location names: those live in the receiving node's reference
+// tables, which see each update once, after the transport's dedup — a
+// connection sees replayed duplicates, and a redial replays only the unacked
+// suffix, so it could neither trust nor complete a dictionary. It belongs to the
 // goroutine serving the connection — no lock, no pool — and everything it
 // hands out is immutable once returned, exactly like the sender's slabs (see
 // Update).
@@ -273,11 +310,11 @@ func parseFrom(d *transport.Decoder) (int, error) {
 // every value is its own allocation. The two share one parse body per codec,
 // so they cannot disagree on what a payload means.
 //
-// What a connection retains is bounded. The string cache is a fixed array; a
-// slab is referenced by the decoder only until it is used up, and after that
-// by the values carved from it, so the collector frees it with the last of
-// those — an update in the inbox, a parked group's timestamp or matrix — and
-// one long-parked group pins at most its own slabs.
+// What a connection retains is bounded: a slab is referenced by the decoder
+// only until it is used up, and after that by the values carved from it, so
+// the collector frees it with the last of those — an update in the inbox, a
+// parked group's timestamp or matrix — and one long-parked group pins at most
+// its own slabs.
 type connDecoder struct {
 	upd   []stampedUpdate // the unused rest of the update slab
 	batch []UpdateBatch   // the unused rest of the batch slab
@@ -288,34 +325,6 @@ type connDecoder struct {
 	// its element (stamp, until the element is carved), nil while a batch is.
 	spare []uint64
 	stamp [tsInline]uint64
-	locs  [locCacheSize]string
-}
-
-const (
-	// locCacheSize is the number of slots of a connection's location-string
-	// cache, a power of two. The cache is direct-mapped: a location whose slot
-	// holds another name replaces it, so a sender whose working set exceeds
-	// the cache, or collides in it, costs a string per miss as every location
-	// did before — never more memory.
-	locCacheSize = 1024
-	// maxCachedLoc is the longest location name the cache keeps, which bounds
-	// its footprint at locCacheSize*maxCachedLoc bytes whatever a peer sends.
-	maxCachedLoc = 128
-)
-
-// loc returns b as a string: the cached one when the connection has decoded
-// this location before and its slot still holds it.
-func (c *connDecoder) loc(b []byte) string {
-	if c == nil || len(b) > maxCachedLoc {
-		return string(b)
-	}
-	// The high half is folded in: a byte-wise hash mixes its low bits poorly.
-	h := loctab.HashBytes(b)
-	slot := &c.locs[(h^h>>16)&(locCacheSize-1)]
-	if *slot != string(b) { // the comparison does not allocate
-		*slot = string(b)
-	}
-	return *slot
 }
 
 // updateBatch returns the *UpdateBatch a decoded batch is stored in: the next
@@ -486,8 +495,8 @@ func (c *connDecoder) parseUpdate(data []byte) (Update, error) {
 //
 //	uvarint From | uvarint FirstSeq | uvarint Count |
 //	uvarint depsN | [ uvarint nAct | nAct*uvarint ids | nAct*nAct*u64 sub ] |
-//	uvarint nEntries | nEntries * ( uvarint Seq-FirstSeq | u8 flags | uvarint len | Loc | u64 Value |
-//	                                uvarint tsLen | (tsLen-1)*u64 TS )
+//	uvarint nEntries | nEntries * ( uvarint Seq-FirstSeq | u8 flags | uvarint Ordinal<<1|Defines | [ uvarint len | Loc ] |
+//	                                u64 Value | uvarint tsLen | (tsLen-1)*u64 TS )
 //
 // A scoped batch with obMatrix entries hoists their dependency metadata into
 // the header (depsN > 0), encoded sparsely over the matrix's active indices
@@ -528,7 +537,7 @@ func (batchCodec) Encode(dst []byte, payload any) ([]byte, error) {
 }
 
 // minBatchEntry is the smallest possible encoded entry: seq distance, flags,
-// empty location, value and zero-length timestamp.
+// a one-byte location reference, value and zero-length timestamp.
 const minBatchEntry = 1 + 1 + 1 + 8 + 1
 
 func (batchCodec) Decode(data []byte) (any, error) {

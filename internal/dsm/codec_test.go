@@ -6,7 +6,6 @@ import (
 	"unsafe"
 
 	"mixedmem/internal/history"
-	"mixedmem/internal/loctab"
 	"mixedmem/internal/transport"
 	"mixedmem/internal/vclock"
 )
@@ -31,19 +30,31 @@ func roundTripUpdate(t *testing.T, u Update) Update {
 func TestUpdateCodecRoundTrip(t *testing.T) {
 	ts := vclock.New(3)
 	ts[0], ts[1], ts[2] = 4, 0, 17
-	u := Update{From: 2, Seq: 17, Op: OpSet, Loc: "x[3]", Value: -12345, TS: ts}
+	u := Update{From: 2, Seq: 17, Op: OpSet, Loc: "x[3]", Value: -12345, TS: ts, Ordinal: 9, Defines: true}
 	got := roundTripUpdate(t, u)
 	if got.From != u.From || got.Seq != u.Seq || got.Op != u.Op ||
-		got.Loc != u.Loc || got.Value != u.Value {
+		got.Loc != u.Loc || got.Value != u.Value || got.Ordinal != 9 || !got.Defines {
 		t.Fatalf("round trip changed fields: %+v -> %+v", u, got)
 	}
 	if got.TS.Len() != 3 || got.TS[0] != 4 || got.TS[1] != 0 || got.TS[2] != 17 {
 		t.Fatalf("round trip changed timestamp: %v -> %v", u.TS, got.TS)
 	}
+	// A later update of the location refers to it: the name stays behind, and
+	// a stateless decode of the reference re-encodes byte for byte.
+	u.Defines = false
+	got = roundTripUpdate(t, u)
+	if got.Loc != "" || got.Ordinal != 9 || got.Defines {
+		t.Fatalf("a reference round-tripped to %+v", got)
+	}
+	enc, err := transport.EncodePayload(nil, KindUpdate, &u)
+	if err != nil {
+		t.Fatal(err)
+	}
+	roundTrip(t, KindUpdate, &got, enc)
 }
 
 func TestUpdateCodecPRAMOnlyNilTimestamp(t *testing.T) {
-	u := Update{From: 0, Seq: 1, Op: OpSet, Loc: "y", Value: 7}
+	u := Update{From: 0, Seq: 1, Op: OpSet, Loc: "y", Value: 7, Defines: true}
 	got := roundTripUpdate(t, u)
 	if got.TS != nil {
 		t.Fatalf("nil timestamp round-tripped to %v", got.TS)
@@ -168,73 +179,6 @@ func TestDecodeDepsRejectsMalformedIndices(t *testing.T) {
 	}
 	if err := corrupt(func(b []byte) { b[idsOff-1] = 4 }); err == nil {
 		t.Error("nAct larger than depsN decoded successfully")
-	}
-}
-
-// locSlot is the string-cache slot loc would use: the test's own statement of
-// connDecoder.loc's hash.
-func locSlot(loc string) uint32 {
-	h := loctab.Hash(loc)
-	return (h ^ h>>16) & (locCacheSize - 1)
-}
-
-// TestConnDecoderStringCacheCollision drives two different locations into the
-// same slot of a connection's string cache. The cache is direct-mapped, so
-// they evict each other; what must hold is that each update still decodes to
-// its own location, that a hit returns the very string built before (no copy),
-// and that strings handed out earlier are untouched by the eviction.
-func TestConnDecoderStringCacheCollision(t *testing.T) {
-	a := "sess/0/k0"
-	var b string
-	for i := 0; b == ""; i++ {
-		if cand := "sess/" + string(rune('a'+i%26)) + "/k" + string(rune('0'+i/26%10)) + string(rune('0'+i/260)); locSlot(cand) == locSlot(a) && cand != a {
-			b = cand
-		}
-		if i > 100*locCacheSize {
-			t.Fatal("no colliding location found")
-		}
-	}
-	wire := func(loc string) []byte {
-		enc, err := updateCodec{}.Encode(nil, &Update{From: 1, Seq: 1, Op: OpSet, Loc: loc, Value: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return enc
-	}
-	wa, wb := wire(a), wire(b)
-	c := new(connDecoder)
-	decodeLoc := func(w []byte) string {
-		t.Helper()
-		got, err := c.decodeUpdate(w)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return got.(*Update).Loc
-	}
-	sameString := func(x, y string) bool { return unsafe.StringData(x) == unsafe.StringData(y) }
-
-	a1 := decodeLoc(wa)
-	a2 := decodeLoc(wa)
-	if a1 != a || !sameString(a1, a2) {
-		t.Fatalf("repeat decode of %q: %q then %q, shared=%v; want one cached string", a, a1, a2, sameString(a1, a2))
-	}
-	b1 := decodeLoc(wb) // evicts a
-	if b1 != b || c.locs[locSlot(a)] != b {
-		t.Fatalf("colliding location decoded as %q, slot holds %q; want %q", b1, c.locs[locSlot(a)], b)
-	}
-	a3 := decodeLoc(wa) // evicts b, rebuilds a
-	if a3 != a || a1 != a || b1 != b {
-		t.Fatalf("after mutual eviction: a=%q (earlier %q), b=%q", a3, a1, b1)
-	}
-	if sameString(a3, a1) {
-		t.Fatal("an evicted location came back as the old string: the slot was not replaced")
-	}
-	// A name too long to cache is copied every time and occupies no slot.
-	long := string(make([]byte, maxCachedLoc+1))
-	wl := wire(long)
-	before := c.locs
-	if l1, l2 := decodeLoc(wl), decodeLoc(wl); l1 != long || sameString(l1, l2) || c.locs != before {
-		t.Fatal("a location longer than maxCachedLoc went through the cache")
 	}
 }
 
@@ -394,10 +338,10 @@ func TestConnDecoderSlabs(t *testing.T) {
 // whose timestamp's sender component is not its Seq, the component the wire
 // leaves out.
 func TestUpdateCodecRejectsMalformed(t *testing.T) {
-	// From 1, Seq 5, flags, "x", Value 5, then the timestamp section and an
-	// empty dependency section.
+	// From 1, Seq 5, flags, the definition of ordinal 0 as "x", Value 5, then
+	// the timestamp section and an empty dependency section.
 	raw := func(flags byte, ts ...byte) []byte {
-		b := []byte{1, 5, flags}
+		b := []byte{1, 5, flags, 1}
 		b = transport.AppendUvarintString(b, "x")
 		b = transport.AppendUint64(b, 5)
 		return append(append(b, ts...), 0)
@@ -415,7 +359,9 @@ func TestUpdateCodecRejectsMalformed(t *testing.T) {
 		{"label above SC", raw(byte(history.LabelSC+1)<<2|set, 0)},
 		{"elided bit on a single update", raw(0x80|set, 0)},
 		{"timestamp with no component for its sender", raw(set, 1)},
-		{"timestamp cut short", raw(set, 3, 0, 0, 0, 0, 0, 0, 0, 9)[:22]},
+		{"timestamp cut short", raw(set, 3, 0, 0, 0, 0, 0, 0, 0, 9)[:23]},
+		{"non-minimal location field", append([]byte{1, 5, set, 0x81, 0x00}, raw(set, 0)[4:]...)},
+		{"ordinal beyond 32 bits", append(transport.AppendUvarint([]byte{1, 5, set}, 1<<33), raw(set, 0)[6:]...)},
 		{"non-minimal sender", append([]byte{0x81, 0x00}, raw(set, 0)[1:]...)},
 		{"non-minimal seq", append([]byte{1, 0x85, 0x00}, raw(set, 0)[2:]...)},
 		{"non-minimal timestamp length", raw(set, 0x80, 0x00)},

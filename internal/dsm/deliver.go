@@ -1,6 +1,8 @@
 package dsm
 
 import (
+	"cmp"
+	"slices"
 	"time"
 
 	"mixedmem/internal/history"
@@ -98,23 +100,98 @@ type entry struct {
 	label history.Label
 	seq   uint64
 	value int64
-	loc   string
-	hash  uint32 // loctab.Hash(loc)
 	// elided marks an obNone entry of a batch whose other entries form a
 	// causal group: it takes part in the PRAM apply only.
 	elided bool
-	c      *cell
-	sh     *shard
+	// loc is the location's entry in the node's table — name, hash and cell —
+	// and nil for one the node cannot name; sh is its shard.
+	loc *loctab.Entry[cell]
+	sh  *shard
 }
 
-// resolve fills e from u, hashing the location once and inserting its cell if
-// this is the first the node hears of it.
-func (n *Node) resolve(e *entry, u *Update) {
-	h := loctab.Hash(u.Loc)
-	e.op, e.label, e.seq, e.value, e.loc, e.hash = u.Op, u.Label, u.Seq, u.Value, u.Loc, h
+// resolveLocked fills e from u, an update from sender from, naming its
+// location through the sender's reference table: a reference by index, and a
+// definition — when define is set, which only the update's arrival does — by
+// adding it to the table, the one time a location is hashed on this path and
+// its cell inserted if it is the first the node hears of it. It reports
+// false, leaving e without a cell, for a location the table cannot name: an
+// ordinal the sender never defined here, or a definition the table refuses.
+func (n *Node) resolveLocked(e *entry, from int, u *Update, define bool) bool {
+	e.op, e.label, e.seq, e.value = u.Op, u.Label, u.Seq, u.Value
 	e.elided = n.elided(u)
-	e.sh = n.shard(h)
-	e.c = n.cellFor(h, u.Loc)
+	t := &n.refs[from]
+	e.loc, e.sh = nil, nil
+	switch {
+	case !u.Defines || !define:
+		e.loc = t.find(u.Ordinal)
+	case t.admits(u.Ordinal, u.Seq):
+		e.loc = n.locFor(loctab.Hash(u.Loc), u.Loc)
+		t.add(u.Ordinal, e.loc)
+	}
+	if e.loc == nil {
+		return false
+	}
+	e.sh = n.shard(e.loc.Hash())
+	return true
+}
+
+// refTable is one sender's reference table at this node: the locations the
+// sender's updates have defined here, in ordinal order, so that an update
+// referring to one by its ordinal resolves by index instead of by its name.
+// It holds definitions only. A receiver that a scope addresses for some of a
+// sender's locations and not others sees ordinals with holes, which cost
+// nothing, and no ordinal, however large a hostile peer makes it, grows the
+// table. A definition is admitted only in the order the sender gives ordinals
+// out: above the last one the table holds, and below the defining update's
+// Seq, since a sender's k-th location is first written by its k-th update at
+// the earliest. The receive path fills and reads it in the sender's FIFO order,
+// after the transport's dedup, under clockMu.
+type refTable struct {
+	defs []locRef // ascending ordinals
+}
+
+type locRef struct {
+	ord uint32
+	loc *loctab.Entry[cell]
+}
+
+// refChunk is the capacity of a reference table's first allocation; each later
+// one is four times the last. A fresh Cholesky system names thousands of
+// locations per sender, and its tables then cost two allocations each, not one
+// per doubling.
+const refChunk = 1024
+
+// find returns the location the sender defined as ordinal ord, or nil.
+func (t *refTable) find(ord uint32) *loctab.Entry[cell] {
+	defs := t.defs
+	if uint64(ord) < uint64(len(defs)) {
+		if defs[ord].ord == ord {
+			return defs[ord].loc // no holes below ord: the common case
+		}
+		// Ordinals ascend from 0, so defs[i].ord >= i: ord's definition, if
+		// the table holds one, lies below index ord.
+		defs = defs[:ord]
+	}
+	if i, ok := slices.BinarySearchFunc(defs, ord, func(r locRef, ord uint32) int {
+		return cmp.Compare(r.ord, ord)
+	}); ok {
+		return defs[i].loc
+	}
+	return nil
+}
+
+// admits reports whether the table takes the definition of ordinal ord carried
+// by the sender's update seq.
+func (t *refTable) admits(ord uint32, seq uint64) bool {
+	return uint64(ord) < seq && (len(t.defs) == 0 || ord > t.defs[len(t.defs)-1].ord)
+}
+
+// add appends an admitted definition.
+func (t *refTable) add(ord uint32, loc *loctab.Entry[cell]) {
+	if len(t.defs) == cap(t.defs) {
+		t.defs = append(make([]locRef, 0, max(refChunk, 4*cap(t.defs))), t.defs...)
+	}
+	t.defs = append(t.defs, locRef{ord, loc})
 }
 
 // elided reports whether a received batch entry is obNone while its batch may
@@ -170,17 +247,27 @@ type deliveryGroup struct {
 	parkedAt int64
 }
 
-// applyRemote receives a single update as a delivery group of one. The
-// location is hashed and its cell resolved before the clock lock is taken. u
-// is shared with the sender's other destinations and is only read.
+// applyRemote receives a single update as a delivery group of one, resolving
+// its location under the same clock-lock hold. u is shared with the sender's
+// other destinations and is only read.
 func (n *Node) applyRemote(u *Update) {
 	g := deliveryGroup{from: u.From, firstSeq: u.Seq, lastSeq: u.Seq, count: 1}
-	n.resolve(&g.one, u)
+	n.clockMu.Lock()
+	named := n.resolveLocked(&g.one, u.From, u, true)
 	if n.obs != nil {
-		n.obs.RecordLocHash(obs.EvRecv, uint8(u.Label), uint16(u.From), g.one.hash, u.Loc, u.Seq, 0, 0)
+		if named {
+			n.obs.RecordLocHash(obs.EvRecv, uint8(u.Label), uint16(u.From), g.one.loc.Hash(), g.one.loc.Key(), u.Seq, 0, 0)
+		} else {
+			n.obs.Record(obs.EvRecv, uint8(u.Label), uint16(u.From), obs.NoLoc, u.Seq, 0, 0)
+		}
 	}
 	n.classify(&g, u.Label, u.TS, u.Deps)
-	n.receive(&g)
+	if !named {
+		g.holdMalformed()
+	}
+	n.receiveArrivedLocked(&g)
+	n.clockCond.Broadcast()
+	n.clockMu.Unlock()
 }
 
 // applyBatch receives a batch as one delivery group. FirstSeq and Count cover
@@ -193,11 +280,17 @@ func (n *Node) applyBatch(b *UpdateBatch) {
 	// Entries can sit anywhere (coalescing replaces in place), so finding
 	// the latest of each kind is a scan: the latest entry overall, where the
 	// group settles, and the latest causal one that carries a timestamp, which
-	// dominates the group's dependencies. A LabelSlow entry carries none.
+	// dominates the group's dependencies. A LabelSlow entry carries none. The
+	// same scan enters the batch's definitions into the sender's reference
+	// table, in the order they were sent.
 	g := deliveryGroup{from: b.From, firstSeq: b.FirstSeq, count: b.Count, batch: b.Updates}
 	var latest, stamped *Update
+	var e entry
+	named := true
+	n.clockMu.Lock()
 	for i := range b.Updates {
 		u := &b.Updates[i]
+		named = n.resolveLocked(&e, b.From, u, true) && named
 		if latest == nil || u.Seq > latest.Seq {
 			latest = u
 		}
@@ -225,24 +318,40 @@ func (n *Node) applyBatch(b *UpdateBatch) {
 		// lie in the run [FirstSeq, FirstSeq+Count) it counts (under one, the
 		// run has holes and only Count means anything). A batch that breaks
 		// this is malformed, and settles at the end of its run, not past it.
-		g.lastSeq, g.malformed = b.FirstSeq+b.Count-1, true
-		if g.ob != obNone {
-			g.ob, g.need, g.deps = obFIFO, nil, nil
-		}
+		g.lastSeq = b.FirstSeq + b.Count - 1
+		g.holdMalformed()
 	}
-	n.receive(&g)
+	if !named {
+		// A batch holding an entry the node cannot name applies none: a later
+		// pass, after this scan's definitions, might name that entry, or name a
+		// refused definition's ordinal after another location.
+		putUpdateSlice(g.batch)
+		g.batch = nil
+		g.holdMalformed()
+	}
+	n.receiveArrivedLocked(&g)
+	n.clockCond.Broadcast()
+	n.clockMu.Unlock()
 }
 
-// receive applies a received group under one clock-lock hold.
-func (n *Node) receive(g *deliveryGroup) {
-	n.clockMu.Lock()
+// holdMalformed marks a group whose metadata or locations do not make sense:
+// it keeps its place in its sender's order and settles there, but its values
+// never reach the causal view (and a group the node cannot name reaches
+// neither view).
+func (g *deliveryGroup) holdMalformed() {
+	g.malformed = true
+	if g.ob != obNone {
+		g.ob, g.need, g.deps = obFIFO, nil, nil
+	}
+}
+
+// receiveArrivedLocked takes a group that has just arrived into the views.
+func (n *Node) receiveArrivedLocked(g *deliveryGroup) {
 	if g.malformed {
 		n.statMalformed.Add(g.count - g.holes)
 	}
 	n.recvd[g.from] += g.count
 	n.receiveLocked(g)
-	n.clockCond.Broadcast()
-	n.clockMu.Unlock()
 }
 
 // receiveLocked is the one way into both views, own writes (issue) included: to
@@ -283,26 +392,30 @@ func (n *Node) applyGroupLocked(g *deliveryGroup, pram, causal bool) {
 	}
 	var e entry
 	for i := range g.batch {
-		n.resolve(&e, &g.batch[i])
+		n.resolveLocked(&e, g.from, &g.batch[i], false)
 		n.applyEntryLocked(g, &e, pram, causal)
 	}
 }
 
 func (n *Node) applyEntryLocked(g *deliveryGroup, e *entry, pram, causal bool) {
+	if e.loc == nil {
+		return // a location its sender never named here: nothing to apply
+	}
+	c := e.loc.Value()
 	if pram {
 		// The anchor is stored before the value (see cell.last).
 		if g.ob.anchors() && !e.elided {
-			e.c.last.Store(packLast(g.from, e.seq))
+			c.last.Store(packLast(g.from, e.seq))
 		}
-		applyCell(&e.c.pram, e.op, e.value)
+		applyCell(&c.pram, e.op, e.value)
 	}
 	if causal && !g.malformed && !e.elided {
-		applyCell(&e.c.causal, e.op, e.value)
+		applyCell(&c.causal, e.op, e.value)
 	}
 	e.sh.wake()
 	// An own write's PRAM apply is traced as its EvWriteIssue.
 	if pram && n.obs != nil && g.from != n.id {
-		n.obs.RecordLocHash(obs.EvApply, uint8(e.label), uint16(g.from), e.hash, e.loc, e.seq, 0, 0)
+		n.obs.RecordLocHash(obs.EvApply, uint8(e.label), uint16(g.from), e.loc.Hash(), e.loc.Key(), e.seq, 0, 0)
 	}
 }
 

@@ -51,8 +51,8 @@ func TestLaterGroupWaitsForParkedHead(t *testing.T) {
 	if err := f.Hold(0, 2); err != nil {
 		t.Fatal(err)
 	}
-	send(&Update{From: 0, Seq: 1, Op: OpSet, Loc: "a", Value: 1, Deps: deps(1)})
-	send(&Update{From: 1, Seq: 1, Op: OpSet, Loc: "x", Value: 1, Deps: deps(1, 1)})
+	send(&Update{From: 0, Seq: 1, Op: OpSet, Loc: "a", Defines: true, Value: 1, Deps: deps(1)})
+	send(&Update{From: 1, Seq: 1, Op: OpSet, Loc: "x", Defines: true, Value: 1, Deps: deps(1, 1)})
 	send(&Update{From: 1, Seq: 2, Op: OpSet, Loc: "x", Value: 2, Deps: deps(0, 2)})
 	r.WaitReceived([]uint64{0, 2, 0})
 

@@ -150,11 +150,11 @@ func FuzzBatchCodecRoundTrip(f *testing.F) {
 func batchSeeds(tb testing.TB) [][]byte {
 	seedBatches := []*UpdateBatch{
 		{From: 0, FirstSeq: 1, Count: 1, Updates: []Update{
-			{From: 0, Seq: 1, Op: OpSet, Loc: "x", Value: 7},
+			{From: 0, Seq: 1, Op: OpSet, Loc: "x", Defines: true, Value: 7},
 		}},
 		{From: 2, FirstSeq: 4, Count: 3, Updates: []Update{
-			{From: 2, Seq: 4, Op: OpSet, Loc: "a", Value: -1, TS: vclock.VC{9, 0, 4}},
-			{From: 2, Seq: 6, Op: OpAdd, Loc: "b", Value: 2, TS: vclock.VC{9, 0, 6}},
+			{From: 2, Seq: 4, Op: OpSet, Ordinal: 1, Value: -1, TS: vclock.VC{9, 0, 4}},
+			{From: 2, Seq: 6, Op: OpAdd, Loc: "b", Ordinal: 3, Defines: true, Value: 2, TS: vclock.VC{9, 0, 6}},
 		}},
 	}
 	scoped := &UpdateBatch{From: 1, FirstSeq: 2, Count: 2, Deps: vclock.NewMatrix(2),
@@ -166,8 +166,8 @@ func batchSeeds(tb testing.TB) [][]byte {
 	seedBatches = append(seedBatches, scoped,
 		// An all-Slow batch: timestamp-elided entries only.
 		&UpdateBatch{From: 2, FirstSeq: 7, Count: 2, Updates: []Update{
-			{From: 2, Seq: 7, Op: OpSet, Loc: "cell", Value: 1, Label: history.LabelSlow},
-			{From: 2, Seq: 8, Op: OpSet, Loc: "cell", Value: 2, Label: history.LabelSlow},
+			{From: 2, Seq: 7, Op: OpSet, Loc: "cell", Ordinal: 4, Defines: true, Value: 1, Label: history.LabelSlow},
+			{From: 2, Seq: 8, Op: OpSet, Ordinal: 4, Value: 2, Label: history.LabelSlow},
 		}})
 	var seeds [][]byte
 	for _, b := range seedBatches {
@@ -233,15 +233,15 @@ func FuzzUpdateCodecRoundTrip(f *testing.F) {
 // nothing.
 func updateSeeds(tb testing.TB) [][]byte {
 	seeds := []Update{
-		{From: 0, Seq: 1, Op: OpSet, Loc: "y", Value: 9},
-		{From: 1, Seq: 3, Op: OpAdd, Loc: "ctr", Value: -4, TS: vclock.VC{1, 3}},
+		{From: 0, Seq: 1, Op: OpSet, Loc: "y", Defines: true, Value: 9},
+		{From: 1, Seq: 3, Op: OpAdd, Ordinal: 1, Value: -4, TS: vclock.VC{1, 3}},
 	}
 	scoped := Update{From: 1, Seq: 5, Op: OpSet, Loc: "s", Value: 2, Deps: vclock.NewMatrix(2)}
 	scoped.Deps.Set(1, 1, 5)
 	seeds = append(seeds, scoped,
 		// Label-tagged frames: a timestamp-elided slow update and a causal
 		// one with a vector timestamp.
-		Update{From: 2, Seq: 9, Op: OpSet, Loc: "slowcell", Value: 3, Label: history.LabelSlow},
+		Update{From: 2, Seq: 9, Op: OpSet, Loc: "slowcell", Ordinal: 8, Defines: true, Value: 3, Label: history.LabelSlow},
 		Update{From: 0, Seq: 2, Op: OpSet, Loc: "c", Value: 8, Label: history.LabelCausal, TS: vclock.VC{2, 0, 0}})
 	scoped3 := Update{From: 2, Seq: 7, Op: OpSet, Loc: "s", Value: 4, Deps: vclock.NewMatrix(3)}
 	scoped3.Deps.Set(0, 2, 7)
@@ -259,21 +259,95 @@ func updateSeeds(tb testing.TB) [][]byte {
 	return append(out, last[:len(last)-1])
 }
 
-// FuzzSCRequestCodecRoundTrip drives the sc-req wire codec — the SC lattice
-// point's owner-protocol request frame — with arbitrary bytes: never panic,
-// and every accepted input must round-trip.
-func FuzzSCRequestCodecRoundTrip(f *testing.F) {
-	seeds := []SCRequest{
+// v1SCRequests and v1SCReplies are the SC fuzzers' checked-in seeds in the
+// first wire format (fixed-width request ids and sender, a u32 length prefix,
+// trailing bytes ignored). Every one must fail to decode today.
+var (
+	v1SCRequests = []string{
+		"\x00\x00\x00\x00\x00\x00\x00\x01\x00\x00\x00\x00\x00\x00\x00\x00\x04cell\x00\x00\x00\x00\x00\x00\x00\x00", // seed1_read
+		"\x00\x00\x00\x00\x00\x00\x00\t\x00\x00\x00\x02\x01\x00\x00\x00\x01x\xff\xff\xff\xff\xff\xff\xff\xf9",      // seed2_write
+	}
+	v1SCReplies = []string{
+		"\x00\x00\x00\x00\x00\x00\x00\x01\x00\x00\x00\x00\x00\x00\x00*", // seed1
+	}
+)
+
+// scRequestSeeds and scReplySeeds are the SC fuzzers' structured seeds,
+// encoded: a read, a write and a counter op, and two replies.
+func scRequestSeeds(tb testing.TB) [][]byte {
+	var out [][]byte
+	for _, r := range []SCRequest{
 		{ReqID: 1, From: 0, Op: 0, Loc: "cell", Value: 0},     // a read
 		{ReqID: 9, From: 2, Op: OpSet, Loc: "x", Value: -7},   // a write
 		{ReqID: 3, From: 1, Op: OpAdd, Loc: "ctr", Value: 40}, // a counter op
-	}
-	for _, r := range seeds {
+	} {
 		enc, err := transport.EncodePayload(nil, KindSCRequest, r)
 		if err != nil {
-			f.Fatalf("seed encode: %v", err)
+			tb.Fatalf("seed encode: %v", err)
 		}
-		f.Add(enc)
+		out = append(out, enc)
+	}
+	return out
+}
+
+func scReplySeeds(tb testing.TB) [][]byte {
+	var out [][]byte
+	for _, r := range []SCReply{{ReqID: 1, Value: 42}, {ReqID: 8, Value: -1}} {
+		enc, err := transport.EncodePayload(nil, KindSCReply, r)
+		if err != nil {
+			tb.Fatalf("seed encode: %v", err)
+		}
+		out = append(out, enc)
+	}
+	return out
+}
+
+// TestV1SCPayloadsRejected: the SC owner protocol's first-format payloads,
+// each v2 seed with a non-minimal first varint or a trailing byte, and a
+// request for an operation no SC access performs fail to decode; each v2 seed
+// decodes to a value its encodedSize measures exactly.
+func TestV1SCPayloadsRejected(t *testing.T) {
+	for _, tc := range []struct {
+		kind  string
+		v1    []string
+		seeds [][]byte
+		size  func(any) int
+	}{
+		{KindSCRequest, v1SCRequests, scRequestSeeds(t), func(v any) int { return v.(SCRequest).encodedSize() }},
+		{KindSCReply, v1SCReplies, scReplySeeds(t), func(v any) int { return v.(SCReply).encodedSize() }},
+	} {
+		inputs := tc.v1
+		for _, seed := range tc.seeds {
+			v, err := transport.DecodePayload(tc.kind, seed)
+			if err != nil || tc.size(v) != len(seed) {
+				t.Errorf("%s: seed % x: %+v, %v; encodedSize must be its %d bytes", tc.kind, seed, v, err, len(seed))
+			}
+			inputs = append(inputs, string(nonMinimal(seed)), string(append(seed, 0)))
+		}
+		for _, in := range inputs {
+			if v, err := transport.DecodePayload(tc.kind, []byte(in)); err == nil {
+				t.Errorf("%s: % x decoded to %+v", tc.kind, in, v)
+			}
+		}
+	}
+	if v, err := transport.DecodePayload(KindSCRequest, []byte{1, 0, byte(OpAddFloat + 1), 0, 0, 0, 0, 0, 0, 0, 0, 0}); err == nil {
+		t.Errorf("a request for op %d decoded to %+v", OpAddFloat+1, v)
+	}
+	if _, err := transport.EncodePayload(nil, KindSCRequest, SCRequest{ReqID: 1, Op: OpAddFloat + 1}); err == nil {
+		t.Error("encoded a request for an operation no SC access performs")
+	}
+}
+
+// FuzzSCRequestCodecRoundTrip drives the sc-req wire codec — the SC lattice
+// point's owner-protocol request frame — with arbitrary bytes: never panic,
+// and every accepted input must re-encode to exactly the bytes it came from.
+func FuzzSCRequestCodecRoundTrip(f *testing.F) {
+	for _, seed := range scRequestSeeds(f) {
+		f.Add(seed)
+		f.Add(nonMinimal(seed))
+	}
+	for _, v1 := range v1SCRequests {
+		f.Add([]byte(v1))
 	}
 	f.Add([]byte{})
 
@@ -286,28 +360,21 @@ func FuzzSCRequestCodecRoundTrip(f *testing.F) {
 		if !ok {
 			t.Fatalf("decoded %T, want SCRequest", dec)
 		}
-		enc, err := transport.EncodePayload(nil, KindSCRequest, r)
-		if err != nil {
-			t.Fatalf("re-encoding a decoded sc-req failed: %v", err)
+		if r.encodedSize() != len(data) {
+			t.Fatalf("encodedSize %d of a %d-byte request", r.encodedSize(), len(data))
 		}
-		dec2, err := transport.DecodePayload(KindSCRequest, enc)
-		if err != nil {
-			t.Fatalf("re-decoding a re-encoded sc-req failed: %v", err)
-		}
-		if !reflect.DeepEqual(dec, dec2) {
-			t.Fatalf("round trip changed the request:\n%+v\n%+v", dec, dec2)
-		}
+		roundTrip(t, KindSCRequest, r, data)
 	})
 }
 
 // FuzzSCReplyCodecRoundTrip is the sc-rep analogue.
 func FuzzSCReplyCodecRoundTrip(f *testing.F) {
-	for _, r := range []SCReply{{ReqID: 1, Value: 42}, {ReqID: 8, Value: -1}} {
-		enc, err := transport.EncodePayload(nil, KindSCReply, r)
-		if err != nil {
-			f.Fatalf("seed encode: %v", err)
-		}
-		f.Add(enc)
+	for _, seed := range scReplySeeds(f) {
+		f.Add(seed)
+		f.Add(nonMinimal(seed))
+	}
+	for _, v1 := range v1SCReplies {
+		f.Add([]byte(v1))
 	}
 	f.Add([]byte{})
 
@@ -320,16 +387,9 @@ func FuzzSCReplyCodecRoundTrip(f *testing.F) {
 		if !ok {
 			t.Fatalf("decoded %T, want SCReply", dec)
 		}
-		enc, err := transport.EncodePayload(nil, KindSCReply, r)
-		if err != nil {
-			t.Fatalf("re-encoding a decoded sc-rep failed: %v", err)
+		if r.encodedSize() != len(data) {
+			t.Fatalf("encodedSize %d of a %d-byte reply", r.encodedSize(), len(data))
 		}
-		dec2, err := transport.DecodePayload(KindSCReply, enc)
-		if err != nil {
-			t.Fatalf("re-decoding a re-encoded sc-rep failed: %v", err)
-		}
-		if !reflect.DeepEqual(dec, dec2) {
-			t.Fatalf("round trip changed the reply:\n%+v\n%+v", dec, dec2)
-		}
+		roundTrip(t, KindSCReply, r, data)
 	})
 }

@@ -59,7 +59,9 @@ type Update struct {
 	// locations) is informational: the receiver's handling is driven by the
 	// causal metadata the update carries.
 	Label history.Label
-	// Loc is the memory location.
+	// Loc is the memory location. The wire carries it only in a definition
+	// (Defines); a decoded reference leaves it empty, and on either substrate
+	// the receiver names the location by Ordinal alone.
 	Loc string
 	// Value is the written value or the addend.
 	Value int64
@@ -79,6 +81,16 @@ type Update struct {
 	// the destination's view of the sender's sequence numbers has holes, and
 	// FIFO delivery plus the receiver's per-sender queue keep them in order.
 	Deps vclock.Matrix
+	// Ordinal is the location's rank, from 0, among the locations the sender
+	// has written, in the order of their first writes; it is below Seq.
+	// Defines marks the sender's first write of the location, the one update
+	// that names it on the wire: each reader of the location receives it, since
+	// a location's readers never change, and the channel is FIFO, so a later
+	// update refers to the location by its ordinal and every receiver already
+	// holds the name (deliver.go's reference tables). The bit belongs to the
+	// write, not to a destination, so one update still serves all of them.
+	Ordinal uint32
+	Defines bool
 	// elided marks a batch entry whose copy was stamped under obNone — under a
 	// scope, the copy to a PRAM-registered reader — so the receiver keeps it
 	// out of the causal group the batch's other entries form. The batch codec
@@ -89,11 +101,11 @@ type Update struct {
 }
 
 // encodedSize is the wire size of an update, byte for byte what updateCodec
-// writes: the sender, the entry (sequence number, flags, location, value,
-// timestamp less its sender component) and the dependency section, whose
-// sparse matrix tracks the active peers, not the cluster dimension. It is the
-// Size every transport counts, and it depends on no clock or matrix entry's
-// value, only on how many there are.
+// writes: the sender, the entry (sequence number, flags, location ordinal and,
+// in a definition, name, value, timestamp less its sender component) and the
+// dependency section, whose sparse matrix tracks the active peers, not the
+// cluster dimension. It is the Size every transport counts, and it depends on
+// no clock or matrix entry's value, only on how many there are.
 func (u *Update) encodedSize() int {
 	s := transport.UvarintLen(uint64(u.From)) + u.entrySize(u.Seq)
 	if u.Deps == nil {
@@ -133,17 +145,24 @@ func (n *Node) write(op UpdateOp, loc string, value int64) {
 func (n *Node) issue(op UpdateOp, label history.Label, loc string, value int64) {
 	h := loctab.Hash(loc)
 	sh := n.shard(h)
-	c := n.cellFor(h, loc)
+	le := n.locFor(h, loc)
+	c := le.Value()
 	n.clockMu.Lock()
 	seq := n.recvd[n.id] + 1
 	n.recvd[n.id] = seq
-	u := Update{From: n.id, Seq: seq, Op: op, Label: label, Loc: loc, Value: value}
+	defines := c.ord == 0
+	if defines {
+		n.ords++
+		c.ord = n.ords
+	}
+	u := Update{From: n.id, Seq: seq, Op: op, Label: label, Loc: loc, Value: value,
+		Ordinal: c.ord - 1, Defines: defines}
 	// The writer keeps the copy a causal reader would get, as a delivery group.
 	var g deliveryGroup // filled in place: a composite literal is built aside and copied
 	g.from, g.firstSeq, g.lastSeq, g.count = n.id, seq, seq, 1
 	g.ob = n.sendObligation(label, true)
 	g.one.op, g.one.label, g.one.seq, g.one.value = op, label, seq, value
-	g.one.loc, g.one.hash, g.one.c, g.one.sh = loc, h, c, sh
+	g.one.loc, g.one.sh = le, sh
 	if g.ob != obNone && !n.fenceCovered() {
 		// The write waits for all its process observed, the next causal read for it.
 		g.need = n.stampLocked()

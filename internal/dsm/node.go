@@ -39,7 +39,7 @@
 //	cell.go     location values: one insert-only table, shards    cellMu, shard.mu
 //	issue.go    number, apply locally, stamp, emit per reader     clockMu
 //	outbox.go   per-destination pending batches and their flush   outboxMu
-//	deliver.go  obligations; PRAM apply, causal park/release      clockMu
+//	deliver.go  senders' names; obligations; apply, park/release  clockMu
 //	read.go     the four reads, the observation fence, awaits     lock-free
 //	counts.go   count vectors, write log, invalidations           clockMu
 //	thread.go   recording of operations per thread                –
@@ -300,6 +300,12 @@ type Node struct {
 	arrivals  uint64
 	parked    atomic.Uint64
 	parkedMax atomic.Uint64
+	// ords counts the locations this node has written, the ordinals it has
+	// given out (issue); refs[j] is what sender j has named to it: the
+	// locations j's updates define, by ordinal (deliver.go). Both under
+	// clockMu.
+	ords uint32
+	refs []refTable
 	// writeLog records this node's own updates in order, so a lock client
 	// can collect the write-set of a critical section for demand-driven
 	// propagation. logBase is the absolute index of writeLog[0]: marks are
@@ -440,6 +446,7 @@ func NewNode(cfg Config) (*Node, error) {
 		causalRecvd:   make([]uint64, cfg.N),
 		fence:         make(avc, cfg.N),
 		pending:       make([]senderQueue, cfg.N),
+		refs:          make([]refTable, cfg.N),
 		obs:           cfg.Tracer,
 		scWaiting:     make(map[uint64]chan int64),
 		done:          make(chan struct{}),

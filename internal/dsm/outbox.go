@@ -292,11 +292,13 @@ func (n *Node) outboxAddLocked(j int, u *Update, ob obligation, snap vclock.Matr
 	// Count), so readers skip values the sender overwrote before the flush —
 	// a skip the condition-variable wakeup race already permits in unbatched
 	// executions. A location's copies to one destination are all stamped
-	// alike, so an entry only ever replaces one of its own obligation.
-	i, coalesced := len(d.entries), false
+	// alike, so an entry only ever replaces one of its own obligation. An
+	// entry that replaces the location's definition defines it in its place:
+	// the receiver would otherwise never learn the name.
+	i, defines := len(d.entries), false
 	if u.Op == OpSet {
 		if k, ok := d.setIdx[u.Loc]; ok {
-			i, coalesced = k, true
+			i, defines = k, d.entries[k].Defines
 			d.bytes -= d.entries[i].encodedSize()
 		} else {
 			d.setIdx[u.Loc] = i
@@ -306,11 +308,15 @@ func (n *Node) outboxAddLocked(j int, u *Update, ob obligation, snap vclock.Matr
 		// OpSet must append after this entry.
 		delete(d.setIdx, u.Loc)
 	}
-	if !coalesced {
+	if i == len(d.entries) {
 		d.entries = append(d.entries, Update{})
 	}
 	d.entries[i] = *u
 	d.entries[i].elided = ob == obNone
+	if defines {
+		d.entries[i].Defines = true
+		size = d.entries[i].encodedSize()
+	}
 	d.bytes += size
 	if n.obs != nil {
 		n.obs.RecordLoc(obs.EvEnqueue, uint8(u.Label), uint16(j), u.Loc, u.Seq,

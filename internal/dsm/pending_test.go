@@ -46,28 +46,28 @@ func TestBroadcastMalformedTimestampDoesNotStall(t *testing.T) {
 		clock     uint64 // the sender's causal clock entry at the end
 	}{
 		{"update", nil,
-			&Update{From: 0, Seq: 1, Op: OpSet, Loc: "a", Value: 7, TS: vclock.VC{1, 0, 0, 0, 0}},
-			&Update{From: 0, Seq: 2, Op: OpSet, Loc: "b", Value: 1, TS: vclock.VC{2, 0}}, 7, 2},
+			&Update{From: 0, Seq: 1, Op: OpSet, Loc: "a", Defines: true, Value: 7, TS: vclock.VC{1, 0, 0, 0, 0}},
+			&Update{From: 0, Seq: 2, Op: OpSet, Loc: "b", Ordinal: 1, Defines: true, Value: 1, TS: vclock.VC{2, 0}}, 7, 2},
 		{"batch", nil,
 			&UpdateBatch{From: 0, FirstSeq: 1, Count: 1, Updates: []Update{
 				// The latest entry's timestamp is the batch's; it sits first.
-				{From: 0, Seq: 1, Op: OpSet, Loc: "a", Value: 9, TS: vclock.VC{1, 0, 0, 0, 0}},
+				{From: 0, Seq: 1, Op: OpSet, Loc: "a", Defines: true, Value: 9, TS: vclock.VC{1, 0, 0, 0, 0}},
 			}},
 			&UpdateBatch{From: 0, FirstSeq: 2, Count: 1, Updates: []Update{
-				{From: 0, Seq: 2, Op: OpSet, Loc: "b", Value: 1, TS: vclock.VC{2, 0}},
+				{From: 0, Seq: 2, Op: OpSet, Loc: "b", Ordinal: 1, Defines: true, Value: 1, TS: vclock.VC{2, 0}},
 			}}, 9, 2},
 		{"batch-outside-its-run", nil,
 			&UpdateBatch{From: 0, FirstSeq: 1, Count: 1, Updates: []Update{
-				{From: 0, Seq: 9, Op: OpSet, Loc: "a", Value: 6, TS: vclock.VC{9, 0}},
+				{From: 0, Seq: 9, Op: OpSet, Loc: "a", Defines: true, Value: 6, TS: vclock.VC{9, 0}},
 			}},
 			&UpdateBatch{From: 0, FirstSeq: 2, Count: 1, Updates: []Update{
-				{From: 0, Seq: 2, Op: OpSet, Loc: "b", Value: 1, TS: vclock.VC{2, 0}},
+				{From: 0, Seq: 2, Op: OpSet, Loc: "b", Ordinal: 1, Defines: true, Value: 1, TS: vclock.VC{2, 0}},
 			}}, 6, 2},
 		{"scoped-matrix", scope,
 			// Seqs 1 and 3 went elsewhere: the channel, not the sequence
 			// number, orders this destination's stream.
-			&Update{From: 0, Seq: 2, Op: OpSet, Loc: "a", Value: 5, Deps: vclock.NewMatrix(5)},
-			&Update{From: 0, Seq: 4, Op: OpSet, Loc: "b", Value: 1, Deps: vclock.NewMatrix(2)}, 5, 4},
+			&Update{From: 0, Seq: 2, Op: OpSet, Loc: "a", Defines: true, Value: 5, Deps: vclock.NewMatrix(5)},
+			&Update{From: 0, Seq: 4, Op: OpSet, Loc: "b", Ordinal: 1, Defines: true, Value: 1, Deps: vclock.NewMatrix(2)}, 5, 4},
 	}
 	for _, p := range paths {
 		t.Run(p.name, func(t *testing.T) {

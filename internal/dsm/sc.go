@@ -54,8 +54,11 @@ type SCRequest struct {
 	Value int64
 }
 
+// encodedSize is the request's wire size, byte for byte what scRequestCodec
+// writes, and the Size the runtime counts for it.
 func (r SCRequest) encodedSize() int {
-	return 8 + 4 + 1 + (4 + len(r.Loc)) + 8
+	return transport.UvarintLen(r.ReqID) + transport.UvarintLen(uint64(r.From)) + 1 +
+		transport.UvarintLen(uint64(len(r.Loc))) + len(r.Loc) + 8
 }
 
 // SCReply answers one SCRequest: the location's value after applying the
@@ -65,7 +68,9 @@ type SCReply struct {
 	Value int64
 }
 
-func (r SCReply) encodedSize() int { return 8 + 8 }
+// encodedSize is the reply's wire size, byte for byte what scReplyCodec
+// writes.
+func (r SCReply) encodedSize() int { return transport.UvarintLen(r.ReqID) + 8 }
 
 // SCOwner reports which process owns an SC-labeled location in a system of
 // n processes. Exported so placement-aware callers (benchmarks, deployment
@@ -203,32 +208,55 @@ func (n *Node) handleSCReply(r SCReply) {
 }
 
 // Wire codecs, so SC traffic crosses the tcp transport exactly like updates.
+// Layouts, in updateCodec's notation:
+//
+//	sc-req: uvarint ReqID | uvarint From | u8 Op | uvarint len | Loc | u64 Value
+//	sc-rep: uvarint ReqID | u64 Value
+//
+// Op is zero (a read) or a write kind; the encoder refuses anything else and so
+// does decoding, together with a sender id beyond 31 bits, non-minimal varints
+// and trailing bytes, so the only input that decodes to a value is its
+// encoding. Varints carry the request id, sender and length the program fixes,
+// the u64 the value it computed.
 
 type scRequestCodec struct{}
+
+// validSCOp reports whether op is one an SC request can carry.
+func validSCOp(op UpdateOp) bool { return op == 0 || op >= OpSet && op <= OpAddFloat }
 
 func (scRequestCodec) Encode(dst []byte, payload any) ([]byte, error) {
 	r, ok := payload.(SCRequest)
 	if !ok {
 		return dst, fmt.Errorf("dsm: sc-req codec: payload is %T", payload)
 	}
-	dst = transport.AppendUint64(dst, r.ReqID)
-	dst = transport.AppendUint32(dst, uint32(r.From))
+	if r.From < 0 || r.From > maxFrom || !validSCOp(r.Op) {
+		return dst, fmt.Errorf("dsm: sc-req codec: op %d from sender %d", r.Op, r.From)
+	}
+	dst = transport.AppendUvarint(dst, r.ReqID)
+	dst = transport.AppendUvarint(dst, uint64(r.From))
 	dst = append(dst, byte(r.Op))
-	dst = transport.AppendString(dst, r.Loc)
-	dst = transport.AppendUint64(dst, uint64(r.Value))
-	return dst, nil
+	dst = transport.AppendUvarintString(dst, r.Loc)
+	return transport.AppendUint64(dst, uint64(r.Value)), nil
 }
 
 func (scRequestCodec) Decode(data []byte) (any, error) {
 	d := transport.NewDecoder(data)
-	r := SCRequest{
-		ReqID: d.Uint64(),
-		From:  int(d.Uint32()),
-		Op:    UpdateOp(d.Byte()),
-		Loc:   d.String(),
+	r := SCRequest{ReqID: d.Uvarint()}
+	from, err := parseFrom(d)
+	if err == nil {
+		r.From, r.Op = from, UpdateOp(d.Byte())
+		if d.Err() == nil && !validSCOp(r.Op) {
+			err = fmt.Errorf("op %d", r.Op)
+		}
 	}
-	r.Value = int64(d.Uint64())
-	if err := d.Err(); err != nil {
+	if err == nil {
+		loc := d.UvarintBytes()
+		r.Value = int64(d.Uint64())
+		if err = end(d); err == nil {
+			r.Loc = string(loc)
+		}
+	}
+	if err != nil {
 		return nil, fmt.Errorf("dsm: sc-req codec: %w", err)
 	}
 	return r, nil
@@ -241,16 +269,15 @@ func (scReplyCodec) Encode(dst []byte, payload any) ([]byte, error) {
 	if !ok {
 		return dst, fmt.Errorf("dsm: sc-rep codec: payload is %T", payload)
 	}
-	dst = transport.AppendUint64(dst, r.ReqID)
-	dst = transport.AppendUint64(dst, uint64(r.Value))
-	return dst, nil
+	dst = transport.AppendUvarint(dst, r.ReqID)
+	return transport.AppendUint64(dst, uint64(r.Value)), nil
 }
 
 func (scReplyCodec) Decode(data []byte) (any, error) {
 	d := transport.NewDecoder(data)
-	r := SCReply{ReqID: d.Uint64()}
+	r := SCReply{ReqID: d.Uvarint()}
 	r.Value = int64(d.Uint64())
-	if err := d.Err(); err != nil {
+	if err := end(d); err != nil {
 		return nil, fmt.Errorf("dsm: sc-rep codec: %w", err)
 	}
 	return r, nil

@@ -71,26 +71,46 @@ func HashBytes(name []byte) uint32 {
 	return h
 }
 
-type entry[V any] struct {
+// Entry is one key of a table with its hash and value. It lives at an address
+// that never changes, so a holder of an *Entry keeps the key's name, hash and
+// value without looking the key up again.
+type Entry[V any] struct {
 	key  string
 	hash uint32
 	val  V
 }
 
+// Key returns the entry's key.
+func (e *Entry[V]) Key() string { return e.key }
+
+// Hash returns the hash the entry was inserted under.
+func (e *Entry[V]) Hash() uint32 { return e.hash }
+
+// Value returns the entry's value, the pointer Get and Insert return for it.
+func (e *Entry[V]) Value() *V { return &e.val }
+
 // Table maps location names to values of type V. The zero value is an empty
 // table ready for use.
 type Table[V any] struct {
-	slots atomic.Pointer[[]atomic.Pointer[entry[V]]]
+	slots atomic.Pointer[[]atomic.Pointer[Entry[V]]]
 	// count is the number of entries and free the unused rest of the current
 	// chunk; only Insert (under the owner's mutex) touches them.
 	count int
-	free  []entry[V]
+	free  []Entry[V]
 }
 
 // Get returns the value stored under key, or nil if the key was never
 // inserted. hash must be the value every Insert of this key was given. Safe
 // concurrently with Insert; takes no lock and allocates nothing.
 func (t *Table[V]) Get(hash uint32, key string) *V {
+	if e := t.Find(hash, key); e != nil {
+		return &e.val
+	}
+	return nil
+}
+
+// Find is Get returning the whole entry.
+func (t *Table[V]) Find(hash uint32, key string) *Entry[V] {
 	p := t.slots.Load()
 	if p == nil {
 		return nil
@@ -98,15 +118,12 @@ func (t *Table[V]) Get(hash uint32, key string) *V {
 	return probe(*p, hash, key)
 }
 
-func probe[V any](slots []atomic.Pointer[entry[V]], hash uint32, key string) *V {
+func probe[V any](slots []atomic.Pointer[Entry[V]], hash uint32, key string) *Entry[V] {
 	mask := uint32(len(slots) - 1)
 	for i := hash & mask; ; i = (i + 1) & mask {
 		e := slots[i].Load()
-		if e == nil {
-			return nil
-		}
-		if e.hash == hash && e.key == key {
-			return &e.val
+		if e == nil || e.hash == hash && e.key == key {
+			return e
 		}
 	}
 }
@@ -115,46 +132,52 @@ func probe[V any](slots []atomic.Pointer[entry[V]], hash uint32, key string) *V 
 // new; inserted reports which. The caller must hold the owner's mutex:
 // inserts are serialized by it, lookups are not.
 func (t *Table[V]) Insert(hash uint32, key string, init V) (v *V, inserted bool) {
-	var slots []atomic.Pointer[entry[V]]
+	e, inserted := t.InsertEntry(hash, key, init)
+	return &e.val, inserted
+}
+
+// InsertEntry is Insert returning the whole entry.
+func (t *Table[V]) InsertEntry(hash uint32, key string, init V) (e *Entry[V], inserted bool) {
+	var slots []atomic.Pointer[Entry[V]]
 	if p := t.slots.Load(); p != nil {
 		slots = *p
-		if v := probe(slots, hash, key); v != nil {
-			return v, false
+		if e := probe(slots, hash, key); e != nil {
+			return e, false
 		}
 	}
 	if (t.count+1)*loadDen > len(slots)*loadNum {
 		slots = t.grow(slots)
 	}
-	e := &t.free[0]
+	e = &t.free[0]
 	t.free = t.free[1:]
-	*e = entry[V]{key: key, hash: hash, val: init}
+	*e = Entry[V]{key: key, hash: hash, val: init}
 	place(slots, e)
 	t.count++
-	return &e.val, true
+	return e, true
 }
 
 // grow publishes a slot array of twice the size holding the same entries, and
 // allocates the chunk for the inserts the new array admits before it is full
 // in turn — which is when the previous chunk runs out, so free is empty here.
-func (t *Table[V]) grow(old []atomic.Pointer[entry[V]]) []atomic.Pointer[entry[V]] {
+func (t *Table[V]) grow(old []atomic.Pointer[Entry[V]]) []atomic.Pointer[Entry[V]] {
 	size := initialSlots
 	if len(old) > 0 {
 		size = 2 * len(old)
 	}
-	next := make([]atomic.Pointer[entry[V]], size)
+	next := make([]atomic.Pointer[Entry[V]], size)
 	for i := range old {
 		if e := old[i].Load(); e != nil {
 			place(next, e)
 		}
 	}
 	t.slots.Store(&next)
-	t.free = make([]entry[V], size*loadNum/loadDen-t.count)
+	t.free = make([]Entry[V], size*loadNum/loadDen-t.count)
 	return next
 }
 
 // place stores e in the first free slot of its probe sequence. The load
 // factor guarantees one exists.
-func place[V any](slots []atomic.Pointer[entry[V]], e *entry[V]) {
+func place[V any](slots []atomic.Pointer[Entry[V]], e *Entry[V]) {
 	mask := uint32(len(slots) - 1)
 	i := e.hash & mask
 	for slots[i].Load() != nil {

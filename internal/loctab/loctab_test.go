@@ -27,6 +27,29 @@ func TestZeroTableAndInsertOnce(t *testing.T) {
 	}
 }
 
+// TestEntryIsTheValuesHome: InsertEntry and Find return one entry per key,
+// whose Key and Hash are what it was inserted under and whose Value is the
+// pointer Get and Insert return.
+func TestEntryIsTheValuesHome(t *testing.T) {
+	var tab Table[int]
+	if tab.Find(Hash("x"), "x") != nil {
+		t.Fatal("empty table found an entry")
+	}
+	e, inserted := tab.InsertEntry(Hash("x"), "x", 7)
+	if !inserted || e.Key() != "x" || e.Hash() != Hash("x") || *e.Value() != 7 {
+		t.Fatalf("first insert: inserted=%v entry %q/%x/%d", inserted, e.Key(), e.Hash(), *e.Value())
+	}
+	if again, inserted := tab.InsertEntry(Hash("x"), "x", 8); inserted || again != e {
+		t.Fatalf("second insert: inserted=%v, entry changed=%v", inserted, again != e)
+	}
+	if tab.Find(Hash("x"), "x") != e || tab.Get(Hash("x"), "x") != e.Value() {
+		t.Fatal("Find or Get disagrees with the inserted entry")
+	}
+	if v, _ := tab.Insert(Hash("x"), "x", 9); v != e.Value() {
+		t.Fatal("Insert returned another value pointer than the entry's")
+	}
+}
+
 // TestCollidingHashes drives the probe sequence directly: every key is given
 // the same hash, so the table degenerates into one linear chain that must
 // still resolve each key to its own value across several growths.

@@ -104,14 +104,14 @@ func TestStreamingAllocatesOneChunkPerChunkSize(t *testing.T) {
 	}
 }
 
-// TestDecodeMsgFrameAllocs pins the receive side of one update frame. Decoded
-// through a connection's state, an update for a location the connection has
-// seen allocates nothing: the kind is the registry's key, the *Update comes
-// from the connection's slab (one allocation per 64, amortised away here) and
-// the location string from its cache. Decoded statelessly, the update and its
-// location are an allocation each.
+// TestDecodeMsgFrameAllocs pins the receive side of one update frame, one that
+// refers to its location by ordinal as every update but a location's first
+// does. Decoded through a connection's state it allocates nothing: the kind is
+// the registry's key and the *Update comes from the connection's slab (one
+// allocation per 64, amortised away here). Decoded statelessly, the update is
+// an allocation.
 func TestDecodeMsgFrameAllocs(t *testing.T) {
-	u := &dsm.Update{From: 0, Seq: 7, Op: dsm.OpSet, Loc: "session/17", Value: 3}
+	u := &dsm.Update{From: 0, Seq: 7, Op: dsm.OpSet, Ordinal: 3, Value: 3}
 	payload, err := transport.EncodePayload(nil, dsm.KindUpdate, u)
 	if err != nil {
 		t.Fatal(err)
@@ -124,7 +124,7 @@ func TestDecodeMsgFrameAllocs(t *testing.T) {
 		max  float64
 	}{
 		{"connection", new(transport.ConnDecoder), 0.1},
-		{"stateless", nil, 2},
+		{"stateless", nil, 1},
 	} {
 		var got transport.Message
 		allocs := testing.AllocsPerRun(640, func() {

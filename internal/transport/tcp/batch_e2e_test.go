@@ -191,3 +191,80 @@ func TestBatchedReplayOverTCP(t *testing.T) {
 		t.Fatalf("diag %+v: the three placed kills stranded frames, yet fewer than three were replayed", d)
 	}
 }
+
+// TestReplayedDefinitionsResolve: a location is named on the wire only by its
+// sender's first update of it, and a kill whose replay straddles the ack
+// cursor must not cost the receiver a name. Ten locations are defined and
+// acknowledged; ten more are defined, and the first ten written again, on a
+// connection nobody accepts, and dropped with it, so the replay carries
+// definitions and references while the acked definitions are not resent. The
+// receiver keeps its reference tables in its dsm node, not in a connection,
+// so every later reference resolves: each location holds its last value and
+// no update counts as malformed.
+func TestReplayedDefinitionsResolve(t *testing.T) {
+	const locs = 20
+	var gate *gatedListener
+	trs, err := tcp.NewLoopback(2, func(c *tcp.Config) {
+		if c.ID == 1 {
+			gate = newGatedListener(c.Listener)
+			c.Listener = gate
+		}
+	})
+	if err != nil {
+		t.Fatalf("NewLoopback: %v", err)
+	}
+	peers := make([]*core.Peer, 2)
+	for i := range peers {
+		if peers[i], err = core.NewPeer(core.PeerConfig{ID: i, Transport: trs[i]}); err != nil {
+			t.Fatalf("NewPeer(%d): %v", i, err)
+		}
+	}
+	t.Cleanup(func() {
+		for _, tr := range trs {
+			tr.Flush(5 * time.Second)
+		}
+		for _, p := range peers {
+			p.Close()
+		}
+	})
+	writer, reader := peers[0].Proc(), peers[1].Proc()
+	loc := func(i int) string { return "named/" + strconv.Itoa(i) }
+	write := func(from, to int, round int64) {
+		for i := from; i < to; i++ {
+			writer.Write(loc(i), round*100+int64(i))
+		}
+	}
+
+	write(0, locs/2, 1)
+	if !trs[0].Flush(10 * time.Second) {
+		t.Fatal("the first definitions were not acknowledged")
+	}
+	gate.shut()
+	dials := trs[0].Diag().Dials
+	trs[0].DropConn(1)
+	for trs[0].Diag().Dials == dials {
+		runtime.Gosched()
+	}
+	write(locs/2, locs, 1)
+	write(0, locs/2, 2)
+	for trs[0].Pending(0, 1) > 0 {
+		runtime.Gosched()
+	}
+	trs[0].DropConn(1) // strands them: they must be replayed
+	gate.open()
+	write(0, locs, 3)
+	writer.Write("named/done", 1)
+
+	reader.Await("named/done", 1)
+	for i := 0; i < locs; i++ {
+		if got, want := reader.ReadCausal(loc(i)), 300+int64(i); got != want {
+			t.Errorf("%s = %d, want %d", loc(i), got, want)
+		}
+	}
+	if s := reader.MemStats(); s.MalformedUpdates != 0 {
+		t.Errorf("%d updates malformed: a replayed reference did not resolve", s.MalformedUpdates)
+	}
+	if d := trs[0].Diag(); d.Replayed < locs {
+		t.Fatalf("diag %+v: the stranded definitions and references were not replayed", d)
+	}
+}

@@ -16,6 +16,7 @@ import (
 
 	"mixedmem/internal/dsm"
 	"mixedmem/internal/transport"
+	"mixedmem/internal/vclock"
 )
 
 // rawSender is a hand-driven sending end of a channel: a plain connection to
@@ -390,6 +391,70 @@ func TestUndecodableFrameConsumesItsSequence(t *testing.T) {
 	}
 	if d := trs[1].Diag(); d.DecodeErrors != 2 || d.Gaps != 0 {
 		t.Fatalf("diag %+v, want 2 decode errors and no gaps", d)
+	}
+}
+
+// TestUndecodableDefinitionStrandsNothing: the frame that named a location to
+// a receiver fails to decode, so the receiver never learns the name. The
+// transport consumes the frame's sequence number; the receiving node then
+// cannot resolve the later update that refers to the location by ordinal. That
+// update counts in MalformedUpdates, applies to neither view, and still takes
+// its place in the sender's order and settles, so a count wait over what
+// arrived returns and the sender's next location — defined and referred to
+// after it — reaches the causal view.
+func TestUndecodableDefinitionStrandsNothing(t *testing.T) {
+	trs := newLoopbackT(t, 2)
+	node, err := dsm.NewNode(dsm.Config{ID: 1, N: 2, Transport: trs[1]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		trs[1].Close()
+		node.Close()
+	})
+	frame := func(seq uint64, u *dsm.Update, corrupt bool) []byte {
+		payload, err := transport.EncodePayload(nil, dsm.KindUpdate, u)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if corrupt {
+			payload[2] = 0 // the flags byte: no operation
+		}
+		return appendMsgFrame(nil, seq, dsm.KindUpdate, payload)
+	}
+	upd := func(seq uint64, ord uint32, loc string, value int64) *dsm.Update {
+		return &dsm.Update{From: 0, Seq: seq, Op: dsm.OpSet, Loc: loc, Ordinal: ord, Defines: loc != "",
+			Value: value, TS: vclock.VC{seq, 0}}
+	}
+	s := dialRaw(t, trs[1], 0)
+	var frames []byte
+	frames = append(frames, frame(1, upd(1, 0, "a", 1), true)...)
+	frames = append(frames, frame(2, upd(2, 0, "", 2), false)...)
+	frames = append(frames, frame(3, upd(3, 1, "b", 3), false)...)
+	frames = append(frames, frame(4, upd(4, 1, "", 4), false)...)
+	s.write(frames)
+
+	done := make(chan struct{})
+	go func() {
+		node.WaitCausalApplied([]uint64{3, 0})
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the updates that arrived never settled: an unresolvable reference stranded its sender")
+	}
+	if d := trs[1].Diag(); d.DecodeErrors != 1 || d.Gaps != 0 {
+		t.Fatalf("diag %+v, want the one undecodable frame and no gaps", d)
+	}
+	if got := node.Stats().MalformedUpdates; got != 1 {
+		t.Errorf("MalformedUpdates = %d, want 1: the reference to the lost definition", got)
+	}
+	if pram, causal := node.ReadPRAM("a"), node.ReadCausal("a"); pram != 0 || causal != 0 {
+		t.Errorf("a = %d (PRAM), %d (causal): a reference the node cannot resolve applied", pram, causal)
+	}
+	if got := node.ReadCausal("b"); got != 4 {
+		t.Errorf("causal b = %d, want 4", got)
 	}
 }
 

@@ -1,11 +1,13 @@
 package tcp
 
 import (
+	"strconv"
 	"sync"
 	"testing"
 	"time"
 
 	"mixedmem/internal/dsm"
+	"mixedmem/internal/history"
 	"mixedmem/internal/syncmgr"
 	"mixedmem/internal/transport"
 )
@@ -261,7 +263,8 @@ func (t *tap) Recv(node int) (transport.Message, bool) {
 // with their managers on node 0: lazy and demand-driven lock cycles (the
 // latter with write-sets), read locks under eager propagation (whose flush
 // probes and acknowledgements carry nothing, and count nothing), and global
-// and subset barriers.
+// and subset barriers. The SC row has every process read, write and add to
+// SC-labeled locations, so requests and replies cross to each owner.
 func TestCountedBytesAreShippedBytes(t *testing.T) {
 	const n, writes, rounds = 3, 200, 40
 	locs := []string{"a", "b", "c", "d", "e"}
@@ -325,22 +328,41 @@ func TestCountedBytesAreShippedBytes(t *testing.T) {
 			p.bars.BarrierGroup("pair", []int{1, 2})
 		}
 	}
+	scLabels := map[string]history.Label{}
+	for i := 0; i < 6; i++ {
+		scLabels["sc/"+strconv.Itoa(i)] = history.LabelSC
+	}
+	scAccesses := func(p proc) {
+		for k := 0; k < rounds; k++ {
+			loc := "sc/" + strconv.Itoa((k+p.id)%len(scLabels))
+			switch k % 3 {
+			case 0:
+				p.node.WriteSC(loc, int64(k))
+			case 1:
+				p.node.Add(loc, 1)
+			default:
+				p.node.ReadSC(loc)
+			}
+		}
+	}
 	lockKinds := []string{syncmgr.KindLockReq, syncmgr.KindLockGrant, syncmgr.KindLockRel}
 	barKinds := []string{syncmgr.KindBarArrive, syncmgr.KindBarRelease}
 	for _, tc := range []struct {
-		name  string
-		scope *dsm.ScopeMap
-		mode  syncmgr.PropagationMode
-		run   func(proc)
-		kinds []string // the kinds the row must carry
+		name   string
+		scope  *dsm.ScopeMap
+		labels map[string]history.Label
+		mode   syncmgr.PropagationMode
+		run    func(proc)
+		kinds  []string // the kinds the row must carry
 	}{
-		{"broadcast", nil, syncmgr.Lazy, updates, []string{dsm.KindUpdate, dsm.KindUpdateBatch}},
-		{"scoped", scope, syncmgr.Lazy, updates, []string{dsm.KindUpdate, dsm.KindUpdateBatch}},
-		{"lazy locks", nil, syncmgr.Lazy, lockCycles, lockKinds},
-		{"demand-driven locks", nil, syncmgr.DemandDriven, lockCycles, lockKinds},
-		{"read locks", nil, syncmgr.Eager, readLocks, append(lockKinds, syncmgr.KindFlush, syncmgr.KindFlushAck)},
-		{"global barriers", nil, syncmgr.Lazy, barriers, barKinds},
-		{"subset barriers", nil, syncmgr.Lazy, subsetBarriers, barKinds},
+		{"broadcast", nil, nil, syncmgr.Lazy, updates, []string{dsm.KindUpdate, dsm.KindUpdateBatch}},
+		{"scoped", scope, nil, syncmgr.Lazy, updates, []string{dsm.KindUpdate, dsm.KindUpdateBatch}},
+		{"lazy locks", nil, nil, syncmgr.Lazy, lockCycles, lockKinds},
+		{"demand-driven locks", nil, nil, syncmgr.DemandDriven, lockCycles, lockKinds},
+		{"read locks", nil, nil, syncmgr.Eager, readLocks, append(lockKinds, syncmgr.KindFlush, syncmgr.KindFlushAck)},
+		{"global barriers", nil, nil, syncmgr.Lazy, barriers, barKinds},
+		{"subset barriers", nil, nil, syncmgr.Lazy, subsetBarriers, barKinds},
+		{"sc", nil, scLabels, syncmgr.Lazy, scAccesses, []string{dsm.KindSCRequest, dsm.KindSCReply}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			trs := newLoopbackT(t, n)
@@ -351,8 +373,8 @@ func TestCountedBytesAreShippedBytes(t *testing.T) {
 				taps[i] = &tap{Transport: trs[i], msgs: map[string]uint64{}, bytes: map[string]uint64{}}
 				dispatchers[i] = syncmgr.NewDispatcher(i, taps[i])
 				nd, err := dsm.NewNode(dsm.Config{ID: i, N: n, Transport: taps[i], Scope: tc.scope,
-					Handler: dispatchers[i].Handle,
-					Batch:   dsm.BatchConfig{Enabled: i == 0, MaxUpdates: 4, Linger: time.Hour}})
+					Labels: tc.labels, Handler: dispatchers[i].Handle,
+					Batch: dsm.BatchConfig{Enabled: i == 0, MaxUpdates: 4, Linger: time.Hour}})
 				if err != nil {
 					t.Fatalf("NewNode(%d): %v", i, err)
 				}

@@ -69,7 +69,8 @@
 // needs to turn bytes into messages: the read buffer, the acknowledgement
 // state, and a transport.ConnDecoder through which the payload codecs keep
 // per-connection decode state (internal/dsm carves received updates and their
-// timestamps from slabs and caches location strings there). Decoded messages
+// timestamps from slabs there; location names are the receiving node's, which
+// sees each frame once, after the sequence dedup). Decoded messages
 // go to the node's network.Inbox, the burst queue the simulated fabric
 // delivers into as well.
 //
