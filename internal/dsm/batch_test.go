@@ -278,9 +278,8 @@ func TestBatchScopedPlacement(t *testing.T) {
 	nodes[0].Write("pair", 5) // seq 1 -> node 1 only
 	nodes[0].Write("all", 7)  // seq 2 -> both
 	nodes[0].Write("all", 8)  // seq 3 -> both, coalesces with seq 2
-	nodes[0].FlushUpdates()
-	nodes[1].WaitReceived([]uint64{3, 0, 0})
-	nodes[2].WaitReceived([]uint64{2, 0, 0})
+	nodes[1].WaitReceived(sentTo(nodes, 1))
+	nodes[2].WaitReceived(sentTo(nodes, 2))
 	if got := nodes[1].ReadPRAM("pair"); got != 5 {
 		t.Fatalf("n1 pair = %d, want 5", got)
 	}
@@ -346,8 +345,9 @@ func TestBatchScopedCausalDepsCapturedAtEnqueue(t *testing.T) {
 	nodes[0].FlushUpdates()
 
 	done := make(chan struct{})
+	min := sentTo(nodes, 1)
 	go func() {
-		nodes[1].WaitCausalApplied([]uint64{2, 0, 1})
+		nodes[1].WaitCausalApplied(min)
 		close(done)
 	}()
 	select {

@@ -7,17 +7,17 @@ import (
 	"mixedmem/internal/obs"
 )
 
-// This file holds what the synchronization layer builds on: the count vectors
-// of the barrier message-count protocol, the write log and the invalidation
-// table of lock-based propagation. The vectors and the log live under the
-// clock lock; invalidations under their shard's.
+// This file holds what the synchronization layer builds on: the sequence
+// vectors of the barrier and lazy-lock protocols (node.go), the write log and
+// the invalidation table of lock-based propagation. The vectors and the log
+// live under the clock lock; invalidations under their shard's.
 
-// SentCounts appends to dst a snapshot of the cumulative per-destination
-// update counts, the vector each process reports to the barrier manager
-// (Section 6), and returns the extended slice; a dst with room for N words
-// makes it allocation-free. With the outbox enabled it first flushes every
-// pending batch: the counts are a promise that peers can wait for that many
-// updates, so nothing counted may remain parked locally.
+// SentCounts appends to dst, per destination, the last sequence number sent
+// to it, the vector each process reports to the barrier manager (Section 6),
+// and returns the extended slice; a dst with room for N words makes it
+// allocation-free. With the outbox enabled it first flushes every pending
+// batch: the vector is a promise that peers can wait for those updates, so
+// nothing it covers may remain parked locally.
 func (n *Node) SentCounts(dst []uint64) []uint64 {
 	n.clockMu.Lock()
 	defer n.clockMu.Unlock()
@@ -25,8 +25,8 @@ func (n *Node) SentCounts(dst []uint64) []uint64 {
 	return append(dst, n.sent...)
 }
 
-// ReceivedCounts appends to dst, per sender, the cumulative number of updates
-// applied to the PRAM view (own writes for the node's own component), and
+// ReceivedCounts appends to dst, per sender, the last sequence number applied
+// to the PRAM view (the last own write for the node's own component), and
 // returns the extended slice.
 func (n *Node) ReceivedCounts(dst []uint64) []uint64 {
 	n.clockMu.Lock()
@@ -34,28 +34,26 @@ func (n *Node) ReceivedCounts(dst []uint64) []uint64 {
 	return append(dst, n.recvd...)
 }
 
-// WaitReceived blocks until at least min[j] updates from each process j have
-// been applied to the PRAM view. The barrier protocol uses it to ensure all
-// prior-phase updates are in place before the phase's reads (Section 6).
-func (n *Node) WaitReceived(min []uint64) { n.waitCounts(n.recvd, min, 0) }
+// WaitReceived blocks until, for each process j, the PRAM view has applied
+// j's update min[j] or a later one.
+func (n *Node) WaitReceived(min []uint64) { n.waitSeqs(min, 0) }
 
-// WaitCausalApplied blocks until at least min[j] updates from each process j
-// have met their causal-view obligations locally: applied to the causal view
-// for dependency-stamped updates, applied to the PRAM view for those under no
-// obligation (their registration contract voids it). Under full broadcast
-// this is exactly "applied to the causal view"; under scoped placement the
-// count-based phrasing stays sound where per-sender sequence numbers have
-// holes.
-func (n *Node) WaitCausalApplied(min []uint64) { n.waitCounts(n.causalRecvd, min, 1) }
+// WaitCausalApplied blocks until, for each process j, j's update min[j] or a
+// later one has settled: taken its place in the causal view, or, for an
+// update under no obligation (its registration contract voids it), in its
+// sender's order. A settled update has been received, so this is the one wait
+// the barrier and lazy-lock protocols need before the reads that follow them
+// (Section 6).
+func (n *Node) WaitCausalApplied(min []uint64) { n.waitSeqs(min, 1) }
 
-// waitCounts blocks until counts, a vector guarded by the clock lock, reaches
-// min in every component. causal tags the trace event.
-func (n *Node) waitCounts(counts, min []uint64, causal uint64) {
+// waitSeqs blocks until recvd, or causalApplied when causal is 1, reaches min
+// in every component. causal also tags the trace event.
+func (n *Node) waitSeqs(min []uint64, causal uint64) {
 	n.clockMu.Lock()
 	defer n.clockMu.Unlock()
 	n.FlushUpdates()
 	start := time.Now()
-	for !reached(counts, min) && !n.closed.Load() {
+	for !n.reachedLocked(min, causal == 1) && !n.closed.Load() {
 		n.clockCond.Wait()
 	}
 	d := int64(time.Since(start))
@@ -65,9 +63,13 @@ func (n *Node) waitCounts(counts, min []uint64, causal uint64) {
 	}
 }
 
-func reached(counts, min []uint64) bool {
-	for j := 0; j < len(counts) && j < len(min); j++ {
-		if counts[j] < min[j] {
+func (n *Node) reachedLocked(min []uint64, causal bool) bool {
+	for j := 0; j < n.n && j < len(min); j++ {
+		seq := n.recvd[j]
+		if causal {
+			seq = n.causalApplied.get(j)
+		}
+		if seq < min[j] {
 			return false
 		}
 	}
@@ -84,7 +86,7 @@ type WriteRecord struct {
 // WriteMark returns a marker into the node's write log. Combined with
 // WritesSince it delimits the write-set of a critical section. Marks are
 // absolute positions and stay valid across TrimWriteLog. The first call
-// turns logging on: positions are own-write counts, so enabling mid-life
+// turns logging on: positions are own sequence numbers, so enabling mid-life
 // keeps every subsequent mark exactly where eager logging would have put it.
 func (n *Node) WriteMark() int {
 	n.clockMu.Lock()

@@ -20,7 +20,7 @@ import (
 // delivery must respect — the only thing the delivery code switches on.
 //
 //	obligation  stamp  sender order  cross-sender wait        causal view  fence anchor
-//	obNone      –      –             –                        no           no
+//	obNone      –      yes           –                        no           no
 //	obFIFO      –      yes           –                        yes          no
 //	obVector    TS     yes           TS[k] <= causalApplied   yes          yes
 //	obMatrix    Deps   yes           own row of Deps          yes          yes
@@ -30,10 +30,12 @@ import (
 // ordered pair, and a group that is not delivered at once parks behind its
 // sender's earlier parked groups, of which only the head is ever tried
 // (receiveLocked, drainLocked). An own write (issue) waits, under its copies'
-// obligation, for what its process observed. obNone updates are settled by
-// their PRAM apply, obNone entries of a batch included: the batch's other
-// entries form its group. A group whose metadata has the wrong dimension is
-// held to obFIFO but kept out of the causal view (deliveryGroup.malformed): it
+// obligation, for what its process observed. An obNone group reaches the PRAM
+// view on arrival and never enters the causal view, but it settles in its
+// sender's order like any other, so causalApplied names a prefix of the
+// sender's stream under every configuration. A batch's obNone entries ride in
+// the group the batch's other entries form. A group whose sequence numbers or
+// metadata make no sense is held to obNone (deliveryGroup.malformed): it
 // occupies its place in the sender's order, so the sender's later updates are
 // not stranded behind it.
 type obligation uint8
@@ -83,14 +85,14 @@ func (n *Node) classify(g *deliveryGroup, label history.Label, ts vclock.VC, dep
 		if deps.Len() == n.n {
 			g.ob, g.need, g.deps = obMatrix, deps.Row(n.id), deps
 		} else {
-			g.ob, g.malformed = obFIFO, true
+			g.holdMalformed()
 		}
 	case label == history.LabelSlow:
 		g.ob = obFIFO
 	case ts.Len() == n.n:
 		g.ob, g.need = obVector, ts
 	default:
-		g.ob, g.malformed = obFIFO, true
+		g.holdMalformed()
 	}
 }
 
@@ -206,23 +208,20 @@ func (n *Node) elided(u *Update) bool { return u.elided && n.scopedCausal }
 // dependencies are satisfied — delivering a contiguous per-sender run at the
 // point its last element is deliverable is a legal causal schedule (delivery
 // may be delayed, never reordered), and it is what lets coalesced batches keep
-// the standard vector-clock condition. Under a scope the run may have holes:
-// the batch's elided entries are settled by their PRAM apply and never enter
-// the causal view, and the group is the rest (DESIGN.md §8). A group that is
-// deliverable when it arrives lives only on the receive path's stack; one that
-// is not is parked in its sender's queue (Node.pending).
+// the standard vector-clock condition. Under a scope the run may have holes,
+// and a batch's elided entries reach the PRAM view alone (DESIGN.md §8). A
+// group that settles when it arrives lives only on the receive path's stack;
+// one that does not is parked in its sender's queue (Node.pending).
 type deliveryGroup struct {
 	from     int
 	firstSeq uint64
 	// lastSeq is the sequence number of the group's latest entry, elided or
-	// not: the sender's causal clock entry once the group settles.
+	// not, which the outbox never coalesces away: the sender's entry of recvd
+	// on arrival and of causalApplied once the group settles.
 	lastSeq uint64
-	// count is the number of covered updates, including coalesced-away
-	// ones; it feeds recvd on arrival. holes of them are a batch's obNone
-	// entries, settled — added to causalRecvd — on arrival; the other
-	// count-holes are added when the group settles.
+	// count is the number of updates the batch's run covers, coalesced-away
+	// ones included; the arrival check and the trace read it.
 	count     uint64
-	holes     uint64
 	ob        obligation
 	malformed bool
 	// need is the cross-sender condition: need[k] <= causalApplied[k] for
@@ -265,14 +264,13 @@ func (n *Node) applyRemote(u *Update) {
 	if !named {
 		g.holdMalformed()
 	}
-	n.receiveArrivedLocked(&g)
+	n.receiveArrivedLocked(&g, 1)
 	n.clockCond.Broadcast()
 	n.clockMu.Unlock()
 }
 
-// applyBatch receives a batch as one delivery group. FirstSeq and Count cover
-// the coalesced-away updates too, so the counting protocols account every
-// original write. b is the sender's or the decoder's and is only read.
+// applyBatch receives a batch as one delivery group. b is the sender's or the
+// decoder's and is only read.
 func (n *Node) applyBatch(b *UpdateBatch) {
 	if len(b.Updates) == 0 {
 		return
@@ -284,42 +282,28 @@ func (n *Node) applyBatch(b *UpdateBatch) {
 	// same scan enters the batch's definitions into the sender's reference
 	// table, in the order they were sent.
 	g := deliveryGroup{from: b.From, firstSeq: b.FirstSeq, count: b.Count, batch: b.Updates}
-	var latest, stamped *Update
+	var stamped *Update
 	var e entry
 	named := true
 	n.clockMu.Lock()
 	for i := range b.Updates {
 		u := &b.Updates[i]
 		named = n.resolveLocked(&e, b.From, u, true) && named
-		if latest == nil || u.Seq > latest.Seq {
-			latest = u
-		}
-		if n.elided(u) {
-			g.holes++
-		} else if u.Label != history.LabelSlow && (stamped == nil || u.Seq > stamped.Seq) {
+		g.lastSeq = max(g.lastSeq, u.Seq)
+		if !n.elided(u) && u.Label != history.LabelSlow && (stamped == nil || u.Seq > stamped.Seq) {
 			stamped = u
 		}
 	}
-	g.lastSeq = latest.Seq
 	if n.obs != nil {
 		n.obs.Record(obs.EvRecvBatch, uint8(b.Updates[0].Label), uint16(b.From),
-			obs.NoLoc, b.FirstSeq, latest.Seq, b.Count)
+			obs.NoLoc, b.FirstSeq, g.lastSeq, b.Count)
 	}
-	switch {
-	case g.holes == uint64(len(b.Updates)):
-		g.ob = obNone
-	case stamped == nil:
+	// Under a scope a batch whose entries are all elided carries no matrix:
+	// classify finds it obNone.
+	if stamped == nil {
 		n.classify(&g, history.LabelSlow, nil, b.Deps)
-	default:
+	} else {
 		n.classify(&g, stamped.Label, stamped.TS, b.Deps)
-	}
-	if n.scopeTargets == nil && latest.Seq-b.FirstSeq >= b.Count {
-		// Without a scope every write reaches every peer, so a batch's entries
-		// lie in the run [FirstSeq, FirstSeq+Count) it counts (under one, the
-		// run has holes and only Count means anything). A batch that breaks
-		// this is malformed, and settles at the end of its run, not past it.
-		g.lastSeq = b.FirstSeq + b.Count - 1
-		g.holdMalformed()
 	}
 	if !named {
 		// A batch holding an entry the node cannot name applies none: a later
@@ -329,47 +313,52 @@ func (n *Node) applyBatch(b *UpdateBatch) {
 		g.batch = nil
 		g.holdMalformed()
 	}
-	n.receiveArrivedLocked(&g)
+	n.receiveArrivedLocked(&g, len(b.Updates))
 	n.clockCond.Broadcast()
 	n.clockMu.Unlock()
 }
 
-// holdMalformed marks a group whose metadata or locations do not make sense:
-// it keeps its place in its sender's order and settles there, but its values
-// never reach the causal view (and a group the node cannot name reaches
-// neither view).
+// holdMalformed marks a group whose sequence numbers, metadata or locations do
+// not make sense: it keeps its place in its sender's order and settles there,
+// but its values never reach the causal view (and a group the node cannot name
+// reaches neither view).
 func (g *deliveryGroup) holdMalformed() {
-	g.malformed = true
-	if g.ob != obNone {
-		g.ob, g.need, g.deps = obFIFO, nil, nil
-	}
+	g.ob, g.need, g.deps, g.malformed = obNone, nil, nil, true
 }
 
-// receiveArrivedLocked takes a group that has just arrived into the views.
-func (n *Node) receiveArrivedLocked(g *deliveryGroup) {
-	if g.malformed {
-		n.statMalformed.Add(g.count - g.holes)
+// receiveArrivedLocked takes a group of entries updates that has just arrived
+// into the views. The channel is FIFO, so its first Seq lies above the
+// sender's last one here; without a scope, where every update of the sender's
+// reaches this node, it is the next one and the entries lie in the run the
+// group counts. A group that fails is malformed, and settles at its run's end
+// at most and the sender's last Seq at least: no vector moves backwards.
+func (n *Node) receiveArrivedLocked(g *deliveryGroup, entries int) {
+	last := n.recvd[g.from]
+	whole := n.scopeTargets == nil
+	if whole && g.lastSeq-g.firstSeq >= g.count {
+		g.lastSeq = g.firstSeq + g.count - 1
+		g.holdMalformed()
 	}
-	n.recvd[g.from] += g.count
+	if g.firstSeq <= last || whole && g.firstSeq != last+1 {
+		g.holdMalformed()
+	}
+	g.lastSeq = max(g.lastSeq, last)
+	if g.malformed {
+		n.statMalformed.Add(uint64(entries))
+	}
+	n.recvd[g.from] = g.lastSeq
 	n.receiveLocked(g)
 }
 
 // receiveLocked is the one way into both views, own writes (issue) included: to
 // the PRAM view at once, to the causal view when the obligation is met — in the
 // same pass if it already is and nothing of its sender's is parked ahead, the
-// common case, which touches no queue. What the PRAM apply settles — an obNone
-// group, a batch's obNone entries — is counted settled here.
+// common case, which touches no queue.
 func (n *Node) receiveLocked(g *deliveryGroup) {
 	n.arrivals++
 	g.arrival = n.arrivals
-	inPlace := g.ob != obNone && n.pending[g.from].size == 0 && n.deliverableLocked(g)
+	inPlace := n.pending[g.from].size == 0 && n.deliverableLocked(g)
 	n.applyGroupLocked(g, true, inPlace)
-	if g.ob == obNone {
-		n.causalRecvd[g.from] += g.count
-		putUpdateSlice(g.batch)
-		return
-	}
-	n.causalRecvd[g.from] += g.holes
 	if !inPlace {
 		// Nothing else can have become deliverable — the clocks did not
 		// move — so no drain follows.
@@ -384,7 +373,8 @@ func (n *Node) receiveLocked(g *deliveryGroup) {
 
 // applyGroupLocked stores the group's values: into the PRAM view when the
 // group arrives (pram), into the causal view when its obligation is met
-// (causal) — both in one pass for a group deliverable on arrival.
+// (causal) — both in one pass for a group deliverable on arrival. An obNone
+// group never enters the causal view.
 func (n *Node) applyGroupLocked(g *deliveryGroup, pram, causal bool) {
 	if g.batch == nil {
 		n.applyEntryLocked(g, &g.one, pram, causal)
@@ -409,7 +399,7 @@ func (n *Node) applyEntryLocked(g *deliveryGroup, e *entry, pram, causal bool) {
 		}
 		applyCell(&c.pram, e.op, e.value)
 	}
-	if causal && !g.malformed && !e.elided {
+	if causal && g.ob != obNone && !e.elided {
 		applyCell(&c.causal, e.op, e.value)
 	}
 	e.sh.wake()
@@ -434,12 +424,13 @@ func (n *Node) deliverableLocked(g *deliveryGroup) bool {
 	return true
 }
 
-// settleLocked records that a group has taken its place in the causal view:
-// it advances the sender's entry of the causal clock and the settled count,
-// absorbs a matrix group's dependency knowledge, returns a batch's entry
-// slice to the pool, and emits the release trace events. The clock advance
-// comes after all the group's values are stored, so a lock-free causal read
-// that sees the advanced clock sees the values.
+// settleLocked records that a group has taken its place in its sender's
+// order: it advances the sender's entry of the causal clock, absorbs a matrix
+// group's dependency knowledge, returns a batch's entry slice to the pool, and
+// emits the trace events of a parked group's wait and of a release into the
+// causal view. The clock advance comes after all the group's values are
+// stored, so a lock-free causal read that sees the advanced clock sees the
+// values.
 func (n *Node) settleLocked(g *deliveryGroup) {
 	n.causalApplied.set(g.from, g.lastSeq)
 	if g.deps != nil {
@@ -448,7 +439,6 @@ func (n *Node) settleLocked(g *deliveryGroup) {
 		n.addr.Merge(g.deps)
 		n.addrEpoch++
 	}
-	n.causalRecvd[g.from] += g.count - g.holes
 	putUpdateSlice(g.batch)
 	if n.obs != nil {
 		if g.parkedAt != 0 {
@@ -456,8 +446,10 @@ func (n *Node) settleLocked(g *deliveryGroup) {
 			n.obs.Record(obs.EvDepWaitEnd, 0, uint16(g.from), obs.NoLoc,
 				g.firstSeq, uint64(parked), 0)
 		}
-		n.obs.Record(obs.EvGroupRelease, 0, uint16(g.from), obs.NoLoc,
-			g.firstSeq, g.lastSeq, g.count)
+		if g.ob != obNone {
+			n.obs.Record(obs.EvGroupRelease, 0, uint16(g.from), obs.NoLoc,
+				g.firstSeq, g.lastSeq, g.count)
+		}
 	}
 }
 

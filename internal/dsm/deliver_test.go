@@ -100,7 +100,7 @@ func TestObligationTable(t *testing.T) {
 		malformed bool
 	}
 	ok := func(ob obligation) recv { return recv{ob: ob} }
-	bad := recv{ob: obFIFO, malformed: true}
+	bad := recv{ob: obNone, malformed: true}
 	rows := []struct {
 		config string
 		label  history.Label

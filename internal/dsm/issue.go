@@ -66,8 +66,8 @@ type Update struct {
 	// Value is the written value or the addend.
 	Value int64
 	// TS is the writer's dependency clock after this update: TS[j] is the
-	// number of updates from process j the writer has applied, counting
-	// this one for j == From. It is set only under full broadcast; scoped
+	// last sequence number from process j the writer has applied, Seq for
+	// j == From. It is set only under full broadcast; scoped
 	// causal updates carry Deps instead, and timestamp-elided updates
 	// (PRAMOnly mode, or PRAM-registered readers of a scoped location) carry
 	// neither.
@@ -345,7 +345,7 @@ func (n *Node) sentLocked(u *Update, stamp bool) *Update {
 // of an obMatrix write; dests is not empty.
 func (n *Node) emitLocked(dests []int, u *Update, ob obligation, snap vclock.Matrix) {
 	for _, j := range dests {
-		n.sent[j]++
+		n.sent[j] = u.Seq
 	}
 	if n.outbox != nil {
 		if ob == obVector {

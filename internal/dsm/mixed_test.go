@@ -35,11 +35,14 @@ func within(t *testing.T, what string, f func()) {
 	}
 }
 
-// causalRecvdOf reads n's causalRecvd entry for sender j.
-func (n *Node) causalRecvdOf(j int) uint64 {
-	n.clockMu.Lock()
-	defer n.clockMu.Unlock()
-	return n.causalRecvd[j]
+// sentTo returns, per node, the last sequence number it sent node j, flushing
+// its outbox: the vector j's waits reach once all of it arrived or settled.
+func sentTo(nodes []*Node, j int) []uint64 {
+	min := make([]uint64, len(nodes))
+	for i, nd := range nodes {
+		min[i] = nd.SentCounts(nil)[j]
+	}
+	return min
 }
 
 // parkBehindHeldWrite holds node 1's channel to node 2, has node 1 write d
@@ -57,9 +60,10 @@ func parkBehindHeldWrite(t *testing.T, f *network.Fabric, nodes []*Node) {
 
 // TestMixedBatchElidedVisibleWhileCausalParked: node 0's batch to node 2 is
 // [p elided, c causal, q elided], and c depends on a write held from node 2.
-// The elided entries are in node 2's PRAM view and counted settled while c is
-// parked; they never anchor the fence, so a causal read after PRAM-reading
-// them does not wait for the group; and they never enter the causal view.
+// The elided entries are in node 2's PRAM view while c is parked, and settle
+// with c's group, in their sender's order; they never anchor the fence, so a
+// causal read after PRAM-reading them does not wait for the group; and they
+// never enter the causal view.
 func TestMixedBatchElidedVisibleWhileCausalParked(t *testing.T) {
 	scope := &ScopeMap{
 		Readers:       map[string][]int{"d": {0, 2}, "c": {2}, "p": {2}, "q": {2}},
@@ -80,8 +84,8 @@ func TestMixedBatchElidedVisibleWhileCausalParked(t *testing.T) {
 	if got := nodes[2].causalSnapshotValue("c"); got != 0 {
 		t.Fatalf("c = %d entered the causal view before the held d", got)
 	}
-	if got := nodes[2].causalRecvdOf(0); got != 2 {
-		t.Fatalf("causalRecvd[0] = %d while c is parked, want 2: the elided entries are settled on arrival", got)
+	if got := nodes[2].causalApplied.get(0); got != 0 {
+		t.Fatalf("causalApplied[0] = %d while c is parked, want 0: the elided entries settle with their group", got)
 	}
 	within(t, "causal read after PRAM-reading the elided entries", func() {
 		if got := nodes[2].ReadCausal("c"); got != 0 {
@@ -139,11 +143,11 @@ func TestMixedBatchEndingElidedDoesNotStall(t *testing.T) {
 	}
 }
 
-// TestMixedBatchCoalescedCountsExact: c=1 p=1 c=2 p=2 c=3 to node 2 coalesce
-// to [c=3, p=2], which covers five updates. recvd counts all five on arrival;
-// causalRecvd counts the surviving elided entry on arrival, and the other
-// four — the coalesced-away elided one among them — when the group settles,
-// ending at exactly five.
+// TestMixedBatchCoalescedCountsExact: c=1 p=1 c=2 p=2 c=3 to node 2 (node 0's
+// sequence numbers 1 to 5) coalesce to [c=3, p=2]. recvd reaches 5, the
+// surviving latest entry, on arrival; causalApplied stays at 0 while the group
+// is parked, its surviving elided entry included, and reaches exactly 5 when
+// the group settles.
 func TestMixedBatchCoalescedCountsExact(t *testing.T) {
 	scope := &ScopeMap{
 		Readers:       map[string][]int{"d": {0, 2}, "c": {2}, "p": {2}},
@@ -164,8 +168,8 @@ func TestMixedBatchCoalescedCountsExact(t *testing.T) {
 	if got := nodes[2].ReceivedCounts(nil)[0]; got != 5 {
 		t.Fatalf("recvd[0] = %d on arrival, want 5", got)
 	}
-	if got := nodes[2].causalRecvdOf(0); got != 1 {
-		t.Fatalf("causalRecvd[0] = %d while parked, want 1 (the surviving elided entry)", got)
+	if got := nodes[2].causalApplied.get(0); got != 0 {
+		t.Fatalf("causalApplied[0] = %d while parked, want 0: the elided entry settles with its group", got)
 	}
 	if c, p := nodes[2].ReadPRAM("c"), nodes[2].ReadPRAM("p"); c != 3 || p != 2 {
 		t.Fatalf("PRAM c, p = %d, %d, want 3, 2", c, p)
@@ -175,8 +179,8 @@ func TestMixedBatchCoalescedCountsExact(t *testing.T) {
 		t.Fatal(err)
 	}
 	within(t, "release of the coalesced group", func() { nodes[2].WaitCausalApplied([]uint64{5, 1, 0}) })
-	if got := nodes[2].causalRecvdOf(0); got != 5 {
-		t.Fatalf("causalRecvd[0] = %d after release, want exactly 5", got)
+	if got := nodes[2].causalApplied.get(0); got != 5 {
+		t.Fatalf("causalApplied[0] = %d after release, want exactly 5", got)
 	}
 	if got := nodes[2].ReadCausal("c"); got != 3 {
 		t.Fatalf("causal c = %d, want 3", got)
@@ -293,5 +297,56 @@ func TestHybridBatchFillsToThreshold(t *testing.T) {
 	}
 	if got := nodes[0].Stats().Flushes; got != want {
 		t.Errorf("flushes by cause = %+v, want %+v", got, want)
+	}
+}
+
+// TestElidedGroupWaitsForParkedHead: under a scope, node 0's causal write c to
+// node 2 depends on a write held from node 2 and parks; its elided write p
+// follows unbatched, a group of its own. p reaches the PRAM view on arrival but
+// settles only behind c, in its sender's order, so a wait for everything node
+// 0 sent node 2 must not pass until c settles, and the sender's entry of
+// causalApplied never runs ahead of c.
+func TestElidedGroupWaitsForParkedHead(t *testing.T) {
+	scope := &ScopeMap{
+		Readers:       map[string][]int{"d": {0, 2}, "c": {2}, "p": {2}},
+		CausalReaders: map[string][]int{"d": {0, 2}, "c": {2}},
+	}
+	f, nodes, cleanup := newScopedTrio(t, scope, BatchConfig{})
+	defer cleanup()
+	parkBehindHeldWrite(t, f, nodes)
+	nodes[0].Write("c", 1)
+	nodes[0].Write("p", 2)
+	r := nodes[2]
+	eventually(t, func() bool { return r.Stats().PendingGroups == 2 }, "c and p never parked at node 2")
+	if got := r.ReadPRAM("p"); got != 2 {
+		t.Fatalf("PRAM p = %d while c is parked, want 2", got)
+	}
+	min := []uint64{nodes[0].SentCounts(nil)[2], 0, 0}
+	passed := make(chan struct{})
+	go func() {
+		r.WaitCausalApplied(min)
+		close(passed)
+	}()
+	r.clockMu.Lock()
+	early, settled := r.reachedLocked(min, true), r.causalApplied.get(0)
+	r.clockMu.Unlock()
+	if early || settled != 0 {
+		t.Fatalf("causalApplied[0] = %d while c is parked: p settled past its parked head", settled)
+	}
+	select {
+	case <-passed:
+		t.Fatal("WaitCausalApplied passed while c was parked")
+	default:
+	}
+
+	if err := f.Release(1, 2); err != nil {
+		t.Fatal(err)
+	}
+	within(t, "the wait behind the parked head", func() { <-passed })
+	if got := r.causalApplied.get(0); got != min[0] {
+		t.Fatalf("causalApplied[0] = %d after release, want %d", got, min[0])
+	}
+	if c, p := r.ReadCausal("c"), r.causalSnapshotValue("p"); c != 1 || p != 0 {
+		t.Fatalf("causal c, p = %d, %d, want 1, 0: the elided write entered the causal view", c, p)
 	}
 }

@@ -78,7 +78,9 @@ func TestRefTableHolesAndBounds(t *testing.T) {
 // MalformedUpdates, applies to neither view, inserts no cell and takes no
 // slot, and its sequence number still settles. A batch holding one applies
 // none of its entries, though its admitted definitions stand. A well-formed
-// definition with the largest ordinal costs one slot.
+// definition with the largest ordinal costs one slot; without a scope its
+// sequence number skips ahead of the sender's run, so its update is malformed
+// too, and the sender's stream settles there.
 func TestHostileDefinitionsRefused(t *testing.T) {
 	f, err := network.New(network.Config{Nodes: 2})
 	if err != nil {
@@ -107,8 +109,8 @@ func TestHostileDefinitionsRefused(t *testing.T) {
 		{From: 0, Seq: 6, Op: OpSet, Ordinal: 4, Value: 6}, *def(7, 4, "late"), *def(7, 0, "ok-again"),
 	}})
 	r.applyRemote(def(1<<40, 1<<32-1, "far"))
-	if got := r.Stats().MalformedUpdates; got != 7 {
-		t.Errorf("MalformedUpdates = %d, want 7: two refused definitions and the two batches holding one", got)
+	if got := r.Stats().MalformedUpdates; got != 8 {
+		t.Errorf("MalformedUpdates = %d, want 8: two refused definitions, the two batches holding one and the skip ahead", got)
 	}
 	for _, loc := range []string{"ahead-of-its-seq", "again", "behind-in-its-batch"} {
 		if r.lookup(loctab.Hash(loc), loc) != nil {
@@ -128,11 +130,8 @@ func TestHostileDefinitionsRefused(t *testing.T) {
 	if len(rt.defs) != 4 || cap(rt.defs) != refChunk {
 		t.Errorf("table holds %d definitions in capacity %d, want 4 in %d", len(rt.defs), cap(rt.defs), refChunk)
 	}
-	r.clockMu.Lock()
-	settled := r.causalRecvd[0]
-	r.clockMu.Unlock()
-	if settled != 9 {
-		t.Errorf("%d of the sender's 9 updates settled", settled)
+	if got := r.causalApplied.get(0); got != 1<<40 {
+		t.Errorf("the sender's stream settled at %d, want %d", got, uint64(1<<40))
 	}
 }
 
@@ -173,7 +172,8 @@ func TestCoalescedDefinitionStillDefines(t *testing.T) {
 	w.FlushUpdates()
 	w.Write("x", 3)
 	w.FlushUpdates()
-	within(t, "the coalesced batch and the reference after it", func() { r.WaitCausalApplied([]uint64{4, 0}) })
+	min := []uint64{w.SentCounts(nil)[1], 0}
+	within(t, "the coalesced batch and the reference after it", func() { r.WaitCausalApplied(min) })
 	if x, y := r.ReadCausal("x"), r.ReadCausal("y"); x != 3 || y != 1 {
 		t.Errorf("x = %d, y = %d, want 3 and 1", x, y)
 	}
@@ -211,13 +211,15 @@ func TestScopedReceiverSeesOrdinalHoles(t *testing.T) {
 			nodes[0].Write(loc, round)
 		}
 	}
+	sent := nodes[0].SentCounts(nil)
 	for _, tc := range []struct {
 		node int
 		locs []string
 		ords string
 	}{{1, []string{"q", "r"}, "[1 2]"}, {2, []string{"p", "r"}, "[0 2]"}} {
 		r := nodes[tc.node]
-		within(t, fmt.Sprintf("node %d's updates", tc.node), func() { r.WaitCausalApplied([]uint64{6, 0, 0}) })
+		min := []uint64{sent[tc.node], 0, 0}
+		within(t, fmt.Sprintf("node %d's updates", tc.node), func() { r.WaitCausalApplied(min) })
 		for _, loc := range tc.locs {
 			if got := r.ReadCausal(loc); got != 3 {
 				t.Errorf("node %d: %s = %d, want 3", tc.node, loc, got)
@@ -314,8 +316,10 @@ func TestBroadcastLocationBytesExact(t *testing.T) {
 // of the admission rule builds from the same definitions in the same order:
 // ascending ordinals, each below the Seq that defined it, naming the location
 // its definition named — grown in chunks with the definitions, never with an
-// ordinal. Input: a sequence of [kind byte, length byte, payload] records; an
-// odd kind byte is a batch.
+// ordinal. After every payload, per sender, neither the last sequence number
+// received nor the last settled has moved backwards, and the settled one is
+// not past the received one. Input: a sequence of [kind byte, length byte,
+// payload] records; an odd kind byte is a batch.
 func FuzzReferenceTable(f *testing.F) {
 	record := func(kind string, p any) []byte {
 		enc, err := transport.EncodePayload(nil, kind, p)
@@ -365,6 +369,18 @@ func FuzzReferenceTable(f *testing.F) {
 				model = append(model, def{u.Ordinal, u.Loc})
 			}
 		}
+		var recvd, settled [2]uint64
+		monotone := func() {
+			r.clockMu.Lock()
+			defer r.clockMu.Unlock()
+			for j := range recvd {
+				rc, ca := r.recvd[j], r.causalApplied.get(j)
+				if rc < recvd[j] || ca < settled[j] || ca > rc {
+					t.Fatalf("sender %d: received %d -> %d, settled %d -> %d", j, recvd[j], rc, settled[j], ca)
+				}
+				recvd[j], settled[j] = rc, ca
+			}
+		}
 		for len(data) >= 2 {
 			kind, size := KindUpdate, int(data[1])
 			if data[0]&1 == 1 {
@@ -390,6 +406,7 @@ func FuzzReferenceTable(f *testing.F) {
 					r.applyBatch(p)
 				}
 			}
+			monotone()
 		}
 		r.clockMu.Lock()
 		defer r.clockMu.Unlock()

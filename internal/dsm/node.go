@@ -21,11 +21,12 @@
 // address matrix. The obligation is decided once when the copy is stamped and
 // once when it is received; the delivery code consults nothing else.
 //
-// The node also exposes the counting primitives the synchronization layer
-// builds on: cumulative per-destination sent counts (for the barrier
-// message-count protocol), waits on received/causally-settled counts (for
-// barrier and lazy lock propagation), and per-location invalidation (for
-// demand-driven lock propagation). Counter objects with commutative add
+// The node keeps four per-sender vectors, all in one unit, the sender's
+// sequence number: the last one sent to each destination, received into the
+// PRAM view, settled, and observed (the fence). The synchronization layer
+// builds on the first three — the barrier protocol reports what was sent, and
+// barriers and lazy locks wait for it to settle — and on per-location
+// invalidation (for demand-driven lock propagation). Counter objects with commutative add
 // operations (the Cholesky optimization of Section 5.3) are updates of kind
 // add.
 //
@@ -41,7 +42,7 @@
 //	outbox.go   per-destination pending batches and their flush   outboxMu
 //	deliver.go  senders' names; obligations; apply, park/release  clockMu
 //	read.go     the four reads, the observation fence, awaits     lock-free
-//	counts.go   count vectors, write log, invalidations           clockMu
+//	counts.go   sequence vectors, write log, invalidations        clockMu
 //	thread.go   recording of operations per thread                –
 //	sc.go       the SC owner protocol                             scMu
 //	scope.go    reader registration                               –
@@ -53,7 +54,7 @@
 // last-writer. The table's mutex, cellMu, serializes only the insert of a new
 // location; shard mutexes only invalidation bookkeeping and await
 // registration.
-// Protocol state — the count vectors, the causal clock, the address matrix,
+// Protocol state — the sequence vectors, the address matrix,
 // the per-sender queues of parked delivery groups, the write log — lives
 // under the clock lock; causalApplied is mutated only under it but stored as
 // atomics so the read paths consult it without. All destinations' outboxes
@@ -126,8 +127,9 @@ type Config struct {
 	// causal view; PRAM-registered readers take the timestamp-elided fast
 	// path end to end; unregistered locations broadcast with full causal
 	// metadata. Lock-based propagation is unsupported under a scope; the
-	// barrier count-vector protocol works unchanged because it counts
-	// per-destination sends. See ScopeMap for the registration contract.
+	// barrier protocol works unchanged because it compares the last sequence
+	// number a sender sent a destination with the last one the destination
+	// settled from it. See ScopeMap for the registration contract.
 	Scope *ScopeMap
 	// Labels maps locations to points of the consistency lattice
 	// Slow < PRAM < Causal < SC, selecting both the propagation protocol of
@@ -183,18 +185,22 @@ type Stats struct {
 	// the four causes of BlockedByCause, which partition it.
 	Blocked        time.Duration `json:"blockedNs"`
 	BlockedByCause `json:"blockedByCauseNs"`
-	// MalformedUpdates counts received causal updates whose dependency
-	// metadata did not match the system size — the matrix of a scoped-causal
-	// update, the timestamp of a full-broadcast one — a misconfigured or
-	// corrupt peer. Such updates reach the PRAM view only; they keep their
-	// place in the sender's order and count as causally settled there, so
-	// neither the counting primitives nor the sender's later updates stall
-	// on them, and this counter is the diagnostic that it happened.
+	// MalformedUpdates counts received updates from a misconfigured or
+	// corrupt peer: a sequence number not above the sender's last one here
+	// (without a scope, one that skips ahead or lies outside its batch's
+	// run), dependency metadata that does not match the system size — the
+	// matrix of a scoped-causal update, the timestamp of a full-broadcast
+	// one — or a location the sender never named here. Such updates reach
+	// the PRAM view at most; they keep their place in the sender's order and
+	// settle there without moving its sequence numbers backwards, so neither
+	// the sequence waits nor the sender's later updates stall on them, and
+	// this counter is the diagnostic that it happened.
 	MalformedUpdates uint64 `json:"malformedUpdates"`
 	// PendingGroups is the number of delivery groups, own writes included,
-	// parked behind an unmet causal dependency; PendingGroupsMax is its
-	// high-water mark over the node's life. A backlog that only grows names
-	// a sender whose updates are not arriving.
+	// parked behind an unmet causal dependency, theirs or an earlier parked
+	// group's of their sender; PendingGroupsMax is its high-water mark over
+	// the node's life. A backlog that only grows names a sender whose
+	// updates are not arriving.
 	PendingGroups    uint64 `json:"pendingGroups"`
 	PendingGroupsMax uint64 `json:"pendingGroupsMax"`
 	// Flushes counts the outbox's flushed frames, and the entries they
@@ -252,40 +258,34 @@ type Node struct {
 	// invalidations (cell.go).
 	shards [shardCount]shard
 
-	// clockMu guards the protocol state below it: the clocks and counters,
-	// the parked causal delivery groups, the write log, and the address
-	// matrix. clockCond is broadcast on every apply and write, and waited on
-	// by the counting primitives, fence waits, and invalidation stalls.
+	// clockMu guards the protocol state below it: the sequence vectors, the
+	// parked delivery groups, the write log, and the address matrix.
+	// clockCond is broadcast on every apply and write, and waited on by the
+	// sequence waits, fence waits, and invalidation stalls.
 	clockMu   sync.Mutex
 	clockCond *sync.Cond
 
-	// sent[j] counts updates sent to process j (cumulative), feeding the
-	// barrier message-count protocol of Section 6.
+	// The four per-sender vectors hold one unit, a sender's sequence number
+	// (every copy carries it), under every configuration: the channels are
+	// FIFO, so "the last update from j" names the prefix of j's stream this
+	// node was addressed, holes and all. sent[j] is the last one sent to
+	// process j, the vector the barrier protocol of Section 6 reports.
 	sent []uint64
-	// recvd[j] counts updates from process j applied to the PRAM view;
-	// recvd[id] counts own writes, so it is also the last sequence number
-	// this node assigned. Under full broadcast a sender's count and its last
-	// sequence number coincide, which makes recvd the dependency clock
-	// obVector writes are stamped with; under a scope the addressed stream
-	// has holes and only the counts mean anything. The count-based waits
-	// (barriers, lazy locks) use it either way.
+	// recvd[j] is the last one from process j applied to the PRAM view, and
+	// recvd[id] the last one this node assigned. Under full broadcast it is
+	// the dependency clock obVector writes are stamped with.
 	recvd vclock.VC
-	// causalApplied[j] is the sequence number of the last update from j, own
-	// writes included, that took its place in the causal view. Mutated under
-	// clockMu, loadable lock-free.
+	// causalApplied[j] is the last one from j, own writes included, that
+	// settled: every group settles in its sender's order, an obNone group
+	// without entering the causal view. Mutated under clockMu, loadable
+	// lock-free.
 	causalApplied avc
-	// causalRecvd[j] counts updates from j (own writes too) whose obligation
-	// is met: at their PRAM apply for obNone, when their group settles
-	// otherwise. It feeds the count-based WaitCausalApplied, which cannot
-	// compare counts against causalApplied once sequence numbers have holes.
-	causalRecvd []uint64
-	// fence[j] is the observation fence: the per-sender sequence numbers
-	// this process has *observed* through PRAM reads and PRAM awaits. A
-	// PRAM read creates a reads-from edge in the causality relation, so by
-	// Definition 2 every later causal read of this process must reflect
-	// the observed update's causal context; ReadCausal therefore waits
-	// until the causal view has applied at least fence[j] updates from
-	// every j, and so must own writes (issue). Raised lock-free by CAS-max.
+	// fence[j] is the observation fence: the last one from j this process
+	// has *observed* through PRAM reads and PRAM awaits. A PRAM read creates
+	// a reads-from edge in the causality relation, so by Definition 2 every
+	// later causal read of this process must reflect the observed update's
+	// causal context; ReadCausal therefore waits until causalApplied covers
+	// the fence, and so must own writes (issue). Raised lock-free by CAS-max.
 	fence avc
 	// pending[j] queues, in arrival order, the delivery groups (single
 	// updates or whole batches) from j, own writes if j is id, whose
@@ -313,7 +313,7 @@ type Node struct {
 	// can be trimmed without invalidating outstanding marks.
 	//
 	// Logging is lazy: logOn flips on at the first WriteMark call. A mark's
-	// absolute position is the node's own-write count (recvd[id]), so
+	// absolute position is the node's last own sequence number (recvd[id]), so
 	// enabling sets logBase to that count and positions stay continuous.
 	// Before the first mark no WritesSince call can name an earlier position,
 	// and a node that never uses locks never pays the log's append or memory
@@ -443,7 +443,6 @@ func NewNode(cfg Config) (*Node, error) {
 		sent:          make([]uint64, cfg.N),
 		recvd:         vclock.New(cfg.N),
 		causalApplied: make(avc, cfg.N),
-		causalRecvd:   make([]uint64, cfg.N),
 		fence:         make(avc, cfg.N),
 		pending:       make([]senderQueue, cfg.N),
 		refs:          make([]refTable, cfg.N),

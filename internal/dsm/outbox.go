@@ -66,15 +66,15 @@ func (c BatchConfig) WithDefaults() BatchConfig {
 // once sent; its entry slice is handed off to whoever recycles it (see
 // updateSlicePool).
 //
-// FirstSeq and Count describe the covered run of per-destination enqueued
-// updates, including coalesced-away ones, so the receiver's counting
-// primitives (barrier count vectors, lazy-lock waits) account every original
-// update. Under full broadcast the covered per-sender sequence numbers are
-// exactly [FirstSeq, FirstSeq+Count-1]; under scoped placement the run may
-// have per-destination holes and only Count is meaningful. The surviving
-// entries each carry their own Seq/TS, and the entry with the highest Seq is
-// always the sender's latest covered write (the latest write is never
-// coalesced away), which is what the receiver's PRAM clock advances to.
+// FirstSeq is the sequence number of the first update enqueued for the
+// destination, and Count the number of updates enqueued, coalesced-away ones
+// included. Under full broadcast the run is exactly [FirstSeq, FirstSeq+Count);
+// under scoped placement it has the holes of the updates addressed elsewhere.
+// The surviving entries each carry their own Seq/TS, and the entry with the
+// highest Seq is always the sender's latest covered write (the latest write is
+// never coalesced away): the sequence number the receiver's vectors advance
+// to, the one unit they hold. The receiver reads Count only to check, without
+// a scope, that the entries lie in the run, and to trace it.
 //
 // Entries may mix obligations: each carries its own (the elided flag, on the
 // wire a bit of its flags byte), and the receiver PRAM-applies the whole batch,

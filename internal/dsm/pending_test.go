@@ -17,13 +17,17 @@ import (
 // TestBroadcastMalformedTimestampDoesNotStall is the full-broadcast twin of
 // TestScopedCausalMalformedDepsDoesNotStall: an update (or batch) whose vector
 // timestamp has the wrong dimension can never meet the vector condition, so
-// it is held to the sender's order alone — PRAM view only, counted as causally
-// settled, visible in Stats — instead of parking forever with no diagnostic.
+// it is held out of the causal view — PRAM view only, settled in its sender's
+// order, visible in Stats — instead of parking forever with no diagnostic.
 // It still takes its place in the sender's order: the well-formed update that
 // follows it must reach the causal view. The scoped case checks the same for
-// a dependency matrix of the wrong dimension in a stream with holes, and the
-// batch path one whose entry lies past the run it counts, which must not move
-// the sender's causal clock past that run.
+// a dependency matrix of the wrong dimension in a stream with holes. The
+// arrival check holds every group, single update or batch, scoped or not, to
+// its sender's order: a batch whose entry lies past the run it counts must
+// not move the sender's sequence numbers past that run, an update that skips
+// ahead of a broadcast sender's run moves them to itself and no further, and
+// a stale or duplicate sequence number, under either, moves them not at all —
+// each is malformed and never reaches the causal view.
 func TestBroadcastMalformedTimestampDoesNotStall(t *testing.T) {
 	msg := func(payload any) network.Message {
 		switch p := payload.(type) {
@@ -38,36 +42,58 @@ func TestBroadcastMalformedTimestampDoesNotStall(t *testing.T) {
 		Readers:       map[string][]int{"a": {0, 1}, "b": {0, 1}},
 		CausalReaders: map[string][]int{"a": {0, 1}, "b": {0, 1}},
 	}
+	// pre is a well-formed first write of a, value 3, that the malformed
+	// update follows; b is the well-formed successor's location.
+	pre := func(seq uint64, ts vclock.VC, deps vclock.Matrix) *Update {
+		return &Update{From: 0, Seq: seq, Op: OpSet, Loc: "a", Defines: true, Value: 3, TS: ts, Deps: deps}
+	}
+	again := func(seq uint64, ts vclock.VC, deps vclock.Matrix) *Update {
+		return &Update{From: 0, Seq: seq, Op: OpSet, Value: 7, TS: ts, Deps: deps}
+	}
+	b := func(seq uint64, ts vclock.VC, deps vclock.Matrix) *Update {
+		return &Update{From: 0, Seq: seq, Op: OpSet, Loc: "b", Ordinal: 1, Defines: true, Value: 1, TS: ts, Deps: deps}
+	}
 	paths := []struct {
 		name      string
 		scope     *ScopeMap
+		pre       *Update // sent first when set
 		bad, good any
-		last      int64
+		settled   uint64 // the sender's causal clock entry after bad
+		pram      int64  // a after bad, in the PRAM view
+		causal    int64  // a after bad, in the causal view
 		clock     uint64 // the sender's causal clock entry at the end
 	}{
-		{"update", nil,
+		{"update", nil, nil,
 			&Update{From: 0, Seq: 1, Op: OpSet, Loc: "a", Defines: true, Value: 7, TS: vclock.VC{1, 0, 0, 0, 0}},
-			&Update{From: 0, Seq: 2, Op: OpSet, Loc: "b", Ordinal: 1, Defines: true, Value: 1, TS: vclock.VC{2, 0}}, 7, 2},
-		{"batch", nil,
+			b(2, vclock.VC{2, 0}, nil), 1, 7, 0, 2},
+		{"batch", nil, nil,
 			&UpdateBatch{From: 0, FirstSeq: 1, Count: 1, Updates: []Update{
 				// The latest entry's timestamp is the batch's; it sits first.
 				{From: 0, Seq: 1, Op: OpSet, Loc: "a", Defines: true, Value: 9, TS: vclock.VC{1, 0, 0, 0, 0}},
 			}},
-			&UpdateBatch{From: 0, FirstSeq: 2, Count: 1, Updates: []Update{
-				{From: 0, Seq: 2, Op: OpSet, Loc: "b", Ordinal: 1, Defines: true, Value: 1, TS: vclock.VC{2, 0}},
-			}}, 9, 2},
-		{"batch-outside-its-run", nil,
+			&UpdateBatch{From: 0, FirstSeq: 2, Count: 1, Updates: []Update{*b(2, vclock.VC{2, 0}, nil)}}, 1, 9, 0, 2},
+		{"batch-outside-its-run", nil, nil,
 			&UpdateBatch{From: 0, FirstSeq: 1, Count: 1, Updates: []Update{
 				{From: 0, Seq: 9, Op: OpSet, Loc: "a", Defines: true, Value: 6, TS: vclock.VC{9, 0}},
 			}},
-			&UpdateBatch{From: 0, FirstSeq: 2, Count: 1, Updates: []Update{
-				{From: 0, Seq: 2, Op: OpSet, Loc: "b", Ordinal: 1, Defines: true, Value: 1, TS: vclock.VC{2, 0}},
-			}}, 6, 2},
-		{"scoped-matrix", scope,
+			&UpdateBatch{From: 0, FirstSeq: 2, Count: 1, Updates: []Update{*b(2, vclock.VC{2, 0}, nil)}}, 1, 6, 0, 2},
+		{"update-outside-its-run", nil, nil,
+			&Update{From: 0, Seq: 9, Op: OpSet, Loc: "a", Defines: true, Value: 6, TS: vclock.VC{9, 0}},
+			b(10, vclock.VC{10, 0}, nil), 9, 6, 0, 10},
+		{"duplicate-seq", nil, pre(1, vclock.VC{1, 0}, nil),
+			again(1, vclock.VC{1, 0}, nil),
+			b(2, vclock.VC{2, 0}, nil), 1, 7, 3, 2},
+		{"scoped-matrix", scope, nil,
 			// Seqs 1 and 3 went elsewhere: the channel, not the sequence
 			// number, orders this destination's stream.
 			&Update{From: 0, Seq: 2, Op: OpSet, Loc: "a", Defines: true, Value: 5, Deps: vclock.NewMatrix(5)},
-			&Update{From: 0, Seq: 4, Op: OpSet, Loc: "b", Ordinal: 1, Defines: true, Value: 1, Deps: vclock.NewMatrix(2)}, 5, 4},
+			b(4, nil, vclock.NewMatrix(2)), 2, 5, 0, 4},
+		{"scoped-update-outside-its-run", scope, pre(4, nil, vclock.NewMatrix(2)),
+			again(2, nil, vclock.NewMatrix(2)),
+			b(5, nil, vclock.NewMatrix(2)), 4, 7, 3, 5},
+		{"scoped-duplicate-seq", scope, pre(4, nil, vclock.NewMatrix(2)),
+			again(4, nil, vclock.NewMatrix(2)),
+			b(5, nil, vclock.NewMatrix(2)), 4, 7, 3, 5},
 	}
 	for _, p := range paths {
 		t.Run(p.name, func(t *testing.T) {
@@ -85,38 +111,38 @@ func TestBroadcastMalformedTimestampDoesNotStall(t *testing.T) {
 			}()
 			wait := func(min uint64, what string) {
 				t.Helper()
-				done := make(chan struct{})
-				go func() {
-					r.WaitCausalApplied([]uint64{min, 0})
-					close(done)
-				}()
-				select {
-				case <-done:
-				case <-time.After(5 * time.Second):
-					t.Fatalf("WaitCausalApplied hung on %s", what)
+				within(t, "WaitCausalApplied on "+what, func() { r.WaitCausalApplied([]uint64{min, 0}) })
+			}
+			if p.pre != nil {
+				if err := f.Send(msg(p.pre)); err != nil {
+					t.Fatal(err)
 				}
+				wait(p.pre.Seq, "the update before a malformed one")
 			}
 			if err := f.Send(msg(p.bad)); err != nil {
 				t.Fatal(err)
 			}
-			wait(1, "a malformed update")
-			if got := r.ReadPRAM("a"); got != p.last {
-				t.Fatalf("PRAM a = %d, want %d", got, p.last)
-			}
+			// The malformed update is the sender's last; once the PRAM view
+			// has it, it has settled too.
+			eventually(t, func() bool { return r.ReadPRAM("a") == p.pram }, "the malformed update never reached the PRAM view")
+			wait(p.settled, "a malformed update")
 			// No fence anchor was stored, so the causal read neither stalls
 			// nor sees the value.
-			if got := r.ReadCausal("a"); got != 0 {
-				t.Fatalf("malformed update reached the causal view: a = %d", got)
+			if got := r.ReadCausal("a"); got != p.causal {
+				t.Fatalf("causal a = %d, want %d: the malformed update reached the causal view", got, p.causal)
+			}
+			if got := r.causalApplied.get(0); got != p.settled {
+				t.Fatalf("sender's causal clock entry = %d after the malformed update, want %d", got, p.settled)
 			}
 			if err := f.Send(msg(p.good)); err != nil {
 				t.Fatal(err)
 			}
-			wait(2, "the well-formed successor of a malformed update")
+			wait(p.clock, "the well-formed successor of a malformed update")
 			if got := r.ReadCausal("b"); got != 1 {
 				t.Fatalf("causal b = %d, want 1: the successor never reached the causal view", got)
 			}
-			if got := r.causalApplied.get(0); got != p.clock {
-				t.Fatalf("sender's causal clock entry = %d, want %d", got, p.clock)
+			if got, rc := r.causalApplied.get(0), r.ReceivedCounts(nil)[0]; got != p.clock || rc != p.clock {
+				t.Fatalf("sender's causal clock entry = %d, received %d, want %d", got, rc, p.clock)
 			}
 			s := r.Stats()
 			if s.MalformedUpdates != 1 || s.PendingGroups != 0 || s.PendingGroupsMax != 0 {
@@ -325,12 +351,12 @@ func TestPendingGroupsStats(t *testing.T) {
 // refGroup is the delivery metadata of one received message, copied out at
 // capture time (the real receiver recycles batch slices once applied), or of
 // one of the receiver's own writes (self), which waits for need: its
-// observation fence when it was issued. A scoped batch's elided entries are
-// holes in its group: settled on arrival, holes of the count.
+// observation fence when it was issued. An elided group waits for nothing but
+// its sender's earlier groups and is never released into the causal view.
 type refGroup struct {
 	from              int
 	firstSeq, lastSeq uint64
-	count, holes      uint64
+	count             uint64
 	ts, need          vclock.VC
 	deps              vclock.Matrix
 	slow, elided      bool
@@ -351,7 +377,6 @@ func (g refGroup) String() string {
 type refReceiver struct {
 	id, n      int
 	applied    []uint64 // causalApplied
-	settled    []uint64 // causalRecvd
 	pending    []refGroup
 	released   []refGroup
 	maxPending int
@@ -382,7 +407,7 @@ func (r *refReceiver) holds(from int) bool {
 // caller holds it behind any earlier unreleased group of its sender.
 func (r *refReceiver) deliverable(g refGroup) bool {
 	switch {
-	case g.slow:
+	case g.slow, g.elided:
 		return true
 	case g.self:
 		return r.covers(g.from, g.need)
@@ -393,11 +418,6 @@ func (r *refReceiver) deliverable(g refGroup) bool {
 }
 
 func (r *refReceiver) arrive(g refGroup) {
-	if g.elided {
-		r.settled[g.from] += g.count
-		return
-	}
-	r.settled[g.from] += g.holes
 	if g.self && (r.holds(g.from) || !r.deliverable(g)) {
 		r.selfParked++
 	}
@@ -415,8 +435,9 @@ func (r *refReceiver) arrive(g refGroup) {
 			// The run may end in Slow or elided entries, past its timestamp
 			// or matrix: it settles at its latest entry all the same.
 			r.applied[g.from] = g.lastSeq
-			r.settled[g.from] += g.count - g.holes
-			r.released = append(r.released, g)
+			if !g.elided {
+				r.released = append(r.released, g)
+			}
 			progressed = true
 		}
 		r.pending = kept
@@ -459,11 +480,11 @@ func (c *captureTransport) Broadcast(from int, kind string, payload any, size in
 }
 
 // refGroupOf copies a captured message's delivery metadata, classifying it
-// the way the receive path does. A batch's group is its causal entries — under
-// a scope, those not elided — waiting for the timestamp of the latest that
-// carries one, and it settles at the batch's latest entry, elided or not; only
-// when every entry is Slow is the group Slow, and only when every one is
-// elided (or the batch carries no matrix) is it elided whole.
+// the way the receive path does. A batch's group waits for the timestamp of
+// the latest causal entry that carries one — under a scope, the batch's
+// matrix — and it settles at the batch's latest entry, elided or not; only
+// when every entry is Slow is the group Slow, and only when the batch carries
+// no matrix under a scope (every entry elided) is it elided whole.
 func refGroupOf(m network.Message, scoped bool) refGroup {
 	switch p := m.Payload.(type) {
 	case *Update:
@@ -479,16 +500,14 @@ func refGroupOf(m network.Message, scoped bool) refGroup {
 		for i := range p.Updates {
 			u := &p.Updates[i]
 			g.lastSeq = max(g.lastSeq, u.Seq)
-			if scoped && u.elided {
-				g.holes++
-			} else if u.Label != history.LabelSlow && (stamped == nil || u.Seq > stamped.Seq) {
+			if !u.elided && u.Label != history.LabelSlow && (stamped == nil || u.Seq > stamped.Seq) {
 				stamped = u
 			}
 		}
 		switch {
-		case g.holes == uint64(len(p.Updates)) || scoped && p.Deps == nil:
-			g.elided = true
-		case !scoped:
+		case scoped:
+			g.elided = p.Deps == nil
+		default:
 			g.slow = stamped == nil
 			if stamped != nil {
 				g.ts = stamped.TS.Clone()
@@ -526,11 +545,12 @@ func mixedBatch(b *UpdateBatch, scoped bool) bool {
 // operation to the seeded schedule's end, some writes after a PRAM read of a
 // parked group, so its own writes park in its own queue. The same arrivals,
 // its own writes among them, drive the flat-scan reference. After every
-// arrival the receiver's causalApplied and causalRecvd must equal the
-// reference's, and at the end the EvGroupRelease events of its trace must list
-// the reference's releases in the same order — in all three delivery modes
-// (broadcast timestamps, scoped dependency matrices, slow FIFO-only groups
-// mixed into timestamped traffic), unbatched and batched. Batched, the scoped
+// arrival the receiver's causalApplied must equal the reference's, and at the
+// end the EvGroupRelease events of its trace must list the reference's
+// releases in the same order (an elided group settles in its sender's order
+// without one) — in all three delivery modes (broadcast timestamps, scoped
+// dependency matrices, slow FIFO-only groups mixed into timestamped traffic),
+// unbatched and batched. Batched, the scoped
 // and slow modes' batches mix obligations, so their groups have elided holes
 // or Slow entries past their timestamp.
 func TestDrainMatchesFlatScan(t *testing.T) {
@@ -598,7 +618,7 @@ func runDrainDifferential(t *testing.T, n int, scope *ScopeMap, labels map[strin
 		}
 	}()
 	r := nodes[recv]
-	ref := &refReceiver{id: recv, n: n, applied: make([]uint64, n), settled: make([]uint64, n)}
+	ref := &refReceiver{id: recv, n: n, applied: make([]uint64, n)}
 	value := int64(1)
 	// own issues one of the receiver's writes and hands the reference the same
 	// group: the next sequence number, waiting for the fence as it stands.
@@ -729,9 +749,6 @@ func runDrainDifferential(t *testing.T, n int, scope *ScopeMap, labels map[strin
 		for j := 0; j < n; j++ {
 			if got := r.causalApplied.get(j); got != ref.applied[j] {
 				t.Errorf("arrival %d (%v): causalApplied[%d] = %d, reference %d", arrival, g, j, got, ref.applied[j])
-			}
-			if got := r.causalRecvd[j]; got != ref.settled[j] {
-				t.Errorf("arrival %d (%v): causalRecvd[%d] = %d, reference %d", arrival, g, j, got, ref.settled[j])
 			}
 		}
 		r.clockMu.Unlock()

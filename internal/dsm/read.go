@@ -165,9 +165,7 @@ func (n *Node) waitFence(loc string) {
 // waitValid blocks while loc is invalidated and the required update has not
 // yet reached the relevant view. The caller's shard fast path already saw a
 // nonzero invalidation count; the wait itself runs on the clock condition,
-// which every apply broadcasts. Invalidations exist only under full
-// broadcast, where the received count from a sender is the last sequence
-// number the PRAM view applied from it.
+// which every apply broadcasts.
 func (n *Node) waitValid(sh *shard, loc string, causalView bool) {
 	sh.mu.Lock()
 	inv, ok := sh.invalid[loc]

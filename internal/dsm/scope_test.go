@@ -96,12 +96,13 @@ func TestScopedCausalSequenceHoles(t *testing.T) {
 	if got := nodes[2].ReadPRAM("a"); got != 0 {
 		t.Fatalf("a leaked to node 2: %d", got)
 	}
-	// Each destination's causal obligation count is exactly its addressed
-	// updates, not the sender's sequence ceiling.
+	// Each destination waits for the last sequence number node 0 sent it,
+	// which it settles whatever holes lie below.
+	sent := nodes[0].SentCounts(nil)
 	done := make(chan struct{})
 	go func() {
-		nodes[1].WaitCausalApplied([]uint64{5, 0, 0})
-		nodes[2].WaitCausalApplied([]uint64{5, 0, 0})
+		nodes[1].WaitCausalApplied([]uint64{sent[1], 0, 0})
+		nodes[2].WaitCausalApplied([]uint64{sent[2], 0, 0})
 		close(done)
 	}()
 	select {
@@ -129,17 +130,18 @@ func TestScopedMixedElidedAndCausal(t *testing.T) {
 	if got := nodes[1].ReadPRAM("p"); got != 2 {
 		t.Fatalf("p = %d, want 2", got)
 	}
-	// All three updates count toward node 1's causal obligations: two
-	// causal applies plus one elided (obligation-free) update.
+	// The elided update settles in its sender's order like the causal ones,
+	// so the last sequence number node 0 sent node 1 settles.
+	min := []uint64{nodes[0].SentCounts(nil)[1], 0, 0}
 	done := make(chan struct{})
 	go func() {
-		nodes[1].WaitCausalApplied([]uint64{3, 0, 0})
+		nodes[1].WaitCausalApplied(min)
 		close(done)
 	}()
 	select {
 	case <-done:
 	case <-time.After(2 * time.Second):
-		t.Fatal("WaitCausalApplied did not count the elided update")
+		t.Fatal("WaitCausalApplied did not settle past the elided update")
 	}
 }
 

@@ -282,7 +282,7 @@ func TestParkedGroupKeepsItsStamp(t *testing.T) {
 	if err := f.Release(0, 2); err != nil {
 		t.Fatal(err)
 	}
-	r.WaitCausalApplied([]uint64{1, 1 + later, 0})
+	r.WaitCausalApplied(sentTo(nodes, 2))
 	if got := r.ReadCausal("x"); got != 1+later {
 		t.Fatalf("causal x = %d after the backlog drained, want %d", got, 1+later)
 	}
@@ -354,7 +354,7 @@ func TestParkedScopedGroupKeepsItsMatrix(t *testing.T) {
 	if err := f.Release(0, 2); err != nil {
 		t.Fatal(err)
 	}
-	r.WaitCausalApplied([]uint64{1, 1 + later, 0})
+	r.WaitCausalApplied(sentTo(nodes, 2))
 	if got := r.ReadCausal("x"); got != 1+later {
 		t.Fatalf("causal x = %d after the backlog drained, want %d", got, 1+later)
 	}

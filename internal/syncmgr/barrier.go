@@ -11,10 +11,10 @@ import (
 )
 
 // barArrive is the payload a process sends to the barrier manager on
-// reaching barrier k: its cumulative per-destination update counts, the
-// vector of Section 6's barrier implementation. Like the lock payloads it
-// travels as a pointer into its sender's slab and is never written again
-// once sent; so does barRelease.
+// reaching barrier k: Sent[j] is the sequence number of the last update it
+// sent process j, the vector of Section 6's barrier implementation. Like the
+// lock payloads it travels as a pointer into its sender's slab and is never
+// written again once sent; so does barRelease.
 type barArrive struct {
 	K    int
 	Sent []uint64
@@ -25,9 +25,9 @@ type barArrive struct {
 	Members []int
 }
 
-// barRelease is the manager's reply: Expected[j] is the cumulative number of
-// updates process j has sent to the recipient, which the recipient must
-// receive before proceeding past the barrier.
+// barRelease is the manager's reply: Expected[j] is the sequence number of the
+// last update process j sent the recipient, which must settle at the
+// recipient before it proceeds past the barrier.
 type barRelease struct {
 	K        int
 	Expected []uint64
@@ -35,9 +35,9 @@ type barRelease struct {
 }
 
 // BarrierManager is the barrier-manager state machine of Section 6: each
-// process sends its per-destination update-count vector on arrival; when all
-// have arrived the manager transposes the vectors and releases every process
-// with the counts it must wait for.
+// process sends the vector of the last sequence numbers it sent each
+// destination on arrival; when all have arrived the manager transposes the
+// vectors and releases every process with the vector it must wait for.
 type BarrierManager struct {
 	d       *Dispatcher
 	n       int
@@ -148,7 +148,7 @@ func (m *BarrierManager) onArrive(msg network.Message) {
 type BarrierStats struct {
 	Barriers uint64 `json:"barriers"`
 	// Wait is the total time blocked at barriers: waiting for the release
-	// message plus waiting for the counted updates to arrive.
+	// message plus waiting for the covered updates to settle.
 	Wait time.Duration `json:"barrierWaitNs"`
 }
 
@@ -220,7 +220,7 @@ func (c *BarrierClient) Barrier() {
 // group's next barrier — the paper's subset barrier ("restricting the range
 // of the universal quantification to the subset"). All members must call
 // BarrierGroup with the same name and member set; the i-th call on each
-// member is the group's i-th barrier. The count-vector exchange covers only
+// member is the group's i-th barrier. The vector exchange covers only
 // the members: updates from non-members are not awaited.
 func (c *BarrierClient) BarrierGroup(name string, members []int) {
 	if name == "" {
@@ -252,12 +252,12 @@ func (c *BarrierClient) barrier(group string, k int, members []int) {
 		tr.RecordLoc(obs.EvBarrierEnter, 0, 0, group, uint64(k), 0, 0)
 	}
 	// Barrier arrival is a synchronization boundary: SentCounts flushes the
-	// node's update outbox and snapshots the counts under one lock, so every
+	// node's update outbox and snapshots the vector under one lock, so every
 	// update the reported vector promises is on the wire before the manager
 	// can release anyone against it.
 	sent = c.node.SentCounts(sent)
 	if group != "" {
-		// Subset barrier: only member counts participate.
+		// Subset barrier: only members' entries participate.
 		for _, mbr := range members {
 			if mbr >= 0 && mbr < len(sent) {
 				masked[mbr] = sent[mbr]
@@ -271,11 +271,10 @@ func (c *BarrierClient) barrier(group string, k int, members []int) {
 		Payload: arr, Size: arr.size(),
 	})
 	rel := <-ch
-	// All prior-phase updates must be applied before this phase's reads:
-	// wait on the PRAM view, then on the causal view. Once every counted
-	// update has been received, the causal view can always drain fully
+	// All prior-phase updates must have settled before this phase's reads. A
+	// settled update has been received, and once every update the vector
+	// covers has been received the causal view can always drain fully
 	// (dependencies of pre-barrier updates are themselves pre-barrier).
-	c.node.WaitReceived(rel.Expected)
 	c.node.WaitCausalApplied(rel.Expected)
 
 	wait := time.Since(start)

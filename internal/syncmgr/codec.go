@@ -32,7 +32,7 @@ import (
 //
 // Varints carry what the program fixes — lengths, counts, request ids, barrier
 // rounds, member ids, write-set stamps — and fixed-width u64s what the schedule
-// decides: the count vectors and the epoch, whose numbering depends on which
+// decides: the sequence vectors and the epoch, whose numbering depends on which
 // reads the manager found queued together. So a payload's size does not depend
 // on the interleaving that produced its values (DESIGN.md §7). Each payload's
 // size method is the length its encoder writes, and it is what the runtime
@@ -206,12 +206,12 @@ func (c codec[T]) NewConnDecoder() func([]byte) (any, error) {
 	return func(data []byte) (any, error) { return c.decode(s, out, data) }
 }
 
-// cellWords is how many count-vector words a received payload's cell holds,
+// cellWords is how many sequence-vector words a received payload's cell holds,
 // enough for the vector of any system of that many processes.
 const cellWords = 8
 
 // cell is the slab element a connection's decoder stores a payload in, with
-// room for its count vector: a payload and its vector cost the connection one
+// room for its sequence vector: a payload and its vector cost the connection one
 // element, half what they cost the sender.
 type cell[T any] struct {
 	p     T
@@ -239,7 +239,7 @@ func (c codec[T]) decode(s *decodeState, out *slab[cell[T]], data []byte) (any, 
 
 // decodeState is what one inbound connection keeps between the payloads of one
 // kind it decodes: the rest of the current payload's cell, the slabs longer
-// count vectors, member lists and write-sets are carved from, and a cache of
+// sequence vectors, member lists and write-sets are carved from, and a cache of
 // the lock, group and location names it has built.
 // It belongs to the goroutine serving the connection, and what it hands out is
 // never written again, like the sender's slabs. A slab is referenced by the

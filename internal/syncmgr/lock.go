@@ -41,8 +41,8 @@ type lockGrant struct {
 	ReqID uint64
 	Epoch int
 	// RelVC, in lazy mode, is the elementwise maximum of the received
-	// counts reported by previous unlockers: the acquirer waits until it
-	// has received at least this many updates from each process.
+	// vectors reported by previous unlockers: the acquirer waits until, for
+	// each process, the update with this sequence number has settled.
 	RelVC []uint64
 	// WriteSet, in demand-driven mode, names for each location written in
 	// previous critical sections the update the acquirer must see before
@@ -62,7 +62,8 @@ type writeStamp struct {
 type lockRelease struct {
 	Lock string
 	Mode LockMode
-	// Counts is the unlocker's received-counts vector (lazy mode).
+	// Counts is the unlocker's received vector (lazy mode): per process, the
+	// sequence number of the last update its PRAM view applied.
 	Counts []uint64
 	// WriteSet lists locations written in the critical section
 	// (demand-driven mode, write unlocks only).
@@ -103,7 +104,7 @@ type lockState struct {
 	// starts in queue0, which holds an uncontended lock's one request.
 	queue  []waiting
 	queue0 [2]waiting
-	// relVC accumulates unlockers' received counts (lazy mode).
+	// relVC accumulates unlockers' received vectors (lazy mode).
 	relVC []uint64
 	// writeSet accumulates critical-section write-sets (demand mode). Each
 	// release that carries one replaces it with a merged copy, so grants
@@ -295,7 +296,7 @@ type Client struct {
 	nextReq uint64
 	grants  map[uint64]chan *lockGrant
 	// parked recycles the channels in grants; reqs, rels and vecs are the
-	// slabs sent requests, releases and their count vectors are taken from.
+	// slabs sent requests, releases and their sequence vectors are taken from.
 	parked waiters[*lockGrant]
 	reqs   slab[lockRequest]
 	rels   slab[lockRelease]
@@ -382,11 +383,10 @@ func (c *Client) acquire(name string, mode LockMode) *lockGrant {
 	g := <-ch
 	switch c.mode {
 	case Lazy:
-		// Wait for every update counted in the release vector. Once they
-		// are received the causal view drains immediately (their
-		// dependencies are bounded by the same vector), so waiting on it
-		// as well is cheap and lets causal reads proceed safely.
-		c.node.WaitReceived(g.RelVC)
+		// Wait for every update the release vector covers to settle: a
+		// settled update has been received, and once they are received the
+		// causal view drains at once (their dependencies are bounded by the
+		// same vector), so causal reads that follow proceed safely.
 		c.node.WaitCausalApplied(g.RelVC)
 	case DemandDriven:
 		// Invalidate locally; reads of these locations will block until
@@ -417,7 +417,7 @@ func (c *Client) acquire(name string, mode LockMode) *lockGrant {
 func (c *Client) release(name string, mode LockMode, writeSet []writeStamp) {
 	// Lock release is a synchronization boundary: flush the update outbox
 	// first, whatever the mode. Eager's flush probe certifies receipt only of
-	// updates that FIFO-precede it; Lazy's received counts and DemandDriven's
+	// updates that FIFO-precede it; Lazy's received vector and DemandDriven's
 	// write-set stamps both promise the next holder it can wait for updates
 	// that must therefore already be on the wire.
 	c.node.FlushUpdates()

@@ -1,6 +1,6 @@
 package syncmgr
 
-// slabSize is how many protocol payloads (and count vectors) share one
+// slabSize is how many protocol payloads (and sequence vectors) share one
 // allocation — the same figure, for the same reason, as the update slabs of
 // internal/dsm: the collector frees a slab with the last message that points
 // into it, so a slab outlives its round by at most what the slowest receiver
@@ -22,7 +22,7 @@ func (s *slab[T]) next() *T {
 	return p
 }
 
-// vecSlab carves n-element runs — count vectors, member lists, write-sets —
+// vecSlab carves n-element runs — sequence vectors, member lists, write-sets —
 // from slabSize×n-element arrays. The capacity is cut to the length so no
 // append can run into the neighbouring run. A run comes out zeroed, because
 // its elements were never handed out before.

@@ -11,6 +11,7 @@ import (
 	"mixedmem/internal/dsm"
 	"mixedmem/internal/history"
 	"mixedmem/internal/network"
+	"mixedmem/internal/obs"
 )
 
 // testCluster bundles nodes with their lock/barrier clients; the managers
@@ -399,6 +400,91 @@ func TestBarrierMultiplePhases(t *testing.T) {
 	}
 	if s := tc.barriers[0].Stats(); s.Barriers != 2*phases {
 		t.Errorf("barrier count = %d, want %d", s.Barriers, 2*phases)
+	}
+}
+
+// TestBarrierWaitsForSettledUpdates: a barrier returns only once every
+// update the release vector covers has settled, not merely arrived. Member
+// 1's pre-barrier write b depends on non-member 0's write a, whose channel to
+// member 2 is held, so at member 2 b arrives but parks. Member 2's barrier
+// (managed by member 1, so its release is not held too) must not return
+// before the hold lifts and b settles: the causal read after it sees b, and
+// member 2's trace records the barrier's one wait as a wait for settled
+// updates, none for received ones.
+func TestBarrierWaitsForSettledUpdates(t *testing.T) {
+	const n = 3
+	f, err := network.New(network.Config{Nodes: n})
+	if err != nil {
+		t.Fatalf("network.New: %v", err)
+	}
+	tracer := obs.NewTracer(2, 1<<10)
+	nodes := make([]*dsm.Node, n)
+	dispatchers := make([]*Dispatcher, n)
+	for i := range nodes {
+		dispatchers[i] = NewDispatcher(i, f)
+		cfg := dsm.Config{ID: i, N: n, Transport: f, Handler: dispatchers[i].Handle}
+		if i == 2 {
+			cfg.Tracer = tracer
+		}
+		if nodes[i], err = dsm.NewNode(cfg); err != nil {
+			t.Fatalf("NewNode(%d): %v", i, err)
+		}
+	}
+	t.Cleanup(func() {
+		f.Close()
+		for _, nd := range nodes {
+			nd.Close()
+		}
+	})
+	NewBarrierManager(dispatchers[1], n)
+	member1 := NewBarrierClient(nodes[1], dispatchers[1], 1)
+	member2 := NewBarrierClient(nodes[2], dispatchers[2], 1)
+	handled := make(chan struct{})
+	dispatchers[2].Register(KindBarRelease, func(m network.Message) {
+		member2.onRelease(m)
+		close(handled)
+	})
+
+	if err := f.Hold(0, 2); err != nil {
+		t.Fatal(err)
+	}
+	nodes[0].Write("a", 1)
+	nodes[1].AwaitCausal("a", 1)
+	nodes[1].Write("b", 1)
+	seen := make(chan int64, 1)
+	go func() {
+		member2.BarrierGroup("pair", []int{1, 2})
+		seen <- nodes[2].ReadCausal("b")
+	}()
+	member1.BarrierGroup("pair", []int{1, 2})
+	select {
+	case <-handled:
+	case <-time.After(5 * time.Second):
+		t.Fatal("member 2 never got its barrier release")
+	}
+	if err := f.Release(0, 2); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case got := <-seen:
+		if got != 1 {
+			t.Fatalf("causal b = %d after the barrier, want 1", got)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("member 2's barrier never returned")
+	}
+	settledWaits := 0
+	for _, e := range tracer.Snapshot().Events {
+		if e.Type != obs.EvWaitCounts {
+			continue
+		}
+		if e.B == 0 {
+			t.Fatal("the barrier waited for received updates, which need not have settled")
+		}
+		settledWaits++
+	}
+	if settledWaits != 1 {
+		t.Fatalf("%d waits for settled updates, want the barrier's one", settledWaits)
 	}
 }
 
