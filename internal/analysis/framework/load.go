@@ -38,6 +38,7 @@ type Package struct {
 type Program struct {
 	fset *token.FileSet
 	pkgs map[string]*Package
+	imp  types.Importer
 
 	mu    sync.Mutex
 	facts map[string]any
@@ -56,8 +57,11 @@ func (p *Program) Packages() []*Package {
 	return out
 }
 
-// Package returns the program's package with the given path, or nil.
-func (p *Program) Package(path string) *Package { return p.pkgs[path] }
+// Importer resolves imports to the program's own packages (loading module
+// packages it does not have yet) and the standard library through the shared
+// source importer, so code checked against it, a package's tests for one,
+// sees the very objects the program's packages declare.
+func (p *Program) Importer() types.Importer { return p.imp }
 
 // Fact memoizes a program-wide computation under key: the first call runs
 // build and caches its result; later calls (from any analyzer on any
@@ -96,6 +100,12 @@ func (p *Program) Fact(key string, build func() any) any {
 // loader; standard-library imports go through go/importer's source importer,
 // so loading works without compiled export data or network access.
 func Load(dir string, patterns []string) ([]*Package, error) {
+	// importPath maps only an absolute directory to its module path, and
+	// every pattern's directory is joined to dir.
+	dir, err := filepath.Abs(dir)
+	if err != nil {
+		return nil, err
+	}
 	root, module, err := moduleRoot(dir)
 	if err != nil {
 		return nil, err
@@ -257,7 +267,7 @@ func (l *lockedImporter) Import(path string) (*types.Package, error) {
 
 func newLoader(root, module string) *loader {
 	pkgs := make(map[string]*Package)
-	return &loader{
+	ld := &loader{
 		root:   root,
 		module: module,
 		fset:   sharedFset,
@@ -266,6 +276,8 @@ func newLoader(root, module string) *loader {
 		loads:  make(map[string]bool),
 		prog:   &Program{fset: sharedFset, pkgs: pkgs, facts: make(map[string]any)},
 	}
+	ld.prog.imp = ld
+	return ld
 }
 
 // Import implements types.Importer for the type-checker's dependency loads.

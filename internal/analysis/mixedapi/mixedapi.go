@@ -25,9 +25,9 @@ type Op int
 
 // Operations of the model, as the analyzers group them.
 const (
-	OpNone Op = iota
-	// OpWrite is Write or core.WriteFloat: an ordinary (OpSet) write.
-	OpWrite
+	// OpWrite is Write or core.WriteFloat: an ordinary (OpSet) write. The
+	// zero Op is no operation.
+	OpWrite Op = iota + 1
 	// OpReadPRAM is ReadPRAM or core.ReadPRAMFloat.
 	OpReadPRAM
 	// OpReadCausal is ReadCausal or core.ReadCausalFloat.

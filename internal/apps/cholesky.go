@@ -36,14 +36,14 @@ type SparseSPD struct {
 // factorization, so the inner loops index a table instead of formatting a
 // name per access.
 type spdNames struct {
-	// l is the lower triangle, row by row: entry i*(i+1)/2+j is lVar(i, j)
+	// l is the lower triangle, row by row: entry i*(i+1)/2+j is "L<i>_<j>"
 	// where L[i][j] is structurally nonzero and empty elsewhere.
 	l []string
-	// count[k] is countVar(k) and lock[k] is colLock(k).
+	// count[k] is "count<k>" and lock[k] is "l<k>".
 	count, lock []string
 }
 
-// entry returns lVar(i, j) for a structural nonzero, i >= j.
+// entry returns L[i][j]'s name for a structural nonzero, i >= j.
 func (t *spdNames) entry(i, j int) string { return t.l[i*(i+1)/2+j] }
 
 // varNames returns the matrix's name table, built on first use and shared by
@@ -215,11 +215,6 @@ func (m *SparseSPD) FactorError(a, b [][]float64) float64 {
 	return worst
 }
 
-// The naming scheme of the factorization's shared variables. The programs
-// below index SparseSPD.varNames, which is built from these.
-func lVar(i, j int) string      { return "L" + strconv.Itoa(i) + "_" + strconv.Itoa(j) }
-func countVar(k int) string     { return "count" + strconv.Itoa(k) }
-func colLock(k int) string      { return "l" + strconv.Itoa(k) }
 func colOwner(k, procs int) int { return k % procs }
 
 // CholeskyResult reports a parallel factorization.

@@ -234,16 +234,6 @@ func IsVisFlagLoc(loc string) bool {
 	return i >= 0 && i+1 < len(loc) && loc[i+1] == 'f'
 }
 
-// IsVisTimeLoc reports whether loc is a visibility-probe timestamp
-// location, the companion of IsVisFlagLoc.
-func IsVisTimeLoc(loc string) bool {
-	if !strings.HasPrefix(loc, VisLocPrefix) {
-		return false
-	}
-	i := strings.LastIndexByte(loc, '/')
-	return i >= 0 && i+1 < len(loc) && loc[i+1] == 't'
-}
-
 // visLocs names flag k of strand (proc, worker)'s timestamp and flag
 // locations, formatting the shared digits once: both names are the two halves
 // of one string, one allocation.
@@ -345,11 +335,6 @@ func (c SessionConfig) FlagPlan(proc, worker int) []visProbe {
 	var plan []visProbe
 	c.walkFlagPlan(proc, worker, func(_ int, probe visProbe) { plan = append(plan, probe) })
 	return plan
-}
-
-// FlagCount is the number of visibility flags strand (proc, worker) raises.
-func (c SessionConfig) FlagCount(proc, worker int) int {
-	return len(c.FlagPlan(proc, worker))
 }
 
 // ExpectedHits replays every strand's trace and returns the final value

@@ -74,7 +74,7 @@ func TestServeSessionsAllModes(t *testing.T) {
 			for id, res := range results {
 				wantFlags := 0
 				for w := 0; w < c.Workers; w++ {
-					wantFlags += c.FlagCount(id, w)
+					wantFlags += len(c.FlagPlan(id, w))
 				}
 				if res.Flags != wantFlags {
 					t.Errorf("proc %d raised %d flags, replay predicts %d", id, res.Flags, wantFlags)
@@ -146,9 +146,6 @@ func TestSessionWorkloadDeterminism(t *testing.T) {
 	want := int64(c.Procs * c.Workers * ((c.Warmup + c.Ops + c.AggEvery - 1) / c.AggEvery))
 	if total != want {
 		t.Fatalf("ExpectedHits total %d, want %d", total, want)
-	}
-	if c.FlagCount(0, 0) != c.FlagCount(0, 0) {
-		t.Fatal("FlagCount not stable")
 	}
 }
 
@@ -236,68 +233,5 @@ func TestSessionRecordedConformance(t *testing.T) {
 			t.Fatalf("mode %v verdict (%d violations) differs from broadcast (%d)",
 				mode, n, violations[SessionBroadcast])
 		}
-	}
-}
-
-// TestSessionLearnedScopeWithinPlacement runs the causal-scoped session
-// workload with access tracking on and checks the analytic placement
-// against the observed one: every reader the profile records for a
-// registered location must be a process `SessionScope` replicates that
-// location to. A learned reader outside the registered set would mean the
-// placement under-replicates — precisely the bug scoped delivery turns
-// into silent zero reads.
-func TestSessionLearnedScopeWithinPlacement(t *testing.T) {
-	cfg := sessionTestConfig(SessionCausalScoped)
-	scope := SessionScope(cfg)
-	sys, err := core.NewSystem(core.Config{
-		Procs:       cfg.Procs,
-		Latency:     fastLatency,
-		Seed:        cfg.Seed,
-		Placement:   scope,
-		TrackAccess: true,
-	})
-	if err != nil {
-		t.Fatalf("NewSystem: %v", err)
-	}
-	defer sys.Close()
-	sys.Run(func(p *core.Proc) {
-		ServeSessions(p, cfg)
-		if err := VerifySessionCounters(p, cfg); err != nil {
-			t.Errorf("VerifySessionCounters: %v", err)
-		}
-	})
-	learned := sys.LearnedScope()
-	if learned == nil {
-		t.Fatal("LearnedScope returned nil despite tracking")
-	}
-	registered := func(set map[string][]int, loc string, id int) bool {
-		for _, r := range set[loc] {
-			if r == id {
-				return true
-			}
-		}
-		return false
-	}
-	var sessionLocs int
-	for loc, readers := range learned.Readers {
-		if _, ok := scope.Readers[loc]; !ok {
-			continue // unregistered (aggregate) locations broadcast-fallback
-		}
-		sessionLocs++
-		for _, id := range readers {
-			if !registered(scope.Readers, loc, id) {
-				t.Errorf("location %q: observed reader %d not in registered scope %v",
-					loc, id, scope.Readers[loc])
-			}
-		}
-		for _, id := range learned.CausalReaders[loc] {
-			if !registered(scope.CausalReaders, loc, id) {
-				t.Errorf("location %q: observed causal reader %d not in registered causal scope %v",
-					loc, id, scope.CausalReaders[loc])
-			}
-		}
-	}
-	if sessionLocs == 0 {
-		t.Fatal("no registered location was ever read; test is vacuous")
 	}
 }

@@ -26,11 +26,6 @@ func (r CorollaryResult) String() string {
 		r.EntryPassed, r.Seeds, r.PhasedPassed, r.Seeds)
 }
 
-// Passed reports whether every run was sequentially consistent.
-func (r CorollaryResult) Passed() bool {
-	return r.EntryPassed == r.Seeds && r.PhasedPassed == r.Seeds
-}
-
 // RunCorollaries executes `seeds` random entry-consistent programs and
 // `seeds` random PRAM-consistent phased programs on the recording runtime
 // and replays each trace through the checker, verifying that the corollary's

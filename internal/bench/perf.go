@@ -796,9 +796,9 @@ func measurePerfCell(o PerfOptions, cell PerfCell, nodes []*dsm.Node) (PerfCell,
 		nodes[0].FlushUpdates()
 		stop.Store(true)
 		wg.Wait()
-		sent := map[int]uint64{0: nodes[0].ReceivedCounts(nil)[0]}
+		sent := map[int]uint64{0: nodes[0].ReceivedSeqs(nil)[0]}
 		if remoteOps > 0 {
-			sent[1] = nodes[1].ReceivedCounts(nil)[1]
+			sent[1] = nodes[1].ReceivedSeqs(nil)[1]
 		}
 		drain(sent)
 		total = ops*cell.Writers + remoteOps + int(reads.Load())

@@ -140,8 +140,6 @@ type Config struct {
 	// into a history for the checker. Recorded programs must write
 	// distinct values per location.
 	Record bool
-	// ManagerProc hosts the lock and barrier managers (default process 0).
-	ManagerProc int
 	// PRAMOnly elides vector timestamps from update messages and keeps
 	// only the PRAM view — the Section 6 optimization for programs whose
 	// reads are all PRAM (Corollary 2's class). Causal reads degrade to
@@ -153,10 +151,6 @@ type Config struct {
 	// dependency-stamped updates; the rest get the timestamp-elided fast
 	// path. Lock-based propagation is unsupported under a placement.
 	Placement *dsm.ScopeMap
-	// TrackAccess records each process's read accesses (location and
-	// consistency label) so LearnedScope can derive a Placement from a
-	// profiling run.
-	TrackAccess bool
 	// Labels assigns lattice points to individual locations
 	// (dsm.Config.Labels): Slow locations take the timestamp-elided
 	// per-sender-FIFO fast path, SC locations are served by a blocking
@@ -199,7 +193,8 @@ type Proc struct {
 var _ Process = (*Proc)(nil)
 
 // NewSystem builds the fabric and every process over it, and starts all
-// receive loops. Callers must Close the system.
+// receive loops; process 0 hosts the lock and barrier managers. Callers must
+// Close the system.
 func NewSystem(cfg Config) (*System, error) {
 	if cfg.Procs <= 0 {
 		return nil, fmt.Errorf("core: %d procs", cfg.Procs)
@@ -227,8 +222,8 @@ func NewSystem(cfg Config) (*System, error) {
 		p, err := newProc(dsm.Config{
 			ID: i, N: cfg.Procs, Transport: fabric, Trace: sys.trace,
 			PRAMOnly: cfg.PRAMOnly, Scope: cfg.Placement,
-			TrackAccess: cfg.TrackAccess, Batch: cfg.Batch, Labels: cfg.Labels,
-		}, cfg.ManagerProc, cfg.Propagation, cfg.TraceCapacity)
+			Batch: cfg.Batch, Labels: cfg.Labels,
+		}, 0, cfg.Propagation, cfg.TraceCapacity)
 		if err != nil {
 			sys.Close()
 			return nil, err
@@ -300,35 +295,6 @@ func (s *System) History() *history.History {
 
 // NetStats returns the transport's message accounting.
 func (s *System) NetStats() network.Stats { return s.fabric.Stats() }
-
-// LearnedScope merges every process's access log (Config.TrackAccess) into a
-// ScopeMap for the workload: each location's readers are the processes that
-// read it at all, and its causal readers are those that performed
-// causal-labeled reads or awaits of it. Run the program once with tracking
-// on, then rebuild the system with the returned map as Config.Placement.
-// Returns nil when no accesses were recorded.
-func (s *System) LearnedScope() *dsm.ScopeMap {
-	scope := &dsm.ScopeMap{
-		Readers:       make(map[string][]int),
-		CausalReaders: make(map[string][]int),
-	}
-	for _, p := range s.procs {
-		id := p.node.ID()
-		for loc, kind := range p.node.Accessed() {
-			scope.Readers[loc] = append(scope.Readers[loc], id)
-			if kind&dsm.AccessCausal != 0 {
-				scope.CausalReaders[loc] = append(scope.CausalReaders[loc], id)
-			}
-		}
-	}
-	if len(scope.Readers) == 0 {
-		return nil
-	}
-	return scope
-}
-
-// Transport exposes the underlying message substrate.
-func (s *System) Transport() transport.Transport { return s.fabric }
 
 // Fabric returns the underlying simulated fabric, mainly so tests and
 // experiments can build adversarial delivery schedules with Hold/Release.

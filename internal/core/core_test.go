@@ -7,6 +7,7 @@ import (
 
 	"mixedmem/internal/check"
 	"mixedmem/internal/history"
+	"mixedmem/internal/network"
 	"mixedmem/internal/syncmgr"
 )
 
@@ -24,7 +25,12 @@ func TestNewSystemValidation(t *testing.T) {
 	if _, err := NewSystem(Config{Procs: 0}); err == nil {
 		t.Error("zero procs must error")
 	}
-	if _, err := NewSystem(Config{Procs: 2, ManagerProc: 5}); err == nil {
+	f, err := network.New(network.Config{Nodes: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if _, err := NewPeer(PeerConfig{ID: 0, Transport: f, ManagerProc: 5}); err == nil {
 		t.Error("out-of-range manager must error")
 	}
 }

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"mixedmem/internal/obs"
 	"mixedmem/internal/syncmgr"
 	"mixedmem/internal/transport"
@@ -44,18 +42,4 @@ func registerNet(r *obs.Registry, tr transport.Transport) {
 			tcp.Diag
 		}{tr.Stats(), d}
 	})
-}
-
-// Registry builds the system-wide registry for an in-process deployment:
-// the transport's accounting under "net" (with the summed link diagnostics
-// when it is a tcp fleet) plus every process's sections under "proc<i>/".
-// One JSON document covers the whole fleet, which is what the
-// single-OS-process benchmarks want.
-func (s *System) Registry() *obs.Registry {
-	r := obs.NewRegistry()
-	registerNet(r, s.fabric)
-	for i, p := range s.procs {
-		registerProcSections(r, fmt.Sprintf("proc%d/", i), p)
-	}
-	return r
 }

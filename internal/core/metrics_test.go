@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http/httptest"
 	"testing"
 
@@ -10,6 +11,20 @@ import (
 	"mixedmem/internal/transport"
 	"mixedmem/internal/transport/tcp"
 )
+
+// Registry builds the system-wide registry for an in-process deployment:
+// the transport's accounting under "net" (with the summed link diagnostics
+// when it is a tcp fleet) plus every process's sections under "proc<i>/".
+// One JSON document covers the whole fleet, which is what these tests and
+// the served-keys golden pin.
+func (s *System) Registry() *obs.Registry {
+	r := obs.NewRegistry()
+	registerNet(r, s.fabric)
+	for i, p := range s.procs {
+		registerProcSections(r, fmt.Sprintf("proc%d/", i), p)
+	}
+	return r
+}
 
 // TestRegistryUnifiesSubsystems runs a small traced workload and checks the
 // unified registry surfaces every subsystem's counters in one snapshot: the

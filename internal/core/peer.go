@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"mixedmem/internal/dsm"
-	"mixedmem/internal/history"
 	"mixedmem/internal/obs"
 	"mixedmem/internal/syncmgr"
 	"mixedmem/internal/transport"
@@ -35,12 +34,6 @@ type PeerConfig struct {
 	// Scope restricts each location's updates to its registered readers, as
 	// in Config.Placement. All peers of a deployment must agree on the map.
 	Scope *dsm.ScopeMap
-	// TrackAccess records this peer's read accesses for scope learning, as
-	// in Config.TrackAccess.
-	TrackAccess bool
-	// Labels assigns lattice points to individual locations, as in
-	// Config.Labels. All peers of a deployment must agree on the map.
-	Labels map[string]history.Label
 	// Batch configures the per-destination update outbox, as in
 	// Config.Batch. All peers of a deployment should agree on whether
 	// batching is enabled only as a matter of symmetry — the receive path
@@ -74,7 +67,7 @@ func NewPeer(cfg PeerConfig) (*Peer, error) {
 	proc, err := newProc(dsm.Config{
 		ID: cfg.ID, N: n, Transport: cfg.Transport,
 		PRAMOnly: cfg.PRAMOnly, Scope: cfg.Scope,
-		TrackAccess: cfg.TrackAccess, Batch: cfg.Batch, Labels: cfg.Labels,
+		Batch: cfg.Batch,
 	}, cfg.ManagerProc, cfg.Propagation, cfg.TraceCapacity)
 	if err != nil {
 		return nil, err

@@ -259,70 +259,3 @@ func TestScopeContractCheck(t *testing.T) {
 		t.Fatalf("contract check without the causal read = %q, want none", v)
 	}
 }
-
-// TestLearnedScopeRoundTrip runs a deterministic relay program with access
-// tracking on, derives a placement from the recorded accesses, and re-runs
-// the same program under that learned scope: the learned map must name
-// exactly the observed readers and the scoped re-run must produce the same
-// values and a mixed-consistent history.
-func TestLearnedScopeRoundTrip(t *testing.T) {
-	relay := func(sys *System) (int64, int64) {
-		var causalX, pramF int64
-		sys.Run(func(p *Proc) {
-			switch p.ID() {
-			case 0:
-				p.Write("x", 7)
-				p.Write("f", 1)
-			case 1:
-				p.Await("f", 1)
-				p.Write("g", 1)
-			case 2:
-				p.Await("g", 1)
-				causalX = p.ReadCausal("x")
-				pramF = p.ReadPRAM("f")
-			}
-		})
-		return causalX, pramF
-	}
-
-	learnSys, err := NewSystem(Config{Procs: 3, TrackAccess: true})
-	if err != nil {
-		t.Fatalf("NewSystem(track): %v", err)
-	}
-	if x, _ := relay(learnSys); x != 7 {
-		t.Fatalf("profiling run read x=%d, want 7", x)
-	}
-	scope := learnSys.LearnedScope()
-	learnSys.Close()
-	if scope == nil {
-		t.Fatal("LearnedScope returned nil after a tracked run")
-	}
-	// Awaits and causal reads are causal accesses; the plain PRAM read of f
-	// must be learned as a PRAM-only registration for process 2.
-	if got := scope.CausalReaders["x"]; len(got) != 1 || got[0] != 2 {
-		t.Fatalf("learned causal readers of x = %v, want [2]", got)
-	}
-	if got := scope.CausalReaders["f"]; len(got) != 1 || got[0] != 1 {
-		t.Fatalf("learned causal readers of f = %v, want [1]", got)
-	}
-	if got := scope.Readers["f"]; len(got) != 2 {
-		t.Fatalf("learned readers of f = %v, want procs 1 and 2", got)
-	}
-
-	scopedSys, err := NewSystem(Config{Procs: 3, Record: true, Placement: scope})
-	if err != nil {
-		t.Fatalf("NewSystem(learned scope): %v", err)
-	}
-	defer scopedSys.Close()
-	x, f := relay(scopedSys)
-	if x != 7 || f != 1 {
-		t.Fatalf("scoped re-run read x=%d f=%d, want 7 and 1", x, f)
-	}
-	a, err := scopedSys.History().Analyze()
-	if err != nil {
-		t.Fatalf("Analyze: %v", err)
-	}
-	if v := check.Mixed(a); len(v) != 0 {
-		t.Fatalf("scoped re-run violated mixed consistency: %v", v[0])
-	}
-}

@@ -12,30 +12,33 @@ import (
 // the invalidation table of lock-based propagation. The vectors and the log
 // live under the clock lock; invalidations under their shard's.
 
-// SentCounts appends to dst, per destination, the last sequence number sent
+// SentSeqs appends to dst, per destination, the last sequence number sent
 // to it, the vector each process reports to the barrier manager (Section 6),
 // and returns the extended slice; a dst with room for N words makes it
 // allocation-free. With the outbox enabled it first flushes every pending
 // batch: the vector is a promise that peers can wait for those updates, so
 // nothing it covers may remain parked locally.
-func (n *Node) SentCounts(dst []uint64) []uint64 {
+func (n *Node) SentSeqs(dst []uint64) []uint64 {
 	n.clockMu.Lock()
 	defer n.clockMu.Unlock()
 	n.FlushUpdates()
 	return append(dst, n.sent...)
 }
 
-// ReceivedCounts appends to dst, per sender, the last sequence number applied
+// ReceivedSeqs appends to dst, per sender, the last sequence number applied
 // to the PRAM view (the last own write for the node's own component), and
 // returns the extended slice.
-func (n *Node) ReceivedCounts(dst []uint64) []uint64 {
+func (n *Node) ReceivedSeqs(dst []uint64) []uint64 {
 	n.clockMu.Lock()
 	defer n.clockMu.Unlock()
 	return append(dst, n.recvd...)
 }
 
 // WaitReceived blocks until, for each process j, the PRAM view has applied
-// j's update min[j] or a later one.
+// j's update min[j] or a later one. The synchronization protocols wait with
+// WaitCausalApplied; WaitReceived is for a PRAMOnly node, such as those of the
+// perf grid's pram cells, which keeps no causal view for WaitCausalApplied to
+// wait on.
 func (n *Node) WaitReceived(min []uint64) { n.waitSeqs(min, 0) }
 
 // WaitCausalApplied blocks until, for each process j, j's update min[j] or a

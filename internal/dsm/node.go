@@ -155,10 +155,6 @@ type Config struct {
 	// absent from the map default to Causal. A label must be one of the four
 	// lattice points; SC locations must not appear in Scope.
 	Labels map[string]history.Label
-	// TrackAccess records every location this node reads and with which
-	// labels, so a profiling run can learn a ScopeMap for the workload
-	// (Accessed / core.System.LearnedScope).
-	TrackAccess bool
 	// Batch configures the per-destination update outbox. The zero value
 	// keeps the original behavior: one message per write per destination.
 	Batch BatchConfig
@@ -383,11 +379,6 @@ type Node struct {
 	scWaiting map[uint64]chan int64
 	scSeq     atomic.Uint64
 
-	// track is the access log when Config.TrackAccess is set; trackMu
-	// guards it (the map reference itself is immutable after NewNode).
-	trackMu sync.Mutex
-	track   map[string]AccessKind
-
 	// batch/outbox implement the per-destination update outbox (nil when
 	// batching is off); outboxMu guards every destination's pending batch and
 	// the slabs flushes carve their payloads from (outbox.go); flushes counts
@@ -472,9 +463,6 @@ func NewNode(cfg Config) (*Node, error) {
 			node.labels[loc] = l
 		}
 	}
-	if cfg.TrackAccess {
-		node.track = make(map[string]AccessKind)
-	}
 	if cfg.Batch.Enabled {
 		node.batch = cfg.Batch.WithDefaults()
 		node.outbox = make([]*outboxDest, cfg.N)
@@ -494,10 +482,6 @@ func (n *Node) ID() int { return n.id }
 // N returns the number of processes.
 func (n *Node) N() int { return n.n }
 
-// Transport returns the underlying message substrate (for synchronization
-// protocols).
-func (n *Node) Transport() transport.Transport { return n.fabric }
-
 // Tracer returns the node's event tracer (Config.Tracer), or nil when
 // tracing is off. Synchronization clients and collectors share it so one
 // ring per node carries the whole protocol timeline.
@@ -513,12 +497,6 @@ func (n *Node) labelOf(loc string) history.Label {
 		return history.LabelNone
 	}
 	return n.labels[loc]
-}
-
-func (n *Node) trackAccess(loc string, kind AccessKind) {
-	n.trackMu.Lock()
-	n.track[loc] |= kind
-	n.trackMu.Unlock()
 }
 
 // recvLoop dispatches fabric messages: updates into the memory views, SC
@@ -585,22 +563,6 @@ func (n *Node) Stats() Stats {
 		s.SlowReads += n.shards[i].slowReads.Load()
 	}
 	return s
-}
-
-// Snapshot returns a copy of the requested view's contents, for debugging
-// and result extraction in examples. causalView selects the causal view.
-// Cells exist only for locations some write or apply touched; a location the
-// selected view never received reads as zero, matching the map semantics.
-func (n *Node) Snapshot(causalView bool) map[string]int64 {
-	out := make(map[string]int64)
-	n.cells.Range(func(loc string, c *cell) {
-		if causalView {
-			out[loc] = c.causal.Load()
-		} else {
-			out[loc] = c.pram.Load()
-		}
-	})
-	return out
 }
 
 // Close unblocks all waiters and waits for the receive loop to exit. The

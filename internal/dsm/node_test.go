@@ -324,13 +324,13 @@ func TestSentReceivedCounts(t *testing.T) {
 	nodes := cluster(t, 3, nil)
 	nodes[0].Write("a", 1)
 	nodes[0].Write("b", 2)
-	sent := nodes[0].SentCounts(nil)
+	sent := nodes[0].SentSeqs(nil)
 	if sent[1] != 2 || sent[2] != 2 || sent[0] != 0 {
 		t.Errorf("sent = %v, want [0 2 2]", sent)
 	}
-	eventually(t, func() bool { return nodes[1].ReceivedCounts(nil)[0] == 2 },
+	eventually(t, func() bool { return nodes[1].ReceivedSeqs(nil)[0] == 2 },
 		"receive counts never advanced")
-	rc := nodes[0].ReceivedCounts(nil)
+	rc := nodes[0].ReceivedSeqs(nil)
 	if rc[0] != 2 {
 		t.Errorf("own component = %d, want 2", rc[0])
 	}
@@ -618,11 +618,11 @@ func TestScopedMulticastDelivery(t *testing.T) {
 	}
 	// The sent vector is per destination: the last sequence number sent to
 	// each, which node 2, sent only the second write, sees as its last.
-	sent := nodes[0].SentCounts(nil)
+	sent := nodes[0].SentSeqs(nil)
 	if sent[1] != 2 || sent[2] != 2 {
 		t.Fatalf("sent = %v, want [0 2 2]", sent)
 	}
-	eventually(t, func() bool { return nodes[2].ReceivedCounts(nil)[0] == 2 },
+	eventually(t, func() bool { return nodes[2].ReceivedSeqs(nil)[0] == 2 },
 		"recvd wrong under scope")
 }
 
@@ -646,7 +646,7 @@ func TestScopedWaitReceived(t *testing.T) {
 	nodes[0].Write("both", 2)  // seq 2, sent to node 2
 	// Node 2 waits for the last sequence number node 0 sent it; that must
 	// succeed despite the hole at the first.
-	min := []uint64{nodes[0].SentCounts(nil)[2], 0, 0}
+	min := []uint64{nodes[0].SentSeqs(nil)[2], 0, 0}
 	done := make(chan struct{})
 	go func() {
 		nodes[2].WaitReceived(min)

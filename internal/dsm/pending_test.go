@@ -141,7 +141,7 @@ func TestBroadcastMalformedTimestampDoesNotStall(t *testing.T) {
 			if got := r.ReadCausal("b"); got != 1 {
 				t.Fatalf("causal b = %d, want 1: the successor never reached the causal view", got)
 			}
-			if got, rc := r.causalApplied.get(0), r.ReceivedCounts(nil)[0]; got != p.clock || rc != p.clock {
+			if got, rc := r.causalApplied.get(0), r.ReceivedSeqs(nil)[0]; got != p.clock || rc != p.clock {
 				t.Fatalf("sender's causal clock entry = %d, received %d, want %d", got, rc, p.clock)
 			}
 			s := r.Stats()
@@ -624,7 +624,7 @@ func runDrainDifferential(t *testing.T, n int, scope *ScopeMap, labels map[strin
 	// group: the next sequence number, waiting for the fence as it stands.
 	own := func(loc string, add bool) refGroup {
 		g := refGroup{from: recv, count: 1, self: true, need: make(vclock.VC, n)}
-		g.firstSeq = r.ReceivedCounts(nil)[recv] + 1
+		g.firstSeq = r.ReceivedSeqs(nil)[recv] + 1
 		g.lastSeq = g.firstSeq
 		for j := range g.need {
 			g.need[j] = r.fence.get(j)
@@ -644,7 +644,7 @@ func runDrainDifferential(t *testing.T, n int, scope *ScopeMap, labels map[strin
 	for i := 0; i < 3; i++ {
 		own(locs[i%len(locs)], false)
 	}
-	sentByRecv := r.SentCounts(nil)
+	sentByRecv := r.SentSeqs(nil)
 	for s := 0; s < recv; s++ {
 		min := make([]uint64, n)
 		min[recv] = sentByRecv[s]
@@ -668,7 +668,7 @@ func runDrainDifferential(t *testing.T, n int, scope *ScopeMap, labels map[strin
 		case k < 9:
 			other := (s + 1 + rng.Intn(recv-1)) % recv
 			min := make([]uint64, n)
-			min[other] = nodes[other].SentCounts(nil)[s] // flushes other's outbox
+			min[other] = nodes[other].SentSeqs(nil)[s] // flushes other's outbox
 			nodes[s].WaitCausalApplied(min)
 		default:
 			nodes[s].FlushUpdates()

@@ -3,7 +3,6 @@ package dsm
 import (
 	"time"
 
-	"mixedmem/internal/history"
 	"mixedmem/internal/loctab"
 	"mixedmem/internal/obs"
 )
@@ -13,24 +12,6 @@ import (
 // (fence, invalidation) or the location's shard condition (await). The Node
 // methods are the main thread's operations (Thread(0)); ThreadHandle records
 // them.
-
-// Read performs the read the location's configured lattice point calls for:
-// a slow read for LabelSlow, a PRAM read for LabelPRAM, an owner round trip
-// for LabelSC, and a causal read for LabelCausal and unlabeled locations.
-// Programs written against Read move along the lattice by reconfiguring
-// Config.Labels alone.
-func (n *Node) Read(loc string) int64 {
-	switch n.labelOf(loc) {
-	case history.LabelSlow:
-		return n.ReadSlow(loc)
-	case history.LabelPRAM:
-		return n.ReadPRAM(loc)
-	case history.LabelSC:
-		return n.ReadSC(loc)
-	default:
-		return n.ReadCausal(loc)
-	}
-}
 
 // ReadSlow returns loc's most recent locally applied value without raising
 // the observation fence: the slow-memory read (Hutto & Ahamad's slow memory,
@@ -78,9 +59,6 @@ func (n *Node) AwaitCausal(loc string, value int64) { n.Thread(0).AwaitCausal(lo
 func (n *Node) readLocal(loc string, anchor bool) int64 {
 	h := loctab.Hash(loc)
 	sh := n.shard(h)
-	if n.track != nil {
-		n.trackAccess(loc, AccessPRAM)
-	}
 	if sh.invalidLen.Load() != 0 {
 		n.waitValid(sh, loc, false)
 	}
@@ -115,9 +93,6 @@ func (n *Node) raiseFence(c *cell) {
 func (n *Node) readCausalValue(loc string) int64 {
 	h := loctab.Hash(loc)
 	sh := n.shard(h)
-	if n.track != nil {
-		n.trackAccess(loc, AccessCausal)
-	}
 	if sh.invalidLen.Load() != 0 {
 		n.waitValid(sh, loc, true)
 	}
@@ -203,13 +178,6 @@ func (n *Node) waitValid(sh *shard, loc string, causalView bool) {
 // if any waiter is registered, so the waiter either sees the value or is
 // woken.
 func (n *Node) awaitValue(loc string, value int64, causalView bool) {
-	if n.track != nil {
-		kind := AccessPRAM
-		if causalView {
-			kind = AccessCausal
-		}
-		n.trackAccess(loc, kind)
-	}
 	// Degraded mode: a PRAMOnly node keeps no causal view to wait on.
 	causalView = causalView && !n.pramOnly
 	// Await registration is a synchronization boundary: a process about

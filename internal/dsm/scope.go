@@ -27,7 +27,7 @@ import (
 // value), and a PRAM-registered reader's reads of that location must need
 // only PRAM guarantees — no later causal read may depend on what those reads
 // observed, exactly as the PRAMOnly program class promises globally
-// (Corollary 2). Node.TrackAccess can learn the map from a profiling run.
+// (Corollary 2).
 type ScopeMap struct {
 	// Readers maps a location to every process that reads it.
 	Readers map[string][]int
@@ -127,29 +127,4 @@ func (s *ScopeMap) compile(id, n int) map[string]scopeEntry {
 		targets[loc] = scopeEntry{causal: cut(readers, k, true), elided: cut(readers, k, false)}
 	}
 	return targets
-}
-
-// AccessKind records how a node read a location, for scope learning.
-type AccessKind uint8
-
-// Access kinds; a location's entry is the OR of every kind observed.
-const (
-	// AccessPRAM marks a PRAM-labeled read or await.
-	AccessPRAM AccessKind = 1 << iota
-	// AccessCausal marks a causal-labeled read or await.
-	AccessCausal
-)
-
-// Accessed returns a copy of the node's access log: every location this node
-// read, with the kinds of reads observed. Empty unless the node was built
-// with Config.TrackAccess. Merging the logs of all nodes yields a ScopeMap
-// for the workload — see core.System.LearnedScope.
-func (n *Node) Accessed() map[string]AccessKind {
-	n.trackMu.Lock()
-	defer n.trackMu.Unlock()
-	out := make(map[string]AccessKind, len(n.track))
-	for loc, k := range n.track {
-		out[loc] = k
-	}
-	return out
 }

@@ -98,7 +98,7 @@ func TestScopedCausalSequenceHoles(t *testing.T) {
 	}
 	// Each destination waits for the last sequence number node 0 sent it,
 	// which it settles whatever holes lie below.
-	sent := nodes[0].SentCounts(nil)
+	sent := nodes[0].SentSeqs(nil)
 	done := make(chan struct{})
 	go func() {
 		nodes[1].WaitCausalApplied([]uint64{sent[1], 0, 0})
@@ -132,7 +132,7 @@ func TestScopedMixedElidedAndCausal(t *testing.T) {
 	}
 	// The elided update settles in its sender's order like the causal ones,
 	// so the last sequence number node 0 sent node 1 settles.
-	min := []uint64{nodes[0].SentCounts(nil)[1], 0, 0}
+	min := []uint64{nodes[0].SentSeqs(nil)[1], 0, 0}
 	done := make(chan struct{})
 	go func() {
 		nodes[1].WaitCausalApplied(min)
@@ -206,43 +206,6 @@ func TestScopedCausalUnlistedLocationBroadcasts(t *testing.T) {
 	nodes[2].AwaitCausal("wide", 2)
 	if got := nodes[2].ReadPRAM("narrow"); got != 0 {
 		t.Fatalf("narrow leaked to node 2: %d", got)
-	}
-}
-
-// TestTrackAccessLearnsKinds checks the profiling mode records the
-// per-location access kinds scope learning needs.
-func TestTrackAccessLearnsKinds(t *testing.T) {
-	f, err := network.New(network.Config{Nodes: 2})
-	if err != nil {
-		t.Fatalf("network.New: %v", err)
-	}
-	nodes := make([]*Node, 2)
-	for i := range nodes {
-		nodes[i], err = NewNode(Config{ID: i, N: 2, Transport: f, TrackAccess: true})
-		if err != nil {
-			t.Fatalf("NewNode(%d): %v", i, err)
-		}
-	}
-	defer func() {
-		f.Close()
-		for _, nd := range nodes {
-			nd.Close()
-		}
-	}()
-	nodes[0].Write("both", 1)
-	nodes[1].AwaitPRAM("both", 1)
-	nodes[1].ReadCausal("both")
-	nodes[1].ReadPRAM("pramish")
-	nodes[1].AwaitCausal("both", 1)
-	got := nodes[1].Accessed()
-	if got["both"] != AccessPRAM|AccessCausal {
-		t.Fatalf("both = %b, want PRAM|Causal", got["both"])
-	}
-	if got["pramish"] != AccessPRAM {
-		t.Fatalf("pramish = %b, want PRAM", got["pramish"])
-	}
-	if len(nodes[0].Accessed()) != 0 {
-		t.Fatalf("writer recorded accesses: %v", nodes[0].Accessed())
 	}
 }
 

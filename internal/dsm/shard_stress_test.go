@@ -63,7 +63,8 @@ func TestShardedApplyManyGoroutines(t *testing.T) {
 				}
 				trace.Fork(nd.ID(), 0, ids)
 				for th := 0; th < threadsPer; th++ {
-					h := nd.Thread(th + 1)
+					tid := th + 1
+					h := nd.Thread(tid)
 					wg.Add(1)
 					go func() {
 						defer wg.Done()
@@ -72,13 +73,13 @@ func TestShardedApplyManyGoroutines(t *testing.T) {
 						// apply path runs genuinely in parallel.
 						locs := make([]string, locsPer)
 						for k := range locs {
-							locs[k] = "t" + strconv.Itoa(h.ThreadID()) + "_" + strconv.Itoa(k)
+							locs[k] = "t" + strconv.Itoa(tid) + "_" + strconv.Itoa(k)
 						}
 						for i := 0; i < opsPerThread; i++ {
 							loc := locs[i%len(locs)]
 							switch i % 4 {
 							case 0, 1:
-								h.Write(loc, int64(h.ID()*1_000_000+h.ThreadID()*1_000+i))
+								h.Write(loc, int64(nd.ID()*1_000_000+tid*1_000+i))
 							case 2:
 								h.ReadPRAM(loc)
 							default:
@@ -98,7 +99,7 @@ func TestShardedApplyManyGoroutines(t *testing.T) {
 				min := make([]uint64, procs)
 				for _, src := range nodes {
 					if src.ID() != nd.ID() {
-						min[src.ID()] = src.SentCounts(nil)[nd.ID()]
+						min[src.ID()] = src.SentSeqs(nil)[nd.ID()]
 					}
 				}
 				nd.WaitReceived(min)
@@ -163,14 +164,15 @@ func TestShardedApplySingleLocationContention(t *testing.T) {
 		nd := nd
 		trace.Fork(nd.ID(), 0, ids)
 		for th := 0; th < threadsPer; th++ {
-			h := nd.Thread(th + 1)
+			tid := th + 1
+			h := nd.Thread(tid)
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
 				for i := 0; i < opsPerThread; i++ {
 					switch i % 3 {
 					case 0:
-						h.Write("hot", int64(h.ID()*1_000_000+h.ThreadID()*1_000+i))
+						h.Write("hot", int64(nd.ID()*1_000_000+tid*1_000+i))
 					case 1:
 						h.ReadPRAM("hot")
 					default:

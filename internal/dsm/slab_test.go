@@ -99,7 +99,7 @@ func TestSentUpdatesAreImmutable(t *testing.T) {
 						nodes[s].Write(loc, value)
 					}
 				}
-				sent0, sent1 := nodes[0].SentCounts(nil), nodes[1].SentCounts(nil)
+				sent0, sent1 := nodes[0].SentSeqs(nil), nodes[1].SentSeqs(nil)
 				nodes[0].WaitReceived([]uint64{0, sent1[0], 0})
 				nodes[1].WaitReceived([]uint64{sent0[1], 0, 0})
 			}

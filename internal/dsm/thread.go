@@ -23,12 +23,6 @@ func (n *Node) Thread(t int) ThreadHandle {
 	return ThreadHandle{n: n, t: t}
 }
 
-// ID returns the process identity.
-func (h ThreadHandle) ID() int { return h.n.id }
-
-// ThreadID returns the handle's thread number.
-func (h ThreadHandle) ThreadID() int { return h.t }
-
 // Write stores value at loc, recorded on this thread.
 func (h ThreadHandle) Write(loc string, value int64) {
 	h.n.write(OpSet, loc, value)

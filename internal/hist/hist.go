@@ -108,14 +108,6 @@ func (h *Histogram) Count() int64 { return h.total }
 // Sum returns the sum of all recorded samples (clamped ones as zero).
 func (h *Histogram) Sum() int64 { return h.sum }
 
-// Min returns the smallest recorded sample, or 0 when empty.
-func (h *Histogram) Min() int64 {
-	if h.total == 0 {
-		return 0
-	}
-	return h.min
-}
-
 // Max returns the largest recorded sample, or 0 when empty.
 func (h *Histogram) Max() int64 { return h.max }
 
@@ -144,21 +136,6 @@ func (h *Histogram) Quantile(q float64) int64 {
 		}
 	}
 	return bucketMid(numBuckets - 1)
-}
-
-// Clone returns an independent deep copy of h. Histograms are not safe for
-// concurrent mutation; the snapshot-then-merge pattern — each strand
-// records into a private histogram, a collector Clones or Merges them at a
-// quiescent point — is how they cross goroutines.
-func (h *Histogram) Clone() *Histogram {
-	c := &Histogram{
-		counts: append([]int64(nil), h.counts...),
-		total:  h.total,
-		sum:    h.sum,
-		min:    h.min,
-		max:    h.max,
-	}
-	return c
 }
 
 // Merge adds o's samples into h. Bucket counts add, so the result reports

@@ -54,8 +54,8 @@ func TestQuantileWithinBucketError(t *testing.T) {
 		if h.Count() != int64(n) {
 			t.Fatalf("count %d, want %d", h.Count(), n)
 		}
-		if h.Min() != samples[0] || h.Max() != samples[n-1] {
-			t.Fatalf("min/max %d/%d, want %d/%d", h.Min(), h.Max(), samples[0], samples[n-1])
+		if h.min != samples[0] || h.Max() != samples[n-1] {
+			t.Fatalf("min/max %d/%d, want %d/%d", h.min, h.Max(), samples[0], samples[n-1])
 		}
 	}
 }
@@ -93,7 +93,7 @@ func randomHist(seed int64, n int) *Histogram {
 }
 
 func histsEqual(a, b *Histogram) bool {
-	if a.total != b.total || a.sum != b.sum || a.Min() != b.Min() || a.Max() != b.Max() {
+	if a.total != b.total || a.sum != b.sum || a.min != b.min || a.Max() != b.Max() {
 		return false
 	}
 	for i := range a.counts {
@@ -255,16 +255,22 @@ func TestQuantileEmptyAndClamped(t *testing.T) {
 	if h.Quantile(-1) != 0 || h.Quantile(2) != 0 {
 		t.Fatal("clamped quantiles of the zero sample != 0")
 	}
-	if h.Min() != 0 || h.Max() != 0 || h.Count() != 1 {
+	if h.min != 0 || h.Max() != 0 || h.Count() != 1 {
 		t.Fatal("negative sample did not clamp to zero")
 	}
 }
 
-// TestCloneIndependentAndMergeDeterministic pins the Clone contract (deep
-// copy: mutating the clone or the original never shows through) and merge
-// determinism over clones: merging per-strand histograms in any order into
-// any number of intermediate clones reports identical summaries.
+// TestCloneIndependentAndMergeDeterministic pins that a copy made by merging
+// into a fresh histogram is deep (mutating the copy or the original never
+// shows through) and merge determinism over such copies: merging per-strand
+// histograms in any order into any number of intermediate copies reports
+// identical summaries.
 func TestCloneIndependentAndMergeDeterministic(t *testing.T) {
+	clone := func(h *Histogram) *Histogram {
+		c := New()
+		c.Merge(h)
+		return c
+	}
 	r := rand.New(rand.NewSource(7))
 	strands := make([]*Histogram, 4)
 	for i := range strands {
@@ -274,7 +280,7 @@ func TestCloneIndependentAndMergeDeterministic(t *testing.T) {
 		}
 	}
 
-	c := strands[0].Clone()
+	c := clone(strands[0])
 	if c.Count() != strands[0].Count() || c.Quantile(0.99) != strands[0].Quantile(0.99) {
 		t.Fatalf("clone differs from original: %v vs %v", c.Summary(), strands[0].Summary())
 	}
@@ -294,18 +300,18 @@ func TestCloneIndependentAndMergeDeterministic(t *testing.T) {
 	// merges over clones all agree exactly.
 	forward := New()
 	for _, s := range strands {
-		forward.Merge(s.Clone())
+		forward.Merge(clone(s))
 	}
 	reverse := New()
 	for i := len(strands) - 1; i >= 0; i-- {
-		reverse.Merge(strands[i].Clone())
+		reverse.Merge(clone(strands[i]))
 	}
 	left, right := New(), New()
-	left.Merge(strands[0].Clone())
-	left.Merge(strands[1].Clone())
-	right.Merge(strands[2].Clone())
-	right.Merge(strands[3].Clone())
-	tree := left.Clone()
+	left.Merge(clone(strands[0]))
+	left.Merge(clone(strands[1]))
+	right.Merge(clone(strands[2]))
+	right.Merge(clone(strands[3]))
+	tree := clone(left)
 	tree.Merge(right)
 
 	for _, q := range []float64{0, 0.5, 0.9, 0.99, 0.999, 1} {
@@ -315,7 +321,7 @@ func TestCloneIndependentAndMergeDeterministic(t *testing.T) {
 		}
 	}
 	if forward.Count() != reverse.Count() || forward.Count() != tree.Count() ||
-		forward.Sum() != tree.Sum() || forward.Min() != tree.Min() || forward.Max() != tree.Max() {
+		forward.Sum() != tree.Sum() || forward.min != tree.min || forward.Max() != tree.Max() {
 		t.Fatalf("merge aggregates diverge: %v %v %v",
 			forward.Summary(), reverse.Summary(), tree.Summary())
 	}

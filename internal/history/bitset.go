@@ -18,9 +18,6 @@ func NewRelation(n int) *Relation {
 	return &Relation{n: n, words: words, rows: make([]uint64, n*words)}
 }
 
-// Size returns the number of elements the relation ranges over.
-func (r *Relation) Size() int { return r.n }
-
 // Add inserts the pair (i, j).
 func (r *Relation) Add(i, j int) {
 	r.rows[i*r.words+j/64] |= 1 << (uint(j) % 64)
@@ -29,13 +26,6 @@ func (r *Relation) Add(i, j int) {
 // Has reports whether (i, j) is in the relation.
 func (r *Relation) Has(i, j int) bool {
 	return r.rows[i*r.words+j/64]&(1<<(uint(j)%64)) != 0
-}
-
-// Clone returns an independent copy.
-func (r *Relation) Clone() *Relation {
-	out := &Relation{n: r.n, words: r.words, rows: make([]uint64, len(r.rows))}
-	copy(out.rows, r.rows)
-	return out
 }
 
 // Union adds every pair of other into r. The relations must have equal size.

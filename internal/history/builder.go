@@ -149,13 +149,6 @@ func (b *Builder) NextEpoch(lock string) int {
 	return epoch
 }
 
-// AddEdge records an explicit program-order edge (fork/join structure).
-func (b *Builder) AddEdge(from, to int) error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.h.AddEdge(from, to)
-}
-
 // History returns the built history. The builder must not be used after.
 func (b *Builder) History() *History {
 	b.mu.Lock()

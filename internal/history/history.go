@@ -44,25 +44,6 @@ func New(n int) *History {
 	return &History{NumProcs: n}
 }
 
-// Append adds op to the history, assigning its ID and its sequence number
-// within its (Proc, Thread) strand, and returns the ID.
-func (h *History) Append(op Op) int {
-	op.ID = len(h.Ops)
-	op.Seq = h.strandLen(op.Proc, op.Thread)
-	h.Ops = append(h.Ops, op)
-	return op.ID
-}
-
-func (h *History) strandLen(proc, thread int) int {
-	n := 0
-	for _, o := range h.Ops {
-		if o.Proc == proc && o.Thread == thread {
-			n++
-		}
-	}
-	return n
-}
-
 // AddEdge records an explicit program-order edge between two operations of
 // the same process (for fork/join between threads, mirroring the paper's
 // partial-order local histories). It is an error to relate operations of

@@ -101,24 +101,6 @@ func (l Label) String() string {
 	}
 }
 
-// Rank orders labels by guarantee strength on the lattice
-// Slow(0) < PRAM(1) < Causal(2) < SC(3). LabelNone ranks below Slow: it
-// promises nothing. Stronger labels admit strictly fewer histories.
-func (l Label) Rank() int {
-	switch l {
-	case LabelSlow:
-		return 1
-	case LabelPRAM:
-		return 2
-	case LabelCausal:
-		return 3
-	case LabelSC:
-		return 4
-	default:
-		return 0
-	}
-}
-
 // LatticeLabels lists the four lattice points from weakest to strongest —
 // the order every spectrum sweep and verdict table iterates in.
 func LatticeLabels() [4]Label {

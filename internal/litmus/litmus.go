@@ -15,7 +15,6 @@ package litmus
 
 import (
 	"fmt"
-	"strings"
 
 	"mixedmem/internal/check"
 	"mixedmem/internal/history"
@@ -88,20 +87,6 @@ func (t Test) Evaluate() (slow, pram, causal, sc Verdict, err error) {
 	}
 	sc = Verdict(ok)
 	return slow, pram, causal, sc, nil
-}
-
-// Table renders the suite's verdict matrix as a fixed-width text table, one
-// row per litmus test and one column per lattice point, weakest first. The
-// annotations it prints are the ones TestSuiteVerdicts checks against the
-// checkers, so the rendered table is pinned executable documentation (CI
-// publishes it as the conformance artifact).
-func Table() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-18s %-10s %-10s %-10s %-10s\n", "test", "slow", "pram", "causal", "sc")
-	for _, t := range Suite() {
-		fmt.Fprintf(&b, "%-18s %-10v %-10v %-10v %-10v\n", t.Name, t.Slow, t.PRAM, t.Causal, t.SC)
-	}
-	return b.String()
 }
 
 // Suite returns the full litmus battery.

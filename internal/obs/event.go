@@ -74,8 +74,9 @@ const (
 	// propagation). Loc, Peer = writer, Seq, A = waited nanoseconds.
 	EvInvalWait
 	// EvWaitCounts: WaitReceived or WaitCausalApplied returned.
-	// Peer, Seq = target count, A = waited nanoseconds, B = 1 for the
-	// causal variant.
+	// A = waited nanoseconds, B = 1 for the causal variant. The wait's
+	// target is a vector of sequence numbers, one per sender, so Peer and
+	// Seq stay zero.
 	EvWaitCounts
 	// EvSCRequest: an SC round trip to the location's owner began.
 	// Loc, Peer = owner, Seq = request ID.
@@ -95,9 +96,6 @@ const (
 	// EvBarrierExit: the barrier released and all pre-arrival updates were
 	// applied. Loc = group, Seq = episode, A = waited nanoseconds.
 	EvBarrierExit
-	// EvReconnect: a TCP peer link (re)established and replayed its
-	// unacked tail. Peer, A = frames replayed.
-	EvReconnect
 
 	evTypeCount // sentinel; keep last
 )
@@ -125,7 +123,6 @@ var evNames = [evTypeCount]string{
 	EvLockRelease:  "lock-release",
 	EvBarrierEnter: "barrier-enter",
 	EvBarrierExit:  "barrier-exit",
-	EvReconnect:    "reconnect",
 }
 
 // String names the event type the way the exporters do.

@@ -16,7 +16,7 @@ func FuzzSnapshotCodecRoundTrip(f *testing.F) {
 	wrapped := &Snapshot{Tag: "t", Node: 1, Capacity: 64, Recorded: 100, Dropped: 36,
 		Locs: []string{"x"},
 		Events: []Event{
-			{Index: 99, Time: -5, Type: EvReconnect, Label: 255, Peer: 65535,
+			{Index: 99, Time: -5, Type: EvBarrierExit, Label: 255, Peer: 65535,
 				Loc: NoLoc, Seq: 1 << 60, A: ^uint64(0), B: 7},
 		}}
 	for _, s := range []*Snapshot{full, empty, wrapped} {

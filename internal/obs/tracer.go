@@ -71,24 +71,12 @@ func NewTracer(node, capacity int) *Tracer {
 	return &Tracer{node: uint16(node), mask: uint64(c - 1), slots: make([]slot, c)}
 }
 
-// Node returns the node ID the tracer was built for.
-func (t *Tracer) Node() int { return int(t.node) }
-
 // Capacity returns the ring capacity.
 func (t *Tracer) Capacity() int { return len(t.slots) }
 
-// Loc interns a location (or lock/barrier) name and returns its index.
-// The fast path — every name after its first use — is one hash of the name
-// and a table probe: lock-free and allocation-free. On a nil tracer it
-// returns NoLoc.
-func (t *Tracer) Loc(name string) uint32 {
-	if t == nil {
-		return NoLoc
-	}
-	return t.locHash(loctab.Hash(name), name)
-}
-
-// locHash is Loc with the name's loctab.Hash already computed.
+// locHash interns a location (or lock/barrier) name, given its loctab.Hash,
+// and returns its index. The fast path — every name after its first use — is
+// a table probe: lock-free and allocation-free.
 func (t *Tracer) locHash(h uint32, name string) uint32 {
 	if i := t.locs.Get(h, name); i != nil {
 		return *i

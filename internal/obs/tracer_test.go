@@ -4,7 +4,12 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+
+	"mixedmem/internal/loctab"
 )
+
+// intern is RecordLoc's interning step on its own.
+func intern(tr *Tracer, name string) uint32 { return tr.locHash(loctab.Hash(name), name) }
 
 // TestTracerRecordSnapshot checks the basic contract: events come back in
 // record order with their fields intact and the intern table resolving.
@@ -13,12 +18,12 @@ func TestTracerRecordSnapshot(t *testing.T) {
 	if tr.Capacity() != 128 {
 		t.Fatalf("capacity = %d, want 128", tr.Capacity())
 	}
-	locX := tr.Loc("x")
-	locY := tr.Loc("y")
+	locX := intern(tr, "x")
+	locY := intern(tr, "y")
 	if locX == locY {
 		t.Fatalf("distinct locations interned to the same index %d", locX)
 	}
-	if got := tr.Loc("x"); got != locX {
+	if got := intern(tr, "x"); got != locX {
 		t.Fatalf("re-interning x: %d, want %d", got, locX)
 	}
 	tr.Record(EvWriteIssue, 2, 0, locX, 7, 3, 0)
@@ -55,9 +60,6 @@ func TestTracerNil(t *testing.T) {
 	var tr *Tracer
 	tr.Record(EvApply, 0, 0, 0, 0, 0, 0)
 	tr.RecordLoc(EvApply, 0, 0, "x", 0, 0, 0)
-	if tr.Loc("x") != NoLoc {
-		t.Fatalf("nil tracer interned a location")
-	}
 	if tr.Recorded() != 0 || tr.Dropped() != 0 || tr.Snapshot() != nil {
 		t.Fatalf("nil tracer has state")
 	}
@@ -148,7 +150,7 @@ func TestTracerConcurrentSnapshot(t *testing.T) {
 // including the interned-location lookup — allocates nothing.
 func TestRecordAllocFree(t *testing.T) {
 	tr := NewTracer(0, 1024)
-	tr.Loc("warm")
+	intern(tr, "warm")
 	if n := testing.AllocsPerRun(500, func() {
 		tr.Record(EvApply, 1, 2, 3, 4, 5, 6)
 	}); n != 0 {
@@ -192,10 +194,10 @@ func TestInternConcurrent(t *testing.T) {
 			start := w * total / workers
 			for k := 0; k < total; k++ {
 				i := (start + k) % total
-				got[i] = tr.Loc(names[i])
+				got[i] = intern(tr, names[i])
 			}
 			for k := 0; k < total; k += 7 {
-				if again := tr.Loc(names[k]); again != got[k] {
+				if again := intern(tr, names[k]); again != got[k] {
 					t.Errorf("name %q re-interned to %d, first saw %d", names[k], again, got[k])
 					return
 				}
@@ -213,7 +215,7 @@ func TestInternConcurrent(t *testing.T) {
 	}
 	seen := make([]bool, total)
 	for i, name := range names {
-		idx := tr.Loc(name)
+		idx := intern(tr, name)
 		if idx >= total || seen[idx] {
 			t.Fatalf("name %q has index %d: out of range or assigned twice", name, idx)
 		}

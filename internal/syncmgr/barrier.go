@@ -251,11 +251,11 @@ func (c *BarrierClient) barrier(group string, k int, members []int) {
 	if tr := c.node.Tracer(); tr != nil {
 		tr.RecordLoc(obs.EvBarrierEnter, 0, 0, group, uint64(k), 0, 0)
 	}
-	// Barrier arrival is a synchronization boundary: SentCounts flushes the
+	// Barrier arrival is a synchronization boundary: SentSeqs flushes the
 	// node's update outbox and snapshots the vector under one lock, so every
 	// update the reported vector promises is on the wire before the manager
 	// can release anyone against it.
-	sent = c.node.SentCounts(sent)
+	sent = c.node.SentSeqs(sent)
 	if group != "" {
 		// Subset barrier: only members' entries participate.
 		for _, mbr := range members {

@@ -443,7 +443,7 @@ func (c *Client) release(name string, mode LockMode, writeSet []writeStamp) {
 		c.stats.ReleaseWait += time.Since(start)
 		c.mu.Unlock()
 	case Lazy:
-		rel.Counts = c.node.ReceivedCounts(rel.Counts)
+		rel.Counts = c.node.ReceivedSeqs(rel.Counts)
 	case DemandDriven:
 		rel.WriteSet = writeSet
 	}

@@ -200,12 +200,6 @@ func AppendUint32(dst []byte, v uint32) []byte {
 	return binary.BigEndian.AppendUint32(dst, v)
 }
 
-// AppendString appends a uint32 length prefix and the bytes of s.
-func AppendString(dst []byte, s string) []byte {
-	dst = AppendUint32(dst, uint32(len(s)))
-	return append(dst, s...)
-}
-
 // ErrTruncated is recorded by a Decoder that runs out of bytes.
 var ErrTruncated = errors.New("transport: truncated payload")
 

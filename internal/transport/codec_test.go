@@ -5,10 +5,16 @@ import (
 	"testing"
 )
 
+// appendString is the encoding Decoder.String reads: a uint32 length prefix
+// and the bytes of s.
+func appendString(dst []byte, s string) []byte {
+	return append(AppendUint32(dst, uint32(len(s))), s...)
+}
+
 type echoCodec struct{}
 
 func (echoCodec) Encode(dst []byte, payload any) ([]byte, error) {
-	return AppendString(dst, payload.(string)), nil
+	return appendString(dst, payload.(string)), nil
 }
 
 func (echoCodec) Decode(data []byte) (any, error) {
@@ -56,8 +62,8 @@ func TestWireHelpersRoundTrip(t *testing.T) {
 	var b []byte
 	b = AppendUint64(b, 1<<40)
 	b = AppendUint32(b, 77)
-	b = AppendString(b, "loc[3]")
-	b = AppendString(b, "") // empty string is legal
+	b = appendString(b, "loc[3]")
+	b = appendString(b, "") // empty string is legal
 	b = append(b, 0xAB)
 
 	d := NewDecoder(b)
@@ -134,7 +140,7 @@ func TestConnDecoder(t *testing.T) {
 	made := 0
 	RegisterPayload("conn-counting", countingCodec{made: &made})
 	RegisterPayload("conn-plain", echoCodec{})
-	enc := AppendString(nil, "v")
+	enc := appendString(nil, "v")
 
 	var c ConnDecoder
 	for i, want := range []string{"v#1", "v#2", "v#3"} {

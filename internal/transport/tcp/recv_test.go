@@ -45,7 +45,7 @@ func (b *frameBuf) readFrom(r io.Reader) ([]byte, error) {
 
 func dialRaw(t *testing.T, tr *Transport, from int) *rawSender {
 	t.Helper()
-	conn, err := net.Dial("tcp", tr.Addr().String())
+	conn, err := net.Dial("tcp", tr.ln.Addr().String())
 	if err != nil {
 		t.Fatalf("dial: %v", err)
 	}
@@ -716,7 +716,7 @@ func TestReceiverNoticesSenderGone(t *testing.T) {
 // delivered.
 func TestV1HelloRefused(t *testing.T) {
 	trs := newLoopbackT(t, 2)
-	conn, err := net.Dial("tcp", trs[1].Addr().String())
+	conn, err := net.Dial("tcp", trs[1].ln.Addr().String())
 	if err != nil {
 		t.Fatalf("dial: %v", err)
 	}

@@ -122,7 +122,6 @@ import (
 	"time"
 
 	"mixedmem/internal/network"
-	"mixedmem/internal/obs"
 	"mixedmem/internal/transport"
 )
 
@@ -173,11 +172,6 @@ type Config struct {
 	// Logf, when non-nil, receives supervisor diagnostics (dial failures,
 	// decode errors). Silent by default.
 	Logf func(format string, args ...any)
-	// Tracer, when non-nil, records transport resilience events —
-	// reconnects with their replay counts — into the node's trace ring
-	// (internal/obs). Nil, the default, compiles the site down to a nil
-	// check.
-	Tracer *obs.Tracer
 }
 
 func (c *Config) fill() {
@@ -318,9 +312,6 @@ func New(cfg Config) (*Transport, error) {
 	go t.acceptLoop()
 	return t, nil
 }
-
-// Addr returns the listener's address (useful with port-0 listeners).
-func (t *Transport) Addr() net.Addr { return t.ln.Addr() }
 
 // Nodes returns the number of nodes the transport connects.
 func (t *Transport) Nodes() int { return t.n }
@@ -483,24 +474,6 @@ func (t *Transport) Flush(timeout time.Duration) bool {
 	return drained
 }
 
-// DropConn force-closes the current connection to peer `to`, if any. It is
-// a test aid for exercising the reconnect path; the supervisor redials and
-// replays unacked messages, so no traffic is lost.
-func (t *Transport) DropConn(to int) {
-	if to < 0 || to >= t.n || to == t.id {
-		return
-	}
-	p := t.peers[to]
-	p.mu.Lock()
-	conn := p.conn
-	p.mu.Unlock()
-	if conn != nil {
-		// Not under p.mu: Close waits for the connection's ack reader to
-		// leave its read, which may be waiting for p.mu to apply an ack.
-		conn.Close()
-	}
-}
-
 // Close shuts the transport down: stops the supervisors, closes every
 // connection and the listener, and unblocks receivers. Messages not yet
 // acked by their destination are dropped, like the fabric's undelivered
@@ -591,10 +564,6 @@ func (t *Transport) runPeer(p *peer) {
 		replay := p.sent - p.base
 		p.seek()
 		t.replayed.Add(replay)
-		if t.cfg.Tracer != nil {
-			t.cfg.Tracer.Record(obs.EvReconnect, 0, uint16(p.to), obs.NoLoc,
-				t.dials.Load(), replay, 0)
-		}
 		p.mu.Unlock()
 
 		ackDone := make(chan struct{})
