@@ -198,7 +198,7 @@ func TestSessionNameTablesMatchNamingScheme(t *testing.T) {
 		mode        SessionMode
 		msgs, bytes uint64 // bytes 0: dependency matrices make them schedule-dependent
 	}{
-		{SessionBroadcast, 884, 29594},
+		{SessionBroadcast, 884, 28714},
 		{SessionCausalScoped, 564, 0},
 		{SessionHybrid, 564, 0},
 	} {

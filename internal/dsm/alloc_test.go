@@ -240,7 +240,7 @@ func TestOutboxFlushAllocFloor(t *testing.T) {
 }
 
 func TestBatchEncodeAllocFree(t *testing.T) {
-	b := &UpdateBatch{From: 1, FirstSeq: 1, Count: 4, Updates: []Update{
+	b := &UpdateBatch{From: 1, FirstSeq: 1, Updates: []Update{
 		{From: 1, Seq: 1, Op: OpSet, Loc: "alpha", Ordinal: 0, Defines: true, Value: 10},
 		{From: 1, Seq: 2, Op: OpSet, Loc: "beta", Ordinal: 1, Defines: true, Value: 20},
 		{From: 1, Seq: 3, Op: OpAdd, Loc: "gamma", Ordinal: 2, Defines: true, Value: 30},
@@ -261,7 +261,7 @@ func TestBatchEncodeAllocFree(t *testing.T) {
 }
 
 func TestBatchDecodeAllocFloor(t *testing.T) {
-	b := &UpdateBatch{From: 1, FirstSeq: 1, Count: 4, Updates: []Update{
+	b := &UpdateBatch{From: 1, FirstSeq: 1, Updates: []Update{
 		{From: 1, Seq: 1, Op: OpSet, Loc: "alpha", Ordinal: 0, Defines: true, Value: 10},
 		{From: 1, Seq: 2, Op: OpSet, Loc: "beta", Ordinal: 1, Defines: true, Value: 20},
 		{From: 1, Seq: 3, Op: OpAdd, Loc: "gamma", Ordinal: 2, Defines: true, Value: 30},
@@ -449,7 +449,7 @@ func TestScopedEncodeAllocFree(t *testing.T) {
 	deps.Set(1, 4, 9)
 	deps.Set(4, 1, 3)
 	var update any = &Update{From: 1, Seq: 9, Op: OpSet, Loc: "s", Value: 7, Deps: deps}
-	var batch any = &UpdateBatch{From: 1, FirstSeq: 8, Count: 2, Deps: deps, Updates: []Update{
+	var batch any = &UpdateBatch{From: 1, FirstSeq: 8, Deps: deps, Updates: []Update{
 		{From: 1, Seq: 8, Op: OpSet, Loc: "s", Value: 1},
 		{From: 1, Seq: 9, Op: OpAdd, Loc: "t", Value: 2},
 	}}
@@ -505,8 +505,8 @@ func TestConnDecodeAllocFloor(t *testing.T) {
 		{"update", KindUpdate, &Update{From: 1, Seq: 3, Op: OpSet, Ordinal: 2, Value: 10, TS: vclock.VC{1, 3, 4}}, 1.0 / slabSize},
 		{"defining update", KindUpdate, &Update{From: 1, Seq: 3, Op: OpSet, Loc: "alpha", Ordinal: 2, Defines: true, Value: 10, TS: vclock.VC{1, 3, 4}}, 1 + 1.0/slabSize},
 		{"scoped update", KindUpdate, &Update{From: 1, Seq: 3, Op: OpSet, Ordinal: 2, Value: 10, Deps: deps}, 0.05},
-		{"4-entry batch", KindUpdateBatch, &UpdateBatch{From: 1, FirstSeq: 1, Count: 4, Updates: entries}, 0.05},
-		{"4-entry scoped batch", KindUpdateBatch, &UpdateBatch{From: 1, FirstSeq: 1, Count: 4, Deps: deps, Updates: entries}, 0.05},
+		{"4-entry batch", KindUpdateBatch, &UpdateBatch{From: 1, FirstSeq: 1, Updates: entries}, 0.05},
+		{"4-entry scoped batch", KindUpdateBatch, &UpdateBatch{From: 1, FirstSeq: 1, Deps: deps, Updates: entries}, 0.05},
 	} {
 		wire, err := transport.EncodePayload(nil, tc.kind, tc.payload)
 		if err != nil {

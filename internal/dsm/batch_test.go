@@ -397,7 +397,7 @@ func TestScopedCausalMalformedDepsDoesNotStall(t *testing.T) {
 		t.Fatal(err)
 	}
 	badBatch := &UpdateBatch{
-		From: 0, FirstSeq: 2, Count: 2, Deps: vclock.NewMatrix(5),
+		From: 0, FirstSeq: 2, Deps: vclock.NewMatrix(5),
 		Updates: []Update{
 			{From: 0, Seq: 2, Op: OpSet, Loc: "a", Value: 8},
 			{From: 0, Seq: 3, Op: OpSet, Loc: "a", Value: 9},
@@ -438,13 +438,13 @@ func TestScopedCausalMalformedDepsDoesNotStall(t *testing.T) {
 
 func TestEncodedSizeMatchesCodec(t *testing.T) {
 	// The latency model's wire-size accounting must track the real codecs
-	// byte for byte, including the always-present depsN length prefix.
+	// byte for byte, including which sections are present.
 	deps := vclock.NewMatrix(3)
 	deps.Set(1, 0, 4)
 	ts := vclock.New(3)
 	ts[0], ts[1], ts[2] = 2, 3, 5
 	updates := []Update{
-		{From: 1, Seq: 3, Op: OpSet, Loc: "x[2]", Value: -9},
+		{From: 1, Seq: 2, Op: OpSet, Loc: "x[2]", Value: -9},
 		{From: 1, Seq: 3, Op: OpSet, Loc: "x[2]", Value: -9, TS: ts},
 		{From: 1, Seq: 3, Op: OpAdd, Loc: "", Value: 1, Deps: deps},
 	}
@@ -459,12 +459,12 @@ func TestEncodedSizeMatchesCodec(t *testing.T) {
 		}
 	}
 	batches := []*UpdateBatch{
-		{From: 1, FirstSeq: 3, Count: 2, Updates: updates[:2]},
-		{From: 1, FirstSeq: 3, Count: 2, Deps: deps,
+		{From: 1, FirstSeq: 2, Updates: updates[:2]},
+		{From: 1, FirstSeq: 3, Deps: deps,
 			Updates: []Update{{From: 1, Seq: 3, Op: OpSet, Loc: "y", Value: 1}}},
 		// Mixed obligations: the elided flag rides in the flags byte, so it
 		// costs nothing.
-		{From: 1, FirstSeq: 3, Count: 4, Deps: deps, Updates: []Update{
+		{From: 1, FirstSeq: 3, Deps: deps, Updates: []Update{
 			{From: 1, Seq: 3, Op: OpSet, Loc: "c", Value: 1},
 			{From: 1, Seq: 4, Op: OpAdd, Loc: "p", Value: 2, elided: true},
 			{From: 1, Seq: 6, Op: OpAddFloat, Loc: "c2", Value: 3},
@@ -485,11 +485,14 @@ func TestEncodedSizeMatchesCodec(t *testing.T) {
 // counts a property of the program: clock and matrix entries are fixed-width,
 // so two updates, or two batches, that differ only in the values of their
 // timestamps or dependency matrices — which depend on the interleaving that
-// produced them — have the same size, on the wire and in encodedSize. The
-// matrices share their active indices; which processes took part is the
-// program's business. So is the location field: a location's ordinal is its
-// rank in its writer's first-write order and only the first write names it, so
-// one program run under two schedules ships the same bytes, batched or not.
+// produced them — have the same size, on the wire and in encodedSize, in every
+// shape: PRAM-only, timestamp-elided, stamped and scoped. The matrices share
+// their active indices; which processes took part is the program's business.
+// So are the sections an update carries, which follow from its label, scope
+// and mode, and the location field: a location's ordinal is its rank in its
+// writer's first-write order and only the first write names it, so one program
+// run under two schedules ships the same bytes, batched or not, stamped,
+// PRAM-only or Slow.
 func TestEncodedSizeIsScheduleIndependent(t *testing.T) {
 	stamps := func(from int, seq, v uint64) (vclock.VC, vclock.Matrix) {
 		ts := vclock.VC{v, v * 3, v * 7, v + 1}
@@ -516,25 +519,31 @@ func TestEncodedSizeIsScheduleIndependent(t *testing.T) {
 		}
 		return want
 	}
-	var sizes [2][4]int
+	var sizes [2][7]int
 	for i, v := range []uint64{0, 1<<63 + 12345} {
 		ts, deps := stamps(1, 9, v)
 		bts, _ := stamps(1, 11, v^5)
-		sizes[i] = [4]int{
+		sizes[i] = [7]int{
+			size("PRAM-only update", &Update{From: 1, Seq: 9, Op: OpSet, Loc: "x", Value: int64(v)}),
+			size("elided update", &Update{From: 1, Seq: 9, Op: OpSet, Loc: "x", Value: int64(v), Label: history.LabelSlow}),
 			size("vector update", &Update{From: 1, Seq: 9, Op: OpSet, Loc: "x", Value: 1, TS: ts}),
 			size("matrix update", &Update{From: 1, Seq: 9, Op: OpSet, Loc: "x", Value: 1, Deps: deps}),
-			size("vector batch", &UpdateBatch{From: 1, FirstSeq: 9, Count: 3, Updates: []Update{
+			size("vector batch", &UpdateBatch{From: 1, FirstSeq: 9, Updates: []Update{
 				{From: 1, Seq: 9, Op: OpSet, Loc: "x", TS: ts},
 				{From: 1, Seq: 11, Op: OpAdd, Loc: "y", TS: bts},
 			}}),
-			size("matrix batch", &UpdateBatch{From: 1, FirstSeq: 9, Count: 3, Deps: deps, Updates: []Update{
+			size("matrix batch", &UpdateBatch{From: 1, FirstSeq: 9, Deps: deps, Updates: []Update{
 				{From: 1, Seq: 9, Op: OpSet, Loc: "x"},
 				{From: 1, Seq: 11, Op: OpAdd, Loc: "y", elided: true},
+			}}),
+			size("elided batch", &UpdateBatch{From: 1, FirstSeq: 9, Updates: []Update{
+				{From: 1, Seq: 9, Op: OpSet, Loc: "x", Value: int64(v), elided: true},
+				{From: 1, Seq: 11, Op: OpAdd, Loc: "y", Value: int64(v), Label: history.LabelSlow},
 			}}),
 		}
 	}
 	if sizes[0] != sizes[1] {
-		t.Fatalf("sizes (vector update, matrix update, vector batch, matrix batch) moved with the metadata's values: %v vs %v",
+		t.Fatalf("sizes (PRAM-only update, elided update, vector update, matrix update, vector batch, matrix batch, elided batch) moved with the metadata's values: %v vs %v",
 			sizes[0], sizes[1])
 	}
 
@@ -543,14 +552,22 @@ func TestEncodedSizeIsScheduleIndependent(t *testing.T) {
 	// robin.
 	const n, rounds = 3, 4
 	program := func(p, step int) string { return fmt.Sprintf("p%d/%d", p, (step*(p+2))%7) }
-	shipped := func(batch BatchConfig, roundRobin bool) uint64 {
+	// Every third location is Slow: its updates ship no timestamp.
+	slow := map[string]history.Label{}
+	for p := 0; p < n; p++ {
+		for l := 0; l < 7; l += 3 {
+			slow[program(p, l)] = history.LabelSlow
+		}
+	}
+	shipped := func(cfg Config, roundRobin bool) uint64 {
 		f, err := network.New(network.Config{Nodes: n})
 		if err != nil {
 			t.Fatal(err)
 		}
 		nodes := make([]*Node, n)
 		for i := range nodes {
-			if nodes[i], err = NewNode(Config{ID: i, N: n, Transport: f, Batch: batch}); err != nil {
+			cfg.ID, cfg.N, cfg.Transport = i, n, f
+			if nodes[i], err = NewNode(cfg); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -586,8 +603,11 @@ func TestEncodedSizeIsScheduleIndependent(t *testing.T) {
 		return f.Stats().BytesSent
 	}
 	for _, batch := range []BatchConfig{{}, manualBatch} {
-		if seq, rr := shipped(batch, false), shipped(batch, true); seq != rr {
-			t.Errorf("batching %v: %d bytes shipped run process by process, %d round robin", batch.Enabled, seq, rr)
+		for _, cfg := range []Config{{Batch: batch}, {Batch: batch, PRAMOnly: true}, {Batch: batch, Labels: slow}} {
+			if seq, rr := shipped(cfg, false), shipped(cfg, true); seq != rr {
+				t.Errorf("batching %v, PRAM-only %v, Slow labels %v: %d bytes shipped run process by process, %d round robin",
+					batch.Enabled, cfg.PRAMOnly, cfg.Labels != nil, seq, rr)
+			}
 		}
 	}
 }
@@ -607,7 +627,7 @@ func TestBatchCodecRoundTrip(t *testing.T) {
 	ts2 := vclock.New(3)
 	ts2[0], ts2[2] = 17, 6
 	b := &UpdateBatch{
-		From: 2, FirstSeq: 4, Count: 3,
+		From: 2, FirstSeq: 4,
 		Updates: []Update{
 			{From: 2, Seq: 4, Op: OpSet, Loc: "x[3]", Ordinal: 3, Defines: true, Value: -12345, TS: ts1},
 			{From: 2, Seq: 5, Op: OpAddFloat, Loc: "p", Ordinal: 4, Defines: true, Value: 1, elided: true},
@@ -626,7 +646,7 @@ func TestBatchCodecRoundTrip(t *testing.T) {
 	if !ok {
 		t.Fatalf("decoded %T, want *UpdateBatch", dec)
 	}
-	if got.From != 2 || got.FirstSeq != 4 || got.Count != 3 || len(got.Updates) != 3 {
+	if got.From != 2 || got.FirstSeq != 4 || len(got.Updates) != 3 {
 		t.Fatalf("header changed: %+v", got)
 	}
 	for i, u := range got.Updates {
@@ -643,7 +663,7 @@ func TestBatchCodecRoundTrip(t *testing.T) {
 }
 
 func TestBatchCodecEmptyAndNilTimestamps(t *testing.T) {
-	b := &UpdateBatch{From: 0, FirstSeq: 1, Count: 2, Updates: []Update{
+	b := &UpdateBatch{From: 0, FirstSeq: 1, Updates: []Update{
 		{From: 0, Seq: 2, Op: OpSet, Loc: "y", Value: 9},
 	}}
 	enc, err := transport.EncodePayload(nil, KindUpdateBatch, b)
@@ -660,25 +680,25 @@ func TestBatchCodecEmptyAndNilTimestamps(t *testing.T) {
 	}
 }
 
-// rawBatch is a hand-built batch payload: the header — From 0, firstSeq,
-// count, no dependency matrix, nEntries — then the given entry bytes.
-func rawBatch(firstSeq, count, nEntries uint64, entries ...byte) []byte {
+// rawBatch is a hand-built batch payload: the header — From 0, firstSeq, no
+// dependency matrix, nEntries — then the given entry bytes.
+func rawBatch(firstSeq, nEntries uint64, entries ...byte) []byte {
 	b := transport.AppendUvarint(nil, 0)
 	b = transport.AppendUvarint(b, firstSeq)
-	b = transport.AppendUvarint(b, count)
 	b = transport.AppendUvarint(b, 0) // depsN
 	b = transport.AppendUvarint(b, nEntries)
 	return append(b, entries...)
 }
 
 // rawEntry is a hand-built batch entry defining location "x" as ordinal 0 and
-// holding 5: seq distance off, flags byte flags, and the timestamp section ts.
-func rawEntry(off uint64, flags byte, ts ...byte) []byte {
+// holding 5: seq distance off, flags byte flags, and the bytes after the
+// value (the timestamp section, when flags say stamped).
+func rawEntry(off uint64, flags byte, tail ...byte) []byte {
 	e := transport.AppendUvarint(nil, off)
 	e = append(e, flags, 1)
 	e = transport.AppendUvarintString(e, "x")
 	e = transport.AppendUint64(e, 5)
-	return append(e, ts...)
+	return append(e, tail...)
 }
 
 func TestBatchCodecMalformed(t *testing.T) {
@@ -689,56 +709,64 @@ func TestBatchCodecMalformed(t *testing.T) {
 	if _, err := transport.EncodePayload(nil, KindUpdateBatch, UpdateBatch{}); err == nil {
 		t.Fatal("encoding an UpdateBatch value (not *UpdateBatch) succeeded")
 	}
-	setX := byte(OpSet)
-	valid := rawBatch(1, 1, 1, rawEntry(0, setX, 0)...)
+	setX, stamped := byte(OpSet), byte(flagStamped|OpSet)
+	valid := rawBatch(1, 1, rawEntry(0, setX)...)
 	if _, err := transport.DecodePayload(KindUpdateBatch, valid); err != nil {
 		t.Fatalf("the hand-built batch the cases below corrupt does not decode: %v", err)
 	}
+	if _, err := transport.DecodePayload(KindUpdateBatch, rawBatch(1, 1, rawEntry(0, stamped, 2, 0, 0, 0, 0, 0, 0, 0, 9)...)); err != nil {
+		t.Fatalf("the hand-built stamped batch does not decode: %v", err)
+	}
 	// A huge claimed dependency-matrix dimension must fail fast: the quadratic
 	// allocation it implies is exactly what the bound prevents.
-	badDeps := transport.AppendUvarint([]byte{0, 1, 1}, 0xFFFFFFF0)
+	badDeps := transport.AppendUvarint([]byte{0, 1}, 0xFFFFFFF0)
 	// A plausible dimension with no matrix bytes behind it.
-	noMatrix := []byte{0, 1, 1, 3}
+	noMatrix := []byte{0, 1, 3}
 	for _, tc := range []struct {
 		name string
 		data []byte
 	}{
 		{"truncated header", []byte{1, 2}},
-		{"absurd entry count", rawBatch(1, 1<<40, 0xFFFFFFFF)},
-		{"more entries than the updates it covers", rawBatch(1, 1, 2, append(rawEntry(0, setX, 0), rawEntry(0, setX, 0)...)...)},
+		{"absurd entry count", rawBatch(1, 0xFFFFFFFF)},
+		{"more entries than its run has sequence numbers", rawBatch(1, 2, append(rawEntry(0, setX), rawEntry(0, setX)...)...)},
 		{"absurd dependency dimension", badDeps},
 		{"truncated dependency matrix", noMatrix},
-		{"absurd timestamp length", rawBatch(1, 1, 1, rawEntry(0, setX, transport.AppendUvarint(nil, 0x7FFFFFFF)...)...)},
-		{"entry seq past the 64-bit range", rawBatch(1<<64-1, 2, 1, rawEntry(1, setX, 0)...)},
-		{"no operation", rawBatch(1, 1, 1, rawEntry(0, 0, 0)...)},
-		{"elided bit without an operation", rawBatch(1, 1, 1, rawEntry(0, 0x80, 0)...)},
-		{"label above SC", rawBatch(1, 1, 1, rawEntry(0, byte(history.LabelSC+1)<<2|setX, 0)...)},
-		{"label bits all set", rawBatch(1, 1, 1, rawEntry(0, 0x7c|setX, 0)...)},
-		{"non-minimal seq distance", rawBatch(1, 1, 1, append([]byte{0x80, 0x00}, rawEntry(0, setX, 0)[1:]...)...)},
-		{"non-minimal entry count", append(rawBatch(1, 1, 1)[:4], append([]byte{0x81, 0x00}, rawEntry(0, setX, 0)...)...)},
+		{"absurd timestamp length", rawBatch(1, 1, rawEntry(0, stamped, transport.AppendUvarint(nil, 0x7FFFFFFF)...)...)},
+		{"entry seq past the 64-bit range", rawBatch(1<<64-1, 1, rawEntry(1, setX)...)},
+		{"no operation", rawBatch(1, 1, rawEntry(0, 0)...)},
+		{"elided bit without an operation", rawBatch(1, 1, rawEntry(0, 0x80)...)},
+		{"label above SC", rawBatch(1, 1, rawEntry(0, byte(history.LabelSC+1)<<2|setX)...)},
+		{"label bits all set", rawBatch(1, 1, rawEntry(0, 0x1c|setX)...)},
+		{"stamped bit with an empty timestamp", rawBatch(1, 1, rawEntry(0, stamped, 0)...)},
+		{"timestamp without its stamped bit", rawBatch(1, 1, rawEntry(0, setX, 2, 0, 0, 0, 0, 0, 0, 0, 9)...)},
+		{"deps bit with an empty dependency section", rawBatch(1, 1, rawEntry(0, flagDeps|setX, 0)...)},
+		{"deps bit on a batch entry", rawBatch(1, 1, rawEntry(0, flagDeps|setX)...)},
+		{"a label written into bits 5-6", rawBatch(1, 1, rawEntry(0, byte(history.LabelSC|0x18)<<2|setX)...)},
+		{"non-minimal seq distance", rawBatch(1, 1, append([]byte{0x80, 0x00}, rawEntry(0, setX)[1:]...)...)},
+		{"non-minimal entry count", append(rawBatch(1, 1)[:3], append([]byte{0x81, 0x00}, rawEntry(0, setX)...)...)},
 		{"entry cut mid-way", valid[:len(valid)-2]},
-		{"non-minimal location field", rawBatch(1, 1, 1, append([]byte{0, setX, 0x81, 0x00}, rawEntry(0, setX, 0)[3:]...)...)},
-		{"ordinal beyond 32 bits", rawBatch(1, 1, 1, append(transport.AppendUvarint([]byte{0, setX}, 1<<33), rawEntry(0, setX, 0)[5:]...)...)},
+		{"non-minimal location field", rawBatch(1, 1, append([]byte{0, setX, 0x81, 0x00}, rawEntry(0, setX)[3:]...)...)},
+		{"ordinal beyond 32 bits", rawBatch(1, 1, append(transport.AppendUvarint([]byte{0, setX}, 1<<33), rawEntry(0, setX)[5:]...)...)},
 	} {
 		if _, err := transport.DecodePayload(KindUpdateBatch, tc.data); err == nil {
 			t.Errorf("%s: % x decoded", tc.name, tc.data)
 		}
 	}
 	// A timestamp whose sender is beyond its dimension: From 2, two components.
-	from2 := append(transport.AppendUvarint(nil, 2), rawBatch(1, 1, 1, rawEntry(0, setX, append([]byte{2}, transport.AppendUint64(nil, 0)...)...)...)[1:]...)
+	from2 := append(transport.AppendUvarint(nil, 2), rawBatch(1, 1, rawEntry(0, stamped, append([]byte{2}, transport.AppendUint64(nil, 0)...)...)...)[1:]...)
 	if _, err := transport.DecodePayload(KindUpdateBatch, from2); err == nil {
 		t.Errorf("a 2-component timestamp from sender 2 decoded")
 	}
 
 	// What the wire cannot carry, Encode refuses.
 	for _, b := range []*UpdateBatch{
-		{From: 1, FirstSeq: 4, Count: 1, Updates: []Update{{From: 1, Seq: 3, Op: OpSet, Loc: "x"}}},
-		{From: 1, FirstSeq: 4, Count: 1, Updates: []Update{{From: 1, Seq: 4, Op: OpSet, Loc: "x", TS: vclock.VC{4, 3}}}},
-		{From: 1, FirstSeq: 4, Count: 1, Updates: []Update{{From: 1, Seq: 4, Op: 0, Loc: "x"}}},
-		{From: 1, FirstSeq: 4, Count: 1, Updates: []Update{{From: 1, Seq: 4, Op: OpSet, Label: history.LabelSC + 1, Loc: "x"}}},
-		{From: 1, FirstSeq: 4, Count: 1, Updates: []Update{
+		{From: 1, FirstSeq: 4, Updates: []Update{{From: 1, Seq: 3, Op: OpSet, Loc: "x"}}},
+		{From: 1, FirstSeq: 4, Updates: []Update{{From: 1, Seq: 4, Op: OpSet, Loc: "x", TS: vclock.VC{4, 3}}}},
+		{From: 1, FirstSeq: 4, Updates: []Update{{From: 1, Seq: 4, Op: 0, Loc: "x"}}},
+		{From: 1, FirstSeq: 4, Updates: []Update{{From: 1, Seq: 4, Op: OpSet, Label: history.LabelSC + 1, Loc: "x"}}},
+		{From: 1, FirstSeq: 4, Updates: []Update{
 			{From: 1, Seq: 4, Op: OpSet, Loc: "x"}, {From: 1, Seq: 4, Op: OpSet, Loc: "y"}}},
-		{From: -1, FirstSeq: 4, Count: 1, Updates: []Update{{From: -1, Seq: 4, Op: OpSet, Loc: "x"}}},
+		{From: -1, FirstSeq: 4, Updates: []Update{{From: -1, Seq: 4, Op: OpSet, Loc: "x"}}},
 	} {
 		if _, err := transport.EncodePayload(nil, KindUpdateBatch, b); err == nil {
 			t.Errorf("encoded %+v", *b)

@@ -15,34 +15,38 @@ import (
 // unsigned varint):
 //
 //	uvarint From | uvarint Seq | u8 flags | uvarint Ordinal<<1|Defines | [ uvarint len | Loc ] |
-//	u64 Value | uvarint tsLen | (tsLen-1)*u64 TS |
-//	uvarint depsN | [ uvarint nAct | nAct*uvarint ids | nAct*nAct*u64 sub ]
+//	u64 Value | [ uvarint tsLen | (tsLen-1)*u64 TS ] |
+//	[ uvarint depsN | uvarint nAct | nAct*uvarint ids | nAct*nAct*u64 sub ]
 //
 // The location ships as its ordinal (Update.Ordinal) with the defines bit
 // below it, and its name follows only when the bit is set: the sender's first
 // update of a location names it, every later one refers to it, and the
 // receiver's reference table (deliver.go) resolves the ordinal. A decoded
 // reference has an empty Loc, and re-encodes to the same bytes.
-// flags is elided<<7 | Label<<2 | Op: Op is OpSet through OpAddFloat, Label
-// the location's lattice point (history.Label, at most LabelSC; LabelSlow marks
-// a timestamp-elided update delivered on the sender's FIFO alone, see
-// Update.Label), and the elided bit is a batch entry's alone (batchCodec); any
-// other value fails the decode. A PRAMOnly or timestamp-elided update has
-// tsLen 0 and decodes with a nil timestamp, exactly like the in-process value
-// it mirrors. A timestamp's sender component is not sent: it is the update's
-// Seq (issue stamps TS from the clock its own write has just advanced), so the
-// decoder restores it, and Encode refuses an update that breaks the rule.
-// depsN is 0 unless the update carries scoped-causal metadata, in which case
-// the dependency matrix follows; nothing on the wire orders an update after its
-// sender's earlier ones, since the channel is FIFO. The matrix ships sparsely:
+// flags is elided<<7 | deps<<6 | stamped<<5 | Label<<2 | Op: Op is OpSet
+// through OpAddFloat, Label the location's lattice point (history.Label, at
+// most LabelSC; LabelSlow marks a timestamp-elided update delivered on the
+// sender's FIFO alone, see Update.Label), and the elided bit is a batch entry's
+// alone (batchCodec); any other value fails the decode. stamped and deps say
+// which of the two bracketed sections follow, and a section that is absent
+// costs nothing: a PRAMOnly or timestamp-elided update has no timestamp section
+// and decodes with a nil timestamp, exactly like the in-process value it
+// mirrors, and only an update with scoped-causal metadata has a dependency
+// section. A set bit promises a nonempty section (tsLen, depsN > 0), so each
+// value keeps one encoding. A timestamp's sender component is not sent: it is
+// the update's Seq (issue stamps TS from the clock its own write has just
+// advanced), so the decoder restores it, and Encode refuses an update that
+// breaks the rule. Nothing on the wire orders an update after its sender's
+// earlier ones, since the channel is FIFO. The matrix ships sparsely:
 // only the submatrix over its active indices (rows or columns with a nonzero
 // entry) is encoded, so an update's wire size grows with the processes that
 // actually exchanged scoped updates, not with the cluster size — the wire form
 // of garbage-collecting the columns idle peers would otherwise occupy.
 //
 // Varints carry only what the program fixes — sender ids, sequence numbers,
-// ordinals, lengths, counts, active indices — and clock and matrix entries stay
-// fixed-width, so an update's size does not depend on the interleaving that
+// ordinals, lengths, counts, active indices — clock and matrix entries stay
+// fixed-width, and which sections are present follows from the label, scope
+// and mode, so an update's size does not depend on the interleaving that
 // produced its metadata (DESIGN.md §7).
 type updateCodec struct{}
 
@@ -59,7 +63,7 @@ const maxDepsN = 1024
 const maxSlabDepsN = 32
 
 // appendDeps writes the uvarint depsN | [sparse matrix] section shared by both
-// codecs.
+// codecs: an update's when its deps bit is set, a batch's always.
 func appendDeps(dst []byte, deps vclock.Matrix) []byte {
 	dst = transport.AppendUvarint(dst, uint64(deps.Len()))
 	if deps.Len() > 0 {
@@ -76,13 +80,20 @@ func depsSize(deps vclock.Matrix) int {
 	return transport.UvarintLen(uint64(deps.Len())) + deps.ActiveEncodedSize()
 }
 
-// decodeDeps parses the trailing depsN | [sparse matrix] section shared by
-// both codecs. It returns nil when the section is absent (depsN == 0). The
-// matrix is never written once returned: a receiver keeps a parked group's
-// matrix for as long as the group stays parked, and merges from it afterwards.
-func (c *connDecoder) decodeDeps(d *transport.Decoder) (vclock.Matrix, error) {
+// decodeDeps parses the depsN | [sparse matrix] section shared by both
+// codecs. It returns nil for depsN == 0, which only a batch may send: an
+// update whose deps bit promised a matrix (present) must carry one. The matrix
+// is never written once returned: a receiver keeps a parked group's matrix for
+// as long as the group stays parked, and merges from it afterwards.
+func (c *connDecoder) decodeDeps(d *transport.Decoder, present bool) (vclock.Matrix, error) {
 	n := d.Uvarint()
-	if d.Err() != nil || n == 0 {
+	if d.Err() != nil {
+		return nil, nil
+	}
+	if n == 0 {
+		if present {
+			return nil, fmt.Errorf("deps bit set on an empty dependency section")
+		}
 		return nil, nil
 	}
 	if n > maxDepsN {
@@ -135,50 +146,63 @@ func (c *connDecoder) decodeDeps(d *transport.Decoder) (vclock.Matrix, error) {
 	return m, nil
 }
 
-// Flags-byte fields: the operation in the low bits, the label above it, and
-// the batch entry's elided bit (Update.elided) on top.
+// Flags-byte fields: the operation in the low bits, the label above it, the
+// presence bits of the timestamp and dependency sections, and the batch
+// entry's elided bit (Update.elided) on top.
 const (
 	flagOpBits    = 0x03
 	flagLabelOff  = 2
-	flagLabelBits = 0x1f
+	flagLabelBits = 0x07
+	flagStamped   = 0x20
+	flagDeps      = 0x40
 	flagElided    = 0x80
 )
 
-// appendFlags writes u's flags byte, carrying the elided bit only when elided
-// says so (a batch entry); it fails for an op or label the byte cannot carry.
-func appendFlags(dst []byte, u *Update, elided bool) ([]byte, error) {
+// appendFlags writes u's flags byte. A batch entry (entry) may carry the
+// elided bit and never the deps bit: its batch hoists the matrix. It fails for
+// an op or label the byte cannot carry.
+func appendFlags(dst []byte, u *Update, entry bool) ([]byte, error) {
 	if u.Op < OpSet || u.Op > OpAddFloat || u.Label < history.LabelNone || u.Label > history.LabelSC {
 		return dst, fmt.Errorf("op %d with label %d has no wire form", u.Op, u.Label)
 	}
 	b := byte(u.Label)<<flagLabelOff | byte(u.Op)
-	if elided && u.elided {
+	if len(u.TS) > 0 {
+		b |= flagStamped
+	}
+	if entry && u.elided {
 		b |= flagElided
+	}
+	if !entry && u.Deps.Len() > 0 {
+		b |= flagDeps
 	}
 	return append(dst, b), nil
 }
 
-// parseFlags reads a flags byte into u; the elided bit is legal only where
-// elided allows it.
-func parseFlags(d *transport.Decoder, u *Update, elided bool) error {
+// parseFlags reads a flags byte into u and returns its presence bits; the
+// elided bit is legal only on a batch entry (entry), the deps bit only off
+// one.
+func parseFlags(d *transport.Decoder, u *Update, entry bool) (stamped, deps bool, err error) {
 	b := d.Byte()
 	if d.Err() != nil {
-		return nil // the caller reports the truncation
+		return false, false, nil // the caller reports the truncation
 	}
 	op, label := UpdateOp(b&flagOpBits), history.Label(b>>flagLabelOff&flagLabelBits)
-	if op == 0 || label > history.LabelSC || (!elided && b&flagElided != 0) {
-		return fmt.Errorf("flags byte %#02x names no operation, label and obligation", b)
+	stamped, deps = b&flagStamped != 0, b&flagDeps != 0
+	if op == 0 || label > history.LabelSC || (!entry && b&flagElided != 0) || (entry && deps) {
+		return false, false, fmt.Errorf("flags byte %#02x names no operation, label, sections and obligation", b)
 	}
 	u.Op, u.Label, u.elided = op, label, b&flagElided != 0
-	return nil
+	return stamped, deps, nil
 }
 
-// appendTS writes the uvarint tsLen | (tsLen-1)*u64 section: every component
-// of ts but the sender's, which is seq.
+// appendTS writes the uvarint tsLen | (tsLen-1)*u64 section of a stamped
+// update: every component of ts but the sender's, which is seq. An unstamped
+// one has no section.
 func appendTS(dst []byte, ts vclock.VC, from int, seq uint64) ([]byte, error) {
-	dst = transport.AppendUvarint(dst, uint64(len(ts)))
 	if len(ts) == 0 {
 		return dst, nil
 	}
+	dst = transport.AppendUvarint(dst, uint64(len(ts)))
 	if from >= len(ts) || ts[from] != seq {
 		return dst, fmt.Errorf("timestamp %v of sender %d does not end at seq %d", ts, from, seq)
 	}
@@ -193,7 +217,7 @@ func appendTS(dst []byte, ts vclock.VC, from int, seq uint64) ([]byte, error) {
 // tsSize is the length of the section appendTS writes.
 func tsSize(ts vclock.VC) int {
 	if len(ts) == 0 {
-		return 1
+		return 0
 	}
 	return transport.UvarintLen(uint64(len(ts))) + 8*(len(ts)-1)
 }
@@ -219,11 +243,11 @@ func (u *Update) locField() uint64 {
 	return f
 }
 
-// appendEntry writes what an update and a batch entry share: seqField, then
-// flags, location, value and timestamp.
-func appendEntry(dst []byte, u *Update, from int, seqField uint64, elided bool) ([]byte, error) {
+// appendEntry writes what an update and a batch entry (entry) share:
+// seqField, then flags, location, value and timestamp.
+func appendEntry(dst []byte, u *Update, from int, seqField uint64, entry bool) ([]byte, error) {
 	dst = transport.AppendUvarint(dst, seqField)
-	dst, err := appendFlags(dst, u, elided)
+	dst, err := appendFlags(dst, u, entry)
 	if err != nil {
 		return dst, err
 	}
@@ -236,16 +260,17 @@ func appendEntry(dst []byte, u *Update, from int, seqField uint64, elided bool) 
 }
 
 // parseEntry reads the flags, location, value and timestamp of u, whose From
-// and Seq are set; elided says whether the flags may carry the elided bit. A
-// definition's name is a string of its own: a receiver decodes it once per
-// sender and location.
-func (c *connDecoder) parseEntry(d *transport.Decoder, u *Update, elided bool) error {
-	if err := parseFlags(d, u, elided); err != nil {
-		return err
+// and Seq are set; entry says whether u is a batch entry (parseFlags). It
+// returns the flags' deps bit. A definition's name is a string of its own: a
+// receiver decodes it once per sender and location.
+func (c *connDecoder) parseEntry(d *transport.Decoder, u *Update, entry bool) (deps bool, err error) {
+	stamped, deps, err := parseFlags(d, u, entry)
+	if err != nil {
+		return false, err
 	}
 	f := d.Uvarint()
 	if f>>1 > math.MaxUint32 {
-		return fmt.Errorf("location ordinal %d out of range", f>>1)
+		return false, fmt.Errorf("location ordinal %d out of range", f>>1)
 	}
 	u.Ordinal, u.Defines = uint32(f>>1), f&1 != 0
 	var loc []byte
@@ -253,23 +278,25 @@ func (c *connDecoder) parseEntry(d *transport.Decoder, u *Update, elided bool) e
 		loc = d.UvarintBytes()
 	}
 	u.Value = int64(d.Uint64())
-	n := d.Uvarint()
-	if d.Err() != nil {
-		return nil
-	}
-	if n > 0 {
-		if n-1 > uint64(d.Remaining()/8) {
-			return fmt.Errorf("%w: %d-component timestamp in %d bytes", transport.ErrTruncated, n, d.Remaining())
+	if stamped {
+		n := d.Uvarint()
+		if d.Err() != nil {
+			return deps, nil
 		}
-		if uint64(u.From) >= n {
-			return fmt.Errorf("%d-component timestamp from sender %d", n, u.From)
+		switch {
+		case n == 0:
+			return false, fmt.Errorf("stamped bit set on an empty timestamp")
+		case n-1 > uint64(d.Remaining()/8):
+			return false, fmt.Errorf("%w: %d-component timestamp in %d bytes", transport.ErrTruncated, n, d.Remaining())
+		case uint64(u.From) >= n:
+			return false, fmt.Errorf("%d-component timestamp from sender %d", n, u.From)
 		}
 		u.TS = c.timestamp(d, int(n), u.From, u.Seq)
 	}
-	if u.Defines {
+	if u.Defines && d.Err() == nil {
 		u.Loc = string(loc)
 	}
-	return nil
+	return deps, nil
 }
 
 // end returns d's error, or one for bytes left over: a payload is decoded
@@ -427,6 +454,9 @@ func (updateCodec) Encode(dst []byte, payload any) ([]byte, error) {
 	if err != nil {
 		return dst, fmt.Errorf("dsm: update codec: %w", err)
 	}
+	if u.Deps.Len() == 0 {
+		return dst, nil
+	}
 	return appendDeps(dst, u.Deps), nil
 }
 
@@ -472,12 +502,13 @@ func (c *connDecoder) parseUpdate(data []byte) (Update, error) {
 	d := transport.NewDecoder(data)
 	var u Update
 	var err error
+	var deps bool
 	if u.From, err = parseFrom(d); err == nil {
 		u.Seq = d.Uvarint()
-		err = c.parseEntry(d, &u, false)
+		deps, err = c.parseEntry(d, &u, false)
 	}
-	if err == nil && d.Err() == nil {
-		u.Deps, err = c.decodeDeps(d)
+	if err == nil && deps && d.Err() == nil {
+		u.Deps, err = c.decodeDeps(d, true)
 	}
 	if err == nil {
 		err = end(d)
@@ -493,20 +524,24 @@ func (c *connDecoder) parseUpdate(data []byte) (Update, error) {
 // entry of a batch comes from the same process, and each entry's Seq rides as
 // its distance from FirstSeq:
 //
-//	uvarint From | uvarint FirstSeq | uvarint Count |
+//	uvarint From | uvarint FirstSeq |
 //	uvarint depsN | [ uvarint nAct | nAct*uvarint ids | nAct*nAct*u64 sub ] |
 //	uvarint nEntries | nEntries * ( uvarint Seq-FirstSeq | u8 flags | uvarint Ordinal<<1|Defines | [ uvarint len | Loc ] |
-//	                                u64 Value | uvarint tsLen | (tsLen-1)*u64 TS )
+//	                                u64 Value | [ uvarint tsLen | (tsLen-1)*u64 TS ] )
 //
 // A scoped batch with obMatrix entries hoists their dependency metadata into
 // the header (depsN > 0), encoded sparsely over the matrix's active indices
-// exactly as in updateCodec; its entries carry no per-entry timestamps. Each
-// entry's obligation class rides in the elided bit of its flags byte (set: an
-// obNone copy, Update.elided), so mixing costs no byte. An entry's timestamp
-// leaves out the sender's component as an update's does. Decode bounds
-// nEntries (at most Count, the updates the batch covers), every length and
-// depsN, so a malformed length prefix fails with ErrTruncated instead of
-// attempting a huge allocation.
+// exactly as in updateCodec; its entries carry no per-entry timestamps, and an
+// entry's flags never set the deps bit. Each entry's obligation class rides in
+// the elided bit of its flags byte (set: an obNone copy, Update.elided), so
+// mixing costs no byte. An entry's timestamp, present when its stamped bit is
+// set, leaves out the sender's component as an update's does. The run a batch
+// covers is FirstSeq through its latest entry, which the outbox never
+// coalesces away, so no count of the updates it covers rides along; a batch
+// with more entries than its run has sequence numbers fails the decode.
+// Decode bounds nEntries by the bytes left, every length and depsN, so a
+// malformed length prefix fails with ErrTruncated instead of attempting a huge
+// allocation.
 type batchCodec struct{}
 
 func (batchCodec) Encode(dst []byte, payload any) ([]byte, error) {
@@ -514,31 +549,43 @@ func (batchCodec) Encode(dst []byte, payload any) ([]byte, error) {
 	if !ok {
 		return dst, fmt.Errorf("dsm: batch codec: payload is %T", payload)
 	}
-	if b.From < 0 || b.From > maxFrom || uint64(len(b.Updates)) > b.Count {
-		return dst, fmt.Errorf("dsm: batch codec: sender %d with %d entries covering %d updates",
-			b.From, len(b.Updates), b.Count)
+	if b.From < 0 || b.From > maxFrom {
+		return dst, fmt.Errorf("dsm: batch codec: sender id %d out of range", b.From)
 	}
 	dst = transport.AppendUvarint(dst, uint64(b.From))
 	dst = transport.AppendUvarint(dst, b.FirstSeq)
-	dst = transport.AppendUvarint(dst, b.Count)
 	dst = appendDeps(dst, b.Deps)
 	dst = transport.AppendUvarint(dst, uint64(len(b.Updates)))
+	var last uint64
 	for i := range b.Updates {
 		u := &b.Updates[i]
 		if u.Seq < b.FirstSeq {
 			return dst, fmt.Errorf("dsm: batch codec: entry %d: seq %d before the batch's first, %d", i, u.Seq, b.FirstSeq)
 		}
+		last = max(last, u.Seq-b.FirstSeq)
 		var err error
 		if dst, err = appendEntry(dst, u, b.From, u.Seq-b.FirstSeq, true); err != nil {
 			return dst, fmt.Errorf("dsm: batch codec: entry %d: %w", i, err)
 		}
 	}
+	if err := checkRun(len(b.Updates), last); err != nil {
+		return dst, fmt.Errorf("dsm: batch codec: %w", err)
+	}
 	return dst, nil
 }
 
+// checkRun fails for a batch with more entries than its run, FirstSeq
+// through the entry last past it, has sequence numbers.
+func checkRun(entries int, last uint64) error {
+	if entries > 0 && uint64(entries-1) > last {
+		return fmt.Errorf("%d entries in a run of %d updates", entries, last+1)
+	}
+	return nil
+}
+
 // minBatchEntry is the smallest possible encoded entry: seq distance, flags,
-// a one-byte location reference, value and zero-length timestamp.
-const minBatchEntry = 1 + 1 + 1 + 8 + 1
+// a one-byte location reference and value.
+const minBatchEntry = 1 + 1 + 1 + 8
 
 func (batchCodec) Decode(data []byte) (any, error) {
 	return (*connDecoder)(nil).decodeBatch(data)
@@ -572,37 +619,39 @@ func (c *connDecoder) parseBatch(data []byte) (UpdateBatch, error) {
 	if err != nil {
 		return b, fmt.Errorf("dsm: batch codec: %w", err)
 	}
-	b.From, b.FirstSeq, b.Count = from, d.Uvarint(), d.Uvarint()
+	b.From, b.FirstSeq = from, d.Uvarint()
 	if d.Err() == nil {
-		if b.Deps, err = c.decodeDeps(d); err != nil {
+		if b.Deps, err = c.decodeDeps(d, false); err != nil {
 			return b, fmt.Errorf("dsm: batch codec: %w", err)
 		}
 	}
 	nEntries := d.UvarintCount(minBatchEntry)
-	if uint64(nEntries) > b.Count {
-		return b, fmt.Errorf("dsm: batch codec: %d entries in a batch covering %d updates", nEntries, b.Count)
-	}
 	if nEntries > 0 {
 		// Draw the entry slice from the batch pool: the receiving node's
 		// apply path returns it once the batch has fully applied (see
 		// updateSlicePool).
 		b.Updates = getUpdateSlice(nEntries)
 	}
+	var last uint64
 	for i := 0; i < nEntries && d.Err() == nil; i++ {
 		off := d.Uvarint()
 		if off > math.MaxUint64-b.FirstSeq {
-			return b, fmt.Errorf("dsm: batch codec: entry %d: seq %d+%d outside the %d updates the batch covers",
-				i, b.FirstSeq, off, b.Count)
+			return b, fmt.Errorf("dsm: batch codec: entry %d: seq %d+%d past the 64-bit range", i, b.FirstSeq, off)
 		}
+		last = max(last, off)
 		u := Update{From: b.From, Seq: b.FirstSeq + off}
-		if err := c.parseEntry(d, &u, true); err != nil {
+		if _, err := c.parseEntry(d, &u, true); err != nil {
 			return b, fmt.Errorf("dsm: batch codec: entry %d: %w", i, err)
 		}
 		if d.Err() == nil {
 			b.Updates = append(b.Updates, u)
 		}
 	}
-	if err := end(d); err != nil {
+	err = end(d)
+	if err == nil {
+		err = checkRun(nEntries, last)
+	}
+	if err != nil {
 		return b, fmt.Errorf("dsm: batch codec: %w", err)
 	}
 	return b, nil

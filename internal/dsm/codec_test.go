@@ -86,7 +86,7 @@ func TestBatchCodecScopedCausalRoundTrip(t *testing.T) {
 	deps := vclock.NewMatrix(2)
 	deps.Set(1, 0, 7)
 	b := &UpdateBatch{
-		From: 0, FirstSeq: 3, Count: 5, Deps: deps,
+		From: 0, FirstSeq: 3, Deps: deps,
 		Updates: []Update{
 			{From: 0, Seq: 3, Op: OpSet, Loc: "a", Value: 1},
 			{From: 0, Seq: 7, Op: OpAdd, Loc: "b", Value: 2},
@@ -101,7 +101,7 @@ func TestBatchCodecScopedCausalRoundTrip(t *testing.T) {
 		t.Fatalf("decode: %v", err)
 	}
 	got := dec.(*UpdateBatch)
-	if got.FirstSeq != 3 || got.Count != 5 || got.Deps.Len() != 2 || got.Deps.Get(1, 0) != 7 {
+	if got.FirstSeq != 3 || got.Deps.Len() != 2 || got.Deps.Get(1, 0) != 7 {
 		t.Fatalf("scoped batch metadata changed: %+v", got)
 	}
 	if len(got.Updates) != 2 || got.Updates[1].Seq != 7 || got.Updates[1].TS != nil {
@@ -281,7 +281,7 @@ func TestConnDecoderSlabs(t *testing.T) {
 		return wire(&Update{From: 1, Seq: 11, Op: OpSet, Loc: "x", Deps: deps})
 	}
 	scopedBatch := func(deps vclock.Matrix) []byte {
-		enc, err := batchCodec{}.Encode(nil, &UpdateBatch{From: 1, FirstSeq: 11, Count: 1, Deps: deps,
+		enc, err := batchCodec{}.Encode(nil, &UpdateBatch{From: 1, FirstSeq: 11, Deps: deps,
 			Updates: []Update{{From: 1, Seq: 11, Op: OpSet, Loc: "x", Value: 1}}})
 		if err != nil {
 			t.Fatal(err)
@@ -333,39 +333,51 @@ func TestConnDecoderSlabs(t *testing.T) {
 
 // TestUpdateCodecRejectsMalformed: a single-update payload decodes only if
 // every field is one the runtime could have sent — a known operation, a label
-// no stronger than SC, no batch-entry elided bit, a timestamp that has a
+// no stronger than SC, no batch-entry elided bit, presence bits that match the
+// sections that follow, each of which is nonempty, a timestamp that has a
 // component for its sender, minimal varints — and Encode refuses an update
 // whose timestamp's sender component is not its Seq, the component the wire
 // leaves out.
 func TestUpdateCodecRejectsMalformed(t *testing.T) {
 	// From 1, Seq 5, flags, the definition of ordinal 0 as "x", Value 5, then
-	// the timestamp section and an empty dependency section.
-	raw := func(flags byte, ts ...byte) []byte {
+	// the sections the flags promise.
+	raw := func(flags byte, sections ...byte) []byte {
 		b := []byte{1, 5, flags, 1}
 		b = transport.AppendUvarintString(b, "x")
 		b = transport.AppendUint64(b, 5)
-		return append(append(b, ts...), 0)
+		return append(b, sections...)
 	}
-	set := byte(OpSet)
-	if got, err := transport.DecodePayload(KindUpdate, raw(set, 2, 0, 0, 0, 0, 0, 0, 0, 9)); err != nil ||
+	set, stamped, deps := byte(OpSet), byte(flagStamped|OpSet), byte(flagDeps|OpSet)
+	if got, err := transport.DecodePayload(KindUpdate, raw(stamped, 2, 0, 0, 0, 0, 0, 0, 0, 9)); err != nil ||
 		!reflect.DeepEqual(got.(*Update).TS, vclock.VC{9, 5}) {
 		t.Fatalf("the hand-built update the cases below corrupt: %+v, %v", got, err)
+	}
+	// A 2-wide matrix whose one active index, 1, holds 5 on its diagonal.
+	matrix := append([]byte{2, 1, 1}, transport.AppendUint64(nil, 5)...)
+	if got, err := transport.DecodePayload(KindUpdate, raw(deps, matrix...)); err != nil || got.(*Update).Deps.Get(1, 1) != 5 {
+		t.Fatalf("the hand-built scoped update: %+v, %v", got, err)
 	}
 	for _, tc := range []struct {
 		name string
 		data []byte
 	}{
-		{"no operation", raw(0, 0)},
-		{"label above SC", raw(byte(history.LabelSC+1)<<2|set, 0)},
-		{"elided bit on a single update", raw(0x80|set, 0)},
-		{"timestamp with no component for its sender", raw(set, 1)},
-		{"timestamp cut short", raw(set, 3, 0, 0, 0, 0, 0, 0, 0, 9)[:23]},
-		{"non-minimal location field", append([]byte{1, 5, set, 0x81, 0x00}, raw(set, 0)[4:]...)},
-		{"ordinal beyond 32 bits", append(transport.AppendUvarint([]byte{1, 5, set}, 1<<33), raw(set, 0)[6:]...)},
-		{"non-minimal sender", append([]byte{0x81, 0x00}, raw(set, 0)[1:]...)},
-		{"non-minimal seq", append([]byte{1, 0x85, 0x00}, raw(set, 0)[2:]...)},
-		{"non-minimal timestamp length", raw(set, 0x80, 0x00)},
-		{"sender beyond 31 bits", append(transport.AppendUvarint(nil, 1<<31), raw(set, 0)[1:]...)},
+		{"no operation", raw(0)},
+		{"label above SC", raw(byte(history.LabelSC+1)<<2 | set)},
+		{"elided bit on a single update", raw(0x80 | set)},
+		{"a batch entry's elided and deps bits", raw(0x80|deps, matrix...)},
+		{"stamped bit with an empty timestamp", raw(stamped, 0)},
+		{"timestamp without its stamped bit", raw(set, 2, 0, 0, 0, 0, 0, 0, 0, 9)},
+		{"deps bit with an empty dependency section", raw(deps, 0)},
+		{"dependency section without its deps bit", raw(set, matrix...)},
+		{"a label written into bits 5-6", raw(byte(history.LabelSC|0x18)<<2|set, 2, 0, 0, 0, 0, 0, 0, 0, 9)},
+		{"timestamp with no component for its sender", raw(stamped, 1)},
+		{"timestamp cut short", raw(stamped, 3, 0, 0, 0, 0, 0, 0, 0, 9)},
+		{"non-minimal location field", append([]byte{1, 5, set, 0x81, 0x00}, raw(set)[4:]...)},
+		{"ordinal beyond 32 bits", append(transport.AppendUvarint([]byte{1, 5, set}, 1<<33), raw(set)[6:]...)},
+		{"non-minimal sender", append([]byte{0x81, 0x00}, raw(set)[1:]...)},
+		{"non-minimal seq", append([]byte{1, 0x85, 0x00}, raw(set)[2:]...)},
+		{"non-minimal timestamp length", raw(stamped, 0x82, 0x00, 0, 0, 0, 0, 0, 0, 0, 9)},
+		{"sender beyond 31 bits", append(transport.AppendUvarint(nil, 1<<31), raw(set)[1:]...)},
 	} {
 		if _, err := transport.DecodePayload(KindUpdate, tc.data); err == nil {
 			t.Errorf("%s: % x decoded", tc.name, tc.data)

@@ -218,10 +218,7 @@ type deliveryGroup struct {
 	// lastSeq is the sequence number of the group's latest entry, elided or
 	// not, which the outbox never coalesces away: the sender's entry of recvd
 	// on arrival and of causalApplied once the group settles.
-	lastSeq uint64
-	// count is the number of updates the batch's run covers, coalesced-away
-	// ones included; the arrival check and the trace read it.
-	count     uint64
+	lastSeq   uint64
 	ob        obligation
 	malformed bool
 	// need is the cross-sender condition: need[k] <= causalApplied[k] for
@@ -250,7 +247,7 @@ type deliveryGroup struct {
 // its location under the same clock-lock hold. u is shared with the sender's
 // other destinations and is only read.
 func (n *Node) applyRemote(u *Update) {
-	g := deliveryGroup{from: u.From, firstSeq: u.Seq, lastSeq: u.Seq, count: 1}
+	g := deliveryGroup{from: u.From, firstSeq: u.Seq, lastSeq: u.Seq}
 	n.clockMu.Lock()
 	named := n.resolveLocked(&g.one, u.From, u, true)
 	if n.obs != nil {
@@ -281,14 +278,15 @@ func (n *Node) applyBatch(b *UpdateBatch) {
 	// dominates the group's dependencies. A LabelSlow entry carries none. The
 	// same scan enters the batch's definitions into the sender's reference
 	// table, in the order they were sent.
-	g := deliveryGroup{from: b.From, firstSeq: b.FirstSeq, count: b.Count, batch: b.Updates}
+	g := deliveryGroup{from: b.From, firstSeq: b.FirstSeq, batch: b.Updates}
 	var stamped *Update
 	var e entry
-	named := true
+	named, inRun := true, true
 	n.clockMu.Lock()
 	for i := range b.Updates {
 		u := &b.Updates[i]
 		named = n.resolveLocked(&e, b.From, u, true) && named
+		inRun = inRun && u.Seq >= b.FirstSeq
 		g.lastSeq = max(g.lastSeq, u.Seq)
 		if !n.elided(u) && u.Label != history.LabelSlow && (stamped == nil || u.Seq > stamped.Seq) {
 			stamped = u
@@ -296,7 +294,7 @@ func (n *Node) applyBatch(b *UpdateBatch) {
 	}
 	if n.obs != nil {
 		n.obs.Record(obs.EvRecvBatch, uint8(b.Updates[0].Label), uint16(b.From),
-			obs.NoLoc, b.FirstSeq, g.lastSeq, b.Count)
+			obs.NoLoc, b.FirstSeq, g.lastSeq, uint64(len(b.Updates)))
 	}
 	// Under a scope a batch whose entries are all elided carries no matrix:
 	// classify finds it obNone.
@@ -304,6 +302,11 @@ func (n *Node) applyBatch(b *UpdateBatch) {
 		n.classify(&g, history.LabelSlow, nil, b.Deps)
 	} else {
 		n.classify(&g, stamped.Label, stamped.TS, b.Deps)
+	}
+	if !inRun {
+		// The run is FirstSeq through the latest entry; an entry before it
+		// is one the sender never put there.
+		g.holdMalformed()
 	}
 	if !named {
 		// A batch holding an entry the node cannot name applies none: a later
@@ -329,17 +332,12 @@ func (g *deliveryGroup) holdMalformed() {
 // receiveArrivedLocked takes a group of entries updates that has just arrived
 // into the views. The channel is FIFO, so its first Seq lies above the
 // sender's last one here; without a scope, where every update of the sender's
-// reaches this node, it is the next one and the entries lie in the run the
-// group counts. A group that fails is malformed, and settles at its run's end
-// at most and the sender's last Seq at least: no vector moves backwards.
+// reaches this node, it is the next one. A group that fails is malformed, and
+// settles at its run's end — its latest entry — at most and the sender's last
+// Seq at least: no vector moves backwards.
 func (n *Node) receiveArrivedLocked(g *deliveryGroup, entries int) {
 	last := n.recvd[g.from]
-	whole := n.scopeTargets == nil
-	if whole && g.lastSeq-g.firstSeq >= g.count {
-		g.lastSeq = g.firstSeq + g.count - 1
-		g.holdMalformed()
-	}
-	if g.firstSeq <= last || whole && g.firstSeq != last+1 {
+	if g.firstSeq <= last || n.scopeTargets == nil && g.firstSeq != last+1 {
 		g.holdMalformed()
 	}
 	g.lastSeq = max(g.lastSeq, last)
@@ -448,7 +446,7 @@ func (n *Node) settleLocked(g *deliveryGroup) {
 		}
 		if g.ob != obNone {
 			n.obs.Record(obs.EvGroupRelease, 0, uint16(g.from), obs.NoLoc,
-				g.firstSeq, g.lastSeq, g.count)
+				g.firstSeq, g.lastSeq, uint64(max(len(g.batch), 1)))
 		}
 	}
 }

@@ -169,7 +169,7 @@ func TestObligationTable(t *testing.T) {
 			if m.dim > 0 {
 				ts, deps = vclock.New(m.dim), vclock.NewMatrix(m.dim)
 			}
-			g := deliveryGroup{from: 0, firstSeq: 5, lastSeq: 5, count: 1}
+			g := deliveryGroup{from: 0, firstSeq: 5, lastSeq: 5}
 			nd.classify(&g, r.label, ts, deps)
 			if got := (recv{g.ob, g.malformed}); got != m.want {
 				t.Errorf("%s, %s metadata: received under %+v, want %+v", name, m.name, got, m.want)

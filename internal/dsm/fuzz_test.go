@@ -3,6 +3,7 @@ package dsm
 import (
 	"bytes"
 	"reflect"
+	"strings"
 	"testing"
 
 	"mixedmem/internal/history"
@@ -87,20 +88,48 @@ var (
 	}
 )
 
+// v2Updates and v2Batches are the fuzzers' structured seeds in the second
+// wire format, whose updates carried an empty timestamp and dependency section
+// as a zero byte each and whose batches carried the count of updates they
+// covered. Every one must fail to decode today.
+var (
+	v2Updates = []string{
+		"\x00\x01\x01\x01\x01y\x00\x00\x00\x00\x00\x00\x00\t\x00\x00",
+		"\x01\x03\x02\x02\xff\xff\xff\xff\xff\xff\xff\xfc\x02\x00\x00\x00\x00\x00\x00\x00\x01\x00",
+		"\x01\x05\x01\x00\x00\x00\x00\x00\x00\x00\x00\x02\x00\x02\x01\x01\x00\x00\x00\x00\x00\x00\x00\x05",
+		"\x02\t\r\x11\bslowcell\x00\x00\x00\x00\x00\x00\x00\x03\x00\x00",
+		"\x00\x02\t\x00\x00\x00\x00\x00\x00\x00\x00\b\x03\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00",
+		"\x02\a\x01\x00\x00\x00\x00\x00\x00\x00\x00\x04\x00\x03\x03\x00\x01\x02" + strings.Repeat("\x00", 23) + "\a" + strings.Repeat("\x00", 7) +
+			"\x02" + strings.Repeat("\x00", 40),
+	}
+	v2Batches = []string{
+		"\x00\x01\x01\x00\x01\x00\x01\x01\x01x\x00\x00\x00\x00\x00\x00\x00\a\x00",
+		"\x02\x04\x03\x00\x02\x00\x01\x02\xff\xff\xff\xff\xff\xff\xff\xff\x03\x00\x00\x00\x00\x00\x00\x00\t\x00\x00\x00\x00\x00\x00\x00\x00" +
+			"\x02\x02\a\x01b\x00\x00\x00\x00\x00\x00\x00\x02\x03\x00\x00\x00\x00\x00\x00\x00\t\x00\x00\x00\x00\x00\x00\x00\x00",
+		"\x01\x02\x02\x02\x02\x00\x01" + strings.Repeat("\x00", 15) + "\x03" + strings.Repeat("\x00", 16) +
+			"\x02\x00\x01\x00\x00\x00\x00\x00\x00\x00\x00\x05\x00\x01\x03\x00\x00\x00\x00\x00\x00\x00\x00\x01\x00",
+		"\x02\a\x02\x00\x02\x00\r\t\x04cell\x00\x00\x00\x00\x00\x00\x00\x01\x00\x01\r\b\x00\x00\x00\x00\x00\x00\x00\x02\x00",
+		"\x01\x02\x05\x03\x02\x01\x02" + strings.Repeat("\x00", 23) + "\x06" + strings.Repeat("\x00", 8) +
+			"\x04\x00\x82\x00\x00\x00\x00\x00\x00\x00\x00\x01\x00\x02\x01\x00\x00\x00\x00\x00\x00\x00\x00\x05\x00" +
+			"\x03\x82\x00\x00\x00\x00\x00\x00\x00\x00\x01\x00\x04\x01\x00\x00\x00\x00\x00\x00\x00\x00\x06\x00",
+	}
+)
+
 // TestV1PayloadsRejected: the payloads of the first wire format — every entry
-// the fuzzers' corpora held — and each v2 seed with a non-minimal first varint
-// fail to decode, statelessly and through a connection's decoder.
+// the fuzzers' corpora held — the seeds of the second, and each current seed
+// with a non-minimal first varint fail to decode, statelessly and through a
+// connection's decoder.
 func TestV1PayloadsRejected(t *testing.T) {
 	for _, tc := range []struct {
 		kind   string
 		decode func([]byte) (any, error)
-		v1     []string
+		old    []string
 		seeds  [][]byte
 	}{
-		{KindUpdate, new(connDecoder).decodeUpdate, v1Updates, updateSeeds(t)},
-		{KindUpdateBatch, new(connDecoder).decodeBatch, v1Batches, batchSeeds(t)},
+		{KindUpdate, new(connDecoder).decodeUpdate, append(v1Updates, v2Updates...), updateSeeds(t)},
+		{KindUpdateBatch, new(connDecoder).decodeBatch, append(v1Batches, v2Batches...), batchSeeds(t)},
 	} {
-		inputs := tc.v1
+		inputs := tc.old
 		for _, seed := range tc.seeds {
 			inputs = append(inputs, string(nonMinimal(seed)))
 		}
@@ -126,8 +155,8 @@ func FuzzBatchCodecRoundTrip(f *testing.F) {
 		f.Add(seed)
 		f.Add(nonMinimal(seed))
 	}
-	for _, v1 := range v1Batches {
-		f.Add([]byte(v1))
+	for _, old := range append(v1Batches, v2Batches...) {
+		f.Add([]byte(old))
 	}
 	f.Add([]byte{})
 
@@ -149,15 +178,15 @@ func FuzzBatchCodecRoundTrip(f *testing.F) {
 // carved, which the connection decoder must give back.
 func batchSeeds(tb testing.TB) [][]byte {
 	seedBatches := []*UpdateBatch{
-		{From: 0, FirstSeq: 1, Count: 1, Updates: []Update{
+		{From: 0, FirstSeq: 1, Updates: []Update{
 			{From: 0, Seq: 1, Op: OpSet, Loc: "x", Defines: true, Value: 7},
 		}},
-		{From: 2, FirstSeq: 4, Count: 3, Updates: []Update{
+		{From: 2, FirstSeq: 4, Updates: []Update{
 			{From: 2, Seq: 4, Op: OpSet, Ordinal: 1, Value: -1, TS: vclock.VC{9, 0, 4}},
 			{From: 2, Seq: 6, Op: OpAdd, Loc: "b", Ordinal: 3, Defines: true, Value: 2, TS: vclock.VC{9, 0, 6}},
 		}},
 	}
-	scoped := &UpdateBatch{From: 1, FirstSeq: 2, Count: 2, Deps: vclock.NewMatrix(2),
+	scoped := &UpdateBatch{From: 1, FirstSeq: 2, Deps: vclock.NewMatrix(2),
 		Updates: []Update{
 			{From: 1, Seq: 2, Op: OpSet, Loc: "s", Value: 5},
 			{From: 1, Seq: 3, Op: OpAddFloat, Loc: "t", Value: 1},
@@ -165,7 +194,7 @@ func batchSeeds(tb testing.TB) [][]byte {
 	scoped.Deps.Set(0, 1, 3)
 	seedBatches = append(seedBatches, scoped,
 		// An all-Slow batch: timestamp-elided entries only.
-		&UpdateBatch{From: 2, FirstSeq: 7, Count: 2, Updates: []Update{
+		&UpdateBatch{From: 2, FirstSeq: 7, Updates: []Update{
 			{From: 2, Seq: 7, Op: OpSet, Loc: "cell", Ordinal: 4, Defines: true, Value: 1, Label: history.LabelSlow},
 			{From: 2, Seq: 8, Op: OpSet, Ordinal: 4, Value: 2, Label: history.LabelSlow},
 		}})
@@ -186,7 +215,7 @@ func batchSeeds(tb testing.TB) [][]byte {
 	seeds = append(seeds, cut[:len(cut)-1])
 	// A batch mixing obligations — elided entries around causal ones under
 	// one matrix — whole, and cut inside its last entry.
-	mixed := &UpdateBatch{From: 1, FirstSeq: 2, Count: 5, Deps: vclock.NewMatrix(3),
+	mixed := &UpdateBatch{From: 1, FirstSeq: 2, Deps: vclock.NewMatrix(3),
 		Updates: []Update{
 			{From: 1, Seq: 2, Op: OpAdd, Loc: "ctr", Value: 1, elided: true},
 			{From: 1, Seq: 4, Op: OpSet, Loc: "s", Value: 5},
@@ -209,8 +238,8 @@ func FuzzUpdateCodecRoundTrip(f *testing.F) {
 		f.Add(seed)
 		f.Add(nonMinimal(seed))
 	}
-	for _, v1 := range v1Updates {
-		f.Add([]byte(v1))
+	for _, old := range append(v1Updates, v2Updates...) {
+		f.Add([]byte(old))
 	}
 	f.Add([]byte{})
 

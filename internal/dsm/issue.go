@@ -102,14 +102,14 @@ type Update struct {
 
 // encodedSize is the wire size of an update, byte for byte what updateCodec
 // writes: the sender, the entry (sequence number, flags, location ordinal and,
-// in a definition, name, value, timestamp less its sender component) and the
-// dependency section, whose sparse matrix tracks the active peers, not the
-// cluster dimension. It is the Size every transport counts, and it depends on
-// no clock or matrix entry's value, only on how many there are.
+// in a definition, name, value, timestamp less its sender component) and, when
+// it has one, the dependency section, whose sparse matrix tracks the active
+// peers, not the cluster dimension. It is the Size every transport counts, and
+// it depends on no clock or matrix entry's value, only on how many there are.
 func (u *Update) encodedSize() int {
 	s := transport.UvarintLen(uint64(u.From)) + u.entrySize(u.Seq)
-	if u.Deps == nil {
-		return s + 1 // depsN = 0
+	if u.Deps.Len() == 0 {
+		return s
 	}
 	return s + depsSize(u.Deps)
 }
@@ -159,7 +159,7 @@ func (n *Node) issue(op UpdateOp, label history.Label, loc string, value int64) 
 		Ordinal: c.ord - 1, Defines: defines}
 	// The writer keeps the copy a causal reader would get, as a delivery group.
 	var g deliveryGroup // filled in place: a composite literal is built aside and copied
-	g.from, g.firstSeq, g.lastSeq, g.count = n.id, seq, seq, 1
+	g.from, g.firstSeq, g.lastSeq = n.id, seq, seq
 	g.ob = n.sendObligation(label, true)
 	g.one.op, g.one.label, g.one.seq, g.one.value = op, label, seq, value
 	g.one.loc, g.one.sh = le, sh

@@ -183,7 +183,7 @@ func TestUpdateCodecCarriesLabel(t *testing.T) {
 		t.Errorf("decoded label = %v, want Slow", got.Label)
 	}
 
-	b := &UpdateBatch{From: 1, FirstSeq: 4, Count: 2, Updates: []Update{
+	b := &UpdateBatch{From: 1, FirstSeq: 4, Updates: []Update{
 		{From: 1, Seq: 4, Op: OpSet, Label: history.LabelSlow, Loc: "s", Value: 8},
 		{From: 1, Seq: 5, Op: OpSet, Label: history.LabelPRAM, Loc: "p", Value: 9, TS: vclock.VC{0, 5}},
 	}}

@@ -100,12 +100,12 @@ func TestHostileDefinitionsRefused(t *testing.T) {
 	r.applyRemote(def(1, 0, "ok"))
 	r.applyRemote(def(2, 2, "ahead-of-its-seq"))
 	r.applyRemote(def(3, 0, "again"))
-	r.applyBatch(&UpdateBatch{From: 0, FirstSeq: 4, Count: 2, Updates: []Update{
+	r.applyBatch(&UpdateBatch{From: 0, FirstSeq: 4, Updates: []Update{
 		*def(4, 3, "batched"), *def(5, 1, "behind-in-its-batch"),
 	}})
 	// A reference ahead of its definition, and a definition of an ordinal
 	// the sender already named, in one batch: neither may land anywhere.
-	r.applyBatch(&UpdateBatch{From: 0, FirstSeq: 6, Count: 3, Updates: []Update{
+	r.applyBatch(&UpdateBatch{From: 0, FirstSeq: 6, Updates: []Update{
 		{From: 0, Seq: 6, Op: OpSet, Ordinal: 4, Value: 6}, *def(7, 4, "late"), *def(7, 0, "ok-again"),
 	}})
 	r.applyRemote(def(1<<40, 1<<32-1, "far"))
@@ -252,8 +252,8 @@ func TestBroadcastLocationBytesExact(t *testing.T) {
 		for w := 0; w < k*r; w++ {
 			seq, i, defines := uint64(w+1), w%k, w < k
 			// sender, seq, flags, value, a 3-component timestamp less the
-			// sender's, an empty dependency section
-			fixed += (n - 1) * uint64(transport.UvarintLen(uint64(s))+transport.UvarintLen(seq)+1+8+1+16+1)
+			// sender's; no dependency section
+			fixed += (n - 1) * uint64(transport.UvarintLen(uint64(s))+transport.UvarintLen(seq)+1+8+1+16)
 			field := uint64(i) << 1
 			if defines {
 				field |= 1
@@ -339,7 +339,7 @@ func FuzzReferenceTable(f *testing.F) {
 	var stream []byte
 	stream = append(stream, record(KindUpdate, upd(1, 0, "a"))...)
 	stream = append(stream, record(KindUpdate, upd(2, 0, ""))...)
-	stream = append(stream, record(KindUpdateBatch, &UpdateBatch{From: 0, FirstSeq: 3, Count: 3, Updates: []Update{
+	stream = append(stream, record(KindUpdateBatch, &UpdateBatch{From: 0, FirstSeq: 3, Updates: []Update{
 		*upd(3, 2, "c"), *upd(4, 0, ""), *upd(5, 4, "e"),
 	}})...)
 	stream = append(stream, record(KindUpdate, upd(6, 3, ""))...)

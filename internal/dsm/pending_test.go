@@ -23,8 +23,8 @@ import (
 // follows it must reach the causal view. The scoped case checks the same for
 // a dependency matrix of the wrong dimension in a stream with holes. The
 // arrival check holds every group, single update or batch, scoped or not, to
-// its sender's order: a batch whose entry lies past the run it counts must
-// not move the sender's sequence numbers past that run, an update that skips
+// its sender's order: a batch with an entry before its FirstSeq, outside the
+// run it covers, must not move the sender's sequence numbers, an update that skips
 // ahead of a broadcast sender's run moves them to itself and no further, and
 // a stale or duplicate sequence number, under either, moves them not at all —
 // each is malformed and never reaches the causal view.
@@ -67,16 +67,16 @@ func TestBroadcastMalformedTimestampDoesNotStall(t *testing.T) {
 			&Update{From: 0, Seq: 1, Op: OpSet, Loc: "a", Defines: true, Value: 7, TS: vclock.VC{1, 0, 0, 0, 0}},
 			b(2, vclock.VC{2, 0}, nil), 1, 7, 0, 2},
 		{"batch", nil, nil,
-			&UpdateBatch{From: 0, FirstSeq: 1, Count: 1, Updates: []Update{
+			&UpdateBatch{From: 0, FirstSeq: 1, Updates: []Update{
 				// The latest entry's timestamp is the batch's; it sits first.
 				{From: 0, Seq: 1, Op: OpSet, Loc: "a", Defines: true, Value: 9, TS: vclock.VC{1, 0, 0, 0, 0}},
 			}},
-			&UpdateBatch{From: 0, FirstSeq: 2, Count: 1, Updates: []Update{*b(2, vclock.VC{2, 0}, nil)}}, 1, 9, 0, 2},
-		{"batch-outside-its-run", nil, nil,
-			&UpdateBatch{From: 0, FirstSeq: 1, Count: 1, Updates: []Update{
-				{From: 0, Seq: 9, Op: OpSet, Loc: "a", Defines: true, Value: 6, TS: vclock.VC{9, 0}},
-			}},
-			&UpdateBatch{From: 0, FirstSeq: 2, Count: 1, Updates: []Update{*b(2, vclock.VC{2, 0}, nil)}}, 1, 6, 0, 2},
+			&UpdateBatch{From: 0, FirstSeq: 2, Updates: []Update{*b(2, vclock.VC{2, 0}, nil)}}, 1, 9, 0, 2},
+		{"batch-outside-its-run", nil, pre(1, vclock.VC{1, 0}, nil),
+			// The run is FirstSeq through the latest entry; this entry
+			// lies before it.
+			&UpdateBatch{From: 0, FirstSeq: 2, Updates: []Update{*again(1, vclock.VC{1, 0}, nil)}},
+			&UpdateBatch{From: 0, FirstSeq: 2, Updates: []Update{*b(2, vclock.VC{2, 0}, nil)}}, 1, 7, 3, 2},
 		{"update-outside-its-run", nil, nil,
 			&Update{From: 0, Seq: 9, Op: OpSet, Loc: "a", Defines: true, Value: 6, TS: vclock.VC{9, 0}},
 			b(10, vclock.VC{10, 0}, nil), 9, 6, 0, 10},
@@ -356,7 +356,7 @@ func TestPendingGroupsStats(t *testing.T) {
 type refGroup struct {
 	from              int
 	firstSeq, lastSeq uint64
-	count             uint64
+	entries           uint64
 	ts, need          vclock.VC
 	deps              vclock.Matrix
 	slow, elided      bool
@@ -364,7 +364,7 @@ type refGroup struct {
 }
 
 func (g refGroup) String() string {
-	return fmt.Sprintf("%d:[%d,%d]x%d", g.from, g.firstSeq, g.lastSeq, g.count)
+	return fmt.Sprintf("%d:[%d,%d]x%d", g.from, g.firstSeq, g.lastSeq, g.entries)
 }
 
 // refReceiver is the reference causal-delivery model the per-sender queues
@@ -489,13 +489,13 @@ func refGroupOf(m network.Message, scoped bool) refGroup {
 	switch p := m.Payload.(type) {
 	case *Update:
 		return refGroup{
-			from: p.From, firstSeq: p.Seq, lastSeq: p.Seq, count: 1,
+			from: p.From, firstSeq: p.Seq, lastSeq: p.Seq, entries: 1,
 			ts: p.TS.Clone(), deps: p.Deps,
 			slow:   !scoped && p.Label == history.LabelSlow,
 			elided: scoped && p.Deps == nil,
 		}
 	case *UpdateBatch:
-		g := refGroup{from: p.From, firstSeq: p.FirstSeq, count: p.Count, deps: p.Deps}
+		g := refGroup{from: p.From, firstSeq: p.FirstSeq, entries: uint64(len(p.Updates)), deps: p.Deps}
 		var stamped *Update
 		for i := range p.Updates {
 			u := &p.Updates[i]
@@ -623,7 +623,7 @@ func runDrainDifferential(t *testing.T, n int, scope *ScopeMap, labels map[strin
 	// own issues one of the receiver's writes and hands the reference the same
 	// group: the next sequence number, waiting for the fence as it stands.
 	own := func(loc string, add bool) refGroup {
-		g := refGroup{from: recv, count: 1, self: true, need: make(vclock.VC, n)}
+		g := refGroup{from: recv, entries: 1, self: true, need: make(vclock.VC, n)}
 		g.firstSeq = r.ReceivedSeqs(nil)[recv] + 1
 		g.lastSeq = g.firstSeq
 		for j := range g.need {
@@ -784,7 +784,7 @@ func runDrainDifferential(t *testing.T, n int, scope *ScopeMap, labels map[strin
 	for _, e := range snap.Events {
 		switch e.Type {
 		case obs.EvGroupRelease:
-			released = append(released, refGroup{from: int(e.Peer), firstSeq: e.Seq, lastSeq: e.A, count: e.B})
+			released = append(released, refGroup{from: int(e.Peer), firstSeq: e.Seq, lastSeq: e.A, entries: e.B})
 		case obs.EvDepWaitBegin:
 			waits++
 		case obs.EvDepWaitEnd:

@@ -46,14 +46,14 @@ const (
 	EvRecv
 	// EvRecvBatch: an update batch was received (before apply).
 	// Peer = sender, Seq = first sequence number, A = last sequence
-	// number (inclusive), B = update count.
+	// number (inclusive), B = entries carried.
 	EvRecvBatch
 	// EvApply: an update was applied to the receive-order (PRAM) view.
 	// Peer = sender, Seq, Loc.
 	EvApply
 	// EvGroupRelease: a delivery group became causally applicable and was
 	// applied to the causal view. Peer = sender, Seq = first sequence
-	// number, A = last sequence number (inclusive), B = update count.
+	// number, A = last sequence number (inclusive), B = entries carried.
 	EvGroupRelease
 	// EvDepWaitBegin: a delivery group parked on unmet dependencies.
 	// Peer = sender, Seq = FirstSeq.

@@ -711,31 +711,34 @@ func TestReceiverNoticesSenderGone(t *testing.T) {
 	}
 }
 
-// TestV1HelloRefused: a peer speaking the first frame format is refused at its
-// hello, whose magic names that format, and nothing it sends after is
+// TestV1HelloRefused: a peer speaking an earlier wire format — the first
+// frame format ("MXDM"), or the second's update payloads ("MXD2") — is refused
+// at its hello, whose magic names that format, and nothing it sends after is
 // delivered.
 func TestV1HelloRefused(t *testing.T) {
 	trs := newLoopbackT(t, 2)
-	conn, err := net.Dial("tcp", trs[1].ln.Addr().String())
-	if err != nil {
-		t.Fatalf("dial: %v", err)
-	}
-	defer conn.Close()
-	conn.SetDeadline(time.Now().Add(30 * time.Second))
-	v1Hello := []byte("\x00\x00\x00\x09\x01MXDM\x00\x00\x00\x00")
-	if _, err := conn.Write(append(v1Hello, appendMsgFrame(nil, 1, "tcptest", transport.AppendUint64(nil, 7))...)); err != nil {
-		t.Fatalf("write: %v", err)
-	}
-	b := newFrameBuf()
-	if body, err := b.readFrom(conn); err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
-		t.Fatalf("read % x, %v; want the receiver to hang up on a v1 hello", body, err)
-	}
-	// Anything delivered would sit in the inbox ahead of this marker.
-	if err := trs[1].Send(transport.Message{From: 1, To: 1, Kind: "marker"}); err != nil {
-		t.Fatal(err)
-	}
-	if m := recvT(t, trs[1], 1); m.Kind != "marker" {
-		t.Fatalf("a v1 peer's frame was delivered: %+v", m)
+	for _, magic := range []string{"MXDM", "MXD2"} {
+		conn, err := net.Dial("tcp", trs[1].ln.Addr().String())
+		if err != nil {
+			t.Fatalf("dial: %v", err)
+		}
+		conn.SetDeadline(time.Now().Add(30 * time.Second))
+		hello := []byte("\x00\x00\x00\x09\x01" + magic + "\x00\x00\x00\x00")
+		if _, err := conn.Write(append(hello, appendMsgFrame(nil, 1, "tcptest", transport.AppendUint64(nil, 7))...)); err != nil {
+			t.Fatalf("%s: write: %v", magic, err)
+		}
+		b := newFrameBuf()
+		if body, err := b.readFrom(conn); err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
+			t.Fatalf("%s: read % x, %v; want the receiver to hang up on the hello", magic, body, err)
+		}
+		conn.Close()
+		// Anything delivered would sit in the inbox ahead of this marker.
+		if err := trs[1].Send(transport.Message{From: 1, To: 1, Kind: "marker"}); err != nil {
+			t.Fatal(err)
+		}
+		if m := recvT(t, trs[1], 1); m.Kind != "marker" {
+			t.Fatalf("a %s peer's frame was delivered: %+v", magic, m)
+		}
 	}
 }
 

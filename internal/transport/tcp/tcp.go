@@ -89,7 +89,7 @@
 // minimal unsigned varint): every frame is a uint32 body length followed by
 // the body; the body's first byte is the frame type.
 //
-//	hello  1 | u32 magic "MXD2" | u32 senderID     (dialer's first frame)
+//	hello  1 | u32 magic "MXD3" | u32 senderID     (dialer's first frame)
 //	msg    2 | uvarint seq | uvarint kindLen | kind | payload
 //	ack    3 | u64 cumSeq                          (acceptor -> dialer)
 //	ackreq 4                                       (dialer asks for an ack)
@@ -138,7 +138,7 @@ var ackreqFrame = []byte{0, 0, 0, 1, frameAckReq}
 
 // helloMagic guards against a stranger dialing the port, and against a peer
 // that speaks another version of the frame format.
-const helloMagic = 0x4d584432 // "MXD2"
+const helloMagic = 0x4d584433 // "MXD3"
 
 // maxFrame bounds a frame body; larger frames indicate a corrupt stream.
 const maxFrame = 1 << 26
