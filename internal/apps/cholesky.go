@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/rand"
 	"strconv"
-	"strings"
 	"sync"
 
 	"mixedmem/internal/core"
@@ -65,32 +64,18 @@ func (m *SparseSPD) varNames() *spdNames {
 				}
 			}
 		}
-		// An upper bound on the bytes of all names, so the builder's buffer
-		// is allocated once; a name cut from it stays valid either way.
+		// An upper bound on the bytes of all names.
 		digits := len(strconv.Itoa(m.N))
-		var b strings.Builder
-		b.Grow(nonzeros*(len("L_")+2*digits) + m.N*(len("count")+len("l")+2*digits))
-		var num [20]byte
-		// name appends prefix+i, then sep+j when sep is not empty, and
-		// returns what it appended.
-		name := func(prefix string, i int, sep string, j int) string {
-			from := b.Len()
-			b.WriteString(prefix)
-			b.Write(strconv.AppendInt(num[:0], int64(i), 10))
-			if sep != "" {
-				b.WriteString(sep)
-				b.Write(strconv.AppendInt(num[:0], int64(j), 10))
-			}
-			return b.String()[from:]
-		}
+		var nt nameTable
+		nt.b.Grow(nonzeros*(len("L_")+2*digits) + m.N*(len("count")+len("l")+2*digits))
 		for i := 0; i < m.N; i++ {
 			for j := 0; j <= i; j++ {
 				if m.Fill[i][j] {
-					t.l[i*(i+1)/2+j] = name("L", i, "_", j)
+					t.l[i*(i+1)/2+j] = nt.name("L", i, "_", j)
 				}
 			}
-			t.count[i] = name("count", i, "", 0)
-			t.lock[i] = name("l", i, "", 0)
+			t.count[i] = nt.name("count", i, "", 0)
+			t.lock[i] = nt.name("l", i, "", 0)
 		}
 	})
 	return &m.names

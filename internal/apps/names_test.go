@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"mixedmem/internal/core"
+	"mixedmem/internal/loctab"
 )
 
 // The Cholesky programs' naming scheme, spelled out name by name: the
@@ -14,6 +15,10 @@ import (
 func lVar(i, j int) string  { return "L" + strconv.Itoa(i) + "_" + strconv.Itoa(j) }
 func countVar(k int) string { return "count" + strconv.Itoa(k) }
 func colLock(k int) string  { return "l" + strconv.Itoa(k) }
+
+// The session front-end's: key k of session sid, and hit counter group.
+func sessionLoc(sid, key int) string { return "sess/" + strconv.Itoa(sid) + "/k" + strconv.Itoa(key) }
+func aggHitsLoc(group int) string    { return "agg/hits/" + strconv.Itoa(group) }
 
 // TestNameTablesMatchNamingScheme: xVar, lVar, countVar and colLock define
 // the shared-variable names; the tables the programs index must agree with
@@ -148,9 +153,9 @@ func TestSolversDoNotAllocatePerAccess(t *testing.T) {
 	}
 }
 
-// TestSessionNameTablesMatchNamingScheme: sessionLoc and aggHitsLoc define the
-// session front-end's location names; the table the strands index must agree
-// with them over the whole index range, for every process's shard. The names
+// TestSessionNameTablesMatchNamingScheme: sessionLoc and aggHitsLoc spell out
+// the session front-end's location names; the table the strands index must
+// agree with them over the whole index range, for every process's shard. The names
 // are on the wire, so the pins that follow are the other half: the workload
 // fingerprint and the simulated fabric's message and byte counts for the unit
 // tests' configuration read exactly what they read when every request
@@ -178,8 +183,14 @@ func TestSessionNameTablesMatchNamingScheme(t *testing.T) {
 			t.Fatalf("hits[%d] = %q, want %q", g, name, aggHitsLoc(g))
 		}
 	}
+	// Every name is a slice of one string: the table, its slice of names, its
+	// slice of shards and the string, however many names.
+	if allocs := testing.AllocsPerRun(10, func() { c.names() }); allocs != 4 {
+		t.Errorf("names: %.0f allocs for a %d-name table, want 4", allocs, c.Procs*c.Sessions*c.SessionKeys+c.AggGroups)
+	}
+	var names loctab.NameArena
 	for _, k := range []int{0, 9, 123, 1 << 40} {
-		tloc, floc := visLocs(4, 12, k)
+		tloc, floc := visLocs(&names, 4, 12, k)
 		if want := fmt.Sprintf("vis/4/12/t%d", k); tloc != want || IsVisFlagLoc(tloc) {
 			t.Fatalf("timestamp name of flag %d is %q, want %q", k, tloc, want)
 		}
@@ -187,10 +198,12 @@ func TestSessionNameTablesMatchNamingScheme(t *testing.T) {
 			t.Fatalf("flag name of flag %d is %q, want %q", k, floc, want)
 		}
 	}
-	// A probe's two names are the halves of one string: one allocation.
+	// A probe's two names are the halves of one string carved from the
+	// strand's arena: a chunk holds over 100 probes' names, so a probe
+	// allocates nothing of its own.
 	k := 0
-	if allocs := testing.AllocsPerRun(100, func() { k++; _, _ = visLocs(4, 12, k) }); allocs != 1 {
-		t.Errorf("visLocs: %.1f allocs per probe, want 1", allocs)
+	if allocs := testing.AllocsPerRun(1000, func() { k++; _, _ = visLocs(&names, 4, 12, k) }); allocs != 0 {
+		t.Errorf("visLocs: %.3f allocs per probe, want 0", allocs)
 	}
 
 	const fingerprint = 13835541821224367435

@@ -10,6 +10,7 @@ import (
 	"mixedmem/internal/dsm"
 	"mixedmem/internal/hist"
 	"mixedmem/internal/loadgen"
+	"mixedmem/internal/loctab"
 )
 
 // The session/KV front-end is the serving-shaped workload of the S1
@@ -178,43 +179,43 @@ func (c SessionConfig) WithDefaults() SessionConfig {
 }
 
 // Location layout. Session keys are owned by one process; vis locations are
-// one-shot (written once); aggregates are counter objects. sessionLoc and
-// aggHitsLoc define the names; the request path indexes sessionNames, which is
-// built from them.
-func sessionLoc(sid, key int) string {
-	return "sess/" + strconv.Itoa(sid) + "/k" + strconv.Itoa(key)
-}
+// one-shot (written once); aggregates are counter objects. Session key k of
+// session s is "sess/<s>/k<k>" and hit counter g is "agg/hits/<g>"; the
+// request path indexes sessionNames, which holds them.
 
 // sessionNames is the table of a configuration's reusable location names,
 // built once per run so that a request formats none: shard[p][k] is the
 // session location request key k denotes on process p's shard (Sessions *
 // SessionKeys entries each) and hits[g] hit counter g's (AggGroups entries).
-// The one-shot vis locations are formatted as they are raised.
+// The one-shot vis locations are carved from a per-strand arena as they are
+// raised (visLocs).
 type sessionNames struct {
 	shard [][]string
 	hits  []string
 }
 
-// names builds the configuration's name table. c has its defaults filled in.
+// names builds the configuration's name table. Every name is a slice of one
+// string, so the table costs a handful of allocations however many names it
+// holds. c has its defaults filled in.
 func (c SessionConfig) names() *sessionNames {
-	nm := &sessionNames{shard: make([][]string, c.Procs), hits: c.hitNames()}
+	keys := c.Sessions * c.SessionKeys
+	all := make([]string, c.Procs*keys+c.AggGroups)
+	nm := &sessionNames{shard: make([][]string, c.Procs), hits: all[c.Procs*keys:]}
+	// An upper bound on the bytes of all names.
+	var nt nameTable
+	nt.b.Grow(c.Procs*keys*(len("sess//k")+len(strconv.Itoa(c.Procs*c.Sessions))+len(strconv.Itoa(c.SessionKeys))) +
+		c.AggGroups*(len("agg/hits/")+len(strconv.Itoa(c.AggGroups))))
 	for p := range nm.shard {
-		shard := make([]string, c.Sessions*c.SessionKeys)
+		shard := all[p*keys : (p+1)*keys : (p+1)*keys]
 		for k := range shard {
-			shard[k] = sessionLoc(p*c.Sessions+k/c.SessionKeys, k%c.SessionKeys)
+			shard[k] = nt.name("sess/", p*c.Sessions+k/c.SessionKeys, "/k", k%c.SessionKeys)
 		}
 		nm.shard[p] = shard
 	}
-	return nm
-}
-
-// hitNames builds the hit counters' half of the table.
-func (c SessionConfig) hitNames() []string {
-	hits := make([]string, c.AggGroups)
-	for g := range hits {
-		hits[g] = aggHitsLoc(g)
+	for g := range nm.hits {
+		nm.hits[g] = nt.name("agg/hits/", g, "", 0)
 	}
-	return hits
+	return nm
 }
 
 // VisLocPrefix is the namespace of the write-visibility probe locations:
@@ -236,8 +237,8 @@ func IsVisFlagLoc(loc string) bool {
 
 // visLocs names flag k of strand (proc, worker)'s timestamp and flag
 // locations, formatting the shared digits once: both names are the two halves
-// of one string, one allocation.
-func visLocs(proc, worker, k int) (tloc, floc string) {
+// of one string carved from names, so a probe allocates nothing of its own.
+func visLocs(names *loctab.NameArena, proc, worker, k int) (tloc, floc string) {
 	var buf [160]byte
 	b := append(buf[:0], VisLocPrefix...)
 	b = strconv.AppendInt(b, int64(proc), 10)
@@ -250,11 +251,9 @@ func visLocs(proc, worker, k int) (tloc, floc string) {
 	half := len(b)
 	b = append(b, b...)
 	b[half+kind] = 'f'
-	both := string(b)
+	both := names.Carve(b)
 	return both[:half], both[half:]
 }
-
-func aggHitsLoc(group int) string { return "agg/hits/" + strconv.Itoa(group) }
 
 const aggActiveLoc = "agg/active"
 
@@ -402,6 +401,7 @@ func SessionScope(c SessionConfig) *dsm.ScopeMap {
 		probers[f] = []int{f}
 	}
 	nm := c.names()
+	var visNames loctab.NameArena
 	for p := 0; p < c.Procs; p++ {
 		for s := 0; s < c.Sessions; s++ {
 			readers := []int{p}
@@ -416,7 +416,7 @@ func SessionScope(c SessionConfig) *dsm.ScopeMap {
 		for w := 0; w < c.Workers; w++ {
 			c.walkFlagPlan(p, w, func(f int, probe visProbe) {
 				prober := probers[probe.Follower]
-				tloc, floc := visLocs(p, w, f)
+				tloc, floc := visLocs(&visNames, p, w, f)
 				scope.Readers[tloc] = prober
 				scope.CausalReaders[tloc] = prober
 				scope.Readers[floc] = prober
@@ -526,6 +526,7 @@ func runSessionWorker(t core.ThreadOps, c SessionConfig, nm *sessionNames, me, w
 	// it.
 	base := time.Now()
 	writes := 0
+	var visNames loctab.NameArena
 	for i := 0; i < c.Warmup+c.Ops; i++ {
 		req := g.Next()
 		if c.Rate > 0 {
@@ -556,7 +557,7 @@ func runSessionWorker(t core.ThreadOps, c SessionConfig, nm *sessionNames, me, w
 			rec.writes++
 			if measured && c.visEnabled() {
 				if writes%c.VisEvery == 0 {
-					tloc, floc := visLocs(me, w, rec.flags)
+					tloc, floc := visLocs(&visNames, me, w, rec.flags)
 					t.Write(tloc, time.Now().UnixNano())
 					t.Write(floc, int64(rec.flags+1))
 					rec.flags++
@@ -598,11 +599,12 @@ func runSessionWorker(t core.ThreadOps, c SessionConfig, nm *sessionNames, me, w
 // is visible here.
 func runVisProber(t core.ThreadOps, c SessionConfig, nm *sessionNames, me, watched, w int, rec *strandRec) {
 	base := time.Now()
+	var visNames loctab.NameArena
 	c.walkFlagPlan(watched, w, func(k int, probe visProbe) {
 		if probe.Follower != me {
 			return
 		}
-		tloc, floc := visLocs(watched, w, k)
+		tloc, floc := visLocs(&visNames, watched, w, k)
 		t.Await(floc, int64(k+1))
 		sent := t.ReadCausal(tloc)
 		rec.vis.Record(time.Now().UnixNano() - sent)
@@ -624,7 +626,7 @@ func VerifySessionCounters(p core.Process, cfg SessionConfig) error {
 	c := cfg.WithDefaults()
 	c.Procs = p.N()
 	want := c.ExpectedHits()
-	for g, loc := range c.hitNames() {
+	for g, loc := range c.names().hits {
 		if got := p.ReadPRAM(loc); got != want[g] {
 			return fmt.Errorf("proc %d: hit counter %d = %d, want %d", p.ID(), g, got, want[g])
 		}

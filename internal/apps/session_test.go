@@ -6,6 +6,7 @@ import (
 
 	"mixedmem/internal/check"
 	"mixedmem/internal/core"
+	"mixedmem/internal/loctab"
 	"mixedmem/internal/network"
 )
 
@@ -180,7 +181,7 @@ func TestSessionScopeShape(t *testing.T) {
 	if len(plan) == 0 {
 		t.Fatal("no flags planned for strand (0,0)")
 	}
-	_, flag := visLocs(0, 0, 0)
+	_, flag := visLocs(new(loctab.NameArena), 0, 0, 0)
 	if got := scope.Readers[flag]; len(got) != 1 || got[0] != plan[0].Follower {
 		t.Fatalf("vis flag readers %v, want the planned follower %d", got, plan[0].Follower)
 	}

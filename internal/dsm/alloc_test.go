@@ -483,9 +483,9 @@ func TestScopedEncodeAllocFree(t *testing.T) {
 // *Update or *UpdateBatch, the timestamps and the dependency matrix come from
 // slabs, one allocation each per slabSize; the entry slice of a batch from the
 // update-slice pool. A timestamped update carries its stamp inside its own
-// slab element, so slabSize of them cost one allocation. A definition costs
-// its name's string on top, which a receiver pays once per sender and
-// location.
+// slab element, so slabSize of them cost one allocation. A definition's name
+// comes from the connection's name arena, one allocation per chunk
+// (TestConnDecodeDefinitionAllocFree).
 func TestConnDecodeAllocFloor(t *testing.T) {
 	deps := vclock.NewMatrix(3)
 	deps.Set(0, 1, 2)
@@ -503,7 +503,7 @@ func TestConnDecodeAllocFloor(t *testing.T) {
 		limit   float64 // allocations per decode
 	}{
 		{"update", KindUpdate, &Update{From: 1, Seq: 3, Op: OpSet, Ordinal: 2, Value: 10, TS: vclock.VC{1, 3, 4}}, 1.0 / slabSize},
-		{"defining update", KindUpdate, &Update{From: 1, Seq: 3, Op: OpSet, Loc: "alpha", Ordinal: 2, Defines: true, Value: 10, TS: vclock.VC{1, 3, 4}}, 1 + 1.0/slabSize},
+		{"defining update", KindUpdate, &Update{From: 1, Seq: 3, Op: OpSet, Loc: "alpha", Ordinal: 2, Defines: true, Value: 10, TS: vclock.VC{1, 3, 4}}, 1.0/slabSize + float64(len("alpha"))/loctab.ArenaChunk},
 		{"scoped update", KindUpdate, &Update{From: 1, Seq: 3, Op: OpSet, Ordinal: 2, Value: 10, Deps: deps}, 0.05},
 		{"4-entry batch", KindUpdateBatch, &UpdateBatch{From: 1, FirstSeq: 1, Updates: entries}, 0.05},
 		{"4-entry scoped batch", KindUpdateBatch, &UpdateBatch{From: 1, FirstSeq: 1, Deps: deps, Updates: entries}, 0.05},
@@ -539,6 +539,46 @@ func TestConnDecodeAllocFloor(t *testing.T) {
 		// One allocation per slab of each kind the payload takes from.
 		if perDecode := allocs / slabSize; perDecode > tc.limit {
 			t.Errorf("connection %s decode: %.3f allocs/op, want <= %.3f (slabs only)", tc.name, perDecode, tc.limit)
+		}
+	}
+}
+
+// TestConnDecodeDefinitionAllocFree: decoding a definition allocates nothing
+// while the connection's update or batch slab and its name arena's chunk have
+// room — the name is carved from the chunk, not a string of its own. The
+// first decode carves the slab and the chunk, and the measured decodes (and
+// AllocsPerRun's warm-up) fill the rest of that one slab.
+func TestConnDecodeDefinitionAllocFree(t *testing.T) {
+	batch := &UpdateBatch{From: 1, FirstSeq: 1}
+	for i := range 4 {
+		batch.Updates = append(batch.Updates, Update{From: 1, Seq: uint64(i + 1), Op: OpSet,
+			Loc: fmt.Sprintf("cell/%d", i), Ordinal: uint32(i), Defines: true, Value: int64(i)})
+	}
+	for _, tc := range []struct {
+		kind    string
+		codec   transport.ConnCodec
+		payload any
+	}{
+		{KindUpdate, updateCodec{}, &Update{From: 1, Seq: 3, Op: OpSet, Loc: "alpha", Ordinal: 2, Defines: true, Value: 10, TS: vclock.VC{1, 3, 4}}},
+		{KindUpdateBatch, batchCodec{}, batch},
+	} {
+		wire, err := transport.EncodePayload(nil, tc.kind, tc.payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		decode := tc.codec.NewConnDecoder()
+		decodeOne := func() {
+			got, err := decode(wire)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if b, ok := got.(*UpdateBatch); ok {
+				putUpdateSlice(b.Updates)
+			}
+		}
+		decodeOne()
+		if allocs := testing.AllocsPerRun(slabSize-2, decodeOne); allocs != 0 {
+			t.Errorf("%s: decoding a definition costs %.0f allocs with room in the slab and the name chunk, want 0", tc.kind, allocs)
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"mixedmem/internal/history"
+	"mixedmem/internal/loctab"
 	"mixedmem/internal/transport"
 	"mixedmem/internal/vclock"
 )
@@ -261,8 +262,7 @@ func appendEntry(dst []byte, u *Update, from int, seqField uint64, entry bool) (
 
 // parseEntry reads the flags, location, value and timestamp of u, whose From
 // and Seq are set; entry says whether u is a batch entry (parseFlags). It
-// returns the flags' deps bit. A definition's name is a string of its own: a
-// receiver decodes it once per sender and location.
+// returns the flags' deps bit. A definition's name is left to define.
 func (c *connDecoder) parseEntry(d *transport.Decoder, u *Update, entry bool) (deps bool, err error) {
 	stamped, deps, err := parseFlags(d, u, entry)
 	if err != nil {
@@ -294,9 +294,38 @@ func (c *connDecoder) parseEntry(d *transport.Decoder, u *Update, entry bool) (d
 		u.TS = c.timestamp(d, int(n), u.From, u.Seq)
 	}
 	if u.Defines && d.Err() == nil {
-		u.Loc = string(loc)
+		c.define(u, loc)
 	}
 	return deps, nil
+}
+
+// define names u's location loc, which aliases the payload. The stateless
+// decoder copies it at once. A connection defers it until the whole payload
+// has decoded (carveName), so a decode that fails carves nothing from the
+// name arena.
+func (c *connDecoder) define(u *Update, loc []byte) {
+	if c == nil {
+		u.Loc = string(loc)
+		return
+	}
+	c.defs = append(c.defs, loc)
+}
+
+// carveName gives u, a decoded update, the k-th name define deferred when u
+// defines, carved from the connection's arena, and returns the index of the
+// next name. A payload's updates are visited in order, then dropDefs lets go
+// of the payload.
+func (c *connDecoder) carveName(u *Update, k int) int {
+	if !u.Defines {
+		return k
+	}
+	u.Loc = c.names.Carve(c.defs[k])
+	return k + 1
+}
+
+func (c *connDecoder) dropDefs() {
+	clear(c.defs)
+	c.defs = c.defs[:0]
 }
 
 // end returns d's error, or one for bytes left over: a payload is decoded
@@ -324,11 +353,12 @@ func parseFrom(d *transport.Decoder) (int, error) {
 // connDecoder is what one inbound connection keeps between the payloads it
 // decodes, for one of the two update kinds (transport.ConnCodec): the slabs
 // decoded updates (each with room for its timestamp, as a sent one has),
-// batches, batch entries' timestamps and dependency matrices are carved from.
-// It knows no location names: those live in the receiving node's reference
-// tables, which see each update once, after the transport's dedup — a
-// connection sees replayed duplicates, and a redial replays only the unacked
-// suffix, so it could neither trust nor complete a dictionary. It belongs to the
+// batches, batch entries' timestamps and dependency matrices are carved from,
+// and the name arena definitions' names are carved from. It resolves no location
+// names: those live in the receiving node's reference tables, which see each
+// update once, after the transport's dedup — a connection sees replayed
+// duplicates, and a redial replays only the unacked suffix, so it could
+// neither trust nor complete a dictionary. It belongs to the
 // goroutine serving the connection — no lock, no pool — and everything it
 // hands out is immutable once returned, exactly like the sender's slabs (see
 // Update).
@@ -341,13 +371,19 @@ func parseFrom(d *transport.Decoder) (int, error) {
 // only until it is used up, and after that by the values carved from it, so
 // the collector frees it with the last of those — an update in the inbox, a
 // parked group's timestamp or matrix — and one long-parked group pins at most
-// its own slabs.
+// its own slabs. A name chunk lives while any name carved from it does, which
+// the node's location table keeps for its life; a name the node already knew
+// is garbage inside its chunk (loctab.NameArena bounds the waste).
 type connDecoder struct {
 	upd   []stampedUpdate // the unused rest of the update slab
 	batch []UpdateBatch   // the unused rest of the batch slab
 	ts    []uint64        // the unused rest of the timestamp slab
 	mx    matrixSlab      // the unused rest of the matrix slabs
 	ids   []int           // decodeDeps's active-index scratch
+	names loctab.NameArena
+	// defs holds the names of the payload being decoded, in order, until
+	// carveName carves them.
+	defs [][]byte
 	// spare is where the update being decoded parses a timestamp that fits
 	// its element (stamp, until the element is carved), nil while a batch is.
 	spare []uint64
@@ -422,6 +458,7 @@ func (c *connDecoder) mark() slabMark {
 func (c *connDecoder) rollback(m slabMark) {
 	if c != nil {
 		c.ts, c.mx = m.ts, m.mx
+		c.dropDefs()
 	}
 }
 
@@ -470,8 +507,9 @@ func (updateCodec) NewConnDecoder() func([]byte) (any, error) {
 
 // decodeUpdate is updateCodec's one parse body. The update is parsed into a
 // local, a timestamp that fits its element into the decoder's stamp, and both
-// are copied into the slab's next element only once the whole payload has
-// decoded, so a failed decode consumes no element.
+// are copied into the slab's next element, and a definition's name carved,
+// only once the whole payload has decoded, so a failed decode consumes no
+// element and no name bytes.
 func (c *connDecoder) decodeUpdate(data []byte) (any, error) {
 	if c == nil {
 		u, err := c.parseUpdate(data)
@@ -495,6 +533,8 @@ func (c *connDecoder) decodeUpdate(data []byte) (any, error) {
 		e.TS = e.words[:len(u.TS):len(u.TS)]
 		copy(e.TS, u.TS)
 	}
+	c.carveName(&e.Update, 0)
+	c.dropDefs()
 	return &e.Update, nil
 }
 
@@ -598,7 +638,8 @@ func (batchCodec) NewConnDecoder() func([]byte) (any, error) {
 // decodeBatch is batchCodec's one parse body. The entry slice comes from the
 // batch pool on either path; a failed decode returns it, and the timestamp
 // words and matrix its parse took. Like an update, the batch is copied into
-// its slab slot only once the whole payload has decoded.
+// its slab slot, and its definitions' names carved, only once the whole
+// payload has decoded.
 func (c *connDecoder) decodeBatch(data []byte) (any, error) {
 	mark := c.mark()
 	b, err := c.parseBatch(data)
@@ -606,6 +647,12 @@ func (c *connDecoder) decodeBatch(data []byte) (any, error) {
 		c.rollback(mark)
 		putUpdateSlice(b.Updates)
 		return nil, err
+	}
+	if c != nil {
+		for i, k := 0, 0; i < len(b.Updates); i++ {
+			k = c.carveName(&b.Updates[i], k)
+		}
+		c.dropDefs()
 	}
 	out := c.updateBatch()
 	*out = b

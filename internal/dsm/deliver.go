@@ -243,22 +243,24 @@ type deliveryGroup struct {
 	parkedAt int64
 }
 
-// applyRemote receives a single update as a delivery group of one, resolving
-// its location under the same clock-lock hold. u is shared with the sender's
-// other destinations and is only read.
-func (n *Node) applyRemote(u *Update) {
-	g := deliveryGroup{from: u.From, firstSeq: u.Seq, lastSeq: u.Seq}
+// applyRemote receives a single update from process from, the channel it
+// arrived on, as a delivery group of one, resolving its location under the
+// same clock-lock hold. u is shared with the sender's other destinations and
+// is only read. An update whose own sender field names another process is
+// held malformed in from's order.
+func (n *Node) applyRemote(from int, u *Update) {
+	g := deliveryGroup{from: from, firstSeq: u.Seq, lastSeq: u.Seq}
 	n.clockMu.Lock()
-	named := n.resolveLocked(&g.one, u.From, u, true)
+	named := n.resolveLocked(&g.one, from, u, true)
 	if n.obs != nil {
 		if named {
-			n.obs.RecordLocHash(obs.EvRecv, uint8(u.Label), uint16(u.From), g.one.loc.Hash(), g.one.loc.Key(), u.Seq, 0, 0)
+			n.obs.RecordLocHash(obs.EvRecv, uint8(u.Label), uint16(from), g.one.loc.Hash(), g.one.loc.Key(), u.Seq, 0, 0)
 		} else {
-			n.obs.Record(obs.EvRecv, uint8(u.Label), uint16(u.From), obs.NoLoc, u.Seq, 0, 0)
+			n.obs.Record(obs.EvRecv, uint8(u.Label), uint16(from), obs.NoLoc, u.Seq, 0, 0)
 		}
 	}
 	n.classify(&g, u.Label, u.TS, u.Deps)
-	if !named {
+	if !named || u.From != from {
 		g.holdMalformed()
 	}
 	n.receiveArrivedLocked(&g, 1)
@@ -266,9 +268,11 @@ func (n *Node) applyRemote(u *Update) {
 	n.clockMu.Unlock()
 }
 
-// applyBatch receives a batch as one delivery group. b is the sender's or the
-// decoder's and is only read.
-func (n *Node) applyBatch(b *UpdateBatch) {
+// applyBatch receives a batch from process from, the channel it arrived on,
+// as one delivery group. b is the sender's or the decoder's and is only read.
+// A batch whose own sender field names another process is held malformed in
+// from's order.
+func (n *Node) applyBatch(from int, b *UpdateBatch) {
 	if len(b.Updates) == 0 {
 		return
 	}
@@ -278,14 +282,14 @@ func (n *Node) applyBatch(b *UpdateBatch) {
 	// dominates the group's dependencies. A LabelSlow entry carries none. The
 	// same scan enters the batch's definitions into the sender's reference
 	// table, in the order they were sent.
-	g := deliveryGroup{from: b.From, firstSeq: b.FirstSeq, batch: b.Updates}
+	g := deliveryGroup{from: from, firstSeq: b.FirstSeq, batch: b.Updates}
 	var stamped *Update
 	var e entry
 	named, inRun := true, true
 	n.clockMu.Lock()
 	for i := range b.Updates {
 		u := &b.Updates[i]
-		named = n.resolveLocked(&e, b.From, u, true) && named
+		named = n.resolveLocked(&e, from, u, true) && named
 		inRun = inRun && u.Seq >= b.FirstSeq
 		g.lastSeq = max(g.lastSeq, u.Seq)
 		if !n.elided(u) && u.Label != history.LabelSlow && (stamped == nil || u.Seq > stamped.Seq) {
@@ -293,7 +297,7 @@ func (n *Node) applyBatch(b *UpdateBatch) {
 		}
 	}
 	if n.obs != nil {
-		n.obs.Record(obs.EvRecvBatch, uint8(b.Updates[0].Label), uint16(b.From),
+		n.obs.Record(obs.EvRecvBatch, uint8(b.Updates[0].Label), uint16(from),
 			obs.NoLoc, b.FirstSeq, g.lastSeq, uint64(len(b.Updates)))
 	}
 	// Under a scope a batch whose entries are all elided carries no matrix:
@@ -303,7 +307,7 @@ func (n *Node) applyBatch(b *UpdateBatch) {
 	} else {
 		n.classify(&g, stamped.Label, stamped.TS, b.Deps)
 	}
-	if !inRun {
+	if !inRun || b.From != from {
 		// The run is FirstSeq through the latest entry; an entry before it
 		// is one the sender never put there.
 		g.holdMalformed()

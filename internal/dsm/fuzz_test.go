@@ -2,11 +2,13 @@ package dsm
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
 
 	"mixedmem/internal/history"
+	"mixedmem/internal/loctab"
 	"mixedmem/internal/transport"
 	"mixedmem/internal/vclock"
 )
@@ -22,8 +24,8 @@ func decodeBoth(t *testing.T, kind string, conn *connDecoder, decode func([]byte
 	if len(data) == 0 {
 		return want, wantErr // a wire transport never hands a codec an empty payload
 	}
-	slabs := func() [5]int {
-		return [5]int{len(conn.upd), len(conn.batch), len(conn.ts), len(conn.mx.rows), len(conn.mx.words)}
+	slabs := func() [6]int {
+		return [6]int{len(conn.upd), len(conn.batch), len(conn.ts), len(conn.mx.rows), len(conn.mx.words), conn.names.Len()}
 	}
 	before := slabs()
 	got, err := decode(data)
@@ -34,7 +36,7 @@ func decodeBoth(t *testing.T, kind string, conn *connDecoder, decode func([]byte
 		t.Fatalf("connection decoder disagrees with the stateless decode:\n%+v\n%+v", got, want)
 	}
 	if after := slabs(); err != nil && after != before {
-		t.Fatalf("a failed decode consumed slab (updates, batches, timestamp words, matrix rows, matrix words): %v -> %v",
+		t.Fatalf("a failed decode consumed slab (updates, batches, timestamp words, matrix rows, matrix words, name bytes): %v -> %v",
 			before, after)
 	}
 	return want, wantErr
@@ -227,7 +229,18 @@ func batchSeeds(tb testing.TB) [][]byte {
 	if err != nil {
 		tb.Fatalf("seed encode: %v", err)
 	}
-	return append(seeds, whole, whole[:len(whole)-3])
+	seeds = append(seeds, whole, whole[:len(whole)-3])
+	// A batch of definitions whose names fill more than a chunk of the
+	// connection's name arena, whole and cut inside its last entry.
+	defs := &UpdateBatch{From: 2, FirstSeq: 1}
+	for i := range 48 {
+		defs.Updates = append(defs.Updates, Update{From: 2, Seq: uint64(i + 1), Op: OpSet,
+			Loc: fmt.Sprintf("%s/%d", strings.Repeat("d", i*4), i), Ordinal: uint32(i), Defines: true, Value: int64(i)})
+	}
+	if whole, err = transport.EncodePayload(nil, KindUpdateBatch, defs); err != nil {
+		tb.Fatalf("seed encode: %v", err)
+	}
+	return append(seeds, whole, whole[:len(whole)-1])
 }
 
 // FuzzUpdateCodecRoundTrip is the singleton-update analogue: the KindUpdate
@@ -285,6 +298,20 @@ func updateSeeds(tb testing.TB) [][]byte {
 		out = append(out, enc)
 	}
 	last := out[len(out)-1]
+	out = append(out, last[:len(last)-1])
+	// Definitions heavy enough to roll the connection's name arena over: a
+	// name longer than a chunk, which is its own allocation, and one most of
+	// a chunk long, whole and cut inside its value, after its name was read,
+	// which must carve nothing.
+	for _, n := range []int{loctab.ArenaChunk + 1, loctab.ArenaChunk * 3 / 4} {
+		def := Update{From: 1, Seq: 4, Op: OpSet, Loc: strings.Repeat("n", n), Ordinal: 9, Defines: true, Value: 1}
+		enc, err := transport.EncodePayload(nil, KindUpdate, &def)
+		if err != nil {
+			tb.Fatalf("seed encode: %v", err)
+		}
+		out = append(out, enc)
+	}
+	last = out[len(out)-1]
 	return append(out, last[:len(last)-1])
 }
 

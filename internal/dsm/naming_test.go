@@ -97,18 +97,18 @@ func TestHostileDefinitionsRefused(t *testing.T) {
 	def := func(seq uint64, ord uint32, loc string) *Update {
 		return &Update{From: 0, Seq: seq, Op: OpSet, Loc: loc, Ordinal: ord, Defines: true, Value: int64(seq)}
 	}
-	r.applyRemote(def(1, 0, "ok"))
-	r.applyRemote(def(2, 2, "ahead-of-its-seq"))
-	r.applyRemote(def(3, 0, "again"))
-	r.applyBatch(&UpdateBatch{From: 0, FirstSeq: 4, Updates: []Update{
+	r.applyRemote(0, def(1, 0, "ok"))
+	r.applyRemote(0, def(2, 2, "ahead-of-its-seq"))
+	r.applyRemote(0, def(3, 0, "again"))
+	r.applyBatch(0, &UpdateBatch{From: 0, FirstSeq: 4, Updates: []Update{
 		*def(4, 3, "batched"), *def(5, 1, "behind-in-its-batch"),
 	}})
 	// A reference ahead of its definition, and a definition of an ordinal
 	// the sender already named, in one batch: neither may land anywhere.
-	r.applyBatch(&UpdateBatch{From: 0, FirstSeq: 6, Updates: []Update{
+	r.applyBatch(0, &UpdateBatch{From: 0, FirstSeq: 6, Updates: []Update{
 		{From: 0, Seq: 6, Op: OpSet, Ordinal: 4, Value: 6}, *def(7, 4, "late"), *def(7, 0, "ok-again"),
 	}})
-	r.applyRemote(def(1<<40, 1<<32-1, "far"))
+	r.applyRemote(0, def(1<<40, 1<<32-1, "far"))
 	if got := r.Stats().MalformedUpdates; got != 8 {
 		t.Errorf("MalformedUpdates = %d, want 8: two refused definitions, the two batches holding one and the skip ahead", got)
 	}
@@ -396,14 +396,14 @@ func FuzzReferenceTable(f *testing.F) {
 			case *Update:
 				if p.From == 0 {
 					admit(p)
-					r.applyRemote(p)
+					r.applyRemote(0, p)
 				}
 			case *UpdateBatch:
 				if p.From == 0 {
 					for i := range p.Updates {
 						admit(&p.Updates[i])
 					}
-					r.applyBatch(p)
+					r.applyBatch(0, p)
 				}
 			}
 			monotone()

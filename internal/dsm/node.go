@@ -500,7 +500,9 @@ func (n *Node) labelOf(loc string) history.Label {
 }
 
 // recvLoop dispatches fabric messages: updates into the memory views, SC
-// traffic to the owner protocol, everything else to the protocol handler.
+// traffic to the owner protocol, everything else to the protocol handler. The
+// sender is the message's From, the channel it arrived on, whatever a payload
+// says.
 func (n *Node) recvLoop() {
 	defer close(n.done)
 	for {
@@ -511,15 +513,15 @@ func (n *Node) recvLoop() {
 		switch m.Kind {
 		case KindUpdate:
 			if u, ok := m.Payload.(*Update); ok {
-				n.applyRemote(u)
+				n.applyRemote(m.From, u)
 			}
 		case KindUpdateBatch:
 			if b, ok := m.Payload.(*UpdateBatch); ok {
-				n.applyBatch(b)
+				n.applyBatch(m.From, b)
 			}
 		case KindSCRequest:
 			if r, ok := m.Payload.(SCRequest); ok {
-				n.handleSCRequest(r)
+				n.handleSCRequest(m.From, r)
 			}
 		case KindSCReply:
 			if r, ok := m.Payload.(SCReply); ok {

@@ -153,6 +153,86 @@ func TestBroadcastMalformedTimestampDoesNotStall(t *testing.T) {
 	}
 }
 
+// TestSenderIsTheChannel: a received payload's sender is the channel it came
+// on, not the sender field it carries. An update or batch on channel 1→0 that
+// names process 2 is held malformed in process 1's order — counted, in
+// neither 2's reference table nor 2's sequence numbers, and out of the causal
+// view — so process 2's genuine first write still settles. An SC request that
+// names another process is answered on the channel it arrived on.
+func TestSenderIsTheChannel(t *testing.T) {
+	spoofs := []struct {
+		name    string
+		kind    string
+		payload any
+	}{
+		{"update", KindUpdate, &Update{From: 2, Seq: 1, Op: OpSet, Loc: "a", Defines: true, Value: 5, TS: vclock.VC{0, 0, 1}}},
+		{"batch", KindUpdateBatch, &UpdateBatch{From: 2, FirstSeq: 1, Updates: []Update{
+			{From: 2, Seq: 1, Op: OpSet, Loc: "a", Defines: true, Value: 5, TS: vclock.VC{0, 0, 1}},
+		}}},
+	}
+	for _, sp := range spoofs {
+		t.Run(sp.name, func(t *testing.T) {
+			f, err := network.New(network.Config{Nodes: 3})
+			if err != nil {
+				t.Fatalf("network.New: %v", err)
+			}
+			r, err := NewNode(Config{ID: 0, N: 3, Transport: f})
+			if err != nil {
+				t.Fatalf("NewNode: %v", err)
+			}
+			defer func() {
+				f.Close()
+				r.Close()
+			}()
+			if err := f.Send(network.Message{From: 1, To: 0, Kind: sp.kind, Payload: sp.payload}); err != nil {
+				t.Fatal(err)
+			}
+			// Each reaches the PRAM view, malformed or not, once it has arrived.
+			eventually(t, func() bool { return r.ReadPRAM("a") == 5 }, "the spoofed update never arrived")
+			if got := r.ReceivedSeqs(nil); got[1] != 1 || got[2] != 0 {
+				t.Fatalf("received %v after the spoof, want it filed under process 1, not 2", got)
+			}
+			genuine := &Update{From: 2, Seq: 1, Op: OpSet, Loc: "b", Defines: true, Value: 1, TS: vclock.VC{0, 0, 1}}
+			if err := f.Send(network.Message{From: 2, To: 0, Kind: KindUpdate, Payload: genuine}); err != nil {
+				t.Fatal(err)
+			}
+			eventually(t, func() bool { return r.ReadPRAM("b") == 1 }, "process 2's first write never arrived")
+			if got := r.ReadCausal("b"); got != 1 {
+				t.Fatalf("causal b = %d, want 1: process 2's first write was held as a repeat", got)
+			}
+			if got := r.ReadCausal("a"); got != 0 {
+				t.Fatalf("causal a = %d, want 0: the spoofed update reached the causal view", got)
+			}
+			if got := r.Stats().MalformedUpdates; got != 1 {
+				t.Fatalf("MalformedUpdates = %d, want 1: the spoof", got)
+			}
+		})
+	}
+	t.Run("sc-request", func(t *testing.T) {
+		f, err := network.New(network.Config{Nodes: 3})
+		if err != nil {
+			t.Fatalf("network.New: %v", err)
+		}
+		r, err := NewNode(Config{ID: 0, N: 3, Transport: f})
+		if err != nil {
+			t.Fatalf("NewNode: %v", err)
+		}
+		defer func() {
+			f.Close()
+			r.Close()
+		}()
+		req := SCRequest{ReqID: 7, From: 2, Op: OpSet, Loc: "s", Value: 4}
+		if err := f.Send(network.Message{From: 1, To: 0, Kind: KindSCRequest, Payload: req}); err != nil {
+			t.Fatal(err)
+		}
+		var m network.Message
+		within(t, "the reply on the request's channel", func() { m, _ = f.Recv(1) })
+		if rep, ok := m.Payload.(SCReply); m.Kind != KindSCReply || !ok || rep.ReqID != 7 || rep.Value != 4 {
+			t.Fatalf("process 1 received %s %+v, want the reply to request 7 with value 4", m.Kind, m.Payload)
+		}
+	})
+}
+
 // TestParkedSetDoesNotClobberLaterLocalWrite: an OpSet that is in the PRAM
 // view but still parked for the causal view precedes, by the writer's own
 // dependency clock, every write this process issues afterwards. When its
@@ -740,9 +820,9 @@ func runDrainDifferential(t *testing.T, n int, scope *ScopeMap, labels map[strin
 			ref.arrive(g)
 			switch p := m.Payload.(type) {
 			case *Update:
-				r.applyRemote(p)
+				r.applyRemote(m.From, p)
 			case *UpdateBatch:
-				r.applyBatch(p)
+				r.applyBatch(m.From, p)
 			}
 		}
 		r.clockMu.Lock()

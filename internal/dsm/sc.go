@@ -182,16 +182,17 @@ func (n *Node) scApplyLocked(op UpdateOp, loc string, value int64) int64 {
 	return cur
 }
 
-// handleSCRequest serves one owner-side access on the receive loop: apply,
-// then reply to the requester. Fabric sends never block, so serving inline
-// keeps the owner's serialization exactly the receive order.
-func (n *Node) handleSCRequest(r SCRequest) {
+// handleSCRequest serves one owner-side access from process from on the
+// receive loop: apply, then reply on the channel the request arrived on.
+// Fabric sends never block, so serving inline keeps the owner's serialization
+// exactly the receive order.
+func (n *Node) handleSCRequest(from int, r SCRequest) {
 	n.scMu.Lock()
 	v := n.scApplyLocked(r.Op, r.Loc, r.Value)
 	n.scMu.Unlock()
 	rep := SCReply{ReqID: r.ReqID, Value: v}
 	_ = n.fabric.Send(network.Message{
-		From: n.id, To: r.From, Kind: KindSCReply,
+		From: n.id, To: from, Kind: KindSCReply,
 		Payload: rep, Size: rep.encodedSize(),
 	})
 }

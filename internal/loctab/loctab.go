@@ -1,7 +1,8 @@
 // Package loctab is the location table shared by the memory runtime's value
 // store (internal/dsm, one table per node) and the tracer's name interning
 // (internal/obs): an insert-only, open-addressed hash table keyed by location
-// name.
+// name. NameArena, beside it, is where the names a stream produces — a
+// connection's decoded definitions, a strand's flag names — are carved from.
 //
 // Both owners have the same access pattern — every read, write, apply, and
 // trace record looks a name up; a name is inserted once and never removed —

@@ -7,11 +7,13 @@ import (
 	"reflect"
 	"testing"
 
+	"mixedmem/internal/loctab"
 	"mixedmem/internal/transport"
 
-	// Register the dsm payload codecs so fuzz inputs whose Kind names a real
-	// payload exercise the full decode path, exactly as a live peer would.
-	_ "mixedmem/internal/dsm"
+	// The dsm payload codecs are registered, so fuzz inputs whose Kind names
+	// a real payload exercise the full decode path, exactly as a live peer's
+	// would.
+	"mixedmem/internal/dsm"
 )
 
 // decodeMsgFrame is the receive path's parse of a msg frame body on a
@@ -144,6 +146,7 @@ func FuzzFrameDecode(f *testing.F) {
 	for _, v1 := range v1Frames {
 		f.Add([]byte(v1))
 	}
+	f.Add(definitionStream(f))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		want, wantErr := parseReads(data, func(left int) int { return left })
@@ -186,4 +189,33 @@ func FuzzFrameDecode(f *testing.F) {
 			_, _ = parseHello(body)
 		}
 	})
+}
+
+// definitionStream is a definition-heavy stream: a hello, then updates and a
+// batch that define locations whose names fill more than a chunk of the
+// connection's name arena, the first one longer than a chunk (and than the
+// read buffer).
+func definitionStream(tb testing.TB) []byte {
+	stream := appendHelloFrame(nil, 1)
+	frame := func(seq uint64, kind string, payload any) {
+		enc, err := transport.EncodePayload(nil, kind, payload)
+		if err != nil {
+			tb.Fatalf("seed encode: %v", err)
+		}
+		stream = appendMsgFrame(stream, seq, kind, enc)
+	}
+	def := func(seq uint64, n int) dsm.Update {
+		return dsm.Update{From: 1, Seq: seq, Op: dsm.OpSet, Loc: fmt.Sprintf("%d/%s", seq, bytes.Repeat([]byte("d"), n)),
+			Ordinal: uint32(seq), Defines: true, Value: int64(seq)}
+	}
+	for seq, n := range []int{loctab.ArenaChunk + 1, loctab.ArenaChunk / 2, loctab.ArenaChunk / 2} {
+		u := def(uint64(seq+1), n)
+		frame(uint64(seq+1), dsm.KindUpdate, &u)
+	}
+	b := &dsm.UpdateBatch{From: 1, FirstSeq: 4}
+	for seq := uint64(4); seq < 12; seq++ {
+		b.Updates = append(b.Updates, def(seq, 200))
+	}
+	frame(4, dsm.KindUpdateBatch, b)
+	return stream
 }

@@ -434,9 +434,11 @@ func TestUndecodableDefinitionStrandsNothing(t *testing.T) {
 	frames = append(frames, frame(4, upd(4, 1, "", 4), false)...)
 	s.write(frames)
 
+	// All four frames settle, the last after the malformed one: b's final
+	// value is read below.
 	done := make(chan struct{})
 	go func() {
-		node.WaitCausalApplied([]uint64{3, 0})
+		node.WaitCausalApplied([]uint64{4, 0})
 		close(done)
 	}()
 	select {
