@@ -139,21 +139,6 @@ func awaitsMatched(a *history.Analysis) []Violation {
 	return out
 }
 
-// GroupCausalRead checks one read against the generalized group-causal
-// condition of the paper's Section 3.2 remark ("the definition can be easily
-// generalized to maintain causality across an arbitrary group of
-// processes"): the read must be consistent with ~>i,G, the per-process
-// relation that keeps only dependencies routed through group members. With
-// group = {reader} this is exactly the PRAM condition; with group = all
-// processes it is the causal condition — the two endpoints of the spectrum.
-func GroupCausalRead(a *history.Analysis, readID int, group []int) (Violation, bool) {
-	op := a.H.Ops[readID]
-	if op.Kind != history.Read {
-		return Violation{Op: readID, Reason: "not a read"}, false
-	}
-	return checkRead(a, op, a.GroupOrder(op.Proc, group))
-}
-
 // checkRead applies the common read condition of Definitions 2 and 3 with
 // the supplied per-process relation (~>i,C, ~>i,P, or ~>i,S):
 //

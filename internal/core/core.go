@@ -179,12 +179,17 @@ type System struct {
 	trace  *history.Builder
 }
 
-// Proc is one process's handle on the system.
+// Proc is one process's handle on the system. Its memory operations are its
+// main strand's (thread 0); its lock and barrier operations are recorded
+// here, with the grant epochs and barrier indices the sync clients return.
 type Proc struct {
-	node    *dsm.Node
+	strand
 	locks   *syncmgr.Client
 	barrier *syncmgr.BarrierClient
 	n       int
+	// held maps each lock the main strand holds to its grant epoch, for the
+	// recorded unlock; only written when recording.
+	held map[string]int
 
 	threadMu   sync.Mutex
 	nextThread int
@@ -220,10 +225,10 @@ func NewSystem(cfg Config) (*System, error) {
 	}
 	for i := 0; i < cfg.Procs; i++ {
 		p, err := newProc(dsm.Config{
-			ID: i, N: cfg.Procs, Transport: fabric, Trace: sys.trace,
+			ID: i, N: cfg.Procs, Transport: fabric,
 			PRAMOnly: cfg.PRAMOnly, Scope: cfg.Placement,
 			Batch: cfg.Batch, Labels: cfg.Labels,
-		}, 0, cfg.Propagation, cfg.TraceCapacity)
+		}, 0, cfg.Propagation, cfg.TraceCapacity, sys.trace)
 		if err != nil {
 			sys.Close()
 			return nil, err
@@ -235,10 +240,11 @@ func NewSystem(cfg Config) (*System, error) {
 
 // newProc wires one process over dc.Transport: a dispatcher, the replicated-
 // memory node (with an event tracer when traceCap is positive), the lock and
-// barrier clients, and — on the manager process — the managers. NewSystem
-// calls it once per process and NewPeer once; the callers fill in the
-// memory-layer half of dc, newProc the Handler and Tracer.
-func newProc(dc dsm.Config, manager int, mode syncmgr.PropagationMode, traceCap int) (*Proc, error) {
+// barrier clients, and — on the manager process — the managers. Its
+// operations are recorded into rec when that is non-nil. NewSystem calls it
+// once per process and NewPeer once; the callers fill in the memory-layer
+// half of dc, newProc the Handler and Tracer.
+func newProc(dc dsm.Config, manager int, mode syncmgr.PropagationMode, traceCap int, rec *history.Builder) (*Proc, error) {
 	if manager < 0 || manager >= dc.N {
 		return nil, fmt.Errorf("core: manager proc %d out of range", manager)
 	}
@@ -260,7 +266,10 @@ func newProc(dc dsm.Config, manager int, mode syncmgr.PropagationMode, traceCap 
 	}
 	lc := syncmgr.NewClient(node, d, manager, mode)
 	bc := syncmgr.NewBarrierClient(node, d, manager)
-	return &Proc{node: node, locks: lc, barrier: bc, n: dc.N}, nil
+	return &Proc{
+		strand: strand{node: node, trace: rec, pramOnly: dc.PRAMOnly},
+		locks:  lc, barrier: bc, n: dc.N, held: make(map[string]int),
+	}, nil
 }
 
 // Proc returns the handle for process i.
@@ -318,22 +327,6 @@ func (p *Proc) ID() int { return p.node.ID() }
 // N returns the number of processes.
 func (p *Proc) N() int { return p.n }
 
-// Write stores value at loc and broadcasts the update.
-func (p *Proc) Write(loc string, value int64) { p.node.Write(loc, value) }
-
-// ReadPRAM performs a PRAM read of loc.
-func (p *Proc) ReadPRAM(loc string) int64 { return p.node.ReadPRAM(loc) }
-
-// ReadCausal performs a causal read of loc.
-func (p *Proc) ReadCausal(loc string) int64 { return p.node.ReadCausal(loc) }
-
-// ReadSlow performs a slow read of loc (per-location FIFO only).
-func (p *Proc) ReadSlow(loc string) int64 { return p.node.ReadSlow(loc) }
-
-// ReadSC performs a sequentially consistent read of loc through its owner.
-// Only valid for locations labeled SC in Config.Labels.
-func (p *Proc) ReadSC(loc string) int64 { return p.node.ReadSC(loc) }
-
 // Read performs a read with the given label, for code that selects the
 // consistency level dynamically. LabelNone reads as PRAM, matching the
 // historical default of this method.
@@ -350,41 +343,69 @@ func (p *Proc) Read(loc string, label history.Label) int64 {
 	}
 }
 
-// Await blocks until loc holds value in the causal view.
-func (p *Proc) Await(loc string, value int64) { p.node.AwaitCausal(loc, value) }
-
-// AwaitPRAM blocks until loc holds value in the PRAM view.
-func (p *Proc) AwaitPRAM(loc string, value int64) { p.node.AwaitPRAM(loc, value) }
-
 // RLock acquires a read lock on name.
-func (p *Proc) RLock(name string) { p.locks.RLock(name) }
+func (p *Proc) RLock(name string) {
+	epoch := p.locks.RLock(name)
+	p.recordLock(history.RLock, name, epoch)
+}
 
 // RUnlock releases a read lock on name.
-func (p *Proc) RUnlock(name string) { p.locks.RUnlock(name) }
+func (p *Proc) RUnlock(name string) {
+	p.recordUnlock(history.RUnlock, name)
+	p.locks.RUnlock(name)
+}
 
 // WLock acquires the write lock on name.
-func (p *Proc) WLock(name string) { p.locks.WLock(name) }
+func (p *Proc) WLock(name string) {
+	epoch := p.locks.WLock(name)
+	p.recordLock(history.WLock, name, epoch)
+}
 
 // WUnlock releases the write lock on name.
-func (p *Proc) WUnlock(name string) { p.locks.WUnlock(name) }
+func (p *Proc) WUnlock(name string) {
+	p.recordUnlock(history.WUnlock, name)
+	p.locks.WUnlock(name)
+}
+
+// recordLock records an acquire in its grant epoch and remembers the epoch
+// for the matching unlock.
+func (p *Proc) recordLock(kind history.OpKind, name string, epoch int) {
+	if p.trace != nil {
+		p.held[name] = epoch
+		p.appendOp(history.Op{Kind: kind, Lock: name, LockEpoch: epoch})
+	}
+}
+
+// recordUnlock records a release, before it happens, in the held epoch.
+func (p *Proc) recordUnlock(kind history.OpKind, name string) {
+	if p.trace != nil {
+		p.appendOp(history.Op{Kind: kind, Lock: name, LockEpoch: p.held[name]})
+		delete(p.held, name)
+	}
+}
 
 // Barrier blocks until all processes arrive and all prior-phase updates are
 // applied locally.
-func (p *Proc) Barrier() { p.barrier.Barrier() }
+func (p *Proc) Barrier() {
+	k := p.barrier.Barrier()
+	p.recordBarrier(k, "")
+}
 
 // BarrierGroup blocks until every process in members arrives at the named
 // group's next barrier — the paper's subset barrier. All members must call
 // it with the same name and member set; only updates from members are
 // awaited.
 func (p *Proc) BarrierGroup(name string, members []int) {
-	p.barrier.BarrierGroup(name, members)
+	k := p.barrier.BarrierGroup(name, members)
+	p.recordBarrier(k, name)
 }
 
-// Add applies a commutative increment to a counter object.
-func (p *Proc) Add(loc string, delta int64) { p.node.Add(loc, delta) }
-
-// AddFloat applies a commutative float64 increment to a counter object.
-func (p *Proc) AddFloat(loc string, delta float64) { p.node.AddFloat(loc, delta) }
+// recordBarrier records the process's arrival at barrier k of group.
+func (p *Proc) recordBarrier(k int, group string) {
+	if p.trace != nil {
+		p.appendOp(history.Op{Kind: history.Barrier, BarrierID: k, BarrierGroup: group})
+	}
+}
 
 // FlushUpdates sends every pending outbox batch immediately. A no-op unless
 // the system was built with Config.Batch enabled; programs that hand off

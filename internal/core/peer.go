@@ -68,7 +68,7 @@ func NewPeer(cfg PeerConfig) (*Peer, error) {
 		ID: cfg.ID, N: n, Transport: cfg.Transport,
 		PRAMOnly: cfg.PRAMOnly, Scope: cfg.Scope,
 		Batch: cfg.Batch,
-	}, cfg.ManagerProc, cfg.Propagation, cfg.TraceCapacity)
+	}, cfg.ManagerProc, cfg.Propagation, cfg.TraceCapacity, nil)
 	if err != nil {
 		return nil, err
 	}

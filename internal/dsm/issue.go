@@ -118,11 +118,10 @@ func (u *Update) encodedSize() int {
 // non-blocking: the response is local and the update propagates
 // asynchronously, as the paper's interface permits (Section 3). A write to an
 // SC-labeled location is a blocking round trip to the location's owner.
-func (n *Node) Write(loc string, value int64) { n.Thread(0).Write(loc, value) }
+func (n *Node) Write(loc string, value int64) { n.write(OpSet, loc, value) }
 
 // Add applies a commutative increment (negative for decrement) to a counter
-// object (Section 5.3). Counter operations are not recorded in traces: they
-// are operations of an abstract data type, not reads/writes.
+// object (Section 5.3).
 func (n *Node) Add(loc string, delta int64) { n.write(OpAdd, loc, delta) }
 
 // AddFloat applies a commutative float64 increment to a location holding a

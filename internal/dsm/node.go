@@ -43,7 +43,6 @@
 //	deliver.go  senders' names; obligations; apply, park/release  clockMu
 //	read.go     the four reads, the observation fence, awaits     lock-free
 //	counts.go   sequence vectors, write log, invalidations        clockMu
-//	thread.go   recording of operations per thread                –
 //	sc.go       the SC owner protocol                             scMu
 //	scope.go    reader registration                               –
 //	codec.go    wire formats                                      –
@@ -102,10 +101,6 @@ type Config struct {
 	// fabric (all nodes in one process) or a per-process wire transport
 	// such as internal/transport/tcp (one node per OS process).
 	Transport transport.Transport
-	// Trace, when non-nil, records memory operations for the checker.
-	// Programs recorded for checking must write distinct values per
-	// location (the paper's convention).
-	Trace *history.Builder
 	// Handler receives non-update messages (lock and barrier protocol
 	// traffic). May be nil when the node runs no synchronization protocol.
 	Handler Handler
@@ -243,7 +238,6 @@ type Node struct {
 	id     int
 	n      int
 	fabric transport.Transport
-	trace  *history.Builder
 	handle Handler
 
 	// cells holds every location's cell, keyed by its whole hash; cellMu
@@ -429,7 +423,6 @@ func NewNode(cfg Config) (*Node, error) {
 		scopedCausal:  cfg.Scope != nil && !cfg.PRAMOnly,
 		n:             cfg.N,
 		fabric:        cfg.Transport,
-		trace:         cfg.Trace,
 		handle:        cfg.Handler,
 		sent:          make([]uint64, cfg.N),
 		recvd:         vclock.New(cfg.N),
@@ -486,9 +479,6 @@ func (n *Node) N() int { return n.n }
 // tracing is off. Synchronization clients and collectors share it so one
 // ring per node carries the whole protocol timeline.
 func (n *Node) Tracer() *obs.Tracer { return n.obs }
-
-// Trace returns the history builder, or nil when not recording.
-func (n *Node) Trace() *history.Builder { return n.trace }
 
 // labelOf returns the location's configured lattice point, LabelNone when the
 // location is unlabeled (which every path treats as Causal, the default).

@@ -6,14 +6,12 @@ import (
 	"testing"
 	"time"
 
-	"mixedmem/internal/check"
-	"mixedmem/internal/history"
 	"mixedmem/internal/loctab"
 	"mixedmem/internal/network"
 )
 
 // cluster builds a fabric and n nodes, wiring cleanup.
-func cluster(t *testing.T, n int, trace *history.Builder) []*Node {
+func cluster(t *testing.T, n int) []*Node {
 	t.Helper()
 	f, err := network.New(network.Config{Nodes: n})
 	if err != nil {
@@ -21,7 +19,7 @@ func cluster(t *testing.T, n int, trace *history.Builder) []*Node {
 	}
 	nodes := make([]*Node, n)
 	for i := 0; i < n; i++ {
-		nodes[i], err = NewNode(Config{ID: i, N: n, Transport: f, Trace: trace})
+		nodes[i], err = NewNode(Config{ID: i, N: n, Transport: f})
 		if err != nil {
 			t.Fatalf("NewNode(%d): %v", i, err)
 		}
@@ -69,7 +67,7 @@ func TestNewNodeValidation(t *testing.T) {
 }
 
 func TestLocalWriteReadBothViews(t *testing.T) {
-	nodes := cluster(t, 2, nil)
+	nodes := cluster(t, 2)
 	nodes[0].Write("x", 7)
 	if got := nodes[0].ReadPRAM("x"); got != 7 {
 		t.Errorf("own PRAM read = %d, want 7", got)
@@ -80,7 +78,7 @@ func TestLocalWriteReadBothViews(t *testing.T) {
 }
 
 func TestPropagationToOtherReplicas(t *testing.T) {
-	nodes := cluster(t, 3, nil)
+	nodes := cluster(t, 3)
 	nodes[0].Write("x", 42)
 	eventually(t, func() bool { return nodes[2].ReadPRAM("x") == 42 },
 		"PRAM view never received the update")
@@ -259,7 +257,7 @@ func TestAwaitPRAMRaisesFence(t *testing.T) {
 }
 
 func TestFIFOApplyPerSender(t *testing.T) {
-	nodes := cluster(t, 2, nil)
+	nodes := cluster(t, 2)
 	const k = 100
 	for i := 1; i <= k; i++ {
 		nodes[0].Write("x", int64(i))
@@ -272,7 +270,7 @@ func TestFIFOApplyPerSender(t *testing.T) {
 }
 
 func TestAwait(t *testing.T) {
-	nodes := cluster(t, 2, nil)
+	nodes := cluster(t, 2)
 	done := make(chan int64, 1)
 	go func() {
 		nodes[1].AwaitPRAM("flag", 3)
@@ -291,13 +289,13 @@ func TestAwait(t *testing.T) {
 }
 
 func TestAwaitAlreadySatisfied(t *testing.T) {
-	nodes := cluster(t, 1, nil)
+	nodes := cluster(t, 1)
 	nodes[0].Write("flag", 1)
 	nodes[0].AwaitPRAM("flag", 1) // must return immediately
 }
 
 func TestCounterAddCommutes(t *testing.T) {
-	nodes := cluster(t, 3, nil)
+	nodes := cluster(t, 3)
 	var wg sync.WaitGroup
 	for _, nd := range nodes {
 		nd := nd
@@ -321,7 +319,7 @@ func TestCounterAddCommutes(t *testing.T) {
 }
 
 func TestSentReceivedCounts(t *testing.T) {
-	nodes := cluster(t, 3, nil)
+	nodes := cluster(t, 3)
 	nodes[0].Write("a", 1)
 	nodes[0].Write("b", 2)
 	sent := nodes[0].SentSeqs(nil)
@@ -337,7 +335,7 @@ func TestSentReceivedCounts(t *testing.T) {
 }
 
 func TestWaitReceived(t *testing.T) {
-	nodes := cluster(t, 2, nil)
+	nodes := cluster(t, 2)
 	done := make(chan struct{})
 	go func() {
 		nodes[1].WaitReceived([]uint64{2, 0})
@@ -358,7 +356,7 @@ func TestWaitReceived(t *testing.T) {
 }
 
 func TestWaitCausalApplied(t *testing.T) {
-	nodes := cluster(t, 2, nil)
+	nodes := cluster(t, 2)
 	nodes[0].Write("a", 1)
 	nodes[1].WaitCausalApplied([]uint64{1, 0})
 	if got := nodes[1].ReadCausal("a"); got != 1 {
@@ -395,7 +393,7 @@ func TestInvalidateBlocksRead(t *testing.T) {
 }
 
 func TestInvalidateCausalRead(t *testing.T) {
-	nodes := cluster(t, 2, nil)
+	nodes := cluster(t, 2)
 	nodes[0].Write("x", 9)
 	nodes[1].Invalidate("x", 0, 1)
 	if got := nodes[1].ReadCausal("x"); got != 9 {
@@ -404,7 +402,7 @@ func TestInvalidateCausalRead(t *testing.T) {
 }
 
 func TestStats(t *testing.T) {
-	nodes := cluster(t, 2, nil)
+	nodes := cluster(t, 2)
 	nodes[0].Write("x", 1)
 	nodes[0].ReadPRAM("x")
 	nodes[0].ReadCausal("x")
@@ -416,7 +414,7 @@ func TestStats(t *testing.T) {
 }
 
 func TestSnapshot(t *testing.T) {
-	nodes := cluster(t, 1, nil)
+	nodes := cluster(t, 1)
 	nodes[0].Write("x", 1)
 	nodes[0].Write("y", 2)
 	snap := nodes[0].Snapshot(false)
@@ -452,32 +450,9 @@ func TestHandlerReceivesProtocolMessages(t *testing.T) {
 	}
 }
 
-func TestTraceRecordsMixedConsistentHistory(t *testing.T) {
-	// Run a producer/consumer program on the runtime, record it, and
-	// verify the checker accepts the trace.
-	trace := history.NewBuilder(2)
-	nodes := cluster(t, 2, trace)
-	nodes[0].Write("data", 7)
-	nodes[0].Write("flag", 1)
-	nodes[1].AwaitCausal("flag", 1)
-	v := nodes[1].ReadPRAM("data")
-	if v != 7 {
-		t.Fatalf("consumer read %d, want 7", v)
-	}
-	nodes[1].ReadCausal("data")
-
-	a, err := trace.History().Analyze()
-	if err != nil {
-		t.Fatalf("Analyze: %v", err)
-	}
-	if viol := check.Mixed(a); len(viol) != 0 {
-		t.Fatalf("recorded history not mixed consistent: %v", viol)
-	}
-}
-
 func TestConcurrentWritersConvergePRAM(t *testing.T) {
 	// Concurrent writers to distinct locations: all replicas converge.
-	nodes := cluster(t, 4, nil)
+	nodes := cluster(t, 4)
 	var wg sync.WaitGroup
 	for i, nd := range nodes {
 		i, nd := i, nd
@@ -701,7 +676,7 @@ func BenchmarkLocalCausalRead(b *testing.B) {
 }
 
 func TestWriteLogTrim(t *testing.T) {
-	nodes := cluster(t, 1, nil)
+	nodes := cluster(t, 1)
 	n := nodes[0]
 	m0 := n.WriteMark()
 	n.Write("a", 1)

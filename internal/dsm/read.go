@@ -9,9 +9,8 @@ import (
 
 // This file is the read side: the four reads, the observation fence, and
 // awaits. The fast paths take no lock; the waits block on the clock condition
-// (fence, invalidation) or the location's shard condition (await). The Node
-// methods are the main thread's operations (Thread(0)); ThreadHandle records
-// them.
+// (fence, invalidation) or the location's shard condition (await). Every
+// thread of a process reads through the same node.
 
 // ReadSlow returns loc's most recent locally applied value without raising
 // the observation fence: the slow-memory read (Hutto & Ahamad's slow memory,
@@ -19,12 +18,12 @@ import (
 // writes to this location are observed in order — the transport's FIFO
 // channels and receive-order application give exactly that — and imposes no
 // obligation on any later read of any other location.
-func (n *Node) ReadSlow(loc string) int64 { return n.Thread(0).ReadSlow(loc) }
+func (n *Node) ReadSlow(loc string) int64 { return n.readLocal(loc, false) }
 
 // ReadPRAM returns loc's value in the PRAM view: the most recent locally
 // applied value (Definition 3 at the implementation level). It blocks only
 // if the location is invalidated by demand-driven propagation.
-func (n *Node) ReadPRAM(loc string) int64 { return n.Thread(0).ReadPRAM(loc) }
+func (n *Node) ReadPRAM(loc string) int64 { return n.readLocal(loc, true) }
 
 // ReadCausal returns loc's value in the causal view: the most recent value
 // all of whose causal predecessors have been applied locally (Definition 2
@@ -32,8 +31,31 @@ func (n *Node) ReadPRAM(loc string) int64 { return n.Thread(0).ReadPRAM(loc) }
 // demand-driven propagation, or until the causal view covers the process's
 // observation fence — everything earlier PRAM reads and PRAM awaits of this
 // process observed, whose reads-from edges Definition 2 counts as causal
-// context.
-func (n *Node) ReadCausal(loc string) int64 { return n.Thread(0).ReadCausal(loc) }
+// context. A PRAMOnly node keeps no causal view: it serves the read as the
+// PRAM read it degrades to — sound only for PRAM-consistent programs.
+//
+// Lock-free when the fence is already covered: causalApplied only advances
+// after a group's values are stored, so a fence check that passes on atomic
+// loads guarantees the covered values are visible.
+func (n *Node) ReadCausal(loc string) int64 {
+	if n.pramOnly {
+		return n.readLocal(loc, true)
+	}
+	h := loctab.Hash(loc)
+	sh := n.shard(h)
+	if sh.invalidLen.Load() != 0 {
+		n.waitValid(sh, loc, true)
+	}
+	if !n.fenceCovered() {
+		n.waitFence(loc)
+	}
+	var v int64
+	if c := n.lookup(h, loc); c != nil {
+		v = c.causal.Load()
+	}
+	sh.causalReads.Add(1)
+	return v
+}
 
 // AwaitPRAM blocks until loc holds value in the PRAM view — the busy-wait
 // loop of PRAM reads the paper describes (Section 6), realized with a
@@ -41,14 +63,14 @@ func (n *Node) ReadCausal(loc string) int64 { return n.Thread(0).ReadCausal(loc)
 // matched write and its sender's FIFO prefix, but not transitive
 // dependencies through third processes; programs that read with causal
 // labels after an await should use AwaitCausal.
-func (n *Node) AwaitPRAM(loc string, value int64) { n.Thread(0).AwaitPRAM(loc, value) }
+func (n *Node) AwaitPRAM(loc string, value int64) { n.awaitValue(loc, value, false) }
 
 // AwaitCausal blocks until loc holds value in the causal view — a busy-wait
 // loop of causal reads. Because the causal view only applies an update after
 // all its causal predecessors, every update the matched write depends on
 // (transitively, through any chain of processes) is locally applied when
 // AwaitCausal returns; causal reads that follow it satisfy Definition 2.
-func (n *Node) AwaitCausal(loc string, value int64) { n.Thread(0).AwaitCausal(loc, value) }
+func (n *Node) AwaitCausal(loc string, value int64) { n.awaitValue(loc, value, true) }
 
 // readLocal is the lock-free local lookup the slow and PRAM reads share: one
 // hash of the name, one table probe, an atomic value load. anchor says whether
@@ -84,27 +106,6 @@ func (n *Node) raiseFence(c *cell) {
 	if packed := c.last.Load(); packed != 0 {
 		n.fence.raise(int(packed>>seqBits), packed&seqMask)
 	}
-}
-
-// readCausalValue is the causal read without trace recording. Lock-free when
-// the fence is already covered: causalApplied only advances after a group's
-// values are stored, so a fence check that passes on atomic loads guarantees
-// the covered values are visible.
-func (n *Node) readCausalValue(loc string) int64 {
-	h := loctab.Hash(loc)
-	sh := n.shard(h)
-	if sh.invalidLen.Load() != 0 {
-		n.waitValid(sh, loc, true)
-	}
-	if !n.fenceCovered() {
-		n.waitFence(loc)
-	}
-	var v int64
-	if c := n.lookup(h, loc); c != nil {
-		v = c.causal.Load()
-	}
-	sh.causalReads.Add(1)
-	return v
 }
 
 // fenceCovered reports whether the causal view has applied every update the
@@ -172,7 +173,7 @@ func (n *Node) waitValid(sh *shard, loc string, causalView bool) {
 	}
 }
 
-// awaitValue is the await wait loop without trace recording. The waiter
+// awaitValue is the wait loop both awaits share. The waiter
 // registers on the location's shard (waiters incremented under the shard lock
 // before the first value check); appliers store the value and then broadcast
 // if any waiter is registered, so the waiter either sees the value or is

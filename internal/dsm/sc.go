@@ -94,14 +94,18 @@ func scOwner(loc string, n int) int {
 // trip (or a locked local lookup when this node is the owner). The returned
 // value is the one the owner's serialization holds at the moment the request
 // is served.
-func (n *Node) ReadSC(loc string) int64 { return n.Thread(0).ReadSC(loc) }
+func (n *Node) ReadSC(loc string) int64 {
+	v := n.scRoundTrip(0, loc, 0)
+	n.statSCReads.Add(1)
+	return v
+}
 
 // WriteSC writes an SC-labeled location through its owner, returning only
 // once the owner has applied and acknowledged the write — the blocking store
 // of the central-server protocol.
-func (n *Node) WriteSC(loc string, value int64) { n.Thread(0).WriteSC(loc, value) }
+func (n *Node) WriteSC(loc string, value int64) { n.scApply(OpSet, loc, value) }
 
-// scApply performs a write-kind round trip without trace recording.
+// scApply performs a write-kind round trip and counts it.
 func (n *Node) scApply(op UpdateOp, loc string, value int64) {
 	n.scRoundTrip(op, loc, value)
 	n.statSCWrites.Add(1)

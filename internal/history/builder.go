@@ -2,10 +2,11 @@ package history
 
 import "sync"
 
-// Builder constructs histories incrementally. It is safe for concurrent use,
-// so the runtime's processes can record their operations directly into one
-// shared builder. Sequence numbers within each (proc, thread) strand are
-// assigned in call order.
+// Builder constructs histories incrementally. It is safe for concurrent use:
+// a recording core.System has every strand of every process — each Proc's
+// main strand and each Forall body — append its operations to one shared
+// builder. Sequence numbers within each (proc, thread) strand are assigned in
+// call order.
 type Builder struct {
 	mu      sync.Mutex
 	h       *History
@@ -20,8 +21,8 @@ type Builder struct {
 	// precede the strand's next op (the joined threads' last ops).
 	pendingJoin map[[2]int][]int
 	// epochs assigns lock epochs automatically for histories built purely
-	// through the Lock/Unlock convenience methods (tests). The runtime
-	// records real grant epochs and uses AppendOp instead.
+	// through the Lock/Unlock convenience methods (tests). A recording
+	// System appends the real grant epochs with AppendOp instead.
 	epochs map[string]int
 }
 

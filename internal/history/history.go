@@ -5,9 +5,9 @@
 // order), and the per-process observable relations ~>i,C (causal, Def. 2)
 // and ~>i,P (PRAM, Def. 3).
 //
-// The package is the ground truth against which the runtime (internal/dsm,
-// internal/core) is tested: executions are recorded as histories and checked
-// with internal/check.
+// The package is the ground truth against which the runtime is tested:
+// internal/core records executions as histories, and internal/check checks
+// them.
 package history
 
 import (
@@ -443,47 +443,6 @@ func (a *Analysis) CausalView(proc int) *Relation {
 	r := a.Causality.Restrict(keep)
 	a.causalView[proc] = r
 	return r
-}
-
-// GroupOrder returns the generalized per-process relation ~>i,G of the
-// paper's Section 3.2 remark: "the definition can be easily generalized to
-// maintain causality across an arbitrary group of processes; PRAM reads and
-// causal reads form the two end points of the spectrum."
-//
-// The construction follows Definition 3 with the group in place of the
-// single process: synchronization edges (transitively reduced) and
-// reads-from edges are kept when either endpoint belongs to the group, the
-// union with program order is transitively closed, and the result is
-// projected onto all operations except reads of processes outside the group.
-// GroupOrder(proc, {proc}) coincides with PRAMOrder(proc); GroupOrder over
-// all processes coincides with CausalView(proc).
-func (a *Analysis) GroupOrder(proc int, group []int) *Relation {
-	inGroup := make(map[int]bool, len(group)+1)
-	inGroup[proc] = true
-	for _, g := range group {
-		inGroup[g] = true
-	}
-	touches := func(id int) bool { return inGroup[a.H.Ops[id].Proc] }
-
-	reduced := NewRelation(len(a.H.Ops))
-	reduced.Union(a.LockOrder.TransitiveReduce())
-	reduced.Union(a.BarrierOrder.TransitiveReduce())
-	reduced.Union(a.AwaitOrder.TransitiveReduce())
-
-	syncG := reduced.RestrictEndpoint(touches)
-	rfG := a.RF.RestrictEndpoint(touches)
-
-	rel := NewRelation(len(a.H.Ops))
-	rel.Union(a.PO)
-	rel.Union(syncG)
-	rel.Union(rfG)
-	rel.TransitiveClose()
-
-	keep := func(id int) bool {
-		op := a.H.Ops[id]
-		return op.Kind != Read || inGroup[op.Proc]
-	}
-	return rel.Restrict(keep)
 }
 
 // PRAMOrder returns ~>i,P for process proc per Definition 3:

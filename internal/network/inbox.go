@@ -30,7 +30,7 @@ var chunkPool sync.Pool
 // Inbox collects the messages delivered to one node, from every channel into
 // it, for the node's receiver. Both substrates use it: the simulated fabric's
 // pumps and bypassing senders push into it, and so do the tcp transport's
-// connection readers and its self-sends. It is a burst queue: producers append
+// connection readers. It is a burst queue: producers append
 // under the lock, and the consumer takes everything queued in one lock hold
 // and then hands the messages out with no lock at all, so a receiver that
 // falls behind pays one lock round per burst instead of one per message.

@@ -10,8 +10,8 @@ import (
 // The tcp transport delivers into the same Inbox the fabric does, with its
 // own producers: one goroutine per inbound connection, all pushing under the
 // transport's receive lock (the sequence test and the push are one critical
-// section), and the node's self-sends, which push under nothing. These tests
-// drive an Inbox on its own, in that shape.
+// section). These tests drive an Inbox on its own, in that shape, beside a
+// producer that pushes under nothing.
 
 // exhausted reports whether the consumer has handed out everything it took,
 // so that its next Pop takes the lock for what was queued since. Only the
@@ -37,8 +37,8 @@ func consumeWithin(t *testing.T, d time.Duration, consume func()) {
 	}
 }
 
-// TestInboxConnectionProducers: several connection readers and a self-sender
-// push concurrently while the one consumer keeps running the queue dry. Every
+// TestInboxConnectionProducers: several connection readers and a producer
+// outside their lock push concurrently while the one consumer keeps running the queue dry. Every
 // message arrives, each producer's in its own order.
 func TestInboxConnectionProducers(t *testing.T) {
 	const conns, per = 4, 3000
@@ -51,7 +51,7 @@ func TestInboxConnectionProducers(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
 				m := Message{From: c, Kind: "seq", Payload: i}
-				if c == conns { // the self-sender takes no lock
+				if c == conns { // this producer takes no lock
 					in.Push(m)
 					continue
 				}

@@ -160,13 +160,14 @@ func (s Stats) String() string {
 }
 
 // Fabric is a simulated message-passing network with reliable FIFO channels
-// between every ordered pair of nodes.
+// between every ordered pair of distinct nodes. A node never sends to
+// itself: there is no i->i channel, and such a send is an ErrInvalidNode.
 type Fabric struct {
 	n       int
 	latency LatencyModel
 
-	// pairs[i*n+j] is the channel from node i to node j. Each channel counts
-	// what was sent on it; Stats sums them.
+	// pairs[i*n+j] is the channel from node i to node j, nil for i == j.
+	// Each channel counts what was sent on it; Stats sums them.
 	pairs []*pair
 	// delayFactor[i*n+j] scales the latency model on the i->j channel in
 	// 1/1000ths (1000 = nominal). Heterogeneous link speeds let
@@ -211,6 +212,9 @@ func New(cfg Config) (*Fabric, error) {
 	}
 	for i := 0; i < cfg.Nodes; i++ {
 		for j := 0; j < cfg.Nodes; j++ {
+			if i == j {
+				continue
+			}
 			q := newPair(f.inboxes[j])
 			f.pairs[i*cfg.Nodes+j] = q
 			f.wg.Add(1)
@@ -274,9 +278,10 @@ func (f *Fabric) sleep(size int, factor *atomic.Int64) bool {
 func (f *Fabric) Nodes() int { return f.n }
 
 // Send enqueues m for delivery on the (m.From, m.To) channel. It never
-// blocks. Send returns an error only for invalid node IDs.
+// blocks. Send returns an error only for invalid node IDs, a send to self
+// among them.
 func (f *Fabric) Send(m Message) error {
-	if m.From < 0 || m.From >= f.n || m.To < 0 || m.To >= f.n {
+	if !f.link(m.From, m.To) {
 		return fmt.Errorf("network: send %d->%d: %w", m.From, m.To, ErrInvalidNode)
 	}
 	f.deliver(m.From, m.To, m)
@@ -320,10 +325,15 @@ func (f *Fabric) Recv(node int) (Message, bool) {
 	return f.inboxes[node].Pop()
 }
 
+// link reports whether from -> to is a channel: two distinct nodes.
+func (f *Fabric) link(from, to int) bool {
+	return from >= 0 && from < f.n && to >= 0 && to < f.n && from != to
+}
+
 // Pending reports the number of undelivered messages queued on the channel
 // from -> to. It is a test aid.
 func (f *Fabric) Pending(from, to int) int {
-	if from < 0 || from >= f.n || to < 0 || to >= f.n {
+	if !f.link(from, to) {
 		return 0
 	}
 	return f.pairs[from*f.n+to].len()
@@ -334,7 +344,7 @@ func (f *Fabric) Pending(from, to int) int {
 // adversarial delivery schedules that are still legal under the FIFO-channel
 // model.
 func (f *Fabric) Hold(from, to int) error {
-	if from < 0 || from >= f.n || to < 0 || to >= f.n {
+	if !f.link(from, to) {
 		return fmt.Errorf("network: hold %d->%d: %w", from, to, ErrInvalidNode)
 	}
 	f.pairs[from*f.n+to].hold()
@@ -343,7 +353,7 @@ func (f *Fabric) Hold(from, to int) error {
 
 // Release resumes delivery on the channel from -> to.
 func (f *Fabric) Release(from, to int) error {
-	if from < 0 || from >= f.n || to < 0 || to >= f.n {
+	if !f.link(from, to) {
 		return fmt.Errorf("network: release %d->%d: %w", from, to, ErrInvalidNode)
 	}
 	f.pairs[from*f.n+to].release()
@@ -385,7 +395,7 @@ func (f *Fabric) Rejoin(node int) error {
 // model congested or remote paths; the ablation experiments use them to
 // separate the propagation modes. Factors below 0.001 are clamped to 0.001.
 func (f *Fabric) SetDelayFactor(from, to int, factor float64) error {
-	if from < 0 || from >= f.n || to < 0 || to >= f.n {
+	if !f.link(from, to) {
 		return fmt.Errorf("network: delay factor %d->%d: %w", from, to, ErrInvalidNode)
 	}
 	milli := int64(factor * 1000)
@@ -403,7 +413,9 @@ func (f *Fabric) Stats() Stats {
 	for to, in := range f.inboxes {
 		in.mu.Lock()
 		for from := 0; from < f.n; from++ {
-			f.pairs[from*f.n+to].kinds.AddTo(&s, from)
+			if from != to {
+				f.pairs[from*f.n+to].kinds.AddTo(&s, from)
+			}
 		}
 		in.mu.Unlock()
 	}
@@ -416,7 +428,9 @@ func (f *Fabric) Close() {
 	f.closeOnce.Do(func() {
 		close(f.done)
 		for _, q := range f.pairs {
-			q.close()
+			if q != nil {
+				q.close()
+			}
 		}
 		f.wg.Wait()
 		for _, in := range f.inboxes {

@@ -29,7 +29,7 @@ import (
 // write-set maps.
 
 func TestLockCycleAllocFree(t *testing.T) {
-	tc := newTestCluster(t, 3, Lazy, nil)
+	tc := newTestCluster(t, 3, Lazy)
 	lc := tc.locks[1] // not the manager's process: every message crosses the fabric
 	lc.WLock("l")
 	lc.WUnlock("l")
@@ -48,11 +48,11 @@ func TestLockCycleAllocFree(t *testing.T) {
 // TestFreshLockAcquireAllocFree: the first WLock+WUnlock of a lock name the
 // manager has never seen costs no allocation of its own either — the lock's
 // state comes from a slab, its release vector from the manager's vector slab,
-// and its queue starts in an array inside the state. What is left are the two
-// maps the name enters (the manager's and the client's epochs), whose growth
-// is amortized over the names.
+// and its queue starts in an array inside the state. What is left is the one
+// map the name enters, the manager's, whose growth is amortized over the
+// names.
 func TestFreshLockAcquireAllocFree(t *testing.T) {
-	tc := newTestCluster(t, 3, Lazy, nil)
+	tc := newTestCluster(t, 3, Lazy)
 	lc := tc.locks[1]
 	const runs = 10 * slabSize
 	names := make([]string, runs+2) // one cycle here, one AllocsPerRun warm-up, runs measured
@@ -78,7 +78,7 @@ func TestFreshLockAcquireAllocFree(t *testing.T) {
 }
 
 func TestBarrierRoundAllocFree(t *testing.T) {
-	tc := newTestCluster(t, 3, Lazy, nil)
+	tc := newTestCluster(t, 3, Lazy)
 	// Processes 1 and 2 run one round each time they are told to; process 0
 	// is the measured goroutine.
 	var wg sync.WaitGroup
@@ -286,7 +286,7 @@ func TestBarRoundRecycledClean(t *testing.T) {
 // Under -race a sender writing to anything it has sent is also a reported
 // race against the tap's reads.
 func TestSentPayloadsAreNeverRewritten(t *testing.T) {
-	tc := newTestCluster(t, 3, Lazy, nil)
+	tc := newTestCluster(t, 3, Lazy)
 	type kept struct{ live, copy any }
 	var mu sync.Mutex
 	var seen []kept

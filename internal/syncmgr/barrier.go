@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"mixedmem/internal/dsm"
-	"mixedmem/internal/history"
 	"mixedmem/internal/network"
 	"mixedmem/internal/obs"
 )
@@ -208,12 +207,14 @@ func (c *BarrierClient) onRelease(msg network.Message) {
 // The paper notes writes after a barrier need not block; this implementation
 // blocks the whole process at the barrier, which is a stronger (still
 // correct) realization and matches how the Figure 2/4 programs use barriers.
-func (c *BarrierClient) Barrier() {
+// It returns the barrier's index.
+func (c *BarrierClient) Barrier() int {
 	c.mu.Lock()
 	k := c.nextK
 	c.nextK++
 	c.mu.Unlock()
 	c.barrier("", k, nil)
+	return k
 }
 
 // BarrierGroup blocks until every process in members arrives at the named
@@ -221,17 +222,18 @@ func (c *BarrierClient) Barrier() {
 // of the universal quantification to the subset"). All members must call
 // BarrierGroup with the same name and member set; the i-th call on each
 // member is the group's i-th barrier. The vector exchange covers only
-// the members: updates from non-members are not awaited.
-func (c *BarrierClient) BarrierGroup(name string, members []int) {
+// the members: updates from non-members are not awaited. It returns the
+// barrier's index within the group.
+func (c *BarrierClient) BarrierGroup(name string, members []int) int {
 	if name == "" {
-		c.Barrier()
-		return
+		return c.Barrier()
 	}
 	c.mu.Lock()
 	c.groupK[name]++
 	k := c.groupK[name]
 	c.mu.Unlock()
 	c.barrier(name, k, members)
+	return k
 }
 
 func (c *BarrierClient) barrier(group string, k int, members []int) {
@@ -285,13 +287,6 @@ func (c *BarrierClient) barrier(group string, k int, members []int) {
 	c.mu.Unlock()
 	if tr := c.node.Tracer(); tr != nil {
 		tr.RecordLoc(obs.EvBarrierExit, 0, 0, group, uint64(k), uint64(wait), 0)
-	}
-
-	if tr := c.node.Trace(); tr != nil {
-		tr.AppendOp(history.Op{
-			Proc: c.node.ID(), Kind: history.Barrier,
-			BarrierID: k, BarrierGroup: group,
-		})
 	}
 }
 

@@ -3,13 +3,10 @@ package syncmgr
 import (
 	"testing"
 	"time"
-
-	"mixedmem/internal/check"
-	"mixedmem/internal/history"
 )
 
 func TestBarrierGroupExchangesWithinGroup(t *testing.T) {
-	tc := newTestCluster(t, 4, Lazy, nil)
+	tc := newTestCluster(t, 4, Lazy)
 	members := []int{1, 2}
 	done := make(chan int64, 2)
 	for _, id := range members {
@@ -36,7 +33,7 @@ func TestBarrierGroupExchangesWithinGroup(t *testing.T) {
 }
 
 func TestBarrierGroupDoesNotBlockNonMembers(t *testing.T) {
-	tc := newTestCluster(t, 3, Lazy, nil)
+	tc := newTestCluster(t, 3, Lazy)
 	released := make(chan struct{})
 	go func() {
 		tc.barriers[0].BarrierGroup("duo", []int{0, 1})
@@ -57,7 +54,7 @@ func TestBarrierGroupDoesNotBlockNonMembers(t *testing.T) {
 }
 
 func TestBarrierGroupIndependentOfGlobal(t *testing.T) {
-	tc := newTestCluster(t, 2, Lazy, nil)
+	tc := newTestCluster(t, 2, Lazy)
 	// Run a group barrier between the two, then a global one; indices must
 	// not collide.
 	done := make(chan struct{}, 2)
@@ -79,7 +76,7 @@ func TestBarrierGroupIndependentOfGlobal(t *testing.T) {
 }
 
 func TestBarrierGroupSequence(t *testing.T) {
-	tc := newTestCluster(t, 3, Lazy, nil)
+	tc := newTestCluster(t, 3, Lazy)
 	members := []int{0, 2}
 	const rounds = 4
 	done := make(chan bool, 2)
@@ -109,54 +106,5 @@ func TestBarrierGroupSequence(t *testing.T) {
 		case <-time.After(3 * time.Second):
 			t.Fatal("group barrier sequence hung")
 		}
-	}
-}
-
-func TestBarrierGroupTraceOrdersOnlyMembers(t *testing.T) {
-	trace := history.NewBuilder(3)
-	tc := newTestCluster(t, 3, Lazy, trace)
-	members := []int{0, 1}
-	doneCh := make(chan struct{}, 2)
-	for _, id := range members {
-		id := id
-		go func() {
-			tc.nodes[id].Write("bg"+string(rune('0'+id)), int64(id+1))
-			tc.barriers[id].BarrierGroup("g", members)
-			tc.nodes[id].ReadPRAM("bg" + string(rune('0'+(1-id))))
-			doneCh <- struct{}{}
-		}()
-	}
-	for i := 0; i < 2; i++ {
-		<-doneCh
-	}
-	// The outsider writes concurrently; it must not be ordered by the
-	// group's barrier.
-	tc.nodes[2].Write("outside", 99)
-
-	h := trace.History()
-	a, err := h.Analyze()
-	if err != nil {
-		t.Fatalf("Analyze: %v", err)
-	}
-	if v := check.Mixed(a); len(v) != 0 {
-		t.Fatalf("trace not mixed consistent: %v", v)
-	}
-	var outside, barrier0 = -1, -1
-	for _, op := range h.Ops {
-		if op.Loc == "outside" {
-			outside = op.ID
-		}
-		if op.Kind == history.Barrier && op.Proc == 0 {
-			barrier0 = op.ID
-		}
-	}
-	if outside < 0 || barrier0 < 0 {
-		t.Fatal("ops missing from trace")
-	}
-	if h.Ops[barrier0].BarrierGroup != "g" {
-		t.Fatalf("barrier group not recorded: %+v", h.Ops[barrier0])
-	}
-	if a.BarrierOrder.Has(outside, barrier0) || a.BarrierOrder.Has(barrier0, outside) {
-		t.Fatal("subset barrier must not order non-member operations")
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"mixedmem/internal/dsm"
-	"mixedmem/internal/history"
 	"mixedmem/internal/network"
 	"mixedmem/internal/obs"
 )
@@ -307,9 +306,8 @@ type Client struct {
 	// lock, to delimit the critical section's write-set (demand-driven mode
 	// only: no other mode reads the node's write log, so no other mode turns
 	// it on).
-	marks  map[string]int
-	epochs map[string]int
-	stats  ClientStats
+	marks map[string]int
+	stats ClientStats
 }
 
 // NewClient creates the client side for node, pointing at the manager
@@ -327,7 +325,6 @@ func NewClient(node *dsm.Node, d *Dispatcher, manager int, mode PropagationMode)
 		grants:    make(map[uint64]chan *lockGrant),
 		flushAcks: make(chan struct{}, ackBuf),
 		marks:     make(map[string]int),
-		epochs:    make(map[string]int),
 	}
 	d.Register(KindLockGrant, c.onGrant)
 	d.Register(KindFlush, c.onFlush)
@@ -399,7 +396,6 @@ func (c *Client) acquire(name string, mode LockMode) *lockGrant {
 	c.mu.Lock()
 	c.stats.Acquires++
 	c.stats.AcquireWait += wait
-	c.epochs[name] = g.Epoch
 	c.parked.put(ch)
 	c.mu.Unlock()
 	if tr := c.node.Tracer(); tr != nil {
@@ -461,8 +457,9 @@ func (c *Client) release(name string, mode LockMode, writeSet []writeStamp) {
 }
 
 // WLock acquires the write lock on name, blocking until granted and until
-// the propagation mode's visibility condition holds.
-func (c *Client) WLock(name string) {
+// the propagation mode's visibility condition holds, and returns the grant's
+// epoch.
+func (c *Client) WLock(name string) int {
 	g := c.acquire(name, WriteMode)
 	if c.mode == DemandDriven {
 		// The mark is taken under c.mu so that closeWriteSet, trimming on
@@ -471,11 +468,7 @@ func (c *Client) WLock(name string) {
 		c.marks[name] = c.node.WriteMark()
 		c.mu.Unlock()
 	}
-	if tr := c.node.Trace(); tr != nil {
-		tr.AppendOp(history.Op{
-			Proc: c.node.ID(), Kind: history.WLock, Lock: name, LockEpoch: g.Epoch,
-		})
-	}
+	return g.Epoch
 }
 
 // WUnlock releases the write lock on name.
@@ -483,11 +476,6 @@ func (c *Client) WUnlock(name string) {
 	var ws []writeStamp
 	if c.mode == DemandDriven {
 		ws = c.closeWriteSet(name)
-	}
-	if tr := c.node.Trace(); tr != nil {
-		tr.AppendOp(history.Op{
-			Proc: c.node.ID(), Kind: history.WUnlock, Lock: name, LockEpoch: c.epoch(name),
-		})
 	}
 	c.release(name, WriteMode, ws)
 }
@@ -529,33 +517,12 @@ func (c *Client) closeWriteSet(name string) []writeStamp {
 	return ws
 }
 
-// RLock acquires a read lock on name.
-func (c *Client) RLock(name string) {
-	g := c.acquire(name, ReadMode)
-	if tr := c.node.Trace(); tr != nil {
-		tr.AppendOp(history.Op{
-			Proc: c.node.ID(), Kind: history.RLock, Lock: name, LockEpoch: g.Epoch,
-		})
-	}
-}
+// RLock acquires a read lock on name and returns the grant's epoch, which
+// concurrent readers share.
+func (c *Client) RLock(name string) int { return c.acquire(name, ReadMode).Epoch }
 
 // RUnlock releases a read lock on name.
-func (c *Client) RUnlock(name string) {
-	if tr := c.node.Trace(); tr != nil {
-		tr.AppendOp(history.Op{
-			Proc: c.node.ID(), Kind: history.RUnlock, Lock: name, LockEpoch: c.epoch(name),
-		})
-	}
-	c.release(name, ReadMode, nil)
-}
-
-// epoch returns the epoch of the caller's current hold on name, for the
-// recorded history.
-func (c *Client) epoch(name string) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.epochs[name]
-}
+func (c *Client) RUnlock(name string) { c.release(name, ReadMode, nil) }
 
 // Stats returns a snapshot of the client's counters.
 func (c *Client) Stats() ClientStats {

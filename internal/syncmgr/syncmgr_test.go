@@ -7,9 +7,7 @@ import (
 	"testing"
 	"time"
 
-	"mixedmem/internal/check"
 	"mixedmem/internal/dsm"
-	"mixedmem/internal/history"
 	"mixedmem/internal/network"
 	"mixedmem/internal/obs"
 )
@@ -26,7 +24,7 @@ type testCluster struct {
 	barriers    []*BarrierClient
 }
 
-func newTestCluster(t *testing.T, n int, mode PropagationMode, trace *history.Builder) *testCluster {
+func newTestCluster(t *testing.T, n int, mode PropagationMode) *testCluster {
 	t.Helper()
 	f, err := network.New(network.Config{Nodes: n})
 	if err != nil {
@@ -38,7 +36,7 @@ func newTestCluster(t *testing.T, n int, mode PropagationMode, trace *history.Bu
 		d := NewDispatcher(i, f)
 		dispatchers[i] = d
 		node, err := dsm.NewNode(dsm.Config{
-			ID: i, N: n, Transport: f, Trace: trace, Handler: d.Handle,
+			ID: i, N: n, Transport: f, Handler: d.Handle,
 		})
 		if err != nil {
 			t.Fatalf("NewNode(%d): %v", i, err)
@@ -64,7 +62,7 @@ func TestWriteLockMutualExclusion(t *testing.T) {
 	for _, mode := range []PropagationMode{Eager, Lazy, DemandDriven} {
 		mode := mode
 		t.Run(mode.String(), func(t *testing.T) {
-			tc := newTestCluster(t, 3, mode, nil)
+			tc := newTestCluster(t, 3, mode)
 			var inCS atomic.Int32
 			var maxSeen atomic.Int32
 			var wg sync.WaitGroup
@@ -100,7 +98,7 @@ func TestLockProtectedCounterNoLostUpdates(t *testing.T) {
 	for _, mode := range []PropagationMode{Eager, Lazy, DemandDriven} {
 		mode := mode
 		t.Run(mode.String(), func(t *testing.T) {
-			tc := newTestCluster(t, 3, mode, nil)
+			tc := newTestCluster(t, 3, mode)
 			const perProc = 15
 			var wg sync.WaitGroup
 			for p := 0; p < 3; p++ {
@@ -138,7 +136,7 @@ func TestManagerLocalContention(t *testing.T) {
 	for _, mode := range []PropagationMode{Eager, Lazy, DemandDriven} {
 		t.Run(mode.String(), func(t *testing.T) {
 			const rounds = 12
-			tc := newTestCluster(t, 3, mode, nil)
+			tc := newTestCluster(t, 3, mode)
 			phase := []string{"phase0", "phase1", "phase2"}
 			var inCS atomic.Int32
 			var wg sync.WaitGroup
@@ -175,7 +173,7 @@ func TestManagerLocalContention(t *testing.T) {
 }
 
 func TestReadLocksShared(t *testing.T) {
-	tc := newTestCluster(t, 2, Lazy, nil)
+	tc := newTestCluster(t, 2, Lazy)
 	tc.locks[0].RLock("l")
 	done := make(chan struct{})
 	go func() {
@@ -192,7 +190,7 @@ func TestReadLocksShared(t *testing.T) {
 }
 
 func TestWriterExcludedByReader(t *testing.T) {
-	tc := newTestCluster(t, 2, Lazy, nil)
+	tc := newTestCluster(t, 2, Lazy)
 	tc.locks[0].RLock("l")
 	acquired := make(chan struct{})
 	go func() {
@@ -214,7 +212,7 @@ func TestWriterExcludedByReader(t *testing.T) {
 }
 
 func TestReaderExcludedByWriter(t *testing.T) {
-	tc := newTestCluster(t, 2, Lazy, nil)
+	tc := newTestCluster(t, 2, Lazy)
 	tc.locks[0].WLock("l")
 	acquired := make(chan struct{})
 	go func() {
@@ -238,7 +236,7 @@ func TestReaderExcludedByWriter(t *testing.T) {
 func TestEagerVisibilityAtUnlock(t *testing.T) {
 	// Eager mode: when WUnlock returns, every replica has applied the
 	// critical section's updates — no acquire needed to observe them.
-	tc := newTestCluster(t, 3, Eager, nil)
+	tc := newTestCluster(t, 3, Eager)
 	tc.locks[0].WLock("l")
 	tc.nodes[0].Write("x", 42)
 	tc.locks[0].WUnlock("l")
@@ -253,7 +251,7 @@ func TestEagerVisibilityAtUnlock(t *testing.T) {
 }
 
 func TestLazyVisibilityAtAcquire(t *testing.T) {
-	tc := newTestCluster(t, 2, Lazy, nil)
+	tc := newTestCluster(t, 2, Lazy)
 	tc.locks[0].WLock("l")
 	tc.nodes[0].Write("x", 7)
 	tc.locks[0].WUnlock("l")
@@ -270,7 +268,7 @@ func TestLazyVisibilityAtAcquire(t *testing.T) {
 func TestLazyVisibilityTransitive(t *testing.T) {
 	// Lock chain p0 -> p1 -> p2: p2 must see p0's writes even though p1
 	// wrote nothing (the release vector accumulates).
-	tc := newTestCluster(t, 3, Lazy, nil)
+	tc := newTestCluster(t, 3, Lazy)
 	tc.locks[0].WLock("l")
 	tc.nodes[0].Write("x", 5)
 	tc.locks[0].WUnlock("l")
@@ -284,7 +282,7 @@ func TestLazyVisibilityTransitive(t *testing.T) {
 }
 
 func TestDemandDrivenBlocksOnlyInvalidatedReads(t *testing.T) {
-	tc := newTestCluster(t, 2, DemandDriven, nil)
+	tc := newTestCluster(t, 2, DemandDriven)
 	tc.locks[0].WLock("l")
 	tc.nodes[0].Write("x", 9)
 	tc.locks[0].WUnlock("l")
@@ -299,50 +297,8 @@ func TestDemandDrivenBlocksOnlyInvalidatedReads(t *testing.T) {
 	tc.locks[1].WUnlock("l")
 }
 
-func TestLockTraceIsEntryConsistentAndSC(t *testing.T) {
-	// Record an entry-consistent program through the real lock protocol
-	// and verify Corollary 1 end to end: mixed consistent, entry
-	// consistent, and sequentially consistent.
-	trace := history.NewBuilder(2)
-	tc := newTestCluster(t, 2, Lazy, trace)
-	var wg sync.WaitGroup
-	for p := 0; p < 2; p++ {
-		p := p
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 3; i++ {
-				tc.locks[p].WLock("lx")
-				v := tc.nodes[p].ReadCausal("x")
-				tc.nodes[p].Write("x", v+int64(1+p*100)) // distinct values
-				tc.locks[p].WUnlock("lx")
-			}
-		}()
-	}
-	wg.Wait()
-
-	h := trace.History()
-	a, err := h.Analyze()
-	if err != nil {
-		t.Fatalf("Analyze: %v", err)
-	}
-	if v := check.Mixed(a); len(v) != 0 {
-		t.Fatalf("trace not mixed consistent: %v", v)
-	}
-	if v := check.EntryConsistent(h, map[string]string{"x": "lx"}); len(v) != 0 {
-		t.Fatalf("trace not entry consistent: %v", v)
-	}
-	ok, _, err := check.SequentiallyConsistent(a)
-	if err != nil {
-		t.Fatalf("SC check: %v", err)
-	}
-	if !ok {
-		t.Fatal("Corollary 1 violated: entry-consistent causal execution not SC")
-	}
-}
-
 func TestBarrierPhaseExchange(t *testing.T) {
-	tc := newTestCluster(t, 3, Lazy, nil)
+	tc := newTestCluster(t, 3, Lazy)
 	var wg sync.WaitGroup
 	results := make([][]int64, 3)
 	for p := 0; p < 3; p++ {
@@ -372,7 +328,7 @@ func TestBarrierPhaseExchange(t *testing.T) {
 }
 
 func TestBarrierMultiplePhases(t *testing.T) {
-	tc := newTestCluster(t, 2, Lazy, nil)
+	tc := newTestCluster(t, 2, Lazy)
 	const phases = 5
 	var wg sync.WaitGroup
 	errs := make(chan string, 16)
@@ -488,40 +444,8 @@ func TestBarrierWaitsForSettledUpdates(t *testing.T) {
 	}
 }
 
-func TestBarrierTraceRecordsBarrierOps(t *testing.T) {
-	trace := history.NewBuilder(2)
-	tc := newTestCluster(t, 2, Lazy, trace)
-	var wg sync.WaitGroup
-	for p := 0; p < 2; p++ {
-		p := p
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			tc.nodes[p].Write([]string{"m", "n"}[p], int64(p+1))
-			tc.barriers[p].Barrier()
-			tc.nodes[p].ReadPRAM([]string{"n", "m"}[p])
-		}()
-	}
-	wg.Wait()
-	h := trace.History()
-	a, err := h.Analyze()
-	if err != nil {
-		t.Fatalf("Analyze: %v", err)
-	}
-	if v := check.Mixed(a); len(v) != 0 {
-		t.Fatalf("trace not mixed consistent: %v", v)
-	}
-	if v := check.PRAMConsistent(h); len(v) != 0 {
-		t.Fatalf("trace not PRAM consistent: %v", v)
-	}
-	ok, _, err := check.SequentiallyConsistent(a)
-	if err != nil || !ok {
-		t.Fatalf("Corollary 2 violated: ok=%v err=%v", ok, err)
-	}
-}
-
 func TestClientStats(t *testing.T) {
-	tc := newTestCluster(t, 2, Eager, nil)
+	tc := newTestCluster(t, 2, Eager)
 	tc.locks[0].WLock("l")
 	tc.locks[0].WUnlock("l")
 	s := tc.locks[0].Stats()
@@ -556,7 +480,7 @@ func TestWriteLogBoundedAcrossCriticalSections(t *testing.T) {
 	// The lock client trims the node's write log after each unlock, so the
 	// write-set of an early critical section never lingers: a later unlock
 	// carries only its own writes.
-	tc := newTestCluster(t, 2, DemandDriven, nil)
+	tc := newTestCluster(t, 2, DemandDriven)
 	tc.locks[0].WLock("l")
 	for i := 0; i < 10; i++ {
 		tc.nodes[0].Write("early"+string(rune('0'+i)), int64(i+1))
@@ -585,7 +509,7 @@ func TestWriteLogBoundedAcrossCriticalSections(t *testing.T) {
 func TestWriteLogIsDemandDrivenOnly(t *testing.T) {
 	for _, mode := range []PropagationMode{Eager, Lazy} {
 		t.Run(mode.String(), func(t *testing.T) {
-			tc := newTestCluster(t, 2, mode, nil)
+			tc := newTestCluster(t, 2, mode)
 			tc.locks[0].WLock("l")
 			tc.nodes[0].Write("inside", 1)
 			tc.locks[0].WUnlock("l")
@@ -608,7 +532,7 @@ func TestWriteLogIsDemandDrivenOnly(t *testing.T) {
 // by location — the order the codec requires, built with no sort at encode
 // time.
 func TestCloseWriteSetKeepsLastWriteSorted(t *testing.T) {
-	tc := newTestCluster(t, 2, DemandDriven, nil)
+	tc := newTestCluster(t, 2, DemandDriven)
 	c, nd := tc.locks[1], tc.nodes[1]
 	c.WLock("l")
 	for _, loc := range []string{"m", "b", "m", "z", "b", "a"} {

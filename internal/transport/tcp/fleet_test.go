@@ -105,8 +105,8 @@ func TestFleetStatsAreTheSumOfItsNodes(t *testing.T) {
 			t.Fatalf("send: %v", err)
 		}
 	}
-	if err := f.Send(transport.Message{From: 2, To: 2, Kind: "tcptest", Payload: uint64(7), Size: 4}); err != nil {
-		t.Fatalf("self send: %v", err)
+	if err := f.Send(transport.Message{From: 2, To: 0, Kind: "tcptest", Payload: uint64(7), Size: 4}); err != nil {
+		t.Fatalf("send: %v", err)
 	}
 	if err := f.Broadcast(1, "other", nil, 3); err != nil {
 		t.Fatalf("broadcast: %v", err)

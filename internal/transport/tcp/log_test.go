@@ -626,13 +626,15 @@ func TestReplayAfterKillWithLazyAcks(t *testing.T) {
 	if !trs[0].Flush(30 * time.Second) {
 		t.Fatal("Flush timed out after the reconnect")
 	}
-	if err := trs[1].Send(transport.Message{From: 1, To: 1, Kind: "marker"}); err != nil {
+	sd, rd := trs[0].Diag(), trs[1].Diag()
+	// A marker behind the stream on its own channel: a frame delivered twice
+	// would sit in the inbox ahead of it.
+	if err := trs[0].Send(transport.Message{From: 0, To: 1, Kind: "marker"}); err != nil {
 		t.Fatal(err)
 	}
 	if m := recvT(t, trs[1], 1); m.Kind != "marker" {
 		t.Fatalf("extra delivery after the stream: %+v", m)
 	}
-	sd, rd := trs[0].Diag(), trs[1].Diag()
 	if sd.Dials != 2 || sd.LogBytes != 0 {
 		t.Fatalf("sender diag %+v, want 2 dials and nothing held after Flush", sd)
 	}

@@ -222,7 +222,7 @@ func TestMalformedAckReqIsIgnored(t *testing.T) {
 // speaking for sender 0 stream the same sequence range at once; delivery must
 // be 1..N, each exactly once.
 func TestTwoConnectionsDeliverInOrder(t *testing.T) {
-	trs := newLoopbackT(t, 2)
+	trs := newLoopbackT(t, 3)
 	const total = 1500
 	var senders sync.WaitGroup
 	for c := 0; c < 2; c++ {
@@ -261,8 +261,10 @@ func TestTwoConnectionsDeliverInOrder(t *testing.T) {
 	}
 	senders.Wait()
 	// Both streams are fully processed; anything delivered twice would now
-	// sit in the inbox ahead of this marker.
-	if err := trs[1].Send(transport.Message{From: 1, To: 1, Kind: "marker"}); err != nil {
+	// sit in the inbox ahead of this marker, which a third node sends (node
+	// 0's own channel would drop it: the raw streams used its sequence
+	// numbers).
+	if err := trs[2].Send(transport.Message{From: 2, To: 1, Kind: "marker"}); err != nil {
 		t.Fatal(err)
 	}
 	if m := recvT(t, trs[1], 1); m.Kind != "marker" {
@@ -571,7 +573,7 @@ func TestLoneFrameCostsOneRead(t *testing.T) {
 // oversized one from a buffer of its own size, and the buffer is back to its
 // normal size for the frame after it.
 func TestFrameSplitAcrossReads(t *testing.T) {
-	trs := newLoopbackT(t, 2)
+	trs := newLoopbackT(t, 3)
 	s := dialRaw(t, trs[1], 0)
 	lone := s.frames(1, 1)
 	// The burst is frames 2..hi, just enough of them to overrun the buffer, so
@@ -611,8 +613,9 @@ func TestFrameSplitAcrossReads(t *testing.T) {
 	check(recvT(t, trs[1], 1), hi+1)
 	s.write(after)
 	check(recvT(t, trs[1], 1), hi+2)
-	// Anything delivered twice would now sit in the inbox ahead of this marker.
-	if err := trs[1].Send(transport.Message{From: 1, To: 1, Kind: "marker"}); err != nil {
+	// Anything delivered twice would now sit in the inbox ahead of this
+	// marker, which a third node sends.
+	if err := trs[2].Send(transport.Message{From: 2, To: 1, Kind: "marker"}); err != nil {
 		t.Fatal(err)
 	}
 	if m := recvT(t, trs[1], 1); m.Kind != "marker" {
@@ -718,7 +721,7 @@ func TestReceiverNoticesSenderGone(t *testing.T) {
 // at its hello, whose magic names that format, and nothing it sends after is
 // delivered.
 func TestV1HelloRefused(t *testing.T) {
-	trs := newLoopbackT(t, 2)
+	trs := newLoopbackT(t, 3)
 	for _, magic := range []string{"MXDM", "MXD2"} {
 		conn, err := net.Dial("tcp", trs[1].ln.Addr().String())
 		if err != nil {
@@ -734,8 +737,9 @@ func TestV1HelloRefused(t *testing.T) {
 			t.Fatalf("%s: read % x, %v; want the receiver to hang up on the hello", magic, body, err)
 		}
 		conn.Close()
-		// Anything delivered would sit in the inbox ahead of this marker.
-		if err := trs[1].Send(transport.Message{From: 1, To: 1, Kind: "marker"}); err != nil {
+		// Anything delivered would sit in the inbox ahead of this marker,
+		// which a third node sends.
+		if err := trs[2].Send(transport.Message{From: 2, To: 1, Kind: "marker"}); err != nil {
 			t.Fatal(err)
 		}
 		if m := recvT(t, trs[1], 1); m.Kind != "marker" {

@@ -63,7 +63,8 @@
 //
 // Accounting lives in the channel, as on the simulated fabric: each peer keeps
 // a per-kind table (network.KindCounts) bumped inside the hold push takes
-// anyway, self-sends one of their own under a small lock, and Stats sums them.
+// anyway, and Stats sums them. A node never sends to itself: a send to self
+// is an ErrInvalidNode, as on the simulated fabric.
 //
 // The receiving side of a connection is one goroutine that owns everything it
 // needs to turn bytes into messages: the read buffer, the acknowledgement
@@ -239,11 +240,6 @@ type Transport struct {
 	rmu     sync.Mutex
 	lastSeq []uint64
 
-	// self accounts the self-sends, under selfMu; every remote channel
-	// accounts its own sends (peer.kinds).
-	selfMu sync.Mutex
-	self   network.KindCounts
-
 	dials        atomic.Uint64
 	dialFailures atomic.Uint64
 	replayed     atomic.Uint64
@@ -316,23 +312,16 @@ func New(cfg Config) (*Transport, error) {
 // Nodes returns the number of nodes the transport connects.
 func (t *Transport) Nodes() int { return t.n }
 
-// Send enqueues m for FIFO delivery to m.To. It never blocks: remote sends
-// append to the peer's unbounded replay log, local sends go straight to
-// the inbox. The error is non-nil only for invalid node IDs or payloads the
-// codec registry cannot encode.
+// Send enqueues m for FIFO delivery to m.To. It never blocks: the message
+// is appended to the peer's unbounded replay log. The error is non-nil only
+// for invalid node IDs — this node's own among them — or payloads the codec
+// registry cannot encode.
 func (t *Transport) Send(m transport.Message) error {
 	if m.From != t.id {
 		return fmt.Errorf("tcp: send from %d on node %d: %w", m.From, t.id, ErrInvalidNode)
 	}
-	if m.To < 0 || m.To >= t.n {
+	if m.To < 0 || m.To >= t.n || m.To == t.id {
 		return fmt.Errorf("tcp: send %d->%d: %w", m.From, m.To, ErrInvalidNode)
-	}
-	if m.To == t.id {
-		t.selfMu.Lock()
-		t.self.Count(m.Kind, m.Size)
-		t.selfMu.Unlock()
-		t.inbox.Push(m)
-		return nil
 	}
 	payload, err := transport.EncodePayload(transport.GetBuf(), m.Kind, m.Payload)
 	if err != nil {
@@ -392,7 +381,7 @@ func (t *Transport) Pending(from, to int) int {
 }
 
 // Stats returns a snapshot of the accounting counters: the sum of every
-// channel's table, the self-sends' included, the same shape the simulated
+// channel's table, the same shape the simulated
 // fabric reports. On a distributed transport only the local node's sends are
 // visible; per-experiment totals are the sum over all processes' snapshots.
 func (t *Transport) Stats() transport.Stats {
@@ -411,11 +400,6 @@ func (t *Transport) Diag() Diag {
 // addTo adds this node's message accounting to s and its link diagnostics
 // to d; either may be nil. A Fleet's snapshots are the sums of its nodes'.
 func (t *Transport) addTo(s *transport.Stats, d *Diag) {
-	if s != nil {
-		t.selfMu.Lock()
-		t.self.AddTo(s, t.id)
-		t.selfMu.Unlock()
-	}
 	if d != nil {
 		d.Dials += t.dials.Load()
 		d.DialFailures += t.dialFailures.Load()

@@ -1,12 +1,14 @@
 package tcp
 
 import (
+	"errors"
 	"fmt"
 	"net"
 	"runtime"
 	"testing"
 	"time"
 
+	"mixedmem/internal/network"
 	"mixedmem/internal/transport"
 )
 
@@ -142,18 +144,36 @@ func TestBroadcastReachesAllOthers(t *testing.T) {
 	}
 }
 
-func TestSelfSendBypassesNetwork(t *testing.T) {
-	trs := newLoopbackT(t, 2)
-	// A payload type no codec could encode still works locally: self-sends
-	// never serialize.
-	type opaque struct{ s string }
-	err := trs[0].Send(transport.Message{From: 0, To: 0, Kind: "no-codec-kind", Payload: opaque{"x"}})
+// TestTransportsRefuseSelfSend: a transport carries only traffic between
+// processes. The simulated fabric, a tcp transport and a tcp fleet each
+// refuse a send to self as an invalid node and count nothing for it, and the
+// fabric has no self channel to hold.
+func TestTransportsRefuseSelfSend(t *testing.T) {
+	fab, err := network.New(network.Config{Nodes: 2})
 	if err != nil {
-		t.Fatalf("self send: %v", err)
+		t.Fatalf("network.New: %v", err)
 	}
-	m := recvT(t, trs[0], 0)
-	if m.Payload.(opaque).s != "x" {
-		t.Fatalf("self send mangled payload: %+v", m)
+	defer fab.Close()
+	for _, tc := range []struct {
+		name    string
+		tr      transport.Transport
+		node    int
+		invalid error
+	}{
+		{"sim", fab, 1, network.ErrInvalidNode},
+		{"tcp", newLoopbackT(t, 2)[0], 0, ErrInvalidNode},
+		{"fleet", newFleetT(t, 2), 1, ErrInvalidNode},
+	} {
+		err := tc.tr.Send(transport.Message{From: tc.node, To: tc.node, Kind: "tcptest", Payload: uint64(1), Size: 8})
+		if !errors.Is(err, tc.invalid) {
+			t.Errorf("%s: send to self: err = %v, want %v", tc.name, err, tc.invalid)
+		}
+		if s := tc.tr.Stats(); s.MessagesSent != 0 || s.BytesSent != 0 {
+			t.Errorf("%s: a refused send was counted: %v", tc.name, s)
+		}
+	}
+	if err := fab.Hold(1, 1); !errors.Is(err, network.ErrInvalidNode) {
+		t.Errorf("Hold(1, 1): err = %v, want %v", err, network.ErrInvalidNode)
 	}
 }
 
