@@ -13,7 +13,8 @@ package mixedmem_test
 // (bench/e2e and the root package count as users and are never reported), the
 // tests of every package for the objects of every other package, and the
 // entries of testdata/deadcode.allow. A method that satisfies an interface is
-// live exactly when its receiver type is. A blank declaration ("var _ I =
+// live exactly when its receiver type is, and so is one that satisfies a
+// type-parameter constraint. A blank declaration ("var _ I =
 // (*T)(nil)") is neither a root nor reported.
 
 import (
@@ -150,6 +151,7 @@ type deadCodeScan struct {
 	knobs   map[*types.Var]*dcKnob
 	queue   []*dcNode                     // live nodes whose uses are not yet marked
 	ifaces  map[string][]*types.Interface // every interface, by method name
+	loose   map[*types.Interface]bool     // the constraints among them
 	visited map[*types.Package]bool       // packages whose interfaces are indexed
 }
 
@@ -165,6 +167,7 @@ func findDeadCode(root string, allow []string) (deadCodeReport, error) {
 		nodes:   make(map[types.Object]*dcNode),
 		knobs:   make(map[*types.Var]*dcKnob),
 		ifaces:  make(map[string][]*types.Interface),
+		loose:   make(map[*types.Interface]bool),
 		visited: make(map[*types.Package]bool),
 	}
 	// The first package's path, less its directory below root, is the
@@ -386,9 +389,6 @@ func (s *deadCodeScan) collectIfaces(pkg *types.Package) {
 	scope := pkg.Scope()
 	for _, name := range scope.Names() {
 		if tn, ok := scope.Lookup(name).(*types.TypeName); ok {
-			if n, ok := tn.Type().(*types.Named); ok && n.TypeParams().Len() > 0 {
-				continue
-			}
 			s.addIface(tn.Type())
 		}
 	}
@@ -397,13 +397,20 @@ func (s *deadCodeScan) collectIfaces(pkg *types.Package) {
 	}
 }
 
+// addIface indexes t's methods if t is an interface. A constraint — an
+// interface with a type term, or a generic one — is indexed as loose: which
+// type arguments satisfy it is not worth working out, so a method with one of
+// its names is taken to satisfy it.
 func (s *deadCodeScan) addIface(t types.Type) {
 	if t == nil {
 		return
 	}
 	it, ok := t.Underlying().(*types.Interface)
-	if !ok || !it.IsMethodSet() {
+	if !ok {
 		return
+	}
+	if n, ok := t.(*types.Named); !it.IsMethodSet() || ok && n.TypeParams().Len() > 0 {
+		s.loose[it] = true
 	}
 	for i := 0; i < it.NumMethods(); i++ {
 		name := it.Method(i).Name()
@@ -415,7 +422,8 @@ func (s *deadCodeScan) addIface(t types.Type) {
 
 // interfaceEdges makes a method that satisfies an interface live whenever its
 // receiver type is. A generic receiver is taken to satisfy any interface that
-// names the method: which instance flows into it is not worth working out.
+// names the method, and any receiver a constraint that names it (addIface):
+// which instance flows into it is not worth working out.
 func (s *deadCodeScan) interfaceEdges() {
 	for obj, n := range s.nodes {
 		fn, ok := obj.(*types.Func)
@@ -429,7 +437,7 @@ func (s *deadCodeScan) interfaceEdges() {
 		named := recv.(*types.Named)
 		rn := s.nodes[named.Obj()]
 		for _, it := range s.ifaces[fn.Name()] {
-			if named.TypeParams().Len() > 0 || types.Implements(types.NewPointer(named), it) {
+			if named.TypeParams().Len() > 0 || s.loose[it] || types.Implements(types.NewPointer(named), it) {
 				rn.out = append(rn.out, n)
 				if rn.live {
 					s.mark(n)

@@ -286,12 +286,15 @@ func TestGridSPDFillIn(t *testing.T) {
 // every replica, so the count is dominated by what a location, a sent update
 // and a lock round cost the runtime.
 //
-// Twenty runs read 3.44–3.89 allocations per column (3.45–3.88 under -race);
-// the bound leaves about a fifth over the highest. A location table per shard
-// instead of per node reads about 21. A fresh column buffer per finalized
-// column reads 4.41–4.81, and sent updates that never return to their pool —
-// a slab of 64 carved anew each time — 4.19–4.75: both straddle the bound, and
-// the second is TestWriteCausalUnbatchedAllocFloor's to catch (internal/dsm).
+// Twenty runs read 3.78–3.97 allocations per column (3.80–4.00 under -race);
+// the bound leaves about a sixth over the highest. They read 3.44–3.89 before
+// a critical section's writes left as one batch: on a fresh system each
+// node's first hold builds its outbox and carves the slabs its batches draw
+// their room from. Measured before that, a location table per shard instead
+// of per node read about 21, a fresh column buffer per finalized column
+// 4.41–4.81, and sent updates that never return to their pool — a slab of 64
+// carved anew each time — 4.19–4.75: the last two straddle the bound, and the
+// second is TestWriteCausalUnbatchedAllocFloor's to catch (internal/dsm).
 func TestCholeskyLocksAllocsPerColumn(t *testing.T) {
 	const maxPerColumn = 4.7
 	m := GenGridSPD(8)

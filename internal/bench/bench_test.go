@@ -2,6 +2,7 @@ package bench
 
 import (
 	"testing"
+	"time"
 
 	"mixedmem/internal/dsm"
 	"mixedmem/internal/network"
@@ -76,6 +77,12 @@ func TestRunEMField(t *testing.T) {
 	}
 }
 
+// TestRunCholeskyComparison pins experiment E5's message counts exactly. A
+// write-locked critical section's writes leave as one batch per destination
+// (dsm.Node.Hold), so the lock variant sends fewer messages than the counter
+// variant, whose adds are each a broadcast of their own; the counter variant
+// is still the faster one (EXPERIMENTS.md E5 says why), which the timings
+// cannot pin.
 func TestRunCholeskyComparison(t *testing.T) {
 	r, err := RunCholeskyComparison(12, 3, 0.3, network.LatencyModel{}, 3)
 	if err != nil {
@@ -84,13 +91,9 @@ func TestRunCholeskyComparison(t *testing.T) {
 	if r.LockError > 1e-8 || r.CounterError > 1e-6 {
 		t.Fatalf("factorization errors too large: %+v", r)
 	}
-	if r.LockAcquires == 0 {
-		t.Error("lock variant acquired no locks")
-	}
-	// The counter variant eliminates all lock traffic, so it sends fewer
-	// protocol messages overall on the same problem.
-	if r.CounterMsgs >= r.LockMsgs {
-		t.Errorf("counter variant did not reduce messages: %+v", r)
+	if r.LockAcquires != 31 || r.LockMsgs != 326 || r.CounterMsgs != 398 {
+		t.Errorf("locks: %d acquires, %d msgs; counters: %d msgs; want 31, 326 and 398: %+v",
+			r.LockAcquires, r.LockMsgs, r.CounterMsgs, r)
 	}
 }
 
@@ -122,70 +125,60 @@ func TestRunPropagationSweep(t *testing.T) {
 	}
 }
 
-// TestBatchingHalvesE6Messages is the acceptance gate for the update outbox:
-// under the E6 lock-handoff workload, batching at the critical-section width
-// must cut total fabric messages (and update frames by close to WritesPerCS)
-// at least in half compared to the unbatched baseline, in every propagation
-// mode.
-func TestBatchingHalvesE6Messages(t *testing.T) {
+// TestHoldsBatchE6CriticalSections pins what a hold does to the E6
+// lock-handoff workload: a critical section's writes leave as one frame per
+// destination whether or not the outbox batches every write, so in every
+// propagation mode the unbatched run sends exactly the batched run's messages
+// and bytes, and exactly one update frame per critical section per peer.
+// Demand-driven grants carry write-set stamps whose sequence numbers depend on
+// the handoff order, so its bytes are left out, as counts.golden leaves them.
+func TestHoldsBatchE6CriticalSections(t *testing.T) {
 	w := PropagationWorkload{Procs: 4, Handoffs: 10, WritesPerCS: 8, ReadBack: false}
 	wb := w
-	wb.Batch = dsm.BatchConfig{Enabled: true, MaxUpdates: 32}
+	wb.Batch = dsm.BatchConfig{Enabled: true, MaxUpdates: 32, Linger: time.Hour}
 
-	before, err := RunPropagationSweep(w, network.LatencyModel{}, 4)
+	unbatched, err := RunPropagationSweep(w, network.LatencyModel{}, 4)
 	if err != nil {
 		t.Fatalf("RunPropagationSweep (unbatched): %v", err)
 	}
-	after, err := RunPropagationSweep(wb, network.LatencyModel{}, 4)
+	batched, err := RunPropagationSweep(wb, network.LatencyModel{}, 4)
 	if err != nil {
 		t.Fatalf("RunPropagationSweep (batched): %v", err)
 	}
-	byMode := map[syncmgr.PropagationMode]PropagationResult{}
-	for _, r := range after {
-		byMode[r.Mode] = r
-	}
-	for _, b := range before {
-		a := byMode[b.Mode]
-		if a.Msgs*2 > b.Msgs {
-			t.Errorf("%v: batching reduced messages only %d -> %d, want >= 2x",
-				b.Mode, b.Msgs, a.Msgs)
+	frames := uint64(w.Procs * w.Handoffs * (w.Procs - 1))
+	for i, u := range unbatched {
+		b := batched[i]
+		if u.UpdateFrames != frames || b.UpdateFrames != frames {
+			t.Errorf("%v: %d update frames unbatched, %d batched, want %d: one per critical section per peer",
+				u.Mode, u.UpdateFrames, b.UpdateFrames, frames)
 		}
-		// With 8 writes per critical section and a 32-wide outbox, every
-		// critical section's updates should leave as one frame per
-		// destination: an ~8x collapse, so comfortably >= 4x.
-		if a.UpdateFrames*4 > b.UpdateFrames {
-			t.Errorf("%v: update frames reduced only %d -> %d, want >= 4x",
-				b.Mode, b.UpdateFrames, a.UpdateFrames)
+		if u.Msgs != b.Msgs || u.Mode != syncmgr.DemandDriven && u.Bytes != b.Bytes {
+			t.Errorf("%v: unbatched %d msgs / %d B, batched %d / %d, want equal",
+				u.Mode, u.Msgs, u.Bytes, b.Msgs, b.Bytes)
 		}
 	}
 }
 
-// TestBatchSweepMonotoneFrames checks the sweep helper: update frames shrink
-// as the batch window widens, and size 0 reproduces the unbatched baseline.
-func TestBatchSweepMonotoneFrames(t *testing.T) {
+// TestBatchSweepFramesExact pins the sweep helper's update frames: a batch
+// window at least the critical section's width (and no window at all, where
+// the hold batches) ships one frame per critical section per peer; a window of
+// one flushes every write at its threshold.
+func TestBatchSweepFramesExact(t *testing.T) {
 	w := PropagationWorkload{Procs: 3, Handoffs: 5, WritesPerCS: 4, ReadBack: false}
-	rows, err := RunPropagationBatchSweep(
-		syncmgr.Lazy, w, []int{0, 1, 4, 16}, network.LatencyModel{}, 4)
+	sizes := []int{0, 1, 4, 16}
+	rows, err := RunPropagationBatchSweep(syncmgr.Lazy, w, sizes, network.LatencyModel{}, 4)
 	if err != nil {
 		t.Fatalf("RunPropagationBatchSweep: %v", err)
 	}
-	if len(rows) != 4 {
+	if len(rows) != len(sizes) {
 		t.Fatalf("got %d rows", len(rows))
 	}
-	if rows[0].Batch != 0 || rows[1].Batch != 1 || rows[3].Batch != 16 {
-		t.Fatalf("batch labels wrong: %+v", rows)
-	}
-	for i := 1; i < len(rows); i++ {
-		if rows[i].UpdateFrames > rows[i-1].UpdateFrames {
-			t.Errorf("update frames grew from batch=%d (%d) to batch=%d (%d)",
-				rows[i-1].Batch, rows[i-1].UpdateFrames, rows[i].Batch, rows[i].UpdateFrames)
+	perCS := uint64(w.Procs * w.Handoffs * (w.Procs - 1))
+	want := []uint64{perCS, perCS * uint64(w.WritesPerCS), perCS, perCS}
+	for i, r := range rows {
+		if r.Batch != sizes[i] || r.UpdateFrames != want[i] {
+			t.Errorf("row %d: batch=%d, %d update frames; want batch=%d, %d", i, r.Batch, r.UpdateFrames, sizes[i], want[i])
 		}
-	}
-	// All workload writes still happen regardless of batch size: the update
-	// frames with batch=1 equal the baseline (every batch is a singleton).
-	if rows[1].UpdateFrames != rows[0].UpdateFrames {
-		t.Errorf("batch=1 sent %d update frames, baseline %d — should match",
-			rows[1].UpdateFrames, rows[0].UpdateFrames)
 	}
 }
 

@@ -146,13 +146,16 @@ func RunPropagationBatchSweep(mode syncmgr.PropagationMode, w PropagationWorkloa
 	return out, nil
 }
 
-// batchConfigForSize maps a sweep knob to an outbox config: 0 disables
-// batching, a positive size becomes the MaxUpdates threshold.
+// batchConfigForSize maps a sweep knob to an outbox config: 0 batches only
+// what a hold does, a positive size batches every write and becomes the
+// MaxUpdates threshold. Every critical section ends in a flush, so the
+// linger flusher would only split batches as the schedule falls: it is
+// pushed out of the run.
 func batchConfigForSize(size int) dsm.BatchConfig {
 	if size <= 0 {
 		return dsm.BatchConfig{}
 	}
-	return dsm.BatchConfig{Enabled: true, MaxUpdates: size}
+	return dsm.BatchConfig{Enabled: true, MaxUpdates: size, Linger: time.Hour}
 }
 
 // GaussSeidelResult is experiment E7: convergence of asynchronous relaxation

@@ -20,6 +20,9 @@ type SpectrumPoint struct {
 	// operation count (writes plus reads). Weak labels broadcast each
 	// write and read locally; SC pays a request/reply pair per access.
 	MsgsPerOp, BytesPerOp float64
+	// SCRequests and SCReplies count the SC owner protocol's messages over
+	// the measured loops: none at a weak label, one of each per access at SC.
+	SCRequests, SCReplies uint64
 }
 
 // SpectrumResult is experiment E8S: the cost-of-consistency curve, one point
@@ -83,6 +86,8 @@ func RunLatencySpectrum(procs, ops int, sub Substrate) (SpectrumResult, error) {
 		total := float64(2 * ops)
 		pt.MsgsPerOp = float64(after.MessagesSent-before.MessagesSent) / total
 		pt.BytesPerOp = float64(after.BytesSent-before.BytesSent) / total
+		pt.SCRequests = after.PerKind[dsm.KindSCRequest] - before.PerKind[dsm.KindSCRequest]
+		pt.SCReplies = after.PerKind[dsm.KindSCReply] - before.PerKind[dsm.KindSCReply]
 		out.Points[i] = pt
 		sys.Close()
 	}

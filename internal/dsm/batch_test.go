@@ -329,7 +329,7 @@ func TestBatchScopedCausalDepsCapturedAtEnqueue(t *testing.T) {
 
 	nodes[0].Write("a", 1) // W: parked for both causal readers
 	// Relay W to node 2 only; node 1's copy stays in the outbox.
-	ob2 := nodes[0].outbox[2]
+	ob2 := &nodes[0].outbox[2]
 	nodes[0].outboxMu.Lock()
 	nodes[0].flushDestLocked(2, ob2)
 	nodes[0].outboxMu.Unlock()

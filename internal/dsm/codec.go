@@ -3,6 +3,7 @@ package dsm
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"mixedmem/internal/history"
 	"mixedmem/internal/loctab"
@@ -96,6 +97,10 @@ func (c *connDecoder) decodeDeps(d *transport.Decoder, present bool) (vclock.Mat
 			return nil, fmt.Errorf("deps bit set on an empty dependency section")
 		}
 		return nil, nil
+	}
+	if c.offCluster(n) {
+		return nil, fmt.Errorf("%dx%d dependency matrix in a %d-process cluster: %w",
+			n, n, c.nodes, transport.ErrTruncated)
 	}
 	if n > maxDepsN {
 		return nil, fmt.Errorf("%dx%d dependency matrix exceeds the %d dimension bound: %w",
@@ -262,18 +267,18 @@ func appendEntry(dst []byte, u *Update, from int, seqField uint64, entry bool) (
 
 // parseEntry reads the flags, location, value and timestamp of u, whose From
 // and Seq are set; entry says whether u is a batch entry (parseFlags). It
-// returns the flags' deps bit. A definition's name is left to define.
-func (c *connDecoder) parseEntry(d *transport.Decoder, u *Update, entry bool) (deps bool, err error) {
+// returns the flags' deps bit and, for a definition, the name's bytes, which
+// alias the payload: the caller names u once the entry has decoded.
+func (c *connDecoder) parseEntry(d *transport.Decoder, u *Update, entry bool) (deps bool, loc []byte, err error) {
 	stamped, deps, err := parseFlags(d, u, entry)
 	if err != nil {
-		return false, err
+		return false, nil, err
 	}
 	f := d.Uvarint()
 	if f>>1 > math.MaxUint32 {
-		return false, fmt.Errorf("location ordinal %d out of range", f>>1)
+		return false, nil, fmt.Errorf("location ordinal %d out of range", f>>1)
 	}
 	u.Ordinal, u.Defines = uint32(f>>1), f&1 != 0
-	var loc []byte
 	if u.Defines {
 		loc = d.UvarintBytes()
 	}
@@ -281,34 +286,38 @@ func (c *connDecoder) parseEntry(d *transport.Decoder, u *Update, entry bool) (d
 	if stamped {
 		n := d.Uvarint()
 		if d.Err() != nil {
-			return deps, nil
+			return deps, nil, nil
 		}
 		switch {
+		case c.offCluster(n):
+			return false, nil, fmt.Errorf("%d-component timestamp in a %d-process cluster: %w", n, c.nodes, transport.ErrTruncated)
 		case n == 0:
-			return false, fmt.Errorf("stamped bit set on an empty timestamp")
+			return false, nil, fmt.Errorf("stamped bit set on an empty timestamp")
 		case n-1 > uint64(d.Remaining()/8):
-			return false, fmt.Errorf("%w: %d-component timestamp in %d bytes", transport.ErrTruncated, n, d.Remaining())
+			return false, nil, fmt.Errorf("%w: %d-component timestamp in %d bytes", transport.ErrTruncated, n, d.Remaining())
 		case uint64(u.From) >= n:
-			return false, fmt.Errorf("%d-component timestamp from sender %d", n, u.From)
+			return false, nil, fmt.Errorf("%d-component timestamp from sender %d", n, u.From)
 		}
 		u.TS = c.timestamp(d, int(n), u.From, u.Seq)
 	}
-	if u.Defines && d.Err() == nil {
-		c.define(u, loc)
-	}
-	return deps, nil
+	return deps, loc, nil
 }
 
-// define names u's location loc, which aliases the payload. The stateless
-// decoder copies it at once. A connection defers it until the whole payload
-// has decoded (carveName), so a decode that fails carves nothing from the
-// name arena.
-func (c *connDecoder) define(u *Update, loc []byte) {
-	if c == nil {
+// define names u's location loc, which aliases the payload, once u has decoded
+// and only if it defines one. The stateless decoder copies it at once, into
+// names when it has one (a batch's, so its names cost one chunk). A connection
+// defers it until the whole payload has decoded (carveName), so a decode that
+// fails carves nothing from the name arena.
+func (c *connDecoder) define(d *transport.Decoder, u *Update, loc []byte, names *loctab.NameArena) {
+	switch {
+	case !u.Defines || d.Err() != nil:
+	case c != nil:
+		c.defs = append(c.defs, loc)
+	case names != nil:
+		u.Loc = names.Carve(loc)
+	default:
 		u.Loc = string(loc)
-		return
 	}
-	c.defs = append(c.defs, loc)
 }
 
 // carveName gives u, a decoded update, the k-th name define deferred when u
@@ -380,28 +389,36 @@ func parseFrom(d *transport.Decoder) (int, error) {
 // life; a name the node already knew is garbage inside its chunk
 // (loctab.NameArena bounds the waste).
 type connDecoder struct {
-	updates updatePool    // where decoded updates come from
-	batch   []UpdateBatch // the unused rest of the batch slab
-	ts      []uint64      // the unused rest of the timestamp slab
-	mx      matrixSlab    // the unused rest of the matrix slabs
-	ids     []int         // decodeDeps's active-index scratch
+	// nodes is the size of the cluster the connection belongs to: the width
+	// of every timestamp and dependency matrix a peer of it can send.
+	nodes   int
+	updates updatePool // where decoded updates come from
+	batches batchPool  // where decoded batches come from
+	ts      []uint64   // the unused rest of the timestamp slab
+	mx      matrixSlab // the unused rest of the matrix slabs
+	ids     []int      // decodeDeps's active-index scratch
 	names   loctab.NameArena
 	// defs holds the names of the payload being decoded, in order, until
 	// carveName carves them.
 	defs [][]byte
 	// spare is where the update being decoded parses a timestamp that fits
 	// its element (stamp, until the element is carved), nil while a batch is.
-	spare []uint64
-	stamp [tsInline]uint64
+	// A batch being decoded (inBatch) parses into entries and stampWords,
+	// which are copied into an element only once the decode has succeeded.
+	spare      []uint64
+	stamp      [tsInline]uint64
+	inBatch    bool
+	entries    []Update
+	stampWords []uint64
 }
 
-// updateBatch returns the *UpdateBatch a decoded batch is stored in: the next
-// element of the slab.
-func (c *connDecoder) updateBatch() *UpdateBatch {
-	if c == nil {
-		return new(UpdateBatch)
-	}
-	return carve(&c.batch)
+// offCluster reports whether a timestamp or dependency matrix n wide is one
+// no peer of the connection's cluster sends, which the decoder refuses before
+// anything of that width is allocated. The stateless decoder knows no cluster,
+// nor does a connection built without one (nodes zero): they bound a matrix by
+// maxDepsN, and a timestamp by the bytes that carry it.
+func (c *connDecoder) offCluster(n uint64) bool {
+	return c != nil && c.nodes > 0 && n != uint64(c.nodes)
 }
 
 // matrix returns a zeroed n-by-n dependency matrix: the next one of the
@@ -415,16 +432,20 @@ func (c *connDecoder) matrix(n int) vclock.Matrix {
 }
 
 // timestamp reads an n-component timestamp of an update from sender from (n >
-// from, and d holds at least 8(n-1) bytes) into spare when it fits, otherwise
-// into the next n words of the slab, with the capacity cut to the length as
-// stampLocked does; the sender's component, which the wire
-// leaves out, is seq. A timestamp wider than any real system's gets an
+// from, and d holds at least 8(n-1) bytes) into the stamp words of the batch
+// being decoded, into spare when it fits, otherwise into the next n words of
+// the slab, with the capacity cut to the length as stampLocked does; the
+// sender's component, which the wire leaves out, is seq. A timestamp wider than any real system's gets an
 // allocation of its own, so a hostile length cannot inflate the slab.
 func (c *connDecoder) timestamp(d *transport.Decoder, n, from int, seq uint64) vclock.VC {
 	var ts vclock.VC
 	switch {
 	case c == nil || n > maxDepsN:
 		ts = vclock.New(n)
+	case c.inBatch:
+		off := len(c.stampWords)
+		c.stampWords = slices.Grow(c.stampWords, n)[:off+n]
+		ts = c.stampWords[off : off+n : off+n]
 	case n <= len(c.spare):
 		ts, c.spare = c.spare[:n:n], nil
 	default:
@@ -506,8 +527,8 @@ func (updateCodec) Decode(data []byte) (any, error) {
 	return (*connDecoder)(nil).decodeUpdate(data)
 }
 
-func (updateCodec) NewConnDecoder() func([]byte) (any, error) {
-	return new(connDecoder).decodeUpdate
+func (updateCodec) NewConnDecoder(nodes int) func([]byte) (any, error) {
+	return (&connDecoder{nodes: nodes}).decodeUpdate
 }
 
 // decodeUpdate is updateCodec's one parse body. The update is parsed into a
@@ -532,7 +553,7 @@ func (c *connDecoder) decodeUpdate(data []byte) (any, error) {
 		c.rollback(mark)
 		return nil, err
 	}
-	e := c.updates.get(&u, 1)
+	e := takeUpdate(&c.updates, &u, 1)
 	if inline {
 		e.TS = e.words[:len(u.TS):len(u.TS)]
 		copy(e.TS, u.TS)
@@ -547,9 +568,12 @@ func (c *connDecoder) parseUpdate(data []byte) (Update, error) {
 	var u Update
 	var err error
 	var deps bool
+	var loc []byte
 	if u.From, err = parseFrom(d); err == nil {
 		u.Seq = d.Uvarint()
-		deps, err = c.parseEntry(d, &u, false)
+		if deps, loc, err = c.parseEntry(d, &u, false); err == nil {
+			c.define(d, &u, loc, nil)
+		}
 	}
 	if err == nil && deps && d.Err() == nil {
 		u.Deps, err = c.decodeDeps(d, true)
@@ -635,65 +659,88 @@ func (batchCodec) Decode(data []byte) (any, error) {
 	return (*connDecoder)(nil).decodeBatch(data)
 }
 
-func (batchCodec) NewConnDecoder() func([]byte) (any, error) {
-	return new(connDecoder).decodeBatch
+func (batchCodec) NewConnDecoder(nodes int) func([]byte) (any, error) {
+	return (&connDecoder{nodes: nodes}).decodeBatch
 }
 
-// decodeBatch is batchCodec's one parse body. The entry slice comes from the
-// batch pool on either path; a failed decode returns it, and the timestamp
-// words and matrix its parse took. Like an update, the batch is copied into
-// its slab slot, and its definitions' names carved, only once the whole
-// payload has decoded.
+// decodeBatch is batchCodec's one parse body. A connection parses into its
+// scratch entries and words, and copies them into an element of its batch pool
+// only once the whole payload has decoded, so a failed decode consumes no
+// element, and gives back the matrix its parse took; the stateless decoder
+// allocates. Like an update, a batch's definitions' names are carved only once
+// the whole payload has decoded.
 func (c *connDecoder) decodeBatch(data []byte) (any, error) {
+	if c == nil {
+		b := new(UpdateBatch)
+		if err := c.parseBatch(data, b); err != nil {
+			return nil, err
+		}
+		return b, nil
+	}
 	mark := c.mark()
-	b, err := c.parseBatch(data)
+	b := UpdateBatch{Updates: c.entries[:0]}
+	c.stampWords, c.inBatch = c.stampWords[:0], true
+	err := c.parseBatch(data, &b)
+	c.inBatch = false
+	var e *stampedBatch
+	if err == nil {
+		e = takeBatch(&c.batches, len(b.Updates), len(c.stampWords))
+		e.From, e.FirstSeq, e.Deps = b.From, b.FirstSeq, b.Deps
+		e.Updates = append(e.Updates, b.Updates...)
+		fillStamps(e)
+	}
+	// The scratch keeps its capacity for the next payload, but not a peer's
+	// huge batch a second time: the element keeps that.
+	clear(b.Updates)
+	if cap(b.Updates) <= entrySlab {
+		c.entries = b.Updates[:0]
+	}
+	if cap(c.stampWords) > wordSlab {
+		c.stampWords = nil
+	}
 	if err != nil {
 		c.rollback(mark)
-		putUpdateSlice(b.Updates)
 		return nil, err
 	}
-	if c != nil {
-		for i, k := 0, 0; i < len(b.Updates); i++ {
-			k = c.carveName(&b.Updates[i], k)
-		}
-		c.dropDefs()
+	for i, k := 0, 0; i < len(e.Updates); i++ {
+		k = c.carveName(&e.Updates[i], k)
 	}
-	out := c.updateBatch()
-	*out = b
-	return out, nil
+	c.dropDefs()
+	return &e.UpdateBatch, nil
 }
 
-func (c *connDecoder) parseBatch(data []byte) (UpdateBatch, error) {
+func (c *connDecoder) parseBatch(data []byte, b *UpdateBatch) error {
 	d := transport.NewDecoder(data)
-	var b UpdateBatch
 	from, err := parseFrom(d)
 	if err != nil {
-		return b, fmt.Errorf("dsm: batch codec: %w", err)
+		return fmt.Errorf("dsm: batch codec: %w", err)
 	}
 	b.From, b.FirstSeq = from, d.Uvarint()
 	if d.Err() == nil {
 		if b.Deps, err = c.decodeDeps(d, false); err != nil {
-			return b, fmt.Errorf("dsm: batch codec: %w", err)
+			return fmt.Errorf("dsm: batch codec: %w", err)
 		}
 	}
 	nEntries := d.UvarintCount(minBatchEntry)
-	if nEntries > 0 {
-		// Draw the entry slice from the batch pool: the receiving node's
-		// apply path returns it once the batch has fully applied (see
-		// updateSlicePool).
-		b.Updates = getUpdateSlice(nEntries)
+	var arena loctab.NameArena
+	var names *loctab.NameArena
+	if c == nil && nEntries > 0 {
+		b.Updates = make([]Update, 0, nEntries)
+		names = &arena
 	}
 	var last uint64
 	for i := 0; i < nEntries && d.Err() == nil; i++ {
 		off := d.Uvarint()
 		if off > math.MaxUint64-b.FirstSeq {
-			return b, fmt.Errorf("dsm: batch codec: entry %d: seq %d+%d past the 64-bit range", i, b.FirstSeq, off)
+			return fmt.Errorf("dsm: batch codec: entry %d: seq %d+%d past the 64-bit range", i, b.FirstSeq, off)
 		}
 		last = max(last, off)
 		u := Update{From: b.From, Seq: b.FirstSeq + off}
-		if _, err := c.parseEntry(d, &u, true); err != nil {
-			return b, fmt.Errorf("dsm: batch codec: entry %d: %w", i, err)
+		_, loc, err := c.parseEntry(d, &u, true)
+		if err != nil {
+			return fmt.Errorf("dsm: batch codec: entry %d: %w", i, err)
 		}
+		c.define(d, &u, loc, names)
 		if d.Err() == nil {
 			b.Updates = append(b.Updates, u)
 		}
@@ -703,7 +750,7 @@ func (c *connDecoder) parseBatch(data []byte) (UpdateBatch, error) {
 		err = checkRun(nEntries, last)
 	}
 	if err != nil {
-		return b, fmt.Errorf("dsm: batch codec: %w", err)
+		return fmt.Errorf("dsm: batch codec: %w", err)
 	}
-	return b, nil
+	return nil
 }

@@ -1,7 +1,10 @@
 package dsm
 
 import (
+	"errors"
+	"math"
 	"reflect"
+	"runtime"
 	"testing"
 	"unsafe"
 
@@ -306,7 +309,7 @@ func TestConnDecoderSlabs(t *testing.T) {
 	if err != nil || !reflect.DeepEqual(dec.(*UpdateBatch).Deps, sparse) || !lastCarved(dec.(*UpdateBatch).Deps) {
 		t.Fatalf("matrix carved after a failed decode: err %v, %v, want %v from the slab", err, dec.(*UpdateBatch).Deps, sparse)
 	}
-	putUpdateSlice(dec.(*UpdateBatch).Updates)
+	dec.(*UpdateBatch).release()
 	if dec, err = c.decodeUpdate(scoped(dense)); err != nil || !reflect.DeepEqual(dec.(*Update).Deps, dense) {
 		t.Fatalf("dense matrix: err %v, %v", err, dec.(*Update).Deps)
 	}
@@ -393,6 +396,58 @@ func TestUpdateCodecRejectsMalformed(t *testing.T) {
 	} {
 		if _, err := transport.EncodePayload(nil, KindUpdate, u); err == nil {
 			t.Errorf("encoded %+v", *u)
+		}
+	}
+}
+
+// TestConnDecoderRefusesOffClusterWidths: a connection's decoder knows its
+// cluster's size and refuses a timestamp or dependency section of any other
+// width before it allocates for it. A 3-byte dependency section that names a
+// 1024-wide matrix costs the stateless decoder, which knows no cluster and
+// bounds the width by maxDepsN alone, 8 MiB; it costs a connection of a
+// 3-process cluster an error and its message.
+func TestConnDecoderRefusesOffClusterWidths(t *testing.T) {
+	head := func(flags byte) []byte {
+		b := []byte{1, 1, flags, 0} // From 1, Seq 1, flags, ordinal 0
+		return append(b, 0, 0, 0, 0, 0, 0, 0, 7)
+	}
+	wideDeps := append(head(flagDeps|byte(OpSet)), 0x80, 0x08, 0) // depsN 1024, no active index
+	wideTS := append(head(flagStamped|byte(OpSet)), 5, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 3, 0, 0, 0, 0, 0, 0, 0, 4)
+	wideBatch := []byte{1, 1, 0x80, 0x08, 0, 1, 0, byte(OpSet), 0, 0, 0, 0, 0, 0, 0, 0, 7} // a batch whose matrix is 1024 wide
+	allocated := func(decode func([]byte) (any, error), data []byte) (uint64, error) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := decode(data)
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc, err
+	}
+	if n, err := allocated(updateCodec{}.Decode, wideDeps); err != nil || n < 8<<20 {
+		t.Fatalf("stateless decode of the 1024-wide section: %d bytes, err %v; want the 8 MiB matrix", n, err)
+	}
+	for _, tc := range []struct {
+		name  string
+		codec transport.ConnCodec
+		data  []byte
+	}{
+		{"1024-wide dependency section", updateCodec{}, wideDeps},
+		{"5-wide timestamp", updateCodec{}, wideTS},
+		{"1024-wide batch matrix", batchCodec{}, wideBatch},
+	} {
+		if _, err := tc.codec.Decode(tc.data); err != nil {
+			t.Fatalf("%s: the stateless decode refuses it too (%v): the payload is not what it says", tc.name, err)
+		}
+		// The fewest bytes of 20 decodes: MemStats counts the whole process.
+		decode := tc.codec.NewConnDecoder(3)
+		least := uint64(math.MaxUint64)
+		for range 20 {
+			n, err := allocated(decode, tc.data)
+			if !errors.Is(err, transport.ErrTruncated) {
+				t.Fatalf("%s: err %v, want a refusal", tc.name, err)
+			}
+			least = min(least, n)
+		}
+		if least > 1<<10 {
+			t.Errorf("%s: a refused decode allocates %d bytes, want at most 1 KiB", tc.name, least)
 		}
 	}
 }

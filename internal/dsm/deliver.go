@@ -231,10 +231,12 @@ type deliveryGroup struct {
 	// it settles. It is shared with the in-flight message and other groups —
 	// merge from it, never mutate it.
 	deps vclock.Matrix
-	// batch holds a batch group's updates; when it is nil the group is the
-	// single update one, and upd the received update, whose reference the
-	// group holds until it settles: need and deps may point into it.
+	// batch holds a batch group's updates, and bat the received batch, whose
+	// reference the group holds until it settles: need and deps may point
+	// into it. When batch is nil the group is the single update one, and upd
+	// the received update, held the same way.
 	batch []Update
+	bat   *UpdateBatch
 	one   entry
 	upd   *Update
 	// arrival orders groups across senders (Node.arrivals at receive).
@@ -277,6 +279,7 @@ func (n *Node) applyRemote(from int, u *Update) {
 // from's order.
 func (n *Node) applyBatch(from int, b *UpdateBatch) {
 	if len(b.Updates) == 0 {
+		b.release()
 		return
 	}
 	// Entries can sit anywhere (coalescing replaces in place), so finding
@@ -285,7 +288,8 @@ func (n *Node) applyBatch(from int, b *UpdateBatch) {
 	// dominates the group's dependencies. A LabelSlow entry carries none. The
 	// same scan enters the batch's definitions into the sender's reference
 	// table, in the order they were sent.
-	g := deliveryGroup{from: from, firstSeq: b.FirstSeq, batch: b.Updates}
+	g := deliveryGroup{from: from, firstSeq: b.FirstSeq, batch: b.Updates, bat: b}
+	entries := len(b.Updates)
 	var stamped *Update
 	var e entry
 	named, inRun := true, true
@@ -319,11 +323,11 @@ func (n *Node) applyBatch(from int, b *UpdateBatch) {
 		// A batch holding an entry the node cannot name applies none: a later
 		// pass, after this scan's definitions, might name that entry, or name a
 		// refused definition's ordinal after another location.
-		putUpdateSlice(g.batch)
-		g.batch = nil
+		b.release()
+		g.batch, g.bat = nil, nil
 		g.holdMalformed()
 	}
-	n.receiveArrivedLocked(&g, len(b.Updates))
+	n.receiveArrivedLocked(&g, entries)
 	n.clockCond.Broadcast()
 	n.clockMu.Unlock()
 }
@@ -431,8 +435,8 @@ func (n *Node) deliverableLocked(g *deliveryGroup) bool {
 
 // settleLocked records that a group has taken its place in its sender's
 // order: it advances the sender's entry of the causal clock, absorbs a matrix
-// group's dependency knowledge, returns a batch's entry slice to the pool or
-// releases a single update, and emits the trace events of a parked group's
+// group's dependency knowledge, releases the batch or the single update it
+// holds, and emits the trace events of a parked group's
 // wait and of a release into the causal view. The clock advance comes after
 // all the group's values are stored, so a lock-free causal read that sees the
 // advanced clock sees the values.
@@ -444,7 +448,9 @@ func (n *Node) settleLocked(g *deliveryGroup) {
 		n.addr.Merge(g.deps)
 		n.addrEpoch++
 	}
-	putUpdateSlice(g.batch)
+	if g.bat != nil {
+		g.bat.release()
+	}
 	if g.upd != nil {
 		g.upd.release()
 	}

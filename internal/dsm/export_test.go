@@ -22,6 +22,6 @@ func (n *Node) Snapshot(causalView bool) map[string]int64 {
 // allocation holds none and needs none.
 func (u *Update) retain() {
 	if e := u.element(); e != nil {
-		e.refs.Add(1)
+		e.link.refs.Add(1)
 	}
 }

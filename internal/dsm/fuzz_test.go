@@ -14,11 +14,21 @@ import (
 )
 
 // valueOf returns a decoded payload as the value it carries: a pooled update's
-// link to its element (Update.elem) is bookkeeping, not part of what it says.
+// or batch's link to its element (Update.elem, UpdateBatch.elem) is
+// bookkeeping, not part of what it says, and so is the capacity an element's
+// empty entry slice keeps.
 func valueOf(payload any) any {
 	if u, ok := payload.(*Update); ok && u.elem != nil {
 		v := *u
 		v.elem = nil
+		return &v
+	}
+	if b, ok := payload.(*UpdateBatch); ok && b.elem != nil {
+		v := *b
+		v.elem = nil
+		if len(v.Updates) == 0 {
+			v.Updates = nil
+		}
 		return &v
 	}
 	return payload
@@ -36,7 +46,7 @@ func decodeBoth(t *testing.T, kind string, conn *connDecoder, decode func([]byte
 		return want, wantErr // a wire transport never hands a codec an empty payload
 	}
 	slabs := func() [6]int {
-		return [6]int{len(conn.updates.slab), len(conn.batch), len(conn.ts), len(conn.mx.rows), len(conn.mx.words), conn.names.Len()}
+		return [6]int{len(conn.updates.slab), len(conn.batches.slab), len(conn.ts), len(conn.mx.rows), len(conn.mx.words), conn.names.Len()}
 	}
 	before := slabs()
 	got, err := decode(data)

@@ -2,7 +2,6 @@ package dsm
 
 import (
 	"math"
-	"sync/atomic"
 
 	"mixedmem/internal/history"
 	"mixedmem/internal/loctab"
@@ -213,10 +212,12 @@ func (n *Node) absorbObservedLocked(fence vclock.VC) {
 // sendLocked routes one write to the location's readers: every peer without a
 // scope or for a location the scope does not name, otherwise the registered
 // readers, each list under the obligation its registration calls for. The
-// stamp is taken under the same clock-lock hold as the write, for the
-// immediate sends and the outbox alike: a batch must ship dependencies its
-// covered writes were written under, never ones absorbed later. causal is the
-// obligation of the causal readers' copies.
+// write goes to the outbox when every write does (Batch.Enabled) or a hold is
+// open, and straight to the transport otherwise. The stamp is taken under the
+// same clock-lock hold as the write, for the immediate sends and the outbox
+// alike: a batch must ship dependencies its covered writes were written under,
+// never ones absorbed later. causal is the obligation of the causal readers'
+// copies.
 func (n *Node) sendLocked(u *Update, causal obligation) {
 	ent := n.everyone
 	if n.scopeTargets != nil {
@@ -224,12 +225,22 @@ func (n *Node) sendLocked(u *Update, causal obligation) {
 			ent = e
 		}
 	}
+	boxed := false
 	if n.outbox != nil {
 		n.outboxMu.Lock()
+		if boxed = n.batch.Enabled || n.holds.Load() != 0; boxed {
+			n.heldReads.Store(0)
+		} else {
+			// A write outside any hold goes out at once, so whatever a hold
+			// that has just closed on another strand left parked goes first:
+			// each channel carries the sender's sequence numbers in order.
+			n.flushAllLocked(flushSync)
+			n.outboxMu.Unlock()
+		}
 	}
 	// The PRAM-registered readers' copies go first, unstamped.
 	if len(ent.elided) > 0 {
-		n.emitLocked(ent.elided, u, n.sendObligation(u.Label, false), nil)
+		n.emitLocked(ent.elided, u, n.sendObligation(u.Label, false), nil, boxed)
 	}
 	var snap vclock.Matrix
 	if len(ent.causal) > 0 {
@@ -244,9 +255,9 @@ func (n *Node) sendLocked(u *Update, causal obligation) {
 			}
 			snap = n.snapshotLocked() // shared across destinations; receivers only merge from it
 		}
-		n.emitLocked(ent.causal, u, causal, snap)
+		n.emitLocked(ent.causal, u, causal, snap, boxed)
 	}
-	if n.outbox != nil {
+	if boxed {
 		n.outboxMu.Unlock()
 	}
 }
@@ -297,12 +308,16 @@ func (s *matrixSlab) carve(n int) vclock.Matrix {
 // write's fence. The capacity is cut to the length so no append can run into
 // the neighbouring stamp; once filled, the words are never written again (see
 // Update).
-func (n *Node) stampLocked() vclock.VC {
-	if len(n.tsSlab) < n.n {
-		n.tsSlab = make([]uint64, slabSize*n.n)
+func (n *Node) stampLocked() vclock.VC { return carveWords(&n.tsSlab, n.n) }
+
+// carveWords returns the next w words of *slab, which it refills with
+// slabSize·w zeroed words once used up, with the capacity cut to the length.
+func carveWords(slab *[]uint64, w int) []uint64 {
+	if len(*slab) < w {
+		*slab = make([]uint64, slabSize*w)
 	}
-	ts := vclock.VC(n.tsSlab[:n.n:n.n])
-	n.tsSlab = n.tsSlab[n.n:]
+	ts := (*slab)[:w:w]
+	*slab = (*slab)[w:]
 	return ts
 }
 
@@ -316,108 +331,12 @@ func (n *Node) snapshotLocked() vclock.Matrix {
 	return m
 }
 
-// tsInline is the widest timestamp a sent or decoded update carries inside its
-// own element; a wider system's stamps come from a timestamp slab.
-const tsInline = 8
-
-// stampedUpdate is the element an unbatched sent update, a single-update
-// flush or a decoded update travels in, with room for its obVector timestamp:
-// an update and its stamp cost one element. Its pool hands it out with one
-// reference per holder — a destination message on the simulated fabric, a
-// message a wire transport has yet to encode, the update a connection decoded
-// — and the holder that releases the last one (release) returns it.
-type stampedUpdate struct {
-	Update
-	words [tsInline]uint64
-	refs  atomic.Int32
-	// home is the pool the element returns to; next links it on that pool's
-	// free list or return stack while no one holds it.
-	home *updatePool
-	next *stampedUpdate
-}
-
-// updatePool is one site's supply of elements: the issue path's (under
-// clockMu), the outbox's (under outboxMu) and each inbound connection's
-// decoder's (its goroutine's). The owner alone takes elements, first from free,
-// then from the return stack, and carves a slab of slabSize on a miss. A
-// release may come from any goroutine — a receiver's apply path, a wire
-// transport's sender — and pushes the element onto back, a lock-free stack
-// the owner empties in one swap, so neither side takes a lock or allocates.
-// Only the owner ever pops, and it takes the whole stack, so a push cannot
-// lose an element to a concurrent pop. Elements stay with the pool: it holds
-// as many as its site ever had in flight at once.
-type updatePool struct {
-	free *stampedUpdate
-	slab []stampedUpdate
-	back atomic.Pointer[stampedUpdate]
-}
-
-// get returns an element holding a copy of u with holders references, for the
-// pool's owner to finish filling (its timestamp) before it hands the element
-// on; once handed on it is never written until it comes back.
-func (p *updatePool) get(u *Update, holders int32) *stampedUpdate {
-	e := p.free
-	if e == nil {
-		e = p.back.Swap(nil)
-	}
-	if e == nil {
-		e = carve(&p.slab)
-		e.home = p
-	} else {
-		p.free, e.next = e.next, nil
-	}
-	e.Update = *u
-	e.elem = e
-	e.refs.Store(holders)
-	return e
-}
-
-// element returns the pooled element u is the payload of, or nil for an update
-// that is its own allocation — a test's or the stateless decoder's — or a copy.
-func (u *Update) element() *stampedUpdate {
-	if e := u.elem; e != nil && &e.Update == u {
-		return e
-	}
-	return nil
-}
-
-// release drops one holder's reference to u, a no-op for an update that holds
-// none (element). The last one clears the element, so a free element pins no
-// timestamp, matrix or name, and pushes it onto its pool's return stack.
-func (u *Update) release() {
-	e := u.element()
-	if e == nil || e.refs.Add(-1) != 0 {
-		return
-	}
-	e.Update = Update{}
-	if poisonReleased {
-		e.Seq, e.Value, e.Ordinal = poisonSeq, poisonValue, poisonOrdinal
-	}
-	p := e.home
-	for {
-		head := p.back.Load()
-		e.next = head
-		if p.back.CompareAndSwap(head, e) {
-			return
-		}
-	}
-}
-
-// What a released element reads as under the race detector (poisonReleased):
-// a value no test writes, a sequence number past every sender's and an
-// ordinal past every table's.
-const (
-	poisonSeq     = math.MaxUint64
-	poisonValue   = -0x5eed_dead_5eed_dead
-	poisonOrdinal = math.MaxUint32
-)
-
 // sentLocked returns the copy of u that goes to the transport as holders
 // destination messages, one reference each: an element of the issue path's
 // pool, stamped with the dependency clock when stamp is set, and never written
 // again while anyone holds it (see Update).
 func (n *Node) sentLocked(u *Update, stamp bool, holders int) *Update {
-	e := n.sentPool.get(u, int32(holders))
+	e := takeUpdate(&n.sentPool, u, int32(holders))
 	if stamp {
 		if n.n <= tsInline {
 			e.TS = e.words[:n.n:n.n]
@@ -430,19 +349,18 @@ func (n *Node) sentLocked(u *Update, stamp bool, holders int) *Update {
 }
 
 // emitLocked hands each destination its copy of a write: into the
-// destination's pending batch when the outbox is on (the caller holds
-// outboxMu), otherwise straight to the transport as one shared update — in
-// one Broadcast when it goes to every peer, which a wire transport encodes
-// once. An obVector copy is stamped here; snap is the address-matrix snapshot
-// of an obMatrix write; dests is not empty.
-func (n *Node) emitLocked(dests []int, u *Update, ob obligation, snap vclock.Matrix) {
+// destination's pending batch when boxed (the caller holds outboxMu),
+// otherwise straight to the transport as one shared update — in one Broadcast
+// when it goes to every peer, which a wire transport encodes once. An obVector
+// copy is stamped here; snap is the address-matrix snapshot of an obMatrix
+// write; dests is not empty.
+func (n *Node) emitLocked(dests []int, u *Update, ob obligation, snap vclock.Matrix, boxed bool) {
 	for _, j := range dests {
 		n.sent[j] = u.Seq
 	}
-	if n.outbox != nil {
+	if boxed {
 		if ob == obVector {
-			u.TS = n.stampLocked()
-			copy(u.TS, n.recvd)
+			u.TS = n.recvd // each destination's entry copies it (outboxAddLocked)
 		}
 		size := u.encodedSize() // the copies differ only in where they go
 		for _, j := range dests {

@@ -204,7 +204,6 @@ func TestUpdateCodecCarriesLabel(t *testing.T) {
 		t.Errorf("decoded entry labels = %v/%v, want Slow/PRAM",
 			got.Updates[0].Label, got.Updates[1].Label)
 	}
-	putUpdateSlice(got.Updates)
 }
 
 // TestSlowWriteSteadyStateAllocFree pins the Slow lattice point's write cost:

@@ -151,7 +151,8 @@ type Config struct {
 	// lattice points; SC locations must not appear in Scope.
 	Labels map[string]history.Label
 	// Batch configures the per-destination update outbox. The zero value
-	// keeps the original behavior: one message per write per destination.
+	// batches only what a write-locked critical section writes (Hold): every
+	// other write is one message per destination.
 	Batch BatchConfig
 	// Tracer, when non-nil, records protocol events (write issue, outbox
 	// enqueue/flush, receive, apply, delivery-group release, waits, SC round
@@ -195,7 +196,7 @@ type Stats struct {
 	PendingGroups    uint64 `json:"pendingGroups"`
 	PendingGroupsMax uint64 `json:"pendingGroupsMax"`
 	// Flushes counts the outbox's flushed frames, and the entries they
-	// carried, by what closed the batch; all zero with batching off.
+	// carried, by what closed the batch; all zero on a node without an outbox.
 	Flushes FlushesByCause `json:"flushes"`
 }
 
@@ -203,9 +204,11 @@ type Stats struct {
 type FlushesByCause struct {
 	// Threshold: the batch reached BatchConfig.MaxUpdates or MaxBytes.
 	Threshold FlushCount `json:"threshold"`
-	// Sync: a synchronization boundary (FlushUpdates) or Close.
+	// Sync: a synchronization boundary (FlushUpdates), the close of a hold,
+	// a write made outside any hold, or Close.
 	Sync FlushCount `json:"sync"`
-	// Linger: the linger flusher.
+	// Linger: the linger flusher, or, while a hold is open, a run of reads
+	// with no write between them (heldReadsPerFlush), which stands in for it.
 	Linger FlushCount `json:"linger"`
 	// Epoch: a scoped-causal write found the batch's dependency matrix
 	// older than a remote matrix the node merged since.
@@ -374,20 +377,28 @@ type Node struct {
 	scWaiting map[uint64]chan int64
 	scSeq     atomic.Uint64
 
-	// batch/outbox implement the per-destination update outbox (nil when
-	// batching is off); outboxMu guards every destination's pending batch, the
-	// pool single-update flushes draw from and the slab batches are carved
-	// from (outbox.go); flushes counts the flushed frames by cause
-	// (Stats.Flushes); flushQuit stops the linger flusher.
-	batch      BatchConfig
-	outboxMu   sync.Mutex
-	outbox     []*outboxDest
-	flushPool  updatePool
-	flushBatch []UpdateBatch
-	flushes    [numFlushCauses]flushCount
-	flushQuit  chan struct{}
-	closed     atomic.Bool
-	done       chan struct{}
+	// batch/outbox implement the per-destination update outbox, nil until
+	// the node's first hold or, with Batch.Enabled, built by NewNode;
+	// outboxBuilt says it is built, for flushAll, which reads outbox without
+	// clockMu. outboxMu guards every destination's pending batch, the pools flushes
+	// draw their single updates and their batches from, and the slab of
+	// single-update stamps too wide to ride inline (outbox.go); flushes
+	// counts the flushed frames by cause (Stats.Flushes); flushQuit stops the
+	// linger flusher, which only Batch.Enabled starts. holds counts the open
+	// holds (Hold) and heldReads the reads made in a row while one is open.
+	batch        BatchConfig
+	outboxMu     sync.Mutex
+	outbox       []outboxDest
+	outboxBuilt  atomic.Bool
+	flushPool    updatePool
+	flushBatches batchPool
+	flushTS      []uint64
+	flushes      [numFlushCauses]flushCount
+	flushQuit    chan struct{}
+	holds        atomic.Int32
+	heldReads    atomic.Uint32
+	closed       atomic.Bool
+	done         chan struct{}
 }
 
 // NewNode creates the replica and starts its receive loop. Close the node
@@ -433,6 +444,7 @@ func NewNode(cfg Config) (*Node, error) {
 		refs:          make([]refTable, cfg.N),
 		obs:           cfg.Tracer,
 		scWaiting:     make(map[uint64]chan int64),
+		batch:         cfg.Batch.WithDefaults(),
 		done:          make(chan struct{}),
 	}
 	for i := range node.shards {
@@ -458,11 +470,7 @@ func NewNode(cfg Config) (*Node, error) {
 		}
 	}
 	if cfg.Batch.Enabled {
-		node.batch = cfg.Batch.WithDefaults()
-		node.outbox = make([]*outboxDest, cfg.N)
-		for _, j := range node.everyone.causal {
-			node.outbox[j] = newOutboxDest(node.batch.MaxUpdates)
-		}
+		node.buildOutboxLocked()
 		node.flushQuit = make(chan struct{})
 		go node.lingerLoop()
 	}

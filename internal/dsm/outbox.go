@@ -1,10 +1,10 @@
 package dsm
 
 // This file is the outbox: per-destination pending batches, their flush
-// triggers, and the batch wire payload. Its one lock is Node.outboxMu.
+// triggers, the holds that route a critical section's writes through it, and
+// the batch wire payload. Its one lock is Node.outboxMu.
 
 import (
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -23,24 +23,24 @@ import (
 const KindUpdateBatch = "update-batch"
 
 // BatchConfig configures the per-destination update outbox. The zero value
-// disables batching entirely: every write broadcasts immediately, exactly as
-// before the outbox existed.
+// batches only the writes of a write-locked critical section (Node.Hold):
+// every other write broadcasts immediately.
 type BatchConfig struct {
-	// Enabled turns the outbox on. Writes then enqueue into per-destination
-	// batches that flush on the thresholds below and at every
-	// synchronization boundary (lock release, barrier arrival, await
-	// registration, explicit FlushUpdates).
+	// Enabled routes every write through the outbox. Writes then enqueue into
+	// per-destination batches that flush on the thresholds below, on the
+	// linger flusher, and at every synchronization boundary (lock request and
+	// release, barrier arrival, await registration, explicit FlushUpdates).
 	Enabled bool
 	// MaxUpdates flushes a destination's batch once it holds this many
-	// live entries (default 64).
+	// live entries (default 64), whether or not Enabled is set.
 	MaxUpdates int
 	// MaxBytes flushes a destination's batch once its modeled wire size
 	// reaches this many bytes (default 16384).
 	MaxBytes int
 	// Linger bounds how long an update may sit in the outbox with no
-	// synchronization boundary to flush it (default 1ms). The linger
-	// flusher guarantees progress for programs that poll with plain reads
-	// instead of awaits.
+	// synchronization boundary to flush it (default 1ms), with Enabled set.
+	// The linger flusher guarantees progress for programs that poll with
+	// plain reads instead of awaits; a hold needs none (Node.Hold).
 	Linger time.Duration
 }
 
@@ -63,8 +63,8 @@ func (c BatchConfig) WithDefaults() BatchConfig {
 // *UpdateBatch on every transport: a contiguous run of one sender's updates
 // for one destination, possibly with superseded same-location OpSet entries
 // coalesced away. Like an Update, the batch and its Deps are never written
-// once sent; its entry slice is handed off to whoever recycles it (see
-// updateSlicePool).
+// once sent; the runtime's batches are pooled elements (stampedBatch) that
+// their one holder releases.
 //
 // FirstSeq is the sequence number of the first update enqueued for the
 // destination. The surviving entries each carry their own Seq/TS, and the
@@ -97,6 +97,9 @@ type UpdateBatch struct {
 	// obMatrix entry only); see Update.Deps for the sharing contract.
 	Deps    vclock.Matrix
 	Updates []Update
+	// elem is the pooled element the batch is the payload of, nil for a batch
+	// that is its own allocation (element).
+	elem *stampedBatch
 }
 
 // encodedSize is the wire size of the batch, byte for byte what batchCodec
@@ -113,82 +116,14 @@ func (b *UpdateBatch) encodedSize() int {
 	return s
 }
 
-// updateSlicePool recycles the []Update slices that carry batch payloads
-// (DESIGN.md §12 pool lifecycle). A flush copies the destination's fixed
-// ring into a pooled slice; ownership then travels with the message:
-//
-//   - sim fabric: the receive path returns the slice once the batch has
-//     settled (by-reference delivery — the sender retains nothing after
-//     Send);
-//   - tcp: the sending transport returns it after encoding the frame
-//     (transport.RecyclePayload), and the receiving codec draws its decode
-//     slice from this same pool, to be returned by its receive path.
-//
-// A put slice must not be referenced by anyone else; entries are cleared so
-// pooled slices pin no update payloads. The pool is a plain mutex-guarded
-// freelist rather than a sync.Pool so get/put are themselves alloc-free
-// (sync.Pool's pointer boxing costs an allocation per put). It holds at most
-// maxPooledSlices; a put to a full pool displaces the smallest slice if the
-// new one is larger, so slices too small for the batches that miss — a peer's
-// one-entry batches, say — cannot fill it for good.
-var updateSlicePool struct {
-	mu   sync.Mutex
-	free [][]Update
-}
-
-// maxPooledSlices bounds the slices updateSlicePool keeps.
-const maxPooledSlices = 64
-
-func getUpdateSlice(capHint int) []Update {
-	p := &updateSlicePool
-	p.mu.Lock()
-	for i := len(p.free) - 1; i >= 0; i-- {
-		s := p.free[i]
-		if cap(s) >= capHint {
-			p.free[i] = p.free[len(p.free)-1]
-			p.free[len(p.free)-1] = nil
-			p.free = p.free[:len(p.free)-1]
-			p.mu.Unlock()
-			return s[:0]
-		}
-	}
-	p.mu.Unlock()
-	return make([]Update, 0, capHint)
-}
-
-func putUpdateSlice(s []Update) {
-	if cap(s) == 0 {
-		return
-	}
-	s = s[:cap(s)]
-	clear(s)
-	p := &updateSlicePool
-	p.mu.Lock()
-	if len(p.free) < maxPooledSlices {
-		p.free = append(p.free, s[:0])
-	} else {
-		smallest := 0
-		for i, f := range p.free {
-			if cap(f) < cap(p.free[smallest]) {
-				smallest = i
-			}
-		}
-		if cap(s) > cap(p.free[smallest]) {
-			p.free[smallest] = s[:0]
-		}
-	}
-	p.mu.Unlock()
-}
-
 func init() {
 	// The tcp transport recycles a payload once its frame is encoded, once
-	// per destination message: a batch's entry slice goes back to the pool
-	// and an update drops that message's reference. The sim fabric delivers
-	// by reference and the receiver recycles instead (see updateSlicePool
-	// and stampedUpdate).
+	// per destination message: the message's reference to a batch or an
+	// update is dropped. The sim fabric delivers by reference and the
+	// receiver releases instead (see stampedBatch and stampedUpdate).
 	transport.RegisterRecycler(KindUpdateBatch, func(payload any) {
 		if b, ok := payload.(*UpdateBatch); ok {
-			putUpdateSlice(b.Updates)
+			b.release()
 		}
 	})
 	transport.RegisterRecycler(KindUpdate, func(payload any) {
@@ -205,16 +140,15 @@ func init() {
 // writer parallelism while costing one lock pair per destination per write;
 // a single outbox lock keeps the linger flusher decoupled from the
 // clock-guarded hot paths at one lock pair per write. entries is a reusable
-// ring backing sized for MaxUpdates at construction: a flush copies the live
-// prefix into a pooled slice and truncates, so steady-state flushing
-// allocates nothing and the backing is never handed to a message.
+// ring backing, and stamps holds entry i's timestamp at i·N: a flush copies
+// the live prefix into a pooled element and truncates, so steady-state
+// flushing allocates nothing and neither backing is ever handed to a message.
+// Both are carved on the destination's first write, from the slabs of the
+// pool the flushed batches come from, and grow by doubling when a batch
+// outgrows them.
 type outboxDest struct {
-	entries []Update
-	// setIdx maps a location to the index in entries of its latest live
-	// OpSet entry, the coalescing target. A non-OpSet write to the location
-	// deletes the mapping so commutative adds keep their position relative
-	// to the sets around them.
-	setIdx   map[string]int
+	entries  []Update
+	stamps   []uint64
 	firstSeq uint64
 	// lastSeq is the highest covered sequence number (coalescing can park it
 	// at any entry index, so it is tracked at enqueue time); the flush trace
@@ -241,7 +175,7 @@ type flushCause int
 const (
 	flushThreshold flushCause = iota // MaxUpdates or MaxBytes reached
 	flushSync                        // FlushUpdates: a synchronization boundary
-	flushLinger                      // the linger flusher
+	flushLinger                      // the linger flusher, or heldReadsPerFlush reads in a hold
 	flushEpoch                       // an obMatrix entry after a remote matrix merge
 	numFlushCauses
 )
@@ -254,14 +188,35 @@ func (c *flushCount) load() FlushCount {
 	return FlushCount{Frames: c.frames.Load(), Entries: c.entries.Load()}
 }
 
-func newOutboxDest(maxUpdates int) *outboxDest {
-	// Preallocate the backing up to a sane bound; configs with huge
-	// MaxUpdates (tests disabling threshold flushes) grow on demand, and
-	// the backing persists across flushes either way.
-	return &outboxDest{
-		entries: make([]Update, 0, min(maxUpdates, 256)),
-		setIdx:  make(map[string]int),
+// growRing gives d's entry ring room for one more entry, carved from p; the
+// entries carried over keep their stamps where they are, which nothing writes
+// again.
+func (d *outboxDest) growRing(p *batchPool) {
+	r := carveRoom(&p.entries, max(batchRoom, 2*cap(d.entries)), entrySlab)
+	d.entries = append(r, d.entries...)
+}
+
+// stampSlot returns the w words entry i's stamp is kept in, growing the stamp
+// ring from p when it is too short: the entries before i keep pointing into
+// the old one, which nothing writes any more.
+func (d *outboxDest) stampSlot(p *batchPool, i, w int) []uint64 {
+	if need := (i + 1) * w; cap(d.stamps) < need {
+		d.stamps = carveRoom(&p.words, max(need, batchRoom*w, 2*cap(d.stamps)), wordSlab)
 	}
+	d.stamps = d.stamps[:cap(d.stamps)]
+	return d.stamps[i*w : (i+1)*w : (i+1)*w]
+}
+
+// lastOf returns the index of the latest entry for the location the sender
+// numbers ord (Update.Ordinal), or -1. An entry is replaced in place when
+// coalesced, so the latest one for a location sits at its highest index.
+func (d *outboxDest) lastOf(ord uint32) int {
+	for k := len(d.entries) - 1; k >= 0; k-- {
+		if d.entries[k].Ordinal == ord {
+			return k
+		}
+	}
+	return -1
 }
 
 // outboxAddLocked adds u, stamped under ob and size bytes on its own (its
@@ -281,7 +236,7 @@ func newOutboxDest(maxUpdates int) *outboxDest {
 // would hand the receiver a circular wait. Other entries carry no matrix, so
 // they never split a batch.
 func (n *Node) outboxAddLocked(j int, u *Update, ob obligation, snap vclock.Matrix, size int) {
-	d := n.outbox[j]
+	d := &n.outbox[j]
 	if ob == obMatrix {
 		if d.deps != nil && d.depsEpoch != n.addrEpoch {
 			n.flushCauseLocked(flushEpoch, j, d)
@@ -300,24 +255,30 @@ func (n *Node) outboxAddLocked(j int, u *Update, ob obligation, snap vclock.Matr
 	// executions. A location's copies to one destination are all stamped
 	// alike, so an entry only ever replaces one of its own obligation. An
 	// entry that replaces the location's definition defines it in its place:
-	// the receiver would otherwise never learn the name.
+	// the receiver would otherwise never learn the name. The target is the
+	// location's latest entry if that is an OpSet: an add bars later sets
+	// from jumping over it, so commutative adds keep their position relative
+	// to the sets around them.
 	i, defines := len(d.entries), false
 	if u.Op == OpSet {
-		if k, ok := d.setIdx[u.Loc]; ok {
+		if k := d.lastOf(u.Ordinal); k >= 0 && d.entries[k].Op == OpSet {
 			i, defines = k, d.entries[k].Defines
 			d.bytes -= d.entries[i].encodedSize()
-		} else {
-			d.setIdx[u.Loc] = i
 		}
-	} else {
-		// An add bars later sets from jumping over it: the location's next
-		// OpSet must append after this entry.
-		delete(d.setIdx, u.Loc)
 	}
 	if i == len(d.entries) {
-		d.entries = append(d.entries, Update{})
+		if i == cap(d.entries) {
+			d.growRing(&n.flushBatches)
+		}
+		d.entries = d.entries[:i+1]
 	}
 	d.entries[i] = *u
+	if w := len(u.TS); w > 0 {
+		// u.TS is the live clock (emitLocked): the entry keeps a copy in its
+		// slot of the stamp ring.
+		d.entries[i].TS = d.stampSlot(&n.flushBatches, i, w)
+		copy(d.entries[i].TS, u.TS)
+	}
 	d.entries[i].elided = ob == obNone
 	if defines {
 		d.entries[i].Defines = true
@@ -349,32 +310,40 @@ func (n *Node) flushCauseLocked(cause flushCause, j int, d *outboxDest) {
 // holds outboxMu. A batch that covers a single update goes out as a plain
 // KindUpdate frame — the receive path and wire format are then identical to
 // unbatched operation (an obNone entry's frame has no Deps, which is how the
-// receiver knows it). Multi-entry batches copy the ring's live prefix into
-// a pooled slice (see updateSlicePool for who returns it); the ring backing
-// itself is reused forever. A batch with obMatrix entries ships its
-// enqueue-time snapshot, never the current matrix: that may have absorbed
-// merges since which could close a dependency cycle through this very batch
-// (see outboxAddLocked). The payload — the single-update frame's *Update, from
-// the outbox's pool, or the *UpdateBatch, from its slab — is the outbox's own,
-// not the node's: those are guarded by the clock lock, and a flush — the
-// linger flusher's in particular — holds only outboxMu.
+// receiver knows it). A multi-entry batch is copied, entries and stamps, into
+// an element of the outbox's batch pool, which its one holder releases; the
+// ring backings themselves are reused forever. A batch with obMatrix entries
+// ships its enqueue-time snapshot, never the current matrix: that may have
+// absorbed merges since which could close a dependency cycle through this very
+// batch (see outboxAddLocked). The payload — the single-update frame's
+// *Update or the *UpdateBatch — comes from the outbox's own pools, not the
+// node's: those are guarded by the clock lock, and a flush — the linger
+// flusher's in particular — holds only outboxMu.
 func (n *Node) flushDestLocked(j int, d *outboxDest) {
 	if d.count == 0 {
 		return
 	}
 	if d.count == 1 && len(d.entries) == 1 {
-		u := &n.flushPool.get(&d.entries[0], 1).Update
+		e := takeUpdate(&n.flushPool, &d.entries[0], 1)
+		if w := len(e.TS); w > 0 {
+			ts := e.words[:0]
+			if w > tsInline {
+				ts = carveWords(&n.flushTS, w)[:0]
+			}
+			e.TS = append(ts, e.TS...)
+		}
+		u := &e.Update
 		u.Deps, u.elided = d.deps, false
 		_ = n.fabric.Send(network.Message{
 			From: n.id, To: j, Kind: KindUpdate,
 			Payload: u, Size: u.encodedSize(),
 		})
 	} else {
-		b := carve(&n.flushBatch)
-		*b = UpdateBatch{
-			From: n.id, FirstSeq: d.firstSeq, Deps: d.deps,
-			Updates: append(getUpdateSlice(len(d.entries)), d.entries...),
-		}
+		e := takeBatch(&n.flushBatches, len(d.entries), stampWords(d.entries))
+		e.From, e.FirstSeq, e.Deps = n.id, d.firstSeq, d.deps
+		e.Updates = append(e.Updates, d.entries...)
+		fillStamps(e)
+		b := &e.UpdateBatch
 		_ = n.fabric.Send(network.Message{
 			From: n.id, To: j, Kind: KindUpdateBatch,
 			Payload: b, Size: b.encodedSize(),
@@ -384,7 +353,6 @@ func (n *Node) flushDestLocked(j int, d *outboxDest) {
 		n.obs.Record(obs.EvFlush, 0, uint16(j), obs.NoLoc, d.firstSeq, d.lastSeq, d.count)
 	}
 	d.entries = d.entries[:0]
-	clear(d.setIdx)
 	d.count = 0
 	d.bytes = 0
 	d.deps = nil
@@ -392,30 +360,93 @@ func (n *Node) flushDestLocked(j int, d *outboxDest) {
 
 // FlushUpdates sends every pending outbox batch immediately. It is the
 // synchronization-boundary hook: the lock client calls it before every
-// release, the barrier client before reporting its sent counts, and awaits
-// call it on registration, so no update a peer must observe to make progress
-// is ever parked in the outbox past a synchronization point. It is a no-op
-// when batching is disabled. It takes only the outbox lock (callers may hold
-// the clock lock: clockMu -> outboxMu), so the linger flusher never contends
-// with the clock-guarded hot paths.
+// request and release, the barrier client before reporting its sent counts,
+// and awaits call it on registration, so no update a peer must observe to make
+// progress is ever parked in the outbox past a synchronization point. It is a
+// no-op on a node without an outbox. It takes only the outbox lock (callers
+// may hold the clock lock: clockMu -> outboxMu), so the linger flusher never
+// contends with the clock-guarded hot paths.
 func (n *Node) FlushUpdates() { n.flushAll(flushSync) }
 
 func (n *Node) flushAll(cause flushCause) {
-	if n.outbox == nil {
+	if !n.outboxBuilt.Load() {
 		return
 	}
 	n.outboxMu.Lock()
-	for j, d := range n.outbox {
-		if d != nil {
-			n.flushCauseLocked(cause, j, d)
-		}
-	}
+	n.flushAllLocked(cause)
 	n.outboxMu.Unlock()
 }
 
-// lingerLoop is the outbox's progress guarantee: every Linger interval it
-// flushes whatever the thresholds and synchronization boundaries have not,
-// bounding the staleness a polling reader can observe.
+// flushAllLocked flushes every destination's pending batch; the caller holds
+// outboxMu, and the outbox is built.
+func (n *Node) flushAllLocked(cause flushCause) {
+	for j := range n.outbox {
+		n.flushCauseLocked(cause, j, &n.outbox[j])
+	}
+}
+
+// buildOutboxLocked builds the per-destination outbox, once; the caller holds
+// clockMu, which every reader of n.outbox but flushAll holds, and flushAll
+// reads it only once outboxBuilt says it is built.
+func (n *Node) buildOutboxLocked() {
+	if n.outbox != nil {
+		return
+	}
+	outbox := make([]outboxDest, n.n) // the node's own slot stays empty
+	n.outboxMu.Lock()
+	n.outbox = outbox
+	n.outboxMu.Unlock()
+	n.outboxBuilt.Store(true)
+}
+
+// heldReadsPerFlush is how many reads in a row, with no write between them,
+// flush the outbox while a hold is open. A process that polls a location with
+// plain reads inside a critical section, waiting for a peer that needs the
+// section's parked writes first, would otherwise wait forever: a hold has no
+// linger flusher. A critical section that reads before each write never
+// reaches it.
+const heldReadsPerFlush = 16
+
+// Hold opens a hold: until every hold is closed, the node's writes — every
+// strand's, since a hold is the node's — go to the per-destination outbox
+// instead of to the transport, and leave together as one frame per
+// destination. The lock client opens one for each write-locked critical
+// section (Section 6: a critical section's updates need only reach the next
+// holder of the lock by that holder's acquire). The first hold builds the
+// outbox; a node that never holds one never builds it. The outbox flushes when
+// a hold closes, at its thresholds, after heldReadsPerFlush reads in a row,
+// and wherever the node can block: a lock request, an await, a barrier's sent
+// counts, a sequence wait, an SC round trip, an invalidation stall and Close.
+func (n *Node) Hold() {
+	if !n.outboxBuilt.Load() {
+		n.clockMu.Lock()
+		n.buildOutboxLocked()
+		n.clockMu.Unlock()
+	}
+	n.holds.Add(1)
+}
+
+// Unhold closes a hold opened by Hold and flushes the outbox: the end of a
+// critical section is a release, and what it wrote must be on its way before
+// the lock is. Between the close and the flush a write from another strand
+// may find no hold open while this one's entries are still parked;
+// sendLocked flushes them before it sends.
+func (n *Node) Unhold() {
+	n.holds.Add(-1)
+	n.FlushUpdates()
+}
+
+// readInHold counts a read made while a hold is open, and flushes the outbox
+// at every heldReadsPerFlush-th read in a row.
+func (n *Node) readInHold() {
+	if n.heldReads.Add(1)%heldReadsPerFlush == 0 {
+		n.flushAll(flushLinger)
+	}
+}
+
+// lingerLoop is the outbox's progress guarantee with Batch.Enabled: every
+// Linger interval it flushes whatever the thresholds and synchronization
+// boundaries have not, bounding the staleness a polling reader can observe.
 func (n *Node) lingerLoop() {
 	t := time.NewTicker(n.batch.Linger)
 	defer t.Stop()

@@ -85,7 +85,7 @@ func spiedNodes(t *testing.T, tr transport.Transport, scope *ScopeMap) ([]*Node,
 // or poisoned under the race detector.
 func released(t *testing.T, e *stampedUpdate) {
 	t.Helper()
-	if refs := e.refs.Load(); refs != 0 {
+	if refs := e.link.refs.Load(); refs != 0 {
 		t.Fatalf("element still has %d holders", refs)
 	}
 	want := Update{}
@@ -99,13 +99,13 @@ func released(t *testing.T, e *stampedUpdate) {
 
 // inPool reports whether e is free in the pool p: on its free list or its
 // return stack. The caller holds the lock p's owner draws under.
-func inPool(p *updatePool, e *stampedUpdate) bool {
-	for f := p.free; f != nil; f = f.next {
+func inPool[E any, P pooled[E]](p *pool[E, P], e *E) bool {
+	for f := p.free; f != nil; f = P(f).poolLink().next {
 		if f == e {
 			return true
 		}
 	}
-	for f := p.back.Load(); f != nil; f = f.next {
+	for f := p.back.Load(); f != nil; f = P(f).poolLink().next {
 		if f == e {
 			return true
 		}
@@ -118,7 +118,7 @@ func inPool(p *updatePool, e *stampedUpdate) bool {
 func backInSentPool(t *testing.T, n *Node, e *stampedUpdate, spy *elementSpy, loc string) {
 	t.Helper()
 	n.clockMu.Lock()
-	home, ok := e.home == &n.sentPool, inPool(&n.sentPool, e)
+	home, ok := e.link.home == &n.sentPool.back, inPool(&n.sentPool, e)
 	if ok {
 		released(t, e)
 	}
@@ -137,7 +137,7 @@ func backInSentPool(t *testing.T, n *Node, e *stampedUpdate, spy *elementSpy, lo
 func heldByParkedGroup(t *testing.T, sender, r *Node, e *stampedUpdate) {
 	t.Helper()
 	sender.clockMu.Lock()
-	free, refs := inPool(&sender.sentPool, e), e.refs.Load()
+	free, refs := inPool(&sender.sentPool, e), e.link.refs.Load()
 	sender.clockMu.Unlock()
 	if free || refs != 1 {
 		t.Fatalf("parked update: in its pool %v, %d holders; want out of it, held once", free, refs)
@@ -249,7 +249,7 @@ func TestReleasedUpdateReturnsToItsPool(t *testing.T) {
 		// Only the refcount: the connection's goroutine may reuse the element
 		// at any time now, and nothing orders its writes after a read here.
 		d := spy.last(t, spy.recv, 1)
-		if refs := d.refs.Load(); refs != 0 {
+		if refs := d.link.refs.Load(); refs != 0 {
 			t.Fatalf("node 1 settled its decoded update, which still has %d holders", refs)
 		}
 		nodes[0].Write("a", 3)

@@ -41,6 +41,9 @@ func (n *Node) ReadCausal(loc string) int64 {
 	if n.pramOnly {
 		return n.readLocal(loc, true)
 	}
+	if n.holds.Load() != 0 {
+		n.readInHold()
+	}
 	h := loctab.Hash(loc)
 	sh := n.shard(h)
 	if sh.invalidLen.Load() != 0 {
@@ -73,12 +76,17 @@ func (n *Node) AwaitPRAM(loc string, value int64) { n.awaitValue(loc, value, fal
 func (n *Node) AwaitCausal(loc string, value int64) { n.awaitValue(loc, value, true) }
 
 // readLocal is the lock-free local lookup the slow and PRAM reads share: one
-// hash of the name, one table probe, an atomic value load. anchor says whether
+// hash of the name, one table probe, an atomic value load. Like a causal read,
+// it counts towards the flush a run of reads makes while a hold is open
+// (readInHold). anchor says whether
 // the read raises the observation fence with the cell's last-writer; a slow
 // read does not, so it can never make a later causal read wait. The value is
 // loaded before the anchor (appliers store them in the opposite order), so
 // the fence entry raised always covers the observed value.
 func (n *Node) readLocal(loc string, anchor bool) int64 {
+	if n.holds.Load() != 0 {
+		n.readInHold()
+	}
 	h := loctab.Hash(loc)
 	sh := n.shard(h)
 	if sh.invalidLen.Load() != 0 {
@@ -149,6 +157,9 @@ func (n *Node) waitValid(sh *shard, loc string, causalView bool) {
 	if !ok {
 		return
 	}
+	// A stall is a point the process can block at: nothing it wrote may stay
+	// parked in the outbox behind it.
+	n.FlushUpdates()
 	start := time.Now()
 	n.clockMu.Lock()
 	for !n.closed.Load() {

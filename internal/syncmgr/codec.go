@@ -201,7 +201,7 @@ func (c codec[T]) Encode(dst []byte, payload any) ([]byte, error) {
 
 func (c codec[T]) Decode(data []byte) (any, error) { return c.decode(nil, nil, data) }
 
-func (c codec[T]) NewConnDecoder() func([]byte) (any, error) {
+func (c codec[T]) NewConnDecoder(int) func([]byte) (any, error) {
 	s, out := new(decodeState), new(slab[cell[T]])
 	return func(data []byte) (any, error) { return c.decode(s, out, data) }
 }
@@ -210,9 +210,9 @@ func (c codec[T]) NewConnDecoder() func([]byte) (any, error) {
 // enough for the vector of any system of that many processes.
 const cellWords = 8
 
-// cell is the slab element a connection's decoder stores a payload in, with
-// room for its sequence vector: a payload and its vector cost the connection one
-// element, half what they cost the sender.
+// cell is the slab element a connection's decoder stores a payload in, and a
+// lock client its releases, with room for its sequence vector: a payload and
+// its vector cost one element.
 type cell[T any] struct {
 	p     T
 	words [cellWords]uint64

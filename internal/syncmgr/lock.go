@@ -294,11 +294,12 @@ type Client struct {
 	mu      sync.Mutex
 	nextReq uint64
 	grants  map[uint64]chan *lockGrant
-	// parked recycles the channels in grants; reqs, rels and vecs are the
-	// slabs sent requests, releases and their sequence vectors are taken from.
+	// parked recycles the channels in grants; reqs and rels are the slabs
+	// sent requests and releases are taken from, a release with room for its
+	// sequence vector, and vecs the slab of the vectors too wide for that.
 	parked waiters[*lockGrant]
 	reqs   slab[lockRequest]
-	rels   slab[lockRelease]
+	rels   slab[cell[lockRelease]]
 	vecs   vecSlab[uint64]
 	// flushWait collects flush acknowledgements for eager unlocks.
 	flushAcks chan struct{}
@@ -372,6 +373,10 @@ func (c *Client) acquire(name string, mode LockMode) *lockGrant {
 	c.grants[req.ReqID] = ch
 	c.mu.Unlock()
 
+	// A request is a point the process blocks at, and the holder it waits for
+	// may be waiting for what this process wrote, in a critical section it is
+	// still in, say: nothing may stay parked in the outbox behind it.
+	c.node.FlushUpdates()
 	start := time.Now()
 	c.d.send(network.Message{
 		From: c.d.self, To: c.manager, Kind: KindLockReq,
@@ -412,16 +417,27 @@ func (c *Client) acquire(name string, mode LockMode) *lockGrant {
 // release performs the mode's unlock work and notifies the manager.
 func (c *Client) release(name string, mode LockMode, writeSet []writeStamp) {
 	// Lock release is a synchronization boundary: flush the update outbox
-	// first, whatever the mode. Eager's flush probe certifies receipt only of
-	// updates that FIFO-precede it; Lazy's received vector and DemandDriven's
-	// write-set stamps both promise the next holder it can wait for updates
-	// that must therefore already be on the wire.
-	c.node.FlushUpdates()
+	// first, whatever the mode — closing a write lock's hold flushes it.
+	// Eager's flush probe certifies receipt only of updates that FIFO-precede
+	// it; Lazy's received vector and DemandDriven's write-set stamps both
+	// promise the next holder it can wait for updates that must therefore
+	// already be on the wire.
+	if mode == WriteMode {
+		c.node.Unhold()
+	} else {
+		c.node.FlushUpdates()
+	}
 	c.mu.Lock()
-	rel := c.rels.next()
+	e := c.rels.next()
+	rel := &e.p
 	*rel = lockRelease{Lock: name, Mode: mode}
 	if c.mode == Lazy {
-		rel.Counts = c.vecs.next(c.node.N())[:0] // filled in below
+		// Filled in below, in the release's own cell when it fits.
+		if n := c.node.N(); n <= cellWords {
+			rel.Counts = e.words[:0:n]
+		} else {
+			rel.Counts = c.vecs.next(n)[:0]
+		}
 	}
 	c.mu.Unlock()
 	switch c.mode {
@@ -458,9 +474,12 @@ func (c *Client) release(name string, mode LockMode, writeSet []writeStamp) {
 
 // WLock acquires the write lock on name, blocking until granted and until
 // the propagation mode's visibility condition holds, and returns the grant's
-// epoch.
+// epoch. It opens a hold on the node (dsm.Node.Hold), which WUnlock closes: the
+// critical section's writes leave as one batch per destination, since they
+// need only reach the next holder by its acquire (Section 6).
 func (c *Client) WLock(name string) int {
 	g := c.acquire(name, WriteMode)
+	c.node.Hold()
 	if c.mode == DemandDriven {
 		// The mark is taken under c.mu so that closeWriteSet, trimming on
 		// another thread, either sees it or trims below it.

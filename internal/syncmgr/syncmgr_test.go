@@ -26,6 +26,13 @@ type testCluster struct {
 
 func newTestCluster(t *testing.T, n int, mode PropagationMode) *testCluster {
 	t.Helper()
+	return newBatchedCluster(t, n, mode, dsm.BatchConfig{})
+}
+
+// newBatchedCluster is newTestCluster with every node's outbox configured as
+// batch says.
+func newBatchedCluster(t *testing.T, n int, mode PropagationMode, batch dsm.BatchConfig) *testCluster {
+	t.Helper()
 	f, err := network.New(network.Config{Nodes: n})
 	if err != nil {
 		t.Fatalf("network.New: %v", err)
@@ -36,7 +43,7 @@ func newTestCluster(t *testing.T, n int, mode PropagationMode) *testCluster {
 		d := NewDispatcher(i, f)
 		dispatchers[i] = d
 		node, err := dsm.NewNode(dsm.Config{
-			ID: i, N: n, Transport: f, Handler: d.Handle,
+			ID: i, N: n, Transport: f, Handler: d.Handle, Batch: batch,
 		})
 		if err != nil {
 			t.Fatalf("NewNode(%d): %v", i, err)

@@ -58,7 +58,7 @@ func PutBuf(b []byte) {
 // Payload recyclers let protocol packages reclaim payload-owned buffers once
 // a wire transport has encoded the payload into a frame. The in-process
 // fabric delivers payloads by reference and never calls these — there the
-// receiver recycles. See updateSlicePool (one payload per message) and
+// receiver recycles. See stampedBatch (one payload per message) and
 // stampedUpdate (one payload shared by several messages) in internal/dsm for
 // the two lifecycles.
 var (

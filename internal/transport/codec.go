@@ -82,12 +82,15 @@ func DecodePayload(kind string, data []byte) (any, error) {
 // connection from one goroutine, so such state needs no lock and no pool.
 type ConnCodec interface {
 	PayloadCodec
-	// NewConnDecoder returns a decode function that owns fresh state. It is
+	// NewConnDecoder returns a decode function that owns fresh state, for a
+	// connection of a cluster of nodes processes (0 when unknown). It is
 	// called from one goroutine at a time and must return values deep-equal to
-	// Decode's on every input, errors included, but for what the codec keeps
-	// to take a value back once its receiver is done with it (a dsm update's
-	// link to its pool), which is no part of what the payload says.
-	NewConnDecoder() func(data []byte) (any, error)
+	// Decode's on every input the cluster's peers can send, but for what the
+	// codec keeps to take a value back once its receiver is done with it (a
+	// dsm update's link to its pool), which is no part of what the payload
+	// says. It may refuse, before allocating for it, a payload Decode accepts
+	// whose shape names another cluster size.
+	NewConnDecoder(nodes int) func(data []byte) (any, error)
 }
 
 // ConnDecoder is the decode state of one inbound connection of a wire
@@ -99,6 +102,9 @@ type ConnCodec interface {
 // consults the registry on every call, keeps nothing, and returns what
 // DecodePayload returns.
 type ConnDecoder struct {
+	// Nodes is the size of the cluster the connection belongs to, which each
+	// ConnCodec's decoder is built for; zero when unknown.
+	Nodes int
 	// kinds is scanned from the last hit: a connection carries a handful of
 	// kinds in long runs of one.
 	kinds []connKind
@@ -141,7 +147,7 @@ func (c *ConnDecoder) resolve(kind []byte) connKind {
 	}
 	if c != nil && len(c.kinds) < maxConnKinds {
 		if cc, ok := r.codec.(ConnCodec); ok {
-			k.decode = cc.NewConnDecoder()
+			k.decode = cc.NewConnDecoder(c.Nodes)
 		}
 		c.hit = len(c.kinds)
 		c.kinds = append(c.kinds, k)

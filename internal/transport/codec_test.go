@@ -119,7 +119,7 @@ type countingCodec struct {
 	made *int
 }
 
-func (c countingCodec) NewConnDecoder() func([]byte) (any, error) {
+func (c countingCodec) NewConnDecoder(int) func([]byte) (any, error) {
 	*c.made++
 	n := 0
 	return func(data []byte) (any, error) {

@@ -105,9 +105,17 @@ func TestStreamingAllocatesOneChunkPerChunkSize(t *testing.T) {
 }
 
 // PayloadValue returns what a decoded payload says, for comparison: an update
-// as its exported fields, without the link a connection's decoder keeps to
-// take it back once the receiver has settled it; anything else as it is.
+// or a batch as its exported fields, without the link a connection's decoder
+// keeps to take it back once the receiver has settled it (and a batch without
+// the capacity its element's empty entry slice keeps); anything else as it is.
 func PayloadValue(payload any) any {
+	if b, ok := payload.(*dsm.UpdateBatch); ok {
+		v := dsm.UpdateBatch{From: b.From, FirstSeq: b.FirstSeq, Deps: b.Deps}
+		if len(b.Updates) > 0 {
+			v.Updates = b.Updates
+		}
+		return v
+	}
 	u, ok := payload.(*dsm.Update)
 	if !ok {
 		return payload

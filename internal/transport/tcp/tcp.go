@@ -713,6 +713,7 @@ func (c *inConn) ack() error {
 func (t *Transport) serveConn(conn net.Conn) {
 	defer t.wg.Done()
 	c := &inConn{t: t, conn: conn, from: -1, deadline: writeDeadline{timeout: t.cfg.WriteTimeout}}
+	c.dec.Nodes = t.Nodes()
 	defer func() {
 		select {
 		case <-t.done:

@@ -10,5 +10,5 @@ import (
 func main() {
 	var s lib.Sizer = lib.NewLive()
 	cfg := lib.Config{Set: 1}
-	fmt.Println(s.Len(), cfg.Inner())
+	fmt.Println(s.Len(), cfg.Inner(), lib.Total([]lib.Tally{{N: 1}}))
 }

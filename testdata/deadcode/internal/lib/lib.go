@@ -52,3 +52,26 @@ type InnerConfig struct {
 func (c Config) Inner() InnerConfig {
 	return InnerConfig{FromSet: c.Set, FromTestOnly: c.TestOnly}
 }
+
+// Counted is a constraint: the methods of its type arguments are reached only
+// through a type parameter.
+type Counted[E any] interface {
+	*E
+	Count() int
+}
+
+// Tally is built by the program and counted only through Counted, so its
+// Count is live.
+type Tally struct{ N int }
+
+// Count satisfies Counted.
+func (t *Tally) Count() int { return t.N }
+
+// Total sums the counts of es through the constraint.
+func Total[E any, P Counted[E]](es []E) int {
+	sum := 0
+	for i := range es {
+		sum += P(&es[i]).Count()
+	}
+	return sum
+}
