@@ -104,7 +104,7 @@ func run(args []string) (int, error) {
 		for _, a := range rep.Advice.Advice {
 			fmt.Printf("advise: %-12s %-6s  %s\n", a.Loc, a.Label, a.Rationale)
 		}
-		fmt.Printf("advise: program label: %s\n", rep.Advice.ProgramLabel())
+		fmt.Printf("advise: program label: %s\n", rep.Advice.ProgramVerdict())
 	}
 	if len(rep.Findings) > 0 {
 		return 1, nil

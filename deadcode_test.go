@@ -232,7 +232,7 @@ func findDeadCode(root string, allow []string) (deadCodeReport, error) {
 	return rep, nil
 }
 
-// rel is a package path relative to the module ("internal/vclock").
+// rel is a package path relative to the module ("internal/dsm").
 func (s *deadCodeScan) rel(path string) string {
 	return strings.TrimPrefix(strings.TrimPrefix(path, s.module), "/")
 }

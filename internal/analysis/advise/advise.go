@@ -98,15 +98,28 @@ func Rank(l history.Label) int {
 
 // ProgramLabel folds per-location advice into a single program-level label,
 // comparable with the program-level check.Advise: the strongest (most
-// conservative) requirement of any location.
-func (r *Result) ProgramLabel() history.Label {
+// conservative) requirement of any location. ok is false when the advice
+// covers no access site: nothing was proved, so no label is sound.
+func (r *Result) ProgramLabel() (label history.Label, ok bool) {
+	if len(r.Advice) == 0 {
+		return history.LabelNone, false
+	}
 	out := history.LabelSlow
 	for _, a := range r.Advice {
 		if Rank(a.Label) > Rank(out) {
 			out = a.Label
 		}
 	}
-	return out
+	return out, true
+}
+
+// ProgramVerdict is ProgramLabel as the reports print it: the label, or
+// "unknown" for advice over no access site.
+func (r *Result) ProgramVerdict() string {
+	if l, ok := r.ProgramLabel(); ok {
+		return l.String()
+	}
+	return "unknown"
 }
 
 // maxDepth bounds virtual inlining; chains deeper than this poison the

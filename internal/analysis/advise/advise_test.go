@@ -50,7 +50,7 @@ func TestAdviseBasic(t *testing.T) {
 	if len(res.LockOf) != 1 {
 		t.Errorf("LockOf = %v, want only tab", res.LockOf)
 	}
-	if pl := res.ProgramLabel(); pl != history.LabelSC {
+	if pl, _ := res.ProgramLabel(); pl != history.LabelSC {
 		t.Errorf("ProgramLabel = %v, want LabelSC (strongest requirement wins)", pl)
 	}
 	for _, a := range res.Advice {
@@ -76,7 +76,7 @@ func TestAdviseSlow(t *testing.T) {
 			t.Errorf("advice for %q = %v, want %v", loc, got[loc], lbl)
 		}
 	}
-	if pl := res.ProgramLabel(); pl != history.LabelSlow {
+	if pl, _ := res.ProgramLabel(); pl != history.LabelSlow {
 		t.Errorf("ProgramLabel = %v, want LabelSlow (barrier-only phase discipline)", pl)
 	}
 }
@@ -104,5 +104,21 @@ func TestRank(t *testing.T) {
 	}
 	if advise.Rank(history.LabelNone) != advise.Rank(history.LabelSC) {
 		t.Errorf("legacy LabelNone should share the unconditioned top with LabelSC")
+	}
+}
+
+// TestAdviseEmpty pins the verdict over no access site: a program whose every
+// access names its location at run time gets no advice, and its program label
+// is unknown rather than Slow, the lattice bottom no proof reached.
+func TestAdviseEmpty(t *testing.T) {
+	res := adviceOf(t, "../testdata/src/advise_empty")
+	if len(res.Advice) != 0 {
+		t.Fatalf("advice over computed locations only: %v", res.Advice)
+	}
+	if l, ok := res.ProgramLabel(); ok {
+		t.Errorf("ProgramLabel = %v with no access site, want none", l)
+	}
+	if v := res.ProgramVerdict(); v != "unknown" {
+		t.Errorf("ProgramVerdict = %q, want unknown", v)
 	}
 }

@@ -58,7 +58,7 @@ func TestGoldenSnapshot(t *testing.T) {
 		for _, a := range rep.Advice.Advice {
 			fmt.Fprintf(&buf, "advise: %-12s %-6s %s\n", a.Loc, a.Label, a.Rationale)
 		}
-		fmt.Fprintf(&buf, "advise: program label: %s\n", rep.Advice.ProgramLabel())
+		fmt.Fprintf(&buf, "advise: program label: %s\n", rep.Advice.ProgramVerdict())
 	}
 
 	golden := filepath.Join("testdata", "golden.txt")

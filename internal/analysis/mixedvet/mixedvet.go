@@ -92,7 +92,7 @@ func (r *Report) JSON() ([]byte, error) {
 				Loc: a.Loc, Label: a.Label.String(), Rationale: a.Rationale,
 			})
 		}
-		doc.Program = r.Advice.ProgramLabel().String()
+		doc.Program = r.Advice.ProgramVerdict()
 	}
 	return json.MarshalIndent(doc, "", "  ")
 }

@@ -71,3 +71,29 @@ func TestJSONReport(t *testing.T) {
 		t.Error("programLabel missing from the advice section")
 	}
 }
+
+// TestJSONReportUnknownLabel runs the advice engine over a package with no
+// access site: the document's programLabel is unknown, not a label.
+func TestJSONReportUnknownLabel(t *testing.T) {
+	src, err := filepath.Abs("../testdata/src")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := mixedvet.Run(src, []string{"./advise_empty"}, mixedvet.Analyzers, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := rep.JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		ProgramLabel string `json:"programLabel"`
+	}
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		t.Fatalf("-json output is not valid JSON: %v\n%s", err, raw)
+	}
+	if doc.ProgramLabel != "unknown" {
+		t.Errorf("programLabel = %q over no access site, want unknown", doc.ProgramLabel)
+	}
+}

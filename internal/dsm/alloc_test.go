@@ -9,9 +9,9 @@ import (
 
 	"mixedmem/internal/loctab"
 	"mixedmem/internal/network"
+	"mixedmem/internal/slab"
 	"mixedmem/internal/transport"
 	"mixedmem/internal/transport/tcp"
-	"mixedmem/internal/vclock"
 )
 
 // Allocation pins for the write hot path. These use testing.AllocsPerRun,
@@ -25,7 +25,7 @@ import (
 //     after the first write; a repeat write updates them in place.
 //   - steady-state full-broadcast causal Write: 0 allocs per write. The
 //     dependency-clock snapshot (Update.TS) is a slice of the node's
-//     timestamp slab, one allocation per slabSize writes.
+//     timestamp slab, one allocation per slab.Size writes.
 //   - unbatched Write, PRAM or causal: 0 allocs. The sent update is an
 //     element of the node's update pool, so nothing is boxed into
 //     network.Message.Payload, a causal write's timestamp rides inside its
@@ -165,7 +165,7 @@ func TestWriteCausalSteadyStateAllocFloor(t *testing.T) {
 	// outbox entry may outlive later clock bumps, and an in-flight batch
 	// shares the slice through the simulated fabric, so a snapshot cannot
 	// be reused in place. It is carved from the node's timestamp slab, one
-	// allocation per slabSize writes, which AllocsPerRun's integer average
+	// allocation per slab.Size writes, which AllocsPerRun's integer average
 	// reports as the floor: zero per steady-state causal write.
 	nodes := allocCluster(t, false, BatchConfig{Enabled: true, MaxUpdates: 1 << 20, Linger: time.Hour})
 	n := nodes[0]
@@ -185,7 +185,7 @@ func TestWriteCausalSteadyStateAllocFloor(t *testing.T) {
 // element of the node's pool, and the two peers, applying and settling it,
 // release their references, so k slabs' worth of writes cost nothing once the
 // pool is warm. An element nobody hands back costs k allocations (a slab
-// carved per slabSize writes), and carving the update and its stamp apart
+// carved per slab.Size writes), and carving the update and its stamp apart
 // costs 2k.
 func TestWriteCausalUnbatchedAllocFloor(t *testing.T) {
 	nodes, _ := batchedCluster(t, 3, BatchConfig{})
@@ -193,11 +193,11 @@ func TestWriteCausalUnbatchedAllocFloor(t *testing.T) {
 	min := make([]uint64, 3)
 	var v int64
 	writeSlab := func() {
-		for i := 0; i < slabSize; i++ {
+		for i := 0; i < slab.Size; i++ {
 			v++
 			n.Write("steady", v)
 		}
-		min[0] += slabSize
+		min[0] += slab.Size
 		nodes[1].WaitCausalApplied(min)
 		nodes[2].WaitCausalApplied(min)
 	}
@@ -233,7 +233,7 @@ func TestOutboxFlushAllocFloor(t *testing.T) {
 		nodes[1].WaitReceived(min)
 	})
 	// Floor: nothing. The *UpdateBatch comes from the outbox's slab, one
-	// allocation per slabSize flushes, and the entry slice cycles through the
+	// allocation per slab.Size flushes, and the entry slice cycles through the
 	// update-slice pool (the receiver's applier recycles it). AllocsPerRun
 	// reports the integer average, so a payload allocated per flush again
 	// reads 1.
@@ -339,9 +339,9 @@ func scopedAllocPair(t *testing.T, batch BatchConfig) []*Node {
 // TestScopedSendAllocFloor pins the two scoped-causal send paths at nothing per
 // write. The address-matrix snapshot every scoped write takes under the clock
 // lock is carved from the node's matrix slabs (row headers and words, two
-// allocations per slabSize writes), and a flush's payload from the outbox's
-// slab. Sizing the message (Matrix.
-// ActiveEncodedSize) counts the active indices without listing them.
+// allocations per slab.Size writes), and a flush's payload from the outbox's
+// slab. Sizing the message (depsSize) counts the active indices without
+// listing them.
 // AllocsPerRun reports the integer average, so a snapshot cloned per write
 // again reads 2.
 func TestScopedSendAllocFloor(t *testing.T) {
@@ -421,18 +421,18 @@ func TestScopedBatchedTCPWriteAllocFloor(t *testing.T) {
 	min := []uint64{0, 0}
 	var v int64
 	writeSlab := func() {
-		for i := 0; i < slabSize; i++ {
+		for i := 0; i < slab.Size; i++ {
 			v++
 			n.Write(locs[i%len(locs)], v)
 		}
 		n.FlushUpdates()
-		min[0] += slabSize
+		min[0] += slab.Size
 		nodes[1].WaitReceived(min)
 	}
 	writeSlab() // warm the connection, its decoder and the pool
 	writeSlab()
 	allocs := testing.AllocsPerRun(50, writeSlab)
-	if perWrite := allocs / slabSize; perWrite > 0.1 {
+	if perWrite := allocs / slab.Size; perWrite > 0.1 {
 		t.Errorf("batched scoped write over tcp: %.3f allocs/write, want <= 0.1 (slabs only)", perWrite)
 	}
 }
@@ -441,9 +441,9 @@ func TestScopedBatchedTCPWriteAllocFloor(t *testing.T) {
 // buffer allocates nothing — the matrix's active set is found once per encode,
 // into a stack buffer.
 func TestScopedEncodeAllocFree(t *testing.T) {
-	deps := vclock.NewMatrix(6)
-	deps.Set(1, 4, 9)
-	deps.Set(4, 1, 3)
+	deps := NewMatrix(6)
+	deps[1][4] = 9
+	deps[4][1] = 3
 	var update any = &Update{From: 1, Seq: 9, Op: OpSet, Loc: "s", Value: 7, Deps: deps}
 	var batch any = &UpdateBatch{From: 1, FirstSeq: 8, Deps: deps, Updates: []Update{
 		{From: 1, Seq: 8, Op: OpSet, Loc: "s", Value: 1},
@@ -479,14 +479,14 @@ func TestScopedEncodeAllocFree(t *testing.T) {
 // receiver lets go of what it decoded: the *Update comes back to the
 // connection's pool, so a decoded update, its timestamp riding in its element,
 // costs nothing. The *UpdateBatch, the timestamps of batch entries and the
-// dependency matrix come from slabs, one allocation each per slabSize; the
+// dependency matrix come from slabs, one allocation each per slab.Size; the
 // entry slice of a batch from the update-slice pool. A definition's name comes
 // from the connection's name arena, one allocation per chunk
 // (TestConnDecodeDefinitionAllocFree).
 func TestConnDecodeAllocFloor(t *testing.T) {
-	deps := vclock.NewMatrix(3)
-	deps.Set(0, 1, 2)
-	deps.Set(2, 1, 3)
+	deps := NewMatrix(3)
+	deps[0][1] = 2
+	deps[2][1] = 3
 	entries := []Update{
 		{From: 1, Seq: 1, Op: OpSet, Ordinal: 0, Value: 10},
 		{From: 1, Seq: 2, Op: OpSet, Ordinal: 1, Value: 20},
@@ -499,9 +499,9 @@ func TestConnDecodeAllocFloor(t *testing.T) {
 		payload any
 		limit   float64 // allocations per decode
 	}{
-		{"update", KindUpdate, &Update{From: 1, Seq: 3, Op: OpSet, Ordinal: 2, Value: 10, TS: vclock.VC{1, 3, 4}}, 0},
-		{"defining update", KindUpdate, &Update{From: 1, Seq: 3, Op: OpSet, Loc: "alpha", Ordinal: 2, Defines: true, Value: 10, TS: vclock.VC{1, 3, 4}}, float64(len("alpha")) / loctab.ArenaChunk},
-		{"scoped update", KindUpdate, &Update{From: 1, Seq: 3, Op: OpSet, Ordinal: 2, Value: 10, Deps: deps}, 2.0 / slabSize}, // the matrix slabs
+		{"update", KindUpdate, &Update{From: 1, Seq: 3, Op: OpSet, Ordinal: 2, Value: 10, TS: []uint64{1, 3, 4}}, 0},
+		{"defining update", KindUpdate, &Update{From: 1, Seq: 3, Op: OpSet, Loc: "alpha", Ordinal: 2, Defines: true, Value: 10, TS: []uint64{1, 3, 4}}, float64(len("alpha")) / loctab.ArenaChunk},
+		{"scoped update", KindUpdate, &Update{From: 1, Seq: 3, Op: OpSet, Ordinal: 2, Value: 10, Deps: deps}, 2.0 / slab.Size}, // the matrix slabs
 		{"4-entry batch", KindUpdateBatch, &UpdateBatch{From: 1, FirstSeq: 1, Updates: entries}, 0},
 		{"4-entry scoped batch", KindUpdateBatch, &UpdateBatch{From: 1, FirstSeq: 1, Deps: deps, Updates: entries}, 0.05},
 	} {
@@ -537,11 +537,11 @@ func TestConnDecodeAllocFloor(t *testing.T) {
 		}
 		settle(got)
 		allocs := testing.AllocsPerRun(10, func() {
-			for i := 0; i < slabSize; i++ {
+			for i := 0; i < slab.Size; i++ {
 				settle(decodeOne())
 			}
 		})
-		if perDecode := allocs / slabSize; perDecode > tc.limit {
+		if perDecode := allocs / slab.Size; perDecode > tc.limit {
 			t.Errorf("connection %s decode: %.3f allocs/op, want <= %.3f", tc.name, perDecode, tc.limit)
 		}
 	}
@@ -563,7 +563,7 @@ func TestConnDecodeDefinitionAllocFree(t *testing.T) {
 		codec   transport.ConnCodec
 		payload any
 	}{
-		{KindUpdate, updateCodec{}, &Update{From: 1, Seq: 3, Op: OpSet, Loc: "alpha", Ordinal: 2, Defines: true, Value: 10, TS: vclock.VC{1, 3, 4}}},
+		{KindUpdate, updateCodec{}, &Update{From: 1, Seq: 3, Op: OpSet, Loc: "alpha", Ordinal: 2, Defines: true, Value: 10, TS: []uint64{1, 3, 4}}},
 		{KindUpdateBatch, batchCodec{}, batch},
 	} {
 		wire, err := transport.EncodePayload(nil, tc.kind, tc.payload)
@@ -581,7 +581,7 @@ func TestConnDecodeDefinitionAllocFree(t *testing.T) {
 			}
 		}
 		decodeOne()
-		if allocs := testing.AllocsPerRun(slabSize-2, decodeOne); allocs != 0 {
+		if allocs := testing.AllocsPerRun(slab.Size-2, decodeOne); allocs != 0 {
 			t.Errorf("%s: decoding a definition costs %.0f allocs with room in the slab and the name chunk, want 0", tc.kind, allocs)
 		}
 	}
@@ -596,7 +596,7 @@ func TestBatchElementsKeepTheirCapacity(t *testing.T) {
 		b := &UpdateBatch{From: 1, FirstSeq: 1}
 		for i := range entries {
 			b.Updates = append(b.Updates, Update{From: 1, Seq: uint64(i + 1), Op: OpSet,
-				Ordinal: uint32(i), Value: int64(i), TS: vclock.VC{0, uint64(i + 1), 0}})
+				Ordinal: uint32(i), Value: int64(i), TS: []uint64{0, uint64(i + 1), 0}})
 		}
 		enc, err := transport.EncodePayload(nil, KindUpdateBatch, b)
 		if err != nil {
@@ -613,11 +613,51 @@ func TestBatchElementsKeepTheirCapacity(t *testing.T) {
 		got.(*UpdateBatch).release()
 	}
 	small, large := wire(1), wire(32)
-	for range 2 * slabSize {
+	for range 2 * slab.Size {
 		settle(small)
 	}
 	settle(large) // the one growth
 	if allocs := testing.AllocsPerRun(100, func() { settle(large) }); allocs != 0 {
 		t.Errorf("32-entry batches through elements that carried 1-entry ones: %.1f allocs per decode, want 0", allocs)
+	}
+}
+
+// TestReleasedBatchElementIsBounded decodes a batch wider than a slab through
+// a connection and releases it: no element of the connection's pool keeps more
+// than entrySlab entries or wordSlab timestamp words, as its scratch does not.
+func TestReleasedBatchElementIsBounded(t *testing.T) {
+	b := &UpdateBatch{From: 1, FirstSeq: 1}
+	for i := range 2 * entrySlab {
+		b.Updates = append(b.Updates, Update{From: 1, Seq: uint64(i + 1), Op: OpSet,
+			Ordinal: uint32(i), Value: int64(i), TS: []uint64{0, uint64(i + 1), 0}})
+	}
+	if 3*len(b.Updates) <= wordSlab {
+		t.Fatalf("%d entries carry no more than a word slab", len(b.Updates))
+	}
+	enc, err := transport.EncodePayload(nil, KindUpdateBatch, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := &connDecoder{nodes: 3}
+	got, err := c.decodeBatch(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(got.(*UpdateBatch).Updates); n != len(b.Updates) {
+		t.Fatalf("decoded %d entries, want %d", n, len(b.Updates))
+	}
+	got.(*UpdateBatch).release()
+	elems := 0
+	for _, e := range []*stampedBatch{c.batches.free, c.batches.back.Load()} {
+		for ; e != nil; e = e.link.next {
+			elems++
+			if cap(e.Updates) > entrySlab || cap(e.words) > wordSlab {
+				t.Errorf("released element keeps room for %d entries and %d words, bound %d and %d",
+					cap(e.Updates), cap(e.words), entrySlab, wordSlab)
+			}
+		}
+	}
+	if elems == 0 {
+		t.Fatal("the released element is not back in its pool")
 	}
 }

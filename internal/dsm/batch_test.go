@@ -9,7 +9,6 @@ import (
 	"mixedmem/internal/loctab"
 	"mixedmem/internal/network"
 	"mixedmem/internal/transport"
-	"mixedmem/internal/vclock"
 )
 
 // batchedCluster builds a fabric and n nodes with the given batch config.
@@ -39,7 +38,7 @@ func TestBatchedPropagationLinger(t *testing.T) {
 	// No explicit flush and thresholds far out of reach: only the linger
 	// timer can move the updates.
 	nodes, _ := batchedCluster(t, 3, BatchConfig{
-		Enabled: true, MaxUpdates: 1 << 20, MaxBytes: 1 << 30,
+		Enabled: true, MaxUpdates: 1 << 20,
 		Linger: time.Millisecond,
 	})
 	nodes[0].Write("x", 42)
@@ -51,7 +50,7 @@ func TestBatchedPropagationLinger(t *testing.T) {
 
 func TestBatchCoalescingLastWriterWins(t *testing.T) {
 	nodes, f := batchedCluster(t, 2, BatchConfig{
-		Enabled: true, MaxUpdates: 1 << 20, MaxBytes: 1 << 30,
+		Enabled: true, MaxUpdates: 1 << 20,
 		Linger: time.Hour, // flush only explicitly
 	})
 	const writes = 10
@@ -83,7 +82,7 @@ func TestBatchCoalescingLastWriterWins(t *testing.T) {
 
 func TestBatchAddsDoNotCoalesce(t *testing.T) {
 	nodes, _ := batchedCluster(t, 2, BatchConfig{
-		Enabled: true, MaxUpdates: 1 << 20, MaxBytes: 1 << 30, Linger: time.Hour,
+		Enabled: true, MaxUpdates: 1 << 20, Linger: time.Hour,
 	})
 	// set, add, set, add on one location: the adds must keep their position
 	// relative to the sets so the receiver's replay yields the same value.
@@ -103,7 +102,7 @@ func TestBatchAddsDoNotCoalesce(t *testing.T) {
 
 func TestBatchSingleUpdateUsesPlainFrame(t *testing.T) {
 	nodes, f := batchedCluster(t, 2, BatchConfig{
-		Enabled: true, MaxUpdates: 1 << 20, MaxBytes: 1 << 30, Linger: time.Hour,
+		Enabled: true, MaxUpdates: 1 << 20, Linger: time.Hour,
 	})
 	nodes[0].Write("x", 1)
 	nodes[0].FlushUpdates()
@@ -117,7 +116,7 @@ func TestBatchSingleUpdateUsesPlainFrame(t *testing.T) {
 
 func TestBatchMaxUpdatesThresholdFlush(t *testing.T) {
 	nodes, f := batchedCluster(t, 2, BatchConfig{
-		Enabled: true, MaxUpdates: 4, MaxBytes: 1 << 30, Linger: time.Hour,
+		Enabled: true, MaxUpdates: 4, Linger: time.Hour,
 	})
 	locs := []string{"a", "b", "c", "d", "e", "f", "g", "h"}
 	for i, loc := range locs {
@@ -142,7 +141,7 @@ func TestBatchAwaitFlushesHandshake(t *testing.T) {
 	// the receiver side's apply) must complete the handshake even with the
 	// linger timer effectively off.
 	nodes, _ := batchedCluster(t, 2, BatchConfig{
-		Enabled: true, MaxUpdates: 1 << 20, MaxBytes: 1 << 30, Linger: time.Hour,
+		Enabled: true, MaxUpdates: 1 << 20, Linger: time.Hour,
 	})
 	done := make(chan struct{})
 	go func() { // node 1: respond to the request, then finish the exchange
@@ -171,7 +170,7 @@ func TestBatchCausalGroupAtomicity(t *testing.T) {
 	// then see every earlier value of the same batch (they were applied
 	// together), on both views.
 	nodes, _ := batchedCluster(t, 3, BatchConfig{
-		Enabled: true, MaxUpdates: 1 << 20, MaxBytes: 1 << 30, Linger: time.Hour,
+		Enabled: true, MaxUpdates: 1 << 20, Linger: time.Hour,
 	})
 	nodes[0].Write("a", 1)
 	nodes[0].Write("b", 2)
@@ -194,7 +193,7 @@ func TestBatchCausalChainAcrossSenders(t *testing.T) {
 	if err != nil {
 		t.Fatalf("network.New: %v", err)
 	}
-	batch := BatchConfig{Enabled: true, MaxUpdates: 1 << 20, MaxBytes: 1 << 30, Linger: time.Hour}
+	batch := BatchConfig{Enabled: true, MaxUpdates: 1 << 20, Linger: time.Hour}
 	nodes := make([]*Node, 3)
 	for i := range nodes {
 		nodes[i], err = NewNode(Config{ID: i, N: 3, Transport: f, Batch: batch})
@@ -259,7 +258,7 @@ func TestBatchScopedPlacement(t *testing.T) {
 		"pair": {1},
 		"all":  {1, 2},
 	}}
-	batch := BatchConfig{Enabled: true, MaxUpdates: 1 << 20, MaxBytes: 1 << 30, Linger: time.Hour}
+	batch := BatchConfig{Enabled: true, MaxUpdates: 1 << 20, Linger: time.Hour}
 	nodes := make([]*Node, 3)
 	for i := range nodes {
 		nodes[i], err = NewNode(Config{
@@ -312,7 +311,7 @@ func TestBatchScopedCausalDepsCapturedAtEnqueue(t *testing.T) {
 			"a": {1, 2}, "c": {1, 2}, "b": {0, 1},
 		},
 	}
-	batch := BatchConfig{Enabled: true, MaxUpdates: 1 << 20, MaxBytes: 1 << 30, Linger: time.Hour}
+	batch := BatchConfig{Enabled: true, MaxUpdates: 1 << 20, Linger: time.Hour}
 	nodes := make([]*Node, 3)
 	for i := range nodes {
 		nodes[i], err = NewNode(Config{ID: i, N: 3, Transport: f, Scope: scope, Batch: batch})
@@ -390,14 +389,14 @@ func TestScopedCausalMalformedDepsDoesNotStall(t *testing.T) {
 	}()
 
 	bad := &Update{From: 0, Seq: 1, Op: OpSet, Loc: "a", Defines: true, Value: 7,
-		Deps: vclock.NewMatrix(5)} // wrong dimension for a 2-node system
+		Deps: NewMatrix(5)} // wrong dimension for a 2-node system
 	if err := f.Send(network.Message{
 		From: 0, To: 1, Kind: KindUpdate, Payload: bad, Size: bad.encodedSize(),
 	}); err != nil {
 		t.Fatal(err)
 	}
 	badBatch := &UpdateBatch{
-		From: 0, FirstSeq: 2, Deps: vclock.NewMatrix(5),
+		From: 0, FirstSeq: 2, Deps: NewMatrix(5),
 		Updates: []Update{
 			{From: 0, Seq: 2, Op: OpSet, Loc: "a", Value: 8},
 			{From: 0, Seq: 3, Op: OpSet, Loc: "a", Value: 9},
@@ -439,9 +438,9 @@ func TestScopedCausalMalformedDepsDoesNotStall(t *testing.T) {
 func TestEncodedSizeMatchesCodec(t *testing.T) {
 	// The latency model's wire-size accounting must track the real codecs
 	// byte for byte, including which sections are present.
-	deps := vclock.NewMatrix(3)
-	deps.Set(1, 0, 4)
-	ts := vclock.New(3)
+	deps := NewMatrix(3)
+	deps[1][0] = 4
+	ts := make([]uint64, 3)
 	ts[0], ts[1], ts[2] = 2, 3, 5
 	updates := []Update{
 		{From: 1, Seq: 2, Op: OpSet, Loc: "x[2]", Value: -9},
@@ -494,13 +493,13 @@ func TestEncodedSizeMatchesCodec(t *testing.T) {
 // run under two schedules ships the same bytes, batched or not, stamped,
 // PRAM-only or Slow.
 func TestEncodedSizeIsScheduleIndependent(t *testing.T) {
-	stamps := func(from int, seq, v uint64) (vclock.VC, vclock.Matrix) {
-		ts := vclock.VC{v, v * 3, v * 7, v + 1}
+	stamps := func(from int, seq, v uint64) ([]uint64, Matrix) {
+		ts := []uint64{v, v * 3, v * 7, v + 1}
 		ts[from] = seq
-		deps := vclock.NewMatrix(4)
-		deps.Set(0, 2, v+1)
-		deps.Set(2, 3, v<<20+1)
-		deps.Set(3, 0, 1)
+		deps := NewMatrix(4)
+		deps[0][2] = v + 1
+		deps[2][3] = v<<20 + 1
+		deps[3][0] = 1
 		return ts, deps
 	}
 	size := func(what string, p any) int {
@@ -614,7 +613,7 @@ func TestEncodedSizeIsScheduleIndependent(t *testing.T) {
 
 func TestBatchConfigValidation(t *testing.T) {
 	c := BatchConfig{Enabled: true}.WithDefaults()
-	if c.MaxUpdates <= 0 || c.MaxBytes <= 0 || c.Linger <= 0 {
+	if c.MaxUpdates <= 0 || c.Linger <= 0 {
 		t.Fatalf("defaults not filled: %+v", c)
 	}
 }
@@ -622,9 +621,9 @@ func TestBatchConfigValidation(t *testing.T) {
 // --- KindUpdateBatch codec ---
 
 func TestBatchCodecRoundTrip(t *testing.T) {
-	ts1 := vclock.New(3)
+	ts1 := make([]uint64, 3)
 	ts1[0], ts1[2] = 17, 4
-	ts2 := vclock.New(3)
+	ts2 := make([]uint64, 3)
 	ts2[0], ts2[2] = 17, 6
 	b := &UpdateBatch{
 		From: 2, FirstSeq: 4,
@@ -657,7 +656,7 @@ func TestBatchCodecRoundTrip(t *testing.T) {
 			t.Fatalf("entry %d changed: %+v -> %+v", i, want, u)
 		}
 	}
-	if got.Updates[2].TS.Len() != 3 || got.Updates[2].TS[0] != 17 || got.Updates[2].TS[2] != 6 {
+	if len(got.Updates[2].TS) != 3 || got.Updates[2].TS[0] != 17 || got.Updates[2].TS[2] != 6 {
 		t.Fatalf("entry timestamp changed: %v", got.Updates[2].TS)
 	}
 }
@@ -761,7 +760,7 @@ func TestBatchCodecMalformed(t *testing.T) {
 	// What the wire cannot carry, Encode refuses.
 	for _, b := range []*UpdateBatch{
 		{From: 1, FirstSeq: 4, Updates: []Update{{From: 1, Seq: 3, Op: OpSet, Loc: "x"}}},
-		{From: 1, FirstSeq: 4, Updates: []Update{{From: 1, Seq: 4, Op: OpSet, Loc: "x", TS: vclock.VC{4, 3}}}},
+		{From: 1, FirstSeq: 4, Updates: []Update{{From: 1, Seq: 4, Op: OpSet, Loc: "x", TS: []uint64{4, 3}}}},
 		{From: 1, FirstSeq: 4, Updates: []Update{{From: 1, Seq: 4, Op: 0, Loc: "x"}}},
 		{From: 1, FirstSeq: 4, Updates: []Update{{From: 1, Seq: 4, Op: OpSet, Label: history.LabelSC + 1, Loc: "x"}}},
 		{From: 1, FirstSeq: 4, Updates: []Update{

@@ -7,8 +7,8 @@ import (
 
 	"mixedmem/internal/history"
 	"mixedmem/internal/loctab"
+	"mixedmem/internal/slab"
 	"mixedmem/internal/transport"
-	"mixedmem/internal/vclock"
 )
 
 // updateCodec is the wire codec for KindUpdate payloads, registered so wire
@@ -61,25 +61,125 @@ const maxDepsN = 1024
 // maxSlabDepsN is the widest dependency matrix a connection carves from its
 // matrix slabs. A wider one, up to maxDepsN, is its own allocation, so the
 // slabs a hostile depsN can make a connection hold stay within
-// slabSize*maxSlabDepsN² words (512 KiB) and as many row headers.
+// slab.Size*maxSlabDepsN² words (512 KiB) and as many row headers.
 const maxSlabDepsN = 32
 
-// appendDeps writes the uvarint depsN | [sparse matrix] section shared by both
-// codecs: an update's when its deps bit is set, a batch's always.
-func appendDeps(dst []byte, deps vclock.Matrix) []byte {
-	dst = transport.AppendUvarint(dst, uint64(deps.Len()))
-	if deps.Len() > 0 {
-		dst = deps.EncodeActive(dst)
+// Matrix is an n-by-n matrix clock, the dependency summary causal delivery
+// needs under partial replication (Update.Deps). Row p is a vector clock about
+// process p: Matrix[p][k] is the highest per-sender sequence number of an
+// update from process k *addressed to* process p that the matrix's owner
+// (transitively) knows about.
+//
+// A plain vector clock cannot express causal dependencies when updates are
+// scoped to subsets of processes: component k would count k's updates, but a
+// receiver that is not in the scope of some of them can never apply those,
+// so a "wait until applied >= ts[k]" condition either deadlocks or, if
+// holes are skipped, silently drops transitive dependencies that flow
+// through third processes. The matrix keeps one row per destination, so the
+// wait condition shipped to p mentions only updates p actually receives.
+//
+// Rows are merged componentwise (entries are monotone: per-sender sequence
+// numbers only grow), so matrices learned from different peers compose with
+// Merge exactly like vector clocks do.
+type Matrix [][]uint64
+
+// NewMatrix returns a zeroed n-by-n matrix clock.
+func NewMatrix(n int) Matrix {
+	m := make(Matrix, n)
+	backing := make([]uint64, n*n)
+	for i := range m {
+		m[i] = backing[i*n : (i+1)*n : (i+1)*n]
+	}
+	return m
+}
+
+// Row returns row p: the vector clock about process p. The returned slice
+// aliases the matrix.
+func (m Matrix) Row(p int) []uint64 { return m[p] }
+
+// Merge raises every entry of m to the componentwise maximum of m and other.
+// Matrices of different sizes do not merge (the receiver validates sizes
+// before trusting a decoded matrix); Merge ignores rows and columns beyond
+// either operand's bounds.
+func (m Matrix) Merge(other Matrix) {
+	for i := 0; i < len(m) && i < len(other); i++ {
+		row, src := m[i], other[i]
+		for k := 0; k < len(row) && k < len(src); k++ {
+			if src[k] > row[k] {
+				row[k] = src[k]
+			}
+		}
+	}
+}
+
+// appendActive appends to dst, in ascending order, the indices whose row or
+// column holds a nonzero entry: the processes that participate in the
+// dependencies m records. In a long-running system most peers are idle with
+// respect to any one scope, so the active set is how the wire encoding avoids
+// shipping (and the receiver avoids re-learning) quadratically many zeroes.
+func (m Matrix) appendActive(dst []int) []int {
+	for i := range m {
+		if m.active(i) {
+			dst = append(dst, i)
+		}
 	}
 	return dst
 }
 
-// depsSize is the length of the section appendDeps writes.
-func depsSize(deps vclock.Matrix) int {
-	if deps.Len() == 0 {
+// active reports whether row i or column i holds a nonzero entry.
+func (m Matrix) active(i int) bool {
+	for k := range m {
+		if m[i][k] != 0 || m[k][i] != 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// activeOnStack is how many active indices appendDeps finds without
+// allocating: the small sets scoped placements produce.
+const activeOnStack = 16
+
+// appendDeps writes the uvarint depsN | [sparse matrix] section shared by both
+// codecs: an update's when its deps bit is set, a batch's always. The matrix
+// ships as its active index list followed by the row-major submatrix over
+// those indices. Entries outside the active rows and columns are zero by
+// construction, so the encoding is lossless; its size depends only on how many
+// processes participate, not on the matrix dimension, and, the entries being
+// fixed-width, not on their values.
+func appendDeps(dst []byte, deps Matrix) []byte {
+	dst = transport.AppendUvarint(dst, uint64(len(deps)))
+	if len(deps) == 0 {
+		return dst
+	}
+	var buf [activeOnStack]int
+	ids := deps.appendActive(buf[:0])
+	dst = transport.AppendUvarint(dst, uint64(len(ids)))
+	for _, id := range ids {
+		dst = transport.AppendUvarint(dst, uint64(id))
+	}
+	for _, i := range ids {
+		for _, k := range ids {
+			dst = transport.AppendUint64(dst, deps[i][k])
+		}
+	}
+	return dst
+}
+
+// depsSize is the length of the section appendDeps writes. It counts the
+// active indices without listing them.
+func depsSize(deps Matrix) int {
+	if len(deps) == 0 {
 		return 1
 	}
-	return transport.UvarintLen(uint64(deps.Len())) + deps.ActiveEncodedSize()
+	act, ids := 0, 0
+	for i := range deps {
+		if deps.active(i) {
+			act++
+			ids += transport.UvarintLen(uint64(i))
+		}
+	}
+	return transport.UvarintLen(uint64(len(deps))) + transport.UvarintLen(uint64(act)) + ids + 8*act*act
 }
 
 // decodeDeps parses the depsN | [sparse matrix] section shared by both
@@ -87,7 +187,7 @@ func depsSize(deps vclock.Matrix) int {
 // update whose deps bit promised a matrix (present) must carry one. The matrix
 // is never written once returned: a receiver keeps a parked group's matrix for
 // as long as the group stays parked, and merges from it afterwards.
-func (c *connDecoder) decodeDeps(d *transport.Decoder, present bool) (vclock.Matrix, error) {
+func (c *connDecoder) decodeDeps(d *transport.Decoder, present bool) (Matrix, error) {
 	n := d.Uvarint()
 	if d.Err() != nil {
 		return nil, nil
@@ -133,11 +233,11 @@ func (c *connDecoder) decodeDeps(d *transport.Decoder, present bool) (vclock.Mat
 	m := c.matrix(depsN)
 	for _, p := range ids {
 		for _, k := range ids {
-			m.Set(p, k, d.Uint64())
+			m[p][k] = d.Uint64()
 		}
 	}
 	// An index is listed only if its row or column holds a nonzero entry,
-	// which is how EncodeActive chose it: otherwise the payload would not be
+	// which is how appendDeps chose it: otherwise the payload would not be
 	// the one encoding of its matrix.
 	for _, p := range ids {
 		active := false
@@ -178,7 +278,7 @@ func appendFlags(dst []byte, u *Update, entry bool) ([]byte, error) {
 	if entry && u.elided {
 		b |= flagElided
 	}
-	if !entry && u.Deps.Len() > 0 {
+	if !entry && len(u.Deps) > 0 {
 		b |= flagDeps
 	}
 	return append(dst, b), nil
@@ -204,7 +304,7 @@ func parseFlags(d *transport.Decoder, u *Update, entry bool) (stamped, deps bool
 // appendTS writes the uvarint tsLen | (tsLen-1)*u64 section of a stamped
 // update: every component of ts but the sender's, which is seq. An unstamped
 // one has no section.
-func appendTS(dst []byte, ts vclock.VC, from int, seq uint64) ([]byte, error) {
+func appendTS(dst []byte, ts []uint64, from int, seq uint64) ([]byte, error) {
 	if len(ts) == 0 {
 		return dst, nil
 	}
@@ -221,7 +321,7 @@ func appendTS(dst []byte, ts vclock.VC, from int, seq uint64) ([]byte, error) {
 }
 
 // tsSize is the length of the section appendTS writes.
-func tsSize(ts vclock.VC) int {
+func tsSize(ts []uint64) int {
 	if len(ts) == 0 {
 		return 0
 	}
@@ -392,11 +492,11 @@ type connDecoder struct {
 	// nodes is the size of the cluster the connection belongs to: the width
 	// of every timestamp and dependency matrix a peer of it can send.
 	nodes   int
-	updates updatePool // where decoded updates come from
-	batches batchPool  // where decoded batches come from
-	ts      []uint64   // the unused rest of the timestamp slab
-	mx      matrixSlab // the unused rest of the matrix slabs
-	ids     []int      // decodeDeps's active-index scratch
+	updates updatePool      // where decoded updates come from
+	batches batchPool       // where decoded batches come from
+	ts      slab.Of[uint64] // the unused rest of the timestamp slab
+	mx      matrixSlab      // the unused rest of the matrix slabs
+	ids     []int           // decodeDeps's active-index scratch
 	names   loctab.NameArena
 	// defs holds the names of the payload being decoded, in order, until
 	// carveName carves them.
@@ -424,24 +524,24 @@ func (c *connDecoder) offCluster(n uint64) bool {
 // matrix returns a zeroed n-by-n dependency matrix: the next one of the
 // matrix slabs, or its own allocation when stateless or wider than
 // maxSlabDepsN.
-func (c *connDecoder) matrix(n int) vclock.Matrix {
+func (c *connDecoder) matrix(n int) Matrix {
 	if c == nil || n > maxSlabDepsN {
-		return vclock.NewMatrix(n)
+		return NewMatrix(n)
 	}
 	return c.mx.carve(n)
 }
 
 // timestamp reads an n-component timestamp of an update from sender from (n >
 // from, and d holds at least 8(n-1) bytes) into the stamp words of the batch
-// being decoded, into spare when it fits, otherwise into the next n words of
-// the slab, with the capacity cut to the length as stampLocked does; the
-// sender's component, which the wire leaves out, is seq. A timestamp wider than any real system's gets an
-// allocation of its own, so a hostile length cannot inflate the slab.
-func (c *connDecoder) timestamp(d *transport.Decoder, n, from int, seq uint64) vclock.VC {
-	var ts vclock.VC
+// being decoded, into spare when it fits, otherwise into the next run of the
+// timestamp slab; the sender's component, which the wire leaves out, is seq. A
+// timestamp wider than any real system's gets an allocation of its own, so a
+// hostile length cannot inflate the slab.
+func (c *connDecoder) timestamp(d *transport.Decoder, n, from int, seq uint64) []uint64 {
+	var ts []uint64
 	switch {
 	case c == nil || n > maxDepsN:
-		ts = vclock.New(n)
+		ts = make([]uint64, n)
 	case c.inBatch:
 		off := len(c.stampWords)
 		c.stampWords = slices.Grow(c.stampWords, n)[:off+n]
@@ -449,10 +549,7 @@ func (c *connDecoder) timestamp(d *transport.Decoder, n, from int, seq uint64) v
 	case n <= len(c.spare):
 		ts, c.spare = c.spare[:n:n], nil
 	default:
-		if len(c.ts) < n {
-			c.ts = make([]uint64, slabSize*n)
-		}
-		ts, c.ts = c.ts[:n:n], c.ts[n:]
+		ts = c.ts.Run(n)
 	}
 	for i := range ts {
 		if i == from {
@@ -466,7 +563,7 @@ func (c *connDecoder) timestamp(d *transport.Decoder, n, from int, seq uint64) v
 
 // slabMark is where a decode found the slabs a parse carves from.
 type slabMark struct {
-	ts []uint64
+	ts slab.Of[uint64]
 	mx matrixSlab
 }
 
@@ -517,7 +614,7 @@ func (updateCodec) Encode(dst []byte, payload any) ([]byte, error) {
 	if err != nil {
 		return dst, fmt.Errorf("dsm: update codec: %w", err)
 	}
-	if u.Deps.Len() == 0 {
+	if len(u.Deps) == 0 {
 		return dst, nil
 	}
 	return appendDeps(dst, u.Deps), nil

@@ -9,8 +9,8 @@ import (
 	"unsafe"
 
 	"mixedmem/internal/history"
+	"mixedmem/internal/slab"
 	"mixedmem/internal/transport"
-	"mixedmem/internal/vclock"
 )
 
 func roundTripUpdate(t *testing.T, u Update) Update {
@@ -31,7 +31,7 @@ func roundTripUpdate(t *testing.T, u Update) Update {
 }
 
 func TestUpdateCodecRoundTrip(t *testing.T) {
-	ts := vclock.New(3)
+	ts := make([]uint64, 3)
 	ts[0], ts[1], ts[2] = 4, 0, 17
 	u := Update{From: 2, Seq: 17, Op: OpSet, Loc: "x[3]", Value: -12345, TS: ts, Ordinal: 9, Defines: true}
 	got := roundTripUpdate(t, u)
@@ -39,7 +39,7 @@ func TestUpdateCodecRoundTrip(t *testing.T) {
 		got.Loc != u.Loc || got.Value != u.Value || got.Ordinal != 9 || !got.Defines {
 		t.Fatalf("round trip changed fields: %+v -> %+v", u, got)
 	}
-	if got.TS.Len() != 3 || got.TS[0] != 4 || got.TS[1] != 0 || got.TS[2] != 17 {
+	if len(got.TS) != 3 || got.TS[0] != 4 || got.TS[1] != 0 || got.TS[2] != 17 {
 		t.Fatalf("round trip changed timestamp: %v -> %v", u.TS, got.TS)
 	}
 	// A later update of the location refers to it: the name stays behind, and
@@ -68,26 +68,26 @@ func TestUpdateCodecPRAMOnlyNilTimestamp(t *testing.T) {
 }
 
 func TestUpdateCodecScopedCausalRoundTrip(t *testing.T) {
-	deps := vclock.NewMatrix(3)
-	deps.Set(0, 1, 4)
-	deps.Set(2, 0, 9)
+	deps := NewMatrix(3)
+	deps[0][1] = 4
+	deps[2][0] = 9
 	u := Update{From: 1, Seq: 9, Op: OpSet, Loc: "s", Value: 3, Deps: deps}
 	got := roundTripUpdate(t, u)
-	if got.Seq != 9 || got.Deps.Len() != 3 {
+	if got.Seq != 9 || len(got.Deps) != 3 {
 		t.Fatalf("scoped metadata changed: seq=%d deps=%v", got.Seq, got.Deps)
 	}
 	for p := 0; p < 3; p++ {
 		for k := 0; k < 3; k++ {
-			if got.Deps.Get(p, k) != deps.Get(p, k) {
-				t.Fatalf("deps[%d][%d] = %d, want %d", p, k, got.Deps.Get(p, k), deps.Get(p, k))
+			if got.Deps[p][k] != deps[p][k] {
+				t.Fatalf("deps[%d][%d] = %d, want %d", p, k, got.Deps[p][k], deps[p][k])
 			}
 		}
 	}
 }
 
 func TestBatchCodecScopedCausalRoundTrip(t *testing.T) {
-	deps := vclock.NewMatrix(2)
-	deps.Set(1, 0, 7)
+	deps := NewMatrix(2)
+	deps[1][0] = 7
 	b := &UpdateBatch{
 		From: 0, FirstSeq: 3, Deps: deps,
 		Updates: []Update{
@@ -104,7 +104,7 @@ func TestBatchCodecScopedCausalRoundTrip(t *testing.T) {
 		t.Fatalf("decode: %v", err)
 	}
 	got := dec.(*UpdateBatch)
-	if got.FirstSeq != 3 || got.Deps.Len() != 2 || got.Deps.Get(1, 0) != 7 {
+	if got.FirstSeq != 3 || len(got.Deps) != 2 || got.Deps[1][0] != 7 {
 		t.Fatalf("scoped batch metadata changed: %+v", got)
 	}
 	if len(got.Updates) != 2 || got.Updates[1].Seq != 7 || got.Updates[1].TS != nil {
@@ -131,9 +131,9 @@ func TestUpdateCodecRejectsWrongType(t *testing.T) {
 // 256-process one only the byte the dimension's varint grows by.
 func TestUpdateCodecWireSizeIgnoresIdlePeers(t *testing.T) {
 	encodedLen := func(n int) int {
-		deps := vclock.NewMatrix(n)
-		deps.Set(0, 1, 4)
-		deps.Set(1, 2, 9)
+		deps := NewMatrix(n)
+		deps[0][1] = 4
+		deps[1][2] = 9
 		u := Update{From: 1, Seq: 9, Op: OpSet, Loc: "s", Value: 3, Deps: deps}
 		enc, err := transport.EncodePayload(nil, KindUpdate, &u)
 		if err != nil {
@@ -143,7 +143,7 @@ func TestUpdateCodecWireSizeIgnoresIdlePeers(t *testing.T) {
 			t.Fatalf("n=%d: encodedSize = %d, codec writes %d bytes", n, got, len(enc))
 		}
 		got := roundTripUpdate(t, u)
-		if got.Deps.Len() != n || got.Deps.Get(1, 2) != 9 || got.Deps.Get(0, 1) != 4 {
+		if len(got.Deps) != n || got.Deps[1][2] != 9 || got.Deps[0][1] != 4 {
 			t.Fatalf("n=%d: deps did not round-trip: %v", n, got.Deps)
 		}
 		return len(enc)
@@ -158,8 +158,8 @@ func TestUpdateCodecWireSizeIgnoresIdlePeers(t *testing.T) {
 // validation: out-of-range, unsorted, or over-counted index lists fail
 // cleanly instead of corrupting the matrix.
 func TestDecodeDepsRejectsMalformedIndices(t *testing.T) {
-	base := Update{From: 0, Seq: 1, Op: OpSet, Loc: "s", Value: 1, Deps: vclock.NewMatrix(3)}
-	base.Deps.Set(0, 2, 1)
+	base := Update{From: 0, Seq: 1, Op: OpSet, Loc: "s", Value: 1, Deps: NewMatrix(3)}
+	base.Deps[0][2] = 1
 	enc, err := transport.EncodePayload(nil, KindUpdate, &base)
 	if err != nil {
 		t.Fatal(err)
@@ -187,7 +187,7 @@ func TestDecodeDepsRejectsMalformedIndices(t *testing.T) {
 
 // TestConnDecoderSlabs: decoded updates, their timestamps and their dependency
 // matrices are carved from slabs while nothing comes back to the connection's
-// pool — slabSize of them per allocation, a timestamp of up to tsInline
+// pool — slab.Size of them per allocation, a timestamp of up to tsInline
 // components inside its update's element, a wider one from the timestamp
 // slab, each timestamp's and row's capacity cut to its length — and stay as
 // decoded while the connection decodes on; a payload that
@@ -204,9 +204,9 @@ func TestConnDecoderSlabs(t *testing.T) {
 		return enc
 	}
 	var got []*Update
-	for i := 0; i < 3*slabSize+5; i++ { // ends inside a slab
+	for i := 0; i < 3*slab.Size+5; i++ { // ends inside a slab
 		dec, err := c.decodeUpdate(wire(&Update{From: 1, Seq: uint64(i + 1), Op: OpSet, Loc: "x",
-			Value: int64(i), TS: vclock.VC{uint64(i), uint64(i + 1), 7}}))
+			Value: int64(i), TS: []uint64{uint64(i), uint64(i + 1), 7}}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -234,10 +234,10 @@ func TestConnDecoderSlabs(t *testing.T) {
 	// dependency matrix: nothing consumed. The timestamp rides in the update's
 	// element when it fits, and takes its words from the timestamp slab when
 	// it is one component wider.
-	deps := vclock.NewMatrix(3)
-	deps.Set(0, 1, 2)
+	deps := NewMatrix(3)
+	deps[0][1] = 2
 	for _, width := range []int{3, tsInline + 1} {
-		stamp := make(vclock.VC, width)
+		stamp := make([]uint64, width)
 		stamp[0], stamp[1], stamp[2] = 1, 9, 3
 		full := wire(&Update{From: 1, Seq: 9, Op: OpSet, Loc: "x", Value: 1, TS: stamp, Deps: deps})
 		upd, ts := len(c.updates.slab), len(c.ts)
@@ -251,7 +251,7 @@ func TestConnDecoderSlabs(t *testing.T) {
 		}
 		wantTS := ts
 		if width > tsInline {
-			wantTS = slabSize*width - width // the first wide stamp allocates the slab
+			wantTS = slab.Size*width - width // the first wide stamp allocates the slab
 		}
 		dec, err := c.decodeUpdate(full)
 		if err != nil || len(c.updates.slab) != upd-1 || len(c.ts) != wantTS || !reflect.DeepEqual(dec.(*Update).TS, stamp) {
@@ -263,7 +263,7 @@ func TestConnDecoderSlabs(t *testing.T) {
 	// An oversized timestamp gets its own allocation; the slab is not resized
 	// for it.
 	ts := len(c.ts)
-	wideTS := make(vclock.VC, maxDepsN+1)
+	wideTS := make([]uint64, maxDepsN+1)
 	wideTS[1] = 10
 	wide, err := c.decodeUpdate(wire(&Update{From: 1, Seq: 10, Op: OpSet, Loc: "x", TS: wideTS}))
 	if err != nil || len(wide.(*Update).TS) != maxDepsN+1 || len(c.ts) != ts {
@@ -274,17 +274,17 @@ func TestConnDecoderSlabs(t *testing.T) {
 	// batch whose entries fail to decode after its matrix was filled gives the
 	// matrix back, and the one carved from the same words next reads only its
 	// own entries.
-	matrix := func(n int, set ...[3]int) vclock.Matrix {
-		m := vclock.NewMatrix(n)
+	matrix := func(n int, set ...[3]int) Matrix {
+		m := NewMatrix(n)
 		for _, e := range set {
-			m.Set(e[0], e[1], uint64(e[2]))
+			m[e[0]][e[1]] = uint64(e[2])
 		}
 		return m
 	}
-	scoped := func(deps vclock.Matrix) []byte {
+	scoped := func(deps Matrix) []byte {
 		return wire(&Update{From: 1, Seq: 11, Op: OpSet, Loc: "x", Deps: deps})
 	}
-	scopedBatch := func(deps vclock.Matrix) []byte {
+	scopedBatch := func(deps Matrix) []byte {
 		enc, err := batchCodec{}.Encode(nil, &UpdateBatch{From: 1, FirstSeq: 11, Deps: deps,
 			Updates: []Update{{From: 1, Seq: 11, Op: OpSet, Loc: "x", Value: 1}}})
 		if err != nil {
@@ -294,7 +294,7 @@ func TestConnDecoderSlabs(t *testing.T) {
 	}
 	// lastCarved reports whether m is the matrix most recently carved from the
 	// word slab: its last word sits right before the slab's unused rest.
-	lastCarved := func(m vclock.Matrix) bool {
+	lastCarved := func(m Matrix) bool {
 		n := len(m)
 		return len(c.mx.words) > 0 && unsafe.Add(unsafe.Pointer(&m[n-1][n-1]), 8) == unsafe.Pointer(&c.mx.words[0])
 	}
@@ -353,12 +353,12 @@ func TestUpdateCodecRejectsMalformed(t *testing.T) {
 	}
 	set, stamped, deps := byte(OpSet), byte(flagStamped|OpSet), byte(flagDeps|OpSet)
 	if got, err := transport.DecodePayload(KindUpdate, raw(stamped, 2, 0, 0, 0, 0, 0, 0, 0, 9)); err != nil ||
-		!reflect.DeepEqual(got.(*Update).TS, vclock.VC{9, 5}) {
+		!reflect.DeepEqual(got.(*Update).TS, []uint64{9, 5}) {
 		t.Fatalf("the hand-built update the cases below corrupt: %+v, %v", got, err)
 	}
 	// A 2-wide matrix whose one active index, 1, holds 5 on its diagonal.
 	matrix := append([]byte{2, 1, 1}, transport.AppendUint64(nil, 5)...)
-	if got, err := transport.DecodePayload(KindUpdate, raw(deps, matrix...)); err != nil || got.(*Update).Deps.Get(1, 1) != 5 {
+	if got, err := transport.DecodePayload(KindUpdate, raw(deps, matrix...)); err != nil || got.(*Update).Deps[1][1] != 5 {
 		t.Fatalf("the hand-built scoped update: %+v, %v", got, err)
 	}
 	for _, tc := range []struct {
@@ -388,8 +388,8 @@ func TestUpdateCodecRejectsMalformed(t *testing.T) {
 		}
 	}
 	for _, u := range []*Update{
-		{From: 1, Seq: 5, Op: OpSet, Loc: "x", TS: vclock.VC{9, 4}},
-		{From: 2, Seq: 5, Op: OpSet, Loc: "x", TS: vclock.VC{9, 5}},
+		{From: 1, Seq: 5, Op: OpSet, Loc: "x", TS: []uint64{9, 4}},
+		{From: 2, Seq: 5, Op: OpSet, Loc: "x", TS: []uint64{9, 5}},
 		{From: 1, Seq: 5, Op: OpAddFloat + 1, Loc: "x"},
 		{From: 1, Seq: 5, Op: OpSet, Label: history.LabelSC + 1, Loc: "x"},
 		{From: -1, Seq: 5, Op: OpSet, Loc: "x"},
@@ -449,5 +449,80 @@ func TestConnDecoderRefusesOffClusterWidths(t *testing.T) {
 		if least > 1<<10 {
 			t.Errorf("%s: a refused decode allocates %d bytes, want at most 1 KiB", tc.name, least)
 		}
+	}
+}
+
+func TestMatrixRowsIndependent(t *testing.T) {
+	m := NewMatrix(3)
+	m[0][1] = 5
+	m.Row(1)[2] = 7
+	if m[0][1] != 5 || m[1][2] != 7 {
+		t.Fatalf("entries lost: %v", m)
+	}
+	if m[1][1] != 0 || m[2][2] != 0 {
+		t.Fatalf("writes leaked across rows: %v", m)
+	}
+	if len(m[0]) != cap(m[0]) {
+		t.Fatalf("row 0 has capacity %d past its length %d", cap(m[0]), len(m[0]))
+	}
+}
+
+func TestMatrixMerge(t *testing.T) {
+	a := NewMatrix(2)
+	a[0][0], a[1][1] = 4, 1
+	b := NewMatrix(2)
+	b[0][0], b[0][1] = 2, 9
+	a.Merge(b)
+	if a[0][0] != 4 || a[0][1] != 9 || a[1][1] != 1 {
+		t.Fatalf("merge wrong: %v", a)
+	}
+	// Mismatched sizes merge only the shared prefix, never panic.
+	a.Merge(NewMatrix(5))
+	a.Merge(nil)
+}
+
+func TestMatrixActive(t *testing.T) {
+	m := NewMatrix(6)
+	m[1][4] = 7 // row 1 and column 4 become active
+	got := m.appendActive(nil)
+	if len(got) != 2 || got[0] != 1 || got[1] != 4 {
+		t.Fatalf("active = %v, want [1 4]", got)
+	}
+	if a := NewMatrix(6).appendActive(nil); len(a) != 0 {
+		t.Fatalf("zero matrix has active indices %v", a)
+	}
+	if a := Matrix(nil).appendActive(nil); len(a) != 0 {
+		t.Fatalf("nil matrix has active indices %v", a)
+	}
+}
+
+// TestDepsSizeIgnoresIdlePeers embeds the same three-peer interaction in
+// clusters of growing size: past the depsN prefix, the dependency section
+// encodes to the same number of bytes, since idle rows and columns cost
+// nothing on the wire, and depsSize counts exactly what appendDeps writes.
+func TestDepsSizeIgnoresIdlePeers(t *testing.T) {
+	sizes := []int{4, 16, 64, 256}
+	first := -1
+	for _, n := range sizes {
+		m := NewMatrix(n)
+		m[0][2], m[2][3], m[3][0] = 5, 1, 9
+		enc := appendDeps(nil, m)
+		if len(enc) != depsSize(m) {
+			t.Fatalf("n=%d: encoded %d bytes, depsSize says %d", n, len(enc), depsSize(m))
+		}
+		sub := len(enc) - transport.UvarintLen(uint64(n))
+		if first < 0 {
+			first = sub
+		} else if sub != first {
+			t.Fatalf("n=%d: sparse encoding is %d bytes, n=%d was %d — size must not grow with idle peers",
+				n, sub, sizes[0], first)
+		}
+	}
+	// 3 active indices: a one-byte varint count + 3 one-byte ids + 3x3 submatrix.
+	if want := 1 + 3*1 + 9*8; first != want {
+		t.Fatalf("sparse encoding is %d bytes, want %d", first, want)
+	}
+	if got := depsSize(nil); got != len(appendDeps(nil, nil)) || got != 1 {
+		t.Fatalf("empty section: depsSize %d, encoded %d bytes, want 1", got, len(appendDeps(nil, nil)))
 	}
 }

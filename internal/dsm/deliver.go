@@ -8,7 +8,6 @@ import (
 	"mixedmem/internal/history"
 	"mixedmem/internal/loctab"
 	"mixedmem/internal/obs"
-	"mixedmem/internal/vclock"
 )
 
 // This file is the delivery core: the ordering obligation every update
@@ -77,19 +76,19 @@ func (n *Node) sendObligation(label history.Label, causalReader bool) obligation
 // label and ts are those of the group's latest update that carries a
 // timestamp (LabelSlow and no timestamp if none does), deps the message's
 // scoped-causal matrix.
-func (n *Node) classify(g *deliveryGroup, label history.Label, ts vclock.VC, deps vclock.Matrix) {
+func (n *Node) classify(g *deliveryGroup, label history.Label, ts []uint64, deps Matrix) {
 	switch {
 	case n.pramOnly, n.scopedCausal && deps == nil:
 		g.ob = obNone
 	case n.scopedCausal:
-		if deps.Len() == n.n {
+		if len(deps) == n.n {
 			g.ob, g.need, g.deps = obMatrix, deps.Row(n.id), deps
 		} else {
 			g.holdMalformed()
 		}
 	case label == history.LabelSlow:
 		g.ob = obFIFO
-	case ts.Len() == n.n:
+	case len(ts) == n.n:
 		g.ob, g.need = obVector, ts
 	default:
 		g.holdMalformed()
@@ -226,11 +225,11 @@ type deliveryGroup struct {
 	// one (it dominates the rest: one sender's clocks are monotone) for
 	// obVector, this node's row of deps for obMatrix, the fence for an own
 	// write, or nil.
-	need vclock.VC
+	need []uint64
 	// deps is a received obMatrix group's address-matrix snapshot, merged when
 	// it settles. It is shared with the in-flight message and other groups —
 	// merge from it, never mutate it.
-	deps vclock.Matrix
+	deps Matrix
 	// batch holds a batch group's updates, and bat the received batch, whose
 	// reference the group holds until it settles: need and deps may point
 	// into it. When batch is nil the group is the single update one, and upd
@@ -425,8 +424,8 @@ func (n *Node) applyEntryLocked(g *deliveryGroup, e *entry, pram, causal bool) {
 // nothing of its sender's is parked ahead of, and the channel delivered the
 // sender's earlier groups first.
 func (n *Node) deliverableLocked(g *deliveryGroup) bool {
-	for k := 0; k < n.n && k < g.need.Len(); k++ {
-		if k != g.from && g.need.Get(k) > n.causalApplied.get(k) {
+	for k := 0; k < n.n && k < len(g.need); k++ {
+		if k != g.from && g.need[k] > n.causalApplied.get(k) {
 			return false
 		}
 	}

@@ -7,7 +7,6 @@ import (
 	"mixedmem/internal/history"
 	"mixedmem/internal/network"
 	"mixedmem/internal/obs"
-	"mixedmem/internal/vclock"
 )
 
 // TestLaterGroupWaitsForParkedHead pins the one sender-order mechanism: no
@@ -37,8 +36,8 @@ func TestLaterGroupWaitsForParkedHead(t *testing.T) {
 		r.Close()
 	}()
 	// deps builds a matrix whose row 2 — node 2's wait condition — is row.
-	deps := func(row ...uint64) vclock.Matrix {
-		m := vclock.NewMatrix(n)
+	deps := func(row ...uint64) Matrix {
+		m := NewMatrix(n)
 		copy(m[2], row)
 		return m
 	}
@@ -164,10 +163,10 @@ func TestObligationTable(t *testing.T) {
 			dim  int
 			want recv
 		}{{"well-formed", n, r.wellFormed}, {"wrong dimension", n + 2, r.wrongDim}, {"absent", 0, r.absent}} {
-			var ts vclock.VC
-			var deps vclock.Matrix
+			var ts []uint64
+			var deps Matrix
 			if m.dim > 0 {
-				ts, deps = vclock.New(m.dim), vclock.NewMatrix(m.dim)
+				ts, deps = make([]uint64, m.dim), NewMatrix(m.dim)
 			}
 			g := deliveryGroup{from: 0, firstSeq: 5, lastSeq: 5}
 			nd.classify(&g, r.label, ts, deps)

@@ -10,7 +10,6 @@ import (
 	"mixedmem/internal/history"
 	"mixedmem/internal/loctab"
 	"mixedmem/internal/transport"
-	"mixedmem/internal/vclock"
 )
 
 // valueOf returns a decoded payload as the value it carries: a pooled update's
@@ -205,16 +204,16 @@ func batchSeeds(tb testing.TB) [][]byte {
 			{From: 0, Seq: 1, Op: OpSet, Loc: "x", Defines: true, Value: 7},
 		}},
 		{From: 2, FirstSeq: 4, Updates: []Update{
-			{From: 2, Seq: 4, Op: OpSet, Ordinal: 1, Value: -1, TS: vclock.VC{9, 0, 4}},
-			{From: 2, Seq: 6, Op: OpAdd, Loc: "b", Ordinal: 3, Defines: true, Value: 2, TS: vclock.VC{9, 0, 6}},
+			{From: 2, Seq: 4, Op: OpSet, Ordinal: 1, Value: -1, TS: []uint64{9, 0, 4}},
+			{From: 2, Seq: 6, Op: OpAdd, Loc: "b", Ordinal: 3, Defines: true, Value: 2, TS: []uint64{9, 0, 6}},
 		}},
 	}
-	scoped := &UpdateBatch{From: 1, FirstSeq: 2, Deps: vclock.NewMatrix(2),
+	scoped := &UpdateBatch{From: 1, FirstSeq: 2, Deps: NewMatrix(2),
 		Updates: []Update{
 			{From: 1, Seq: 2, Op: OpSet, Loc: "s", Value: 5},
 			{From: 1, Seq: 3, Op: OpAddFloat, Loc: "t", Value: 1},
 		}}
-	scoped.Deps.Set(0, 1, 3)
+	scoped.Deps[0][1] = 3
 	seedBatches = append(seedBatches, scoped,
 		// An all-Slow batch: timestamp-elided entries only.
 		&UpdateBatch{From: 2, FirstSeq: 7, Updates: []Update{
@@ -238,14 +237,14 @@ func batchSeeds(tb testing.TB) [][]byte {
 	seeds = append(seeds, cut[:len(cut)-1])
 	// A batch mixing obligations — elided entries around causal ones under
 	// one matrix — whole, and cut inside its last entry.
-	mixed := &UpdateBatch{From: 1, FirstSeq: 2, Deps: vclock.NewMatrix(3),
+	mixed := &UpdateBatch{From: 1, FirstSeq: 2, Deps: NewMatrix(3),
 		Updates: []Update{
 			{From: 1, Seq: 2, Op: OpAdd, Loc: "ctr", Value: 1, elided: true},
 			{From: 1, Seq: 4, Op: OpSet, Loc: "s", Value: 5},
 			{From: 1, Seq: 5, Op: OpAdd, Loc: "ctr", Value: 1, elided: true},
 			{From: 1, Seq: 6, Op: OpSet, Loc: "t", Value: 6},
 		}}
-	mixed.Deps.Set(2, 1, 6)
+	mixed.Deps[2][1] = 6
 	whole, err := transport.EncodePayload(nil, KindUpdateBatch, mixed)
 	if err != nil {
 		tb.Fatalf("seed encode: %v", err)
@@ -297,18 +296,18 @@ func FuzzUpdateCodecRoundTrip(f *testing.F) {
 func updateSeeds(tb testing.TB) [][]byte {
 	seeds := []Update{
 		{From: 0, Seq: 1, Op: OpSet, Loc: "y", Defines: true, Value: 9},
-		{From: 1, Seq: 3, Op: OpAdd, Ordinal: 1, Value: -4, TS: vclock.VC{1, 3}},
+		{From: 1, Seq: 3, Op: OpAdd, Ordinal: 1, Value: -4, TS: []uint64{1, 3}},
 	}
-	scoped := Update{From: 1, Seq: 5, Op: OpSet, Loc: "s", Value: 2, Deps: vclock.NewMatrix(2)}
-	scoped.Deps.Set(1, 1, 5)
+	scoped := Update{From: 1, Seq: 5, Op: OpSet, Loc: "s", Value: 2, Deps: NewMatrix(2)}
+	scoped.Deps[1][1] = 5
 	seeds = append(seeds, scoped,
 		// Label-tagged frames: a timestamp-elided slow update and a causal
 		// one with a vector timestamp.
 		Update{From: 2, Seq: 9, Op: OpSet, Loc: "slowcell", Ordinal: 8, Defines: true, Value: 3, Label: history.LabelSlow},
-		Update{From: 0, Seq: 2, Op: OpSet, Loc: "c", Value: 8, Label: history.LabelCausal, TS: vclock.VC{2, 0, 0}})
-	scoped3 := Update{From: 2, Seq: 7, Op: OpSet, Loc: "s", Value: 4, Deps: vclock.NewMatrix(3)}
-	scoped3.Deps.Set(0, 2, 7)
-	scoped3.Deps.Set(1, 0, 2)
+		Update{From: 0, Seq: 2, Op: OpSet, Loc: "c", Value: 8, Label: history.LabelCausal, TS: []uint64{2, 0, 0}})
+	scoped3 := Update{From: 2, Seq: 7, Op: OpSet, Loc: "s", Value: 4, Deps: NewMatrix(3)}
+	scoped3.Deps[0][2] = 7
+	scoped3.Deps[1][0] = 2
 	seeds = append(seeds, scoped3)
 	var out [][]byte
 	for i := range seeds {

@@ -7,8 +7,8 @@ import (
 	"mixedmem/internal/loctab"
 	"mixedmem/internal/network"
 	"mixedmem/internal/obs"
+	"mixedmem/internal/slab"
 	"mixedmem/internal/transport"
-	"mixedmem/internal/vclock"
 )
 
 // This file is the issue path: a local write is numbered, applied to the
@@ -73,7 +73,7 @@ type Update struct {
 	// causal updates carry Deps instead, and timestamp-elided updates
 	// (PRAMOnly mode, or PRAM-registered readers of a scoped location) carry
 	// neither.
-	TS vclock.VC
+	TS []uint64
 	// Deps, on a causal-scoped update, is the sender's address-matrix
 	// snapshot: Deps[p][k] is the latest update from process k addressed
 	// to process p that this update transitively depends on. The receiver
@@ -82,7 +82,7 @@ type Update struct {
 	// destinations). Nothing orders one sender's updates but the channel:
 	// the destination's view of the sender's sequence numbers has holes, and
 	// FIFO delivery plus the receiver's per-sender queue keep them in order.
-	Deps vclock.Matrix
+	Deps Matrix
 	// Ordinal is the location's rank, from 0, among the locations the sender
 	// has written, in the order of their first writes; it is below Seq.
 	// Defines marks the sender's first write of the location, the one update
@@ -115,7 +115,7 @@ type Update struct {
 // it depends on no clock or matrix entry's value, only on how many there are.
 func (u *Update) encodedSize() int {
 	s := transport.UvarintLen(uint64(u.From)) + u.entrySize(u.Seq)
-	if u.Deps.Len() == 0 {
+	if len(u.Deps) == 0 {
 		return s
 	}
 	return s + depsSize(u.Deps)
@@ -196,11 +196,11 @@ func (n *Node) issue(op UpdateOp, label history.Label, loc string, value int64) 
 
 // absorbObservedLocked merges into addr, before they settle, the matrices of
 // the parked obMatrix groups the fence covers, moving the epoch once if any.
-func (n *Node) absorbObservedLocked(fence vclock.VC) {
+func (n *Node) absorbObservedLocked(fence []uint64) {
 	epoch := n.addrEpoch
 	for j := range n.pending {
 		q := &n.pending[j]
-		for i := 0; i < q.size && q.at(i).firstSeq <= fence.Get(j); i++ {
+		for i := 0; i < q.size && q.at(i).firstSeq <= fence[j]; i++ {
 			if g := q.at(i); g.deps != nil {
 				n.addr.Merge(g.deps)
 				n.addrEpoch = epoch + 1
@@ -242,7 +242,7 @@ func (n *Node) sendLocked(u *Update, causal obligation) {
 	if len(ent.elided) > 0 {
 		n.emitLocked(ent.elided, u, n.sendObligation(u.Label, false), nil, boxed)
 	}
-	var snap vclock.Matrix
+	var snap Matrix
 	if len(ent.causal) > 0 {
 		if causal == obMatrix {
 			// Bump the matrix for every causal destination before the
@@ -251,7 +251,7 @@ func (n *Node) sendLocked(u *Update, causal obligation) {
 			// relays the value onward ships a matrix already covering it
 			// everywhere else.
 			for _, j := range ent.causal {
-				n.addr.Set(j, n.id, u.Seq)
+				n.addr[j][n.id] = u.Seq
 			}
 			snap = n.snapshotLocked() // shared across destinations; receivers only merge from it
 		}
@@ -262,40 +262,22 @@ func (n *Node) sendLocked(u *Update, causal obligation) {
 	}
 }
 
-// slabSize is how many pooled updates (and timestamps, matrix snapshots,
-// batches) share one allocation. The collector frees a slab of timestamps,
-// snapshots or batches with the last message, parked group or outbox entry
-// that points into it, so such a slab outlives its writes by at most what the
-// slowest receiver has not applied yet; a slab of updates lives as long as its
-// pool (updatePool).
-const slabSize = 64
-
-// carve returns the next element of *slab, which it refills with slabSize
-// zeroed elements once used up.
-func carve[T any](slab *[]T) *T {
-	if len(*slab) == 0 {
-		*slab = make([]T, slabSize)
-	}
-	p := &(*slab)[0]
-	*slab = (*slab)[1:]
-	return p
-}
-
 // matrixSlab is the pair of slabs n-by-n matrices are carved from: one of row
-// headers, one of words, slabSize matrices each.
+// headers, one of words, slab.Size matrices each. The collector frees a slab
+// of snapshots, like one of timestamps, with the last message, parked group or
+// outbox entry that points into it.
 type matrixSlab struct {
-	rows  []vclock.VC
-	words []uint64
+	rows  slab.Of[[]uint64]
+	words slab.Of[uint64]
 }
 
 // carve returns the next zeroed n-by-n matrix of the slabs (n > 0), each
-// row's capacity cut to its length as stampLocked does.
-func (s *matrixSlab) carve(n int) vclock.Matrix {
+// row's capacity cut to its length. The two slabs are refilled together.
+func (s *matrixSlab) carve(n int) Matrix {
 	if len(s.rows) < n || len(s.words) < n*n {
-		s.rows, s.words = make([]vclock.VC, slabSize*n), make([]uint64, slabSize*n*n)
+		s.rows, s.words = nil, nil
 	}
-	m, w := vclock.Matrix(s.rows[:n:n]), s.words[:n*n:n*n]
-	s.rows, s.words = s.rows[n:], s.words[n*n:]
+	m, w := Matrix(s.rows.Run(n)), s.words.Run(n*n)
 	clear(w)
 	for i := range m {
 		m[i] = w[i*n : (i+1)*n : (i+1)*n]
@@ -305,25 +287,12 @@ func (s *matrixSlab) carve(n int) vclock.Matrix {
 
 // stampLocked returns the next n words of the timestamp slab, for a batched
 // obVector stamp, an unbatched one wider than tsInline, or a parked own
-// write's fence. The capacity is cut to the length so no append can run into
-// the neighbouring stamp; once filled, the words are never written again (see
-// Update).
-func (n *Node) stampLocked() vclock.VC { return carveWords(&n.tsSlab, n.n) }
-
-// carveWords returns the next w words of *slab, which it refills with
-// slabSize·w zeroed words once used up, with the capacity cut to the length.
-func carveWords(slab *[]uint64, w int) []uint64 {
-	if len(*slab) < w {
-		*slab = make([]uint64, slabSize*w)
-	}
-	ts := (*slab)[:w:w]
-	*slab = (*slab)[w:]
-	return ts
-}
+// write's fence. Once filled, the words are never written again (see Update).
+func (n *Node) stampLocked() []uint64 { return n.tsSlab.Run(n.n) }
 
 // snapshotLocked returns a copy of the address matrix for an obMatrix write,
 // carved from the node's matrix slabs and, like a stamp, never written again.
-func (n *Node) snapshotLocked() vclock.Matrix {
+func (n *Node) snapshotLocked() Matrix {
 	m := n.mxSlab.carve(n.n)
 	for i, row := range n.addr {
 		copy(m[i], row)
@@ -354,7 +323,7 @@ func (n *Node) sentLocked(u *Update, stamp bool, holders int) *Update {
 // when it goes to every peer, which a wire transport encodes once. An obVector
 // copy is stamped here; snap is the address-matrix snapshot of an obMatrix
 // write; dests is not empty.
-func (n *Node) emitLocked(dests []int, u *Update, ob obligation, snap vclock.Matrix, boxed bool) {
+func (n *Node) emitLocked(dests []int, u *Update, ob obligation, snap Matrix, boxed bool) {
 	for _, j := range dests {
 		n.sent[j] = u.Seq
 	}

@@ -8,7 +8,6 @@ import (
 	"mixedmem/internal/loctab"
 	"mixedmem/internal/network"
 	"mixedmem/internal/transport"
-	"mixedmem/internal/vclock"
 )
 
 // labeledCluster builds a fabric and n nodes sharing one Labels map.
@@ -186,7 +185,7 @@ func TestUpdateCodecCarriesLabel(t *testing.T) {
 
 	b := &UpdateBatch{From: 1, FirstSeq: 4, Updates: []Update{
 		{From: 1, Seq: 4, Op: OpSet, Label: history.LabelSlow, Loc: "s", Value: 8},
-		{From: 1, Seq: 5, Op: OpSet, Label: history.LabelPRAM, Loc: "p", Value: 9, TS: vclock.VC{0, 5}},
+		{From: 1, Seq: 5, Op: OpSet, Label: history.LabelPRAM, Loc: "p", Value: 9, TS: []uint64{0, 5}},
 	}}
 	encB, err := transport.EncodePayload(nil, KindUpdateBatch, b)
 	if err != nil {

@@ -18,7 +18,7 @@ import (
 // group parks, and checks what the holes must and must not do.
 
 // manualBatch never flushes on its own: only FlushUpdates closes a batch.
-var manualBatch = BatchConfig{Enabled: true, MaxUpdates: 1 << 20, MaxBytes: 1 << 30, Linger: time.Hour}
+var manualBatch = BatchConfig{Enabled: true, MaxUpdates: 1 << 20, Linger: time.Hour}
 
 // within fails the test unless f returns within five seconds.
 func within(t *testing.T, what string, f func()) {
@@ -262,7 +262,7 @@ func TestHybridBatchFillsToThreshold(t *testing.T) {
 	if err != nil {
 		t.Fatalf("network.New: %v", err)
 	}
-	batch := BatchConfig{Enabled: true, MaxUpdates: maxUpdates, MaxBytes: 1 << 30, Linger: time.Hour}
+	batch := BatchConfig{Enabled: true, MaxUpdates: maxUpdates, Linger: time.Hour}
 	nodes := make([]*Node, 2)
 	for i := range nodes {
 		if nodes[i], err = NewNode(Config{ID: i, N: 2, Transport: f, Scope: scope, Batch: batch}); err != nil {

@@ -9,7 +9,6 @@ import (
 	"mixedmem/internal/network"
 	"mixedmem/internal/transport"
 	"mixedmem/internal/transport/tcp"
-	"mixedmem/internal/vclock"
 )
 
 // The edges of location naming: a sender names a location on the wire only in
@@ -334,7 +333,7 @@ func FuzzReferenceTable(f *testing.F) {
 	}
 	upd := func(seq uint64, ord uint32, loc string) *Update {
 		return &Update{From: 0, Seq: seq, Op: OpSet, Loc: loc, Ordinal: ord, Defines: loc != "",
-			Value: int64(seq), TS: vclock.VC{seq, 0}}
+			Value: int64(seq), TS: []uint64{seq, 0}}
 	}
 	var stream []byte
 	stream = append(stream, record(KindUpdate, upd(1, 0, "a"))...)

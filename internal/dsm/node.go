@@ -78,8 +78,8 @@ import (
 	"mixedmem/internal/loctab"
 	"mixedmem/internal/network"
 	"mixedmem/internal/obs"
+	"mixedmem/internal/slab"
 	"mixedmem/internal/transport"
-	"mixedmem/internal/vclock"
 )
 
 // Handler receives non-update messages delivered to a node. Handlers run on
@@ -202,7 +202,7 @@ type Stats struct {
 
 // FlushesByCause splits Stats.Flushes by what closed each batch.
 type FlushesByCause struct {
-	// Threshold: the batch reached BatchConfig.MaxUpdates or MaxBytes.
+	// Threshold: the batch reached BatchConfig.MaxUpdates entries or 16 KiB.
 	Threshold FlushCount `json:"threshold"`
 	// Sync: a synchronization boundary (FlushUpdates), the close of a hold,
 	// a write made outside any hold, or Close.
@@ -267,7 +267,7 @@ type Node struct {
 	// recvd[j] is the last one from process j applied to the PRAM view, and
 	// recvd[id] the last one this node assigned. Under full broadcast it is
 	// the dependency clock obVector writes are stamped with.
-	recvd vclock.VC
+	recvd []uint64
 	// causalApplied[j] is the last one from j, own writes included, that
 	// settled: every group settles in its sender's order, an obNone group
 	// without entering the causal view. Mutated under clockMu, loadable
@@ -347,7 +347,7 @@ type Node struct {
 	// transitively knows of. Own writes bump addr[dest][id] at send time;
 	// settling or observing a parked obMatrix group merges its snapshot. Row
 	// p is the wait condition shipped to destination p. Guarded by clockMu.
-	addr vclock.Matrix
+	addr Matrix
 	// addrEpoch counts the rounds of remote matrix merges into addr. The outbox
 	// compares it against each pending obMatrix batch's snapshot epoch: a
 	// batch whose Deps predate a merge must flush before covering another
@@ -358,10 +358,10 @@ type Node struct {
 	// sentPool supplies unbatched sent updates, each with room for its
 	// obVector timestamp, and takes them back from their last holder; tsSlab
 	// and mxSlab are the unused tails of the slabs the other timestamps and
-	// obMatrix snapshots are carved from, slabSize at a time (issue.go). So a
-	// write allocates nothing. Guarded by clockMu.
+	// obMatrix snapshots are carved from (issue.go). So a write allocates
+	// nothing. Guarded by clockMu.
 	sentPool updatePool
-	tsSlab   []uint64
+	tsSlab   slab.Of[uint64]
 	mxSlab   matrixSlab
 
 	// labels is the per-location lattice configuration (Config.Labels);
@@ -392,7 +392,7 @@ type Node struct {
 	outboxBuilt  atomic.Bool
 	flushPool    updatePool
 	flushBatches batchPool
-	flushTS      []uint64
+	flushTS      slab.Of[uint64]
 	flushes      [numFlushCauses]flushCount
 	flushQuit    chan struct{}
 	holds        atomic.Int32
@@ -437,7 +437,7 @@ func NewNode(cfg Config) (*Node, error) {
 		fabric:        cfg.Transport,
 		handle:        cfg.Handler,
 		sent:          make([]uint64, cfg.N),
-		recvd:         vclock.New(cfg.N),
+		recvd:         make([]uint64, cfg.N),
 		causalApplied: make(avc, cfg.N),
 		fence:         make(avc, cfg.N),
 		pending:       make([]senderQueue, cfg.N),
@@ -461,7 +461,7 @@ func NewNode(cfg Config) (*Node, error) {
 		node.scopeTargets = cfg.Scope.compile(cfg.ID, cfg.N)
 	}
 	if node.scopedCausal {
-		node.addr = vclock.NewMatrix(cfg.N)
+		node.addr = NewMatrix(cfg.N)
 	}
 	if len(cfg.Labels) > 0 {
 		node.labels = make(map[string]history.Label, len(cfg.Labels))

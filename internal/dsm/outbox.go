@@ -11,7 +11,6 @@ import (
 	"mixedmem/internal/network"
 	"mixedmem/internal/obs"
 	"mixedmem/internal/transport"
-	"mixedmem/internal/vclock"
 )
 
 // KindUpdateBatch is the fabric message kind that carries many updates from
@@ -34,9 +33,6 @@ type BatchConfig struct {
 	// MaxUpdates flushes a destination's batch once it holds this many
 	// live entries (default 64), whether or not Enabled is set.
 	MaxUpdates int
-	// MaxBytes flushes a destination's batch once its modeled wire size
-	// reaches this many bytes (default 16384).
-	MaxBytes int
 	// Linger bounds how long an update may sit in the outbox with no
 	// synchronization boundary to flush it (default 1ms), with Enabled set.
 	// The linger flusher guarantees progress for programs that poll with
@@ -44,14 +40,15 @@ type BatchConfig struct {
 	Linger time.Duration
 }
 
+// batchMaxBytes flushes a destination's batch once its modeled wire size
+// reaches this many bytes, whether or not BatchConfig.Enabled is set.
+const batchMaxBytes = 16 << 10
+
 // WithDefaults returns the config with unset thresholds filled in, exactly
 // as NewNode resolves them.
 func (c BatchConfig) WithDefaults() BatchConfig {
 	if c.MaxUpdates <= 0 {
 		c.MaxUpdates = 64
-	}
-	if c.MaxBytes <= 0 {
-		c.MaxBytes = 16 << 10
 	}
 	if c.Linger <= 0 {
 		c.Linger = time.Millisecond
@@ -95,7 +92,7 @@ type UpdateBatch struct {
 	FirstSeq uint64
 	// Deps is the sender's address matrix snapshot (scoped batches with an
 	// obMatrix entry only); see Update.Deps for the sharing contract.
-	Deps    vclock.Matrix
+	Deps    Matrix
 	Updates []Update
 	// elem is the pooled element the batch is the payload of, nil for a batch
 	// that is its own allocation (element).
@@ -165,7 +162,7 @@ type outboxDest struct {
 	// outboxAddLocked can detect that the node absorbed a remote matrix merge
 	// after the snapshot and split the batch instead of letting a newer
 	// snapshot cover older parked writes.
-	deps      vclock.Matrix
+	deps      Matrix
 	depsEpoch uint64
 }
 
@@ -173,7 +170,7 @@ type outboxDest struct {
 type flushCause int
 
 const (
-	flushThreshold flushCause = iota // MaxUpdates or MaxBytes reached
+	flushThreshold flushCause = iota // MaxUpdates or batchMaxBytes reached
 	flushSync                        // FlushUpdates: a synchronization boundary
 	flushLinger                      // the linger flusher, or heldReadsPerFlush reads in a hold
 	flushEpoch                       // an obMatrix entry after a remote matrix merge
@@ -192,7 +189,7 @@ func (c *flushCount) load() FlushCount {
 // entries carried over keep their stamps where they are, which nothing writes
 // again.
 func (d *outboxDest) growRing(p *batchPool) {
-	r := carveRoom(&p.entries, max(batchRoom, 2*cap(d.entries)), entrySlab)
+	r := p.entries.Room(max(batchRoom, 2*cap(d.entries)), batchRoom, entrySlab)
 	d.entries = append(r, d.entries...)
 }
 
@@ -201,7 +198,7 @@ func (d *outboxDest) growRing(p *batchPool) {
 // the old one, which nothing writes any more.
 func (d *outboxDest) stampSlot(p *batchPool, i, w int) []uint64 {
 	if need := (i + 1) * w; cap(d.stamps) < need {
-		d.stamps = carveRoom(&p.words, max(need, batchRoom*w, 2*cap(d.stamps)), wordSlab)
+		d.stamps = p.words.Room(max(need, batchRoom*w, 2*cap(d.stamps)), batchRoom, wordSlab)
 	}
 	d.stamps = d.stamps[:cap(d.stamps)]
 	return d.stamps[i*w : (i+1)*w : (i+1)*w]
@@ -235,7 +232,7 @@ func (d *outboxDest) lastOf(ord uint32) int {
 // waits on a write parked in the old batch, and shipping them under one matrix
 // would hand the receiver a circular wait. Other entries carry no matrix, so
 // they never split a batch.
-func (n *Node) outboxAddLocked(j int, u *Update, ob obligation, snap vclock.Matrix, size int) {
+func (n *Node) outboxAddLocked(j int, u *Update, ob obligation, snap Matrix, size int) {
 	d := &n.outbox[j]
 	if ob == obMatrix {
 		if d.deps != nil && d.depsEpoch != n.addrEpoch {
@@ -289,7 +286,7 @@ func (n *Node) outboxAddLocked(j int, u *Update, ob obligation, snap vclock.Matr
 		n.obs.RecordLoc(obs.EvEnqueue, uint8(u.Label), uint16(j), u.Loc, u.Seq,
 			uint64(len(d.entries)), 0)
 	}
-	if len(d.entries) >= n.batch.MaxUpdates || d.bytes >= n.batch.MaxBytes {
+	if len(d.entries) >= n.batch.MaxUpdates || d.bytes >= batchMaxBytes {
 		n.flushCauseLocked(flushThreshold, j, d)
 	}
 }
@@ -328,7 +325,7 @@ func (n *Node) flushDestLocked(j int, d *outboxDest) {
 		if w := len(e.TS); w > 0 {
 			ts := e.words[:0]
 			if w > tsInline {
-				ts = carveWords(&n.flushTS, w)[:0]
+				ts = n.flushTS.Run(w)[:0]
 			}
 			e.TS = append(ts, e.TS...)
 		}

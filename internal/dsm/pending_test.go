@@ -3,6 +3,7 @@ package dsm
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -11,7 +12,6 @@ import (
 	"mixedmem/internal/network"
 	"mixedmem/internal/obs"
 	"mixedmem/internal/transport"
-	"mixedmem/internal/vclock"
 )
 
 // TestBroadcastMalformedTimestampDoesNotStall is the full-broadcast twin of
@@ -44,13 +44,13 @@ func TestBroadcastMalformedTimestampDoesNotStall(t *testing.T) {
 	}
 	// pre is a well-formed first write of a, value 3, that the malformed
 	// update follows; b is the well-formed successor's location.
-	pre := func(seq uint64, ts vclock.VC, deps vclock.Matrix) *Update {
+	pre := func(seq uint64, ts []uint64, deps Matrix) *Update {
 		return &Update{From: 0, Seq: seq, Op: OpSet, Loc: "a", Defines: true, Value: 3, TS: ts, Deps: deps}
 	}
-	again := func(seq uint64, ts vclock.VC, deps vclock.Matrix) *Update {
+	again := func(seq uint64, ts []uint64, deps Matrix) *Update {
 		return &Update{From: 0, Seq: seq, Op: OpSet, Value: 7, TS: ts, Deps: deps}
 	}
-	b := func(seq uint64, ts vclock.VC, deps vclock.Matrix) *Update {
+	b := func(seq uint64, ts []uint64, deps Matrix) *Update {
 		return &Update{From: 0, Seq: seq, Op: OpSet, Loc: "b", Ordinal: 1, Defines: true, Value: 1, TS: ts, Deps: deps}
 	}
 	paths := []struct {
@@ -64,36 +64,36 @@ func TestBroadcastMalformedTimestampDoesNotStall(t *testing.T) {
 		clock     uint64 // the sender's causal clock entry at the end
 	}{
 		{"update", nil, nil,
-			&Update{From: 0, Seq: 1, Op: OpSet, Loc: "a", Defines: true, Value: 7, TS: vclock.VC{1, 0, 0, 0, 0}},
-			b(2, vclock.VC{2, 0}, nil), 1, 7, 0, 2},
+			&Update{From: 0, Seq: 1, Op: OpSet, Loc: "a", Defines: true, Value: 7, TS: []uint64{1, 0, 0, 0, 0}},
+			b(2, []uint64{2, 0}, nil), 1, 7, 0, 2},
 		{"batch", nil, nil,
 			&UpdateBatch{From: 0, FirstSeq: 1, Updates: []Update{
 				// The latest entry's timestamp is the batch's; it sits first.
-				{From: 0, Seq: 1, Op: OpSet, Loc: "a", Defines: true, Value: 9, TS: vclock.VC{1, 0, 0, 0, 0}},
+				{From: 0, Seq: 1, Op: OpSet, Loc: "a", Defines: true, Value: 9, TS: []uint64{1, 0, 0, 0, 0}},
 			}},
-			&UpdateBatch{From: 0, FirstSeq: 2, Updates: []Update{*b(2, vclock.VC{2, 0}, nil)}}, 1, 9, 0, 2},
-		{"batch-outside-its-run", nil, pre(1, vclock.VC{1, 0}, nil),
+			&UpdateBatch{From: 0, FirstSeq: 2, Updates: []Update{*b(2, []uint64{2, 0}, nil)}}, 1, 9, 0, 2},
+		{"batch-outside-its-run", nil, pre(1, []uint64{1, 0}, nil),
 			// The run is FirstSeq through the latest entry; this entry
 			// lies before it.
-			&UpdateBatch{From: 0, FirstSeq: 2, Updates: []Update{*again(1, vclock.VC{1, 0}, nil)}},
-			&UpdateBatch{From: 0, FirstSeq: 2, Updates: []Update{*b(2, vclock.VC{2, 0}, nil)}}, 1, 7, 3, 2},
+			&UpdateBatch{From: 0, FirstSeq: 2, Updates: []Update{*again(1, []uint64{1, 0}, nil)}},
+			&UpdateBatch{From: 0, FirstSeq: 2, Updates: []Update{*b(2, []uint64{2, 0}, nil)}}, 1, 7, 3, 2},
 		{"update-outside-its-run", nil, nil,
-			&Update{From: 0, Seq: 9, Op: OpSet, Loc: "a", Defines: true, Value: 6, TS: vclock.VC{9, 0}},
-			b(10, vclock.VC{10, 0}, nil), 9, 6, 0, 10},
-		{"duplicate-seq", nil, pre(1, vclock.VC{1, 0}, nil),
-			again(1, vclock.VC{1, 0}, nil),
-			b(2, vclock.VC{2, 0}, nil), 1, 7, 3, 2},
+			&Update{From: 0, Seq: 9, Op: OpSet, Loc: "a", Defines: true, Value: 6, TS: []uint64{9, 0}},
+			b(10, []uint64{10, 0}, nil), 9, 6, 0, 10},
+		{"duplicate-seq", nil, pre(1, []uint64{1, 0}, nil),
+			again(1, []uint64{1, 0}, nil),
+			b(2, []uint64{2, 0}, nil), 1, 7, 3, 2},
 		{"scoped-matrix", scope, nil,
 			// Seqs 1 and 3 went elsewhere: the channel, not the sequence
 			// number, orders this destination's stream.
-			&Update{From: 0, Seq: 2, Op: OpSet, Loc: "a", Defines: true, Value: 5, Deps: vclock.NewMatrix(5)},
-			b(4, nil, vclock.NewMatrix(2)), 2, 5, 0, 4},
-		{"scoped-update-outside-its-run", scope, pre(4, nil, vclock.NewMatrix(2)),
-			again(2, nil, vclock.NewMatrix(2)),
-			b(5, nil, vclock.NewMatrix(2)), 4, 7, 3, 5},
-		{"scoped-duplicate-seq", scope, pre(4, nil, vclock.NewMatrix(2)),
-			again(4, nil, vclock.NewMatrix(2)),
-			b(5, nil, vclock.NewMatrix(2)), 4, 7, 3, 5},
+			&Update{From: 0, Seq: 2, Op: OpSet, Loc: "a", Defines: true, Value: 5, Deps: NewMatrix(5)},
+			b(4, nil, NewMatrix(2)), 2, 5, 0, 4},
+		{"scoped-update-outside-its-run", scope, pre(4, nil, NewMatrix(2)),
+			again(2, nil, NewMatrix(2)),
+			b(5, nil, NewMatrix(2)), 4, 7, 3, 5},
+		{"scoped-duplicate-seq", scope, pre(4, nil, NewMatrix(2)),
+			again(4, nil, NewMatrix(2)),
+			b(5, nil, NewMatrix(2)), 4, 7, 3, 5},
 	}
 	for _, p := range paths {
 		t.Run(p.name, func(t *testing.T) {
@@ -165,9 +165,9 @@ func TestSenderIsTheChannel(t *testing.T) {
 		kind    string
 		payload any
 	}{
-		{"update", KindUpdate, &Update{From: 2, Seq: 1, Op: OpSet, Loc: "a", Defines: true, Value: 5, TS: vclock.VC{0, 0, 1}}},
+		{"update", KindUpdate, &Update{From: 2, Seq: 1, Op: OpSet, Loc: "a", Defines: true, Value: 5, TS: []uint64{0, 0, 1}}},
 		{"batch", KindUpdateBatch, &UpdateBatch{From: 2, FirstSeq: 1, Updates: []Update{
-			{From: 2, Seq: 1, Op: OpSet, Loc: "a", Defines: true, Value: 5, TS: vclock.VC{0, 0, 1}},
+			{From: 2, Seq: 1, Op: OpSet, Loc: "a", Defines: true, Value: 5, TS: []uint64{0, 0, 1}},
 		}}},
 	}
 	for _, sp := range spoofs {
@@ -192,7 +192,7 @@ func TestSenderIsTheChannel(t *testing.T) {
 			if got := r.ReceivedSeqs(nil); got[1] != 1 || got[2] != 0 {
 				t.Fatalf("received %v after the spoof, want it filed under process 1, not 2", got)
 			}
-			genuine := &Update{From: 2, Seq: 1, Op: OpSet, Loc: "b", Defines: true, Value: 1, TS: vclock.VC{0, 0, 1}}
+			genuine := &Update{From: 2, Seq: 1, Op: OpSet, Loc: "b", Defines: true, Value: 1, TS: []uint64{0, 0, 1}}
 			if err := f.Send(network.Message{From: 2, To: 0, Kind: KindUpdate, Payload: genuine}); err != nil {
 				t.Fatal(err)
 			}
@@ -437,8 +437,8 @@ type refGroup struct {
 	from              int
 	firstSeq, lastSeq uint64
 	entries           uint64
-	ts, need          vclock.VC
-	deps              vclock.Matrix
+	ts, need          []uint64
+	deps              Matrix
 	slow, elided      bool
 	self              bool
 }
@@ -464,9 +464,9 @@ type refReceiver struct {
 }
 
 // covers reports whether need[k] is applied for every k but from.
-func (r *refReceiver) covers(from int, need vclock.VC) bool {
-	for k := 0; k < r.n && k < need.Len(); k++ {
-		if k != from && r.applied[k] < need.Get(k) {
+func (r *refReceiver) covers(from int, need []uint64) bool {
+	for k := 0; k < r.n && k < len(need); k++ {
+		if k != from && r.applied[k] < need[k] {
 			return false
 		}
 	}
@@ -494,7 +494,7 @@ func (r *refReceiver) deliverable(g refGroup) bool {
 	case g.deps != nil:
 		return r.covers(g.from, g.deps.Row(r.id))
 	}
-	return g.ts.Len() == r.n && r.covers(g.from, g.ts)
+	return len(g.ts) == r.n && r.covers(g.from, g.ts)
 }
 
 func (r *refReceiver) arrive(g refGroup) {
@@ -574,7 +574,7 @@ func refGroupOf(m network.Message, scoped bool) refGroup {
 	case *Update:
 		return refGroup{
 			from: p.From, firstSeq: p.Seq, lastSeq: p.Seq, entries: 1,
-			ts: p.TS.Clone(), deps: p.Deps,
+			ts: slices.Clone(p.TS), deps: p.Deps,
 			slow:   !scoped && p.Label == history.LabelSlow,
 			elided: scoped && p.Deps == nil,
 		}
@@ -594,7 +594,7 @@ func refGroupOf(m network.Message, scoped bool) refGroup {
 		default:
 			g.slow = stamped == nil
 			if stamped != nil {
-				g.ts = stamped.TS.Clone()
+				g.ts = slices.Clone(stamped.TS)
 			}
 		}
 		return g
@@ -707,7 +707,7 @@ func runDrainDifferential(t *testing.T, n int, scope *ScopeMap, labels map[strin
 	// own issues one of the receiver's writes and hands the reference the same
 	// group: the next sequence number, waiting for the fence as it stands.
 	own := func(loc string, add bool) refGroup {
-		g := refGroup{from: recv, entries: 1, self: true, need: make(vclock.VC, n)}
+		g := refGroup{from: recv, entries: 1, self: true, need: make([]uint64, n)}
 		g.firstSeq = r.ReceivedSeqs(nil)[recv] + 1
 		g.lastSeq = g.firstSeq
 		for j := range g.need {

@@ -4,6 +4,8 @@ import (
 	"math"
 	"slices"
 	"sync/atomic"
+
+	"mixedmem/internal/slab"
 )
 
 // This file is the pools the runtime's updates and batches travel in: every
@@ -14,8 +16,8 @@ import (
 // pool is one site's supply of elements of one kind: the issue path's updates
 // (under clockMu), the outbox's updates and batches (under outboxMu), and each
 // inbound connection's decoder's (its goroutine's). The owner alone takes
-// elements, first from free, then from the return stack, and carves a slab of
-// slabSize on a miss. A release may come from any goroutine — a receiver's
+// elements, first from free, then from the return stack, and carves a slab
+// (slab.Of.One) on a miss. A release may come from any goroutine — a receiver's
 // apply path, a wire transport's sender — and pushes the element onto back, a
 // lock-free stack the owner empties in one swap, so neither side takes a lock
 // or allocates. Only the owner ever pops, and it takes the whole stack, so a
@@ -23,7 +25,7 @@ import (
 // pool: it holds as many as its site ever had in flight at once.
 type pool[E any, P pooled[E]] struct {
 	free *E
-	slab []E
+	slab slab.Of[E]
 	back atomic.Pointer[E]
 }
 
@@ -53,7 +55,7 @@ func (p *pool[E, P]) take(holders int32) P {
 	}
 	var l *poolLink[E]
 	if e == nil {
-		e = carve(&p.slab)
+		e = p.slab.One()
 		l = P(e).poolLink()
 		l.home = &p.back
 	} else {
@@ -163,8 +165,8 @@ func (e *stampedBatch) poolLink() *poolLink[stampedBatch] { return &e.link }
 // otherwise cost an allocation of each kind when it first fills.
 type batchPool struct {
 	pool[stampedBatch, *stampedBatch]
-	entries []Update // the unused rest of the entry slab
-	words   []uint64 // the unused rest of the word slab
+	entries slab.Of[Update] // the unused rest of the entry slab
+	words   slab.Of[uint64] // the unused rest of the word slab
 }
 
 // batchRoom is the granularity an element's entry and word capacities are
@@ -184,28 +186,12 @@ func takeBatch(p *batchPool, entries, words int) *stampedBatch {
 	e := p.take(1)
 	e.elem = e
 	if cap(e.Updates) < entries {
-		e.Updates = carveRoom(&p.entries, entries, entrySlab)
+		e.Updates = p.entries.Room(entries, batchRoom, entrySlab)
 	}
 	if cap(e.words) < words {
-		e.words = carveRoom(&p.words, words, wordSlab)
+		e.words = p.words.Room(words, batchRoom, wordSlab)
 	}
 	return e
-}
-
-// carveRoom returns an empty slice with room for k elements, rounded up to
-// batchRoom, carved from *slab, which it refills with size elements once too
-// short: more than that is an allocation of its own.
-func carveRoom[T any](slab *[]T, k, size int) []T {
-	k = (k + batchRoom - 1) / batchRoom * batchRoom
-	if k > size {
-		return make([]T, 0, k)
-	}
-	if len(*slab) < k {
-		*slab = make([]T, size)
-	}
-	s := (*slab)[:0:k]
-	*slab = (*slab)[k:]
-	return s
 }
 
 // element returns the pooled element b is the payload of, or nil for a batch
@@ -219,8 +205,9 @@ func (b *UpdateBatch) element() *stampedBatch {
 
 // release drops the holder's reference to b, a no-op for a batch that holds
 // none (element). The last one clears the header and the entries, so a free
-// element pins no timestamp, matrix or name, keeps the capacity of both
-// slices, and goes back to its pool.
+// element pins no timestamp, matrix or name, and goes back to its pool. It
+// keeps the capacity of both slices up to a slab's (entrySlab, wordSlab), as a
+// connection's scratch does: a peer's huge batch goes to the collector.
 func (b *UpdateBatch) release() {
 	e := b.element()
 	if e == nil || !e.link.drop() {
@@ -235,6 +222,12 @@ func (b *UpdateBatch) release() {
 		for i := range e.words {
 			e.words[i] = poisonSeq
 		}
+	}
+	if cap(entries) > entrySlab {
+		entries = nil
+	}
+	if cap(e.words) > wordSlab {
+		e.words = nil
 	}
 	e.UpdateBatch = UpdateBatch{Updates: entries[:0]}
 	if poisonReleased {

@@ -154,7 +154,7 @@ func TestScopedCausalBatched(t *testing.T) {
 		Readers:       map[string][]int{"x": {1, 2}, "y": {2}, "p": {2}},
 		CausalReaders: map[string][]int{"x": {1, 2}, "y": {2}},
 	}
-	batch := BatchConfig{Enabled: true, MaxUpdates: 1 << 20, MaxBytes: 1 << 30, Linger: time.Hour}
+	batch := BatchConfig{Enabled: true, MaxUpdates: 1 << 20, Linger: time.Hour}
 	f, nodes, cleanup := newScopedTrio(t, scope, batch)
 	defer cleanup()
 

@@ -8,8 +8,8 @@ import (
 	"time"
 
 	"mixedmem/internal/network"
+	"mixedmem/internal/slab"
 	"mixedmem/internal/transport"
-	"mixedmem/internal/vclock"
 )
 
 // Sent updates come from a per-node pool, their timestamps and matrices from
@@ -22,7 +22,7 @@ import (
 func frozenPayload(t *testing.T, payload any) any {
 	t.Helper()
 	freeze := func(u Update) Update {
-		u.TS, u.Deps = u.TS.Clone(), u.Deps.Clone()
+		u.TS, u.Deps = slices.Clone(u.TS), cloneMatrix(u.Deps)
 		return u
 	}
 	switch p := payload.(type) {
@@ -31,7 +31,7 @@ func frozenPayload(t *testing.T, payload any) any {
 		return &u
 	case *UpdateBatch:
 		b := *p
-		b.Deps = p.Deps.Clone()
+		b.Deps = cloneMatrix(p.Deps)
 		b.Updates = make([]Update, len(p.Updates))
 		for i, u := range p.Updates {
 			b.Updates[i] = freeze(u)
@@ -40,6 +40,18 @@ func frozenPayload(t *testing.T, payload any) any {
 	}
 	t.Fatalf("captured a %T", payload)
 	return nil
+}
+
+// cloneMatrix returns an independent copy of m, nil for nil.
+func cloneMatrix(m Matrix) Matrix {
+	if m == nil {
+		return nil
+	}
+	out := NewMatrix(len(m))
+	for i, row := range m {
+		copy(out[i], row)
+	}
+	return out
 }
 
 // TestSentUpdatesAreImmutable captures what a sender emits — single updates
@@ -120,9 +132,9 @@ func TestSentUpdatesAreImmutable(t *testing.T) {
 				frozen[i] = frozenPayload(t, m.Payload)
 				switch p := m.Payload.(type) {
 				case *Update:
-					stamped += p.TS.Len() + p.Deps.Len()
+					stamped += len(p.TS) + len(p.Deps)
 				case *UpdateBatch:
-					stamped += p.Updates[len(p.Updates)-1].TS.Len() + p.Deps.Len()
+					stamped += len(p.Updates[len(p.Updates)-1].TS) + len(p.Deps)
 				}
 			}
 			if stamped == 0 {
@@ -131,7 +143,7 @@ func TestSentUpdatesAreImmutable(t *testing.T) {
 
 			// Three writes a round: well past two slabs of updates, stamps,
 			// snapshots and batches.
-			for i := 0; i < slabSize; i++ {
+			for i := 0; i < slab.Size; i++ {
 				round()
 			}
 			for i, m := range held {
@@ -267,7 +279,7 @@ func TestParkedGroupKeepsItsStamp(t *testing.T) {
 	}
 	nodes[0].Write("a", 1)
 	nodes[1].WaitReceived([]uint64{1, 0, 0})
-	const later = 2*slabSize + 7
+	const later = 2*slab.Size + 7
 	for i := 1; i <= 1+later; i++ {
 		nodes[1].Write("x", int64(i)) // every one depends on the held a=1
 		if i == 1 {
@@ -284,7 +296,7 @@ func TestParkedGroupKeepsItsStamp(t *testing.T) {
 	}
 	for i := 0; i < q.size; i++ {
 		g := &q.buf[(q.head+i)&(len(q.buf)-1)]
-		if want := (vclock.VC{1, uint64(i + 1), 0}); !reflect.DeepEqual(g.need, want) {
+		if want := ([]uint64{1, uint64(i + 1), 0}); !reflect.DeepEqual(g.need, want) {
 			r.clockMu.Unlock()
 			t.Fatalf("parked group %d waits on %v, want %v", i, g.need, want)
 		}
@@ -335,7 +347,7 @@ func TestParkedScopedGroupKeepsItsMatrix(t *testing.T) {
 	}
 	nodes[0].Write("a", 1)
 	nodes[1].WaitCausalApplied([]uint64{1, 0, 0}) // merges a=1's matrix
-	const later = 2*slabSize + 7
+	const later = 2*slab.Size + 7
 	for i := 1; i <= 1+later; i++ {
 		nodes[1].Write("x", int64(i)) // every one depends on the held a=1
 	}
@@ -350,10 +362,10 @@ func TestParkedScopedGroupKeepsItsMatrix(t *testing.T) {
 	for i := 0; i < q.size; i++ {
 		g := q.at(i)
 		// a=1 went to 1 and 2; x i+1 to 2, after x i.
-		want := vclock.NewMatrix(n)
-		want.Set(1, 0, 1)
-		want.Set(2, 0, 1)
-		want.Set(2, 1, uint64(i+1))
+		want := NewMatrix(n)
+		want[1][0] = 1
+		want[2][0] = 1
+		want[2][1] = uint64(i + 1)
 		if g.ob != obMatrix || g.firstSeq != uint64(i+1) || !reflect.DeepEqual(g.need, want.Row(2)) ||
 			!reflect.DeepEqual(g.deps, want) {
 			r.clockMu.Unlock()
@@ -377,11 +389,11 @@ func TestParkedScopedGroupKeepsItsMatrix(t *testing.T) {
 // TestUnbatchedWriteAllocFloor pins the unbatched issue path: the sent update,
 // with a causal write's timestamp inside it, comes from the node's pool, and
 // the receiver's apply path hands it back when the update settles, so once the
-// pool is warm slabSize writes cost nothing — no boxing of the update into the
+// pool is warm slab.Size writes cost nothing — no boxing of the update into the
 // message, no clock clone, no slab. The receiver's apply path runs inside the
-// measurement and allocates nothing either. Before the pool every slabSize
+// measurement and allocates nothing either. Before the pool every slab.Size
 // writes cost one slab of updates, and before the slabs the same loop cost
-// slabSize boxings, and as many clock clones when causal.
+// slab.Size boxings, and as many clock clones when causal.
 func TestUnbatchedWriteAllocFloor(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
@@ -396,16 +408,16 @@ func TestUnbatchedWriteAllocFloor(t *testing.T) {
 			min := make([]uint64, 2)
 			var v int64
 			writeSlab := func() {
-				for i := 0; i < slabSize; i++ {
+				for i := 0; i < slab.Size; i++ {
 					v++
 					n.Write("steady", v)
 				}
-				min[0] += slabSize
+				min[0] += slab.Size
 				nodes[1].WaitReceived(min)
 			}
 			writeSlab() // warm the cells, the fabric's buffers and the pool
 			if allocs := testing.AllocsPerRun(50, writeSlab); allocs != 0 {
-				t.Errorf("%d unbatched %s writes: %.2f allocs, want 0", slabSize, tc.name, allocs)
+				t.Errorf("%d unbatched %s writes: %.2f allocs, want 0", slab.Size, tc.name, allocs)
 			}
 		})
 	}

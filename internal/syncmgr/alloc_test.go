@@ -7,13 +7,14 @@ import (
 	"testing"
 
 	"mixedmem/internal/network"
+	"mixedmem/internal/slab"
 )
 
 // Allocation pins and ownership tests for the synchronisation rounds. Like
 // the pins in internal/dsm these use testing.AllocsPerRun, which counts
 // process-wide mallocs and divides by the run count in integers: the slabs a
-// round draws on (one allocation per slabSize payloads or vectors) vanish
-// over 10×slabSize runs, and anything paid per round reads 1 or more.
+// round draws on (one allocation per slab.Size payloads or vectors) vanish
+// over 10×slab.Size runs, and anything paid per round reads 1 or more.
 //
 //   - an uncontended Lazy WLock+WUnlock cycle: 0. Request, grant and release
 //     are slab elements, RelVC and Counts slab vectors, the waiter channel
@@ -33,7 +34,7 @@ func TestLockCycleAllocFree(t *testing.T) {
 	lc := tc.locks[1] // not the manager's process: every message crosses the fabric
 	lc.WLock("l")
 	lc.WUnlock("l")
-	allocs := testing.AllocsPerRun(10*slabSize, func() {
+	allocs := testing.AllocsPerRun(10*slab.Size, func() {
 		lc.WLock("l")
 		lc.WUnlock("l")
 	})
@@ -54,7 +55,7 @@ func TestLockCycleAllocFree(t *testing.T) {
 func TestFreshLockAcquireAllocFree(t *testing.T) {
 	tc := newTestCluster(t, 3, Lazy)
 	lc := tc.locks[1]
-	const runs = 10 * slabSize
+	const runs = 10 * slab.Size
 	names := make([]string, runs+2) // one cycle here, one AllocsPerRun warm-up, runs measured
 	for i := range names {
 		names[i] = fmt.Sprintf("fresh%d", i)
@@ -105,7 +106,7 @@ func TestBarrierRoundAllocFree(t *testing.T) {
 		}
 	}
 	round()
-	allocs := testing.AllocsPerRun(10*slabSize, round)
+	allocs := testing.AllocsPerRun(10*slab.Size, round)
 	for _, ch := range start {
 		close(ch)
 	}
@@ -328,7 +329,7 @@ func TestSentPayloadsAreNeverRewritten(t *testing.T) {
 	tap(tc.dispatchers[2], KindLockGrant, tc.locks[2].onGrant)
 	tap(tc.dispatchers[2], KindBarRelease, tc.barriers[2].onRelease)
 
-	const cycles = 3 * slabSize // every slab is refilled at least twice
+	const cycles = 3 * slab.Size // every slab is refilled at least twice
 	var wg sync.WaitGroup
 	for p := range tc.nodes {
 		wg.Add(1)

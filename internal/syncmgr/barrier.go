@@ -7,6 +7,7 @@ import (
 	"mixedmem/internal/dsm"
 	"mixedmem/internal/network"
 	"mixedmem/internal/obs"
+	"mixedmem/internal/slab"
 )
 
 // barArrive is the payload a process sends to the barrier manager on
@@ -47,8 +48,8 @@ type BarrierManager struct {
 	// idle holds finished rounds for reuse; rels and vecs are the slabs sent
 	// releases and their Expected vectors are taken from.
 	idle []*barRound
-	rels slab[barRelease]
-	vecs vecSlab[uint64]
+	rels slab.Of[barRelease]
+	vecs slab.Of[uint64]
 }
 
 type barKey struct {
@@ -125,8 +126,8 @@ func (m *BarrierManager) onArrive(msg network.Message) {
 		if own == nil {
 			continue
 		}
-		rel := m.rels.next()
-		*rel = barRelease{K: arr.K, Group: arr.Group, Expected: m.vecs.next(m.n)}
+		rel := m.rels.One()
+		*rel = barRelease{K: arr.K, Group: arr.Group, Expected: m.vecs.Run(m.n)}
 		for j, vec := range r.sent {
 			if client < len(vec) {
 				rel.Expected[j] = vec[client]
@@ -164,8 +165,8 @@ type BarrierClient struct {
 	// parked recycles the channels in releases; arrs and vecs are the slabs
 	// sent arrivals and their Sent vectors are taken from.
 	parked waiters[*barRelease]
-	arrs   slab[barArrive]
-	vecs   vecSlab[uint64]
+	arrs   slab.Of[barArrive]
+	vecs   slab.Of[uint64]
 	stats  BarrierStats
 }
 
@@ -241,11 +242,11 @@ func (c *BarrierClient) barrier(group string, k int, members []int) {
 	c.mu.Lock()
 	ch := c.parked.get()
 	c.releases[barKey{group, k}] = ch
-	arr := c.arrs.next()
-	sent := c.vecs.next(n)[:0]
+	arr := c.arrs.One()
+	sent := c.vecs.Run(n)[:0]
 	var masked []uint64
 	if group != "" {
-		masked = c.vecs.next(n)
+		masked = c.vecs.Run(n)
 	}
 	c.mu.Unlock()
 

@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"mixedmem/internal/loctab"
+	"mixedmem/internal/slab"
 	"mixedmem/internal/transport"
 )
 
@@ -202,7 +203,7 @@ func (c codec[T]) Encode(dst []byte, payload any) ([]byte, error) {
 func (c codec[T]) Decode(data []byte) (any, error) { return c.decode(nil, nil, data) }
 
 func (c codec[T]) NewConnDecoder(int) func([]byte) (any, error) {
-	s, out := new(decodeState), new(slab[cell[T]])
+	s, out := new(decodeState), new(slab.Of[cell[T]])
 	return func(data []byte) (any, error) { return c.decode(s, out, data) }
 }
 
@@ -220,10 +221,10 @@ type cell[T any] struct {
 
 // decode parses data into the next cell of out, or into allocations of its own
 // when out is nil. A decode that fails leaves its cell unused.
-func (c codec[T]) decode(s *decodeState, out *slab[cell[T]], data []byte) (any, error) {
+func (c codec[T]) decode(s *decodeState, out *slab.Of[cell[T]], data []byte) (any, error) {
 	var p *T
 	if out != nil {
-		e := out.next()
+		e := out.One()
 		p, s.spare = &e.p, e.words[:]
 	}
 	v, err := c.parse(s, data)
@@ -249,9 +250,9 @@ func (c codec[T]) decode(s *decodeState, out *slab[cell[T]], data []byte) (any, 
 // The nil *decodeState decodes statelessly: every part is its own allocation.
 type decodeState struct {
 	spare  []uint64
-	words  vecSlab[uint64]
-	ints   vecSlab[int]
-	stamps vecSlab[writeStamp]
+	words  slab.Of[uint64]
+	ints   slab.Of[int]
+	stamps slab.Of[writeStamp]
 	names  [nameCacheSize]string
 }
 
@@ -296,7 +297,7 @@ func (s *decodeState) vec(d *transport.Decoder) []uint64 {
 	case n <= len(s.spare):
 		v, s.spare = s.spare[:n:n], nil
 	default:
-		v = s.words.next(n)
+		v = s.words.Run(n)
 	}
 	for i := range v {
 		v[i] = d.Uint64()
@@ -318,7 +319,7 @@ func (s *decodeState) writeSet(d *transport.Decoder) ([]writeStamp, error) {
 	if s == nil || n > maxSlabRun {
 		ws = make([]writeStamp, n)
 	} else {
-		ws = s.stamps.next(n)
+		ws = s.stamps.Run(n)
 	}
 	for i := range ws {
 		loc, from, seq := d.UvarintBytes(), d.Uvarint(), d.Uvarint()
@@ -417,7 +418,7 @@ func parseBarArrive(s *decodeState, data []byte) (a barArrive, err error) {
 	case s == nil || n > maxSlabRun:
 		a.Members = make([]int, n)
 	default:
-		a.Members = s.ints.next(n)
+		a.Members = s.ints.Run(n)
 	}
 	for i := range a.Members {
 		m := d.Uvarint()

@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"testing"
 
+	"mixedmem/internal/slab"
 	"mixedmem/internal/transport"
 )
 
@@ -273,7 +274,7 @@ func TestSyncSizeIsScheduleIndependent(t *testing.T) {
 // TestSyncConnDecodeAllocFloor pins what a connection's decoder allocates per
 // payload once it has seen the names: nothing of its own. The payload, its
 // count vector, member list or write-set come from slabs, one allocation each
-// per slabSize, and the names from the cache.
+// per slab.Size, and the names from the cache.
 func TestSyncConnDecodeAllocFloor(t *testing.T) {
 	for _, tc := range []struct {
 		kind string
@@ -305,11 +306,11 @@ func TestSyncConnDecodeAllocFloor(t *testing.T) {
 			t.Fatalf("%s: decoded %+v, want %+v", tc.kind, got, tc.p)
 		}
 		allocs := testing.AllocsPerRun(10, func() {
-			for i := 0; i < slabSize; i++ {
+			for i := 0; i < slab.Size; i++ {
 				decodeOne()
 			}
 		})
-		if perDecode := allocs / slabSize; perDecode > 0.05 {
+		if perDecode := allocs / slab.Size; perDecode > 0.05 {
 			t.Errorf("connection %s decode of %+v: %.3f allocs/op, want <= 0.05 (slabs only)", tc.kind, tc.p, perDecode)
 		}
 	}

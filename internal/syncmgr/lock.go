@@ -9,6 +9,7 @@ import (
 	"mixedmem/internal/dsm"
 	"mixedmem/internal/network"
 	"mixedmem/internal/obs"
+	"mixedmem/internal/slab"
 )
 
 // LockMode distinguishes read and write lock requests.
@@ -21,7 +22,7 @@ const (
 )
 
 // The three lock payloads travel as pointers: *lockRequest, *lockGrant and
-// *lockRelease, taken from the sender's slab (slab.go), filled, sent, and
+// *lockRelease, taken from the sender's slab (slab.Of), filled, sent, and
 // never written again — the ownership rule of dsm's *Update. A receiver may
 // read one for as long as it likes and must not write through it.
 
@@ -82,9 +83,9 @@ type Manager struct {
 	// states is the slab new locks' states are taken from; grants and vecs
 	// are the slabs sent grants, their release vectors and the locks' own
 	// accumulated release vectors are taken from.
-	states slab[lockState]
-	grants slab[lockGrant]
-	vecs   vecSlab[uint64]
+	states slab.Of[lockState]
+	grants slab.Of[lockGrant]
+	vecs   slab.Of[uint64]
 }
 
 type lockState struct {
@@ -130,11 +131,11 @@ func NewManager(d *Dispatcher, mode PropagationMode) *Manager {
 func (m *Manager) state(name string) *lockState {
 	st, ok := m.locks[name]
 	if !ok {
-		st = m.states.next()
+		st = m.states.One()
 		st.writer = -1
 		st.queue = st.queue0[:0]
 		if m.mode == Lazy {
-			st.relVC = m.vecs.next(m.d.tr.Nodes())
+			st.relVC = m.vecs.Run(m.d.tr.Nodes())
 		}
 		m.locks[name] = st
 	}
@@ -257,11 +258,11 @@ func (m *Manager) nextEpochLocked(st *lockState, read bool) int {
 
 // grantLocked builds req's grant in the slab and sends it.
 func (m *Manager) grantLocked(st *lockState, req *waiting) {
-	g := m.grants.next()
+	g := m.grants.One()
 	*g = lockGrant{ReqID: req.reqID, Epoch: st.epoch}
 	switch m.mode {
 	case Lazy:
-		g.RelVC = m.vecs.next(len(st.relVC))
+		g.RelVC = m.vecs.Run(len(st.relVC))
 		copy(g.RelVC, st.relVC)
 	case DemandDriven:
 		g.WriteSet = st.writeSet
@@ -298,9 +299,9 @@ type Client struct {
 	// sent requests and releases are taken from, a release with room for its
 	// sequence vector, and vecs the slab of the vectors too wide for that.
 	parked waiters[*lockGrant]
-	reqs   slab[lockRequest]
-	rels   slab[cell[lockRelease]]
-	vecs   vecSlab[uint64]
+	reqs   slab.Of[lockRequest]
+	rels   slab.Of[cell[lockRelease]]
+	vecs   slab.Of[uint64]
 	// flushWait collects flush acknowledgements for eager unlocks.
 	flushAcks chan struct{}
 	// marks tracks the write-log position at each write-lock acquire, per
@@ -367,7 +368,7 @@ func (c *Client) onFlushAck(network.Message) {
 func (c *Client) acquire(name string, mode LockMode) *lockGrant {
 	c.mu.Lock()
 	c.nextReq++
-	req := c.reqs.next()
+	req := c.reqs.One()
 	*req = lockRequest{Lock: name, Mode: mode, ReqID: c.nextReq}
 	ch := c.parked.get()
 	c.grants[req.ReqID] = ch
@@ -428,7 +429,7 @@ func (c *Client) release(name string, mode LockMode, writeSet []writeStamp) {
 		c.node.FlushUpdates()
 	}
 	c.mu.Lock()
-	e := c.rels.next()
+	e := c.rels.One()
 	rel := &e.p
 	*rel = lockRelease{Lock: name, Mode: mode}
 	if c.mode == Lazy {
@@ -436,7 +437,7 @@ func (c *Client) release(name string, mode LockMode, writeSet []writeStamp) {
 		if n := c.node.N(); n <= cellWords {
 			rel.Counts = e.words[:0:n]
 		} else {
-			rel.Counts = c.vecs.next(n)[:0]
+			rel.Counts = c.vecs.Run(n)[:0]
 		}
 	}
 	c.mu.Unlock()

@@ -16,7 +16,6 @@ import (
 
 	"mixedmem/internal/dsm"
 	"mixedmem/internal/transport"
-	"mixedmem/internal/vclock"
 )
 
 // rawSender is a hand-driven sending end of a channel: a plain connection to
@@ -426,7 +425,7 @@ func TestUndecodableDefinitionStrandsNothing(t *testing.T) {
 	}
 	upd := func(seq uint64, ord uint32, loc string, value int64) *dsm.Update {
 		return &dsm.Update{From: 0, Seq: seq, Op: dsm.OpSet, Loc: loc, Ordinal: ord, Defines: loc != "",
-			Value: value, TS: vclock.VC{seq, 0}}
+			Value: value, TS: []uint64{seq, 0}}
 	}
 	s := dialRaw(t, trs[1], 0)
 	var frames []byte
